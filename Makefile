@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race equiv faults bench bench-route bench-stash bench-harden benchall obs-smoke cache-smoke serve-smoke harden-smoke trace-smoke bench-route-smoke serve-load
+.PHONY: check build test vet race equiv faults bench bench-flow bench-route bench-stash bench-harden benchall obs-smoke cache-smoke serve-smoke harden-smoke trace-smoke bench-route-smoke serve-load
 
 ## check: the full gate — vet, build, unit tests, the race-enabled
 ## fault-injection suite, then the observability, stage-cache, daemon,
@@ -24,9 +24,10 @@ vet:
 ## asserting identical PPA against the -j 1 serial reference; under
 ## -race both run reduced configs — see the race_on_test.go files.
 ## internal/place rides along for the analytic placer's own
-## determinism and quality tests.
+## determinism and quality tests, internal/extract and internal/sta for
+## their per-worker and engine-owned scratch.
 race:
-	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/ ./internal/stash/ ./internal/serve/
+	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/ ./internal/stash/ ./internal/serve/ ./internal/extract/ ./internal/sta/
 	$(GO) test -race -timeout 30m ./internal/flows/ ./internal/ddb/ ./internal/opt/ ./internal/place/
 
 ## equiv: just the parallel-vs-serial equivalence proof — every flow at
@@ -93,6 +94,18 @@ faults:
 ## machine-readable BENCH_opt.json.
 bench:
 	$(GO) test -bench 'TableII|Optimize' -count 5 -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchjson | tee BENCH_opt.json
+
+## bench-flow: the flow ledger (bench/, gated by BENCHMARK.json) — the
+## seven end-to-end metrics of each of the four workloads, one JSON line
+## per workload, collected into the gitignored BENCH_flow.jsonl. The
+## numbers a perf claim in CHANGES.md cites.
+FLOW_WORKLOADS = table2 baselines-j1 table2-warm array-verify
+bench-flow:
+	rm -f BENCH_flow.jsonl
+	for w in $(FLOW_WORKLOADS); do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 12 --trace 0 >> BENCH_flow.jsonl || exit 1; \
+	done
+	cat BENCH_flow.jsonl
 
 ## bench-route: the parallel-engine comparison — the large-cache tile
 ## and the flat BENCH_SIZE×BENCH_SIZE tile array, serial (-j 1) vs the

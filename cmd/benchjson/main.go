@@ -192,16 +192,10 @@ func main() {
 		}
 		out.Benchmarks = append(out.Benchmarks, e)
 	}
-	// The headline ratios: full-recompute optimization vs incremental,
-	// and — when lines from the pre-refactor checkpoint engine are
-	// included on stdin (built from the commit before internal/ddb) —
-	// pre-refactor vs incremental.
+	// The headline ratio: full-recompute optimization vs incremental.
 	inc, okI := byName["BenchmarkOptimizeIncremental"]
 	if full, ok := byName["BenchmarkOptimizeFull"]; ok && okI && inc.MeanNsOp > 0 {
 		out.Speedup["optimize_full_over_incremental"] = full.MeanNsOp / inc.MeanNsOp
-	}
-	if pre, ok := byName["BenchmarkOptimizePreRefactor"]; ok && okI && inc.MeanNsOp > 0 {
-		out.Speedup["optimize_prerefactor_over_incremental"] = pre.MeanNsOp / inc.MeanNsOp
 	}
 	// Parallel-engine ratios (`make bench-route`): serial reference
 	// over the parallel engine at the pinned worker count. The default

@@ -56,6 +56,10 @@ type DB struct {
 	drivenI [][]int32
 	drivenP [][]int32
 	inputs  [][]int32
+
+	// exScratch is the extraction working state behind Txn.Reroute;
+	// transactions on one DB run one at a time.
+	exScratch extract.Scratch
 }
 
 // New builds the database over an already routed and extracted design.

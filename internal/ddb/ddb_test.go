@@ -213,7 +213,7 @@ func TestCommitKeepsEdits(t *testing.T) {
 		t.Fatal("commit lost the resize")
 	}
 	// A committed extraction patch matches a fresh single-net extract.
-	fresh := extract.One(n, db.Routes.Routes[n.ID], db.Grid, db.Corner)
+	fresh := extract.One(&extract.Scratch{}, n, db.Routes.Routes[n.ID], db.Grid, db.Corner)
 	if math.Abs(fresh.CTotal()-db.Ex.Nets[n.ID].CTotal()) > 1e-12 {
 		t.Fatal("committed RC differs from fresh extraction")
 	}

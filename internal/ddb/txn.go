@@ -235,7 +235,7 @@ func (t *Txn) Reroute(n *netlist.Net) error {
 		return err
 	}
 	t.db.Routes.SetRoute(n.ID, r)
-	t.db.Ex.Replace(n.ID, extract.One(n, r, t.db.Grid, t.db.Corner))
+	t.db.Ex.Replace(n.ID, extract.One(&t.db.exScratch, n, r, t.db.Grid, t.db.Corner))
 	t.dirtyNets.add(n.ID)
 	t.db.Obs.Reg().Counter("ddb_incremental_reroutes_total",
 		"Per-net incremental reroute+re-extract operations (Txn.Reroute).").Inc()

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"macro3d/internal/netlist"
@@ -60,9 +61,10 @@ func Extract(d *netlist.Design, res *route.Result, db *route.DB, corner tech.Cor
 			wg.Add(1)
 			go func(nets []*netlist.Net) {
 				defer wg.Done()
+				var s Scratch // per worker
 				for _, n := range nets {
 					if r := res.Routes[n.ID]; r != nil {
-						out.Nets[n.ID] = extractNet(n, r, db, corner)
+						out.Nets[n.ID] = s.extractNet(n, r, db, corner)
 					}
 				}
 			}(d.Nets[lo:hi])
@@ -76,12 +78,13 @@ func Extract(d *netlist.Design, res *route.Result, db *route.DB, corner tech.Cor
 		}
 		return out
 	}
+	var s Scratch
 	for _, n := range d.Nets {
 		r := res.Routes[n.ID]
 		if r == nil {
 			continue
 		}
-		rc := extractNet(n, r, db, corner)
+		rc := s.extractNet(n, r, db, corner)
 		out.Nets[n.ID] = rc
 		out.CWireTotal += rc.WireC
 		out.CPinTotal += rc.PinC
@@ -90,11 +93,11 @@ func Extract(d *netlist.Design, res *route.Result, db *route.DB, corner tech.Cor
 }
 
 // One re-extracts a single net (after sizing changed its pin caps or a
-// reroute changed its segments) and returns the fresh RC view. The
-// caller is responsible for replacing the entry in Design.Nets and
-// adjusting the design totals.
-func One(n *netlist.Net, r *route.NetRoute, db *route.DB, corner tech.CornerScale) *NetRC {
-	return extractNet(n, r, db, corner)
+// reroute changed its segments) and returns the fresh RC view, working
+// in the caller's scratch. The caller is responsible for replacing the
+// entry in Design.Nets and adjusting the design totals.
+func One(s *Scratch, n *netlist.Net, r *route.NetRoute, db *route.DB, corner tech.CornerScale) *NetRC {
+	return s.extractNet(n, r, db, corner)
 }
 
 // Replace swaps the RC entry for a net and maintains the totals. Pass
@@ -149,102 +152,190 @@ func (d *Design) CheckFinite() error {
 	return nil
 }
 
-// node key for the electrical graph.
-type eNode = route.Node
+// Scratch is the reusable working state of one net's extraction: the
+// net's route nodes numbered locally through a generation-stamped hash
+// table, and the RC graph, BFS tree, downstream capacitance and Elmore
+// delay as flat arrays over those numbers. The zero value is ready to
+// use; arrays only grow, so a warmed scratch extracts a net allocating
+// nothing but the returned NetRC. One scratch serves one goroutine:
+// Extract keeps one per worker, ddb.DB owns the one behind Txn.Reroute.
+type Scratch struct {
+	tab  []nodeSlot // open-addressed route.Node → local id
+	mask uint64     // probe mask of the current net (≤ len(tab)-1)
+	gen  uint32     // a slot is live iff its gen matches
 
-type eEdge struct {
-	to eNode
-	r  float64
+	// By local node id (first-seen order).
+	capAt   []float64 // grounded capacitance, fF
+	cur     []int32   // degree, then CSR fill cursor
+	off     []int32   // CSR row offsets into adjTo/adjR
+	parent  []int32   // BFS parent; rootNode, unseenNode
+	parentR []float64 // resistance of the edge to the parent
+	down    []float64 // downstream capacitance
+	delay   []float64 // Elmore delay from the driver
+
+	adjTo      []int32 // CSR adjacency, per node in edge insertion order
+	adjR       []float64
+	order      []int32 // BFS order from the driver
+	segA, segB []int32 // local endpoint ids per segment
+	segR       []float64
+	sink       []int32 // local node id per Net.Sinks entry
 }
 
-// extractNet builds the RC tree of one net and runs Elmore.
-func extractNet(n *netlist.Net, r *route.NetRoute, db *route.DB, corner tech.CornerScale) *NetRC {
+type nodeSlot struct {
+	node route.Node
+	gen  uint32
+	id   int32
+}
+
+const (
+	rootNode   = -1
+	unseenNode = -2
+)
+
+// grow returns s resized to n; contents are unspecified.
+func grow[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// reset prepares the node table for a net of at most maxNodes nodes.
+func (s *Scratch) reset(maxNodes int) {
+	size := 8
+	for size < 2*maxNodes {
+		size <<= 1
+	}
+	if len(s.tab) < size {
+		s.tab = make([]nodeSlot, size)
+		s.gen = 0
+	}
+	s.mask = uint64(size - 1)
+	s.gen++
+	if s.gen == 0 { // generation wrap: stale stamps could collide
+		clear(s.tab)
+		s.gen = 1
+	}
+	s.capAt, s.cur = s.capAt[:0], s.cur[:0]
+}
+
+// id returns the node's local number, assigning the next one (with zero
+// capacitance and degree) on first sight.
+func (s *Scratch) id(n route.Node) int32 {
+	h := uint64(n.X)*0x9E3779B97F4A7C15 + uint64(n.Y)*0xC2B2AE3D27D4EB4F + uint64(n.L)*0x165667B19E3779F9
+	for i := (h ^ h>>32) & s.mask; ; i = (i + 1) & s.mask {
+		sl := &s.tab[i]
+		if sl.gen != s.gen {
+			*sl = nodeSlot{node: n, gen: s.gen, id: int32(len(s.capAt))}
+			s.capAt = append(s.capAt, 0)
+			s.cur = append(s.cur, 0)
+			return sl.id
+		}
+		if sl.node == n {
+			return sl.id
+		}
+	}
+}
+
+// extractNet builds the RC tree of one net and runs Elmore. Every
+// accumulation — per-node capacitance in segment then pin order,
+// adjacency in edge insertion order, BFS from the driver with the
+// first-found parent winning, downstream sums in reverse BFS order —
+// keeps one fixed sequence, so the floats are reproducible bit for bit.
+func (s *Scratch) extractNet(n *netlist.Net, r *route.NetRoute, db *route.DB, corner tech.CornerScale) *NetRC {
 	rc := &NetRC{Net: n, ElmoreTo: make([]float64, len(n.Sinks))}
+	nseg := len(r.Segments)
+	s.reset(2*nseg + n.NumPins())
+	s.segA, s.segB, s.segR = grow(s.segA, nseg), grow(s.segB, nseg), grow(s.segR, nseg)
 
-	adj := make(map[eNode][]eEdge)
-	capAt := make(map[eNode]float64)
-	addEdge := func(a, b eNode, res float64, c float64) {
-		adj[a] = append(adj[a], eEdge{b, res})
-		adj[b] = append(adj[b], eEdge{a, res})
-		capAt[a] += c / 2
-		capAt[b] += c / 2
-		rc.WireR += res
-	}
-
-	for _, s := range r.Segments {
-		if s.IsVia() {
-			lo := s.A.L
-			if s.B.L < lo {
-				lo = s.B.L
-			}
-			v := db.Beol.Vias[lo]
-			res := v.R * corner.WireR
-			c := v.C * corner.WireC
-			rc.WireC += c
-			addEdge(s.A, s.B, res, c)
-			continue
+	for i, sg := range r.Segments {
+		var res, c float64
+		if sg.IsVia() {
+			v := db.Beol.Vias[min(sg.A.L, sg.B.L)]
+			res = v.R * corner.WireR
+			c = v.C * corner.WireC
+		} else {
+			ly := db.Beol.Layers[sg.A.L]
+			length := float64(abs(sg.B.X-sg.A.X))*db.Grid.DX + float64(abs(sg.B.Y-sg.A.Y))*db.Grid.DY
+			res = length * ly.RPerUm * corner.WireR
+			c = length * ly.CPerUm * corner.WireC
 		}
-		ly := db.Beol.Layers[s.A.L]
-		length := float64(abs(s.B.X-s.A.X))*db.Grid.DX + float64(abs(s.B.Y-s.A.Y))*db.Grid.DY
-		res := length * ly.RPerUm * corner.WireR
-		c := length * ly.CPerUm * corner.WireC
 		rc.WireC += c
-		addEdge(s.A, s.B, res, c)
+		rc.WireR += res
+		a, b := s.id(sg.A), s.id(sg.B)
+		s.capAt[a] += c / 2
+		s.capAt[b] += c / 2
+		s.cur[a]++
+		s.cur[b]++
+		s.segA[i], s.segB[i], s.segR[i] = a, b, res
 	}
 
-	// Pin caps at their nodes.
-	pins := n.Pins()
-	for i, p := range pins {
-		if i == 0 {
-			continue // driver contributes no load to itself
-		}
-		capAt[r.PinNode[i]] += p.Cap()
+	// Pin caps at their nodes (the driver contributes no load to itself).
+	s.sink = grow(s.sink, len(n.Sinks))
+	for i, p := range n.Sinks {
+		id := s.id(r.PinNode[i+1])
+		s.sink[i] = id
+		s.capAt[id] += p.Cap()
 		rc.PinC += p.Cap()
 	}
-
-	if len(pins) < 2 {
+	if len(n.Sinks) == 0 {
 		return rc
 	}
-	driver := r.PinNode[0]
+	driver := s.id(r.PinNode[0])
+	nn := len(s.capAt)
+
+	// Adjacency as CSR: rows filled in segment order, a's entry before
+	// b's, which is the order the edges were inserted in.
+	s.off = grow(s.off, nn+1)
+	s.off[0] = 0
+	for u, deg := range s.cur {
+		s.off[u+1] = s.off[u] + deg
+		s.cur[u] = s.off[u]
+	}
+	s.adjTo, s.adjR = grow(s.adjTo, 2*nseg), grow(s.adjR, 2*nseg)
+	for i := 0; i < nseg; i++ {
+		a, b, res := s.segA[i], s.segB[i], s.segR[i]
+		s.adjTo[s.cur[a]], s.adjR[s.cur[a]] = b, res
+		s.cur[a]++
+		s.adjTo[s.cur[b]], s.adjR[s.cur[b]] = a, res
+		s.cur[b]++
+	}
 
 	// BFS tree from the driver (the routed graph can contain parallel
 	// connections from overlapping MST paths; first-found parent
 	// wins).
-	parent := map[eNode]*eEdge{}
-	order := []eNode{driver}
-	seen := map[eNode]bool{driver: true}
-	for qi := 0; qi < len(order); qi++ {
-		u := order[qi]
-		for i := range adj[u] {
-			e := adj[u][i]
-			if !seen[e.to] {
-				seen[e.to] = true
-				parent[e.to] = &eEdge{to: u, r: e.r}
-				order = append(order, e.to)
+	s.parent, s.parentR = grow(s.parent, nn), grow(s.parentR, nn)
+	s.down, s.delay = grow(s.down, nn), grow(s.delay, nn)
+	for u := range s.parent {
+		s.parent[u] = unseenNode
+		s.down[u], s.delay[u] = 0, 0
+	}
+	s.parent[driver] = rootNode
+	s.order = append(s.order[:0], driver)
+	for qi := 0; qi < len(s.order); qi++ {
+		u := s.order[qi]
+		for e := s.off[u]; e < s.off[u+1]; e++ {
+			if v := s.adjTo[e]; s.parent[v] == unseenNode {
+				s.parent[v], s.parentR[v] = u, s.adjR[e]
+				s.order = append(s.order, v)
 			}
 		}
 	}
 
 	// Downstream capacitance by reverse BFS order.
-	down := make(map[eNode]float64, len(order))
-	for i := len(order) - 1; i >= 0; i-- {
-		u := order[i]
-		down[u] += capAt[u]
-		if p := parent[u]; p != nil {
-			down[p.to] += down[u]
+	for i := len(s.order) - 1; i >= 0; i-- {
+		u := s.order[i]
+		s.down[u] += s.capAt[u]
+		if p := s.parent[u]; p >= 0 {
+			s.down[p] += s.down[u]
 		}
 	}
 
 	// Elmore from driver to each node: delay(u) = delay(parent) +
-	// R_edge × downstream(u). kΩ·fF = ps.
-	delay := make(map[eNode]float64, len(order))
-	for _, u := range order {
-		if p := parent[u]; p != nil {
-			delay[u] = delay[p.to] + p.r*down[u]
+	// R_edge × downstream(u). kΩ·fF = ps. A sink the segments do not
+	// reach keeps delay 0.
+	for _, u := range s.order {
+		if p := s.parent[u]; p >= 0 {
+			s.delay[u] = s.delay[p] + s.parentR[u]*s.down[u]
 		}
 	}
-	for i := range n.Sinks {
-		rc.ElmoreTo[i] = delay[r.PinNode[i+1]]
+	for i, id := range s.sink {
+		rc.ElmoreTo[i] = s.delay[id]
 	}
 	return rc
 }

@@ -220,7 +220,7 @@ func TestReplaceMaintainsTotals(t *testing.T) {
 	w0, p0 := ex.CWireTotal, ex.CPinTotal
 	rc := ex.Nets[0]
 	// Re-extract the same net and replace: totals unchanged.
-	ex.Replace(0, One(d.Nets[0], res.Routes[0], db, typical()))
+	ex.Replace(0, One(&Scratch{}, d.Nets[0], res.Routes[0], db, typical()))
 	if ex.CWireTotal != w0 || ex.CPinTotal != p0 {
 		t.Fatalf("totals drifted: %v/%v vs %v/%v", ex.CWireTotal, ex.CPinTotal, w0, p0)
 	}

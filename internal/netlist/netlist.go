@@ -7,6 +7,7 @@ package netlist
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"macro3d/internal/cell"
@@ -144,25 +145,36 @@ type Net struct {
 	Weight float64
 }
 
-// Pins returns driver and sinks as one slice.
-func (n *Net) Pins() []PinRef {
-	out := make([]PinRef, 0, len(n.Sinks)+1)
-	out = append(out, n.Driver)
-	out = append(out, n.Sinks...)
-	return out
-}
+// NumPins returns the number of connection points: the driver plus
+// every sink.
+func (n *Net) NumPins() int { return len(n.Sinks) + 1 }
 
-// PinLocs returns the locations of all connection points.
-func (n *Net) PinLocs() []geom.Point {
-	pts := make([]geom.Point, 0, len(n.Sinks)+1)
-	for _, p := range n.Pins() {
-		pts = append(pts, p.Loc())
+// PinAt returns connection point i — the driver at 0, then the sinks in
+// order. Together with NumPins it is the allocation-free pin walk the
+// engines' inner loops use; route.NetRoute.PinNode is indexed the same
+// way.
+func (n *Net) PinAt(i int) PinRef {
+	if i == 0 {
+		return n.Driver
 	}
-	return pts
+	return n.Sinks[i-1]
 }
 
-// HPWL returns the half-perimeter wirelength of the net, µm.
-func (n *Net) HPWL() float64 { return geom.HPWL(n.PinLocs()) }
+// HPWL returns the half-perimeter wirelength of the net, µm: a running
+// bounding box over the pin walk (math.Min/Max, like geom.BoundingBox).
+func (n *Net) HPWL() float64 {
+	if len(n.Sinks) == 0 {
+		return 0
+	}
+	p := n.Driver.Loc()
+	lx, ly, ux, uy := p.X, p.Y, p.X, p.Y
+	for _, s := range n.Sinks {
+		p = s.Loc()
+		lx, ly = math.Min(lx, p.X), math.Min(ly, p.Y)
+		ux, uy = math.Max(ux, p.X), math.Max(uy, p.Y)
+	}
+	return (ux - lx) + (uy - ly)
+}
 
 // Design is a flat gate-level netlist plus its placement state.
 type Design struct {
@@ -345,9 +357,9 @@ func (d *Design) TotalHPWL() float64 {
 func (d *Design) NetsOfInstance() [][]*Net {
 	adj := make([][]*Net, len(d.Instances))
 	for _, n := range d.Nets {
-		for _, p := range n.Pins() {
-			if p.Inst != nil {
-				adj[p.Inst.ID] = append(adj[p.Inst.ID], n)
+		for i, np := 0, n.NumPins(); i < np; i++ {
+			if inst := n.PinAt(i).Inst; inst != nil {
+				adj[inst.ID] = append(adj[inst.ID], n)
 			}
 		}
 	}

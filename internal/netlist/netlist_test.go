@@ -107,6 +107,14 @@ func TestNetHPWL(t *testing.T) {
 	if h <= 100 || h >= 200 {
 		t.Fatalf("HPWL = %v, expected ~150", h)
 	}
+	// The running bounding box equals the slice-based reference exactly.
+	var pts []geom.Point
+	for i := 0; i < n.NumPins(); i++ {
+		pts = append(pts, n.PinAt(i).Loc())
+	}
+	if ref := geom.HPWL(pts); h != ref {
+		t.Fatalf("HPWL = %v, geom.HPWL of the pin locations = %v", h, ref)
+	}
 	if d.TotalHPWL() < h {
 		t.Fatal("TotalHPWL less than one net")
 	}
@@ -282,9 +290,8 @@ func TestDieString(t *testing.T) {
 func TestNetPins(t *testing.T) {
 	d := tiny(t)
 	n := d.Net("n_mid")
-	ps := n.Pins()
-	if len(ps) != 2 || ps[0] != n.Driver {
-		t.Fatal("Pins wrong")
+	if n.NumPins() != 2 || n.PinAt(0) != n.Driver || n.PinAt(1) != n.Sinks[0] {
+		t.Fatal("pin walk wrong")
 	}
 }
 

@@ -105,7 +105,8 @@ func TierPartition(d *netlist.Design, opt Options) (*Result, error) {
 				continue
 			}
 			same, other := 0, 0
-			for _, p := range n.Pins() {
+			for i, np := 0, n.NumPins(); i < np; i++ {
+				p := n.PinAt(i)
 				if p.Inst == c {
 					continue
 				}
@@ -248,7 +249,8 @@ func CountCutNets(d *netlist.Design) int {
 			continue
 		}
 		sawLogic, sawMacro := false, false
-		for _, p := range n.Pins() {
+		for i, np := 0, n.NumPins(); i < np; i++ {
+			p := n.PinAt(i)
 			die := netlist.LogicDie
 			if p.Inst != nil {
 				die = p.Inst.Die

@@ -116,7 +116,7 @@ func placeAnalytic(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64
 	bestHP := math.MaxFloat64
 
 	for it := 0; it < iters; it++ {
-		frac := float64(it) / float64(maxInt(iters-1, 1))
+		frac := float64(it) / float64(max(iters-1, 1))
 		gamma := gamma0 * math.Pow(gamma1/gamma0, frac)
 		step := (0.5 - 0.35*frac) * opt.BinPitch
 
@@ -237,15 +237,15 @@ type netAgg struct {
 
 func newAnalyticState(d *netlist.Design, movable []*netlist.Instance, bins *binGrid, workers int) *analyticState {
 	st := &analyticState{
-		agg:  make([]netAgg, len(d.Nets)),
-		wnet: make([]float64, len(d.Nets)),
-		wgx:  make([]float64, len(d.Instances)),
-		wgy:  make([]float64, len(d.Instances)),
-		dgx:  make([]float64, len(d.Instances)),
-		dgy:  make([]float64, len(d.Instances)),
-		hp:   make([]float64, len(d.Nets)),
-		bins: bins,
-		pois: newPoissonGrid(bins.grid),
+		agg:   make([]netAgg, len(d.Nets)),
+		wnet:  make([]float64, len(d.Nets)),
+		wgx:   make([]float64, len(d.Instances)),
+		wgy:   make([]float64, len(d.Instances)),
+		dgx:   make([]float64, len(d.Instances)),
+		dgy:   make([]float64, len(d.Instances)),
+		hp:    make([]float64, len(d.Nets)),
+		bins:  bins,
+		pois:  newPoissonGrid(bins.grid),
 		binOf: make([]int32, len(movable)),
 		cnt:   make([][]int32, workers),
 		off:   make([][]int32, workers),
@@ -267,7 +267,8 @@ func (st *analyticState) netWeights(d *netlist.Design, workers int, ts trSet) ti
 		for _, n := range d.Nets[lo:hi] {
 			wt := n.Weight
 			hasMD, hasBase := false, false
-			for _, p := range n.Pins() {
+			for i, np := 0, n.NumPins(); i < np; i++ {
+				p := n.PinAt(i)
 				layer := ""
 				if p.Port != nil {
 					layer = p.Port.Layer
@@ -319,20 +320,20 @@ func (st *analyticState) wlGradient(d *netlist.Design, movable []*netlist.Instan
 			if n.Clock {
 				continue
 			}
-			pins := n.Pins()
-			a.deg = float64(len(pins))
-			if len(pins) < 2 {
+			np := n.NumPins()
+			a.deg = float64(np)
+			if np < 2 {
 				continue
 			}
 			a.xmax, a.xmin = math.Inf(-1), math.Inf(1)
 			a.ymax, a.ymin = math.Inf(-1), math.Inf(1)
-			for _, p := range pins {
-				c := pinCoord(p, pos)
+			for i := 0; i < np; i++ {
+				c := pinCoord(n.PinAt(i), pos)
 				a.xmax, a.xmin = math.Max(a.xmax, c.X), math.Min(a.xmin, c.X)
 				a.ymax, a.ymin = math.Max(a.ymax, c.Y), math.Min(a.ymin, c.Y)
 			}
-			for _, p := range pins {
-				c := pinCoord(p, pos)
+			for i := 0; i < np; i++ {
+				c := pinCoord(n.PinAt(i), pos)
 				ex := math.Exp((c.X - a.xmax) / gamma)
 				a.ax += ex
 				a.axx += c.X * ex
@@ -502,8 +503,8 @@ func (st *analyticState) densGradient(movable []*netlist.Instance, pos []geom.Po
 		for k := lo; k < hi; k++ {
 			inst := movable[k]
 			ix, iy := g.Locate(pos[inst.ID])
-			xl, xr := maxInt(ix-1, 0), minInt(ix+1, g.NX-1)
-			yl, yr := maxInt(iy-1, 0), minInt(iy+1, g.NY-1)
+			xl, xr := max(ix-1, 0), min(ix+1, g.NX-1)
+			yl, yr := max(iy-1, 0), min(iy+1, g.NY-1)
 			var ddx, ddy float64
 			if xr > xl {
 				ddx = (phi[g.Index(xr, iy)] - phi[g.Index(xl, iy)]) / (float64(xr-xl) * g.DX)
@@ -564,15 +565,15 @@ func (st *analyticState) descend(movable []*netlist.Instance, pos []geom.Point,
 func (st *analyticState) exactHPWL(d *netlist.Design, pos []geom.Point, workers int, ts trSet) float64 {
 	par.ChunksTr(ts, "place/hpwl", workers, len(d.Nets), func(w, lo, hi int) {
 		for _, n := range d.Nets[lo:hi] {
-			pins := n.Pins()
-			if len(pins) < 2 {
+			np := n.NumPins()
+			if np < 2 {
 				st.hp[n.ID] = 0
 				continue
 			}
 			xmax, xmin := math.Inf(-1), math.Inf(1)
 			ymax, ymin := math.Inf(-1), math.Inf(1)
-			for _, p := range pins {
-				c := pinCoord(p, pos)
+			for i := 0; i < np; i++ {
+				c := pinCoord(n.PinAt(i), pos)
 				xmax, xmin = math.Max(xmax, c.X), math.Min(xmin, c.X)
 				ymax, ymin = math.Max(ymax, c.Y), math.Min(ymin, c.Y)
 			}
@@ -661,8 +662,8 @@ func relaxJacobi(phi, tmp, rho []float64, nx, ny int, h2 float64, iters, workers
 		busy += par.ChunksTr(ts, "place/poisson-relax", workers, nx*ny, func(w, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				x, y := i%nx, i/nx
-				xl, xr := maxInt(x-1, 0), minInt(x+1, nx-1)
-				yl, yr := maxInt(y-1, 0), minInt(y+1, ny-1)
+				xl, xr := max(x-1, 0), min(x+1, nx-1)
+				yl, yr := max(y-1, 0), min(y+1, ny-1)
 				d[i] = 0.25 * (s[y*nx+xl] + s[y*nx+xr] + s[yl*nx+x] + s[yr*nx+x] + h2*rho[i])
 			}
 		})
@@ -672,18 +673,4 @@ func relaxJacobi(phi, tmp, rho []float64, nx, ny int, h2 float64, iters, workers
 		copy(phi, src)
 	}
 	return busy
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -246,7 +246,8 @@ func solve(d *netlist.Design, movable []*netlist.Instance, adj [][]*netlist.Net,
 					continue // clock is routed by CTS, not a placement force
 				}
 				var sx, sy, k float64
-				for _, p := range n.Pins() {
+				for i, np := 0, n.NumPins(); i < np; i++ {
+					p := n.PinAt(i)
 					if p.Port != nil {
 						sx += p.Port.Loc.X
 						sy += p.Port.Loc.Y

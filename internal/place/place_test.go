@@ -226,7 +226,6 @@ func TestEmptyDesign(t *testing.T) {
 	}
 }
 
-
 func TestLegalizeBestEffortSpills(t *testing.T) {
 	lib := cell.NewStdLib28(cell.DefaultLibOptions())
 	d := netlist.NewDesign("s", lib)
@@ -264,6 +263,28 @@ func TestLegalizeBestEffortSpills(t *testing.T) {
 			if ok[i].Bounds().Expand(-1e-7).Intersects(ok[j].Bounds()) {
 				t.Fatal("placed cells overlap")
 			}
+		}
+	}
+}
+
+// TestSolveSweepAllocs: a Jacobi sweep walks every net's pins in place
+// (Net.PinAt), so solve allocates its three centroid arrays per call
+// and the two fan-out closures per sweep — nothing per net. The old pin
+// walk built one slice per net per sweep: 500 nets × 4 sweeps = 2000
+// objects here.
+func TestSolveSweepAllocs(t *testing.T) {
+	d, fp := chainDesign(500)
+	movable := movableCells(d)
+	adj := d.NetsOfInstance()
+	pos := make([]geom.Point, len(d.Instances))
+	anchor := make([]geom.Point, len(d.Instances))
+	for _, sweeps := range []int{1, 4} {
+		allocs := testing.AllocsPerRun(10, func() {
+			solve(d, movable, adj, pos, anchor, 0.2, fp.Die, sweeps, 1, nil)
+		})
+		if budget := float64(3 + 2*sweeps); allocs > budget {
+			t.Fatalf("solve with %d sweep(s) over %d nets allocates %.0f objects, want ≤ %.0f (0 per net)",
+				sweeps, len(d.Nets), allocs, budget)
 		}
 	}
 }

@@ -43,36 +43,42 @@ type netTask struct {
 	route *NetRoute
 	edges [][2]int  // MST edges as pin-index pairs
 	old   *NetRoute // non-nil for rip-up victims
+
+	// rects is the task's read/write footprint in tile space, a pure
+	// function of the task and its wave's mode. planFootprints fills it
+	// once per wave (a window of the DB's flat planRects buffer); every
+	// planning round that scans the task re-stamps the same rects.
+	rects []tileRect
 }
 
 // prepTask resolves pin nodes and decomposes the net into two-pin MST
 // edges. Pure function of the placement — independent of congestion,
 // so prep order never affects results.
 func (db *DB) prepTask(n *netlist.Net) (*netTask, error) {
-	pins := n.Pins()
-	r := &NetRoute{Net: n, PinNode: make([]Node, len(pins))}
-	for i, p := range pins {
-		nd, err := db.PinNode(p)
+	np := n.NumPins()
+	r := &NetRoute{Net: n, PinNode: make([]Node, np)}
+	for i := range r.PinNode {
+		nd, err := db.PinNode(n.PinAt(i))
 		if err != nil {
 			return nil, fmt.Errorf("net %s: %w", n.Name, err)
 		}
 		r.PinNode[i] = nd
 	}
 	t := &netTask{net: n, route: r}
-	if len(pins) < 2 {
+	if np < 2 {
 		return t, nil
 	}
 	// Prim MST over pin grid locations.
-	inTree := make([]bool, len(pins))
+	inTree := make([]bool, np)
 	inTree[0] = true
-	t.edges = make([][2]int, 0, len(pins)-1)
-	for k := 1; k < len(pins); k++ {
+	t.edges = make([][2]int, 0, np-1)
+	for k := 1; k < np; k++ {
 		best, bi, bj := 1<<30, -1, -1
-		for i := range pins {
+		for i := range inTree {
 			if !inTree[i] {
 				continue
 			}
-			for j := range pins {
+			for j := range inTree {
 				if inTree[j] {
 					continue
 				}
@@ -103,7 +109,7 @@ func (db *DB) routeTask(t *netTask, maze bool, s *mazeScratch) {
 				continue
 			}
 		}
-		t.route.Segments = append(t.route.Segments, db.patternRoute(a, b)...)
+		t.route.Segments = db.patternRoute(a, b, t.route.Segments)
 	}
 }
 
@@ -161,41 +167,74 @@ func (m *tileMap) stampTok(r tileRect, tok uint32) bool {
 	return hit
 }
 
-// footprint visits every gcell rectangle the task may read or write:
-// per MST edge the pattern frame (or the maze window), plus the old
-// route's segments for rip-ups.
-func (db *DB) footprint(t *netTask, maze bool, visit func(x0, y0, x1, y1 int)) {
+// appendFootprint appends, as tile-space rects, every gcell rectangle
+// the task may read or write: per MST edge the pattern frame (or the
+// maze window), plus the old route's segments for rip-ups.
+func (db *DB) appendFootprint(dst []tileRect, t *netTask, maze bool) []tileRect {
+	rect := func(x0, y0, x1, y1 int) tileRect {
+		return tileRect{
+			x0: int32(x0 / tilePx), y0: int32(y0 / tilePx),
+			x1: int32(x1 / tilePx), y1: int32(y1 / tilePx),
+		}
+	}
 	for _, e := range t.edges {
 		a, b := t.route.PinNode[e[0]], t.route.PinNode[e[1]]
 		if maze {
 			w := db.mazeWindow(a, b)
-			visit(w.x0, w.y0, w.x1, w.y1)
+			dst = append(dst, rect(w.x0, w.y0, w.x1, w.y1))
 			continue
 		}
 		x0, x1 := min(a.X, b.X), max(a.X, b.X)
 		y0, y1 := min(a.Y, b.Y), max(a.Y, b.Y)
-		visit(x0, y0, x1, y0)
-		visit(x0, y1, x1, y1)
-		visit(x0, y0, x0, y1)
-		visit(x1, y0, x1, y1)
+		dst = append(dst, rect(x0, y0, x1, y0), rect(x0, y1, x1, y1),
+			rect(x0, y0, x0, y1), rect(x1, y0, x1, y1))
 	}
 	if t.old != nil {
 		for _, s := range t.old.Segments {
-			visit(min(s.A.X, s.B.X), min(s.A.Y, s.B.Y),
-				max(s.A.X, s.B.X), max(s.A.Y, s.B.Y))
+			dst = append(dst, rect(min(s.A.X, s.B.X), min(s.A.Y, s.B.Y),
+				max(s.A.X, s.B.X), max(s.A.Y, s.B.Y)))
 		}
 	}
+	return dst
 }
 
-// footprintRects appends the task's footprint as tile-space rects.
-func (db *DB) footprintRects(t *netTask, maze bool, dst []tileRect) []tileRect {
-	db.footprint(t, maze, func(x0, y0, x1, y1 int) {
-		dst = append(dst, tileRect{
-			x0: int32(x0 / tilePx), y0: int32(y0 / tilePx),
-			x1: int32(x1 / tilePx), y1: int32(y1 / tilePx),
-		})
+// footprintLen is the number of rects appendFootprint emits for t.
+func footprintLen(t *netTask, maze bool) int {
+	n := 4 * len(t.edges)
+	if maze {
+		n = len(t.edges)
+	}
+	if t.old != nil {
+		n += len(t.old.Segments)
+	}
+	return n
+}
+
+// planFootprints reduces every task's footprint to tile rects, once
+// for the whole wave: offsets into the DB's flat rect buffer are laid
+// out serially, then the geometric work (windows, frames, tile
+// reduction) fans out over the workers, each task writing only its own
+// window of the buffer. The planning rounds that follow are pure
+// integer marking over these rects.
+func (db *DB) planFootprints(tasks []*netTask, maze bool, workers int, ts *trace.Set) {
+	total := 0
+	for _, t := range tasks {
+		total += footprintLen(t, maze)
+	}
+	if cap(db.planRects) < total {
+		db.planRects = make([]tileRect, total)
+	}
+	off := 0
+	for _, t := range tasks {
+		n := footprintLen(t, maze)
+		t.rects = db.planRects[off : off : off+n]
+		off += n
+	}
+	par.ChunksTr(ts, "route/plan-footprints", workers, len(tasks), func(w, lo, hi int) {
+		for _, t := range tasks[lo:hi] {
+			t.rects = db.appendFootprint(t.rects, t, maze)
+		}
 	})
-	return dst
 }
 
 // Per-round planning caps. Scanning stops after scanCap tasks (or
@@ -218,50 +257,44 @@ const (
 // batch and the deferred remainder. Every scanned task stamps its
 // footprint — batched or not — so no later task can overtake a
 // conflicting predecessor; that ordering invariant is what makes the
-// parallel schedule equivalent to the serial one.
+// parallel schedule equivalent to the serial one. Stamp order — and
+// therefore batch composition — is a pure function of the scan order,
+// so results are independent of the worker count.
 //
-// The geometric work (windows, frames, tile reduction) fans out over
-// the workers first; the serial scan that remains is pure integer
-// marking over the precomputed rects. Stamp order — and therefore
-// batch composition — stays a pure function of the scan order, so
-// results are independent of the worker count.
-func (db *DB) planBatch(pending []*netTask, maze bool, m *tileMap, workers int,
-	ts *trace.Set) (batch, deferred []*netTask) {
-
+// A round costs O(scanned window), never O(pending): the deferred
+// members of the window are compacted in place and slid up against the
+// unscanned tail, and the remainder is returned as a suffix of pending
+// — the tail is not copied. The batch lives in a DB-owned buffer that
+// the next round overwrites. Tasks must carry their rects
+// (planFootprints).
+func (db *DB) planBatch(pending []*netTask, m *tileMap) (batch, rest []*netTask) {
 	m.next()
 	n := min(len(pending), scanCap)
-	// Parallel footprint precompute into per-task reusable buffers.
-	if cap(db.planRects) < n {
-		db.planRects = make([][]tileRect, n)
-	}
-	rects := db.planRects[:n]
-	par.ChunksTr(ts, "route/plan-footprints", workers, n, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rects[i] = db.footprintRects(pending[i], maze, rects[i][:0])
-		}
-	})
-	// Serial ordered scan: stamp-and-detect per task, first hit defers.
-	batch = make([]*netTask, 0, min(n, batchCap))
-	for i, t := range pending[:n] {
+	batch = db.planBatchBuf[:0]
+	k := 0 // deferred so far, kept in order at pending[:k]
+	for i := 0; i < n; i++ {
+		t := pending[i]
 		tok := uint32(i + 1) // 0 is the unstamped sentinel
 		hit := false
-		for _, r := range rects[i] {
+		for _, r := range t.rects {
 			if m.stampTok(r, tok) {
 				hit = true
 			}
 		}
 		if hit {
-			deferred = append(deferred, t)
-		} else {
-			batch = append(batch, t)
-			if len(batch) == batchCap {
-				deferred = append(deferred, pending[i+1:]...)
-				return batch, deferred
-			}
+			pending[k] = t
+			k++
+			continue
+		}
+		batch = append(batch, t)
+		if len(batch) == batchCap {
+			n = i + 1 // everything past the cutoff defers unscanned
+			break
 		}
 	}
-	deferred = append(deferred, pending[n:]...)
-	return batch, deferred
+	db.planBatchBuf = batch[:0]
+	copy(pending[n-k:n], pending[:k])
+	return batch, pending[n-k:]
 }
 
 // routeAll routes the ordered tasks and commits each with commit(t),
@@ -291,14 +324,20 @@ func (db *DB) routeAll(tasks []*netTask, maze bool, workers int, pool []*mazeScr
 		m = newTileMap(db.Grid)
 		db.tiles = m
 	}
-	pending := tasks
+	db.planFootprints(tasks, maze, workers, met.ts)
+	// The rounds consume a DB-owned copy of the queue, so the caller's
+	// slice keeps its order.
+	db.planPending = append(db.planPending[:0], tasks...)
+	pending := db.planPending
+	defer clear(pending) // drop the task pointers, keep the buffer
 	for len(pending) > 0 {
 		psp := met.main.Begin("route", "route/plan")
-		batch, deferred := db.planBatch(pending, maze, m, workers, met.ts)
-		psp.End(trace.N("batch", int64(len(batch))), trace.N("deferred", int64(len(deferred))))
+		var batch []*netTask
+		batch, pending = db.planBatch(pending, m)
+		psp.End(trace.N("batch", int64(len(batch))), trace.N("deferred", int64(len(pending))))
 		met.batches.Inc()
 		met.batchNets.Observe(float64(len(batch)))
-		met.conflicts.Add(uint64(len(deferred)))
+		met.conflicts.Add(uint64(len(pending)))
 		// Rip-up releases, in order, before the concurrent phase. A
 		// released route lies inside its task's stamped footprint, so
 		// it is invisible to every other batch member.
@@ -323,6 +362,5 @@ func (db *DB) routeAll(tasks []*netTask, maze bool, workers int, pool []*mazeScr
 			commit(t)
 		}
 		csp.End(trace.N("nets", int64(len(batch))))
-		pending = deferred
 	}
 }

@@ -1,0 +1,368 @@
+package route
+
+import (
+	"sort"
+	"testing"
+
+	"macro3d/internal/geom"
+	"macro3d/internal/netlist"
+	"macro3d/internal/tech"
+)
+
+// The allocating implementations the flat kernels replaced, kept here
+// verbatim as oracles: the six-candidate pattern router that
+// materialised every L-shape and re-sorted the layer pairs per
+// connection, and the copy-based batch planner that recomputed
+// footprints per round and re-copied the unscanned tail. The
+// equivalence tests below demand exact equality against them.
+
+func viaStackOracle(x, y, la, lb int) []Seg {
+	var segs []Seg
+	step := 1
+	if lb < la {
+		step = -1
+	}
+	for l := la; l != lb; l += step {
+		segs = append(segs, Seg{Node{x, y, l}, Node{x, y, l + step}})
+	}
+	return segs
+}
+
+func compactSegsOracle(segs []Seg) []Seg {
+	out := segs[:0]
+	for _, s := range segs {
+		if s.A == s.B {
+			continue
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+func (db *DB) patternRouteOracle(a, b Node) []Seg {
+	pairs := db.hvPairs()
+	if len(pairs) == 0 {
+		return append(viaStackOracle(a.X, a.Y, a.L, b.L), Seg{Node{a.X, a.Y, b.L}, b})
+	}
+	dist := geom.AbsInt(a.X-b.X) + geom.AbsInt(a.Y-b.Y)
+	sort.SliceStable(pairs, func(i, j int) bool {
+		pref := 0
+		if dist > 24 && db.f2fIdx >= 0 {
+			pref = db.f2fIdx + 1
+		} else if dist > 12 {
+			pref = db.Beol.LogicDieLayers() - 1
+		} else if dist > 4 {
+			pref = 2
+		}
+		di := geom.AbsInt((pairs[i][0]+pairs[i][1])/2 - pref)
+		dj := geom.AbsInt((pairs[j][0]+pairs[j][1])/2 - pref)
+		return di < dj
+	})
+	if len(pairs) > 3 {
+		pairs = pairs[:3]
+	}
+
+	best := -1.0
+	var bestSegs []Seg
+	for _, pr := range pairs {
+		h, v := pr[0], pr[1]
+		for _, firstH := range []bool{true, false} {
+			var segs []Seg
+			cost := 0.0
+			if firstH {
+				segs = append(segs, viaStackOracle(a.X, a.Y, a.L, h)...)
+				cost += db.viaStackCost(a.X, a.Y, a.L, h)
+				if b.X != a.X {
+					s := Seg{Node{a.X, a.Y, h}, Node{b.X, a.Y, h}}
+					segs = append(segs, s)
+					cost += db.runCost(s.A, s.B)
+				}
+				segs = append(segs, viaStackOracle(b.X, a.Y, h, v)...)
+				cost += db.viaStackCost(b.X, a.Y, h, v)
+				if b.Y != a.Y {
+					s := Seg{Node{b.X, a.Y, v}, Node{b.X, b.Y, v}}
+					segs = append(segs, s)
+					cost += db.runCost(s.A, s.B)
+				}
+				segs = append(segs, viaStackOracle(b.X, b.Y, v, b.L)...)
+				cost += db.viaStackCost(b.X, b.Y, v, b.L)
+			} else {
+				segs = append(segs, viaStackOracle(a.X, a.Y, a.L, v)...)
+				cost += db.viaStackCost(a.X, a.Y, a.L, v)
+				if b.Y != a.Y {
+					s := Seg{Node{a.X, a.Y, v}, Node{a.X, b.Y, v}}
+					segs = append(segs, s)
+					cost += db.runCost(s.A, s.B)
+				}
+				segs = append(segs, viaStackOracle(a.X, b.Y, v, h)...)
+				cost += db.viaStackCost(a.X, b.Y, v, h)
+				if b.X != a.X {
+					s := Seg{Node{a.X, b.Y, h}, Node{b.X, b.Y, h}}
+					segs = append(segs, s)
+					cost += db.runCost(s.A, s.B)
+				}
+				segs = append(segs, viaStackOracle(b.X, b.Y, h, b.L)...)
+				cost += db.viaStackCost(b.X, b.Y, h, b.L)
+			}
+			if best < 0 || cost < best {
+				best = cost
+				bestSegs = segs
+			}
+		}
+	}
+	return compactSegsOracle(bestSegs)
+}
+
+func (db *DB) footprintOracle(t *netTask, maze bool, visit func(x0, y0, x1, y1 int)) {
+	for _, e := range t.edges {
+		a, b := t.route.PinNode[e[0]], t.route.PinNode[e[1]]
+		if maze {
+			w := db.mazeWindow(a, b)
+			visit(w.x0, w.y0, w.x1, w.y1)
+			continue
+		}
+		x0, x1 := min(a.X, b.X), max(a.X, b.X)
+		y0, y1 := min(a.Y, b.Y), max(a.Y, b.Y)
+		visit(x0, y0, x1, y0)
+		visit(x0, y1, x1, y1)
+		visit(x0, y0, x0, y1)
+		visit(x1, y0, x1, y1)
+	}
+	if t.old != nil {
+		for _, s := range t.old.Segments {
+			visit(min(s.A.X, s.B.X), min(s.A.Y, s.B.Y),
+				max(s.A.X, s.B.X), max(s.A.Y, s.B.Y))
+		}
+	}
+}
+
+func (db *DB) planBatchOracle(pending []*netTask, maze bool, m *tileMap) (batch, deferred []*netTask) {
+	m.next()
+	n := min(len(pending), scanCap)
+	rects := make([][]tileRect, n)
+	for i := range rects {
+		db.footprintOracle(pending[i], maze, func(x0, y0, x1, y1 int) {
+			rects[i] = append(rects[i], tileRect{
+				x0: int32(x0 / tilePx), y0: int32(y0 / tilePx),
+				x1: int32(x1 / tilePx), y1: int32(y1 / tilePx),
+			})
+		})
+	}
+	batch = make([]*netTask, 0, min(n, batchCap))
+	for i, t := range pending[:n] {
+		tok := uint32(i + 1)
+		hit := false
+		for _, r := range rects[i] {
+			if m.stampTok(r, tok) {
+				hit = true
+			}
+		}
+		if hit {
+			deferred = append(deferred, t)
+		} else {
+			batch = append(batch, t)
+			if len(batch) == batchCap {
+				deferred = append(deferred, pending[i+1:]...)
+				return batch, deferred
+			}
+		}
+	}
+	deferred = append(deferred, pending[n:]...)
+	return batch, deferred
+}
+
+// congest fills the database with seeded pseudo-random usage, history
+// and bump occupancy — from empty to past capacity — so candidate
+// costs differ and every branch of the cost model is live.
+func congest(db *DB, rng *geom.RNG) {
+	for i := range db.usage {
+		db.usage[i] = int32(rng.Intn(int(db.cap[i]) + 3))
+		if rng.Intn(4) == 0 {
+			db.hist[i] = float32(2 * rng.Intn(4))
+		}
+	}
+	for i := range db.f2fUse {
+		db.f2fUse[i] = int32(rng.Intn(int(db.f2fCap[i]) + 2))
+	}
+}
+
+// TestPatternRouteMatchesOracle: on a 2D stack, a combined F2F stack
+// and a degenerate single-direction stack, under random congestion,
+// the winner-only pattern router returns exactly the segments the
+// six-candidate router picked — same candidate order, same tie-break —
+// for thousands of pin pairs spanning every distance bucket, aligned
+// pins, coincident pins and F2F-crossing via stacks.
+func TestPatternRouteMatchesOracle(t *testing.T) {
+	logic, _ := tech.NewBEOL28("logic", 6)
+	macro, _ := tech.NewBEOL28("macro", 4)
+	comb, err := tech.Combine(logic, macro, tech.DefaultF2F())
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneDir := logic.Clone()
+	for i := range oneDir.Layers {
+		oneDir.Layers[i].Dir = tech.DirHorizontal
+	}
+	for bi, beol := range []*tech.BEOL{logic, comb, oneDir} {
+		db := NewDB(geom.R(0, 0, 600, 600), beol, nil, Options{GCellPitch: 10})
+		if (bi == 2) != (len(db.hvPairs()) == 0) {
+			t.Fatalf("stack %d: unexpected pair count %d", bi, len(db.hvPairs()))
+		}
+		rng := geom.NewRNG(uint64(100 + bi))
+		congest(db, rng)
+		nl := beol.NumLayers()
+		crossed := 0
+		for i := 0; i < 3000; i++ {
+			a := Node{rng.Intn(db.Grid.NX), rng.Intn(db.Grid.NY), rng.Intn(nl)}
+			// Spans cycle through the four distance buckets.
+			span := []int{3, 7, 14, db.Grid.NX}[i%4]
+			b := Node{
+				geom.ClampInt(a.X+rng.Intn(2*span+1)-span, 0, db.Grid.NX-1),
+				geom.ClampInt(a.Y+rng.Intn(2*span+1)-span, 0, db.Grid.NY-1),
+				rng.Intn(nl),
+			}
+			switch i % 7 {
+			case 0:
+				b.X = a.X
+			case 1:
+				b.Y = a.Y
+			case 2:
+				b.X, b.Y = a.X, a.Y
+			}
+			want := db.patternRouteOracle(a, b)
+			prefix := []Seg{{A: Node{1, 2, 3}, B: Node{1, 2, 4}}}
+			got := db.patternRoute(a, b, prefix)
+			if got[0] != prefix[0] {
+				t.Fatalf("stack %d case %d: patternRoute overwrote dst", bi, i)
+			}
+			got = got[1:]
+			if len(got) != len(want) {
+				t.Fatalf("stack %d case %d %v→%v: %d segments, oracle %d", bi, i, a, b, len(got), len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("stack %d case %d %v→%v: segment %d = %v, oracle %v", bi, i, a, b, k, got[k], want[k])
+				}
+				if lo := min(want[k].A.L, want[k].B.L); want[k].IsVia() && lo == db.f2fIdx {
+					crossed++
+				}
+			}
+		}
+		if bi == 1 && crossed == 0 {
+			t.Fatal("combined stack: no case crossed the F2F boundary")
+		}
+	}
+}
+
+// tileTasks preps every signal net of the placed small tile in the
+// router's long-nets-first order.
+func tileTasks(t *testing.T, d *netlist.Design, db *DB) []*netTask {
+	t.Helper()
+	var order []*netlist.Net
+	for _, n := range d.Nets {
+		if !n.Clock && len(n.Sinks) > 0 {
+			order = append(order, n)
+		}
+	}
+	sort.SliceStable(order, func(i, j int) bool { return order[i].HPWL() > order[j].HPWL() })
+	tasks := make([]*netTask, len(order))
+	for i, n := range order {
+		tk, err := db.prepTask(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks[i] = tk
+	}
+	return tasks
+}
+
+// TestPlanBatchMatchesOracle drains the small tile's whole task queue
+// through the in-place planner and through the copy-based one, in
+// pattern and in maze mode (the latter as rip-ups, so old routes count
+// in the footprint), and demands the identical batch sequence.
+func TestPlanBatchMatchesOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tile placement in -short mode")
+	}
+	d, die, blk := placedSmallTile(t)
+	b6, _ := tech.NewBEOL28("logic", 6)
+	db := NewDB(die, b6, blk, Options{})
+	tasks := tileTasks(t, d, db)
+	for _, maze := range []bool{false, true} {
+		if maze {
+			for _, tk := range tasks {
+				tk.old = &NetRoute{Segments: db.patternRoute(tk.route.PinNode[0], tk.route.PinNode[len(tk.route.PinNode)-1], nil)}
+			}
+		}
+		mo, mn := newTileMap(db.Grid), newTileMap(db.Grid)
+		oracle := tasks
+		db.planFootprints(tasks, maze, 2, nil)
+		pending := append([]*netTask(nil), tasks...)
+		rounds := 0
+		for len(oracle) > 0 {
+			var wantB, gotB []*netTask
+			wantB, oracle = db.planBatchOracle(oracle, maze, mo)
+			gotB, pending = db.planBatch(pending, mn)
+			if len(gotB) != len(wantB) || len(pending) != len(oracle) {
+				t.Fatalf("maze=%v round %d: batch %d / rest %d, oracle %d / %d",
+					maze, rounds, len(gotB), len(pending), len(wantB), len(oracle))
+			}
+			for i := range wantB {
+				if gotB[i] != wantB[i] {
+					t.Fatalf("maze=%v round %d: batch member %d differs", maze, rounds, i)
+				}
+			}
+			for i := range oracle {
+				if pending[i] != oracle[i] {
+					t.Fatalf("maze=%v round %d: deferred member %d differs", maze, rounds, i)
+				}
+			}
+			rounds++
+		}
+		if rounds < 2 {
+			t.Fatalf("maze=%v: queue drained in %d round(s); the test needs conflicts", maze, rounds)
+		}
+	}
+}
+
+// TestPatternRouteAllocs: a two-pin pattern connection appended into a
+// slice with room allocates nothing — no candidate is materialised, no
+// pair list rebuilt.
+func TestPatternRouteAllocs(t *testing.T) {
+	db := db6(t, geom.R(0, 0, 400, 400), nil)
+	dst := make([]Seg, 0, 64)
+	a, b := Node{1, 2, 0}, Node{30, 17, 3}
+	allocs := testing.AllocsPerRun(100, func() {
+		dst = db.patternRoute(a, b, dst[:0])
+	})
+	if allocs != 0 || len(dst) == 0 {
+		t.Fatalf("pattern route allocates %.0f objects per connection (%d segments), want 0", allocs, len(dst))
+	}
+}
+
+// TestPlanBatchAllocs: once the DB's planner buffers are warm, a
+// planning round allocates nothing — the batch buffer is reused, the
+// deferred tasks are compacted in place, the rects live on the tasks.
+func TestPlanBatchAllocs(t *testing.T) {
+	db := db6(t, geom.R(0, 0, 4000, 400), nil)
+	m := newTileMap(db.Grid)
+	var tasks []*netTask
+	for i := 0; i < 100; i++ {
+		r := &NetRoute{PinNode: []Node{{X: i * 3, Y: 5, L: 0}, {X: i*3 + 6, Y: 5, L: 0}}}
+		tasks = append(tasks, &netTask{route: r, edges: [][2]int{{0, 1}}})
+	}
+	db.planFootprints(tasks, false, 1, nil)
+	pending := make([]*netTask, len(tasks))
+	var batch, rest []*netTask
+	round := func() {
+		copy(pending, tasks)
+		batch, rest = db.planBatch(pending, m)
+	}
+	round() // warm-up sizes the batch buffer
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("planBatch allocates %.0f objects per round, want 0", allocs)
+	}
+	if len(batch) == 0 || len(rest) == 0 || len(batch)+len(rest) != len(tasks) {
+		t.Fatalf("round split %d tasks into %d + %d", len(tasks), len(batch), len(rest))
+	}
+}

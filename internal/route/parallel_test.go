@@ -163,7 +163,9 @@ func TestPlanBatchOrdering(t *testing.T) {
 		r := &NetRoute{PinNode: []Node{{X: i * 3, Y: 5, L: 0}, {X: i*3 + 6, Y: 5, L: 0}}}
 		tasks = append(tasks, &netTask{route: r, edges: [][2]int{{0, 1}}})
 	}
-	batch, deferred := db.planBatch(tasks, false, m, 1, nil)
+	db.planFootprints(tasks, false, 1, nil)
+	// planBatch compacts its queue in place; hand it a copy.
+	batch, deferred := db.planBatch(append([]*netTask(nil), tasks...), m)
 	if len(batch) == 0 {
 		t.Fatal("first task must always batch (fresh epoch)")
 	}

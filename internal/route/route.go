@@ -14,6 +14,7 @@ package route
 
 import (
 	"fmt"
+	"sort"
 
 	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
@@ -114,7 +115,7 @@ func (s Seg) IsVia() bool { return s.A.L != s.B.L }
 type NetRoute struct {
 	Net      *netlist.Net
 	Segments []Seg
-	// PinNode maps pin index (net.Pins() order) to its grid node at
+	// PinNode maps pin index (net.PinAt order) to its grid node at
 	// the pin's layer.
 	PinNode []Node
 
@@ -152,10 +153,21 @@ type DB struct {
 	f2fUse  []int32
 	gcellWL float64 // µm per grid step (average of DX, DY)
 
-	eco       *mazeScratch // single-thread maze scratch (ECO routes, tests)
-	tiles     *tileMap     // batch-planner conflict raster, reused per round
-	planRects [][]tileRect // per-task footprint buffers, reused per round
-	shards    *shardPlan   // region decomposition of the sharded router
+	// patternPairs[k] is the ≤ 3 (H-layer, V-layer) pairs the pattern
+	// router tries for distance bucket k (see distBucket), best-ranked
+	// first; read-only after NewDB.
+	patternPairs [4][][2]int
+
+	eco    *mazeScratch // single-thread maze scratch (ECO routes, tests)
+	tiles  *tileMap     // batch-planner conflict raster, reused per round
+	shards *shardPlan   // region decomposition of the sharded router
+
+	// Batch-planner buffers, reused across rounds and waves: every
+	// task's tile rects (one flat array), the pending queue the rounds
+	// compact in place, and the current batch.
+	planRects    []tileRect
+	planPending  []*netTask
+	planBatchBuf []*netTask
 }
 
 // NewDB builds the routing database for a die, BEOL and blockage set.
@@ -213,6 +225,22 @@ func NewDB(die geom.Rect, beol *tech.BEOL, blk []floorplan.RouteBlockage, opt Op
 				db.cap[i] = int32(left)
 			}
 		}
+	}
+	// Pattern-router layer pairs per distance bucket: short nets target
+	// low layers, long nets the top pair of the logic die; the longest
+	// nets on a combined stack also consider the macro die's top pair,
+	// routing through the other die when it is cheaper (the F2F bump is
+	// nearly free at 44 mΩ / 1 fF). Every pair is ranked by
+	// |pairLevel − preferred| (stable, so ties keep lowest-first) and the
+	// best three are candidates; cost decides among them.
+	for k, pref := range [4]int{0, 2, beol.LogicDieLayers() - 1, db.f2fIdx + 1} {
+		pairs := db.hvPairs()
+		sort.SliceStable(pairs, func(i, j int) bool {
+			di := geom.AbsInt((pairs[i][0]+pairs[i][1])/2 - pref)
+			dj := geom.AbsInt((pairs[j][0]+pairs[j][1])/2 - pref)
+			return di < dj
+		})
+		db.patternPairs[k] = pairs[:min(len(pairs), 3)]
 	}
 	// F2F bump capacity per gcell from the bump pitch.
 	if db.f2fIdx >= 0 {
@@ -320,6 +348,20 @@ func (db *DB) PinNode(p netlist.PinRef) (Node, error) {
 	}
 	ix, iy := db.Grid.Locate(p.Loc())
 	return Node{X: ix, Y: iy, L: li}, nil
+}
+
+// distBucket classes a two-pin connection by Manhattan gcell distance
+// for the pattern router's layer-pair preference (patternPairs).
+func (db *DB) distBucket(dist int) int {
+	switch {
+	case dist > 24 && db.f2fIdx >= 0:
+		return 3
+	case dist > 12:
+		return 2
+	case dist > 4:
+		return 1
+	}
+	return 0
 }
 
 // hvPairs enumerates (H-layer, V-layer) adjacent pairs usable by the

@@ -48,15 +48,19 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 
 	// Initial pattern routing, long nets first (they set the congestion
 	// landscape the short nets then dodge).
+	// The placement is frozen for the whole run, so each net's HPWL sort
+	// key is computed once, here, and serves the rip-up victim order too.
 	order := make([]*netlist.Net, 0, len(d.Nets))
+	hpwl := make([]float64, len(d.Nets))
 	for _, n := range d.Nets {
 		if n.Clock || len(n.Sinks) == 0 {
 			continue
 		}
 		order = append(order, n)
+		hpwl[n.ID] = n.HPWL()
 	}
 	sort.Slice(order, func(i, j int) bool {
-		hi, hj := order[i].HPWL(), order[j].HPWL()
+		hi, hj := hpwl[order[i].ID], hpwl[order[j].ID]
 		if hi != hj {
 			return hi > hj
 		}
@@ -150,7 +154,7 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		iterC.Inc()
 		// Bound the work per iteration; the worst offenders first
 		// (longest nets through congestion).
-		sort.Slice(victims, func(i, j int) bool { return victims[i].HPWL() > victims[j].HPWL() })
+		sort.Slice(victims, func(i, j int) bool { return hpwl[victims[i].ID] > hpwl[victims[j].ID] })
 		const maxVictims = 600
 		if len(victims) > maxVictims {
 			victims = victims[:maxVictims]
@@ -410,17 +414,17 @@ func (db *DB) overflowedNets(res *Result, workers int) []*netlist.Net {
 	return out
 }
 
-// viaStack emits via segments moving from layer la to lb at (x, y).
-func viaStack(x, y, la, lb int) []Seg {
-	var segs []Seg
+// appendViaStack appends the via segments moving from layer la to lb
+// at (x, y).
+func appendViaStack(dst []Seg, x, y, la, lb int) []Seg {
 	step := 1
 	if lb < la {
 		step = -1
 	}
 	for l := la; l != lb; l += step {
-		segs = append(segs, Seg{Node{x, y, l}, Node{x, y, l + step}})
+		dst = append(dst, Seg{Node{x, y, l}, Node{x, y, l + step}})
 	}
-	return segs
+	return dst
 }
 
 // viaStackCost prices a via stack, including F2F crossings.
@@ -451,101 +455,59 @@ func (db *DB) runCost(a, b Node) float64 {
 	return cost
 }
 
-// patternRoute connects two nodes with the cheaper of the two L-shapes
-// over a selection of H/V layer pairs.
-func (db *DB) patternRoute(a, b Node) []Seg {
-	pairs := db.hvPairs()
+// patternRoute connects two nodes with the cheapest L-shape over the
+// distance bucket's H/V layer pairs (see patternPairs), appending its
+// segments to dst. Candidates are only priced — the cost never reads
+// the segments — and the winner alone is emitted, so a connection
+// allocates nothing beyond dst's own growth.
+func (db *DB) patternRoute(a, b Node, dst []Seg) []Seg {
+	pairs := db.patternPairs[db.distBucket(geom.AbsInt(a.X-b.X)+geom.AbsInt(a.Y-b.Y))]
 	if len(pairs) == 0 {
 		// Degenerate single-direction stack: direct via stack plus run.
-		return append(viaStack(a.X, a.Y, a.L, b.L), Seg{Node{a.X, a.Y, b.L}, b})
+		return append(appendViaStack(dst, a.X, a.Y, a.L, b.L), Seg{Node{a.X, a.Y, b.L}, b})
 	}
-	// Candidate pairs: prefer lower pairs for short nets, upper for
-	// long; always consider every pair but bias via order (cost
-	// decides).
-	dist := geom.AbsInt(a.X-b.X) + geom.AbsInt(a.Y-b.Y)
-	sort.SliceStable(pairs, func(i, j int) bool {
-		// Rank by |preferred − pairLevel|: short nets target low
-		// layers, long nets the top pair of the logic die; the longest
-		// nets on a combined stack also consider the macro die's top
-		// pair, routing through the other die when it is cheaper (the
-		// F2F bump is nearly free at 44 mΩ / 1 fF).
-		pref := 0
-		if dist > 24 && db.f2fIdx >= 0 {
-			pref = db.f2fIdx + 1
-		} else if dist > 12 {
-			pref = db.Beol.LogicDieLayers() - 1
-		} else if dist > 4 {
-			pref = 2
-		}
-		di := geom.AbsInt((pairs[i][0]+pairs[i][1])/2 - pref)
-		dj := geom.AbsInt((pairs[j][0]+pairs[j][1])/2 - pref)
-		return di < dj
-	})
-	if len(pairs) > 3 {
-		pairs = pairs[:3]
-	}
-
 	best := -1.0
-	var bestSegs []Seg
+	var bestL lShape
 	for _, pr := range pairs {
 		h, v := pr[0], pr[1]
-		for _, firstH := range []bool{true, false} {
-			var segs []Seg
-			cost := 0.0
-			if firstH {
-				// a → (b.X, a.Y) horizontal on h, then vertical on v.
-				segs = append(segs, viaStack(a.X, a.Y, a.L, h)...)
-				cost += db.viaStackCost(a.X, a.Y, a.L, h)
-				if b.X != a.X {
-					s := Seg{Node{a.X, a.Y, h}, Node{b.X, a.Y, h}}
-					segs = append(segs, s)
-					cost += db.runCost(s.A, s.B)
-				}
-				segs = append(segs, viaStack(b.X, a.Y, h, v)...)
-				cost += db.viaStackCost(b.X, a.Y, h, v)
-				if b.Y != a.Y {
-					s := Seg{Node{b.X, a.Y, v}, Node{b.X, b.Y, v}}
-					segs = append(segs, s)
-					cost += db.runCost(s.A, s.B)
-				}
-				segs = append(segs, viaStack(b.X, b.Y, v, b.L)...)
-				cost += db.viaStackCost(b.X, b.Y, v, b.L)
-			} else {
-				// a → (a.X, b.Y) vertical on v, then horizontal on h.
-				segs = append(segs, viaStack(a.X, a.Y, a.L, v)...)
-				cost += db.viaStackCost(a.X, a.Y, a.L, v)
-				if b.Y != a.Y {
-					s := Seg{Node{a.X, a.Y, v}, Node{a.X, b.Y, v}}
-					segs = append(segs, s)
-					cost += db.runCost(s.A, s.B)
-				}
-				segs = append(segs, viaStack(a.X, b.Y, v, h)...)
-				cost += db.viaStackCost(a.X, b.Y, v, h)
-				if b.X != a.X {
-					s := Seg{Node{a.X, b.Y, h}, Node{b.X, b.Y, h}}
-					segs = append(segs, s)
-					cost += db.runCost(s.A, s.B)
-				}
-				segs = append(segs, viaStack(b.X, b.Y, h, b.L)...)
-				cost += db.viaStackCost(b.X, b.Y, h, b.L)
-			}
-			if best < 0 || cost < best {
-				best = cost
-				bestSegs = segs
+		// a → (b.X, a.Y) horizontal on h then vertical on v, or
+		// a → (a.X, b.Y) vertical on v then horizontal on h.
+		for _, l := range [2]lShape{{b.X, a.Y, h, v}, {a.X, b.Y, v, h}} {
+			if cost := db.lCost(a, b, l); best < 0 || cost < best {
+				best, bestL = cost, l
 			}
 		}
 	}
-	return compactSegs(bestSegs)
+	l := bestL
+	dst = appendViaStack(dst, a.X, a.Y, a.L, l.l1)
+	if l.x != a.X || l.y != a.Y {
+		dst = append(dst, Seg{Node{a.X, a.Y, l.l1}, Node{l.x, l.y, l.l1}})
+	}
+	dst = appendViaStack(dst, l.x, l.y, l.l1, l.l2)
+	if l.x != b.X || l.y != b.Y {
+		dst = append(dst, Seg{Node{l.x, l.y, l.l2}, Node{b.X, b.Y, l.l2}})
+	}
+	return appendViaStack(dst, b.X, b.Y, l.l2, b.L)
 }
 
-// compactSegs drops zero-length artifacts.
-func compactSegs(segs []Seg) []Seg {
-	out := segs[:0]
-	for _, s := range segs {
-		if s.A == s.B {
-			continue
-		}
-		out = append(out, s)
+// lShape is one pattern candidate between two nodes a and b: a run on
+// layer l1 from a's column to the corner (x, y), then a run on l2 from
+// the corner to b's column, joined by via stacks at a, the corner and b.
+type lShape struct {
+	x, y, l1, l2 int
+}
+
+// lCost prices an L-shape: via stacks and runs summed in route order.
+func (db *DB) lCost(a, b Node, l lShape) float64 {
+	cost := 0.0
+	cost += db.viaStackCost(a.X, a.Y, a.L, l.l1)
+	if l.x != a.X || l.y != a.Y {
+		cost += db.runCost(Node{a.X, a.Y, l.l1}, Node{l.x, l.y, l.l1})
 	}
-	return out
+	cost += db.viaStackCost(l.x, l.y, l.l1, l.l2)
+	if l.x != b.X || l.y != b.Y {
+		cost += db.runCost(Node{l.x, l.y, l.l2}, Node{b.X, b.Y, l.l2})
+	}
+	cost += db.viaStackCost(b.X, b.Y, l.l2, b.L)
+	return cost
 }

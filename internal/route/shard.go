@@ -263,6 +263,8 @@ func (db *DB) cloneEmpty() *DB {
 		hist:     make([]float32, len(db.hist)),
 		f2fIdx:   db.f2fIdx,
 		gcellWL:  db.gcellWL,
+
+		patternPairs: db.patternPairs,
 	}
 	if db.f2fCap != nil {
 		c.f2fCap = db.f2fCap

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"macro3d/internal/cell"
@@ -38,12 +39,26 @@ type Engine struct {
 	// hardened-macro abstracts; designs without abstracts (every flat
 	// flow) take bit-identical pre-existing paths.
 	hasAbstract bool
-	order       []*netlist.Instance   // combinational topological order
-	level       []int32               // by instance ID: wave index in the order
-	waves       [][]*netlist.Instance // order grouped by level (parallel full passes)
-	fanout      [][]*netlist.Instance // by node: combinational sink instances
-	inputs      [][]inEdge            // by instance ID: driving arcs
-	outNet      []*netlist.Net        // by node: driven signal net (last wins)
+	order       []*netlist.Instance // combinational topological order
+	level       []int32             // by instance ID: wave index in the order
+	outNet      []*netlist.Net      // by node: driven signal net (last wins)
+
+	// Adjacency in CSR form — row offsets plus one flat array, rebuilt
+	// into the same buffers on every topology edit (see fanoutOf,
+	// inputsOf): combinational sink instance IDs by node, driving
+	// arcs by instance ID, and the order grouped by level for the
+	// parallel full pass. Rows fill in net order, then sink order.
+	fanOff, fanTo []int32
+	inOff         []int32
+	inArcs        []inEdge
+	waveOff       []int32
+	waveInst      []*netlist.Instance
+
+	// rebuildTopo scratch: Kahn in-degrees and release marks by
+	// instance ID, CSR fill cursors.
+	indeg    []int32
+	released []bool
+	cursor   []int32
 
 	full, half pass
 
@@ -142,18 +157,24 @@ func (e *Engine) updateRatio() {
 	}
 }
 
+// fanoutOf returns the combinational sink instance IDs of a node.
+func (e *Engine) fanoutOf(node int) []int32 { return e.fanTo[e.fanOff[node]:e.fanOff[node+1]] }
+
+// inputsOf returns the driving arcs of an instance.
+func (e *Engine) inputsOf(id int) []inEdge { return e.inArcs[e.inOff[id]:e.inOff[id+1]] }
+
 // rebuildTopo (re)derives every topology-dependent cache from the
 // current design: node count, levelized order, fanout and input-arc
-// adjacency, driven-net table. Per-node value arrays are grown or
-// shrunk at the tail; slots at or above resetFrom are re-initialized.
+// adjacency, driven-net table. Everything is built into buffers the
+// engine keeps, so a rebuild after a small edit allocates only when
+// the design outgrew them. Per-node value arrays are grown or shrunk
+// at the tail; slots at or above resetFrom are re-initialized.
 func (e *Engine) rebuildTopo() error {
 	e.nPorts = len(e.d.Ports)
-	e.nNodes = e.nPorts + len(e.d.Instances)
+	nInst := len(e.d.Instances)
+	e.nNodes = e.nPorts + nInst
 
-	if cap(e.isComb) < len(e.d.Instances) {
-		e.isComb = make([]bool, len(e.d.Instances))
-	}
-	e.isComb = e.isComb[:len(e.d.Instances)]
+	e.isComb = resize(e.isComb, nInst)
 	e.hasAbstract = false
 	for i, inst := range e.d.Instances {
 		e.isComb[i] = !inst.Master.IsSequential() &&
@@ -163,45 +184,19 @@ func (e *Engine) rebuildTopo() error {
 		}
 	}
 
+	e.buildAdjacency()
 	if err := e.levelize(); err != nil {
 		return err
 	}
 
-	// Input arcs and driven nets, in net order (the order fixes the
-	// tie-break among equal-arrival inputs, so it must match what a
-	// from-scratch pass builds).
-	e.inputs = make([][]inEdge, len(e.d.Instances))
-	e.outNet = make([]*netlist.Net, e.nNodes)
-	for _, n := range e.d.Nets {
-		if n.Clock {
-			continue
-		}
-		drv, ok := e.refNode(n.Driver)
-		if !ok {
-			continue
-		}
-		e.outNet[drv] = n
-		if e.ex.Nets[n.ID] == nil {
-			continue
-		}
-		for si, s := range n.Sinks {
-			if s.Inst != nil && e.isComb[s.Inst.ID] {
-				e.inputs[s.Inst.ID] = append(e.inputs[s.Inst.ID],
-					inEdge{drv: int32(drv), net: int32(n.ID), si: int32(si)})
-			}
-		}
-	}
-
 	// Waves for the parallel full pass: level = 1 + max(level of
-	// combinational inputs).
-	if cap(e.level) < len(e.d.Instances) {
-		e.level = make([]int32, len(e.d.Instances))
-	}
-	e.level = e.level[:len(e.d.Instances)]
+	// combinational inputs), grouped by a counting sort that keeps the
+	// topological order inside each level.
+	e.level = resize(e.level, nInst)
 	maxLevel := int32(0)
 	for _, inst := range e.order {
 		lvl := int32(0)
-		for _, ev := range e.inputs[inst.ID] {
+		for _, ev := range e.inputsOf(inst.ID) {
 			if int(ev.drv) >= e.nPorts {
 				di := int(ev.drv) - e.nPorts
 				if e.isComb[di] && e.level[di]+1 > lvl {
@@ -214,17 +209,94 @@ func (e *Engine) rebuildTopo() error {
 			maxLevel = lvl
 		}
 	}
-	e.waves = make([][]*netlist.Instance, maxLevel+1)
+	e.waveOff = resize(e.waveOff, int(maxLevel)+2)
+	clear(e.waveOff)
 	for _, inst := range e.order {
-		e.waves[e.level[inst.ID]] = append(e.waves[e.level[inst.ID]], inst)
+		e.waveOff[e.level[inst.ID]+1]++
+	}
+	for l := 1; l < len(e.waveOff); l++ {
+		e.waveOff[l] += e.waveOff[l-1]
+	}
+	e.waveInst = resize(e.waveInst, len(e.order))
+	e.cursor = append(e.cursor[:0], e.waveOff[:maxLevel+1]...)
+	for _, inst := range e.order {
+		l := e.level[inst.ID]
+		e.waveInst[e.cursor[l]] = inst
+		e.cursor[l]++
 	}
 
 	e.resizePass(&e.full)
 	e.resizePass(&e.half)
-	e.dirtyFull = resizeBools(e.dirtyFull, e.nNodes)
-	e.dirtyHalf = resizeBools(e.dirtyHalf, e.nNodes)
+	e.dirtyFull = resize(e.dirtyFull, e.nNodes)
+	e.dirtyHalf = resize(e.dirtyHalf, e.nNodes)
 	e.resetFrom = int(^uint(0) >> 1)
 	return nil
+}
+
+// buildAdjacency derives the fanout rows, the input-arc rows, the
+// Kahn in-degrees and the driven-net table in two sweeps over the nets:
+// the first counts row lengths, the second fills the rows through
+// cursors. Both visit nets and sinks in the same order, which is the
+// order within every row — it fixes the tie-break among equal-arrival
+// inputs, so it must match what a from-scratch pass builds.
+func (e *Engine) buildAdjacency() {
+	nInst := len(e.d.Instances)
+	e.fanOff = resize(e.fanOff, e.nNodes+1)
+	e.inOff = resize(e.inOff, nInst+1)
+	e.indeg = resize(e.indeg, nInst)
+	e.outNet = resize(e.outNet, e.nNodes)
+	clear(e.fanOff)
+	clear(e.inOff)
+	clear(e.indeg)
+	clear(e.outNet)
+	var fanCur, inCur []int32
+	sweep := func(fill bool) {
+		for _, n := range e.d.Nets {
+			if n.Clock {
+				continue
+			}
+			drv, ok := e.refNode(n.Driver)
+			if !ok {
+				continue
+			}
+			e.outNet[drv] = n
+			hasRC := e.ex.Nets[n.ID] != nil
+			for si, s := range n.Sinks {
+				if s.Inst == nil || !e.isComb[s.Inst.ID] {
+					continue
+				}
+				id := s.Inst.ID
+				if !fill {
+					e.indeg[id]++
+					e.fanOff[drv+1]++
+					if hasRC {
+						e.inOff[id+1]++
+					}
+					continue
+				}
+				e.fanTo[fanCur[drv]] = int32(id)
+				fanCur[drv]++
+				if hasRC {
+					e.inArcs[inCur[id]] = inEdge{drv: int32(drv), net: int32(n.ID), si: int32(si)}
+					inCur[id]++
+				}
+			}
+		}
+	}
+	sweep(false)
+	for i := 1; i < len(e.fanOff); i++ {
+		e.fanOff[i] += e.fanOff[i-1]
+	}
+	for i := 1; i < len(e.inOff); i++ {
+		e.inOff[i] += e.inOff[i-1]
+	}
+	e.fanTo = resize(e.fanTo, int(e.fanOff[e.nNodes]))
+	e.inArcs = resize(e.inArcs, int(e.inOff[nInst]))
+	// One cursor array serves both fills: fanout cursors by node, input
+	// cursors by instance after them.
+	e.cursor = append(append(e.cursor[:0], e.fanOff[:e.nNodes]...), e.inOff[:nInst]...)
+	fanCur, inCur = e.cursor[:e.nNodes], e.cursor[e.nNodes:]
+	sweep(true)
 }
 
 // resizePass grows or shrinks a pass's arrays to nNodes and
@@ -235,16 +307,11 @@ func (e *Engine) resizePass(p *pass) {
 	if old < from {
 		from = old
 	}
-	p.arr = resizeFloats(p.arr, e.nNodes)
-	p.slew = resizeFloats(p.slew, e.nNodes)
-	p.wl = resizeFloats(p.wl, e.nNodes)
-	p.prev = resizeInts(p.prev, e.nNodes)
-	if cap(p.pref) < e.nNodes {
-		np := make([]netlist.PinRef, e.nNodes)
-		copy(np, p.pref)
-		p.pref = np
-	}
-	p.pref = p.pref[:e.nNodes]
+	p.arr = resize(p.arr, e.nNodes)
+	p.slew = resize(p.slew, e.nNodes)
+	p.wl = resize(p.wl, e.nNodes)
+	p.prev = resize(p.prev, e.nNodes)
+	p.pref = resize(p.pref, e.nNodes)
 	for i := from; i < e.nNodes; i++ {
 		p.arr[i] = negInf
 		p.slew[i] = e.opt.DefaultSlew
@@ -254,29 +321,15 @@ func (e *Engine) resizePass(p *pass) {
 	}
 }
 
-func resizeFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		ns := make([]float64, n)
-		copy(ns, s)
-		return ns
-	}
-	return s[:n]
-}
-
-func resizeInts(s []int, n int) []int {
-	if cap(s) < n {
-		ns := make([]int, n)
-		copy(ns, s)
-		return ns
-	}
-	return s[:n]
-}
-
-func resizeBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		ns := make([]bool, n)
-		copy(ns, s)
-		return ns
+// resize returns s with length n, keeping the elements both lengths
+// share. Growth past the capacity is append's (geometric), so a run of
+// one-buffer insertions reallocates and copies each array O(log n)
+// times, not once per insertion. Slots exposed by growing hold
+// whatever the backing array held — callers re-initialize them
+// (resizePass from resetFrom, the topology builders by clearing).
+func resize[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = slices.Grow(s, n-len(s))
 	}
 	return s[:n]
 }
@@ -292,38 +345,30 @@ func (e *Engine) resetPass(p *pass) {
 	}
 }
 
-// levelize orders combinational instances topologically (Kahn) and
-// builds the node-indexed combinational fanout table.
+// levelize orders combinational instances topologically (Kahn) over
+// the fanout rows, consuming the in-degrees buildAdjacency counted.
+// The order doubles as the work queue: an instance is appended when it
+// is released and relaxes its fanout when the head reaches it.
 func (e *Engine) levelize() error {
-	indeg := make([]int, len(e.d.Instances))
-	e.fanout = make([][]*netlist.Instance, e.nNodes)
-	for _, n := range e.d.Nets {
-		if n.Clock {
-			continue
-		}
-		drv, ok := e.refNode(n.Driver)
-		if !ok {
-			continue
-		}
-		for _, s := range n.Sinks {
-			if s.Inst != nil && e.isComb[s.Inst.ID] {
-				indeg[s.Inst.ID]++
-				e.fanout[drv] = append(e.fanout[drv], s.Inst)
-			}
-		}
-	}
-	var queue []*netlist.Instance
-	released := make([]bool, len(e.d.Instances))
-	for _, inst := range e.d.Instances {
-		if e.isComb[inst.ID] && indeg[inst.ID] == 0 {
-			queue = append(queue, inst)
-			released[inst.ID] = true
+	indeg := e.indeg
+	e.released = resize(e.released, len(e.d.Instances))
+	clear(e.released)
+	e.order = e.order[:0]
+	// release appends a combinational instance whose in-degree reached
+	// zero, once.
+	release := func(inst *netlist.Instance) {
+		if e.isComb[inst.ID] && indeg[inst.ID] == 0 && !e.released[inst.ID] {
+			e.order = append(e.order, inst)
+			e.released[inst.ID] = true
 		}
 	}
 	relax := func(node int) {
-		for _, f := range e.fanout[node] {
-			indeg[f.ID]--
+		for _, f := range e.fanoutOf(node) {
+			indeg[f]--
 		}
+	}
+	for _, inst := range e.d.Instances {
+		release(inst)
 	}
 	for _, inst := range e.d.Instances {
 		if inst.Master.IsSequential() {
@@ -334,22 +379,13 @@ func (e *Engine) levelize() error {
 		relax(e.nodeOfPort(p))
 	}
 	for _, inst := range e.d.Instances {
-		if e.isComb[inst.ID] && indeg[inst.ID] == 0 && !released[inst.ID] {
-			queue = append(queue, inst)
-			released[inst.ID] = true
-		}
+		release(inst)
 	}
-	e.order = e.order[:0]
-	for len(queue) > 0 {
-		inst := queue[0]
-		queue = queue[1:]
-		e.order = append(e.order, inst)
-		relax(e.nodeOfInst(inst))
-		for _, f := range e.fanout[e.nodeOfInst(inst)] {
-			if indeg[f.ID] == 0 && !released[f.ID] {
-				queue = append(queue, f)
-				released[f.ID] = true
-			}
+	for head := 0; head < len(e.order); head++ {
+		node := e.nodeOfInst(e.order[head])
+		relax(node)
+		for _, f := range e.fanoutOf(node) {
+			release(e.d.Instances[f])
 		}
 	}
 	comb := 0
@@ -542,9 +578,9 @@ func (e *Engine) setSeed(p *pass, node int, v float64, dirty []bool) {
 	}
 	p.arr[node] = v
 	p.slew[node] = e.opt.DefaultSlew
-	for _, f := range e.fanout[node] {
-		if e.isComb[f.ID] {
-			dirty[e.nPorts+f.ID] = true
+	for _, f := range e.fanoutOf(node) {
+		if e.isComb[f] {
+			dirty[e.nPorts+int(f)] = true
 		}
 	}
 }
@@ -586,7 +622,7 @@ func (e *Engine) evalNode(p *pass, inst *netlist.Instance) (arr, slew, wl float6
 	var bestRef netlist.PinRef
 	var bestWL float64
 	bestSlew := e.opt.DefaultSlew
-	for _, ev := range e.inputs[inst.ID] {
+	for _, ev := range e.inputsOf(inst.ID) {
 		rc := e.ex.Nets[ev.net]
 		if rc == nil {
 			continue
@@ -635,8 +671,8 @@ func (e *Engine) propagate(p *pass, dirty []bool) {
 			p.wl[node] = wl
 			p.prev[node] = prev
 			p.pref[node] = pref
-			for _, f := range e.fanout[node] {
-				dirty[e.nPorts+f.ID] = true
+			for _, f := range e.fanoutOf(node) {
+				dirty[e.nPorts+int(f)] = true
 			}
 		}
 	}
@@ -649,7 +685,8 @@ func (e *Engine) propagate(p *pass, dirty []bool) {
 // node's value is independent of evaluation order within its wave.
 func (e *Engine) propagateWaves(p *pass, workers int) {
 	var wg sync.WaitGroup
-	for _, wave := range e.waves {
+	for l := 0; l+1 < len(e.waveOff); l++ {
+		wave := e.waveInst[e.waveOff[l]:e.waveOff[l+1]]
 		if len(wave) < 64 || workers < 2 {
 			for _, inst := range wave {
 				e.commitNode(p, inst)

@@ -48,7 +48,7 @@ func (e *Engine) analyzeHold(rep *Report) {
 			}
 		}
 		best := posInf
-		for _, ev := range e.inputs[inst.ID] {
+		for _, ev := range e.inputsOf(inst.ID) {
 			rc := e.ex.Nets[ev.net]
 			if rc == nil {
 				continue

@@ -338,3 +338,79 @@ func TestNonFiniteParasiticsRejected(t *testing.T) {
 		t.Fatalf("error does not name the non-finite result: %v", err)
 	}
 }
+
+// lanes builds w independent lanes: FF → one net with two inverter
+// sinks → one capture FF each. Depth is constant, so instance count is
+// the only thing that grows with w.
+func lanes(t *testing.T, w int) (*netlist.Design, *extract.Design) {
+	t.Helper()
+	lib := cell.NewStdLib28(cell.DefaultLibOptions())
+	d := netlist.NewDesign("lanes", lib)
+	clk := d.AddPort("clk", cell.DirIn)
+	cn := d.AddNet("clk", netlist.PPin(clk))
+	cn.Clock = true
+	at := func(name, master string, x, y float64) *netlist.Instance {
+		inst := d.AddInstance(name, lib.MustCell(master))
+		inst.Loc = geom.Pt(x, y)
+		if inst.Master.IsSequential() {
+			cn.Sinks = append(cn.Sinks, netlist.IPin(inst, "CK"))
+		}
+		return inst
+	}
+	for i := 0; i < w; i++ {
+		x, y, s := float64(20+60*(i%40)), float64(20+30*(i/40)), itoa(i)
+		src := at("src"+s, "DFF_X1", x, y)
+		a, b := at("a"+s, "INV_X2", x+15, y), at("b"+s, "INV_X2", x+15, y+10)
+		d.AddNet("q"+s, netlist.IPin(src, "Q"), netlist.IPin(a, "A"), netlist.IPin(b, "A"))
+		d.AddNet("ya"+s, netlist.IPin(a, "Y"), netlist.IPin(at("ca"+s, "DFF_X1", x+30, y), "D"))
+		d.AddNet("yb"+s, netlist.IPin(b, "Y"), netlist.IPin(at("cb"+s, "DFF_X1", x+30, y+10), "D"))
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	beol, _ := tech.NewBEOL28("logic", 6)
+	db := route.NewDB(geom.R(0, 0, 2500, 100+30*float64(w/40+1)), beol, nil, route.Options{GCellPitch: 10})
+	res, err := route.RouteDesign(d, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, extract.Extract(d, res, db, tech.CornerScale{CellDelay: 1, WireR: 1, WireC: 1, Leakage: 1})
+}
+
+// TestUpdateAllocsAfterTopoEdit: on a warmed engine, an Update that
+// follows a topology edit rebuilds fanout, input arcs, levels and waves
+// inside the engine's buffers. What it still allocates is the report
+// (its endpoint list grows by doubling), so a design twenty times
+// larger may cost a handful more objects — not one per instance, which
+// is what the per-instance appends of the old topology build cost.
+func TestUpdateAllocsAfterTopoEdit(t *testing.T) {
+	updateAllocs := func(w int) float64 {
+		d, ex := lanes(t, w)
+		e, err := NewEngine(d, ex, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(2000); err != nil {
+			t.Fatal(err)
+		}
+		// The edit: swap the two sinks of one net (and their Elmore
+		// slots) — the cached sink indices of its input arcs go stale,
+		// so it is a topology change.
+		n := d.Net("q0")
+		rc, ids := ex.Nets[n.ID], []int{n.ID}
+		return testing.AllocsPerRun(10, func() {
+			n.Sinks[0], n.Sinks[1] = n.Sinks[1], n.Sinks[0]
+			rc.ElmoreTo[0], rc.ElmoreTo[1] = rc.ElmoreTo[1], rc.ElmoreTo[0]
+			e.Invalidate(ids, nil, true)
+			if _, err := e.Update(2000); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := updateAllocs(50), updateAllocs(1000)
+	t.Logf("allocs per Update: %.0f at 250 instances, %.0f at 5000", small, large)
+	if large > small+16 {
+		t.Fatalf("Update after a topology edit allocates %.0f objects at 5000 instances, %.0f at 250: want O(1) growth",
+			large, small)
+	}
+}
