@@ -103,3 +103,88 @@ func BenchmarkOptimizeIncremental(b *testing.B) {
 func BenchmarkOptimizeFull(b *testing.B) {
 	benchOptimize(b, opt.Options{FullRecompute: true})
 }
+
+// criticalArc returns the net and sink index of the first wire arc of
+// the pre-opt state's critical path, with its timing engine run once.
+func criticalArc(b *testing.B, ctx *opt.Context) (*sta.Engine, *netlist.Net, int) {
+	b.Helper()
+	db := ctx.DDB
+	eng, err := sta.NewEngine(db.Design, db.Ex, sta.Options{Clock: ctx.Clock, Corner: db.Corner, TopPaths: 48})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := eng.Run(1e6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	steps := rep.Critical.Steps
+	for _, id := range db.DrivenBy(steps[0].Ref) {
+		n := db.Design.Nets[id]
+		for si, s := range n.Sinks {
+			if !n.Clock && s.Inst != nil && s.Inst == steps[1].Ref.Inst {
+				return eng, n, si
+			}
+		}
+	}
+	b.Fatal("critical path has no first arc")
+	return nil, nil, 0
+}
+
+// BenchmarkOptimizeRollback is one rejected optimizer iteration on the
+// pre-opt small 2D state: a buffer-insert bundle through the journal
+// (free-space claim, rewiring, two reroutes), the dirty-cone STA
+// update, and the rollback. Its cost and allocations follow the
+// bundle, not the design.
+func BenchmarkOptimizeRollback(b *testing.B) {
+	ctx := buildPreOpt(b)
+	db := ctx.DDB
+	db.Free = place.NewFreeSpace(db.Design, ctx.FP, ctx.RowHeight)
+	eng, n, si := criticalArc(b, ctx)
+	buf := db.Design.Lib.MustCell("BUF_X16")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		txn := db.Begin()
+		sink := txn.RemoveSinkAt(n, si)
+		a, z := n.Driver.Loc(), sink.Loc()
+		inst := txn.AddInstance("benchbuf", buf)
+		if loc, ok := txn.Alloc(buf.Width, geom.Pt((a.X+z.X)/2, (a.Y+z.Y)/2)); ok {
+			inst.Loc, inst.Placed = loc, true
+		}
+		txn.AppendSink(n, netlist.IPin(inst, "A"))
+		nn := txn.AddNet("benchnet", netlist.IPin(inst, "Y"), sink)
+		for _, r := range []*netlist.Net{n, nn} {
+			if err := txn.Reroute(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		eng.Invalidate(txn.DirtyNets(), txn.DirtyInsts(), txn.TopoChanged())
+		if _, err := eng.Update(1e6); err != nil {
+			b.Fatal(err)
+		}
+		eng.Invalidate(txn.Rollback())
+	}
+}
+
+// BenchmarkOptimizeUpdateReport is the kernel of an accepted sizing
+// iteration: sta.Engine.Update after one resize, no topology change —
+// a dirty-cone propagation, then the report from the kept endpoint
+// table.
+func BenchmarkOptimizeUpdateReport(b *testing.B) {
+	ctx := buildPreOpt(b)
+	eng, n, si := criticalArc(b, ctx)
+	d, gate := ctx.DDB.Design, n.Sinks[si].Inst
+	fam := d.Lib.Family(gate.Master.Family)
+	ids := []int{gate.ID}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.Resize(gate, fam[i%len(fam)]); err != nil {
+			b.Fatal(err)
+		}
+		eng.Invalidate(nil, ids, false)
+		if _, err := eng.Update(1e6); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -16,8 +16,9 @@
 //   - a dirty view (DirtyNets/DirtyInsts/TopoChanged) that seeds the
 //     incremental STA engine's re-propagation frontier;
 //   - O(edit) rollback: Txn.Rollback restores saved masters, locations,
-//     sink lists, routes and RC trees and truncates appended instances
-//     and nets, instead of re-extracting the whole design.
+//     sink lists, routes, RC trees, adjacency rows and free-space
+//     segments and truncates appended instances and nets, instead of
+//     re-deriving anything from the whole design.
 //
 // Rollback is bit-exact for everything timing reads: routes are undone
 // by the same ±1 usage increments the router applied, and restored RC
@@ -28,9 +29,13 @@
 package ddb
 
 import (
+	"fmt"
+	"slices"
+
 	"macro3d/internal/extract"
 	"macro3d/internal/netlist"
 	"macro3d/internal/obs"
+	"macro3d/internal/place"
 	"macro3d/internal/route"
 	"macro3d/internal/tech"
 )
@@ -49,13 +54,27 @@ type DB struct {
 	// pre-registers the ddb metric family so exports show it at zero.
 	Obs *obs.Span
 
+	// Free, when non-nil, is the placement's free-space map. ECO edits
+	// claim and return row space through the transaction (Txn.Alloc,
+	// Txn.Upsize), which journals the touched segments so a rollback
+	// puts them back. nil makes edits electrical-only. Whoever sets it
+	// builds it from the current placement (the optimizer does, on
+	// entry): Txn.SetLoc and edits outside transactions do not update it.
+	Free *place.FreeSpace
+
 	// drivenI[i] lists the nets driven by instance i in net-ID order
 	// (clock nets included — callers filter); drivenP is the same for
 	// port drivers. inputs[i] lists the non-clock nets instance i sinks
-	// on (set semantics, unordered).
+	// on, each once, also in net-ID order. Transactions keep all three
+	// equal to what rebuildAdjacency would derive.
 	drivenI [][]int32
 	drivenP [][]int32
 	inputs  [][]int32
+
+	// State of the open transaction that is reused from one to the
+	// next: the free-space journal and the dirty sets.
+	freeUndo              place.Undo
+	dirtyNets, dirtyInsts intSet
 
 	// exScratch is the extraction working state behind Txn.Reroute;
 	// transactions on one DB run one at a time.
@@ -91,10 +110,8 @@ func (db *DB) rebuildAdjacency() {
 	db.inputs = make([][]int32, len(d.Instances))
 	for _, n := range d.Nets {
 		id := int32(n.ID)
-		if n.Driver.Port != nil {
-			db.drivenP[n.Driver.Port.ID] = append(db.drivenP[n.Driver.Port.ID], id)
-		} else if n.Driver.Inst != nil {
-			db.drivenI[n.Driver.Inst.ID] = append(db.drivenI[n.Driver.Inst.ID], id)
+		if row := db.drivenRow(n.Driver); row != nil {
+			*row = append(*row, id)
 		}
 		if n.Clock {
 			continue
@@ -108,22 +125,40 @@ func (db *DB) rebuildAdjacency() {
 }
 
 func (db *DB) addInput(instID int, netID int32) {
-	for _, id := range db.inputs[instID] {
-		if id == netID {
-			return
-		}
+	if i, found := slices.BinarySearch(db.inputs[instID], netID); !found {
+		db.inputs[instID] = slices.Insert(db.inputs[instID], i, netID)
 	}
-	db.inputs[instID] = append(db.inputs[instID], netID)
 }
 
 func (db *DB) removeInput(instID int, netID int32) {
-	in := db.inputs[instID]
-	for i, id := range in {
-		if id == netID {
-			db.inputs[instID] = append(in[:i], in[i+1:]...)
-			return
+	if i, found := slices.BinarySearch(db.inputs[instID], netID); found {
+		db.inputs[instID] = slices.Delete(db.inputs[instID], i, i+1)
+	}
+}
+
+// CheckAdjacency compares the transaction-maintained adjacency with a
+// from-scratch derivation over the current design, row for row.
+func (db *DB) CheckAdjacency() error {
+	fresh := &DB{Design: db.Design}
+	fresh.rebuildAdjacency()
+	for _, tab := range []struct {
+		name       string
+		have, want [][]int32
+	}{
+		{"driven-by-instance", db.drivenI, fresh.drivenI},
+		{"driven-by-port", db.drivenP, fresh.drivenP},
+		{"inputs", db.inputs, fresh.inputs},
+	} {
+		if len(tab.have) != len(tab.want) {
+			return fmt.Errorf("ddb: %s adjacency has %d rows, scratch %d", tab.name, len(tab.have), len(tab.want))
+		}
+		for i := range tab.want {
+			if !slices.Equal(tab.have[i], tab.want[i]) {
+				return fmt.Errorf("ddb: %s adjacency row %d is %v, scratch %v", tab.name, i, tab.have[i], tab.want[i])
+			}
 		}
 	}
+	return nil
 }
 
 // Driven returns the ids of the nets driven by an instance, lowest id
@@ -133,17 +168,26 @@ func (db *DB) Driven(inst *netlist.Instance) []int32 { return db.drivenI[inst.ID
 // DrivenBy returns the ids of the nets whose driver matches the given
 // connection point (an instance output or a design port).
 func (db *DB) DrivenBy(ref netlist.PinRef) []int32 {
-	if ref.Port != nil {
-		return db.drivenP[ref.Port.ID]
+	if row := db.drivenRow(ref); row != nil {
+		return *row
 	}
-	if ref.Inst != nil {
-		return db.drivenI[ref.Inst.ID]
+	return nil
+}
+
+// drivenRow locates the adjacency row of a driver; nil for an empty
+// reference.
+func (db *DB) drivenRow(ref netlist.PinRef) *[]int32 {
+	switch {
+	case ref.Port != nil:
+		return &db.drivenP[ref.Port.ID]
+	case ref.Inst != nil:
+		return &db.drivenI[ref.Inst.ID]
 	}
 	return nil
 }
 
 // InputNets returns the ids of the non-clock nets the instance sinks
-// on (unordered set).
+// on, each once, lowest id first.
 func (db *DB) InputNets(inst *netlist.Instance) []int32 { return db.inputs[inst.ID] }
 
 // sinksOn reports whether inst still appears among n's sinks.
@@ -173,6 +217,13 @@ func (s *intSet) add(id int) {
 }
 
 func (s *intSet) has(id int) bool { return id < len(s.in) && s.in[id] }
+
+func (s *intSet) reset() {
+	for _, id := range s.ids {
+		s.in[id] = false
+	}
+	s.ids = s.ids[:0]
+}
 
 // sortedBelow returns the members < limit in ascending order.
 func (s *intSet) sortedBelow(limit int) []int {

@@ -2,13 +2,16 @@ package ddb_test
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/ddb"
 	"macro3d/internal/extract"
+	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
+	"macro3d/internal/place"
 	"macro3d/internal/route"
 	"macro3d/internal/tech"
 )
@@ -216,5 +219,90 @@ func TestCommitKeepsEdits(t *testing.T) {
 	fresh := extract.One(&extract.Scratch{}, n, db.Routes.Routes[n.ID], db.Grid, db.Corner)
 	if math.Abs(fresh.CTotal()-db.Ex.Nets[n.ID].CTotal()) > 1e-12 {
 		t.Fatal("committed RC differs from fresh extraction")
+	}
+}
+
+// lanesDB builds w independent lanes on the row grid — a register, two
+// inverters on one net, a capture register behind each — routes and
+// extracts them and attaches the placement's free space. Lane 0 sits at
+// the same coordinates at every w, so a transaction on it does the
+// same work in a design of any size.
+func lanesDB(t *testing.T, w int) *ddb.DB {
+	t.Helper()
+	const rowH = 1.2
+	lib := cell.NewStdLib28(cell.DefaultLibOptions())
+	d := netlist.NewDesign("lanes", lib)
+	at := func(name, master string, x, y float64) *netlist.Instance {
+		inst := d.AddInstance(name, lib.MustCell(master))
+		inst.Loc, inst.Placed = geom.Pt(x, y), true
+		return inst
+	}
+	for i := 0; i < w; i++ {
+		x, y, s := float64(18+60*(i%40)), rowH*float64(10+20*(i/40)), strconv.Itoa(i)
+		src := at("src"+s, "DFF_X1", x, y)
+		a, b := at("a"+s, "INV_X2", x+15, y), at("b"+s, "INV_X2", x+15, y+10*rowH)
+		d.AddNet("q"+s, netlist.IPin(src, "Q"), netlist.IPin(a, "A"), netlist.IPin(b, "A"))
+		d.AddNet("ya"+s, netlist.IPin(a, "Y"), netlist.IPin(at("ca"+s, "DFF_X1", x+30, y), "D"))
+		d.AddNet("yb"+s, netlist.IPin(b, "Y"), netlist.IPin(at("cb"+s, "DFF_X1", x+30, y+10*rowH), "D"))
+	}
+	die := geom.R(0, 0, 2460, rowH*float64(40+20*(w/40)))
+	beol, _ := tech.NewBEOL28("l", 6)
+	grid := route.NewDB(die, beol, nil, route.Options{GCellPitch: 10})
+	res, err := route.RouteDesign(d, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corner := tech.CornerScale{CellDelay: 1, WireR: 1, WireC: 1, Leakage: 1}
+	db := ddb.New(d, grid, res, extract.Extract(d, res, grid, corner), corner)
+	db.Free = place.NewFreeSpace(d, &floorplan.Floorplan{Die: die, RowHeight: rowH}, rowH)
+	return db
+}
+
+// TestRollbackAllocsIndependentOfDesignSize: a rolled-back transaction
+// that inserts a buffer (claiming free space for it), upsizes a cell
+// into a new location and reroutes what it touched allocates the same
+// number of objects in a 250-instance design and a 5000-instance one —
+// the journals restore what the bundle edited, nothing is re-derived
+// from the design — and leaves adjacency and free space as they were.
+func TestRollbackAllocsIndependentOfDesignSize(t *testing.T) {
+	rollbackAllocs := func(w int) float64 {
+		db := lanesDB(t, w)
+		d := db.Design
+		n, buf := d.Net("q0"), d.Lib.MustCell("BUF_X16")
+		free0 := place.NewFreeSpace(d, &floorplan.Floorplan{Die: db.Grid.Grid.Region}, 1.2)
+		allocs := testing.AllocsPerRun(5, func() {
+			txn := db.Begin()
+			sink := txn.RemoveSinkAt(n, 0)
+			inst := txn.AddInstance("ecobuf", buf)
+			loc, ok := txn.Alloc(buf.Width, geom.Pt(25, 12))
+			if !ok {
+				t.Fatal("no free space for the buffer")
+			}
+			inst.Loc, inst.Placed = loc, true
+			txn.AppendSink(n, netlist.IPin(inst, "A"))
+			nn := txn.AddNet("econet", netlist.IPin(inst, "Y"), sink)
+			if err := txn.Upsize(sink.Inst, d.Lib.MustCell("INV_X32")); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []*netlist.Net{n, nn, d.Net("ya0")} {
+				if err := txn.Reroute(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			txn.Rollback()
+		})
+		if err := db.CheckAdjacency(); err != nil {
+			t.Fatal(err)
+		}
+		if !db.Free.Equal(free0) {
+			t.Fatal("free space not restored by rollback")
+		}
+		return allocs
+	}
+	small, large := rollbackAllocs(50), rollbackAllocs(1000)
+	t.Logf("allocs per rolled-back transaction: %.0f at 250 instances, %.0f at 5000", small, large)
+	if large > small {
+		t.Fatalf("a rolled-back transaction allocates %.0f objects at 5000 instances, %.0f at 250: want no growth",
+			large, small)
 	}
 }

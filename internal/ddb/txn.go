@@ -1,6 +1,8 @@
 package ddb
 
 import (
+	"fmt"
+
 	"macro3d/internal/cell"
 	"macro3d/internal/extract"
 	"macro3d/internal/geom"
@@ -11,7 +13,8 @@ import (
 // Txn is one journaled edit bundle. All mutations of the design tuple
 // go through its methods; each records the touched net/instance ids and
 // saves first-touch undo state, so the bundle can be either committed
-// (undo state dropped) or rolled back in O(edits).
+// (undo state dropped) or rolled back in O(edits). One transaction is
+// open on a DB at a time.
 type Txn struct {
 	db *DB
 
@@ -28,18 +31,30 @@ type Txn struct {
 	savedRoute  map[int]*route.NetRoute
 	savedRC     map[int]*extract.NetRC
 	routeOrder  []int
+	// Adjacency undo: first-touch copies of the input rows of
+	// pre-existing instances, and the pre-existing drivers that gained
+	// a net (their rows lose the appended ids again on rollback).
+	savedInputs map[int][]int32
+	newDriven   []netlist.PinRef
 
-	dirtyNets  intSet
-	dirtyInsts intSet
+	dirtyNets  *intSet // the DB's, emptied at Begin
+	dirtyInsts *intSet
 	topo       bool
 	done       bool
 }
 
-// Begin opens a transaction over the current state.
+// Begin opens a transaction over the current state. Free-space edits of
+// a transaction that was abandoned without Commit or Rollback stay, as
+// its design edits do.
 func (db *DB) Begin() *Txn {
+	db.freeUndo.Commit()
+	db.dirtyNets.reset()
+	db.dirtyInsts.reset()
 	nInst, nNets := db.Design.Counts()
 	return &Txn{
 		db:          db,
+		dirtyNets:   &db.dirtyNets,
+		dirtyInsts:  &db.dirtyInsts,
 		baseInsts:   nInst,
 		baseNets:    nNets,
 		savedSinks:  map[int][]netlist.PinRef{},
@@ -47,6 +62,7 @@ func (db *DB) Begin() *Txn {
 		savedLoc:    map[*netlist.Instance]geom.Point{},
 		savedRoute:  map[int]*route.NetRoute{},
 		savedRC:     map[int]*extract.NetRC{},
+		savedInputs: map[int][]int32{},
 	}
 }
 
@@ -103,6 +119,41 @@ func (t *Txn) SetLoc(inst *netlist.Instance, p geom.Point) {
 	t.dirtyInsts.add(inst.ID)
 }
 
+// Alloc claims legal free space for a cell of width w centred near
+// target and returns its lower-left corner; ok is false when nothing
+// fits or the database tracks no free space.
+func (t *Txn) Alloc(w float64, target geom.Point) (geom.Point, bool) {
+	if t.db.Free == nil {
+		return geom.Point{}, false
+	}
+	return t.db.Free.Alloc(&t.db.freeUndo, w, target)
+}
+
+// Upsize swaps in a master of the instance's family and, when the
+// footprint grows and free space is tracked, relocates the cell into
+// legal space near its old centre. When no space is left it returns an
+// error and the cell keeps its master, location and footprint.
+func (t *Txn) Upsize(inst *netlist.Instance, to *cell.Cell) error {
+	fs, u := t.db.Free, &t.db.freeUndo
+	if fs == nil || to.Width <= inst.Master.Width+1e-9 {
+		return t.Resize(inst, to)
+	}
+	oldB := inst.Bounds()
+	fs.Release(u, oldB)
+	loc, ok := fs.Alloc(u, to.Width, inst.Center())
+	if !ok {
+		fs.Occupy(u, oldB)
+		return fmt.Errorf("ddb: no legal space to upsize %s to %s", inst.Name, to.Name)
+	}
+	if err := t.Resize(inst, to); err != nil {
+		fs.Release(u, geom.RectWH(loc, to.Width, to.Height))
+		fs.Occupy(u, oldB)
+		return err
+	}
+	t.SetLoc(inst, loc)
+	return nil
+}
+
 // AddInstance appends a new instance (buffer insertion). Rollback
 // removes it via truncation.
 func (t *Txn) AddInstance(name string, master *cell.Cell) *netlist.Instance {
@@ -117,23 +168,49 @@ func (t *Txn) AddInstance(name string, master *cell.Cell) *netlist.Instance {
 // AddNet appends a new net and indexes its driver/sink adjacency.
 func (t *Txn) AddNet(name string, driver netlist.PinRef, sinks ...netlist.PinRef) *netlist.Net {
 	n := t.db.Design.AddNet(name, driver, sinks...)
-	id := int32(n.ID)
-	if driver.Port != nil {
-		t.db.drivenP[driver.Port.ID] = append(t.db.drivenP[driver.Port.ID], id)
-	} else if driver.Inst != nil {
-		t.db.drivenI[driver.Inst.ID] = append(t.db.drivenI[driver.Inst.ID], id)
+	if row := t.db.drivenRow(driver); row != nil {
+		*row = append(*row, int32(n.ID))
+		if driver.Inst == nil || driver.Inst.ID < t.baseInsts {
+			t.newDriven = append(t.newDriven, driver)
+		}
 	}
 	if !n.Clock {
 		for _, s := range n.Sinks {
 			if s.Inst != nil {
-				t.db.addInput(s.Inst.ID, id)
-				t.dirtyInsts.add(s.Inst.ID)
+				t.addInput(s.Inst, n)
 			}
 		}
 	}
 	t.dirtyNets.add(n.ID)
 	t.topo = true
 	return n
+}
+
+// addInput and removeInput edit an instance's input row, saving it on
+// first touch, and mark the instance dirty.
+func (t *Txn) addInput(inst *netlist.Instance, n *netlist.Net) {
+	t.saveInputs(inst.ID)
+	t.db.addInput(inst.ID, int32(n.ID))
+	t.dirtyInsts.add(inst.ID)
+}
+
+// removeInput drops n from inst's input row unless another pin of inst
+// still sinks on it.
+func (t *Txn) removeInput(inst *netlist.Instance, n *netlist.Net) {
+	if !sinksOn(n, inst) {
+		t.saveInputs(inst.ID)
+		t.db.removeInput(inst.ID, int32(n.ID))
+	}
+	t.dirtyInsts.add(inst.ID)
+}
+
+func (t *Txn) saveInputs(instID int) {
+	if instID >= t.baseInsts {
+		return
+	}
+	if _, ok := t.savedInputs[instID]; !ok {
+		t.savedInputs[instID] = append([]int32(nil), t.db.inputs[instID]...)
+	}
 }
 
 func (t *Txn) saveSinks(n *netlist.Net) {
@@ -153,10 +230,7 @@ func (t *Txn) RemoveSinkAt(n *netlist.Net, si int) netlist.PinRef {
 	s := n.Sinks[si]
 	n.Sinks = append(n.Sinks[:si], n.Sinks[si+1:]...)
 	if s.Inst != nil && !n.Clock {
-		if !sinksOn(n, s.Inst) {
-			t.db.removeInput(s.Inst.ID, int32(n.ID))
-		}
-		t.dirtyInsts.add(s.Inst.ID)
+		t.removeInput(s.Inst, n)
 	}
 	t.dirtyNets.add(n.ID)
 	t.topo = true
@@ -168,8 +242,7 @@ func (t *Txn) AppendSink(n *netlist.Net, s netlist.PinRef) {
 	t.saveSinks(n)
 	n.Sinks = append(n.Sinks, s)
 	if s.Inst != nil && !n.Clock {
-		t.db.addInput(s.Inst.ID, int32(n.ID))
-		t.dirtyInsts.add(s.Inst.ID)
+		t.addInput(s.Inst, n)
 	}
 	t.dirtyNets.add(n.ID)
 	t.topo = true
@@ -184,16 +257,12 @@ func (t *Txn) ReplaceSinks(n *netlist.Net, sinks []netlist.PinRef) {
 	if !n.Clock {
 		for _, s := range old {
 			if s.Inst != nil {
-				if !sinksOn(n, s.Inst) {
-					t.db.removeInput(s.Inst.ID, int32(n.ID))
-				}
-				t.dirtyInsts.add(s.Inst.ID)
+				t.removeInput(s.Inst, n)
 			}
 		}
 		for _, s := range n.Sinks {
 			if s.Inst != nil {
-				t.db.addInput(s.Inst.ID, int32(n.ID))
-				t.dirtyInsts.add(s.Inst.ID)
+				t.addInput(s.Inst, n)
 			}
 		}
 	}
@@ -256,9 +325,8 @@ func (t *Txn) DropRoute(n *netlist.Net) {
 
 // Commit finalizes the bundle: undo state is dropped, the edits stay.
 func (t *Txn) Commit() {
-	t.done = true
-	t.savedSinks, t.savedMaster, t.savedLoc = nil, nil, nil
-	t.savedRoute, t.savedRC = nil, nil
+	t.db.freeUndo.Commit()
+	t.dropUndo()
 	if reg := t.db.Obs.Reg(); reg != nil {
 		reg.Counter("ddb_txn_commits_total",
 			"Committed design-database transactions.").Inc()
@@ -269,13 +337,23 @@ func (t *Txn) Commit() {
 	}
 }
 
+// dropUndo closes the transaction and releases its undo state.
+func (t *Txn) dropUndo() {
+	t.done = true
+	t.savedSinks, t.savedMaster, t.savedLoc = nil, nil, nil
+	t.savedRoute, t.savedRC = nil, nil
+	t.savedInputs, t.newDriven = nil, nil
+}
+
 // Rollback undoes every edit of the bundle in O(edits): restores saved
 // routes (by the same ±1 usage increments the router applied), RC
-// trees, sink lists, masters and locations, and truncates appended
-// instances and nets. It returns the surviving dirty view — the ids
-// that existed before the transaction and were touched by it — which
-// the caller feeds to the STA engine so its incremental state
-// re-converges onto the restored design.
+// trees, sink lists, masters, locations, adjacency rows and free-space
+// segments, and truncates appended instances and nets — rows included:
+// the outer adjacency slices keep their capacity, so the next
+// AddInstance appends without copying. It returns the surviving dirty
+// view — the ids that existed before the transaction and were touched
+// by it — which the caller feeds to the STA engine so its incremental
+// state re-converges onto the restored design.
 func (t *Txn) Rollback() (nets, insts []int, topo bool) {
 	db := t.db
 	d := db.Design
@@ -330,16 +408,25 @@ func (t *Txn) Rollback() (nets, insts []int, topo bool) {
 		db.Ex.Nets = db.Ex.Nets[:t.baseNets]
 	}
 	d.TruncateTo(t.baseInsts, t.baseNets)
-	if t.topo {
-		db.rebuildAdjacency()
+	// Adjacency: appended net ids are the tail of a surviving driver's
+	// row; input rows go back to their first-touch copies.
+	for _, drv := range t.newDriven {
+		row := db.drivenRow(drv)
+		for n := len(*row); n > 0 && int((*row)[n-1]) >= t.baseNets; n-- {
+			*row = (*row)[:n-1]
+		}
 	}
+	for id, row := range t.savedInputs {
+		db.inputs[id] = append(db.inputs[id][:0], row...)
+	}
+	db.drivenI = db.drivenI[:t.baseInsts]
+	db.inputs = db.inputs[:t.baseInsts]
+	db.freeUndo.Rollback()
 
 	nets = t.dirtyNets.sortedBelow(t.baseNets)
 	insts = t.dirtyInsts.sortedBelow(t.baseInsts)
 	topo = t.topo
-	t.done = true
-	t.savedSinks, t.savedMaster, t.savedLoc = nil, nil, nil
-	t.savedRoute, t.savedRC = nil, nil
+	t.dropUndo()
 	if reg := db.Obs.Reg(); reg != nil {
 		reg.Counter("ddb_txn_rollbacks_total",
 			"Rolled-back design-database transactions.").Inc()

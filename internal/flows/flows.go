@@ -389,11 +389,18 @@ func signoff(r *runner, cfg Config, st *State, t *tech.Tech, optCfg opt.Options,
 	return p, nil
 }
 
+// signoffRevision versions what a signoff checkpoint holds beyond its
+// inputs. 1: the buffer count leaves out rolled-back iterations, and
+// ECO free space no longer loses intervals on release — checkpoints
+// written before either fix must miss.
+const signoffRevision = 1
+
 // signoffMaterial is the signoff checkpoint's own key material: the
 // resolved optimization budget. SelfCheck is excluded — it verifies,
 // it never changes results.
 func signoffMaterial(o opt.Options) []byte {
 	e := stash.NewEnc()
+	e.Int(signoffRevision)
 	e.Int(o.MaxIters)
 	e.Int(o.MaxMovesPerIter)
 	e.F64(o.BufferElmore)

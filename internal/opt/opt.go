@@ -15,7 +15,9 @@
 // Every edit flows through a ddb.Txn change journal: the journal keeps
 // the per-net extraction patched in place, feeds the dirty frontier to
 // the incremental sta.Engine, and rolls a rejected iteration back in
-// O(edits) instead of re-extracting the whole design.
+// O(edits) — routes, parasitics, connectivity, adjacency and the ECO
+// free space alike — instead of re-deriving any of them from the whole
+// design.
 package opt
 
 import (
@@ -65,7 +67,6 @@ type Context struct {
 	// STA engine. nil disables instrumentation.
 	Obs *obs.Span
 
-	fs  *place.FreeSpace
 	txn *ddb.Txn
 }
 
@@ -94,9 +95,11 @@ type Options struct {
 	// of updating only the dirty cone — the benchmark baseline against
 	// which the incremental engine is measured.
 	FullRecompute bool
-	// SelfCheck verifies after every accepted analysis that the
-	// incrementally maintained extraction and timing match a
-	// from-scratch extract.Extract + sta.Analyze (testing aid; slow).
+	// SelfCheck verifies after every analysis that the incrementally
+	// maintained extraction and timing match a from-scratch
+	// extract.Extract + sta.Analyze, and after every commit and rollback
+	// that the journaled free space and adjacency match a from-scratch
+	// build (testing aid; slow).
 	SelfCheck bool
 }
 
@@ -121,7 +124,8 @@ func (o Options) withDefaults() Options {
 
 // Result wraps the final timing plus edit statistics.
 type Result struct {
-	Report   *sta.Report
+	Report *sta.Report
+	// Resized and Buffers count the edits of kept iterations only.
 	Resized  int
 	Buffers  int
 	Rerouted int
@@ -234,8 +238,9 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 	if opt.Frozen {
 		return res, nil
 	}
+	ctx.DDB.Free = nil
 	if ctx.FP != nil && ctx.RowHeight > 0 {
-		ctx.fs = place.NewFreeSpace(ctx.Design, ctx.FP, ctx.RowHeight)
+		ctx.DDB.Free = place.NewFreeSpace(ctx.Design, ctx.FP, ctx.RowHeight)
 	}
 
 	bufSeq := 0
@@ -254,6 +259,7 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 		moves := 0
 		touched.reset()
 		resizedNow.reset()
+		buffers0 := res.Buffers
 		markedNow := []mark{} // buffer markers set this iteration
 		txn := ctx.DDB.Begin()
 		ctx.txn = txn
@@ -324,8 +330,10 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 		if !improvedWorst && !improvedSum {
 			rollbackC.Inc()
 			nets, insts, topo := txn.Rollback()
-			if ctx.FP != nil && ctx.RowHeight > 0 {
-				ctx.fs = place.NewFreeSpace(ctx.Design, ctx.FP, ctx.RowHeight)
+			if opt.SelfCheck {
+				if err := checkJournals(ctx); err != nil {
+					return nil, err
+				}
 			}
 			// The engine's state reflects the rejected edits; mark the
 			// surviving dirty ids again so the next update re-converges
@@ -346,6 +354,7 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 				noResize.add(id)
 			}
 			res.Resized -= resizedNow.len()
+			res.Buffers = buffers0
 			skipPath[curKey] = true
 			stale++
 			if stale >= 12 {
@@ -354,6 +363,11 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 			continue
 		}
 		txn.Commit()
+		if opt.SelfCheck {
+			if err := checkJournals(ctx); err != nil {
+				return nil, err
+			}
+		}
 		rep = next
 		if improvedWorst {
 			stale = 0
@@ -379,6 +393,19 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 
 // debugTrace enables per-iteration tracing via MACRO3D_OPT_TRACE=1.
 var debugTrace = os.Getenv("MACRO3D_OPT_TRACE") == "1"
+
+// checkJournals asserts that what the transactions maintained by
+// journal — adjacency rows and free-space intervals — equals a build
+// from the current design, exactly.
+func checkJournals(ctx *Context) error {
+	if err := ctx.DDB.CheckAdjacency(); err != nil {
+		return fmt.Errorf("opt: selfcheck: %w", err)
+	}
+	if fs := ctx.DDB.Free; fs != nil && !fs.Equal(place.NewFreeSpace(ctx.Design, ctx.FP, ctx.RowHeight)) {
+		return fmt.Errorf("opt: selfcheck: journaled free space differs from a fresh build")
+	}
+	return nil
+}
 
 // selfCheck asserts the incrementally maintained state equals a
 // from-scratch recompute: per-net extraction within 1e-9, and the
@@ -481,7 +508,9 @@ func fixPath(ctx *Context, res *Result, steps []sta.PathStep, opt Options, bufSe
 		// load-based lookup, instead of creeping one step per pass.
 		if !inst.IsMacro() && !noResize.has(inst.ID) && !resizedNow.has(inst.ID) {
 			if to := sizeForLoad(ctx, inst); to != nil {
-				if ecoResize(ctx, inst, to) {
+				// A resize that grows the cell also moves it into legal free
+				// space; when none is left the edit is skipped.
+				if ctx.txn.Upsize(inst, to) == nil {
 					res.Resized++
 					resizedNow.add(inst.ID)
 					moves++
@@ -503,10 +532,11 @@ func fixPath(ctx *Context, res *Result, steps []sta.PathStep, opt Options, bufSe
 			// later passes, never by chaining levels in front of the
 			// root.
 			if rc.CTotal() > opt.FanoutCap && len(n.Sinks) >= 2 && !fanoutDone.has(n.ID) {
+				before := len(ctx.Design.Instances)
 				if err := insertFanoutBuffer(ctx, n, opt, bufSeq); err == nil {
 					fanoutDone.add(n.ID)
 					*markedNow = append(*markedNow, mark{n.ID, false})
-					res.Buffers++
+					res.Buffers += len(ctx.Design.Instances) - before // one per sink cluster
 					moves++
 					touched.add(n.ID)
 					continue
@@ -528,29 +558,6 @@ func fixPath(ctx *Context, res *Result, steps []sta.PathStep, opt Options, bufSe
 		}
 	}
 	return moves
-}
-
-// ecoResize swaps the master and, when the footprint grows, relocates
-// the cell into legal free space near its old centre. Returns false
-// when no legal spot exists (the edit is skipped).
-func ecoResize(ctx *Context, inst *netlist.Instance, to *cell.Cell) bool {
-	if ctx.fs == nil || to.Width <= inst.Master.Width+1e-9 {
-		return ctx.txn.Resize(inst, to) == nil
-	}
-	oldB := inst.Bounds()
-	ctx.fs.Release(oldB)
-	loc, ok := ctx.fs.Alloc(to.Width, inst.Center())
-	if !ok {
-		ctx.fs.Occupy(oldB)
-		return false
-	}
-	if err := ctx.txn.Resize(inst, to); err != nil {
-		ctx.fs.Release(geom.RectWH(loc, to.Width, to.Height))
-		ctx.fs.Occupy(oldB)
-		return false
-	}
-	ctx.txn.SetLoc(inst, loc)
-	return true
 }
 
 // sizeForLoad returns the smallest family member whose drive meets
@@ -586,13 +593,6 @@ func sizeForLoad(ctx *Context, inst *netlist.Instance) *cell.Cell {
 		return top
 	}
 	return nil
-}
-
-func betterOf(a, b *sta.Report) *sta.Report {
-	if b.MinPeriod < a.MinPeriod {
-		return b
-	}
-	return a
 }
 
 // netsOf lists the ids of the non-clock nets touching an instance,
@@ -772,8 +772,8 @@ func insertFanoutBuffer(ctx *Context, n *netlist.Net, opt Options, seq *int) err
 // for an inserted buffer; without a FreeSpace (unit tests) it falls
 // back to die clamping.
 func ecoPlace(ctx *Context, ll geom.Point, buf *cell.Cell) geom.Point {
-	if ctx.fs != nil {
-		if loc, ok := ctx.fs.Alloc(buf.Width, geom.Pt(ll.X+buf.Width/2, ll.Y+buf.Height/2)); ok {
+	if ctx.DDB.Free != nil {
+		if loc, ok := ctx.txn.Alloc(buf.Width, geom.Pt(ll.X+buf.Width/2, ll.Y+buf.Height/2)); ok {
 			return loc
 		}
 	}

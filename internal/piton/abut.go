@@ -37,6 +37,7 @@ func Abut(t *Tile, die geom.Rect, nx, ny int) (*netlist.Design, geom.Rect, error
 	// Group lookup: for each grouped (NoC) port, its edge and the
 	// pairing name on the neighbouring tile.
 	partnerName := buildPartnerNames(t)
+	portNet := portNets(src)
 
 	clkPort := out.AddPort("clk_i", cell.DirIn)
 	clkPort.Layer = "M6"
@@ -118,7 +119,7 @@ func Abut(t *Tile, die geom.Rect, nx, ny int) (*netlist.Design, geom.Rect, error
 						// Extend into the neighbour: the partner port's
 						// net continues at the partner's sinks.
 						nk := copyKey{pn.ix, pn.iy}
-						pNet := portNet(src, pn.name)
+						pNet := portNet[pn.name]
 						if pNet == nil {
 							return netlist.PinRef{}, false
 						}
@@ -318,18 +319,21 @@ func interiorNeighbor(partners map[string]partner, port string, ix, iy, nx, ny i
 	return neighborRef{ix: jx, iy: jy, name: p.name}, true
 }
 
-// portNet finds the net driven by (input port) or sinking at (output
-// port) the named port.
-func portNet(d *netlist.Design, port string) *netlist.Net {
-	for _, n := range d.Nets {
-		if n.Driver.Port != nil && n.Driver.Port.Name == port {
-			return n
-		}
-		for _, s := range n.Sinks {
-			if s.Port != nil && s.Port.Name == port {
-				return n
-			}
+// portNets indexes, by port name, the net driven by (input port) or
+// sinking at (output port) each port of the design — the first such
+// net in id order.
+func portNets(d *netlist.Design) map[string]*netlist.Net {
+	idx := make(map[string]*netlist.Net, len(d.Ports))
+	note := func(p *netlist.Port, n *netlist.Net) {
+		if p != nil && idx[p.Name] == nil {
+			idx[p.Name] = n
 		}
 	}
-	return nil
+	for _, n := range d.Nets {
+		note(n.Driver.Port, n)
+		for _, s := range n.Sinks {
+			note(s.Port, n)
+		}
+	}
+	return idx
 }

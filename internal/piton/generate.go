@@ -50,9 +50,8 @@ func generate(cfg Config, areaScale float64) (*Tile, error) {
 		lib:   lib,
 		d:     netlist.NewDesign(cfg.Name, lib),
 		rng:   geom.NewRNG(cfg.Seed),
-		netOf: make(map[string]*netlist.Net),
+		netOf: make(map[netlist.PinRef]*netlist.Net),
 	}
-	g.driven = make(map[string]bool)
 	g.tile = &Tile{Design: g.d, Config: cfg}
 
 	// Clock input.
@@ -382,13 +381,24 @@ func (g *gen) sweepUndriven() {
 	if len(pool) == 0 {
 		return
 	}
+	// The pins that already have a driver: every sink of every net.
+	nSinks := 0
+	for _, n := range g.d.Nets {
+		nSinks += len(n.Sinks)
+	}
+	driven := make(map[netlist.PinRef]bool, nSinks)
+	for _, n := range g.d.Nets {
+		for _, s := range n.Sinks {
+			driven[s] = true
+		}
+	}
 	for _, inst := range g.d.Instances {
-		for _, p := range inst.Master.Inputs() {
-			if p.Clock {
+		for pi := range inst.Master.Pins {
+			p := &inst.Master.Pins[pi]
+			if p.Dir != cell.DirIn || p.Clock {
 				continue
 			}
-			ref := netlist.IPin(inst, p.Name)
-			if !g.driven[ref.String()] {
+			if ref := netlist.IPin(inst, p.Name); !driven[ref] {
 				g.fanout(pool[g.rng.Intn(len(pool))], ref)
 			}
 		}

@@ -226,11 +226,9 @@ type gen struct {
 	clk  []netlist.PinRef
 	tile *Tile
 
-	// netOf maps a driver PinRef key to its net so fanout() can extend
-	// existing nets instead of creating parallel ones.
-	netOf map[string]*netlist.Net
-	// driven records sink pins that already have a driver.
-	driven map[string]bool
+	// netOf maps a driver to its net so fanout() can extend existing
+	// nets instead of creating parallel ones.
+	netOf map[netlist.PinRef]*netlist.Net
 }
 
 func (g *gen) netName(hint string) string {
@@ -283,10 +281,15 @@ func (g *gen) cloud(hint string, drivers []netlist.PinRef, outs, depth int) []ne
 			// Wire inputs from random members of the previous level,
 			// with a locality bias (nearby indices) so the cone has
 			// structure rather than uniform randomness.
-			ins := inst.Master.Inputs()
-			for ii, ip := range ins {
+			ii := 0 // index among the input pins
+			for pi := range inst.Master.Pins {
+				ip := &inst.Master.Pins[pi]
+				if ip.Dir != cell.DirIn {
+					continue
+				}
 				src := level[(k+ii*3+g.rng.Intn(5))%len(level)]
 				g.fanout(src, netlist.IPin(inst, ip.Name))
+				ii++
 			}
 			next = append(next, netlist.IPin(inst, "Y"))
 		}
@@ -297,24 +300,18 @@ func (g *gen) cloud(hint string, drivers []netlist.PinRef, outs, depth int) []ne
 
 // fanout connects src → sink, creating or extending src's net.
 func (g *gen) fanout(src, sink netlist.PinRef) {
-	g.driven[sink.String()] = true
-	key := src.String()
-	if n, ok := g.netOf[key]; ok {
+	if n, ok := g.netOf[src]; ok {
 		n.Sinks = append(n.Sinks, sink)
 		return
 	}
-	n := g.d.AddNet(g.netName("w"), src, sink)
-	g.netOf[key] = n
+	g.netOf[src] = g.d.AddNet(g.netName("w"), src, sink)
 }
 
-// drive creates a named net from src to sinks and records both the
-// driver's net and the sinks' driven state.
+// drive creates a named net from src to sinks and records it as the
+// driver's net.
 func (g *gen) drive(name string, src netlist.PinRef, sinks ...netlist.PinRef) *netlist.Net {
 	n := g.d.AddNet(name, src, sinks...)
-	g.netOf[src.String()] = n
-	for _, s := range sinks {
-		g.driven[s.String()] = true
-	}
+	g.netOf[src] = n
 	return n
 }
 

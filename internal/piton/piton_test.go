@@ -1,10 +1,15 @@
 package piton
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
 	"macro3d/internal/cell"
+	"macro3d/internal/geom"
+	"macro3d/internal/netlist"
 )
 
 func TestGenerateSmallCache(t *testing.T) {
@@ -282,5 +287,88 @@ func TestClockPortIsInput(t *testing.T) {
 	p := tile.Design.Port(tile.ClockPort)
 	if p == nil || p.Dir != cell.DirIn {
 		t.Fatal("clock port missing or not input")
+	}
+}
+
+// structuralDigest hashes everything about a generated netlist that
+// downstream stages read: every instance's name and master, every
+// port, and every net's name, driver and sinks in order.
+func structuralDigest(d *netlist.Design) string {
+	h := sha256.New()
+	for _, inst := range d.Instances {
+		fmt.Fprintf(h, "i %s %s\n", inst.Name, inst.Master.Name)
+	}
+	for _, p := range d.Ports {
+		fmt.Fprintf(h, "p %s %d %v\n", p.Name, p.Dir, p.HalfCycle)
+	}
+	for _, n := range d.Nets {
+		fmt.Fprintf(h, "n %s %v %s", n.Name, n.Clock, n.Driver)
+		for _, s := range n.Sinks {
+			fmt.Fprintf(h, " %s", s)
+		}
+		fmt.Fprintln(h)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGenerateStructurePinned: the generator's bookkeeping (which pins
+// are driven, which driver owns which net) may change representation,
+// but the netlist — names, ids, order, every rng draw behind them —
+// may not. The digests were taken before the maps were re-keyed.
+func TestGenerateStructurePinned(t *testing.T) {
+	tile, err := Generate(SmallCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := structuralDigest(tile.Design), "91623ade92180edc686738615a80995c2bdea8418f8e622e9d2e88b4bf1dd65a"; got != want {
+		t.Fatalf("SmallCache netlist digest %s, pinned %s", got, want)
+	}
+	soc, err := GenerateSensorSoC(DefaultSensorSoC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := structuralDigest(soc.Design), "fade9a4bbc5e8ace60e3b18b5e85c18868886b6f7b89691e85b2c37ce0aa3ee2"; got != want {
+		t.Fatalf("sensor SoC netlist digest %s, pinned %s", got, want)
+	}
+}
+
+// TestAbutPortIndex: the port → net index Abut stitches through names,
+// for every port, the net a scan of all drivers and sinks finds first;
+// and the 2×2 array it produces is the one the per-lookup scan
+// produced (digest taken before the index replaced it).
+func TestAbutPortIndex(t *testing.T) {
+	tile, err := Generate(Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := tile.Design
+	for i, p := range src.Ports {
+		p.Loc = geom.Pt(float64(i+1), 1) // Abut only asks that ports are assigned
+	}
+	scan := func(port string) *netlist.Net {
+		for _, n := range src.Nets {
+			if n.Driver.Port != nil && n.Driver.Port.Name == port {
+				return n
+			}
+			for _, s := range n.Sinks {
+				if s.Port != nil && s.Port.Name == port {
+					return n
+				}
+			}
+		}
+		return nil
+	}
+	idx := portNets(src)
+	for _, p := range src.Ports {
+		if idx[p.Name] != scan(p.Name) {
+			t.Fatalf("port %s indexed to a different net than the scan finds", p.Name)
+		}
+	}
+	out, _, err := Abut(tile, geom.R(0, 0, 100, 100), 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := structuralDigest(out), "f851cab848f948a9144680ba0cdd071d8fd97f740dd3856a59bbe313cff3771d"; got != want {
+		t.Fatalf("2x2 array digest %s, pinned %s", got, want)
 	}
 }

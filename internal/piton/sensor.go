@@ -78,12 +78,11 @@ func generateSensor(cfg SensorConfig, areaScale float64) (*Tile, error) {
 	lib := cell.NewStdLib28(opt)
 
 	g := &gen{
-		cfg:    Config{CloudDepth: cfg.CloudDepth},
-		lib:    lib,
-		d:      netlist.NewDesign(cfg.Name, lib),
-		rng:    geom.NewRNG(cfg.Seed),
-		netOf:  make(map[string]*netlist.Net),
-		driven: make(map[string]bool),
+		cfg:   Config{CloudDepth: cfg.CloudDepth},
+		lib:   lib,
+		d:     netlist.NewDesign(cfg.Name, lib),
+		rng:   geom.NewRNG(cfg.Seed),
+		netOf: make(map[netlist.PinRef]*netlist.Net),
 	}
 	g.tile = &Tile{Design: g.d, Config: g.cfg}
 

@@ -20,6 +20,7 @@ type segment struct {
 	x0, x1 float64
 	row    int
 	free   []iv // sorted, disjoint free intervals
+	saved  bool // free is already in the current Undo journal
 }
 
 type iv struct{ a, b float64 }
@@ -47,34 +48,65 @@ func (s *segment) bestFit(target, w float64) (float64, bool) {
 	return bestX, bestCost >= 0
 }
 
-// occupy removes [x, x+w) from the free intervals.
+// occupy removes [x, x+w) from the free intervals, splicing the list
+// in place: the interval that holds the span shrinks, splits in two or
+// disappears.
 func (s *segment) occupy(x, w float64) {
 	for i, f := range s.free {
 		if x >= f.a-1e-9 && x+w <= f.b+1e-9 {
-			var repl []iv
-			if x-f.a > 1e-9 {
-				repl = append(repl, iv{f.a, x})
+			left, right := x-f.a > 1e-9, f.b-(x+w) > 1e-9
+			switch {
+			case left && right:
+				s.free = append(s.free, iv{})
+				copy(s.free[i+2:], s.free[i+1:])
+				s.free[i], s.free[i+1] = iv{f.a, x}, iv{x + w, f.b}
+			case left:
+				s.free[i] = iv{f.a, x}
+			case right:
+				s.free[i] = iv{x + w, f.b}
+			default:
+				s.free = append(s.free[:i], s.free[i+1:]...)
 			}
-			if f.b-(x+w) > 1e-9 {
-				repl = append(repl, iv{x + w, f.b})
-			}
-			s.free = append(s.free[:i], append(repl, s.free[i+1:]...)...)
 			return
 		}
 	}
 }
 
-// buildSegments slices the die into rows and subtracts hard (fraction
-// >= 1) blockages. Partial blockages deliberately do not fence rows —
-// see the package comment.
-func buildSegments(fp *floorplan.Floorplan, rowHeight float64) []*segment {
-	return buildSegmentsN(fp, rowHeight, 1, nil)
+// release merges [x, x+w) back into the free intervals, in place: the
+// run of intervals it overlaps or abuts collapses into one. The list
+// is sorted and disjoint, so that run is contiguous.
+func (s *segment) release(x, w float64) {
+	nf := iv{x, x + w}
+	lo := 0
+	for lo < len(s.free) && s.free[lo].b < nf.a-1e-9 {
+		lo++
+	}
+	hi := lo
+	for ; hi < len(s.free) && s.free[hi].a <= nf.b+1e-9; hi++ {
+		f := s.free[hi]
+		if f.a < nf.a {
+			nf.a = f.a
+		}
+		if f.b > nf.b {
+			nf.b = f.b
+		}
+	}
+	if hi == lo {
+		s.free = append(s.free, iv{})
+		copy(s.free[lo+1:], s.free[lo:])
+	} else {
+		s.free = append(s.free[:lo+1], s.free[hi:]...)
+	}
+	s.free[lo] = nf
 }
 
-// buildSegmentsN is the row-parallel form: rows are independent, so
-// each builds its own segment list and the results concatenate in row
-// order — identical to the serial sweep at any worker count.
-func buildSegmentsN(fp *floorplan.Floorplan, rowHeight float64, workers int, ts *trace.Set) []*segment {
+// buildRows slices the die into placement rows and subtracts hard
+// (fraction >= 1) blockages, returning each row's free segments indexed
+// by row and trimmed after the last row that has any. Partial blockages
+// deliberately do not fence rows — see the package comment. Rows are
+// independent, so they build across workers; the result is identical
+// at any worker count.
+func buildRows(fp *floorplan.Floorplan, rowHeight float64, workers int, ts *trace.Set) [][]*segment {
 	die := fp.Die
 	var hard []geom.Rect
 	for _, b := range fp.PlaceBlk {
@@ -87,11 +119,10 @@ func buildSegmentsN(fp *floorplan.Floorplan, rowHeight float64, workers int, ts 
 	par.ItemsTr(ts, "place/row-segments", workers, nRows, func(w, r int) {
 		rows[r] = buildRowSegments(die, hard, rowHeight, r)
 	})
-	var segs []*segment
-	for _, rs := range rows {
-		segs = append(segs, rs...)
+	for nRows > 0 && len(rows[nRows-1]) == 0 {
+		nRows--
 	}
-	return segs
+	return rows[:nRows]
 }
 
 // buildRowSegments builds the free segments of one placement row.
@@ -167,10 +198,10 @@ const legalizeBands = 8
 // tetris is the shared state of a legalization sweep: the per-row
 // segment index plus the geometry needed to score candidates. Bands of
 // the fast sweep touch disjoint row ranges, so they share one tetris
-// concurrently (map reads only; segment mutations stay inside a band's
-// rows).
+// concurrently (index reads only; segment mutations stay inside a
+// band's rows).
 type tetris struct {
-	byRow     map[int][]*segment
+	rows      [][]*segment // by row index
 	die       geom.Rect
 	rowHeight float64
 	maxRow    int
@@ -201,7 +232,7 @@ func (t *tetris) place(inst *netlist.Instance, lo, hi int) (disp float64, ok boo
 			if bestCost >= 0 && dy > bestCost {
 				continue // cannot beat best even with zero dx
 			}
-			for _, s := range t.byRow[r] {
+			for _, s := range t.rows[r] {
 				x, fits := s.bestFit(target.X, w)
 				if !fits {
 					continue
@@ -236,19 +267,11 @@ func (t *tetris) place(inst *netlist.Instance, lo, hi int) (disp float64, ok boo
 
 func legalizeBestEffort(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64, workers int,
 	fast bool, ts *trace.Set, mt *trace.Track) (mean, maxd float64, failed []*netlist.Instance, err error) {
-	segs := buildSegmentsN(fp, rowHeight, workers, ts)
-	if len(segs) == 0 {
+	rows := buildRows(fp, rowHeight, workers, ts)
+	if len(rows) == 0 {
 		return 0, 0, nil, fmt.Errorf("place: no placement rows available")
 	}
-	// Index segments by row for fast lookup.
-	byRow := map[int][]*segment{}
-	maxRow := 0
-	for _, s := range segs {
-		byRow[s.row] = append(byRow[s.row], s)
-		if s.row > maxRow {
-			maxRow = s.row
-		}
-	}
+	maxRow := len(rows) - 1
 
 	order := append([]*netlist.Instance(nil), movable...)
 	sort.Slice(order, func(i, j int) bool {
@@ -258,7 +281,7 @@ func legalizeBestEffort(movable []*netlist.Instance, fp *floorplan.Floorplan, ro
 		return order[i].Name < order[j].Name
 	})
 
-	t := &tetris{byRow: byRow, die: fp.Die, rowHeight: rowHeight, maxRow: maxRow}
+	t := &tetris{rows: rows, die: fp.Die, rowHeight: rowHeight, maxRow: maxRow}
 	if fast && maxRow+1 >= 2 {
 		return legalizeBanded(order, t, workers, ts, mt)
 	}

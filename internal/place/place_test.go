@@ -1,6 +1,7 @@
 package place
 
 import (
+	"slices"
 	"testing"
 
 	"macro3d/internal/cell"
@@ -195,7 +196,10 @@ func TestPlaceFailsWhenNoRows(t *testing.T) {
 func TestBuildSegments(t *testing.T) {
 	fp := &floorplan.Floorplan{Die: geom.R(0, 0, 100, 12)}
 	fp.PlaceBlk = append(fp.PlaceBlk, floorplan.Blockage{Rect: geom.R(40, 0, 60, 12), Fraction: 1})
-	segs := buildSegments(fp, 1.2)
+	var segs []*segment
+	for _, row := range buildRows(fp, 1.2, 1, nil) {
+		segs = append(segs, row...)
+	}
 	// 10 rows × 2 segments.
 	if len(segs) != 20 {
 		t.Fatalf("segments = %d, want 20", len(segs))
@@ -211,8 +215,14 @@ func TestBuildSegments(t *testing.T) {
 	// Partial blockages do not split rows.
 	fp2 := &floorplan.Floorplan{Die: geom.R(0, 0, 100, 12)}
 	fp2.PlaceBlk = append(fp2.PlaceBlk, floorplan.Blockage{Rect: geom.R(40, 0, 60, 12), Fraction: 0.5})
-	if got := len(buildSegments(fp2, 1.2)); got != 10 {
-		t.Fatalf("partial blockage split rows: %d segments", got)
+	rows := buildRows(fp2, 1.2, 1, nil)
+	if len(rows) != 10 {
+		t.Fatalf("rows = %d, want 10", len(rows))
+	}
+	for r, row := range rows {
+		if len(row) != 1 {
+			t.Fatalf("partial blockage split row %d: %d segments", r, len(row))
+		}
 	}
 }
 
@@ -286,5 +296,83 @@ func TestSolveSweepAllocs(t *testing.T) {
 			t.Fatalf("solve with %d sweep(s) over %d nets allocates %.0f objects, want ≤ %.0f (0 per net)",
 				sweeps, len(d.Nets), allocs, budget)
 		}
+	}
+}
+
+// TestSegmentSpliceInPlace walks occupy and release through every
+// splice shape — split, trim either end, consume, insert between,
+// merge one side, merge both — against the interval arithmetic written
+// out by hand.
+func TestSegmentSpliceInPlace(t *testing.T) {
+	s := &segment{x0: 0, x1: 100, free: []iv{{0, 100}}}
+	step := func(what string, want ...iv) {
+		t.Helper()
+		if !slices.Equal(s.free, want) {
+			t.Fatalf("%s: free = %v, want %v", what, s.free, want)
+		}
+	}
+	s.occupy(40, 10)
+	step("split", iv{0, 40}, iv{50, 100})
+	s.occupy(0, 5)
+	step("trim left", iv{5, 40}, iv{50, 100})
+	s.occupy(90, 10)
+	step("trim right", iv{5, 40}, iv{50, 90})
+	s.occupy(5, 35)
+	step("consume", iv{50, 90})
+	s.occupy(60, 10)
+	step("split again", iv{50, 60}, iv{70, 90})
+	// A cell with occupied neighbours on both sides comes back as an
+	// interval of its own, and the intervals after it stay what they
+	// were (the copying release lost the next one here).
+	s.release(20, 10)
+	step("insert before", iv{20, 30}, iv{50, 60}, iv{70, 90})
+	s.release(95, 5)
+	step("append", iv{20, 30}, iv{50, 60}, iv{70, 90}, iv{95, 100})
+	s.release(30, 5)
+	step("merge left", iv{20, 35}, iv{50, 60}, iv{70, 90}, iv{95, 100})
+	s.release(45, 5)
+	step("merge right", iv{20, 35}, iv{45, 60}, iv{70, 90}, iv{95, 100})
+	s.release(60, 10)
+	step("merge both", iv{20, 35}, iv{45, 90}, iv{95, 100})
+}
+
+// TestFreeSpaceUndo: a journaled bundle of claims and returns rolls
+// back to exactly the map it started from, a committed one stays, and
+// the journal is empty for the next bundle either way.
+func TestFreeSpaceUndo(t *testing.T) {
+	d, fp := chainDesign(40)
+	if _, err := Place(d, fp, 1.2, Options{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	fs := NewFreeSpace(d, fp, 1.2)
+	var u Undo
+	edit := func() {
+		for i := 0; i < 10; i++ {
+			inst := d.Instances[3*i]
+			fs.Release(&u, inst.Bounds())
+			if _, ok := fs.Alloc(&u, 2*inst.Master.Width, inst.Center()); !ok {
+				t.Fatal("no space for a doubled cell")
+			}
+		}
+	}
+	edit()
+	if fs.Equal(NewFreeSpace(d, fp, 1.2)) {
+		t.Fatal("edits left the map unchanged — test is vacuous")
+	}
+	u.Rollback()
+	if !fs.Equal(NewFreeSpace(d, fp, 1.2)) {
+		t.Fatal("rollback did not restore the free space")
+	}
+	edit()
+	kept := NewFreeSpace(d, fp, 1.2)
+	for r, row := range fs.rows {
+		for i, s := range row {
+			kept.rows[r][i].free = slices.Clone(s.free)
+		}
+	}
+	u.Commit()
+	u.Rollback() // nothing journaled: must not move anything
+	if !fs.Equal(kept) {
+		t.Fatal("commit did not keep the edits")
 	}
 }

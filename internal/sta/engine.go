@@ -62,6 +62,21 @@ type Engine struct {
 
 	full, half pass
 
+	// Endpoint table (see epRow) and the index of its rows by capturing
+	// instance, rebuilt with the topology; then the report pass's own
+	// buffers: the endpoints of the pass, and the per-launch-node worst
+	// endpoint (valid where launchGen holds the pass's epGen stamp)
+	// from which the paths to trace are selected.
+	epRows     []epRow
+	epInstOff  []int32
+	epInstRows []int32
+	eps        []endpoint
+	launchGen  []uint32 // by node
+	launchBest []int32  // by node: index into eps
+	epGen      uint32
+	launches   []int32 // nodes stamped this pass, in first-seen order
+	sel        []int32 // selected endpoints, worst first
+
 	dirtyFull, dirtyHalf []bool // by node; scratch between Update calls
 
 	// Pending invalidation accumulated by Invalidate until the next
@@ -165,10 +180,10 @@ func (e *Engine) inputsOf(id int) []inEdge { return e.inArcs[e.inOff[id]:e.inOff
 
 // rebuildTopo (re)derives every topology-dependent cache from the
 // current design: node count, levelized order, fanout and input-arc
-// adjacency, driven-net table. Everything is built into buffers the
-// engine keeps, so a rebuild after a small edit allocates only when
-// the design outgrew them. Per-node value arrays are grown or shrunk
-// at the tail; slots at or above resetFrom are re-initialized.
+// adjacency, driven-net table, endpoint table. Everything is built into
+// buffers the engine keeps, so a rebuild after a small edit allocates
+// only when the design outgrew them. Per-node value arrays are grown or
+// shrunk at the tail; slots at or above resetFrom are re-initialized.
 func (e *Engine) rebuildTopo() error {
 	e.nPorts = len(e.d.Ports)
 	nInst := len(e.d.Instances)
@@ -188,6 +203,11 @@ func (e *Engine) rebuildTopo() error {
 	if err := e.levelize(); err != nil {
 		return err
 	}
+	e.buildEndpoints()
+	e.launchGen = resize(e.launchGen, e.nNodes)
+	e.launchBest = resize(e.launchBest, e.nNodes)
+	clear(e.launchGen)
+	e.epGen = 0
 
 	// Waves for the parallel full pass: level = 1 + max(level of
 	// combinational inputs), grouped by a counting sort that keeps the
@@ -470,6 +490,8 @@ func (e *Engine) Update(period float64) (*Report, error) {
 		if err := e.rebuildTopo(); err != nil {
 			return nil, err
 		}
+	} else {
+		e.patchEndpoints()
 	}
 
 	frontier := 0

@@ -18,7 +18,7 @@ package sta
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/cts"
@@ -113,9 +113,121 @@ func Analyze(d *netlist.Design, ex *extract.Design, period float64, opt Options)
 	return e.Run(period)
 }
 
+// epRow is one row of the endpoint table: a (net, sink) pair whose sink
+// captures data — a sequential data pin or an output port. Everything
+// in it follows from topology and masters, so rebuildTopo derives the
+// table and patchEndpoints refreshes the rows of resized instances;
+// buildReport only does arithmetic over it.
+type epRow struct {
+	ref      netlist.PinRef // the capturing pin or port
+	net, si  int32
+	drv      int32 // launch-side node
+	port     bool  // output port (otherwise a sequential data pin)
+	portHalf bool  // the port is half-cycle constrained
+	// Sequential rows: setup (corner-scaled, or a hardened abstract's
+	// sign-off-absolute pin budget) and the capture clock latency.
+	setup, capLat float64
+}
+
+// endpoint is one constrained arrival of the current report pass.
+type endpoint struct {
+	req   float64 // minimum period this endpoint demands
+	delay float64 // data arrival at the endpoint
+	row   int32
+	// snapHalf: launched on the half-cycle pass. isHalf: launched or
+	// captured by a half-cycle port.
+	snapHalf, isHalf bool
+}
+
+// setupOf is the setup budget of a sequential data pin.
+func (e *Engine) setupOf(s netlist.PinRef) float64 {
+	m := s.Inst.Master
+	if m.Abstract != nil {
+		// A hardened abstract's data-input setup is the pin's full
+		// internal budget, already sign-off absolute — no corner scale.
+		if p := m.Pin(s.Pin); p != nil {
+			return p.Setup
+		}
+	}
+	return m.Setup * e.opt.Corner.CellDelay
+}
+
+// buildEndpoints derives the endpoint table in net-then-sink order, and
+// the index of its rows by capturing instance.
+func (e *Engine) buildEndpoints() {
+	nInst := len(e.d.Instances)
+	e.epInstOff = resize(e.epInstOff, nInst+1)
+	clear(e.epInstOff)
+	// Size the table once: only sequential and port sinks can be rows.
+	bound := 0
+	for _, n := range e.d.Nets {
+		for _, s := range n.Sinks {
+			if !n.Clock && (s.Port != nil || s.Inst != nil && s.Inst.Master.IsSequential()) {
+				bound++
+			}
+		}
+	}
+	e.epRows = slices.Grow(e.epRows[:0], bound)
+	for _, n := range e.d.Nets {
+		if n.Clock {
+			continue
+		}
+		drv, ok := e.refNode(n.Driver)
+		if !ok {
+			continue
+		}
+		for si, s := range n.Sinks {
+			row := epRow{ref: s, net: int32(n.ID), si: int32(si), drv: int32(drv)}
+			switch {
+			case s.Inst != nil && s.Inst.Master.IsSequential() && !s.Inst.Master.Pin(s.Pin).Clock:
+				row.setup, row.capLat = e.setupOf(s), e.clockLatency(s.Inst)
+				e.epInstOff[s.Inst.ID+1]++
+			case s.Port != nil && s.Port.Dir == cell.DirOut:
+				row.port, row.portHalf = true, s.Port.HalfCycle
+			default:
+				continue
+			}
+			e.epRows = append(e.epRows, row)
+		}
+	}
+	for i := 1; i <= nInst; i++ {
+		e.epInstOff[i] += e.epInstOff[i-1]
+	}
+	e.epInstRows = resize(e.epInstRows, int(e.epInstOff[nInst]))
+	e.cursor = append(e.cursor[:0], e.epInstOff[:nInst]...)
+	for ri := range e.epRows {
+		if r := &e.epRows[ri]; !r.port {
+			e.epInstRows[e.cursor[r.ref.Inst.ID]] = int32(ri)
+			e.cursor[r.ref.Inst.ID]++
+		}
+	}
+}
+
+// patchEndpoints refreshes the table rows that capture at the pending
+// (resized) instances; a topology edit rebuilds the table instead.
+func (e *Engine) patchEndpoints() {
+	for _, id := range e.pendInsts {
+		if id+1 >= len(e.epInstOff) {
+			continue
+		}
+		for _, ri := range e.epInstRows[e.epInstOff[id]:e.epInstOff[id+1]] {
+			e.epRows[ri].setup = e.setupOf(e.epRows[ri].ref)
+		}
+	}
+}
+
+// before is the report's total order over the endpoints of one pass:
+// the more demanding first, ties by position in the table.
+func (e *Engine) before(i, j int32) bool {
+	a, b := e.eps[i].req, e.eps[j].req
+	return a > b || (a == b && i < j)
+}
+
 // buildReport runs the endpoint checks over the current full/half pass
 // state and assembles the report: minimum period, slacks, critical
-// paths, optional hold analysis.
+// paths, optional hold analysis. It is one arithmetic pass over the
+// endpoint table into engine-kept buffers, then a bounded selection of
+// the paths to trace; only the report and its paths are allocated.
 func (e *Engine) buildReport(period float64) (*Report, error) {
 	d, ex, opt := e.d, e.ex, e.opt
 	rep := &Report{}
@@ -132,112 +244,69 @@ func (e *Engine) buildReport(period float64) (*Report, error) {
 	}
 	full, half := &e.full, &e.half
 
-	// Endpoint checks.
-	type endpoint struct {
-		req    float64 // minimum period this endpoint demands
-		node   int     // launching-side node for path tracing
-		sinkWL float64
-		ref    netlist.PinRef
-		delay  float64
-		isHalf bool
-		snap   *pass
-	}
-	var all []endpoint
-
-	consider := func(e endpoint, slackAt func(p float64) float64) {
+	e.eps = slices.Grow(e.eps[:0], len(e.epRows))
+	consider := func(ep endpoint, slack float64) {
 		rep.Endpoints++
-		s := slackAt(period)
-		if s < 0 {
-			rep.TNS += s
+		if slack < 0 {
+			rep.TNS += slack
 		}
-		if s < rep.WNS || rep.Endpoints == 1 {
-			rep.WNS = s
+		if slack < rep.WNS || rep.Endpoints == 1 {
+			rep.WNS = slack
 		}
-		all = append(all, e)
+		e.eps = append(e.eps, ep)
 	}
 
-	for _, n := range d.Nets {
-		if n.Clock {
-			continue
+	curNet := int32(-1)
+	var rc *extract.NetRC
+	adj := 0.0
+	for ri := range e.epRows {
+		r := &e.epRows[ri]
+		if r.net != curNet {
+			curNet, rc, adj = r.net, ex.Nets[r.net], 0
+			// Launch adjustment when the driver is a hardened-abstract
+			// output pin (0 otherwise; see Engine.arcLaunch).
+			if rc != nil && e.hasAbstract {
+				adj = e.arcLaunch(int(r.drv), d.Nets[r.net], rc)
+			}
 		}
-		rc := ex.Nets[n.ID]
 		if rc == nil {
 			continue
 		}
-		drvNode, ok := e.refNode(n.Driver)
-		if !ok {
+		elm := rc.ElmoreTo[r.si] // already corner-scaled by extraction
+		fa, ha := full.arr[r.drv], half.arr[r.drv]
+		if !r.port {
+			setup, capLat := r.setup, r.capLat
+			// Full-cycle launched paths.
+			if fa > negInf {
+				at := fa + adj + elm
+				consider(endpoint{req: at + setup - capLat + opt.SkewGuard, delay: at, row: int32(ri)},
+					period+capLat-setup-at-opt.SkewGuard)
+			}
+			// Half-cycle launched paths: budget T/2.
+			if ha > negInf {
+				at := ha + adj + elm
+				consider(endpoint{req: 2 * (at + setup - capLat + opt.SkewGuard), delay: at, row: int32(ri),
+					snapHalf: true, isHalf: true}, period/2+capLat-setup-at-opt.SkewGuard)
+			}
 			continue
 		}
-		// Launch adjustment when the driver is a hardened-abstract
-		// output pin (0 otherwise; see Engine.arcLaunch).
-		adj := 0.0
-		if e.hasAbstract {
-			adj = e.arcLaunch(drvNode, n, rc)
-		}
-		for si, s := range n.Sinks {
-			elm := rc.ElmoreTo[si] // already corner-scaled by extraction
-			// Endpoint classification.
-			switch {
-			case s.Inst != nil && s.Inst.Master.IsSequential() && !s.Inst.Master.Pin(s.Pin).Clock:
-				setup := s.Inst.Master.Setup * opt.Corner.CellDelay
-				if s.Inst.Master.Abstract != nil {
-					// A hardened abstract's data-input setup is the
-					// pin's full internal budget, already sign-off
-					// absolute — no corner scale.
-					if p := s.Inst.Master.Pin(s.Pin); p != nil {
-						setup = p.Setup
-					}
-				}
-				capLat := e.clockLatency(s.Inst)
-				// Full-cycle launched paths.
-				if fa := full.arr[drvNode]; fa > negInf {
-					at := fa + adj + elm
-					req := at + setup - capLat + opt.SkewGuard
-					consider(endpoint{
-						req: req, node: drvNode, ref: s,
-						delay: at, snap: full,
-						sinkWL: full.wl[drvNode] + dist(n.Driver, s),
-					}, func(p float64) float64 { return p + capLat - setup - at - opt.SkewGuard })
-				}
-				// Half-cycle launched paths: budget T/2.
-				if ha := half.arr[drvNode]; ha > negInf {
-					at := ha + adj + elm
-					req := 2 * (at + setup - capLat + opt.SkewGuard)
-					consider(endpoint{
-						req: req, node: drvNode, ref: s,
-						delay: at, isHalf: true, snap: half,
-						sinkWL: half.wl[drvNode] + dist(n.Driver, s),
-					}, func(p float64) float64 { return p/2 + capLat - setup - at - opt.SkewGuard })
-				}
-			case s.Port != nil && s.Port.Dir == cell.DirOut:
-				if fa := full.arr[drvNode]; fa > negInf {
-					at := fa + adj + elm
-					div := 1.0
-					if s.Port.HalfCycle {
-						div = 2
-					}
-					// Delay relative to the virtual port clock edge.
-					rel := at - ioRef
-					req := rel * div
-					consider(endpoint{
-						req: req, node: drvNode, ref: s,
-						delay: at, isHalf: s.Port.HalfCycle, snap: full,
-						sinkWL: full.wl[drvNode] + dist(n.Driver, s),
-					}, func(p float64) float64 { return p/div - rel })
-				}
-				// Port-to-port paths (half-launch to half-capture)
-				// are feedthroughs; OpenPiton tiles register at both
-				// ends, so they are rare — still checked.
-				if ha := half.arr[drvNode]; ha > negInf && s.Port.HalfCycle {
-					at := ha + adj + elm
-					rel := at - ioRef
-					consider(endpoint{
-						req: rel, node: drvNode, ref: s,
-						delay: at, isHalf: true, snap: half,
-						sinkWL: half.wl[drvNode] + dist(n.Driver, s),
-					}, func(p float64) float64 { return p - rel })
-				}
+		if fa > negInf {
+			at := fa + adj + elm
+			div := 1.0
+			if r.portHalf {
+				div = 2
 			}
+			// Delay relative to the virtual port clock edge.
+			rel := at - ioRef
+			consider(endpoint{req: rel * div, delay: at, row: int32(ri), isHalf: r.portHalf}, period/div-rel)
+		}
+		// Port-to-port paths (half-launch to half-capture) are
+		// feedthroughs; OpenPiton tiles register at both ends, so they
+		// are rare — still checked.
+		if ha > negInf && r.portHalf {
+			at := ha + adj + elm
+			rel := at - ioRef
+			consider(endpoint{req: rel, delay: at, row: int32(ri), snapHalf: true, isHalf: true}, period-rel)
 		}
 	}
 
@@ -245,14 +314,49 @@ func (e *Engine) buildReport(period float64) (*Report, error) {
 		e.analyzeHold(rep)
 	}
 
-	if len(all) == 0 {
+	if len(e.eps) == 0 {
 		return nil, fmt.Errorf("sta: no constrained endpoints found")
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].req > all[j].req })
-	worst := all[0]
+
+	// Top-K paths, one per distinct launch node so the optimizer sees
+	// independent problems rather than K sinks of one bus: the first
+	// sweep keeps every launch node's worst endpoint, the second the k
+	// worst of those, in order.
+	k := opt.TopPaths
+	if k <= 0 {
+		k = 8
+	}
+	e.epGen++
+	e.launches = e.launches[:0]
+	for i := range e.eps {
+		node := e.epRows[e.eps[i].row].drv
+		if e.launchGen[node] != e.epGen {
+			e.launchGen[node], e.launchBest[node] = e.epGen, int32(i)
+			e.launches = append(e.launches, node)
+		} else if e.before(int32(i), e.launchBest[node]) {
+			e.launchBest[node] = int32(i)
+		}
+	}
+	sel := e.sel[:0]
+	for _, node := range e.launches {
+		c := e.launchBest[node]
+		if len(sel) < k {
+			sel = append(sel, c)
+		} else if !e.before(c, sel[k-1]) {
+			continue
+		}
+		pos := len(sel) - 1
+		for ; pos > 0 && e.before(c, sel[pos-1]); pos-- {
+			sel[pos] = sel[pos-1]
+		}
+		sel[pos] = c
+	}
+	e.sel = sel
+
+	worst := e.eps[sel[0]]
 	rep.MinPeriod = worst.req
 	rep.FmaxMHz = 1e6 / worst.req
-	rep.Critical = e.trace(worst.node, worst.snap, worst.ref, worst.delay, worst.sinkWL, worst.isHalf)
+	rep.Critical = e.trace(worst)
 
 	// A hardened abstract's own sign-off period floors the parent clock:
 	// no boundary path can relax what the block needs internally.
@@ -276,22 +380,9 @@ func (e *Engine) buildReport(period float64) (*Report, error) {
 		}
 	}
 
-	// Top-K paths, one per distinct launch node so the optimizer sees
-	// independent problems rather than K sinks of one bus.
-	k := opt.TopPaths
-	if k <= 0 {
-		k = 8
-	}
-	seenNode := map[int]bool{}
-	for _, ep := range all {
-		if len(rep.Paths) >= k {
-			break
-		}
-		if seenNode[ep.node] {
-			continue
-		}
-		seenNode[ep.node] = true
-		rep.Paths = append(rep.Paths, e.trace(ep.node, ep.snap, ep.ref, ep.delay, ep.sinkWL, ep.isHalf))
+	rep.Paths = make([]Path, len(sel))
+	for i, c := range sel {
+		rep.Paths[i] = e.trace(e.eps[c])
 	}
 	// Non-finite results mean corrupt parasitics or delay tables
 	// upstream; fail the analysis instead of reporting NaN timing.
@@ -316,17 +407,25 @@ func dist(a, b netlist.PinRef) float64 {
 	return a.Loc().Manhattan(b.Loc())
 }
 
-// trace reconstructs the critical path from the endpoint's launch node.
-func (e *Engine) trace(node int, s *pass, end netlist.PinRef, delay, wl float64, isHalf bool) Path {
-	p := Path{Delay: delay, Wirelength: wl, HalfCycle: isHalf}
-	var steps []PathStep
-	steps = append(steps, PathStep{Ref: end, Arrival: delay})
-	for n := node; n >= 0; n = s.prev[n] {
-		steps = append(steps, PathStep{Ref: e.nodeRef(n), Arrival: s.arr[n]})
+// trace reconstructs the path that ends at an endpoint, back from its
+// launch-side node along the pass it was launched on.
+func (e *Engine) trace(ep endpoint) Path {
+	r := &e.epRows[ep.row]
+	s := &e.full
+	if ep.snapHalf {
+		s = &e.half
 	}
-	// Reverse.
-	for i, j := 0, len(steps)-1; i < j; i, j = i+1, j-1 {
-		steps[i], steps[j] = steps[j], steps[i]
+	p := Path{Delay: ep.delay, HalfCycle: ep.isHalf,
+		Wirelength: s.wl[r.drv] + dist(e.d.Nets[r.net].Driver, r.ref)}
+	hops := 1
+	for n := int(r.drv); n >= 0; n = s.prev[n] {
+		hops++
+	}
+	// Filled from the endpoint back to the launch point.
+	steps := make([]PathStep, hops)
+	steps[hops-1] = PathStep{Ref: r.ref, Arrival: ep.delay}
+	for i, n := hops-2, int(r.drv); n >= 0; i, n = i-1, s.prev[n] {
+		steps[i] = PathStep{Ref: e.nodeRef(n), Arrival: s.arr[n]}
 	}
 	p.Steps = steps
 	return p

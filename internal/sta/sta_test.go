@@ -378,11 +378,11 @@ func lanes(t *testing.T, w int) (*netlist.Design, *extract.Design) {
 }
 
 // TestUpdateAllocsAfterTopoEdit: on a warmed engine, an Update that
-// follows a topology edit rebuilds fanout, input arcs, levels and waves
-// inside the engine's buffers. What it still allocates is the report
-// (its endpoint list grows by doubling), so a design twenty times
-// larger may cost a handful more objects — not one per instance, which
-// is what the per-instance appends of the old topology build cost.
+// follows a topology edit rebuilds fanout, input arcs, levels, waves
+// and the endpoint table inside the engine's buffers. What it still
+// allocates is the report and its traced paths, so a design twenty
+// times larger costs the same objects — not one per instance, which is
+// what the per-instance appends of the old topology build cost.
 func TestUpdateAllocsAfterTopoEdit(t *testing.T) {
 	updateAllocs := func(w int) float64 {
 		d, ex := lanes(t, w)
@@ -409,8 +409,41 @@ func TestUpdateAllocsAfterTopoEdit(t *testing.T) {
 	}
 	small, large := updateAllocs(50), updateAllocs(1000)
 	t.Logf("allocs per Update: %.0f at 250 instances, %.0f at 5000", small, large)
-	if large > small+16 {
-		t.Fatalf("Update after a topology edit allocates %.0f objects at 5000 instances, %.0f at 250: want O(1) growth",
+	if large > small {
+		t.Fatalf("Update after a topology edit allocates %.0f objects at 5000 instances, %.0f at 250: want no growth",
 			large, small)
+	}
+}
+
+// TestUpdateAllocsReportOnly: an Update that follows a resize (no
+// topology edit) allocates the report, its path list and one step list
+// per traced path — nothing per endpoint, whatever the design's size.
+func TestUpdateAllocsReportOnly(t *testing.T) {
+	for _, w := range []int{50, 1000} {
+		d, ex := lanes(t, w)
+		e, err := NewEngine(d, ex, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.Run(2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := d.Instance("a0")
+		sizes := []*cell.Cell{d.Lib.MustCell("INV_X4"), a.Master}
+		ids, i := []int{a.ID}, 0
+		allocs := testing.AllocsPerRun(10, func() {
+			a.Master = sizes[i%2]
+			i++
+			e.Invalidate(nil, ids, false)
+			if _, err := e.Update(2000); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// The report, Paths, and the steps of Critical and of each path.
+		if budget := float64(3 + len(rep.Paths)); allocs > budget {
+			t.Fatalf("Update after a resize allocates %.0f objects at %d instances, want at most %.0f",
+				allocs, 5*w, budget)
+		}
 	}
 }
