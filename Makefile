@@ -25,10 +25,13 @@ vet:
 ## -race both run reduced configs — see the race_on_test.go files.
 ## internal/place rides along for the analytic placer's own
 ## determinism and quality tests, internal/extract and internal/sta for
-## their per-worker and engine-owned scratch.
+## their per-worker and engine-owned scratch, internal/slab,
+## internal/netlist and internal/piton for the slab-backed design records,
+## and internal/route for the per-worker segment arenas and span-filling
+## net prep under the batch and sharded engines.
 race:
-	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/ ./internal/stash/ ./internal/serve/ ./internal/extract/ ./internal/sta/
-	$(GO) test -race -timeout 30m ./internal/flows/ ./internal/ddb/ ./internal/opt/ ./internal/place/
+	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/ ./internal/stash/ ./internal/serve/ ./internal/extract/ ./internal/sta/ ./internal/slab/ ./internal/netlist/ ./internal/piton/
+	$(GO) test -race -timeout 30m ./internal/flows/ ./internal/ddb/ ./internal/opt/ ./internal/place/ ./internal/route/
 
 ## equiv: just the parallel-vs-serial equivalence proof — every flow at
 ## -j 1 / 4 / 0 must produce an identical PPA, run under the race
@@ -90,22 +93,28 @@ faults:
 	$(GO) test -race -v -run 'TestInjection|TestOffGrid|TestCleanFlows' ./internal/faults/
 
 ## bench: the incremental-optimizer comparison — TableII end to end plus
-## the Optimize full-vs-incremental micro-benchmarks — recorded as
-## machine-readable BENCH_opt.json.
+## the Optimize full-vs-incremental micro-benchmarks — and the design
+## construction benchmarks (Generate small/large, Abut 4×4, with
+## allocs/op), recorded as machine-readable BENCH_opt.json.
 bench:
-	$(GO) test -bench 'TableII|Optimize' -count 5 -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchjson | tee BENCH_opt.json
+	$(GO) test -bench 'TableII|Optimize|Generate|Abut4x4' -count 5 -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchjson | tee BENCH_opt.json
 
 ## bench-flow: the flow ledger (bench/, gated by BENCHMARK.json) — the
 ## seven end-to-end metrics of each of the four workloads, one JSON line
-## per workload, collected into the gitignored BENCH_flow.jsonl. The
-## numbers a perf claim in CHANGES.md cites.
+## per workload, collected into the gitignored BENCH_flow.jsonl and
+## appended as one row (commit, go version, nproc, GOMAXPROCS, the
+## metrics per workload) to the committed trajectory BENCH_flow.json —
+## one row per PR; a re-run at the same FLOW_COMMIT replaces its row.
+## The numbers a perf claim in CHANGES.md cites.
 FLOW_WORKLOADS = table2 baselines-j1 table2-warm array-verify
+FLOW_COMMIT   ?= $(shell git describe --always --dirty)
 bench-flow:
 	rm -f BENCH_flow.jsonl
 	for w in $(FLOW_WORKLOADS); do \
 		bash bench/run.sh --workload $$w --seed 1 --seconds 12 --trace 0 >> BENCH_flow.jsonl || exit 1; \
 	done
 	cat BENCH_flow.jsonl
+	$(GO) run ./cmd/benchjson -ledger BENCH_flow.json -commit $(FLOW_COMMIT) $(FLOW_WORKLOADS) < BENCH_flow.jsonl
 
 ## bench-route: the parallel-engine comparison — the large-cache tile
 ## and the flat BENCH_SIZE×BENCH_SIZE tile array, serial (-j 1) vs the

@@ -185,6 +185,42 @@ func smallTile(b *testing.B) *macro3d.Tile {
 	return tileOnce.tile
 }
 
+// BenchmarkGenerate is the construction cost every flow call pays
+// first: one pass over the generator, records out of the design's slabs.
+func BenchmarkGenerate(b *testing.B) {
+	for _, cfg := range []macro3d.TileConfig{macro3d.SmallCache(), macro3d.LargeCache()} {
+		b.Run(cfg.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tile, err := macro3d.GenerateTile(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(len(tile.Design.Instances)), "instances")
+			}
+		})
+	}
+}
+
+// BenchmarkAbut4x4 stitches sixteen copies of the signed-off small
+// tile into one flat design — 117 k instances built at a size known up
+// front, so a Reserve'd design.
+func BenchmarkAbut4x4(b *testing.B) {
+	_, st, _, err := macro3d.RunMacro3D(macro3d.FlowConfig{Piton: macro3d.SmallCache(), Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arr, _, err := macro3d.AbutTiles(st.Tile, st.Die, 4, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(len(arr.Instances)), "instances")
+	}
+}
+
 func BenchmarkFlow2DSmall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p, _, err := macro3d.Run2D(macro3d.FlowConfig{Piton: macro3d.SmallCache(), Seed: 1})

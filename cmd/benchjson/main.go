@@ -11,6 +11,9 @@
 // With -o the summary is written to the file via a same-directory
 // temporary and an atomic rename, so a failed run never leaves a
 // truncated JSON behind.
+//
+// With -ledger it instead appends one row of flow-ledger results to
+// BENCH_flow.json (see ledger.go); `make bench-flow` does.
 package main
 
 import (
@@ -146,7 +149,20 @@ func pair(num, den *entry) *pairStats {
 
 func main() {
 	outPath := flag.String("o", "", "write the JSON summary to this file (atomically) instead of stdout")
+	ledgerPath := flag.String("ledger", "", "append a flow-ledger row to this file: stdin carries one bench/run.sh line per workload named as an argument")
+	commit := flag.String("commit", "", "with -ledger: the commit the row was measured at")
 	flag.Parse()
+	if *ledgerPath != "" {
+		row, err := ledgerRowFrom(os.Stdin, *commit, flag.Args())
+		if err == nil {
+			err = appendLedger(*ledgerPath, row)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	byName := map[string]*entry{}
 	var order []string
 	sc := bufio.NewScanner(os.Stdin)
@@ -304,9 +320,9 @@ func main() {
 	}
 }
 
-// write emits the summary to stdout, or — with a path — atomically via
-// a sibling temporary file and rename.
-func write(path string, out *summary) error {
+// write emits the JSON document to stdout, or — with a path —
+// atomically via a sibling temporary file and rename.
+func write(path string, out any) error {
 	emit := func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

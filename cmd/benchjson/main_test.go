@@ -1,7 +1,12 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -95,5 +100,61 @@ func TestPairNoiseVerdict(t *testing.T) {
 	}
 	if math.Abs(distinct.Ratio-2.0) > 0.02 {
 		t.Fatalf("ratio = %v, want ~2", distinct.Ratio)
+	}
+}
+
+// TestLedgerAppend: a row is built from one run.sh line per named
+// workload, appended to a new or existing ledger, replaces an earlier
+// row of the same commit, and a failed or missing workload is an error
+// that leaves the file alone.
+func TestLedgerAppend(t *testing.T) {
+	const line = `{"correct":true,"attempted":18,"failed":0,"metrics":{"alloc_gb":{"value":0.1,"unit":"GB"},"mallocs_m":{"value":%s,"unit":"1e6"}}}` + "\n"
+	path := filepath.Join(t.TempDir(), "BENCH_flow.json")
+	add := func(commit, mallocs string, workloads ...string) error {
+		row, err := ledgerRowFrom(strings.NewReader(strings.Repeat(fmt.Sprintf(line, mallocs), 2)), commit, workloads)
+		if err != nil {
+			return err
+		}
+		return appendLedger(path, row)
+	}
+	read := func() ledger {
+		var l ledger
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(b, &l); err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	if err := add("aaa", "0.8", "table2", "array-verify"); err != nil {
+		t.Fatal(err)
+	}
+	if err := add("bbb", "0.4", "table2", "array-verify"); err != nil {
+		t.Fatal(err)
+	}
+	if err := add("bbb", "0.3", "table2", "array-verify"); err != nil {
+		t.Fatal(err)
+	}
+	l := read()
+	if len(l.Rows) != 2 || l.Rows[0].Commit != "aaa" || l.Rows[1].Commit != "bbb" {
+		t.Fatalf("rows = %+v", l.Rows)
+	}
+	if got := l.Rows[1].Workloads["array-verify"]["mallocs_m"]; got != 0.3 {
+		t.Fatalf("re-run of a commit did not replace its row: mallocs_m = %v", got)
+	}
+	if l.Rows[0].Workloads["table2"]["alloc_gb"] != 0.1 || l.Rows[0].Go == "" || l.Rows[0].GoMaxProcs < 1 {
+		t.Fatalf("row 0 = %+v", l.Rows[0])
+	}
+	if err := add("ccc", "0.2", "table2", "array-verify", "missing"); err == nil {
+		t.Fatal("a workload without a result line was accepted")
+	}
+	bad := strings.NewReader(`{"correct":false,"failed":1,"metrics":{"alloc_gb":{"value":1}}}` + "\n")
+	if _, err := ledgerRowFrom(bad, "ccc", []string{"table2"}); err == nil {
+		t.Fatal("an incorrect run was accepted")
+	}
+	if len(read().Rows) != 2 {
+		t.Fatal("a rejected row changed the ledger")
 	}
 }

@@ -136,7 +136,7 @@ func realMain() (code int) {
 		experiment    = flag.String("experiment", "", "run an experiment: table1, table2, table3, isoperf, flowtrace, sweepblockage, sweeppitch, heterotech")
 		config        = flag.String("config", "small", "tile configuration: small, large or tiny")
 		seed          = flag.Uint64("seed", 1, "deterministic seed")
-		jobs          = flag.Int("j", 0, "routing/placement worker count (0 = all CPUs, 1 = serial; results are bit-identical at any setting)")
+		jobs          = flag.Int("j", 0, "routing/placement worker count (0 = fastest: parallel placement, serial routing pass; 1 = serial; N > 1 = N workers incl. the batch router; results are bit-identical at any setting)")
 		metals        = flag.Int("macrodiemetals", 6, "macro-die metal layers (3D flows)")
 		array         = flag.Int("array", 0, "after -flow 2d/macro3d: verify an N×N abutted tile array")
 		timeout       = flag.Duration("timeout", 0, "cancel the run after this duration (0 = no limit)")

@@ -48,56 +48,76 @@ type Design struct {
 // are built across workers; the capacitance totals are then reduced
 // sequentially in net-ID order, which keeps every float result
 // bit-identical to the serial pass.
+//
+// The full pass owns its records: each worker carves the NetRCs and
+// Elmore vectors of its net-ID chunk from one []NetRC and one []float64
+// sized by a count over the chunk, instead of two heap objects per net.
+// Entries replaced later (One, Replace) are ordinary heap objects.
 func Extract(d *netlist.Design, res *route.Result, db *route.DB, corner tech.CornerScale) *Design {
 	out := &Design{Nets: make([]*NetRC, len(d.Nets))}
 	if workers := runtime.GOMAXPROCS(0); workers > 1 && len(d.Nets) >= 256 {
 		var wg sync.WaitGroup
 		chunk := (len(d.Nets) + workers - 1) / workers
 		for lo := 0; lo < len(d.Nets); lo += chunk {
-			hi := lo + chunk
-			if hi > len(d.Nets) {
-				hi = len(d.Nets)
-			}
+			nets := d.Nets[lo:min(lo+chunk, len(d.Nets))]
 			wg.Add(1)
-			go func(nets []*netlist.Net) {
+			go func() {
 				defer wg.Done()
-				var s Scratch // per worker
-				for _, n := range nets {
-					if r := res.Routes[n.ID]; r != nil {
-						out.Nets[n.ID] = s.extractNet(n, r, db, corner)
-					}
-				}
-			}(d.Nets[lo:hi])
+				out.extractChunk(nets, res, db, corner)
+			}()
 		}
 		wg.Wait()
-		for _, rc := range out.Nets {
-			if rc != nil {
-				out.CWireTotal += rc.WireC
-				out.CPinTotal += rc.PinC
-			}
-		}
-		return out
+	} else {
+		out.extractChunk(d.Nets, res, db, corner)
 	}
-	var s Scratch
-	for _, n := range d.Nets {
-		r := res.Routes[n.ID]
-		if r == nil {
-			continue
+	for _, rc := range out.Nets {
+		if rc != nil {
+			out.CWireTotal += rc.WireC
+			out.CPinTotal += rc.PinC
 		}
-		rc := s.extractNet(n, r, db, corner)
-		out.Nets[n.ID] = rc
-		out.CWireTotal += rc.WireC
-		out.CPinTotal += rc.PinC
 	}
 	return out
 }
 
+// extractChunk extracts the routed nets of one contiguous net-ID chunk
+// into out.Nets, with its own scratch and its own record arrays; chunks
+// write disjoint entries, so they run concurrently.
+func (out *Design) extractChunk(nets []*netlist.Net, res *route.Result, db *route.DB, corner tech.CornerScale) {
+	routed, sinks := 0, 0
+	for _, n := range nets {
+		if res.Routes[n.ID] != nil {
+			routed++
+			sinks += len(n.Sinks)
+		}
+	}
+	recs := make([]NetRC, routed)
+	elmore := make([]float64, sinks)
+	var s Scratch
+	for _, n := range nets {
+		r := res.Routes[n.ID]
+		if r == nil {
+			continue
+		}
+		rc := &recs[0]
+		recs = recs[1:]
+		k := len(n.Sinks)
+		rc.Net, rc.ElmoreTo = n, elmore[:k:k]
+		elmore = elmore[k:]
+		s.extractNet(rc, r, db, corner)
+		out.Nets[n.ID] = rc
+	}
+}
+
 // One re-extracts a single net (after sizing changed its pin caps or a
 // reroute changed its segments) and returns the fresh RC view, working
-// in the caller's scratch. The caller is responsible for replacing the
-// entry in Design.Nets and adjusting the design totals.
+// in the caller's scratch. The view is two heap objects of its own —
+// it replaces a record that must become collectable. The caller is
+// responsible for replacing the entry in Design.Nets and adjusting the
+// design totals.
 func One(s *Scratch, n *netlist.Net, r *route.NetRoute, db *route.DB, corner tech.CornerScale) *NetRC {
-	return s.extractNet(n, r, db, corner)
+	rc := &NetRC{Net: n, ElmoreTo: make([]float64, len(n.Sinks))}
+	s.extractNet(rc, r, db, corner)
+	return rc
 }
 
 // Replace swaps the RC entry for a net and maintains the totals. Pass
@@ -232,13 +252,14 @@ func (s *Scratch) id(n route.Node) int32 {
 	}
 }
 
-// extractNet builds the RC tree of one net and runs Elmore. Every
+// extractNet builds the RC tree of rc.Net into rc — zero but for Net and
+// an ElmoreTo sized one entry per sink — and runs Elmore. Every
 // accumulation — per-node capacitance in segment then pin order,
 // adjacency in edge insertion order, BFS from the driver with the
 // first-found parent winning, downstream sums in reverse BFS order —
 // keeps one fixed sequence, so the floats are reproducible bit for bit.
-func (s *Scratch) extractNet(n *netlist.Net, r *route.NetRoute, db *route.DB, corner tech.CornerScale) *NetRC {
-	rc := &NetRC{Net: n, ElmoreTo: make([]float64, len(n.Sinks))}
+func (s *Scratch) extractNet(rc *NetRC, r *route.NetRoute, db *route.DB, corner tech.CornerScale) {
+	n := rc.Net
 	nseg := len(r.Segments)
 	s.reset(2*nseg + n.NumPins())
 	s.segA, s.segB, s.segR = grow(s.segA, nseg), grow(s.segB, nseg), grow(s.segR, nseg)
@@ -274,7 +295,7 @@ func (s *Scratch) extractNet(n *netlist.Net, r *route.NetRoute, db *route.DB, co
 		rc.PinC += p.Cap()
 	}
 	if len(n.Sinks) == 0 {
-		return rc
+		return
 	}
 	driver := s.id(r.PinNode[0])
 	nn := len(s.capAt)
@@ -337,7 +358,6 @@ func (s *Scratch) extractNet(n *netlist.Net, r *route.NetRoute, db *route.DB, co
 	for i, id := range s.sink {
 		rc.ElmoreTo[i] = s.delay[id]
 	}
-	return rc
 }
 
 func abs(v int) int {

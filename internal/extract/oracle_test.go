@@ -274,6 +274,14 @@ func TestExtractMatchesOracleRouted(t *testing.T) {
 			t.Fatalf("net %s: got %+v, oracle %+v", n.Name, ex.Nets[n.ID], want)
 		}
 	}
+	// The full pass carves its records from per-chunk arrays: what it
+	// allocates is those, the table and each worker's scratch growth —
+	// not two objects per net.
+	allocs := testing.AllocsPerRun(3, func() { Extract(d, res, db, typical()) })
+	t.Logf("full Extract: %.0f objects for %d nets", allocs, len(d.Nets))
+	if allocs > 1.5*float64(len(d.Nets)) {
+		t.Fatalf("full Extract allocates %.0f objects for %d nets, want ≤ 1.5 per net", allocs, len(d.Nets))
+	}
 }
 
 // TestExtractOneAllocs: on a warmed scratch a single-net extraction

@@ -70,7 +70,18 @@ func VerifyTileArray(cfg Config, st *State, t *tech.Tech, nx, ny int) (*ArrayRep
 	}
 
 	// Replicate tile routes; collect stitched nets for fresh routing.
+	// Every copy adds at most the tile's routes, so the result's slabs
+	// are sized once.
 	src := st.Tile.Design
+	var tileRoutes, tilePins, tileSegs int
+	for _, r := range st.Routes.Routes {
+		if r != nil {
+			tileRoutes++
+			tilePins += len(r.PinNode)
+			tileSegs += len(r.Segments)
+		}
+	}
+	res.Reserve(nx*ny*tileRoutes, nx*ny*tilePins, nx*ny*tileSegs)
 	var stitched []*netlist.Net
 	for iy := 0; iy < ny; iy++ {
 		for ix := 0; ix < nx; ix++ {
@@ -84,10 +95,7 @@ func VerifyTileArray(cfg Config, st *State, t *tech.Tech, nx, ny int) (*ArrayRep
 					continue // interior port net, absorbed by the stitch
 				}
 				if sameShape(n, an) && st.Routes.Routes[n.ID] != nil {
-					tr := route.TranslateRoute(st.Routes.Routes[n.ID], ix*tg.NX, iy*tg.NY)
-					tr.Net = an
-					db.CommitRoute(tr)
-					res.SetRoute(an.ID, tr)
+					db.CommitRoute(res.Translate(an, st.Routes.Routes[n.ID], ix*tg.NX, iy*tg.NY))
 				} else {
 					stitched = append(stitched, an)
 				}

@@ -546,80 +546,53 @@ func encodeResult(e *stash.Enc, res *route.Result) {
 	e.F64(res.OverflowWL)
 }
 
-type netRouteWire struct {
-	present bool
-	segs    []route.Seg
-	pins    []route.Node
-	wl      float64
-	vias    int
-	f2f     int
-}
-
-type resultWire struct {
-	routes     []netRouteWire
-	wl         float64
-	perLayer   []float64
-	vias       int
-	f2fBumps   int
-	overflow   int
-	overflowWL float64
-}
-
-func decodeResultWire(dec *stash.Dec) resultWire {
-	var w resultWire
-	n := dec.Int()
+// decodeResult decodes a routing result straight into the records it
+// will live in: route records, pin nodes and segments are carved from
+// the result's slabs at the counts the snapshot declares (each checked
+// against the bytes left, so a corrupt count cannot over-allocate).
+// Nothing of the live design is touched — the routes' Net pointers stay
+// nil until bindResult, after the caller has validated the snapshot.
+func decodeResult(dec *stash.Dec) *route.Result {
+	res := &route.Result{}
+	n := dec.Count(1)
+	res.Routes = make([]*route.NetRoute, n)
 	for i := 0; i < n && dec.Err() == nil; i++ {
-		var nr netRouteWire
-		nr.present = dec.Bool()
-		if nr.present {
-			ns := dec.Int()
-			for j := 0; j < ns && dec.Err() == nil; j++ {
-				nr.segs = append(nr.segs, route.Seg{
-					A: route.Node{X: dec.Int(), Y: dec.Int(), L: dec.Int()},
-					B: route.Node{X: dec.Int(), Y: dec.Int(), L: dec.Int()},
-				})
-			}
-			np := dec.Int()
-			for j := 0; j < np && dec.Err() == nil; j++ {
-				nr.pins = append(nr.pins, route.Node{X: dec.Int(), Y: dec.Int(), L: dec.Int()})
-			}
-			nr.wl = dec.F64()
-			nr.vias = dec.Int()
-			nr.f2f = dec.Int()
-		}
-		w.routes = append(w.routes, nr)
-	}
-	w.wl = dec.F64()
-	w.perLayer = dec.F64s()
-	w.vias = dec.Int()
-	w.f2fBumps = dec.Int()
-	w.overflow = dec.Int()
-	w.overflowWL = dec.F64()
-	return w
-}
-
-// build materializes the decoded result against the live design;
-// len(w.routes) must already be validated == len(d.Nets).
-func (w resultWire) build(d *netlist.Design) *route.Result {
-	res := &route.Result{
-		Routes:     make([]*route.NetRoute, len(w.routes)),
-		WL:         w.wl,
-		WLPerLayer: w.perLayer,
-		Vias:       w.vias,
-		F2FBumps:   w.f2fBumps,
-		Overflow:   w.overflow,
-		OverflowWL: w.overflowWL,
-	}
-	for i, nr := range w.routes {
-		if !nr.present {
+		if !dec.Bool() {
 			continue
 		}
-		res.Routes[i] = &route.NetRoute{
-			Net: d.Nets[i], Segments: nr.segs, PinNode: nr.pins,
-			WL: nr.wl, Vias: nr.vias, F2F: nr.f2f,
+		nr := res.NewRoute(i, nil)
+		nr.Segments = res.SegSpan(dec.Count(6 * 8))
+		for j := range nr.Segments {
+			nr.Segments[j] = route.Seg{
+				A: route.Node{X: dec.Int(), Y: dec.Int(), L: dec.Int()},
+				B: route.Node{X: dec.Int(), Y: dec.Int(), L: dec.Int()},
+			}
+		}
+		nr.PinNode = res.PinSpan(dec.Count(3 * 8))
+		for j := range nr.PinNode {
+			nr.PinNode[j] = route.Node{X: dec.Int(), Y: dec.Int(), L: dec.Int()}
+		}
+		nr.WL = dec.F64()
+		nr.Vias = dec.Int()
+		nr.F2F = dec.Int()
+	}
+	res.WL = dec.F64()
+	res.WLPerLayer = dec.F64s()
+	res.Vias = dec.Int()
+	res.F2FBumps = dec.Int()
+	res.Overflow = dec.Int()
+	res.OverflowWL = dec.F64()
+	return res
+}
+
+// bindResult points a decoded result's routes at the live design's
+// nets; len(res.Routes) must already be validated == len(d.Nets).
+func bindResult(res *route.Result, d *netlist.Design) {
+	for i, nr := range res.Routes {
+		if nr != nil {
+			nr.Net = d.Nets[i]
 		}
 	}
-	return res
 }
 
 // routeCheckpoint snapshots the routing result plus the DB's dynamic
@@ -640,21 +613,22 @@ func routeCheckpoint(st *State, d *netlist.Design, material []byte, build func()
 			return nil
 		},
 		load: func(dec *stash.Dec) error {
-			w := decodeResultWire(dec)
+			res := decodeResult(dec)
 			u := dec.I32s()
 			h := dec.F32s()
 			f := dec.I32s()
 			if err := dec.Done(); err != nil {
 				return err
 			}
-			if len(w.routes) != len(d.Nets) {
-				return fmt.Errorf("route snapshot covers %d nets, design has %d", len(w.routes), len(d.Nets))
+			if len(res.Routes) != len(d.Nets) {
+				return fmt.Errorf("route snapshot covers %d nets, design has %d", len(res.Routes), len(d.Nets))
 			}
 			build()
 			if err := st.DB.SetDynState(u, h, f); err != nil {
 				return err
 			}
-			st.Routes = w.build(d)
+			bindResult(res, d)
+			st.Routes = res
 			return nil
 		},
 	}

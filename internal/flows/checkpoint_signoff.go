@@ -252,7 +252,7 @@ func signoffCheckpoint(r *runner, st *State, t *tech.Tech, material []byte, resi
 			for i := 0; i < postNet && dec.Err() == nil; i++ {
 				nets = append(nets, decodeNetState(dec, i >= preNet))
 			}
-			routes := decodeResultWire(dec)
+			routes := decodeResult(dec)
 			u := dec.I32s()
 			h := dec.F32s()
 			f := dec.I32s()
@@ -295,8 +295,8 @@ func signoffCheckpoint(r *runner, st *State, t *tech.Tech, material []byte, resi
 					return err
 				}
 			}
-			if len(routes.routes) != postNet {
-				return fmt.Errorf("signoff snapshot routes %d nets, design will have %d", len(routes.routes), postNet)
+			if len(routes.Routes) != postNet {
+				return fmt.Errorf("signoff snapshot routes %d nets, design will have %d", len(routes.Routes), postNet)
 			}
 			cu, ch, cf := st.DB.DynState()
 			if len(u) != len(cu) || len(h) != len(ch) || len(f) != len(cf) {
@@ -307,6 +307,7 @@ func signoffCheckpoint(r *runner, st *State, t *tech.Tech, material []byte, resi
 			}
 
 			// Phase 2: apply. Nothing below can fail.
+			d.Reserve(postInst-preInst, postNet-preNet, 0)
 			for i := preInst; i < postInst; i++ {
 				inst := d.AddInstance(insts[i].name, insts[i].resolved)
 				insts[i].apply(inst)
@@ -321,7 +322,8 @@ func signoffCheckpoint(r *runner, st *State, t *tech.Tech, material []byte, resi
 			for i := 0; i < preNet; i++ {
 				nets[i].apply(d, d.Nets[i])
 			}
-			st.Routes = routes.build(d)
+			bindResult(routes, d)
+			st.Routes = routes
 			st.DB.SetDynState(u, h, f)
 			slow := t.CornerScaleFor(tech.CornerSlow)
 			st.ExSlow = extract.Extract(d, st.Routes, st.DB, slow)

@@ -121,9 +121,11 @@ type Config struct {
 	// it on or off, and it does not enter the stage-cache key.
 	Trace *trace.Tracer
 
-	// Workers sets the worker count of the parallel routing and
-	// placement engines (the CLI's -j flag): 0 (default) uses every
-	// CPU, 1 forces the serial reference path. Results are
+	// Workers sets the worker count of the routing and placement
+	// engines (the CLI's -j flag): 0 (default) picks the fastest
+	// schedule — every CPU for placement, the serial pass for routing
+	// (route.Options.Workers) — 1 forces the serial reference paths,
+	// n > 1 runs n workers including the batch router. Results are
 	// bit-identical at any setting.
 	Workers int
 

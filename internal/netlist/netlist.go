@@ -8,10 +8,12 @@ package netlist
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/geom"
+	"macro3d/internal/slab"
 )
 
 // Die identifies which die of an F2F stack an object belongs to.
@@ -177,6 +179,11 @@ func (n *Net) HPWL() float64 {
 }
 
 // Design is a flat gate-level netlist plus its placement state.
+//
+// The design owns its records: AddInstance, AddNet and AddPort carve
+// them out of chunked slabs, and SinkSpan hands out sink lists from a
+// per-design arena. A chunk never moves, so every pointer in Instances,
+// Nets and Ports stays valid for the life of the design.
 type Design struct {
 	Name      string
 	Lib       *cell.Library
@@ -187,6 +194,11 @@ type Design struct {
 	instByName map[string]*Instance
 	netByName  map[string]*Net
 	portByName map[string]*Port
+
+	insts slab.Slab[Instance]
+	nets  slab.Slab[Net]
+	ports slab.Slab[Port]
+	sinks slab.Slab[PinRef]
 }
 
 // NewDesign returns an empty design over the given library.
@@ -208,7 +220,8 @@ func (d *Design) AddInstance(name string, master *cell.Cell) *Instance {
 	if _, dup := d.instByName[name]; dup {
 		panic(fmt.Sprintf("netlist: duplicate instance %q", name))
 	}
-	inst := &Instance{Name: name, Master: master, ID: len(d.Instances)}
+	inst := d.insts.Alloc()
+	*inst = Instance{Name: name, Master: master, ID: len(d.Instances)}
 	d.Instances = append(d.Instances, inst)
 	d.instByName[name] = inst
 	return inst
@@ -219,22 +232,53 @@ func (d *Design) AddPort(name string, dir cell.PinDir) *Port {
 	if _, dup := d.portByName[name]; dup {
 		panic(fmt.Sprintf("netlist: duplicate port %q", name))
 	}
-	p := &Port{Name: name, Dir: dir, ID: len(d.Ports)}
+	p := d.ports.Alloc()
+	*p = Port{Name: name, Dir: dir, ID: len(d.Ports)}
 	d.Ports = append(d.Ports, p)
 	d.portByName[name] = p
 	return p
 }
 
-// AddNet creates a net driven by driver feeding sinks.
+// AddNet creates a net driven by driver feeding sinks. The net keeps the
+// sinks slice it is handed: a caller-owned one, or — for builders that
+// know the fanout — an exact-size span from SinkSpan.
 func (d *Design) AddNet(name string, driver PinRef, sinks ...PinRef) *Net {
 	if _, dup := d.netByName[name]; dup {
 		panic(fmt.Sprintf("netlist: duplicate net %q", name))
 	}
-	n := &Net{Name: name, ID: len(d.Nets), Driver: driver, Sinks: sinks, Weight: 1}
+	n := d.nets.Alloc()
+	*n = Net{Name: name, ID: len(d.Nets), Driver: driver, Sinks: sinks, Weight: 1}
 	d.Nets = append(d.Nets, n)
 	d.netByName[name] = n
 	return n
 }
+
+// Reserve sizes the design for a builder that knows what it will add:
+// room for that many more instances, nets and SinkSpan pin references,
+// each in one allocation instead of by geometric growth.
+func (d *Design) Reserve(instances, nets, sinkPins int) {
+	d.insts.Reserve(instances)
+	d.nets.Reserve(nets)
+	d.sinks.Reserve(sinkPins)
+	d.Instances = slices.Grow(d.Instances, instances)
+	d.Nets = slices.Grow(d.Nets, nets)
+	// A map cannot be grown in place; a fresh design's indices are
+	// simply made at size.
+	if len(d.instByName) == 0 {
+		d.instByName = make(map[string]*Instance, instances)
+	}
+	if len(d.netByName) == 0 {
+		d.netByName = make(map[string]*Net, nets)
+	}
+}
+
+// SinkSpan returns n zero pin references from the design's sink arena,
+// to be filled and handed to AddNet. len and cap are both n, so growing
+// the net later copies out of the arena instead of into a neighbour;
+// the span is the caller's alone, so a net created over a prefix of it
+// may grow into the rest. Spans are not reclaimed by TruncateTo; nets
+// added on a rollback path (ddb.Txn.AddNet) carry caller-owned sinks.
+func (d *Design) SinkSpan(n int) []PinRef { return d.sinks.Span(n) }
 
 // Instance returns the named instance, or nil.
 func (d *Design) Instance(name string) *Instance { return d.instByName[name] }
@@ -252,14 +296,18 @@ func IPin(inst *Instance, pin string) PinRef { return PinRef{Inst: inst, Pin: pi
 func PPin(p *Port) PinRef { return PinRef{Port: p} }
 
 // Validate checks structural sanity: every net has a legal driver,
-// every referenced pin exists with the right direction, and clock pins
-// are only driven by clock nets.
+// every referenced instance belongs to the design, every referenced pin
+// exists with the right direction, and no instance pin is driven by two
+// nets.
 func (d *Design) Validate() error {
 	for _, n := range d.Nets {
 		if n.Driver.Inst == nil && n.Driver.Port == nil {
 			return fmt.Errorf("netlist: net %q has no driver", n.Name)
 		}
 		if n.Driver.Inst != nil {
+			if !d.owns(n.Driver.Inst) {
+				return fmt.Errorf("netlist: net %q driver %s is not an instance of the design", n.Name, n.Driver)
+			}
 			p := n.Driver.Inst.Master.Pin(n.Driver.Pin)
 			if p == nil {
 				return fmt.Errorf("netlist: net %q driver pin %s missing", n.Name, n.Driver)
@@ -272,6 +320,9 @@ func (d *Design) Validate() error {
 		}
 		for _, s := range n.Sinks {
 			if s.Inst != nil {
+				if !d.owns(s.Inst) {
+					return fmt.Errorf("netlist: net %q sink %s is not an instance of the design", n.Name, s)
+				}
 				p := s.Inst.Master.Pin(s.Pin)
 				if p == nil {
 					return fmt.Errorf("netlist: net %q sink pin %s missing", n.Name, s)
@@ -286,20 +337,38 @@ func (d *Design) Validate() error {
 			}
 		}
 	}
-	// No instance pin may be driven by two nets.
-	driven := make(map[string]string)
+	// No instance pin may be driven by two nets. The table has one slot
+	// per master pin of every instance — two allocations whatever the
+	// design's size, and no pin name is hashed or formatted unless the
+	// check fails.
+	pinOff := make([]int32, len(d.Instances)+1)
+	for i, inst := range d.Instances {
+		pinOff[i+1] = pinOff[i] + int32(len(inst.Master.Pins))
+	}
+	drivenBy := make([]*Net, pinOff[len(d.Instances)])
 	for _, n := range d.Nets {
 		for _, s := range n.Sinks {
-			if s.Inst != nil {
-				key := s.Inst.Name + "/" + s.Pin
-				if prev, dup := driven[key]; dup {
-					return fmt.Errorf("netlist: pin %s driven by both %q and %q", key, prev, n.Name)
-				}
-				driven[key] = n.Name
+			if s.Inst == nil {
+				continue
 			}
+			pins := s.Inst.Master.Pins
+			k := 0
+			for pins[k].Name != s.Pin { // present: checked above
+				k++
+			}
+			slot := &drivenBy[int(pinOff[s.Inst.ID])+k]
+			if *slot != nil {
+				return fmt.Errorf("netlist: pin %s driven by both %q and %q", s, (*slot).Name, n.Name)
+			}
+			*slot = n
 		}
 	}
 	return nil
+}
+
+// owns reports whether inst is a record of this design.
+func (d *Design) owns(inst *Instance) bool {
+	return inst.ID >= 0 && inst.ID < len(d.Instances) && d.Instances[inst.ID] == inst
 }
 
 // Stats summarizes the design for reports and generators.
@@ -353,9 +422,28 @@ func (d *Design) TotalHPWL() float64 {
 }
 
 // NetsOfInstance builds the instance→nets adjacency used by placers
-// and optimizers. The result is indexed by Instance.ID.
+// and optimizers. The result is indexed by Instance.ID; each row lists
+// the instance's nets in net order, once per pin. The rows are
+// exact-size views of one flat array (count, then fill), so growing one
+// copies it out rather than overwriting the next.
 func (d *Design) NetsOfInstance() [][]*Net {
+	deg := make([]int32, len(d.Instances))
+	total := 0
+	for _, n := range d.Nets {
+		for i, np := 0, n.NumPins(); i < np; i++ {
+			if inst := n.PinAt(i).Inst; inst != nil {
+				deg[inst.ID]++
+				total++
+			}
+		}
+	}
+	flat := make([]*Net, total)
 	adj := make([][]*Net, len(d.Instances))
+	off := 0
+	for id, k := range deg {
+		adj[id] = flat[off : off : off+int(k)]
+		off += int(k)
+	}
 	for _, n := range d.Nets {
 		for i, np := 0, n.NumPins(); i < np; i++ {
 			if inst := n.PinAt(i).Inst; inst != nil {
@@ -398,7 +486,9 @@ func (d *Design) Counts() (instances, nets int) {
 
 // TruncateTo drops instances and nets appended after a checkpoint
 // (they must be the trailing entries). Name indices are kept
-// consistent. It panics if asked to grow.
+// consistent and the slab cursors rewind over the dropped records,
+// zeroing them, so the cost is that of the edit and the next
+// AddInstance / AddNet reuses them. It panics if asked to grow.
 func (d *Design) TruncateTo(instances, nets int) {
 	if instances > len(d.Instances) || nets > len(d.Nets) {
 		panic("netlist: TruncateTo cannot grow a design")
@@ -406,10 +496,12 @@ func (d *Design) TruncateTo(instances, nets int) {
 	for _, inst := range d.Instances[instances:] {
 		delete(d.instByName, inst.Name)
 	}
+	d.insts.Release(len(d.Instances) - instances)
 	d.Instances = d.Instances[:instances]
 	for _, n := range d.Nets[nets:] {
 		delete(d.netByName, n.Name)
 	}
+	d.nets.Release(len(d.Nets) - nets)
 	d.Nets = d.Nets[:nets]
 }
 

@@ -145,8 +145,16 @@ func TestValidateCatchesBadNets(t *testing.T) {
 	w2 := d3.AddInstance("u2", lib.MustCell("INV_X1"))
 	d3.AddNet("n1", IPin(w1, "Y"), IPin(w2, "A"))
 	d3.AddNet("n2", IPin(w2, "Y"), IPin(w2, "A")) // same sink twice
-	if err := d3.Validate(); err == nil {
-		t.Fatal("doubly-driven pin accepted")
+	if err := d3.Validate(); err == nil || !strings.Contains(err.Error(), `pin u2/A driven by both "n1" and "n2"`) {
+		t.Fatalf("doubly-driven pin: %v", err)
+	}
+
+	// A pin of another design's instance: invalid (w1 has u1's id).
+	d5 := NewDesign("bad5", lib)
+	x1 := d5.AddInstance("u1", lib.MustCell("INV_X1"))
+	d5.AddNet("n1", IPin(x1, "Y"), IPin(w1, "A"))
+	if err := d5.Validate(); err == nil {
+		t.Fatal("sink at a foreign instance accepted")
 	}
 
 	d4 := NewDesign("bad4", lib)

@@ -2,6 +2,7 @@ package piton
 
 import (
 	"fmt"
+	"strings"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/geom"
@@ -33,6 +34,19 @@ func Abut(t *Tile, die geom.Rect, nx, ny int) (*netlist.Design, geom.Rect, error
 	arrayDie := geom.R(die.Lx, die.Ly,
 		die.Lx+die.W()*float64(nx), die.Ly+die.H()*float64(ny))
 	out := netlist.NewDesign(fmt.Sprintf("%s_%dx%d", src.Name, nx, ny), src.Lib)
+	// The array's size is known up front: every copy adds at most the
+	// tile's instances, nets and sink pins (the merged clock net's sinks
+	// are collected separately).
+	srcSinks, srcClkSinks := 0, 0
+	for _, n := range src.Nets {
+		if n.Clock {
+			srcClkSinks += len(n.Sinks)
+		} else {
+			srcSinks += len(n.Sinks)
+		}
+	}
+	copies := nx * ny
+	out.Reserve(copies*len(src.Instances), copies*len(src.Nets)+1, copies*srcSinks)
 
 	// Group lookup: for each grouped (NoC) port, its edge and the
 	// pairing name on the neighbouring tile.
@@ -42,27 +56,25 @@ func Abut(t *Tile, die geom.Rect, nx, ny int) (*netlist.Design, geom.Rect, error
 	clkPort := out.AddPort("clk_i", cell.DirIn)
 	clkPort.Layer = "M6"
 	clkPort.Loc = geom.Pt(arrayDie.Lx, arrayDie.Center().Y)
-	var clkSinks []netlist.PinRef
+	clkSinks := make([]netlist.PinRef, 0, copies*srcClkSinks)
 
-	// Per-copy instance tables for net stitching.
-	type copyKey struct{ ix, iy int }
-	instOf := map[copyKey]map[string]*netlist.Instance{}
+	// Copies are laid out back to back in row-major order, so copy
+	// (ix, iy) of source instance i is out.Instances[copyBase+i.ID].
+	copyBase := func(ix, iy int) int { return (iy*nx + ix) * len(src.Instances) }
+	var names nameArena
 
 	for iy := 0; iy < ny; iy++ {
 		for ix := 0; ix < nx; ix++ {
 			off := geom.Pt(die.W()*float64(ix), die.H()*float64(iy))
 			tag := fmt.Sprintf("t%d_%d_", ix, iy)
-			m := make(map[string]*netlist.Instance, len(src.Instances))
 			for _, inst := range src.Instances {
-				c := out.AddInstance(tag+inst.Name, inst.Master)
+				c := out.AddInstance(names.concat(tag, inst.Name), inst.Master)
 				c.Loc = inst.Loc.Add(off)
 				c.Orient = inst.Orient
 				c.Fixed = inst.Fixed
 				c.Placed = inst.Placed
 				c.Die = inst.Die
-				m[inst.Name] = c
 			}
-			instOf[copyKey{ix, iy}] = m
 		}
 	}
 
@@ -89,15 +101,40 @@ func Abut(t *Tile, die geom.Rect, nx, ny int) (*netlist.Design, geom.Rect, error
 	// neighbour instead of getting a port.
 	for iy := 0; iy < ny; iy++ {
 		for ix := 0; ix < nx; ix++ {
-			key := copyKey{ix, iy}
+			base := copyBase(ix, iy)
 			off := geom.Pt(die.W()*float64(ix), die.H()*float64(iy))
 			tag := fmt.Sprintf("t%d_%d_", ix, iy)
+			mapRef := func(r netlist.PinRef) (netlist.PinRef, bool) {
+				if r.Inst != nil {
+					return netlist.IPin(out.Instances[base+r.Inst.ID], r.Pin), true
+				}
+				// Port sink/driver.
+				p := r.Port
+				if pn, interior := interiorNeighbor(partnerName, p.Name, ix, iy, nx, ny); interior {
+					// Extend into the neighbour: the partner port's
+					// net continues at the partner's sinks.
+					pNet := portNet[pn.name]
+					if pNet == nil {
+						return netlist.PinRef{}, false
+					}
+					// Replace with the neighbour's first register
+					// sink (input ports drive exactly the input
+					// FFs).
+					for _, s := range pNet.Sinks {
+						if s.Inst != nil {
+							return netlist.IPin(out.Instances[copyBase(pn.ix, pn.iy)+s.Inst.ID], s.Pin), true
+						}
+					}
+					return netlist.PinRef{}, false
+				}
+				return netlist.PPin(exteriorPort(tag, p, off)), true
+			}
 			for _, n := range src.Nets {
 				if n.Clock {
 					// Collect clock sinks; net created at the end.
 					for _, s := range n.Sinks {
 						if s.Inst != nil {
-							clkSinks = append(clkSinks, netlist.IPin(instOf[key][s.Inst.Name], s.Pin))
+							clkSinks = append(clkSinks, netlist.IPin(out.Instances[base+s.Inst.ID], s.Pin))
 						}
 					}
 					continue
@@ -109,43 +146,25 @@ func Abut(t *Tile, die geom.Rect, nx, ny int) (*netlist.Design, geom.Rect, error
 						continue
 					}
 				}
-				mapRef := func(r netlist.PinRef) (netlist.PinRef, bool) {
-					if r.Inst != nil {
-						return netlist.IPin(instOf[key][r.Inst.Name], r.Pin), true
-					}
-					// Port sink/driver.
-					p := r.Port
-					if pn, interior := interiorNeighbor(partnerName, p.Name, ix, iy, nx, ny); interior {
-						// Extend into the neighbour: the partner port's
-						// net continues at the partner's sinks.
-						nk := copyKey{pn.ix, pn.iy}
-						pNet := portNet[pn.name]
-						if pNet == nil {
-							return netlist.PinRef{}, false
-						}
-						// Replace with the neighbour's first register
-						// sink (input ports drive exactly the input
-						// FFs).
-						for _, s := range pNet.Sinks {
-							if s.Inst != nil {
-								return netlist.IPin(instOf[nk][s.Inst.Name], s.Pin), true
-							}
-						}
-						return netlist.PinRef{}, false
-					}
-					return netlist.PPin(exteriorPort(tag, p, off)), true
-				}
 				drv, ok := mapRef(n.Driver)
 				if !ok {
 					continue
 				}
-				var sinks []netlist.PinRef
+				// The fanout is known: an exact-size span of the array's
+				// sink arena, shortened when a sink has no counterpart.
+				span := out.SinkSpan(len(n.Sinks))
+				k := 0
 				for _, s := range n.Sinks {
 					if r, ok := mapRef(s); ok {
-						sinks = append(sinks, r)
+						span[k] = r
+						k++
 					}
 				}
-				out.AddNet(tag+n.Name, drv, sinks...)
+				var sinks []netlist.PinRef
+				if k > 0 {
+					sinks = span[:k:k]
+				}
+				out.AddNet(names.concat(tag, n.Name), drv, sinks...)
 			}
 		}
 	}
@@ -156,6 +175,25 @@ func Abut(t *Tile, die geom.Rect, nx, ny int) (*netlist.Design, geom.Rect, error
 		return nil, geom.Rect{}, fmt.Errorf("piton: abutted design invalid: %w", err)
 	}
 	return out, arrayDie, nil
+}
+
+// nameArena cuts the array's instance and net names out of large
+// chunks: a name is a substring of the chunk it was written to, so the
+// 230 k names of a 4×4 small-tile array cost a few dozen allocations,
+// not one each. A full chunk is dropped by the arena and lives on in
+// the names cut from it.
+type nameArena struct{ chunk strings.Builder }
+
+// concat returns x + y.
+func (a *nameArena) concat(x, y string) string {
+	if a.chunk.Cap()-a.chunk.Len() < len(x)+len(y) {
+		a.chunk.Reset()
+		a.chunk.Grow(max(len(x)+len(y), 1<<16))
+	}
+	off := a.chunk.Len()
+	a.chunk.WriteString(x)
+	a.chunk.WriteString(y)
+	return a.chunk.String()[off:]
 }
 
 // ComposeAbstract instantiates nx×ny copies of a hardened tile

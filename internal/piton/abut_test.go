@@ -37,9 +37,23 @@ func TestAbut2x2Structure(t *testing.T) {
 	if err := arr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// 4 copies of every instance.
+	// 4 copies of every instance, laid out copy after copy in row-major
+	// order under their tile tag (the names are cut from shared chunks).
 	if len(arr.Instances) != 4*len(src.Instances) {
 		t.Fatalf("instances %d, want %d", len(arr.Instances), 4*len(src.Instances))
+	}
+	for c, tag := range []string{"t0_0_", "t1_0_", "t0_1_", "t1_1_"} {
+		for _, inst := range src.Instances {
+			got := arr.Instances[c*len(src.Instances)+inst.ID]
+			if got.Name != tag+inst.Name || got.Master != inst.Master || arr.Instance(tag+inst.Name) != got {
+				t.Fatalf("copy %d of %s is %s", c, inst.Name, got.Name)
+			}
+		}
+	}
+	for _, n := range arr.Nets {
+		if !n.Clock && (!strings.HasPrefix(n.Name, "t") || src.Net(n.Name[len("t0_0_"):]) == nil) {
+			t.Fatalf("array net %q is not a tagged tile net", n.Name)
+		}
 	}
 	// Array die covers 2×2 tiles.
 	if arrayDie.W() != 2*die.W() || arrayDie.H() != 2*die.H() {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"macro3d/internal/cell"
-	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
 )
 
@@ -18,41 +17,22 @@ func Generate(cfg Config) (*Tile, error) {
 		cfg.CloudDepth = 5
 	}
 
-	// Pass 1: build with unscaled cells to measure raw logic area.
-	t, err := generate(cfg, 1.0)
-	if err != nil {
+	g := newGen(cfg.Name, cfg, cfg.Seed)
+	if err := g.buildTile(); err != nil {
 		return nil, err
 	}
-	if cfg.TargetLogicArea > 0 {
-		raw := t.Design.ComputeStats().StdCellArea
-		if raw <= 0 {
-			return nil, fmt.Errorf("piton: generated no logic area")
-		}
-		// Pass 2: rebuild with the area scale that hits the target.
-		t, err = generate(cfg, cfg.TargetLogicArea/raw)
-		if err != nil {
-			return nil, err
-		}
+	if err := g.calibrate(cfg.TargetLogicArea); err != nil {
+		return nil, err
 	}
-	if err := t.Design.Validate(); err != nil {
+	if err := g.d.Validate(); err != nil {
 		return nil, fmt.Errorf("piton: generated invalid netlist: %w", err)
 	}
-	return t, nil
+	return g.tile, nil
 }
 
-func generate(cfg Config, areaScale float64) (*Tile, error) {
-	opt := cell.DefaultLibOptions()
-	opt.AreaScale = areaScale
-	lib := cell.NewStdLib28(opt)
-
-	g := &gen{
-		cfg:   cfg,
-		lib:   lib,
-		d:     netlist.NewDesign(cfg.Name, lib),
-		rng:   geom.NewRNG(cfg.Seed),
-		netOf: make(map[netlist.PinRef]*netlist.Net),
-	}
-	g.tile = &Tile{Design: g.d, Config: cfg}
+// buildTile builds the tile netlist on g's library.
+func (g *gen) buildTile() error {
+	cfg := g.cfg
 
 	// Clock input.
 	clkPort := g.d.AddPort("clk_i", cell.DirIn)
@@ -67,19 +47,19 @@ func generate(cfg Config, areaScale float64) (*Tile, error) {
 	// are consumed by connectBus, so each pin is driven exactly once.
 	l1i, err := g.buildCacheLevel("l1i", cfg.L1I)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	l1d, err := g.buildCacheLevel("l1d", cfg.L1D)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	l2, err := g.buildCacheLevel("l2", cfg.L2)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	l3, err := g.buildCacheLevel("l3", cfg.L3)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Core ↔ L1s: fetch path and load/store path.
@@ -117,7 +97,7 @@ func generate(cfg Config, areaScale float64) (*Tile, error) {
 	clkNet := g.d.AddNet("clk", netlist.PPin(clkPort), g.clk...)
 	clkNet.Clock = true
 
-	return g.tile, nil
+	return nil
 }
 
 // iface bundles the register-file PinRefs a block exposes.
@@ -137,8 +117,9 @@ func (g *gen) buildCore() *iface {
 	banks := make([][]*netlist.Instance, cfg.CoreStages)
 	for s := range banks {
 		banks[s] = make([]*netlist.Instance, cfg.CoreWidth)
+		hint := fmt.Sprintf("core_s%d", s)
 		for b := range banks[s] {
-			banks[s][b] = g.dff(fmt.Sprintf("core_s%d", s))
+			banks[s][b] = g.dff(hint)
 		}
 	}
 	// Clouds between consecutive stages.
@@ -183,8 +164,7 @@ func (g *gen) buildCacheLevel(level string, bytes int) (*iface, error) {
 			return nil, fmt.Errorf("piton: SRAM compile for %s bank %d failed: %w", level, i, err)
 		}
 		g.cfg.MacroProcess.Apply(m)
-		g.lib.Add(m) // registered so DEF/LEF round trips resolve it
-		inst := g.d.AddInstance(fmt.Sprintf("%s_bank%d", level, i), m)
+		inst := g.addMacro(fmt.Sprintf("%s_bank%d", level, i), m)
 		macros[i] = inst
 		g.clk = append(g.clk, netlist.IPin(inst, "CLK"))
 	}
@@ -192,27 +172,29 @@ func (g *gen) buildCacheLevel(level string, bytes int) (*iface, error) {
 
 	fc := &iface{}
 
+	// busPins fills sinks with the banks' pins of one bus bit; every
+	// bank shares the pin name. drive copies, so sinks is reused.
+	sinks := make([]netlist.PinRef, len(macros))
+	busPins := func(pin string) []netlist.PinRef {
+		for i, m := range macros {
+			sinks[i] = netlist.IPin(m, pin)
+		}
+		return sinks
+	}
+
 	// Shared address bus: one register per bit driving all banks.
 	addrFF := make([]*netlist.Instance, addrBits)
 	for b := 0; b < addrBits; b++ {
 		ff := g.dff(level + "_addr")
 		addrFF[b] = ff
-		sinks := make([]netlist.PinRef, len(macros))
-		for i, m := range macros {
-			sinks[i] = netlist.IPin(m, fmt.Sprintf("A%d", b))
-		}
-		g.drive(g.netName(level+"_a"), netlist.IPin(ff, "Q"), sinks...)
+		g.drive(g.netName(level+"_a"), netlist.IPin(ff, "Q"), busPins(fmt.Sprintf("A%d", b))...)
 		fc.reqIns = append(fc.reqIns, netlist.IPin(ff, "D"))
 	}
 
 	// Shared write-data bus.
 	for b := 0; b < cfg.DataWidth; b++ {
 		ff := g.dff(level + "_wdata")
-		sinks := make([]netlist.PinRef, len(macros))
-		for i, m := range macros {
-			sinks[i] = netlist.IPin(m, fmt.Sprintf("D%d", b))
-		}
-		g.drive(g.netName(level+"_d"), netlist.IPin(ff, "Q"), sinks...)
+		g.drive(g.netName(level+"_d"), netlist.IPin(ff, "Q"), busPins(fmt.Sprintf("D%d", b))...)
 		fc.fillIns = append(fc.fillIns, netlist.IPin(ff, "D"))
 	}
 
@@ -230,10 +212,7 @@ func (g *gen) buildCacheLevel(level string, bytes int) (*iface, error) {
 	// Read-data merge: per bit, a mux tree over the bank Q outputs
 	// feeding a capture register.
 	for b := 0; b < cfg.DataWidth; b++ {
-		cur := make([]netlist.PinRef, len(macros))
-		for i, m := range macros {
-			cur[i] = netlist.IPin(m, fmt.Sprintf("Q%d", b))
-		}
+		cur := append([]netlist.PinRef(nil), busPins(fmt.Sprintf("Q%d", b))...)
 		for len(cur) > 1 {
 			var next []netlist.PinRef
 			for i := 0; i+1 < len(cur); i += 2 {
@@ -298,11 +277,12 @@ func (g *gen) buildRouter(k int) *router {
 	// Input side: edge port → input register bank.
 	for _, e := range dirs {
 		group := PortGroup{Edge: e, Pair: inPair(e)}
+		hint := fmt.Sprintf("noc%d_%s_in", k, e)
 		for b := 0; b < w; b++ {
 			p := g.d.AddPort(fmt.Sprintf("noc%d_%s_in_%d", k, e, b), cell.DirIn)
 			p.Layer = "M6"
 			p.HalfCycle = true
-			ff := g.dff(fmt.Sprintf("noc%d_%s_in", k, e))
+			ff := g.dff(hint)
 			g.drive(g.netName("nocin"), netlist.PPin(p), netlist.IPin(ff, "D"))
 			allInQ = append(allInQ, netlist.IPin(ff, "Q"))
 			group.Names = append(group.Names, p.Name)
@@ -310,8 +290,9 @@ func (g *gen) buildRouter(k int) *router {
 		g.tile.Groups = append(g.tile.Groups, group)
 	}
 	// Local input registers (from tile logic).
+	locIn := fmt.Sprintf("noc%d_loc_in", k)
 	for b := 0; b < w; b++ {
-		ff := g.dff(fmt.Sprintf("noc%d_loc_in", k))
+		ff := g.dff(locIn)
 		r.localIns = append(r.localIns, netlist.IPin(ff, "D"))
 		allInQ = append(allInQ, netlist.IPin(ff, "Q"))
 	}
@@ -327,8 +308,9 @@ func (g *gen) buildRouter(k int) *router {
 	oi := 0
 	for _, e := range dirs {
 		group := PortGroup{Edge: e, Pair: outPair(e)}
+		hint := fmt.Sprintf("noc%d_%s_out", k, e)
 		for b := 0; b < w; b++ {
-			ff := g.dff(fmt.Sprintf("noc%d_%s_out", k, e))
+			ff := g.dff(hint)
 			g.fanout(xbar[oi%len(xbar)], netlist.IPin(ff, "D"))
 			oi++
 			p := g.d.AddPort(fmt.Sprintf("noc%d_%s_out_%d", k, e, b), cell.DirOut)
@@ -341,8 +323,9 @@ func (g *gen) buildRouter(k int) *router {
 		g.tile.Groups = append(g.tile.Groups, group)
 	}
 	// Local outputs.
+	locOut := fmt.Sprintf("noc%d_loc_out", k)
 	for b := 0; b < w; b++ {
-		ff := g.dff(fmt.Sprintf("noc%d_loc_out", k))
+		ff := g.dff(locOut)
 		g.fanout(xbar[oi%len(xbar)], netlist.IPin(ff, "D"))
 		oi++
 		r.localOuts = append(r.localOuts, netlist.IPin(ff, "Q"))

@@ -11,10 +11,17 @@
 // tileable I/O. Instance counts are reduced versus gate-level synthesis
 // for runtime; standard-cell areas are inflated (cell.LibOptions
 // .AreaScale) so total logic area matches the paper's physical scale.
+//
+// Generation is one pass: the netlist is built once, against the
+// unscaled library — nothing in the generator reads a cell width — its
+// raw logic area is measured, and every standard cell is re-pointed at
+// the same-named master of the library scaled to the target (see
+// gen.calibrate). Nothing is built to be thrown away.
 package piton
 
 import (
 	"fmt"
+	"strconv"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/geom"
@@ -226,19 +233,89 @@ type gen struct {
 	clk  []netlist.PinRef
 	tile *Tile
 
+	// macros are the compiled masters registered on lib, in creation
+	// order; calibrate re-registers them on the scaled library.
+	macros []*cell.Cell
+
 	// netOf maps a driver to its net so fanout() can extend existing
 	// nets instead of creating parallel ones.
 	netOf map[netlist.PinRef]*netlist.Net
+
+	nameBuf []byte // seqName's scratch
+}
+
+// newGen starts a generator on an empty design over the unscaled
+// library.
+func newGen(name string, cfg Config, seed uint64) *gen {
+	lib := cell.NewStdLib28(cell.DefaultLibOptions())
+	g := &gen{
+		cfg:   cfg,
+		lib:   lib,
+		d:     netlist.NewDesign(name, lib),
+		rng:   geom.NewRNG(seed),
+		netOf: make(map[netlist.PinRef]*netlist.Net),
+	}
+	g.tile = &Tile{Design: g.d, Config: cfg}
+	return g
+}
+
+// addMacro registers a compiled macro master (so DEF/LEF round trips
+// resolve it) and instantiates it.
+func (g *gen) addMacro(name string, m *cell.Cell) *netlist.Instance {
+	g.lib.Add(m)
+	g.macros = append(g.macros, m)
+	return g.d.AddInstance(name, m)
+}
+
+// calibrate rescales standard-cell widths so the summed logic area
+// equals target µm² (0 = leave the unscaled library). Structure, names
+// and random draws do not depend on cell widths, so instead of
+// regenerating against the scaled library the design is re-pointed at
+// it: every standard cell moves to the same-named master, the macros
+// are registered again in creation order, and the design's Lib is
+// swapped.
+func (g *gen) calibrate(target float64) error {
+	if target <= 0 {
+		return nil
+	}
+	raw := g.d.ComputeStats().StdCellArea
+	if raw <= 0 {
+		return fmt.Errorf("piton: %s generated no logic area", g.d.Name)
+	}
+	opt := cell.DefaultLibOptions()
+	opt.AreaScale = target / raw
+	lib := cell.NewStdLib28(opt)
+	for _, m := range g.macros {
+		lib.Add(m)
+	}
+	for _, inst := range g.d.Instances {
+		if !inst.IsMacro() {
+			inst.Master = lib.MustCell(inst.Master.Name)
+		}
+	}
+	g.lib, g.d.Lib = lib, lib
+	return nil
+}
+
+// seqName builds prefix+hint+"_"+seq in the generator's scratch buffer,
+// so a name costs the one allocation of its string.
+func (g *gen) seqName(prefix, hint string, seq int) string {
+	b := append(g.nameBuf[:0], prefix...)
+	b = append(b, hint...)
+	b = append(b, '_')
+	b = strconv.AppendInt(b, int64(seq), 10)
+	g.nameBuf = b
+	return string(b)
 }
 
 func (g *gen) netName(hint string) string {
 	g.nns++
-	return fmt.Sprintf("n_%s_%d", hint, g.nns)
+	return g.seqName("n_", hint, g.nns)
 }
 
 func (g *gen) instName(hint string) string {
 	g.ins++
-	return fmt.Sprintf("u_%s_%d", hint, g.ins)
+	return g.seqName("u_", hint, g.ins)
 }
 
 // dff adds a flip-flop and registers its clock pin.
@@ -298,19 +375,31 @@ func (g *gen) cloud(hint string, drivers []netlist.PinRef, outs, depth int) []ne
 	return level[:min(outs, len(level))]
 }
 
+// fanoutRoom is the sink capacity a fanout-grown net reserves in the
+// design's sink arena when it is created: nine nets in ten never
+// outgrow it, and it costs the bytes that growing 1 → 2 → 4 on the heap
+// did.
+const fanoutRoom = 4
+
 // fanout connects src → sink, creating or extending src's net.
 func (g *gen) fanout(src, sink netlist.PinRef) {
 	if n, ok := g.netOf[src]; ok {
 		n.Sinks = append(n.Sinks, sink)
 		return
 	}
-	g.netOf[src] = g.d.AddNet(g.netName("w"), src, sink)
+	sinks := g.d.SinkSpan(fanoutRoom)[:1]
+	sinks[0] = sink
+	g.netOf[src] = g.d.AddNet(g.netName("w"), src, sinks...)
 }
 
-// drive creates a named net from src to sinks and records it as the
-// driver's net.
+// drive creates a named net from src to a fanout known up front and
+// records it as the driver's net. The sinks are copied into an
+// exact-size span of the design's sink arena, so callers may reuse the
+// slice they pass.
 func (g *gen) drive(name string, src netlist.PinRef, sinks ...netlist.PinRef) *netlist.Net {
-	n := g.d.AddNet(name, src, sinks...)
+	span := g.d.SinkSpan(len(sinks))
+	copy(span, sinks)
+	n := g.d.AddNet(name, src, span...)
 	g.netOf[src] = n
 	return n
 }

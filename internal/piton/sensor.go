@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"macro3d/internal/cell"
-	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
 )
 
@@ -52,40 +51,21 @@ func GenerateSensorSoC(cfg SensorConfig) (*Tile, error) {
 	if cfg.CloudDepth < 1 {
 		cfg.CloudDepth = 4
 	}
-	t, err := generateSensor(cfg, 1.0)
-	if err != nil {
+	g := newGen(cfg.Name, Config{CloudDepth: cfg.CloudDepth}, cfg.Seed)
+	if err := g.buildSensor(cfg); err != nil {
 		return nil, err
 	}
-	if cfg.TargetLogicArea > 0 {
-		raw := t.Design.ComputeStats().StdCellArea
-		if raw <= 0 {
-			return nil, fmt.Errorf("piton: sensor SoC generated no logic")
-		}
-		t, err = generateSensor(cfg, cfg.TargetLogicArea/raw)
-		if err != nil {
-			return nil, err
-		}
+	if err := g.calibrate(cfg.TargetLogicArea); err != nil {
+		return nil, err
 	}
-	if err := t.Design.Validate(); err != nil {
+	if err := g.d.Validate(); err != nil {
 		return nil, fmt.Errorf("piton: sensor SoC invalid: %w", err)
 	}
-	return t, nil
+	return g.tile, nil
 }
 
-func generateSensor(cfg SensorConfig, areaScale float64) (*Tile, error) {
-	opt := cell.DefaultLibOptions()
-	opt.AreaScale = areaScale
-	lib := cell.NewStdLib28(opt)
-
-	g := &gen{
-		cfg:   Config{CloudDepth: cfg.CloudDepth},
-		lib:   lib,
-		d:     netlist.NewDesign(cfg.Name, lib),
-		rng:   geom.NewRNG(cfg.Seed),
-		netOf: make(map[netlist.PinRef]*netlist.Net),
-	}
-	g.tile = &Tile{Design: g.d, Config: g.cfg}
-
+// buildSensor builds the SoC netlist on g's library.
+func (g *gen) buildSensor(cfg SensorConfig) error {
 	clkPort := g.d.AddPort("clk_i", cell.DirIn)
 	clkPort.Layer = "M6"
 	g.tile.ClockPort = "clk_i"
@@ -95,14 +75,14 @@ func generateSensor(cfg SensorConfig, areaScale float64) (*Tile, error) {
 	for i := 0; i < cfg.Sensors; i++ {
 		m, err := cell.NewSensor(fmt.Sprintf("sensor_macro_%d", i), cfg.SensorW, cfg.SensorH, cfg.DataBits)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		g.lib.Add(m)
-		inst := g.d.AddInstance(fmt.Sprintf("sens_%d", i), m)
+		inst := g.addMacro(fmt.Sprintf("sens_%d", i), m)
 		g.clk = append(g.clk, netlist.IPin(inst, "CLK"))
 		// Enable decode (shared cloud built later drives EN via sweep).
+		hint := fmt.Sprintf("sens%d_cap", i)
 		for b := 0; b < cfg.DataBits; b++ {
-			ff := g.dff(fmt.Sprintf("sens%d_cap", i))
+			ff := g.dff(hint)
 			g.drive(g.netName("sq"), netlist.IPin(inst, fmt.Sprintf("OUT%d", b)), netlist.IPin(ff, "D"))
 			captureQ = append(captureQ, netlist.IPin(ff, "Q"))
 		}
@@ -112,8 +92,9 @@ func generateSensor(cfg SensorConfig, areaScale float64) (*Tile, error) {
 	banks := make([][]*netlist.Instance, cfg.Stages)
 	for s := range banks {
 		banks[s] = make([]*netlist.Instance, cfg.StageWidth)
+		hint := fmt.Sprintf("proc_s%d", s)
 		for b := range banks[s] {
-			banks[s][b] = g.dff(fmt.Sprintf("proc_s%d", s))
+			banks[s][b] = g.dff(hint)
 		}
 	}
 	first := g.cloud("readout", captureQ, cfg.StageWidth, cfg.CloudDepth)
@@ -144,5 +125,5 @@ func generateSensor(cfg SensorConfig, areaScale float64) (*Tile, error) {
 
 	clkNet := g.d.AddNet("clk", netlist.PPin(clkPort), g.clk...)
 	clkNet.Clock = true
-	return g.tile, nil
+	return nil
 }

@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"slices"
 
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
@@ -37,12 +38,15 @@ import (
 
 // netTask is the per-net unit of work: the deterministic prep (pin
 // nodes, MST edges) shared by the batch planner and the routing
-// workers, plus the old route when the task is a negotiation rip-up.
+// workers, plus the old segments when the task is a negotiation rip-up.
+// The prep is a pure function of the frozen placement, so RouteDesign
+// preps every net once and a rip-up wave reuses the task — and the
+// route record — of each victim.
 type netTask struct {
 	net   *netlist.Net
 	route *NetRoute
-	edges [][2]int  // MST edges as pin-index pairs
-	old   *NetRoute // non-nil for rip-up victims
+	edges [][2]int // MST edges as pin-index pairs
+	old   []Seg    // a rip-up victim's committed segments; else empty
 
 	// rects is the task's read/write footprint in tile space, a pure
 	// function of the task and its wave's mode. planFootprints fills it
@@ -51,27 +55,31 @@ type netTask struct {
 	rects []tileRect
 }
 
-// prepTask resolves pin nodes and decomposes the net into two-pin MST
-// edges. Pure function of the placement — independent of congestion,
-// so prep order never affects results.
-func (db *DB) prepTask(n *netlist.Net) (*netTask, error) {
-	np := n.NumPins()
-	r := &NetRoute{Net: n, PinNode: make([]Node, np)}
+// prepTask resolves t.net's pin nodes into t.route.PinNode and
+// decomposes the net into two-pin MST edges appended to t.edges. The
+// caller supplies both at their final size — PinNode one node per pin,
+// edges with room for one edge less — as spans of the arrays RouteDesign
+// sizes up front (or RouteNet's three objects); the in-tree marks are
+// the worker's scratch. Pure function of the placement — independent of
+// congestion, so prep order never affects results.
+func (db *DB) prepTask(t *netTask, s *mazeScratch) error {
+	n, r := t.net, t.route
 	for i := range r.PinNode {
 		nd, err := db.PinNode(n.PinAt(i))
 		if err != nil {
-			return nil, fmt.Errorf("net %s: %w", n.Name, err)
+			return fmt.Errorf("net %s: %w", n.Name, err)
 		}
 		r.PinNode[i] = nd
 	}
-	t := &netTask{net: n, route: r}
+	np := len(r.PinNode)
 	if np < 2 {
-		return t, nil
+		return nil
 	}
 	// Prim MST over pin grid locations.
-	inTree := make([]bool, np)
+	s.inTree = slices.Grow(s.inTree[:0], np)[:np]
+	inTree := s.inTree
+	clear(inTree)
 	inTree[0] = true
-	t.edges = make([][2]int, 0, np-1)
 	for k := 1; k < np; k++ {
 		best, bi, bj := 1<<30, -1, -1
 		for i := range inTree {
@@ -92,25 +100,39 @@ func (db *DB) prepTask(n *netlist.Net) (*netTask, error) {
 		inTree[bj] = true
 		t.edges = append(t.edges, [2]int{bi, bj})
 	}
-	return t, nil
+	return nil
 }
 
 // routeTask computes the task's segments against current congestion,
-// one MST edge at a time. Maze-mode failures fall back to the pattern
-// route exactly like the serial router. Only reads shared state; all
-// mutable search state lives in s.
-func (db *DB) routeTask(t *netTask, maze bool, s *mazeScratch) {
+// one MST edge at a time, into the worker's segment buffer; the result
+// is valid until the scratch routes its next task. Maze-mode failures
+// fall back to the pattern route exactly like the serial router. Only
+// reads shared state; all mutable search state lives in s.
+func (db *DB) routeTask(t *netTask, maze bool, s *mazeScratch) []Seg {
+	segs := s.segs[:0]
 	for _, e := range t.edges {
 		a, b := t.route.PinNode[e[0]], t.route.PinNode[e[1]]
 		if maze {
-			segs, err := db.mazeRouteScratch(s, a, b, t.route.Segments)
+			out, err := db.mazeRouteScratch(s, a, b, segs)
 			if err == nil {
-				t.route.Segments = segs
+				segs = out
 				continue
 			}
 		}
-		t.route.Segments = db.patternRoute(a, b, t.route.Segments)
+		segs = db.patternRoute(a, b, segs)
 	}
+	s.segs = segs
+	return segs
+}
+
+// routeStored routes the task and stores its segments, exact-size, in
+// the worker's segment arena: growth by doubling happens once, in the
+// scratch buffer, not per net. A rip-up victim's old span is simply
+// abandoned (at most MaxIters × maxVictims of them per run).
+func (db *DB) routeStored(t *netTask, maze bool, s *mazeScratch) {
+	segs := db.routeTask(t, maze, s)
+	t.route.Segments = s.store.Span(len(segs))
+	copy(t.route.Segments, segs)
 }
 
 // tileMap is the conflict raster of the batch planner: the gcell grid
@@ -189,11 +211,9 @@ func (db *DB) appendFootprint(dst []tileRect, t *netTask, maze bool) []tileRect 
 		dst = append(dst, rect(x0, y0, x1, y0), rect(x0, y1, x1, y1),
 			rect(x0, y0, x0, y1), rect(x1, y0, x1, y1))
 	}
-	if t.old != nil {
-		for _, s := range t.old.Segments {
-			dst = append(dst, rect(min(s.A.X, s.B.X), min(s.A.Y, s.B.Y),
-				max(s.A.X, s.B.X), max(s.A.Y, s.B.Y)))
-		}
+	for _, s := range t.old {
+		dst = append(dst, rect(min(s.A.X, s.B.X), min(s.A.Y, s.B.Y),
+			max(s.A.X, s.B.X), max(s.A.Y, s.B.Y)))
 	}
 	return dst
 }
@@ -204,10 +224,7 @@ func footprintLen(t *netTask, maze bool) int {
 	if maze {
 		n = len(t.edges)
 	}
-	if t.old != nil {
-		n += len(t.old.Segments)
-	}
-	return n
+	return n + len(t.old)
 }
 
 // planFootprints reduces every task's footprint to tile rects, once
@@ -298,22 +315,23 @@ func (db *DB) planBatch(pending []*netTask, m *tileMap) (batch, rest []*netTask)
 }
 
 // routeAll routes the ordered tasks and commits each with commit(t),
-// preserving serial semantics. workers == 1 runs the plain sequential
-// reference; otherwise tasks execute as deterministic conflict-free
-// batches: rip-up releases in order, concurrent routing against the
-// frozen snapshot (one scratch per worker), commits merged back in
-// order.
+// preserving serial semantics. Options.Workers 0 ("fastest") and 1 run
+// the plain sequential reference — the batch engine is bit-identical to
+// it by contract and has yet to beat it (ROADMAP, routing item), so it
+// runs only when asked for by Workers > 1: tasks then execute as
+// deterministic conflict-free batches: rip-up releases in order,
+// concurrent routing against the frozen snapshot (one scratch per
+// worker), commits merged back in order.
 func (db *DB) routeAll(tasks []*netTask, maze bool, workers int, pool []*mazeScratch,
 	met *routeMetrics, commit func(*netTask)) {
 
-	if workers <= 1 {
+	if db.opt.Workers == 0 || workers <= 1 {
 		ssp := met.main.Begin("route", "route/serial-pass")
 		s := pool[0]
 		for _, t := range tasks {
-			if t.old != nil {
-				db.addUsage(t.old, -1)
-			}
-			db.routeTask(t, maze, s)
+			db.addSegs(t.old, -1)
+			t.old = nil
+			db.routeStored(t, maze, s)
 			commit(t)
 		}
 		ssp.End(trace.N("nets", int64(len(tasks))))
@@ -344,8 +362,9 @@ func (db *DB) routeAll(tasks []*netTask, maze bool, workers int, pool []*mazeScr
 		rsp := met.main.Begin("route", "route/release")
 		released := 0
 		for _, t := range batch {
-			if t.old != nil {
-				db.addUsage(t.old, -1)
+			if len(t.old) > 0 {
+				db.addSegs(t.old, -1)
+				t.old = nil
 				released++
 			}
 		}
@@ -353,7 +372,7 @@ func (db *DB) routeAll(tasks []*netTask, maze bool, workers int, pool []*mazeScr
 		met.busy += par.ChunksTr(met.ts, "route/batch", workers, len(batch), func(w, lo, hi int) {
 			s := pool[w]
 			for _, t := range batch[lo:hi] {
-				db.routeTask(t, maze, s)
+				db.routeStored(t, maze, s)
 			}
 		})
 		// Ordered merge: usage deltas commit in net order.

@@ -158,7 +158,11 @@ func TestTranslateRouteRoundTrip(t *testing.T) {
 	origSegs := append([]Seg(nil), r.Segments...)
 	origPins := append([]Node(nil), r.PinNode...)
 
-	back := TranslateRoute(TranslateRoute(r, -3, -9), 3, 9)
+	var out Result
+	back := out.Translate(r.Net, out.Translate(r.Net, r, -3, -9), 3, 9)
+	if out.Routes[0] != back || back.Net != r.Net {
+		t.Fatal("Translate did not store the bound copy under its net id")
+	}
 	if len(back.Segments) != len(origSegs) {
 		t.Fatalf("round trip changed segment count: %d vs %d", len(back.Segments), len(origSegs))
 	}
@@ -181,12 +185,12 @@ func TestTranslateRouteRoundTrip(t *testing.T) {
 	// Input untouched by either translation.
 	for i := range origSegs {
 		if r.Segments[i] != origSegs[i] {
-			t.Fatal("TranslateRoute mutated its input")
+			t.Fatal("Translate mutated its input")
 		}
 	}
 	for i := range origPins {
 		if r.PinNode[i] != origPins[i] {
-			t.Fatal("TranslateRoute mutated input pin nodes")
+			t.Fatal("Translate mutated input pin nodes")
 		}
 	}
 }

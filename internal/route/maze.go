@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"macro3d/internal/geom"
+	"macro3d/internal/slab"
 	"macro3d/internal/tech"
 )
 
@@ -68,13 +69,15 @@ type mazeEntry struct {
 	est  float64
 }
 
-// mazeScratch is the reusable per-worker state of the windowed A*:
-// dist/prev backing arrays sized to the largest window seen so far,
-// the typed binary heap, and the path-trace node buffer. One scratch
-// serves one goroutine; RouteDesign keeps one per worker and reuses
-// them across every two-pin search of the run — including across
-// shard batches of the region-sharded router, whose per-region
-// windows vary wildly in size.
+// mazeScratch is the reusable per-worker state of the router: for the
+// windowed A*, dist/prev backing arrays sized to the largest window seen
+// so far, the typed binary heap and the path-trace node buffer; for net
+// prep and routing, the MST in-tree marks, the segment buffer a net is
+// routed into and the arena its segments are then stored in exact-size.
+// One scratch serves one goroutine; RouteDesign keeps one per worker and
+// reuses them across every net and two-pin search of the run —
+// including across shard batches of the region-sharded router, whose
+// per-region windows vary wildly in size.
 //
 // Visited state is generation-stamped: a node's dist/prev entries are
 // valid only when gen[i] matches the current search generation, so a
@@ -89,6 +92,15 @@ type mazeScratch struct {
 	cur   uint32   // current search generation
 	heap  []mazeEntry
 	nodes []Node
+
+	inTree []bool   // prepTask's Prim marks
+	edges  [][2]int // RouteNet's MST edges (RouteDesign sizes its own)
+	segs   []Seg    // routeTask's output, valid until the next task
+	// store holds the segments of the nets this worker routed in a
+	// RouteDesign run; the chunks live as long as a route of the Result
+	// points into them. Unused by the DB's ECO scratch, whose routes must
+	// stay individually collectable.
+	store slab.Slab[Seg]
 
 	hits   uint64 // searches served by the existing backing arrays
 	misses uint64 // searches that had to (re)grow the arrays

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -13,8 +14,11 @@ import (
 // verbatim as oracles: the six-candidate pattern router that
 // materialised every L-shape and re-sorted the layer pairs per
 // connection, and the copy-based batch planner that recomputed
-// footprints per round and re-copied the unscanned tail. The
-// equivalence tests below demand exact equality against them.
+// footprints per round and re-copied the unscanned tail; and the
+// per-object net prep (a NetRoute, a pin-node list, a task, an edge list
+// and the in-tree marks per net, segments grown by doubling) under the
+// serial router that re-prepped every rip-up victim. The equivalence
+// tests below demand exact equality against them.
 
 func viaStackOracle(x, y, la, lb int) []Seg {
 	var segs []Seg
@@ -128,12 +132,125 @@ func (db *DB) footprintOracle(t *netTask, maze bool, visit func(x0, y0, x1, y1 i
 		visit(x0, y0, x0, y1)
 		visit(x1, y0, x1, y1)
 	}
-	if t.old != nil {
-		for _, s := range t.old.Segments {
-			visit(min(s.A.X, s.B.X), min(s.A.Y, s.B.Y),
-				max(s.A.X, s.B.X), max(s.A.Y, s.B.Y))
-		}
+	for _, s := range t.old {
+		visit(min(s.A.X, s.B.X), min(s.A.Y, s.B.Y),
+			max(s.A.X, s.B.X), max(s.A.Y, s.B.Y))
 	}
+}
+
+func (db *DB) prepTaskOracle(n *netlist.Net) (*netTask, error) {
+	np := n.NumPins()
+	r := &NetRoute{Net: n, PinNode: make([]Node, np)}
+	for i := range r.PinNode {
+		nd, err := db.PinNode(n.PinAt(i))
+		if err != nil {
+			return nil, fmt.Errorf("net %s: %w", n.Name, err)
+		}
+		r.PinNode[i] = nd
+	}
+	t := &netTask{net: n, route: r}
+	if np < 2 {
+		return t, nil
+	}
+	inTree := make([]bool, np)
+	inTree[0] = true
+	t.edges = make([][2]int, 0, np-1)
+	for k := 1; k < np; k++ {
+		best, bi, bj := 1<<30, -1, -1
+		for i := range inTree {
+			if !inTree[i] {
+				continue
+			}
+			for j := range inTree {
+				if inTree[j] {
+					continue
+				}
+				d := geom.AbsInt(r.PinNode[i].X-r.PinNode[j].X) +
+					geom.AbsInt(r.PinNode[i].Y-r.PinNode[j].Y)
+				if d < best {
+					best, bi, bj = d, i, j
+				}
+			}
+		}
+		inTree[bj] = true
+		t.edges = append(t.edges, [2]int{bi, bj})
+	}
+	return t, nil
+}
+
+func (db *DB) routeTaskOracle(t *netTask, maze bool, s *mazeScratch) {
+	for _, e := range t.edges {
+		a, b := t.route.PinNode[e[0]], t.route.PinNode[e[1]]
+		if maze {
+			if segs, err := db.mazeRouteScratch(s, a, b, t.route.Segments); err == nil {
+				t.route.Segments = segs
+				continue
+			}
+		}
+		t.route.Segments = db.patternRoute(a, b, t.route.Segments)
+	}
+}
+
+// routeDesignOracle is RouteDesign's serial path as it stood over
+// per-object tasks; ripups counts the victims it rerouted.
+func routeDesignOracle(d *netlist.Design, db *DB) (res *Result, ripups int, err error) {
+	res = &Result{
+		Routes:     make([]*NetRoute, len(d.Nets)),
+		WLPerLayer: make([]float64, db.Beol.NumLayers()),
+	}
+	var order []*netlist.Net
+	hpwl := make([]float64, len(d.Nets))
+	for _, n := range d.Nets {
+		if n.Clock || len(n.Sinks) == 0 {
+			continue
+		}
+		order = append(order, n)
+		hpwl[n.ID] = n.HPWL()
+	}
+	sort.Slice(order, func(i, j int) bool {
+		hi, hj := hpwl[order[i].ID], hpwl[order[j].ID]
+		if hi != hj {
+			return hi > hj
+		}
+		return order[i].ID < order[j].ID
+	})
+	s := &mazeScratch{}
+	for _, n := range order {
+		t, err := db.prepTaskOracle(n)
+		if err != nil {
+			return nil, 0, err
+		}
+		db.routeTaskOracle(t, false, s)
+		db.addUsage(t.route, 1)
+		res.Routes[n.ID] = t.route
+	}
+	for it := 0; it < db.opt.MaxIters; it++ {
+		if db.Overflow() == 0 {
+			break
+		}
+		db.bumpHistory()
+		victims := db.overflowedNets(res, 1)
+		if len(victims) == 0 {
+			break
+		}
+		sort.Slice(victims, func(i, j int) bool { return hpwl[victims[i].ID] > hpwl[victims[j].ID] })
+		if len(victims) > 600 {
+			victims = victims[:600]
+		}
+		for _, n := range victims {
+			t, err := db.prepTaskOracle(n)
+			if err != nil {
+				continue
+			}
+			db.addUsage(res.Routes[n.ID], -1)
+			db.routeTaskOracle(t, it >= 2, s)
+			db.addUsage(t.route, 1)
+			res.Routes[n.ID] = t.route
+		}
+		ripups += len(victims)
+	}
+	res.Recount(db)
+	return res, ripups, nil
 }
 
 func (db *DB) planBatchOracle(pending []*netTask, maze bool, m *tileMap) (batch, deferred []*netTask) {
@@ -267,7 +384,7 @@ func tileTasks(t *testing.T, d *netlist.Design, db *DB) []*netTask {
 	sort.SliceStable(order, func(i, j int) bool { return order[i].HPWL() > order[j].HPWL() })
 	tasks := make([]*netTask, len(order))
 	for i, n := range order {
-		tk, err := db.prepTask(n)
+		tk, err := db.prepTaskOracle(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +408,7 @@ func TestPlanBatchMatchesOracle(t *testing.T) {
 	for _, maze := range []bool{false, true} {
 		if maze {
 			for _, tk := range tasks {
-				tk.old = &NetRoute{Segments: db.patternRoute(tk.route.PinNode[0], tk.route.PinNode[len(tk.route.PinNode)-1], nil)}
+				tk.old = db.patternRoute(tk.route.PinNode[0], tk.route.PinNode[len(tk.route.PinNode)-1], nil)
 			}
 		}
 		mo, mn := newTileMap(db.Grid), newTileMap(db.Grid)
@@ -364,5 +481,47 @@ func TestPlanBatchAllocs(t *testing.T) {
 	}
 	if len(batch) == 0 || len(rest) == 0 || len(batch)+len(rest) != len(tasks) {
 		t.Fatalf("round split %d tasks into %d + %d", len(tasks), len(batch), len(rest))
+	}
+}
+
+// TestRouteDesignAllocs: RouteDesign sizes its route records, pin nodes,
+// tasks and MST edges once and stores each net's segments exact-size in
+// an arena, so a run costs a constant number of objects per net, well
+// under the five-plus-doublings of per-object prep; RouteNet's ECO
+// route stays three objects of its own.
+func TestRouteDesignAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tile placement in -short mode")
+	}
+	d, die, blk := placedSmallTile(t)
+	b6, _ := tech.NewBEOL28("logic", 6)
+	nets := 0
+	for _, n := range d.Nets {
+		if !n.Clock && len(n.Sinks) > 0 {
+			nets++
+		}
+	}
+	for _, w := range []int{1, 0} {
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, err := RouteDesign(d, NewDB(die, b6, blk, Options{Workers: w})); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("workers=%d: RouteDesign (with NewDB): %.0f objects for %d nets", w, allocs, nets)
+		if allocs > 1.5*float64(nets) {
+			t.Fatalf("workers=%d: RouteDesign allocates %.0f objects for %d nets, want ≤ 1.5 per net", w, allocs, nets)
+		}
+	}
+	db := NewDB(die, b6, blk, Options{})
+	n := d.Nets[0]
+	if _, err := db.RouteNet(n); err != nil {
+		t.Fatal(err) // warm-up sizes the DB's scratch
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := db.RouteNet(n); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 3 {
+		t.Fatalf("RouteNet allocates %.0f objects per call, want ≤ 3", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"slices"
 	"testing"
 
 	"macro3d/internal/floorplan"
@@ -36,11 +37,14 @@ func placedSmallTile(t *testing.T) (*netlist.Design, geom.Rect, []floorplan.Rout
 	return d, sz.Die2D, fp.RouteBlk
 }
 
-// TestRouteWorkerDeterminism pins the parallel engine's core contract:
-// routing the same placed tile with the serial reference (Workers 1),
-// a forced batch schedule (Workers 4) and the default (Workers 0)
-// produces byte-identical results — every usage counter, every
-// segment of every net, every aggregate.
+// TestRouteWorkerDeterminism pins the router's core contracts on the
+// same placed tile: the slab-backed RouteDesign at Workers 1, at forced
+// batch schedules (Workers 2 and 4) and at the default (Workers 0)
+// produces results byte-identical to the per-object serial router kept
+// as the oracle (oracle_test.go) — every usage and history counter,
+// every pin node and segment of every net, every per-route and
+// aggregate metric — and after the rip-up waves the incrementally
+// maintained usage equals a rebuild from the final routes.
 func TestRouteWorkerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tile routing in -short mode")
@@ -48,62 +52,60 @@ func TestRouteWorkerDeterminism(t *testing.T) {
 	d, die, blk := placedSmallTile(t)
 	b6, _ := tech.NewBEOL28("logic", 6)
 
-	type run struct {
-		workers int
-		db      *DB
-		res     *Result
+	refDB := NewDB(die, b6, blk, Options{Workers: 1})
+	ref, ripups, err := routeDesignOracle(d, refDB)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var runs []run
-	for _, w := range []int{1, 4, 0} {
+	if ripups == 0 {
+		t.Fatal("the oracle ripped up no net; the test needs negotiation waves")
+	}
+
+	for _, w := range []int{1, 2, 4, 0} {
 		db := NewDB(die, b6, blk, Options{Workers: w})
 		res, err := RouteDesign(d, db)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		runs = append(runs, run{w, db, res})
-	}
-
-	ref := runs[0]
-	for _, r := range runs[1:] {
-		if r.res.WL != ref.res.WL || r.res.Vias != ref.res.Vias ||
-			r.res.F2FBumps != ref.res.F2FBumps || r.res.Overflow != ref.res.Overflow {
+		if res.WL != ref.WL || res.Vias != ref.Vias ||
+			res.F2FBumps != ref.F2FBumps || res.Overflow != ref.Overflow {
 			t.Fatalf("workers=%d aggregates diverged: WL %v/%v vias %d/%d f2f %d/%d overflow %d/%d",
-				r.workers, r.res.WL, ref.res.WL, r.res.Vias, ref.res.Vias,
-				r.res.F2FBumps, ref.res.F2FBumps, r.res.Overflow, ref.res.Overflow)
+				w, res.WL, ref.WL, res.Vias, ref.Vias,
+				res.F2FBumps, ref.F2FBumps, res.Overflow, ref.Overflow)
 		}
-		for l, wl := range ref.res.WLPerLayer {
-			if r.res.WLPerLayer[l] != wl {
-				t.Fatalf("workers=%d layer %d WL %v, serial %v", r.workers, l, r.res.WLPerLayer[l], wl)
-			}
+		if !slices.Equal(res.WLPerLayer, ref.WLPerLayer) {
+			t.Fatalf("workers=%d per-layer WL %v, oracle %v", w, res.WLPerLayer, ref.WLPerLayer)
 		}
-		for i := range ref.db.usage {
-			if r.db.usage[i] != ref.db.usage[i] {
-				t.Fatalf("workers=%d usage[%d] = %d, serial %d", r.workers, i, r.db.usage[i], ref.db.usage[i])
-			}
+		if !slices.Equal(db.usage, refDB.usage) || !slices.Equal(db.f2fUse, refDB.f2fUse) ||
+			!slices.Equal(db.hist, refDB.hist) {
+			t.Fatalf("workers=%d usage / F2F usage / history diverged from the oracle", w)
 		}
-		for i := range ref.db.f2fUse {
-			if r.db.f2fUse[i] != ref.db.f2fUse[i] {
-				t.Fatalf("workers=%d f2fUse[%d] = %d, serial %d", r.workers, i, r.db.f2fUse[i], ref.db.f2fUse[i])
-			}
-		}
-		for id, rr := range ref.res.Routes {
-			pr := r.res.Routes[id]
+		for id, rr := range ref.Routes {
+			pr := res.Routes[id]
 			if (rr == nil) != (pr == nil) {
-				t.Fatalf("workers=%d net %d presence diverged", r.workers, id)
+				t.Fatalf("workers=%d net %d presence diverged", w, id)
 			}
 			if rr == nil {
 				continue
 			}
-			if len(pr.Segments) != len(rr.Segments) {
-				t.Fatalf("workers=%d net %d has %d segments, serial %d",
-					r.workers, id, len(pr.Segments), len(rr.Segments))
+			if pr.Net != rr.Net || pr.WL != rr.WL || pr.Vias != rr.Vias || pr.F2F != rr.F2F {
+				t.Fatalf("workers=%d net %d record %+v, oracle %+v", w, id, *pr, *rr)
 			}
-			for si := range rr.Segments {
-				if pr.Segments[si] != rr.Segments[si] {
-					t.Fatalf("workers=%d net %d segment %d = %v, serial %v",
-						r.workers, id, si, pr.Segments[si], rr.Segments[si])
-				}
+			if !slices.Equal(pr.PinNode, rr.PinNode) {
+				t.Fatalf("workers=%d net %d pin nodes %v, oracle %v", w, id, pr.PinNode, rr.PinNode)
 			}
+			if !slices.Equal(pr.Segments, rr.Segments) {
+				t.Fatalf("workers=%d net %d segments %v, oracle %v", w, id, pr.Segments, rr.Segments)
+			}
+			if cap(pr.Segments) != len(pr.Segments) {
+				t.Fatalf("workers=%d net %d: %d segments stored with capacity %d, want exact size",
+					w, id, len(pr.Segments), cap(pr.Segments))
+			}
+		}
+		usage, f2f := slices.Clone(db.usage), slices.Clone(db.f2fUse)
+		db.RebuildUsage(res)
+		if !slices.Equal(db.usage, usage) || !slices.Equal(db.f2fUse, f2f) {
+			t.Fatalf("workers=%d: usage after the rip-up waves differs from RebuildUsage", w)
 		}
 	}
 }

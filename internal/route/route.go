@@ -21,6 +21,7 @@ import (
 	"macro3d/internal/netlist"
 	"macro3d/internal/obs"
 	"macro3d/internal/obs/trace"
+	"macro3d/internal/slab"
 	"macro3d/internal/tech"
 )
 
@@ -40,10 +41,12 @@ type Options struct {
 	// die exactly). Used when composing tile arrays so routes can be
 	// translated between aligned grids.
 	Grid *geom.Grid
-	// Workers sets the routing worker count: 0 (default) uses every
-	// CPU (GOMAXPROCS), 1 runs the plain serial reference path, and
-	// n > 1 routes spatially disjoint net batches on n goroutines.
-	// Results are bit-identical at any setting.
+	// Workers selects the routing engine: 0 (default) means "fastest",
+	// which today is the serial reference path with net prep and the
+	// overflow scans fanned out over every CPU (GOMAXPROCS); 1 runs
+	// everything on one goroutine; n > 1 routes spatially disjoint net
+	// batches on n goroutines (the batch engine, see batch.go). Results
+	// are bit-identical at any setting.
 	Workers int
 	// Sharded enables the region-sharded fast engine (the CLI's
 	// -fast-route): the gcell grid splits into a fixed region grid and
@@ -125,6 +128,13 @@ type NetRoute struct {
 }
 
 // Result is the design-level routing outcome.
+//
+// The result owns the records of a bulk build — RouteDesign, Translate
+// over a tile array, a decoded snapshot: route records, pin nodes and
+// segments are carved from chunked slabs (NewRoute), and a chunk never
+// moves, so Routes keeps pointing at them. Routes that are replaced one
+// at a time (RouteNet's ECO routes, stored with SetRoute) are ordinary
+// heap objects and are collected when dropped.
 type Result struct {
 	Routes []*NetRoute // indexed by net ID (nil for clock/unrouted)
 
@@ -134,7 +144,37 @@ type Result struct {
 	F2FBumps   int
 	Overflow   int // gcell-layers above capacity after negotiation
 	OverflowWL float64
+
+	recs  slab.Slab[NetRoute]
+	nodes slab.Slab[Node]
+	segs  slab.Slab[Seg]
 }
+
+// Reserve sizes the result's slabs for a builder that knows what it
+// will add with NewRoute: that many more routes, pin nodes and
+// segments, each in one allocation.
+func (res *Result) Reserve(routes, pinNodes, segments int) {
+	res.recs.Reserve(routes)
+	res.nodes.Reserve(pinNodes)
+	res.segs.Reserve(segments)
+}
+
+// NewRoute carves a zero route record for net n out of the result's
+// slab and stores it under netID (growing the table like SetRoute). The
+// caller sizes PinNode and Segments with PinSpan and SegSpan and fills
+// them and the metrics in place.
+func (res *Result) NewRoute(netID int, n *netlist.Net) *NetRoute {
+	r := res.recs.Alloc()
+	r.Net = n
+	res.SetRoute(netID, r)
+	return r
+}
+
+// PinSpan returns k zero pin nodes from the result's slab (len == cap).
+func (res *Result) PinSpan(k int) []Node { return res.nodes.Span(k) }
+
+// SegSpan returns k zero segments from the result's slab (len == cap).
+func (res *Result) SegSpan(k int) []Seg { return res.segs.Span(k) }
 
 // DB is the routing database: capacities and usage per gcell per layer.
 type DB struct {
@@ -289,8 +329,11 @@ func (db *DB) congestionCost(i int) float64 {
 }
 
 // addUsage commits or releases (delta ±1) a route's occupancy.
-func (db *DB) addUsage(r *NetRoute, delta int32) {
-	for _, s := range r.Segments {
+func (db *DB) addUsage(r *NetRoute, delta int32) { db.addSegs(r.Segments, delta) }
+
+// addSegs adds delta to the occupancy under every segment, in order.
+func (db *DB) addSegs(segs []Seg, delta int32) {
+	for _, s := range segs {
 		if s.IsVia() {
 			lo := s.A.L
 			if s.B.L < lo {

@@ -345,7 +345,8 @@ func TestTranslateRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := res.Routes[0]
-	tr := TranslateRoute(r, 5, 7)
+	var out Result
+	tr := out.Translate(r.Net, r, 5, 7)
 	if len(tr.Segments) != len(r.Segments) {
 		t.Fatal("segment count changed")
 	}
@@ -360,7 +361,7 @@ func TestTranslateRoute(t *testing.T) {
 	}
 	// Original untouched.
 	if r.Segments[0].A.X != tr.Segments[0].A.X-5 {
-		t.Fatal("TranslateRoute mutated input")
+		t.Fatal("Translate mutated input")
 	}
 }
 

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -34,10 +35,15 @@ type routeMetrics struct {
 // over the database's grid, then runs negotiation iterations until
 // overflow clears or the iteration budget is spent.
 //
-// With Options.Workers != 1 the initial pass and every negotiation
+// With Options.Workers > 1 the initial pass and every negotiation
 // wave execute as deterministic spatially-disjoint batches (see
 // batch.go); results are bit-identical to the serial reference at any
 // worker count.
+//
+// The per-net records are not one heap object each: route records, pin
+// nodes, tasks and MST edges are sized once from the pin counts and
+// filled in spans, and a net's segments are stored exact-size in its
+// worker's arena (Result doc, DESIGN.md §17).
 func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 	t0 := time.Now()
 	workers := par.Workers(db.opt.Workers)
@@ -76,8 +82,6 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		"Rip-up-and-reroute negotiation iterations executed.")
 	ripupC := reg.Counter("route_ripup_nets_total",
 		"Overflowed nets ripped up and rerouted during negotiation.")
-	failC := reg.Counter("route_reroute_failed_total",
-		"Rip-up attempts that kept the old route after a failed reroute.")
 	overG := reg.Gauge("route_overflow_gcells",
 		"Gcell-layers above capacity after the latest negotiation state.")
 	reg.Gauge("route_workers",
@@ -116,11 +120,29 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 	}
 
 	// Net prep (pin nodes, MST decomposition) is a pure function of
-	// the placement, so it parallelizes freely.
-	tasks := make([]*netTask, len(order))
+	// the placement, so it parallelizes freely and happens once: a
+	// rip-up wave reuses its victims' tasks and route records. Spans are
+	// laid out serially, then filled by the workers.
+	nPins := 0
+	for _, n := range order {
+		nPins += n.NumPins()
+	}
+	res.Reserve(len(order), nPins, 0)
+	tasks := make([]netTask, len(d.Nets)) // by net ID
+	edges := make([][2]int, nPins-len(order))
+	wave := make([]*netTask, len(order))
+	for i, n := range order {
+		np := n.NumPins()
+		t := &tasks[n.ID]
+		t.net = n
+		t.route = res.NewRoute(n.ID, n)
+		t.route.PinNode = res.PinSpan(np)
+		t.edges, edges = edges[:0:np-1], edges[np-1:]
+		wave[i] = t
+	}
 	errs := make([]error, len(order))
 	met.busy += par.ItemsTr(met.ts, "route/prep", workers, len(order), func(w, i int) {
-		tasks[i], errs[i] = db.prepTask(order[i])
+		errs[i] = db.prepTask(wave[i], pool[w])
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -128,10 +150,8 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		}
 	}
 
-	routeWave(tasks, false, workers, pool, met, func(t *netTask) {
-		db.addUsage(t.route, 1)
-		res.Routes[t.net.ID] = t.route
-	})
+	commit := func(t *netTask) { db.addUsage(t.route, 1) }
+	routeWave(wave, false, workers, pool, met, commit)
 	routedC.Add(uint64(len(order)))
 
 	// Negotiated rip-up and reroute. Early iterations reroute with
@@ -160,21 +180,13 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 			victims = victims[:maxVictims]
 		}
 		useMaze := it >= 2
-		vt := make([]*netTask, 0, len(victims))
+		wave = wave[:0]
 		for _, n := range victims {
-			t, err := db.prepTask(n)
-			if err != nil {
-				// Keep the old route rather than fail the design.
-				failC.Inc()
-				continue
-			}
-			t.old = res.Routes[n.ID]
-			vt = append(vt, t)
+			t := &tasks[n.ID]
+			t.old = t.route.Segments
+			wave = append(wave, t)
 		}
-		routeWave(vt, useMaze, workers, pool, met, func(t *netTask) {
-			db.addUsage(t.route, 1)
-			res.Routes[t.net.ID] = t.route
-		})
+		routeWave(wave, useMaze, workers, pool, met, commit)
 		ripupC.Add(uint64(len(victims)))
 		itsl.End(trace.N("iter", int64(it)), trace.N("victims", int64(len(victims))),
 			trace.N("overflow", int64(over)))
@@ -237,14 +249,22 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 
 // RouteNet routes a single net against current congestion and commits
 // its usage. Used by the optimizer for incrementally created nets
-// (buffer insertion) and by flows for ECO reroutes.
+// (buffer insertion) and by flows for ECO reroutes. The route is three
+// heap objects of its own (record, pin nodes, exact-size segments), not
+// slab records: a later reroute or rollback drops it and it must be
+// collectable alone.
 func (db *DB) RouteNet(n *netlist.Net) (*NetRoute, error) {
-	t, err := db.prepTask(n)
-	if err != nil {
+	s := db.scratch()
+	np := n.NumPins()
+	r := &NetRoute{Net: n, PinNode: make([]Node, np)}
+	s.edges = slices.Grow(s.edges[:0], np)
+	t := netTask{net: n, route: r, edges: s.edges}
+	if err := db.prepTask(&t, s); err != nil {
 		return nil, err
 	}
-	db.routeTask(t, false, db.scratch())
-	r := t.route
+	if segs := db.routeTask(&t, false, s); len(segs) > 0 {
+		r.Segments = slices.Clone(segs)
+	}
 	db.opt.Obs.Reg().Counter("route_eco_reroutes_total",
 		"Single-net ECO routes (optimizer buffer nets and reroutes).").Inc()
 	db.addUsage(r, 1)
@@ -262,19 +282,21 @@ func (db *DB) RouteNet(n *netlist.Net) (*NetRoute, error) {
 	return r, nil
 }
 
-// TranslateRoute returns a copy of a route shifted by (dx, dy) gcells
-// — the tile-array composition primitive (routes replicate with their
-// tile copy; grids must be aligned).
-func TranslateRoute(r *NetRoute, dx, dy int) *NetRoute {
-	t := &NetRoute{Net: r.Net, WL: r.WL, Vias: r.Vias, F2F: r.F2F}
-	t.Segments = make([]Seg, len(r.Segments))
+// Translate stores, as net n's route, a copy of route r shifted by
+// (dx, dy) gcells — the tile-array composition primitive (routes
+// replicate with their tile copy; grids must be aligned). The copy is
+// carved from the result's slabs; Reserve first when the array size is
+// known.
+func (res *Result) Translate(n *netlist.Net, r *NetRoute, dx, dy int) *NetRoute {
+	t := res.NewRoute(n.ID, n)
+	t.PinNode, t.Segments = res.PinSpan(len(r.PinNode)), res.SegSpan(len(r.Segments))
+	t.WL, t.Vias, t.F2F = r.WL, r.Vias, r.F2F
 	for i, s := range r.Segments {
 		t.Segments[i] = Seg{
 			A: Node{X: s.A.X + dx, Y: s.A.Y + dy, L: s.A.L},
 			B: Node{X: s.B.X + dx, Y: s.B.Y + dy, L: s.B.L},
 		}
 	}
-	t.PinNode = make([]Node, len(r.PinNode))
 	for i, n := range r.PinNode {
 		t.PinNode[i] = Node{X: n.X + dx, Y: n.Y + dy, L: n.L}
 	}

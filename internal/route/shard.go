@@ -153,8 +153,8 @@ func (db *DB) shardPlanFor() *shardPlan {
 // schedule: up-front ordered rip-up releases, boundary nets through
 // the deterministic batch engine (in order), then every region's
 // local nets concurrently. commit(t) must only write state disjoint
-// per net (usage along the route, the net's result slot) — the same
-// contract routeAll's batch commits rely on.
+// per net (usage along the route) — the same contract routeAll's batch
+// commits rely on.
 func (db *DB) routeAllSharded(tasks []*netTask, maze bool, workers int, pool []*mazeScratch,
 	met *routeMetrics, commit func(*netTask)) {
 
@@ -167,8 +167,8 @@ func (db *DB) routeAllSharded(tasks []*netTask, maze bool, workers int, pool []*
 	rsp := met.main.Begin("route", "route/shard-release")
 	released := 0
 	for _, t := range tasks {
-		if t.old != nil {
-			db.addUsage(t.old, -1)
+		if len(t.old) > 0 {
+			db.addSegs(t.old, -1)
 			t.old = nil
 			released++
 		}
@@ -208,7 +208,7 @@ func (db *DB) routeAllSharded(tasks []*netTask, maze bool, workers int, pool []*
 	met.busy += par.ItemsTr(met.ts, "route/shard", workers, nr, func(w, r int) {
 		s := pool[w]
 		for _, t := range buckets[r] {
-			db.routeTask(t, maze, s)
+			db.routeStored(t, maze, s)
 			commit(t)
 		}
 	})

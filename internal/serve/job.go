@@ -227,6 +227,10 @@ func (j *Job) finish(state JobState, result, errMsg string, stageErr *StageFailu
 		j.mu.Unlock()
 		return ""
 	}
+	// Flush the event stream (idempotent) before the terminal state is
+	// visible: a client that polls "done" and then fetches /events must
+	// find the whole stream, not what had left the sink's buffer.
+	j.rec.Close()
 	j.state = state
 	j.result = result
 	j.err = errMsg
@@ -234,7 +238,6 @@ func (j *Job) finish(state JobState, result, errMsg string, stageErr *StageFailu
 	j.abandoned = abandoned
 	j.finished = time.Now()
 	j.mu.Unlock()
-	j.rec.Close() // flush the event stream; idempotent
 	close(j.done)
 	return state
 }

@@ -436,13 +436,18 @@ func (e *Engine) Invalidate(nets, insts []int, topo bool) {
 }
 
 // Run performs a full from-scratch analysis (also discarding any
-// pending invalidation — everything is recomputed anyway).
+// pending invalidation — every arrival is recomputed anyway). The
+// topology caches are derived again only when a topology or master edit
+// was invalidated since they were last built: the one-shot Analyze
+// (NewEngine, then Run) levelizes once.
 func (e *Engine) Run(period float64) (*Report, error) {
 	if err := e.ex.CheckFinite(); err != nil {
 		return nil, fmt.Errorf("sta: %w", err)
 	}
-	if err := e.rebuildTopo(); err != nil {
-		return nil, err
+	if e.pendTopo || len(e.pendInsts) > 0 {
+		if err := e.rebuildTopo(); err != nil {
+			return nil, err
+		}
 	}
 	e.pendNets, e.pendInsts, e.pendTopo = e.pendNets[:0], e.pendInsts[:0], false
 

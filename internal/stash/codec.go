@@ -203,6 +203,21 @@ func (d *Dec) sliceLen(elemSize int) int {
 	return int(n)
 }
 
+// Count reads an Int written as an element count and validates it
+// against the remaining input at elemSize encoded bytes per element, so
+// a decoder may size an allocation by it.
+func (d *Dec) Count(elemSize int) int {
+	n := d.Int()
+	if d.err != nil {
+		return 0
+	}
+	if n < 0 || n > (len(d.b)-d.off)/elemSize {
+		d.fail("count %d exceeds remaining input", n)
+		return 0
+	}
+	return n
+}
+
 // Str reads a length-prefixed string.
 func (d *Dec) Str() string {
 	n := d.sliceLen(1)
