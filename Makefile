@@ -20,15 +20,15 @@ vet:
 ## incremental-engine packages. Includes the ddb equivalence property
 ## test (parallel extract/STA at GOMAXPROCS 4) and the flows
 ## worker-equivalence tests — default and -analytic-place — which
-## audit the parallel router and placers for data races while
+## audit the engines' fanned-out phases for data races while
 ## asserting identical PPA against the -j 1 serial reference; under
 ## -race both run reduced configs — see the race_on_test.go files.
 ## internal/place rides along for the analytic placer's own
 ## determinism and quality tests, internal/extract and internal/sta for
 ## their per-worker and engine-owned scratch, internal/slab,
 ## internal/netlist and internal/piton for the slab-backed design records,
-## and internal/route for the per-worker segment arenas and span-filling
-## net prep under the batch and sharded engines.
+## and internal/route for the span-filling net prep and the overflow
+## scan around the ordered routing pass.
 race:
 	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/ ./internal/stash/ ./internal/serve/ ./internal/extract/ ./internal/sta/ ./internal/slab/ ./internal/netlist/ ./internal/piton/
 	$(GO) test -race -timeout 30m ./internal/flows/ ./internal/ddb/ ./internal/opt/ ./internal/place/ ./internal/route/
@@ -92,8 +92,8 @@ serve-load:
 faults:
 	$(GO) test -race -v -run 'TestInjection|TestOffGrid|TestCleanFlows' ./internal/faults/
 
-## bench: the incremental-optimizer comparison — TableII end to end plus
-## the Optimize full-vs-incremental micro-benchmarks — and the design
+## bench: the optimizer benchmarks — TableII end to end plus the
+## Optimize, rollback and STA-update micro-benchmarks — and the design
 ## construction benchmarks (Generate small/large, Abut 4×4, with
 ## allocs/op), recorded as machine-readable BENCH_opt.json.
 bench:
@@ -116,11 +116,11 @@ bench-flow:
 	cat BENCH_flow.jsonl
 	$(GO) run ./cmd/benchjson -ledger BENCH_flow.json -commit $(FLOW_COMMIT) $(FLOW_WORKLOADS) < BENCH_flow.jsonl
 
-## bench-route: the parallel-engine comparison — the large-cache tile
+## bench-route: the worker-count comparison — the large-cache tile
 ## and the flat BENCH_SIZE×BENCH_SIZE tile array, serial (-j 1) vs the
-## default parallel engines vs -fast-route (sharded router, banded
-## legalizer) vs -analytic-place (electrostatics placer) at BENCH_J
-## pinned workers — recorded as machine-readable BENCH_route.json with
+## same engines at BENCH_J pinned workers (for route: the prep and
+## overflow-scan fan-out around the ordered pass) vs -analytic-place
+## (electrostatics placer) — recorded as machine-readable BENCH_route.json with
 ## stddev/CV, a noise verdict per speedup pair, and the analytic
 ## placer's HPWL-over-default quality ratio. Knobs: BENCH_COUNT
 ## repetitions, BENCH_SIZE array edge, BENCH_J workers, e.g.

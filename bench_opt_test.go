@@ -96,14 +96,6 @@ func BenchmarkOptimizeIncremental(b *testing.B) {
 	benchOptimize(b, opt.Options{})
 }
 
-// BenchmarkOptimizeFull forces a from-scratch STA pass per iteration —
-// the pre-refactor analysis cost on identical edit decisions (both
-// configurations produce bit-identical reports; the equivalence test
-// in internal/ddb asserts exactly that).
-func BenchmarkOptimizeFull(b *testing.B) {
-	benchOptimize(b, opt.Options{FullRecompute: true})
-}
-
 // criticalArc returns the net and sink index of the first wire arc of
 // the pre-opt state's critical path, with its timing engine run once.
 func criticalArc(b *testing.B, ctx *opt.Context) (*sta.Engine, *netlist.Net, int) {

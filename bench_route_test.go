@@ -1,16 +1,17 @@
 // Routing and placement engine benchmarks: the large-cache tile's
 // route stage and global-placement stage, serial reference (Workers 1)
-// against the parallel engines at a pinned worker count (BENCH_ROUTE_J,
-// default 8). Default-mode serial and parallel produce bit-identical
-// results — TestWorkerEquivalence asserts exactly that — so the ratio
-// measures scheduling, not quality drift. The flat N×N benchmarks add
-// the -fast-route configurations (sharded router, banded legalizer),
-// which are deterministic at any worker count but trade bit-identity
-// with the default engines for concurrency. `make bench-route` records
-// everything in BENCH_route.json; on a host whose GOMAXPROCS caps real
-// concurrency the wall-clock ratios saturate at the core count and the
-// *_cp_speedup metrics report what the recorded fork-join structure
-// supports.
+// against the same engines at a pinned worker count (BENCH_ROUTE_J,
+// default 8). Serial and parallel produce bit-identical results —
+// TestWorkerEquivalence asserts exactly that — so the ratio measures
+// scheduling, not quality drift. Routing is one ordered pass at every
+// worker count, so a "parallel" route row measures what the net-prep
+// and overflow-scan fan-out buys; the place rows measure the
+// solve/spread/row-building fan-out. The flat N×N benchmarks repeat
+// both on one large flat design and add the -analytic-place engine.
+// `make bench-route` records everything in BENCH_route.json; on a host
+// whose GOMAXPROCS caps real concurrency the wall-clock ratios saturate
+// at the core count and the *_cp_speedup metrics report what the
+// recorded fork-join structure supports.
 package macro3d_test
 
 import (
@@ -213,15 +214,12 @@ func BenchmarkPlace(b *testing.B) {
 
 // --- Flat N×N array benchmarks ---
 //
-// The sharded router's case: a single flat design big enough that the
-// region decomposition has real work per region. The placed large-cache
-// tile is abutted N×N into ONE flat netlist (piton.Abut — the paper's
+// One flat design N² times the tile: the placed large-cache tile is
+// abutted N×N into ONE flat netlist (piton.Abut — the paper's
 // §V-1 composition) and then placed/routed from scratch as a flat
 // problem: no per-tile route replication, no hierarchy. serial is the
-// -j 1 reference; parallel is the default deterministic batch engine at
-// the pinned worker count; sharded adds -fast-route (region-sharded
-// concurrent routing, deterministic at any -j but not bit-identical to
-// the default engine — see DESIGN.md §15).
+// -j 1 reference; parallel is the same engines at the pinned worker
+// count.
 
 var flatBench struct {
 	once sync.Once
@@ -277,14 +275,14 @@ func flatBenchSetup(b *testing.B) {
 	}
 }
 
-func benchRouteFlat(b *testing.B, workers int, sharded bool) {
+func benchRouteFlat(b *testing.B, workers int) {
 	flatBenchSetup(b)
 	b.ResetTimer()
 	var last *route.Result
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		db := route.NewDB(flatBench.die, routeBench.t.Logic, flatBench.fp.RouteBlk,
-			route.Options{Workers: workers, Sharded: sharded})
+			route.Options{Workers: workers})
 		b.StartTimer()
 		res, err := route.RouteDesign(flatBench.d, db)
 		if err != nil {
@@ -301,7 +299,7 @@ func benchRouteFlat(b *testing.B, workers int, sharded bool) {
 	b.StopTimer()
 	tr := trace.New()
 	db := route.NewDB(flatBench.die, routeBench.t.Logic, flatBench.fp.RouteBlk,
-		route.Options{Workers: workers, Sharded: sharded, Trace: tr})
+		route.Options{Workers: workers, Trace: tr})
 	if _, err := route.RouteDesign(flatBench.d, db); err != nil {
 		b.Fatal(err)
 	}
@@ -309,18 +307,17 @@ func benchRouteFlat(b *testing.B, workers int, sharded bool) {
 }
 
 func BenchmarkRouteFlat(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchRouteFlat(b, 1, false) })
-	b.Run("parallel", func(b *testing.B) { benchRouteFlat(b, benchWorkers(), false) })
-	b.Run("sharded", func(b *testing.B) { benchRouteFlat(b, benchWorkers(), true) })
+	b.Run("serial", func(b *testing.B) { benchRouteFlat(b, 1) })
+	b.Run("parallel", func(b *testing.B) { benchRouteFlat(b, benchWorkers()) })
 }
 
-func benchPlaceFlat(b *testing.B, workers int, fast, analytic bool) {
+func benchPlaceFlat(b *testing.B, workers int, analytic bool) {
 	flatBenchSetup(b)
 	b.ResetTimer()
 	var last *place.Result
 	for i := 0; i < b.N; i++ {
 		res, err := place.Place(flatBench.d, flatBench.fp, routeBench.t.RowHeight,
-			place.Options{Seed: 2, Workers: workers, Fast: fast, Analytic: analytic})
+			place.Options{Seed: 2, Workers: workers, Analytic: analytic})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -334,13 +331,13 @@ func benchPlaceFlat(b *testing.B, workers int, fast, analytic bool) {
 	b.StopTimer()
 	tr := trace.New()
 	if _, err := place.Place(flatBench.d, flatBench.fp, routeBench.t.RowHeight,
-		place.Options{Seed: 2, Workers: workers, Fast: fast, Analytic: analytic, Trace: tr}); err != nil {
+		place.Options{Seed: 2, Workers: workers, Analytic: analytic, Trace: tr}); err != nil {
 		b.Fatal(err)
 	}
 	reportTraceStats(b, tr, "place")
 	// Leave the canonical default-mode placement behind for any later
 	// route benchmark iteration in the same process.
-	if fast || analytic {
+	if analytic {
 		if _, err := place.Place(flatBench.d, flatBench.fp, routeBench.t.RowHeight,
 			place.Options{Seed: 2}); err != nil {
 			b.Fatal(err)
@@ -353,8 +350,7 @@ func benchPlaceFlat(b *testing.B, workers int, fast, analytic bool) {
 // records as flat_place_analytic_hpwl_over_default — ≤ 1.0 is the
 // engine's acceptance bound.
 func BenchmarkPlaceFlat(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchPlaceFlat(b, 1, false, false) })
-	b.Run("parallel", func(b *testing.B) { benchPlaceFlat(b, benchWorkers(), false, false) })
-	b.Run("fast", func(b *testing.B) { benchPlaceFlat(b, benchWorkers(), true, false) })
-	b.Run("analytic", func(b *testing.B) { benchPlaceFlat(b, benchWorkers(), false, true) })
+	b.Run("serial", func(b *testing.B) { benchPlaceFlat(b, 1, false) })
+	b.Run("parallel", func(b *testing.B) { benchPlaceFlat(b, benchWorkers(), false) })
+	b.Run("analytic", func(b *testing.B) { benchPlaceFlat(b, benchWorkers(), true) })
 }

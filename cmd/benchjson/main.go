@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // machine-readable JSON summary on stdout. `make bench` pipes the
-// optimizer benchmarks through it to produce BENCH_opt.json, so the
-// incremental-vs-full comparison is recorded alongside the repo.
+// optimizer and design-construction benchmarks through it to produce
+// BENCH_opt.json, recorded alongside the repo.
 //
 // Usage:
 //
@@ -71,7 +71,7 @@ type summary struct {
 	Env map[string]float64 `json:"env,omitempty"`
 
 	// Quality compares result metrics rather than runtimes: the flat
-	// placement benchmark's HPWL under each alternative engine over the
+	// placement benchmark's HPWL under the analytic engine over the
 	// default quadratic engine's. flat_place_analytic_hpwl_over_default
 	// ≤ 1.0 is the -analytic-place acceptance bound (DESIGN.md §16).
 	Quality map[string]float64 `json:"quality,omitempty"`
@@ -80,7 +80,7 @@ type summary struct {
 	// benchmarks report (per-phase worker occupancy, serial fraction,
 	// Amdahl ceiling at the pinned worker count, critical-path speedup)
 	// to the top level, keyed "<metric>/<variant>", e.g.
-	// "route_occupancy/parallel" or "route_cp_speedup/flat_sharded".
+	// "route_occupancy/parallel" or "place_cp_speedup/flat_analytic".
 	Parallelism map[string]float64 `json:"parallelism,omitempty"`
 }
 
@@ -208,25 +208,17 @@ func main() {
 		}
 		out.Benchmarks = append(out.Benchmarks, e)
 	}
-	// The headline ratio: full-recompute optimization vs incremental.
-	inc, okI := byName["BenchmarkOptimizeIncremental"]
-	if full, ok := byName["BenchmarkOptimizeFull"]; ok && okI && inc.MeanNsOp > 0 {
-		out.Speedup["optimize_full_over_incremental"] = full.MeanNsOp / inc.MeanNsOp
-	}
-	// Parallel-engine ratios (`make bench-route`): serial reference
-	// over the parallel engine at the pinned worker count. The default
-	// engines produce bit-identical results, so >1 is pure scheduling
-	// win; the flat sharded/fast ratios additionally buy concurrency
-	// with the -fast-route engines (deterministic, not bit-identical).
-	// Every ratio carries a SpeedupStats twin with the noise verdict.
+	// Worker-count ratios (`make bench-route`): the serial reference
+	// over the same engine at the pinned worker count. Results are
+	// bit-identical on both sides, so >1 is pure scheduling win (the
+	// analytic row compares engines, not worker counts). Every ratio
+	// carries a SpeedupStats twin with the noise verdict.
 	out.SpeedupStats = map[string]*pairStats{}
 	for _, pr := range [][3]string{
 		{"BenchmarkRouteDesign/serial", "BenchmarkRouteDesign/parallel", "route_serial_over_parallel"},
 		{"BenchmarkPlace/serial", "BenchmarkPlace/parallel", "place_serial_over_parallel"},
 		{"BenchmarkRouteFlat/serial", "BenchmarkRouteFlat/parallel", "flat_route_serial_over_parallel"},
-		{"BenchmarkRouteFlat/serial", "BenchmarkRouteFlat/sharded", "flat_route_serial_over_sharded"},
 		{"BenchmarkPlaceFlat/serial", "BenchmarkPlaceFlat/parallel", "flat_place_serial_over_parallel"},
-		{"BenchmarkPlaceFlat/serial", "BenchmarkPlaceFlat/fast", "flat_place_serial_over_fast"},
 		{"BenchmarkPlaceFlat/serial", "BenchmarkPlaceFlat/analytic", "flat_place_serial_over_analytic"},
 	} {
 		ser, okS := byName[pr[0]]
@@ -257,18 +249,13 @@ func main() {
 	if len(out.Speedup) == 0 {
 		out.Speedup = nil
 	}
-	// Quality ratios (`make bench-route`): HPWL of the flat placement
-	// under the alternative engines over the default engine's. <1 means
-	// the engine places tighter; the analytic row must stay ≤1.
+	// Quality ratio (`make bench-route`): HPWL of the flat placement
+	// under the analytic engine over the default engine's. <1 means it
+	// places tighter; the row must stay ≤1.
 	out.Quality = map[string]float64{}
 	if ref, ok := byName["BenchmarkPlaceFlat/serial"]; ok && ref.Metrics["HPWL_m"] > 0 {
-		for _, qr := range [][2]string{
-			{"BenchmarkPlaceFlat/fast", "flat_place_fast_hpwl_over_default"},
-			{"BenchmarkPlaceFlat/analytic", "flat_place_analytic_hpwl_over_default"},
-		} {
-			if e, ok := byName[qr[0]]; ok && e.Metrics["HPWL_m"] > 0 {
-				out.Quality[qr[1]] = e.Metrics["HPWL_m"] / ref.Metrics["HPWL_m"]
-			}
+		if e, ok := byName["BenchmarkPlaceFlat/analytic"]; ok && e.Metrics["HPWL_m"] > 0 {
+			out.Quality["flat_place_analytic_hpwl_over_default"] = e.Metrics["HPWL_m"] / ref.Metrics["HPWL_m"]
 		}
 	}
 	if len(out.Quality) == 0 {
@@ -286,10 +273,8 @@ func main() {
 		{"BenchmarkPlace/parallel", "parallel"},
 		{"BenchmarkRouteFlat/serial", "flat_serial"},
 		{"BenchmarkRouteFlat/parallel", "flat_parallel"},
-		{"BenchmarkRouteFlat/sharded", "flat_sharded"},
 		{"BenchmarkPlaceFlat/serial", "flat_serial"},
 		{"BenchmarkPlaceFlat/parallel", "flat_parallel"},
-		{"BenchmarkPlaceFlat/fast", "flat_fast"},
 		{"BenchmarkPlaceFlat/analytic", "flat_analytic"},
 	} {
 		e := byName[vp[0]]

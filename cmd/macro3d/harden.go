@@ -31,7 +31,7 @@ func hardenMain(args []string) int {
 		config   = fs.String("config", "tiny", "tile configuration: small, large or tiny")
 		flowKind = fs.String("flow", "macro3d", "sub-block signoff flow: macro3d or 2d")
 		seed     = fs.Uint64("seed", 1, "deterministic seed")
-		jobs     = fs.Int("j", 0, "worker count (0 = fastest, see macro3d -j; results are bit-identical at any setting)")
+		jobs     = fs.Int("j", 0, "worker count of the data-parallel engine phases (0 = every CPU, see macro3d -j; results are bit-identical at any setting)")
 		metals   = fs.Int("macrodiemetals", 6, "macro-die metal layers (macro3d flow)")
 		array    = fs.Int("array", 0, "instantiate an N×N abstract array as the hierarchical parent flow")
 		verify   = fs.Bool("verify", true, "run independent sign-off verification on the parent array")

@@ -70,7 +70,7 @@ func main() {
 	// Cleanups (profile flushes, event-stream commits) must run even on
 	// a failing exit, so the exit status is decided after realMain
 	// returns.
-	os.Exit(realMain())
+	os.Exit(realMain(os.Args[1:]))
 }
 
 // atomicFile writes to a temporary file next to the destination and
@@ -130,37 +130,85 @@ type cleanup struct {
 	fn   func() error
 }
 
-func realMain() (code int) {
-	var (
-		flow          = flag.String("flow", "", "run one flow: 2d, macro3d, s2d, bfs2d, c2d")
-		experiment    = flag.String("experiment", "", "run an experiment: table1, table2, table3, isoperf, flowtrace, sweepblockage, sweeppitch, heterotech")
-		config        = flag.String("config", "small", "tile configuration: small, large or tiny")
-		seed          = flag.Uint64("seed", 1, "deterministic seed")
-		jobs          = flag.Int("j", 0, "routing/placement worker count (0 = fastest: parallel placement, serial routing pass; 1 = serial; N > 1 = N workers incl. the batch router; results are bit-identical at any setting)")
-		metals        = flag.Int("macrodiemetals", 6, "macro-die metal layers (3D flows)")
-		array         = flag.Int("array", 0, "after -flow 2d/macro3d: verify an N×N abutted tile array")
-		timeout       = flag.Duration("timeout", 0, "cancel the run after this duration (0 = no limit)")
-		keepGoing     = flag.Bool("keep-going", false, "in table experiments, skip failed columns and print the partial table")
-		cacheDir      = flag.String("cache-dir", "", "content-addressed stage cache directory: snapshots of completed stages skip recomputation on later runs")
-		resume        = flag.Bool("resume", false, "resume from cached stage snapshots (implies -cache-dir "+defaultCacheDir+" when unset)")
-		cacheVerify   = flag.Bool("cache-verify", false, "paranoia mode: re-run cached stages and fail unless the snapshot matches bit-for-bit")
-		cacheMax      = flag.Int64("cache-max-bytes", 0, "stage cache byte budget: evict least-recently-used snapshots to stay under this size (0 = unlimited)")
-		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile    = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		events        = flag.String("events", "", "write the observability JSONL event stream (spans, metric samples, fault tags) to this file")
-		obsAddr       = flag.String("obs-addr", "", "serve live observability endpoints (/metrics, /metrics.json, /debug/vars, /debug/pprof/) on this address, e.g. :9090 or 127.0.0.1:0")
-		metricsOut    = flag.String("metrics-out", "", "write a final Prometheus text snapshot of the run's metrics to this file")
-		obsLinger     = flag.Duration("obs-linger", 0, "with -obs-addr: keep serving this long after a successful run (live inspection, smoke tests)")
-		traceOut      = flag.String("trace", "", "record the engines' per-worker execution timeline and write it as Chrome trace-event JSON (Perfetto / chrome://tracing; analyze with 'macro3d trace-report -in')")
-		fastRoute     = flag.Bool("fast-route", false, "region-sharded router and banded legalizer: deterministic at any -j but NOT bit-identical to the default engines; PPA stays within the bounds documented in DESIGN.md §15")
-		fastVerify    = flag.Bool("fast-route-verify", false, "with -fast-route: re-route serially with the default engine and fail unless the fast result is within the documented wirelength/overflow bounds")
-		analyticPlace = flag.Bool("analytic-place", false, "electrostatics-style analytical global placer (WA wirelength + Poisson density, die-aware F2F-bump weighting): deterministic at any -j but NOT bit-identical to the default quadratic placer; HPWL no worse on the reference tiles (DESIGN.md §16)")
-	)
-	flag.Parse()
+// options is the parsed command line of the flow/experiment mode.
+type options struct {
+	flow, experiment, config string
+	seed                     uint64
+	jobs, metals, array      int
+	timeout                  time.Duration
+	keepGoing                bool
 
-	if *flow == "" && *experiment == "" {
-		flag.Usage()
+	cacheDir            string
+	resume, cacheVerify bool
+	cacheMax            int64
+
+	cpuProfile, memProfile             string
+	events, obsAddr, metricsOut, trace string
+	obsLinger                          time.Duration
+
+	analyticPlace bool
+}
+
+// newFlagSet declares the flow/experiment mode's flags over o.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("macro3d", flag.ContinueOnError)
+	fs.StringVar(&o.flow, "flow", "", "run one flow: 2d, macro3d, s2d, bfs2d, c2d")
+	fs.StringVar(&o.experiment, "experiment", "", "run an experiment: table1, table2, table3, isoperf, flowtrace, sweepblockage, sweeppitch, heterotech")
+	fs.StringVar(&o.config, "config", "small", "tile configuration: small, large or tiny")
+	fs.Uint64Var(&o.seed, "seed", 1, "deterministic seed")
+	fs.IntVar(&o.jobs, "j", 0, "worker count of the data-parallel engine phases — placement solve/spread, row building, route net prep and overflow scan, extraction (0 = every CPU, 1 = one goroutine); the routing pass and the legalization sweep are ordered and always serial; results are bit-identical at any setting")
+	fs.IntVar(&o.metals, "macrodiemetals", 6, "macro-die metal layers (3D flows)")
+	fs.IntVar(&o.array, "array", 0, "after -flow 2d/macro3d: verify an N×N abutted tile array")
+	fs.DurationVar(&o.timeout, "timeout", 0, "cancel the run after this duration (0 = no limit)")
+	fs.BoolVar(&o.keepGoing, "keep-going", false, "in table experiments, skip failed columns and print the partial table")
+	fs.StringVar(&o.cacheDir, "cache-dir", "", "content-addressed stage cache directory: snapshots of completed stages skip recomputation on later runs")
+	fs.BoolVar(&o.resume, "resume", false, "resume from cached stage snapshots (implies -cache-dir "+defaultCacheDir+" when unset)")
+	fs.BoolVar(&o.cacheVerify, "cache-verify", false, "paranoia mode: re-run cached stages and fail unless the snapshot matches bit-for-bit")
+	fs.Int64Var(&o.cacheMax, "cache-max-bytes", 0, "stage cache byte budget: evict least-recently-used snapshots to stay under this size (0 = unlimited)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&o.events, "events", "", "write the observability JSONL event stream (spans, metric samples, fault tags) to this file")
+	fs.StringVar(&o.obsAddr, "obs-addr", "", "serve live observability endpoints (/metrics, /metrics.json, /debug/vars, /debug/pprof/) on this address, e.g. :9090 or 127.0.0.1:0")
+	fs.StringVar(&o.metricsOut, "metrics-out", "", "write a final Prometheus text snapshot of the run's metrics to this file")
+	fs.DurationVar(&o.obsLinger, "obs-linger", 0, "with -obs-addr: keep serving this long after a successful run (live inspection, smoke tests)")
+	fs.StringVar(&o.trace, "trace", "", "record the engines' per-worker execution timeline and write it as Chrome trace-event JSON (Perfetto / chrome://tracing; analyze with 'macro3d trace-report -in')")
+	fs.BoolVar(&o.analyticPlace, "analytic-place", false, "electrostatics-style analytical global placer (WA wirelength + Poisson density, die-aware F2F-bump weighting): deterministic at any -j but NOT bit-identical to the default quadratic placer; HPWL no worse on the reference tiles (DESIGN.md §16)")
+	return fs
+}
+
+// validate rejects flag combinations no run could honour, before any
+// work is done.
+func (o *options) validate() error {
+	if o.array > 1 && o.flow != "2d" && o.flow != "macro3d" {
+		return errors.New("-array requires -flow 2d or macro3d")
+	}
+	if o.cacheVerify && o.cacheDir == "" && !o.resume {
+		return errors.New("-cache-verify needs -cache-dir or -resume")
+	}
+	return nil
+}
+
+func realMain(args []string) (code int) {
+	var o options
+	fs := newFlagSet(&o)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
+	}
+	if o.flow == "" && o.experiment == "" {
+		fs.Usage()
+		return 2
+	}
+	if err := o.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "macro3d:", err)
+		return 2
+	}
+	pc, err := tileConfig(o.config)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "macro3d:", err)
+		return 1
 	}
 
 	// Cleanups run last-registered-first on every exit path, so a
@@ -179,8 +227,8 @@ func realMain() (code int) {
 		}
 	}()
 
-	if *cpuProfile != "" {
-		f, err := createAtomic(*cpuProfile)
+	if o.cpuProfile != "" {
+		f, err := createAtomic(o.cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "macro3d: -cpuprofile:", err)
 			return 1
@@ -195,8 +243,8 @@ func realMain() (code int) {
 			return f.Commit()
 		}})
 	}
-	if *memProfile != "" {
-		path := *memProfile
+	if o.memProfile != "" {
+		path := o.memProfile
 		cleanups = append(cleanups, cleanup{"-memprofile", func() error {
 			f, err := createAtomic(path)
 			if err != nil {
@@ -215,11 +263,11 @@ func realMain() (code int) {
 	// rec stays nil and the flows run with observability disabled (the
 	// zero-overhead default — results are byte-identical either way).
 	var rec *macro3d.ObsRecorder
-	if *events != "" || *obsAddr != "" || *metricsOut != "" {
+	if o.events != "" || o.obsAddr != "" || o.metricsOut != "" {
 		rec = macro3d.NewObsRecorder()
 	}
-	if *events != "" {
-		f, err := createAtomic(*events)
+	if o.events != "" {
+		f, err := createAtomic(o.events)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "macro3d: -events:", err)
 			return 1
@@ -236,8 +284,8 @@ func realMain() (code int) {
 			return f.Commit()
 		}})
 	}
-	if *metricsOut != "" {
-		path := *metricsOut
+	if o.metricsOut != "" {
+		path := o.metricsOut
 		cleanups = append(cleanups, cleanup{"-metrics-out", func() error {
 			f, err := createAtomic(path)
 			if err != nil {
@@ -253,9 +301,9 @@ func realMain() (code int) {
 	// Like observability, tracing is off (nil, near-zero overhead) by
 	// default; results are byte-identical with it on.
 	var tracer *macro3d.ExecTracer
-	if *traceOut != "" {
+	if o.trace != "" {
 		tracer = macro3d.NewExecTracer()
-		path := *traceOut
+		path := o.trace
 		cleanups = append(cleanups, cleanup{"-trace", func() error {
 			f, err := createAtomic(path)
 			if err != nil {
@@ -269,8 +317,8 @@ func realMain() (code int) {
 		}})
 	}
 	var obsSrv *macro3d.ObsServer
-	if *obsAddr != "" {
-		srv, err := rec.Serve(*obsAddr)
+	if o.obsAddr != "" {
+		srv, err := rec.Serve(o.obsAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "macro3d: -obs-addr:", err)
 			return 1
@@ -280,18 +328,14 @@ func realMain() (code int) {
 		fmt.Fprintf(os.Stderr, "macro3d: observability endpoint at %s/metrics (also /metrics.json, /debug/vars, /debug/pprof/)\n", obsSrv.URL())
 	}
 
-	cdir := *cacheDir
-	if cdir == "" && *resume {
+	cdir := o.cacheDir
+	if cdir == "" && o.resume {
 		cdir = defaultCacheDir
-	}
-	if *cacheVerify && cdir == "" {
-		fmt.Fprintln(os.Stderr, "macro3d: -cache-verify needs -cache-dir or -resume")
-		return 2
 	}
 	var cache *macro3d.StageCache
 	if cdir != "" {
 		var err error
-		if cache, err = macro3d.OpenStageCacheLimited(cdir, *cacheMax); err != nil {
+		if cache, err = macro3d.OpenStageCacheLimited(cdir, o.cacheMax); err != nil {
 			fmt.Fprintln(os.Stderr, "macro3d: -cache-dir:", err)
 			return 1
 		}
@@ -303,21 +347,23 @@ func realMain() (code int) {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *timeout > 0 {
+	if o.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, o.timeout)
 		defer cancel()
 	}
 
-	if err := run(ctx, *flow, *experiment, *config, *seed, *jobs, *metals, *array, *keepGoing, rec, tracer, cache, *cacheVerify, *fastRoute, *fastVerify, *analyticPlace); err != nil {
+	cfg := macro3d.FlowConfig{Piton: pc, Seed: o.seed, MacroDieMetals: o.metals, Obs: rec, Trace: tracer, Workers: o.jobs,
+		Cache: cache, CacheVerify: o.cacheVerify, AnalyticPlace: o.analyticPlace}
+	if err := run(ctx, cfg, o.flow, o.experiment, o.array, o.keepGoing); err != nil {
 		printFailure(err)
 		return 1
 	}
-	if obsSrv != nil && *obsLinger > 0 {
-		fmt.Fprintf(os.Stderr, "macro3d: run complete; serving observability for %v (Ctrl-C to stop)\n", *obsLinger)
+	if obsSrv != nil && o.obsLinger > 0 {
+		fmt.Fprintf(os.Stderr, "macro3d: run complete; serving observability for %v (Ctrl-C to stop)\n", o.obsLinger)
 		select {
 		case <-ctx.Done():
-		case <-time.After(*obsLinger):
+		case <-time.After(o.obsLinger):
 		}
 	}
 	return 0
@@ -371,17 +417,13 @@ func tileConfig(name string) (macro3d.TileConfig, error) {
 	return macro3d.TileConfig{}, fmt.Errorf("unknown config %q (want small, large or tiny)", name)
 }
 
-func run(ctx context.Context, flow, experiment, config string, seed uint64, jobs, metals, array int, keepGoing bool, rec *macro3d.ObsRecorder, tracer *macro3d.ExecTracer, cache *macro3d.StageCache, cacheVerify, fastRoute, fastVerify, analyticPlace bool) error {
-	pc, err := tileConfig(config)
-	if err != nil {
-		return err
-	}
-	cfg := macro3d.FlowConfig{Piton: pc, Seed: seed, MacroDieMetals: metals, Obs: rec, Trace: tracer, Workers: jobs, Cache: cache, CacheVerify: cacheVerify,
-		FastRoute: fastRoute, FastRouteVerify: fastVerify, AnalyticPlace: analyticPlace}
-
+// run executes the selected flow (then the tile-array check) and the
+// selected experiment under cfg.
+func run(ctx context.Context, cfg macro3d.FlowConfig, flow, experiment string, array int, keepGoing bool) error {
 	if flow != "" {
 		var ppa *macro3d.PPA
 		var st *macro3d.FlowState
+		var err error
 		switch flow {
 		case "2d":
 			ppa, st, err = macro3d.Run2DCtx(ctx, cfg)
@@ -400,10 +442,7 @@ func run(ctx context.Context, flow, experiment, config string, seed uint64, jobs
 			return err
 		}
 		printPPA(ppa)
-		if array > 1 {
-			if st == nil {
-				return fmt.Errorf("-array requires -flow 2d or macro3d")
-			}
+		if array > 1 { // 2d or macro3d: options.validate
 			t, err := macro3d.New28(6)
 			if err != nil {
 				return err
@@ -417,10 +456,11 @@ func run(ctx context.Context, flow, experiment, config string, seed uint64, jobs
 		}
 	}
 
-	// Experiments pick their own tiles per column; the shared config
-	// carries the seed, the hardening knobs and the stage cache.
-	ecfg := macro3d.FlowConfig{Seed: seed, Obs: rec, Trace: tracer, Workers: jobs, Cache: cache, CacheVerify: cacheVerify,
-		FastRoute: fastRoute, FastRouteVerify: fastVerify, AnalyticPlace: analyticPlace}
+	// Experiments pick their own tiles and stacks per column; the shared
+	// config carries the seed, the hardening knobs and the stage cache.
+	ecfg := cfg
+	ecfg.Piton = macro3d.TileConfig{}
+	ecfg.MacroDieMetals = 0
 
 	// Table experiments return the partial table alongside the error,
 	// so in keep-going mode the surviving columns still print before
@@ -441,7 +481,7 @@ func run(ctx context.Context, flow, experiment, config string, seed uint64, jobs
 		}
 	case "table2":
 		tcfg := ecfg
-		tcfg.MacroDieMetals = metals
+		tcfg.MacroDieMetals = cfg.MacroDieMetals
 		t, err := macro3d.RunTableIIWith(ctx, tcfg, keepGoing)
 		if err := printPartial(t.Format, err); err != nil {
 			return err

@@ -32,7 +32,7 @@ func traceReportMain(args []string) int {
 		flow    = fs.String("flow", "", "run this flow with tracing and report on it: 2d, macro3d, s2d, bfs2d, c2d")
 		config  = fs.String("config", "small", "tile configuration for -flow: small, large or tiny")
 		seed    = fs.Uint64("seed", 1, "deterministic seed for -flow")
-		jobs    = fs.Int("j", 0, "worker count for -flow (0 = fastest, see macro3d -j)")
+		jobs    = fs.Int("j", 0, "worker count for -flow (0 = every CPU, see macro3d -j)")
 		metals  = fs.Int("macrodiemetals", 6, "macro-die metal layers (3D flows)")
 		out     = fs.String("out", "", "with -flow: also write the recorded trace to this file")
 		top     = fs.Int("top", 10, "serial segments to list")

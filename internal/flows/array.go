@@ -61,8 +61,9 @@ func VerifyTileArray(cfg Config, st *State, t *tech.Tech, nx, ny int) (*ArrayRep
 			})
 		}
 	}
-	db := route.NewDB(arrayDie, st.Beol, fp.RouteBlk, route.Options{Grid: &ag, Workers: cfg.Workers,
-		Sharded: cfg.FastRoute, ShardVerify: cfg.FastRouteVerify, Trace: cfg.Trace})
+	ropt := cfg.routeOptions(nil)
+	ropt.Grid = &ag
+	db := route.NewDB(arrayDie, st.Beol, fp.RouteBlk, ropt)
 
 	res := &route.Result{
 		Routes:     make([]*route.NetRoute, len(arr.Nets)),

@@ -138,7 +138,7 @@ func RunC2DCtx(ctx context.Context, cfg Config) (*PPA, *State, error) {
 		}
 
 		if err := r.seededStage("pseudo-"+StagePlace, cfg.Seed+4, func(seed uint64) error {
-			_, err := place.Place(dP, fpP, t.RowHeight, place.Options{Seed: seed, Obs: r.obs(), Workers: cfg.Workers, Fast: cfg.FastRoute, Analytic: cfg.AnalyticPlace, Trace: cfg.Trace})
+			_, err := place.Place(dP, fpP, t.RowHeight, cfg.placeOptions(seed, r.obs()))
 			return err
 		}); err != nil {
 			return err
@@ -146,7 +146,7 @@ func RunC2DCtx(ctx context.Context, cfg Config) (*PPA, *State, error) {
 
 		if err := r.stage("pseudo-"+StageRoute, func() error {
 			buildClock(stP)
-			stP.DB = route.NewDB(dieC, stP.Beol, fpP.RouteBlk, route.Options{Obs: r.obs(), Workers: cfg.Workers, Sharded: cfg.FastRoute, ShardVerify: cfg.FastRouteVerify, Trace: cfg.Trace})
+			stP.DB = route.NewDB(dieC, stP.Beol, fpP.RouteBlk, cfg.routeOptions(r.obs()))
 			var err error
 			stP.Routes, err = route.RouteDesign(dP, stP.DB)
 			return err

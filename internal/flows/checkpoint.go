@@ -87,12 +87,8 @@ func rootKey(flow string, cfg Config) (stash.Key, error) {
 	e.Int(cfg.LogicMetals)
 	e.F64(cfg.Util)
 	e.Int(cfg.Retry.MaxAttempts)
-	// FastRoute selects different engines with different results, so
-	// fast and default runs must never share snapshots.
-	// FastRouteVerify is pure checking and stays excluded.
-	e.Bool(cfg.FastRoute)
-	// AnalyticPlace likewise selects a different placement engine with
-	// different results; analytic and default runs never alias.
+	// AnalyticPlace selects a different placement engine with different
+	// results; analytic and default runs never alias.
 	e.Bool(cfg.AnalyticPlace)
 	return stash.NewKey(e.Bytes()), nil
 }

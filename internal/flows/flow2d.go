@@ -62,7 +62,7 @@ func Run2DCtx(ctx context.Context, cfg Config) (*PPA, *State, error) {
 
 	if err := r.checkpointed(placementCheckpoint(StagePlace, nil, d), func() error {
 		return r.seededStage(StagePlace, cfg.Seed+1, func(seed uint64) error {
-			_, err := place.Place(d, st.FP, t.RowHeight, place.Options{Seed: seed, Obs: r.obs(), Workers: cfg.Workers, Fast: cfg.FastRoute, Analytic: cfg.AnalyticPlace, Trace: cfg.Trace})
+			_, err := place.Place(d, st.FP, t.RowHeight, cfg.placeOptions(seed, r.obs()))
 			return err
 		})
 	}); err != nil {
@@ -77,7 +77,7 @@ func Run2DCtx(ctx context.Context, cfg Config) (*PPA, *State, error) {
 	}
 
 	buildDB := func() {
-		st.DB = route.NewDB(st.Die, t.Logic, st.FP.RouteBlk, route.Options{Obs: r.obs(), Workers: cfg.Workers, Sharded: cfg.FastRoute, ShardVerify: cfg.FastRouteVerify, Trace: cfg.Trace})
+		st.DB = route.NewDB(st.Die, t.Logic, st.FP.RouteBlk, cfg.routeOptions(r.obs()))
 	}
 	if err := r.checkpointed(routeCheckpoint(st, d, nil, buildDB), func() error {
 		return r.stage(StageRoute, func() error {

@@ -35,6 +35,7 @@ import (
 	"macro3d/internal/obs/trace"
 	"macro3d/internal/opt"
 	"macro3d/internal/piton"
+	"macro3d/internal/place"
 	"macro3d/internal/power"
 	"macro3d/internal/route"
 	"macro3d/internal/sta"
@@ -121,30 +122,14 @@ type Config struct {
 	// it on or off, and it does not enter the stage-cache key.
 	Trace *trace.Tracer
 
-	// Workers sets the worker count of the routing and placement
-	// engines (the CLI's -j flag): 0 (default) picks the fastest
-	// schedule — every CPU for placement, the serial pass for routing
-	// (route.Options.Workers) — 1 forces the serial reference paths,
-	// n > 1 runs n workers including the batch router. Results are
+	// Workers sets the worker count of the data-parallel engine phases
+	// (the CLI's -j flag) — placement solve/spread and row building, the
+	// router's net prep and overflow scan, extraction: 0 (default) uses
+	// every CPU (GOMAXPROCS), 1 runs everything on one goroutine, n > 1
+	// uses n workers. The routing pass and the legalization sweep are
+	// ordered and run on one goroutine regardless. Results are
 	// bit-identical at any setting.
 	Workers int
-
-	// FastRoute enables the fast physical-design engines (the CLI's
-	// -fast-route flag): the region-sharded router, which routes
-	// region-local nets concurrently without the batch engine's serial
-	// planning and ordered commits, and the placer's banded parallel
-	// legalization. Results stay deterministic at any Workers setting
-	// but are NOT bit-identical to the default engines — the flag is
-	// part of the result-defining configuration and enters the
-	// stage-cache key. PPA stays within the bounds documented in
-	// DESIGN.md §15 (wirelength within 10% of the reference).
-	FastRoute bool
-
-	// FastRouteVerify, with FastRoute, re-routes each design with the
-	// serial reference engine and fails the run if the fast result
-	// drifts past the documented PPA bounds. Roughly doubles routing
-	// cost; pure checking, so it does not enter the cache key.
-	FastRouteVerify bool
 
 	// AnalyticPlace switches global placement to the analytic
 	// electrostatics-style engine (the CLI's -analytic-place flag):
@@ -178,6 +163,18 @@ func (c Config) generate() (*piton.Tile, error) {
 		return c.Generator()
 	}
 	return piton.Generate(c.Piton)
+}
+
+// placeOptions and routeOptions are the one place a flow's
+// configuration becomes engine options. sp is the stage span the engine
+// reports under; nil where a caller routes outside a runner (the tile
+// array, the hierarchical stitch).
+func (c Config) placeOptions(seed uint64, sp *obs.Span) place.Options {
+	return place.Options{Seed: seed, Obs: sp, Workers: c.Workers, Analytic: c.AnalyticPlace, Trace: c.Trace}
+}
+
+func (c Config) routeOptions(sp *obs.Span) route.Options {
+	return route.Options{Obs: sp, Workers: c.Workers, Trace: c.Trace}
 }
 
 func (c Config) withDefaults() Config {
@@ -394,8 +391,9 @@ func signoff(r *runner, cfg Config, st *State, t *tech.Tech, optCfg opt.Options,
 // signoffRevision versions what a signoff checkpoint holds beyond its
 // inputs. 1: the buffer count leaves out rolled-back iterations, and
 // ECO free space no longer loses intervals on release — checkpoints
-// written before either fix must miss.
-const signoffRevision = 1
+// written before either fix must miss. 2: the key material lost the
+// byte that selected the optimizer's deleted from-scratch STA path.
+const signoffRevision = 2
 
 // signoffMaterial is the signoff checkpoint's own key material: the
 // resolved optimization budget. SelfCheck is excluded — it verifies,
@@ -410,7 +408,6 @@ func signoffMaterial(o opt.Options) []byte {
 	e.F64(o.FanoutCap)
 	e.F64(o.TargetPeriod)
 	e.Bool(o.Frozen)
-	e.Bool(o.FullRecompute)
 	return e.Bytes()
 }
 

@@ -119,8 +119,7 @@ func InstantiateArray(cfg Config, hr *HardenResult, nx, ny int) (*HierReport, er
 			})
 		}
 	}
-	db := route.NewDB(die, beol, blk, route.Options{Workers: cfg.Workers,
-		Sharded: cfg.FastRoute, ShardVerify: cfg.FastRouteVerify, Trace: cfg.Trace})
+	db := route.NewDB(die, beol, blk, cfg.routeOptions(nil))
 	res, err := route.RouteDesign(d, db)
 	if err != nil {
 		return nil, fmt.Errorf("hier: stitch routing: %w", err)

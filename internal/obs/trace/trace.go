@@ -1,9 +1,9 @@
 // Package trace is a low-overhead execution tracer for the parallel
 // engines. Where internal/obs records a hierarchical span tree (wall
 // time per stage), trace records a flat timeline of task-level slices
-// — one per routed batch chunk, placement solve chunk, legalization
-// row sweep, serve job, … — on named tracks, so wall-clock can be
-// attributed to individual workers, batches and serial segments.
+// — one per net-prep chunk, placement solve chunk, routing pass,
+// legalization sweep, serve job, … — on named tracks, so wall-clock can
+// be attributed to individual workers and serial segments.
 //
 // The contract mirrors the obs nil-safe rule: every method on a nil
 // *Tracer, nil *Track or nil *Set is a no-op, and the zero Span is
@@ -24,7 +24,7 @@ import (
 	"time"
 )
 
-// Arg is one small typed attribute attached to a slice (batch id, net
+// Arg is one small typed attribute attached to a slice (chunk size, net
 // count, stash hits, …). Keeping attributes as an ordered list rather
 // than a map keeps the flush byte-deterministic.
 type Arg struct {

@@ -91,10 +91,6 @@ type Options struct {
 	TargetPeriod float64
 	// Frozen forbids all edits; Optimize only analyses.
 	Frozen bool
-	// FullRecompute re-runs STA from scratch every iteration instead
-	// of updating only the dirty cone — the benchmark baseline against
-	// which the incremental engine is measured.
-	FullRecompute bool
 	// SelfCheck verifies after every analysis that the incrementally
 	// maintained extraction and timing match a from-scratch
 	// extract.Extract + sta.Analyze, and after every commit and rollback
@@ -307,12 +303,7 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 		res.Iters = it + 1
 
 		eng.Invalidate(txn.DirtyNets(), txn.DirtyInsts(), txn.TopoChanged())
-		var next *sta.Report
-		if opt.FullRecompute {
-			next, err = eng.Run(period)
-		} else {
-			next, err = eng.Update(period)
-		}
+		next, err := eng.Update(period)
 		if err != nil {
 			return nil, err
 		}

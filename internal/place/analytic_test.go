@@ -8,10 +8,9 @@ import (
 	"macro3d/internal/piton"
 )
 
-// analyticFixture builds the piton tile floorplan for the given cache
-// config — same construction as placedTileFixture but parameterized so
-// the quality bound runs on both cache sizes.
-func analyticFixture(t *testing.T, cfg piton.Config) (*netlist.Design, *floorplan.Floorplan) {
+// tileFixture builds the piton tile floorplan for the given cache
+// config, so the quality bound runs on both cache sizes.
+func tileFixture(t *testing.T, cfg piton.Config) (*netlist.Design, *floorplan.Floorplan) {
 	t.Helper()
 	tile, err := piton.Generate(cfg)
 	if err != nil {
@@ -47,12 +46,12 @@ func TestPlaceAnalyticQuality(t *testing.T) {
 		{"large-cache", piton.LargeCache()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dRef, fpRef := analyticFixture(t, tc.cfg)
+			dRef, fpRef := tileFixture(t, tc.cfg)
 			ref, err := Place(dRef, fpRef, 1.2, Options{Seed: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
-			dAn, fpAn := analyticFixture(t, tc.cfg)
+			dAn, fpAn := tileFixture(t, tc.cfg)
 			an, err := Place(dAn, fpAn, 1.2, Options{Seed: 5, Analytic: true})
 			if err != nil {
 				t.Fatal(err)
@@ -81,7 +80,7 @@ func TestPlaceAnalyticDeterminism(t *testing.T) {
 	var ref *Result
 	var refD *netlist.Design
 	for _, w := range []int{1, 4, 0} {
-		d, fp := analyticFixture(t, piton.SmallCache())
+		d, fp := tileFixture(t, piton.SmallCache())
 		r, err := Place(d, fp, 1.2, Options{Seed: 5, Workers: w, Analytic: true})
 		if err != nil {
 			t.Fatal(err)

@@ -163,16 +163,15 @@ func buildRowSegments(die geom.Rect, hard []geom.Rect, rowHeight float64, r int)
 // sweep: cells sorted by x are committed left-to-right into the
 // segment minimizing displacement. Returns mean and max displacement.
 func legalize(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64) (mean, maxd float64, err error) {
-	return legalizeN(movable, fp, rowHeight, 1, false, nil, nil)
+	return legalizeN(movable, fp, rowHeight, 1, nil, nil)
 }
 
 // legalizeN is legalize with a worker count for the row-parallel
-// segment construction and, when fast is set, the banded parallel
-// commit sweep (the default sweep stays serial — each commit depends
-// on every earlier one).
+// segment construction (the commit sweep stays serial — each commit
+// depends on every earlier one).
 func legalizeN(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64, workers int,
-	fast bool, ts *trace.Set, mt *trace.Track) (mean, maxd float64, err error) {
-	mean, maxd, failed, err := legalizeBestEffort(movable, fp, rowHeight, workers, fast, ts, mt)
+	ts *trace.Set, mt *trace.Track) (mean, maxd float64, err error) {
+	mean, maxd, failed, err := legalizeBestEffort(movable, fp, rowHeight, workers, ts, mt)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -187,45 +186,36 @@ func legalizeN(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight f
 // found no space instead of failing. The S2D/C2D flows use this: cells
 // that cannot fit a tier spill back to the other die.
 func LegalizeBestEffort(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64) (mean, maxd float64, failed []*netlist.Instance, err error) {
-	return legalizeBestEffort(movable, fp, rowHeight, 1, false, nil, nil)
+	return legalizeBestEffort(movable, fp, rowHeight, 1, nil, nil)
 }
 
-// legalizeBands is the fixed band count of the fast banded sweep. A
-// configuration constant like the router's region count: changing it
-// changes results, changing the worker count does not.
-const legalizeBands = 8
-
-// tetris is the shared state of a legalization sweep: the per-row
-// segment index plus the geometry needed to score candidates. Bands of
-// the fast sweep touch disjoint row ranges, so they share one tetris
-// concurrently (index reads only; segment mutations stay inside a
-// band's rows).
+// tetris is the state of a legalization sweep: the per-row segment
+// index plus the geometry needed to score candidates.
 type tetris struct {
 	rows      [][]*segment // by row index
 	die       geom.Rect
 	rowHeight float64
-	maxRow    int
 }
 
-// place commits inst into the best-fit segment searching rows
-// [lo, hi] outward from its target row, returning the displacement.
-// ok is false when no segment in range fits the cell.
-func (t *tetris) place(inst *netlist.Instance, lo, hi int) (disp float64, ok bool) {
+// place commits inst into the best-fit segment, searching the rows
+// outward from its target row, and returns the displacement. ok is
+// false when no segment fits the cell.
+func (t *tetris) place(inst *netlist.Instance) (disp float64, ok bool) {
 	w := inst.Master.Width
 	target := inst.Loc
-	targetRow := geom.ClampInt(int((target.Y-t.die.Ly)/t.rowHeight), lo, hi)
+	maxRow := len(t.rows) - 1
+	targetRow := geom.ClampInt(int((target.Y-t.die.Ly)/t.rowHeight), 0, maxRow)
 
 	bestCost := -1.0
 	var bestSeg *segment
 	var bestX float64
-	// Search rows outward from the target row.
-	for dr := 0; dr <= hi-lo; dr++ {
+	for dr := 0; dr <= maxRow; dr++ {
 		for _, sgn := range []int{1, -1} {
 			if dr == 0 && sgn == -1 {
 				continue
 			}
 			r := targetRow + sgn*dr
-			if r < lo || r > hi {
+			if r < 0 || r > maxRow {
 				continue
 			}
 			dy := float64(dr) * t.rowHeight
@@ -266,12 +256,11 @@ func (t *tetris) place(inst *netlist.Instance, lo, hi int) (disp float64, ok boo
 }
 
 func legalizeBestEffort(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64, workers int,
-	fast bool, ts *trace.Set, mt *trace.Track) (mean, maxd float64, failed []*netlist.Instance, err error) {
+	ts *trace.Set, mt *trace.Track) (mean, maxd float64, failed []*netlist.Instance, err error) {
 	rows := buildRows(fp, rowHeight, workers, ts)
 	if len(rows) == 0 {
 		return 0, 0, nil, fmt.Errorf("place: no placement rows available")
 	}
-	maxRow := len(rows) - 1
 
 	order := append([]*netlist.Instance(nil), movable...)
 	sort.Slice(order, func(i, j int) bool {
@@ -281,18 +270,15 @@ func legalizeBestEffort(movable []*netlist.Instance, fp *floorplan.Floorplan, ro
 		return order[i].Name < order[j].Name
 	})
 
-	t := &tetris{rows: rows, die: fp.Die, rowHeight: rowHeight, maxRow: maxRow}
-	if fast && maxRow+1 >= 2 {
-		return legalizeBanded(order, t, workers, ts, mt)
-	}
+	t := &tetris{rows: rows, die: fp.Die, rowHeight: rowHeight}
 
-	// The default Tetris commit sweep is inherently serial; record it
-	// so the analyzer can rank it among the serial segments.
+	// The Tetris commit sweep is inherently serial; record it so the
+	// analyzer can rank it among the serial segments.
 	ssp := mt.Begin("place", "place/legalize-sweep")
 	defer func() { ssp.End(trace.N("cells", int64(len(order)))) }()
 	var sum float64
 	for _, inst := range order {
-		d, ok := t.place(inst, 0, maxRow)
+		d, ok := t.place(inst)
 		if !ok {
 			failed = append(failed, inst)
 			continue
@@ -308,88 +294,6 @@ func legalizeBestEffort(movable []*netlist.Instance, fp *floorplan.Floorplan, ro
 	return mean, maxd, failed, nil
 }
 
-// legalizeBanded is the fast parallel commit sweep: the rows split
-// into legalizeBands contiguous bands, every cell is assigned to the
-// band holding its target row, and the bands run their ordered Tetris
-// sweeps concurrently — bands own disjoint row ranges, so their
-// segment mutations never touch. Cells that find no space inside
-// their band spill to a serial full-range reconciliation pass, in
-// band-then-sweep order. Deterministic at any worker count (the band
-// count and assignment are pure functions of the placement); not
-// bit-identical to the serial sweep, which may place a cell across a
-// band boundary when that row is marginally closer.
-func legalizeBanded(order []*netlist.Instance, t *tetris, workers int,
-	ts *trace.Set, mt *trace.Track) (mean, maxd float64, failed []*netlist.Instance, err error) {
-
-	bands := legalizeBands
-	if t.maxRow+1 < bands {
-		bands = t.maxRow + 1
-	}
-	rowsPer := (t.maxRow + 1 + bands - 1) / bands
-
-	cells := make([][]*netlist.Instance, bands)
-	for _, inst := range order {
-		r := geom.ClampInt(int((inst.Loc.Y-t.die.Ly)/t.rowHeight), 0, t.maxRow)
-		b := min(r/rowsPer, bands-1)
-		cells[b] = append(cells[b], inst)
-	}
-
-	sums := make([]float64, bands)
-	maxds := make([]float64, bands)
-	placed := make([]int, bands)
-	spills := make([][]*netlist.Instance, bands)
-	par.ItemsTr(ts, "place/legalize-band", workers, bands, func(w, b int) {
-		lo := b * rowsPer
-		hi := min(lo+rowsPer-1, t.maxRow)
-		for _, inst := range cells[b] {
-			d, ok := t.place(inst, lo, hi)
-			if !ok {
-				spills[b] = append(spills[b], inst)
-				continue
-			}
-			sums[b] += d
-			placed[b]++
-			if d > maxds[b] {
-				maxds[b] = d
-			}
-		}
-	})
-	var sum float64
-	n := 0
-	for b := 0; b < bands; b++ {
-		sum += sums[b]
-		n += placed[b]
-		if maxds[b] > maxd {
-			maxd = maxds[b]
-		}
-	}
-
-	// Ordered serial reconciliation: band-spilled cells search the full
-	// row range against the free space the bands left behind.
-	ssp := mt.Begin("place", "place/legalize-spill")
-	spilled := 0
-	for b := 0; b < bands; b++ {
-		for _, inst := range spills[b] {
-			spilled++
-			d, ok := t.place(inst, 0, t.maxRow)
-			if !ok {
-				failed = append(failed, inst)
-				continue
-			}
-			sum += d
-			n++
-			if d > maxd {
-				maxd = d
-			}
-		}
-	}
-	ssp.End(trace.N("cells", int64(spilled)))
-	if n > 0 {
-		mean = sum / float64(n)
-	}
-	return mean, maxd, failed, nil
-}
-
 // Legalize snaps the given cells into non-overlapping row positions of
 // the floorplan, starting from their current locations. Exposed for
 // the S2D/C2D flows, which must re-legalize per die after tier
@@ -399,8 +303,8 @@ func Legalize(cells []*netlist.Instance, fp *floorplan.Floorplan, rowHeight floa
 }
 
 // CheckLegal verifies that no two movable cells overlap and that all
-// sit inside the die and off hard blockages. Used by tests and by the
-// S2D/C2D flows to detect post-partitioning overlaps.
+// sit inside the die and off hard blockages. Called by tests only; the
+// flows check legality per die with internal/verify.
 func CheckLegal(d *netlist.Design, fp *floorplan.Floorplan) []string {
 	var viol []string
 	type placedCell struct {

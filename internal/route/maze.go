@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"macro3d/internal/geom"
-	"macro3d/internal/slab"
 	"macro3d/internal/tech"
 )
 
@@ -16,9 +15,7 @@ import (
 // per-worker scratch below — the allocations: the historical
 // implementation allocated whole-grid dist/prev arrays and a boxed
 // container/heap item per push for every two-pin connection, which
-// dominated negotiation time on the large tile. The window is also
-// the search's declared read/write footprint, which is what lets the
-// batch planner run disjoint maze reroutes concurrently.
+// dominated negotiation time on the large tile.
 
 // mazeMargin is the detour allowance around the two-pin bounding box,
 // in gcells per side.
@@ -69,22 +66,19 @@ type mazeEntry struct {
 	est  float64
 }
 
-// mazeScratch is the reusable per-worker state of the router: for the
-// windowed A*, dist/prev backing arrays sized to the largest window seen
-// so far, the typed binary heap and the path-trace node buffer; for net
-// prep and routing, the MST in-tree marks, the segment buffer a net is
-// routed into and the arena its segments are then stored in exact-size.
-// One scratch serves one goroutine; RouteDesign keeps one per worker and
-// reuses them across every net and two-pin search of the run —
-// including across shard batches of the region-sharded router, whose
-// per-region windows vary wildly in size.
+// mazeScratch is the reusable per-goroutine state of the router: for
+// the windowed A*, dist/prev backing arrays sized to the largest window
+// seen so far, the typed binary heap and the path-trace node buffer; for
+// net prep and routing, the MST in-tree marks and the segment buffer a
+// net is routed into. One scratch serves one goroutine; RouteDesign
+// keeps one per prep worker and routes every net and two-pin search of
+// the run through the first.
 //
 // Visited state is generation-stamped: a node's dist/prev entries are
 // valid only when gen[i] matches the current search generation, so a
 // reset never touches the backing arrays at all — it bumps one
-// counter. The historical implementation re-filled dist with -1 on
-// every search (O(window) per two-pin connection), which showed up as
-// measurable reset time once windows grew to region size.
+// counter, where re-filling dist with -1 would cost O(window) per
+// two-pin connection.
 type mazeScratch struct {
 	dist  []float64
 	prev  []int32
@@ -96,11 +90,6 @@ type mazeScratch struct {
 	inTree []bool   // prepTask's Prim marks
 	edges  [][2]int // RouteNet's MST edges (RouteDesign sizes its own)
 	segs   []Seg    // routeTask's output, valid until the next task
-	// store holds the segments of the nets this worker routed in a
-	// RouteDesign run; the chunks live as long as a route of the Result
-	// points into them. Unused by the DB's ECO scratch, whose routes must
-	// stay individually collectable.
-	store slab.Slab[Seg]
 
 	hits   uint64 // searches served by the existing backing arrays
 	misses uint64 // searches that had to (re)grow the arrays
@@ -183,9 +172,8 @@ func (s *mazeScratch) pop() mazeEntry {
 }
 
 // mazeRoute finds a least-cost path with windowed 3D A*, using the
-// DB-resident scratch. ECO reroutes and tests use this entry point;
-// the parallel router hands each worker its own scratch via
-// mazeRouteScratch.
+// DB-resident scratch. Tests use this entry point; RouteDesign and
+// RouteNet hand mazeRouteScratch the scratch they route with.
 func (db *DB) mazeRoute(a, b Node) ([]Seg, error) {
 	return db.mazeRouteScratch(db.scratch(), a, b, nil)
 }
@@ -200,8 +188,7 @@ func (db *DB) scratch() *mazeScratch {
 
 // mazeRouteScratch runs A* from a to b inside the expanded pin-bbox
 // window, appending the path segments to dst (which may be nil). All
-// mutable search state lives in s; the congestion grid is only read,
-// so disjoint searches may run concurrently.
+// mutable search state lives in s; the congestion grid is only read.
 func (db *DB) mazeRouteScratch(s *mazeScratch, a, b Node, dst []Seg) ([]Seg, error) {
 	win := db.mazeWindow(a, b)
 	size := win.size()

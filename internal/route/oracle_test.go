@@ -13,12 +13,10 @@ import (
 // The allocating implementations the flat kernels replaced, kept here
 // verbatim as oracles: the six-candidate pattern router that
 // materialised every L-shape and re-sorted the layer pairs per
-// connection, and the copy-based batch planner that recomputed
-// footprints per round and re-copied the unscanned tail; and the
-// per-object net prep (a NetRoute, a pin-node list, a task, an edge list
-// and the in-tree marks per net, segments grown by doubling) under the
-// serial router that re-prepped every rip-up victim. The equivalence
-// tests below demand exact equality against them.
+// connection, and the per-object net prep (a NetRoute, a pin-node list,
+// a task, an edge list and the in-tree marks per net, segments grown by
+// doubling) under the serial router that re-prepped every rip-up victim.
+// The equivalence tests below demand exact equality against them.
 
 func viaStackOracle(x, y, la, lb int) []Seg {
 	var segs []Seg
@@ -115,27 +113,6 @@ func (db *DB) patternRouteOracle(a, b Node) []Seg {
 		}
 	}
 	return compactSegsOracle(bestSegs)
-}
-
-func (db *DB) footprintOracle(t *netTask, maze bool, visit func(x0, y0, x1, y1 int)) {
-	for _, e := range t.edges {
-		a, b := t.route.PinNode[e[0]], t.route.PinNode[e[1]]
-		if maze {
-			w := db.mazeWindow(a, b)
-			visit(w.x0, w.y0, w.x1, w.y1)
-			continue
-		}
-		x0, x1 := min(a.X, b.X), max(a.X, b.X)
-		y0, y1 := min(a.Y, b.Y), max(a.Y, b.Y)
-		visit(x0, y0, x1, y0)
-		visit(x0, y1, x1, y1)
-		visit(x0, y0, x0, y1)
-		visit(x1, y0, x1, y1)
-	}
-	for _, s := range t.old {
-		visit(min(s.A.X, s.B.X), min(s.A.Y, s.B.Y),
-			max(s.A.X, s.B.X), max(s.A.Y, s.B.Y))
-	}
 }
 
 func (db *DB) prepTaskOracle(n *netlist.Net) (*netTask, error) {
@@ -253,41 +230,6 @@ func routeDesignOracle(d *netlist.Design, db *DB) (res *Result, ripups int, err 
 	return res, ripups, nil
 }
 
-func (db *DB) planBatchOracle(pending []*netTask, maze bool, m *tileMap) (batch, deferred []*netTask) {
-	m.next()
-	n := min(len(pending), scanCap)
-	rects := make([][]tileRect, n)
-	for i := range rects {
-		db.footprintOracle(pending[i], maze, func(x0, y0, x1, y1 int) {
-			rects[i] = append(rects[i], tileRect{
-				x0: int32(x0 / tilePx), y0: int32(y0 / tilePx),
-				x1: int32(x1 / tilePx), y1: int32(y1 / tilePx),
-			})
-		})
-	}
-	batch = make([]*netTask, 0, min(n, batchCap))
-	for i, t := range pending[:n] {
-		tok := uint32(i + 1)
-		hit := false
-		for _, r := range rects[i] {
-			if m.stampTok(r, tok) {
-				hit = true
-			}
-		}
-		if hit {
-			deferred = append(deferred, t)
-		} else {
-			batch = append(batch, t)
-			if len(batch) == batchCap {
-				deferred = append(deferred, pending[i+1:]...)
-				return batch, deferred
-			}
-		}
-	}
-	deferred = append(deferred, pending[n:]...)
-	return batch, deferred
-}
-
 // congest fills the database with seeded pseudo-random usage, history
 // and bump occupancy — from empty to past capacity — so candidate
 // costs differ and every branch of the cost model is live.
@@ -371,77 +313,6 @@ func TestPatternRouteMatchesOracle(t *testing.T) {
 	}
 }
 
-// tileTasks preps every signal net of the placed small tile in the
-// router's long-nets-first order.
-func tileTasks(t *testing.T, d *netlist.Design, db *DB) []*netTask {
-	t.Helper()
-	var order []*netlist.Net
-	for _, n := range d.Nets {
-		if !n.Clock && len(n.Sinks) > 0 {
-			order = append(order, n)
-		}
-	}
-	sort.SliceStable(order, func(i, j int) bool { return order[i].HPWL() > order[j].HPWL() })
-	tasks := make([]*netTask, len(order))
-	for i, n := range order {
-		tk, err := db.prepTaskOracle(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tasks[i] = tk
-	}
-	return tasks
-}
-
-// TestPlanBatchMatchesOracle drains the small tile's whole task queue
-// through the in-place planner and through the copy-based one, in
-// pattern and in maze mode (the latter as rip-ups, so old routes count
-// in the footprint), and demands the identical batch sequence.
-func TestPlanBatchMatchesOracle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tile placement in -short mode")
-	}
-	d, die, blk := placedSmallTile(t)
-	b6, _ := tech.NewBEOL28("logic", 6)
-	db := NewDB(die, b6, blk, Options{})
-	tasks := tileTasks(t, d, db)
-	for _, maze := range []bool{false, true} {
-		if maze {
-			for _, tk := range tasks {
-				tk.old = db.patternRoute(tk.route.PinNode[0], tk.route.PinNode[len(tk.route.PinNode)-1], nil)
-			}
-		}
-		mo, mn := newTileMap(db.Grid), newTileMap(db.Grid)
-		oracle := tasks
-		db.planFootprints(tasks, maze, 2, nil)
-		pending := append([]*netTask(nil), tasks...)
-		rounds := 0
-		for len(oracle) > 0 {
-			var wantB, gotB []*netTask
-			wantB, oracle = db.planBatchOracle(oracle, maze, mo)
-			gotB, pending = db.planBatch(pending, mn)
-			if len(gotB) != len(wantB) || len(pending) != len(oracle) {
-				t.Fatalf("maze=%v round %d: batch %d / rest %d, oracle %d / %d",
-					maze, rounds, len(gotB), len(pending), len(wantB), len(oracle))
-			}
-			for i := range wantB {
-				if gotB[i] != wantB[i] {
-					t.Fatalf("maze=%v round %d: batch member %d differs", maze, rounds, i)
-				}
-			}
-			for i := range oracle {
-				if pending[i] != oracle[i] {
-					t.Fatalf("maze=%v round %d: deferred member %d differs", maze, rounds, i)
-				}
-			}
-			rounds++
-		}
-		if rounds < 2 {
-			t.Fatalf("maze=%v: queue drained in %d round(s); the test needs conflicts", maze, rounds)
-		}
-	}
-}
-
 // TestPatternRouteAllocs: a two-pin pattern connection appended into a
 // slice with room allocates nothing — no candidate is materialised, no
 // pair list rebuilt.
@@ -454,33 +325,6 @@ func TestPatternRouteAllocs(t *testing.T) {
 	})
 	if allocs != 0 || len(dst) == 0 {
 		t.Fatalf("pattern route allocates %.0f objects per connection (%d segments), want 0", allocs, len(dst))
-	}
-}
-
-// TestPlanBatchAllocs: once the DB's planner buffers are warm, a
-// planning round allocates nothing — the batch buffer is reused, the
-// deferred tasks are compacted in place, the rects live on the tasks.
-func TestPlanBatchAllocs(t *testing.T) {
-	db := db6(t, geom.R(0, 0, 4000, 400), nil)
-	m := newTileMap(db.Grid)
-	var tasks []*netTask
-	for i := 0; i < 100; i++ {
-		r := &NetRoute{PinNode: []Node{{X: i * 3, Y: 5, L: 0}, {X: i*3 + 6, Y: 5, L: 0}}}
-		tasks = append(tasks, &netTask{route: r, edges: [][2]int{{0, 1}}})
-	}
-	db.planFootprints(tasks, false, 1, nil)
-	pending := make([]*netTask, len(tasks))
-	var batch, rest []*netTask
-	round := func() {
-		copy(pending, tasks)
-		batch, rest = db.planBatch(pending, m)
-	}
-	round() // warm-up sizes the batch buffer
-	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
-		t.Fatalf("planBatch allocates %.0f objects per round, want 0", allocs)
-	}
-	if len(batch) == 0 || len(rest) == 0 || len(batch)+len(rest) != len(tasks) {
-		t.Fatalf("round split %d tasks into %d + %d", len(tasks), len(batch), len(rest))
 	}
 }
 

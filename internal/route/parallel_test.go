@@ -38,9 +38,9 @@ func placedSmallTile(t *testing.T) (*netlist.Design, geom.Rect, []floorplan.Rout
 }
 
 // TestRouteWorkerDeterminism pins the router's core contracts on the
-// same placed tile: the slab-backed RouteDesign at Workers 1, at forced
-// batch schedules (Workers 2 and 4) and at the default (Workers 0)
-// produces results byte-identical to the per-object serial router kept
+// same placed tile: the slab-backed RouteDesign at Workers 1, with the
+// prep and overflow-scan fan-out at 2 and 4 workers and at the default
+// (Workers 0) produces results byte-identical to the per-object serial router kept
 // as the oracle (oracle_test.go) — every usage and history counter,
 // every pin node and segment of every net, every per-route and
 // aggregate metric — and after the rip-up waves the incrementally
@@ -148,50 +148,5 @@ func TestScratchReuse(t *testing.T) {
 	}
 	if s.hits < 2 {
 		t.Fatalf("repeat searches should reuse the scratch: hits = %d", s.hits)
-	}
-}
-
-// TestPlanBatchOrdering checks the planner's two structural
-// invariants on a synthetic conflict chain: members of one batch are
-// pairwise disjoint, and a net never overtakes an earlier conflicting
-// net (the deferred set keeps serial order).
-func TestPlanBatchOrdering(t *testing.T) {
-	db := db6(t, geom.R(0, 0, 400, 400), nil)
-	m := newTileMap(db.Grid)
-	// Ten tasks on one horizontal line: every footprint overlaps its
-	// neighbours, so each round batches alternating tasks at most.
-	var tasks []*netTask
-	for i := 0; i < 10; i++ {
-		r := &NetRoute{PinNode: []Node{{X: i * 3, Y: 5, L: 0}, {X: i*3 + 6, Y: 5, L: 0}}}
-		tasks = append(tasks, &netTask{route: r, edges: [][2]int{{0, 1}}})
-	}
-	db.planFootprints(tasks, false, 1, nil)
-	// planBatch compacts its queue in place; hand it a copy.
-	batch, deferred := db.planBatch(append([]*netTask(nil), tasks...), m)
-	if len(batch) == 0 {
-		t.Fatal("first task must always batch (fresh epoch)")
-	}
-	if len(batch)+len(deferred) != len(tasks) {
-		t.Fatalf("planner lost tasks: %d + %d != %d", len(batch), len(deferred), len(tasks))
-	}
-	// Deferred keeps input order.
-	pos := map[*netTask]int{}
-	for i, tk := range tasks {
-		pos[tk] = i
-	}
-	for i := 1; i < len(deferred); i++ {
-		if pos[deferred[i-1]] > pos[deferred[i]] {
-			t.Fatal("deferred tasks reordered")
-		}
-	}
-	// Overlapping neighbours never share a batch.
-	inBatch := map[*netTask]bool{}
-	for _, tk := range batch {
-		inBatch[tk] = true
-	}
-	for i := 1; i < len(tasks); i++ {
-		if inBatch[tasks[i-1]] && inBatch[tasks[i]] {
-			t.Fatalf("overlapping tasks %d and %d batched together", i-1, i)
-		}
 	}
 }

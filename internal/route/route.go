@@ -41,42 +41,24 @@ type Options struct {
 	// die exactly). Used when composing tile arrays so routes can be
 	// translated between aligned grids.
 	Grid *geom.Grid
-	// Workers selects the routing engine: 0 (default) means "fastest",
-	// which today is the serial reference path with net prep and the
-	// overflow scans fanned out over every CPU (GOMAXPROCS); 1 runs
-	// everything on one goroutine; n > 1 routes spatially disjoint net
-	// batches on n goroutines (the batch engine, see batch.go). Results
-	// are bit-identical at any setting.
+	// Workers sizes the fan-out of the order-independent phases — net
+	// prep (pin nodes, MST decomposition) and the per-iteration overflow
+	// scan: 0 (default) means every CPU (GOMAXPROCS), 1 runs them on the
+	// calling goroutine, n > 1 on n goroutines. Routing itself is one
+	// ordered pass at any setting (routePass), so results are
+	// bit-identical across all of them.
 	Workers int
-	// Sharded enables the region-sharded fast engine (the CLI's
-	// -fast-route): the gcell grid splits into a fixed region grid and
-	// region-local nets route concurrently without the batch engine's
-	// per-round serial planning and ordered commits (see shard.go).
-	// Results stay deterministic at any Workers setting but are NOT
-	// bit-identical to the default engine, so the flag is part of the
-	// result-defining configuration (it enters the stage-cache key).
-	Sharded bool
-	// ShardRegions is the fixed region count of the sharded engine
-	// (default 8). A configuration constant, never derived from
-	// Workers — that independence is what keeps sharded results
-	// identical across -j settings.
-	ShardRegions int
-	// ShardVerify re-routes the design with the serial reference after
-	// a sharded run and fails if wirelength or overflow drift past the
-	// documented bounds (shardVerifyWLTol, shardVerifyOverflowFrac).
-	// Roughly doubles routing cost; a validation mode, not a default.
-	ShardVerify bool
 
 	// Obs, when non-nil, is the stage span the router hangs its
 	// rip-up-iteration phase spans under and whose registry receives
 	// the routing metrics. nil disables instrumentation.
 	Obs *obs.Span
 
-	// Trace, when non-nil, receives task-level execution slices —
-	// batch plan/execute/commit, prep fan-outs, rip-up iterations —
-	// on per-worker tracks. nil disables tracing at the cost of one
-	// pointer comparison per call site; routing results are identical
-	// either way.
+	// Trace, when non-nil, receives task-level execution slices — the
+	// prep fan-out on per-worker tracks, the ordered passes and the
+	// rip-up iterations on their own. nil disables tracing at the cost
+	// of one pointer comparison per call site; routing results are
+	// identical either way.
 	Trace *trace.Tracer
 }
 
@@ -92,9 +74,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ViaCost <= 0 {
 		o.ViaCost = 1.0
-	}
-	if o.ShardRegions <= 0 {
-		o.ShardRegions = defaultShardRegions
 	}
 	return o
 }
@@ -198,16 +177,7 @@ type DB struct {
 	// first; read-only after NewDB.
 	patternPairs [4][][2]int
 
-	eco    *mazeScratch // single-thread maze scratch (ECO routes, tests)
-	tiles  *tileMap     // batch-planner conflict raster, reused per round
-	shards *shardPlan   // region decomposition of the sharded router
-
-	// Batch-planner buffers, reused across rounds and waves: every
-	// task's tile rects (one flat array), the pending queue the rounds
-	// compact in place, and the current batch.
-	planRects    []tileRect
-	planPending  []*netTask
-	planBatchBuf []*netTask
+	eco *mazeScratch // single-thread maze scratch (ECO routes, tests)
 }
 
 // NewDB builds the routing database for a die, BEOL and blockage set.

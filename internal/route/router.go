@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"time"
@@ -12,38 +13,121 @@ import (
 	"macro3d/internal/par"
 )
 
-// routeMetrics bundles the parallel-engine instrumentation handles
-// threaded through routeAll: batch counts, batch-size distribution,
-// planner conflicts (deferred nets per round) and the summed worker
-// busy time feeding the utilization gauge. All handles are nil-safe
-// no-ops when the flow runs without a recorder.
-type routeMetrics struct {
-	batches       *obs.Counter
-	batchNets     *obs.Histogram
-	conflicts     *obs.Counter
-	shardBoundary *obs.Counter
-	busy          time.Duration
+// netTask is the per-net unit of work: the deterministic prep (pin
+// nodes, MST edges) plus the old segments when the task is a negotiation
+// rip-up. The prep is a pure function of the frozen placement, so
+// RouteDesign preps every net once and a rip-up wave reuses the task —
+// and the route record — of each victim.
+type netTask struct {
+	net   *netlist.Net
+	route *NetRoute
+	edges [][2]int // MST edges as pin-index pairs
+	old   []Seg    // a rip-up victim's committed segments; else empty
+}
 
-	// Execution-tracer handles: the per-worker track set for routing
-	// chunks and the orchestrator track for the serial plan/commit
-	// segments. Both are nil-safe; nil means tracing is off.
-	ts   *trace.Set
-	main *trace.Track
+// prepTask resolves t.net's pin nodes into t.route.PinNode and
+// decomposes the net into two-pin MST edges appended to t.edges. The
+// caller supplies both at their final size — PinNode one node per pin,
+// edges with room for one edge less — as spans of the arrays RouteDesign
+// sizes up front (or RouteNet's three objects); the in-tree marks are
+// the worker's scratch. Pure function of the placement — independent of
+// congestion, so prep order never affects results.
+func (db *DB) prepTask(t *netTask, s *mazeScratch) error {
+	n, r := t.net, t.route
+	for i := range r.PinNode {
+		nd, err := db.PinNode(n.PinAt(i))
+		if err != nil {
+			return fmt.Errorf("net %s: %w", n.Name, err)
+		}
+		r.PinNode[i] = nd
+	}
+	np := len(r.PinNode)
+	if np < 2 {
+		return nil
+	}
+	// Prim MST over pin grid locations.
+	s.inTree = slices.Grow(s.inTree[:0], np)[:np]
+	inTree := s.inTree
+	clear(inTree)
+	inTree[0] = true
+	for k := 1; k < np; k++ {
+		best, bi, bj := 1<<30, -1, -1
+		for i := range inTree {
+			if !inTree[i] {
+				continue
+			}
+			for j := range inTree {
+				if inTree[j] {
+					continue
+				}
+				d := geom.AbsInt(r.PinNode[i].X-r.PinNode[j].X) +
+					geom.AbsInt(r.PinNode[i].Y-r.PinNode[j].Y)
+				if d < best {
+					best, bi, bj = d, i, j
+				}
+			}
+		}
+		inTree[bj] = true
+		t.edges = append(t.edges, [2]int{bi, bj})
+	}
+	return nil
+}
+
+// routeTask computes the task's segments against current congestion,
+// one MST edge at a time, into the scratch's segment buffer; the result
+// is valid until the scratch routes its next task. A failed maze search
+// falls back to the pattern route.
+func (db *DB) routeTask(t *netTask, maze bool, s *mazeScratch) []Seg {
+	segs := s.segs[:0]
+	for _, e := range t.edges {
+		a, b := t.route.PinNode[e[0]], t.route.PinNode[e[1]]
+		if maze {
+			out, err := db.mazeRouteScratch(s, a, b, segs)
+			if err == nil {
+				segs = out
+				continue
+			}
+		}
+		segs = db.patternRoute(a, b, segs)
+	}
+	s.segs = segs
+	return segs
+}
+
+// routePass is the router: the tasks in order, each released (a rip-up
+// victim's old usage), routed against the congestion every task before
+// it left, and committed. The order is the algorithm — long nets first
+// set the landscape the short ones dodge, and a negotiation wave's
+// victims see each other's reroutes — so the pass runs on one goroutine
+// at every Workers setting (DESIGN.md §10). A net's segments are stored
+// exact-size in the result's segment slab: growth by doubling happens
+// once, in the scratch buffer, not per net, and a victim's old span is
+// simply abandoned (at most MaxIters × maxVictims of them per run).
+func (db *DB) routePass(tasks []*netTask, maze bool, res *Result, s *mazeScratch, main *trace.Track) {
+	sl := main.Begin("route", "route/pass")
+	for _, t := range tasks {
+		db.addSegs(t.old, -1)
+		t.old = nil
+		segs := db.routeTask(t, maze, s)
+		t.route.Segments = res.SegSpan(len(segs))
+		copy(t.route.Segments, segs)
+		db.addUsage(t.route, 1)
+	}
+	sl.End(trace.N("nets", int64(len(tasks))))
 }
 
 // RouteDesign globally routes every non-clock signal net of the design
 // over the database's grid, then runs negotiation iterations until
 // overflow clears or the iteration budget is spent.
 //
-// With Options.Workers > 1 the initial pass and every negotiation
-// wave execute as deterministic spatially-disjoint batches (see
-// batch.go); results are bit-identical to the serial reference at any
-// worker count.
+// Routing itself is one ordered pass (routePass); Options.Workers fans
+// out only the phases that do not depend on the order — net prep and
+// the overflow scans — so results are bit-identical at any setting.
 //
 // The per-net records are not one heap object each: route records, pin
 // nodes, tasks and MST edges are sized once from the pin counts and
-// filled in spans, and a net's segments are stored exact-size in its
-// worker's arena (Result doc, DESIGN.md §17).
+// filled in spans, and a net's segments are stored exact-size in the
+// result's slab (Result doc, DESIGN.md §17).
 func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 	t0 := time.Now()
 	workers := par.Workers(db.opt.Workers)
@@ -85,39 +169,24 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 	overG := reg.Gauge("route_overflow_gcells",
 		"Gcell-layers above capacity after the latest negotiation state.")
 	reg.Gauge("route_workers",
-		"Worker goroutines used by the parallel routing engine.").Set(float64(workers))
-	met := &routeMetrics{
-		batches: reg.Counter("route_parallel_batches_total",
-			"Conflict-free net batches executed by the parallel router."),
-		batchNets: reg.Histogram("route_batch_nets",
-			"Nets per conflict-free routing batch.", 1, 4, 16, 64, 256, 1024, 4096),
-		conflicts: reg.Counter("route_batch_conflicts_total",
-			"Nets deferred to a later batch by a footprint conflict."),
-		shardBoundary: reg.Counter("route_shard_boundary_nets_total",
-			"Region-crossing nets reconciled through the ordered batch engine."),
-		ts:   db.opt.Trace.WorkerSet("route", workers),
-		main: db.opt.Trace.Track("main"),
-	}
-	// The engine dispatcher: the default deterministic batch engine, or
-	// the region-sharded fast engine when Options.Sharded is set. Both
-	// the initial pass and every negotiation wave go through it.
-	routeWave := db.routeAll
-	if db.opt.Sharded {
-		routeWave = db.routeAllSharded
-		reg.Gauge("route_shard_regions",
-			"Fixed region count of the sharded routing engine.").
-			Set(float64(db.shardPlanFor().regions()))
-	}
-	// Rip-up iterations render as containers on their own track; the
-	// analyzer charges them only for time no leaf slice covers.
+		"Worker goroutines of the router's net-prep and overflow-scan fan-out.").Set(float64(workers))
+	// Execution-tracer handles, nil-safe (nil means tracing is off): the
+	// per-worker tracks of the prep fan-out, the orchestrator track of
+	// the ordered passes, and a track of rip-up iterations, which render
+	// as containers the analyzer charges only for time no leaf slice
+	// covers.
+	ts := db.opt.Trace.WorkerSet("route", workers)
+	main := db.opt.Trace.Track("main")
 	iterTrack := db.opt.Trace.Track("route iterations")
 
-	// One maze scratch per worker, reused across every two-pin search
-	// of the run (index 0 doubles as the serial path's scratch).
+	// One scratch per prep worker (the in-tree marks); the first is also
+	// the pass's maze scratch and segment buffer, reused across every
+	// net and two-pin search of the run.
 	pool := make([]*mazeScratch, workers)
 	for i := range pool {
 		pool[i] = &mazeScratch{}
 	}
+	pass := pool[0]
 
 	// Net prep (pin nodes, MST decomposition) is a pure function of
 	// the placement, so it parallelizes freely and happens once: a
@@ -141,7 +210,7 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		wave[i] = t
 	}
 	errs := make([]error, len(order))
-	met.busy += par.ItemsTr(met.ts, "route/prep", workers, len(order), func(w, i int) {
+	busy := par.ItemsTr(ts, "route/prep", workers, len(order), func(w, i int) {
 		errs[i] = db.prepTask(wave[i], pool[w])
 	})
 	for _, err := range errs {
@@ -150,8 +219,7 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		}
 	}
 
-	commit := func(t *netTask) { db.addUsage(t.route, 1) }
-	routeWave(wave, false, workers, pool, met, commit)
+	db.routePass(wave, false, res, pass, main)
 	routedC.Add(uint64(len(order)))
 
 	// Negotiated rip-up and reroute. Early iterations reroute with
@@ -186,7 +254,7 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 			t.old = t.route.Segments
 			wave = append(wave, t)
 		}
-		routeWave(wave, useMaze, workers, pool, met, commit)
+		db.routePass(wave, useMaze, res, pass, main)
 		ripupC.Add(uint64(len(victims)))
 		itsl.End(trace.N("iter", int64(it)), trace.N("victims", int64(len(victims))),
 			trace.N("overflow", int64(over)))
@@ -219,30 +287,20 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 	res.Overflow = db.Overflow()
 	overG.Set(float64(res.Overflow))
 
-	// Scratch reuse and worker utilization for this run.
-	var hits, misses uint64
-	for _, s := range pool {
-		hits += s.hits
-		misses += s.misses
-	}
+	// Scratch reuse and prep-worker utilization for this run.
 	reg.Counter("route_scratch_hits_total",
-		"Maze searches served by an already-sized scratch allocation.").Add(hits)
+		"Maze searches served by an already-sized scratch allocation.").Add(pass.hits)
 	reg.Counter("route_scratch_misses_total",
-		"Maze searches that had to grow their scratch backing arrays.").Add(misses)
-	if hits+misses > 0 {
+		"Maze searches that had to grow their scratch backing arrays.").Add(pass.misses)
+	if n := pass.hits + pass.misses; n > 0 {
 		reg.Gauge("route_scratch_hit_ratio",
 			"Fraction of maze searches reusing scratch memory, latest run.").
-			Set(float64(hits) / float64(hits+misses))
+			Set(float64(pass.hits) / float64(n))
 	}
 	if wall := time.Since(t0).Seconds(); wall > 0 && workers > 1 {
 		reg.Gauge("route_worker_utilization_ratio",
 			"Summed worker busy time over workers × stage wall time, latest run.").
-			Set(met.busy.Seconds() / (wall * float64(workers)))
-	}
-	if db.opt.Sharded && db.opt.ShardVerify {
-		if err := db.verifySharded(d, res); err != nil {
-			return nil, err
-		}
+			Set(busy.Seconds() / (wall * float64(workers)))
 	}
 	return res, nil
 }

@@ -48,9 +48,10 @@ type JobSpec struct {
 	Pitches     []float64 `json:"pitches,omitempty"`
 	Resolutions []float64 `json:"resolutions,omitempty"`
 
-	// Workers is the per-job engine worker count (flows -j). Default 1:
-	// a multi-tenant daemon gets its parallelism across jobs, not
-	// within them. Results are bit-identical at any setting.
+	// Workers is the per-job worker count of the engines' data-parallel
+	// phases (flows.Config.Workers, the CLI's -j). Default 1: a
+	// multi-tenant daemon gets its parallelism across jobs, not within
+	// them. Results are bit-identical at any setting.
 	Workers int `json:"workers,omitempty"`
 
 	// TimeoutMS bounds the job's wall clock; 0 inherits the server

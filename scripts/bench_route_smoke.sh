@@ -24,13 +24,12 @@ need() {
 	}
 }
 need '"flat_route_serial_over_parallel"'
-need '"flat_route_serial_over_sharded"'
 need '"noise"'
 need '"stddev_ns_per_op"'
 need '"cv"'
 need '"gomaxprocs"'
 need '"workers": 4'
-need '"route_cp_speedup/flat_sharded"'
+need '"place_cp_speedup/flat_analytic"'
 need '"route_occupancy/flat_parallel"'
 need '"flat_place_serial_over_analytic"'
 need '"flat_place_analytic_hpwl_over_default"'
