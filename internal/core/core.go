@@ -246,7 +246,7 @@ func Separate(md *MoLDesign, routes *route.Result, db *route.DB) (logic, macro *
 	if f2fIdx < 0 {
 		return nil, nil, fmt.Errorf("core: combined stack lost its F2F via")
 	}
-	seen := map[[2]int]int{}
+	seen := map[[2]int16]int{}
 	for _, r := range routes.Routes {
 		if r == nil {
 			continue
@@ -255,18 +255,14 @@ func Separate(md *MoLDesign, routes *route.Result, db *route.DB) (logic, macro *
 			if !s.IsVia() {
 				continue
 			}
-			lo := s.A.L
-			if s.B.L < lo {
-				lo = s.B.L
-			}
-			if lo != f2fIdx {
+			if int(min(s.A.L, s.B.L)) != f2fIdx {
 				continue
 			}
 			// Offset repeated bumps in a gcell onto the bump grid.
-			key := [2]int{s.A.X, s.A.Y}
+			key := [2]int16{s.A.X, s.A.Y}
 			k := seen[key]
 			seen[key] = k + 1
-			c := db.Grid.BinCenter(s.A.X, s.A.Y)
+			c := db.Grid.BinCenter(int(s.A.X), int(s.A.Y))
 			pitch := md.Combined.Vias[f2fIdx].Pitch
 			per := int(db.Grid.DX / pitch)
 			if per < 1 {

@@ -103,11 +103,56 @@ func (db *DB) AttachObs(sp *obs.Span) {
 	}
 }
 
+// rebuildAdjacency derives the three adjacency tables from the design
+// as a counting build: size every row, carve the rows as exact-size
+// views of one flat array, fill. Nets are visited in id order, so rows
+// are born sorted and a net that sinks on an instance through several
+// pins is deduplicated by looking at the row's last entry. A row is
+// full (len == cap), so a transaction growing it copies it out instead
+// of running into the next.
 func (db *DB) rebuildAdjacency() {
 	d := db.Design
 	db.drivenI = make([][]int32, len(d.Instances))
 	db.drivenP = make([][]int32, len(d.Ports))
 	db.inputs = make([][]int32, len(d.Instances))
+
+	degI := make([]int32, len(d.Instances))
+	degP := make([]int32, len(d.Ports))
+	degIn := make([]int32, len(d.Instances))
+	seen := make([]int32, len(d.Instances)) // id+1 of the last net counted into the instance's inputs
+	total := 0
+	for _, n := range d.Nets {
+		switch {
+		case n.Driver.Port != nil:
+			degP[n.Driver.Port.ID]++
+			total++
+		case n.Driver.Inst != nil:
+			degI[n.Driver.Inst.ID]++
+			total++
+		}
+		if n.Clock {
+			continue
+		}
+		for _, s := range n.Sinks {
+			if s.Inst != nil && seen[s.Inst.ID] != int32(n.ID)+1 {
+				seen[s.Inst.ID] = int32(n.ID) + 1
+				degIn[s.Inst.ID]++
+				total++
+			}
+		}
+	}
+	flat := make([]int32, total)
+	carve := func(rows [][]int32, deg []int32) {
+		for i, k := range deg {
+			if k > 0 {
+				rows[i], flat = flat[:0:k], flat[k:]
+			}
+		}
+	}
+	carve(db.drivenI, degI)
+	carve(db.drivenP, degP)
+	carve(db.inputs, degIn)
+
 	for _, n := range d.Nets {
 		id := int32(n.ID)
 		if row := db.drivenRow(n.Driver); row != nil {
@@ -117,8 +162,11 @@ func (db *DB) rebuildAdjacency() {
 			continue
 		}
 		for _, s := range n.Sinks {
-			if s.Inst != nil {
-				db.addInput(s.Inst.ID, id)
+			if s.Inst == nil {
+				continue
+			}
+			if row := db.inputs[s.Inst.ID]; len(row) == 0 || row[len(row)-1] != id {
+				db.inputs[s.Inst.ID] = append(row, id)
 			}
 		}
 	}

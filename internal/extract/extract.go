@@ -272,7 +272,7 @@ func (s *Scratch) extractNet(rc *NetRC, r *route.NetRoute, db *route.DB, corner 
 			c = v.C * corner.WireC
 		} else {
 			ly := db.Beol.Layers[sg.A.L]
-			length := float64(abs(sg.B.X-sg.A.X))*db.Grid.DX + float64(abs(sg.B.Y-sg.A.Y))*db.Grid.DY
+			length := float64(abs(int(sg.B.X)-int(sg.A.X)))*db.Grid.DX + float64(abs(int(sg.B.Y)-int(sg.A.Y)))*db.Grid.DY
 			res = length * ly.RPerUm * corner.WireR
 			c = length * ly.CPerUm * corner.WireC
 		}

@@ -48,7 +48,7 @@ func extractNetOracle(n *netlist.Net, r *route.NetRoute, db *route.DB, corner te
 			continue
 		}
 		ly := db.Beol.Layers[s.A.L]
-		length := float64(abs(s.B.X-s.A.X))*db.Grid.DX + float64(abs(s.B.Y-s.A.Y))*db.Grid.DY
+		length := float64(abs(int(s.B.X)-int(s.A.X)))*db.Grid.DX + float64(abs(int(s.B.Y)-int(s.A.Y)))*db.Grid.DY
 		res := length * ly.RPerUm * corner.WireR
 		c := length * ly.CPerUm * corner.WireC
 		rc.WireC += c
@@ -124,26 +124,26 @@ func randomNet(rng *geom.RNG, d *netlist.Design, db *route.DB, id int) (*netlist
 	n := d.AddNet(name("n", 0), netlist.IPin(drv, "Y"), sinks...)
 
 	nl := db.Beol.NumLayers()
-	nodes := []route.Node{{X: 20 + rng.Intn(10), Y: 20 + rng.Intn(10), L: rng.Intn(nl)}}
+	nodes := []route.Node{route.At(20+rng.Intn(10), 20+rng.Intn(10), rng.Intn(nl))}
 	r := &route.NetRoute{Net: n}
 	for i, k := 0, rng.Intn(25); i < k; i++ {
 		from := nodes[rng.Intn(len(nodes))]
 		to := from
 		switch rng.Intn(10) {
 		case 0, 1, 2: // via step, across the F2F bump when it is next
-			if to.L+1 < nl && (to.L == 0 || rng.Intn(2) == 0) {
+			if int(to.L)+1 < nl && (to.L == 0 || rng.Intn(2) == 0) {
 				to.L++
 			} else {
 				to.L--
 			}
 		case 3, 4, 5:
-			to.X += 1 + rng.Intn(8)
+			to.X += int16(1 + rng.Intn(8))
 		case 6, 7:
-			to.Y -= 1 + rng.Intn(8)
+			to.Y -= int16(1 + rng.Intn(8))
 		case 8: // loop: close back onto an earlier node of the same layer or column
 			for _, c := range nodes {
 				if c != from && ((c.L == from.L && (c.X == from.X || c.Y == from.Y)) ||
-					(c.X == from.X && c.Y == from.Y && abs(c.L-from.L) == 1)) {
+					(c.X == from.X && c.Y == from.Y && abs(int(c.L)-int(from.L)) == 1)) {
 					to = c
 					break
 				}
@@ -161,7 +161,7 @@ func randomNet(rng *geom.RNG, d *netlist.Design, db *route.DB, id int) (*netlist
 	var unreached []int
 	for i := range sinks {
 		if rng.Intn(8) == 0 {
-			r.PinNode = append(r.PinNode, route.Node{X: 90 + i, Y: 90, L: rng.Intn(nl)})
+			r.PinNode = append(r.PinNode, route.At(90+i, 90, rng.Intn(nl)))
 			unreached = append(unreached, i)
 			continue
 		}
@@ -235,7 +235,7 @@ func TestExtractMatchesOracle(t *testing.T) {
 				loops++
 			}
 			seen[sg.A], seen[sg.B] = true, true
-			if sg.IsVia() && min(sg.A.L, sg.B.L) == f2f {
+			if sg.IsVia() && int(min(sg.A.L, sg.B.L)) == f2f {
 				crossings++
 			}
 		}

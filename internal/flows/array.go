@@ -64,6 +64,9 @@ func VerifyTileArray(cfg Config, st *State, t *tech.Tech, nx, ny int) (*ArrayRep
 	ropt := cfg.routeOptions(nil)
 	ropt.Grid = &ag
 	db := route.NewDB(arrayDie, st.Beol, fp.RouteBlk, ropt)
+	if err := db.Err(); err != nil {
+		return nil, fmt.Errorf("array %d×%d: %w", nx, ny, err)
+	}
 
 	res := &route.Result{
 		Routes:     make([]*route.NetRoute, len(arr.Nets)),

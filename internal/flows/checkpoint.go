@@ -3,6 +3,7 @@ package flows
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -507,32 +508,73 @@ func pseudoCheckpoint(material []byte, d *netlist.Design) checkpoint {
 }
 
 // ---- routing snapshots ----
+//
+// A routing result on the wire (DESIGN.md §11):
+//
+//	Int  table length — len(Routes), nil entries included
+//	Int  routes, Int pin nodes, Int segments — totals over the table
+//	per table entry: Bool present, and when present
+//	     U32 segment count, the segments as node pairs
+//	     U32 pin count, the pin nodes
+//	     F64 WL, U32 vias, U32 F2F crossings
+//	F64 WL, F64s WLPerLayer, Int vias, Int bumps, Int overflow, F64 overflow WL
+//
+// A node is nodeWire bytes: X and Y as little-endian uint16, L as one
+// byte. The totals let the decoder size every slab once.
+const (
+	nodeWire  = 5
+	segWire   = 2 * nodeWire
+	routeWire = 1 + 4 + 4 + 8 + 4 + 4 // a present entry with no geometry
+)
+
+func putNode(b []byte, n route.Node) {
+	b[0], b[1] = byte(n.X), byte(uint16(n.X)>>8)
+	b[2], b[3] = byte(n.Y), byte(uint16(n.Y)>>8)
+	b[4] = byte(n.L)
+}
+
+// getNode reads a node; the high bit of b[1], b[3] or b[4] marks a value
+// no route.Node holds, which decodeResult rejects.
+func getNode(b []byte) route.Node {
+	return route.Node{
+		X: int16(uint16(b[0]) | uint16(b[1])<<8),
+		Y: int16(uint16(b[2]) | uint16(b[3])<<8),
+		L: int8(b[4]),
+	}
+}
 
 func encodeResult(e *stash.Enc, res *route.Result) {
+	routes, pins, segs := 0, 0, 0
+	for _, nr := range res.Routes {
+		if nr != nil {
+			routes++
+			pins += len(nr.PinNode)
+			segs += len(nr.Segments)
+		}
+	}
 	e.Int(len(res.Routes))
+	e.Int(routes)
+	e.Int(pins)
+	e.Int(segs)
 	for _, nr := range res.Routes {
 		e.Bool(nr != nil)
 		if nr == nil {
 			continue
 		}
-		e.Int(len(nr.Segments))
-		for _, s := range nr.Segments {
-			e.Int(s.A.X)
-			e.Int(s.A.Y)
-			e.Int(s.A.L)
-			e.Int(s.B.X)
-			e.Int(s.B.Y)
-			e.Int(s.B.L)
+		e.U32(uint32(len(nr.Segments)))
+		b := e.Extend(segWire * len(nr.Segments))
+		for i, s := range nr.Segments {
+			putNode(b[segWire*i:], s.A)
+			putNode(b[segWire*i+nodeWire:], s.B)
 		}
-		e.Int(len(nr.PinNode))
-		for _, p := range nr.PinNode {
-			e.Int(p.X)
-			e.Int(p.Y)
-			e.Int(p.L)
+		e.U32(uint32(len(nr.PinNode)))
+		b = e.Extend(nodeWire * len(nr.PinNode))
+		for i, p := range nr.PinNode {
+			putNode(b[nodeWire*i:], p)
 		}
 		e.F64(nr.WL)
-		e.Int(nr.Vias)
-		e.Int(nr.F2F)
+		e.U32(uint32(nr.Vias))
+		e.U32(uint32(nr.F2F))
 	}
 	e.F64(res.WL)
 	e.F64s(res.WLPerLayer)
@@ -542,35 +584,63 @@ func encodeResult(e *stash.Enc, res *route.Result) {
 	e.F64(res.OverflowWL)
 }
 
+var errRouteHeader = errors.New("route snapshot: per-route counts disagree with the header totals")
+
 // decodeResult decodes a routing result straight into the records it
-// will live in: route records, pin nodes and segments are carved from
-// the result's slabs at the counts the snapshot declares (each checked
-// against the bytes left, so a corrupt count cannot over-allocate).
-// Nothing of the live design is touched — the routes' Net pointers stay
-// nil until bindResult, after the caller has validated the snapshot.
-func decodeResult(dec *stash.Dec) *route.Result {
-	res := &route.Result{}
+// will live in. The header's totals are each checked against the bytes
+// left (so a corrupt count cannot over-allocate) and size the route, pin
+// node and segment slabs in one allocation each; the per-route counts
+// must then add up to exactly those totals. Nothing of the live design
+// is touched — the routes' Net pointers stay nil until bindResult, after
+// the caller has validated the snapshot.
+func decodeResult(dec *stash.Dec) (*route.Result, error) {
 	n := dec.Count(1)
-	res.Routes = make([]*route.NetRoute, n)
+	routes, pins, segs := dec.Count(routeWire), dec.Count(nodeWire), dec.Count(segWire)
+	if err := dec.Err(); err != nil {
+		return nil, err
+	}
+	res := &route.Result{Routes: make([]*route.NetRoute, n)}
+	res.Reserve(routes, pins, segs)
+	var bad byte // high bits of every node byte that must not carry one
 	for i := 0; i < n && dec.Err() == nil; i++ {
 		if !dec.Bool() {
 			continue
 		}
-		nr := res.NewRoute(i, nil)
-		nr.Segments = res.SegSpan(dec.Count(6 * 8))
-		for j := range nr.Segments {
-			nr.Segments[j] = route.Seg{
-				A: route.Node{X: dec.Int(), Y: dec.Int(), L: dec.Int()},
-				B: route.Node{X: dec.Int(), Y: dec.Int(), L: dec.Int()},
-			}
+		ns := int(dec.U32())
+		b := dec.View(segWire * ns)
+		if dec.Err() != nil {
+			break
 		}
-		nr.PinNode = res.PinSpan(dec.Count(3 * 8))
+		if routes == 0 || ns > segs {
+			return nil, errRouteHeader
+		}
+		routes--
+		segs -= ns
+		nr := res.NewRoute(i, nil)
+		nr.Segments = res.SegSpan(ns)
+		for j := range nr.Segments {
+			w := b[segWire*j : segWire*j+segWire]
+			nr.Segments[j] = route.Seg{A: getNode(w), B: getNode(w[nodeWire:])}
+			bad |= w[1] | w[3] | w[4] | w[6] | w[8] | w[9]
+		}
+		np := int(dec.U32())
+		b = dec.View(nodeWire * np)
+		if dec.Err() != nil {
+			break
+		}
+		if np > pins {
+			return nil, errRouteHeader
+		}
+		pins -= np
+		nr.PinNode = res.PinSpan(np)
 		for j := range nr.PinNode {
-			nr.PinNode[j] = route.Node{X: dec.Int(), Y: dec.Int(), L: dec.Int()}
+			w := b[nodeWire*j : nodeWire*j+nodeWire]
+			nr.PinNode[j] = getNode(w)
+			bad |= w[1] | w[3] | w[4]
 		}
 		nr.WL = dec.F64()
-		nr.Vias = dec.Int()
-		nr.F2F = dec.Int()
+		nr.Vias = int(dec.U32())
+		nr.F2F = int(dec.U32())
 	}
 	res.WL = dec.F64()
 	res.WLPerLayer = dec.F64s()
@@ -578,7 +648,16 @@ func decodeResult(dec *stash.Dec) *route.Result {
 	res.F2FBumps = dec.Int()
 	res.Overflow = dec.Int()
 	res.OverflowWL = dec.F64()
-	return res
+	if err := dec.Err(); err != nil {
+		return nil, err
+	}
+	if routes != 0 || pins != 0 || segs != 0 {
+		return nil, errRouteHeader
+	}
+	if bad&0x80 != 0 {
+		return nil, errors.New("route snapshot: node outside the addressable grid")
+	}
+	return res, nil
 }
 
 // bindResult points a decoded result's routes at the live design's
@@ -609,7 +688,10 @@ func routeCheckpoint(st *State, d *netlist.Design, material []byte, build func()
 			return nil
 		},
 		load: func(dec *stash.Dec) error {
-			res := decodeResult(dec)
+			res, err := decodeResult(dec)
+			if err != nil {
+				return err
+			}
 			u := dec.I32s()
 			h := dec.F32s()
 			f := dec.I32s()

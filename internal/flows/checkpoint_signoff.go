@@ -14,7 +14,9 @@ import (
 
 // netStateWire is one net's connectivity in a signoff snapshot.
 // Existing nets are overwritten wholesale because buffer insertion
-// rewires their sinks; appended nets additionally carry their name.
+// rewires their sinks; appended nets additionally carry their name. The
+// sinks of every net of a snapshot share one slice (the snapshot states
+// their total up front); a net holds its window of it.
 type netStateWire struct {
 	name   string
 	clock  bool
@@ -22,6 +24,14 @@ type netStateWire struct {
 	driver pinRefWire
 	sinks  []pinRefWire
 }
+
+// The fewest bytes an instance and a net take in a signoff snapshot
+// (empty strings, no sinks): what Dec.Count checks the declared counts
+// against before the decoder sizes its tables by them.
+const (
+	instWireMin = 4 + 8 + 8 + 3
+	netWireMin  = 1 + 8 + 1 + 8
+)
 
 func encodeNetState(e *stash.Enc, n *netlist.Net, withName bool) {
 	if withName {
@@ -36,7 +46,10 @@ func encodeNetState(e *stash.Enc, n *netlist.Net, withName bool) {
 	}
 }
 
-func decodeNetState(dec *stash.Dec, withName bool) netStateWire {
+// decodeNetState decodes one net, appending its sinks to *arena — sized
+// by the caller to the snapshot's sink total, which a net may not
+// overrun.
+func decodeNetState(dec *stash.Dec, withName bool, arena *[]pinRefWire) (netStateWire, error) {
 	var w netStateWire
 	if withName {
 		w.name = dec.Str()
@@ -45,10 +58,18 @@ func decodeNetState(dec *stash.Dec, withName bool) netStateWire {
 	w.weight = dec.F64()
 	w.driver = decodePinRefWire(dec)
 	n := dec.Int()
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		w.sinks = append(w.sinks, decodePinRefWire(dec))
+	if dec.Err() != nil {
+		return w, dec.Err()
 	}
-	return w
+	lo := len(*arena)
+	if n < 0 || n > cap(*arena)-lo {
+		return w, fmt.Errorf("signoff snapshot net has %d sinks, %d left of the declared total", n, cap(*arena)-lo)
+	}
+	for i := 0; i < n; i++ {
+		*arena = append(*arena, decodePinRefWire(dec))
+	}
+	w.sinks = (*arena)[lo:len(*arena):len(*arena)]
+	return w, dec.Err()
 }
 
 func (w netStateWire) validate(nInst, nPort int) error {
@@ -67,7 +88,7 @@ func (w netStateWire) apply(d *netlist.Design, net *netlist.Net) {
 	net.Clock = w.clock
 	net.Weight = w.weight
 	net.Driver = w.driver.resolve(d)
-	net.Sinks = make([]netlist.PinRef, len(w.sinks))
+	net.Sinks = d.SinkSpan(len(w.sinks))
 	for i, s := range w.sinks {
 		net.Sinks[i] = s.resolve(d)
 	}
@@ -216,6 +237,11 @@ func signoffCheckpoint(r *runner, st *State, t *tech.Tech, material []byte, resi
 			for i, inst := range d.Instances {
 				encodeInstState(e, inst, i >= preInst)
 			}
+			sinks := 0
+			for _, n := range d.Nets {
+				sinks += len(n.Sinks)
+			}
+			e.Int(sinks)
 			for i, n := range d.Nets {
 				encodeNetState(e, n, i >= preNet)
 			}
@@ -239,20 +265,28 @@ func signoffCheckpoint(r *runner, st *State, t *tech.Tech, material []byte, resi
 			if pi, pn := dec.Int(), dec.Int(); dec.Err() == nil && (pi != preInst || pn != preNet) {
 				return fmt.Errorf("signoff snapshot base %d/%d, design at %d/%d", pi, pn, preInst, preNet)
 			}
-			postInst := dec.Int()
-			postNet := dec.Int()
+			postInst := dec.Count(instWireMin)
+			postNet := dec.Count(netWireMin)
 			if dec.Err() == nil && (postInst < preInst || postNet < preNet) {
 				return fmt.Errorf("signoff snapshot shrinks the design")
 			}
-			insts := make([]instStateWire, 0, preInst)
+			insts := make([]instStateWire, 0, postInst)
 			for i := 0; i < postInst && dec.Err() == nil; i++ {
 				insts = append(insts, decodeInstState(dec, i >= preInst))
 			}
-			nets := make([]netStateWire, 0, preNet)
+			sinks := make([]pinRefWire, 0, dec.Count(1))
+			nets := make([]netStateWire, 0, postNet)
 			for i := 0; i < postNet && dec.Err() == nil; i++ {
-				nets = append(nets, decodeNetState(dec, i >= preNet))
+				w, err := decodeNetState(dec, i >= preNet, &sinks)
+				if err != nil {
+					return err
+				}
+				nets = append(nets, w)
 			}
-			routes := decodeResult(dec)
+			routes, err := decodeResult(dec)
+			if err != nil {
+				return err
+			}
 			u := dec.I32s()
 			h := dec.F32s()
 			f := dec.I32s()
@@ -298,16 +332,15 @@ func signoffCheckpoint(r *runner, st *State, t *tech.Tech, material []byte, resi
 			if len(routes.Routes) != postNet {
 				return fmt.Errorf("signoff snapshot routes %d nets, design will have %d", len(routes.Routes), postNet)
 			}
-			cu, ch, cf := st.DB.DynState()
-			if len(u) != len(cu) || len(h) != len(ch) || len(f) != len(cf) {
-				return fmt.Errorf("signoff snapshot dyn state shape mismatch")
+			if err := st.DB.CheckDynState(u, h, f); err != nil {
+				return fmt.Errorf("signoff snapshot: %w", err)
 			}
 			if err := rep.validate(postInst, len(d.Ports)); err != nil {
 				return err
 			}
 
 			// Phase 2: apply. Nothing below can fail.
-			d.Reserve(postInst-preInst, postNet-preNet, 0)
+			d.Reserve(postInst-preInst, postNet-preNet, len(sinks))
 			for i := preInst; i < postInst; i++ {
 				inst := d.AddInstance(insts[i].name, insts[i].resolved)
 				insts[i].apply(inst)

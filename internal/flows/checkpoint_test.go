@@ -1,0 +1,320 @@
+package flows
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"macro3d/internal/cell"
+	"macro3d/internal/geom"
+	"macro3d/internal/netlist"
+	"macro3d/internal/piton"
+	"macro3d/internal/route"
+	"macro3d/internal/stash"
+)
+
+// randomResult builds a routing result of n table entries — about one
+// in eight nil — with random geometry that reaches the corners of the
+// addressable grid.
+func randomResult(seed uint64, n int) *route.Result {
+	rng := geom.NewRNG(seed)
+	node := func() route.Node {
+		switch rng.Intn(16) {
+		case 0:
+			return route.At(route.MaxGridDim-1, route.MaxGridDim-1, route.MaxLayers-1)
+		case 1:
+			return route.Node{}
+		}
+		return route.At(rng.Intn(route.MaxGridDim), rng.Intn(route.MaxGridDim), rng.Intn(route.MaxLayers))
+	}
+	res := &route.Result{WLPerLayer: make([]float64, 1+rng.Intn(13))}
+	for i := range res.WLPerLayer {
+		res.WLPerLayer[i] = rng.Range(0, 1e6)
+	}
+	for i := 0; i < n; i++ {
+		if rng.Intn(8) == 0 {
+			res.SetRoute(i, nil)
+			continue
+		}
+		nr := res.NewRoute(i, nil)
+		nr.Segments = res.SegSpan(rng.Intn(40))
+		for j := range nr.Segments {
+			nr.Segments[j] = route.Seg{A: node(), B: node()}
+		}
+		nr.PinNode = res.PinSpan(rng.Intn(6))
+		for j := range nr.PinNode {
+			nr.PinNode[j] = node()
+		}
+		nr.WL, nr.Vias, nr.F2F = rng.Range(0, 5000), rng.Intn(100), rng.Intn(10)
+	}
+	res.WL, res.Vias, res.F2FBumps = rng.Range(0, 1e7), rng.Intn(1e6), rng.Intn(1e5)
+	res.Overflow, res.OverflowWL = rng.Intn(500), rng.Range(0, 100)
+	return res
+}
+
+func encodeResultBytes(res *route.Result) []byte {
+	e := stash.NewEnc()
+	encodeResult(e, res)
+	return e.Bytes()
+}
+
+func decodeResultBytes(b []byte) (*route.Result, error) {
+	dec := stash.NewDec(b)
+	res, err := decodeResult(dec)
+	if err != nil {
+		return nil, err
+	}
+	return res, dec.Done()
+}
+
+// sameResult compares two results field for field (Net pointers aside:
+// a decoded result is unbound).
+func sameResult(a, b *route.Result) error {
+	if len(a.Routes) != len(b.Routes) {
+		return fmt.Errorf("%d routes vs %d", len(a.Routes), len(b.Routes))
+	}
+	for i, ra := range a.Routes {
+		rb := b.Routes[i]
+		if (ra == nil) != (rb == nil) {
+			return fmt.Errorf("route %d: nil mismatch", i)
+		}
+		if ra == nil {
+			continue
+		}
+		if !slices.Equal(ra.Segments, rb.Segments) || !slices.Equal(ra.PinNode, rb.PinNode) {
+			return fmt.Errorf("route %d: geometry differs", i)
+		}
+		if ra.WL != rb.WL || ra.Vias != rb.Vias || ra.F2F != rb.F2F {
+			return fmt.Errorf("route %d: metrics differ", i)
+		}
+	}
+	if a.WL != b.WL || a.Vias != b.Vias || a.F2FBumps != b.F2FBumps ||
+		a.Overflow != b.Overflow || a.OverflowWL != b.OverflowWL ||
+		!slices.Equal(a.WLPerLayer, b.WLPerLayer) {
+		return errors.New("totals differ")
+	}
+	return nil
+}
+
+// TestResultCodecRoundTrip: random results — and a real tile's — encode,
+// decode to a field-for-field equal result, and re-encode to the same
+// bytes.
+func TestResultCodecRoundTrip(t *testing.T) {
+	check := func(t *testing.T, res *route.Result) {
+		t.Helper()
+		b := encodeResultBytes(res)
+		got, err := decodeResultBytes(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameResult(res, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeResultBytes(got), b) {
+			t.Fatal("re-encoded result is not byte-identical")
+		}
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		check(t, randomResult(seed, int(seed*seed)%300))
+	}
+	t.Run("tile", func(t *testing.T) {
+		_, st, err := Run2DCtx(context.Background(), tinyCacheCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs := 0
+		for _, r := range st.Routes.Routes {
+			if r != nil {
+				segs += len(r.Segments)
+			}
+		}
+		if segs == 0 {
+			t.Fatal("tile result has no segments")
+		}
+		check(t, st.Routes)
+		// 10 bytes a segment on disk, not the 48 of its 64-bit fields.
+		if n := len(encodeResultBytes(st.Routes)); n > 20*segs {
+			t.Errorf("snapshot is %d bytes for %d segments", n, segs)
+		}
+	})
+}
+
+// TestDecodeResultAllocs: a decoded result is a constant number of heap
+// objects — the table, one chunk per slab, the per-layer totals — however
+// many nets it holds.
+func TestDecodeResultAllocs(t *testing.T) {
+	allocs := func(nets int) float64 {
+		b := encodeResultBytes(randomResult(9, nets))
+		return testing.AllocsPerRun(5, func() {
+			if _, err := decodeResultBytes(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(250), allocs(5000)
+	if small != large || large > 12 {
+		t.Errorf("decode allocates %.0f objects at 250 nets, %.0f at 5000; want equal and <= 12", small, large)
+	}
+}
+
+// TestDecodeResultCorrupt runs the corrupt-snapshot table — truncated,
+// bit-flipped, oversized or inconsistent counts — against the count
+// header: every case is an error, never a panic, a hang or an
+// allocation sized by the corrupt value.
+func TestDecodeResultCorrupt(t *testing.T) {
+	good := encodeResultBytes(randomResult(3, 200))
+	if _, err := decodeResultBytes(good); err != nil {
+		t.Fatal(err)
+	}
+	putInt := func(b []byte, off int, v int64) []byte {
+		b = slices.Clone(b)
+		for i := 0; i < 8; i++ {
+			b[off+i] = byte(uint64(v) >> (8 * i))
+		}
+		return b
+	}
+	getInt := func(off int) int64 {
+		var v uint64
+		for i := 0; i < 8; i++ {
+			v |= uint64(good[off+i]) << (8 * i)
+		}
+		return int64(v)
+	}
+	type tc struct {
+		name string
+		b    []byte
+	}
+	var cases []tc
+	for _, n := range []int{0, 7, 8, 31, 32, 33, 40, len(good) / 2, len(good) - 9, len(good) - 1} {
+		cases = append(cases, tc{fmt.Sprintf("truncated-%d", n), good[:n]})
+	}
+	cases = append(cases, tc{"trailing", append(slices.Clone(good), 0)})
+	// The four header counts: table length, routes, pin nodes, segments.
+	for f, name := range []string{"table", "routes", "pins", "segments"} {
+		off := 8 * f
+		for _, v := range []int64{-1, int64(len(good)), 1 << 40, 1<<63 - 1, getInt(off) + 1, getInt(off) - 1} {
+			cases = append(cases, tc{fmt.Sprintf("%s-count-%d", name, v), putInt(good, off, v)})
+		}
+		for bit := 0; bit < 64; bit += 7 {
+			b := slices.Clone(good)
+			b[off+bit/8] ^= 1 << (bit % 8)
+			cases = append(cases, tc{fmt.Sprintf("%s-bitflip-%d", name, bit), b})
+		}
+	}
+	// The first present route's segment count (after the four header
+	// Ints and the route's presence byte), oversized.
+	first := 32
+	for good[first] == 0 {
+		first++
+	}
+	over := slices.Clone(good)
+	over[first+1], over[first+2], over[first+3], over[first+4] = 0xff, 0xff, 0xff, 0x7f
+	cases = append(cases, tc{"route-segment-count", over})
+	// A node byte no route.Node holds: the high bit of X, Y or L.
+	for i, name := range []string{"x", "y", "l"} {
+		b := slices.Clone(good)
+		b[first+5+[]int{1, 3, 4}[i]] |= 0x80
+		cases = append(cases, tc{"node-high-bit-" + name, b})
+	}
+	for _, c := range cases {
+		if _, err := decodeResultBytes(c.b); err == nil {
+			t.Errorf("%s: corrupt snapshot decoded without error", c.name)
+		}
+	}
+}
+
+// TestUnaddressableGridFailsFlow: a die whose routing grid has more
+// gcells per axis than a route.Node addresses fails the flow at the
+// route stage with the router's error, leaving no routes behind.
+func TestUnaddressableGridFailsFlow(t *testing.T) {
+	cfg := tinyCacheCfg()
+	cfg.AfterStage = func(_, stage string, st *State) {
+		if stage == StageCTS {
+			st.Die.Ux = st.Die.Lx + 15*float64(route.MaxGridDim+1)
+		}
+	}
+	_, st, err := Run2DCtx(context.Background(), cfg)
+	var se *StageError
+	if !errors.As(err, &se) || se.Stage != StageRoute || se.Stack != nil {
+		t.Fatalf("want a clean route-stage error, got %v", err)
+	}
+	if !strings.Contains(err.Error(), "exceeds the addressable") || !errors.Is(err, st.DB.Err()) {
+		t.Errorf("flow error does not carry the router's: %v", err)
+	}
+	if st.Routes != nil {
+		t.Error("a route result exists over an unaddressable grid")
+	}
+}
+
+// TestDecodeNetStateSinkArena: the nets of a signoff snapshot decode
+// their sinks into the one arena its declared total sized, each net a
+// full window of it; a net overrunning the total is an error.
+func TestDecodeNetStateSinkArena(t *testing.T) {
+	d := netlist.NewDesign("n", cell.NewStdLib28(cell.DefaultLibOptions()))
+	var ports []netlist.PinRef
+	for i := 0; i < 7; i++ {
+		ports = append(ports, netlist.PPin(d.AddPort(fmt.Sprintf("p%d", i), cell.DirIn)))
+	}
+	e := stash.NewEnc()
+	encodeNetState(e, d.AddNet("a", ports[0], ports[1], ports[2]), false)
+	encodeNetState(e, d.AddNet("b", ports[3], ports[4], ports[5], ports[6]), false)
+
+	arena := make([]pinRefWire, 0, 5)
+	dec := stash.NewDec(e.Bytes())
+	a, err := decodeNetState(dec, false, &arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := decodeNetState(dec, false, &arena)
+	if err != nil || dec.Done() != nil {
+		t.Fatal(err, dec.Done())
+	}
+	if len(a.sinks) != 2 || cap(a.sinks) != 2 || len(b.sinks) != 3 || len(arena) != 5 ||
+		a.sinks[1].portID != 2 || b.sinks[0].portID != 4 {
+		t.Fatalf("sink windows: %+v %+v", a.sinks, b.sinks)
+	}
+
+	arena = make([]pinRefWire, 0, 4)
+	dec = stash.NewDec(e.Bytes())
+	if _, err := decodeNetState(dec, false, &arena); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeNetState(dec, false, &arena); err == nil {
+		t.Fatal("a net overran the declared sink total without error")
+	}
+}
+
+// BenchmarkResultCodec is the stash-codec kernel: the small Macro-3D
+// tile's routing result through encodeResult and decodeResult (`make
+// bench`, with allocations: the decode is a constant handful of
+// objects and the bytes of the records it fills).
+func BenchmarkResultCodec(b *testing.B) {
+	_, st, _, err := RunMacro3D(Config{Piton: piton.SmallCache(), Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := encodeResultBytes(st.Routes)
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(payload)))
+		for i := 0; i < b.N; i++ {
+			if len(encodeResultBytes(st.Routes)) != len(payload) {
+				b.Fatal("encoding is not stable")
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(payload)))
+		for i := 0; i < b.N; i++ {
+			res, err := decodeResultBytes(payload)
+			if err != nil || len(res.Routes) != len(st.Routes.Routes) {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -95,12 +95,12 @@ func ExportDie(w io.Writer, d *netlist.Design, part *core.DieLayout, routes *rou
 			if s.IsVia() {
 				continue
 			}
-			num, ok := wanted[s.A.L]
+			num, ok := wanted[int(s.A.L)]
 			if !ok {
 				continue
 			}
-			a := grid.BinCenter(s.A.X, s.A.Y)
-			b := grid.BinCenter(s.B.X, s.B.Y)
+			a := grid.BinCenter(int(s.A.X), int(s.A.Y))
+			b := grid.BinCenter(int(s.B.X), int(s.B.Y))
 			width := db.Beol.Layers[s.A.L].Width
 			g.Path(num, width, a.X, a.Y, b.X, b.Y)
 		}

@@ -259,7 +259,7 @@ func (d *Design) AddNet(name string, driver PinRef, sinks ...PinRef) *Net {
 func (d *Design) Reserve(instances, nets, sinkPins int) {
 	d.insts.Reserve(instances)
 	d.nets.Reserve(nets)
-	d.sinks.Reserve(sinkPins)
+	d.sinks.ReserveSpans(sinkPins)
 	d.Instances = slices.Grow(d.Instances, instances)
 	d.Nets = slices.Grow(d.Nets, nets)
 	// A map cannot be grown in place; a fresh design's indices are

@@ -2,25 +2,33 @@ package route
 
 import "fmt"
 
-// DynState returns copies of the DB's mutable routing state: per-bin
-// wire usage, negotiated-congestion history cost, and F2F bump usage.
-// Together with the Result these fully determine the DB's behaviour in
+// DynState returns the DB's mutable routing state — per-bin wire usage,
+// negotiated-congestion history cost and F2F bump usage — as read-only
+// views of the live arrays: the caller encodes or measures them and
+// must neither modify nor keep them past the DB's next edit. Together
+// with the Result these fully determine the DB's behaviour in
 // downstream optimization (congestion cost reads both usage and
 // history), so a checkpoint that restores them resumes bit-identically.
 func (db *DB) DynState() (usage []int32, hist []float32, f2fUse []int32) {
-	usage = append([]int32(nil), db.usage...)
-	hist = append([]float32(nil), db.hist...)
-	f2fUse = append([]int32(nil), db.f2fUse...)
-	return usage, hist, f2fUse
+	return db.usage, db.hist, db.f2fUse
 }
 
-// SetDynState installs usage, history and F2F usage captured by
-// DynState on an identically-constructed DB. Lengths are validated
-// before any mutation, so a corrupt snapshot leaves the DB untouched.
-func (db *DB) SetDynState(usage []int32, hist []float32, f2fUse []int32) error {
+// CheckDynState reports whether state captured by DynState on an
+// identically-constructed DB has this DB's shape, without touching it.
+func (db *DB) CheckDynState(usage []int32, hist []float32, f2fUse []int32) error {
 	if len(usage) != len(db.usage) || len(hist) != len(db.hist) || len(f2fUse) != len(db.f2fUse) {
 		return fmt.Errorf("route: dyn state shape %d/%d/%d, want %d/%d/%d",
 			len(usage), len(hist), len(f2fUse), len(db.usage), len(db.hist), len(db.f2fUse))
+	}
+	return nil
+}
+
+// SetDynState installs usage, history and F2F usage captured by
+// DynState. The shape is validated (CheckDynState) before any mutation,
+// so a corrupt snapshot leaves the DB untouched.
+func (db *DB) SetDynState(usage []int32, hist []float32, f2fUse []int32) error {
+	if err := db.CheckDynState(usage, hist, f2fUse); err != nil {
+		return err
 	}
 	copy(db.usage, usage)
 	copy(db.hist, hist)

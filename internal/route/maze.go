@@ -31,13 +31,13 @@ type window struct {
 func (w window) size() int { return w.nl * w.wx * w.wy }
 
 func (w window) idx(n Node) int {
-	return (n.L*w.wy+(n.Y-w.y0))*w.wx + (n.X - w.x0)
+	return (int(n.L)*w.wy+(int(n.Y)-w.y0))*w.wx + (int(n.X) - w.x0)
 }
 
 func (w window) node(i int) Node {
 	x := i%w.wx + w.x0
 	r := i / w.wx
-	return Node{X: x, Y: r%w.wy + w.y0, L: r / w.wy}
+	return At(x, r%w.wy+w.y0, r/w.wy)
 }
 
 // mazeWindow is the search window for a two-pin connection: the pin
@@ -46,10 +46,10 @@ func (w window) node(i int) Node {
 func (db *DB) mazeWindow(a, b Node) window {
 	g := db.Grid
 	w := window{
-		x0: max(0, min(a.X, b.X)-mazeMargin),
-		y0: max(0, min(a.Y, b.Y)-mazeMargin),
-		x1: min(g.NX-1, max(a.X, b.X)+mazeMargin),
-		y1: min(g.NY-1, max(a.Y, b.Y)+mazeMargin),
+		x0: max(0, int(min(a.X, b.X))-mazeMargin),
+		y0: max(0, int(min(a.Y, b.Y))-mazeMargin),
+		x1: min(g.NX-1, int(max(a.X, b.X))+mazeMargin),
+		y1: min(g.NY-1, int(max(a.Y, b.Y))+mazeMargin),
 		nl: db.Beol.NumLayers(),
 	}
 	w.wx = w.x1 - w.x0 + 1
@@ -195,8 +195,8 @@ func (db *DB) mazeRouteScratch(s *mazeScratch, a, b Node, dst []Seg) ([]Seg, err
 	s.reset(size)
 
 	h := func(n Node) float64 {
-		return float64(geom.AbsInt(n.X-b.X)+geom.AbsInt(n.Y-b.Y)) +
-			float64(geom.AbsInt(n.L-b.L))*db.opt.ViaCost
+		return float64(gridDist(n, b)) +
+			float64(geom.AbsInt(int(n.L)-int(b.L)))*db.opt.ViaCost
 	}
 	start := win.idx(a)
 	goal := int32(win.idx(b))
@@ -214,37 +214,38 @@ func (db *DB) mazeRouteScratch(s *mazeScratch, a, b Node, dst []Seg) ([]Seg, err
 			return db.tracePath(s, win, a, b, dst), nil
 		}
 		n := win.node(int(it.idx))
+		x, y, l := int(n.X), int(n.Y), int(n.L)
 		// Neighbors: preferred-direction steps and vias, all clamped
 		// to the window.
 		var neigh [4]Node
 		var ncost [4]float64
 		cnt := 0
-		ly := db.Beol.Layers[n.L]
+		ly := db.Beol.Layers[l]
 		if ly.Dir == tech.DirHorizontal {
-			if n.X > win.x0 {
+			if x > win.x0 {
 				neigh[cnt] = Node{n.X - 1, n.Y, n.L}
 				cnt++
 			}
-			if n.X < win.x1 {
+			if x < win.x1 {
 				neigh[cnt] = Node{n.X + 1, n.Y, n.L}
 				cnt++
 			}
 		} else {
-			if n.Y > win.y0 {
+			if y > win.y0 {
 				neigh[cnt] = Node{n.X, n.Y - 1, n.L}
 				cnt++
 			}
-			if n.Y < win.y1 {
+			if y < win.y1 {
 				neigh[cnt] = Node{n.X, n.Y + 1, n.L}
 				cnt++
 			}
 		}
 		wireN := cnt
-		if n.L > 0 {
+		if l > 0 {
 			neigh[cnt] = Node{n.X, n.Y, n.L - 1}
 			cnt++
 		}
-		if n.L < win.nl-1 {
+		if l < win.nl-1 {
 			neigh[cnt] = Node{n.X, n.Y, n.L + 1}
 			cnt++
 		}
@@ -253,7 +254,7 @@ func (db *DB) mazeRouteScratch(s *mazeScratch, a, b Node, dst []Seg) ([]Seg, err
 			if k < wireN {
 				ncost[k] = 1 + db.congestionCost(db.idx(m))
 			} else {
-				ncost[k] = db.viaStackCost(n.X, n.Y, n.L, m.L)
+				ncost[k] = db.viaStackCost(x, y, l, int(m.L))
 			}
 			mi := win.idx(m)
 			nc := it.cost + ncost[k]

@@ -25,7 +25,7 @@ func viaStackOracle(x, y, la, lb int) []Seg {
 		step = -1
 	}
 	for l := la; l != lb; l += step {
-		segs = append(segs, Seg{Node{x, y, l}, Node{x, y, l + step}})
+		segs = append(segs, Seg{At(x, y, l), At(x, y, l+step)})
 	}
 	return segs
 }
@@ -41,10 +41,13 @@ func compactSegsOracle(segs []Seg) []Seg {
 	return out
 }
 
-func (db *DB) patternRouteOracle(a, b Node) []Seg {
+func (db *DB) patternRouteOracle(an, bn Node) []Seg {
+	// The oracle predates the narrow Node; it works on plain ints.
+	type ints struct{ X, Y, L int }
+	a, b := ints{int(an.X), int(an.Y), int(an.L)}, ints{int(bn.X), int(bn.Y), int(bn.L)}
 	pairs := db.hvPairs()
 	if len(pairs) == 0 {
-		return append(viaStackOracle(a.X, a.Y, a.L, b.L), Seg{Node{a.X, a.Y, b.L}, b})
+		return append(viaStackOracle(a.X, a.Y, a.L, b.L), Seg{At(a.X, a.Y, b.L), bn})
 	}
 	dist := geom.AbsInt(a.X-b.X) + geom.AbsInt(a.Y-b.Y)
 	sort.SliceStable(pairs, func(i, j int) bool {
@@ -75,14 +78,14 @@ func (db *DB) patternRouteOracle(a, b Node) []Seg {
 				segs = append(segs, viaStackOracle(a.X, a.Y, a.L, h)...)
 				cost += db.viaStackCost(a.X, a.Y, a.L, h)
 				if b.X != a.X {
-					s := Seg{Node{a.X, a.Y, h}, Node{b.X, a.Y, h}}
+					s := Seg{At(a.X, a.Y, h), At(b.X, a.Y, h)}
 					segs = append(segs, s)
 					cost += db.runCost(s.A, s.B)
 				}
 				segs = append(segs, viaStackOracle(b.X, a.Y, h, v)...)
 				cost += db.viaStackCost(b.X, a.Y, h, v)
 				if b.Y != a.Y {
-					s := Seg{Node{b.X, a.Y, v}, Node{b.X, b.Y, v}}
+					s := Seg{At(b.X, a.Y, v), At(b.X, b.Y, v)}
 					segs = append(segs, s)
 					cost += db.runCost(s.A, s.B)
 				}
@@ -92,14 +95,14 @@ func (db *DB) patternRouteOracle(a, b Node) []Seg {
 				segs = append(segs, viaStackOracle(a.X, a.Y, a.L, v)...)
 				cost += db.viaStackCost(a.X, a.Y, a.L, v)
 				if b.Y != a.Y {
-					s := Seg{Node{a.X, a.Y, v}, Node{a.X, b.Y, v}}
+					s := Seg{At(a.X, a.Y, v), At(a.X, b.Y, v)}
 					segs = append(segs, s)
 					cost += db.runCost(s.A, s.B)
 				}
 				segs = append(segs, viaStackOracle(a.X, b.Y, v, h)...)
 				cost += db.viaStackCost(a.X, b.Y, v, h)
 				if b.X != a.X {
-					s := Seg{Node{a.X, b.Y, h}, Node{b.X, b.Y, h}}
+					s := Seg{At(a.X, b.Y, h), At(b.X, b.Y, h)}
 					segs = append(segs, s)
 					cost += db.runCost(s.A, s.B)
 				}
@@ -142,8 +145,8 @@ func (db *DB) prepTaskOracle(n *netlist.Net) (*netTask, error) {
 				if inTree[j] {
 					continue
 				}
-				d := geom.AbsInt(r.PinNode[i].X-r.PinNode[j].X) +
-					geom.AbsInt(r.PinNode[i].Y-r.PinNode[j].Y)
+				d := geom.AbsInt(int(r.PinNode[i].X)-int(r.PinNode[j].X)) +
+					geom.AbsInt(int(r.PinNode[i].Y)-int(r.PinNode[j].Y))
 				if d < best {
 					best, bi, bj = d, i, j
 				}
@@ -272,14 +275,14 @@ func TestPatternRouteMatchesOracle(t *testing.T) {
 		nl := beol.NumLayers()
 		crossed := 0
 		for i := 0; i < 3000; i++ {
-			a := Node{rng.Intn(db.Grid.NX), rng.Intn(db.Grid.NY), rng.Intn(nl)}
+			a := At(rng.Intn(db.Grid.NX), rng.Intn(db.Grid.NY), rng.Intn(nl))
 			// Spans cycle through the four distance buckets.
 			span := []int{3, 7, 14, db.Grid.NX}[i%4]
-			b := Node{
-				geom.ClampInt(a.X+rng.Intn(2*span+1)-span, 0, db.Grid.NX-1),
-				geom.ClampInt(a.Y+rng.Intn(2*span+1)-span, 0, db.Grid.NY-1),
+			b := At(
+				geom.ClampInt(int(a.X)+rng.Intn(2*span+1)-span, 0, db.Grid.NX-1),
+				geom.ClampInt(int(a.Y)+rng.Intn(2*span+1)-span, 0, db.Grid.NY-1),
 				rng.Intn(nl),
-			}
+			)
 			switch i % 7 {
 			case 0:
 				b.X = a.X
@@ -289,7 +292,7 @@ func TestPatternRouteMatchesOracle(t *testing.T) {
 				b.X, b.Y = a.X, a.Y
 			}
 			want := db.patternRouteOracle(a, b)
-			prefix := []Seg{{A: Node{1, 2, 3}, B: Node{1, 2, 4}}}
+			prefix := []Seg{{A: At(1, 2, 3), B: At(1, 2, 4)}}
 			got := db.patternRoute(a, b, prefix)
 			if got[0] != prefix[0] {
 				t.Fatalf("stack %d case %d: patternRoute overwrote dst", bi, i)
@@ -302,7 +305,7 @@ func TestPatternRouteMatchesOracle(t *testing.T) {
 				if got[k] != want[k] {
 					t.Fatalf("stack %d case %d %v→%v: segment %d = %v, oracle %v", bi, i, a, b, k, got[k], want[k])
 				}
-				if lo := min(want[k].A.L, want[k].B.L); want[k].IsVia() && lo == db.f2fIdx {
+				if lo := min(want[k].A.L, want[k].B.L); want[k].IsVia() && int(lo) == db.f2fIdx {
 					crossed++
 				}
 			}
@@ -319,7 +322,7 @@ func TestPatternRouteMatchesOracle(t *testing.T) {
 func TestPatternRouteAllocs(t *testing.T) {
 	db := db6(t, geom.R(0, 0, 400, 400), nil)
 	dst := make([]Seg, 0, 64)
-	a, b := Node{1, 2, 0}, Node{30, 17, 3}
+	a, b := At(1, 2, 0), At(30, 17, 3)
 	allocs := testing.AllocsPerRun(100, func() {
 		dst = db.patternRoute(a, b, dst[:0])
 	})

@@ -14,6 +14,7 @@ package route
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"macro3d/internal/floorplan"
@@ -78,14 +79,33 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Node is a point on the routing grid: gcell (X, Y) on layer L.
+// The grid a Node can address. The paper's stacks are 6–13 layers and
+// its tiles 52–146 gcells wide at the default pitch (a 4×4 array of the
+// large 2D tile: 584), so a node is 6 bytes and a segment 12; NewDB
+// refuses a grid past these limits (DB.Err) instead of letting a
+// coordinate wrap.
+const (
+	MaxGridDim = math.MaxInt16 // gcells per grid axis (NX, NY)
+	MaxLayers  = math.MaxInt8  // routing layers of the BEOL
+)
+
+// Node is a point on the routing grid: gcell (X, Y) on layer L. It is
+// 6 bytes — 16-bit coordinates, an 8-bit layer — which bounds the grids
+// the router addresses to MaxGridDim × MaxGridDim gcells over MaxLayers
+// layers. Every node of a route lies on the grid of the DB that produced
+// it, and a DB only exists for an addressable grid, so the narrow fields
+// never wrap.
 type Node struct {
-	X, Y int
-	L    int
+	X, Y int16
+	L    int8
 }
 
+// At returns the node of gcell (x, y) on layer l, which must lie on an
+// addressable grid (see MaxGridDim, MaxLayers).
+func At(x, y, l int) Node { return Node{X: int16(x), Y: int16(y), L: int8(l)} }
+
 // Seg is one straight route element on a single layer (A.L == B.L) or
-// a via (A.X==B.X, A.Y==B.Y, |A.L−B.L|==1).
+// a via (A.X==B.X, A.Y==B.Y, |A.L−B.L|==1). 12 bytes.
 type Seg struct {
 	A, B Node
 }
@@ -106,7 +126,9 @@ type NetRoute struct {
 	F2F  int // F2F bump crossings
 }
 
-// Result is the design-level routing outcome.
+// Result is the design-level routing outcome. Its geometry is stored in
+// 12-byte segments and 6-byte pin nodes (Node), so a result only exists
+// over a grid within MaxGridDim and MaxLayers.
 //
 // The result owns the records of a bulk build — RouteDesign, Translate
 // over a tile array, a decoded snapshot: route records, pin nodes and
@@ -134,8 +156,8 @@ type Result struct {
 // segments, each in one allocation.
 func (res *Result) Reserve(routes, pinNodes, segments int) {
 	res.recs.Reserve(routes)
-	res.nodes.Reserve(pinNodes)
-	res.segs.Reserve(segments)
+	res.nodes.ReserveSpans(pinNodes)
+	res.segs.ReserveSpans(segments)
 }
 
 // NewRoute carves a zero route record for net n out of the result's
@@ -178,7 +200,15 @@ type DB struct {
 	patternPairs [4][][2]int
 
 	eco *mazeScratch // single-thread maze scratch (ECO routes, tests)
+
+	err error // the grid is not addressable; see Err
 }
+
+// Err reports why the database cannot route: its grid has more gcells
+// per axis than MaxGridDim or its BEOL more layers than MaxLayers, which
+// a Node cannot address. Such a DB holds no capacity arrays; RouteDesign
+// and RouteNet return this error. nil for every usable DB.
+func (db *DB) Err() error { return db.err }
 
 // NewDB builds the routing database for a die, BEOL and blockage set.
 func NewDB(die geom.Rect, beol *tech.BEOL, blk []floorplan.RouteBlockage, opt Options) *DB {
@@ -188,6 +218,11 @@ func NewDB(die geom.Rect, beol *tech.BEOL, blk []floorplan.RouteBlockage, opt Op
 		g = *opt.Grid
 	}
 	nl := beol.NumLayers()
+	if g.NX > MaxGridDim || g.NY > MaxGridDim || nl > MaxLayers {
+		return &DB{Grid: g, Beol: beol, opt: opt, f2fIdx: -1, err: fmt.Errorf(
+			"route: grid %d×%d gcells × %d layers exceeds the addressable %d×%d × %d (die %v at pitch %g µm)",
+			g.NX, g.NY, nl, MaxGridDim, MaxGridDim, MaxLayers, die, opt.GCellPitch)}
+	}
 	db := &DB{
 		Grid:     g,
 		Beol:     beol,
@@ -268,7 +303,14 @@ func NewDB(die geom.Rect, beol *tech.BEOL, blk []floorplan.RouteBlockage, opt Op
 	return db
 }
 
-func (db *DB) idx(n Node) int { return n.L*db.Grid.Bins() + db.Grid.Index(n.X, n.Y) }
+func (db *DB) idx(n Node) int {
+	return int(n.L)*db.Grid.Bins() + db.Grid.Index(int(n.X), int(n.Y))
+}
+
+// isF2F reports whether via segment s crosses the F2F boundary.
+func (db *DB) isF2F(s Seg) bool {
+	return db.f2fIdx >= 0 && int(min(s.A.L, s.B.L)) == db.f2fIdx
+}
 
 // LayerIndex resolves a layer name (-1 when absent).
 func (db *DB) LayerIndex(name string) int {
@@ -305,12 +347,8 @@ func (db *DB) addUsage(r *NetRoute, delta int32) { db.addSegs(r.Segments, delta)
 func (db *DB) addSegs(segs []Seg, delta int32) {
 	for _, s := range segs {
 		if s.IsVia() {
-			lo := s.A.L
-			if s.B.L < lo {
-				lo = s.B.L
-			}
-			if db.f2fIdx >= 0 && lo == db.f2fIdx {
-				db.f2fUse[db.Grid.Index(s.A.X, s.A.Y)] += delta
+			if db.isF2F(s) {
+				db.f2fUse[db.Grid.Index(int(s.A.X), int(s.A.Y))] += delta
 			}
 			continue
 		}
@@ -337,7 +375,7 @@ func forEachStep(s Seg, f func(Node)) {
 	}
 }
 
-func sign(v int) int {
+func sign(v int16) int16 {
 	if v > 0 {
 		return 1
 	}
@@ -349,8 +387,8 @@ func sign(v int) int {
 
 // segLen returns the µm length of a straight segment.
 func (db *DB) segLen(s Seg) float64 {
-	return float64(geom.AbsInt(s.B.X-s.A.X))*db.Grid.DX +
-		float64(geom.AbsInt(s.B.Y-s.A.Y))*db.Grid.DY
+	return float64(geom.AbsInt(int(s.B.X)-int(s.A.X)))*db.Grid.DX +
+		float64(geom.AbsInt(int(s.B.Y)-int(s.A.Y)))*db.Grid.DY
 }
 
 // PinNode maps a pin reference to its routing-grid node.
@@ -360,7 +398,7 @@ func (db *DB) PinNode(p netlist.PinRef) (Node, error) {
 		return Node{}, fmt.Errorf("route: pin %s on unknown layer %q", p, p.Layer())
 	}
 	ix, iy := db.Grid.Locate(p.Loc())
-	return Node{X: ix, Y: iy, L: li}, nil
+	return At(ix, iy, li), nil
 }
 
 // distBucket classes a two-pin connection by Manhattan gcell distance

@@ -1,7 +1,9 @@
 package route
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/floorplan"
@@ -457,5 +459,94 @@ func TestPatternRouteAlwaysConnectsProperty(t *testing.T) {
 		}
 		// Clean up usage so iterations are independent.
 		db.ReleaseNet(r)
+	}
+}
+
+// TestGeometryRecordSizes pins the stored routing geometry: a node is 6
+// bytes and a segment 12 (DESIGN.md §17).
+func TestGeometryRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(Node{}); n > 6 {
+		t.Errorf("Sizeof(Node) = %d, want <= 6", n)
+	}
+	if n := unsafe.Sizeof(Seg{}); n > 12 {
+		t.Errorf("Sizeof(Seg) = %d, want <= 12", n)
+	}
+}
+
+// TestUnaddressableGridIsAnError: a grid with more gcells per axis or
+// more layers than a Node addresses yields a DB that only reports why —
+// no capacity arrays, no route, no wrapped coordinate — while the
+// largest addressable grid still routes to its far corner.
+func TestUnaddressableGridIsAnError(t *testing.T) {
+	b6, _ := tech.NewBEOL28("l", 6)
+	tall := b6.Clone()
+	for len(tall.Layers) <= MaxLayers {
+		tall.Layers = append(tall.Layers, b6.Layers...)
+	}
+	edge := float64(MaxGridDim) * 10
+	for _, tc := range []struct {
+		name string
+		die  geom.Rect
+		beol *tech.BEOL
+	}{
+		{"wide", geom.R(0, 0, edge+10, 30), b6},
+		{"high", geom.R(0, 0, 30, edge+10), b6},
+		{"layers", geom.R(0, 0, 300, 300), tall},
+	} {
+		db := NewDB(tc.die, tc.beol, nil, Options{GCellPitch: 10})
+		if db.Err() == nil {
+			t.Fatalf("%s: grid %d×%d × %d layers accepted", tc.name, db.Grid.NX, db.Grid.NY, tc.beol.NumLayers())
+		}
+		if len(db.usage) != 0 || len(db.cap) != 0 {
+			t.Errorf("%s: an unaddressable DB allocated its grid", tc.name)
+		}
+		d := twoPinDesign(210, 20)
+		if res, err := RouteDesign(d, db); err != db.Err() || res != nil {
+			t.Errorf("%s: RouteDesign = %v, %v; want the DB's error", tc.name, res, err)
+		}
+		if r, err := db.RouteNet(d.Nets[0]); err != db.Err() || r != nil {
+			t.Errorf("%s: RouteNet = %v, %v; want the DB's error", tc.name, r, err)
+		}
+	}
+
+	d := twoPinDesign(edge-5, 15)
+	db := NewDB(geom.R(0, 0, edge, 30), b6, nil, Options{GCellPitch: 10})
+	if err := db.Err(); err != nil {
+		t.Fatalf("a %d-gcell axis must be addressable: %v", db.Grid.NX, err)
+	}
+	res, err := RouteDesign(d, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := res.Routes[0]
+	checkConnected(t, db, r)
+	if far := r.PinNode[1]; int(far.X) != MaxGridDim-1 {
+		t.Fatalf("far pin at gcell %d, want %d", far.X, MaxGridDim-1)
+	}
+}
+
+// TestDynStateShapeCheck: DynState hands out the live arrays, and a
+// captured state of another shape is refused by CheckDynState and
+// SetDynState before anything is written.
+func TestDynStateShapeCheck(t *testing.T) {
+	d := twoPinDesign(210, 110)
+	db := db6(t, geom.R(0, 0, 300, 300), nil)
+	if _, err := RouteDesign(d, db); err != nil {
+		t.Fatal(err)
+	}
+	u, h, f := db.DynState()
+	if &u[0] != &db.usage[0] || &h[0] != &db.hist[0] || len(f) != len(db.f2fUse) {
+		t.Fatal("DynState copied the arrays")
+	}
+	if err := db.CheckDynState(u, h, f); err != nil {
+		t.Fatal(err)
+	}
+	before := slices.Clone(db.usage)
+	short := make([]int32, len(u)-1)
+	if db.CheckDynState(short, h, f) == nil || db.SetDynState(short, h, f) == nil {
+		t.Fatal("a state of the wrong shape was accepted")
+	}
+	if !slices.Equal(before, db.usage) {
+		t.Fatal("a refused SetDynState wrote to the DB")
 	}
 }

@@ -60,8 +60,7 @@ func (db *DB) prepTask(t *netTask, s *mazeScratch) error {
 				if inTree[j] {
 					continue
 				}
-				d := geom.AbsInt(r.PinNode[i].X-r.PinNode[j].X) +
-					geom.AbsInt(r.PinNode[i].Y-r.PinNode[j].Y)
+				d := gridDist(r.PinNode[i], r.PinNode[j])
 				if d < best {
 					best, bi, bj = d, i, j
 				}
@@ -71,6 +70,11 @@ func (db *DB) prepTask(t *netTask, s *mazeScratch) error {
 		t.edges = append(t.edges, [2]int{bi, bj})
 	}
 	return nil
+}
+
+// gridDist is the Manhattan gcell distance between two nodes' columns.
+func gridDist(a, b Node) int {
+	return geom.AbsInt(int(a.X)-int(b.X)) + geom.AbsInt(int(a.Y)-int(b.Y))
 }
 
 // routeTask computes the task's segments against current congestion,
@@ -129,6 +133,9 @@ func (db *DB) routePass(tasks []*netTask, maze bool, res *Result, s *mazeScratch
 // filled in spans, and a net's segments are stored exact-size in the
 // result's slab (Result doc, DESIGN.md §17).
 func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
+	if db.err != nil {
+		return nil, db.err
+	}
 	t0 := time.Now()
 	workers := par.Workers(db.opt.Workers)
 	res := &Result{
@@ -270,8 +277,7 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		for _, s := range r.Segments {
 			if s.IsVia() {
 				r.Vias++
-				lo := min(s.A.L, s.B.L)
-				if db.f2fIdx >= 0 && lo == db.f2fIdx {
+				if db.isF2F(s) {
 					r.F2F++
 				}
 				continue
@@ -312,6 +318,9 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 // slab records: a later reroute or rollback drops it and it must be
 // collectable alone.
 func (db *DB) RouteNet(n *netlist.Net) (*NetRoute, error) {
+	if db.err != nil {
+		return nil, db.err
+	}
 	s := db.scratch()
 	np := n.NumPins()
 	r := &NetRoute{Net: n, PinNode: make([]Node, np)}
@@ -330,7 +339,7 @@ func (db *DB) RouteNet(n *netlist.Net) (*NetRoute, error) {
 	for _, s := range r.Segments {
 		if s.IsVia() {
 			r.Vias++
-			if db.f2fIdx >= 0 && min(s.A.L, s.B.L) == db.f2fIdx {
+			if db.isF2F(s) {
 				r.F2F++
 			}
 			continue
@@ -344,19 +353,18 @@ func (db *DB) RouteNet(n *netlist.Net) (*NetRoute, error) {
 // (dx, dy) gcells — the tile-array composition primitive (routes
 // replicate with their tile copy; grids must be aligned). The copy is
 // carved from the result's slabs; Reserve first when the array size is
-// known.
+// known. The shifted route must lie on the destination grid, which the
+// caller has a DB for (so it is addressable, DB.Err).
 func (res *Result) Translate(n *netlist.Net, r *NetRoute, dx, dy int) *NetRoute {
 	t := res.NewRoute(n.ID, n)
 	t.PinNode, t.Segments = res.PinSpan(len(r.PinNode)), res.SegSpan(len(r.Segments))
 	t.WL, t.Vias, t.F2F = r.WL, r.Vias, r.F2F
+	shift := func(n Node) Node { return At(int(n.X)+dx, int(n.Y)+dy, int(n.L)) }
 	for i, s := range r.Segments {
-		t.Segments[i] = Seg{
-			A: Node{X: s.A.X + dx, Y: s.A.Y + dy, L: s.A.L},
-			B: Node{X: s.B.X + dx, Y: s.B.Y + dy, L: s.B.L},
-		}
+		t.Segments[i] = Seg{A: shift(s.A), B: shift(s.B)}
 	}
 	for i, n := range r.PinNode {
-		t.PinNode[i] = Node{X: n.X + dx, Y: n.Y + dy, L: n.L}
+		t.PinNode[i] = shift(n)
 	}
 	return t
 }
@@ -415,7 +423,7 @@ func (res *Result) Recount(db *DB) {
 		for _, s := range r.Segments {
 			if s.IsVia() {
 				r.Vias++
-				if db.f2fIdx >= 0 && min(s.A.L, s.B.L) == db.f2fIdx {
+				if db.isF2F(s) {
 					r.F2F++
 				}
 				continue
@@ -467,8 +475,8 @@ func (db *DB) overflowedNets(res *Result, workers int) []*netlist.Net {
 			hit := false
 			for _, s := range r.Segments {
 				if s.IsVia() {
-					if badF2F != nil && db.f2fIdx >= 0 && min(s.A.L, s.B.L) == db.f2fIdx &&
-						badF2F[db.Grid.Index(s.A.X, s.A.Y)] {
+					if badF2F != nil && db.isF2F(s) &&
+						badF2F[db.Grid.Index(int(s.A.X), int(s.A.Y))] {
 						hit = true
 					}
 					continue
@@ -502,7 +510,7 @@ func appendViaStack(dst []Seg, x, y, la, lb int) []Seg {
 		step = -1
 	}
 	for l := la; l != lb; l += step {
-		dst = append(dst, Seg{Node{x, y, l}, Node{x, y, l + step}})
+		dst = append(dst, Seg{At(x, y, l), At(x, y, l+step)})
 	}
 	return dst
 }
@@ -541,10 +549,12 @@ func (db *DB) runCost(a, b Node) float64 {
 // the segments — and the winner alone is emitted, so a connection
 // allocates nothing beyond dst's own growth.
 func (db *DB) patternRoute(a, b Node, dst []Seg) []Seg {
-	pairs := db.patternPairs[db.distBucket(geom.AbsInt(a.X-b.X)+geom.AbsInt(a.Y-b.Y))]
+	pairs := db.patternPairs[db.distBucket(gridDist(a, b))]
+	ax, ay, al := int(a.X), int(a.Y), int(a.L)
+	bx, by, bl := int(b.X), int(b.Y), int(b.L)
 	if len(pairs) == 0 {
 		// Degenerate single-direction stack: direct via stack plus run.
-		return append(appendViaStack(dst, a.X, a.Y, a.L, b.L), Seg{Node{a.X, a.Y, b.L}, b})
+		return append(appendViaStack(dst, ax, ay, al, bl), Seg{At(ax, ay, bl), b})
 	}
 	best := -1.0
 	var bestL lShape
@@ -552,22 +562,22 @@ func (db *DB) patternRoute(a, b Node, dst []Seg) []Seg {
 		h, v := pr[0], pr[1]
 		// a → (b.X, a.Y) horizontal on h then vertical on v, or
 		// a → (a.X, b.Y) vertical on v then horizontal on h.
-		for _, l := range [2]lShape{{b.X, a.Y, h, v}, {a.X, b.Y, v, h}} {
+		for _, l := range [2]lShape{{bx, ay, h, v}, {ax, by, v, h}} {
 			if cost := db.lCost(a, b, l); best < 0 || cost < best {
 				best, bestL = cost, l
 			}
 		}
 	}
 	l := bestL
-	dst = appendViaStack(dst, a.X, a.Y, a.L, l.l1)
-	if l.x != a.X || l.y != a.Y {
-		dst = append(dst, Seg{Node{a.X, a.Y, l.l1}, Node{l.x, l.y, l.l1}})
+	dst = appendViaStack(dst, ax, ay, al, l.l1)
+	if l.x != ax || l.y != ay {
+		dst = append(dst, Seg{At(ax, ay, l.l1), At(l.x, l.y, l.l1)})
 	}
 	dst = appendViaStack(dst, l.x, l.y, l.l1, l.l2)
-	if l.x != b.X || l.y != b.Y {
-		dst = append(dst, Seg{Node{l.x, l.y, l.l2}, Node{b.X, b.Y, l.l2}})
+	if l.x != bx || l.y != by {
+		dst = append(dst, Seg{At(l.x, l.y, l.l2), At(bx, by, l.l2)})
 	}
-	return appendViaStack(dst, b.X, b.Y, l.l2, b.L)
+	return appendViaStack(dst, bx, by, l.l2, bl)
 }
 
 // lShape is one pattern candidate between two nodes a and b: a run on
@@ -579,15 +589,16 @@ type lShape struct {
 
 // lCost prices an L-shape: via stacks and runs summed in route order.
 func (db *DB) lCost(a, b Node, l lShape) float64 {
+	ax, ay, bx, by := int(a.X), int(a.Y), int(b.X), int(b.Y)
 	cost := 0.0
-	cost += db.viaStackCost(a.X, a.Y, a.L, l.l1)
-	if l.x != a.X || l.y != a.Y {
-		cost += db.runCost(Node{a.X, a.Y, l.l1}, Node{l.x, l.y, l.l1})
+	cost += db.viaStackCost(ax, ay, int(a.L), l.l1)
+	if l.x != ax || l.y != ay {
+		cost += db.runCost(At(ax, ay, l.l1), At(l.x, l.y, l.l1))
 	}
 	cost += db.viaStackCost(l.x, l.y, l.l1, l.l2)
-	if l.x != b.X || l.y != b.Y {
-		cost += db.runCost(Node{l.x, l.y, l.l2}, Node{b.X, b.Y, l.l2})
+	if l.x != bx || l.y != by {
+		cost += db.runCost(At(l.x, l.y, l.l2), At(bx, by, l.l2))
 	}
-	cost += db.viaStackCost(b.X, b.Y, l.l2, b.L)
+	cost += db.viaStackCost(bx, by, l.l2, int(b.L))
 	return cost
 }

@@ -11,6 +11,9 @@ import (
 	"time"
 
 	"macro3d/internal/faults"
+	"macro3d/internal/flows"
+	"macro3d/internal/piton"
+	"macro3d/internal/route"
 	"macro3d/internal/stash"
 )
 
@@ -442,5 +445,46 @@ func TestConcurrentTenants(t *testing.T) {
 	}
 	if total, max := cache.Usage(); total > max {
 		t.Errorf("cache %d bytes over its %d cap", total, max)
+	}
+}
+
+// TestUnaddressableGridJobFails runs a real flow whose die is stretched
+// past the grid a route.Node addresses: the job fails cleanly at the
+// route stage with the router's error — no panic, no abandoned worker —
+// and the daemon completes the next job.
+func TestUnaddressableGridJobFails(t *testing.T) {
+	const stretched = 1 // the seed of the job whose die is stretched
+	_, ts := httpServer(t, Config{Workers: 1, QueueDepth: 8,
+		Runner: func(ctx context.Context, job *Job) (string, error) {
+			fc := flows.Config{Piton: piton.Tiny(), Seed: job.Spec().Seed}
+			if fc.Seed == stretched {
+				fc.AfterStage = func(_, stage string, st *flows.State) {
+					if stage == flows.StageCTS {
+						st.Die.Ux = st.Die.Lx + 15*float64(route.MaxGridDim+1)
+					}
+				}
+			}
+			ppa, _, err := flows.Run2DCtx(ctx, fc)
+			if err != nil {
+				return "", err
+			}
+			return renderPPA(ppa), nil
+		}})
+
+	_, v := postJob(t, ts.URL, JobSpec{Flow: "2d", Config: "tiny", Seed: stretched})
+	done := awaitJob(t, ts.URL, v.ID, 60*time.Second)
+	if done.State != StateFailed || done.Abandoned {
+		t.Fatalf("job over an unaddressable grid: %+v", done)
+	}
+	if done.StageError == nil || done.StageError.Stage != flows.StageRoute || done.StageError.Panicked {
+		t.Fatalf("want a clean route-stage failure, got %+v", done.StageError)
+	}
+	if !strings.Contains(done.Error, "exceeds the addressable") {
+		t.Errorf("job error does not say why: %q", done.Error)
+	}
+
+	_, v2 := postJob(t, ts.URL, JobSpec{Flow: "2d", Config: "tiny", Seed: stretched + 1})
+	if got := awaitJob(t, ts.URL, v2.ID, 60*time.Second); got.State != StateDone {
+		t.Fatalf("job after the failure: %+v", got)
 	}
 }

@@ -46,6 +46,23 @@ func (s *Slab[T]) Reserve(n int) {
 	}
 }
 
+// ReserveSpans makes room for spans totalling n more records without
+// further allocation. A span never straddles chunks and the tail it
+// skips is not revisited, so scattered free records (what Reserve
+// counts) do not add up: only one contiguous run of n does. At most one
+// chunk of exactly n is added; on an empty slab that is what Reserve
+// does too.
+func (s *Slab[T]) ReserveSpans(n int) {
+	used := s.used
+	for i := s.ci; i < len(s.chunks); i++ {
+		if len(s.chunks[i])-used >= n {
+			return
+		}
+		used = 0
+	}
+	s.addChunk(n)
+}
+
 func (s *Slab[T]) addChunk(n int) {
 	s.chunks = append(s.chunks, make([]T, n))
 	s.total += n

@@ -57,6 +57,35 @@ func TestReserveIsOneChunk(t *testing.T) {
 	}
 }
 
+// TestReserveSpansIsContiguous: on a part-filled slab whose free
+// records are scattered over chunk tails, ReserveSpans still makes spans
+// summing to n come without allocation, where Reserve — which counts the
+// tails no span will use — falls short and Span then doubles the slab.
+func TestReserveSpansIsContiguous(t *testing.T) {
+	var s Slab[int]
+	s.Span(40) // 24 of the first chunk's 64 left
+	s.ReserveSpans(1000)
+	if len(s.chunks) != 2 || len(s.chunks[1]) != 1000 {
+		t.Fatalf("after ReserveSpans(1000): %d chunks, last %d", len(s.chunks), len(s.chunks[len(s.chunks)-1]))
+	}
+	s.ReserveSpans(1000) // already there
+	if len(s.chunks) != 2 {
+		t.Fatal("a satisfied ReserveSpans allocated")
+	}
+	if a := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 20; i++ { // AllocsPerRun calls this twice
+			s.Span(25) // never fits the first chunk's tail
+		}
+	}); a != 0 {
+		t.Fatalf("reserved Span allocates %.0f objects", a)
+	}
+	var fresh Slab[int]
+	fresh.ReserveSpans(10)
+	if len(fresh.chunks) != 1 || len(fresh.chunks[0]) != 10 {
+		t.Fatal("ReserveSpans on an empty slab is not one exact chunk")
+	}
+}
+
 // TestSpanExactAndContiguous: spans have len == cap, do not overlap,
 // and never straddle a chunk; oversized spans get their own chunk.
 func TestSpanExactAndContiguous(t *testing.T) {

@@ -3,6 +3,7 @@ package stash
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Enc builds a deterministic little-endian binary snapshot. All
@@ -64,6 +65,15 @@ func (e *Enc) Str(s string) {
 func (e *Enc) Blob(b []byte) {
 	e.U32(uint32(len(b)))
 	e.b = append(e.b, b...)
+}
+
+// Extend appends n bytes and returns them for the caller to fill: the
+// bulk counterpart of U8 for fixed-width records (see Dec.View). The
+// slice is valid until the next append.
+func (e *Enc) Extend(n int) []byte {
+	e.b = slices.Grow(e.b, n)
+	e.b = e.b[:len(e.b)+n]
+	return e.b[len(e.b)-n:]
 }
 
 // I32s appends a length-prefixed []int32.
@@ -146,6 +156,11 @@ func (d *Dec) U8() uint8 {
 	}
 	return b[0]
 }
+
+// View reads the next n bytes without copying them — a window on the
+// snapshot, for a caller that decodes fixed-width records in bulk and
+// keeps no reference. nil (and a sticky error) when fewer remain.
+func (d *Dec) View(n int) []byte { return d.take(n) }
 
 // Bool reads a one-byte bool, rejecting values other than 0 and 1.
 func (d *Dec) Bool() bool {

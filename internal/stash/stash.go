@@ -29,8 +29,10 @@ import (
 // Version is the snapshot codec version. It participates in every
 // cache key, so bumping it — on any change to the snapshot format or
 // to flow semantics the snapshots capture — invalidates the whole
-// cache without needing to delete files.
-const Version = 1
+// cache without needing to delete files. Version 2: routing results as
+// 5-byte nodes behind a count header, sign-off snapshots with their
+// sink total up front (flows/checkpoint.go).
+const Version = 2
 
 // fileMagic opens every snapshot file.
 const fileMagic = "M3DSNAP1"

@@ -226,6 +226,29 @@ func TestCodecHugeLengthPrefix(t *testing.T) {
 	}
 }
 
+// TestCodecExtendView: fixed-width records written through Extend read
+// back through View in place, between ordinary fields; a View past the
+// end is a sticky error, and Extend's window survives later appends as
+// bytes of the snapshot.
+func TestCodecExtendView(t *testing.T) {
+	e := NewEnc()
+	e.U8(7)
+	copy(e.Extend(5), "abcde")
+	e.Extend(0)
+	e.U32(9)
+	d := NewDec(e.Bytes())
+	if d.U8() != 7 || string(d.View(5)) != "abcde" || len(d.View(0)) != 0 || d.U32() != 9 {
+		t.Fatal("Extend/View round trip")
+	}
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	d = NewDec(e.Bytes())
+	if d.View(e.Len()+1) != nil || d.Err() == nil || d.U8() != 0 {
+		t.Error("oversized View must fail and stick")
+	}
+}
+
 func TestDecDoneRejectsTrailingBytes(t *testing.T) {
 	e := NewEnc()
 	e.U32(1)

@@ -178,9 +178,9 @@ func Connectivity(rep *Report, d *netlist.Design, res *route.Result) {
 				continue
 			}
 			prev := s.A
-			step := route.Node{X: sign(s.B.X - s.A.X), Y: sign(s.B.Y - s.A.Y)}
+			dx, dy := sign(s.B.X-s.A.X), sign(s.B.Y-s.A.Y)
 			for prev != s.B {
-				next := route.Node{X: prev.X + step.X, Y: prev.Y + step.Y, L: prev.L}
+				next := route.Node{X: prev.X + dx, Y: prev.Y + dy, L: prev.L}
 				link(prev, next)
 				prev = next
 			}
@@ -209,7 +209,7 @@ func Connectivity(rep *Report, d *netlist.Design, res *route.Result) {
 	}
 }
 
-func sign(v int) int {
+func sign(v int16) int16 {
 	if v > 0 {
 		return 1
 	}
