@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race equiv faults bench bench-flow bench-route bench-stash bench-harden benchall obs-smoke cache-smoke serve-smoke harden-smoke trace-smoke bench-route-smoke serve-load
+.PHONY: check build test vet race equiv faults bench bench-flow bench-route bench-stash benchall obs-smoke cache-smoke serve-smoke harden-smoke trace-smoke bench-route-smoke serve-load
 
 ## check: the full gate — vet, build, unit tests, the race-enabled
 ## fault-injection suite, then the observability, stage-cache, daemon,
@@ -140,14 +140,6 @@ bench-route:
 bench-stash:
 	$(GO) test -bench BenchmarkStashSweep -count 3 -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchjson -o BENCH_stash.json
 	cat BENCH_stash.json
-
-## bench-harden: the hierarchical-flow comparison — the same 4×4 tile
-## array re-verified flat (full STA over every cell) vs instantiated
-## from a cached hardened abstract in the parent flow — recorded as
-## BENCH_harden.json with the harden_flat_over_hier headline ratio.
-bench-harden:
-	$(GO) test -bench BenchmarkHardenArray -count 3 -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchjson -o BENCH_harden.json
-	cat BENCH_harden.json
 
 ## benchall: every benchmark, human-readable.
 benchall:

@@ -213,6 +213,15 @@ type StageRecord = flows.StageRecord
 // Available as FlowState.Trace even when the flow fails part-way.
 type RunReport = flows.RunReport
 
+// FlowNames lists the flow names RunFlowCtx accepts: 2d, macro3d, s2d,
+// bfs2d, c2d.
+func FlowNames() []string { return flows.Names() }
+
+// RunFlowCtx executes the named flow. The MoLDesign is nil for 2d.
+func RunFlowCtx(ctx context.Context, name string, cfg FlowConfig) (*PPA, *FlowState, *MoLDesign, error) {
+	return flows.Run(ctx, name, cfg)
+}
+
 // Run2DCtx is Run2D with cancellation and per-stage deadlines.
 func Run2DCtx(ctx context.Context, cfg FlowConfig) (*PPA, *FlowState, error) {
 	return flows.Run2DCtx(ctx, cfg)

@@ -239,7 +239,7 @@ func main() {
 	if warm, ok := byName["BenchmarkStashSweep/warm"]; ok && okC && warm.MeanNsOp > 0 {
 		out.Speedup["stash_cold_over_warm"] = cold.MeanNsOp / warm.MeanNsOp
 	}
-	// Hierarchical ratio (`make bench-harden`): the same 4×4 tile
+	// Hierarchical ratio (BenchmarkHardenArray): the same 4×4 tile
 	// array re-verified flat versus instantiated from a cached
 	// hardened abstract in the parent flow.
 	flat, okF := byName["BenchmarkHardenArray/flat"]

@@ -41,6 +41,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"syscall"
 	"time"
 
@@ -152,7 +153,7 @@ type options struct {
 // newFlagSet declares the flow/experiment mode's flags over o.
 func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("macro3d", flag.ContinueOnError)
-	fs.StringVar(&o.flow, "flow", "", "run one flow: 2d, macro3d, s2d, bfs2d, c2d")
+	fs.StringVar(&o.flow, "flow", "", "run one flow: "+strings.Join(macro3d.FlowNames(), ", "))
 	fs.StringVar(&o.experiment, "experiment", "", "run an experiment: table1, table2, table3, isoperf, flowtrace, sweepblockage, sweeppitch, heterotech")
 	fs.StringVar(&o.config, "config", "small", "tile configuration: small, large or tiny")
 	fs.Uint64Var(&o.seed, "seed", 1, "deterministic seed")
@@ -421,23 +422,7 @@ func tileConfig(name string) (macro3d.TileConfig, error) {
 // selected experiment under cfg.
 func run(ctx context.Context, cfg macro3d.FlowConfig, flow, experiment string, array int, keepGoing bool) error {
 	if flow != "" {
-		var ppa *macro3d.PPA
-		var st *macro3d.FlowState
-		var err error
-		switch flow {
-		case "2d":
-			ppa, st, err = macro3d.Run2DCtx(ctx, cfg)
-		case "macro3d":
-			ppa, st, _, err = macro3d.RunMacro3DCtx(ctx, cfg)
-		case "s2d":
-			ppa, _, err = macro3d.RunS2DCtx(ctx, cfg, false)
-		case "bfs2d":
-			ppa, _, err = macro3d.RunS2DCtx(ctx, cfg, true)
-		case "c2d":
-			ppa, _, err = macro3d.RunC2DCtx(ctx, cfg)
-		default:
-			return fmt.Errorf("unknown flow %q", flow)
-		}
+		ppa, st, _, err := macro3d.RunFlowCtx(ctx, flow, cfg)
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
@@ -29,7 +31,7 @@ func traceReportMain(args []string) int {
 	fs := flag.NewFlagSet("macro3d trace-report", flag.ExitOnError)
 	var (
 		in      = fs.String("in", "", "analyze this Chrome trace-event JSON file (written by -trace or serve -trace-dir)")
-		flow    = fs.String("flow", "", "run this flow with tracing and report on it: 2d, macro3d, s2d, bfs2d, c2d")
+		flow    = fs.String("flow", "", "run this flow with tracing and report on it: "+strings.Join(macro3d.FlowNames(), ", "))
 		config  = fs.String("config", "small", "tile configuration for -flow: small, large or tiny")
 		seed    = fs.Uint64("seed", 1, "deterministic seed for -flow")
 		jobs    = fs.Int("j", 0, "worker count for -flow (0 = every CPU, see macro3d -j)")
@@ -76,22 +78,11 @@ func traceReportMain(args []string) int {
 			defer cancel()
 		}
 		start := time.Now()
-		switch *flow {
-		case "2d":
-			_, _, err = macro3d.Run2DCtx(ctx, cfg)
-		case "macro3d":
-			_, _, _, err = macro3d.RunMacro3DCtx(ctx, cfg)
-		case "s2d":
-			_, _, err = macro3d.RunS2DCtx(ctx, cfg, false)
-		case "bfs2d":
-			_, _, err = macro3d.RunS2DCtx(ctx, cfg, true)
-		case "c2d":
-			_, _, err = macro3d.RunC2DCtx(ctx, cfg)
-		default:
-			fmt.Fprintf(os.Stderr, "macro3d trace-report: unknown flow %q\n", *flow)
+		if names := macro3d.FlowNames(); !slices.Contains(names, *flow) {
+			fmt.Fprintf(os.Stderr, "macro3d trace-report: unknown flow %q (want %s)\n", *flow, strings.Join(names, ", "))
 			return 2
 		}
-		if err != nil {
+		if _, _, _, err = macro3d.RunFlowCtx(ctx, *flow, cfg); err != nil {
 			printFailure(err)
 			return 1
 		}

@@ -1,12 +1,18 @@
 package flows
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
 
+	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
+	"macro3d/internal/opt"
 	"macro3d/internal/piton"
 	"macro3d/internal/tech"
 )
@@ -16,12 +22,73 @@ func tinyCfg() Config {
 	return Config{Piton: piton.Tiny(), Seed: 5}
 }
 
+// The PPA rows of the three pseudo-3D flows on the tiny tile, as the
+// three hand-written scripts the shared stage list replaced produced
+// them: the pseudoSpecs rows must reproduce them to the last bit.
+const (
+	tinyS2D   = `flows.PPA{Flow:"S2D", Config:"piton_tiny", FclkMHz:750.029286454315, MinPeriodPs:1333.2812705586412, EmeanFJ:6165.1130473317935, PowerUW:4624.015339800451, LeakageUW:6.139699999999997, FootprintMM2:0.10624390135750694, LogicCellAreaMM2:0.02000000000000018, MetalAreaMM2:1.2749268162900833, TotalWLm:0.08817698741132961, F2FBumps:1354, CpinNF:0.0029716700000000044, CwireNF:0.020453227687528837, ClkDepth:7, ClkSkewPs:25, CritPathWLmm:0.5456620750645211, CritPathPs:1573.4346315790413, RouteOverflow:0, Dies:2, HoldWNSps:-307.4147448151685, HoldViolations:32, Resized:0, Buffers:0}`
+	tinyBFS2D = `flows.PPA{Flow:"BF S2D", Config:"piton_tiny", FclkMHz:841.6427737282518, MinPeriodPs:1188.1525407391882, EmeanFJ:6014.294493476282, PowerUW:5061.887499507929, LeakageUW:6.021099999999998, FootprintMM2:0.10624390135750694, LogicCellAreaMM2:0.02000000000000018, MetalAreaMM2:1.2749268162900833, TotalWLm:0.0836416965881109, F2FBumps:731, CpinNF:0.0029500900000000033, CwireNF:0.01869686124099312, ClkDepth:7, ClkSkewPs:25, CritPathWLmm:0.40751242195976006, CritPathPs:1434.7719015577054, RouteOverflow:36, Dies:2, HoldWNSps:-297.1196387764802, HoldViolations:32, Resized:0, Buffers:0}`
+	tinyC2D   = `flows.PPA{Flow:"C2D", Config:"piton_tiny", FclkMHz:809.6142555915707, MinPeriodPs:1235.1561167476207, EmeanFJ:6167.132790956283, PowerUW:4992.998623684437, LeakageUW:6.284899999999996, FootprintMM2:0.10624390135750694, LogicCellAreaMM2:0.020220003384667642, MetalAreaMM2:1.2749268162900833, TotalWLm:0.09049338460275183, F2FBumps:1357, CpinNF:0.002999080000000006, CwireNF:0.020899091008607807, ClkDepth:7, ClkSkewPs:25, CritPathWLmm:0.38405470903388705, CritPathPs:1459.327720612364, RouteOverflow:0, Dies:2, HoldWNSps:-295.028473895639, HoldViolations:32, Resized:14, Buffers:3}`
+)
+
+func checkPinnedPPA(t *testing.T, ppa *PPA, want string) {
+	t.Helper()
+	if got := fmt.Sprintf("%#v", *ppa); got != want {
+		t.Errorf("PPA row moved:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestPseudoSpecs pins what tells the three pseudo-3D rows apart.
+func TestPseudoSpecs(t *testing.T) {
+	for _, c := range []struct {
+		flow    string
+		style   floorplan.Style
+		seedOff uint64
+		area, s float64
+		budget  opt.Options
+	}{
+		{"S2D", floorplan.StyleMoL, 3, 0.5, 1, opt.Options{Frozen: true}},
+		{"BF S2D", floorplan.StyleBalanced, 3, 0.5, 1, opt.Options{Frozen: true}},
+		{"C2D", floorplan.StyleMoL, 4, 1, math.Sqrt2, opt.Options{MaxIters: 2, MaxMovesPerIter: 8}},
+	} {
+		spec, ok := pseudoSpecs[c.flow]
+		if !ok {
+			t.Errorf("no pseudoSpecs row for %s", c.flow)
+			continue
+		}
+		if spec.style != c.style || spec.seedOff != c.seedOff || spec.area != c.area || spec.s != c.s || spec.budget != c.budget {
+			t.Errorf("%s row = %+v, want %+v", c.flow, spec, c)
+		}
+	}
+	if len(pseudoSpecs) != 3 {
+		t.Errorf("%d pseudoSpecs rows, want 3", len(pseudoSpecs))
+	}
+	// The pseudo BEOLs: S2D shrinks geometry and keeps per-µm RC, C2D
+	// keeps geometry and scales per-µm RC by 1/s.
+	tk, err := tech.New28(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2d := pseudoSpecs["S2D"].beol(tk.Logic, 1)
+	s := pseudoSpecs["C2D"].s
+	c2d := pseudoSpecs["C2D"].beol(tk.Logic, s)
+	for i, l := range tk.Logic.Layers {
+		if g := s2d.Layers[i]; g.Pitch != l.Pitch*0.7071 || g.RPerUm != l.RPerUm || g.CPerUm != l.CPerUm {
+			t.Errorf("S2D pseudo BEOL %s = %+v, from %+v", l.Name, g, l)
+		}
+		if g := c2d.Layers[i]; g.Pitch != l.Pitch || g.RPerUm != l.RPerUm*(1/s) || g.CPerUm != l.CPerUm*(1/s) {
+			t.Errorf("C2D pseudo BEOL %s = %+v, from %+v", l.Name, g, l)
+		}
+	}
+}
+
 func TestRunS2DTiny(t *testing.T) {
 	ppa, st, err := RunS2D(tinyCfg(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Log(ppa)
+	checkPinnedPPA(t, ppa, tinyS2D)
 	if ppa.Flow != "S2D" || ppa.Dies != 2 {
 		t.Fatalf("identity: %+v", ppa)
 	}
@@ -59,6 +126,7 @@ func TestRunBFS2DTiny(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log(ppa)
+	checkPinnedPPA(t, ppa, tinyBFS2D)
 	if ppa.Flow != "BF S2D" {
 		t.Fatalf("flow name %q", ppa.Flow)
 	}
@@ -82,6 +150,7 @@ func TestRunC2DTiny(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log(ppa)
+	checkPinnedPPA(t, ppa, tinyC2D)
 	if ppa.Flow != "C2D" || ppa.Dies != 2 {
 		t.Fatalf("identity: %+v", ppa)
 	}
@@ -159,6 +228,36 @@ func TestGeneratorHookSensor(t *testing.T) {
 	}
 	if _, _, err := RunC2D(cfg); err == nil {
 		t.Fatal("C2D accepted a custom generator")
+	}
+}
+
+// A macro-die metal count the technology lacks fails where it did in
+// the hand-written scripts — Macro-3D at generate, the pseudo flows at
+// prepare — and no 3D flow shows a BEOL in its State before prepare.
+func TestBadMacroDieMetalsFailingStage(t *testing.T) {
+	for _, c := range []struct{ flow, stage string }{
+		{"macro3d", StageGenerate},
+		{"s2d", StagePrepare},
+		{"c2d", StagePrepare},
+	} {
+		cfg := tinyCfg()
+		cfg.MacroDieMetals = 99
+		cfg.AfterStage = func(flow, stage string, st *State) {
+			if st.Beol != nil && !strings.HasPrefix(stage, "pseudo-") && stage != StageTransfer {
+				t.Errorf("%s: State.Beol set after %s, before prepare", c.flow, stage)
+			}
+		}
+		_, st, md, err := Run(context.Background(), c.flow, cfg)
+		var se *StageError
+		if !errors.As(err, &se) || se.Stage != c.stage {
+			t.Fatalf("%s: got %v, want a failure at %s", c.flow, err, c.stage)
+		}
+		if md != nil {
+			t.Errorf("%s: a combined stack without a macro-die BEOL", c.flow)
+		}
+		if last := st.Trace.Stages[len(st.Trace.Stages)-1]; last.Stage != c.stage {
+			t.Errorf("%s: trace ends at %s, want %s", c.flow, last.Stage, c.stage)
+		}
 	}
 }
 
@@ -332,5 +431,23 @@ func TestSignoffIsPhysicallyLegal(t *testing.T) {
 		if overlaps > 0 {
 			t.Fatalf("%s: %d overlaps after sign-off", run.name, overlaps)
 		}
+	}
+}
+
+// TestPseudoFlowsHonourF2FOverride: Config.F2F reaches the prepare step
+// of the pseudo-3D flows, so the combined stack, the route checkpoint's
+// key and the bump-pitch check all see the same via technology.
+func TestPseudoFlowsHonourF2FOverride(t *testing.T) {
+	f2f := tech.DefaultF2F()
+	f2f.Pitch = 2
+	cfg := tinyCfg()
+	cfg.F2F = &f2f
+	cfg.Verify = true
+	_, st, err := RunS2D(cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Beol.Vias[st.Beol.F2FViaIndex()].Pitch; got != 2 {
+		t.Errorf("combined BEOL's F2F via has pitch %v µm, override says 2", got)
 	}
 }

@@ -99,10 +99,7 @@ func rootKey(flow string, cfg Config) (stash.Key, error) {
 // F2F via technology, which shape the combined BEOL the prepare stage
 // builds.
 func stackMaterial(cfg Config, t *tech.Tech) []byte {
-	f2f := t.F2F
-	if cfg.F2F != nil {
-		f2f = *cfg.F2F
-	}
+	f2f := cfg.f2f(t)
 	e := stash.NewEnc()
 	e.Int(cfg.MacroDieMetals)
 	e.F64(f2f.Pitch)
@@ -675,7 +672,8 @@ func bindResult(res *route.Result, d *netlist.Design) {
 // not derivable from the final routes but feeds downstream ECO cost).
 // build reconstructs the empty DB on the load path exactly as the
 // route stage would.
-func routeCheckpoint(st *State, d *netlist.Design, material []byte, build func()) checkpoint {
+func routeCheckpoint(st *State, material []byte, build func()) checkpoint {
+	d := st.Design
 	return checkpoint{
 		name:     StageRoute,
 		material: material,

@@ -1,30 +1,31 @@
-// Package flows implements the four end-to-end physical-design flows
-// the paper compares on the OpenPiton tile:
+// Package flows implements the end-to-end physical-design flows the
+// paper compares on the OpenPiton tile, as data: a flow table (Names,
+// Run) whose rows are ordered stage lists, executed by one instrumented
+// runner (retry, timeout, panic containment, cancellation, stage cache).
 //
-//   - Flow2D: the baseline single-die flow (macros ring the periphery,
-//     six metal layers).
-//   - Macro3D: the paper's flow — combined two-die BEOL, edited macro
-//     abstracts, single-pass true 3D P&R, then die separation.
-//   - S2D (Shrunk-2D, [5]): cells shrunk to 50 % area and placed in
-//     the 3D footprint against coarse partial blockages, sized against
-//     the pseudo parasitics, then unshrunk, tier-partitioned,
-//     overlap-legalized and rerouted with frozen optimization.
-//   - C2D (Compact-2D, [6]): cells placed at full size in a 2×
-//     footprint with per-unit parasitics scaled by 1/√2, linearly
-//     mapped into the 3D footprint, then partitioned and rerouted with
-//     frozen optimization.
+//   - 2d: the baseline single-die flow (macros ring the periphery,
+//     six metal layers): generate, floorplan, place, then the back end
+//     every flow shares — cts, route, sign-off, verify.
+//   - macro3d: the paper's flow — the same list with one more stage,
+//     prepare (combined two-die BEOL, edited macro abstracts,
+//     superimposed floorplan), in front of a single true-3D P&R pass,
+//     and die separation at the end.
+//   - s2d, bfs2d (Shrunk-2D, [5]) and c2d (Compact-2D, [6]): one
+//     pseudo-3D list driven by a three-row spec table (pseudoSpecs). A
+//     shrunk or inflated pseudo design is placed against coarse partial
+//     blockages and sized; locations and sizing are transferred to the
+//     real design, which is tier-partitioned, overlap-legalized, prepared
+//     and rerouted by the shared back end, optimization frozen or limited.
 //
 // Every flow ends in the same sign-off: slow-corner STA for f_max,
 // typical-corner extraction for power, and the PPA record holding the
-// paper's Table I–III rows.
+// paper's Table I–III rows. DESIGN.md §3 shows each stage list.
 package flows
 
 import (
 	"fmt"
-	"math"
 	"time"
 
-	"macro3d/internal/core"
 	"macro3d/internal/cts"
 	"macro3d/internal/ddb"
 	"macro3d/internal/extract"
@@ -36,12 +37,10 @@ import (
 	"macro3d/internal/opt"
 	"macro3d/internal/piton"
 	"macro3d/internal/place"
-	"macro3d/internal/power"
 	"macro3d/internal/route"
 	"macro3d/internal/sta"
 	"macro3d/internal/stash"
 	"macro3d/internal/tech"
-	"macro3d/internal/verify"
 )
 
 // Config selects the benchmark and flow parameters.
@@ -177,6 +176,15 @@ func (c Config) routeOptions(sp *obs.Span) route.Options {
 	return route.Options{Obs: sp, Workers: c.Workers, Trace: c.Trace}
 }
 
+// f2f is the effective face-to-face via technology: the override, or
+// the technology's default.
+func (c Config) f2f(t *tech.Tech) tech.F2FSpec {
+	if c.F2F != nil {
+		return *c.F2F
+	}
+	return t.F2F
+}
+
 func (c Config) withDefaults() Config {
 	if c.LogicMetals == 0 {
 		c.LogicMetals = 6
@@ -256,138 +264,6 @@ type State struct {
 	Trace *RunReport
 }
 
-// signoff runs the common final analysis as instrumented stages:
-// slow-corner extraction, optimization under the given budget (frozen
-// for S2D, limited for C2D, full for 2D and Macro-3D), hold STA,
-// typical-corner power, PPA assembly. Non-finite extraction or power
-// results fail the run instead of propagating into the tables.
-func signoff(r *runner, cfg Config, st *State, t *tech.Tech, optCfg opt.Options, dies int, metalLayers int) (*PPA, error) {
-	slow := t.CornerScaleFor(tech.CornerSlow)
-	typ := t.CornerScaleFor(tech.CornerTypical)
-
-	// The effective optimization budget is resolved up front so the
-	// signoff checkpoint's key material matches what the optimizer
-	// actually runs with.
-	if optCfg.TargetPeriod == 0 {
-		optCfg.TargetPeriod = cfg.TargetPeriod
-	}
-	optCfg.SelfCheck = optCfg.SelfCheck || cfg.SelfCheck
-
-	var resized, buffers int
-	body := func() error {
-		if err := r.stage(StageExtract, func() error {
-			st.ExSlow = extract.Extract(st.Design, st.Routes, st.DB, slow)
-			if err := st.ExSlow.CheckFinite(); err != nil {
-				return err
-			}
-			st.DDB = ddb.New(st.Design, st.DB, st.Routes, st.ExSlow, slow)
-			st.DDB.AttachObs(r.obs())
-			return nil
-		}); err != nil {
-			return err
-		}
-		return r.stage(StageOpt, func() error {
-			octx := &opt.Context{
-				Clock: st.Tree,
-				FP:    st.FP, RowHeight: t.RowHeight,
-				DDB: st.DDB,
-				Obs: r.obs(),
-			}
-			ores, err := opt.Optimize(octx, sta.Options{}, optCfg)
-			if err != nil {
-				return fmt.Errorf("%s: optimization: %w", st.Design.Name, err)
-			}
-			st.Report = ores.Report
-			resized, buffers = ores.Resized, ores.Buffers
-			st.Routes.Recount(st.DB)
-			return nil
-		})
-	}
-	if err := r.checkpointed(signoffCheckpoint(r, st, t, signoffMaterial(optCfg), &resized, &buffers), body); err != nil {
-		return nil, err
-	}
-
-	// Hold sign-off on the final state.
-	var hold *sta.Report
-	if err := r.stage(StageSTA, func() error {
-		var err error
-		hold, err = sta.Analyze(st.Design, st.ExSlow, st.Report.MinPeriod, sta.Options{
-			Corner: slow, Clock: st.Tree, CheckHold: true, Obs: r.obs(),
-		})
-		if err != nil {
-			return fmt.Errorf("%s: hold sign-off: %w", st.Design.Name, err)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Power at the typical corner, at the achieved frequency (or the
-	// target, for iso-performance runs).
-	var exTyp *extract.Design
-	var pw *power.Report
-	var fclk float64
-	if err := r.stage(StagePower, func() error {
-		exTyp = extract.Extract(st.Design, st.Routes, st.DB, typ)
-		if err := exTyp.CheckFinite(); err != nil {
-			return err
-		}
-		fclk = 1e6 / st.Report.MinPeriod
-		if cfg.TargetPeriod > 0 {
-			fclk = 1e6 / cfg.TargetPeriod
-		}
-		pw = power.Analyze(st.Design, exTyp, st.Tree, fclk, power.Options{Corner: typ})
-		for _, v := range []struct {
-			name string
-			val  float64
-		}{
-			{"energy/cycle", pw.EnergyPerCycleFJ},
-			{"power", pw.PowerUW(fclk)},
-			{"leakage", pw.LeakageUW},
-		} {
-			if math.IsNaN(v.val) || math.IsInf(v.val, 0) {
-				return fmt.Errorf("power: non-finite %s (%v)", v.name, v.val)
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	p := &PPA{
-		Config:      st.Design.Name,
-		FclkMHz:     fclk,
-		MinPeriodPs: st.Report.MinPeriod,
-		EmeanFJ:     pw.EnergyPerCycleFJ,
-		PowerUW:     pw.PowerUW(fclk),
-		LeakageUW:   pw.LeakageUW,
-
-		FootprintMM2:     st.Die.Area() / 1e6,
-		LogicCellAreaMM2: opt.LogicCellArea(st.Design) / 1e6,
-		MetalAreaMM2:     st.Die.Area() / 1e6 * float64(metalLayers),
-
-		TotalWLm: (st.Routes.WL + st.Tree.Wirelength) / 1e6,
-		F2FBumps: st.Routes.F2FBumps,
-		CpinNF:   (exTyp.CPinTotal + st.Tree.PinCap) / 1e6,
-		CwireNF:  (exTyp.CWireTotal + st.Tree.WireCap) / 1e6,
-
-		ClkDepth:  st.Tree.Depth,
-		ClkSkewPs: st.Tree.Skew,
-
-		CritPathWLmm: st.Report.Critical.Wirelength / 1e3,
-		CritPathPs:   st.Report.Critical.Delay,
-
-		HoldWNSps:      hold.HoldWNS,
-		HoldViolations: hold.HoldViolations,
-
-		RouteOverflow: st.Routes.Overflow,
-		Dies:          dies,
-		Resized:       resized,
-		Buffers:       buffers,
-	}
-	return p, nil
-}
-
 // signoffRevision versions what a signoff checkpoint holds beyond its
 // inputs. 1: the buffer count leaves out rolled-back iterations, and
 // ECO free space no longer loses intervals on release — checkpoints
@@ -409,57 +285,4 @@ func signoffMaterial(o opt.Options) []byte {
 	e.F64(o.TargetPeriod)
 	e.Bool(o.Frozen)
 	return e.Bytes()
-}
-
-// verifyStage runs the optional independent sign-off check. For 3D
-// flows (md != nil) the dies are first separated so the bump list can
-// be checked against the bonding pitch. A dirty report fails the run
-// with a StageError wrapping *verify.Error.
-func verifyStage(r *runner, cfg Config, st *State, t *tech.Tech, md *core.MoLDesign) error {
-	if !cfg.Verify {
-		return nil
-	}
-	var bumps []geom.Point
-	if md != nil {
-		if err := r.stage(StageSeparate, func() error {
-			logicPart, _, err := core.Separate(md, st.Routes, st.DB)
-			if err != nil {
-				return err
-			}
-			bumps = logicPart.Bumps
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	return r.stage(StageVerify, func() error {
-		f2f := t.F2F
-		if cfg.F2F != nil {
-			f2f = *cfg.F2F
-		}
-		rep := verify.Full(st.Design, st.Die, st.Routes, bumps, f2f, nil)
-		if reg := r.obs().Reg(); reg != nil {
-			reg.Counter("verify_violations_total",
-				"Sign-off verification violations found, duplicates included.").Add(uint64(rep.Total))
-			reg.Counter("verify_checked_instances_total",
-				"Instances examined by sign-off verification.").Add(uint64(rep.Checked.Instances))
-			reg.Counter("verify_checked_nets_total",
-				"Nets examined by sign-off verification.").Add(uint64(rep.Checked.Nets))
-		}
-		if !rep.Clean() {
-			return &verify.Error{Report: rep}
-		}
-		return nil
-	})
-}
-
-// buildClock synthesizes the clock tree for the placed design.
-func buildClock(st *State) {
-	d := st.Design
-	clk := d.Net("clk")
-	src := geom.Pt(st.Die.Lx, st.Die.Center().Y)
-	if p := d.Port("clk_i"); p != nil {
-		src = p.Loc
-	}
-	st.Tree = cts.Build(d, clk, src, d.Lib, st.Beol, cts.Options{})
 }

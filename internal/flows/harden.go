@@ -114,18 +114,10 @@ func HardenCtx(ctx context.Context, cfg Config, flow string) (*HardenResult, err
 		hardenCounter(cfg, false)
 	}
 
-	var (
-		ppa *PPA
-		st  *State
-	)
-	switch flow {
-	case HardenMacro3D:
-		ppa, st, _, err = RunMacro3DCtx(ctx, cfg)
-	case Harden2D:
-		ppa, st, err = Run2DCtx(ctx, cfg)
-	default:
+	if flow != HardenMacro3D && flow != Harden2D {
 		return nil, fmt.Errorf("harden: unknown flow %q (want %q or %q)", flow, HardenMacro3D, Harden2D)
 	}
+	ppa, st, _, err := Run(ctx, flow, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -142,11 +142,7 @@ func InstantiateArray(cfg Config, hr *HardenResult, nx, ny int) (*HierReport, er
 	}
 
 	if cfg.Verify {
-		f2f := t.F2F
-		if cfg.F2F != nil {
-			f2f = *cfg.F2F
-		}
-		vrep := verify.Full(d, die, res, nil, f2f, nil)
+		vrep := verify.Full(d, die, res, nil, cfg.f2f(t), nil)
 		if !vrep.Clean() {
 			return nil, &verify.Error{Report: vrep}
 		}
@@ -209,9 +205,5 @@ func parentBEOL(cfg Config, t *tech.Tech, abs *cell.Cell) (*tech.BEOL, error) {
 	if err != nil {
 		return nil, err
 	}
-	f2f := t.F2F
-	if cfg.F2F != nil {
-		f2f = *cfg.F2F
-	}
-	return tech.Combine(t.Logic, macroBeol, f2f)
+	return tech.Combine(t.Logic, macroBeol, cfg.f2f(t))
 }

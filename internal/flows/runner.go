@@ -235,6 +235,58 @@ func (r *runner) setState(st *State) {
 	st.Trace = r.trace
 }
 
+// stage is one entry of a flow's stage list: a leaf with a body, or a
+// checkpoint region wrapping the sub-stages a cache hit skips.
+type stage struct {
+	name string
+	body func() error // a deterministic stage: runs once, on Config.Seed
+
+	// try is the body of a stochastic stage instead: it starts from seed
+	// and is re-run under Config.Retry with perturbed seeds.
+	try  func(seed uint64) error
+	seed uint64
+
+	// region is evaluated when the entry is reached, not when the list
+	// is built, so it may read state that earlier stages produce.
+	region func() checkpoint
+	sub    []stage
+
+	// on, when set, is the State this and the later stages work on.
+	on *State
+}
+
+func do(name string, body func() error) stage { return stage{name: name, body: body} }
+
+func seeded(name string, seed uint64, try func(seed uint64) error) stage {
+	return stage{name: name, try: try, seed: seed}
+}
+
+func region(spec func() checkpoint, sub ...stage) stage {
+	return stage{region: spec, sub: sub}
+}
+
+// exec runs a stage list in order and stops at the first error.
+func (r *runner) exec(list []stage) error {
+	for _, s := range list {
+		if s.on != nil {
+			r.setState(s.on)
+		}
+		var err error
+		switch {
+		case s.region != nil:
+			err = r.checkpointed(s.region(), func() error { return r.exec(s.sub) })
+		case s.try != nil:
+			err = r.seededStage(s.name, s.seed, s.try)
+		default:
+			err = r.stage(s.name, s.body)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // stage runs a deterministic stage once.
 func (r *runner) stage(name string, fn func() error) error {
 	return r.run(name, r.cfg.Seed, func(uint64) error { return fn() }, 1)
@@ -244,16 +296,11 @@ func (r *runner) stage(name string, fn func() error) error {
 // attempt is re-run with a perturbed seed, and every attempt is
 // recorded in the trace.
 func (r *runner) seededStage(name string, seed uint64, fn func(seed uint64) error) error {
-	attempts := 1
-	if r.cfg.Retry.MaxAttempts > attempts {
-		attempts = r.cfg.Retry.MaxAttempts
-	}
-	return r.run(name, seed, fn, attempts)
+	return r.run(name, seed, fn, max(1, r.cfg.Retry.MaxAttempts))
 }
 
 func (r *runner) run(name string, seed uint64, fn func(uint64) error, attempts int) error {
-	var last error
-	for attempt := 1; attempt <= attempts; attempt++ {
+	for attempt := 1; ; attempt++ {
 		// Cancellation and deadlines are honoured at stage boundaries:
 		// a flow returns within one stage of the context ending.
 		if err := r.ctx.Err(); err != nil {
@@ -296,13 +343,10 @@ func (r *runner) run(name string, seed uint64, fn func(uint64) error, attempts i
 			}
 			return nil
 		}
-		last = err
-		seedForFail := s
-		if attempt == attempts {
-			return r.fail(name, seedForFail, attempt, last)
+		if attempt >= attempts {
+			return r.fail(name, s, attempt, err)
 		}
 	}
-	return r.fail(name, seed, attempts, last) // unreachable
 }
 
 func (r *runner) record(stage string, attempt int, seed uint64, dur time.Duration, panicked bool, err error) {

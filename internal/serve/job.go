@@ -3,6 +3,8 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -73,10 +75,8 @@ func (sp *JobSpec) validate(allowFaults bool) error {
 	if (sp.Flow == "") == (sp.Sweep == "") {
 		return fmt.Errorf("spec: exactly one of flow or sweep is required")
 	}
-	switch sp.Flow {
-	case "", "2d", "macro3d", "s2d", "bfs2d", "c2d":
-	default:
-		return fmt.Errorf("spec: unknown flow %q (want 2d, macro3d, s2d, bfs2d or c2d)", sp.Flow)
+	if names := flows.Names(); sp.Flow != "" && !slices.Contains(names, sp.Flow) {
+		return fmt.Errorf("spec: unknown flow %q (want %s)", sp.Flow, strings.Join(names, ", "))
 	}
 	switch sp.Sweep {
 	case "", "pitch", "blockage", "heterotech":

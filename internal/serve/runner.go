@@ -45,24 +45,7 @@ func (s *Server) runSpec(ctx context.Context, job *Job) (string, error) {
 	}
 
 	if spec.Flow != "" {
-		var (
-			ppa *flows.PPA
-			err error
-		)
-		switch spec.Flow {
-		case "2d":
-			ppa, _, err = flows.Run2DCtx(ctx, fc)
-		case "macro3d":
-			ppa, _, _, err = flows.RunMacro3DCtx(ctx, fc)
-		case "s2d":
-			ppa, _, err = flows.RunS2DCtx(ctx, fc, false)
-		case "bfs2d":
-			ppa, _, err = flows.RunS2DCtx(ctx, fc, true)
-		case "c2d":
-			ppa, _, err = flows.RunC2DCtx(ctx, fc)
-		default:
-			return "", fmt.Errorf("serve: unknown flow %q", spec.Flow)
-		}
+		ppa, _, _, err := flows.Run(ctx, spec.Flow, fc)
 		if err != nil {
 			return "", err
 		}
