@@ -131,7 +131,8 @@ BENCH_COUNT ?= 5
 BENCH_SIZE  ?= 3
 BENCH_J     ?= 8
 bench-route:
-	BENCH_ROUTE_N=$(BENCH_SIZE) BENCH_ROUTE_J=$(BENCH_J) $(GO) test -timeout 0 -bench 'BenchmarkRouteDesign|BenchmarkPlace|BenchmarkRouteFlat|BenchmarkPlaceFlat' -count $(BENCH_COUNT) -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchjson | tee BENCH_route.json
+	{ BENCH_ROUTE_N=$(BENCH_SIZE) BENCH_ROUTE_J=$(BENCH_J) $(GO) test -timeout 0 -bench 'BenchmarkRouteDesign|BenchmarkPlace|BenchmarkRouteFlat|BenchmarkPlaceFlat' -count $(BENCH_COUNT) -benchtime 1x -run '^$$' . && \
+	  $(GO) test -bench 'BenchmarkWLGradient|BenchmarkPoissonSolve' -count $(BENCH_COUNT) -run '^$$' ./internal/place; } | $(GO) run ./cmd/benchjson | tee BENCH_route.json
 
 ## bench-stash: the stage-cache comparison — the Table I sweep cold
 ## (populating the cache) vs warm (restoring every checkpoint), both

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -146,7 +147,13 @@ func TestResultCodecRoundTrip(t *testing.T) {
 // TestDecodeResultAllocs: a decoded result is a constant number of heap
 // objects — the table, one chunk per slab, the per-layer totals — however
 // many nets it holds.
+//
+// The collector is off while counting: a 5 000-net decode is large
+// enough to start a GC cycle inside every measured run, and under -race
+// each cycle costs one runtime heap object that is not the decoder's
+// (10 against 9 on most `make race` runs).
 func TestDecodeResultAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(nets int) float64 {
 		b := encodeResultBytes(randomResult(9, nets))
 		return testing.AllocsPerRun(5, func() {

@@ -10,11 +10,12 @@
 // The engine is gated behind Options.Analytic and is NOT bit-identical
 // to the default quadratic placer — it is a different algorithm with
 // different (better-or-equal HPWL) results, so the flag is part of the
-// result-defining configuration. Within the analytic engine, results are bit-identical at any
-// Workers setting: every parallel phase writes disjoint elements while
-// reading frozen arrays, and every floating-point reduction (net HPWL
-// sums, density means, overflow) replays in a fixed serial order. Max
-// reductions combine per-chunk maxima, which is exact for floats.
+// result-defining configuration. Within the analytic engine, results are
+// bit-identical at any Workers setting: the three parallel passes of an
+// iteration write disjoint elements while reading frozen arrays, every
+// floating-point sum (net aggregates, bin charge, HPWL, overflow) runs
+// in one fixed order, and max reductions combine per-chunk maxima,
+// which is exact for floats.
 package place
 
 import (
@@ -90,7 +91,6 @@ func placeAnalytic(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64
 		}
 	}
 
-	adj := d.NetsOfInstance()
 	bins := newBinGrid(die, opt.BinPitch, fp.PlaceBlk, opt.MaxFill)
 
 	ts := opt.Trace.WorkerSet("place", workers)
@@ -101,58 +101,30 @@ func placeAnalytic(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64
 	// Seed: a few quadratic net-centroid sweeps give the wirelength
 	// minimum the electrostatic spreading starts from.
 	anchor := make([]geom.Point, len(d.Instances))
-	busy += solve(d, movable, adj, pos, anchor, 0, die, analyticSeedIters, workers, ts)
+	busy += solve(d, movable, d.NetsOfInstance(), pos, anchor, 0, die, analyticSeedIters, workers, ts)
 
-	st := newAnalyticState(d, movable, bins, workers)
-	busy += st.netWeights(d, workers, ts)
+	st := newAnalyticState(d, movable, pos, bins, die, opt.BinPitch, workers, ts)
+	busy += st.netWeights(d)
 
 	iters := opt.AnalyticIters
-	// Continuation schedules: the WA smoothing γ tightens toward the
-	// true max/min as the density weight λ ramps.
-	gamma0, gamma1 := 4.0*opt.BinPitch, 0.5*opt.BinPitch
-	lambda := 0.0
-	best := ([]geom.Point)(nil)
+	best := make([]geom.Point, len(pos))
 	bestHP := math.MaxFloat64
-
 	for it := 0; it < iters; it++ {
-		frac := float64(it) / float64(max(iters-1, 1))
-		gamma := gamma0 * math.Pow(gamma1/gamma0, frac)
-		step := (0.5 - 0.35*frac) * opt.BinPitch
-
-		busy += st.wlGradient(d, movable, adj, pos, gamma, workers, ts)
-		busy += st.density(movable, pos, workers, ts)
-		busy += st.densGradient(movable, pos, workers, ts)
-
-		// λ is calibrated once from the first iterate's gradient
-		// magnitudes, then ramps geometrically: density starts as a
-		// nudge and ends dominating, the ePlace weight schedule.
-		wlMax, denMax := st.gradMaxima(workers)
-		if it == 0 {
-			if denMax > 0 {
-				lambda = 0.08 * wlMax / denMax
+		ovf := st.iterate(it, iters)
+		// The exact HPWL is read only where an iterate may become the
+		// snapshot, so it is computed only there.
+		if ovf <= analyticSnapOverflow {
+			if hp := st.hpwl(); hp < bestHP {
+				bestHP = hp
+				copy(best, pos)
 			}
-		} else {
-			lambda *= 1.045
-		}
-
-		busy += st.descend(movable, pos, die, lambda, step, workers, ts)
-
-		// Snapshot accounting is serial and in fixed order: exact
-		// per-net HPWL summed in net order, overflow in movable order.
-		hp := st.exactHPWL(d, pos, workers, ts)
-		ovf := bins.overflow(movable, pos)
-		if ovf <= analyticSnapOverflow && hp < bestHP {
-			bestHP = hp
-			if best == nil {
-				best = make([]geom.Point, len(pos))
-			}
-			copy(best, pos)
 		}
 		if ovf <= analyticStopOverflow && it >= iters/4 {
 			break
 		}
 	}
-	if best != nil {
+	busy += st.busy
+	if bestHP < math.MaxFloat64 {
 		copy(pos, best)
 	}
 	// Residual cleanup: one deterministic eviction round clears any
@@ -202,58 +174,163 @@ func placeAnalytic(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64
 	return res, nil
 }
 
-// analyticState holds the per-iteration scratch arrays so the descent
-// loop allocates nothing.
+// analyticState holds the flat pin tables and every per-iteration
+// scratch array of the descent, so an iteration dereferences no netlist
+// object and allocates nothing.
 type analyticState struct {
-	// Per-net WA aggregates, one slot per net (disjoint writes).
-	agg []netAgg
-	// Die-aware net weights: Net.Weight × bump multiplier.
-	wnet []float64
-	// Per-cell gradient accumulators (disjoint writes).
-	wgx, wgy []float64 // wirelength
-	dgx, dgy []float64 // density
-	// Per-net exact-HPWL scratch.
-	hp []float64
+	// Net → pin-slot CSR: the slots of net n are
+	// [netStart[n], netStart[n+1]) in PinAt order.
+	netStart []int32
+	// slotInst is the slot's instance ID when the pin rides on an
+	// unfixed instance (its coordinate is gathered from pos every
+	// iteration), or -1 when the pin is frozen: slotAt then holds the
+	// port location or the fixed instance's pin location, resolved once.
+	slotInst []int32
+	slotAt   []geom.Point
+	// slotNet is the slot's net, or -1 when that net exerts no force
+	// (clock nets, nets with fewer than two pins).
+	slotNet []int32
+	// slotExp holds the slot's four max-shifted exponentials: the net
+	// pass writes them beside the sums, the cell pass reads them.
+	slotExp []pinExp
+	// Movable cell k → its slots, in NetsOfInstance order (net order,
+	// once per pin): cellSlot[cellStart[k]:cellStart[k+1]].
+	cellStart []int32
+	cellSlot  []int32
+	movID     []int32 // instance ID of movable cell k
 
-	bins *binGrid
-	pois *poissonGrid
-	// binOf / counting-sort scratch for the density accumulation.
-	binOf []int32
-	cnt   [][]int32
-	off   [][]int32
-	base  []int32
-	area  []float64 // per-movable cell area, cached
+	agg  []netAgg  // per-net WA sums, one slot per net (disjoint writes)
+	wnet []float64 // die-aware net weights: Net.Weight × bump multiplier
+
+	// Per-movable-cell arrays, indexed by k (disjoint writes).
+	wgx, wgy []float64 // wirelength gradient
+	dgx, dgy []float64 // density gradient
+	area     []float64
+	binOf    []int32 // bin of the cell at its current position
+	total    float64 // Σ area, in movable order
+
+	bins  *binGrid
+	usage []float64 // per-bin cell area at the current positions
+	pois  *poissonGrid
+
+	// Per-chunk ∞-norms of ∇WL, ∇D and ∇WL + λ∇D from the cell pass.
+	maxWL, maxD, maxG []float64
+
+	// What the pass bodies read; set by iterate before each fan-out so
+	// the three closures are built once and an iteration allocates none.
+	pos                   []geom.Point
+	inner                 geom.Rect
+	pitch                 float64
+	gamma, lambda, lr     float64
+	workers               int
+	ts                    trSet
+	netFn, cellFn, stepFn func(w, lo, hi int)
+	busy                  time.Duration
 }
+
+// pinExp is one pin's max-shifted exponentials for one iteration:
+// e^{(x−xmax)/γ}, e^{(xmin−x)/γ} and the same in y.
+type pinExp struct{ ax, bx, ay, by float64 }
 
 // netAgg is one net's frozen WA aggregates for one iteration: the
 // shifted exponential sums the per-cell gradient pass reads.
 type netAgg struct {
-	xmax, xmin, ymax, ymin float64
-	ax, axx, bx, bxx       float64 // x: Σe, Σx·e (max side); Σe, Σx·e (min side)
-	ay, ayy, by, byy       float64
-	deg                    float64
+	ax, axx, bx, bxx float64 // x: Σe, Σx·e (max side); Σe, Σx·e (min side)
+	ay, ayy, by, byy float64
 }
 
-func newAnalyticState(d *netlist.Design, movable []*netlist.Instance, bins *binGrid, workers int) *analyticState {
+// newAnalyticState resolves every net pin to a flat slot once — no
+// iteration looks a pin up by name or walks a *netlist.Net — and sizes
+// the scratch arrays. pos is the live position array the descent moves.
+func newAnalyticState(d *netlist.Design, movable []*netlist.Instance, pos []geom.Point,
+	bins *binGrid, die geom.Rect, pitch float64, workers int, ts trSet) *analyticState {
+
+	slots := 0
+	for _, n := range d.Nets {
+		slots += n.NumPins()
+	}
+	nb := bins.grid.Bins()
 	st := &analyticState{
-		agg:   make([]netAgg, len(d.Nets)),
-		wnet:  make([]float64, len(d.Nets)),
-		wgx:   make([]float64, len(d.Instances)),
-		wgy:   make([]float64, len(d.Instances)),
-		dgx:   make([]float64, len(d.Instances)),
-		dgy:   make([]float64, len(d.Instances)),
-		hp:    make([]float64, len(d.Nets)),
-		bins:  bins,
-		pois:  newPoissonGrid(bins.grid),
-		binOf: make([]int32, len(movable)),
-		cnt:   make([][]int32, workers),
-		off:   make([][]int32, workers),
-		base:  make([]int32, bins.grid.Bins()+1),
-		area:  make([]float64, len(movable)),
+		netStart:  make([]int32, len(d.Nets)+1),
+		slotInst:  make([]int32, slots),
+		slotAt:    make([]geom.Point, slots),
+		slotNet:   make([]int32, slots),
+		slotExp:   make([]pinExp, slots),
+		cellStart: make([]int32, len(movable)+1),
+		movID:     make([]int32, len(movable)),
+		agg:       make([]netAgg, len(d.Nets)),
+		wnet:      make([]float64, len(d.Nets)),
+		wgx:       make([]float64, len(movable)),
+		wgy:       make([]float64, len(movable)),
+		dgx:       make([]float64, len(movable)),
+		dgy:       make([]float64, len(movable)),
+		area:      make([]float64, len(movable)),
+		binOf:     make([]int32, len(movable)),
+		bins:      bins,
+		usage:     make([]float64, nb),
+		pois:      newPoissonGrid(bins.grid),
+		maxWL:     make([]float64, workers),
+		maxD:      make([]float64, workers),
+		maxG:      make([]float64, workers),
+		pos:       pos,
+		inner:     die.Expand(-1),
+		pitch:     pitch,
+		workers:   workers,
+		ts:        ts,
+	}
+	movK := make([]int32, len(d.Instances))
+	for i := range movK {
+		movK[i] = -1
 	}
 	for k, inst := range movable {
+		st.movID[k] = int32(inst.ID)
+		movK[inst.ID] = int32(k)
 		st.area[k] = inst.Master.Area()
+		st.total += st.area[k]
 	}
+	s := int32(0)
+	for _, n := range d.Nets {
+		np := n.NumPins()
+		net := int32(n.ID)
+		if n.Clock || np < 2 {
+			net = -1
+		}
+		for i := 0; i < np; i++ {
+			p := n.PinAt(i)
+			st.slotNet[s] = net
+			switch {
+			case p.Port != nil:
+				st.slotInst[s], st.slotAt[s] = -1, p.Port.Loc
+			case p.Inst.Fixed:
+				st.slotInst[s], st.slotAt[s] = -1, p.Loc()
+			default:
+				st.slotInst[s] = int32(p.Inst.ID)
+				if k := movK[p.Inst.ID]; k >= 0 {
+					st.cellStart[k+1]++
+				}
+			}
+			s++
+		}
+		st.netStart[n.ID+1] = s
+	}
+	for k := range movable {
+		st.cellStart[k+1] += st.cellStart[k]
+	}
+	st.cellSlot = make([]int32, st.cellStart[len(movable)])
+	fill := append([]int32(nil), st.cellStart[:len(movable)]...)
+	for s, id := range st.slotInst {
+		if id < 0 {
+			continue
+		}
+		if k := movK[id]; k >= 0 {
+			st.cellSlot[fill[k]] = int32(s)
+			fill[k]++
+		}
+	}
+	st.netFn = func(_, lo, hi int) { st.netPass(lo, hi) }
+	st.cellFn = st.cellPass
+	st.stepFn = func(_, lo, hi int) { st.descend(lo, hi) }
+	st.charge()
 	return st
 }
 
@@ -261,8 +338,8 @@ func newAnalyticState(d *netlist.Design, movable []*netlist.Instance, bins *binG
 // whose pins touch both `_MD` macro-die layers and base-die layers
 // crosses an F2F bump; its wirelength is priced up so the descent
 // shortens bump-crossing spans first.
-func (st *analyticState) netWeights(d *netlist.Design, workers int, ts trSet) time.Duration {
-	return par.ChunksTr(ts, "place/net-weight", workers, len(d.Nets), func(w, lo, hi int) {
+func (st *analyticState) netWeights(d *netlist.Design) time.Duration {
+	return par.ChunksTr(st.ts, "place/net-weight", st.workers, len(d.Nets), func(w, lo, hi int) {
 		for _, n := range d.Nets[lo:hi] {
 			wt := n.Weight
 			hasMD, hasBase := false, false
@@ -291,81 +368,120 @@ func (st *analyticState) netWeights(d *netlist.Design, workers int, ts trSet) ti
 	})
 }
 
-// pinCoord returns the placement coordinate a pin contributes: the
-// frozen anchor location for ports and fixed macros, the current cell
-// centre for movable cells (pin offsets fold into the anchor model the
-// same way solve() treats them).
-func pinCoord(p netlist.PinRef, pos []geom.Point) geom.Point {
-	if p.Port != nil {
-		return p.Port.Loc
+// iterate runs descent iteration it of iters — three fork-joins: the
+// per-net WA sums, the per-cell gradients with their maxima, the step —
+// around the serial density field, and returns the density overflow of
+// the new iterate.
+func (st *analyticState) iterate(it, iters int) float64 {
+	// Continuation schedules: the WA smoothing γ tightens toward the
+	// true max/min as the density weight λ ramps geometrically —
+	// density starts as a nudge and ends dominating, the ePlace weight
+	// schedule.
+	frac := float64(it) / float64(max(iters-1, 1))
+	gamma0, gamma1 := 4.0*st.pitch, 0.5*st.pitch
+	st.gamma = gamma0 * math.Pow(gamma1/gamma0, frac)
+	step := (0.5 - 0.35*frac) * st.pitch
+	if it > 0 {
+		st.lambda *= 1.045
 	}
-	if p.Inst.Fixed {
-		return p.Loc()
+
+	st.busy += par.ChunksTr(st.ts, "place/wa-net", st.workers, len(st.wnet), st.netFn)
+	st.field()
+	st.busy += par.ChunksTr(st.ts, "place/cell-grad", st.workers, len(st.movID), st.cellFn)
+	var wlMax, denMax, gmax float64
+	for w := range st.maxG {
+		wlMax, denMax, gmax = max(wlMax, st.maxWL[w]), max(denMax, st.maxD[w]), max(gmax, st.maxG[w])
 	}
-	return pos[p.Inst.ID]
+	if it == 0 {
+		// λ is calibrated once, from the first iterate's gradient
+		// magnitudes, so the combined maximum needs its own pass here.
+		st.lambda = 0
+		if denMax > 0 {
+			st.lambda = 0.08 * wlMax / denMax
+		}
+		gmax = 0
+		for k := range st.wgx {
+			gmax = max(gmax, math.Abs(st.wgx[k]+st.lambda*st.dgx[k]), math.Abs(st.wgy[k]+st.lambda*st.dgy[k]))
+		}
+	}
+	// One normalized gradient step: the largest cell move is step µm.
+	if gmax != 0 {
+		st.lr = step / gmax
+		st.busy += par.ChunksTr(st.ts, "place/descend", st.workers, len(st.movID), st.stepFn)
+	}
+	st.charge()
+	return st.overflow()
 }
 
-// wlGradient runs the two WA phases: per-net aggregates (parallel over
-// nets, each writing only its slot while pos is frozen), then per-cell
-// gradients (parallel over cells, each writing only its slot while the
-// aggregates are frozen) — the same disjoint-write pattern as solve().
-func (st *analyticState) wlGradient(d *netlist.Design, movable []*netlist.Instance,
-	adj [][]*netlist.Net, pos []geom.Point, gamma float64, workers int, ts trSet) time.Duration {
+// span gathers the current pin coordinates of net slots [s0, s1) into
+// slotAt and returns their bounding box.
+func (st *analyticState) span(s0, s1 int32) (xmax, xmin, ymax, ymin float64) {
+	at := st.slotAt[s0:s1]
+	for i, id := range st.slotInst[s0:s1] {
+		if id >= 0 {
+			at[i] = st.pos[id]
+		}
+	}
+	xmax, xmin, ymax, ymin = at[0].X, at[0].X, at[0].Y, at[0].Y
+	for _, c := range at[1:] {
+		if c.X > xmax {
+			xmax = c.X
+		} else if c.X < xmin {
+			xmin = c.X
+		}
+		if c.Y > ymax {
+			ymax = c.Y
+		} else if c.Y < ymin {
+			ymin = c.Y
+		}
+	}
+	return
+}
 
-	busy := par.ChunksTr(ts, "place/wa-net", workers, len(d.Nets), func(w, lo, hi int) {
-		for _, n := range d.Nets[lo:hi] {
-			a := &st.agg[n.ID]
-			*a = netAgg{}
-			if n.Clock {
-				continue
-			}
-			np := n.NumPins()
-			a.deg = float64(np)
-			if np < 2 {
-				continue
-			}
-			a.xmax, a.xmin = math.Inf(-1), math.Inf(1)
-			a.ymax, a.ymin = math.Inf(-1), math.Inf(1)
-			for i := 0; i < np; i++ {
-				c := pinCoord(n.PinAt(i), pos)
-				a.xmax, a.xmin = math.Max(a.xmax, c.X), math.Min(a.xmin, c.X)
-				a.ymax, a.ymin = math.Max(a.ymax, c.Y), math.Min(a.ymin, c.Y)
-			}
-			for i := 0; i < np; i++ {
-				c := pinCoord(n.PinAt(i), pos)
-				ex := math.Exp((c.X - a.xmax) / gamma)
-				a.ax += ex
-				a.axx += c.X * ex
-				ex = math.Exp((a.xmin - c.X) / gamma)
-				a.bx += ex
-				a.bxx += c.X * ex
-				ey := math.Exp((c.Y - a.ymax) / gamma)
-				a.ay += ey
-				a.ayy += c.Y * ey
-				ey = math.Exp((a.ymin - c.Y) / gamma)
-				a.by += ey
-				a.byy += c.Y * ey
-			}
+// netPass computes the WA sums of nets [lo, hi) and every pin's
+// exponentials, each net writing only its own slots while pos is frozen.
+func (st *analyticState) netPass(lo, hi int) {
+	gamma := st.gamma
+	for n := lo; n < hi; n++ {
+		s0, s1 := st.netStart[n], st.netStart[n+1]
+		if st.slotNet[s0] < 0 {
+			continue
 		}
-	})
-	busy += par.ChunksTr(ts, "place/wa-cell", workers, len(movable), func(w, lo, hi int) {
-		for _, inst := range movable[lo:hi] {
-			var gx, gy float64
-			c := pos[inst.ID]
-			for _, n := range adj[inst.ID] {
-				a := &st.agg[n.ID]
-				if n.Clock || a.deg < 2 {
-					continue
-				}
-				wt := st.wnet[n.ID]
-				gx += wt * waGrad(c.X, a.xmax, a.xmin, a.ax, a.axx, a.bx, a.bxx, gamma)
-				gy += wt * waGrad(c.Y, a.ymax, a.ymin, a.ay, a.ayy, a.by, a.byy, gamma)
-			}
-			st.wgx[inst.ID] = gx
-			st.wgy[inst.ID] = gy
+		xmax, xmin, ymax, ymin := st.span(s0, s1)
+		// The span's own exponent serves both ends of the net.
+		ex, ey := math.Exp((xmin-xmax)/gamma), math.Exp((ymin-ymax)/gamma)
+		var a netAgg
+		es := st.slotExp[s0:s1]
+		for i, c := range st.slotAt[s0:s1] {
+			e := &es[i]
+			e.ax, e.bx = spanExp(c.X, xmax, xmin, ex, gamma)
+			a.ax += e.ax
+			a.axx += c.X * e.ax
+			a.bx += e.bx
+			a.bxx += c.X * e.bx
+			e.ay, e.by = spanExp(c.Y, ymax, ymin, ey, gamma)
+			a.ay += e.ay
+			a.ayy += c.Y * e.ay
+			a.by += e.by
+			a.byy += c.Y * e.by
 		}
-	})
-	return busy
+		st.agg[n] = a
+	}
+}
+
+// spanExp returns e^{(x−hi)/γ} and e^{(lo−x)/γ} for a pin inside
+// [lo, hi]. A pin at an end of the span has exponent 0 on its own side
+// (math.Exp(0) is exactly 1) and the span's exponent (lo−hi)/γ on the
+// other, whose exponential es the caller computed once — the same
+// arguments math.Exp would have seen, so the same bits.
+func spanExp(x, hi, lo, es, gamma float64) (a, b float64) {
+	switch x {
+	case hi:
+		return 1, es
+	case lo:
+		return es, 1
+	}
+	return math.Exp((x - hi) / gamma), math.Exp((lo - x) / gamma)
 }
 
 // waGrad is the derivative of the WA span estimate (x_max^WA − x_min^WA)
@@ -375,213 +491,133 @@ func (st *analyticState) wlGradient(d *netlist.Design, movable []*netlist.Instan
 //
 // and symmetrically −(b/B)(1 − (x − g)/γ) for the min side with
 // bᵢ = e^{−xᵢ/γ}. The exponentials are max-shifted for stability; the
-// shift cancels in every ratio.
-func waGrad(x, xmax, xmin, A, AX, B, BX, gamma float64) float64 {
+// shift cancels in every ratio. a and b are the pin's own exponentials
+// from the net pass.
+func waGrad(x, a, b, A, AX, B, BX, gamma float64) float64 {
 	g := 0.0
 	if A > 0 {
-		a := math.Exp((x - xmax) / gamma)
 		f := AX / A
 		g += (a / A) * (1 + (x-f)/gamma)
 	}
 	if B > 0 {
-		b := math.Exp((xmin - x) / gamma)
 		m := BX / B
 		g -= (b / B) * (1 - (x-m)/gamma)
 	}
 	return g
 }
 
-// density rebuilds the bin charge field from current positions with the
-// counting-sort accumulation (per-chunk counts → serial prefix →
-// scatter → per-bin sums in movable order — bit-identical at any
-// worker count), then refreshes the Poisson potential.
-func (st *analyticState) density(movable []*netlist.Instance, pos []geom.Point, workers int, ts trSet) time.Duration {
-	g := st.bins.grid
-	nb := g.Bins()
-	busy := par.ChunksTr(ts, "place/charge-index", workers, len(movable), func(w, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			ix, iy := g.Locate(pos[movable[k].ID])
-			st.binOf[k] = int32(g.Index(ix, iy))
-		}
-	})
-	busy += par.ChunksTr(ts, "place/charge-count", workers, len(movable), func(w, lo, hi int) {
-		c := st.cnt[w]
-		if c == nil {
-			c = make([]int32, nb)
-			st.cnt[w] = c
-		}
-		for i := range c {
-			c[i] = 0
-		}
-		for k := lo; k < hi; k++ {
-			c[st.binOf[k]]++
-		}
-	})
-	base := st.base
-	for i := range base {
-		base[i] = 0
-	}
-	for w := 0; w < workers; w++ {
-		c := st.cnt[w]
-		if c == nil {
-			continue
-		}
-		for i, n := range c {
-			base[i+1] += n
-		}
-	}
-	for i := 0; i < nb; i++ {
-		base[i+1] += base[i]
-	}
-	cursor := make([]int32, nb)
-	copy(cursor, base[:nb])
-	for w := 0; w < workers; w++ {
-		c := st.cnt[w]
-		if c == nil {
-			continue
-		}
-		o := st.off[w]
-		if o == nil {
-			o = make([]int32, nb)
-			st.off[w] = o
-		}
-		copy(o, cursor)
-		for i, n := range c {
-			cursor[i] += n
-		}
-	}
-	// Scatter movable indices to their stable per-bin ranks; per-bin
-	// charge then sums members in movable order.
-	flat := st.pois.flat
-	if len(flat) < len(movable) {
-		flat = make([]int32, len(movable))
-		st.pois.flat = flat
-	}
-	busy += par.ChunksTr(ts, "place/charge-scatter", workers, len(movable), func(w, lo, hi int) {
-		o := st.off[w]
-		for k := lo; k < hi; k++ {
-			i := st.binOf[k]
-			flat[o[i]] = int32(k)
-			o[i]++
-		}
-	})
-	rho := st.pois.rho
-	busy += par.ChunksTr(ts, "place/charge-sum", workers, nb, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var u float64
-			for _, k := range flat[base[i]:base[i+1]] {
-				u += st.area[k]
-			}
-			// Signed charge: cell area above capacity repels, free
-			// capacity attracts.
-			rho[i] = u - st.bins.cap[i]
-		}
-	})
-	// Neumann boundaries make the Poisson problem singular unless the
-	// net charge is zero; remove the mean (serial, fixed bin order).
-	var mean float64
-	for _, r := range rho {
-		mean += r
-	}
-	mean /= float64(nb)
-	busy += par.ChunksTr(ts, "place/charge-center", workers, nb, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rho[i] -= mean
-		}
-	})
-	busy += st.pois.solve(workers, ts)
-	return busy
-}
-
-// densGradient evaluates the potential slope at every movable cell:
-// ∂N/∂x = q·∂φ/∂x by central difference on the bin the cell sits in.
-func (st *analyticState) densGradient(movable []*netlist.Instance, pos []geom.Point, workers int, ts trSet) time.Duration {
+// cellPass computes, for movable cells [lo, hi), the wirelength gradient
+// from the frozen net sums and the density gradient ∂N/∂x = q·∂φ/∂x by
+// central difference on the bin the cell sits in, and records the
+// chunk's gradient maxima. Max combines exactly regardless of chunking.
+func (st *analyticState) cellPass(w, lo, hi int) {
 	g := st.bins.grid
 	phi := st.pois.phi
-	return par.ChunksTr(ts, "place/field", workers, len(movable), func(w, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			inst := movable[k]
-			ix, iy := g.Locate(pos[inst.ID])
-			xl, xr := max(ix-1, 0), min(ix+1, g.NX-1)
-			yl, yr := max(iy-1, 0), min(iy+1, g.NY-1)
-			var ddx, ddy float64
-			if xr > xl {
-				ddx = (phi[g.Index(xr, iy)] - phi[g.Index(xl, iy)]) / (float64(xr-xl) * g.DX)
-			}
-			if yr > yl {
-				ddy = (phi[g.Index(ix, yr)] - phi[g.Index(ix, yl)]) / (float64(yr-yl) * g.DY)
-			}
-			st.dgx[inst.ID] = st.area[k] * ddx
-			st.dgy[inst.ID] = st.area[k] * ddy
-		}
-	})
-}
-
-// gradMaxima returns the ∞-norms of the wirelength and density gradient
-// fields. Max combines exactly regardless of chunking, so the result is
-// identical at any worker count.
-func (st *analyticState) gradMaxima(workers int) (wlMax, denMax float64) {
-	for i := range st.wgx {
-		wlMax = math.Max(wlMax, math.Max(math.Abs(st.wgx[i]), math.Abs(st.wgy[i])))
-		denMax = math.Max(denMax, math.Max(math.Abs(st.dgx[i]), math.Abs(st.dgy[i])))
-	}
-	return
-}
-
-// descend takes one normalized gradient step: the combined gradient is
-// scaled so the largest cell move equals step µm, then every movable
-// cell updates its own position (disjoint writes).
-func (st *analyticState) descend(movable []*netlist.Instance, pos []geom.Point,
-	die geom.Rect, lambda, step float64, workers int, ts trSet) time.Duration {
-
-	var gmax float64
-	for _, inst := range movable {
-		id := inst.ID
-		gx := st.wgx[id] + lambda*st.dgx[id]
-		gy := st.wgy[id] + lambda*st.dgy[id]
-		gmax = math.Max(gmax, math.Max(math.Abs(gx), math.Abs(gy)))
-	}
-	if gmax == 0 {
-		return 0
-	}
-	lr := step / gmax
-	inner := die.Expand(-1)
-	return par.ChunksTr(ts, "place/descend", workers, len(movable), func(w, lo, hi int) {
-		for _, inst := range movable[lo:hi] {
-			id := inst.ID
-			p := geom.Pt(
-				pos[id].X-lr*(st.wgx[id]+lambda*st.dgx[id]),
-				pos[id].Y-lr*(st.wgy[id]+lambda*st.dgy[id]),
-			)
-			pos[id] = inner.ClampPoint(p)
-		}
-	})
-}
-
-// exactHPWL computes the true (non-smoothed) weighted HPWL of the
-// iterate: per-net bounding boxes in parallel (disjoint slots), then a
-// serial sum in net order.
-func (st *analyticState) exactHPWL(d *netlist.Design, pos []geom.Point, workers int, ts trSet) float64 {
-	par.ChunksTr(ts, "place/hpwl", workers, len(d.Nets), func(w, lo, hi int) {
-		for _, n := range d.Nets[lo:hi] {
-			np := n.NumPins()
-			if np < 2 {
-				st.hp[n.ID] = 0
+	gamma, lambda := st.gamma, st.lambda
+	var mwl, md, mg float64
+	for k := lo; k < hi; k++ {
+		c := st.pos[st.movID[k]]
+		var gx, gy float64
+		for _, s := range st.cellSlot[st.cellStart[k]:st.cellStart[k+1]] {
+			n := st.slotNet[s]
+			if n < 0 {
 				continue
 			}
-			xmax, xmin := math.Inf(-1), math.Inf(1)
-			ymax, ymin := math.Inf(-1), math.Inf(1)
-			for i := 0; i < np; i++ {
-				c := pinCoord(n.PinAt(i), pos)
-				xmax, xmin = math.Max(xmax, c.X), math.Min(xmin, c.X)
-				ymax, ymin = math.Max(ymax, c.Y), math.Min(ymin, c.Y)
-			}
-			st.hp[n.ID] = st.wnet[n.ID] * ((xmax - xmin) + (ymax - ymin))
+			a, e, wt := &st.agg[n], &st.slotExp[s], st.wnet[n]
+			gx += wt * waGrad(c.X, e.ax, e.bx, a.ax, a.axx, a.bx, a.bxx, gamma)
+			gy += wt * waGrad(c.Y, e.ay, e.by, a.ay, a.ayy, a.by, a.byy, gamma)
 		}
-	})
+		ix, iy := g.Coords(int(st.binOf[k]))
+		xl, xr := max(ix-1, 0), min(ix+1, g.NX-1)
+		yl, yr := max(iy-1, 0), min(iy+1, g.NY-1)
+		var ddx, ddy float64
+		if xr > xl {
+			ddx = (phi[g.Index(xr, iy)] - phi[g.Index(xl, iy)]) / (float64(xr-xl) * g.DX)
+		}
+		if yr > yl {
+			ddy = (phi[g.Index(ix, yr)] - phi[g.Index(ix, yl)]) / (float64(yr-yl) * g.DY)
+		}
+		dx, dy := st.area[k]*ddx, st.area[k]*ddy
+		st.wgx[k], st.wgy[k], st.dgx[k], st.dgy[k] = gx, gy, dx, dy
+		mwl = max(mwl, math.Abs(gx), math.Abs(gy))
+		md = max(md, math.Abs(dx), math.Abs(dy))
+		mg = max(mg, math.Abs(gx+lambda*dx), math.Abs(gy+lambda*dy))
+	}
+	st.maxWL[w], st.maxD[w], st.maxG[w] = mwl, md, mg
+}
+
+// descend moves movable cells [lo, hi) against the combined gradient,
+// each updating only its own position.
+func (st *analyticState) descend(lo, hi int) {
+	lr, lambda := st.lr, st.lambda
+	for k := lo; k < hi; k++ {
+		p := &st.pos[st.movID[k]]
+		*p = st.inner.ClampPoint(geom.Pt(
+			p.X-lr*(st.wgx[k]+lambda*st.dgx[k]),
+			p.Y-lr*(st.wgy[k]+lambda*st.dgy[k]),
+		))
+	}
+}
+
+// charge bins every movable cell at its current position: a serial
+// scatter-add in movable order, the float order every reader of usage
+// (the Poisson charge, the overflow) is defined in.
+func (st *analyticState) charge() {
+	g := st.bins.grid
+	clear(st.usage)
+	for k, id := range st.movID {
+		ix, iy := g.Locate(st.pos[id])
+		i := g.Index(ix, iy)
+		st.binOf[k] = int32(i)
+		st.usage[i] += st.area[k]
+	}
+}
+
+// overflow returns the fraction of total cell area sitting above bin
+// capacity at the positions charge last saw.
+func (st *analyticState) overflow() float64 {
+	over := 0.0
+	for i, u := range st.usage {
+		if u > st.bins.cap[i] {
+			over += u - st.bins.cap[i]
+		}
+	}
+	if st.total == 0 {
+		return 0
+	}
+	return over / st.total
+}
+
+// field refreshes the Poisson potential from the bin charge. Signed
+// charge: cell area above capacity repels, free capacity attracts.
+// Neumann boundaries make the problem singular unless the net charge is
+// zero, so the mean is removed.
+func (st *analyticState) field() {
+	rho := st.pois.rho
+	var mean float64
+	for i, u := range st.usage {
+		rho[i] = u - st.bins.cap[i]
+		mean += rho[i]
+	}
+	mean /= float64(len(rho))
+	for i := range rho {
+		rho[i] -= mean
+	}
+	st.pois.solve()
+}
+
+// hpwl returns the true (non-smoothed) weighted HPWL of the current
+// iterate: per-net bounding boxes over the slot table, summed in net
+// order. Clock nets count here although they exert no force.
+func (st *analyticState) hpwl() float64 {
 	var sum float64
-	for _, h := range st.hp {
-		sum += h
+	for n, wt := range st.wnet {
+		s0, s1 := st.netStart[n], st.netStart[n+1]
+		if s1-s0 < 2 {
+			continue
+		}
+		xmax, xmin, ymax, ymin := st.span(s0, s1)
+		sum += wt * ((xmax - xmin) + (ymax - ymin))
 	}
 	return sum
 }
@@ -590,10 +626,8 @@ func (st *analyticState) exactHPWL(d *netlist.Design, pos []geom.Point, workers 
 // boundaries by damped Jacobi relaxation on a two-level multigrid: the
 // charge restricts to a half-resolution grid that relaxes first, its
 // potential prolongates down as the fine grid's initial guess, and a
-// few fine sweeps finish. φ persists across outer placement iterations
-// as a warm start. Every sweep is a ping-pong between two buffers —
-// disjoint writes over frozen reads — so the relaxation is bit-identical
-// at any worker count.
+// few fine sweeps finish. The solve is serial: a tile's grid is a few
+// hundred bins, and 26 fork-joins over it cost more than the sweeps.
 type poissonGrid struct {
 	nx, ny   int
 	cnx, cny int
@@ -602,7 +636,6 @@ type poissonGrid struct {
 	cphi     []float64
 	ctmp     []float64
 	rho      []float64
-	flat     []int32 // charge-scatter scratch, sized on demand
 }
 
 func newPoissonGrid(g geom.Grid) *poissonGrid {
@@ -618,58 +651,52 @@ func newPoissonGrid(g geom.Grid) *poissonGrid {
 	}
 }
 
-func (p *poissonGrid) solve(workers int, ts trSet) time.Duration {
+func (p *poissonGrid) solve() {
 	// Restrict charge: each coarse bin averages its ≤2×2 fine bins.
-	busy := par.ChunksTr(ts, "place/poisson-restrict", workers, p.cnx*p.cny, func(w, lo, hi int) {
-		for ci := lo; ci < hi; ci++ {
-			cx, cy := ci%p.cnx, ci/p.cnx
+	for cy := 0; cy < p.cny; cy++ {
+		for cx := 0; cx < p.cnx; cx++ {
 			var s float64
 			var n int
-			for dy := 0; dy < 2; dy++ {
-				for dx := 0; dx < 2; dx++ {
-					x, y := 2*cx+dx, 2*cy+dy
-					if x < p.nx && y < p.ny {
-						s += p.rho[y*p.nx+x]
-						n++
-					}
+			for y := 2 * cy; y < min(2*cy+2, p.ny); y++ {
+				for x := 2 * cx; x < min(2*cx+2, p.nx); x++ {
+					s += p.rho[y*p.nx+x]
+					n++
 				}
 			}
-			p.crho[ci] = s / float64(n)
+			p.crho[cy*p.cnx+cx] = s / float64(n)
 		}
-	})
-	busy += relaxJacobi(p.cphi, p.ctmp, p.crho, p.cnx, p.cny, 4, analyticCoarseRelax, workers, ts)
+	}
+	relaxJacobi(p.cphi, p.ctmp, p.crho, p.cnx, p.cny, 4, analyticCoarseRelax)
 	// Prolongate: inject each coarse potential into its fine bins as
 	// the warm start the fine sweeps smooth.
-	busy += par.ChunksTr(ts, "place/poisson-prolong", workers, p.nx*p.ny, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x, y := i%p.nx, i/p.nx
-			p.phi[i] = p.cphi[(y/2)*p.cnx+(x/2)]
+	for y := 0; y < p.ny; y++ {
+		row, crow := p.phi[y*p.nx:(y+1)*p.nx], p.cphi[(y/2)*p.cnx:]
+		for x := range row {
+			row[x] = crow[x/2]
 		}
-	})
-	busy += relaxJacobi(p.phi, p.tmp, p.rho, p.nx, p.ny, 1, analyticFineRelax, workers, ts)
-	return busy
+	}
+	relaxJacobi(p.phi, p.tmp, p.rho, p.nx, p.ny, 1, analyticFineRelax)
 }
 
 // relaxJacobi runs an even number of Jacobi sweeps of
 // φ' = ¼(φ_W + φ_E + φ_S + φ_N + h²ρ) with mirrored boundaries,
 // ping-ponging between phi and tmp so the result lands back in phi.
-func relaxJacobi(phi, tmp, rho []float64, nx, ny int, h2 float64, iters, workers int, ts trSet) time.Duration {
-	var busy time.Duration
+func relaxJacobi(phi, tmp, rho []float64, nx, ny int, h2 float64, iters int) {
 	src, dst := phi, tmp
 	for it := 0; it < iters; it++ {
-		s, d := src, dst
-		busy += par.ChunksTr(ts, "place/poisson-relax", workers, nx*ny, func(w, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x, y := i%nx, i/nx
+		for y := 0; y < ny; y++ {
+			row := src[y*nx : (y+1)*nx]
+			south := src[max(y-1, 0)*nx:][:nx]
+			north := src[min(y+1, ny-1)*nx:][:nx]
+			out, r := dst[y*nx:(y+1)*nx], rho[y*nx:(y+1)*nx]
+			for x := range row {
 				xl, xr := max(x-1, 0), min(x+1, nx-1)
-				yl, yr := max(y-1, 0), min(y+1, ny-1)
-				d[i] = 0.25 * (s[y*nx+xl] + s[y*nx+xr] + s[yl*nx+x] + s[yr*nx+x] + h2*rho[i])
+				out[x] = 0.25 * (row[xl] + row[xr] + south[x] + north[x] + h2*r[x])
 			}
-		})
+		}
 		src, dst = dst, src
 	}
 	if iters%2 == 1 {
 		copy(phi, src)
 	}
-	return busy
 }

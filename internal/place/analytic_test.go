@@ -1,16 +1,21 @@
 package place
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"testing"
 
 	"macro3d/internal/floorplan"
+	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
 	"macro3d/internal/piton"
 )
 
 // tileFixture builds the piton tile floorplan for the given cache
 // config, so the quality bound runs on both cache sizes.
-func tileFixture(t *testing.T, cfg piton.Config) (*netlist.Design, *floorplan.Floorplan) {
+func tileFixture(t testing.TB, cfg piton.Config) (*netlist.Design, *floorplan.Floorplan) {
 	t.Helper()
 	tile, err := piton.Generate(cfg)
 	if err != nil {
@@ -119,5 +124,231 @@ func TestPlaceAnalyticChain(t *testing.T) {
 		if !inst.Fixed && !inst.Placed {
 			t.Fatalf("instance %s left unplaced", inst.Name)
 		}
+	}
+}
+
+// locDigest is a SHA-256 over every instance's Loc bits, in instance
+// order: the whole placement as one comparable value.
+func locDigest(d *netlist.Design) string {
+	h := sha256.New()
+	var b [16]byte
+	for _, inst := range d.Instances {
+		binary.LittleEndian.PutUint64(b[:8], math.Float64bits(inst.Loc.X))
+		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(inst.Loc.Y))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPlaceDigest pins the placer's output to the literals recorded at
+// commit 6951ce7 (go1.24 / amd64) from the per-object, name-resolving
+// implementation of the same descent: the flat-table kernels are a
+// rewrite, not a retune, and any Workers setting lands on the same bits.
+func TestPlaceDigest(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  piton.Config
+		want string
+	}{
+		{"tiny", piton.Tiny(), "e9e11f389afb24e8a3348c31fe17e6083242c72655e98fd912c034bc9ed1a782"},
+		{"small", piton.SmallCache(), "18a1a7fe3d43f3f0ae58ebcee6bec95339362cc0255fd6d6b3a91581d37a6f5c"},
+		{"large", piton.LargeCache(), "f643b4435df388724c55f0f54b84008adf185fc3c2afe489940209c919113188"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && tc.name != "tiny" {
+				t.Skip("full tile placement in -short mode")
+			}
+			for _, w := range []int{1, 2, 4, 0} {
+				d, fp := tileFixture(t, tc.cfg)
+				if _, err := Place(d, fp, 1.2, Options{Seed: 5, Workers: w, Analytic: true}); err != nil {
+					t.Fatal(err)
+				}
+				if got := locDigest(d); got != tc.want {
+					t.Errorf("workers=%d: placement digest %s, want %s", w, got, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// refPinCoord is the per-object reference the slot table replaces: the
+// frozen anchor location for ports and fixed macros, the current cell
+// centre for everything the placer may move.
+func refPinCoord(p netlist.PinRef, pos []geom.Point) geom.Point {
+	if p.Port != nil {
+		return p.Port.Loc
+	}
+	if p.Inst.Fixed {
+		return p.Loc()
+	}
+	return pos[p.Inst.ID]
+}
+
+// analyticFixture builds the descent state of a tile the way
+// Place does, with two nets added that the generator never emits: one
+// with two pins on the same cell and one with a single pin.
+func analyticFixture(t testing.TB, cfg piton.Config) (*netlist.Design, []*netlist.Instance, []geom.Point, *analyticState) {
+	t.Helper()
+	d, fp := tileFixture(t, cfg)
+	movable := movableCells(d)
+	u := movable[len(movable)/2]
+	in := u.Master.Pins[0].Name
+	d.AddNet("t_two_pins_one_cell", netlist.PPin(d.Ports[0]), netlist.IPin(u, in), netlist.IPin(u, in))
+	d.AddNet("t_one_pin", netlist.IPin(u, in))
+	opt := Options{}.withDefaults()
+	rng := geom.NewRNG(7)
+	pos := make([]geom.Point, len(d.Instances))
+	for _, inst := range d.Instances {
+		pos[inst.ID] = inst.Center()
+		if !inst.Fixed {
+			pos[inst.ID] = geom.Pt(fp.Die.Center().X+rng.Norm()*fp.Die.W()/8, fp.Die.Center().Y+rng.Norm()*fp.Die.H()/8)
+		}
+	}
+	bins := newBinGrid(fp.Die, opt.BinPitch, fp.PlaceBlk, opt.MaxFill)
+	st := newAnalyticState(d, movable, pos, bins, fp.Die, opt.BinPitch, 1, nil)
+	st.netWeights(d)
+	return d, movable, pos, st
+}
+
+// TestPinTables: walking the slot CSRs yields the same (net, pin,
+// coordinate) sequence as PinAt / refPinCoord and the same per-cell net
+// sequence as NetsOfInstance, over every kind of pin.
+func TestPinTables(t *testing.T) {
+	d, movable, pos, st := analyticFixture(t, piton.Tiny())
+	var ports, fixedPins, clockNets, onePin, twoOnOne int
+	for _, n := range d.Nets {
+		s0, s1 := int(st.netStart[n.ID]), int(st.netStart[n.ID+1])
+		if s1-s0 != n.NumPins() {
+			t.Fatalf("net %s: %d slots, %d pins", n.Name, s1-s0, n.NumPins())
+		}
+		force := !n.Clock && n.NumPins() >= 2
+		if n.Clock {
+			clockNets++
+		}
+		if n.NumPins() < 2 {
+			onePin++
+		}
+		if s1-s0 >= 2 {
+			st.span(int32(s0), int32(s1))
+		}
+		for i := 0; i < n.NumPins(); i++ {
+			p, s := n.PinAt(i), s0+i
+			if want := refPinCoord(p, pos); s1-s0 >= 2 && st.slotAt[s] != want {
+				t.Fatalf("net %s pin %d: slot coordinate %v, want %v", n.Name, i, st.slotAt[s], want)
+			}
+			frozen := p.Port != nil || p.Inst.Fixed
+			switch {
+			case p.Port != nil:
+				ports++
+			case p.Inst.Fixed:
+				fixedPins++
+			}
+			if frozen != (st.slotInst[s] < 0) || (!frozen && int(st.slotInst[s]) != p.Inst.ID) {
+				t.Fatalf("net %s pin %d: slotInst %d, frozen %v", n.Name, i, st.slotInst[s], frozen)
+			}
+			if want := map[bool]int32{true: int32(n.ID), false: -1}[force]; st.slotNet[s] != want {
+				t.Fatalf("net %s pin %d: slotNet %d, want %d", n.Name, i, st.slotNet[s], want)
+			}
+		}
+	}
+	adj := d.NetsOfInstance()
+	for k, inst := range movable {
+		slots := st.cellSlot[st.cellStart[k]:st.cellStart[k+1]]
+		if len(slots) != len(adj[inst.ID]) {
+			t.Fatalf("cell %s: %d slots, %d adjacency entries", inst.Name, len(slots), len(adj[inst.ID]))
+		}
+		for j, s := range slots {
+			n := adj[inst.ID][j]
+			if s < st.netStart[n.ID] || s >= st.netStart[n.ID+1] || int(st.slotInst[s]) != inst.ID {
+				t.Fatalf("cell %s entry %d: slot %d is not its pin on net %s", inst.Name, j, s, n.Name)
+			}
+			if j > 0 && adj[inst.ID][j-1] == n {
+				twoOnOne++
+				if slots[j-1] == s {
+					t.Fatalf("cell %s: slot %d listed twice", inst.Name, s)
+				}
+			}
+		}
+	}
+	if ports == 0 || fixedPins == 0 || clockNets == 0 || onePin == 0 || twoOnOne == 0 {
+		t.Fatalf("fixture misses a pin kind: ports %d, fixed pins %d, clock nets %d, one-pin nets %d, two-pins-one-cell %d",
+			ports, fixedPins, clockNets, onePin, twoOnOne)
+	}
+}
+
+// TestSpanExpMatchesExp: the end-of-span shortcut returns the bits
+// math.Exp returns for the same arguments — at both ends, inside, and on
+// a net whose pins share a coordinate (max == min).
+func TestSpanExpMatchesExp(t *testing.T) {
+	rng := geom.NewRNG(3)
+	for i := 0; i < 2000; i++ {
+		lo := rng.Float64()*2000 - 50
+		hi := lo + rng.Float64()*900
+		gamma := 5 + rng.Float64()*200
+		if i%7 == 0 {
+			hi = lo
+		}
+		es := math.Exp((lo - hi) / gamma)
+		for _, x := range []float64{lo, hi, lo + (hi-lo)*rng.Float64()} {
+			a, b := spanExp(x, hi, lo, es, gamma)
+			wa, wb := math.Exp((x-hi)/gamma), math.Exp((lo-x)/gamma)
+			if math.Float64bits(a) != math.Float64bits(wa) || math.Float64bits(b) != math.Float64bits(wb) {
+				t.Fatalf("spanExp(%v in [%v, %v], γ %v) = %v, %v; math.Exp gives %v, %v", x, lo, hi, gamma, a, b, wa, wb)
+			}
+		}
+	}
+}
+
+// TestDescentAllocs: a descent iteration at Workers 1 touches only the
+// state's own arrays, so it allocates nothing, and a whole placement's
+// allocation count does not grow with the iteration count (the clean-up
+// round and the legalizer see different positions, worth an object or
+// two either way — not one per iteration).
+func TestDescentAllocs(t *testing.T) {
+	_, _, _, st := analyticFixture(t, piton.Tiny())
+	st.iterate(0, 160)
+	it := 1
+	if a := testing.AllocsPerRun(20, func() {
+		st.iterate(it, 160)
+		st.hpwl()
+		it++
+	}); a != 0 {
+		t.Errorf("one descent iteration allocates %.0f objects, want 0", a)
+	}
+	whole := func(iters int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			d, fp := chainDesign(200)
+			if _, err := Place(d, fp, 1.2, Options{Seed: 1, Workers: 1, Analytic: true, AnalyticIters: iters}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := whole(4), whole(160); math.Abs(long-short) > 8 {
+		t.Errorf("placement allocates %.0f objects at 4 iterations, %.0f at 160", short, long)
+	}
+}
+
+// BenchmarkWLGradient is one iteration's wirelength work on the small
+// tile at one worker: the net pass (gather, bounding box, exponentials,
+// WA sums) and the cell pass that reads them.
+func BenchmarkWLGradient(b *testing.B) {
+	_, _, _, st := analyticFixture(b, piton.SmallCache())
+	st.gamma = 4 * st.pitch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.netPass(0, len(st.wnet))
+		st.cellPass(0, 0, len(st.movID))
+	}
+}
+
+// BenchmarkPoissonSolve is one iteration's density field on the small
+// tile: bin charge to potential through the two-level Jacobi cascade.
+func BenchmarkPoissonSolve(b *testing.B) {
+	_, _, _, st := analyticFixture(b, piton.SmallCache())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.field()
 	}
 }
