@@ -19,12 +19,12 @@ vet:
 ## race: race-enabled run of the hardened-runner, fault-harness and
 ## incremental-engine packages. Includes the ddb equivalence property
 ## test (parallel extract/STA at GOMAXPROCS 4) and the flows
-## worker-equivalence tests — default and -analytic-place — which
-## audit the engines' fanned-out phases for data races while
-## asserting identical PPA against the -j 1 serial reference; under
-## -race both run reduced configs — see the race_on_test.go files.
-## internal/place rides along for the analytic placer's own
-## determinism and quality tests, internal/extract and internal/sta for
+## worker-equivalence test, which audits the engines' fanned-out
+## phases for data races while asserting identical PPA against the
+## -j 1 serial reference; under -race both run reduced configs — see
+## the race_on_test.go files. internal/place rides along for the
+## placer's own digest, determinism and quality tests (its three
+## passes per iteration at Workers 2 and 4), internal/extract and internal/sta for
 ## their per-worker and engine-owned scratch, internal/slab,
 ## internal/netlist and internal/piton for the slab-backed design records,
 ## and internal/route for the span-filling net prep and the overflow
@@ -74,9 +74,8 @@ trace-smoke:
 
 ## bench-route-smoke: benchmark-pipeline check — one cheap flat-array
 ## benchmark run (N=1, count 1) piped through benchjson, asserting the
-## speedup pairs, their noise verdicts, stddev/CV, the analytic
-## placer's HPWL quality row and the pinned environment all land in
-## the JSON.
+## speedup pairs, their noise verdicts, stddev/CV, the parallelism
+## rollup and the pinned environment all land in the JSON.
 bench-route-smoke:
 	GO="$(GO)" sh scripts/bench_route_smoke.sh
 
@@ -121,10 +120,12 @@ bench-flow:
 ## bench-route: the worker-count comparison — the large-cache tile
 ## and the flat BENCH_SIZE×BENCH_SIZE tile array, serial (-j 1) vs the
 ## same engines at BENCH_J pinned workers (for route: the prep and
-## overflow-scan fan-out around the ordered pass) vs -analytic-place
-## (electrostatics placer) — recorded as machine-readable BENCH_route.json with
-## stddev/CV, a noise verdict per speedup pair, and the analytic
-## placer's HPWL-over-default quality ratio. Knobs: BENCH_COUNT
+## overflow-scan fan-out around the ordered pass; for place: the
+## descent's three passes per iteration) — plus the placer's two
+## kernels, BenchmarkWLGradient and BenchmarkPoissonSolve in
+## internal/place (0 allocs/op) — recorded as machine-readable
+## BENCH_route.json with stddev/CV and a noise verdict per speedup
+## pair. Knobs: BENCH_COUNT
 ## repetitions, BENCH_SIZE array edge, BENCH_J workers, e.g.
 ## `make bench-route BENCH_COUNT=3 BENCH_SIZE=2`.
 BENCH_COUNT ?= 5

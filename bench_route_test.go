@@ -5,9 +5,9 @@
 // TestWorkerEquivalence asserts exactly that — so the ratio measures
 // scheduling, not quality drift. Routing is one ordered pass at every
 // worker count, so a "parallel" route row measures what the net-prep
-// and overflow-scan fan-out buys; the place rows measure the
-// solve/spread/row-building fan-out. The flat N×N benchmarks repeat
-// both on one large flat design and add the -analytic-place engine.
+// and overflow-scan fan-out buys; the place rows measure the fan-out of
+// the descent's three passes, the seed sweeps and row building. The
+// flat N×N benchmarks repeat both on one large flat design.
 // `make bench-route` records everything in BENCH_route.json; on a host
 // whose GOMAXPROCS caps real concurrency the wall-clock ratios saturate
 // at the core count and the *_cp_speedup metrics report what the
@@ -311,13 +311,13 @@ func BenchmarkRouteFlat(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) { benchRouteFlat(b, benchWorkers()) })
 }
 
-func benchPlaceFlat(b *testing.B, workers int, analytic bool) {
+func benchPlaceFlat(b *testing.B, workers int) {
 	flatBenchSetup(b)
 	b.ResetTimer()
 	var last *place.Result
 	for i := 0; i < b.N; i++ {
 		res, err := place.Place(flatBench.d, flatBench.fp, routeBench.t.RowHeight,
-			place.Options{Seed: 2, Workers: workers, Analytic: analytic})
+			place.Options{Seed: 2, Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -331,26 +331,13 @@ func benchPlaceFlat(b *testing.B, workers int, analytic bool) {
 	b.StopTimer()
 	tr := trace.New()
 	if _, err := place.Place(flatBench.d, flatBench.fp, routeBench.t.RowHeight,
-		place.Options{Seed: 2, Workers: workers, Analytic: analytic, Trace: tr}); err != nil {
+		place.Options{Seed: 2, Workers: workers, Trace: tr}); err != nil {
 		b.Fatal(err)
 	}
 	reportTraceStats(b, tr, "place")
-	// Leave the canonical default-mode placement behind for any later
-	// route benchmark iteration in the same process.
-	if analytic {
-		if _, err := place.Place(flatBench.d, flatBench.fp, routeBench.t.RowHeight,
-			place.Options{Seed: 2}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
-// The analytic variant is the -analytic-place engine (DESIGN.md §16):
-// its HPWL_m metric against serial's is the quality row benchjson
-// records as flat_place_analytic_hpwl_over_default — ≤ 1.0 is the
-// engine's acceptance bound.
 func BenchmarkPlaceFlat(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchPlaceFlat(b, 1, false) })
-	b.Run("parallel", func(b *testing.B) { benchPlaceFlat(b, benchWorkers(), false) })
-	b.Run("analytic", func(b *testing.B) { benchPlaceFlat(b, benchWorkers(), true) })
+	b.Run("serial", func(b *testing.B) { benchPlaceFlat(b, 1) })
+	b.Run("parallel", func(b *testing.B) { benchPlaceFlat(b, benchWorkers()) })
 }

@@ -70,17 +70,11 @@ type summary struct {
 	// report: gomaxprocs, the pinned worker count, the flat array size.
 	Env map[string]float64 `json:"env,omitempty"`
 
-	// Quality compares result metrics rather than runtimes: the flat
-	// placement benchmark's HPWL under the analytic engine over the
-	// default quadratic engine's. flat_place_analytic_hpwl_over_default
-	// ≤ 1.0 is the -analytic-place acceptance bound (DESIGN.md §16).
-	Quality map[string]float64 `json:"quality,omitempty"`
-
 	// Parallelism lifts the execution-trace metrics the engine
 	// benchmarks report (per-phase worker occupancy, serial fraction,
 	// Amdahl ceiling at the pinned worker count, critical-path speedup)
 	// to the top level, keyed "<metric>/<variant>", e.g.
-	// "route_occupancy/parallel" or "place_cp_speedup/flat_analytic".
+	// "route_occupancy/parallel" or "place_cp_speedup/flat_parallel".
 	Parallelism map[string]float64 `json:"parallelism,omitempty"`
 }
 
@@ -210,16 +204,14 @@ func main() {
 	}
 	// Worker-count ratios (`make bench-route`): the serial reference
 	// over the same engine at the pinned worker count. Results are
-	// bit-identical on both sides, so >1 is pure scheduling win (the
-	// analytic row compares engines, not worker counts). Every ratio
-	// carries a SpeedupStats twin with the noise verdict.
+	// bit-identical on both sides, so >1 is pure scheduling win. Every
+	// ratio carries a SpeedupStats twin with the noise verdict.
 	out.SpeedupStats = map[string]*pairStats{}
 	for _, pr := range [][3]string{
 		{"BenchmarkRouteDesign/serial", "BenchmarkRouteDesign/parallel", "route_serial_over_parallel"},
 		{"BenchmarkPlace/serial", "BenchmarkPlace/parallel", "place_serial_over_parallel"},
 		{"BenchmarkRouteFlat/serial", "BenchmarkRouteFlat/parallel", "flat_route_serial_over_parallel"},
 		{"BenchmarkPlaceFlat/serial", "BenchmarkPlaceFlat/parallel", "flat_place_serial_over_parallel"},
-		{"BenchmarkPlaceFlat/serial", "BenchmarkPlaceFlat/analytic", "flat_place_serial_over_analytic"},
 	} {
 		ser, okS := byName[pr[0]]
 		par, okP := byName[pr[1]]
@@ -249,18 +241,6 @@ func main() {
 	if len(out.Speedup) == 0 {
 		out.Speedup = nil
 	}
-	// Quality ratio (`make bench-route`): HPWL of the flat placement
-	// under the analytic engine over the default engine's. <1 means it
-	// places tighter; the row must stay ≤1.
-	out.Quality = map[string]float64{}
-	if ref, ok := byName["BenchmarkPlaceFlat/serial"]; ok && ref.Metrics["HPWL_m"] > 0 {
-		if e, ok := byName["BenchmarkPlaceFlat/analytic"]; ok && e.Metrics["HPWL_m"] > 0 {
-			out.Quality["flat_place_analytic_hpwl_over_default"] = e.Metrics["HPWL_m"] / ref.Metrics["HPWL_m"]
-		}
-	}
-	if len(out.Quality) == 0 {
-		out.Quality = nil
-	}
 	// Parallelism rollup (`make bench-route`): the traced engines'
 	// occupancy / serial-fraction / Amdahl numbers explain the speedup
 	// ratios above, so they ride along at the top level.
@@ -275,7 +255,6 @@ func main() {
 		{"BenchmarkRouteFlat/parallel", "flat_parallel"},
 		{"BenchmarkPlaceFlat/serial", "flat_serial"},
 		{"BenchmarkPlaceFlat/parallel", "flat_parallel"},
-		{"BenchmarkPlaceFlat/analytic", "flat_analytic"},
 	} {
 		e := byName[vp[0]]
 		if e == nil {

@@ -146,8 +146,6 @@ type options struct {
 	cpuProfile, memProfile             string
 	events, obsAddr, metricsOut, trace string
 	obsLinger                          time.Duration
-
-	analyticPlace bool
 }
 
 // newFlagSet declares the flow/experiment mode's flags over o.
@@ -157,7 +155,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.experiment, "experiment", "", "run an experiment: table1, table2, table3, isoperf, flowtrace, sweepblockage, sweeppitch, heterotech")
 	fs.StringVar(&o.config, "config", "small", "tile configuration: small, large or tiny")
 	fs.Uint64Var(&o.seed, "seed", 1, "deterministic seed")
-	fs.IntVar(&o.jobs, "j", 0, "worker count of the data-parallel engine phases — placement solve/spread, row building, route net prep and overflow scan, extraction (0 = every CPU, 1 = one goroutine); the routing pass and the legalization sweep are ordered and always serial; results are bit-identical at any setting")
+	fs.IntVar(&o.jobs, "j", 0, "worker count of the data-parallel engine phases — the placer's descent passes, row building, route net prep and overflow scan, extraction (0 = every CPU, 1 = one goroutine); the routing pass and the legalization sweep are ordered and always serial; results are bit-identical at any setting")
 	fs.IntVar(&o.metals, "macrodiemetals", 6, "macro-die metal layers (3D flows)")
 	fs.IntVar(&o.array, "array", 0, "after -flow 2d/macro3d: verify an N×N abutted tile array")
 	fs.DurationVar(&o.timeout, "timeout", 0, "cancel the run after this duration (0 = no limit)")
@@ -173,7 +171,6 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write a final Prometheus text snapshot of the run's metrics to this file")
 	fs.DurationVar(&o.obsLinger, "obs-linger", 0, "with -obs-addr: keep serving this long after a successful run (live inspection, smoke tests)")
 	fs.StringVar(&o.trace, "trace", "", "record the engines' per-worker execution timeline and write it as Chrome trace-event JSON (Perfetto / chrome://tracing; analyze with 'macro3d trace-report -in')")
-	fs.BoolVar(&o.analyticPlace, "analytic-place", false, "electrostatics-style analytical global placer (WA wirelength + Poisson density, die-aware F2F-bump weighting): deterministic at any -j but NOT bit-identical to the default quadratic placer; HPWL no worse on the reference tiles (DESIGN.md §16)")
 	return fs
 }
 
@@ -355,7 +352,7 @@ func realMain(args []string) (code int) {
 	}
 
 	cfg := macro3d.FlowConfig{Piton: pc, Seed: o.seed, MacroDieMetals: o.metals, Obs: rec, Trace: tracer, Workers: o.jobs,
-		Cache: cache, CacheVerify: o.cacheVerify, AnalyticPlace: o.analyticPlace}
+		Cache: cache, CacheVerify: o.cacheVerify}
 	if err := run(ctx, cfg, o.flow, o.experiment, o.array, o.keepGoing); err != nil {
 		printFailure(err)
 		return 1

@@ -11,7 +11,6 @@ import (
 // renamed or removed flag has to show up here.
 func TestFlagSetGolden(t *testing.T) {
 	want := []string{
-		"analytic-place=false",
 		"array=0",
 		"cache-dir=",
 		"cache-max-bytes=0",
@@ -43,14 +42,18 @@ func TestFlagSetGolden(t *testing.T) {
 }
 
 // TestUsageErrorsExitBeforeAnyWork: a command line no run could honour
-// exits 2 without starting a flow — the deleted fast-mode switches are
-// unknown flags (spelled in halves so a grep for them finds nothing in
-// the tree), and -array is checked against -flow up front rather than
-// after the flow has run (which used to exit 1 minutes later).
+// exits 2 without starting a flow — the deleted fast-mode switches and
+// the deleted placer switch are unknown flags, rejected with the usage
+// error rather than silently accepted (spelled in halves so a grep for
+// them finds nothing in the tree), and -array is checked against -flow
+// up front rather than after the flow has run (which used to exit 1
+// minutes later).
 func TestUsageErrorsExitBeforeAnyWork(t *testing.T) {
 	for _, args := range [][]string{
 		{"-flow", "2d", "-config", "tiny", "-fast" + "-route"},
 		{"-flow", "2d", "-config", "tiny", "-fast" + "-route-verify"},
+		{"-flow", "2d", "-config", "tiny", "-analytic" + "-place"},
+		{"-experiment", "table1", "-analytic" + "-place=false"},
 		{"-flow", "s2d", "-config", "tiny", "-array", "2"},
 		{"-flow", "bfs2d", "-config", "tiny", "-array", "2"},
 		{"-flow", "c2d", "-config", "tiny", "-array", "2"},

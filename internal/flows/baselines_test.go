@@ -22,13 +22,14 @@ func tinyCfg() Config {
 	return Config{Piton: piton.Tiny(), Seed: 5}
 }
 
-// The PPA rows of the three pseudo-3D flows on the tiny tile, as the
-// three hand-written scripts the shared stage list replaced produced
-// them: the pseudoSpecs rows must reproduce them to the last bit.
+// The PPA rows of the three pseudo-3D flows on the tiny tile, pinned to
+// the last bit. The rows are what commit 6951ce7 produced with
+// -analytic-place, the placer that has since become the only one; its
+// flat-table rewrite reproduces them exactly.
 const (
-	tinyS2D   = `flows.PPA{Flow:"S2D", Config:"piton_tiny", FclkMHz:750.029286454315, MinPeriodPs:1333.2812705586412, EmeanFJ:6165.1130473317935, PowerUW:4624.015339800451, LeakageUW:6.139699999999997, FootprintMM2:0.10624390135750694, LogicCellAreaMM2:0.02000000000000018, MetalAreaMM2:1.2749268162900833, TotalWLm:0.08817698741132961, F2FBumps:1354, CpinNF:0.0029716700000000044, CwireNF:0.020453227687528837, ClkDepth:7, ClkSkewPs:25, CritPathWLmm:0.5456620750645211, CritPathPs:1573.4346315790413, RouteOverflow:0, Dies:2, HoldWNSps:-307.4147448151685, HoldViolations:32, Resized:0, Buffers:0}`
-	tinyBFS2D = `flows.PPA{Flow:"BF S2D", Config:"piton_tiny", FclkMHz:841.6427737282518, MinPeriodPs:1188.1525407391882, EmeanFJ:6014.294493476282, PowerUW:5061.887499507929, LeakageUW:6.021099999999998, FootprintMM2:0.10624390135750694, LogicCellAreaMM2:0.02000000000000018, MetalAreaMM2:1.2749268162900833, TotalWLm:0.0836416965881109, F2FBumps:731, CpinNF:0.0029500900000000033, CwireNF:0.01869686124099312, ClkDepth:7, ClkSkewPs:25, CritPathWLmm:0.40751242195976006, CritPathPs:1434.7719015577054, RouteOverflow:36, Dies:2, HoldWNSps:-297.1196387764802, HoldViolations:32, Resized:0, Buffers:0}`
-	tinyC2D   = `flows.PPA{Flow:"C2D", Config:"piton_tiny", FclkMHz:809.6142555915707, MinPeriodPs:1235.1561167476207, EmeanFJ:6167.132790956283, PowerUW:4992.998623684437, LeakageUW:6.284899999999996, FootprintMM2:0.10624390135750694, LogicCellAreaMM2:0.020220003384667642, MetalAreaMM2:1.2749268162900833, TotalWLm:0.09049338460275183, F2FBumps:1357, CpinNF:0.002999080000000006, CwireNF:0.020899091008607807, ClkDepth:7, ClkSkewPs:25, CritPathWLmm:0.38405470903388705, CritPathPs:1459.327720612364, RouteOverflow:0, Dies:2, HoldWNSps:-295.028473895639, HoldViolations:32, Resized:14, Buffers:3}`
+	tinyS2D   = `flows.PPA{Flow:"S2D", Config:"piton_tiny", FclkMHz:922.0667107901871, MinPeriodPs:1084.520228631859, EmeanFJ:5911.76683896666, PowerUW:5451.04340416449, LeakageUW:5.862899999999996, FootprintMM2:0.10624390135750694, LogicCellAreaMM2:0.02000000000000018, MetalAreaMM2:1.2749268162900833, TotalWLm:0.07097016395751322, F2FBumps:1383, CpinNF:0.0029239500000000033, CwireNF:0.016801125970768542, ClkDepth:7, ClkSkewPs:25, CritPathWLmm:0.5326928452017184, CritPathPs:1330.1203835982344, RouteOverflow:0, Dies:2, HoldWNSps:-299.1562738761921, HoldViolations:32, Resized:0, Buffers:0}`
+	tinyBFS2D = `flows.PPA{Flow:"BF S2D", Config:"piton_tiny", FclkMHz:1060.5818217543442, MinPeriodPs:942.878691194109, EmeanFJ:5750.563954819313, PowerUW:6098.943595317134, LeakageUW:5.964099999999997, FootprintMM2:0.10624390135750694, LogicCellAreaMM2:0.02000000000000018, MetalAreaMM2:1.2749268162900833, TotalWLm:0.06775375952213133, F2FBumps:946, CpinNF:0.0029492100000000033, CwireNF:0.01564854639218354, ClkDepth:7, ClkSkewPs:25, CritPathWLmm:0.5686996025043592, CritPathPs:1192.8128763482762, RouteOverflow:15, Dies:2, HoldWNSps:-328.24216514502956, HoldViolations:32, Resized:0, Buffers:0}`
+	tinyC2D   = `flows.PPA{Flow:"C2D", Config:"piton_tiny", FclkMHz:1111.2445984541714, MinPeriodPs:899.8918882405176, EmeanFJ:5816.897120623826, PowerUW:6463.995505056849, LeakageUW:6.083899999999996, FootprintMM2:0.10624390135750694, LogicCellAreaMM2:0.02029333784622346, MetalAreaMM2:1.2749268162900833, TotalWLm:0.06767748525905343, F2FBumps:1310, CpinNF:0.0029432900000000034, CwireNF:0.015940758859776225, ClkDepth:7, ClkSkewPs:25, CritPathWLmm:0.38912534343278554, CritPathPs:1138.5684512909659, RouteOverflow:0, Dies:2, HoldWNSps:-293.94659257248156, HoldViolations:32, Resized:14, Buffers:4}`
 )
 
 func checkPinnedPPA(t *testing.T, ppa *PPA, want string) {
@@ -261,12 +262,22 @@ func TestBadMacroDieMetalsFailingStage(t *testing.T) {
 	}
 }
 
+// TestIsoPerformanceTargetPeriod is the paper's iso-performance
+// experiment where the paper runs it: on the small-cache tile, where
+// Macro-3D has margin over 2D (+9.9 % fclk at this seed), so 2D's
+// minimum period is a target Macro-3D can meet. The tiny tile this test
+// used to run on has none: there the two flows' ordering is seed noise
+// (seed 5: 2D 651 ps, max-performance Macro-3D 739 ps), and
+// TestTargetPeriodOutOfReach covers that case.
 func TestIsoPerformanceTargetPeriod(t *testing.T) {
-	p2d, _, err := Run2D(tinyCfg())
+	if testing.Short() {
+		t.Skip("full flows in -short mode")
+	}
+	p2d, _, err := Run2D(smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := tinyCfg()
+	cfg := smallCfg()
 	cfg.TargetPeriod = p2d.MinPeriodPs
 	p3dIso, _, _, err := RunMacro3D(cfg)
 	if err != nil {
@@ -281,13 +292,39 @@ func TestIsoPerformanceTargetPeriod(t *testing.T) {
 		t.Fatalf("iso run missed target: %.0f > %.0f", p3dIso.MinPeriodPs, p2d.MinPeriodPs)
 	}
 	// Iso power ≤ max-performance power (less aggressive sizing).
-	cfgMax := tinyCfg()
-	p3dMax, _, _, err := RunMacro3D(cfgMax)
+	p3dMax, _, _, err := RunMacro3D(smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p3dIso.PowerUW > p3dMax.PowerUW*1.05 {
 		t.Fatalf("iso power %.1f exceeds max-perf power %.1f", p3dIso.PowerUW, p3dMax.PowerUW)
+	}
+}
+
+// TestTargetPeriodOutOfReach: a target the design cannot meet must not
+// make the optimizer give up any earlier than it does unconstrained.
+// With TargetPeriod set, STA runs at that period instead of a relaxed
+// one and the loop only gains an early exit, so an out-of-reach target
+// has to end on the max-performance design: same minimum period to the
+// last bit, same edits. (Tiny tile, seed 5: 2D reaches 651 ps, Macro-3D
+// stops at 739 ps with or without the target.)
+func TestTargetPeriodOutOfReach(t *testing.T) {
+	p3dMax, _, _, err := RunMacro3D(tinyCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tinyCfg()
+	cfg.TargetPeriod = p3dMax.MinPeriodPs * 0.8
+	p3d, _, _, err := RunMacro3D(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p3d.MinPeriodPs != p3dMax.MinPeriodPs || p3d.Resized != p3dMax.Resized || p3d.Buffers != p3dMax.Buffers {
+		t.Fatalf("out-of-reach target ended at %v ps (%d resized, %d buffers), unconstrained at %v ps (%d, %d)",
+			p3d.MinPeriodPs, p3d.Resized, p3d.Buffers, p3dMax.MinPeriodPs, p3dMax.Resized, p3dMax.Buffers)
+	}
+	if p3d.FclkMHz != 1e6/cfg.TargetPeriod {
+		t.Fatalf("fclk %.1f, want the target's %.1f", p3d.FclkMHz, 1e6/cfg.TargetPeriod)
 	}
 }
 

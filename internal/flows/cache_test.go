@@ -332,3 +332,52 @@ func TestStageCacheDisabledWithHooks(t *testing.T) {
 		t.Errorf("hooked run wrote %d snapshots", len(entries))
 	}
 }
+
+// TestStageCacheVersionMiss: stash.Version 3 marks the change of global
+// placer — the same configuration now means different results — so a
+// store written under Version 2 must miss, never alias. The three names
+// are the snapshots commit 6951ce7 wrote for this very run (macro3d,
+// tinyCacheCfg); a Version 3 run beside them looks none of them up,
+// reports no decode error, leaves them untouched and hits only its own.
+func TestStageCacheVersionMiss(t *testing.T) {
+	v2 := []string{
+		"377d3b896c11942dc5e4514d39c18234e4db10324ff1e2934837cb6b5abd4a02.snap",
+		"a21bd9863e481461cbfc75123a5a71371493fb634c433270d8acca3de9cc8ef0.snap",
+		"d3ab8a6468cb9499be9fb468cb0a04814de0d5e50f3205777163f60ef67e6384.snap",
+	}
+	dir := t.TempDir()
+	old := []byte("M3DSNAP1\x02\x00\x00\x00 a version-2 snapshot")
+	for _, name := range v2 {
+		if err := os.WriteFile(filepath.Join(dir, name), old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func() (*PPA, stash.Stats) {
+		s, err := stash.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := tinyCacheCfg()
+		cfg.Cache = s
+		return runFlow(t, "macro3d", cfg), s.Stats()
+	}
+	cold, st := run()
+	if st.Hits != 0 || st.Misses != uint64(len(v2)) || st.Errors != 0 || st.Evictions != 0 {
+		t.Errorf("run over a version-2 store: stats = %+v; want %d misses and nothing else", st, len(v2))
+	}
+	for _, name := range v2 {
+		if b, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(b) != string(old) {
+			t.Errorf("version-2 snapshot %s was touched (err %v)", name, err)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 2*len(v2) {
+		t.Errorf("store holds %d entries (err %v), want the %d old and %d new", len(entries), err, len(v2), len(v2))
+	}
+	warm, st := run()
+	if st.Misses != 0 || st.Hits != uint64(len(v2)) {
+		t.Errorf("warm run: stats = %+v; want all hits", st)
+	}
+	if *cold != *warm {
+		t.Errorf("warm PPA differs from cold:\n  %+v\n  %+v", cold, warm)
+	}
+}

@@ -88,9 +88,6 @@ func rootKey(flow string, cfg Config) (stash.Key, error) {
 	e.Int(cfg.LogicMetals)
 	e.F64(cfg.Util)
 	e.Int(cfg.Retry.MaxAttempts)
-	// AnalyticPlace selects a different placement engine with different
-	// results; analytic and default runs never alias.
-	e.Bool(cfg.AnalyticPlace)
 	return stash.NewKey(e.Bytes()), nil
 }
 

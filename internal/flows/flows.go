@@ -122,24 +122,13 @@ type Config struct {
 	Trace *trace.Tracer
 
 	// Workers sets the worker count of the data-parallel engine phases
-	// (the CLI's -j flag) — placement solve/spread and row building, the
-	// router's net prep and overflow scan, extraction: 0 (default) uses
+	// (the CLI's -j flag) — the placer's descent passes and row building,
+	// the router's net prep and overflow scan, extraction: 0 (default) uses
 	// every CPU (GOMAXPROCS), 1 runs everything on one goroutine, n > 1
 	// uses n workers. The routing pass and the legalization sweep are
 	// ordered and run on one goroutine regardless. Results are
 	// bit-identical at any setting.
 	Workers int
-
-	// AnalyticPlace switches global placement to the analytic
-	// electrostatics-style engine (the CLI's -analytic-place flag):
-	// WA wirelength gradient plus a Poisson bin-density field, with a
-	// die-aware weight pricing F2F-bump crossings on nets that span
-	// `_MD` macro-die layers. Deterministic at any Workers setting but
-	// NOT bit-identical to the default quadratic placer — the flag is
-	// part of the result-defining configuration and enters the
-	// stage-cache key. HPWL is no worse than the default engine's on
-	// the reference tiles (DESIGN.md §16).
-	AnalyticPlace bool
 
 	// Cache, when set, enables content-addressed stage checkpointing:
 	// completed regions store deterministic snapshots keyed by
@@ -169,7 +158,7 @@ func (c Config) generate() (*piton.Tile, error) {
 // reports under; nil where a caller routes outside a runner (the tile
 // array, the hierarchical stitch).
 func (c Config) placeOptions(seed uint64, sp *obs.Span) place.Options {
-	return place.Options{Seed: seed, Obs: sp, Workers: c.Workers, Analytic: c.AnalyticPlace, Trace: c.Trace}
+	return place.Options{Seed: seed, Obs: sp, Workers: c.Workers, Trace: c.Trace}
 }
 
 func (c Config) routeOptions(sp *obs.Span) route.Options {

@@ -2,31 +2,26 @@
 // after the die-to-die analytical placement formulation): a smooth
 // weighted-average (WA) wirelength model descended jointly with a
 // bin-grid density penalty whose potential comes from a Poisson solve
-// over the existing binGrid. Cells are charges; overfilled bins build
-// up potential and the field pushes cells toward free area, replacing
-// the default placer's discrete bin-eviction spreading with a smooth,
-// embarrassingly parallel force.
+// over the binGrid. Cells are charges; overfilled bins build up
+// potential and the field pushes cells toward free area. This file is
+// the descent — its state, its kernels and the density field; Place
+// (place.go) seeds it, drives it and hands the result to the legalizer.
 //
-// The engine is gated behind Options.Analytic and is NOT bit-identical
-// to the default quadratic placer — it is a different algorithm with
-// different (better-or-equal HPWL) results, so the flag is part of the
-// result-defining configuration. Within the analytic engine, results are
-// bit-identical at any Workers setting: the three parallel passes of an
-// iteration write disjoint elements while reading frozen arrays, every
-// floating-point sum (net aggregates, bin charge, HPWL, overflow) runs
-// in one fixed order, and max reductions combine per-chunk maxima,
-// which is exact for floats.
+// Results are bit-identical at any Workers setting: the three parallel
+// passes of an iteration write disjoint elements while reading frozen
+// arrays, every floating-point sum (net aggregates, bin charge, HPWL,
+// overflow) runs in one fixed order, and max reductions combine
+// per-chunk maxima, which is exact for floats.
 package place
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"time"
 
-	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
-	"macro3d/internal/obs"
 	"macro3d/internal/obs/trace"
 	"macro3d/internal/par"
 	"macro3d/internal/tech"
@@ -36,7 +31,7 @@ import (
 // parallel phase.
 type trSet = *trace.Set
 
-// Analytic-engine tuning constants. These are part of the deterministic
+// Tuning constants of the descent. These are part of the deterministic
 // result definition — changing them changes placements.
 const (
 	// analyticSeedIters quadratic net-centroid sweeps seed the descent
@@ -61,119 +56,6 @@ const (
 	analyticFineRelax   = 8
 )
 
-// placeAnalytic runs the analytic global placer and hands the result to
-// the shared legalizer. Mirrors Place()'s contract.
-func placeAnalytic(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Options) (*Result, error) {
-	t0 := time.Now()
-	movable := movableCells(d)
-	if len(movable) == 0 {
-		return &Result{}, nil
-	}
-	workers := par.Workers(opt.Workers)
-	if len(movable) < parMinCells {
-		workers = 1
-	}
-	var busy time.Duration
-	die := fp.Die
-	// Separate stream from the default path: the engines share no RNG
-	// state, so neither can perturb the other.
-	rng := geom.NewRNG(opt.Seed + 11)
-
-	pos := make([]geom.Point, len(d.Instances))
-	for _, inst := range d.Instances {
-		if inst.Fixed {
-			pos[inst.ID] = inst.Center()
-		} else {
-			pos[inst.ID] = geom.Pt(
-				die.Center().X+rng.Norm()*die.W()/20,
-				die.Center().Y+rng.Norm()*die.H()/20,
-			)
-		}
-	}
-
-	bins := newBinGrid(die, opt.BinPitch, fp.PlaceBlk, opt.MaxFill)
-
-	ts := opt.Trace.WorkerSet("place", workers)
-	mt := opt.Trace.Track("main")
-
-	gsp := opt.Obs.Child("global-analytic", obs.KV("cells", len(movable)))
-
-	// Seed: a few quadratic net-centroid sweeps give the wirelength
-	// minimum the electrostatic spreading starts from.
-	anchor := make([]geom.Point, len(d.Instances))
-	busy += solve(d, movable, d.NetsOfInstance(), pos, anchor, 0, die, analyticSeedIters, workers, ts)
-
-	st := newAnalyticState(d, movable, pos, bins, die, opt.BinPitch, workers, ts)
-	busy += st.netWeights(d)
-
-	iters := opt.AnalyticIters
-	best := make([]geom.Point, len(pos))
-	bestHP := math.MaxFloat64
-	for it := 0; it < iters; it++ {
-		ovf := st.iterate(it, iters)
-		// The exact HPWL is read only where an iterate may become the
-		// snapshot, so it is computed only there.
-		if ovf <= analyticSnapOverflow {
-			if hp := st.hpwl(); hp < bestHP {
-				bestHP = hp
-				copy(best, pos)
-			}
-		}
-		if ovf <= analyticStopOverflow && it >= iters/4 {
-			break
-		}
-	}
-	busy += st.busy
-	if bestHP < math.MaxFloat64 {
-		copy(pos, best)
-	}
-	// Residual cleanup: one deterministic eviction round clears any
-	// overflow the smooth field left behind, then the shared legalizer
-	// takes over.
-	busy += spread(movable, pos, bins, rng, workers, ts, mt)
-	gsp.End()
-
-	res := &Result{}
-	for _, inst := range movable {
-		inst.Loc = geom.Pt(pos[inst.ID].X-inst.Master.Width/2, pos[inst.ID].Y-inst.Master.Height/2)
-		inst.Placed = true
-	}
-	res.GlobalHPWL = d.TotalHPWL()
-	res.Overflow = bins.overflow(movable, pos)
-
-	lsp := opt.Obs.Child("legalize")
-	disp, maxDisp, err := legalizeN(movable, fp, rowHeight, workers, ts, mt)
-	lsp.End()
-	if err != nil {
-		return nil, err
-	}
-	res.Displacement = disp
-	res.MaxDisp = maxDisp
-	res.HPWL = d.TotalHPWL()
-	if reg := opt.Obs.Reg(); reg != nil {
-		reg.Counter("place_legalized_cells_total",
-			"Movable standard cells legalized into rows.").Add(uint64(len(movable)))
-		reg.Gauge("place_legalize_displacement_mean_um",
-			"Mean legalization displacement of the latest placement, um.").Set(disp)
-		reg.Gauge("place_legalize_displacement_max_um",
-			"Max legalization displacement of the latest placement, um.").Set(maxDisp)
-		reg.Gauge("place_density_overflow_ratio",
-			"Residual density overflow fraction after spreading.").Set(res.Overflow)
-		reg.Gauge("place_hpwl_um",
-			"Half-perimeter wirelength after legalization, um.").Set(res.HPWL)
-		reg.Gauge("place_analytic_best_hpwl_um",
-			"Best pre-legalization HPWL snapshot of the analytic engine, um.").Set(bestHP)
-		reg.Gauge("place_workers",
-			"Worker goroutines used by the parallel placement engine.").Set(float64(workers))
-		if wall := time.Since(t0).Seconds(); wall > 0 && workers > 1 {
-			reg.Gauge("place_worker_utilization_ratio",
-				"Summed worker busy time over workers × stage wall time, latest run.").
-				Set(busy.Seconds() / (wall * float64(workers)))
-		}
-	}
-	return res, nil
-}
-
 // analyticState holds the flat pin tables and every per-iteration
 // scratch array of the descent, so an iteration dereferences no netlist
 // object and allocates nothing.
@@ -187,20 +69,23 @@ type analyticState struct {
 	// port location or the fixed instance's pin location, resolved once.
 	slotInst []int32
 	slotAt   []geom.Point
-	// slotNet is the slot's net, or -1 when that net exerts no force
-	// (clock nets, nets with fewer than two pins).
-	slotNet []int32
-	// slotExp holds the slot's four max-shifted exponentials: the net
-	// pass writes them beside the sums, the cell pass reads them.
-	slotExp []pinExp
+	// slotGrad is the slot's weighted WA gradient (∂/∂x, ∂/∂y): the net
+	// pass writes it, the cell pass sums a cell's slots. It stays zero
+	// on nets that exert no force.
+	slotGrad []geom.Point
 	// Movable cell k → its slots, in NetsOfInstance order (net order,
 	// once per pin): cellSlot[cellStart[k]:cellStart[k+1]].
 	cellStart []int32
 	cellSlot  []int32
 	movID     []int32 // instance ID of movable cell k
 
-	agg  []netAgg  // per-net WA sums, one slot per net (disjoint writes)
-	wnet []float64 // die-aware net weights: Net.Weight × bump multiplier
+	// force is false for nets that exert none: clock nets (routed by
+	// CTS) and nets with fewer than two pins.
+	force []bool
+	wnet  []float64 // die-aware net weights: Net.Weight × bump multiplier
+	// exps is each worker's scratch for one net's pin exponentials,
+	// sized to the largest net.
+	exps [][]pinExp
 
 	// Per-movable-cell arrays, indexed by k (disjoint writes).
 	wgx, wgy []float64 // wirelength gradient
@@ -213,8 +98,8 @@ type analyticState struct {
 	usage []float64 // per-bin cell area at the current positions
 	pois  *poissonGrid
 
-	// Per-chunk ∞-norms of ∇WL, ∇D and ∇WL + λ∇D from the cell pass.
-	maxWL, maxD, maxG []float64
+	// Per-chunk ∞-norm of ∇WL + λ∇D from the cell pass.
+	maxG []float64
 
 	// What the pass bodies read; set by iterate before each fan-out so
 	// the three closures are built once and an iteration allocates none.
@@ -228,37 +113,31 @@ type analyticState struct {
 	busy                  time.Duration
 }
 
-// pinExp is one pin's max-shifted exponentials for one iteration:
-// e^{(x−xmax)/γ}, e^{(xmin−x)/γ} and the same in y.
+// pinExp is one pin's max-shifted exponentials: e^{(x−xmax)/γ},
+// e^{(xmin−x)/γ} and the same in y.
 type pinExp struct{ ax, bx, ay, by float64 }
-
-// netAgg is one net's frozen WA aggregates for one iteration: the
-// shifted exponential sums the per-cell gradient pass reads.
-type netAgg struct {
-	ax, axx, bx, bxx float64 // x: Σe, Σx·e (max side); Σe, Σx·e (min side)
-	ay, ayy, by, byy float64
-}
 
 // newAnalyticState resolves every net pin to a flat slot once — no
 // iteration looks a pin up by name or walks a *netlist.Net — and sizes
 // the scratch arrays. pos is the live position array the descent moves.
 func newAnalyticState(d *netlist.Design, movable []*netlist.Instance, pos []geom.Point,
-	bins *binGrid, die geom.Rect, pitch float64, workers int, ts trSet) *analyticState {
+	bins *binGrid, pitch float64, workers int, ts trSet) *analyticState {
 
-	slots := 0
+	slots, maxPins := 0, 0
 	for _, n := range d.Nets {
 		slots += n.NumPins()
+		maxPins = max(maxPins, n.NumPins())
 	}
 	nb := bins.grid.Bins()
 	st := &analyticState{
 		netStart:  make([]int32, len(d.Nets)+1),
 		slotInst:  make([]int32, slots),
 		slotAt:    make([]geom.Point, slots),
-		slotNet:   make([]int32, slots),
-		slotExp:   make([]pinExp, slots),
+		slotGrad:  make([]geom.Point, slots),
 		cellStart: make([]int32, len(movable)+1),
 		movID:     make([]int32, len(movable)),
-		agg:       make([]netAgg, len(d.Nets)),
+		force:     make([]bool, len(d.Nets)),
+		exps:      make([][]pinExp, workers),
 		wnet:      make([]float64, len(d.Nets)),
 		wgx:       make([]float64, len(movable)),
 		wgy:       make([]float64, len(movable)),
@@ -269,14 +148,15 @@ func newAnalyticState(d *netlist.Design, movable []*netlist.Instance, pos []geom
 		bins:      bins,
 		usage:     make([]float64, nb),
 		pois:      newPoissonGrid(bins.grid),
-		maxWL:     make([]float64, workers),
-		maxD:      make([]float64, workers),
 		maxG:      make([]float64, workers),
 		pos:       pos,
-		inner:     die.Expand(-1),
+		inner:     bins.grid.Region.Expand(-1),
 		pitch:     pitch,
 		workers:   workers,
 		ts:        ts,
+	}
+	for w := range st.exps {
+		st.exps[w] = make([]pinExp, maxPins)
 	}
 	movK := make([]int32, len(d.Instances))
 	for i := range movK {
@@ -291,13 +171,9 @@ func newAnalyticState(d *netlist.Design, movable []*netlist.Instance, pos []geom
 	s := int32(0)
 	for _, n := range d.Nets {
 		np := n.NumPins()
-		net := int32(n.ID)
-		if n.Clock || np < 2 {
-			net = -1
-		}
+		st.force[n.ID] = !n.Clock && np >= 2
 		for i := 0; i < np; i++ {
 			p := n.PinAt(i)
-			st.slotNet[s] = net
 			switch {
 			case p.Port != nil:
 				st.slotInst[s], st.slotAt[s] = -1, p.Port.Loc
@@ -317,7 +193,7 @@ func newAnalyticState(d *netlist.Design, movable []*netlist.Instance, pos []geom
 		st.cellStart[k+1] += st.cellStart[k]
 	}
 	st.cellSlot = make([]int32, st.cellStart[len(movable)])
-	fill := append([]int32(nil), st.cellStart[:len(movable)]...)
+	fill := slices.Clone(st.cellStart[:len(movable)])
 	for s, id := range st.slotInst {
 		if id < 0 {
 			continue
@@ -327,9 +203,9 @@ func newAnalyticState(d *netlist.Design, movable []*netlist.Instance, pos []geom
 			fill[k]++
 		}
 	}
-	st.netFn = func(_, lo, hi int) { st.netPass(lo, hi) }
+	st.netFn = st.netPass
 	st.cellFn = st.cellPass
-	st.stepFn = func(_, lo, hi int) { st.descend(lo, hi) }
+	st.stepFn = st.descend
 	st.charge()
 	return st
 }
@@ -369,7 +245,8 @@ func (st *analyticState) netWeights(d *netlist.Design) time.Duration {
 }
 
 // iterate runs descent iteration it of iters — three fork-joins: the
-// per-net WA sums, the per-cell gradients with their maxima, the step —
+// per-net WA sums and pin gradients, the per-cell gradients with their
+// maximum, the step —
 // around the serial density field, and returns the density overflow of
 // the new iterate.
 func (st *analyticState) iterate(it, iters int) float64 {
@@ -388,14 +265,16 @@ func (st *analyticState) iterate(it, iters int) float64 {
 	st.busy += par.ChunksTr(st.ts, "place/wa-net", st.workers, len(st.wnet), st.netFn)
 	st.field()
 	st.busy += par.ChunksTr(st.ts, "place/cell-grad", st.workers, len(st.movID), st.cellFn)
-	var wlMax, denMax, gmax float64
-	for w := range st.maxG {
-		wlMax, denMax, gmax = max(wlMax, st.maxWL[w]), max(denMax, st.maxD[w]), max(gmax, st.maxG[w])
-	}
+	gmax := slices.Max(st.maxG)
 	if it == 0 {
 		// λ is calibrated once, from the first iterate's gradient
-		// magnitudes, so the combined maximum needs its own pass here.
-		st.lambda = 0
+		// magnitudes; the cell pass could not know it, so the combined
+		// maximum is taken again here.
+		var wlMax, denMax float64
+		for k := range st.wgx {
+			wlMax = max(wlMax, math.Abs(st.wgx[k]), math.Abs(st.wgy[k]))
+			denMax = max(denMax, math.Abs(st.dgx[k]), math.Abs(st.dgy[k]))
+		}
 		if denMax > 0 {
 			st.lambda = 0.08 * wlMax / denMax
 		}
@@ -438,34 +317,46 @@ func (st *analyticState) span(s0, s1 int32) (xmax, xmin, ymax, ymin float64) {
 	return
 }
 
-// netPass computes the WA sums of nets [lo, hi) and every pin's
-// exponentials, each net writing only its own slots while pos is frozen.
-func (st *analyticState) netPass(lo, hi int) {
+// netPass computes, for nets [lo, hi), the WA sums over a net's pins
+// and from them every pin's weighted gradient, each net writing only
+// its own slots while pos is frozen. The exponentials of a pin are
+// taken once and serve both the sums and its gradient.
+func (st *analyticState) netPass(w, lo, hi int) {
 	gamma := st.gamma
 	for n := lo; n < hi; n++ {
-		s0, s1 := st.netStart[n], st.netStart[n+1]
-		if st.slotNet[s0] < 0 {
+		if !st.force[n] {
 			continue
 		}
+		s0, s1 := st.netStart[n], st.netStart[n+1]
 		xmax, xmin, ymax, ymin := st.span(s0, s1)
 		// The span's own exponent serves both ends of the net.
 		ex, ey := math.Exp((xmin-xmax)/gamma), math.Exp((ymin-ymax)/gamma)
-		var a netAgg
-		es := st.slotExp[s0:s1]
-		for i, c := range st.slotAt[s0:s1] {
+		// Σe and Σx·e on the max side (a) and the min side (b).
+		var ax, axx, bx, bxx, ay, ayy, by, byy float64
+		at, es := st.slotAt[s0:s1], st.exps[w][:s1-s0]
+		for i, c := range at {
 			e := &es[i]
 			e.ax, e.bx = spanExp(c.X, xmax, xmin, ex, gamma)
-			a.ax += e.ax
-			a.axx += c.X * e.ax
-			a.bx += e.bx
-			a.bxx += c.X * e.bx
+			ax += e.ax
+			axx += c.X * e.ax
+			bx += e.bx
+			bxx += c.X * e.bx
 			e.ay, e.by = spanExp(c.Y, ymax, ymin, ey, gamma)
-			a.ay += e.ay
-			a.ayy += c.Y * e.ay
-			a.by += e.by
-			a.byy += c.Y * e.by
+			ay += e.ay
+			ayy += c.Y * e.ay
+			by += e.by
+			byy += c.Y * e.by
 		}
-		st.agg[n] = a
+		// Both sums hold the exact 1 of the pin at their end of the
+		// span, so the weighted means divide by something positive.
+		fx, mx, fy, my := axx/ax, bxx/bx, ayy/ay, byy/by
+		wt, g := st.wnet[n], st.slotGrad[s0:s1]
+		for i, c := range at {
+			e := &es[i]
+			g[i] = geom.Pt(
+				wt*waGrad(c.X, e.ax, e.bx, ax, fx, bx, mx, gamma),
+				wt*waGrad(c.Y, e.ay, e.by, ay, fy, by, my, gamma))
+		}
 	}
 }
 
@@ -489,43 +380,30 @@ func spanExp(x, hi, lo, es, gamma float64) (a, b float64) {
 //
 //	∂/∂x [Σxᵢaᵢ/Σaᵢ] = (a/A)(1 + (x − f)/γ),  aᵢ = e^{xᵢ/γ}, f = Σxᵢaᵢ/Σaᵢ
 //
-// and symmetrically −(b/B)(1 − (x − g)/γ) for the min side with
+// and symmetrically −(b/B)(1 − (x − m)/γ) for the min side with
 // bᵢ = e^{−xᵢ/γ}. The exponentials are max-shifted for stability; the
-// shift cancels in every ratio. a and b are the pin's own exponentials
-// from the net pass.
-func waGrad(x, a, b, A, AX, B, BX, gamma float64) float64 {
-	g := 0.0
-	if A > 0 {
-		f := AX / A
-		g += (a / A) * (1 + (x-f)/gamma)
-	}
-	if B > 0 {
-		m := BX / B
-		g -= (b / B) * (1 - (x-m)/gamma)
-	}
-	return g
+// shift cancels in every ratio. a and b are the pin's own exponentials,
+// A and B the net's sums, f and m its weighted means.
+func waGrad(x, a, b, A, f, B, m, gamma float64) float64 {
+	return (a/A)*(1+(x-f)/gamma) - (b/B)*(1-(x-m)/gamma)
 }
 
 // cellPass computes, for movable cells [lo, hi), the wirelength gradient
-// from the frozen net sums and the density gradient ∂N/∂x = q·∂φ/∂x by
-// central difference on the bin the cell sits in, and records the
-// chunk's gradient maxima. Max combines exactly regardless of chunking.
+// — the sum of the cell's slot gradients, in NetsOfInstance order — and
+// the density gradient ∂N/∂x = q·∂φ/∂x by central difference on the bin
+// the cell sits in, and records the chunk's maximum of |∇WL + λ∇D|. Max
+// combines exactly regardless of chunking.
 func (st *analyticState) cellPass(w, lo, hi int) {
 	g := st.bins.grid
 	phi := st.pois.phi
-	gamma, lambda := st.gamma, st.lambda
-	var mwl, md, mg float64
+	lambda := st.lambda
+	var mg float64
 	for k := lo; k < hi; k++ {
-		c := st.pos[st.movID[k]]
 		var gx, gy float64
 		for _, s := range st.cellSlot[st.cellStart[k]:st.cellStart[k+1]] {
-			n := st.slotNet[s]
-			if n < 0 {
-				continue
-			}
-			a, e, wt := &st.agg[n], &st.slotExp[s], st.wnet[n]
-			gx += wt * waGrad(c.X, e.ax, e.bx, a.ax, a.axx, a.bx, a.bxx, gamma)
-			gy += wt * waGrad(c.Y, e.ay, e.by, a.ay, a.ayy, a.by, a.byy, gamma)
+			sg := st.slotGrad[s]
+			gx += sg.X
+			gy += sg.Y
 		}
 		ix, iy := g.Coords(int(st.binOf[k]))
 		xl, xr := max(ix-1, 0), min(ix+1, g.NX-1)
@@ -539,16 +417,14 @@ func (st *analyticState) cellPass(w, lo, hi int) {
 		}
 		dx, dy := st.area[k]*ddx, st.area[k]*ddy
 		st.wgx[k], st.wgy[k], st.dgx[k], st.dgy[k] = gx, gy, dx, dy
-		mwl = max(mwl, math.Abs(gx), math.Abs(gy))
-		md = max(md, math.Abs(dx), math.Abs(dy))
 		mg = max(mg, math.Abs(gx+lambda*dx), math.Abs(gy+lambda*dy))
 	}
-	st.maxWL[w], st.maxD[w], st.maxG[w] = mwl, md, mg
+	st.maxG[w] = mg
 }
 
 // descend moves movable cells [lo, hi) against the combined gradient,
 // each updating only its own position.
-func (st *analyticState) descend(lo, hi int) {
+func (st *analyticState) descend(_, lo, hi int) {
 	lr, lambda := st.lr, st.lambda
 	for k := lo; k < hi; k++ {
 		p := &st.pos[st.movID[k]]

@@ -35,49 +35,44 @@ func tileFixture(t testing.TB, cfg piton.Config) (*netlist.Design, *floorplan.Fl
 	return d, fp
 }
 
-// TestPlaceAnalyticQuality is the engine's headline bound on both cache
-// sizes: the analytic placement must be legal and its post-legalization
-// HPWL must be no worse than the default quadratic placer's on the same
-// tile.
+// TestPlaceAnalyticQuality is the placer's headline bound on both cache
+// sizes: the placement must be legal and its post-legalization HPWL no
+// worse than what the quadratic solve + spread placer it replaced
+// reached on the same tile at the same seed (1.106 m and 3.057 m,
+// recorded at commit 6951ce7; this placer lands at 0.917 m and 2.006 m).
 func TestPlaceAnalyticQuality(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full tile placement in -short mode")
 	}
 	for _, tc := range []struct {
-		name string
-		cfg  piton.Config
+		name      string
+		cfg       piton.Config
+		quadratic float64 // µm
 	}{
-		{"small-cache", piton.SmallCache()},
-		{"large-cache", piton.LargeCache()},
+		{"small-cache", piton.SmallCache(), 1.106e6},
+		{"large-cache", piton.LargeCache(), 3.057e6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dRef, fpRef := tileFixture(t, tc.cfg)
-			ref, err := Place(dRef, fpRef, 1.2, Options{Seed: 5})
+			d, fp := tileFixture(t, tc.cfg)
+			res, err := Place(d, fp, 1.2, Options{Seed: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
-			dAn, fpAn := tileFixture(t, tc.cfg)
-			an, err := Place(dAn, fpAn, 1.2, Options{Seed: 5, Analytic: true})
-			if err != nil {
-				t.Fatal(err)
+			if viol := CheckLegal(d, fp); len(viol) > 0 {
+				t.Fatalf("placement illegal: %d violations, e.g. %v", len(viol), viol[0])
 			}
-			if viol := CheckLegal(dAn, fpAn); len(viol) > 0 {
-				t.Fatalf("analytic placement illegal: %d violations, e.g. %v", len(viol), viol[0])
+			if res.HPWL > tc.quadratic {
+				t.Fatalf("HPWL %.3f m worse than the quadratic placer's %.3f m", res.HPWL/1e6, tc.quadratic/1e6)
 			}
-			if an.HPWL > ref.HPWL {
-				t.Fatalf("analytic HPWL %.3f m worse than quadratic %.3f m (%.2f%%)",
-					an.HPWL/1e6, ref.HPWL/1e6, 100*(an.HPWL/ref.HPWL-1))
-			}
-			t.Logf("analytic HPWL %.3f m vs quadratic %.3f m (%.2f%%), disp %.1f vs %.1f µm, ovf %.4f",
-				an.HPWL/1e6, ref.HPWL/1e6, 100*(an.HPWL/ref.HPWL-1),
-				an.Displacement, ref.Displacement, an.Overflow)
+			t.Logf("HPWL %.3f m (quadratic %.3f m), disp %.1f µm, ovf %.4f",
+				res.HPWL/1e6, tc.quadratic/1e6, res.Displacement, res.Overflow)
 		})
 	}
 }
 
-// TestPlaceAnalyticDeterminism pins the bit-identity contract inside
-// the analytic engine: Workers 1, 4 and 0 (GOMAXPROCS) place every
-// instance identically and report identical PPA.
+// TestPlaceAnalyticDeterminism pins the bit-identity contract of the
+// descent: Workers 1, 4 and 0 (GOMAXPROCS) place every instance
+// identically and report identical Result fields.
 func TestPlaceAnalyticDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full tile placement in -short mode")
@@ -86,7 +81,7 @@ func TestPlaceAnalyticDeterminism(t *testing.T) {
 	var refD *netlist.Design
 	for _, w := range []int{1, 4, 0} {
 		d, fp := tileFixture(t, piton.SmallCache())
-		r, err := Place(d, fp, 1.2, Options{Seed: 5, Workers: w, Analytic: true})
+		r, err := Place(d, fp, 1.2, Options{Seed: 5, Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,30 +90,30 @@ func TestPlaceAnalyticDeterminism(t *testing.T) {
 			continue
 		}
 		if *r != *ref {
-			t.Fatalf("analytic result diverged at workers=%d: %+v vs %+v", w, *r, *ref)
+			t.Fatalf("result diverged at workers=%d: %+v vs %+v", w, *r, *ref)
 		}
 		for i := range d.Instances {
 			if d.Instances[i].Loc != refD.Instances[i].Loc {
-				t.Fatalf("analytic instance %s placed differently at workers=%d: %v vs %v",
+				t.Fatalf("instance %s placed differently at workers=%d: %v vs %v",
 					d.Instances[i].Name, w, d.Instances[i].Loc, refD.Instances[i].Loc)
 			}
 		}
 	}
 }
 
-// TestPlaceAnalyticChain is the cheap smoke: the analytic engine on a
-// tiny serial-path design still produces a legal, fully placed result.
+// TestPlaceAnalyticChain is the cheap smoke: a tiny serial-path design
+// still comes out legal, fully placed and short.
 func TestPlaceAnalyticChain(t *testing.T) {
 	d, fp := chainDesign(50)
-	res, err := Place(d, fp, 1.2, Options{Seed: 1, Analytic: true})
+	res, err := Place(d, fp, 1.2, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if viol := CheckLegal(d, fp); len(viol) > 0 {
-		t.Fatalf("illegal analytic placement: %v", viol[0])
+		t.Fatalf("illegal placement: %v", viol[0])
 	}
 	if res.HPWL <= 0 || res.HPWL > 400 {
-		t.Fatalf("analytic chain HPWL = %.1f µm", res.HPWL)
+		t.Fatalf("chain HPWL = %.1f µm", res.HPWL)
 	}
 	for _, inst := range d.Instances {
 		if !inst.Fixed && !inst.Placed {
@@ -141,9 +136,10 @@ func locDigest(d *netlist.Design) string {
 }
 
 // TestPlaceDigest pins the placer's output to the literals recorded at
-// commit 6951ce7 (go1.24 / amd64) from the per-object, name-resolving
-// implementation of the same descent: the flat-table kernels are a
-// rewrite, not a retune, and any Workers setting lands on the same bits.
+// commit 6951ce7 (go1.24 / amd64, Options{Seed: 5, Analytic: true})
+// from the per-object, name-resolving implementation of the same
+// descent: the flat-table kernels are a rewrite, not a retune, and any
+// Workers setting lands on the same bits.
 func TestPlaceDigest(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -160,7 +156,7 @@ func TestPlaceDigest(t *testing.T) {
 			}
 			for _, w := range []int{1, 2, 4, 0} {
 				d, fp := tileFixture(t, tc.cfg)
-				if _, err := Place(d, fp, 1.2, Options{Seed: 5, Workers: w, Analytic: true}); err != nil {
+				if _, err := Place(d, fp, 1.2, Options{Seed: 5, Workers: w}); err != nil {
 					t.Fatal(err)
 				}
 				if got := locDigest(d); got != tc.want {
@@ -205,7 +201,7 @@ func analyticFixture(t testing.TB, cfg piton.Config) (*netlist.Design, []*netlis
 		}
 	}
 	bins := newBinGrid(fp.Die, opt.BinPitch, fp.PlaceBlk, opt.MaxFill)
-	st := newAnalyticState(d, movable, pos, bins, fp.Die, opt.BinPitch, 1, nil)
+	st := newAnalyticState(d, movable, pos, bins, opt.BinPitch, 1, nil)
 	st.netWeights(d)
 	return d, movable, pos, st
 }
@@ -221,7 +217,9 @@ func TestPinTables(t *testing.T) {
 		if s1-s0 != n.NumPins() {
 			t.Fatalf("net %s: %d slots, %d pins", n.Name, s1-s0, n.NumPins())
 		}
-		force := !n.Clock && n.NumPins() >= 2
+		if force := !n.Clock && n.NumPins() >= 2; st.force[n.ID] != force {
+			t.Fatalf("net %s: force %v, want %v", n.Name, st.force[n.ID], force)
+		}
 		if n.Clock {
 			clockNets++
 		}
@@ -245,9 +243,6 @@ func TestPinTables(t *testing.T) {
 			}
 			if frozen != (st.slotInst[s] < 0) || (!frozen && int(st.slotInst[s]) != p.Inst.ID) {
 				t.Fatalf("net %s pin %d: slotInst %d, frozen %v", n.Name, i, st.slotInst[s], frozen)
-			}
-			if want := map[bool]int32{true: int32(n.ID), false: -1}[force]; st.slotNet[s] != want {
-				t.Fatalf("net %s pin %d: slotNet %d, want %d", n.Name, i, st.slotNet[s], want)
 			}
 		}
 	}
@@ -318,7 +313,7 @@ func TestDescentAllocs(t *testing.T) {
 	whole := func(iters int) float64 {
 		return testing.AllocsPerRun(3, func() {
 			d, fp := chainDesign(200)
-			if _, err := Place(d, fp, 1.2, Options{Seed: 1, Workers: 1, Analytic: true, AnalyticIters: iters}); err != nil {
+			if _, err := Place(d, fp, 1.2, Options{Seed: 1, Workers: 1, Iters: iters}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -337,7 +332,7 @@ func BenchmarkWLGradient(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.netPass(0, len(st.wnet))
+		st.netPass(0, 0, len(st.wnet))
 		st.cellPass(0, 0, len(st.movID))
 	}
 }

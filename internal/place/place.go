@@ -1,7 +1,8 @@
-// Package place implements standard-cell placement: an iterative
-// quadratic-style global placement (net-centroid relaxation with fixed
-// macro-pin and port anchors), bin-based density spreading that honours
-// full and partial blockages, and row-based Tetris legalization.
+// Package place implements standard-cell placement: an
+// electrostatics-style analytical global placement (smooth wirelength
+// and a Poisson density field descended jointly, analytic.go, with fixed
+// macro pins and ports as anchors) over density bins that honour full
+// and partial blockages, and row-based Tetris legalization.
 //
 // Partial blockages only reduce bin capacity — they are not hard
 // fences. That is exactly how commercial engines treat them, and it is
@@ -12,6 +13,7 @@ package place
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -31,11 +33,6 @@ const parMinCells = 512
 type Options struct {
 	// BinPitch is the density-bin size, µm (default 40).
 	BinPitch float64
-	// SolveIters is the number of net-centroid relaxation sweeps per
-	// global iteration (default 40).
-	SolveIters int
-	// GlobalIters is the number of solve+spread rounds (default 9).
-	GlobalIters int
 	// MaxFill is the max fraction of a bin's free area filled by cells
 	// (default 0.85).
 	MaxFill float64
@@ -46,17 +43,9 @@ type Options struct {
 	// accumulation in serial order, so results are bit-identical at
 	// any setting.
 	Workers int
-
-	// Analytic switches global placement to the electrostatics-style
-	// analytical engine (analytic.go): WA wirelength gradient plus a
-	// Poisson density field descended jointly, with a die-aware weight
-	// on nets that cross F2F bumps. Deterministic at any Workers
-	// setting but NOT bit-identical to the default quadratic engine,
-	// so the flag is part of the result-defining configuration.
-	Analytic bool
-	// AnalyticIters bounds the analytic engine's descent iterations
-	// (default 160). Ignored unless Analytic is set.
-	AnalyticIters int
+	// Iters bounds the descent iterations (default 160); the descent
+	// stops earlier once the density overflow is low enough.
+	Iters int
 
 	// Obs, when non-nil, is the stage span the placer hangs its
 	// global/legalize phase spans under and whose registry receives
@@ -64,9 +53,10 @@ type Options struct {
 	Obs *obs.Span
 
 	// Trace, when non-nil, receives task-level execution slices —
-	// solve/spread chunks, legalization row sweeps — on per-worker
-	// tracks. nil disables tracing for the cost of one pointer
-	// comparison per call site; placements are identical either way.
+	// descent passes, seed sweeps, legalization row sweeps — on
+	// per-worker tracks. nil disables tracing for the cost of one
+	// pointer comparison per call site; placements are identical
+	// either way.
 	Trace *trace.Tracer
 }
 
@@ -75,17 +65,11 @@ func (o Options) withDefaults() Options {
 	if o.BinPitch <= 0 {
 		o.BinPitch = 40
 	}
-	if o.SolveIters <= 0 {
-		o.SolveIters = 40
-	}
-	if o.GlobalIters <= 0 {
-		o.GlobalIters = 9
-	}
 	if o.MaxFill <= 0 {
 		o.MaxFill = 0.85
 	}
-	if o.AnalyticIters <= 0 {
-		o.AnalyticIters = 160
+	if o.Iters <= 0 {
+		o.Iters = 160
 	}
 	return o
 }
@@ -106,9 +90,6 @@ type Result struct {
 func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Options) (*Result, error) {
 	t0 := time.Now()
 	opt = opt.withDefaults()
-	if opt.Analytic {
-		return placeAnalytic(d, fp, rowHeight, opt)
-	}
 	movable := movableCells(d)
 	if len(movable) == 0 {
 		return &Result{}, nil
@@ -119,9 +100,8 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 	}
 	var busy time.Duration
 	die := fp.Die
-	rng := geom.NewRNG(opt.Seed + 7)
+	rng := geom.NewRNG(opt.Seed + 11)
 
-	// Positions are cell centres during global placement.
 	pos := make([]geom.Point, len(d.Instances))
 	for _, inst := range d.Instances {
 		if inst.Fixed {
@@ -134,39 +114,56 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 		}
 	}
 
-	adj := d.NetsOfInstance()
 	bins := newBinGrid(die, opt.BinPitch, fp.PlaceBlk, opt.MaxFill)
-
-	// Spread anchors: after each spreading round, cells are pulled
-	// toward their spread location with growing weight.
-	anchor := make([]geom.Point, len(d.Instances))
-	anchorW := 0.0
 
 	ts := opt.Trace.WorkerSet("place", workers)
 	mt := opt.Trace.Track("main")
 
 	gsp := opt.Obs.Child("global", obs.KV("cells", len(movable)))
-	for gi := 0; gi < opt.GlobalIters; gi++ {
-		busy += solve(d, movable, adj, pos, anchor, anchorW, die, opt.SolveIters, workers, ts)
-		busy += spread(movable, pos, bins, rng, workers, ts, mt)
-		for _, inst := range movable {
-			anchor[inst.ID] = pos[inst.ID]
+
+	// Seed: a few quadratic net-centroid sweeps give the wirelength
+	// minimum the electrostatic spreading starts from.
+	busy += solve(d, movable, d.NetsOfInstance(), pos, die, analyticSeedIters, workers, ts)
+
+	st := newAnalyticState(d, movable, pos, bins, opt.BinPitch, workers, ts)
+	busy += st.netWeights(d)
+
+	iters := opt.Iters
+	best := make([]geom.Point, len(pos))
+	bestHP := math.MaxFloat64
+	for it := 0; it < iters; it++ {
+		ovf := st.iterate(it, iters)
+		// The exact HPWL is read only where an iterate may become the
+		// snapshot, so it is computed only there.
+		if ovf <= analyticSnapOverflow {
+			if hp := st.hpwl(); hp < bestHP {
+				bestHP = hp
+				copy(best, pos)
+			}
 		}
-		// Anchor weight ramps up so late rounds preserve the spread.
-		anchorW = 0.2 + 0.4*float64(gi)
+		if ovf <= analyticStopOverflow && it >= iters/4 {
+			break
+		}
 	}
+	busy += st.busy
+	if bestHP < math.MaxFloat64 {
+		copy(pos, best)
+	}
+	// Residual cleanup: one deterministic eviction round clears any
+	// overflow the smooth field left behind, then the shared legalizer
+	// takes over.
+	st.spread(movable, rng, mt)
 	gsp.End()
 
 	res := &Result{}
-	// Write back global locations (centres → lower-left).
 	for _, inst := range movable {
 		inst.Loc = geom.Pt(pos[inst.ID].X-inst.Master.Width/2, pos[inst.ID].Y-inst.Master.Height/2)
 		inst.Placed = true
 	}
 	res.GlobalHPWL = d.TotalHPWL()
-	res.Overflow = bins.overflow(movable, pos)
+	st.charge()
+	res.Overflow = st.overflow()
 
-	// Legalization.
 	lsp := opt.Obs.Child("legalize")
 	disp, maxDisp, err := legalizeN(movable, fp, rowHeight, workers, ts, mt)
 	lsp.End()
@@ -187,6 +184,8 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 			"Residual density overflow fraction after spreading.").Set(res.Overflow)
 		reg.Gauge("place_hpwl_um",
 			"Half-perimeter wirelength after legalization, um.").Set(res.HPWL)
+		reg.Gauge("place_best_hpwl_um",
+			"Best pre-legalization HPWL snapshot of the descent, um.").Set(bestHP)
 		reg.Gauge("place_workers",
 			"Worker goroutines used by the parallel placement engine.").Set(float64(workers))
 		if wall := time.Since(t0).Seconds(); wall > 0 && workers > 1 {
@@ -210,7 +209,8 @@ func movableCells(d *netlist.Design) []*netlist.Instance {
 }
 
 // solve relaxes positions toward net centroids (a Jacobi sweep of the
-// star-model quadratic system) with fixed pins as anchors.
+// star-model quadratic system) with fixed pins as anchors: the seed the
+// descent starts from.
 //
 // Both phases parallelize bit-identically: phase 1 writes only its
 // net's centroid slot while pos is frozen, phase 2 writes only its
@@ -218,8 +218,7 @@ func movableCells(d *netlist.Design) []*netlist.Instance {
 // stays a per-element sequential loop. The barrier between phases is
 // the Jacobi iteration boundary itself.
 func solve(d *netlist.Design, movable []*netlist.Instance, adj [][]*netlist.Net,
-	pos, anchor []geom.Point, anchorW float64, die geom.Rect, iters, workers int,
-	ts *trace.Set) time.Duration {
+	pos []geom.Point, die geom.Rect, iters, workers int, ts *trace.Set) time.Duration {
 
 	// Net centroid cache.
 	cx := make([]float64, len(d.Nets))
@@ -272,11 +271,6 @@ func solve(d *netlist.Design, movable []*netlist.Instance, adj [][]*netlist.Net,
 					sy += cy[n.ID] * nw
 					wt += nw
 				}
-				if anchorW > 0 {
-					sx += anchor[inst.ID].X * anchorW
-					sy += anchor[inst.ID].Y * anchorW
-					wt += anchorW
-				}
 				if wt > 0 {
 					p := geom.Pt(sx/wt, sy/wt)
 					pos[inst.ID] = die.Expand(-1).ClampPoint(p)
@@ -323,96 +317,29 @@ func newBinGrid(die geom.Rect, pitch float64, blk []floorplan.Blockage, maxFill 
 }
 
 // spread moves cells out of overfilled bins into the nearest bins with
-// headroom, ring-searching outward.
-//
-// Accumulation runs as a per-partition counting sort with an ordered
-// merge: each worker chunk counts its cells per bin, a cheap serial
-// prefix pass turns the counts into disjoint write offsets, and the
-// scatter places every cell at its stable rank — the exact position
-// the serial movable-order loop would have given it. Per-bin area sums
-// then reduce independently over the member lists, adding in that same
-// movable order, so the result is bit-identical to the historical
-// serial accumulation at any worker count. (The former implementation
-// replayed the whole accumulation serially, which trace-report ranked
-// as the placer's dominant serial segment on large designs.) The
-// eviction sweep itself stays serial — it consumes the RNG, which must
-// never run concurrently.
-func spread(movable []*netlist.Instance, pos []geom.Point, b *binGrid, rng *geom.RNG,
-	workers int, ts *trace.Set, mt *trace.Track) time.Duration {
-
-	g := b.grid
+// headroom, ring-searching outward: the one clean-up round that clears
+// whatever overflow the smooth field left behind. It is serial — the
+// eviction sweep consumes the RNG.
+func (st *analyticState) spread(movable []*netlist.Instance, rng *geom.RNG, mt *trace.Track) {
+	b, g, pos := st.bins, st.bins.grid, st.pos
 	nb := g.Bins()
-	binOf := make([]int32, len(movable))
-	busy := par.ChunksTr(ts, "place/bin-index", workers, len(movable), func(w, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			ix, iy := g.Locate(pos[movable[k].ID])
-			binOf[k] = int32(g.Index(ix, iy))
-		}
-	})
-	// Per-chunk bin counts. Chunk boundaries are a pure function of
-	// (workers, n), so the scatter below sees the same ranges.
-	cnt := make([][]int32, workers)
-	busy += par.ChunksTr(ts, "place/spread-count", workers, len(movable), func(w, lo, hi int) {
-		c := make([]int32, nb)
-		for k := lo; k < hi; k++ {
-			c[binOf[k]]++
-		}
-		cnt[w] = c
-	})
-	// Serial prefix pass: bin base offsets in the flat member array,
-	// then per-chunk write cursors (chunk w's cells of bin i start
-	// after every earlier chunk's cells of that bin).
+	st.charge()
+	usage := st.usage
+	// Bin member lists in movable order: a stable counting sort over
+	// the bins charge just recorded.
 	base := make([]int32, nb+1)
-	for _, c := range cnt {
-		if c == nil {
-			continue
-		}
-		for i, n := range c {
-			base[i+1] += n
-		}
+	for _, i := range st.binOf {
+		base[i+1]++
 	}
 	for i := 0; i < nb; i++ {
 		base[i+1] += base[i]
 	}
-	off := make([][]int32, workers)
-	cursor := append([]int32(nil), base[:nb]...)
-	for w, c := range cnt {
-		if c == nil {
-			continue
-		}
-		o := make([]int32, nb)
-		copy(o, cursor)
-		for i, n := range c {
-			cursor[i] += n
-		}
-		off[w] = o
-	}
-	// Scatter: every cell lands at its stable rank — flat holds each
-	// bin's members contiguously, in movable order.
+	next := slices.Clone(base[:nb])
 	flat := make([]*netlist.Instance, len(movable))
-	busy += par.ChunksTr(ts, "place/spread-scatter", workers, len(movable), func(w, lo, hi int) {
-		o := off[w]
-		for k := lo; k < hi; k++ {
-			i := binOf[k]
-			flat[o[i]] = movable[k]
-			o[i]++
-		}
-	})
-	// Per-bin area sums reduce independently, each adding in movable
-	// order — the same float sequence per slot as the serial loop.
-	usage := make([]float64, nb)
-	members := make([][]*netlist.Instance, nb)
-	busy += par.ChunksTr(ts, "place/spread-usage", workers, nb, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ms := flat[base[i]:base[i+1]]
-			var u float64
-			for _, inst := range ms {
-				u += inst.Master.Area()
-			}
-			usage[i] = u
-			members[i] = ms
-		}
-	})
+	for k, i := range st.binOf {
+		flat[next[i]] = movable[k]
+		next[i]++
+	}
 	ssp := mt.Begin("place", "place/spread-serial")
 	defer func() { ssp.End(trace.N("cells", int64(len(movable)))) }()
 	// Process most-overfilled bins first.
@@ -429,7 +356,7 @@ func spread(movable []*netlist.Instance, pos []geom.Point, b *binGrid, rng *geom
 		ix, iy := g.Coords(i)
 		// Evict smallest-degree-of-belonging cells: those farthest
 		// from the bin centre go first.
-		ms := members[i]
+		ms := flat[base[i]:base[i+1]]
 		c := g.BinCenter(ix, iy)
 		sort.Slice(ms, func(a, b2 int) bool {
 			return pos[ms[a].ID].Dist(c) > pos[ms[b2].ID].Dist(c)
@@ -453,7 +380,6 @@ func spread(movable []*netlist.Instance, pos []geom.Point, b *binGrid, rng *geom
 			)
 		}
 	}
-	return busy
 }
 
 // nearestFree ring-searches for the closest bin that can absorb area.
@@ -486,27 +412,4 @@ func (b *binGrid) nearestFree(ix, iy int, usage []float64, area float64) (int, i
 		}
 	}
 	return 0, 0, false
-}
-
-// overflow returns the fraction of total cell area sitting above bin
-// capacity.
-func (b *binGrid) overflow(movable []*netlist.Instance, pos []geom.Point) float64 {
-	g := b.grid
-	usage := make([]float64, g.Bins())
-	total := 0.0
-	for _, inst := range movable {
-		ix, iy := g.Locate(pos[inst.ID])
-		usage[g.Index(ix, iy)] += inst.Master.Area()
-		total += inst.Master.Area()
-	}
-	over := 0.0
-	for i := range usage {
-		if usage[i] > b.cap[i] {
-			over += usage[i] - b.cap[i]
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return over / total
 }

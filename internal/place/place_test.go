@@ -287,10 +287,9 @@ func TestSolveSweepAllocs(t *testing.T) {
 	movable := movableCells(d)
 	adj := d.NetsOfInstance()
 	pos := make([]geom.Point, len(d.Instances))
-	anchor := make([]geom.Point, len(d.Instances))
 	for _, sweeps := range []int{1, 4} {
 		allocs := testing.AllocsPerRun(10, func() {
-			solve(d, movable, adj, pos, anchor, 0.2, fp.Die, sweeps, 1, nil)
+			solve(d, movable, adj, pos, fp.Die, sweeps, 1, nil)
 		})
 		if budget := float64(3 + 2*sweeps); allocs > budget {
 			t.Fatalf("solve with %d sweep(s) over %d nets allocates %.0f objects, want ≤ %.0f (0 per net)",
@@ -374,35 +373,5 @@ func TestFreeSpaceUndo(t *testing.T) {
 	u.Rollback() // nothing journaled: must not move anything
 	if !fs.Equal(kept) {
 		t.Fatal("commit did not keep the edits")
-	}
-}
-
-// TestPlaceWorkerEquivalence pins the placer's bit-identity contract at
-// the package level, covering the counting-sort spread accumulation:
-// serial (Workers 1) and forced-parallel (Workers 4) placements of the
-// same tile land every instance identically.
-func TestPlaceWorkerEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full tile placement in -short mode")
-	}
-	d1, fp1 := tileFixture(t, piton.SmallCache())
-	d2, fp2 := tileFixture(t, piton.SmallCache())
-	r1, err := Place(d1, fp1, 1.2, Options{Seed: 5, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Place(d2, fp2, 1.2, Options{Seed: 5, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.HPWL != r2.HPWL || r1.GlobalHPWL != r2.GlobalHPWL {
-		t.Fatalf("HPWL diverged across workers: %.6f/%.6f (global %.6f/%.6f)",
-			r1.HPWL, r2.HPWL, r1.GlobalHPWL, r2.GlobalHPWL)
-	}
-	for i := range d1.Instances {
-		if d1.Instances[i].Loc != d2.Instances[i].Loc {
-			t.Fatalf("instance %s placed differently: %v vs %v",
-				d1.Instances[i].Name, d1.Instances[i].Loc, d2.Instances[i].Loc)
-		}
 	}
 }

@@ -83,6 +83,14 @@ func RunTableIWith(ctx context.Context, cfg flows.Config, keepGoing bool) (*Tabl
 	return t, err
 }
 
+// overflow is the row every table carries beside its PPA: the number of
+// gcell-layers the final routing leaves over capacity. A column that
+// does not route clean is not a like-for-like comparison with one that
+// does, and the reader has to be able to see which is which.
+const overflowRow = "Route overflow"
+
+func overflow(p *flows.PPA) float64 { return float64(p.RouteOverflow) }
+
 // cell formats one table value, rendering missing columns as "—".
 func cell(p *flows.PPA, format string, v func(p *flows.PPA) float64) string {
 	if p == nil {
@@ -108,6 +116,7 @@ func (t *TableI) Format() string {
 	row("Emean [fJ/cycle]", "%.1f", func(p *flows.PPA) float64 { return p.EmeanFJ })
 	row("Afootprint [mm²]", "%.2f", func(p *flows.PPA) float64 { return p.FootprintMM2 })
 	row("F2F bumps", "%.0f", func(p *flows.PPA) float64 { return float64(p.F2FBumps) })
+	row(overflowRow, "%.0f", overflow)
 	return b.String()
 }
 
@@ -175,6 +184,7 @@ func (t *TableII) Format() string {
 	row("Cwire,total [nF]", func(p *flows.PPA) float64 { return p.CwireNF }, "%.3f")
 	row("Max clk-tree depth", func(p *flows.PPA) float64 { return float64(p.ClkDepth) }, "%.0f")
 	row("Crit-path WL [mm]", func(p *flows.PPA) float64 { return p.CritPathWLmm }, "%.2f")
+	row(overflowRow, overflow, "%.0f")
 	return b.String()
 }
 
@@ -237,6 +247,7 @@ func (t *TableIII) Format() string {
 	row("Emean [fJ/cycle]", func(p *flows.PPA) float64 { return p.EmeanFJ }, "%.1f")
 	row("Ametal [mm²]", func(p *flows.PPA) float64 { return p.MetalAreaMM2 }, "%.1f")
 	row("F2F bumps", func(p *flows.PPA) float64 { return float64(p.F2FBumps) }, "%.0f")
+	row(overflowRow, overflow, "%.0f")
 	return b.String()
 }
 

@@ -85,6 +85,38 @@ func TestTableIIIFormat(t *testing.T) {
 	}
 }
 
+// TestTablesCarryRouteOverflow: the overflow row is in all three tables,
+// one value per column, so a table cannot compare a clean design with
+// one that is not without saying so.
+func TestTablesCarryRouteOverflow(t *testing.T) {
+	ppa := func(overflow int) *flows.PPA {
+		p := fakePPA("x", 400, 10)
+		p.RouteOverflow = overflow
+		return p
+	}
+	for name, tc := range map[string]struct {
+		out  string
+		want []string
+	}{
+		"Table I": {(&TableI{TwoD: ppa(72), S2D: ppa(3), BFS2D: ppa(16), Macro3D: ppa(0)}).Format(),
+			[]string{"72", "3", "16", "0"}},
+		"Table II": {(&TableII{Small2D: ppa(72), SmallM3D: ppa(0), Large2D: ppa(84), LargeM3D: ppa(0)}).Format(),
+			[]string{"72", "0", "(-100.0%)", "84", "0", "(-100.0%)"}},
+		"Table III": {(&TableIII{SmallM6M6: ppa(0), SmallM6M4: ppa(5), LargeM6M6: ppa(0), LargeM6M4: ppa(7)}).Format(),
+			[]string{"0", "5", "—", "0", "7", "—"}},
+	} {
+		var row []string
+		for _, line := range strings.Split(tc.out, "\n") {
+			if strings.HasPrefix(line, overflowRow) {
+				row = strings.Fields(strings.TrimPrefix(line, overflowRow))
+			}
+		}
+		if strings.Join(row, " ") != strings.Join(tc.want, " ") {
+			t.Errorf("%s: overflow row %q, want %q\n%s", name, row, tc.want, tc.out)
+		}
+	}
+}
+
 func TestIsoPerfFormat(t *testing.T) {
 	r := &IsoPerf{Config: "piton_small", F2DMHz: 390, Power2D: 1000, Power3D: 968, DeltaPct: -3.2}
 	out := r.Format()

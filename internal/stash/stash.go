@@ -31,8 +31,11 @@ import (
 // to flow semantics the snapshots capture — invalidates the whole
 // cache without needing to delete files. Version 2: routing results as
 // 5-byte nodes behind a count header, sign-off snapshots with their
-// sink total up front (flows/checkpoint.go).
-const Version = 2
+// sink total up front (flows/checkpoint.go). Version 3: same format,
+// but the electrostatic placer became the only global placer, so a
+// configuration that used to mean the quadratic placer's results now
+// means different ones — a version-2 cache must miss, never alias.
+const Version = 3
 
 // fileMagic opens every snapshot file.
 const fileMagic = "M3DSNAP1"

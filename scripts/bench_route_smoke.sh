@@ -29,9 +29,8 @@ need '"stddev_ns_per_op"'
 need '"cv"'
 need '"gomaxprocs"'
 need '"workers": 4'
-need '"place_cp_speedup/flat_analytic"'
+need '"place_cp_speedup/flat_parallel"'
 need '"route_occupancy/flat_parallel"'
-need '"flat_place_serial_over_analytic"'
-need '"flat_place_analytic_hpwl_over_default"'
+need '"flat_place_serial_over_parallel"'
 
 echo "bench-route-smoke: OK"
