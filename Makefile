@@ -92,13 +92,14 @@ faults:
 	$(GO) test -race -v -run 'TestInjection|TestOffGrid|TestCleanFlows' ./internal/faults/
 
 ## bench: the optimizer benchmarks — TableII end to end plus the
-## Optimize, rollback and STA-update micro-benchmarks — the design
+## Optimize, rollback and STA-update micro-benchmarks (EngineUpdateTopo:
+## the Update after a topology edit, alone) — the design
 ## construction benchmarks (Generate small/large, Abut 4×4) and the
 ## stash-codec kernel (ResultCodec encode/decode of the small Macro-3D
 ## tile's routing result, in internal/flows), with B/op and allocs/op,
 ## recorded as machine-readable BENCH_opt.json.
 bench:
-	$(GO) test -bench 'TableII|Optimize|Generate|Abut4x4|ResultCodec' -benchmem -count 5 -benchtime 1x -run '^$$' . ./internal/flows | $(GO) run ./cmd/benchjson | tee BENCH_opt.json
+	$(GO) test -bench 'TableII|Optimize|EngineUpdateTopo|Generate|Abut4x4|ResultCodec' -benchmem -count 5 -benchtime 1x -run '^$$' . ./internal/flows | $(GO) run ./cmd/benchjson | tee BENCH_opt.json
 
 ## bench-flow: the flow ledger (bench/, gated by BENCHMARK.json) — the
 ## seven end-to-end metrics of each of the four workloads, one JSON line

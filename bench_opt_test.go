@@ -122,39 +122,84 @@ func criticalArc(b *testing.B, ctx *opt.Context) (*sta.Engine, *netlist.Net, int
 	return nil, nil, 0
 }
 
+// insertBuffer opens a transaction and splits sink si of n behind a
+// BUF_X16 at the arc's midpoint: the optimizer's buffer-insert bundle
+// (free-space claim, rewiring, two reroutes), left open for the caller to
+// time what follows and roll back.
+func insertBuffer(b *testing.B, db *ddb.DB, n *netlist.Net, si int) *ddb.Txn {
+	b.Helper()
+	buf := db.Design.Lib.MustCell("BUF_X16")
+	txn := db.Begin()
+	sink := txn.RemoveSinkAt(n, si)
+	a, z := n.Driver.Loc(), sink.Loc()
+	inst := txn.AddInstance("benchbuf", buf)
+	if loc, ok := txn.Alloc(buf.Width, geom.Pt((a.X+z.X)/2, (a.Y+z.Y)/2)); ok {
+		inst.Loc, inst.Placed = loc, true
+	}
+	txn.AppendSink(n, netlist.IPin(inst, "A"))
+	nn := txn.AddNet("benchnet", netlist.IPin(inst, "Y"), sink)
+	for _, r := range []*netlist.Net{n, nn} {
+		if err := txn.Reroute(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return txn
+}
+
 // BenchmarkOptimizeRollback is one rejected optimizer iteration on the
-// pre-opt small 2D state: a buffer-insert bundle through the journal
-// (free-space claim, rewiring, two reroutes), the dirty-cone STA
-// update, and the rollback. Its cost and allocations follow the
-// bundle, not the design.
+// pre-opt small 2D state: a buffer-insert bundle through the journal,
+// the STA update, and the rollback. The bundle's own cost and
+// allocations follow the bundle, not the design; the update's do not —
+// see BenchmarkEngineUpdateTopo.
 func BenchmarkOptimizeRollback(b *testing.B) {
 	ctx := buildPreOpt(b)
 	db := ctx.DDB
 	db.Free = place.NewFreeSpace(db.Design, ctx.FP, ctx.RowHeight)
 	eng, n, si := criticalArc(b, ctx)
-	buf := db.Design.Lib.MustCell("BUF_X16")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		txn := db.Begin()
-		sink := txn.RemoveSinkAt(n, si)
-		a, z := n.Driver.Loc(), sink.Loc()
-		inst := txn.AddInstance("benchbuf", buf)
-		if loc, ok := txn.Alloc(buf.Width, geom.Pt((a.X+z.X)/2, (a.Y+z.Y)/2)); ok {
-			inst.Loc, inst.Placed = loc, true
-		}
-		txn.AppendSink(n, netlist.IPin(inst, "A"))
-		nn := txn.AddNet("benchnet", netlist.IPin(inst, "Y"), sink)
-		for _, r := range []*netlist.Net{n, nn} {
-			if err := txn.Reroute(r); err != nil {
-				b.Fatal(err)
-			}
-		}
+		txn := insertBuffer(b, db, n, si)
 		eng.Invalidate(txn.DirtyNets(), txn.DirtyInsts(), txn.TopoChanged())
 		if _, err := eng.Update(1e6); err != nil {
 			b.Fatal(err)
 		}
 		eng.Invalidate(txn.Rollback())
+	}
+}
+
+// BenchmarkEngineUpdateTopo is sta.Engine.Update after a topology edit,
+// alone: one buffer inserted on the critical arc of the pre-opt small 2D
+// state, Invalidate(topo), Update. Every such Update re-derives the
+// adjacency, the Kahn order and the endpoint table of the whole design
+// (rebuildTopo), which is half of opt.Optimize's CPU on a table2 rep —
+// the baseline for patching them around the spliced node instead. The
+// edit, its rollback and the rollback's own Update are off the clock.
+func BenchmarkEngineUpdateTopo(b *testing.B) {
+	ctx := buildPreOpt(b)
+	db := ctx.DDB
+	db.Free = place.NewFreeSpace(db.Design, ctx.FP, ctx.RowHeight)
+	eng, n, si := criticalArc(b, ctx)
+	update := func() {
+		if _, err := eng.Update(1e6); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		txn := insertBuffer(b, db, n, si)
+		if !txn.TopoChanged() {
+			b.Fatal("a buffer insertion did not change the topology")
+		}
+		b.StartTimer()
+		eng.Invalidate(txn.DirtyNets(), txn.DirtyInsts(), true)
+		update()
+		b.StopTimer()
+		eng.Invalidate(txn.Rollback())
+		update()
+		b.StartTimer()
 	}
 }
 

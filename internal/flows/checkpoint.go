@@ -295,6 +295,18 @@ func encodePinRef(e *stash.Enc, ref netlist.PinRef) {
 	}
 }
 
+// pinRefSize is the number of bytes encodePinRef writes for ref.
+func pinRefSize(ref netlist.PinRef) int {
+	n := 1
+	if ref.Inst != nil {
+		n += 4 + 4 + len(ref.Pin)
+	}
+	if ref.Port != nil {
+		n += 4
+	}
+	return n
+}
+
 type pinRefWire struct {
 	hasInst bool
 	instID  uint32
@@ -310,7 +322,7 @@ func decodePinRefWire(dec *stash.Dec) pinRefWire {
 	w.hasPort = flags&2 != 0
 	if w.hasInst {
 		w.instID = dec.U32()
-		w.pin = dec.Str()
+		w.pin = dec.Sym()
 	}
 	if w.hasPort {
 		w.portID = dec.U32()
@@ -374,12 +386,21 @@ func encodeInstState(e *stash.Enc, inst *netlist.Instance, withName bool) {
 	e.U8(uint8(inst.Die))
 }
 
+// instStateSize is the number of bytes encodeInstState writes for inst.
+func instStateSize(inst *netlist.Instance, withName bool) int {
+	n := instWireMin + len(inst.Master.Name)
+	if withName {
+		n += 4 + len(inst.Name)
+	}
+	return n
+}
+
 func decodeInstState(dec *stash.Dec, withName bool) instStateWire {
 	var w instStateWire
 	if withName {
 		w.name = dec.Str()
 	}
-	w.master = dec.Str()
+	w.master = dec.Sym()
 	w.x = dec.F64()
 	w.y = dec.F64()
 	w.orient = dec.U8()
@@ -399,6 +420,15 @@ func (w instStateWire) apply(inst *netlist.Instance) {
 	inst.Die = netlist.Die(w.die)
 }
 
+// placementSize is the number of bytes a placement snapshot of d takes.
+func placementSize(d *netlist.Design) int {
+	size := 8
+	for _, inst := range d.Instances {
+		size += instStateSize(inst, false)
+	}
+	return size
+}
+
 // placementCheckpoint snapshots the full placement state of every
 // instance (location, orientation, die, flags, master). Used for the
 // place stage of the 2D and Macro-3D flows and for the S2D/C2D tier
@@ -408,6 +438,7 @@ func placementCheckpoint(name string, material []byte, d *netlist.Design) checkp
 		name:     name,
 		material: material,
 		save: func(e *stash.Enc) error {
+			e.Grow(placementSize(d))
 			e.Int(len(d.Instances))
 			for _, inst := range d.Instances {
 				encodeInstState(e, inst, false)
@@ -476,7 +507,7 @@ func pseudoCheckpoint(material []byte, d *netlist.Design) checkpoint {
 			states := make([]cw, 0, len(cells))
 			mdCache := map[string]*cell.Cell{}
 			for i := 0; i < n && dec.Err() == nil; i++ {
-				name := dec.Str()
+				name := dec.Sym()
 				x, y := dec.F64(), dec.F64()
 				p := dec.Bool()
 				if dec.Err() != nil {
@@ -537,8 +568,9 @@ func getNode(b []byte) route.Node {
 	}
 }
 
-func encodeResult(e *stash.Enc, res *route.Result) {
-	routes, pins, segs := 0, 0, 0
+// resultTotals counts what a routing result's header states: the
+// non-nil routes, and their pin nodes and segments.
+func resultTotals(res *route.Result) (routes, pins, segs int) {
 	for _, nr := range res.Routes {
 		if nr != nil {
 			routes++
@@ -546,6 +578,34 @@ func encodeResult(e *stash.Enc, res *route.Result) {
 			segs += len(nr.Segments)
 		}
 	}
+	return routes, pins, segs
+}
+
+// resultSize is the number of bytes encodeResult writes for res.
+func resultSize(res *route.Result) int {
+	routes, pins, segs := resultTotals(res)
+	return 4*8 + (len(res.Routes) - routes) + routeWire*routes + segWire*segs + nodeWire*pins +
+		8 + 4 + 8*len(res.WLPerLayer) + 3*8 + 8
+}
+
+// dynStateSize is the number of bytes encodeDynState writes for db.
+func dynStateSize(db *route.DB) int {
+	u, h, f := db.DynState()
+	return 3*4 + 4*(len(u)+len(h)+len(f))
+}
+
+// encodeDynState writes the DB's mutable routing state: usage,
+// negotiation history, F2F bump usage.
+func encodeDynState(e *stash.Enc, db *route.DB) {
+	u, h, f := db.DynState()
+	e.I32s(u)
+	e.F32s(h)
+	e.I32s(f)
+}
+
+func encodeResult(e *stash.Enc, res *route.Result) {
+	e.Grow(resultSize(res)) // a no-op inside a snapshot whose save sized the whole
+	routes, pins, segs := resultTotals(res)
 	e.Int(len(res.Routes))
 	e.Int(routes)
 	e.Int(pins)
@@ -675,11 +735,9 @@ func routeCheckpoint(st *State, material []byte, build func()) checkpoint {
 		name:     StageRoute,
 		material: material,
 		save: func(e *stash.Enc) error {
+			e.Grow(resultSize(st.Routes) + dynStateSize(st.DB))
 			encodeResult(e, st.Routes)
-			u, h, f := st.DB.DynState()
-			e.I32s(u)
-			e.F32s(h)
-			e.I32s(f)
+			encodeDynState(e, st.DB)
 			return nil
 		},
 		load: func(dec *stash.Dec) error {

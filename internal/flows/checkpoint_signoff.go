@@ -46,6 +46,18 @@ func encodeNetState(e *stash.Enc, n *netlist.Net, withName bool) {
 	}
 }
 
+// netStateSize is the number of bytes encodeNetState writes for n.
+func netStateSize(n *netlist.Net, withName bool) int {
+	size := netWireMin - 1 + pinRefSize(n.Driver)
+	if withName {
+		size += 4 + len(n.Name)
+	}
+	for _, s := range n.Sinks {
+		size += pinRefSize(s)
+	}
+	return size
+}
+
 // decodeNetState decodes one net, appending its sinks to *arena — sized
 // by the caller to the snapshot's sink total, which a net may not
 // overrun.
@@ -119,6 +131,23 @@ func encodePath(e *stash.Enc, p sta.Path) {
 	e.F64(p.Delay)
 	e.F64(p.Wirelength)
 	e.Bool(p.HalfCycle)
+}
+
+// reportSize is the number of bytes encodeReport writes for rep.
+func reportSize(rep *sta.Report) int {
+	size := 4*8 + pathSize(rep.Critical) + 8 + 4*8
+	for _, p := range rep.Paths {
+		size += pathSize(p)
+	}
+	return size
+}
+
+func pathSize(p sta.Path) int {
+	size := 8 + 8 + 8 + 1
+	for _, s := range p.Steps {
+		size += pinRefSize(s.Ref) + 8
+	}
+	return size
 }
 
 type pathStepWire struct {
@@ -215,6 +244,21 @@ func (w reportWire) build(d *netlist.Design) *sta.Report {
 	return rep
 }
 
+// signoffSize is the number of bytes a signoff snapshot of st takes, the
+// design having held preInst instances and preNet nets before the region
+// ran: the encoder is sized by it once, instead of doubling its way up.
+func signoffSize(st *State, preInst, preNet int) int {
+	d := st.Design
+	size := 4 + len(d.Name) + 4*8 + 8 + resultSize(st.Routes) + dynStateSize(st.DB) + reportSize(st.Report) + 2*8
+	for i, inst := range d.Instances {
+		size += instStateSize(inst, i >= preInst)
+	}
+	for i, n := range d.Nets {
+		size += netStateSize(n, i >= preNet)
+	}
+	return size
+}
+
 // signoffCheckpoint snapshots the extract+opt region: the design delta
 // optimization produced (resizes, inserted buffers and their nets,
 // rewired sinks), the post-ECO routes and DB dynamic state, and the
@@ -229,6 +273,7 @@ func signoffCheckpoint(r *runner, st *State, t *tech.Tech, material []byte, resi
 		name:     "signoff",
 		material: material,
 		save: func(e *stash.Enc) error {
+			e.Grow(signoffSize(st, preInst, preNet))
 			e.Str(d.Name)
 			e.Int(preInst)
 			e.Int(preNet)
@@ -246,10 +291,7 @@ func signoffCheckpoint(r *runner, st *State, t *tech.Tech, material []byte, resi
 				encodeNetState(e, n, i >= preNet)
 			}
 			encodeResult(e, st.Routes)
-			u, h, f := st.DB.DynState()
-			e.I32s(u)
-			e.F32s(h)
-			e.I32s(f)
+			encodeDynState(e, st.DB)
 			encodeReport(e, st.Report)
 			e.Int(*resized)
 			e.Int(*buffers)

@@ -16,6 +16,7 @@ import (
 	"macro3d/internal/piton"
 	"macro3d/internal/route"
 	"macro3d/internal/stash"
+	"macro3d/internal/tech"
 )
 
 // randomResult builds a routing result of n table entries — about one
@@ -292,6 +293,101 @@ func TestDecodeNetStateSinkArena(t *testing.T) {
 	}
 	if _, err := decodeNetState(dec, false, &arena); err == nil {
 		t.Fatal("a net overran the declared sink total without error")
+	}
+}
+
+// tinySignedOff runs the tiny Macro-3D flow and returns its finished
+// state with the placement and signoff checkpoints over it.
+func tinySignedOff(t *testing.T) (st *State, place, signoff checkpoint) {
+	t.Helper()
+	_, st, _, err := RunMacro3D(Config{Piton: piton.Tiny(), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt, err := tech.New28(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resized, buffers int
+	return st, placementCheckpoint(StagePlace, nil, st.Design),
+		signoffCheckpoint(&runner{}, st, tt, nil, &resized, &buffers)
+}
+
+// TestCheckpointLoadAllocs: restoring a snapshot costs a string per
+// distinct master and pin name (Dec.Sym), not one per instance and per
+// sink. The placement load is the decoder's tables and little else; the
+// signoff load also re-extracts the design and rebuilds the timing
+// report, and still stays far below one object per record.
+func TestCheckpointLoadAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	st, place, signoff := tinySignedOff(t)
+	insts, sinks := len(st.Design.Instances), 0
+	for _, n := range st.Design.Nets {
+		sinks += len(n.Sinks)
+	}
+	loadAllocs := func(cp checkpoint) float64 {
+		e := stash.NewEnc()
+		if err := cp.save(e); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if err := cp.load(stash.NewDec(e.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a := loadAllocs(place); a > float64(insts)/8 {
+		t.Errorf("placement load allocates %.0f objects for %d instances", a, insts)
+	}
+	if a := loadAllocs(signoff); a > float64(insts+sinks)/4 {
+		t.Errorf("signoff load allocates %.0f objects for %d instances + %d sinks", a, insts, sinks)
+	}
+}
+
+// TestSnapshotSizesExact: the size each save states to the encoder up
+// front is the size of what it then writes, so a snapshot is encoded into
+// one allocation of its own length instead of a buffer doubled up to it.
+func TestSnapshotSizesExact(t *testing.T) {
+	st, place, signoff := tinySignedOff(t)
+	inst, nets := st.Design.Counts()
+	for _, c := range []struct {
+		cp   checkpoint
+		size int
+	}{
+		{place, placementSize(st.Design)},
+		{signoff, signoffSize(st, inst, nets)},
+		{routeCheckpoint(st, nil, nil), resultSize(st.Routes) + dynStateSize(st.DB)},
+	} {
+		e := stash.NewEnc()
+		if err := c.cp.save(e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Len() != c.size {
+			t.Errorf("%s snapshot is %d bytes, its save states %d", c.cp.name, e.Len(), c.size)
+		}
+		if cap(e.Bytes()) > e.Len()+e.Len()/16 { // a size class of slack, not a second growth
+			t.Errorf("%s snapshot: %d bytes in a buffer of %d", c.cp.name, e.Len(), cap(e.Bytes()))
+		}
+	}
+	// The named forms, which a finished state's own snapshot has none of.
+	e := stash.NewEnc()
+	size := 0
+	for _, inst := range st.Design.Instances {
+		encodeInstState(e, inst, true)
+		size += instStateSize(inst, true)
+	}
+	for _, n := range st.Design.Nets {
+		encodeNetState(e, n, true)
+		size += netStateSize(n, true)
+	}
+	if e.Len() != size {
+		t.Errorf("named instances and nets encode to %d bytes, their sizes add up to %d", e.Len(), size)
+	}
+	for _, nets := range []int{0, 1, 250} {
+		res := randomResult(11, nets)
+		if got := len(encodeResultBytes(res)); got != resultSize(res) {
+			t.Errorf("a %d-net result encodes to %d bytes, resultSize says %d", nets, got, resultSize(res))
+		}
 	}
 }
 

@@ -177,22 +177,36 @@ func Abut(t *Tile, die geom.Rect, nx, ny int) (*netlist.Design, geom.Rect, error
 	return out, arrayDie, nil
 }
 
-// nameArena cuts the array's instance and net names out of large
-// chunks: a name is a substring of the chunk it was written to, so the
-// 230 k names of a 4×4 small-tile array cost a few dozen allocations,
-// not one each. A full chunk is dropped by the arena and lives on in
-// the names cut from it.
+// nameArena cuts instance and net names out of large chunks: a name is
+// a substring of the chunk it was written to, so the 14 k names of a
+// generated small tile, or the 230 k of its 4×4 array, cost a few dozen
+// allocations, not one each. A full chunk is dropped by the arena and
+// lives on in the names cut from it — as long as the design that holds
+// them.
 type nameArena struct{ chunk strings.Builder }
+
+// room starts a new chunk unless the current one has n bytes left, and
+// returns the offset the next name starts at.
+func (a *nameArena) room(n int) int {
+	if a.chunk.Cap()-a.chunk.Len() < n {
+		a.chunk.Reset()
+		a.chunk.Grow(max(n, 1<<16))
+	}
+	return a.chunk.Len()
+}
 
 // concat returns x + y.
 func (a *nameArena) concat(x, y string) string {
-	if a.chunk.Cap()-a.chunk.Len() < len(x)+len(y) {
-		a.chunk.Reset()
-		a.chunk.Grow(max(len(x)+len(y), 1<<16))
-	}
-	off := a.chunk.Len()
+	off := a.room(len(x) + len(y))
 	a.chunk.WriteString(x)
 	a.chunk.WriteString(y)
+	return a.chunk.String()[off:]
+}
+
+// cut returns string(b).
+func (a *nameArena) cut(b []byte) string {
+	off := a.room(len(b))
+	a.chunk.Write(b)
 	return a.chunk.String()[off:]
 }
 

@@ -279,7 +279,7 @@ func (g *gen) buildRouter(k int) *router {
 		group := PortGroup{Edge: e, Pair: inPair(e)}
 		hint := fmt.Sprintf("noc%d_%s_in", k, e)
 		for b := 0; b < w; b++ {
-			p := g.d.AddPort(fmt.Sprintf("noc%d_%s_in_%d", k, e, b), cell.DirIn)
+			p := g.d.AddPort(g.seqName("", hint, b), cell.DirIn)
 			p.Layer = "M6"
 			p.HalfCycle = true
 			ff := g.dff(hint)
@@ -313,7 +313,7 @@ func (g *gen) buildRouter(k int) *router {
 			ff := g.dff(hint)
 			g.fanout(xbar[oi%len(xbar)], netlist.IPin(ff, "D"))
 			oi++
-			p := g.d.AddPort(fmt.Sprintf("noc%d_%s_out_%d", k, e, b), cell.DirOut)
+			p := g.d.AddPort(g.seqName("", hint, b), cell.DirOut)
 			p.Layer = "M6"
 			p.HalfCycle = true
 			p.ExtCap = 8 // abutting tile's input register + wire stub
@@ -364,25 +364,35 @@ func (g *gen) sweepUndriven() {
 	if len(pool) == 0 {
 		return
 	}
-	// The pins that already have a driver: every sink of every net.
-	nSinks := 0
-	for _, n := range g.d.Nets {
-		nSinks += len(n.Sinks)
+	// The pins that already have a driver — every sink of every net — as
+	// one bit per master pin of every instance.
+	pinOff := make([]int32, len(g.d.Instances)+1)
+	for i, inst := range g.d.Instances {
+		pinOff[i+1] = pinOff[i] + int32(len(inst.Master.Pins))
 	}
-	driven := make(map[netlist.PinRef]bool, nSinks)
+	driven := make([]uint64, (pinOff[len(g.d.Instances)]+63)/64)
 	for _, n := range g.d.Nets {
 		for _, s := range n.Sinks {
-			driven[s] = true
+			if s.Inst == nil {
+				continue
+			}
+			pins := s.Inst.Master.Pins
+			k := 0
+			for pins[k].Name != s.Pin { // present: the generator wired it by this name
+				k++
+			}
+			slot := pinOff[s.Inst.ID] + int32(k)
+			driven[slot>>6] |= 1 << (slot & 63)
 		}
 	}
-	for _, inst := range g.d.Instances {
+	for i, inst := range g.d.Instances {
 		for pi := range inst.Master.Pins {
 			p := &inst.Master.Pins[pi]
 			if p.Dir != cell.DirIn || p.Clock {
 				continue
 			}
-			if ref := netlist.IPin(inst, p.Name); !driven[ref] {
-				g.fanout(pool[g.rng.Intn(len(pool))], ref)
+			if slot := pinOff[i] + int32(pi); driven[slot>>6]&(1<<(slot&63)) == 0 {
+				g.fanout(pool[g.rng.Intn(len(pool))], netlist.IPin(inst, p.Name))
 			}
 		}
 	}

@@ -239,9 +239,27 @@ type gen struct {
 
 	// netOf maps a driver to its net so fanout() can extend existing
 	// nets instead of creating parallel ones.
-	netOf map[netlist.PinRef]*netlist.Net
+	netOf map[pinID]*netlist.Net
 
-	nameBuf []byte // seqName's scratch
+	names   nameArena // every seqName is cut from it
+	nameBuf []byte    // seqName's scratch
+}
+
+// pinID identifies a connection point by the records behind it — the
+// instance and its master's pin, or the port — so hashing one reads three
+// words and no pin-name bytes. Valid while the instance keeps its master:
+// the generator's maps are done with before calibrate re-points them.
+type pinID struct {
+	inst *netlist.Instance
+	pin  *cell.Pin
+	port *netlist.Port
+}
+
+func idOf(r netlist.PinRef) pinID {
+	if r.Port != nil {
+		return pinID{port: r.Port}
+	}
+	return pinID{inst: r.Inst, pin: r.Inst.Master.Pin(r.Pin)}
 }
 
 // newGen starts a generator on an empty design over the unscaled
@@ -253,7 +271,7 @@ func newGen(name string, cfg Config, seed uint64) *gen {
 		lib:   lib,
 		d:     netlist.NewDesign(name, lib),
 		rng:   geom.NewRNG(seed),
-		netOf: make(map[netlist.PinRef]*netlist.Net),
+		netOf: make(map[pinID]*netlist.Net),
 	}
 	g.tile = &Tile{Design: g.d, Config: cfg}
 	return g
@@ -297,15 +315,16 @@ func (g *gen) calibrate(target float64) error {
 	return nil
 }
 
-// seqName builds prefix+hint+"_"+seq in the generator's scratch buffer,
-// so a name costs the one allocation of its string.
+// seqName builds prefix+hint+"_"+seq in the generator's scratch buffer
+// and cuts it from the name arena, so a name costs its bytes and no heap
+// object of its own.
 func (g *gen) seqName(prefix, hint string, seq int) string {
 	b := append(g.nameBuf[:0], prefix...)
 	b = append(b, hint...)
 	b = append(b, '_')
 	b = strconv.AppendInt(b, int64(seq), 10)
 	g.nameBuf = b
-	return string(b)
+	return g.names.cut(b)
 }
 
 func (g *gen) netName(hint string) string {
@@ -383,13 +402,14 @@ const fanoutRoom = 4
 
 // fanout connects src → sink, creating or extending src's net.
 func (g *gen) fanout(src, sink netlist.PinRef) {
-	if n, ok := g.netOf[src]; ok {
+	id := idOf(src)
+	if n, ok := g.netOf[id]; ok {
 		n.Sinks = append(n.Sinks, sink)
 		return
 	}
 	sinks := g.d.SinkSpan(fanoutRoom)[:1]
 	sinks[0] = sink
-	g.netOf[src] = g.d.AddNet(g.netName("w"), src, sinks...)
+	g.netOf[id] = g.d.AddNet(g.netName("w"), src, sinks...)
 }
 
 // drive creates a named net from src to a fanout known up front and
@@ -400,7 +420,7 @@ func (g *gen) drive(name string, src netlist.PinRef, sinks ...netlist.PinRef) *n
 	span := g.d.SinkSpan(len(sinks))
 	copy(span, sinks)
 	n := g.d.AddNet(name, src, span...)
-	g.netOf[src] = n
+	g.netOf[idOf(src)] = n
 	return n
 }
 

@@ -314,14 +314,23 @@ func structuralDigest(d *netlist.Design) string {
 // TestGenerateStructurePinned: the generator's bookkeeping (which pins
 // are driven, which driver owns which net) may change representation,
 // but the netlist — names, ids, order, every rng draw behind them —
-// may not. The digests were taken before the maps were re-keyed.
+// may not. The digests were taken before the maps were keyed by identity
+// and the names cut from the arena.
 func TestGenerateStructurePinned(t *testing.T) {
-	tile, err := Generate(SmallCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := structuralDigest(tile.Design), "91623ade92180edc686738615a80995c2bdea8418f8e622e9d2e88b4bf1dd65a"; got != want {
-		t.Fatalf("SmallCache netlist digest %s, pinned %s", got, want)
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{SmallCache(), "91623ade92180edc686738615a80995c2bdea8418f8e622e9d2e88b4bf1dd65a"},
+		{LargeCache(), "806940f3762e1542934c6810eafdd00277a1f0c49cd68690978eb2f3ec5b54bd"},
+	} {
+		tile, err := Generate(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := structuralDigest(tile.Design); got != c.want {
+			t.Fatalf("%s netlist digest %s, pinned %s", c.cfg.Name, got, c.want)
+		}
 	}
 	soc, err := GenerateSensorSoC(DefaultSensorSoC())
 	if err != nil {

@@ -67,6 +67,12 @@ func (e *Enc) Blob(b []byte) {
 	e.b = append(e.b, b...)
 }
 
+// Grow makes room for n more bytes in one allocation, for a caller that
+// knows (a lower bound on) the size of what it is about to encode; the
+// buffer otherwise doubles from 4 kB, allocating several times the
+// payload on the way.
+func (e *Enc) Grow(n int) { e.b = slices.Grow(e.b, n) }
+
 // Extend appends n bytes and returns them for the caller to fill: the
 // bulk counterpart of U8 for fixed-width records (see Dec.View). The
 // slice is valid until the next append.
@@ -109,6 +115,8 @@ type Dec struct {
 	b   []byte
 	off int
 	err error
+
+	syms map[string]string // Sym's table: each distinct value, once
 }
 
 // NewDec returns a decoder over the snapshot bytes.
@@ -241,6 +249,28 @@ func (d *Dec) Str() string {
 		return ""
 	}
 	return string(b)
+}
+
+// Sym is Str for a field drawn from a small vocabulary — a master name
+// per instance, a pin name per sink: equal values read through one
+// decoder share one allocation, so such a field costs a heap object per
+// distinct value rather than per record. The wire format and the errors
+// are Str's.
+func (d *Dec) Sym() string {
+	n := d.sliceLen(1)
+	b := d.take(n)
+	if len(b) == 0 {
+		return ""
+	}
+	if s, ok := d.syms[string(b)]; ok { // the conversion does not allocate
+		return s
+	}
+	if d.syms == nil {
+		d.syms = make(map[string]string)
+	}
+	s := string(b)
+	d.syms[s] = s
+	return s
 }
 
 // Blob reads a length-prefixed byte slice.

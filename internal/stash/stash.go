@@ -131,7 +131,9 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 // crash or full disk mid-write leaves no entry at all. Concurrent Puts
 // of the same key serialize; the losers find the entry present and
 // return without writing (the store is content-addressed — same key,
-// same content). On a byte-capped store the write may displace the
+// same content). Put does not read what is there: a corrupt entry is
+// healed by the next Get, which evicts it, not by a Put over it. On a
+// byte-capped store the write may displace the
 // least-recently-used entries, and a payload that alone exceeds the
 // cap is not stored at all.
 func (s *Store) Put(k Key, payload []byte) error {
@@ -160,7 +162,10 @@ func (s *Store) Put(k Key, payload []byte) error {
 		s.errs.Add(1)
 		return fmt.Errorf("stash: put %s: %w", k, err)
 	}
-	if _, err := f.Write(frame(payload)); err != nil {
+	if _, err := f.Write(frameHeader(payload)); err != nil {
+		return fail(err)
+	}
+	if _, err := f.Write(payload); err != nil {
 		return fail(err)
 	}
 	if err := f.Close(); err != nil {
@@ -221,15 +226,15 @@ func (s *Store) NoteHarden(hit bool) {
 	}
 }
 
-// frame wraps a payload with magic, version, length and checksum.
-func frame(payload []byte) []byte {
-	out := make([]byte, 0, headerSize+len(payload))
+// frameHeader returns what precedes a payload in its snapshot file:
+// magic, version, length and checksum.
+func frameHeader(payload []byte) []byte {
+	out := make([]byte, 0, headerSize)
 	out = append(out, fileMagic...)
 	out = binary.LittleEndian.AppendUint32(out, Version)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
 	sum := sha256.Sum256(payload)
-	out = append(out, sum[:]...)
-	return append(out, payload...)
+	return append(out, sum[:]...)
 }
 
 // unframe validates a snapshot file and returns its payload.

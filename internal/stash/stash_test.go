@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func testKey(s string) Key { return NewKey([]byte(s)) }
@@ -249,6 +250,90 @@ func TestCodecExtendView(t *testing.T) {
 	}
 }
 
+// TestEncGrow: after Grow(n) the next n bytes are appended in place, and
+// what was encoded before is kept.
+func TestEncGrow(t *testing.T) {
+	e := NewEnc()
+	e.U8(7)
+	e.Grow(1 << 20)
+	room := cap(e.Bytes())
+	e.Extend(1 << 20)
+	if cap(e.Bytes()) != room || e.Len() != 1<<20+1 || e.Bytes()[0] != 7 {
+		t.Errorf("after Grow(1<<20): cap %d → %d, len %d, first byte %d", room, cap(e.Bytes()), e.Len(), e.Bytes()[0])
+	}
+}
+
+// TestDecSym: Sym reads what Str reads; equal values share their
+// backing bytes, distinct values do not; a truncated or oversized length
+// fails exactly as Str's does, and Done still sees trailing bytes.
+func TestDecSym(t *testing.T) {
+	words := []string{"NAND2_X1", "A", "NAND2_X1", "", "A", "NAND2_X1_MD", "NAND2_X1"}
+	e := NewEnc()
+	for _, w := range words {
+		e.Str(w)
+	}
+	full := e.Bytes()
+
+	d, ref := NewDec(full), NewDec(full)
+	got := make([]string, len(words))
+	for i, w := range words {
+		got[i] = d.Sym()
+		if got[i] != w || ref.Str() != w {
+			t.Fatalf("Sym %d = %q, want %q", i, got[i], w)
+		}
+	}
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	data := func(s string) *byte { return unsafe.StringData(s) }
+	if data(got[0]) != data(got[2]) || data(got[0]) != data(got[6]) || data(got[1]) != data(got[4]) {
+		t.Error("equal symbols do not share backing storage")
+	}
+	if data(got[0]) == data(got[5]) || data(got[0]) == data(got[1]) {
+		t.Error("distinct symbols share backing storage")
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		d := NewDec(full)
+		for range words {
+			d.Sym()
+		}
+	}); allocs > 6 { // the decoder, the table and its buckets, three distinct non-empty values
+		t.Errorf("reading %d symbols of 3 distinct values allocates %.0f objects", len(words), allocs)
+	}
+
+	// Every prefix, and an oversized length: the same error at the same
+	// offset as Str, and sticky.
+	huge := NewEnc()
+	huge.U32(0xffffffff)
+	cases := [][]byte{huge.Bytes()}
+	for n := 0; n < len(full); n++ {
+		cases = append(cases, full[:n])
+	}
+	for _, b := range cases {
+		sd, rd := NewDec(b), NewDec(b)
+		for range words {
+			if s, r := sd.Sym(), rd.Str(); s != r {
+				t.Fatalf("%d-byte input: Sym %q, Str %q", len(b), s, r)
+			}
+		}
+		if sd.Err() == nil || sd.Err().Error() != rd.Err().Error() {
+			t.Fatalf("%d-byte input: Sym error %v, Str error %v", len(b), sd.Err(), rd.Err())
+		}
+		if sd.Sym() != "" || sd.Done() == nil {
+			t.Fatalf("%d-byte input: the error did not stick", len(b))
+		}
+	}
+
+	e.U8(0)
+	d = NewDec(e.Bytes())
+	for range words {
+		d.Sym()
+	}
+	if d.Err() != nil || d.Done() == nil {
+		t.Error("trailing bytes after the last symbol must fail Done")
+	}
+}
+
 func TestDecDoneRejectsTrailingBytes(t *testing.T) {
 	e := NewEnc()
 	e.U32(1)
@@ -262,11 +347,11 @@ func TestDecDoneRejectsTrailingBytes(t *testing.T) {
 
 func TestFrameUnframe(t *testing.T) {
 	payload := []byte("payload")
-	got, err := unframe(frame(payload))
+	got, err := unframe(append(frameHeader(payload), payload...))
 	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("unframe(frame(p)) = %q, %v", got, err)
+		t.Fatalf("unframe(header(p) + p) = %q, %v", got, err)
 	}
-	if _, err := unframe(frame(nil)); err != nil {
+	if _, err := unframe(frameHeader(nil)); err != nil {
 		t.Fatalf("empty payload must frame cleanly: %v", err)
 	}
 }
