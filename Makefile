@@ -93,13 +93,16 @@ faults:
 
 ## bench: the optimizer benchmarks — TableII end to end plus the
 ## Optimize, rollback and STA-update micro-benchmarks (EngineUpdateTopo:
-## the Update after a topology edit, alone) — the design
-## construction benchmarks (Generate small/large, Abut 4×4) and the
-## stash-codec kernel (ResultCodec encode/decode of the small Macro-3D
-## tile's routing result, in internal/flows), with B/op and allocs/op,
-## recorded as machine-readable BENCH_opt.json.
+## the Update after a topology edit, alone; TxnReroute: one committed
+## move-and-reroute transaction, alone) — the free-space kernels in
+## internal/place (NewFreeSpace: the map opt builds on entry; Legalize:
+## the small 2D tile's row map and sweep) — the design construction
+## benchmarks (Generate small/large, Abut 4×4) and the stash-codec kernel
+## (ResultCodec encode/decode of the small Macro-3D tile's routing
+## result, in internal/flows), with B/op and allocs/op, recorded as
+## machine-readable BENCH_opt.json.
 bench:
-	$(GO) test -bench 'TableII|Optimize|EngineUpdateTopo|Generate|Abut4x4|ResultCodec' -benchmem -count 5 -benchtime 1x -run '^$$' . ./internal/flows | $(GO) run ./cmd/benchjson | tee BENCH_opt.json
+	$(GO) test -bench 'TableII|Optimize|EngineUpdateTopo|TxnReroute|NewFreeSpace|Legalize|Generate|Abut4x4|ResultCodec' -benchmem -count 5 -benchtime 1x -run '^$$' . ./internal/flows ./internal/place | $(GO) run ./cmd/benchjson | tee BENCH_opt.json
 
 ## bench-flow: the flow ledger (bench/, gated by BENCHMARK.json) — the
 ## seven end-to-end metrics of each of the four workloads, one JSON line
@@ -107,7 +110,11 @@ bench:
 ## appended as one row (commit, go version, nproc, GOMAXPROCS, the
 ## metrics per workload) to the committed trajectory BENCH_flow.json —
 ## one row per PR; a re-run at the same FLOW_COMMIT replaces its row.
-## The numbers a perf claim in CHANGES.md cites.
+## The numbers a perf claim in CHANGES.md cites. It ends by comparing
+## the row with the one before it: the gated metrics' deltas per
+## workload, failing when a deterministic one (heap counts, QoR) is
+## worse than its bound in BENCHMARK.json. Any two rows:
+## `go run ./cmd/benchjson -ledger BENCH_flow.json -compare PR22 PR23`.
 FLOW_WORKLOADS = table2 baselines-j1 table2-warm array-verify
 FLOW_COMMIT   ?= $(shell git describe --always --dirty)
 bench-flow:
@@ -117,6 +124,7 @@ bench-flow:
 	done
 	cat BENCH_flow.jsonl
 	$(GO) run ./cmd/benchjson -ledger BENCH_flow.json -commit $(FLOW_COMMIT) $(FLOW_WORKLOADS) < BENCH_flow.jsonl
+	$(GO) run ./cmd/benchjson -ledger BENCH_flow.json -compare $(FLOW_COMMIT)
 
 ## bench-route: the worker-count comparison — the large-cache tile
 ## and the flat BENCH_SIZE×BENCH_SIZE tile array, serial (-j 1) vs the

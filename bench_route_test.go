@@ -6,7 +6,7 @@
 // scheduling, not quality drift. Routing is one ordered pass at every
 // worker count, so a "parallel" route row measures what the net-prep
 // and overflow-scan fan-out buys; the place rows measure the fan-out of
-// the descent's three passes, the seed sweeps and row building. The
+// the descent's three passes and the seed sweeps. The
 // flat N×N benchmarks repeat both on one large flat design.
 // `make bench-route` records everything in BENCH_route.json; on a host
 // whose GOMAXPROCS caps real concurrency the wall-clock ratios saturate

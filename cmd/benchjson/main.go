@@ -13,7 +13,8 @@
 // truncated JSON behind.
 //
 // With -ledger it instead appends one row of flow-ledger results to
-// BENCH_flow.json (see ledger.go); `make bench-flow` does.
+// BENCH_flow.json (see ledger.go); `make bench-flow` does, and then
+// compares the row with the one before it (-compare, see compare.go).
 package main
 
 import (
@@ -145,7 +146,39 @@ func main() {
 	outPath := flag.String("o", "", "write the JSON summary to this file (atomically) instead of stdout")
 	ledgerPath := flag.String("ledger", "", "append a flow-ledger row to this file: stdin carries one bench/run.sh line per workload named as an argument")
 	commit := flag.String("commit", "", "with -ledger: the commit the row was measured at")
+	compare := flag.Bool("compare", false, "with -ledger: compare the row named last with the row named before it (or the row before it in the file), exit 1 when a deterministic gated metric is worse than its bound")
+	manifestPath := flag.String("manifest", "BENCHMARK.json", "with -compare: the benchmark declaration the bounds are read from")
 	flag.Parse()
+	if *compare {
+		var l ledger
+		var m manifest
+		err := readJSON(*ledgerPath, &l)
+		if err == nil {
+			err = readJSON(*manifestPath, &m)
+		}
+		rows := flag.Args()
+		if err == nil && (len(rows) < 1 || len(rows) > 2) {
+			err = fmt.Errorf("-compare takes one or two row names, got %d", len(rows))
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(2)
+		}
+		a, b := "", rows[len(rows)-1]
+		if len(rows) == 2 {
+			a = rows[0]
+		}
+		worse, err := compareRows(os.Stdout, &l, &m, a, b)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(2)
+		}
+		if worse > 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: %d deterministic metric(s) worse than their bound\n", worse)
+			os.Exit(1)
+		}
+		return
+	}
 	if *ledgerPath != "" {
 		row, err := ledgerRowFrom(os.Stdin, *commit, flag.Args())
 		if err == nil {

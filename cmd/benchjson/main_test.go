@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -156,5 +157,63 @@ func TestLedgerAppend(t *testing.T) {
 	}
 	if len(read().Rows) != 2 {
 		t.Fatal("a rejected row changed the ledger")
+	}
+}
+
+// TestCompareRows: the comparison prints every gated metric of every
+// workload of the manifest, counts a deterministic metric as worse only
+// beyond its bound and in the direction the manifest says is worse,
+// never counts peak RSS or set-up time, takes the row before when one
+// name is given, and reports a missing row.
+func TestCompareRows(t *testing.T) {
+	var m manifest
+	if err := json.Unmarshal([]byte(`{
+		"workloads": [{"name": "table2"}, {"name": "array-verify"}],
+		"end_to_end": [
+			{"name": "mallocs_m", "unit": "1e6", "better": "lower", "bound": 0.03},
+			{"name": "fclk_mhz", "unit": "MHz", "better": "higher", "bound": 0.02},
+			{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}
+		]}`), &m); err != nil {
+		t.Fatal(err)
+	}
+	row := func(commit string, mallocs, fclk, setup float64) ledgerRow {
+		w := map[string]float64{"mallocs_m": mallocs, "fclk_mhz": fclk, "setup_s": setup}
+		return ledgerRow{Commit: commit, Workloads: map[string]map[string]float64{"table2": w, "array-verify": w}}
+	}
+	l := &ledger{Rows: []ledgerRow{
+		row("base", 0.100, 700, 0.01),
+		row("better", 0.050, 720, 0.10),  // set-up ten times slower: printed, not judged
+		row("inside", 0.0514, 707, 0.10), // +2.8 % objects, −1.8 % fclk against "better"
+		row("worse", 0.0531, 692, 0.10),  // +3.3 % objects, −2.1 % fclk against "inside"
+	}}
+	for _, c := range []struct {
+		a, b  string
+		worse int
+	}{
+		{"base", "better", 0},
+		{"", "better", 0},
+		{"better", "inside", 0},
+		{"", "worse", 4}, // both metrics, both workloads
+		{"worse", "inside", 0},
+		{"better", "base", 4},
+	} {
+		var out strings.Builder
+		worse, err := compareRows(&out, l, &m, c.a, c.b)
+		if err != nil || worse != c.worse {
+			t.Fatalf("compare %q %q: %d worse, %v; want %d\n%s", c.a, c.b, worse, err, c.worse, out.String())
+		}
+		for _, want := range []string{"table2", "array-verify", "mallocs_m", "fclk_mhz", "setup_s", "not judged on one pair"} {
+			if !strings.Contains(out.String(), want) {
+				t.Fatalf("compare %q %q: output lacks %q:\n%s", c.a, c.b, want, out.String())
+			}
+		}
+		if got := strings.Count(out.String(), "WORSE"); got != c.worse {
+			t.Fatalf("compare %q %q: %d lines marked WORSE, want %d", c.a, c.b, got, c.worse)
+		}
+	}
+	for _, c := range [][2]string{{"", "base"}, {"nope", "better"}, {"base", "nope"}} {
+		if _, err := compareRows(io.Discard, l, &m, c[0], c[1]); err == nil {
+			t.Fatalf("compare %q %q: no error for a missing row", c[0], c[1])
+		}
 	}
 }

@@ -277,6 +277,22 @@ func Separate(md *MoLDesign, routes *route.Result, db *route.DB) (logic, macro *
 	return logic, macro, nil
 }
 
+// DieViews shares the macro-die views of standard-cell masters: one
+// clone per master, however many instances (or snapshot rows) ask for
+// it. The zero map is not usable; make one per design.
+type DieViews map[*cell.Cell]*cell.Cell
+
+// MacroDie returns the macro-die view of m (CellForDie), cloning it on
+// the first request only.
+func (v DieViews) MacroDie(m *cell.Cell) *cell.Cell {
+	c, ok := v[m]
+	if !ok {
+		c = CellForDie(m, netlist.MacroDie)
+		v[m] = c
+	}
+	return c
+}
+
 // CellForDie returns a view of a standard-cell master for a given die
 // of an F2F stack: macro-die copies get _MD pin layers. Used by the
 // S2D/C2D baselines after tier partitioning (Macro-3D itself never

@@ -8,8 +8,9 @@
 package cts
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/geom"
@@ -149,7 +150,7 @@ func Build(d *netlist.Design, clk *netlist.Net, src geom.Point, lib *cell.Librar
 	for id := range t.LatencyOf {
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	sum := 0.0
 	for _, id := range ids {
 		sum += t.LatencyOf[id]
@@ -207,11 +208,14 @@ func buildNodeFrom(t *Tree, sinks []Sink, at geom.Point, depth int, pathLatency 
 	bb := boundingBox(sinks)
 	byX := bb.W() >= bb.H()
 	sorted := append([]Sink(nil), sinks...)
-	sort.Slice(sorted, func(i, j int) bool {
+	// By one coordinate — not a total order, and which half a sink lands
+	// in sets its latency. Ties fall where pdqsort leaves them, as they
+	// did under sort.Slice (place.TestSortFuncKeepsSortSliceTies).
+	slices.SortFunc(sorted, func(p, q Sink) int {
 		if byX {
-			return sorted[i].Loc.X < sorted[j].Loc.X
+			return cmp.Compare(p.Loc.X, q.Loc.X)
 		}
-		return sorted[i].Loc.Y < sorted[j].Loc.Y
+		return cmp.Compare(p.Loc.Y, q.Loc.Y)
 	})
 	mid := len(sorted) / 2
 	halves := [][]Sink{sorted[:mid], sorted[mid:]}

@@ -11,8 +11,8 @@
 // the first-touch undo state, and keeps the per-instance net adjacency
 // current. Consumers get three things for free:
 //
-//   - incremental extraction: Txn.Reroute re-builds the RC tree of the
-//     one touched net and patches extract.Design in place;
+//   - incremental extraction: Txn.Reroute re-routes the one touched net
+//     and re-builds its RC tree, rewriting both records where they lie;
 //   - a dirty view (DirtyNets/DirtyInsts/TopoChanged) that seeds the
 //     incremental STA engine's re-propagation frontier;
 //   - O(edit) rollback: Txn.Rollback restores saved masters, locations,
@@ -20,9 +20,13 @@
 //     segments and truncates appended instances and nets, instead of
 //     re-deriving anything from the whole design.
 //
-// Rollback is bit-exact for everything timing reads: routes are undone
-// by the same ±1 usage increments the router applied, and restored RC
-// trees are the very objects the pre-edit extraction produced. Only the
+// Edits rewrite records in place, so what a transaction saves on first
+// touch is a copy, kept in a journal whose buffers the DB reuses from
+// one transaction to the next (txn.go). Rollback is bit-exact for
+// everything timing reads: routes are undone by the same ±1 usage
+// increments the router applied, and a restored route or RC tree is the
+// journal's copy of what the pre-edit routing and extraction produced,
+// written back into the same record. Only the
 // extraction's running capacitance totals may drift in the last float
 // bits (they are maintained by += / -=); no table-visible metric reads
 // them — sign-off re-extracts at the typical corner from scratch.
@@ -72,8 +76,9 @@ type DB struct {
 	inputs  [][]int32
 
 	// State of the open transaction that is reused from one to the
-	// next: the free-space journal and the dirty sets.
+	// next: the journals and the dirty sets.
 	freeUndo              place.Undo
+	undo                  journal
 	dirtyNets, dirtyInsts intSet
 
 	// exScratch is the extraction working state behind Txn.Reroute;
@@ -252,6 +257,7 @@ func sinksOn(n *netlist.Net, inst *netlist.Instance) bool {
 type intSet struct {
 	in  []bool
 	ids []int
+	out []int // sortedBelow's result
 }
 
 func (s *intSet) add(id int) {
@@ -273,15 +279,17 @@ func (s *intSet) reset() {
 	s.ids = s.ids[:0]
 }
 
-// sortedBelow returns the members < limit in ascending order.
+// sortedBelow returns the members < limit in ascending order, in a
+// buffer the set reuses: valid until the next call.
 func (s *intSet) sortedBelow(limit int) []int {
-	out := make([]int, 0, len(s.ids))
+	out := s.out[:0]
 	for _, id := range s.ids {
 		if id < limit {
 			out = append(out, id)
 		}
 	}
 	insertionSort(out)
+	s.out = out
 	return out
 }
 

@@ -2,6 +2,8 @@ package ddb_test
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -90,31 +92,43 @@ func mustRollback(t *testing.T, txn *ddb.Txn) (insts, nets []int) {
 	return i, n
 }
 
+// cloneRecords deep-copies a net's route and RC records: Reroute
+// rewrites them in place, so a test that compares across an edit needs
+// the values, not the pointers.
+func cloneRecords(db *ddb.DB, id int) (route.NetRoute, extract.NetRC) {
+	r, rc := *db.Routes.Routes[id], *db.Ex.Nets[id]
+	r.PinNode, r.Segments = slices.Clone(r.PinNode), slices.Clone(r.Segments)
+	rc.ElmoreTo = slices.Clone(rc.ElmoreTo)
+	return r, rc
+}
+
 func TestRerouteRollbackRestoresRouteAndRC(t *testing.T) {
 	db, n := buildDB(t, 4, 400)
-	oldRoute := db.Routes.Routes[n.ID]
-	oldRC := db.Ex.Nets[n.ID]
+	routeRec, rcRec := db.Routes.Routes[n.ID], db.Ex.Nets[n.ID]
+	oldRoute, oldRC := cloneRecords(db, n.ID)
 	oldWireC := db.Ex.CWireTotal
 
 	txn := db.Begin()
-	// Move a sink, then reroute: both the route and the RC tree change.
+	// Move a sink, then reroute: both the route and the RC tree change,
+	// in the records the tables already hold.
 	txn.SetLoc(n.Sinks[0].Inst, geom.Pt(450, 150))
 	if err := txn.Reroute(n); err != nil {
 		t.Fatal(err)
 	}
-	if db.Routes.Routes[n.ID] == oldRoute {
-		t.Fatal("reroute did not install a new route")
+	if db.Routes.Routes[n.ID] != routeRec || db.Ex.Nets[n.ID] != rcRec {
+		t.Fatal("reroute replaced a record instead of rewriting it")
 	}
-	if db.Ex.Nets[n.ID] == oldRC {
-		t.Fatal("reroute did not patch the extraction")
+	if newRoute, newRC := cloneRecords(db, n.ID); reflect.DeepEqual(newRoute, oldRoute) || reflect.DeepEqual(newRC, oldRC) {
+		t.Fatal("reroute left the route or the extraction as it was")
 	}
 
 	txn.Rollback()
-	if db.Routes.Routes[n.ID] != oldRoute {
-		t.Fatal("route pointer not restored")
+	if db.Routes.Routes[n.ID] != routeRec || db.Ex.Nets[n.ID] != rcRec {
+		t.Fatal("rollback replaced a record")
 	}
-	if db.Ex.Nets[n.ID] != oldRC {
-		t.Fatal("RC pointer not restored — rollback must be bit-exact")
+	// The journal's copies went back bit for bit.
+	if gotRoute, gotRC := cloneRecords(db, n.ID); !reflect.DeepEqual(gotRoute, oldRoute) || !reflect.DeepEqual(gotRC, oldRC) {
+		t.Fatalf("rollback restored\n%+v\n%+v, want\n%+v\n%+v", gotRoute, gotRC, oldRoute, oldRC)
 	}
 	if math.Abs(db.Ex.CWireTotal-oldWireC) > 1e-9 {
 		t.Fatalf("wire-cap total drifted: %v vs %v", db.Ex.CWireTotal, oldWireC)
@@ -215,9 +229,9 @@ func TestCommitKeepsEdits(t *testing.T) {
 	if drv.Master != to {
 		t.Fatal("commit lost the resize")
 	}
-	// A committed extraction patch matches a fresh single-net extract.
-	fresh := extract.One(&extract.Scratch{}, n, db.Routes.Routes[n.ID], db.Grid, db.Corner)
-	if math.Abs(fresh.CTotal()-db.Ex.Nets[n.ID].CTotal()) > 1e-12 {
+	// A committed extraction patch matches a fresh extraction.
+	fresh := extract.Extract(db.Design, db.Routes, db.Grid, db.Corner)
+	if math.Abs(fresh.Nets[n.ID].CTotal()-db.Ex.Nets[n.ID].CTotal()) > 1e-12 {
 		t.Fatal("committed RC differs from fresh extraction")
 	}
 }
@@ -304,5 +318,55 @@ func TestRollbackAllocsIndependentOfDesignSize(t *testing.T) {
 	if large > small {
 		t.Fatalf("a rolled-back transaction allocates %.0f objects at 5000 instances, %.0f at 250: want no growth",
 			large, small)
+	}
+}
+
+// TestTxnRerouteAllocs: at steady state — the journal's buffers, the
+// router's and the extractor's scratch sized by a first round — a
+// transaction that moves a cell and reroutes and re-extracts its nets
+// allocates one object, the Txn: the route and RC records are rewritten
+// where they lie and what they held is copied into the journal, whether
+// the bundle is then committed or rolled back.
+func TestTxnRerouteAllocs(t *testing.T) {
+	db := lanesDB(t, 50)
+	d := db.Design
+	a := d.Instance("a0")
+	nets := []*netlist.Net{d.Net("q0"), d.Net("ya0")}
+	home, away := a.Loc, geom.Pt(a.Loc.X+40, a.Loc.Y+24)
+	round := func(rollback bool) {
+		txn := db.Begin()
+		to := away
+		if a.Loc == away {
+			to = home
+		}
+		txn.SetLoc(a, to)
+		for _, n := range nets {
+			if err := txn.Reroute(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rollback {
+			txn.Rollback()
+		} else {
+			txn.Commit()
+		}
+	}
+	for _, rollback := range []bool{false, true} {
+		round(rollback)
+		round(rollback) // both locations routed once: every span has its final size
+		if allocs := testing.AllocsPerRun(20, func() { round(rollback) }); allocs > 1 {
+			t.Errorf("Reroute ×%d + %s allocates %.0f objects per transaction, want 1 (the Txn)",
+				len(nets), map[bool]string{false: "Commit", true: "Rollback"}[rollback], allocs)
+		}
+	}
+	// The records still describe the design: a fresh extraction of the
+	// final routes agrees with the rewritten one.
+	fresh := extract.Extract(d, db.Routes, db.Grid, db.Corner)
+	for _, n := range nets {
+		_, have := cloneRecords(db, n.ID)
+		want := *fresh.Nets[n.ID]
+		if !reflect.DeepEqual(have, want) {
+			t.Fatalf("net %s: rewritten RC %+v, fresh %+v", n.Name, have, want)
+		}
 	}
 }

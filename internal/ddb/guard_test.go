@@ -18,10 +18,10 @@ import (
 func TestNoDirectExtractionMutation(t *testing.T) {
 	root := moduleRoot(t)
 	banned := []*regexp.Regexp{
-		// Single-net re-extraction followed by a manual patch.
-		regexp.MustCompile(`\bextract\.One\(`),
-		// Direct calls to the extraction's patch method.
-		regexp.MustCompile(`\.Replace\(`),
+		// Direct calls to the extraction's (and the route table's)
+		// in-place rewrite and restore methods.
+		regexp.MustCompile(`\.Reextract\(`),
+		regexp.MustCompile(`\.Restore\(`),
 		// In-place edits of the extraction tables and totals.
 		regexp.MustCompile(`\.Ex\.Nets\[[^\]]+\]\s*=[^=]`),
 		regexp.MustCompile(`\bCWireTotal\s*[-+]?=[^=]`),

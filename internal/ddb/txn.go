@@ -14,7 +14,8 @@ import (
 // go through its methods; each records the touched net/instance ids and
 // saves first-touch undo state, so the bundle can be either committed
 // (undo state dropped) or rolled back in O(edits). One transaction is
-// open on a DB at a time.
+// open on a DB at a time: its undo state is the DB's journal, whose
+// buffers the next transaction reuses.
 type Txn struct {
 	db *DB
 
@@ -23,24 +24,85 @@ type Txn struct {
 	baseInsts int
 	baseNets  int
 
-	// First-touch saves for pre-existing objects.
-	savedSinks  map[int][]netlist.PinRef
-	sinksOrder  []int
-	savedMaster map[*netlist.Instance]*cell.Cell
-	savedLoc    map[*netlist.Instance]geom.Point
-	savedRoute  map[int]*route.NetRoute
-	savedRC     map[int]*extract.NetRC
-	routeOrder  []int
-	// Adjacency undo: first-touch copies of the input rows of
-	// pre-existing instances, and the pre-existing drivers that gained
-	// a net (their rows lose the appended ids again on rollback).
-	savedInputs map[int][]int32
-	newDriven   []netlist.PinRef
-
 	dirtyNets  *intSet // the DB's, emptied at Begin
 	dirtyInsts *intSet
 	topo       bool
 	done       bool
+}
+
+// journal is the undo state of the open transaction: first-touch copies
+// of what the edits then rewrite in place — masters and locations, sink
+// lists, adjacency rows, route and RC records. The copies go into flat
+// buffers that are emptied, not freed, when the transaction ends, the
+// way place.Undo keeps free lists; so a transaction at steady state
+// allocates nothing for its undo.
+type journal struct {
+	insts    []instSave
+	instSeen intSet
+
+	sinks    []sinkSave
+	sinkSeen intSet
+	sinkBuf  []netlist.PinRef
+
+	// Adjacency undo: first-touch copies of the input rows of
+	// pre-existing instances, and the pre-existing drivers that gained
+	// a net (their rows lose the appended ids again on rollback).
+	inputs    []rowSave
+	inputSeen intSet
+	inputBuf  []int32
+	newDriven []netlist.PinRef
+
+	nets    []netSave
+	netSeen intSet
+	nodeBuf []route.Node
+	segBuf  []route.Seg
+	elmBuf  []float64
+}
+
+type instSave struct {
+	inst   *netlist.Instance
+	master *cell.Cell
+	loc    geom.Point
+}
+
+// sinkSave is a net's sink list before its first edit: the slice the
+// net held — edits shuffle its backing array in place or leave it for
+// another, so it is still the net's to take back — and a copy of its
+// contents, sinkBuf[end of the previous save:end].
+type sinkSave struct {
+	net  *netlist.Net
+	held []netlist.PinRef
+	end  int
+}
+
+type rowSave struct {
+	inst int
+	end  int // inputBuf[end of the previous save:end] is the row
+}
+
+// netSave is a net's route and RC records before their first edit: the
+// records the tables held (nil: none) and copies of their contents,
+// with the pin nodes, segments and Elmore delays in the journal's
+// buffers up to the given ends.
+type netSave struct {
+	id       int
+	route    *route.NetRoute
+	rc       *extract.NetRC
+	routeWas route.NetRoute
+	rcWas    extract.NetRC
+	nodeEnd  int
+	segEnd   int
+	elmEnd   int
+}
+
+func (j *journal) reset() {
+	j.insts, j.sinks, j.inputs, j.nets = j.insts[:0], j.sinks[:0], j.inputs[:0], j.nets[:0]
+	j.sinkBuf, j.inputBuf, j.newDriven = j.sinkBuf[:0], j.inputBuf[:0], j.newDriven[:0]
+	j.nodeBuf, j.segBuf, j.elmBuf = j.nodeBuf[:0], j.segBuf[:0], j.elmBuf[:0]
+	j.instSeen.reset()
+	j.sinkSeen.reset()
+	j.inputSeen.reset()
+	j.netSeen.reset()
 }
 
 // Begin opens a transaction over the current state. Free-space edits of
@@ -48,27 +110,24 @@ type Txn struct {
 // its design edits do.
 func (db *DB) Begin() *Txn {
 	db.freeUndo.Commit()
+	db.undo.reset()
 	db.dirtyNets.reset()
 	db.dirtyInsts.reset()
 	nInst, nNets := db.Design.Counts()
 	return &Txn{
-		db:          db,
-		dirtyNets:   &db.dirtyNets,
-		dirtyInsts:  &db.dirtyInsts,
-		baseInsts:   nInst,
-		baseNets:    nNets,
-		savedSinks:  map[int][]netlist.PinRef{},
-		savedMaster: map[*netlist.Instance]*cell.Cell{},
-		savedLoc:    map[*netlist.Instance]geom.Point{},
-		savedRoute:  map[int]*route.NetRoute{},
-		savedRC:     map[int]*extract.NetRC{},
-		savedInputs: map[int][]int32{},
+		db:         db,
+		dirtyNets:  &db.dirtyNets,
+		dirtyInsts: &db.dirtyInsts,
+		baseInsts:  nInst,
+		baseNets:   nNets,
 	}
 }
 
 // DirtyNets returns the touched net ids in ascending order. Valid while
 // the transaction is open — the incremental STA engine consumes it
-// before the accept/reject decision.
+// before the accept/reject decision — and, like every dirty view
+// (DirtyInsts, Rollback's results), only until the next one of the same
+// kind is asked for: the views share a buffer per kind.
 func (t *Txn) DirtyNets() []int { return t.dirtyNets.sortedBelow(int(^uint(0) >> 1)) }
 
 // DirtyInsts returns the touched instance ids in ascending order.
@@ -100,21 +159,25 @@ func (t *Txn) SetMaster(inst *netlist.Instance, to *cell.Cell) {
 }
 
 func (t *Txn) noteMaster(inst *netlist.Instance, old *cell.Cell) {
-	if inst.ID < t.baseInsts {
-		if _, ok := t.savedMaster[inst]; !ok {
-			t.savedMaster[inst] = old
-		}
-	}
+	t.saveInst(inst, old)
 	t.dirtyInsts.add(inst.ID)
+}
+
+// saveInst journals a pre-existing instance's master (as it was before
+// the edit under way) and location on the first edit of either; both
+// are still what they were at Begin then.
+func (t *Txn) saveInst(inst *netlist.Instance, master *cell.Cell) {
+	j := &t.db.undo
+	if inst.ID >= t.baseInsts || j.instSeen.has(inst.ID) {
+		return
+	}
+	j.instSeen.add(inst.ID)
+	j.insts = append(j.insts, instSave{inst, master, inst.Loc})
 }
 
 // SetLoc moves an instance (ECO placement).
 func (t *Txn) SetLoc(inst *netlist.Instance, p geom.Point) {
-	if inst.ID < t.baseInsts {
-		if _, ok := t.savedLoc[inst]; !ok {
-			t.savedLoc[inst] = inst.Loc
-		}
-	}
+	t.saveInst(inst, inst.Master)
 	inst.Loc = p
 	t.dirtyInsts.add(inst.ID)
 }
@@ -171,7 +234,7 @@ func (t *Txn) AddNet(name string, driver netlist.PinRef, sinks ...netlist.PinRef
 	if row := t.db.drivenRow(driver); row != nil {
 		*row = append(*row, int32(n.ID))
 		if driver.Inst == nil || driver.Inst.ID < t.baseInsts {
-			t.newDriven = append(t.newDriven, driver)
+			t.db.undo.newDriven = append(t.db.undo.newDriven, driver)
 		}
 	}
 	if !n.Clock {
@@ -205,23 +268,23 @@ func (t *Txn) removeInput(inst *netlist.Instance, n *netlist.Net) {
 }
 
 func (t *Txn) saveInputs(instID int) {
-	if instID >= t.baseInsts {
+	j := &t.db.undo
+	if instID >= t.baseInsts || j.inputSeen.has(instID) {
 		return
 	}
-	if _, ok := t.savedInputs[instID]; !ok {
-		t.savedInputs[instID] = append([]int32(nil), t.db.inputs[instID]...)
-	}
+	j.inputSeen.add(instID)
+	j.inputBuf = append(j.inputBuf, t.db.inputs[instID]...)
+	j.inputs = append(j.inputs, rowSave{instID, len(j.inputBuf)})
 }
 
 func (t *Txn) saveSinks(n *netlist.Net) {
-	if n.ID >= t.baseNets {
+	j := &t.db.undo
+	if n.ID >= t.baseNets || j.sinkSeen.has(n.ID) {
 		return
 	}
-	if _, ok := t.savedSinks[n.ID]; ok {
-		return
-	}
-	t.savedSinks[n.ID] = append([]netlist.PinRef(nil), n.Sinks...)
-	t.sinksOrder = append(t.sinksOrder, n.ID)
+	j.sinkSeen.add(n.ID)
+	j.sinkBuf = append(j.sinkBuf, n.Sinks...)
+	j.sinks = append(j.sinks, sinkSave{n, n.Sinks, len(j.sinkBuf)})
 }
 
 // RemoveSinkAt detaches and returns the sink at index si of net n.
@@ -270,28 +333,36 @@ func (t *Txn) ReplaceSinks(n *netlist.Net, sinks []netlist.PinRef) {
 	t.topo = true
 }
 
+// saveRouteRC journals a pre-existing net's route and RC records before
+// their first edit.
 func (t *Txn) saveRouteRC(id int) {
-	if id >= t.baseNets {
+	j := &t.db.undo
+	if id >= t.baseNets || j.netSeen.has(id) {
 		return
 	}
-	if _, ok := t.savedRoute[id]; ok {
-		return
-	}
-	var old *route.NetRoute
+	j.netSeen.add(id)
+	sv := netSave{id: id}
 	if id < len(t.db.Routes.Routes) {
-		old = t.db.Routes.Routes[id]
+		if r := t.db.Routes.Routes[id]; r != nil {
+			sv.route, sv.routeWas = r, *r
+			j.nodeBuf = append(j.nodeBuf, r.PinNode...)
+			j.segBuf = append(j.segBuf, r.Segments...)
+		}
 	}
-	var oldRC *extract.NetRC
 	if id < len(t.db.Ex.Nets) {
-		oldRC = t.db.Ex.Nets[id]
+		if rc := t.db.Ex.Nets[id]; rc != nil {
+			sv.rc, sv.rcWas = rc, *rc
+			j.elmBuf = append(j.elmBuf, rc.ElmoreTo...)
+		}
 	}
-	t.savedRoute[id] = old
-	t.savedRC[id] = oldRC
-	t.routeOrder = append(t.routeOrder, id)
+	sv.nodeEnd, sv.segEnd, sv.elmEnd = len(j.nodeBuf), len(j.segBuf), len(j.elmBuf)
+	j.nets = append(j.nets, sv)
 }
 
 // Reroute re-routes net n (releasing any existing route's usage first)
-// and patches its RC tree in place — the incremental extraction step.
+// and re-extracts it, rewriting the net's route and RC records where
+// they lie — the incremental extraction step. What the records held is
+// in the journal by then.
 func (t *Txn) Reroute(n *netlist.Net) error {
 	t.saveRouteRC(n.ID)
 	if n.ID < len(t.db.Routes.Routes) {
@@ -299,12 +370,11 @@ func (t *Txn) Reroute(n *netlist.Net) error {
 			t.db.Grid.ReleaseNet(old)
 		}
 	}
-	r, err := t.db.Grid.RouteNet(n)
+	r, err := t.db.Grid.RouteNet(t.db.Routes, n)
 	if err != nil {
 		return err
 	}
-	t.db.Routes.SetRoute(n.ID, r)
-	t.db.Ex.Replace(n.ID, extract.One(&t.db.exScratch, n, r, t.db.Grid, t.db.Corner))
+	t.db.Ex.Reextract(&t.db.exScratch, n, r, t.db.Grid, t.db.Corner)
 	t.dirtyNets.add(n.ID)
 	t.db.Obs.Reg().Counter("ddb_incremental_reroutes_total",
 		"Per-net incremental reroute+re-extract operations (Txn.Reroute).").Inc()
@@ -337,28 +407,27 @@ func (t *Txn) Commit() {
 	}
 }
 
-// dropUndo closes the transaction and releases its undo state.
+// dropUndo closes the transaction and empties the journal.
 func (t *Txn) dropUndo() {
 	t.done = true
-	t.savedSinks, t.savedMaster, t.savedLoc = nil, nil, nil
-	t.savedRoute, t.savedRC = nil, nil
-	t.savedInputs, t.newDriven = nil, nil
+	t.db.undo.reset()
 }
 
 // Rollback undoes every edit of the bundle in O(edits): restores saved
 // routes (by the same ±1 usage increments the router applied), RC
 // trees, sink lists, masters, locations, adjacency rows and free-space
-// segments, and truncates appended instances and nets — rows included:
-// the outer adjacency slices keep their capacity, so the next
-// AddInstance appends without copying. It returns the surviving dirty
-// view — the ids that existed before the transaction and were touched
-// by it — which the caller feeds to the STA engine so its incremental
-// state re-converges onto the restored design.
+// segments from their journal copies, and truncates appended instances
+// and nets — rows included: the outer adjacency slices keep their
+// capacity, so the next AddInstance appends without copying. It returns
+// the surviving dirty view — the ids that existed before the transaction
+// and were touched by it — which the caller feeds to the STA engine so
+// its incremental state re-converges onto the restored design.
 func (t *Txn) Rollback() (nets, insts []int, topo bool) {
-	db := t.db
+	db, j := t.db, &t.db.undo
 	d := db.Design
 
 	// Appended nets: release their routes and drop their extraction.
+	// Their records stay behind in the ECO slabs.
 	for id := t.baseNets; id < len(d.Nets); id++ {
 		if id < len(db.Routes.Routes) {
 			if r := db.Routes.Routes[id]; r != nil {
@@ -366,39 +435,41 @@ func (t *Txn) Rollback() (nets, insts []int, topo bool) {
 			}
 		}
 		if id < len(db.Ex.Nets) {
-			db.Ex.Replace(id, nil)
+			db.Ex.Restore(id, nil, extract.NetRC{})
 		}
 	}
-	// Rerouted pre-existing nets: release the current route, restore
-	// the saved one and its RC tree.
-	for _, id := range t.routeOrder {
-		var cur *route.NetRoute
-		if id < len(db.Routes.Routes) {
-			cur = db.Routes.Routes[id]
-		}
-		old := t.savedRoute[id]
-		if cur != old {
-			if cur != nil {
+	// Journaled pre-existing nets: release the current route, write the
+	// saved route and RC tree back into their records, commit the route.
+	nodeLo, segLo, elmLo := 0, 0, 0
+	for i := range j.nets {
+		sv := &j.nets[i]
+		if sv.id < len(db.Routes.Routes) {
+			if cur := db.Routes.Routes[sv.id]; cur != nil {
 				db.Grid.ReleaseNet(cur)
 			}
-			if old != nil {
-				db.Grid.CommitRoute(old)
+			was := sv.routeWas
+			was.PinNode, was.Segments = j.nodeBuf[nodeLo:sv.nodeEnd], j.segBuf[segLo:sv.segEnd]
+			db.Routes.Restore(sv.id, sv.route, was)
+			if sv.route != nil {
+				db.Grid.CommitRoute(sv.route)
 			}
-			db.Routes.SetRoute(id, old)
 		}
-		if id < len(db.Ex.Nets) && db.Ex.Nets[id] != t.savedRC[id] {
-			db.Ex.Replace(id, t.savedRC[id])
+		if sv.id < len(db.Ex.Nets) {
+			was := sv.rcWas
+			was.ElmoreTo = j.elmBuf[elmLo:sv.elmEnd]
+			db.Ex.Restore(sv.id, sv.rc, was)
 		}
+		nodeLo, segLo, elmLo = sv.nodeEnd, sv.segEnd, sv.elmEnd
 	}
 	// Connectivity and placement.
-	for _, id := range t.sinksOrder {
-		d.Nets[id].Sinks = t.savedSinks[id]
+	lo := 0
+	for _, sv := range j.sinks {
+		sv.net.Sinks = sv.held
+		copy(sv.net.Sinks, j.sinkBuf[lo:sv.end])
+		lo = sv.end
 	}
-	for inst, m := range t.savedMaster {
-		inst.Master = m
-	}
-	for inst, p := range t.savedLoc {
-		inst.Loc = p
+	for _, sv := range j.insts {
+		sv.inst.Master, sv.inst.Loc = sv.master, sv.loc
 	}
 	// Truncate the appended tail everywhere.
 	if len(db.Routes.Routes) > t.baseNets {
@@ -410,14 +481,16 @@ func (t *Txn) Rollback() (nets, insts []int, topo bool) {
 	d.TruncateTo(t.baseInsts, t.baseNets)
 	// Adjacency: appended net ids are the tail of a surviving driver's
 	// row; input rows go back to their first-touch copies.
-	for _, drv := range t.newDriven {
+	for _, drv := range j.newDriven {
 		row := db.drivenRow(drv)
 		for n := len(*row); n > 0 && int((*row)[n-1]) >= t.baseNets; n-- {
 			*row = (*row)[:n-1]
 		}
 	}
-	for id, row := range t.savedInputs {
-		db.inputs[id] = append(db.inputs[id][:0], row...)
+	lo = 0
+	for _, sv := range j.inputs {
+		db.inputs[sv.inst] = append(db.inputs[sv.inst][:0], j.inputBuf[lo:sv.end]...)
+		lo = sv.end
 	}
 	db.drivenI = db.drivenI[:t.baseInsts]
 	db.inputs = db.inputs[:t.baseInsts]

@@ -16,6 +16,7 @@ import (
 
 	"macro3d/internal/netlist"
 	"macro3d/internal/route"
+	"macro3d/internal/slab"
 	"macro3d/internal/tech"
 )
 
@@ -41,6 +42,12 @@ type Design struct {
 
 	CWireTotal float64 // fF
 	CPinTotal  float64 // fF
+
+	// What Reextract cannot rewrite in place comes from these: the
+	// record of a net that had none, an Elmore vector longer than the
+	// one the net has (which is then abandoned).
+	ecoRecs   slab.Slab[NetRC]
+	ecoElmore slab.Slab[float64]
 }
 
 // Extract builds RC trees for every routed net at the given corner.
@@ -52,7 +59,7 @@ type Design struct {
 // The full pass owns its records: each worker carves the NetRCs and
 // Elmore vectors of its net-ID chunk from one []NetRC and one []float64
 // sized by a count over the chunk, instead of two heap objects per net.
-// Entries replaced later (One, Replace) are ordinary heap objects.
+// Reextract later rewrites those records where they lie.
 func Extract(d *netlist.Design, res *route.Result, db *route.DB, corner tech.CornerScale) *Design {
 	out := &Design{Nets: make([]*NetRC, len(d.Nets))}
 	if workers := runtime.GOMAXPROCS(0); workers > 1 && len(d.Nets) >= 256 {
@@ -108,33 +115,48 @@ func (out *Design) extractChunk(nets []*netlist.Net, res *route.Result, db *rout
 	}
 }
 
-// One re-extracts a single net (after sizing changed its pin caps or a
-// reroute changed its segments) and returns the fresh RC view, working
-// in the caller's scratch. The view is two heap objects of its own —
-// it replaces a record that must become collectable. The caller is
-// responsible for replacing the entry in Design.Nets and adjusting the
-// design totals.
-func One(s *Scratch, n *netlist.Net, r *route.NetRoute, db *route.DB, corner tech.CornerScale) *NetRC {
-	rc := &NetRC{Net: n, ElmoreTo: make([]float64, len(n.Sinks))}
+// Reextract re-extracts net n from route r (after sizing changed its pin
+// caps or a reroute changed its segments), working in the caller's
+// scratch, and keeps the totals current. The net's record is rewritten
+// where it lies — a caller that may undo the edit copies it first
+// (ddb.Txn.Reroute) — with its Elmore vector when that has room for the
+// net's sinks; a net without a record gets one from the design's ECO
+// slab. At steady state it allocates nothing.
+func (d *Design) Reextract(s *Scratch, n *netlist.Net, r *route.NetRoute, db *route.DB, corner tech.CornerScale) *NetRC {
+	for n.ID >= len(d.Nets) {
+		d.Nets = append(d.Nets, nil)
+	}
+	rc := d.Nets[n.ID]
+	if rc == nil {
+		rc = d.ecoRecs.Alloc()
+		d.Nets[n.ID] = rc
+	}
+	d.CWireTotal -= rc.WireC
+	d.CPinTotal -= rc.PinC
+	*rc = NetRC{Net: n, ElmoreTo: d.ecoElmore.Fit(rc.ElmoreTo, len(n.Sinks))}
 	s.extractNet(rc, r, db, corner)
+	d.CWireTotal += rc.WireC
+	d.CPinTotal += rc.PinC
 	return rc
 }
 
-// Replace swaps the RC entry for a net and maintains the totals. Pass
-// nil rc to remove.
-func (d *Design) Replace(netID int, rc *NetRC) {
-	for netID >= len(d.Nets) {
-		d.Nets = append(d.Nets, nil)
-	}
+// Restore makes rc net netID's entry again with the contents of was — a
+// copy taken before Reextract rewrote the record, whose Elmore vector
+// fits rc's because a vector is only ever replaced by a longer one — and
+// maintains the totals. A nil rc removes the entry.
+func (d *Design) Restore(netID int, rc *NetRC, was NetRC) {
 	if old := d.Nets[netID]; old != nil {
 		d.CWireTotal -= old.WireC
 		d.CPinTotal -= old.PinC
 	}
-	d.Nets[netID] = rc
 	if rc != nil {
+		elmore := append(rc.ElmoreTo[:0], was.ElmoreTo...)
+		*rc = was
+		rc.ElmoreTo = elmore
 		d.CWireTotal += rc.WireC
 		d.CPinTotal += rc.PinC
 	}
+	d.Nets[netID] = rc
 }
 
 // CheckFinite scans the extraction for NaN/Inf parasitics — the
@@ -177,7 +199,7 @@ func (d *Design) CheckFinite() error {
 // table, and the RC graph, BFS tree, downstream capacitance and Elmore
 // delay as flat arrays over those numbers. The zero value is ready to
 // use; arrays only grow, so a warmed scratch extracts a net allocating
-// nothing but the returned NetRC. One scratch serves one goroutine:
+// nothing. One scratch serves one goroutine:
 // Extract keeps one per worker, ddb.DB owns the one behind Txn.Reroute.
 type Scratch struct {
 	tab  []nodeSlot // open-addressed route.Node → local id

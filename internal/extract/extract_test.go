@@ -2,6 +2,7 @@ package extract
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"macro3d/internal/cell"
@@ -214,19 +215,29 @@ func TestExtractDeterministic(t *testing.T) {
 	}
 }
 
-func TestReplaceMaintainsTotals(t *testing.T) {
+func TestReextractMaintainsTotals(t *testing.T) {
 	d, db, res := setup(t, 300, 100)
 	ex := Extract(d, res, db, typical())
 	w0, p0 := ex.CWireTotal, ex.CPinTotal
-	rc := ex.Nets[0]
-	// Re-extract the same net and replace: totals unchanged.
-	ex.Replace(0, One(&Scratch{}, d.Nets[0], res.Routes[0], db, typical()))
+	rc, was := ex.Nets[0], *ex.Nets[0]
+	was.ElmoreTo = slices.Clone(was.ElmoreTo)
+	// Re-extract the same net: same record, totals unchanged.
+	if got := ex.Reextract(&Scratch{}, d.Nets[0], res.Routes[0], db, typical()); got != rc {
+		t.Fatal("Reextract did not rewrite the net's record")
+	}
 	if ex.CWireTotal != w0 || ex.CPinTotal != p0 {
 		t.Fatalf("totals drifted: %v/%v vs %v/%v", ex.CWireTotal, ex.CPinTotal, w0, p0)
 	}
 	// Remove: totals drop by the net's contribution.
-	ex.Replace(0, nil)
-	if ex.CWireTotal != w0-rc.WireC || ex.CPinTotal != p0-rc.PinC {
+	ex.Restore(0, nil, NetRC{})
+	if ex.Nets[0] != nil || ex.CWireTotal != w0-was.WireC || ex.CPinTotal != p0-was.PinC {
 		t.Fatal("removal accounting wrong")
+	}
+	// Restore a copy into the record: contents and totals come back.
+	clear(rc.ElmoreTo)
+	rc.WireC, rc.PinC = -1, -1
+	ex.Restore(0, rc, was)
+	if ex.Nets[0] != rc || !equalRC(rc, &was) || ex.CWireTotal != w0 || ex.CPinTotal != p0 {
+		t.Fatalf("restore: record %+v, want %+v; totals %v/%v vs %v/%v", *rc, was, ex.CWireTotal, ex.CPinTotal, w0, p0)
 	}
 }

@@ -107,11 +107,9 @@ func VerifyTileArray(cfg Config, st *State, t *tech.Tech, nx, ny int) (*ArrayRep
 		}
 	}
 	for _, n := range stitched {
-		r, err := db.RouteNet(n)
-		if err != nil {
+		if _, err := db.RouteNet(res, n); err != nil {
 			return nil, fmt.Errorf("array stitch route %s: %w", n.Name, err)
 		}
-		res.SetRoute(n.ID, r)
 	}
 	res.Recount(db)
 

@@ -14,6 +14,7 @@ import (
 	"macro3d/internal/netlist"
 	"macro3d/internal/opt"
 	"macro3d/internal/piton"
+	"macro3d/internal/place"
 	"macro3d/internal/tech"
 )
 
@@ -486,5 +487,70 @@ func TestPseudoFlowsHonourF2FOverride(t *testing.T) {
 	}
 	if got := st.Beol.Vias[st.Beol.F2FViaIndex()].Pitch; got != 2 {
 		t.Errorf("combined BEOL's F2F via has pitch %v µm, override says 2", got)
+	}
+}
+
+// TestC2DFreeSpaceSeesBothDies is the diagnosis ROADMAP item 2 asked for
+// before a per-die fix: C2D is the one pseudo-3D flow that optimises
+// after partition, and place.NewFreeSpace — the map its optimizer
+// claims ECO space from — has no die dimension. On the post-partition
+// C2D/small design, as opt.Optimize receives it, the standard cells of
+// both dies go into one row map: cells that legally share (x, y) on
+// different dies are refused by occupy (the span is not inside one free
+// interval any more), so the part of the second cell the first does not
+// cover stays marked free, and the next Alloc may hand it to a buffer.
+// A single-die map of the same design refuses nothing.
+func TestC2DFreeSpaceSeesBothDies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full flow in -short mode")
+	}
+	tc, err := tech.New28(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallCfg()
+	seen := false
+	cfg.AfterStage = func(_, stage string, st *State) {
+		if stage != StageExtract {
+			return
+		}
+		seen = true
+		d := st.Design
+		both := place.NewFreeSpace(d, st.FP, tc.RowHeight).Refused()
+		perDie := [2]int{}
+		cells := [2]int{}
+		for die := range perDie {
+			// The same map with the other die's cells left out.
+			var hidden []*netlist.Instance
+			for _, c := range d.StdCells() {
+				if c.Placed && int(c.Die) != die {
+					c.Placed = false
+					hidden = append(hidden, c)
+				} else if c.Placed {
+					cells[die]++
+				}
+			}
+			perDie[die] = place.NewFreeSpace(d, st.FP, tc.RowHeight).Refused()
+			for _, c := range hidden {
+				c.Placed = true
+			}
+		}
+		t.Logf("C2D/small before opt: %d logic-die and %d macro-die standard cells; one map of both refuses %d cells, the logic die's alone %d, the macro die's alone %d",
+			cells[0], cells[1], both, perDie[0], perDie[1])
+		if cells[1] == 0 {
+			t.Fatal("the partition left no standard cell on the macro die: nothing to diagnose")
+		}
+		if both == 0 {
+			t.Error("one map of both dies refused no cell: the two-die lead of ROADMAP item 2 is refuted")
+		}
+		if perDie[0] != 0 || perDie[1] != 0 {
+			t.Errorf("a single die's cells overlap among themselves: %d and %d refused", perDie[0], perDie[1])
+		}
+	}
+	if _, _, err := RunC2D(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !seen {
+		t.Fatal("the extract stage never ran")
 	}
 }

@@ -254,10 +254,11 @@ func (r *runner) verifyHit(cp checkpoint, key stash.Key, payload []byte, body fu
 
 // resolveMaster maps a snapshotted master name back to a library cell.
 // cur short-circuits the common unchanged case; names with the
-// macro-die suffix resolve through CellForDie so post-partition designs
-// (whose per-die clones are not library members) round-trip. mdCache
-// shares one clone per name within a single load.
-func resolveMaster(d *netlist.Design, cur *cell.Cell, name string, mdCache map[string]*cell.Cell) (*cell.Cell, error) {
+// macro-die suffix resolve to the library master's macro-die view so
+// post-partition designs (whose per-die clones are not library members)
+// round-trip. views shares one clone per master within a single load,
+// as the prepare stage does when it makes them.
+func resolveMaster(d *netlist.Design, cur *cell.Cell, name string, views core.DieViews) (*cell.Cell, error) {
 	if cur != nil && cur.Name == name {
 		return cur, nil
 	}
@@ -265,13 +266,8 @@ func resolveMaster(d *netlist.Design, cur *cell.Cell, name string, mdCache map[s
 		return m, nil
 	}
 	if base, ok := strings.CutSuffix(name, tech.MDSuffix); ok {
-		if c, ok := mdCache[name]; ok {
-			return c, nil
-		}
 		if m := d.Lib.Cell(base); m != nil {
-			c := core.CellForDie(m, netlist.MacroDie)
-			mdCache[name] = c
-			return c, nil
+			return views.MacroDie(m), nil
 		}
 	}
 	return nil, fmt.Errorf("snapshot references unknown master %q", name)
@@ -457,9 +453,9 @@ func placementCheckpoint(name string, material []byte, d *netlist.Design) checkp
 			if err := dec.Done(); err != nil {
 				return err
 			}
-			mdCache := map[string]*cell.Cell{}
+			views := core.DieViews{}
 			for i := range states {
-				m, err := resolveMaster(d, d.Instances[i].Master, states[i].master, mdCache)
+				m, err := resolveMaster(d, d.Instances[i].Master, states[i].master, views)
 				if err != nil {
 					return err
 				}
@@ -505,7 +501,7 @@ func pseudoCheckpoint(material []byte, d *netlist.Design) checkpoint {
 				p    bool
 			}
 			states := make([]cw, 0, len(cells))
-			mdCache := map[string]*cell.Cell{}
+			views := core.DieViews{}
 			for i := 0; i < n && dec.Err() == nil; i++ {
 				name := dec.Sym()
 				x, y := dec.F64(), dec.F64()
@@ -513,7 +509,7 @@ func pseudoCheckpoint(material []byte, d *netlist.Design) checkpoint {
 				if dec.Err() != nil {
 					break
 				}
-				m, err := resolveMaster(d, cells[i].Master, name, mdCache)
+				m, err := resolveMaster(d, cells[i].Master, name, views)
 				if err != nil {
 					return err
 				}

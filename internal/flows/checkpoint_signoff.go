@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"macro3d/internal/cell"
+	"macro3d/internal/core"
 	"macro3d/internal/ddb"
 	"macro3d/internal/extract"
 	"macro3d/internal/netlist"
@@ -339,7 +340,7 @@ func signoffCheckpoint(r *runner, st *State, t *tech.Tech, material []byte, resi
 				return err
 			}
 
-			mdCache := map[string]*cell.Cell{}
+			views := core.DieViews{}
 			for i := range insts {
 				var cur *cell.Cell
 				if i < preInst {
@@ -352,7 +353,7 @@ func signoffCheckpoint(r *runner, st *State, t *tech.Tech, material []byte, resi
 						return fmt.Errorf("signoff snapshot appends an unnamed instance")
 					}
 				}
-				m, err := resolveMaster(d, cur, insts[i].master, mdCache)
+				m, err := resolveMaster(d, cur, insts[i].master, views)
 				if err != nil {
 					return err
 				}

@@ -122,8 +122,8 @@ type Config struct {
 	Trace *trace.Tracer
 
 	// Workers sets the worker count of the data-parallel engine phases
-	// (the CLI's -j flag) — the placer's descent passes and row building,
-	// the router's net prep and overflow scan, extraction: 0 (default) uses
+	// (the CLI's -j flag) — the placer's descent passes, the
+	// router's net prep and overflow scan, extraction: 0 (default) uses
 	// every CPU (GOMAXPROCS), 1 runs everything on one goroutine, n > 1
 	// uses n workers. The routing pass and the legalization sweep are
 	// ordered and run on one goroutine regardless. Results are

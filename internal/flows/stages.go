@@ -181,10 +181,13 @@ func (f *flow) stagesPseudo3D() []stage {
 			if err := f.prepare(); err != nil {
 				return err
 			}
-			// Cells the partition moved to the macro die take its pin layers.
+			// Cells the partition moved to the macro die take its pin
+			// layers: one view per master, shared by its instances, as a
+			// checkpoint restores them (resolveMaster).
+			views := core.DieViews{}
 			for _, c := range real.Design.StdCells() {
 				if c.Die == netlist.MacroDie {
-					c.Master = core.CellForDie(c.Master, netlist.MacroDie)
+					c.Master = views.MacroDie(c.Master)
 				}
 			}
 			return nil

@@ -21,10 +21,12 @@
 package opt
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"os"
-	"sort"
+	"slices"
+	"strconv"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/cts"
@@ -68,6 +70,21 @@ type Context struct {
 	Obs *obs.Span
 
 	txn *ddb.Txn
+
+	// clusterSinks and name scratch, reused from one edit to the next.
+	pts     []geom.Point
+	groups  [][]netlist.PinRef
+	nameBuf []byte
+}
+
+// name formats prefix_a_b, the name of an inserted buffer or net, in the
+// context's scratch: one allocation, the string.
+func (ctx *Context) name(prefix string, a, b int) string {
+	buf := append(append(ctx.nameBuf[:0], prefix...), '_')
+	buf = append(strconv.AppendInt(buf, int64(a), 10), '_')
+	buf = strconv.AppendInt(buf, int64(b), 10)
+	ctx.nameBuf = buf
+	return string(buf)
 }
 
 // Options tunes the loop.
@@ -93,9 +110,10 @@ type Options struct {
 	Frozen bool
 	// SelfCheck verifies after every analysis that the incrementally
 	// maintained extraction and timing match a from-scratch
-	// extract.Extract + sta.Analyze, and after every commit and rollback
-	// that the journaled free space and adjacency match a from-scratch
-	// build (testing aid; slow).
+	// extract.Extract + sta.Analyze and the engine's patched topology
+	// tables a fresh engine's, and after every commit and rollback that
+	// the journaled free space and adjacency match a from-scratch build
+	// (testing aid; slow).
 	SelfCheck bool
 }
 
@@ -311,6 +329,9 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 			if err := selfCheck(ctx, staOpt, period, next); err != nil {
 				return nil, err
 			}
+			if err := eng.CheckTopo(); err != nil {
+				return nil, fmt.Errorf("opt: selfcheck: %w", err)
+			}
 		}
 		// Accept the iteration when the worst path improved or, on a
 		// multi-path plateau, when the aggregate of the near-critical
@@ -505,9 +526,7 @@ func fixPath(ctx *Context, res *Result, steps []sta.PathStep, opt Options, bufSe
 					res.Resized++
 					resizedNow.add(inst.ID)
 					moves++
-					for _, id := range netsOf(ctx, inst) {
-						touched.add(id)
-					}
+					touchNetsOf(ctx, inst, touched)
 				}
 			}
 		}
@@ -586,19 +605,18 @@ func sizeForLoad(ctx *Context, inst *netlist.Instance) *cell.Cell {
 	return nil
 }
 
-// netsOf lists the ids of the non-clock nets touching an instance,
-// from the ddb adjacency (driven nets first, then input nets).
-func netsOf(ctx *Context, inst *netlist.Instance) []int {
-	var out []int
+// touchNetsOf adds the ids of the non-clock nets touching an instance
+// to the set, from the ddb adjacency (driven nets first, then input
+// nets).
+func touchNetsOf(ctx *Context, inst *netlist.Instance, touched *intSet) {
 	for _, id := range ctx.DDB.Driven(inst) {
 		if !ctx.Design.Nets[id].Clock {
-			out = append(out, int(id))
+			touched.add(int(id))
 		}
 	}
 	for _, id := range ctx.DDB.InputNets(inst) {
-		out = append(out, int(id))
+		touched.add(int(id))
 	}
-	return out
 }
 
 // arcNet finds the net and sink index connecting step i to step i+1 of
@@ -656,12 +674,12 @@ func insertBufferChain(ctx *Context, n *netlist.Net, si int, opt Options, seq *i
 		*seq++
 		frac := float64(j+1) / float64(k+1)
 		loc := a.Add(b.Sub(a).Scale(frac))
-		inst := ctx.txn.AddInstance(fmt.Sprintf("optbuf_%d_%d", len(d.Instances), *seq), buf)
+		inst := ctx.txn.AddInstance(ctx.name("optbuf", len(d.Instances), *seq), buf)
 		inst.Loc = ecoPlace(ctx, loc, buf)
 		inst.Placed = true
 		// Attach the buffer input to the previous stage.
 		ctx.txn.AppendSink(prevNet, netlist.IPin(inst, "A"))
-		prevNet = ctx.txn.AddNet(fmt.Sprintf("optnet_%d_%d", len(d.Nets), *seq), netlist.IPin(inst, "Y"))
+		prevNet = ctx.txn.AddNet(ctx.name("optnet", len(d.Nets), *seq), netlist.IPin(inst, "Y"))
 	}
 	// Final stage drives the original sink.
 	ctx.txn.AppendSink(prevNet, sink)
@@ -706,10 +724,12 @@ func insertFanoutBuffer(ctx *Context, n *netlist.Net, opt Options, seq *int) err
 	if k > len(n.Sinks) {
 		k = len(n.Sinks)
 	}
-	clusters := clusterSinks(n.Sinks, k)
+	clusters := ctx.clusterSinks(n.Sinks, k)
 
-	var newNets []*netlist.Net
-	var drvSinks []netlist.PinRef
+	// The driver's new sink list is the net's to keep; the new nets are
+	// the design's tail from here on.
+	drvSinks := make([]netlist.PinRef, 0, len(clusters))
+	firstNew := len(d.Nets)
 	drv := n.Driver.Loc()
 	for _, cl := range clusters {
 		if len(cl) == 0 {
@@ -740,19 +760,19 @@ func insertFanoutBuffer(ctx *Context, n *netlist.Net, opt Options, seq *int) err
 		} else {
 			loc = drv
 		}
-		inst := ctx.txn.AddInstance(fmt.Sprintf("optfbuf_%d_%d", len(d.Instances), *seq), buf)
+		inst := ctx.txn.AddInstance(ctx.name("optfbuf", len(d.Instances), *seq), buf)
 		inst.Loc = ecoPlace(ctx, geom.Pt(loc.X-buf.Width/2, loc.Y-buf.Height/2), buf)
 		inst.Placed = true
 		drvSinks = append(drvSinks, netlist.IPin(inst, "A"))
-		newNets = append(newNets, ctx.txn.AddNet(fmt.Sprintf("optfnet_%d_%d", len(d.Nets), *seq), netlist.IPin(inst, "Y"), cl...))
+		ctx.txn.AddNet(ctx.name("optfnet", len(d.Nets), *seq), netlist.IPin(inst, "Y"), cl...)
 	}
 	ctx.txn.ReplaceSinks(n, drvSinks)
 
 	if err := ctx.txn.Reroute(n); err != nil {
 		return err
 	}
-	for _, nn := range newNets {
-		if err := ctx.txn.Reroute(nn); err != nil {
+	for id := firstNew; id < len(d.Nets); id++ {
+		if err := ctx.txn.Reroute(d.Nets[id]); err != nil {
 			return err
 		}
 	}
@@ -776,9 +796,11 @@ func ecoPlace(ctx *Context, ll geom.Point, buf *cell.Cell) geom.Point {
 }
 
 // clusterSinks splits sinks into k spatial clusters by recursive
-// median bisection along the wider axis.
-func clusterSinks(sinks []netlist.PinRef, k int) [][]netlist.PinRef {
-	groups := [][]netlist.PinRef{append([]netlist.PinRef(nil), sinks...)}
+// median bisection along the wider axis. The clusters are windows of one
+// copy of sinks, which the caller's new nets keep; the group list is the
+// context's scratch and is valid until the next call.
+func (ctx *Context) clusterSinks(sinks []netlist.PinRef, k int) [][]netlist.PinRef {
+	groups := append(ctx.groups[:0], slices.Clone(sinks))
 	for len(groups) < k {
 		// Split the largest group.
 		bi := 0
@@ -791,22 +813,28 @@ func clusterSinks(sinks []netlist.PinRef, k int) [][]netlist.PinRef {
 		if len(g) < 2 {
 			break
 		}
-		pts := make([]geom.Point, len(g))
-		for i, s := range g {
-			pts[i] = s.Loc()
+		pts := ctx.pts[:0]
+		for _, s := range g {
+			pts = append(pts, s.Loc())
 		}
+		ctx.pts = pts
 		bb := geom.BoundingBox(pts)
 		byX := bb.W() >= bb.H()
-		sort.Slice(g, func(i, j int) bool {
+		// Not a total order — sinks share coordinates — and the clusters'
+		// sink order is what the new nets route and extract in. Ties fall
+		// where pdqsort leaves them, as they did under sort.Slice
+		// (place.TestSortFuncKeepsSortSliceTies).
+		slices.SortFunc(g, func(p, q netlist.PinRef) int {
 			if byX {
-				return g[i].Loc().X < g[j].Loc().X
+				return cmp.Compare(p.Loc().X, q.Loc().X)
 			}
-			return g[i].Loc().Y < g[j].Loc().Y
+			return cmp.Compare(p.Loc().Y, q.Loc().Y)
 		})
 		mid := len(g) / 2
 		groups[bi] = g[:mid]
 		groups = append(groups, g[mid:])
 	}
+	ctx.groups = groups
 	return groups
 }
 

@@ -28,7 +28,8 @@ func TestClusterSinks(t *testing.T) {
 		}
 		sinks = append(sinks, netlist.IPin(u, "A"))
 	}
-	groups := clusterSinks(sinks, 2)
+	ctx := &Context{}
+	groups := ctx.clusterSinks(sinks, 2)
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d", len(groups))
 	}
@@ -48,7 +49,7 @@ func TestClusterSinks(t *testing.T) {
 		t.Fatal("lost sinks")
 	}
 	// k larger than sinks degrades gracefully.
-	groups = clusterSinks(sinks[:3], 8)
+	groups = ctx.clusterSinks(sinks[:3], 8)
 	total := 0
 	for _, g := range groups {
 		total += len(g)

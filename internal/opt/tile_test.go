@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"reflect"
+	"strconv"
 	"testing"
 
 	"macro3d/internal/cts"
@@ -19,13 +21,15 @@ import (
 
 // tilePreOpt takes the small-cache tile through the 2D flow up to the
 // optimizer: floorplan, placement, CTS, routing, slow-corner extraction.
-func tilePreOpt(t *testing.T) *Context {
+func tilePreOpt(t *testing.T) *Context { return tilePreOptOf(t, piton.SmallCache()) }
+
+func tilePreOptOf(t *testing.T, cfg piton.Config) *Context {
 	t.Helper()
 	tc, err := tech.New28(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tile, err := piton.Generate(piton.SmallCache())
+	tile, err := piton.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,4 +93,103 @@ func TestJournalsMatchScratchOnTile(t *testing.T) {
 		t.Fatalf("Result.Buffers = %d, the design gained %d instances", res.Buffers, gained)
 	}
 	t.Logf("%d commits, %d rollbacks, %d buffers kept", commits, rollbacks, res.Buffers)
+}
+
+// TestEngineTopoPatchEqualsRebuild drives the timing engine through
+// random sequences of the optimizer's own topology edits — fanout
+// buffering, buffer chains, each bundle then committed or rolled back —
+// on the tiny and the small tile. After every Update the engine's
+// patched tables equal a fresh engine's element for element (rows,
+// driver chains, endpoint table, order: sta.Engine.CheckTopo), its
+// report equals a fresh engine's full run (reflect.DeepEqual, paths and
+// all), and the journaled extraction, free space and adjacency pass the
+// optimizer's self-check. The optimizer then runs over the edited design
+// with SelfCheck on, which holds every one of its own updates to the same.
+func TestEngineTopoPatchEqualsRebuild(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-tile optimization")
+	}
+	const period = 1e6
+	for _, tc := range []struct {
+		name  string
+		cfg   piton.Config
+		steps int
+	}{{"tiny", piton.Tiny(), 60}, {"small", piton.SmallCache(), 30}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := tilePreOptOf(t, tc.cfg)
+			db := ctx.DDB
+			ctx.Design, ctx.DB, ctx.Routes, ctx.Ex, ctx.Corner = db.Design, db.Grid, db.Routes, db.Ex, db.Corner
+			db.Free = place.NewFreeSpace(db.Design, ctx.FP, ctx.RowHeight)
+			staOpt := sta.Options{Clock: ctx.Clock, Corner: ctx.Corner, TopPaths: 48}
+			eng, err := sta.NewEngine(db.Design, db.Ex, staOpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Run(period); err != nil {
+				t.Fatal(err)
+			}
+			check := func(when string) {
+				t.Helper()
+				rep, err := eng.Update(period)
+				if err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+				if err := eng.CheckTopo(); err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+				fresh, err := sta.Analyze(db.Design, db.Ex, period, staOpt)
+				if err != nil {
+					t.Fatalf("%s: fresh analysis: %v", when, err)
+				}
+				if !reflect.DeepEqual(rep, fresh) {
+					t.Fatalf("%s: the patched engine's report differs from a fresh engine's", when)
+				}
+				if err := selfCheck(ctx, staOpt, period, rep); err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+			}
+			rng := geom.NewRNG(17)
+			opts := Options{}.withDefaults()
+			seq, fanouts, chains, rollbacks := 0, 0, 0, 0
+			for step := 0; step < tc.steps; step++ {
+				txn := db.Begin()
+				ctx.txn = txn
+				for k := 1 + rng.Intn(3); k > 0; k-- {
+					n := db.Design.Nets[rng.Intn(len(db.Design.Nets))]
+					if n.Clock || len(n.Sinks) == 0 || db.Ex.Nets[n.ID] == nil {
+						continue
+					}
+					if len(n.Sinks) >= 2 && rng.Intn(2) == 0 {
+						if err := insertFanoutBuffer(ctx, n, opts, &seq); err != nil {
+							t.Fatal(err)
+						}
+						fanouts++
+					} else {
+						if _, err := insertBufferChain(ctx, n, rng.Intn(len(n.Sinks)), opts, &seq); err != nil {
+							t.Fatal(err)
+						}
+						chains++
+					}
+				}
+				eng.Invalidate(txn.DirtyNets(), txn.DirtyInsts(), txn.TopoChanged())
+				check("step " + strconv.Itoa(step))
+				if rng.Intn(3) == 0 {
+					eng.Invalidate(txn.Rollback())
+					rollbacks++
+					check("step " + strconv.Itoa(step) + " rolled back")
+				} else {
+					txn.Commit()
+				}
+				if err := checkJournals(ctx); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			}
+			if fanouts == 0 || chains == 0 || rollbacks == 0 {
+				t.Fatalf("%d fanout bufferings, %d chains, %d rollbacks: the run must exercise all three", fanouts, chains, rollbacks)
+			}
+			if _, err := Optimize(ctx, sta.Options{}, Options{SelfCheck: true, MaxIters: 8}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

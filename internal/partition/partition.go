@@ -13,8 +13,9 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
@@ -70,12 +71,16 @@ func TierPartition(d *netlist.Design, opt Options) (*Result, error) {
 	// Initial assignment: zig-zag over a spatially sorted order so the
 	// starting cut is locality-aware, then balance by area.
 	order := append([]*netlist.Instance(nil), movable...)
-	sort.Slice(order, func(i, j int) bool {
-		ci, cj := order[i].Center(), order[j].Center()
-		if ci.X != cj.X {
-			return ci.X < cj.X
+	// By centre — not a total order (cells of a pseudo placement can share
+	// one), and the zig-zag below assigns dies in this order. Ties fall
+	// where pdqsort leaves them, as they did under sort.Slice
+	// (place.TestSortFuncKeepsSortSliceTies).
+	slices.SortFunc(order, func(p, q *netlist.Instance) int {
+		cp, cq := p.Center(), q.Center()
+		if c := cmp.Compare(cp.X, cq.X); c != 0 {
+			return c
 		}
-		return ci.Y < cj.Y
+		return cmp.Compare(cp.Y, cq.Y)
 	})
 	var areaA float64 // logic die
 	for _, c := range order {
@@ -212,8 +217,9 @@ func BinBalance(d *netlist.Design, die geom.Rect, binPitch float64) int {
 			continue
 		}
 		// Flip smallest cells from the heavy side until within 30 %.
-		sort.Slice(bin.cells, func(x, y int) bool {
-			return bin.cells[x].Master.Area() < bin.cells[y].Master.Area()
+		// By area only; ties as in the initial assignment above.
+		slices.SortFunc(bin.cells, func(p, q *netlist.Instance) int {
+			return cmp.Compare(p.Master.Area(), q.Master.Area())
 		})
 		for _, c := range bin.cells {
 			imbalance := bin.a - bin.b

@@ -1,7 +1,6 @@
 package place
 
 import (
-	"math"
 	"slices"
 
 	"macro3d/internal/floorplan"
@@ -15,28 +14,53 @@ import (
 // timing optimizer uses. Every mutator takes the Undo journal of the
 // edit bundle it belongs to (nil: not journaled).
 type FreeSpace struct {
-	rowHeight float64
-	die       geom.Rect
-	rows      [][]*segment // by row index
+	rowMap
+	refused int
 }
 
 // NewFreeSpace builds the free-interval map: the floorplan's row
 // segments minus every currently placed, non-fixed standard cell and
-// every hard blockage.
+// every hard blockage. The cells are counted per segment first, so
+// every interval list is born with room for all of them (each cell
+// splits at most one interval in two) plus ecoRoom, and the whole map is
+// a fixed number of allocations.
 func NewFreeSpace(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64) *FreeSpace {
-	fs := &FreeSpace{
-		rowHeight: rowHeight,
-		die:       fp.Die,
-		rows:      buildRows(fp, rowHeight, 1, nil),
-	}
-	for _, inst := range d.Instances {
-		if !inst.Placed || inst.IsMacro() {
-			continue
+	fs := &FreeSpace{rowMap: buildRows(fp, rowHeight)}
+	cells := make([]int32, len(fs.segs))
+	// The same walk twice: count the cells of each segment, open the
+	// lists at that size, take the cells out.
+	for _, count := range [2]bool{true, false} {
+		for _, inst := range d.Instances {
+			if !inst.Placed || inst.IsMacro() {
+				continue
+			}
+			r := inst.Bounds()
+			i := fs.segmentOf(r)
+			switch {
+			case i < 0:
+			case count:
+				cells[i]++
+			case !fs.occupy(&fs.segs[i], r.Lx, r.W()):
+				fs.refused++
+			}
 		}
-		fs.Occupy(nil, inst.Bounds())
+		if count {
+			fs.open(cells, ecoRoom)
+		}
 	}
 	return fs
 }
+
+// ecoRoom is the number of ECO edits a segment of a fresh FreeSpace
+// absorbs before its interval list has to move to a larger span.
+const ecoRoom = 2
+
+// Refused is the number of placed cells NewFreeSpace could not take out
+// of the map because their span was not inside one free interval — they
+// overlap a cell taken before them. It is zero for a legal single-die
+// placement; the map of a design whose dies overlap in (x, y) is wrong
+// by at least that many cells (ROADMAP item 2).
+func (fs *FreeSpace) Refused() int { return fs.refused }
 
 // Undo journals a bundle of FreeSpace edits: the free list of every
 // segment the bundle changes is copied on first touch, so the bundle
@@ -61,7 +85,8 @@ func (u *Undo) save(s *segment) {
 }
 
 // Rollback restores every journaled segment to its saved list and
-// empties the journal.
+// empties the journal. A list's span only ever grows, so the saved list
+// fits the span the segment has now.
 func (u *Undo) Rollback() {
 	lo := 0
 	for i, s := range u.segs {
@@ -80,54 +105,47 @@ func (u *Undo) Commit() {
 	u.segs, u.ends, u.ivs = u.segs[:0], u.ends[:0], u.ivs[:0]
 }
 
-func (fs *FreeSpace) rowOf(y float64) int {
-	return geom.ClampInt(int((y-fs.die.Ly)/fs.rowHeight), 0, len(fs.rows)-1)
-}
-
-// segmentOf finds the segment of a rectangle's row that spans it.
-func (fs *FreeSpace) segmentOf(r geom.Rect) *segment {
-	if len(fs.rows) == 0 {
-		return nil
+// segmentOf finds the segment of a rectangle's row that spans it, as an
+// index into segs; -1 when there is none.
+func (fs *FreeSpace) segmentOf(r geom.Rect) int {
+	if fs.rows() == 0 {
+		return -1
 	}
-	for _, s := range fs.rows[fs.rowOf(r.Ly+1e-9)] {
-		if r.Lx >= s.x0-1e-6 && r.Ux <= s.x1+1e-6 {
-			return s
+	row := fs.rowOf(r.Ly + 1e-9)
+	for i := fs.rowOff[row]; i < fs.rowOff[row+1]; i++ {
+		if s := &fs.segs[i]; r.Lx >= s.x0-1e-6 && r.Ux <= s.x1+1e-6 {
+			return int(i)
 		}
 	}
-	return nil
+	return -1
 }
 
 // Occupy claims a rectangle: its span leaves its row's free intervals.
 func (fs *FreeSpace) Occupy(u *Undo, r geom.Rect) {
-	if s := fs.segmentOf(r); s != nil {
-		u.save(s)
-		s.occupy(r.Lx, r.W())
+	if i := fs.segmentOf(r); i >= 0 {
+		u.save(&fs.segs[i])
+		fs.occupy(&fs.segs[i], r.Lx, r.W())
 	}
 }
 
 // Release returns a cell's old footprint to the free pool (merging
 // with adjacent free intervals).
 func (fs *FreeSpace) Release(u *Undo, r geom.Rect) {
-	if s := fs.segmentOf(r); s != nil {
-		u.save(s)
-		s.release(r.Lx, r.W())
+	if i := fs.segmentOf(r); i >= 0 {
+		u.save(&fs.segs[i])
+		fs.release(&fs.segs[i], r.Lx, r.W())
 	}
 }
 
 // Equal reports whether two maps over the same floorplan hold exactly
 // the same free intervals (== on every bound, no tolerance).
 func (fs *FreeSpace) Equal(o *FreeSpace) bool {
-	if len(fs.rows) != len(o.rows) {
+	if !slices.Equal(fs.rowOff, o.rowOff) {
 		return false
 	}
-	for r, row := range fs.rows {
-		if len(row) != len(o.rows[r]) {
+	for i := range fs.segs {
+		if !slices.Equal(fs.segs[i].free, o.segs[i].free) {
 			return false
-		}
-		for i, s := range row {
-			if !slices.Equal(s.free, o.rows[r][i].free) {
-				return false
-			}
 		}
 	}
 	return true
@@ -137,47 +155,14 @@ func (fs *FreeSpace) Equal(o *FreeSpace) bool {
 // centre should sit near target, claims it, and returns it. The search
 // expands row by row; ok is false when nothing fits anywhere.
 func (fs *FreeSpace) Alloc(u *Undo, w float64, target geom.Point) (geom.Point, bool) {
-	if len(fs.rows) == 0 {
+	if fs.rows() == 0 {
 		return geom.Point{}, false
 	}
-	maxRow := len(fs.rows) - 1
-	wantX := target.X - w/2
-	targetRow := fs.rowOf(target.Y - fs.rowHeight/2)
-	bestCost := -1.0
-	var bestSeg *segment
-	var bestX float64
-	for dr := 0; dr <= maxRow+1; dr++ {
-		for _, sgn := range []int{1, -1} {
-			if dr == 0 && sgn == -1 {
-				continue
-			}
-			r := targetRow + sgn*dr
-			if r < 0 || r > maxRow {
-				continue
-			}
-			dy := float64(dr) * fs.rowHeight
-			if bestCost >= 0 && dy > bestCost {
-				continue
-			}
-			for _, s := range fs.rows[r] {
-				x, ok := s.bestFit(wantX, w)
-				if !ok {
-					continue
-				}
-				cost := dy + math.Abs(x-wantX)
-				if bestCost < 0 || cost < bestCost {
-					bestCost, bestSeg, bestX = cost, s, x
-				}
-			}
-		}
-		if bestCost >= 0 && float64(dr+1)*fs.rowHeight > bestCost {
-			break
-		}
-	}
-	if bestSeg == nil {
+	s, x, ok := fs.fit(fs.rowOf(target.Y-fs.rowHeight/2), target.X-w/2, w)
+	if !ok {
 		return geom.Point{}, false
 	}
-	u.save(bestSeg)
-	bestSeg.occupy(bestX, w)
-	return geom.Pt(bestX, bestSeg.y), true
+	u.save(s)
+	fs.occupy(s, x, w)
+	return geom.Pt(x, s.y), true
 }

@@ -1,8 +1,10 @@
 package place
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"macro3d/internal/floorplan"
@@ -10,11 +12,13 @@ import (
 	"macro3d/internal/netlist"
 	"macro3d/internal/obs/trace"
 	"macro3d/internal/par"
+	"macro3d/internal/slab"
 )
 
 // segment is a free span of one placement row. Free space is tracked
 // as disjoint intervals so late (wide) cells can still use gaps left
-// between earlier placements.
+// between earlier placements. The interval list is a span of the owning
+// rowMap's arena with room to grow in place (cap ≥ len).
 type segment struct {
 	y      float64
 	x0, x1 float64
@@ -48,16 +52,56 @@ func (s *segment) bestFit(target, w float64) (float64, bool) {
 	return bestX, bestCost >= 0
 }
 
+// rowMap is the free space of a die's placement rows: per row the
+// segments its hard blockages leave, per segment the free intervals. It
+// is a handful of objects whatever the row count: the segments live in
+// one array (row r's are segs[rowOff[r]:rowOff[r+1]]) and their interval
+// lists are born as views of another (open). A list that outgrows its
+// view moves to a span of twice the size in the moved slab — a slab of
+// its own, so that the first move costs a 64-interval chunk and not one
+// as large as the whole map; the span it leaves is abandoned, as a
+// rip-up victim's segments are in route.Result.
+type rowMap struct {
+	die       geom.Rect
+	rowHeight float64
+	segs      []segment
+	rowOff    []int32
+	moved     slab.Slab[iv]
+}
+
+// rows is the number of placement rows, trimmed after the last one that
+// has a segment.
+func (m *rowMap) rows() int { return len(m.rowOff) - 1 }
+
+// row returns the segments of row r, left to right.
+func (m *rowMap) row(r int) []segment { return m.segs[m.rowOff[r]:m.rowOff[r+1]] }
+
+func (m *rowMap) rowOf(y float64) int {
+	return geom.ClampInt(int((y-m.die.Ly)/m.rowHeight), 0, m.rows()-1)
+}
+
+// room makes space for one more interval in s's list, moving the list to
+// a span of twice the size when its own is full.
+func (m *rowMap) room(s *segment) {
+	if len(s.free) < cap(s.free) {
+		return
+	}
+	grown := m.moved.Span(2 * cap(s.free))
+	s.free = grown[:copy(grown, s.free)]
+}
+
 // occupy removes [x, x+w) from the free intervals, splicing the list
 // in place: the interval that holds the span shrinks, splits in two or
-// disappears.
-func (s *segment) occupy(x, w float64) {
+// disappears. It reports whether it took the span; a span that is not
+// inside one free interval is refused and the list stays as it was.
+func (m *rowMap) occupy(s *segment, x, w float64) bool {
 	for i, f := range s.free {
 		if x >= f.a-1e-9 && x+w <= f.b+1e-9 {
 			left, right := x-f.a > 1e-9, f.b-(x+w) > 1e-9
 			switch {
 			case left && right:
-				s.free = append(s.free, iv{})
+				m.room(s)
+				s.free = s.free[:len(s.free)+1]
 				copy(s.free[i+2:], s.free[i+1:])
 				s.free[i], s.free[i+1] = iv{f.a, x}, iv{x + w, f.b}
 			case left:
@@ -67,15 +111,16 @@ func (s *segment) occupy(x, w float64) {
 			default:
 				s.free = append(s.free[:i], s.free[i+1:]...)
 			}
-			return
+			return true
 		}
 	}
+	return false
 }
 
 // release merges [x, x+w) back into the free intervals, in place: the
 // run of intervals it overlaps or abuts collapses into one. The list
 // is sorted and disjoint, so that run is contiguous.
-func (s *segment) release(x, w float64) {
+func (m *rowMap) release(s *segment, x, w float64) {
 	nf := iv{x, x + w}
 	lo := 0
 	for lo < len(s.free) && s.free[lo].b < nf.a-1e-9 {
@@ -92,7 +137,8 @@ func (s *segment) release(x, w float64) {
 		}
 	}
 	if hi == lo {
-		s.free = append(s.free, iv{})
+		m.room(s)
+		s.free = s.free[:len(s.free)+1]
 		copy(s.free[lo+1:], s.free[lo:])
 	} else {
 		s.free = append(s.free[:lo+1], s.free[hi:]...)
@@ -100,78 +146,145 @@ func (s *segment) release(x, w float64) {
 	s.free[lo] = nf
 }
 
-// buildRows slices the die into placement rows and subtracts hard
-// (fraction >= 1) blockages, returning each row's free segments indexed
-// by row and trimmed after the last row that has any. Partial blockages
-// deliberately do not fence rows — see the package comment. Rows are
-// independent, so they build across workers; the result is identical
-// at any worker count.
-func buildRows(fp *floorplan.Floorplan, rowHeight float64, workers int, ts *trace.Set) [][]*segment {
-	die := fp.Die
-	var hard []geom.Rect
-	for _, b := range fp.PlaceBlk {
-		if b.Fraction >= 1 {
-			hard = append(hard, b.Rect)
+// fit searches the rows outward from targetRow for the free interval
+// that places a cell of width w nearest to (wantX, targetRow), by
+// Manhattan displacement; the first found wins ties (the row above
+// before the row below, segments left to right). ok is false when no
+// interval of the map fits the cell.
+func (m *rowMap) fit(targetRow int, wantX, w float64) (best *segment, bestX float64, ok bool) {
+	maxRow := m.rows() - 1
+	bestCost := -1.0
+	for dr := 0; dr <= maxRow; dr++ {
+		for _, sgn := range [2]int{1, -1} {
+			if dr == 0 && sgn == -1 {
+				continue
+			}
+			r := targetRow + sgn*dr
+			if r < 0 || r > maxRow {
+				continue
+			}
+			dy := float64(dr) * m.rowHeight
+			if bestCost >= 0 && dy > bestCost {
+				continue // cannot beat best even with zero dx
+			}
+			row := m.row(r)
+			for i := range row {
+				x, fits := row[i].bestFit(wantX, w)
+				if !fits {
+					continue
+				}
+				if cost := dy + math.Abs(x-wantX); bestCost < 0 || cost < bestCost {
+					bestCost, best, bestX = cost, &row[i], x
+				}
+			}
+		}
+		// Early exit: once a best is found and the next row band
+		// already costs more, stop.
+		if bestCost >= 0 && float64(dr+1)*m.rowHeight > bestCost {
+			break
 		}
 	}
-	nRows := int(die.H() / rowHeight)
-	rows := make([][]*segment, nRows)
-	par.ItemsTr(ts, "place/row-segments", workers, nRows, func(w, r int) {
-		rows[r] = buildRowSegments(die, hard, rowHeight, r)
-	})
-	for nRows > 0 && len(rows[nRows-1]) == 0 {
-		nRows--
-	}
-	return rows[:nRows]
+	return best, bestX, best != nil
 }
 
-// buildRowSegments builds the free segments of one placement row.
-func buildRowSegments(die geom.Rect, hard []geom.Rect, rowHeight float64, r int) []*segment {
-	y := die.Ly + float64(r)*rowHeight
+// rowGaps calls emit with each maximal x-interval of the row at y that
+// no hard blockage covers, left to right, ignoring slivers. blocked is
+// scratch for the row's blocked intervals and is returned for reuse.
+func rowGaps(die geom.Rect, hard []geom.Rect, y, rowHeight float64, blocked []iv, emit func(a, b float64)) []iv {
 	rowRect := geom.R(die.Lx, y, die.Ux, y+rowHeight)
-	// Collect blocked x-intervals on this row.
-	var blocked []iv
+	blocked = blocked[:0]
 	for _, h := range hard {
 		if h.Intersects(rowRect) {
 			blocked = append(blocked, iv{h.Lx, h.Ux})
 		}
 	}
-	sort.Slice(blocked, func(i, j int) bool { return blocked[i].a < blocked[j].a })
-	var segs []*segment
+	// By left edge only, which is not a total order: the sweep below
+	// keeps the running maximum of the right edges, so intervals that
+	// share a left edge give the same gaps in either order.
+	slices.SortFunc(blocked, func(p, q iv) int { return cmp.Compare(p.a, q.a) })
 	x := die.Lx
-	emit := func(a, b float64) {
-		if b-a > 1 { // ignore slivers
-			segs = append(segs, &segment{y: y, x0: a, x1: b, row: r,
-				free: []iv{{a, b}}})
-		}
-	}
 	for _, bl := range blocked {
-		if bl.a > x {
+		if bl.a-x > 1 {
 			emit(x, bl.a)
 		}
 		if bl.b > x {
 			x = bl.b
 		}
 	}
-	if x < die.Ux {
+	if die.Ux-x > 1 {
 		emit(x, die.Ux)
 	}
-	return segs
+	return blocked
 }
+
+// buildRows slices the die into placement rows and subtracts hard
+// (fraction >= 1) blockages. Partial blockages deliberately do not
+// fence rows — see the package comment. The segments come back without
+// interval lists; open gives them theirs. The build is serial: a row is
+// a few comparisons per blockage, and fanned out over workers it was
+// two objects per segment and a sort closure per row for no measurable
+// gain (ROADMAP item 6).
+func buildRows(fp *floorplan.Floorplan, rowHeight float64) rowMap {
+	die := fp.Die
+	hard := make([]geom.Rect, 0, len(fp.PlaceBlk))
+	for _, b := range fp.PlaceBlk {
+		if b.Fraction >= 1 {
+			hard = append(hard, b.Rect)
+		}
+	}
+	nRows := int(die.H() / rowHeight)
+	m := rowMap{die: die, rowHeight: rowHeight, rowOff: make([]int32, nRows+1)}
+	// Two passes over the rows — count the segments, then fill them —
+	// so the segment array is allocated once at its final size.
+	blocked := make([]iv, 0, len(hard))
+	for r := 0; r < nRows; r++ {
+		n := int32(0)
+		blocked = rowGaps(die, hard, die.Ly+float64(r)*rowHeight, rowHeight, blocked, func(_, _ float64) { n++ })
+		m.rowOff[r+1] = m.rowOff[r] + n
+	}
+	for nRows > 0 && m.rowOff[nRows] == m.rowOff[nRows-1] {
+		nRows--
+	}
+	m.rowOff = m.rowOff[:nRows+1]
+	m.segs = make([]segment, 0, m.rowOff[nRows])
+	for r := 0; r < nRows; r++ {
+		y := die.Ly + float64(r)*rowHeight
+		blocked = rowGaps(die, hard, y, rowHeight, blocked, func(a, b float64) {
+			m.segs = append(m.segs, segment{y: y, x0: a, x1: b, row: r})
+		})
+	}
+	return m
+}
+
+// open gives every segment its interval list — the whole segment, free
+// — with room for cells[i] (nil: 0) + room more intervals before segment
+// i's list has to move. The lists are views of one array.
+func (m *rowMap) open(cells []int32, room int) {
+	total := (1 + room) * len(m.segs)
+	for _, k := range cells {
+		total += int(k)
+	}
+	all := make([]iv, total)
+	for i := range m.segs {
+		s, k := &m.segs[i], 1+room
+		if cells != nil {
+			k += int(cells[i])
+		}
+		s.free, all = all[:1:k], all[k:]
+		s.free[0] = iv{s.x0, s.x1}
+	}
+}
+
+// openRoom is the room for growth a segment's list starts with in the
+// legalizer, which does not know what will be placed in it (a FreeSpace
+// counts the cells first).
+const openRoom = 3
 
 // legalize snaps cells into rows without overlap using a Tetris-style
 // sweep: cells sorted by x are committed left-to-right into the
 // segment minimizing displacement. Returns mean and max displacement.
-func legalize(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64) (mean, maxd float64, err error) {
-	return legalizeN(movable, fp, rowHeight, 1, nil, nil)
-}
-
-// legalizeN is legalize with a worker count for the row-parallel
-// segment construction (the commit sweep stays serial — each commit
-// depends on every earlier one).
-func legalizeN(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64, workers int,
-	ts *trace.Set, mt *trace.Track) (mean, maxd float64, err error) {
-	mean, maxd, failed, err := legalizeBestEffort(movable, fp, rowHeight, workers, ts, mt)
+func legalize(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64, mt *trace.Track) (mean, maxd float64, err error) {
+	mean, maxd, failed, err := legalizeBestEffort(movable, fp, rowHeight, mt)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -186,91 +299,47 @@ func legalizeN(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight f
 // found no space instead of failing. The S2D/C2D flows use this: cells
 // that cannot fit a tier spill back to the other die.
 func LegalizeBestEffort(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64) (mean, maxd float64, failed []*netlist.Instance, err error) {
-	return legalizeBestEffort(movable, fp, rowHeight, 1, nil, nil)
-}
-
-// tetris is the state of a legalization sweep: the per-row segment
-// index plus the geometry needed to score candidates.
-type tetris struct {
-	rows      [][]*segment // by row index
-	die       geom.Rect
-	rowHeight float64
+	return legalizeBestEffort(movable, fp, rowHeight, nil)
 }
 
 // place commits inst into the best-fit segment, searching the rows
 // outward from its target row, and returns the displacement. ok is
 // false when no segment fits the cell.
-func (t *tetris) place(inst *netlist.Instance) (disp float64, ok bool) {
+func (m *rowMap) place(inst *netlist.Instance) (disp float64, ok bool) {
 	w := inst.Master.Width
 	target := inst.Loc
-	maxRow := len(t.rows) - 1
-	targetRow := geom.ClampInt(int((target.Y-t.die.Ly)/t.rowHeight), 0, maxRow)
-
-	bestCost := -1.0
-	var bestSeg *segment
-	var bestX float64
-	for dr := 0; dr <= maxRow; dr++ {
-		for _, sgn := range []int{1, -1} {
-			if dr == 0 && sgn == -1 {
-				continue
-			}
-			r := targetRow + sgn*dr
-			if r < 0 || r > maxRow {
-				continue
-			}
-			dy := float64(dr) * t.rowHeight
-			if bestCost >= 0 && dy > bestCost {
-				continue // cannot beat best even with zero dx
-			}
-			for _, s := range t.rows[r] {
-				x, fits := s.bestFit(target.X, w)
-				if !fits {
-					continue
-				}
-				cost := dy + math.Abs(x-target.X)
-				if bestCost < 0 || cost < bestCost {
-					bestCost = cost
-					bestSeg = s
-					bestX = x
-				}
-			}
-		}
-		// Early exit: once a best is found and the next row band
-		// already costs more, stop.
-		if bestCost >= 0 && float64(dr+1)*t.rowHeight > bestCost {
-			break
-		}
-	}
-	if bestSeg == nil {
+	s, x, ok := m.fit(m.rowOf(target.Y), target.X, w)
+	if !ok {
 		return 0, false
 	}
-	inst.Loc = geom.Pt(bestX, bestSeg.y)
+	inst.Loc = geom.Pt(x, s.y)
 	// Alternate row orientation like real row-based designs.
-	if bestSeg.row%2 == 1 {
+	if s.row%2 == 1 {
 		inst.Orient = geom.OrientFS
 	} else {
 		inst.Orient = geom.OrientN
 	}
-	bestSeg.occupy(bestX, w)
-	return math.Abs(bestX-target.X) + math.Abs(bestSeg.y-target.Y), true
+	m.occupy(s, x, w)
+	return math.Abs(x-target.X) + math.Abs(s.y-target.Y), true
 }
 
-func legalizeBestEffort(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64, workers int,
-	ts *trace.Set, mt *trace.Track) (mean, maxd float64, failed []*netlist.Instance, err error) {
-	rows := buildRows(fp, rowHeight, workers, ts)
-	if len(rows) == 0 {
+func legalizeBestEffort(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64,
+	mt *trace.Track) (mean, maxd float64, failed []*netlist.Instance, err error) {
+	m := buildRows(fp, rowHeight)
+	if m.rows() == 0 {
 		return 0, 0, nil, fmt.Errorf("place: no placement rows available")
 	}
+	m.open(nil, openRoom)
 
-	order := append([]*netlist.Instance(nil), movable...)
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].Loc.X != order[j].Loc.X {
-			return order[i].Loc.X < order[j].Loc.X
+	// A total order (instance names are unique), so the sweep order does
+	// not depend on the sorting algorithm.
+	order := slices.Clone(movable)
+	slices.SortFunc(order, func(p, q *netlist.Instance) int {
+		if c := cmp.Compare(p.Loc.X, q.Loc.X); c != 0 {
+			return c
 		}
-		return order[i].Name < order[j].Name
+		return cmp.Compare(p.Name, q.Name)
 	})
-
-	t := &tetris{rows: rows, die: fp.Die, rowHeight: rowHeight}
 
 	// The Tetris commit sweep is inherently serial; record it so the
 	// analyzer can rank it among the serial segments.
@@ -278,7 +347,7 @@ func legalizeBestEffort(movable []*netlist.Instance, fp *floorplan.Floorplan, ro
 	defer func() { ssp.End(trace.N("cells", int64(len(order)))) }()
 	var sum float64
 	for _, inst := range order {
-		d, ok := t.place(inst)
+		d, ok := m.place(inst)
 		if !ok {
 			failed = append(failed, inst)
 			continue
@@ -299,7 +368,7 @@ func legalizeBestEffort(movable []*netlist.Instance, fp *floorplan.Floorplan, ro
 // the S2D/C2D flows, which must re-legalize per die after tier
 // partitioning reveals the real macro extents.
 func Legalize(cells []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64) (mean, maxd float64, err error) {
-	return legalize(cells, fp, rowHeight)
+	return legalize(cells, fp, rowHeight, nil)
 }
 
 // CheckLegal verifies that no two movable cells overlap and that all

@@ -12,9 +12,9 @@
 package place
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"macro3d/internal/floorplan"
@@ -165,7 +165,7 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 	res.Overflow = st.overflow()
 
 	lsp := opt.Obs.Child("legalize")
-	disp, maxDisp, err := legalizeN(movable, fp, rowHeight, workers, ts, mt)
+	disp, maxDisp, err := legalize(movable, fp, rowHeight, mt)
 	lsp.End()
 	if err != nil {
 		return nil, err
@@ -349,8 +349,11 @@ func (st *analyticState) spread(movable []*netlist.Instance, rng *geom.RNG, mt *
 			order = append(order, i)
 		}
 	}
-	sort.Slice(order, func(a, c int) bool {
-		return usage[order[a]]-b.cap[order[a]] > usage[order[c]]-b.cap[order[c]]
+	// By overflow only — not a total order, and the eviction below draws
+	// from one RNG in this order. Ties fall where pdqsort leaves them,
+	// as they did under sort.Slice (TestSortFuncKeepsSortSliceTies).
+	slices.SortFunc(order, func(p, q int) int {
+		return cmp.Compare(usage[q]-b.cap[q], usage[p]-b.cap[p])
 	})
 	for _, i := range order {
 		ix, iy := g.Coords(i)
@@ -358,8 +361,9 @@ func (st *analyticState) spread(movable []*netlist.Instance, rng *geom.RNG, mt *
 		// from the bin centre go first.
 		ms := flat[base[i]:base[i+1]]
 		c := g.BinCenter(ix, iy)
-		sort.Slice(ms, func(a, b2 int) bool {
-			return pos[ms[a].ID].Dist(c) > pos[ms[b2].ID].Dist(c)
+		// Farthest first; ties as above.
+		slices.SortFunc(ms, func(p, q *netlist.Instance) int {
+			return cmp.Compare(pos[q.ID].Dist(c), pos[p.ID].Dist(c))
 		})
 		for _, inst := range ms {
 			if usage[i] <= b.cap[i] {

@@ -1,7 +1,9 @@
 package place
 
 import (
+	"cmp"
 	"slices"
+	"sort"
 	"testing"
 
 	"macro3d/internal/cell"
@@ -196,15 +198,15 @@ func TestPlaceFailsWhenNoRows(t *testing.T) {
 func TestBuildSegments(t *testing.T) {
 	fp := &floorplan.Floorplan{Die: geom.R(0, 0, 100, 12)}
 	fp.PlaceBlk = append(fp.PlaceBlk, floorplan.Blockage{Rect: geom.R(40, 0, 60, 12), Fraction: 1})
-	var segs []*segment
-	for _, row := range buildRows(fp, 1.2, 1, nil) {
-		segs = append(segs, row...)
-	}
+	segs := buildRows(fp, 1.2).segs
 	// 10 rows × 2 segments.
 	if len(segs) != 20 {
 		t.Fatalf("segments = %d, want 20", len(segs))
 	}
-	for _, s := range segs {
+	for i, s := range segs {
+		if s.row != i/2 {
+			t.Fatalf("segment %d is in row %d, want %d", i, s.row, i/2)
+		}
 		if s.x1 <= s.x0 {
 			t.Fatal("empty segment emitted")
 		}
@@ -215,13 +217,13 @@ func TestBuildSegments(t *testing.T) {
 	// Partial blockages do not split rows.
 	fp2 := &floorplan.Floorplan{Die: geom.R(0, 0, 100, 12)}
 	fp2.PlaceBlk = append(fp2.PlaceBlk, floorplan.Blockage{Rect: geom.R(40, 0, 60, 12), Fraction: 0.5})
-	rows := buildRows(fp2, 1.2, 1, nil)
-	if len(rows) != 10 {
-		t.Fatalf("rows = %d, want 10", len(rows))
+	m := buildRows(fp2, 1.2)
+	if m.rows() != 10 {
+		t.Fatalf("rows = %d, want 10", m.rows())
 	}
-	for r, row := range rows {
-		if len(row) != 1 {
-			t.Fatalf("partial blockage split row %d: %d segments", r, len(row))
+	for r := 0; r < m.rows(); r++ {
+		if n := len(m.row(r)); n != 1 {
+			t.Fatalf("partial blockage split row %d: %d segments", r, n)
 		}
 	}
 }
@@ -303,35 +305,39 @@ func TestSolveSweepAllocs(t *testing.T) {
 // merge one side, merge both — against the interval arithmetic written
 // out by hand.
 func TestSegmentSpliceInPlace(t *testing.T) {
-	s := &segment{x0: 0, x1: 100, free: []iv{{0, 100}}}
+	// One row, one segment, its list born with no room to grow: the
+	// first split already moves it to a larger span of the arena.
+	m := buildRows(&floorplan.Floorplan{Die: geom.R(0, 0, 100, 1.2)}, 1.2)
+	m.open(nil, 0)
+	s := &m.segs[0]
 	step := func(what string, want ...iv) {
 		t.Helper()
 		if !slices.Equal(s.free, want) {
 			t.Fatalf("%s: free = %v, want %v", what, s.free, want)
 		}
 	}
-	s.occupy(40, 10)
+	m.occupy(s, 40, 10)
 	step("split", iv{0, 40}, iv{50, 100})
-	s.occupy(0, 5)
+	m.occupy(s, 0, 5)
 	step("trim left", iv{5, 40}, iv{50, 100})
-	s.occupy(90, 10)
+	m.occupy(s, 90, 10)
 	step("trim right", iv{5, 40}, iv{50, 90})
-	s.occupy(5, 35)
+	m.occupy(s, 5, 35)
 	step("consume", iv{50, 90})
-	s.occupy(60, 10)
+	m.occupy(s, 60, 10)
 	step("split again", iv{50, 60}, iv{70, 90})
 	// A cell with occupied neighbours on both sides comes back as an
 	// interval of its own, and the intervals after it stay what they
 	// were (the copying release lost the next one here).
-	s.release(20, 10)
+	m.release(s, 20, 10)
 	step("insert before", iv{20, 30}, iv{50, 60}, iv{70, 90})
-	s.release(95, 5)
+	m.release(s, 95, 5)
 	step("append", iv{20, 30}, iv{50, 60}, iv{70, 90}, iv{95, 100})
-	s.release(30, 5)
+	m.release(s, 30, 5)
 	step("merge left", iv{20, 35}, iv{50, 60}, iv{70, 90}, iv{95, 100})
-	s.release(45, 5)
+	m.release(s, 45, 5)
 	step("merge right", iv{20, 35}, iv{45, 60}, iv{70, 90}, iv{95, 100})
-	s.release(60, 10)
+	m.release(s, 60, 10)
 	step("merge both", iv{20, 35}, iv{45, 90}, iv{95, 100})
 }
 
@@ -364,14 +370,51 @@ func TestFreeSpaceUndo(t *testing.T) {
 	}
 	edit()
 	kept := NewFreeSpace(d, fp, 1.2)
-	for r, row := range fs.rows {
-		for i, s := range row {
-			kept.rows[r][i].free = slices.Clone(s.free)
-		}
+	for i, s := range fs.segs {
+		kept.segs[i].free = slices.Clone(s.free)
 	}
 	u.Commit()
 	u.Rollback() // nothing journaled: must not move anything
 	if !fs.Equal(kept) {
 		t.Fatal("commit did not keep the edits")
+	}
+}
+
+// TestSortFuncKeepsSortSliceTies: the hot sort sites moved from
+// sort.Slice to slices.SortFunc to lose the reflect swapper each call
+// allocates. Several of their comparators are not total orders and their
+// consumers depend on where ties fall, so the move is only bit-identical
+// because both functions run the same generated pdqsort: on tie-heavy
+// inputs of every size class of that algorithm (insertion sort below 12,
+// ninther pivots, pattern breaking, heap sort) the two leave every
+// element in the same place.
+func TestSortFuncKeepsSortSliceTies(t *testing.T) {
+	type item struct{ key, tag int }
+	rng := geom.NewRNG(5)
+	for _, n := range []int{2, 5, 11, 12, 13, 40, 51, 200, 1000, 5000} {
+		for _, keys := range []int{1, 2, 3, n/4 + 1, n} {
+			for _, shape := range []string{"random", "ascending", "descending", "sawtooth"} {
+				in := make([]item, n)
+				for i := range in {
+					switch shape {
+					case "random":
+						in[i].key = rng.Intn(keys)
+					case "ascending":
+						in[i].key = i * keys / n
+					case "descending":
+						in[i].key = (n - 1 - i) * keys / n
+					case "sawtooth":
+						in[i].key = i % keys
+					}
+					in[i].tag = i
+				}
+				a, b := slices.Clone(in), slices.Clone(in)
+				sort.Slice(a, func(i, j int) bool { return a[i].key < a[j].key })
+				slices.SortFunc(b, func(p, q item) int { return cmp.Compare(p.key, q.key) })
+				if !slices.Equal(a, b) {
+					t.Fatalf("n=%d keys=%d %s: sort.Slice and slices.SortFunc leave ties in different places", n, keys, shape)
+				}
+			}
+		}
 	}
 }

@@ -130,12 +130,16 @@ type NetRoute struct {
 // 12-byte segments and 6-byte pin nodes (Node), so a result only exists
 // over a grid within MaxGridDim and MaxLayers.
 //
-// The result owns the records of a bulk build — RouteDesign, Translate
-// over a tile array, a decoded snapshot: route records, pin nodes and
-// segments are carved from chunked slabs (NewRoute), and a chunk never
-// moves, so Routes keeps pointing at them. Routes that are replaced one
-// at a time (RouteNet's ECO routes, stored with SetRoute) are ordinary
-// heap objects and are collected when dropped.
+// The result owns its records: route records, pin nodes and segments
+// are carved from chunked slabs, and a chunk never moves, so Routes
+// keeps pointing at them. A bulk build — RouteDesign, Translate over a
+// tile array, a decoded snapshot — fills the first set (NewRoute). An
+// ECO route (RouteNet) rewrites the net's record where it lies and takes
+// from the second set only what does not fit: the record of a new net,
+// a pin or segment span larger than the one the net has, which is then
+// abandoned as a rip-up victim's is. The second set is separate because
+// a slab's next chunk is as large as everything before it: the first
+// ECO route after an exact-size bulk build would double the result.
 type Result struct {
 	Routes []*NetRoute // indexed by net ID (nil for clock/unrouted)
 
@@ -146,9 +150,9 @@ type Result struct {
 	Overflow   int // gcell-layers above capacity after negotiation
 	OverflowWL float64
 
-	recs  slab.Slab[NetRoute]
-	nodes slab.Slab[Node]
-	segs  slab.Slab[Seg]
+	recs, ecoRecs   slab.Slab[NetRoute]
+	nodes, ecoNodes slab.Slab[Node]
+	segs, ecoSegs   slab.Slab[Seg]
 }
 
 // Reserve sizes the result's slabs for a builder that knows what it

@@ -504,7 +504,7 @@ func TestUnaddressableGridIsAnError(t *testing.T) {
 		if res, err := RouteDesign(d, db); err != db.Err() || res != nil {
 			t.Errorf("%s: RouteDesign = %v, %v; want the DB's error", tc.name, res, err)
 		}
-		if r, err := db.RouteNet(d.Nets[0]); err != db.Err() || r != nil {
+		if r, err := db.RouteNet(&Result{}, d.Nets[0]); err != db.Err() || r != nil {
 			t.Errorf("%s: RouteNet = %v, %v; want the DB's error", tc.name, r, err)
 		}
 	}
@@ -548,5 +548,88 @@ func TestDynStateShapeCheck(t *testing.T) {
 	}
 	if !slices.Equal(before, db.usage) {
 		t.Fatal("a refused SetDynState wrote to the DB")
+	}
+}
+
+// TestRouteNetRewritesInPlace: an ECO route goes into the record the
+// result already holds for the net — the same object, its spans reused
+// when the new route fits them and replaced by larger ones from the ECO
+// slabs when it does not — usage follows it, and Restore writes a copy
+// of the old contents back into the same record. A net the result has no
+// record for gets one.
+func TestRouteNetRewritesInPlace(t *testing.T) {
+	d := twoPinDesign(60, 20)
+	db := db6(t, geom.R(0, 0, 600, 600), nil)
+	res, err := RouteDesign(d, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := d.Nets[0]
+	rec := res.Routes[n.ID]
+	was := *rec
+	was.PinNode, was.Segments = slices.Clone(rec.PinNode), slices.Clone(rec.Segments)
+	usage0 := slices.Clone(db.usage)
+
+	// A far longer route: more segments than the record's span holds.
+	sink := n.Sinks[0].Inst
+	home := sink.Loc
+	sink.Loc = geom.Pt(550, 530)
+	db.ReleaseNet(rec)
+	got, err := db.RouteNet(res, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != rec || res.Routes[n.ID] != rec {
+		t.Fatal("RouteNet replaced the net's record instead of rewriting it")
+	}
+	if len(rec.Segments) <= len(was.Segments) || rec.WL <= was.WL {
+		t.Fatalf("the longer route has %d segments, %.0f µm; the short one had %d, %.0f", len(rec.Segments), rec.WL, len(was.Segments), was.WL)
+	}
+	checkConnected(t, db, rec)
+	fresh := NewDB(db.Grid.Region, db.Beol, nil, db.opt)
+	fresh.RebuildUsage(res)
+	if !slices.Equal(db.usage, fresh.usage) {
+		t.Fatal("usage after the ECO route differs from a rebuild from the result")
+	}
+
+	// Back home: the shorter route fits the larger span it now has.
+	grown := cap(rec.Segments)
+	sink.Loc = home
+	db.ReleaseNet(rec)
+	if _, err := db.RouteNet(res, n); err != nil {
+		t.Fatal(err)
+	}
+	if cap(rec.Segments) != grown {
+		t.Fatalf("a route that fits moved to a span of %d segments from one of %d", cap(rec.Segments), grown)
+	}
+	if !slices.Equal(rec.Segments, was.Segments) || !slices.Equal(rec.PinNode, was.PinNode) || rec.WL != was.WL {
+		t.Fatal("routing the original placement again gave a different route")
+	}
+
+	// Restore: scribble, then put the copy back.
+	db.ReleaseNet(rec)
+	rec.Segments, rec.WL = rec.Segments[:1], -1
+	res.Restore(n.ID, rec, was)
+	db.CommitRoute(rec)
+	if res.Routes[n.ID] != rec || !slices.Equal(rec.Segments, was.Segments) || !slices.Equal(rec.PinNode, was.PinNode) ||
+		rec.WL != was.WL || rec.Vias != was.Vias || rec.Net != n {
+		t.Fatalf("Restore left %+v, want %+v", *rec, was)
+	}
+	if !slices.Equal(db.usage, usage0) {
+		t.Fatal("usage after the restore differs from the routed design's")
+	}
+	res.Restore(n.ID, nil, NetRoute{})
+	if res.Routes[n.ID] != nil {
+		t.Fatal("Restore(nil) did not clear the entry")
+	}
+
+	// A net beyond the table: the table grows and the record is new.
+	extra := d.AddNet("eco", netlist.IPin(d.Instances[0], "Y"), netlist.IPin(sink, "A"))
+	r2, err := db.RouteNet(res, extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Routes) != extra.ID+1 || res.Routes[extra.ID] != r2 || r2 == rec || r2.Net != extra {
+		t.Fatal("an unrouted net did not get a record of its own")
 	}
 }

@@ -1,9 +1,9 @@
 package route
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"macro3d/internal/geom"
@@ -156,12 +156,12 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		order = append(order, n)
 		hpwl[n.ID] = n.HPWL()
 	}
-	sort.Slice(order, func(i, j int) bool {
-		hi, hj := hpwl[order[i].ID], hpwl[order[j].ID]
-		if hi != hj {
-			return hi > hj
+	// A total order (net ids are unique).
+	slices.SortFunc(order, func(p, q *netlist.Net) int {
+		if c := cmp.Compare(hpwl[q.ID], hpwl[p.ID]); c != 0 {
+			return c
 		}
-		return order[i].ID < order[j].ID
+		return cmp.Compare(p.ID, q.ID)
 	})
 	// Metric handles are hoisted out of the negotiation loop; every
 	// call is a no-op when no recorder backs the stage span.
@@ -249,7 +249,10 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		iterC.Inc()
 		// Bound the work per iteration; the worst offenders first
 		// (longest nets through congestion).
-		sort.Slice(victims, func(i, j int) bool { return hpwl[victims[i].ID] > hpwl[victims[j].ID] })
+		// By length only — not a total order, and the wave reroutes in
+		// this order. Ties fall where pdqsort leaves them, as they did
+		// under sort.Slice (place.TestSortFuncKeepsSortSliceTies).
+		slices.SortFunc(victims, func(p, q *netlist.Net) int { return cmp.Compare(hpwl[q.ID], hpwl[p.ID]) })
 		const maxVictims = 600
 		if len(victims) > maxVictims {
 			victims = victims[:maxVictims]
@@ -311,31 +314,45 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 	return res, nil
 }
 
-// RouteNet routes a single net against current congestion and commits
-// its usage. Used by the optimizer for incrementally created nets
-// (buffer insertion) and by flows for ECO reroutes. The route is three
-// heap objects of its own (record, pin nodes, exact-size segments), not
-// slab records: a later reroute or rollback drops it and it must be
-// collectable alone.
-func (db *DB) RouteNet(n *netlist.Net) (*NetRoute, error) {
+// RouteNet routes a single net against current congestion into res and
+// commits its usage. Used by the optimizer for incrementally created
+// nets (buffer insertion) and by flows for ECO reroutes. The net's
+// record in res is rewritten where it lies — a caller that may undo the
+// edit copies it first (ddb.Txn.Reroute), and releases the usage of the
+// route it held (ReleaseNet) — and only what does not fit comes from the
+// result's ECO slabs: a record when the net has none, pin nodes or
+// segments when there are more than the net's span holds. At steady
+// state a reroute allocates nothing. After an error the record's
+// contents are unspecified.
+func (db *DB) RouteNet(res *Result, n *netlist.Net) (*NetRoute, error) {
 	if db.err != nil {
 		return nil, db.err
 	}
+	var r *NetRoute
+	if n.ID < len(res.Routes) {
+		r = res.Routes[n.ID]
+	}
+	if r == nil {
+		r = res.ecoRecs.Alloc()
+		res.SetRoute(n.ID, r)
+	}
 	s := db.scratch()
 	np := n.NumPins()
-	r := &NetRoute{Net: n, PinNode: make([]Node, np)}
+	r.Net = n
+	r.PinNode = res.ecoNodes.Fit(r.PinNode, np)
 	s.edges = slices.Grow(s.edges[:0], np)
 	t := netTask{net: n, route: r, edges: s.edges}
 	if err := db.prepTask(&t, s); err != nil {
 		return nil, err
 	}
-	if segs := db.routeTask(&t, false, s); len(segs) > 0 {
-		r.Segments = slices.Clone(segs)
-	}
+	segs := db.routeTask(&t, false, s)
+	r.Segments = res.ecoSegs.Fit(r.Segments, len(segs))
+	copy(r.Segments, segs)
 	db.opt.Obs.Reg().Counter("route_eco_reroutes_total",
 		"Single-net ECO routes (optimizer buffer nets and reroutes).").Inc()
 	db.addUsage(r, 1)
 	// Account the per-route metrics.
+	r.WL, r.Vias, r.F2F = 0, 0, 0
 	for _, s := range r.Segments {
 		if s.IsVia() {
 			r.Vias++
@@ -347,6 +364,20 @@ func (db *DB) RouteNet(n *netlist.Net) (*NetRoute, error) {
 		r.WL += db.segLen(s)
 	}
 	return r, nil
+}
+
+// Restore makes r net netID's route again with the contents of was — a
+// copy taken before RouteNet rewrote the record, whose pin nodes and
+// segments fit r's spans because a span is only ever replaced by a
+// larger one. A nil r clears the entry. Usage is the caller's to
+// release and commit.
+func (res *Result) Restore(netID int, r *NetRoute, was NetRoute) {
+	if r != nil {
+		pins, segs := append(r.PinNode[:0], was.PinNode...), append(r.Segments[:0], was.Segments...)
+		*r = was
+		r.PinNode, r.Segments = pins, segs
+	}
+	res.SetRoute(netID, r)
 }
 
 // Translate stores, as net n's route, a copy of route r shifted by

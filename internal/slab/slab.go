@@ -6,10 +6,11 @@
 // The invariant everything else leans on: a chunk is never reallocated.
 // Growth appends a new chunk, so a pointer or span handed out stays
 // valid — and keeps pointing at the same memory — for as long as its
-// holder keeps it. Records that must become garbage one at a time (an
-// ECO route replaced by the next reroute, an incremental NetRC) do not
-// belong in a slab: a chunk is collected only once nothing points into
-// it any more.
+// holder keeps it. A chunk is collected only once nothing points into it
+// any more, so a record that changes one at a time under a long-lived
+// owner (an ECO route, an incremental NetRC) is not replaced by a new
+// one but rewritten where it lies, keeping its spans while they fit
+// (Fit); what it outgrows is abandoned inside the chunk.
 package slab
 
 // minChunk is the size of the first chunk of a slab that was not
@@ -91,6 +92,17 @@ func (s *Slab[T]) Span(n int) []T {
 	out := s.chunks[s.ci][s.used : s.used+n : s.used+n]
 	s.used += n
 	return out
+}
+
+// Fit returns have resliced to n records when its span holds that many
+// (cap(have) ≥ n), and a new span of n when it does not — how a record
+// that is rewritten in place keeps its span until it outgrows it. The
+// old span is then abandoned where it lies.
+func (s *Slab[T]) Fit(have []T, n int) []T {
+	if n <= cap(have) {
+		return have[:n]
+	}
+	return s.Span(n)
 }
 
 // Release takes back the last n records handed out by Alloc, newest

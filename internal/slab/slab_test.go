@@ -150,3 +150,25 @@ func TestReleaseRewindsAndZeroes(t *testing.T) {
 	}()
 	s.Release(1)
 }
+
+// TestFit: a span that holds n records is resliced in place, whatever
+// its current length; one that does not is replaced by a fresh span of
+// exactly n and left as it was.
+func TestFit(t *testing.T) {
+	var s Slab[int]
+	a := s.Span(4)
+	a[0], a[3] = 7, 9
+	if got := s.Fit(a[:1], 4); &got[0] != &a[0] || len(got) != 4 || got[3] != 9 {
+		t.Fatalf("Fit within the span moved or cut it: %v", got)
+	}
+	if got := s.Fit(a, 2); &got[0] != &a[0] || len(got) != 2 || cap(got) != 4 {
+		t.Fatalf("Fit to a shorter length: len %d cap %d", len(got), cap(got))
+	}
+	b := s.Fit(a, 5)
+	if len(b) != 5 || cap(b) != 5 || &b[0] == &a[0] || a[0] != 7 {
+		t.Fatalf("Fit past the span: len %d cap %d", len(b), cap(b))
+	}
+	if got := s.Fit(nil, 0); got != nil {
+		t.Fatalf("Fit(nil, 0) = %v", got)
+	}
+}

@@ -88,10 +88,10 @@ func BoundaryArcs(d *netlist.Design, ex *extract.Design, opt Options) (map[strin
 		down[i] = negInf
 	}
 	budget := func(node int) float64 {
-		on := e.outNet[node]
-		if on == nil {
+		if e.lastNet[node] < 0 {
 			return negInf
 		}
+		on := d.Nets[e.lastNet[node]]
 		rc := ex.Nets[on.ID]
 		if rc == nil {
 			return negInf
@@ -115,12 +115,7 @@ func BoundaryArcs(d *netlist.Design, ex *extract.Design, opt Options) (map[strin
 				if down[sn] <= negInf {
 					continue
 				}
-				load := 0.0
-				if son := e.outNet[sn]; son != nil {
-					if src := ex.Nets[son.ID]; src != nil {
-						load = src.CTotal()
-					}
-				}
+				load := e.loadOf(sn)
 				// Gate delay evaluated at the forward full-pass slew
 				// of this driver, matching what the forward analysis
 				// saw on the worst launch.

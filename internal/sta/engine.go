@@ -34,42 +34,52 @@ type Engine struct {
 	nPorts int
 	nNodes int
 
-	isComb []bool // by instance ID
+	// What each instance's master makes of it, by instance ID (classify).
+	isComb, isSeq []bool
 	// hasAbstract short-circuits the per-arc launch adjustment of
 	// hardened-macro abstracts; designs without abstracts (every flat
-	// flow) take bit-identical pre-existing paths.
+	// flow) take bit-identical pre-existing paths. A patch can set it (an
+	// abstract appended) but only a rebuild clears it.
 	hasAbstract bool
 	order       []*netlist.Instance // combinational topological order
-	level       []int32             // by instance ID: wave index in the order
-	outNet      []*netlist.Net      // by node: driven signal net (last wins)
 
-	// Adjacency in CSR form — row offsets plus one flat array, rebuilt
-	// into the same buffers on every topology edit (see fanoutOf,
-	// inputsOf): combinational sink instance IDs by node, driving
-	// arcs by instance ID, and the order grouped by level for the
-	// parallel full pass. Rows fill in net order, then sink order.
-	fanOff, fanTo []int32
-	inOff         []int32
-	inArcs        []inEdge
-	waveOff       []int32
-	waveInst      []*netlist.Instance
+	// The topology tables (topo.go): built by rebuildTopo, patched by
+	// patchTopo.
+	fan     rows[int32]
+	ep      rows[epRow]
+	in      rows[inEdge]
+	netDrv  []int32
+	drvPrev []int32
+	lastNet []int32
+	indeg0  []int32
 
-	// rebuildTopo scratch: Kahn in-degrees and release marks by
-	// instance ID, CSR fill cursors.
-	indeg    []int32
-	released []bool
-	cursor   []int32
+	// The order grouped by level for the parallel full pass, built
+	// lazily (buildWaves).
+	wavesStale bool
+	level      []int32 // by instance ID: wave index in the order
+	waveOff    []int32
+	waveInst   []*netlist.Instance
+
+	// Scratch of the topology builders: Kahn in-degrees and release marks
+	// by instance ID, a counting-sort cursor, and patchTopo's dirty sets,
+	// marks (all false between patches) and row buffers.
+	indeg      []int32
+	released   []bool
+	cursor     []int32
+	netMark    []bool
+	instMark   []bool
+	dirtyNets  []int32
+	dirtyInsts []int32
+	arcTmp     []instArc
+	fanTmp     []int32
+	epTmp      []epRow
+	inTmp      []inEdge
 
 	full, half pass
 
-	// Endpoint table (see epRow) and the index of its rows by capturing
-	// instance, rebuilt with the topology; then the report pass's own
-	// buffers: the endpoints of the pass, and the per-launch-node worst
-	// endpoint (valid where launchGen holds the pass's epGen stamp)
-	// from which the paths to trace are selected.
-	epRows     []epRow
-	epInstOff  []int32
-	epInstRows []int32
+	// The report pass's own buffers: the endpoints of the pass, and the
+	// per-launch-node worst endpoint (valid where launchGen holds the
+	// pass's epGen stamp) from which the paths to trace are selected.
 	eps        []endpoint
 	launchGen  []uint32 // by node
 	launchBest []int32  // by node: index into eps
@@ -87,24 +97,15 @@ type Engine struct {
 	// resetFrom is the lowest node count the design has had while the
 	// pending invalidation accumulated: every node at or above it holds
 	// values for an instance that may since have been truncated and
-	// re-created, so the slot is reset before reuse.
-	resetFrom int
+	// re-created, so the slot is reset before reuse. netFrom is the same
+	// for the net count and the rows of the tables keyed by net.
+	resetFrom, netFrom int
 
 	// Observability handles (nil when Options.Obs is unset; all
 	// operations on them no-op).
 	mFull, mInc *obs.Counter
 	mRatio      *obs.Gauge
 	mFrontier   *obs.Histogram
-}
-
-// inEdge is one driving arc into a combinational instance. Elmore and
-// pin references are looked up live at evaluation time (net ID + sink
-// index), so a reroute or re-extraction never leaves a stale cached
-// value.
-type inEdge struct {
-	drv int32 // driver node
-	net int32
-	si  int32
 }
 
 // pass holds the persistent per-node state of one launch pass
@@ -143,7 +144,7 @@ func NewEngine(d *netlist.Design, ex *extract.Design, opt Options) (*Engine, err
 	if err := ex.CheckFinite(); err != nil {
 		return nil, fmt.Errorf("sta: %w", err)
 	}
-	e := &Engine{d: d, ex: ex, opt: opt.withDefaults(), resetFrom: int(^uint(0) >> 1)}
+	e := &Engine{d: d, ex: ex, opt: opt.withDefaults()}
 	if reg := opt.Obs.Reg(); reg != nil {
 		e.mFull = reg.Counter("sta_full_runs_total",
 			"From-scratch STA passes (Engine.Run and sta.Analyze).")
@@ -172,151 +173,27 @@ func (e *Engine) updateRatio() {
 	}
 }
 
-// fanoutOf returns the combinational sink instance IDs of a node.
-func (e *Engine) fanoutOf(node int) []int32 { return e.fanTo[e.fanOff[node]:e.fanOff[node+1]] }
+// inputsOf returns the arcs that arrive at an instance.
+func (e *Engine) inputsOf(id int) []inEdge { return e.in.row(id) }
 
-// inputsOf returns the driving arcs of an instance.
-func (e *Engine) inputsOf(id int) []inEdge { return e.inArcs[e.inOff[id]:e.inOff[id+1]] }
-
-// rebuildTopo (re)derives every topology-dependent cache from the
-// current design: node count, levelized order, fanout and input-arc
-// adjacency, driven-net table, endpoint table. Everything is built into
-// buffers the engine keeps, so a rebuild after a small edit allocates
-// only when the design outgrew them. Per-node value arrays are grown or
-// shrunk at the tail; slots at or above resetFrom are re-initialized.
-func (e *Engine) rebuildTopo() error {
-	e.nPorts = len(e.d.Ports)
-	nInst := len(e.d.Instances)
-	e.nNodes = e.nPorts + nInst
-
-	e.isComb = resize(e.isComb, nInst)
-	e.hasAbstract = false
-	for i, inst := range e.d.Instances {
-		e.isComb[i] = !inst.Master.IsSequential() &&
-			inst.Master.Kind != cell.KindFiller && inst.Master.Output() != nil
-		if inst.Master.Abstract != nil {
-			e.hasAbstract = true
+// loadOf is the total capacitance a node drives on its output net (the
+// highest-numbered net it drives), 0 without one.
+func (e *Engine) loadOf(node int) float64 {
+	if on := e.lastNet[node]; on >= 0 {
+		if rc := e.ex.Nets[on]; rc != nil {
+			return rc.CTotal()
 		}
 	}
-
-	e.buildAdjacency()
-	if err := e.levelize(); err != nil {
-		return err
-	}
-	e.buildEndpoints()
-	e.launchGen = resize(e.launchGen, e.nNodes)
-	e.launchBest = resize(e.launchBest, e.nNodes)
-	clear(e.launchGen)
-	e.epGen = 0
-
-	// Waves for the parallel full pass: level = 1 + max(level of
-	// combinational inputs), grouped by a counting sort that keeps the
-	// topological order inside each level.
-	e.level = resize(e.level, nInst)
-	maxLevel := int32(0)
-	for _, inst := range e.order {
-		lvl := int32(0)
-		for _, ev := range e.inputsOf(inst.ID) {
-			if int(ev.drv) >= e.nPorts {
-				di := int(ev.drv) - e.nPorts
-				if e.isComb[di] && e.level[di]+1 > lvl {
-					lvl = e.level[di] + 1
-				}
-			}
-		}
-		e.level[inst.ID] = lvl
-		if lvl > maxLevel {
-			maxLevel = lvl
-		}
-	}
-	e.waveOff = resize(e.waveOff, int(maxLevel)+2)
-	clear(e.waveOff)
-	for _, inst := range e.order {
-		e.waveOff[e.level[inst.ID]+1]++
-	}
-	for l := 1; l < len(e.waveOff); l++ {
-		e.waveOff[l] += e.waveOff[l-1]
-	}
-	e.waveInst = resize(e.waveInst, len(e.order))
-	e.cursor = append(e.cursor[:0], e.waveOff[:maxLevel+1]...)
-	for _, inst := range e.order {
-		l := e.level[inst.ID]
-		e.waveInst[e.cursor[l]] = inst
-		e.cursor[l]++
-	}
-
-	e.resizePass(&e.full)
-	e.resizePass(&e.half)
-	e.dirtyFull = resize(e.dirtyFull, e.nNodes)
-	e.dirtyHalf = resize(e.dirtyHalf, e.nNodes)
-	e.resetFrom = int(^uint(0) >> 1)
-	return nil
+	return 0
 }
 
-// buildAdjacency derives the fanout rows, the input-arc rows, the
-// Kahn in-degrees and the driven-net table in two sweeps over the nets:
-// the first counts row lengths, the second fills the rows through
-// cursors. Both visit nets and sinks in the same order, which is the
-// order within every row — it fixes the tie-break among equal-arrival
-// inputs, so it must match what a from-scratch pass builds.
-func (e *Engine) buildAdjacency() {
-	nInst := len(e.d.Instances)
-	e.fanOff = resize(e.fanOff, e.nNodes+1)
-	e.inOff = resize(e.inOff, nInst+1)
-	e.indeg = resize(e.indeg, nInst)
-	e.outNet = resize(e.outNet, e.nNodes)
-	clear(e.fanOff)
-	clear(e.inOff)
-	clear(e.indeg)
-	clear(e.outNet)
-	var fanCur, inCur []int32
-	sweep := func(fill bool) {
-		for _, n := range e.d.Nets {
-			if n.Clock {
-				continue
-			}
-			drv, ok := e.refNode(n.Driver)
-			if !ok {
-				continue
-			}
-			e.outNet[drv] = n
-			hasRC := e.ex.Nets[n.ID] != nil
-			for si, s := range n.Sinks {
-				if s.Inst == nil || !e.isComb[s.Inst.ID] {
-					continue
-				}
-				id := s.Inst.ID
-				if !fill {
-					e.indeg[id]++
-					e.fanOff[drv+1]++
-					if hasRC {
-						e.inOff[id+1]++
-					}
-					continue
-				}
-				e.fanTo[fanCur[drv]] = int32(id)
-				fanCur[drv]++
-				if hasRC {
-					e.inArcs[inCur[id]] = inEdge{drv: int32(drv), net: int32(n.ID), si: int32(si)}
-					inCur[id]++
-				}
-			}
+// markFanout dirties the combinational fanout of a node.
+func (e *Engine) markFanout(node int, dirty []bool) {
+	for n := e.lastNet[node]; n >= 0; n = e.drvPrev[n] {
+		for _, f := range e.fan.row(int(n)) {
+			dirty[e.nPorts+int(f)] = true
 		}
 	}
-	sweep(false)
-	for i := 1; i < len(e.fanOff); i++ {
-		e.fanOff[i] += e.fanOff[i-1]
-	}
-	for i := 1; i < len(e.inOff); i++ {
-		e.inOff[i] += e.inOff[i-1]
-	}
-	e.fanTo = resize(e.fanTo, int(e.fanOff[e.nNodes]))
-	e.inArcs = resize(e.inArcs, int(e.inOff[nInst]))
-	// One cursor array serves both fills: fanout cursors by node, input
-	// cursors by instance after them.
-	e.cursor = append(append(e.cursor[:0], e.fanOff[:e.nNodes]...), e.inOff[:nInst]...)
-	fanCur, inCur = e.cursor[:e.nNodes], e.cursor[e.nNodes:]
-	sweep(true)
 }
 
 // resizePass grows or shrinks a pass's arrays to nNodes and
@@ -365,61 +242,6 @@ func (e *Engine) resetPass(p *pass) {
 	}
 }
 
-// levelize orders combinational instances topologically (Kahn) over
-// the fanout rows, consuming the in-degrees buildAdjacency counted.
-// The order doubles as the work queue: an instance is appended when it
-// is released and relaxes its fanout when the head reaches it.
-func (e *Engine) levelize() error {
-	indeg := e.indeg
-	e.released = resize(e.released, len(e.d.Instances))
-	clear(e.released)
-	e.order = e.order[:0]
-	// release appends a combinational instance whose in-degree reached
-	// zero, once.
-	release := func(inst *netlist.Instance) {
-		if e.isComb[inst.ID] && indeg[inst.ID] == 0 && !e.released[inst.ID] {
-			e.order = append(e.order, inst)
-			e.released[inst.ID] = true
-		}
-	}
-	relax := func(node int) {
-		for _, f := range e.fanoutOf(node) {
-			indeg[f]--
-		}
-	}
-	for _, inst := range e.d.Instances {
-		release(inst)
-	}
-	for _, inst := range e.d.Instances {
-		if inst.Master.IsSequential() {
-			relax(e.nodeOfInst(inst))
-		}
-	}
-	for _, p := range e.d.Ports {
-		relax(e.nodeOfPort(p))
-	}
-	for _, inst := range e.d.Instances {
-		release(inst)
-	}
-	for head := 0; head < len(e.order); head++ {
-		node := e.nodeOfInst(e.order[head])
-		relax(node)
-		for _, f := range e.fanoutOf(node) {
-			release(e.d.Instances[f])
-		}
-	}
-	comb := 0
-	for _, c := range e.isComb {
-		if c {
-			comb++
-		}
-	}
-	if len(e.order) != comb {
-		return fmt.Errorf("sta: combinational loop detected (%d of %d gates levelized)", len(e.order), comb)
-	}
-	return nil
-}
-
 // Invalidate records edits since the last Run/Update: the ids of
 // re-extracted or re-wired nets, resized/moved/added instances, and
 // whether the topology changed (instances or nets added or removed,
@@ -429,9 +251,8 @@ func (e *Engine) Invalidate(nets, insts []int, topo bool) {
 	e.pendInsts = append(e.pendInsts, insts...)
 	if topo {
 		e.pendTopo = true
-		if n := e.nPorts + len(e.d.Instances); n < e.resetFrom {
-			e.resetFrom = n
-		}
+		e.resetFrom = min(e.resetFrom, e.nPorts+len(e.d.Instances))
+		e.netFrom = min(e.netFrom, len(e.d.Nets))
 	}
 }
 
@@ -464,6 +285,9 @@ func (e *Engine) Run(period float64) (*Report, error) {
 		}
 		e.seed(p, half, dirty)
 		if workers > 1 && len(e.order) >= 512 {
+			if e.wavesStale {
+				e.buildWaves()
+			}
 			e.propagateWaves(p, workers)
 		} else {
 			e.propagate(p, dirty)
@@ -492,11 +316,12 @@ func (e *Engine) Update(period float64) (*Report, error) {
 		}
 	}
 	if e.pendTopo {
-		if err := e.rebuildTopo(); err != nil {
+		if err := e.patchTopo(); err != nil {
 			return nil, err
 		}
-	} else {
-		e.patchEndpoints()
+	}
+	if err := e.patchMasters(); err != nil {
+		return nil, err
 	}
 
 	frontier := 0
@@ -567,17 +392,12 @@ func (e *Engine) seed(p *pass, half bool, dirty []bool) {
 		ioRef = e.opt.Clock.MeanLatency
 	}
 	if !half {
-		for _, inst := range e.d.Instances {
-			if !inst.Master.IsSequential() {
+		for id, inst := range e.d.Instances {
+			if !e.isSeq[id] {
 				continue
 			}
-			node := e.nodeOfInst(inst)
-			load := 0.0
-			if on := e.outNet[node]; on != nil {
-				if rc := e.ex.Nets[on.ID]; rc != nil {
-					load = rc.CTotal()
-				}
-			}
+			node := e.nPorts + id
+			load := e.loadOf(node)
 			var v float64
 			if inst.Master.Abstract != nil {
 				// Hardened abstracts launch at the clock edge; the
@@ -605,11 +425,7 @@ func (e *Engine) setSeed(p *pass, node int, v float64, dirty []bool) {
 	}
 	p.arr[node] = v
 	p.slew[node] = e.opt.DefaultSlew
-	for _, f := range e.fanoutOf(node) {
-		if e.isComb[f] {
-			dirty[e.nPorts+int(f)] = true
-		}
-	}
+	e.markFanout(node, dirty)
 }
 
 // arcLaunch returns the launch adjustment of a driver node when it is
@@ -637,13 +453,7 @@ func (e *Engine) arcLaunch(drv int, n *netlist.Net, rc *extract.NetRC) float64 {
 // current state of its inputs — identical arithmetic and tie-break
 // order to the original from-scratch pass.
 func (e *Engine) evalNode(p *pass, inst *netlist.Instance) (arr, slew, wl float64, prev int, pref netlist.PinRef) {
-	node := e.nodeOfInst(inst)
-	load := 0.0
-	if on := e.outNet[node]; on != nil {
-		if rc := e.ex.Nets[on.ID]; rc != nil {
-			load = rc.CTotal()
-		}
-	}
+	load := e.loadOf(e.nodeOfInst(inst))
 	best := negInf
 	bestPrev := -1
 	var bestRef netlist.PinRef
@@ -698,9 +508,7 @@ func (e *Engine) propagate(p *pass, dirty []bool) {
 			p.wl[node] = wl
 			p.prev[node] = prev
 			p.pref[node] = pref
-			for _, f := range e.fanoutOf(node) {
-				dirty[e.nPorts+int(f)] = true
-			}
+			e.markFanout(node, dirty)
 		}
 	}
 }

@@ -41,12 +41,7 @@ func (e *Engine) analyzeHold(rep *Report) {
 	// the short-path Elmore is the same tree.
 	for _, inst := range e.order {
 		node := e.nodeOfInst(inst)
-		load := 0.0
-		if on := e.outNet[node]; on != nil {
-			if rc := e.ex.Nets[on.ID]; rc != nil {
-				load = rc.CTotal()
-			}
-		}
+		load := e.loadOf(node)
 		best := posInf
 		for _, ev := range e.inputsOf(inst.ID) {
 			rc := e.ex.Nets[ev.net]

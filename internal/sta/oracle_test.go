@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 
@@ -334,6 +336,23 @@ func randomEdits(t *testing.T, db *ddb.DB, txn *ddb.Txn, rng *geom.RNG, seq *int
 		}
 		*seq++
 		sink := txn.RemoveSinkAt(n, rng.Intn(len(n.Sinks)))
+		if rng.Intn(4) == 0 {
+			// Hand the sink to a second net of an existing launch point —
+			// an input port or a source register — so a surviving node's
+			// chain of driven nets grows (and shrinks again on rollback)
+			// and its load becomes the new net's.
+			from := netlist.IPin(d.Instance("src"+itoa(rng.Intn(14))), "Q")
+			if rng.Intn(2) == 0 {
+				from = netlist.PPin(d.Port("in" + itoa(rng.Intn(6))))
+			}
+			nn := txn.AddNet("rtap"+itoa(*seq), from, sink)
+			for _, r := range []*netlist.Net{n, nn} {
+				if err := txn.Reroute(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			continue
+		}
 		buf := txn.AddInstance("rbuf"+itoa(*seq), d.Lib.MustCell("BUF_X16"))
 		a, b := n.Driver.Loc(), sink.Loc()
 		buf.Loc, buf.Placed = geom.Pt((a.X+b.X)/2, (a.Y+b.Y)/2), true
@@ -382,7 +401,8 @@ func checkReport(t *testing.T, e *Engine, got *Report, period float64, when stri
 // or full run that follows a random bundle of resizes and buffer
 // insertions, whether the bundle is then committed or rolled
 // back — including the setup rows patched for resized registers and
-// the table rebuilt after insertions and truncations.
+// the tables patched around insertions and truncations, which equal a
+// fresh engine's row for row after every one of them (CheckTopo).
 func TestReportMatchesOracle(t *testing.T) {
 	const period = 900
 	for seed := uint64(1); seed <= 6; seed++ {
@@ -414,6 +434,9 @@ func TestReportMatchesOracle(t *testing.T) {
 					t.Fatalf("%s: %v", when, err)
 				}
 				checkReport(t, e, rep, period, when)
+				if err := e.CheckTopo(); err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
 				if rng.Intn(2) == 0 {
 					txn.Commit()
 					continue
@@ -423,6 +446,9 @@ func TestReportMatchesOracle(t *testing.T) {
 					t.Fatalf("%s rollback: %v", when, err)
 				}
 				checkReport(t, e, rep, period, when+" rollback")
+				if err := e.CheckTopo(); err != nil {
+					t.Fatalf("%s rollback: %v", when, err)
+				}
 			}
 			// The incremental state the reports were read from is itself
 			// the from-scratch state.
@@ -465,4 +491,66 @@ func TestReportTiesFollowTableOrder(t *testing.T) {
 		t.Fatalf("lanes do not tie: %v vs %v", rep.Paths[0].Delay, rep.Paths[1].Delay)
 	}
 	checkReport(t, e, rep, 2000, "tied lanes")
+}
+
+// TestEngineUpdateTopoAllocs: at steady state — the engine's buffers
+// and the arenas' slack sized by a first round — the Update after a
+// buffer insertion and the Update after its rollback allocate the
+// report, its path list and the step array, and nothing for the patch.
+func TestEngineUpdateTopoAllocs(t *testing.T) {
+	const period = 900
+	db := randomDB(t, 3)
+	e, err := NewEngine(db.Design, db.Ex, Options{Corner: db.Corner, TopPaths: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(period); err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	mallocs := func(f func()) uint64 {
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		f()
+		runtime.ReadMemStats(&b)
+		return b.Mallocs - a.Mallocs
+	}
+	update := func() {
+		if _, err := e.Update(period); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The same bundle every round, on a net with several sinks: one
+	// moves behind a new buffer, the others shift down a sink index.
+	d := db.Design
+	var n *netlist.Net
+	for _, c := range d.Nets {
+		if !c.Clock && (n == nil || len(c.Sinks) > len(n.Sinks)) {
+			n = c
+		}
+	}
+	for round := 0; round < 8; round++ {
+		txn := db.Begin()
+		sink := txn.RemoveSinkAt(n, 0)
+		buf := txn.AddInstance("abuf", d.Lib.MustCell("BUF_X16"))
+		buf.Loc, buf.Placed = sink.Loc(), true
+		txn.AppendSink(n, netlist.IPin(buf, "A"))
+		nn := txn.AddNet("anet", netlist.IPin(buf, "Y"), sink)
+		for _, r := range []*netlist.Net{n, nn} {
+			if err := txn.Reroute(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Invalidate(txn.DirtyNets(), txn.DirtyInsts(), true)
+		after := mallocs(update)
+		e.Invalidate(txn.Rollback())
+		undone := mallocs(update)
+		if err := e.CheckTopo(); err != nil {
+			t.Fatal(err)
+		}
+		if round >= 2 && (after > 3 || undone > 3) {
+			t.Fatalf("round %d: Update allocates %d objects after a buffer bundle and %d after its rollback, want at most 3",
+				round, after, undone)
+		}
+	}
 }

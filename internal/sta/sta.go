@@ -20,7 +20,6 @@ import (
 	"math"
 	"slices"
 
-	"macro3d/internal/cell"
 	"macro3d/internal/cts"
 	"macro3d/internal/extract"
 	"macro3d/internal/netlist"
@@ -113,15 +112,16 @@ func Analyze(d *netlist.Design, ex *extract.Design, period float64, opt Options)
 	return e.Run(period)
 }
 
-// epRow is one row of the endpoint table: a (net, sink) pair whose sink
-// captures data — a sequential data pin or an output port. Everything
-// in it follows from topology and masters, so rebuildTopo derives the
-// table and patchEndpoints refreshes the rows of resized instances;
-// buildReport only does arithmetic over it.
+// epRow is one row of the endpoint table (Engine.ep, keyed by net): a
+// sink that captures data — a sequential data pin or an output port;
+// the pin itself is the net's Sinks[si]. Everything in it follows from
+// topology and masters, so the topology builders derive the table and
+// patchMasters refreshes the rows of resized instances; buildReport
+// only does arithmetic over it.
 type epRow struct {
-	ref      netlist.PinRef // the capturing pin or port
-	net, si  int32
+	si       int32
 	drv      int32 // launch-side node
+	inst     int32 // the capturing instance, -1 for a port
 	port     bool  // output port (otherwise a sequential data pin)
 	portHalf bool  // the port is half-cycle constrained
 	// Sequential rows: setup (corner-scaled, or a hardened abstract's
@@ -133,7 +133,8 @@ type epRow struct {
 type endpoint struct {
 	req   float64 // minimum period this endpoint demands
 	delay float64 // data arrival at the endpoint
-	row   int32
+	net   int32
+	row   int32 // index into ep.data
 	// snapHalf: launched on the half-cycle pass. isHalf: launched or
 	// captured by a half-cycle port.
 	snapHalf, isHalf bool
@@ -152,68 +153,31 @@ func (e *Engine) setupOf(s netlist.PinRef) float64 {
 	return m.Setup * e.opt.Corner.CellDelay
 }
 
-// buildEndpoints derives the endpoint table in net-then-sink order, and
-// the index of its rows by capturing instance.
-func (e *Engine) buildEndpoints() {
-	nInst := len(e.d.Instances)
-	e.epInstOff = resize(e.epInstOff, nInst+1)
-	clear(e.epInstOff)
-	// Size the table once: only sequential and port sinks can be rows.
-	bound := 0
-	for _, n := range e.d.Nets {
-		for _, s := range n.Sinks {
-			if !n.Clock && (s.Port != nil || s.Inst != nil && s.Inst.Master.IsSequential()) {
-				bound++
-			}
-		}
-	}
-	e.epRows = slices.Grow(e.epRows[:0], bound)
-	for _, n := range e.d.Nets {
-		if n.Clock {
-			continue
-		}
-		drv, ok := e.refNode(n.Driver)
-		if !ok {
-			continue
-		}
-		for si, s := range n.Sinks {
-			row := epRow{ref: s, net: int32(n.ID), si: int32(si), drv: int32(drv)}
-			switch {
-			case s.Inst != nil && s.Inst.Master.IsSequential() && !s.Inst.Master.Pin(s.Pin).Clock:
-				row.setup, row.capLat = e.setupOf(s), e.clockLatency(s.Inst)
-				e.epInstOff[s.Inst.ID+1]++
-			case s.Port != nil && s.Port.Dir == cell.DirOut:
-				row.port, row.portHalf = true, s.Port.HalfCycle
-			default:
-				continue
-			}
-			e.epRows = append(e.epRows, row)
-		}
-	}
-	for i := 1; i <= nInst; i++ {
-		e.epInstOff[i] += e.epInstOff[i-1]
-	}
-	e.epInstRows = resize(e.epInstRows, int(e.epInstOff[nInst]))
-	e.cursor = append(e.cursor[:0], e.epInstOff[:nInst]...)
-	for ri := range e.epRows {
-		if r := &e.epRows[ri]; !r.port {
-			e.epInstRows[e.cursor[r.ref.Inst.ID]] = int32(ri)
-			e.cursor[r.ref.Inst.ID]++
-		}
-	}
-}
-
-// patchEndpoints refreshes the table rows that capture at the pending
-// (resized) instances; a topology edit rebuilds the table instead.
-func (e *Engine) patchEndpoints() {
+// patchMasters follows the pending (resized) instances: it refreshes the
+// setup of the endpoint rows that capture at them, found through the
+// instance's arcs. A master that changed what its instance is to the
+// graph (classify) stales the tables themselves, and they are rebuilt.
+func (e *Engine) patchMasters() error {
 	for _, id := range e.pendInsts {
-		if id+1 >= len(e.epInstOff) {
+		if id >= len(e.isComb) {
 			continue
 		}
-		for _, ri := range e.epInstRows[e.epInstOff[id]:e.epInstOff[id+1]] {
-			e.epRows[ri].setup = e.setupOf(e.epRows[ri].ref)
+		if e.classify(id) {
+			return e.rebuildTopo()
+		}
+		if !e.isSeq[id] {
+			continue
+		}
+		for _, a := range e.in.row(id) {
+			rows := e.ep.row(int(a.net))
+			for i := range rows {
+				if rows[i].si == a.si {
+					rows[i].setup = e.setupOf(e.d.Nets[a.net].Sinks[a.si])
+				}
+			}
 		}
 	}
+	return nil
 }
 
 // before is the report's total order over the endpoints of one pass:
@@ -244,7 +208,7 @@ func (e *Engine) buildReport(period float64) (*Report, error) {
 	}
 	full, half := &e.full, &e.half
 
-	e.eps = slices.Grow(e.eps[:0], len(e.epRows))
+	e.eps = slices.Grow(e.eps[:0], e.ep.live)
 	consider := func(ep endpoint, slack float64) {
 		rep.Endpoints++
 		if slack < 0 {
@@ -256,57 +220,61 @@ func (e *Engine) buildReport(period float64) (*Report, error) {
 		e.eps = append(e.eps, ep)
 	}
 
-	curNet := int32(-1)
-	var rc *extract.NetRC
-	adj := 0.0
-	for ri := range e.epRows {
-		r := &e.epRows[ri]
-		if r.net != curNet {
-			curNet, rc, adj = r.net, ex.Nets[r.net], 0
-			// Launch adjustment when the driver is a hardened-abstract
-			// output pin (0 otherwise; see Engine.arcLaunch).
-			if rc != nil && e.hasAbstract {
-				adj = e.arcLaunch(int(r.drv), d.Nets[r.net], rc)
-			}
+	for net, at := range e.ep.at {
+		if at.n == 0 {
+			continue
 		}
+		rc := ex.Nets[net]
 		if rc == nil {
 			continue
 		}
-		elm := rc.ElmoreTo[r.si] // already corner-scaled by extraction
-		fa, ha := full.arr[r.drv], half.arr[r.drv]
-		if !r.port {
-			setup, capLat := r.setup, r.capLat
-			// Full-cycle launched paths.
+		// Launch adjustment when the driver is a hardened-abstract
+		// output pin (0 otherwise; see Engine.arcLaunch).
+		adj := 0.0
+		if e.hasAbstract {
+			adj = e.arcLaunch(int(e.netDrv[net]), d.Nets[net], rc)
+		}
+		for ri := at.off; ri < at.off+at.n; ri++ {
+			r := &e.ep.data[ri]
+			elm := rc.ElmoreTo[r.si] // already corner-scaled by extraction
+			fa, ha := full.arr[r.drv], half.arr[r.drv]
+			ep := endpoint{net: int32(net), row: ri}
+			if !r.port {
+				setup, capLat := r.setup, r.capLat
+				// Full-cycle launched paths.
+				if fa > negInf {
+					ep.delay = fa + adj + elm
+					ep.req = ep.delay + setup - capLat + opt.SkewGuard
+					consider(ep, period+capLat-setup-ep.delay-opt.SkewGuard)
+				}
+				// Half-cycle launched paths: budget T/2.
+				if ha > negInf {
+					ep.delay = ha + adj + elm
+					ep.req = 2 * (ep.delay + setup - capLat + opt.SkewGuard)
+					ep.snapHalf, ep.isHalf = true, true
+					consider(ep, period/2+capLat-setup-ep.delay-opt.SkewGuard)
+				}
+				continue
+			}
 			if fa > negInf {
-				at := fa + adj + elm
-				consider(endpoint{req: at + setup - capLat + opt.SkewGuard, delay: at, row: int32(ri)},
-					period+capLat-setup-at-opt.SkewGuard)
+				ep.delay = fa + adj + elm
+				div := 1.0
+				if r.portHalf {
+					div = 2
+				}
+				// Delay relative to the virtual port clock edge.
+				rel := ep.delay - ioRef
+				ep.req, ep.isHalf = rel*div, r.portHalf
+				consider(ep, period/div-rel)
 			}
-			// Half-cycle launched paths: budget T/2.
-			if ha > negInf {
-				at := ha + adj + elm
-				consider(endpoint{req: 2 * (at + setup - capLat + opt.SkewGuard), delay: at, row: int32(ri),
-					snapHalf: true, isHalf: true}, period/2+capLat-setup-at-opt.SkewGuard)
+			// Port-to-port paths (half-launch to half-capture) are
+			// feedthroughs; OpenPiton tiles register at both ends, so they
+			// are rare — still checked.
+			if ha > negInf && r.portHalf {
+				ep.delay = ha + adj + elm
+				ep.req, ep.snapHalf, ep.isHalf = ep.delay-ioRef, true, true
+				consider(ep, period-ep.req)
 			}
-			continue
-		}
-		if fa > negInf {
-			at := fa + adj + elm
-			div := 1.0
-			if r.portHalf {
-				div = 2
-			}
-			// Delay relative to the virtual port clock edge.
-			rel := at - ioRef
-			consider(endpoint{req: rel * div, delay: at, row: int32(ri), isHalf: r.portHalf}, period/div-rel)
-		}
-		// Port-to-port paths (half-launch to half-capture) are
-		// feedthroughs; OpenPiton tiles register at both ends, so they
-		// are rare — still checked.
-		if ha > negInf && r.portHalf {
-			at := ha + adj + elm
-			rel := at - ioRef
-			consider(endpoint{req: rel, delay: at, row: int32(ri), snapHalf: true, isHalf: true}, period-rel)
 		}
 	}
 
@@ -329,7 +297,7 @@ func (e *Engine) buildReport(period float64) (*Report, error) {
 	e.epGen++
 	e.launches = e.launches[:0]
 	for i := range e.eps {
-		node := e.epRows[e.eps[i].row].drv
+		node := e.ep.data[e.eps[i].row].drv
 		if e.launchGen[node] != e.epGen {
 			e.launchGen[node], e.launchBest[node] = e.epGen, int32(i)
 			e.launches = append(e.launches, node)
@@ -356,7 +324,6 @@ func (e *Engine) buildReport(period float64) (*Report, error) {
 	worst := e.eps[sel[0]]
 	rep.MinPeriod = worst.req
 	rep.FmaxMHz = 1e6 / worst.req
-	rep.Critical = e.trace(worst)
 
 	// A hardened abstract's own sign-off period floors the parent clock:
 	// no boundary path can relax what the block needs internally.
@@ -380,10 +347,20 @@ func (e *Engine) buildReport(period float64) (*Report, error) {
 		}
 	}
 
+	// The traced paths share one step array, cut to each path's length.
+	// Critical is Paths[0], steps included.
+	total := 0
+	for _, c := range sel {
+		total += e.hops(e.eps[c])
+	}
+	steps := make([]PathStep, total)
 	rep.Paths = make([]Path, len(sel))
 	for i, c := range sel {
-		rep.Paths[i] = e.trace(e.eps[c])
+		k := e.hops(e.eps[c])
+		rep.Paths[i] = e.trace(e.eps[c], steps[:k:k])
+		steps = steps[k:]
 	}
+	rep.Critical = rep.Paths[0]
 	// Non-finite results mean corrupt parasitics or delay tables
 	// upstream; fail the analysis instead of reporting NaN timing.
 	for _, q := range []struct {
@@ -407,28 +384,37 @@ func dist(a, b netlist.PinRef) float64 {
 	return a.Loc().Manhattan(b.Loc())
 }
 
-// trace reconstructs the path that ends at an endpoint, back from its
-// launch-side node along the pass it was launched on.
-func (e *Engine) trace(ep endpoint) Path {
-	r := &e.epRows[ep.row]
-	s := &e.full
-	if ep.snapHalf {
-		s = &e.half
-	}
-	p := Path{Delay: ep.delay, HalfCycle: ep.isHalf,
-		Wirelength: s.wl[r.drv] + dist(e.d.Nets[r.net].Driver, r.ref)}
+// hops is the number of steps of the path that ends at an endpoint:
+// the nodes back from its launch-side node, and the endpoint.
+func (e *Engine) hops(ep endpoint) int {
+	s := e.passOf(ep)
 	hops := 1
-	for n := int(r.drv); n >= 0; n = s.prev[n] {
+	for n := int(e.ep.data[ep.row].drv); n >= 0; n = s.prev[n] {
 		hops++
 	}
+	return hops
+}
+
+func (e *Engine) passOf(ep endpoint) *pass {
+	if ep.snapHalf {
+		return &e.half
+	}
+	return &e.full
+}
+
+// trace reconstructs the path that ends at an endpoint, back from its
+// launch-side node along the pass it was launched on, into steps, which
+// has hops(ep) elements.
+func (e *Engine) trace(ep endpoint, steps []PathStep) Path {
+	r, s, n := &e.ep.data[ep.row], e.passOf(ep), e.d.Nets[ep.net]
 	// Filled from the endpoint back to the launch point.
-	steps := make([]PathStep, hops)
-	steps[hops-1] = PathStep{Ref: r.ref, Arrival: ep.delay}
-	for i, n := hops-2, int(r.drv); n >= 0; i, n = i-1, s.prev[n] {
+	last := len(steps) - 1
+	steps[last] = PathStep{Ref: n.Sinks[r.si], Arrival: ep.delay}
+	for i, n := last-1, int(r.drv); n >= 0; i, n = i-1, s.prev[n] {
 		steps[i] = PathStep{Ref: e.nodeRef(n), Arrival: s.arr[n]}
 	}
-	p.Steps = steps
-	return p
+	return Path{Steps: steps, Delay: ep.delay, HalfCycle: ep.isHalf,
+		Wirelength: s.wl[r.drv] + dist(n.Driver, n.Sinks[r.si])}
 }
 
 // nodeRef reconstructs a PinRef describing a node's output.
