@@ -131,18 +131,24 @@ bench-flow:
 ## same engines at BENCH_J pinned workers (for route: the prep and
 ## overflow-scan fan-out around the ordered pass; for place: the
 ## descent's three passes per iteration) — plus the placer's two
-## kernels, BenchmarkWLGradient and BenchmarkPoissonSolve in
-## internal/place (0 allocs/op) — recorded as machine-readable
+## kernels in internal/place (0 allocs/op): BenchmarkWLGradient, all an
+## iteration spends on wirelength (exponentials, net pass, cell pass),
+## and BenchmarkPoissonSolve — recorded as machine-readable
 ## BENCH_route.json with stddev/CV and a noise verdict per speedup
-## pair. Knobs: BENCH_COUNT
-## repetitions, BENCH_SIZE array edge, BENCH_J workers, e.g.
-## `make bench-route BENCH_COUNT=3 BENCH_SIZE=2`.
+## pair. It ends by comparing the new file with the one it replaces,
+## benchmark by benchmark (time/op, allocs/op), failing on a regression
+## that is not noise; any two such files:
+## `go run ./cmd/benchjson -compare old.json new.json`. Knobs:
+## BENCH_COUNT repetitions, BENCH_SIZE array edge, BENCH_J workers,
+## e.g. `make bench-route BENCH_COUNT=3 BENCH_SIZE=2`.
 BENCH_COUNT ?= 5
 BENCH_SIZE  ?= 3
 BENCH_J     ?= 8
 bench-route:
 	{ BENCH_ROUTE_N=$(BENCH_SIZE) BENCH_ROUTE_J=$(BENCH_J) $(GO) test -timeout 0 -bench 'BenchmarkRouteDesign|BenchmarkPlace|BenchmarkRouteFlat|BenchmarkPlaceFlat' -count $(BENCH_COUNT) -benchtime 1x -run '^$$' . && \
-	  $(GO) test -bench 'BenchmarkWLGradient|BenchmarkPoissonSolve' -count $(BENCH_COUNT) -run '^$$' ./internal/place; } | $(GO) run ./cmd/benchjson | tee BENCH_route.json
+	  $(GO) test -bench 'BenchmarkWLGradient|BenchmarkPoissonSolve' -count $(BENCH_COUNT) -run '^$$' ./internal/place; } | $(GO) run ./cmd/benchjson -o BENCH_route.new.json
+	cat BENCH_route.new.json
+	$(GO) run ./cmd/benchjson -compare BENCH_route.json BENCH_route.new.json; s=$$?; mv BENCH_route.new.json BENCH_route.json; exit $$s
 
 ## bench-stash: the stage-cache comparison — the Table I sweep cold
 ## (populating the cache) vs warm (restoring every checkpoint), both

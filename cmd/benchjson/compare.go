@@ -121,3 +121,62 @@ func nonZero(v float64) float64 {
 	}
 	return v
 }
+
+// `benchjson -compare old.json new.json` (no -ledger) reads two
+// kernel-benchmark files — BENCH_route.json, BENCH_opt.json — back and
+// prints, per benchmark in both, time/op and allocs/op of the new file
+// against the old with pair's noise verdict. It exits 1 on a regression
+// that is not noise: a slower mean whose ~95 % interval clears the old
+// one's, or more allocations an operation (a count, judged exactly).
+// `make bench-route` ends with it against the committed file.
+
+// compareKernels prints the comparison and returns the number of
+// non-noise regressions.
+func compareKernels(w io.Writer, old, new *summary) (regressions int) {
+	was := map[string]*entry{}
+	for _, e := range old.Benchmarks {
+		was[e.Name] = e
+	}
+	for _, e := range new.Benchmarks {
+		o := was[e.Name]
+		if o == nil {
+			fmt.Fprintf(w, "%-44s only in the new file\n", e.Name)
+			continue
+		}
+		delete(was, e.Name)
+		p := pair(e, o)
+		if p == nil {
+			fmt.Fprintf(w, "%-44s no time/op in the old file\n", e.Name)
+			continue
+		}
+		// Allocations are judged where both files report them.
+		oa, both := o.Metrics["allocs/op"]
+		na, ok := e.Metrics["allocs/op"]
+		both = both && ok
+		verdict := "faster"
+		switch {
+		case both && na > oa:
+			verdict = "MORE ALLOCS"
+			regressions++
+		case p.Noise:
+			verdict = "noise"
+		case p.Ratio > 1:
+			verdict = "SLOWER"
+			regressions++
+		case p.Ratio == 1:
+			verdict = "same"
+		}
+		mem := ""
+		if both {
+			mem = fmt.Sprintf("  allocs/op %g → %g", oa, na)
+		}
+		fmt.Fprintf(w, "%-44s %12.4g → %-12.4g ns/op %+7.1f %%  (cv %.1f %% → %.1f %%)%s  %s\n",
+			e.Name, o.MeanNsOp, e.MeanNsOp, 100*(p.Ratio-1), 100*o.CV, 100*e.CV, mem, verdict)
+	}
+	for _, o := range old.Benchmarks {
+		if was[o.Name] != nil {
+			fmt.Fprintf(w, "%-44s only in the old file\n", o.Name)
+		}
+	}
+	return regressions
+}

@@ -15,6 +15,9 @@
 // With -ledger it instead appends one row of flow-ledger results to
 // BENCH_flow.json (see ledger.go); `make bench-flow` does, and then
 // compares the row with the one before it (-compare, see compare.go).
+// Without -ledger, -compare takes two of its own summaries — kernel
+// benchmark files such as BENCH_route.json — and judges the second
+// against the first.
 package main
 
 import (
@@ -146,9 +149,29 @@ func main() {
 	outPath := flag.String("o", "", "write the JSON summary to this file (atomically) instead of stdout")
 	ledgerPath := flag.String("ledger", "", "append a flow-ledger row to this file: stdin carries one bench/run.sh line per workload named as an argument")
 	commit := flag.String("commit", "", "with -ledger: the commit the row was measured at")
-	compare := flag.Bool("compare", false, "with -ledger: compare the row named last with the row named before it (or the row before it in the file), exit 1 when a deterministic gated metric is worse than its bound")
+	compare := flag.Bool("compare", false, "with -ledger: compare the row named last with the row named before it (or the row before it in the file), exit 1 when a deterministic gated metric is worse than its bound; without: compare two summary files old.json new.json, exit 1 on a regression that is not noise")
 	manifestPath := flag.String("manifest", "BENCHMARK.json", "with -compare: the benchmark declaration the bounds are read from")
 	flag.Parse()
+	if *compare && *ledgerPath == "" {
+		var old, new summary
+		if flag.NArg() != 2 {
+			fmt.Fprintf(os.Stderr, "benchjson: -compare without -ledger takes old.json new.json, got %d arguments\n", flag.NArg())
+			os.Exit(2)
+		}
+		err := readJSON(flag.Arg(0), &old)
+		if err == nil {
+			err = readJSON(flag.Arg(1), &new)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(2)
+		}
+		if n := compareKernels(os.Stdout, &old, &new); n > 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed beyond noise\n", n)
+			os.Exit(1)
+		}
+		return
+	}
 	if *compare {
 		var l ledger
 		var m manifest

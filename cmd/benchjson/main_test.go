@@ -217,3 +217,67 @@ func TestCompareRows(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareKernels: two kernel-benchmark summaries compare benchmark
+// by benchmark on time/op with pair's noise verdict and on allocs/op
+// exactly; only a slower mean outside the noise band or a higher
+// allocation count is a regression, and a benchmark in one file only is
+// named, not judged. The summaries go through JSON, as the files do.
+func TestCompareKernels(t *testing.T) {
+	sum := func(es map[string]*entry) *summary {
+		var s summary
+		for _, name := range []string{"Kernel", "Wobbly", "Slower", "Leaky", "Gone", "New"} {
+			if e := es[name]; e != nil {
+				e.Name = "Benchmark" + name
+				s.Benchmarks = append(s.Benchmarks, e)
+			}
+		}
+		b, err := json.Marshal(&s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back summary
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		return &back
+	}
+	allocs := func(e *entry, n float64) *entry {
+		e.Metrics = map[string]float64{"allocs/op": n}
+		return e
+	}
+	old := sum(map[string]*entry{
+		"Kernel": allocs(ent(1120, 1125, 1118, 1122, 1121), 0),
+		"Wobbly": ent(900, 1100, 1000, 950, 1050),
+		"Slower": ent(500, 502, 501, 499, 500),
+		"Leaky":  allocs(ent(300, 301, 299, 300, 300), 3),
+		"Gone":   ent(10, 11),
+	})
+	new := sum(map[string]*entry{
+		"Kernel": allocs(ent(520, 522, 519, 521, 520), 0), // ×0.46, clear of the noise
+		"Wobbly": ent(950, 1150, 1050, 1000, 1100),        // +5 %, inside it
+		"Slower": ent(550, 552, 551, 549, 550),            // +10 %, clear of it
+		"Leaky":  allocs(ent(290, 291, 289, 290, 290), 4), // faster, one more object an op
+		"New":    ent(7, 8),
+	})
+	var out strings.Builder
+	if n := compareKernels(&out, old, new); n != 2 {
+		t.Fatalf("%d regressions, want 2 (Slower, Leaky):\n%s", n, out.String())
+	}
+	for name, verdict := range map[string]string{
+		"BenchmarkKernel": "faster", "BenchmarkWobbly": "noise", "BenchmarkSlower": "SLOWER",
+		"BenchmarkLeaky": "MORE ALLOCS", "BenchmarkGone": "only in the old file", "BenchmarkNew": "only in the new file",
+	} {
+		found := false
+		for _, line := range strings.Split(out.String(), "\n") {
+			found = found || strings.HasPrefix(line, name+" ") && strings.HasSuffix(line, verdict)
+		}
+		if !found {
+			t.Errorf("no line gives %s the verdict %q:\n%s", name, verdict, out.String())
+		}
+	}
+	out.Reset()
+	if n := compareKernels(&out, old, old); n != 0 || strings.Contains(out.String(), "SLOWER") {
+		t.Fatalf("a file against itself: %d regressions\n%s", n, out.String())
+	}
+}

@@ -333,21 +333,27 @@ func TestStageCacheDisabledWithHooks(t *testing.T) {
 	}
 }
 
-// TestStageCacheVersionMiss: stash.Version 3 marks the change of global
-// placer — the same configuration now means different results — so a
-// store written under Version 2 must miss, never alias. The three names
-// are the snapshots commit 6951ce7 wrote for this very run (macro3d,
-// tinyCacheCfg); a Version 3 run beside them looks none of them up,
-// reports no decode error, leaves them untouched and hits only its own.
+// TestStageCacheVersionMiss: stash.Version 3 marked the change of global
+// placer and Version 4 the placer's rewritten wirelength kernel — the
+// same configuration means different results, if only in their last
+// bits — so a store written under an earlier version must miss, never
+// alias. The names are the snapshots commits 6951ce7 (version 2) and
+// 6102dd1 (version 3) wrote for this very run (macro3d, tinyCacheCfg); a
+// run beside them looks none of them up, reports no decode error, leaves
+// them untouched and hits only its own.
 func TestStageCacheVersionMiss(t *testing.T) {
-	v2 := []string{
+	stale := []string{
 		"377d3b896c11942dc5e4514d39c18234e4db10324ff1e2934837cb6b5abd4a02.snap",
 		"a21bd9863e481461cbfc75123a5a71371493fb634c433270d8acca3de9cc8ef0.snap",
 		"d3ab8a6468cb9499be9fb468cb0a04814de0d5e50f3205777163f60ef67e6384.snap",
+		"1620cec73f746da676253848c27b255bfd8e0d02ed5e65d55f6acc24f4c041a2.snap",
+		"367f2e1793c7ac5d9e74e3792fdc04afd7b7619e84c3dfcbeeed7f5ce84e7530.snap",
+		"ae3697997886b271d0cbb414de63d2af0f53deb93ebcddb96fb132ef46bbcfcc.snap",
 	}
+	const own = 3 // checkpoints of one macro3d run
 	dir := t.TempDir()
-	old := []byte("M3DSNAP1\x02\x00\x00\x00 a version-2 snapshot")
-	for _, name := range v2 {
+	old := []byte("M3DSNAP1\x03\x00\x00\x00 a snapshot of an earlier version")
+	for _, name := range stale {
 		if err := os.WriteFile(filepath.Join(dir, name), old, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -362,19 +368,19 @@ func TestStageCacheVersionMiss(t *testing.T) {
 		return runFlow(t, "macro3d", cfg), s.Stats()
 	}
 	cold, st := run()
-	if st.Hits != 0 || st.Misses != uint64(len(v2)) || st.Errors != 0 || st.Evictions != 0 {
-		t.Errorf("run over a version-2 store: stats = %+v; want %d misses and nothing else", st, len(v2))
+	if st.Hits != 0 || st.Misses != own || st.Errors != 0 || st.Evictions != 0 {
+		t.Errorf("run over a stale store: stats = %+v; want %d misses and nothing else", st, own)
 	}
-	for _, name := range v2 {
+	for _, name := range stale {
 		if b, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(b) != string(old) {
-			t.Errorf("version-2 snapshot %s was touched (err %v)", name, err)
+			t.Errorf("stale snapshot %s was touched (err %v)", name, err)
 		}
 	}
-	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 2*len(v2) {
-		t.Errorf("store holds %d entries (err %v), want the %d old and %d new", len(entries), err, len(v2), len(v2))
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != len(stale)+own {
+		t.Errorf("store holds %d entries (err %v), want the %d old and %d new", len(entries), err, len(stale), own)
 	}
 	warm, st := run()
-	if st.Misses != 0 || st.Hits != uint64(len(v2)) {
+	if st.Misses != 0 || st.Hits != own {
 		t.Errorf("warm run: stats = %+v; want all hits", st)
 	}
 	if *cold != *warm {

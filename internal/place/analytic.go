@@ -27,10 +27,6 @@ import (
 	"macro3d/internal/tech"
 )
 
-// trSet abbreviates the tracer worker-set threaded through every
-// parallel phase.
-type trSet = *trace.Set
-
 // Tuning constants of the descent. These are part of the deterministic
 // result definition — changing them changes placements.
 const (
@@ -56,6 +52,13 @@ const (
 	analyticFineRelax   = 8
 )
 
+// maxGridBins is the widest bin grid the descent accepts. The wirelength
+// kernel takes e^{±(x−c)/γ} about the grid's centre c with no per-net
+// shift, and at the tightest smoothing γ = pitch/2 the exponent reaches
+// the bin count across the die: 28 on the small tile, 55 on the large
+// one. At 600, e^600 still leaves a float64 room for Σx·e over any net.
+const maxGridBins = 600
+
 // analyticState holds the flat pin tables and every per-iteration
 // scratch array of the descent, so an iteration dereferences no netlist
 // object and allocates nothing.
@@ -63,12 +66,11 @@ type analyticState struct {
 	// Net → pin-slot CSR: the slots of net n are
 	// [netStart[n], netStart[n+1]) in PinAt order.
 	netStart []int32
-	// slotInst is the slot's instance ID when the pin rides on an
-	// unfixed instance (its coordinate is gathered from pos every
-	// iteration), or -1 when the pin is frozen: slotAt then holds the
-	// port location or the fixed instance's pin location, resolved once.
-	slotInst []int32
-	slotAt   []geom.Point
+	// slotPin is the slot's index into pos and exps: the instance ID when
+	// the pin rides on a movable cell, otherwise a frozen point past the
+	// instances that holds the port location or the fixed instance's pin
+	// location, resolved once.
+	slotPin []int32
 	// slotGrad is the slot's weighted WA gradient (∂/∂x, ∂/∂y): the net
 	// pass writes it, the cell pass sums a cell's slots. It stays zero
 	// on nets that exert no force.
@@ -83,9 +85,16 @@ type analyticState struct {
 	// CTS) and nets with fewer than two pins.
 	force []bool
 	wnet  []float64 // die-aware net weights: Net.Weight × bump multiplier
-	// exps is each worker's scratch for one net's pin exponentials,
-	// sized to the largest net.
-	exps [][]pinExp
+
+	// pos is every point a pin can sit at: the instance centres by
+	// instance ID — the positions the descent moves — then, from frozen0
+	// on, the frozen points. exps[i] holds pos[i]'s exponentials about
+	// centre at the smoothing of the coming net pass; only the points
+	// pins sit at (movable cells, frozen points) are kept up.
+	pos     []geom.Point
+	exps    []pinExp
+	frozen0 int
+	centre  geom.Point
 
 	// Per-movable-cell arrays, indexed by k (disjoint writes).
 	wgx, wgy []float64 // wirelength gradient
@@ -97,48 +106,64 @@ type analyticState struct {
 	bins  *binGrid
 	usage []float64 // per-bin cell area at the current positions
 	pois  *poissonGrid
+	// fgx, fgy are the field gradient ∂φ/∂x, ∂φ/∂y of every bin.
+	fgx, fgy []float64
 
 	// Per-chunk ∞-norm of ∇WL + λ∇D from the cell pass.
 	maxG []float64
 
 	// What the pass bodies read; set by iterate before each fan-out so
-	// the three closures are built once and an iteration allocates none.
-	pos                   []geom.Point
-	inner                 geom.Rect
-	pitch                 float64
-	gamma, lambda, lr     float64
-	workers               int
-	ts                    trSet
-	netFn, cellFn, stepFn func(w, lo, hi int)
-	busy                  time.Duration
+	// the closures are built once and an iteration allocates none.
+	inner                        geom.Rect
+	pitch                        float64
+	gamma, lambda, lr            float64
+	workers                      int
+	ts                           *trace.Set
+	netFn, cellFn, stepFn, expFn func(w, lo, hi int)
+	busy                         time.Duration
 }
 
-// pinExp is one pin's max-shifted exponentials: e^{(x−xmax)/γ},
-// e^{(xmin−x)/γ} and the same in y.
-type pinExp struct{ ax, bx, ay, by float64 }
+// pinExp is one point's exponentials about the grid centre c:
+// u = e^{(x−c)/γ} and v = 1/u, in x and in y.
+type pinExp struct{ ux, vx, uy, vy float64 }
 
 // newAnalyticState resolves every net pin to a flat slot once — no
-// iteration looks a pin up by name or walks a *netlist.Net — and sizes
-// the scratch arrays. pos is the live position array the descent moves.
-func newAnalyticState(d *netlist.Design, movable []*netlist.Instance, pos []geom.Point,
-	bins *binGrid, pitch float64, workers int, ts trSet) *analyticState {
+// iteration looks a pin up by name or walks a *netlist.Net — weighs the
+// nets on the same walk (analyticBumpWeight) and sizes the scratch
+// arrays.
+func newAnalyticState(d *netlist.Design, movable []*netlist.Instance,
+	bins *binGrid, pitch float64, workers int, ts *trace.Set) *analyticState {
 
-	slots, maxPins := 0, 0
+	movK := make([]int32, len(d.Instances))
+	for i := range movK {
+		movK[i] = -1
+	}
+	for k, inst := range movable {
+		movK[inst.ID] = int32(k)
+	}
+	onCell := func(p netlist.PinRef) bool { return p.Port == nil && movK[p.Inst.ID] >= 0 }
+	slots, frozen := 0, 0
 	for _, n := range d.Nets {
 		slots += n.NumPins()
-		maxPins = max(maxPins, n.NumPins())
+		for i := range n.NumPins() {
+			if !onCell(n.PinAt(i)) {
+				frozen++
+			}
+		}
 	}
 	nb := bins.grid.Bins()
 	st := &analyticState{
 		netStart:  make([]int32, len(d.Nets)+1),
-		slotInst:  make([]int32, slots),
-		slotAt:    make([]geom.Point, slots),
+		slotPin:   make([]int32, slots),
 		slotGrad:  make([]geom.Point, slots),
 		cellStart: make([]int32, len(movable)+1),
 		movID:     make([]int32, len(movable)),
 		force:     make([]bool, len(d.Nets)),
-		exps:      make([][]pinExp, workers),
 		wnet:      make([]float64, len(d.Nets)),
+		pos:       make([]geom.Point, len(d.Instances)+frozen),
+		exps:      make([]pinExp, len(d.Instances)+frozen),
+		frozen0:   len(d.Instances),
+		centre:    bins.grid.Region.Center(),
 		wgx:       make([]float64, len(movable)),
 		wgy:       make([]float64, len(movable)),
 		dgx:       make([]float64, len(movable)),
@@ -148,117 +173,159 @@ func newAnalyticState(d *netlist.Design, movable []*netlist.Instance, pos []geom
 		bins:      bins,
 		usage:     make([]float64, nb),
 		pois:      newPoissonGrid(bins.grid),
+		fgx:       make([]float64, nb),
+		fgy:       make([]float64, nb),
 		maxG:      make([]float64, workers),
-		pos:       pos,
 		inner:     bins.grid.Region.Expand(-1),
 		pitch:     pitch,
 		workers:   workers,
 		ts:        ts,
 	}
-	for w := range st.exps {
-		st.exps[w] = make([]pinExp, maxPins)
-	}
-	movK := make([]int32, len(d.Instances))
-	for i := range movK {
-		movK[i] = -1
-	}
 	for k, inst := range movable {
 		st.movID[k] = int32(inst.ID)
-		movK[inst.ID] = int32(k)
 		st.area[k] = inst.Master.Area()
 		st.total += st.area[k]
 	}
-	s := int32(0)
+	s, f := int32(0), int32(st.frozen0)
 	for _, n := range d.Nets {
 		np := n.NumPins()
 		st.force[n.ID] = !n.Clock && np >= 2
-		for i := 0; i < np; i++ {
+		hasMD, hasBase := false, false
+		for i := range np {
 			p := n.PinAt(i)
-			switch {
-			case p.Port != nil:
-				st.slotInst[s], st.slotAt[s] = -1, p.Port.Loc
-			case p.Inst.Fixed:
-				st.slotInst[s], st.slotAt[s] = -1, p.Loc()
-			default:
-				st.slotInst[s] = int32(p.Inst.ID)
-				if k := movK[p.Inst.ID]; k >= 0 {
-					st.cellStart[k+1]++
-				}
+			layer := ""
+			if p.Port != nil {
+				layer = p.Port.Layer
+			} else if pin := p.Inst.Master.Pin(p.Pin); pin != nil {
+				layer = pin.Layer
+			}
+			if layer != "" {
+				md := strings.HasSuffix(layer, tech.MDSuffix)
+				hasMD, hasBase = hasMD || md, hasBase || !md
+			}
+			if onCell(p) {
+				st.slotPin[s] = int32(p.Inst.ID)
+				st.cellStart[movK[p.Inst.ID]+1]++
+			} else {
+				st.slotPin[s], st.pos[f] = f, p.Loc()
+				f++
 			}
 			s++
 		}
 		st.netStart[n.ID+1] = s
+		st.wnet[n.ID] = n.Weight
+		if hasMD && hasBase {
+			st.wnet[n.ID] *= analyticBumpWeight
+		}
 	}
 	for k := range movable {
 		st.cellStart[k+1] += st.cellStart[k]
 	}
 	st.cellSlot = make([]int32, st.cellStart[len(movable)])
 	fill := slices.Clone(st.cellStart[:len(movable)])
-	for s, id := range st.slotInst {
-		if id < 0 {
-			continue
-		}
-		if k := movK[id]; k >= 0 {
+	for s, i := range st.slotPin {
+		if int(i) < st.frozen0 {
+			k := movK[i]
 			st.cellSlot[fill[k]] = int32(s)
 			fill[k]++
 		}
 	}
 	st.netFn = st.netPass
 	st.cellFn = st.cellPass
-	st.stepFn = st.descend
-	st.charge()
+	st.stepFn = st.stepPass
+	st.expFn = st.expPass
 	return st
 }
 
-// netWeights computes the die-aware WA weight of every net once. A net
-// whose pins touch both `_MD` macro-die layers and base-die layers
-// crosses an F2F bump; its wirelength is priced up so the descent
-// shortens bump-crossing spans first.
-func (st *analyticState) netWeights(d *netlist.Design) time.Duration {
-	return par.ChunksTr(st.ts, "place/net-weight", st.workers, len(d.Nets), func(w, lo, hi int) {
-		for _, n := range d.Nets[lo:hi] {
-			wt := n.Weight
-			hasMD, hasBase := false, false
-			for i, np := 0, n.NumPins(); i < np; i++ {
-				p := n.PinAt(i)
-				layer := ""
-				if p.Port != nil {
-					layer = p.Port.Layer
-				} else if pin := p.Inst.Master.Pin(p.Pin); pin != nil {
-					layer = pin.Layer
-				}
-				if layer == "" {
-					continue
-				}
-				if strings.HasSuffix(layer, tech.MDSuffix) {
-					hasMD = true
-				} else {
-					hasBase = true
+// seed relaxes the movable cells toward their nets' centroids — sweeps
+// Jacobi sweeps of the star-model quadratic system with the frozen
+// points as anchors: the cheap global wirelength minimum the descent
+// starts from.
+//
+// Both phases parallelize bit-identically: phase 1 writes only its
+// net's slots while pos is frozen, phase 2 writes only its cell's
+// position while the slots are frozen, and every float sum stays a
+// per-element sequential loop. The barrier between phases is the Jacobi
+// iteration boundary itself. slotGrad is free until the descent begins
+// and carries each pin's pull in the meantime.
+func (st *analyticState) seed(d *netlist.Design, sweeps int) {
+	// A net pulls each of its pins toward its centroid with weight
+	// Weight/(pins−1) — small nets pull harder — so the total pull on a
+	// cell, summed here in the order of its slots, is fixed across sweeps.
+	pull := make([]float64, len(d.Nets))
+	total := make([]float64, st.frozen0)
+	for n, net := range d.Nets {
+		if st.force[n] {
+			pull[n] = net.Weight / float64(net.NumPins()-1)
+			for _, i := range st.slotPin[st.netStart[n]:st.netStart[n+1]] {
+				if int(i) < st.frozen0 {
+					total[i] += pull[n]
 				}
 			}
-			if hasMD && hasBase {
-				wt *= analyticBumpWeight
-			}
-			st.wnet[n.ID] = wt
 		}
-	})
+	}
+	centroid := func(_, lo, hi int) {
+		for n := lo; n < hi; n++ {
+			if !st.force[n] {
+				continue
+			}
+			pins := st.slotPin[st.netStart[n]:st.netStart[n+1]]
+			var sx, sy float64
+			for _, i := range pins {
+				sx += st.pos[i].X
+				sy += st.pos[i].Y
+			}
+			k := float64(len(pins))
+			pt := geom.Pt(sx/k*pull[n], sy/k*pull[n])
+			for s := st.netStart[n]; s < st.netStart[n+1]; s++ {
+				st.slotGrad[s] = pt
+			}
+		}
+	}
+	move := func(_, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			id := st.movID[k]
+			if total[id] <= 0 {
+				continue
+			}
+			var sx, sy float64
+			for _, s := range st.cellSlot[st.cellStart[k]:st.cellStart[k+1]] {
+				sx += st.slotGrad[s].X
+				sy += st.slotGrad[s].Y
+			}
+			st.pos[id] = st.inner.ClampPoint(geom.Pt(sx/total[id], sy/total[id]))
+		}
+	}
+	for range sweeps {
+		st.busy += par.ChunksTr(st.ts, "place/centroid", st.workers, len(d.Nets), centroid)
+		st.busy += par.ChunksTr(st.ts, "place/move", st.workers, len(st.movID), move)
+	}
+}
+
+// schedule is the continuation of iteration it of iters: the WA
+// smoothing γ tightens geometrically from 4 bin pitches toward the true
+// max/min at half a pitch while the largest cell move shrinks.
+func (st *analyticState) schedule(it, iters int) (gamma, step float64) {
+	frac := float64(it) / float64(max(iters-1, 1))
+	gamma0, gamma1 := 4.0*st.pitch, 0.5*st.pitch
+	return gamma0 * math.Pow(gamma1/gamma0, frac), (0.5 - 0.35*frac) * st.pitch
 }
 
 // iterate runs descent iteration it of iters — three fork-joins: the
 // per-net WA sums and pin gradients, the per-cell gradients with their
-// maximum, the step —
-// around the serial density field, and returns the density overflow of
-// the new iterate.
+// maximum, the step with the next iteration's exponentials (iteration 0
+// takes its own in a fourth) — around the serial density field, and
+// returns the density overflow of the new iterate.
 func (st *analyticState) iterate(it, iters int) float64 {
-	// Continuation schedules: the WA smoothing γ tightens toward the
-	// true max/min as the density weight λ ramps geometrically —
-	// density starts as a nudge and ends dominating, the ePlace weight
-	// schedule.
-	frac := float64(it) / float64(max(iters-1, 1))
-	gamma0, gamma1 := 4.0*st.pitch, 0.5*st.pitch
-	st.gamma = gamma0 * math.Pow(gamma1/gamma0, frac)
-	step := (0.5 - 0.35*frac) * st.pitch
-	if it > 0 {
+	points := len(st.movID) + len(st.pos) - st.frozen0
+	gamma, step := st.schedule(it, iters)
+	if it == 0 {
+		st.gamma = gamma
+		st.busy += par.ChunksTr(st.ts, "place/wa-exp", st.workers, points, st.expFn)
+		st.charge()
+	} else {
+		// The density weight λ ramps geometrically as γ tightens — density
+		// starts as a nudge and ends dominating, the ePlace weight schedule.
 		st.lambda *= 1.045
 	}
 
@@ -283,96 +350,73 @@ func (st *analyticState) iterate(it, iters int) float64 {
 			gmax = max(gmax, math.Abs(st.wgx[k]+st.lambda*st.dgx[k]), math.Abs(st.wgy[k]+st.lambda*st.dgy[k]))
 		}
 	}
-	// One normalized gradient step: the largest cell move is step µm.
+	// One normalized gradient step: the largest cell move is step µm. A
+	// flat gradient moves nothing, and the pass still runs for the
+	// exponentials at the next iteration's smoothing.
+	st.lr = 0
 	if gmax != 0 {
 		st.lr = step / gmax
-		st.busy += par.ChunksTr(st.ts, "place/descend", st.workers, len(st.movID), st.stepFn)
 	}
+	st.gamma, _ = st.schedule(it+1, iters)
+	st.busy += par.ChunksTr(st.ts, "place/descend", st.workers, points, st.stepFn)
 	st.charge()
 	return st.overflow()
 }
 
-// span gathers the current pin coordinates of net slots [s0, s1) into
-// slotAt and returns their bounding box.
+// span returns the bounding box of the pins of net slots [s0, s1) at
+// their current positions.
 func (st *analyticState) span(s0, s1 int32) (xmax, xmin, ymax, ymin float64) {
-	at := st.slotAt[s0:s1]
-	for i, id := range st.slotInst[s0:s1] {
-		if id >= 0 {
-			at[i] = st.pos[id]
-		}
-	}
-	xmax, xmin, ymax, ymin = at[0].X, at[0].X, at[0].Y, at[0].Y
-	for _, c := range at[1:] {
-		if c.X > xmax {
-			xmax = c.X
-		} else if c.X < xmin {
-			xmin = c.X
-		}
-		if c.Y > ymax {
-			ymax = c.Y
-		} else if c.Y < ymin {
-			ymin = c.Y
-		}
+	c := st.pos[st.slotPin[s0]]
+	xmax, xmin, ymax, ymin = c.X, c.X, c.Y, c.Y
+	for _, i := range st.slotPin[s0+1 : s1] {
+		c = st.pos[i]
+		xmax, xmin = max(xmax, c.X), min(xmin, c.X)
+		ymax, ymin = max(ymax, c.Y), min(ymin, c.Y)
 	}
 	return
 }
 
 // netPass computes, for nets [lo, hi), the WA sums over a net's pins
 // and from them every pin's weighted gradient, each net writing only
-// its own slots while pos is frozen. The exponentials of a pin are
-// taken once and serve both the sums and its gradient.
-func (st *analyticState) netPass(w, lo, hi int) {
-	gamma := st.gamma
+// its own slots while pos and exps are frozen. With every exponential
+// taken about the one centre c, the net's own shift e^{(c−xmax)/γ}
+// multiplies numerator and denominator of every ratio below and is
+// never applied: a/A = u/Σu, b/B = v/Σv, f = Σxu/Σu, m = Σxv/Σv.
+func (st *analyticState) netPass(_, lo, hi int) {
+	pos, exps, ig := st.pos, st.exps, 1/st.gamma
 	for n := lo; n < hi; n++ {
 		if !st.force[n] {
 			continue
 		}
 		s0, s1 := st.netStart[n], st.netStart[n+1]
-		xmax, xmin, ymax, ymin := st.span(s0, s1)
-		// The span's own exponent serves both ends of the net.
-		ex, ey := math.Exp((xmin-xmax)/gamma), math.Exp((ymin-ymax)/gamma)
+		pins := st.slotPin[s0:s1]
 		// Σe and Σx·e on the max side (a) and the min side (b).
 		var ax, axx, bx, bxx, ay, ayy, by, byy float64
-		at, es := st.slotAt[s0:s1], st.exps[w][:s1-s0]
-		for i, c := range at {
-			e := &es[i]
-			e.ax, e.bx = spanExp(c.X, xmax, xmin, ex, gamma)
-			ax += e.ax
-			axx += c.X * e.ax
-			bx += e.bx
-			bxx += c.X * e.bx
-			e.ay, e.by = spanExp(c.Y, ymax, ymin, ey, gamma)
-			ay += e.ay
-			ayy += c.Y * e.ay
-			by += e.by
-			byy += c.Y * e.by
+		for _, i := range pins {
+			c, e := pos[i], &exps[i]
+			ax += e.ux
+			axx += c.X * e.ux
+			bx += e.vx
+			bxx += c.X * e.vx
+			ay += e.uy
+			ayy += c.Y * e.uy
+			by += e.vy
+			byy += c.Y * e.vy
 		}
-		// Both sums hold the exact 1 of the pin at their end of the
-		// span, so the weighted means divide by something positive.
-		fx, mx, fy, my := axx/ax, bxx/bx, ayy/ay, byy/by
-		wt, g := st.wnet[n], st.slotGrad[s0:s1]
-		for i, c := range at {
-			e := &es[i]
-			g[i] = geom.Pt(
-				wt*waGrad(c.X, e.ax, e.bx, ax, fx, bx, mx, gamma),
-				wt*waGrad(c.Y, e.ay, e.by, ay, fy, by, my, gamma))
+		// Every sum holds at least two positive terms: four reciprocals
+		// a net, none a pin. The net weight rides on them.
+		iax, ibx, iay, iby := 1/ax, 1/bx, 1/ay, 1/by
+		fx, mx, fy, my := axx*iax, bxx*ibx, ayy*iay, byy*iby
+		wt := st.wnet[n]
+		iax, ibx, iay, iby = wt*iax, wt*ibx, wt*iay, wt*iby
+		g := st.slotGrad[s0:s1]
+		for j, i := range pins {
+			c, e := pos[i], &exps[i]
+			g[j] = geom.Pt(
+				waGrad(c.X, e.ux*iax, e.vx*ibx, fx, mx, ig),
+				waGrad(c.Y, e.uy*iay, e.vy*iby, fy, my, ig))
 		}
 	}
-}
-
-// spanExp returns e^{(x−hi)/γ} and e^{(lo−x)/γ} for a pin inside
-// [lo, hi]. A pin at an end of the span has exponent 0 on its own side
-// (math.Exp(0) is exactly 1) and the span's exponent (lo−hi)/γ on the
-// other, whose exponential es the caller computed once — the same
-// arguments math.Exp would have seen, so the same bits.
-func spanExp(x, hi, lo, es, gamma float64) (a, b float64) {
-	switch x {
-	case hi:
-		return 1, es
-	case lo:
-		return es, 1
-	}
-	return math.Exp((x - hi) / gamma), math.Exp((lo - x) / gamma)
 }
 
 // waGrad is the derivative of the WA span estimate (x_max^WA − x_min^WA)
@@ -381,21 +425,19 @@ func spanExp(x, hi, lo, es, gamma float64) (a, b float64) {
 //	∂/∂x [Σxᵢaᵢ/Σaᵢ] = (a/A)(1 + (x − f)/γ),  aᵢ = e^{xᵢ/γ}, f = Σxᵢaᵢ/Σaᵢ
 //
 // and symmetrically −(b/B)(1 − (x − m)/γ) for the min side with
-// bᵢ = e^{−xᵢ/γ}. The exponentials are max-shifted for stability; the
-// shift cancels in every ratio. a and b are the pin's own exponentials,
-// A and B the net's sums, f and m its weighted means.
-func waGrad(x, a, b, A, f, B, m, gamma float64) float64 {
-	return (a/A)*(1+(x-f)/gamma) - (b/B)*(1-(x-m)/gamma)
+// bᵢ = e^{−xᵢ/γ}. ra and rb are the pin's shares a/A and b/B of the
+// net's sums (times the net weight), f and m the net's weighted means,
+// ig is 1/γ.
+func waGrad(x, ra, rb, f, m, ig float64) float64 {
+	return ra*(1+(x-f)*ig) - rb*(1-(x-m)*ig)
 }
 
 // cellPass computes, for movable cells [lo, hi), the wirelength gradient
 // — the sum of the cell's slot gradients, in NetsOfInstance order — and
-// the density gradient ∂N/∂x = q·∂φ/∂x by central difference on the bin
-// the cell sits in, and records the chunk's maximum of |∇WL + λ∇D|. Max
-// combines exactly regardless of chunking.
+// the density gradient ∂N/∂x = q·∂φ/∂x from the field gradient of the
+// bin the cell sits in, and records the chunk's maximum of |∇WL + λ∇D|.
+// Max combines exactly regardless of chunking.
 func (st *analyticState) cellPass(w, lo, hi int) {
-	g := st.bins.grid
-	phi := st.pois.phi
 	lambda := st.lambda
 	var mg float64
 	for k := lo; k < hi; k++ {
@@ -405,33 +447,42 @@ func (st *analyticState) cellPass(w, lo, hi int) {
 			gx += sg.X
 			gy += sg.Y
 		}
-		ix, iy := g.Coords(int(st.binOf[k]))
-		xl, xr := max(ix-1, 0), min(ix+1, g.NX-1)
-		yl, yr := max(iy-1, 0), min(iy+1, g.NY-1)
-		var ddx, ddy float64
-		if xr > xl {
-			ddx = (phi[g.Index(xr, iy)] - phi[g.Index(xl, iy)]) / (float64(xr-xl) * g.DX)
-		}
-		if yr > yl {
-			ddy = (phi[g.Index(ix, yr)] - phi[g.Index(ix, yl)]) / (float64(yr-yl) * g.DY)
-		}
-		dx, dy := st.area[k]*ddx, st.area[k]*ddy
+		b := st.binOf[k]
+		dx, dy := st.area[k]*st.fgx[b], st.area[k]*st.fgy[b]
 		st.wgx[k], st.wgy[k], st.dgx[k], st.dgy[k] = gx, gy, dx, dy
 		mg = max(mg, math.Abs(gx+lambda*dx), math.Abs(gy+lambda*dy))
 	}
 	st.maxG[w] = mg
 }
 
-// descend moves movable cells [lo, hi) against the combined gradient,
-// each updating only its own position.
-func (st *analyticState) descend(_, lo, hi int) {
+// stepPass moves the movable cells among points [lo, hi) against the
+// combined gradient, each updating only its own position, and takes the
+// range's exponentials for the next net pass.
+func (st *analyticState) stepPass(w, lo, hi int) {
 	lr, lambda := st.lr, st.lambda
-	for k := lo; k < hi; k++ {
+	for k := lo; k < min(hi, len(st.movID)); k++ {
 		p := &st.pos[st.movID[k]]
 		*p = st.inner.ClampPoint(geom.Pt(
 			p.X-lr*(st.wgx[k]+lambda*st.dgx[k]),
 			p.Y-lr*(st.wgy[k]+lambda*st.dgy[k]),
 		))
+	}
+	st.expPass(w, lo, hi)
+}
+
+// expPass takes the exponentials of points [lo, hi) — the movable cells
+// in movable order, then the frozen points — at smoothing st.gamma: one
+// math.Exp per point and axis, whatever the number of pins on it.
+func (st *analyticState) expPass(_, lo, hi int) {
+	c, ig := st.centre, 1/st.gamma
+	cells := len(st.movID)
+	for j := lo; j < hi; j++ {
+		i := st.frozen0 + j - cells
+		if j < cells {
+			i = int(st.movID[j])
+		}
+		ux, uy := math.Exp((st.pos[i].X-c.X)*ig), math.Exp((st.pos[i].Y-c.Y)*ig)
+		st.exps[i] = pinExp{ux, 1 / ux, uy, 1 / uy}
 	}
 }
 
@@ -464,10 +515,12 @@ func (st *analyticState) overflow() float64 {
 	return over / st.total
 }
 
-// field refreshes the Poisson potential from the bin charge. Signed
-// charge: cell area above capacity repels, free capacity attracts.
-// Neumann boundaries make the problem singular unless the net charge is
-// zero, so the mean is removed.
+// field refreshes the Poisson potential from the bin charge, and from it
+// every bin's field gradient by central difference — once a bin, where
+// every cell in the bin reads it. Signed charge: cell area above
+// capacity repels, free capacity attracts. Neumann boundaries make the
+// problem singular unless the net charge is zero, so the mean is
+// removed.
 func (st *analyticState) field() {
 	rho := st.pois.rho
 	var mean float64
@@ -480,6 +533,21 @@ func (st *analyticState) field() {
 		rho[i] -= mean
 	}
 	st.pois.solve()
+	g, phi := st.bins.grid, st.pois.phi
+	for iy := range g.NY {
+		yl, yr := max(iy-1, 0), min(iy+1, g.NY-1)
+		for ix := range g.NX {
+			xl, xr := max(ix-1, 0), min(ix+1, g.NX-1)
+			var ddx, ddy float64
+			if xr > xl {
+				ddx = (phi[g.Index(xr, iy)] - phi[g.Index(xl, iy)]) / (float64(xr-xl) * g.DX)
+			}
+			if yr > yl {
+				ddy = (phi[g.Index(ix, yr)] - phi[g.Index(ix, yl)]) / (float64(yr-yl) * g.DY)
+			}
+			st.fgx[g.Index(ix, iy)], st.fgy[g.Index(ix, iy)] = ddx, ddy
+		}
+	}
 }
 
 // hpwl returns the true (non-smoothed) weighted HPWL of the current

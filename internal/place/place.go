@@ -13,6 +13,7 @@ package place
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -98,11 +99,22 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 	if len(movable) < parMinCells {
 		workers = 1
 	}
-	var busy time.Duration
 	die := fp.Die
 	rng := geom.NewRNG(opt.Seed + 11)
 
-	pos := make([]geom.Point, len(d.Instances))
+	bins := newBinGrid(die, opt.BinPitch, fp.PlaceBlk, opt.MaxFill)
+	if g := bins.grid; g.NX > maxGridBins || g.NY > maxGridBins {
+		return nil, fmt.Errorf("place: density grid %d×%d bins exceeds %d×%d, the range of the wirelength exponentials (die %v at pitch %g µm)",
+			g.NX, g.NY, maxGridBins, maxGridBins, die, opt.BinPitch)
+	}
+
+	ts := opt.Trace.WorkerSet("place", workers)
+	mt := opt.Trace.Track("main")
+
+	gsp := opt.Obs.Child("global", obs.KV("cells", len(movable)))
+
+	st := newAnalyticState(d, movable, bins, opt.BinPitch, workers, ts)
+	pos := st.pos
 	for _, inst := range d.Instances {
 		if inst.Fixed {
 			pos[inst.ID] = inst.Center()
@@ -113,23 +125,12 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 			)
 		}
 	}
-
-	bins := newBinGrid(die, opt.BinPitch, fp.PlaceBlk, opt.MaxFill)
-
-	ts := opt.Trace.WorkerSet("place", workers)
-	mt := opt.Trace.Track("main")
-
-	gsp := opt.Obs.Child("global", obs.KV("cells", len(movable)))
-
 	// Seed: a few quadratic net-centroid sweeps give the wirelength
 	// minimum the electrostatic spreading starts from.
-	busy += solve(d, movable, d.NetsOfInstance(), pos, die, analyticSeedIters, workers, ts)
-
-	st := newAnalyticState(d, movable, pos, bins, opt.BinPitch, workers, ts)
-	busy += st.netWeights(d)
+	st.seed(d, analyticSeedIters)
 
 	iters := opt.Iters
-	best := make([]geom.Point, len(pos))
+	best := make([]geom.Point, len(d.Instances))
 	bestHP := math.MaxFloat64
 	for it := 0; it < iters; it++ {
 		ovf := st.iterate(it, iters)
@@ -145,7 +146,6 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 			break
 		}
 	}
-	busy += st.busy
 	if bestHP < math.MaxFloat64 {
 		copy(pos, best)
 	}
@@ -191,7 +191,7 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 		if wall := time.Since(t0).Seconds(); wall > 0 && workers > 1 {
 			reg.Gauge("place_worker_utilization_ratio",
 				"Summed worker busy time over workers × stage wall time, latest run.").
-				Set(busy.Seconds() / (wall * float64(workers)))
+				Set(st.busy.Seconds() / (wall * float64(workers)))
 		}
 	}
 	return res, nil
@@ -206,79 +206,6 @@ func movableCells(d *netlist.Design) []*netlist.Instance {
 		}
 	}
 	return out
-}
-
-// solve relaxes positions toward net centroids (a Jacobi sweep of the
-// star-model quadratic system) with fixed pins as anchors: the seed the
-// descent starts from.
-//
-// Both phases parallelize bit-identically: phase 1 writes only its
-// net's centroid slot while pos is frozen, phase 2 writes only its
-// cell's position while the centroids are frozen, and every float sum
-// stays a per-element sequential loop. The barrier between phases is
-// the Jacobi iteration boundary itself.
-func solve(d *netlist.Design, movable []*netlist.Instance, adj [][]*netlist.Net,
-	pos []geom.Point, die geom.Rect, iters, workers int, ts *trace.Set) time.Duration {
-
-	// Net centroid cache.
-	cx := make([]float64, len(d.Nets))
-	cy := make([]float64, len(d.Nets))
-	deg := make([]float64, len(d.Nets))
-
-	var busy time.Duration
-	for it := 0; it < iters; it++ {
-		// Phase 1: net centroids from current positions and fixed pins.
-		busy += par.ChunksTr(ts, "place/centroid", workers, len(d.Nets), func(w, lo, hi int) {
-			for _, n := range d.Nets[lo:hi] {
-				if n.Clock {
-					continue // clock is routed by CTS, not a placement force
-				}
-				var sx, sy, k float64
-				for i, np := 0, n.NumPins(); i < np; i++ {
-					p := n.PinAt(i)
-					if p.Port != nil {
-						sx += p.Port.Loc.X
-						sy += p.Port.Loc.Y
-					} else if p.Inst.Fixed {
-						l := p.Loc()
-						sx += l.X
-						sy += l.Y
-					} else {
-						c := pos[p.Inst.ID]
-						sx += c.X
-						sy += c.Y
-					}
-					k++
-				}
-				if k > 0 {
-					cx[n.ID] = sx / k
-					cy[n.ID] = sy / k
-					deg[n.ID] = k
-				}
-			}
-		})
-		// Phase 2: move each movable cell to the weighted average of
-		// its nets' centroids (small nets pull harder).
-		busy += par.ChunksTr(ts, "place/move", workers, len(movable), func(w, lo, hi int) {
-			for _, inst := range movable[lo:hi] {
-				var sx, sy, wt float64
-				for _, n := range adj[inst.ID] {
-					if n.Clock || deg[n.ID] < 2 {
-						continue
-					}
-					nw := n.Weight / (deg[n.ID] - 1)
-					sx += cx[n.ID] * nw
-					sy += cy[n.ID] * nw
-					wt += nw
-				}
-				if wt > 0 {
-					p := geom.Pt(sx/wt, sy/wt)
-					pos[inst.ID] = die.Expand(-1).ClampPoint(p)
-				}
-			}
-		})
-	}
-	return busy
 }
 
 // binGrid tracks per-bin capacity (µm² of placeable area).

@@ -279,23 +279,20 @@ func TestLegalizeBestEffortSpills(t *testing.T) {
 	}
 }
 
-// TestSolveSweepAllocs: a Jacobi sweep walks every net's pins in place
-// (Net.PinAt), so solve allocates its three centroid arrays per call
-// and the two fan-out closures per sweep — nothing per net. The old pin
-// walk built one slice per net per sweep: 500 nets × 4 sweeps = 2000
+// TestSolveSweepAllocs: the seed's Jacobi sweeps run over the flat slot
+// tables, so seeding allocates its two weight arrays and two pass
+// closures — nothing per sweep, nothing per net. The by-object pin walk
+// once built one slice per net per sweep: 500 nets × 4 sweeps = 2000
 // objects here.
 func TestSolveSweepAllocs(t *testing.T) {
 	d, fp := chainDesign(500)
-	movable := movableCells(d)
-	adj := d.NetsOfInstance()
-	pos := make([]geom.Point, len(d.Instances))
+	opt := Options{}.withDefaults()
+	st := newAnalyticState(d, movableCells(d), newBinGrid(fp.Die, opt.BinPitch, nil, opt.MaxFill), opt.BinPitch, 1, nil)
 	for _, sweeps := range []int{1, 4} {
-		allocs := testing.AllocsPerRun(10, func() {
-			solve(d, movable, adj, pos, fp.Die, sweeps, 1, nil)
-		})
-		if budget := float64(3 + 2*sweeps); allocs > budget {
-			t.Fatalf("solve with %d sweep(s) over %d nets allocates %.0f objects, want ≤ %.0f (0 per net)",
-				sweeps, len(d.Nets), allocs, budget)
+		allocs := testing.AllocsPerRun(10, func() { st.seed(d, sweeps) })
+		if allocs > 4 {
+			t.Fatalf("seed with %d sweep(s) over %d nets allocates %.0f objects, want ≤ 4 (0 per sweep, 0 per net)",
+				sweeps, len(d.Nets), allocs)
 		}
 	}
 }

@@ -35,7 +35,11 @@ import (
 // but the electrostatic placer became the only global placer, so a
 // configuration that used to mean the quadratic placer's results now
 // means different ones — a version-2 cache must miss, never alias.
-const Version = 3
+// Version 4: same format again; the placer's wirelength kernel takes its
+// exponentials once per point instead of per pin, so placements differ
+// in their last bits and -cache-verify against a version-3 cache would
+// fail bit for bit.
+const Version = 4
 
 // fileMagic opens every snapshot file.
 const fileMagic = "M3DSNAP1"
