@@ -26,11 +26,14 @@ vet:
 ## placer's own digest, determinism and quality tests (its three
 ## passes per iteration at Workers 2 and 4), internal/extract and internal/sta for
 ## their per-worker and engine-owned scratch, internal/slab,
-## internal/netlist and internal/piton for the slab-backed design records,
+## internal/netlist and internal/piton for the slab-backed design records
+## (netlist also for the by-name indexes built on a composed design's
+## first lookup, from racing readers), internal/cell for the shared pin
+## index under concurrent readers,
 ## and internal/route for the span-filling net prep and the overflow
 ## scan around the ordered routing pass.
 race:
-	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/ ./internal/stash/ ./internal/serve/ ./internal/extract/ ./internal/sta/ ./internal/slab/ ./internal/netlist/ ./internal/piton/
+	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/ ./internal/stash/ ./internal/serve/ ./internal/extract/ ./internal/sta/ ./internal/slab/ ./internal/netlist/ ./internal/piton/ ./internal/cell/
 	$(GO) test -race -timeout 30m ./internal/flows/ ./internal/ddb/ ./internal/opt/ ./internal/place/ ./internal/route/
 
 ## equiv: just the parallel-vs-serial equivalence proof — every flow at
@@ -97,12 +100,19 @@ faults:
 ## move-and-reroute transaction, alone) — the free-space kernels in
 ## internal/place (NewFreeSpace: the map opt builds on entry; Legalize:
 ## the small 2D tile's row map and sweep) — the design construction
-## benchmarks (Generate small/large, Abut 4×4) and the stash-codec kernel
+## benchmarks (Generate small/large, Abut 4×4), the stash-codec kernel
 ## (ResultCodec encode/decode of the small Macro-3D tile's routing
-## result, in internal/flows), with B/op and allocs/op, recorded as
-## machine-readable BENCH_opt.json.
+## result) and the whole-design sign-off kernels on the signed-off small
+## tile and its flat 4×4 array (CTSBuild tile/array4x4, AnalyzeArray4x4:
+## one full sta.Analyze), all three in internal/flows — with B/op and
+## allocs/op, recorded as machine-readable BENCH_opt.json. It ends by
+## comparing the new file with the one it replaces, benchmark by
+## benchmark (time/op, allocs/op), failing on a regression that is not
+## noise.
 bench:
-	$(GO) test -bench 'TableII|Optimize|EngineUpdateTopo|TxnReroute|NewFreeSpace|Legalize|Generate|Abut4x4|ResultCodec' -benchmem -count 5 -benchtime 1x -run '^$$' . ./internal/flows ./internal/place | $(GO) run ./cmd/benchjson | tee BENCH_opt.json
+	$(GO) test -bench 'TableII|Optimize|EngineUpdateTopo|TxnReroute|NewFreeSpace|Legalize|Generate|Abut4x4|ResultCodec|CTSBuild|AnalyzeArray4x4' -benchmem -count 5 -benchtime 1x -run '^$$' . ./internal/flows ./internal/place | $(GO) run ./cmd/benchjson -o BENCH_opt.new.json
+	cat BENCH_opt.new.json
+	$(GO) run ./cmd/benchjson -compare BENCH_opt.json BENCH_opt.new.json; s=$$?; mv BENCH_opt.new.json BENCH_opt.json; exit $$s
 
 ## bench-flow: the flow ledger (bench/, gated by BENCHMARK.json) — the
 ## seven end-to-end metrics of each of the four workloads, one JSON line

@@ -107,6 +107,9 @@ type Cell struct {
 	Height float64 // µm (row height for standard cells)
 
 	Pins []Pin
+	// pinAt indexes Pins by name on wide cells (IndexPins); nil on
+	// narrow ones, where Pin scans.
+	pinAt map[string]int32
 
 	// Linear delay model: for an in→out arc,
 	//   delay = Intrinsic + DriveRes·Cload + SlewSens·inputSlew
@@ -172,14 +175,49 @@ type AbstractInfo struct {
 // Area returns the footprint area in µm².
 func (c *Cell) Area() float64 { return c.Width * c.Height }
 
+// scanPins is the widest pin list Pin still scans: a gate's handful of
+// names compare faster than one of them hashes, an SRAM's two hundred
+// do not.
+const scanPins = 8
+
+// IndexPins builds the name → position index Pin uses on a cell of more
+// than scanPins pins. Call it where the pin list is final and before the
+// cell is shared: the index is never written again, so concurrent Pin
+// calls only read it, and Clone hands it on. A pin list edited after
+// the call stays correct — Pin checks what the index returns and scans
+// when it misses — but is slow until the next IndexPins.
+func (c *Cell) IndexPins() {
+	c.pinAt = nil
+	if len(c.Pins) <= scanPins {
+		return
+	}
+	c.pinAt = make(map[string]int32, len(c.Pins))
+	for i := len(c.Pins) - 1; i >= 0; i-- { // the first of two equal names wins, as in the scan
+		c.pinAt[c.Pins[i].Name] = int32(i)
+	}
+}
+
 // Pin returns the named pin, or nil.
 func (c *Cell) Pin(name string) *Pin {
-	for i := range c.Pins {
-		if c.Pins[i].Name == name {
-			return &c.Pins[i]
-		}
+	if i := c.PinIndex(name); i >= 0 {
+		return &c.Pins[i]
 	}
 	return nil
+}
+
+// PinIndex returns the position of the named pin in Pins, or -1.
+func (c *Cell) PinIndex(name string) int {
+	if c.pinAt != nil {
+		if i, ok := c.pinAt[name]; ok && int(i) < len(c.Pins) && c.Pins[i].Name == name {
+			return int(i)
+		}
+	}
+	for i := range c.Pins {
+		if c.Pins[i].Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Output returns the first output pin, or nil. Standard cells here have
@@ -232,7 +270,8 @@ func (c *Cell) OutSlew(loadFF float64) float64 {
 
 // Clone returns a deep copy of the master (pins and obstructions
 // included). The Macro-3D layer-editing step works on clones so the
-// original library is never mutated.
+// original library is never mutated. The pin index is shared, not
+// copied: it is immutable and the clone's pins keep their names.
 func (c *Cell) Clone() *Cell {
 	d := *c
 	d.Pins = append([]Pin(nil), c.Pins...)
@@ -273,6 +312,9 @@ func (l *Library) Add(c *Cell) {
 		panic(fmt.Sprintf("cell: duplicate master %q", c.Name))
 	}
 	l.cells[c.Name] = c
+	if c.pinAt == nil && len(c.Pins) > scanPins {
+		c.IndexPins()
+	}
 	if c.Family != "" {
 		fam := l.families[c.Family]
 		fam = append(fam, c)

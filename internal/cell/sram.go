@@ -117,6 +117,8 @@ func NewSRAM(spec SRAMSpec) (*Cell, error) {
 		})
 	}
 
+	c.IndexPins()
+
 	full := geom.R(0, 0, w, h)
 	for _, ly := range []string{"M1", "M2", "M3", "M4"} {
 		c.Obstructions = append(c.Obstructions, Obstruction{Layer: ly, Rect: full})
@@ -163,6 +165,7 @@ func NewSensor(name string, w, h float64, dataBits int) (*Cell, error) {
 		pins[i].Layer = "M3"
 	}
 	c.Pins = pins
+	c.IndexPins()
 	full := geom.R(0, 0, w, h)
 	for _, ly := range []string{"M1", "M2", "M3"} {
 		c.Obstructions = append(c.Obstructions, Obstruction{Layer: ly, Rect: full})

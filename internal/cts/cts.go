@@ -59,12 +59,14 @@ type Sink struct {
 	Inst *netlist.Instance
 	Loc  geom.Point
 	Cap  float64
+	lat  float64 // insertion delay before balancing, set at its leaf
 }
 
 // Tree is the synthesized clock tree with its analysis results.
 type Tree struct {
 	Depth      int     // max buffers on any source→sink path
 	Buffers    int     // total buffers (tree nodes + repeaters)
+	Sinks      int     // clocked instances reached
 	Wirelength float64 // µm
 	WireCap    float64 // fF
 	PinCap     float64 // fF (sink + buffer input pins)
@@ -78,8 +80,20 @@ type Tree struct {
 	// bound on every sink latency.
 	RootDelay float64
 
-	// Latency per sink instance ID (ps).
-	LatencyOf map[int]float64
+	// Latency is the insertion delay by instance ID, ps: 0 where the tree
+	// does not reach. It covers the instances the design had when the
+	// tree was built; read it through LatencyOf.
+	Latency []float64
+}
+
+// LatencyOf returns the insertion delay of instance id, ps: 0 for an
+// instance that is no sink, or that was added after the tree was built
+// (an optimizer's buffers).
+func (t *Tree) LatencyOf(id int) float64 {
+	if id < len(t.Latency) {
+		return t.Latency[id]
+	}
+	return 0
 }
 
 // clock wires route on the top metal pair; use an average of the two
@@ -90,11 +104,13 @@ func clockWireRC(b *tech.BEOL) (rPer, cPer float64) {
 	return (l1.RPerUm + l2.RPerUm) / 2, (l1.CPerUm + l2.CPerUm) / 2
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// builder is what every node of one Build shares.
+type builder struct {
+	t          *Tree
+	buf        *cell.Cell
+	bufCap     float64 // the buffer's input pin, fF
+	rPer, cPer float64
+	opt        Options
 }
 
 // Build synthesizes a clock tree for the design's clock net, rooted at
@@ -104,27 +120,37 @@ func Build(d *netlist.Design, clk *netlist.Net, src geom.Point, lib *cell.Librar
 	opt = opt.withDefaults()
 	buf := lib.MustCell(opt.BufferName)
 	rPer, cPer := clockWireRC(beol)
+	t := &Tree{Latency: make([]float64, len(d.Instances))}
+	b := builder{t: t, buf: buf, bufCap: buf.Pin("A").Cap, rPer: rPer, cPer: cPer, opt: opt}
 
-	var sinks []Sink
+	// The one sink array of the build: every node sorts and splits the
+	// part of it its parent handed down, so when the leaves are done it
+	// lies in the order they were written.
+	sinks := make([]Sink, 0, len(clk.Sinks))
 	for _, s := range clk.Sinks {
 		if s.Inst == nil {
 			continue
 		}
 		sinks = append(sinks, Sink{Inst: s.Inst, Loc: s.Loc(), Cap: s.Cap()})
+		// Mark the slot (its leaf overwrites it) to count an instance the
+		// net reaches by two pins once.
+		if t.Latency[s.Inst.ID] == 0 {
+			t.Latency[s.Inst.ID] = 1
+			t.Sinks++
+		}
 	}
-	t := &Tree{LatencyOf: make(map[int]float64, len(sinks))}
 	if len(sinks) == 0 {
 		return t
 	}
 
 	t.MinLatency = math.MaxFloat64
-	buildNode(t, sinks, src, 1, buf, rPer, cPer, opt)
+	t.RootDelay = b.node(sinks, src, 1, 0)
 	if t.MinLatency == math.MaxFloat64 {
 		t.MinLatency = 0
 	}
 	t.Skew = t.MaxLatency - t.MinLatency
 
-	if !opt.NoSkewBalance && len(t.LatencyOf) > 1 {
+	if !opt.NoSkewBalance && t.Sinks > 1 {
 		// Leaf delay padding: every sink is slowed to the latest branch
 		// minus a proportional share of the residual, like the delay
 		// cells a production CTS inserts.
@@ -132,93 +158,91 @@ func Build(d *netlist.Design, clk *netlist.Net, src geom.Point, lib *cell.Librar
 		if t.Skew < spread {
 			spread = t.Skew
 		}
-		for id, l := range t.LatencyOf {
+		for _, s := range sinks { // in write order: the last pin of an instance wins, as at the leaves
 			frac := 0.0
 			if t.Skew > 0 {
-				frac = (t.MaxLatency - l) / t.Skew
+				frac = (t.MaxLatency - s.lat) / t.Skew
 			}
-			t.LatencyOf[id] = t.MaxLatency - frac*spread
+			t.Latency[s.Inst.ID] = t.MaxLatency - frac*spread
 		}
 		t.MinLatency = t.MaxLatency - spread
 		t.Skew = spread
 	}
 
-	// Sum in sorted-ID order: float addition is order-sensitive and
-	// map iteration is randomized, so a raw range would make
-	// MeanLatency wobble by an ULP between otherwise identical runs.
-	ids := make([]int, 0, len(t.LatencyOf))
-	for id := range t.LatencyOf {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
+	// Summed in instance-ID order — float addition is order-sensitive; the
+	// zeros of the instances that are no sinks add nothing.
 	sum := 0.0
-	for _, id := range ids {
-		sum += t.LatencyOf[id]
+	for _, l := range t.Latency {
+		sum += l
 	}
-	t.MeanLatency = sum / float64(len(t.LatencyOf))
+	t.MeanLatency = sum / float64(t.Sinks)
 	return t
 }
 
-// buildNode recursively splits the sink set; it accounts the buffer at
-// this node, the wires to children, and repeaters on long spans.
-// depth counts buffers from the root, latency in ps accumulates along
-// the path. Results accumulate in t; the root call's return — the path
-// latency through the root buffer — is the tree's source insertion
-// delay and lands in t.RootDelay.
-func buildNode(t *Tree, sinks []Sink, at geom.Point, depth int, buf *cell.Cell, rPer, cPer float64, opt Options) {
-	t.RootDelay = buildNodeFrom(t, sinks, at, depth, 0, buf, rPer, cPer, opt)
-}
-
-func buildNodeFrom(t *Tree, sinks []Sink, at geom.Point, depth int, pathLatency float64, buf *cell.Cell, rPer, cPer float64, opt Options) float64 {
+// node builds the subtree over sinks, in place: it accounts the buffer
+// at this node, the wires to children, and repeaters on long spans.
+// depth counts buffers from the root, pathLatency in ps accumulates
+// along the path. Results accumulate in the tree; the return — the path
+// latency through this node's buffer — is, for the root, the tree's
+// source insertion delay.
+func (b *builder) node(sinks []Sink, at geom.Point, depth int, pathLatency float64) float64 {
+	t, cPer, rPer := b.t, b.cPer, b.rPer
 	// This node carries one buffer.
 	t.Buffers++
 	if depth > t.Depth {
 		t.Depth = depth
 	}
-	t.PinCap += buf.Pin("A").Cap
+	t.PinCap += b.bufCap
 
-	if len(sinks) <= opt.MaxLeafSinks {
+	if len(sinks) <= b.opt.MaxLeafSinks {
 		// Leaf: the buffer drives the sinks directly over a star.
-		var load, wl float64
+		var load, wl, caps float64
 		for _, s := range sinks {
 			dist := at.Manhattan(s.Loc)
 			wl += dist
 			load += s.Cap + dist*cPer
+			caps += s.Cap
 		}
 		t.Wirelength += wl
 		t.WireCap += wl * cPer
-		t.PinCap += sumCaps(sinks)
-		drv := buf.Delay(load, 0)
-		for _, s := range sinks {
+		t.PinCap += caps
+		drv := b.buf.Delay(load, 0)
+		for i := range sinks {
+			s := &sinks[i]
 			dist := at.Manhattan(s.Loc)
 			wire := dist * rPer * (dist*cPer/2 + s.Cap)
-			lat := pathLatency + drv + wire
-			t.LatencyOf[s.Inst.ID] = lat
-			if lat > t.MaxLatency {
-				t.MaxLatency = lat
+			s.lat = pathLatency + drv + wire
+			t.Latency[s.Inst.ID] = s.lat
+			if s.lat > t.MaxLatency {
+				t.MaxLatency = s.lat
 			}
-			if lat < t.MinLatency {
-				t.MinLatency = lat
+			if s.lat < t.MinLatency {
+				t.MinLatency = s.lat
 			}
 		}
 		return pathLatency + drv
 	}
 
 	// Internal node: bisect along the wider axis at the median.
-	bb := boundingBox(sinks)
+	bb := geom.Rect{Lx: sinks[0].Loc.X, Ly: sinks[0].Loc.Y, Ux: sinks[0].Loc.X, Uy: sinks[0].Loc.Y}
+	for _, s := range sinks[1:] {
+		bb.Lx, bb.Ly = math.Min(bb.Lx, s.Loc.X), math.Min(bb.Ly, s.Loc.Y)
+		bb.Ux, bb.Uy = math.Max(bb.Ux, s.Loc.X), math.Max(bb.Uy, s.Loc.Y)
+	}
 	byX := bb.W() >= bb.H()
-	sorted := append([]Sink(nil), sinks...)
 	// By one coordinate — not a total order, and which half a sink lands
 	// in sets its latency. Ties fall where pdqsort leaves them, as they
-	// did under sort.Slice (place.TestSortFuncKeepsSortSliceTies).
-	slices.SortFunc(sorted, func(p, q Sink) int {
+	// did under sort.Slice (place.TestSortFuncKeepsSortSliceTies): the
+	// sort is a function of the sequence it is given, and sorting in
+	// place hands each child the sequence a sorted copy would.
+	slices.SortFunc(sinks, func(p, q Sink) int {
 		if byX {
 			return cmp.Compare(p.Loc.X, q.Loc.X)
 		}
 		return cmp.Compare(p.Loc.Y, q.Loc.Y)
 	})
-	mid := len(sorted) / 2
-	halves := [][]Sink{sorted[:mid], sorted[mid:]}
+	mid := len(sinks) / 2
+	halves := [2][]Sink{sinks[:mid], sinks[mid:]}
 
 	// The node buffer drives the two child buffers over tree edges.
 	var childLocs [2]geom.Point
@@ -226,9 +250,9 @@ func buildNodeFrom(t *Tree, sinks []Sink, at geom.Point, depth int, pathLatency 
 	for i, h := range halves {
 		childLocs[i] = centroid(h)
 		dist := at.Manhattan(childLocs[i])
-		load += dist*cPer + buf.Pin("A").Cap
+		load += dist*cPer + b.bufCap
 	}
-	drv := buf.Delay(load, 0)
+	drv := b.buf.Delay(load, 0)
 
 	for i, h := range halves {
 		dist := at.Manhattan(childLocs[i])
@@ -237,29 +261,21 @@ func buildNodeFrom(t *Tree, sinks []Sink, at geom.Point, depth int, pathLatency 
 
 		// Repeater chain on long spans: each repeater adds a buffer
 		// stage and resets the RC accumulation.
-		nRep := int(dist / opt.RepeaterSpan)
+		nRep := int(dist / b.opt.RepeaterSpan)
 		repDelay := 0.0
 		childDepth := depth + 1 + nRep
 		if nRep > 0 {
 			t.Buffers += nRep
-			t.PinCap += float64(nRep) * buf.Pin("A").Cap
+			t.PinCap += float64(nRep) * b.bufCap
 			seg := dist / float64(nRep+1)
-			segRC := seg * rPer * (seg*cPer/2 + buf.Pin("A").Cap)
-			repDelay = float64(nRep)*buf.Delay(seg*cPer+buf.Pin("A").Cap, 0) + float64(nRep+1)*segRC
+			segRC := seg * rPer * (seg*cPer/2 + b.bufCap)
+			repDelay = float64(nRep)*b.buf.Delay(seg*cPer+b.bufCap, 0) + float64(nRep+1)*segRC
 		} else {
-			repDelay = dist * rPer * (dist*cPer/2 + buf.Pin("A").Cap)
+			repDelay = dist * rPer * (dist*cPer/2 + b.bufCap)
 		}
-		buildNodeFrom(t, h, childLocs[i], childDepth, pathLatency+drv+repDelay, buf, rPer, cPer, opt)
+		b.node(h, childLocs[i], childDepth, pathLatency+drv+repDelay)
 	}
 	return pathLatency + drv
-}
-
-func sumCaps(sinks []Sink) float64 {
-	s := 0.0
-	for _, k := range sinks {
-		s += k.Cap
-	}
-	return s
 }
 
 func centroid(sinks []Sink) geom.Point {
@@ -270,14 +286,6 @@ func centroid(sinks []Sink) geom.Point {
 	}
 	n := float64(len(sinks))
 	return geom.Pt(x/n, y/n)
-}
-
-func boundingBox(sinks []Sink) geom.Rect {
-	pts := make([]geom.Point, len(sinks))
-	for i, s := range sinks {
-		pts[i] = s.Loc
-	}
-	return geom.BoundingBox(pts)
 }
 
 // TotalCap returns the switched capacitance of the tree (wire + pins),

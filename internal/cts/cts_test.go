@@ -67,8 +67,8 @@ func TestBuildGrid(t *testing.T) {
 	if tr.Buffers < 20 {
 		t.Fatalf("buffers = %d", tr.Buffers)
 	}
-	if len(tr.LatencyOf) != 256 {
-		t.Fatalf("latencies for %d sinks, want 256", len(tr.LatencyOf))
+	if tr.Sinks != 256 {
+		t.Fatalf("latencies for %d sinks, want 256", tr.Sinks)
 	}
 	if tr.MaxLatency <= 0 || tr.MinLatency <= 0 || tr.MaxLatency < tr.MinLatency {
 		t.Fatalf("latency range [%v, %v]", tr.MinLatency, tr.MaxLatency)
@@ -100,7 +100,7 @@ func TestRootDelayAccounted(t *testing.T) {
 		t.Fatalf("RootDelay %v exceeds MinLatency %v: every sink path includes the root stage",
 			tr.RootDelay, tr.MinLatency)
 	}
-	for id, lat := range tr.LatencyOf {
+	for id, lat := range tr.Latency {
 		if lat < tr.RootDelay {
 			t.Fatalf("sink %d latency %v below RootDelay %v", id, lat, tr.RootDelay)
 		}
@@ -132,7 +132,7 @@ func TestLatencyMonotoneFromSource(t *testing.T) {
 	// The farthest sink should not be faster than the nearest sink.
 	var nearLat, farLat float64
 	for _, s := range clk.Sinks {
-		lat := tr.LatencyOf[s.Inst.ID]
+		lat := tr.LatencyOf(s.Inst.ID)
 		dist := src.Manhattan(s.Loc())
 		if dist < 50 {
 			nearLat = lat
@@ -156,7 +156,7 @@ func TestEmptyClock(t *testing.T) {
 	n := d.AddNet("clk", netlist.PPin(p))
 	n.Clock = true
 	tr := Build(d, n, geom.Pt(0, 0), lib, beol(t), Options{})
-	if tr.Depth != 0 || tr.Buffers != 0 || len(tr.LatencyOf) != 0 {
+	if tr.Depth != 0 || tr.Buffers != 0 || tr.Sinks != 0 || tr.LatencyOf(0) != 0 {
 		t.Fatalf("empty clock produced %+v", tr)
 	}
 }
@@ -213,8 +213,8 @@ func TestSkewBalancing(t *testing.T) {
 	if balanced.MaxLatency != raw.MaxLatency {
 		t.Fatalf("max latency changed by balancing: %v vs %v", balanced.MaxLatency, raw.MaxLatency)
 	}
-	for id, l := range balanced.LatencyOf {
-		if l < raw.LatencyOf[id]-1e-9 {
+	for id, l := range balanced.Latency {
+		if l < raw.Latency[id]-1e-9 {
 			t.Fatalf("sink %d sped up by balancing", id)
 		}
 	}

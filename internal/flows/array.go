@@ -37,39 +37,48 @@ type ArrayReport struct {
 // nets are new, and they are pin-to-pin touches at shared coordinates.
 // The flat array then gets a fresh clock tree and full STA.
 func VerifyTileArray(cfg Config, st *State, t *tech.Tech, nx, ny int) (*ArrayReport, error) {
-	cfg = cfg.withDefaults()
-	arr, arrayDie, err := piton.Abut(st.Tile, st.Die, nx, ny)
+	arr, err := piton.AbutArray(st.Tile, st.Die, nx, ny)
 	if err != nil {
 		return nil, err
 	}
+	return verifyArray(cfg.withDefaults(), st, t, arr)
+}
+
+// verifyArray re-verifies an abutted array flat. It walks the array by
+// its tables (piton.Array): no name of the array is formatted or looked
+// up, so its by-name indexes are never built.
+func verifyArray(cfg Config, st *State, t *tech.Tech, arr *piton.Array) (*ArrayReport, error) {
+	nx, ny, d := arr.Nx, arr.Ny, arr.Design
 
 	// Array routing grid: an exact nx×ny tiling of the tile's grid so
 	// tile routes translate in whole gcells.
 	tg := st.DB.Grid
 	ag := geom.Grid{
-		Region: arrayDie,
+		Region: arr.Die,
 		NX:     tg.NX * nx, NY: tg.NY * ny,
 		DX: tg.DX, DY: tg.DY,
 	}
 
 	// Routing blockages from every macro copy.
-	fp := &floorplan.Floorplan{Die: arrayDie}
-	for _, m := range arr.Macros() {
+	macros, nBlk := d.Macros(), 0
+	for _, m := range macros {
+		nBlk += len(m.Master.Obstructions)
+	}
+	blk := make([]floorplan.RouteBlockage, 0, nBlk)
+	for _, m := range macros {
 		for _, o := range m.Master.Obstructions {
-			fp.RouteBlk = append(fp.RouteBlk, floorplan.RouteBlockage{
-				Layer: o.Layer, Rect: o.Rect.Translate(m.Loc),
-			})
+			blk = append(blk, floorplan.RouteBlockage{Layer: o.Layer, Rect: o.Rect.Translate(m.Loc)})
 		}
 	}
 	ropt := cfg.routeOptions(nil)
 	ropt.Grid = &ag
-	db := route.NewDB(arrayDie, st.Beol, fp.RouteBlk, ropt)
+	db := route.NewDB(arr.Die, st.Beol, blk, ropt)
 	if err := db.Err(); err != nil {
 		return nil, fmt.Errorf("array %d×%d: %w", nx, ny, err)
 	}
 
 	res := &route.Result{
-		Routes:     make([]*route.NetRoute, len(arr.Nets)),
+		Routes:     make([]*route.NetRoute, len(d.Nets)),
 		WLPerLayer: make([]float64, st.Beol.NumLayers()),
 	}
 
@@ -87,22 +96,24 @@ func VerifyTileArray(cfg Config, st *State, t *tech.Tech, nx, ny int) (*ArrayRep
 	}
 	res.Reserve(nx*ny*tileRoutes, nx*ny*tilePins, nx*ny*tileSegs)
 	var stitched []*netlist.Net
-	for iy := 0; iy < ny; iy++ {
-		for ix := 0; ix < nx; ix++ {
-			tag := fmt.Sprintf("t%d_%d_", ix, iy)
-			for _, n := range src.Nets {
-				if n.Clock {
-					continue
+	for c := 0; c < nx*ny; c++ {
+		for _, n := range src.Nets {
+			if n.Clock {
+				continue
+			}
+			an := arr.Net(c, n)
+			if an == nil {
+				// Absorbed by the stitch — or lost by the composition, which
+				// would drop the net's route without a trace.
+				if !arr.Stitched(c, n) {
+					return nil, fmt.Errorf("array %d×%d: copy %d of tile net %s has no array net and faces no neighbour", nx, ny, c, n.Name)
 				}
-				an := arr.Net(tag + n.Name)
-				if an == nil {
-					continue // interior port net, absorbed by the stitch
-				}
-				if sameShape(n, an) && st.Routes.Routes[n.ID] != nil {
-					db.CommitRoute(res.Translate(an, st.Routes.Routes[n.ID], ix*tg.NX, iy*tg.NY))
-				} else {
-					stitched = append(stitched, an)
-				}
+				continue
+			}
+			if sameShape(n, an) && st.Routes.Routes[n.ID] != nil {
+				db.CommitRoute(res.Translate(an, st.Routes.Routes[n.ID], c%nx*tg.NX, c/nx*tg.NY))
+			} else {
+				stitched = append(stitched, an)
 			}
 		}
 	}
@@ -113,31 +124,28 @@ func VerifyTileArray(cfg Config, st *State, t *tech.Tech, nx, ny int) (*ArrayRep
 	}
 	res.Recount(db)
 
-	clkSrc := arrayDie.LL()
-	if p := arr.Port("clk_i"); p != nil {
-		clkSrc = p.Loc
+	out := &ArrayReport{
+		Nx: nx, Ny: ny,
+		Design:       d,
+		Die:          arr.Die,
+		TilePeriod:   st.Report.MinPeriod,
+		F2FBumps:     res.F2FBumps,
+		StitchedNets: len(stitched),
 	}
-	tree := cts.Build(arr, arr.Net("clk"), clkSrc, arr.Lib, st.Beol, cts.Options{})
 
+	// Extraction is the last reader of the routes and the routing grid:
+	// nothing below holds them, so they are garbage while the timing graph
+	// — the pass's other large structure — is built.
+	tree := cts.Build(d, arr.Clock, arr.ClockPort.Loc, d.Lib, st.Beol, cts.Options{})
 	slow := t.CornerScaleFor(tech.CornerSlow)
-	ex := extract.Extract(arr, res, db, slow)
-	rep, err := sta.Analyze(arr, ex, st.Report.MinPeriod, sta.Options{
+	ex := extract.Extract(d, res, db, slow)
+	rep, err := sta.Analyze(d, ex, st.Report.MinPeriod, sta.Options{
 		Corner: slow, Clock: tree,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("array STA: %w", err)
 	}
-
-	out := &ArrayReport{
-		Nx: nx, Ny: ny,
-		Design:       arr,
-		Die:          arrayDie,
-		TilePeriod:   st.Report.MinPeriod,
-		ArrayPeriod:  rep.MinPeriod,
-		F2FBumps:     res.F2FBumps,
-		StitchedNets: len(stitched),
-		Critical:     rep.Critical,
-	}
+	out.ArrayPeriod, out.Critical = rep.MinPeriod, rep.Critical
 	out.ClosesAtTile = rep.MinPeriod <= st.Report.MinPeriod*1.02
 	return out, nil
 }

@@ -235,6 +235,7 @@ func buildAbstract(st *State, ppa *PPA, t *tech.Tech) (*cell.Cell, error) {
 		}
 		abs.Pins = append(abs.Pins, pin)
 	}
+	abs.IndexPins()
 	if abs.ClockPin() == nil {
 		return nil, fmt.Errorf("abstract %s has no clock pin", abs.Name)
 	}
@@ -340,6 +341,7 @@ func decodeAbstract(b []byte) (*cell.Cell, error) {
 		p.ClkQ = d.F64()
 		c.Pins = append(c.Pins, p)
 	}
+	c.IndexPins()
 	nObs := d.Int()
 	if nObs < 0 || nObs > 1<<24 {
 		return nil, fmt.Errorf("harden: snapshot obstruction count %d", nObs)

@@ -111,7 +111,7 @@ func InstantiateArray(cfg Config, hr *HardenResult, nx, ny int) (*HierReport, er
 	// implementation used or blocked, so stitch routes thread the
 	// genuinely free tracks over the macros instead of detouring
 	// around opaque full-stack blockages.
-	var blk []floorplan.RouteBlockage
+	blk := make([]floorplan.RouteBlockage, 0, len(d.Instances)*len(abs.Obstructions))
 	for _, inst := range d.Instances {
 		for _, o := range inst.Master.Obstructions {
 			blk = append(blk, floorplan.RouteBlockage{

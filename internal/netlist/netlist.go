@@ -10,6 +10,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/geom"
@@ -184,6 +186,14 @@ func (n *Net) HPWL() float64 {
 // them out of chunked slabs, and SinkSpan hands out sink lists from a
 // per-design arena. A chunk never moves, so every pointer in Instances,
 // Nets and Ports stays valid for the life of the design.
+//
+// The records are the design; the by-name indexes are derived from them.
+// A design built by Add* keeps them from the start (the duplicate check
+// of an Add* is a lookup). One composed in bulk (Compose) starts without
+// and builds them on the first by-name use — a lookup or an Add* — so a
+// flat array that is only ever walked by ID never hashes its names.
+// Concurrent first lookups are safe; like the maps they replace, lookups
+// concurrent with an edit are not.
 type Design struct {
 	Name      string
 	Lib       *cell.Library
@@ -191,9 +201,8 @@ type Design struct {
 	Nets      []*Net
 	Ports     []*Port
 
-	instByName map[string]*Instance
-	netByName  map[string]*Net
-	portByName map[string]*Port
+	byName  atomic.Pointer[nameIndex] // nil while not built
+	indexMu sync.Mutex                // serializes the build
 
 	insts slab.Slab[Instance]
 	nets  slab.Slab[Net]
@@ -201,41 +210,102 @@ type Design struct {
 	sinks slab.Slab[PinRef]
 }
 
+// nameIndex is the by-name view of a design's records.
+type nameIndex struct {
+	inst map[string]*Instance
+	net  map[string]*Net
+	port map[string]*Port
+}
+
 // NewDesign returns an empty design over the given library.
 func NewDesign(name string, lib *cell.Library) *Design {
-	return &Design{
-		Name:       name,
-		Lib:        lib,
-		instByName: make(map[string]*Instance),
-		netByName:  make(map[string]*Net),
-		portByName: make(map[string]*Port),
+	d := &Design{Name: name, Lib: lib}
+	d.byName.Store(&nameIndex{
+		inst: make(map[string]*Instance),
+		net:  make(map[string]*Net),
+		port: make(map[string]*Port),
+	})
+	return d
+}
+
+// index returns the by-name indexes, building them from the records when
+// a bulk composition left them unbuilt. Whoever finds them missing takes
+// the lock; the first in builds, the rest find them built.
+func (d *Design) index() *nameIndex {
+	if ix := d.byName.Load(); ix != nil {
+		return ix
 	}
+	d.indexMu.Lock()
+	defer d.indexMu.Unlock()
+	if ix := d.byName.Load(); ix != nil {
+		return ix
+	}
+	ix := &nameIndex{
+		inst: make(map[string]*Instance, len(d.Instances)),
+		net:  make(map[string]*Net, len(d.Nets)),
+		port: make(map[string]*Port, len(d.Ports)),
+	}
+	for _, i := range d.Instances {
+		ix.inst[i.Name] = i
+	}
+	for _, n := range d.Nets {
+		ix.net[n.Name] = n
+	}
+	for _, p := range d.Ports {
+		ix.port[p.Name] = p
+	}
+	// Compose admits only names it can prove distinct; a name lost here
+	// means that proof is broken.
+	if len(ix.inst) != len(d.Instances) || len(ix.net) != len(d.Nets) || len(ix.port) != len(d.Ports) {
+		panic(fmt.Sprintf("netlist: design %q holds duplicate names", d.Name))
+	}
+	d.byName.Store(ix)
+	return ix
 }
 
 // AddInstance creates an instance of the named master.
 func (d *Design) AddInstance(name string, master *cell.Cell) *Instance {
+	return d.addInstance(d.index(), name, master)
+}
+
+// addInstance, addPort and addNet append a record. The name goes into ix
+// — a duplicate panics — unless ix is nil: the indexes are not built, and
+// the caller (a Composer) answers for the name being new.
+func (d *Design) addInstance(ix *nameIndex, name string, master *cell.Cell) *Instance {
 	if master == nil {
 		panic(fmt.Sprintf("netlist: nil master for instance %q", name))
 	}
-	if _, dup := d.instByName[name]; dup {
-		panic(fmt.Sprintf("netlist: duplicate instance %q", name))
+	if ix != nil {
+		if _, dup := ix.inst[name]; dup {
+			panic(fmt.Sprintf("netlist: duplicate instance %q", name))
+		}
 	}
 	inst := d.insts.Alloc()
 	*inst = Instance{Name: name, Master: master, ID: len(d.Instances)}
 	d.Instances = append(d.Instances, inst)
-	d.instByName[name] = inst
+	if ix != nil {
+		ix.inst[name] = inst
+	}
 	return inst
 }
 
 // AddPort creates a top-level port.
 func (d *Design) AddPort(name string, dir cell.PinDir) *Port {
-	if _, dup := d.portByName[name]; dup {
-		panic(fmt.Sprintf("netlist: duplicate port %q", name))
+	return d.addPort(d.index(), name, dir)
+}
+
+func (d *Design) addPort(ix *nameIndex, name string, dir cell.PinDir) *Port {
+	if ix != nil {
+		if _, dup := ix.port[name]; dup {
+			panic(fmt.Sprintf("netlist: duplicate port %q", name))
+		}
 	}
 	p := d.ports.Alloc()
 	*p = Port{Name: name, Dir: dir, ID: len(d.Ports)}
 	d.Ports = append(d.Ports, p)
-	d.portByName[name] = p
+	if ix != nil {
+		ix.port[name] = p
+	}
 	return p
 }
 
@@ -243,13 +313,21 @@ func (d *Design) AddPort(name string, dir cell.PinDir) *Port {
 // sinks slice it is handed: a caller-owned one, or — for builders that
 // know the fanout — an exact-size span from SinkSpan.
 func (d *Design) AddNet(name string, driver PinRef, sinks ...PinRef) *Net {
-	if _, dup := d.netByName[name]; dup {
-		panic(fmt.Sprintf("netlist: duplicate net %q", name))
+	return d.addNet(d.index(), name, driver, sinks)
+}
+
+func (d *Design) addNet(ix *nameIndex, name string, driver PinRef, sinks []PinRef) *Net {
+	if ix != nil {
+		if _, dup := ix.net[name]; dup {
+			panic(fmt.Sprintf("netlist: duplicate net %q", name))
+		}
 	}
 	n := d.nets.Alloc()
 	*n = Net{Name: name, ID: len(d.Nets), Driver: driver, Sinks: sinks, Weight: 1}
 	d.Nets = append(d.Nets, n)
-	d.netByName[name] = n
+	if ix != nil {
+		ix.net[name] = n
+	}
 	return n
 }
 
@@ -262,13 +340,15 @@ func (d *Design) Reserve(instances, nets, sinkPins int) {
 	d.sinks.ReserveSpans(sinkPins)
 	d.Instances = slices.Grow(d.Instances, instances)
 	d.Nets = slices.Grow(d.Nets, nets)
-	// A map cannot be grown in place; a fresh design's indices are
-	// simply made at size.
-	if len(d.instByName) == 0 {
-		d.instByName = make(map[string]*Instance, instances)
-	}
-	if len(d.netByName) == 0 {
-		d.netByName = make(map[string]*Net, nets)
+	// A map cannot be grown in place; a fresh design's indexes are
+	// simply made at size. Unbuilt ones are sized when they are built.
+	if ix := d.byName.Load(); ix != nil {
+		if len(ix.inst) == 0 {
+			ix.inst = make(map[string]*Instance, instances)
+		}
+		if len(ix.net) == 0 {
+			ix.net = make(map[string]*Net, nets)
+		}
 	}
 }
 
@@ -281,13 +361,13 @@ func (d *Design) Reserve(instances, nets, sinkPins int) {
 func (d *Design) SinkSpan(n int) []PinRef { return d.sinks.Span(n) }
 
 // Instance returns the named instance, or nil.
-func (d *Design) Instance(name string) *Instance { return d.instByName[name] }
+func (d *Design) Instance(name string) *Instance { return d.index().inst[name] }
 
 // Net returns the named net, or nil.
-func (d *Design) Net(name string) *Net { return d.netByName[name] }
+func (d *Design) Net(name string) *Net { return d.index().net[name] }
 
 // Port returns the named port, or nil.
-func (d *Design) Port(name string) *Port { return d.portByName[name] }
+func (d *Design) Port(name string) *Port { return d.index().port[name] }
 
 // IPin makes a PinRef for inst/pin.
 func IPin(inst *Instance, pin string) PinRef { return PinRef{Inst: inst, Pin: pin} }
@@ -300,6 +380,18 @@ func PPin(p *Port) PinRef { return PinRef{Port: p} }
 // exists with the right direction, and no instance pin is driven by two
 // nets.
 func (d *Design) Validate() error {
+	// No instance pin may be driven by two nets: one bit per master pin of
+	// every instance — two allocations whatever the design's size, and
+	// nothing is formatted unless the check fails. The first pin found
+	// driven twice is reported once every net has passed the other checks.
+	pinOff := make([]int32, len(d.Instances)+1)
+	for i, inst := range d.Instances {
+		pinOff[i+1] = pinOff[i] + int32(len(inst.Master.Pins))
+	}
+	driven := make([]uint64, (int(pinOff[len(d.Instances)])+63)/64)
+	var twice PinRef
+	var second *Net
+
 	for _, n := range d.Nets {
 		if n.Driver.Inst == nil && n.Driver.Port == nil {
 			return fmt.Errorf("netlist: net %q has no driver", n.Name)
@@ -323,13 +415,18 @@ func (d *Design) Validate() error {
 				if !d.owns(s.Inst) {
 					return fmt.Errorf("netlist: net %q sink %s is not an instance of the design", n.Name, s)
 				}
-				p := s.Inst.Master.Pin(s.Pin)
-				if p == nil {
+				k := s.Inst.Master.PinIndex(s.Pin)
+				if k < 0 {
 					return fmt.Errorf("netlist: net %q sink pin %s missing", n.Name, s)
 				}
-				if p.Dir != cell.DirIn {
+				if s.Inst.Master.Pins[k].Dir != cell.DirIn {
 					return fmt.Errorf("netlist: net %q sinks at non-input %s", n.Name, s)
 				}
+				bit := uint(pinOff[s.Inst.ID]) + uint(k)
+				if driven[bit/64]&(1<<(bit%64)) != 0 && second == nil {
+					twice, second = s, n
+				}
+				driven[bit/64] |= 1 << (bit % 64)
 			} else if s.Port == nil {
 				return fmt.Errorf("netlist: net %q has empty sink ref", n.Name)
 			} else if s.Port.Dir != cell.DirOut {
@@ -337,30 +434,17 @@ func (d *Design) Validate() error {
 			}
 		}
 	}
-	// No instance pin may be driven by two nets. The table has one slot
-	// per master pin of every instance — two allocations whatever the
-	// design's size, and no pin name is hashed or formatted unless the
-	// check fails.
-	pinOff := make([]int32, len(d.Instances)+1)
-	for i, inst := range d.Instances {
-		pinOff[i+1] = pinOff[i] + int32(len(inst.Master.Pins))
+	if second != nil {
+		return fmt.Errorf("netlist: pin %s driven by both %q and %q", twice, d.firstNetAt(twice).Name, second.Name)
 	}
-	drivenBy := make([]*Net, pinOff[len(d.Instances)])
+	return nil
+}
+
+// firstNetAt returns the first net, in ID order, that sinks at the pin.
+func (d *Design) firstNetAt(pin PinRef) *Net {
 	for _, n := range d.Nets {
-		for _, s := range n.Sinks {
-			if s.Inst == nil {
-				continue
-			}
-			pins := s.Inst.Master.Pins
-			k := 0
-			for pins[k].Name != s.Pin { // present: checked above
-				k++
-			}
-			slot := &drivenBy[int(pinOff[s.Inst.ID])+k]
-			if *slot != nil {
-				return fmt.Errorf("netlist: pin %s driven by both %q and %q", s, (*slot).Name, n.Name)
-			}
-			*slot = n
+		if slices.Contains(n.Sinks, pin) {
+			return n
 		}
 	}
 	return nil
@@ -493,14 +577,16 @@ func (d *Design) TruncateTo(instances, nets int) {
 	if instances > len(d.Instances) || nets > len(d.Nets) {
 		panic("netlist: TruncateTo cannot grow a design")
 	}
-	for _, inst := range d.Instances[instances:] {
-		delete(d.instByName, inst.Name)
+	if ix := d.byName.Load(); ix != nil {
+		for _, inst := range d.Instances[instances:] {
+			delete(ix.inst, inst.Name)
+		}
+		for _, n := range d.Nets[nets:] {
+			delete(ix.net, n.Name)
+		}
 	}
 	d.insts.Release(len(d.Instances) - instances)
 	d.Instances = d.Instances[:instances]
-	for _, n := range d.Nets[nets:] {
-		delete(d.netByName, n.Name)
-	}
 	d.nets.Release(len(d.Nets) - nets)
 	d.Nets = d.Nets[:nets]
 }

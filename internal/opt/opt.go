@@ -467,8 +467,9 @@ func selfCheck(ctx *Context, staOpt sta.Options, period float64, got *sta.Report
 				i, g.Delay, w.Delay, len(g.Steps), len(w.Steps))
 		}
 		for j := range w.Steps {
-			if w.Steps[j].Ref != g.Steps[j].Ref {
-				return fmt.Errorf("opt: selfcheck: path %d step %d ref mismatch", i, j)
+			if w.Steps[j].Ref != g.Steps[j].Ref || math.Abs(w.Steps[j].Arrival-g.Steps[j].Arrival) > tol {
+				return fmt.Errorf("opt: selfcheck: path %d step %d mismatch (%s at %v vs %s at %v)", i, j,
+					g.Steps[j].Ref, g.Steps[j].Arrival, w.Steps[j].Ref, w.Steps[j].Arrival)
 			}
 		}
 	}

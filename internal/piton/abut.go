@@ -2,12 +2,64 @@ package piton
 
 import (
 	"fmt"
-	"strings"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
+	"macro3d/internal/slab"
 )
+
+// Array is a tile array composed flat by abutment, with the tables that
+// relate it to its tile, so that a pass over the array finds a copy's
+// record by index instead of by formatting and hashing its name.
+type Array struct {
+	Design *netlist.Design
+	Die    geom.Rect
+	Nx, Ny int
+
+	// Clock is the one array clock the per-tile clock nets merged into,
+	// ClockPort the port that drives it.
+	Clock     *netlist.Net
+	ClockPort *netlist.Port
+
+	// NetID relates tile nets to array nets: copy c = iy*Nx+ix of tile net
+	// n is Design.Nets[NetID[c*len(tile nets)+n.ID]], or has none (-1) —
+	// a clock net (merged into Clock), or a net driven by a port that
+	// faces a neighbouring copy (stitched from the neighbour's side). Copy
+	// c of tile instance i is Design.Instances[c*len(tile instances)+i.ID].
+	NetID []int32
+
+	tile     *Tile
+	partners map[string]partner
+}
+
+// Net returns copy c's net of tile net n, or nil when it has none.
+func (a *Array) Net(c int, n *netlist.Net) *netlist.Net {
+	if id := a.NetID[c*len(a.tile.Design.Nets)+n.ID]; id >= 0 {
+		return a.Design.Nets[id]
+	}
+	return nil
+}
+
+// FacesNeighbor reports whether tile port p, on copy c, faces another
+// copy inside the array (and is therefore stitched, not a port).
+func (a *Array) FacesNeighbor(c int, p *netlist.Port) bool {
+	_, interior := interiorNeighbor(a.partners, p.Name, c%a.Nx, c/a.Nx, a.Nx, a.Ny)
+	return interior
+}
+
+// Stitched reports whether tile net n, on copy c, connects to a port that
+// faces a neighbouring copy — the one reason a tile net other than a
+// clock has no array net of its own. It is read off the tile's port
+// groups, not off NetID, so the two can be checked against each other.
+func (a *Array) Stitched(c int, n *netlist.Net) bool {
+	for i, np := 0, n.NumPins(); i < np; i++ {
+		if p := n.PinAt(i).Port; p != nil && a.FacesNeighbor(c, p) {
+			return true
+		}
+	}
+	return false
+}
 
 // Abut stitches nx×ny copies of a placed tile into one flat design —
 // the paper's §V-1 argument made executable: because associated
@@ -21,19 +73,53 @@ import (
 // adjacent tiles merge into ordinary nets; ports on the array boundary
 // stay ports. All per-tile clock nets merge into one array clock.
 func Abut(t *Tile, die geom.Rect, nx, ny int) (*netlist.Design, geom.Rect, error) {
+	a, err := AbutArray(t, die, nx, ny)
+	if err != nil {
+		return nil, geom.Rect{}, err
+	}
+	return a.Design, a.Die, nil
+}
+
+// AbutArray is Abut handing back the tables too. The array is composed
+// in bulk (netlist.Compose): copy (ix, iy) is tagged "t<ix>_<iy>_", and
+// no name of it is hashed unless someone later looks one up.
+func AbutArray(t *Tile, die geom.Rect, nx, ny int) (*Array, error) {
 	if nx < 1 || ny < 1 {
-		return nil, geom.Rect{}, fmt.Errorf("piton: abut needs nx, ny >= 1")
+		return nil, fmt.Errorf("piton: abut needs nx, ny >= 1")
 	}
 	src := t.Design
 	for _, p := range src.Ports {
 		if p.Loc == (geom.Point{}) && p.Name != t.ClockPort {
-			return nil, geom.Rect{}, fmt.Errorf("piton: port %s unassigned — floorplan the tile first", p.Name)
+			return nil, fmt.Errorf("piton: port %s unassigned — floorplan the tile first", p.Name)
 		}
 	}
 
-	arrayDie := geom.R(die.Lx, die.Ly,
-		die.Lx+die.W()*float64(nx), die.Ly+die.H()*float64(ny))
+	// Copies are laid out back to back in row-major order.
+	copies := make([]netlist.Copy, 0, nx*ny)
+	for iy := 0; iy < ny; iy++ {
+		for ix := 0; ix < nx; ix++ {
+			copies = append(copies, netlist.Copy{
+				Tag:    fmt.Sprintf("t%d_%d_", ix, iy),
+				Offset: geom.Pt(die.W()*float64(ix), die.H()*float64(iy)),
+			})
+		}
+	}
 	out := netlist.NewDesign(fmt.Sprintf("%s_%dx%d", src.Name, nx, ny), src.Lib)
+	b, err := out.Compose(src, copies)
+	if err != nil {
+		return nil, fmt.Errorf("piton: abut: %w", err)
+	}
+	a := &Array{
+		Design: out, Nx: nx, Ny: ny,
+		Die: geom.R(die.Lx, die.Ly,
+			die.Lx+die.W()*float64(nx), die.Ly+die.H()*float64(ny)),
+		NetID:    make([]int32, len(copies)*len(src.Nets)),
+		tile:     t,
+		partners: buildPartnerNames(t),
+	}
+	for i := range a.NetID {
+		a.NetID[i] = -1
+	}
 	// The array's size is known up front: every copy adds at most the
 	// tile's instances, nets and sink pins (the merged clock net's sinks
 	// are collected separately).
@@ -45,169 +131,96 @@ func Abut(t *Tile, die geom.Rect, nx, ny int) (*netlist.Design, geom.Rect, error
 			srcSinks += len(n.Sinks)
 		}
 	}
-	copies := nx * ny
-	out.Reserve(copies*len(src.Instances), copies*len(src.Nets)+1, copies*srcSinks)
+	out.Reserve(len(copies)*len(src.Instances), len(copies)*len(src.Nets)+1, len(copies)*srcSinks)
 
-	// Group lookup: for each grouped (NoC) port, its edge and the
-	// pairing name on the neighbouring tile.
-	partnerName := buildPartnerNames(t)
 	portNet := portNets(src)
 
-	clkPort := out.AddPort("clk_i", cell.DirIn)
-	clkPort.Layer = "M6"
-	clkPort.Loc = geom.Pt(arrayDie.Lx, arrayDie.Center().Y)
-	clkSinks := make([]netlist.PinRef, 0, copies*srcClkSinks)
+	a.ClockPort = b.AddPort("clk_i", cell.DirIn)
+	a.ClockPort.Layer = "M6"
+	a.ClockPort.Loc = geom.Pt(a.Die.Lx, a.Die.Center().Y)
+	clkSinks := make([]netlist.PinRef, 0, len(copies)*srcClkSinks)
 
-	// Copies are laid out back to back in row-major order, so copy
-	// (ix, iy) of source instance i is out.Instances[copyBase+i.ID].
-	copyBase := func(ix, iy int) int { return (iy*nx + ix) * len(src.Instances) }
-	var names nameArena
-
-	for iy := 0; iy < ny; iy++ {
-		for ix := 0; ix < nx; ix++ {
-			off := geom.Pt(die.W()*float64(ix), die.H()*float64(iy))
-			tag := fmt.Sprintf("t%d_%d_", ix, iy)
-			for _, inst := range src.Instances {
-				c := out.AddInstance(names.concat(tag, inst.Name), inst.Master)
-				c.Loc = inst.Loc.Add(off)
-				c.Orient = inst.Orient
-				c.Fixed = inst.Fixed
-				c.Placed = inst.Placed
-				c.Die = inst.Die
-			}
+	for c := range copies {
+		for _, inst := range src.Instances {
+			b.Instance(c, inst)
 		}
-	}
-
-	// exteriorPort creates (once) a boundary port for an unmatched
-	// tile port.
-	madePorts := map[string]*netlist.Port{}
-	exteriorPort := func(tag string, p *netlist.Port, off geom.Point) *netlist.Port {
-		name := tag + p.Name
-		if q := madePorts[name]; q != nil {
-			return q
-		}
-		q := out.AddPort(name, p.Dir)
-		q.Layer = p.Layer
-		q.Loc = p.Loc.Add(off)
-		q.HalfCycle = p.HalfCycle
-		q.ExtCap = p.ExtCap
-		q.ExtDelay = p.ExtDelay
-		madePorts[name] = q
-		return q
 	}
 
 	// Stitch nets copy by copy. Each source net becomes one net per
 	// copy; nets touching an interior-facing port extend into the
 	// neighbour instead of getting a port.
-	for iy := 0; iy < ny; iy++ {
-		for ix := 0; ix < nx; ix++ {
-			base := copyBase(ix, iy)
-			off := geom.Pt(die.W()*float64(ix), die.H()*float64(iy))
-			tag := fmt.Sprintf("t%d_%d_", ix, iy)
-			mapRef := func(r netlist.PinRef) (netlist.PinRef, bool) {
-				if r.Inst != nil {
-					return netlist.IPin(out.Instances[base+r.Inst.ID], r.Pin), true
-				}
-				// Port sink/driver.
-				p := r.Port
-				if pn, interior := interiorNeighbor(partnerName, p.Name, ix, iy, nx, ny); interior {
-					// Extend into the neighbour: the partner port's
-					// net continues at the partner's sinks.
-					pNet := portNet[pn.name]
-					if pNet == nil {
-						return netlist.PinRef{}, false
-					}
-					// Replace with the neighbour's first register
-					// sink (input ports drive exactly the input
-					// FFs).
-					for _, s := range pNet.Sinks {
-						if s.Inst != nil {
-							return netlist.IPin(out.Instances[copyBase(pn.ix, pn.iy)+s.Inst.ID], s.Pin), true
-						}
-					}
+	for c := range copies {
+		ix, iy := c%nx, c/nx
+		base := c * len(src.Instances)
+		mapRef := func(r netlist.PinRef) (netlist.PinRef, bool) {
+			if r.Inst != nil {
+				return netlist.IPin(out.Instances[base+r.Inst.ID], r.Pin), true
+			}
+			// Port sink/driver.
+			p := r.Port
+			if pn, interior := interiorNeighbor(a.partners, p.Name, ix, iy, nx, ny); interior {
+				// Extend into the neighbour: the partner port's
+				// net continues at the partner's sinks.
+				pNet := portNet[pn.name]
+				if pNet == nil {
 					return netlist.PinRef{}, false
 				}
-				return netlist.PPin(exteriorPort(tag, p, off)), true
+				// Replace with the neighbour's first register
+				// sink (input ports drive exactly the input
+				// FFs).
+				for _, s := range pNet.Sinks {
+					if s.Inst != nil {
+						return netlist.IPin(out.Instances[(pn.iy*nx+pn.ix)*len(src.Instances)+s.Inst.ID], s.Pin), true
+					}
+				}
+				return netlist.PinRef{}, false
 			}
-			for _, n := range src.Nets {
-				if n.Clock {
-					// Collect clock sinks; net created at the end.
-					for _, s := range n.Sinks {
-						if s.Inst != nil {
-							clkSinks = append(clkSinks, netlist.IPin(out.Instances[base+s.Inst.ID], s.Pin))
-						}
-					}
-					continue
-				}
-				// Input-port-driven nets whose port faces an interior
-				// neighbour are handled from the driving side; skip.
-				if n.Driver.Port != nil && n.Driver.Port.Name != t.ClockPort {
-					if _, interior := interiorNeighbor(partnerName, n.Driver.Port.Name, ix, iy, nx, ny); interior {
-						continue
-					}
-				}
-				drv, ok := mapRef(n.Driver)
-				if !ok {
-					continue
-				}
-				// The fanout is known: an exact-size span of the array's
-				// sink arena, shortened when a sink has no counterpart.
-				span := out.SinkSpan(len(n.Sinks))
-				k := 0
+			// An unmatched tile port becomes (once) a boundary port.
+			return netlist.PPin(b.Port(c, p)), true
+		}
+		for _, n := range src.Nets {
+			if n.Clock {
+				// Collect clock sinks; net created at the end.
 				for _, s := range n.Sinks {
-					if r, ok := mapRef(s); ok {
-						span[k] = r
-						k++
+					if s.Inst != nil {
+						clkSinks = append(clkSinks, netlist.IPin(out.Instances[base+s.Inst.ID], s.Pin))
 					}
 				}
-				var sinks []netlist.PinRef
-				if k > 0 {
-					sinks = span[:k:k]
-				}
-				out.AddNet(names.concat(tag, n.Name), drv, sinks...)
+				continue
 			}
+			// Input-port-driven nets whose port faces an interior
+			// neighbour are handled from the driving side; skip.
+			if n.Driver.Port != nil && n.Driver.Port.Name != t.ClockPort && a.FacesNeighbor(c, n.Driver.Port) {
+				continue
+			}
+			drv, ok := mapRef(n.Driver)
+			if !ok {
+				continue
+			}
+			// The fanout is known: an exact-size span of the array's
+			// sink arena, shortened when a sink has no counterpart.
+			span := out.SinkSpan(len(n.Sinks))
+			k := 0
+			for _, s := range n.Sinks {
+				if r, ok := mapRef(s); ok {
+					span[k] = r
+					k++
+				}
+			}
+			var sinks []netlist.PinRef
+			if k > 0 {
+				sinks = span[:k:k]
+			}
+			a.NetID[c*len(src.Nets)+n.ID] = int32(b.Net(c, n, drv, sinks...).ID)
 		}
 	}
 
-	cn := out.AddNet("clk", netlist.PPin(clkPort), clkSinks...)
-	cn.Clock = true
+	a.Clock = b.AddNet("clk", netlist.PPin(a.ClockPort), clkSinks...)
+	a.Clock.Clock = true
 	if err := out.Validate(); err != nil {
-		return nil, geom.Rect{}, fmt.Errorf("piton: abutted design invalid: %w", err)
+		return nil, fmt.Errorf("piton: abutted design invalid: %w", err)
 	}
-	return out, arrayDie, nil
-}
-
-// nameArena cuts instance and net names out of large chunks: a name is
-// a substring of the chunk it was written to, so the 14 k names of a
-// generated small tile, or the 230 k of its 4×4 array, cost a few dozen
-// allocations, not one each. A full chunk is dropped by the arena and
-// lives on in the names cut from it — as long as the design that holds
-// them.
-type nameArena struct{ chunk strings.Builder }
-
-// room starts a new chunk unless the current one has n bytes left, and
-// returns the offset the next name starts at.
-func (a *nameArena) room(n int) int {
-	if a.chunk.Cap()-a.chunk.Len() < n {
-		a.chunk.Reset()
-		a.chunk.Grow(max(n, 1<<16))
-	}
-	return a.chunk.Len()
-}
-
-// concat returns x + y.
-func (a *nameArena) concat(x, y string) string {
-	off := a.room(len(x) + len(y))
-	a.chunk.WriteString(x)
-	a.chunk.WriteString(y)
-	return a.chunk.String()[off:]
-}
-
-// cut returns string(b).
-func (a *nameArena) cut(b []byte) string {
-	off := a.room(len(b))
-	a.chunk.Write(b)
-	return a.chunk.String()[off:]
+	return a, nil
 }
 
 // ComposeAbstract instantiates nx×ny copies of a hardened tile
@@ -238,12 +251,22 @@ func ComposeAbstract(t *Tile, abs *cell.Cell, die geom.Rect, nx, ny int) (*netli
 	}
 	out := netlist.NewDesign(fmt.Sprintf("%s_hier_%dx%d", src.Name, nx, ny), lib)
 
+	// Every instance adds at most a two-pin net per tile port; names are
+	// cut from one arena, a port and its net sharing theirs.
+	out.Reserve(nx*ny, nx*ny*len(src.Ports)+1, nx*ny*len(src.Ports))
+	var names slab.Names
+	link := func(name string, drv, sink netlist.PinRef) {
+		span := out.SinkSpan(1)
+		span[0] = sink
+		out.AddNet(name, drv, span...)
+	}
+
 	partnerName := buildPartnerNames(t)
 
 	clkPort := out.AddPort("clk_i", cell.DirIn)
 	clkPort.Layer = "M6"
 	clkPort.Loc = geom.Pt(arrayDie.Lx, arrayDie.Center().Y)
-	var clkSinks []netlist.PinRef
+	clkSinks := make([]netlist.PinRef, 0, nx*ny)
 
 	insts := make([][]*netlist.Instance, ny)
 	for iy := 0; iy < ny; iy++ {
@@ -271,33 +294,28 @@ func ComposeAbstract(t *Tile, abs *cell.Cell, die geom.Rect, nx, ny int) (*netli
 				if ap == nil {
 					return nil, geom.Rect{}, fmt.Errorf("piton: abstract %s lost pin %s", abs.Name, p.Name)
 				}
-				switch p.Dir {
-				case cell.DirOut:
-					if pn, interior := interiorNeighbor(partnerName, p.Name, ix, iy, nx, ny); interior {
-						nb := insts[pn.iy][pn.ix]
-						out.AddNet(tag+p.Name, netlist.IPin(inst, p.Name), netlist.IPin(nb, pn.name))
-						continue
-					}
-					q := out.AddPort(tag+p.Name, cell.DirOut)
-					q.Layer = ap.Layer
-					q.Loc = ap.Offset.Add(off)
-					q.HalfCycle = p.HalfCycle
-					q.ExtCap = p.ExtCap
-					q.ExtDelay = p.ExtDelay
-					out.AddNet(tag+p.Name, netlist.IPin(inst, p.Name), netlist.PPin(q))
-				case cell.DirIn:
-					// Interior-facing inputs are stitched from the
-					// driving neighbour's side.
-					if _, interior := interiorNeighbor(partnerName, p.Name, ix, iy, nx, ny); interior {
-						continue
-					}
-					q := out.AddPort(tag+p.Name, cell.DirIn)
-					q.Layer = ap.Layer
-					q.Loc = ap.Offset.Add(off)
-					q.HalfCycle = p.HalfCycle
-					q.ExtCap = p.ExtCap
-					q.ExtDelay = p.ExtDelay
-					out.AddNet(tag+p.Name, netlist.PPin(q), netlist.IPin(inst, p.Name))
+				// An interior-facing output is stitched to the neighbour's
+				// input, which is therefore skipped on the neighbour's side;
+				// a pin on the array boundary becomes an array port.
+				pn, interior := interiorNeighbor(partnerName, p.Name, ix, iy, nx, ny)
+				if p.Dir == cell.DirInOut || (interior && p.Dir == cell.DirIn) {
+					continue
+				}
+				name := names.Concat(tag, p.Name)
+				if interior {
+					link(name, netlist.IPin(inst, p.Name), netlist.IPin(insts[pn.iy][pn.ix], pn.name))
+					continue
+				}
+				q := out.AddPort(name, p.Dir)
+				q.Layer = ap.Layer
+				q.Loc = ap.Offset.Add(off)
+				q.HalfCycle = p.HalfCycle
+				q.ExtCap = p.ExtCap
+				q.ExtDelay = p.ExtDelay
+				if p.Dir == cell.DirOut {
+					link(name, netlist.IPin(inst, p.Name), netlist.PPin(q))
+				} else {
+					link(name, netlist.PPin(q), netlist.IPin(inst, p.Name))
 				}
 			}
 		}

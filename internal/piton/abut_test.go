@@ -198,3 +198,59 @@ func TestAbutSingleIsIsomorphic(t *testing.T) {
 		t.Fatalf("1x1 nets %d vs %d", sa.NumNets, sb.NumNets)
 	}
 }
+
+// TestAbutArrayTables: the tables AbutArray hands back say what the
+// names say — copy c of a tile net is the array net named tag+name, the
+// clock and its port are the "clk" / "clk_i" records — and a tile net
+// without an array net is a clock or faces a neighbour, by the tile's
+// port groups.
+func TestAbutArrayTables(t *testing.T) {
+	tile, die := placedTinyTile(t)
+	src := tile.Design
+	a, err := piton.AbutArray(tile, die, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Nx != 3 || a.Ny != 2 || a.Die.W() != 3*die.W() || a.Die.H() != 2*die.H() {
+		t.Fatalf("array %d×%d on %v", a.Nx, a.Ny, a.Die)
+	}
+	arr := a.Design
+	if a.Clock != arr.Net("clk") || a.ClockPort != arr.Port("clk_i") || !a.Clock.Clock || a.Clock.Driver.Port != a.ClockPort {
+		t.Fatal("Clock / ClockPort are not the array's clk net and clk_i port")
+	}
+	absorbed, stitched := 0, 0
+	for iy := 0; iy < 2; iy++ {
+		for ix := 0; ix < 3; ix++ {
+			c, tag := iy*3+ix, "t"+string(rune('0'+ix))+"_"+string(rune('0'+iy))+"_"
+			for _, n := range src.Nets {
+				got := a.Net(c, n)
+				if got != arr.Net(tag+n.Name) {
+					t.Fatalf("copy %d of net %s: table and name disagree", c, n.Name)
+				}
+				switch {
+				case got != nil && a.Stitched(c, n):
+					stitched++ // the driving side of a stitch keeps its net
+				case got == nil && !n.Clock && !a.Stitched(c, n):
+					t.Fatalf("copy %d of net %s has no array net and no reason not to", c, n.Name)
+				case got == nil && !n.Clock:
+					absorbed++
+				}
+			}
+			for _, p := range src.Ports {
+				// A port that faces a neighbour is stitched away; any other
+				// port some net touches became an array port.
+				if q := arr.Port(tag + p.Name); a.FacesNeighbor(c, p) && q != nil {
+					t.Fatalf("copy %d: port %s faces a neighbour but became array port %s", c, p.Name, q.Name)
+				}
+			}
+		}
+	}
+	if absorbed == 0 || stitched == 0 {
+		t.Fatalf("%d absorbed, %d stitched nets: the 3×2 array exercised neither", absorbed, stitched)
+	}
+	// The wrapper returns the same design.
+	d2, die2, err := piton.Abut(tile, die, 3, 2)
+	if err != nil || die2 != a.Die || len(d2.Nets) != len(arr.Nets) || len(d2.Ports) != len(arr.Ports) {
+		t.Fatalf("Abut and AbutArray disagree: %v", err)
+	}
+}

@@ -1,10 +1,8 @@
 package piton
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"macro3d/internal/cell"
@@ -205,43 +203,5 @@ func TestGenerateAllocs(t *testing.T) {
 	t.Logf("Generate(SmallCache): %.0f objects for %d instances + nets", allocs, records)
 	if allocs > 0.5*float64(records) {
 		t.Fatalf("Generate allocates %.0f objects for %d instances + nets, want ≤ 0.5 per record", allocs, records)
-	}
-}
-
-// TestNameArenaKeepsNames: names cut before a chunk filled up stay
-// intact after the arena moved on to the next chunk.
-func TestNameArenaKeepsNames(t *testing.T) {
-	var a nameArena
-	const n = 20000 // ≈ 400 kB of names: several 64 kB chunks
-	got := make([]string, n)
-	for i := range got {
-		got[i] = a.concat("t3_1_", fmt.Sprintf("u_core_c2_%d", i))
-	}
-	for i, s := range got {
-		if want := fmt.Sprintf("t3_1_u_core_c2_%d", i); s != want {
-			t.Fatalf("name %d = %q, want %q", i, s, want)
-		}
-	}
-	if big := strings.Repeat("x", 1<<17); a.concat("t_", big) != "t_"+big {
-		t.Fatal("a name larger than a chunk was cut short")
-	}
-
-	// The []byte entry point, from a scratch buffer that is overwritten
-	// for the next name as the generator's is.
-	var buf []byte
-	for i := range got {
-		buf = fmt.Appendf(buf[:0], "u_core_c2_%d", i)
-		got[i] = a.cut(buf)
-	}
-	for i, s := range got {
-		if want := fmt.Sprintf("u_core_c2_%d", i); s != want {
-			t.Fatalf("cut name %d = %q, want %q", i, s, want)
-		}
-	}
-	if big := bytes.Repeat([]byte("y"), 1<<17); a.cut(big) != string(big) {
-		t.Fatal("a cut name larger than a chunk was cut short")
-	}
-	if a.cut(nil) != "" {
-		t.Fatal("an empty name is not empty")
 	}
 }

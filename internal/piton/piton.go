@@ -26,6 +26,7 @@ import (
 	"macro3d/internal/cell"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
+	"macro3d/internal/slab"
 )
 
 // Config selects the tile architecture.
@@ -241,8 +242,8 @@ type gen struct {
 	// nets instead of creating parallel ones.
 	netOf map[pinID]*netlist.Net
 
-	names   nameArena // every seqName is cut from it
-	nameBuf []byte    // seqName's scratch
+	names   slab.Names // every seqName is cut from it
+	nameBuf []byte     // seqName's scratch
 }
 
 // pinID identifies a connection point by the records behind it — the
@@ -296,7 +297,13 @@ func (g *gen) calibrate(target float64) error {
 	if target <= 0 {
 		return nil
 	}
-	raw := g.d.ComputeStats().StdCellArea
+	// The standard-cell area, as netlist.ComputeStats sums it.
+	raw := 0.0
+	for _, inst := range g.d.Instances {
+		if !inst.IsMacro() && inst.Master.Kind != cell.KindFiller {
+			raw += inst.Master.Area()
+		}
+	}
 	if raw <= 0 {
 		return fmt.Errorf("piton: %s generated no logic area", g.d.Name)
 	}
@@ -324,7 +331,7 @@ func (g *gen) seqName(prefix, hint string, seq int) string {
 	b = append(b, '_')
 	b = strconv.AppendInt(b, int64(seq), 10)
 	g.nameBuf = b
-	return g.names.cut(b)
+	return g.names.Cut(b)
 }
 
 func (g *gen) netName(hint string) string {

@@ -42,10 +42,7 @@ func BoundaryArcs(d *netlist.Design, ex *extract.Design, opt Options) (map[strin
 		return nil, err
 	}
 
-	ioRef := 0.0
-	if e.opt.Clock != nil {
-		ioRef = e.opt.Clock.MeanLatency
-	}
+	ioRef := e.ioRef()
 	arcs := make(map[string]PortArc, len(d.Ports))
 
 	// Forward: arrival at every output-port sink, worst over both

@@ -109,11 +109,12 @@ type Engine struct {
 }
 
 // pass holds the persistent per-node state of one launch pass
-// (full-cycle or half-cycle).
+// (full-cycle or half-cycle): the arrival tuple, and where the arrival
+// came from — prev the upstream node and via the net it won through
+// (the net's Driver sits on prev), both -1 at a launch point.
 type pass struct {
 	arr, slew, wl []float64
-	prev          []int
-	pref          []netlist.PinRef
+	prev, via     []int32
 }
 
 func (e *Engine) nodeOfInst(i *netlist.Instance) int { return e.nPorts + i.ID }
@@ -129,12 +130,25 @@ func (e *Engine) refNode(r netlist.PinRef) (int, bool) {
 	return 0, false
 }
 
-// clockLatency returns the tree latency of a sequential instance.
+// clockLatency returns the tree latency of a sequential instance: 0
+// under an ideal clock, and for an instance younger than the tree.
 func (e *Engine) clockLatency(inst *netlist.Instance) float64 {
 	if e.opt.Clock == nil {
 		return 0
 	}
-	return e.opt.Clock.LatencyOf[inst.ID]
+	return e.opt.Clock.LatencyOf(inst.ID)
+}
+
+// ioRef is the virtual port clock I/O constraints reference: the tree's
+// mean insertion delay (a balanced tree makes every tile pin see nearly
+// this edge), so half-cycle budgets measure tile-relative delay rather
+// than double-counting the absolute clock latency — essential when the
+// same tile is verified inside a deep-tree array (§V-1).
+func (e *Engine) ioRef() float64 {
+	if e.opt.Clock == nil {
+		return 0
+	}
+	return e.opt.Clock.MeanLatency
 }
 
 // NewEngine builds an engine over the design and its extraction. The
@@ -173,9 +187,6 @@ func (e *Engine) updateRatio() {
 	}
 }
 
-// inputsOf returns the arcs that arrive at an instance.
-func (e *Engine) inputsOf(id int) []inEdge { return e.in.row(id) }
-
 // loadOf is the total capacitance a node drives on its output net (the
 // highest-numbered net it drives), 0 without one.
 func (e *Engine) loadOf(node int) float64 {
@@ -199,23 +210,13 @@ func (e *Engine) markFanout(node int, dirty []bool) {
 // resizePass grows or shrinks a pass's arrays to nNodes and
 // re-initializes every slot at or above resetFrom.
 func (e *Engine) resizePass(p *pass) {
-	old := len(p.arr)
-	from := e.resetFrom
-	if old < from {
-		from = old
-	}
+	from := min(e.resetFrom, len(p.arr))
 	p.arr = resize(p.arr, e.nNodes)
 	p.slew = resize(p.slew, e.nNodes)
 	p.wl = resize(p.wl, e.nNodes)
 	p.prev = resize(p.prev, e.nNodes)
-	p.pref = resize(p.pref, e.nNodes)
-	for i := from; i < e.nNodes; i++ {
-		p.arr[i] = negInf
-		p.slew[i] = e.opt.DefaultSlew
-		p.wl[i] = 0
-		p.prev[i] = -1
-		p.pref[i] = netlist.PinRef{}
-	}
+	p.via = resize(p.via, e.nNodes)
+	e.initPass(p, from)
 }
 
 // resize returns s with length n, keeping the elements both lengths
@@ -231,14 +232,14 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// resetPass re-initializes every slot of a pass (from-scratch run).
-func (e *Engine) resetPass(p *pass) {
-	for i := range p.arr {
+// initPass re-initializes every slot of a pass from node from up (from
+// 0: a from-scratch run).
+func (e *Engine) initPass(p *pass, from int) {
+	for i := from; i < len(p.arr); i++ {
 		p.arr[i] = negInf
 		p.slew[i] = e.opt.DefaultSlew
 		p.wl[i] = 0
-		p.prev[i] = -1
-		p.pref[i] = netlist.PinRef{}
+		p.prev[i], p.via[i] = -1, -1
 	}
 }
 
@@ -275,7 +276,7 @@ func (e *Engine) Run(period float64) (*Report, error) {
 	workers := runtime.GOMAXPROCS(0)
 	for _, p := range []*pass{&e.full, &e.half} {
 		half := p == &e.half
-		e.resetPass(p)
+		e.initPass(p, 0)
 		dirty := e.dirtyFull
 		if half {
 			dirty = e.dirtyHalf
@@ -387,10 +388,7 @@ func (e *Engine) markPending(dirty []bool) int {
 // are compared against the stored value; a changed seed dirties its
 // combinational fanout.
 func (e *Engine) seed(p *pass, half bool, dirty []bool) {
-	ioRef := 0.0
-	if e.opt.Clock != nil {
-		ioRef = e.opt.Clock.MeanLatency
-	}
+	ioRef := e.ioRef()
 	if !half {
 		for id, inst := range e.d.Instances {
 			if !e.isSeq[id] {
@@ -452,14 +450,13 @@ func (e *Engine) arcLaunch(drv int, n *netlist.Net, rc *extract.NetRC) float64 {
 // evalNode computes a combinational instance's output tuple from the
 // current state of its inputs — identical arithmetic and tie-break
 // order to the original from-scratch pass.
-func (e *Engine) evalNode(p *pass, inst *netlist.Instance) (arr, slew, wl float64, prev int, pref netlist.PinRef) {
+func (e *Engine) evalNode(p *pass, inst *netlist.Instance) (arr, slew, wl float64, prev, via int32) {
 	load := e.loadOf(e.nodeOfInst(inst))
 	best := negInf
-	bestPrev := -1
-	var bestRef netlist.PinRef
+	bestPrev, bestVia := int32(-1), int32(-1)
 	var bestWL float64
 	bestSlew := e.opt.DefaultSlew
-	for _, ev := range e.inputsOf(inst.ID) {
+	for _, ev := range e.in.row(inst.ID) {
 		rc := e.ex.Nets[ev.net]
 		if rc == nil {
 			continue
@@ -479,16 +476,15 @@ func (e *Engine) evalNode(p *pass, inst *netlist.Instance) (arr, slew, wl float6
 		if at > best {
 			n := e.d.Nets[ev.net]
 			best = at
-			bestPrev = int(ev.drv)
-			bestRef = n.Driver
+			bestPrev, bestVia = ev.drv, ev.net
 			bestWL = p.wl[ev.drv] + dist(n.Driver, n.Sinks[ev.si])
 			bestSlew = inst.Master.OutSlew(load)
 		}
 	}
 	if bestPrev < 0 {
-		return negInf, e.opt.DefaultSlew, 0, -1, netlist.PinRef{}
+		return negInf, e.opt.DefaultSlew, 0, -1, -1
 	}
-	return best, bestSlew, bestWL, bestPrev, bestRef
+	return best, bestSlew, bestWL, bestPrev, bestVia
 }
 
 // propagate walks the topological order re-evaluating dirty nodes and
@@ -500,14 +496,13 @@ func (e *Engine) propagate(p *pass, dirty []bool) {
 			continue
 		}
 		dirty[node] = false
-		arr, slew, wl, prev, pref := e.evalNode(p, inst)
+		arr, slew, wl, prev, via := e.evalNode(p, inst)
 		if arr != p.arr[node] || slew != p.slew[node] || wl != p.wl[node] ||
-			prev != p.prev[node] || pref != p.pref[node] {
+			prev != p.prev[node] || via != p.via[node] {
 			p.arr[node] = arr
 			p.slew[node] = slew
 			p.wl[node] = wl
-			p.prev[node] = prev
-			p.pref[node] = pref
+			p.prev[node], p.via[node] = prev, via
 			e.markFanout(node, dirty)
 		}
 	}
@@ -548,12 +543,11 @@ func (e *Engine) propagateWaves(p *pass, workers int) {
 
 func (e *Engine) commitNode(p *pass, inst *netlist.Instance) {
 	node := e.nodeOfInst(inst)
-	arr, slew, wl, prev, pref := e.evalNode(p, inst)
+	arr, slew, wl, prev, via := e.evalNode(p, inst)
 	p.arr[node] = arr
 	p.slew[node] = slew
 	p.wl[node] = wl
-	p.prev[node] = prev
-	p.pref[node] = pref
+	p.prev[node], p.via[node] = prev, via
 }
 
 // checkFiniteNet guards one net's parasitics (the incremental

@@ -43,7 +43,7 @@ func (e *Engine) analyzeHold(rep *Report) {
 		node := e.nodeOfInst(inst)
 		load := e.loadOf(node)
 		best := posInf
-		for _, ev := range e.inputsOf(inst.ID) {
+		for _, ev := range e.in.row(inst.ID) {
 			rc := e.ex.Nets[ev.net]
 			if rc == nil {
 				continue

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"testing"
 
@@ -222,8 +223,8 @@ func (e *Engine) oracleReport(period float64) (*Report, error) {
 func (e *Engine) oracleTrace(node int, s *pass, end netlist.PinRef, delay, wl float64, isHalf bool) Path {
 	p := Path{Delay: delay, Wirelength: wl, HalfCycle: isHalf}
 	steps := []PathStep{{Ref: end, Arrival: delay}}
-	for n := node; n >= 0; n = s.prev[n] {
-		steps = append(steps, PathStep{Ref: e.nodeRef(n), Arrival: s.arr[n]})
+	for n := int32(node); n >= 0; n = s.prev[n] {
+		steps = append(steps, PathStep{Ref: e.nodeRef(int(n)), Arrival: s.arr[n]})
 	}
 	for i, j := 0, len(steps)-1; i < j; i, j = i+1, j-1 {
 		steps[i], steps[j] = steps[j], steps[i]
@@ -395,6 +396,49 @@ func checkReport(t *testing.T, e *Engine, got *Report, period float64, when stri
 	}
 }
 
+// checkVia asserts what the passes record about where an arrival came
+// from: a node with an upstream node also names the net it won through,
+// that net's driver sits on the upstream node and the node itself is one
+// of its sinks; a launch point names neither.
+func checkVia(t *testing.T, e *Engine, when string) {
+	t.Helper()
+	for _, p := range []*pass{&e.full, &e.half} {
+		for node := range p.prev {
+			prev, via := p.prev[node], p.via[node]
+			if (prev < 0) != (via < 0) {
+				t.Fatalf("%s: node %d has prev %d but via %d", when, node, prev, via)
+			}
+			if prev < 0 {
+				continue
+			}
+			n := e.d.Nets[via]
+			if drv, ok := e.refNode(n.Driver); !ok || drv != int(prev) {
+				t.Fatalf("%s: node %d came from node %d via net %s, whose driver %s sits on node %d",
+					when, node, prev, n.Name, n.Driver, drv)
+			}
+			if !slices.ContainsFunc(n.Sinks, func(s netlist.PinRef) bool {
+				sn, ok := e.refNode(s)
+				return ok && sn == node
+			}) {
+				t.Fatalf("%s: node %d is no sink of the net %s it won through", when, node, n.Name)
+			}
+		}
+	}
+}
+
+// checkFresh asserts that the engine's report equals a from-scratch
+// analysis of the same design — every field, every path step for step.
+func checkFresh(t *testing.T, e *Engine, got *Report, period float64, when string) {
+	t.Helper()
+	fresh, err := Analyze(e.d, e.ex, period, e.opt)
+	if err != nil {
+		t.Fatalf("%s: fresh analysis: %v", when, err)
+	}
+	if !reflect.DeepEqual(got, fresh) {
+		t.Fatalf("%s: incremental report differs from a fresh analysis:\n got %+v\nwant %+v", when, got, fresh)
+	}
+}
+
 // TestReportMatchesOracle: on seeded random designs, the table-driven
 // report equals the scan-and-full-sort oracle after the first full run
 // (whose topology was derived once, by NewEngine) and after every update
@@ -434,6 +478,8 @@ func TestReportMatchesOracle(t *testing.T) {
 					t.Fatalf("%s: %v", when, err)
 				}
 				checkReport(t, e, rep, period, when)
+				checkVia(t, e, when)
+				checkFresh(t, e, rep, period, when)
 				if err := e.CheckTopo(); err != nil {
 					t.Fatalf("%s: %v", when, err)
 				}
@@ -446,22 +492,17 @@ func TestReportMatchesOracle(t *testing.T) {
 					t.Fatalf("%s rollback: %v", when, err)
 				}
 				checkReport(t, e, rep, period, when+" rollback")
+				checkVia(t, e, when+" rollback")
+				checkFresh(t, e, rep, period, when+" rollback")
 				if err := e.CheckTopo(); err != nil {
 					t.Fatalf("%s rollback: %v", when, err)
 				}
 			}
-			// The incremental state the reports were read from is itself
-			// the from-scratch state.
-			fresh, err := Analyze(db.Design, db.Ex, period, e.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			// With nothing pending, an Update reads the same state again.
 			if rep, err = e.Update(period); err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(rep, fresh) {
-				t.Fatalf("seed %d top %d: incremental report differs from a fresh analysis", seed, top)
-			}
+			checkFresh(t, e, rep, period, fmt.Sprintf("seed %d top %d final", seed, top))
 		}
 	}
 }

@@ -196,16 +196,7 @@ func (e *Engine) buildReport(period float64) (*Report, error) {
 	d, ex, opt := e.d, e.ex, e.opt
 	rep := &Report{}
 
-	// I/O constraints reference a virtual port clock at the tree's
-	// mean insertion delay (a balanced tree makes every tile pin see
-	// nearly this edge), so half-cycle budgets measure tile-relative
-	// delay rather than double-counting the absolute clock latency —
-	// essential when the same tile is verified inside a deep-tree
-	// array (§V-1).
-	ioRef := 0.0
-	if opt.Clock != nil {
-		ioRef = opt.Clock.MeanLatency
-	}
+	ioRef := e.ioRef()
 	full, half := &e.full, &e.half
 
 	e.eps = slices.Grow(e.eps[:0], e.ep.live)
@@ -389,7 +380,7 @@ func dist(a, b netlist.PinRef) float64 {
 func (e *Engine) hops(ep endpoint) int {
 	s := e.passOf(ep)
 	hops := 1
-	for n := int(e.ep.data[ep.row].drv); n >= 0; n = s.prev[n] {
+	for n := e.ep.data[ep.row].drv; n >= 0; n = s.prev[n] {
 		hops++
 	}
 	return hops
@@ -410,8 +401,8 @@ func (e *Engine) trace(ep endpoint, steps []PathStep) Path {
 	// Filled from the endpoint back to the launch point.
 	last := len(steps) - 1
 	steps[last] = PathStep{Ref: n.Sinks[r.si], Arrival: ep.delay}
-	for i, n := last-1, int(r.drv); n >= 0; i, n = i-1, s.prev[n] {
-		steps[i] = PathStep{Ref: e.nodeRef(n), Arrival: s.arr[n]}
+	for i, n := last-1, r.drv; n >= 0; i, n = i-1, s.prev[n] {
+		steps[i] = PathStep{Ref: e.nodeRef(int(n)), Arrival: s.arr[n]}
 	}
 	return Path{Steps: steps, Delay: ep.delay, HalfCycle: ep.isHalf,
 		Wirelength: s.wl[r.drv] + dist(n.Driver, n.Sinks[r.si])}

@@ -262,10 +262,8 @@ func TestHoldViolationDetected(t *testing.T) {
 	// races ahead of the late clock → hold violation.
 	d, ex := pipe(t, 40, 0)
 	ff2 := d.Instance("ff2")
-	tree := &cts.Tree{LatencyOf: map[int]float64{
-		d.Instance("ff1").ID: 0,
-		ff2.ID:               400, // capture clock arrives 400 ps late
-	}}
+	tree := &cts.Tree{Latency: make([]float64, len(d.Instances))}
+	tree.Latency[ff2.ID] = 400 // capture clock arrives 400 ps late; ff1's at 0
 	rep, err := Analyze(d, ex, 2000, Options{CheckHold: true, Clock: tree})
 	if err != nil {
 		t.Fatal(err)

@@ -520,7 +520,7 @@ func (e *Engine) buildWaves() {
 	maxLevel := int32(0)
 	for _, inst := range e.order {
 		lvl := int32(0)
-		for _, ev := range e.inputsOf(inst.ID) {
+		for _, ev := range e.in.row(inst.ID) {
 			if int(ev.drv) >= e.nPorts {
 				di := int(ev.drv) - e.nPorts
 				if e.isComb[di] && e.level[di]+1 > lvl {
