@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check build test vet race equiv faults bench bench-flow bench-route bench-stash benchall obs-smoke cache-smoke serve-smoke harden-smoke trace-smoke bench-route-smoke serve-load
+.PHONY: check build test vet race fuzz equiv faults bench bench-flow bench-route bench-stash benchall obs-smoke cache-smoke serve-smoke harden-smoke trace-smoke bench-route-smoke serve-load
 
 ## check: the full gate — vet, build, unit tests, the race-enabled
-## fault-injection suite, then the observability, stage-cache, daemon,
-## hardened-macro and execution-tracer smoke tests (what CI should run).
-check: vet build test race obs-smoke cache-smoke serve-smoke harden-smoke trace-smoke bench-route-smoke
+## fault-injection suite, a bounded fuzz of the snapshot decoder, then the
+## observability, stage-cache, daemon, hardened-macro and execution-tracer
+## smoke tests (what CI should run).
+check: vet build test race fuzz obs-smoke cache-smoke serve-smoke harden-smoke trace-smoke bench-route-smoke
 
 build:
 	$(GO) build ./...
@@ -35,6 +36,16 @@ vet:
 race:
 	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/ ./internal/stash/ ./internal/serve/ ./internal/extract/ ./internal/sta/ ./internal/slab/ ./internal/netlist/ ./internal/piton/ ./internal/cell/
 	$(GO) test -race -timeout 30m ./internal/flows/ ./internal/ddb/ ./internal/opt/ ./internal/place/ ./internal/route/
+
+## fuzz: ten seconds of FuzzDecodeResult — the routing-result decoder on
+## arbitrary bytes: no panic, no allocation sized by a corrupt count, and
+## whatever decodes re-encodes to the same bytes. `go test` runs only its
+## seed corpus (a good encoding and TestDecodeResultCorrupt's table). The
+## engine minimizes every input that reaches new code, an execution per
+## byte and 60 s by default: capped at 1 s so the ten seconds mutate. A
+## failing input is written to internal/flows/testdata/fuzz/ — commit it.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
 
 ## equiv: just the parallel-vs-serial equivalence proof — every flow at
 ## -j 1 / 4 / 0 must produce an identical PPA, run under the race

@@ -109,7 +109,7 @@ func hardenMain(args []string) int {
 			printFailure(err)
 			return 1
 		}
-		fmt.Printf("%dx%d hierarchical array (parent level %v): tile %.0f ps vs array %.0f ps — timing closes: %v\n",
+		fmt.Printf("%dx%d hierarchical array (parent level %v): tile %.1f ps vs array %.1f ps — timing closes: %v\n",
 			rep.Nx, rep.Ny, rep.ParentElapsed.Round(time.Millisecond),
 			rep.TilePeriodPs, rep.ArrayPeriodPs, rep.ClosesAtTile)
 		fmt.Printf("  stitched nets  %10d\n", rep.StitchedNets)

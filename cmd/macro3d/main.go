@@ -433,8 +433,9 @@ func run(ctx context.Context, cfg macro3d.FlowConfig, flow, experiment string, a
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%dx%d array: tile %.0f ps vs array %.0f ps — timing closes: %v (%d stitched nets, %d bumps)\n",
-				rep.Nx, rep.Ny, rep.TilePeriod, rep.ArrayPeriod, rep.ClosesAtTile, rep.StitchedNets, rep.F2FBumps)
+			fmt.Printf("%dx%d array: tile %.1f ps vs array %.1f ps — timing closes: %v (%d stitched nets, %d bumps, route overflow %d vs %d×%d from the tiles)\n",
+				rep.Nx, rep.Ny, rep.TilePeriod, rep.ArrayPeriod, rep.ClosesAtTile, rep.StitchedNets, rep.F2FBumps,
+				rep.RouteOverflow, rep.Nx*rep.Ny, st.Routes.Overflow)
 		}
 	}
 

@@ -365,11 +365,7 @@ func (t *Txn) saveRouteRC(id int) {
 // in the journal by then.
 func (t *Txn) Reroute(n *netlist.Net) error {
 	t.saveRouteRC(n.ID)
-	if n.ID < len(t.db.Routes.Routes) {
-		if old := t.db.Routes.Routes[n.ID]; old != nil {
-			t.db.Grid.ReleaseNet(old)
-		}
-	}
+	t.db.Grid.ReleaseNet(t.db.Routes, n.ID)
 	r, err := t.db.Grid.RouteNet(t.db.Routes, n)
 	if err != nil {
 		return err
@@ -429,11 +425,7 @@ func (t *Txn) Rollback() (nets, insts []int, topo bool) {
 	// Appended nets: release their routes and drop their extraction.
 	// Their records stay behind in the ECO slabs.
 	for id := t.baseNets; id < len(d.Nets); id++ {
-		if id < len(db.Routes.Routes) {
-			if r := db.Routes.Routes[id]; r != nil {
-				db.Grid.ReleaseNet(r)
-			}
-		}
+		db.Grid.ReleaseNet(db.Routes, id)
 		if id < len(db.Ex.Nets) {
 			db.Ex.Restore(id, nil, extract.NetRC{})
 		}
@@ -444,15 +436,11 @@ func (t *Txn) Rollback() (nets, insts []int, topo bool) {
 	for i := range j.nets {
 		sv := &j.nets[i]
 		if sv.id < len(db.Routes.Routes) {
-			if cur := db.Routes.Routes[sv.id]; cur != nil {
-				db.Grid.ReleaseNet(cur)
-			}
+			db.Grid.ReleaseNet(db.Routes, sv.id)
 			was := sv.routeWas
 			was.PinNode, was.Segments = j.nodeBuf[nodeLo:sv.nodeEnd], j.segBuf[segLo:sv.segEnd]
 			db.Routes.Restore(sv.id, sv.route, was)
-			if sv.route != nil {
-				db.Grid.CommitRoute(sv.route)
-			}
+			db.Grid.CommitRoute(db.Routes, sv.id)
 		}
 		if sv.id < len(db.Ex.Nets) {
 			was := sv.rcWas

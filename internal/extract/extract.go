@@ -59,7 +59,14 @@ type Design struct {
 // The full pass owns its records: each worker carves the NetRCs and
 // Elmore vectors of its net-ID chunk from one []NetRC and one []float64
 // sized by a count over the chunk, instead of two heap objects per net.
-// Reextract later rewrites those records where they lie.
+// Reextract later rewrites those records where they lie. The arrays are
+// allocated here, before the chunk's worker starts: they are the pass's
+// large allocations, so a collection they trigger begins with no worker
+// running. A worker preempted for the stack scan within its first
+// microseconds has a frame of whatever its recycled stack last held,
+// which is scanned conservatively — on back-to-back flat verifications
+// that kept the whole previous array alive through the cycle and doubled
+// the heap goal (DESIGN.md §18).
 func Extract(d *netlist.Design, res *route.Result, db *route.DB, corner tech.CornerScale) *Design {
 	out := &Design{Nets: make([]*NetRC, len(d.Nets))}
 	if workers := runtime.GOMAXPROCS(0); workers > 1 && len(d.Nets) >= 256 {
@@ -67,15 +74,17 @@ func Extract(d *netlist.Design, res *route.Result, db *route.DB, corner tech.Cor
 		chunk := (len(d.Nets) + workers - 1) / workers
 		for lo := 0; lo < len(d.Nets); lo += chunk {
 			nets := d.Nets[lo:min(lo+chunk, len(d.Nets))]
+			recs, elmore := chunkRecords(nets, res)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				out.extractChunk(nets, res, db, corner)
+				out.extractChunk(nets, res, db, corner, recs, elmore)
 			}()
 		}
 		wg.Wait()
 	} else {
-		out.extractChunk(d.Nets, res, db, corner)
+		recs, elmore := chunkRecords(d.Nets, res)
+		out.extractChunk(d.Nets, res, db, corner, recs, elmore)
 	}
 	for _, rc := range out.Nets {
 		if rc != nil {
@@ -86,10 +95,9 @@ func Extract(d *netlist.Design, res *route.Result, db *route.DB, corner tech.Cor
 	return out
 }
 
-// extractChunk extracts the routed nets of one contiguous net-ID chunk
-// into out.Nets, with its own scratch and its own record arrays; chunks
-// write disjoint entries, so they run concurrently.
-func (out *Design) extractChunk(nets []*netlist.Net, res *route.Result, db *route.DB, corner tech.CornerScale) {
+// chunkRecords returns the record arrays of one net-ID chunk: a NetRC per
+// routed net and an Elmore entry per sink of one.
+func chunkRecords(nets []*netlist.Net, res *route.Result) ([]NetRC, []float64) {
 	routed, sinks := 0, 0
 	for _, n := range nets {
 		if res.Routes[n.ID] != nil {
@@ -97,8 +105,13 @@ func (out *Design) extractChunk(nets []*netlist.Net, res *route.Result, db *rout
 			sinks += len(n.Sinks)
 		}
 	}
-	recs := make([]NetRC, routed)
-	elmore := make([]float64, sinks)
+	return make([]NetRC, routed), make([]float64, sinks)
+}
+
+// extractChunk extracts the routed nets of one contiguous net-ID chunk
+// into out.Nets, with its own scratch and the chunk's record arrays;
+// chunks write disjoint entries, so they run concurrently.
+func (out *Design) extractChunk(nets []*netlist.Net, res *route.Result, db *route.DB, corner tech.CornerScale, recs []NetRC, elmore []float64) {
 	var s Scratch
 	for _, n := range nets {
 		r := res.Routes[n.ID]

@@ -125,7 +125,7 @@ func randomNet(rng *geom.RNG, d *netlist.Design, db *route.DB, id int) (*netlist
 
 	nl := db.Beol.NumLayers()
 	nodes := []route.Node{route.At(20+rng.Intn(10), 20+rng.Intn(10), rng.Intn(nl))}
-	r := &route.NetRoute{Net: n}
+	r := &route.NetRoute{}
 	for i, k := 0, rng.Intn(25); i < k; i++ {
 		from := nodes[rng.Intn(len(nodes))]
 		to := from

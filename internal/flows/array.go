@@ -17,15 +17,16 @@ import (
 // ArrayReport is the outcome of composing a signed-off tile into an
 // nx×ny array and re-verifying it flat.
 type ArrayReport struct {
-	Nx, Ny       int
-	Design       *netlist.Design
-	Die          geom.Rect
-	TilePeriod   float64 // ps, the single tile's sign-off period
-	ArrayPeriod  float64 // ps, the flat array's minimum period
-	ClosesAtTile bool    // array period ≤ tile period (+2 % tolerance)
-	F2FBumps     int
-	StitchedNets int // inter-tile abutment connections
-	Critical     sta.Path
+	Nx, Ny        int
+	Design        *netlist.Design
+	Die           geom.Rect
+	TilePeriod    float64 // ps, the single tile's sign-off period
+	ArrayPeriod   float64 // ps, the flat array's minimum period
+	ClosesAtTile  bool    // array period ≤ tile period (+2 % tolerance)
+	F2FBumps      int
+	StitchedNets  int // inter-tile abutment connections
+	RouteOverflow int // gcell-layers over capacity: nx·ny × the tile's
+	Critical      sta.Path
 }
 
 // VerifyTileArray executes the paper's §V-1 argument: a tile signed
@@ -48,10 +49,47 @@ func VerifyTileArray(cfg Config, st *State, t *tech.Tech, nx, ny int) (*ArrayRep
 // its tables (piton.Array): no name of the array is formatted or looked
 // up, so its by-name indexes are never built.
 func verifyArray(cfg Config, st *State, t *tech.Tech, arr *piton.Array) (*ArrayReport, error) {
+	d := arr.Design
+	db, res, stitched, err := routeArray(cfg, st, arr)
+	if err != nil {
+		return nil, err
+	}
+	out := &ArrayReport{
+		Nx: arr.Nx, Ny: arr.Ny,
+		Design:        d,
+		Die:           arr.Die,
+		TilePeriod:    st.Report.MinPeriod,
+		F2FBumps:      res.F2FBumps,
+		RouteOverflow: res.Overflow,
+		StitchedNets:  stitched,
+	}
+
+	// Extraction is the last reader of the routes and the routing grid:
+	// nothing below holds them, so they are garbage while the timing graph
+	// — the pass's other large structure — is built.
+	tree := cts.Build(d, arr.Clock, arr.ClockPort.Loc, d.Lib, st.Beol, cts.Options{})
+	slow := t.CornerScaleFor(tech.CornerSlow)
+	ex := extract.Extract(d, res, db, slow)
+	rep, err := sta.Analyze(d, ex, st.Report.MinPeriod, sta.Options{
+		Corner: slow, Clock: tree,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("array STA: %w", err)
+	}
+	out.ArrayPeriod, out.Critical = rep.MinPeriod, rep.Critical
+	out.ClosesAtTile = rep.MinPeriod <= st.Report.MinPeriod*1.02
+	return out, nil
+}
+
+// routeArray builds the array's routing database and result. A route is
+// a shape: every copy's nets are placed on the tile's own records at the
+// copy's offset (route.Result.Place), read-only, and their usage is
+// committed there; only the stitched nets, which it counts, are routed.
+func routeArray(cfg Config, st *State, arr *piton.Array) (*route.DB, *route.Result, int, error) {
 	nx, ny, d := arr.Nx, arr.Ny, arr.Design
 
 	// Array routing grid: an exact nx×ny tiling of the tile's grid so
-	// tile routes translate in whole gcells.
+	// tile routes place in whole gcells.
 	tg := st.DB.Grid
 	ag := geom.Grid{
 		Region: arr.Die,
@@ -74,30 +112,16 @@ func verifyArray(cfg Config, st *State, t *tech.Tech, arr *piton.Array) (*ArrayR
 	ropt.Grid = &ag
 	db := route.NewDB(arr.Die, st.Beol, blk, ropt)
 	if err := db.Err(); err != nil {
-		return nil, fmt.Errorf("array %d×%d: %w", nx, ny, err)
+		return nil, nil, 0, fmt.Errorf("array %d×%d: %w", nx, ny, err)
 	}
 
 	res := &route.Result{
 		Routes:     make([]*route.NetRoute, len(d.Nets)),
 		WLPerLayer: make([]float64, st.Beol.NumLayers()),
 	}
-
-	// Replicate tile routes; collect stitched nets for fresh routing.
-	// Every copy adds at most the tile's routes, so the result's slabs
-	// are sized once.
-	src := st.Tile.Design
-	var tileRoutes, tilePins, tileSegs int
-	for _, r := range st.Routes.Routes {
-		if r != nil {
-			tileRoutes++
-			tilePins += len(r.PinNode)
-			tileSegs += len(r.Segments)
-		}
-	}
-	res.Reserve(nx*ny*tileRoutes, nx*ny*tilePins, nx*ny*tileSegs)
 	var stitched []*netlist.Net
 	for c := 0; c < nx*ny; c++ {
-		for _, n := range src.Nets {
+		for _, n := range st.Tile.Design.Nets {
 			if n.Clock {
 				continue
 			}
@@ -106,12 +130,13 @@ func verifyArray(cfg Config, st *State, t *tech.Tech, arr *piton.Array) (*ArrayR
 				// Absorbed by the stitch — or lost by the composition, which
 				// would drop the net's route without a trace.
 				if !arr.Stitched(c, n) {
-					return nil, fmt.Errorf("array %d×%d: copy %d of tile net %s has no array net and faces no neighbour", nx, ny, c, n.Name)
+					return nil, nil, 0, fmt.Errorf("array %d×%d: copy %d of tile net %s has no array net and faces no neighbour", nx, ny, c, n.Name)
 				}
 				continue
 			}
 			if sameShape(n, an) && st.Routes.Routes[n.ID] != nil {
-				db.CommitRoute(res.Translate(an, st.Routes.Routes[n.ID], c%nx*tg.NX, c/nx*tg.NY))
+				res.Place(an.ID, st.Routes.Routes[n.ID], c%nx*tg.NX, c/nx*tg.NY)
+				db.CommitRoute(res, an.ID)
 			} else {
 				stitched = append(stitched, an)
 			}
@@ -119,35 +144,11 @@ func verifyArray(cfg Config, st *State, t *tech.Tech, arr *piton.Array) (*ArrayR
 	}
 	for _, n := range stitched {
 		if _, err := db.RouteNet(res, n); err != nil {
-			return nil, fmt.Errorf("array stitch route %s: %w", n.Name, err)
+			return nil, nil, 0, fmt.Errorf("array stitch route %s: %w", n.Name, err)
 		}
 	}
 	res.Recount(db)
-
-	out := &ArrayReport{
-		Nx: nx, Ny: ny,
-		Design:       d,
-		Die:          arr.Die,
-		TilePeriod:   st.Report.MinPeriod,
-		F2FBumps:     res.F2FBumps,
-		StitchedNets: len(stitched),
-	}
-
-	// Extraction is the last reader of the routes and the routing grid:
-	// nothing below holds them, so they are garbage while the timing graph
-	// — the pass's other large structure — is built.
-	tree := cts.Build(d, arr.Clock, arr.ClockPort.Loc, d.Lib, st.Beol, cts.Options{})
-	slow := t.CornerScaleFor(tech.CornerSlow)
-	ex := extract.Extract(d, res, db, slow)
-	rep, err := sta.Analyze(d, ex, st.Report.MinPeriod, sta.Options{
-		Corner: slow, Clock: tree,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("array STA: %w", err)
-	}
-	out.ArrayPeriod, out.Critical = rep.MinPeriod, rep.Critical
-	out.ClosesAtTile = rep.MinPeriod <= st.Report.MinPeriod*1.02
-	return out, nil
+	return db, res, len(stitched), nil
 }
 
 // sameShape reports whether the array net has the same pin structure

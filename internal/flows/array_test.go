@@ -1,19 +1,23 @@
 package flows
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"macro3d/internal/cts"
 	"macro3d/internal/extract"
-	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
 	"macro3d/internal/piton"
 	"macro3d/internal/route"
 	"macro3d/internal/sta"
+	"macro3d/internal/stash"
 	"macro3d/internal/tech"
 )
 
@@ -69,10 +73,11 @@ func TestVerifyArrayRejectsLostNet(t *testing.T) {
 
 // TestVerifyTileArrayBytes bounds what a flat verification allocates per
 // array instance, on the tiny tile 2×2. The budget is the measured figure
-// (≈ 1.02 kB: the design and its routes, the routing grid, extraction
-// records, the timing graph) with an eighth of headroom — a per-level or
-// per-pass copy of anything sized by the design costs more than that
-// (the copies this replaced: 1.36 kB).
+// (828 B: the design, the routing grid, extraction records, the timing
+// graph — and no routes but the stitched nets', the tile's being placed,
+// not copied) with an eighth of headroom — a per-level, per-pass or
+// per-copy copy of anything sized by the design costs more than that
+// (the per-copy routes this replaced: 1.04 kB).
 func TestVerifyTileArrayBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations are not the flow's")
@@ -93,102 +98,266 @@ func TestVerifyTileArrayBytes(t *testing.T) {
 	perInst := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(len(rep.Design.Instances))
 	t.Logf("flat verify 2×2: %d instances, %.0f B per instance, %d objects",
 		len(rep.Design.Instances), perInst, m1.Mallocs-m0.Mallocs)
-	const budget = 1150
+	const budget = 930
 	if perInst > budget {
 		t.Fatalf("flat verification allocates %.0f B per array instance, budget %d", perInst, budget)
 	}
 }
 
-// flatArray4x4 is what a flat 4×4 verification of the signed-off small
-// tile analyses: the abutted design, its routing database and result —
-// the tile's routes translated per copy, the stitched nets routed — and
-// the extraction. The kernel benchmarks run single layers on it; the
-// analysis must reproduce VerifyTileArray's period, so the fixture cannot
-// drift from what it stands for.
-func flatArray4x4(b *testing.B) (*State, *piton.Array, *extract.Design, float64) {
-	b.Helper()
-	f := &flatArrayFixture
-	f.once.Do(func() { f.st, f.arr, f.ex, f.period = buildFlatArray4x4(b) })
-	if f.arr == nil {
-		b.Fatal("flat 4×4 fixture failed to build")
+// checkPlacedShapes asserts what makes a result's origin table
+// load-bearing, on an array routed by routeArray.
+//
+// The placed-shape invariant: every replicated net holds the tile's own
+// record, and origin + shape pin node i is the array DB's node of the
+// array net's pin i. A pin may differ by one gcell on one axis only when
+// it lies within 1e-6 µm of that gcell boundary — Grid.Locate of a
+// coordinate on a grid line can round the other way once the copy's
+// offset is added to it; extraction reads differences and never sees it
+// — and there are exactly boundary such pins, so they cannot grow
+// unnoticed.
+//
+// Usage: RebuildUsage from the result is the usage the placement
+// committed, bin for bin.
+func checkPlacedShapes(t *testing.T, st *State, arr *piton.Array, db *route.DB, res *route.Result, boundary int) {
+	t.Helper()
+	g := db.Grid
+	pins, placedNets, onLine := 0, 0, 0
+	for c := 0; c < arr.Nx*arr.Ny; c++ {
+		for _, n := range st.Tile.Design.Nets {
+			an := arr.Net(c, n)
+			if an == nil {
+				continue
+			}
+			o := res.Origin(an.ID)
+			if !o.Placed {
+				continue
+			}
+			dx, dy := int(o.DX), int(o.DY)
+			placedNets++
+			r := res.Routes[an.ID]
+			if r != st.Routes.Routes[n.ID] {
+				t.Fatalf("copy %d of net %s holds a record that is not the tile's", c, n.Name)
+			}
+			if dx != c%arr.Nx*st.DB.Grid.NX || dy != c/arr.Nx*st.DB.Grid.NY {
+				t.Fatalf("copy %d of net %s placed at (%d, %d)", c, n.Name, dx, dy)
+			}
+			for i, p := range r.PinNode {
+				pins++
+				pin := an.PinAt(i)
+				want, err := db.PinNode(pin)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := route.At(int(p.X)+dx, int(p.Y)+dy, int(p.L))
+				if got == want {
+					continue
+				}
+				ex, ey := int(got.X)-int(want.X), int(got.Y)-int(want.Y)
+				var off float64 // distance of the pin from the grid line between the two gcells
+				switch {
+				case got.L != want.L || ex*ex+ey*ey != 1:
+					t.Fatalf("copy %d net %s pin %d: placed node %v, the array's %v", c, n.Name, i, got, want)
+				case ex != 0:
+					off = pin.Loc().X - (g.Region.Lx + float64(max(got.X, want.X))*g.DX)
+				default:
+					off = pin.Loc().Y - (g.Region.Ly + float64(max(got.Y, want.Y))*g.DY)
+				}
+				if math.Abs(off) > 1e-6 {
+					t.Fatalf("copy %d net %s pin %d: placed node %v, the array's %v, and the pin is %g µm off the gcell boundary",
+						c, n.Name, i, got, want, off)
+				}
+				onLine++
+			}
+		}
 	}
-	return f.st, f.arr, f.ex, f.period
+	t.Logf("%d placed nets, %d pins, %d on a gcell boundary", placedNets, pins, onLine)
+	if placedNets == 0 || onLine != boundary {
+		t.Fatalf("%d placed nets; %d pins round across a gcell boundary after the shift, want %d", placedNets, onLine, boundary)
+	}
+
+	u, h, f := db.DynState()
+	u, h, f = slices.Clone(u), slices.Clone(h), slices.Clone(f)
+	db.RebuildUsage(res)
+	if u1, h1, f1 := db.DynState(); !slices.Equal(u, u1) || !slices.Equal(h, h1) || !slices.Equal(f, f1) {
+		t.Fatal("RebuildUsage from the array result is not the usage its placement committed")
+	}
+}
+
+// TestArrayPlacedShapes checks the placed-shape invariant and the usage
+// rebuild (checkPlacedShapes), and that abutment adds no congestion —
+// the array's overflow is nx·ny × the tile's; a seam that overflowed
+// would pass every timing check — on the tiny tiles 2×2 and on the flat
+// 4×4 of the small Macro-3D tile, where 150 of 355 952 pins, all at
+// y = 1765.8 µm in copy row 2, sit on a gcell row boundary.
+func TestArrayPlacedShapes(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		run      func() (*State, error)
+		boundary int
+	}{
+		{"2d-tiny-2x2", func() (*State, error) { _, st, err := Run2D(tinyCfg()); return st, err }, 0},
+		{"macro3d-tiny-2x2", func() (*State, error) { _, st, _, err := RunMacro3D(tinyCfg()); return st, err }, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			arr, err := piton.AbutArray(st.Tile, st.Die, 2, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, res, _, err := routeArray(tinyCfg().withDefaults(), st, arr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Overflow != 4*st.Routes.Overflow {
+				t.Fatalf("array overflow %d, 4 × the tile's %d", res.Overflow, st.Routes.Overflow)
+			}
+			checkPlacedShapes(t, st, arr, db, res, c.boundary)
+		})
+	}
+	t.Run("macro3d-small-4x4", func(t *testing.T) {
+		if raceEnabled || testing.Short() {
+			t.Skip("the small tile's flow and a 117k-instance array: covered by the tiny cases")
+		}
+		f := flatArray4x4(t)
+		if f.ref.RouteOverflow != 16*f.st.Routes.Overflow || f.res.Overflow != f.ref.RouteOverflow {
+			t.Fatalf("array overflow %d (fixture %d), 16 × the tile's %d", f.ref.RouteOverflow, f.res.Overflow, f.st.Routes.Overflow)
+		}
+		checkPlacedShapes(t, f.st, f.arr, f.db, f.res, 150)
+	})
+}
+
+// TestVerifyTileArrayReadsTileOnly: a hardened tile is shared — `serve`
+// hands one State to every job that composes it — and the array result
+// holds its route records themselves, so a verification must write
+// nothing of it: two concurrent verifications of one State race on
+// nothing (`make race`), report the same, and leave the tile's routes
+// and usage byte for byte what they were.
+func TestVerifyTileArrayReadsTileOnly(t *testing.T) {
+	cfg := tinyCfg()
+	hr, err := Harden(cfg, HardenMacro3D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() []byte {
+		e := stash.NewEnc()
+		encodeResult(e, hr.State.Routes)
+		encodeDynState(e, hr.State.DB)
+		return slices.Clone(e.Bytes())
+	}
+	before := snapshot()
+	tech6, _ := tech.New28(6)
+	var reps [2]*ArrayReport
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[i], errs[i] = VerifyTileArray(cfg, hr.State, tech6, 2, 2)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := reps[0], reps[1]
+	if a.ArrayPeriod != b.ArrayPeriod || a.F2FBumps != b.F2FBumps || a.StitchedNets != b.StitchedNets ||
+		a.RouteOverflow != b.RouteOverflow || a.Critical.Delay != b.Critical.Delay || !a.ClosesAtTile {
+		t.Fatalf("concurrent verifications of one tile differ: %+v vs %+v", a, b)
+	}
+	if !bytes.Equal(snapshot(), before) {
+		t.Fatal("VerifyTileArray wrote the hardened tile's routes or usage")
+	}
+}
+
+// TestEncodeResultRejectsOrigins: the snapshot format has no origin, so
+// encoding a result with placed routes panics by name instead of writing
+// the shapes as if they lay at the grid's origin.
+func TestEncodeResultRejectsOrigins(t *testing.T) {
+	tile := randomResult(5, 4)
+	res := &route.Result{Routes: make([]*route.NetRoute, 2)}
+	res.Place(1, tile.Routes[0], 3, 4)
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "encodeResult") || !strings.Contains(msg, "placed") {
+			t.Fatalf("encoding a result with origins: recovered %q", msg)
+		}
+	}()
+	encodeResultBytes(res)
+}
+
+// flatArray is what a flat 4×4 verification of the signed-off small tile
+// analyses: the abutted design, its routing database and result — built
+// by the flow's own routeArray, the tile's routes placed per copy, the
+// stitched nets routed — and the extraction. The kernel benchmarks run
+// single layers on it; the analysis must reproduce VerifyTileArray's
+// period, so the fixture cannot drift from what it stands for.
+type flatArray struct {
+	st  *State
+	arr *piton.Array
+	db  *route.DB
+	res *route.Result
+	ex  *extract.Design
+	ref *ArrayReport // VerifyTileArray's own report of the same array
+}
+
+func flatArray4x4(tb testing.TB) *flatArray {
+	tb.Helper()
+	f := &flatArrayFixture
+	f.once.Do(func() { f.a = buildFlatArray4x4(tb) })
+	if f.a == nil {
+		tb.Fatal("flat 4×4 fixture failed to build")
+	}
+	return f.a
 }
 
 // flatArrayFixture is built once per test binary: `-count` repeats the
 // benchmarks, not the flow and the verification behind them.
 var flatArrayFixture struct {
-	once   sync.Once
-	st     *State
-	arr    *piton.Array
-	ex     *extract.Design
-	period float64
+	once sync.Once
+	a    *flatArray
 }
 
-func buildFlatArray4x4(b *testing.B) (st *State, arr *piton.Array, ex *extract.Design, period float64) {
-	b.Helper()
+func buildFlatArray4x4(tb testing.TB) *flatArray {
+	tb.Helper()
 	cfg := Config{Piton: piton.SmallCache(), Seed: 1}.withDefaults()
 	_, st, _, err := RunMacro3D(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	tech6, _ := tech.New28(6)
 	ref, err := VerifyTileArray(cfg, st, tech6, 4, 4)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	if arr, err = piton.AbutArray(st.Tile, st.Die, 4, 4); err != nil {
-		b.Fatal(err)
+	arr, err := piton.AbutArray(st.Tile, st.Die, 4, 4)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	tg := st.DB.Grid
-	ag := geom.Grid{Region: arr.Die, NX: tg.NX * 4, NY: tg.NY * 4, DX: tg.DX, DY: tg.DY}
-	var blk []floorplan.RouteBlockage
-	for _, m := range arr.Design.Macros() {
-		for _, o := range m.Master.Obstructions {
-			blk = append(blk, floorplan.RouteBlockage{Layer: o.Layer, Rect: o.Rect.Translate(m.Loc)})
-		}
+	db, res, _, err := routeArray(cfg, st, arr)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	ropt := cfg.routeOptions(nil)
-	ropt.Grid = &ag
-	db := route.NewDB(arr.Die, st.Beol, blk, ropt)
-	res := &route.Result{
-		Routes:     make([]*route.NetRoute, len(arr.Design.Nets)),
-		WLPerLayer: make([]float64, st.Beol.NumLayers()),
-	}
-	var stitched []*netlist.Net
-	for c := 0; c < 16; c++ {
-		for _, n := range st.Tile.Design.Nets {
-			an := arr.Net(c, n)
-			switch {
-			case an == nil:
-			case sameShape(n, an) && st.Routes.Routes[n.ID] != nil:
-				db.CommitRoute(res.Translate(an, st.Routes.Routes[n.ID], c%4*tg.NX, c/4*tg.NY))
-			default:
-				stitched = append(stitched, an)
-			}
-		}
-	}
-	for _, n := range stitched {
-		if _, err := db.RouteNet(res, n); err != nil {
-			b.Fatal(err)
-		}
-	}
-	res.Recount(db)
 	slow := tech6.CornerScaleFor(tech.CornerSlow)
-	ex = extract.Extract(arr.Design, res, db, slow)
+	ex := extract.Extract(arr.Design, res, db, slow)
 	tree := cts.Build(arr.Design, arr.Clock, arr.ClockPort.Loc, arr.Design.Lib, st.Beol, cts.Options{})
 	rep, err := sta.Analyze(arr.Design, ex, st.Report.MinPeriod, sta.Options{Corner: slow, Clock: tree})
 	if err != nil || rep.MinPeriod != ref.ArrayPeriod {
-		b.Fatalf("fixture analysis: %v, period %v, VerifyTileArray's %v", err, rep.MinPeriod, ref.ArrayPeriod)
+		tb.Fatalf("fixture analysis: %v, period %v, VerifyTileArray's %v", err, rep.MinPeriod, ref.ArrayPeriod)
 	}
-	return st, arr, ex, st.Report.MinPeriod
+	return &flatArray{st: st, arr: arr, db: db, res: res, ex: ex, ref: ref}
 }
 
 // BenchmarkCTSBuild is the clock-tree kernel: the signed-off small tile's
 // tree, and the flat 4×4 array's over sixteen times the sinks (`make
 // bench`, with allocations: three objects, bytes linear in the design).
 func BenchmarkCTSBuild(b *testing.B) {
-	st, arr, _, _ := flatArray4x4(b)
+	f := flatArray4x4(b)
+	st, arr := f.st, f.arr
 	for _, c := range []struct {
 		name string
 		d    *netlist.Design
@@ -212,7 +381,8 @@ func BenchmarkCTSBuild(b *testing.B) {
 // passes, report — on the flat 4×4 array (`make bench`, with
 // allocations).
 func BenchmarkAnalyzeArray4x4(b *testing.B) {
-	st, arr, ex, period := flatArray4x4(b)
+	f := flatArray4x4(b)
+	st, arr, ex, period := f.st, f.arr, f.ex, f.st.Report.MinPeriod
 	tech6, _ := tech.New28(6)
 	slow := tech6.CornerScaleFor(tech.CornerSlow)
 	tree := cts.Build(arr.Design, arr.Clock, arr.ClockPort.Loc, arr.Design.Lib, st.Beol, cts.Options{})

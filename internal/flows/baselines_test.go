@@ -439,13 +439,18 @@ func TestArrayTimingClosure2D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("2x2 array: tile %.0f ps vs array %.0f ps (closes=%v)",
-		rep.TilePeriod, rep.ArrayPeriod, rep.ClosesAtTile)
+	t.Logf("2x2 array: tile %.0f ps vs array %.0f ps (closes=%v), route overflow %d vs the tile's %d",
+		rep.TilePeriod, rep.ArrayPeriod, rep.ClosesAtTile, rep.RouteOverflow, st.Routes.Overflow)
 	if !rep.ClosesAtTile {
 		t.Fatalf("array misses tile timing: %.0f > %.0f ps", rep.ArrayPeriod, rep.TilePeriod)
 	}
 	if rep.F2FBumps != 0 {
 		t.Fatal("2D array has F2F bumps")
+	}
+	// Abutment adds no congestion: the tiny 2D tile signs off with
+	// overflow, and the array has four times it, not a gcell more.
+	if st.Routes.Overflow == 0 || rep.RouteOverflow != 4*st.Routes.Overflow {
+		t.Fatalf("2x2 array overflow %d, 4 × the tile's %d", rep.RouteOverflow, st.Routes.Overflow)
 	}
 }
 
@@ -468,6 +473,9 @@ func TestArrayTimingClosureMacro3D(t *testing.T) {
 	// Each of the 4 tiles contributes its macro-access bumps.
 	if rep.F2FBumps == 0 {
 		t.Fatal("3D array lost its F2F bumps")
+	}
+	if rep.RouteOverflow != 4*st.Routes.Overflow {
+		t.Fatalf("3D 2x2 array overflow %d, 4 × the tile's %d", rep.RouteOverflow, st.Routes.Overflow)
 	}
 }
 
@@ -539,7 +547,7 @@ func TestPseudoFlowsHonourF2FOverride(t *testing.T) {
 	}
 }
 
-// TestC2DFreeSpaceSeesBothDies is the diagnosis ROADMAP item 2 asked for
+// TestC2DFreeSpaceSeesBothDies is the diagnosis ROADMAP item 1(b) asked for
 // before a per-die fix: C2D is the one pseudo-3D flow that optimises
 // after partition, and place.NewFreeSpace — the map its optimizer
 // claims ECO space from — has no die dimension. On the post-partition
@@ -590,7 +598,7 @@ func TestC2DFreeSpaceSeesBothDies(t *testing.T) {
 			t.Fatal("the partition left no standard cell on the macro die: nothing to diagnose")
 		}
 		if both == 0 {
-			t.Error("one map of both dies refused no cell: the two-die lead of ROADMAP item 2 is refuted")
+			t.Error("one map of both dies refused no cell: the two-die lead of ROADMAP item 1(b) is refuted")
 		}
 		if perDie[0] != 0 || perDie[1] != 0 {
 			t.Errorf("a single die's cells overlap among themselves: %d and %d refused", perDie[0], perDie[1])

@@ -599,6 +599,8 @@ func encodeDynState(e *stash.Enc, db *route.DB) {
 	e.I32s(f)
 }
 
+// encodeResult writes res — a tile's: the format has no origin, so a
+// result with placed routes is a bug to encode, not a shape to lose.
 func encodeResult(e *stash.Enc, res *route.Result) {
 	e.Grow(resultSize(res)) // a no-op inside a snapshot whose save sized the whole
 	routes, pins, segs := resultTotals(res)
@@ -606,10 +608,13 @@ func encodeResult(e *stash.Enc, res *route.Result) {
 	e.Int(routes)
 	e.Int(pins)
 	e.Int(segs)
-	for _, nr := range res.Routes {
+	for id, nr := range res.Routes {
 		e.Bool(nr != nil)
 		if nr == nil {
 			continue
+		}
+		if res.Origin(id).Placed {
+			panic(fmt.Sprintf("flows: encodeResult: net %d's route is placed; a result with origins has no snapshot", id))
 		}
 		e.U32(uint32(len(nr.Segments)))
 		b := e.Extend(segWire * len(nr.Segments))
@@ -641,8 +646,7 @@ var errRouteHeader = errors.New("route snapshot: per-route counts disagree with 
 // left (so a corrupt count cannot over-allocate) and size the route, pin
 // node and segment slabs in one allocation each; the per-route counts
 // must then add up to exactly those totals. Nothing of the live design
-// is touched — the routes' Net pointers stay nil until bindResult, after
-// the caller has validated the snapshot.
+// is touched or needed: a route is bound to its net by its index.
 func decodeResult(dec *stash.Dec) (*route.Result, error) {
 	n := dec.Count(1)
 	routes, pins, segs := dec.Count(routeWire), dec.Count(nodeWire), dec.Count(segWire)
@@ -666,7 +670,7 @@ func decodeResult(dec *stash.Dec) (*route.Result, error) {
 		}
 		routes--
 		segs -= ns
-		nr := res.NewRoute(i, nil)
+		nr := res.NewRoute(i)
 		nr.Segments = res.SegSpan(ns)
 		for j := range nr.Segments {
 			w := b[segWire*j : segWire*j+segWire]
@@ -710,16 +714,6 @@ func decodeResult(dec *stash.Dec) (*route.Result, error) {
 	return res, nil
 }
 
-// bindResult points a decoded result's routes at the live design's
-// nets; len(res.Routes) must already be validated == len(d.Nets).
-func bindResult(res *route.Result, d *netlist.Design) {
-	for i, nr := range res.Routes {
-		if nr != nil {
-			nr.Net = d.Nets[i]
-		}
-	}
-}
-
 // routeCheckpoint snapshots the routing result plus the DB's dynamic
 // state (usage, negotiation history, F2F bump usage — the history is
 // not derivable from the final routes but feeds downstream ECO cost).
@@ -754,7 +748,6 @@ func routeCheckpoint(st *State, material []byte, build func()) checkpoint {
 			if err := st.DB.SetDynState(u, h, f); err != nil {
 				return err
 			}
-			bindResult(res, d)
 			st.Routes = res
 			return nil
 		},

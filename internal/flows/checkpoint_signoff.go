@@ -398,7 +398,6 @@ func signoffCheckpoint(r *runner, st *State, t *tech.Tech, material []byte, resi
 			for i := 0; i < preNet; i++ {
 				nets[i].apply(d, d.Nets[i])
 			}
-			bindResult(routes, d)
 			st.Routes = routes
 			st.DB.SetDynState(u, h, f)
 			slow := t.CornerScaleFor(tech.CornerSlow)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"strings"
@@ -42,7 +43,7 @@ func randomResult(seed uint64, n int) *route.Result {
 			res.SetRoute(i, nil)
 			continue
 		}
-		nr := res.NewRoute(i, nil)
+		nr := res.NewRoute(i)
 		nr.Segments = res.SegSpan(rng.Intn(40))
 		for j := range nr.Segments {
 			nr.Segments[j] = route.Seg{A: node(), B: node()}
@@ -73,8 +74,7 @@ func decodeResultBytes(b []byte) (*route.Result, error) {
 	return res, dec.Done()
 }
 
-// sameResult compares two results field for field (Net pointers aside:
-// a decoded result is unbound).
+// sameResult compares two results field for field.
 func sameResult(a, b *route.Result) error {
 	if len(a.Routes) != len(b.Routes) {
 		return fmt.Errorf("%d routes vs %d", len(a.Routes), len(b.Routes))
@@ -178,6 +178,22 @@ func TestDecodeResultCorrupt(t *testing.T) {
 	if _, err := decodeResultBytes(good); err != nil {
 		t.Fatal(err)
 	}
+	for _, c := range corruptResultCases(good) {
+		if _, err := decodeResultBytes(c.b); err == nil {
+			t.Errorf("%s: corrupt snapshot decoded without error", c.name)
+		}
+	}
+}
+
+// corruptCase is one damaged encoding of a routing result.
+type corruptCase struct {
+	name string
+	b    []byte
+}
+
+// corruptResultCases damages good — a valid encoding with at least one
+// present route — every way the table knows; none of the cases decodes.
+func corruptResultCases(good []byte) []corruptCase {
 	putInt := func(b []byte, off int, v int64) []byte {
 		b = slices.Clone(b)
 		for i := 0; i < 8; i++ {
@@ -192,25 +208,21 @@ func TestDecodeResultCorrupt(t *testing.T) {
 		}
 		return int64(v)
 	}
-	type tc struct {
-		name string
-		b    []byte
-	}
-	var cases []tc
+	var cases []corruptCase
 	for _, n := range []int{0, 7, 8, 31, 32, 33, 40, len(good) / 2, len(good) - 9, len(good) - 1} {
-		cases = append(cases, tc{fmt.Sprintf("truncated-%d", n), good[:n]})
+		cases = append(cases, corruptCase{fmt.Sprintf("truncated-%d", n), good[:n]})
 	}
-	cases = append(cases, tc{"trailing", append(slices.Clone(good), 0)})
+	cases = append(cases, corruptCase{"trailing", append(slices.Clone(good), 0)})
 	// The four header counts: table length, routes, pin nodes, segments.
 	for f, name := range []string{"table", "routes", "pins", "segments"} {
 		off := 8 * f
 		for _, v := range []int64{-1, int64(len(good)), 1 << 40, 1<<63 - 1, getInt(off) + 1, getInt(off) - 1} {
-			cases = append(cases, tc{fmt.Sprintf("%s-count-%d", name, v), putInt(good, off, v)})
+			cases = append(cases, corruptCase{fmt.Sprintf("%s-count-%d", name, v), putInt(good, off, v)})
 		}
 		for bit := 0; bit < 64; bit += 7 {
 			b := slices.Clone(good)
 			b[off+bit/8] ^= 1 << (bit % 8)
-			cases = append(cases, tc{fmt.Sprintf("%s-bitflip-%d", name, bit), b})
+			cases = append(cases, corruptCase{fmt.Sprintf("%s-bitflip-%d", name, bit), b})
 		}
 	}
 	// The first present route's segment count (after the four header
@@ -221,18 +233,51 @@ func TestDecodeResultCorrupt(t *testing.T) {
 	}
 	over := slices.Clone(good)
 	over[first+1], over[first+2], over[first+3], over[first+4] = 0xff, 0xff, 0xff, 0x7f
-	cases = append(cases, tc{"route-segment-count", over})
+	cases = append(cases, corruptCase{"route-segment-count", over})
 	// A node byte no route.Node holds: the high bit of X, Y or L.
 	for i, name := range []string{"x", "y", "l"} {
 		b := slices.Clone(good)
 		b[first+5+[]int{1, 3, 4}[i]] |= 0x80
-		cases = append(cases, tc{"node-high-bit-" + name, b})
+		cases = append(cases, corruptCase{"node-high-bit-" + name, b})
 	}
-	for _, c := range cases {
-		if _, err := decodeResultBytes(c.b); err == nil {
-			t.Errorf("%s: corrupt snapshot decoded without error", c.name)
+	return cases
+}
+
+// FuzzDecodeResult: whatever the bytes, decoding a routing result never
+// panics and never allocates past a small multiple of the input's size
+// (a corrupt count cannot size a slab), and an input that decodes is
+// canonical — it re-encodes to the same bytes. Seeded with a good
+// encoding — a small one: the engine minimizes every input that reaches
+// new code, an execution per byte — and TestDecodeResultCorrupt's table
+// over it; `go test` runs the seeds, `make check` fuzzes for a bounded
+// time.
+func FuzzDecodeResult(f *testing.F) {
+	good := encodeResultBytes(randomResult(3, 12))
+	f.Add(good)
+	f.Add(encodeResultBytes(&route.Result{}))
+	for _, c := range corruptResultCases(good) {
+		f.Add(c.b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res, err := decodeResultBytes(b)
+		runtime.ReadMemStats(&m1)
+		// Each header count is held to the bytes left, not to the others:
+		// a table of 8-byte pointers for one-byte entries, 72-byte records
+		// for 25, 6-byte nodes for 5, 12-byte segments for 10 — 13.3× the
+		// input at the worst, before size-class rounding, the fixed objects
+		// and whatever the fuzzing engine allocated beside.
+		if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(16*len(b)+64<<10); got > limit && !raceEnabled {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(b), got, limit)
 		}
-	}
+		if err != nil {
+			return
+		}
+		if again := encodeResultBytes(res); !bytes.Equal(again, b) {
+			t.Fatalf("%d bytes decode but re-encode to %d different ones", len(b), len(again))
+		}
+	})
 }
 
 // TestUnaddressableGridFailsFlow: a die whose routing grid has more

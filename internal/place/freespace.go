@@ -59,7 +59,7 @@ const ecoRoom = 2
 // of the map because their span was not inside one free interval — they
 // overlap a cell taken before them. It is zero for a legal single-die
 // placement; the map of a design whose dies overlap in (x, y) is wrong
-// by at least that many cells (ROADMAP item 2).
+// by at least that many cells (ROADMAP item 1(b)).
 func (fs *FreeSpace) Refused() int { return fs.refused }
 
 // Undo journals a bundle of FreeSpace edits: the free list of every

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"slices"
 	"testing"
 
 	"macro3d/internal/cell"
@@ -98,9 +99,10 @@ func TestRebuildUsageExactF2F(t *testing.T) {
 	}
 }
 
-// TestRecountExact: Recount must reconstruct every aggregate — totals,
-// per-layer wirelength and per-route metrics — exactly from the
-// segments, regardless of prior corruption.
+// TestRecountExact: Recount must reconstruct every aggregate — totals
+// and per-layer wirelength — exactly from the segments, regardless of
+// prior corruption, and write no route record: a record's own metrics
+// are not its input, and a placed record is not its to write.
 func TestRecountExact(t *testing.T) {
 	d := multiNetDesign(12)
 	db := db6(t, geom.R(0, 0, 300, 300), nil)
@@ -110,13 +112,6 @@ func TestRecountExact(t *testing.T) {
 	}
 	wantWL, wantVias, wantF2F, wantOver := res.WL, res.Vias, res.F2FBumps, res.Overflow
 	wantLayers := append([]float64(nil), res.WLPerLayer...)
-	wantNetWL := make([]float64, len(res.Routes))
-	for i, r := range res.Routes {
-		if r != nil {
-			wantNetWL[i] = r.WL
-		}
-	}
-
 	res.WL, res.Vias, res.F2FBumps = -1, -1, -1
 	for i := range res.WLPerLayer {
 		res.WLPerLayer[i] = -42
@@ -138,59 +133,89 @@ func TestRecountExact(t *testing.T) {
 		}
 	}
 	for i, r := range res.Routes {
-		if r != nil && r.WL != wantNetWL[i] {
-			t.Fatalf("Recount net %d WL = %v, want %v", i, r.WL, wantNetWL[i])
+		if r != nil && (r.WL != -5 || r.Vias != -5 || r.F2F != -5) {
+			t.Fatalf("Recount wrote net %d's record: %v/%d/%d", i, r.WL, r.Vias, r.F2F)
 		}
 	}
 }
 
-// TestTranslateRouteRoundTrip: translating by (dx, dy) and back —
-// including negative offsets — must reproduce the original route
-// exactly (segments, pin nodes, metrics) without mutating the input.
-func TestTranslateRouteRoundTrip(t *testing.T) {
+// TestPlaceRouteRoundTrip: committing a placed route and releasing it —
+// at a negative offset too — leaves the grid empty, a rebuild from the
+// result is the committed usage, and whatever writes the net afterwards
+// (RouteNet, Restore) writes a fresh record: the placed one, which is
+// its owner's, keeps every byte.
+func TestPlaceRouteRoundTrip(t *testing.T) {
 	d := twoPinDesign(210, 110)
 	db := db6(t, geom.R(0, 0, 300, 300), nil)
 	res, err := RouteDesign(d, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := res.Routes[0]
-	origSegs := append([]Seg(nil), r.Segments...)
-	origPins := append([]Node(nil), r.PinNode...)
+	// The shape as the tile would hold it 3 right and 9 up of this grid's
+	// origin, so that placing it at (−3, −9) brings it back.
+	var tile Result
+	r := tile.NewRoute(0)
+	r.PinNode, r.Segments = tile.PinSpan(len(res.Routes[0].PinNode)), tile.SegSpan(len(res.Routes[0].Segments))
+	for i, p := range res.Routes[0].PinNode {
+		r.PinNode[i] = At(int(p.X)+3, int(p.Y)+9, int(p.L))
+	}
+	for i, s := range res.Routes[0].Segments {
+		r.Segments[i] = Origin{DX: 3, DY: 9}.at(s)
+	}
+	r.WL, r.Vias, r.F2F = res.Routes[0].WL, res.Routes[0].Vias, res.Routes[0].F2F
+	was := *r
+	segs, pins := slices.Clone(r.Segments), slices.Clone(r.PinNode)
+	untouched := func(when string) {
+		t.Helper()
+		if r.WL != was.WL || r.Vias != was.Vias || r.F2F != was.F2F ||
+			!slices.Equal(r.Segments, segs) || !slices.Equal(r.PinNode, pins) {
+			t.Fatalf("%s wrote the placed record", when)
+		}
+	}
 
-	var out Result
-	back := out.Translate(r.Net, out.Translate(r.Net, r, -3, -9), 3, 9)
-	if out.Routes[0] != back || back.Net != r.Net {
-		t.Fatal("Translate did not store the bound copy under its net id")
+	usage0 := slices.Clone(db.usage)
+	db.ReleaseNet(res, 0)
+	out := &Result{Routes: make([]*NetRoute, 1), WLPerLayer: make([]float64, db.Beol.NumLayers())}
+	out.Place(0, r, -3, -9)
+	db.CommitRoute(out, 0)
+	if !slices.Equal(db.usage, usage0) {
+		t.Fatal("the shape placed back at (−3, −9) does not occupy what the route did")
 	}
-	if len(back.Segments) != len(origSegs) {
-		t.Fatalf("round trip changed segment count: %d vs %d", len(back.Segments), len(origSegs))
+	db.RebuildUsage(out)
+	if !slices.Equal(db.usage, usage0) {
+		t.Fatal("RebuildUsage ignores the origin")
 	}
-	for i := range origSegs {
-		if back.Segments[i] != origSegs[i] {
-			t.Fatalf("segment %d = %v after round trip, want %v", i, back.Segments[i], origSegs[i])
+	db.ReleaseNet(out, 0)
+	for i, u := range db.usage {
+		if u != 0 {
+			t.Fatalf("bin %d holds %d after commit and release", i, u)
 		}
 	}
-	if len(back.PinNode) != len(origPins) {
-		t.Fatal("round trip changed pin-node count")
+	untouched("commit, rebuild and release")
+
+	// Restore on a placed net: a record of the result's own, same offset.
+	out.Restore(0, r, was)
+	own := out.Routes[0]
+	if o := out.Origin(0); own == r || o != (Origin{DX: -3, DY: -9}) {
+		t.Fatalf("Restore on a placed net: same record %v, origin %+v", own == r, o)
 	}
-	for i := range origPins {
-		if back.PinNode[i] != origPins[i] {
-			t.Fatalf("pin node %d = %v after round trip, want %v", i, back.PinNode[i], origPins[i])
-		}
+	if !slices.Equal(own.Segments, segs) || !slices.Equal(own.PinNode, pins) || own.WL != was.WL {
+		t.Fatal("Restore on a placed net lost the shape")
 	}
-	if back.WL != r.WL || back.Vias != r.Vias || back.F2F != r.F2F {
-		t.Fatal("round trip changed metrics")
+	own.Segments[0].A.X++ // the copy shares nothing with the placed record
+	untouched("Restore")
+
+	// RouteNet on a placed net: a fresh record, on the grid itself.
+	out.Place(0, r, -3, -9)
+	got, err := db.RouteNet(out, d.Nets[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Input untouched by either translation.
-	for i := range origSegs {
-		if r.Segments[i] != origSegs[i] {
-			t.Fatal("Translate mutated its input")
-		}
+	if o := out.Origin(0); got == r || out.Routes[0] != got || o != (Origin{}) {
+		t.Fatalf("RouteNet on a placed net: same record %v, origin %+v", got == r, o)
 	}
-	for i := range origPins {
-		if r.PinNode[i] != origPins[i] {
-			t.Fatal("Translate mutated input pin nodes")
-		}
+	if !slices.Equal(got.Segments, res.Routes[0].Segments) || !slices.Equal(db.usage, usage0) {
+		t.Fatal("RouteNet on a placed net did not route it where the design has it")
 	}
+	untouched("RouteNet")
 }

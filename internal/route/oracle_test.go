@@ -120,7 +120,7 @@ func (db *DB) patternRouteOracle(an, bn Node) []Seg {
 
 func (db *DB) prepTaskOracle(n *netlist.Net) (*netTask, error) {
 	np := n.NumPins()
-	r := &NetRoute{Net: n, PinNode: make([]Node, np)}
+	r := &NetRoute{PinNode: make([]Node, np)}
 	for i := range r.PinNode {
 		nd, err := db.PinNode(n.PinAt(i))
 		if err != nil {
@@ -201,15 +201,15 @@ func routeDesignOracle(d *netlist.Design, db *DB) (res *Result, ripups int, err 
 			return nil, 0, err
 		}
 		db.routeTaskOracle(t, false, s)
-		db.addUsage(t.route, 1)
 		res.Routes[n.ID] = t.route
+		db.addUsage(res, n.ID, 1)
 	}
 	for it := 0; it < db.opt.MaxIters; it++ {
 		if db.Overflow() == 0 {
 			break
 		}
 		db.bumpHistory()
-		victims := db.overflowedNets(res, 1)
+		victims := db.overflowedNets(res, d.Nets, 1)
 		if len(victims) == 0 {
 			break
 		}
@@ -222,12 +222,28 @@ func routeDesignOracle(d *netlist.Design, db *DB) (res *Result, ripups int, err 
 			if err != nil {
 				continue
 			}
-			db.addUsage(res.Routes[n.ID], -1)
+			db.addUsage(res, n.ID, -1)
 			db.routeTaskOracle(t, it >= 2, s)
-			db.addUsage(t.route, 1)
 			res.Routes[n.ID] = t.route
+			db.addUsage(res, n.ID, 1)
 		}
 		ripups += len(victims)
+	}
+	// Per-route metrics as the router stood: one loop, written out.
+	for _, r := range res.Routes {
+		if r == nil {
+			continue
+		}
+		for _, sg := range r.Segments {
+			if !sg.IsVia() {
+				r.WL += db.segLen(sg)
+				continue
+			}
+			r.Vias++
+			if db.isF2F(sg) {
+				r.F2F++
+			}
+		}
 	}
 	res.Recount(db)
 	return res, ripups, nil
@@ -368,7 +384,7 @@ func TestRouteDesignAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
-		db.ReleaseNet(res.Routes[n.ID])
+		db.ReleaseNet(res, n.ID)
 		if _, err := db.RouteNet(res, n); err != nil {
 			t.Fatal(err)
 		}

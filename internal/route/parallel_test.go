@@ -88,7 +88,7 @@ func TestRouteWorkerDeterminism(t *testing.T) {
 			if rr == nil {
 				continue
 			}
-			if pr.Net != rr.Net || pr.WL != rr.WL || pr.Vias != rr.Vias || pr.F2F != rr.F2F {
+			if pr.WL != rr.WL || pr.Vias != rr.Vias || pr.F2F != rr.F2F {
 				t.Fatalf("workers=%d net %d record %+v, oracle %+v", w, id, *pr, *rr)
 			}
 			if !slices.Equal(pr.PinNode, rr.PinNode) {

@@ -113,9 +113,10 @@ type Seg struct {
 // IsVia reports whether the segment is a layer change.
 func (s Seg) IsVia() bool { return s.A.L != s.B.L }
 
-// NetRoute is the routing result of one net.
+// NetRoute is the routing result of one net: a shape in gcells. Its net
+// is its index in Result.Routes and its position the result's to say
+// (Origin): every copy of a tile in an array shares the tile's records.
 type NetRoute struct {
-	Net      *netlist.Net
 	Segments []Seg
 	// PinNode maps pin index (net.PinAt order) to its grid node at
 	// the pin's layer.
@@ -132,14 +133,16 @@ type NetRoute struct {
 //
 // The result owns its records: route records, pin nodes and segments
 // are carved from chunked slabs, and a chunk never moves, so Routes
-// keeps pointing at them. A bulk build — RouteDesign, Translate over a
-// tile array, a decoded snapshot — fills the first set (NewRoute). An
-// ECO route (RouteNet) rewrites the net's record where it lies and takes
-// from the second set only what does not fit: the record of a new net,
-// a pin or segment span larger than the one the net has, which is then
-// abandoned as a rip-up victim's is. The second set is separate because
-// a slab's next chunk is as large as everything before it: the first
-// ECO route after an exact-size bulk build would double the result.
+// keeps pointing at them. A bulk build — RouteDesign, a decoded snapshot
+// — fills the first set (NewRoute). An ECO route (RouteNet) rewrites the
+// net's record where it lies and takes from the second set only what
+// does not fit: the record of a new net, a pin or segment span larger
+// than the one the net has, which is then abandoned as a rip-up victim's
+// is. The second set is separate because a slab's next chunk is as large
+// as everything before it: the first ECO route after an exact-size bulk
+// build would double the result.
+// The exception is a placed route (Place), borrowed read-only from
+// another result; only a tile array's result has any.
 type Result struct {
 	Routes []*NetRoute // indexed by net ID (nil for clock/unrouted)
 
@@ -149,6 +152,8 @@ type Result struct {
 	F2FBumps   int
 	Overflow   int // gcell-layers above capacity after negotiation
 	OverflowWL float64
+
+	origins []Origin // by net ID; nil until the first Place
 
 	recs, ecoRecs   slab.Slab[NetRoute]
 	nodes, ecoNodes slab.Slab[Node]
@@ -164,13 +169,49 @@ func (res *Result) Reserve(routes, pinNodes, segments int) {
 	res.segs.ReserveSpans(segments)
 }
 
-// NewRoute carves a zero route record for net n out of the result's
-// slab and stores it under netID (growing the table like SetRoute). The
-// caller sizes PinNode and Segments with PinSpan and SegSpan and fills
-// them and the metrics in place.
-func (res *Result) NewRoute(netID int, n *netlist.Net) *NetRoute {
+// Origin is where a route's shape sits on the result's grid, in gcells:
+// zero for every ordinary route. Placed marks a record borrowed from
+// another result (Place), never written through this one.
+type Origin struct {
+	DX, DY int16
+	Placed bool
+}
+
+// at returns segment s of the shape as it lies on the grid.
+func (o Origin) at(s Seg) Seg {
+	s.A.X, s.A.Y, s.B.X, s.B.Y = s.A.X+o.DX, s.A.Y+o.DY, s.B.X+o.DX, s.B.Y+o.DY
+	return s
+}
+
+// Origin returns the origin of net netID's route.
+func (res *Result) Origin(netID int) Origin {
+	if netID < len(res.origins) {
+		return res.origins[netID]
+	}
+	return Origin{}
+}
+
+// Place stores r itself — the record, not a copy — as net netID's route
+// (inside the table) with its shape at (dx, dy) gcells: the tile-array
+// composition primitive (grids aligned, the moved shape on this grid).
+// What reads a route's grid position — CommitRoute, ReleaseNet,
+// RebuildUsage, the overflow scan — adds the origin; what reads
+// differences (extraction, connectivity, Recount) needs none; RouteNet
+// and Restore give the net a record of its own before writing.
+func (res *Result) Place(netID int, r *NetRoute, dx, dy int) {
+	if res.origins == nil {
+		res.origins = make([]Origin, len(res.Routes))
+	}
+	res.origins[netID] = Origin{DX: int16(dx), DY: int16(dy), Placed: true}
+	res.Routes[netID] = r
+}
+
+// NewRoute carves a zero route record out of the result's slab and
+// stores it under netID (growing the table like SetRoute). The caller
+// sizes PinNode and Segments with PinSpan and SegSpan and fills them and
+// the metrics in place.
+func (res *Result) NewRoute(netID int) *NetRoute {
 	r := res.recs.Alloc()
-	r.Net = n
 	res.SetRoute(netID, r)
 	return r
 }
@@ -344,12 +385,18 @@ func (db *DB) congestionCost(i int) float64 {
 	return pen + float64(db.hist[i])
 }
 
-// addUsage commits or releases (delta ±1) a route's occupancy.
-func (db *DB) addUsage(r *NetRoute, delta int32) { db.addSegs(r.Segments, delta) }
+// addUsage commits or releases (delta ±1) the occupancy of net netID's
+// route, if any, where res places it.
+func (db *DB) addUsage(res *Result, netID int, delta int32) {
+	if netID < len(res.Routes) && res.Routes[netID] != nil {
+		db.addSegs(res.Routes[netID].Segments, res.Origin(netID), delta)
+	}
+}
 
-// addSegs adds delta to the occupancy under every segment, in order.
-func (db *DB) addSegs(segs []Seg, delta int32) {
+// addSegs adds delta to the occupancy under a shape at o, in order.
+func (db *DB) addSegs(segs []Seg, o Origin, delta int32) {
 	for _, s := range segs {
+		s = o.at(s)
 		if s.IsVia() {
 			if db.isF2F(s) {
 				db.f2fUse[db.Grid.Index(int(s.A.X), int(s.A.Y))] += delta

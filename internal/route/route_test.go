@@ -339,7 +339,11 @@ func TestMazeRouteDirect(t *testing.T) {
 	}
 }
 
-func TestTranslateRoute(t *testing.T) {
+// TestPlaceRoute: a placed route is the record itself, read at its
+// origin — the usage it commits on a larger aligned grid is the tile's
+// moved by (dx, dy) and nothing else, the overflow scan finds it there,
+// and Recount sums it without writing it.
+func TestPlaceRoute(t *testing.T) {
 	d := twoPinDesign(210, 110)
 	db := db6(t, geom.R(0, 0, 300, 300), nil)
 	res, err := RouteDesign(d, db)
@@ -347,23 +351,55 @@ func TestTranslateRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := res.Routes[0]
-	var out Result
-	tr := out.Translate(r.Net, r, 5, 7)
-	if len(tr.Segments) != len(r.Segments) {
-		t.Fatal("segment count changed")
+	was := *r
+	segs, pins := slices.Clone(r.Segments), slices.Clone(r.PinNode)
+
+	const dx, dy = 5, 7
+	big := db6(t, geom.R(0, 0, 600, 600), nil)
+	out := &Result{Routes: make([]*NetRoute, 3), WLPerLayer: make([]float64, big.Beol.NumLayers())}
+	out.Place(2, r, dx, dy)
+	if out.Routes[2] != r {
+		t.Fatal("Place stored a copy, not the record")
 	}
-	for i, s := range tr.Segments {
-		o := r.Segments[i]
-		if s.A.X-o.A.X != 5 || s.A.Y-o.A.Y != 7 || s.A.L != o.A.L {
-			t.Fatalf("segment %d not translated: %v vs %v", i, s, o)
+	if o := out.Origin(2); o != (Origin{DX: dx, DY: dy, Placed: true}) {
+		t.Fatalf("Origin(2) = %+v", o)
+	}
+	if o := out.Origin(1); o != (Origin{}) {
+		t.Fatalf("Origin of an unplaced net = %+v", o)
+	}
+	big.CommitRoute(out, 2)
+	tg, bg := db.Grid, big.Grid
+	for l := 0; l < db.Beol.NumLayers(); l++ {
+		for y := 0; y < bg.NY; y++ {
+			for x := 0; x < bg.NX; x++ {
+				want := int32(0)
+				if sx, sy := x-dx, y-dy; sx >= 0 && sy >= 0 && sx < tg.NX && sy < tg.NY {
+					want = db.usage[l*tg.Bins()+tg.Index(sx, sy)]
+				}
+				if got := big.usage[l*bg.Bins()+bg.Index(x, y)]; got != want {
+					t.Fatalf("usage at (%d, %d) layer %d = %d, want %d", x, y, l, got, want)
+				}
+			}
 		}
 	}
-	if tr.WL != r.WL || tr.Vias != r.Vias || tr.F2F != r.F2F {
-		t.Fatal("metrics changed by translation")
+
+	// Overflow the bins under the placed shape: the scan must look there.
+	for i := range big.cap {
+		big.cap[i] = 0
 	}
-	// Original untouched.
-	if r.Segments[0].A.X != tr.Segments[0].A.X-5 {
-		t.Fatal("Translate mutated input")
+	nets := []*netlist.Net{nil, nil, d.Nets[0]}
+	if hit := big.overflowedNets(out, nets, 1); len(hit) != 1 || hit[0] != d.Nets[0] {
+		t.Fatalf("overflow scan over a placed route found %v", hit)
+	}
+
+	out.Recount(big)
+	if out.WL != was.WL || out.Vias != was.Vias || out.F2FBumps != was.F2F {
+		t.Fatalf("Recount of one placed route: %v/%d/%d, the route's %v/%d/%d",
+			out.WL, out.Vias, out.F2FBumps, was.WL, was.Vias, was.F2F)
+	}
+	if r.WL != was.WL || r.Vias != was.Vias || r.F2F != was.F2F ||
+		!slices.Equal(r.Segments, segs) || !slices.Equal(r.PinNode, pins) {
+		t.Fatal("the placed record was written")
 	}
 }
 
@@ -376,8 +412,7 @@ func TestCommitAndRebuildUsage(t *testing.T) {
 	}
 	// Doubling a route's usage then rebuilding from the result must
 	// return to the single-use state.
-	r := res.Routes[0]
-	db.CommitRoute(r)
+	db.CommitRoute(res, 0)
 	snapDouble := db.UsageSnapshot()
 	db.RebuildUsage(res)
 	snapSingle := db.UsageSnapshot()
@@ -391,8 +426,8 @@ func TestCommitAndRebuildUsage(t *testing.T) {
 		t.Fatal("double-commit not visible in usage")
 	}
 	// Release + rebuild equivalence.
-	db.ReleaseNet(r)
-	db.CommitRoute(r)
+	db.ReleaseNet(res, 0)
+	db.CommitRoute(res, 0)
 	snapAgain := db.UsageSnapshot()
 	for l := range snapAgain {
 		if snapAgain[l] != snapSingle[l] {
@@ -458,7 +493,7 @@ func TestPatternRouteAlwaysConnectsProperty(t *testing.T) {
 			}
 		}
 		// Clean up usage so iterations are independent.
-		db.ReleaseNet(r)
+		db.ReleaseNet(res, 0)
 	}
 }
 
@@ -574,7 +609,7 @@ func TestRouteNetRewritesInPlace(t *testing.T) {
 	sink := n.Sinks[0].Inst
 	home := sink.Loc
 	sink.Loc = geom.Pt(550, 530)
-	db.ReleaseNet(rec)
+	db.ReleaseNet(res, n.ID)
 	got, err := db.RouteNet(res, n)
 	if err != nil {
 		t.Fatal(err)
@@ -595,7 +630,7 @@ func TestRouteNetRewritesInPlace(t *testing.T) {
 	// Back home: the shorter route fits the larger span it now has.
 	grown := cap(rec.Segments)
 	sink.Loc = home
-	db.ReleaseNet(rec)
+	db.ReleaseNet(res, n.ID)
 	if _, err := db.RouteNet(res, n); err != nil {
 		t.Fatal(err)
 	}
@@ -607,12 +642,12 @@ func TestRouteNetRewritesInPlace(t *testing.T) {
 	}
 
 	// Restore: scribble, then put the copy back.
-	db.ReleaseNet(rec)
+	db.ReleaseNet(res, n.ID)
 	rec.Segments, rec.WL = rec.Segments[:1], -1
 	res.Restore(n.ID, rec, was)
-	db.CommitRoute(rec)
+	db.CommitRoute(res, n.ID)
 	if res.Routes[n.ID] != rec || !slices.Equal(rec.Segments, was.Segments) || !slices.Equal(rec.PinNode, was.PinNode) ||
-		rec.WL != was.WL || rec.Vias != was.Vias || rec.Net != n {
+		rec.WL != was.WL || rec.Vias != was.Vias {
 		t.Fatalf("Restore left %+v, want %+v", *rec, was)
 	}
 	if !slices.Equal(db.usage, usage0) {
@@ -629,7 +664,7 @@ func TestRouteNetRewritesInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Routes) != extra.ID+1 || res.Routes[extra.ID] != r2 || r2 == rec || r2.Net != extra {
+	if len(res.Routes) != extra.ID+1 || res.Routes[extra.ID] != r2 || r2 == rec {
 		t.Fatal("an unrouted net did not get a record of its own")
 	}
 }

@@ -110,12 +110,12 @@ func (db *DB) routeTask(t *netTask, maze bool, s *mazeScratch) []Seg {
 func (db *DB) routePass(tasks []*netTask, maze bool, res *Result, s *mazeScratch, main *trace.Track) {
 	sl := main.Begin("route", "route/pass")
 	for _, t := range tasks {
-		db.addSegs(t.old, -1)
+		db.addSegs(t.old, Origin{}, -1)
 		t.old = nil
 		segs := db.routeTask(t, maze, s)
 		t.route.Segments = res.SegSpan(len(segs))
 		copy(t.route.Segments, segs)
-		db.addUsage(t.route, 1)
+		db.addSegs(t.route.Segments, Origin{}, 1)
 	}
 	sl.End(trace.N("nets", int64(len(tasks))))
 }
@@ -211,7 +211,7 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		np := n.NumPins()
 		t := &tasks[n.ID]
 		t.net = n
-		t.route = res.NewRoute(n.ID, n)
+		t.route = res.NewRoute(n.ID)
 		t.route.PinNode = res.PinSpan(np)
 		t.edges, edges = edges[:0:np-1], edges[np-1:]
 		wave[i] = t
@@ -239,7 +239,7 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 			break
 		}
 		db.bumpHistory()
-		victims := db.overflowedNets(res, workers)
+		victims := db.overflowedNets(res, d.Nets, workers)
 		if len(victims) == 0 {
 			break
 		}
@@ -276,19 +276,7 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		if r == nil {
 			continue
 		}
-		r.WL, r.Vias, r.F2F = 0, 0, 0
-		for _, s := range r.Segments {
-			if s.IsVia() {
-				r.Vias++
-				if db.isF2F(s) {
-					r.F2F++
-				}
-				continue
-			}
-			l := db.segLen(s)
-			r.WL += l
-			res.WLPerLayer[s.A.L] += l
-		}
+		r.WL, r.Vias, r.F2F = db.tally(r.Segments, res.WLPerLayer)
 		res.WL += r.WL
 		res.Vias += r.Vias
 		res.F2FBumps += r.F2F
@@ -320,25 +308,27 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 // record in res is rewritten where it lies — a caller that may undo the
 // edit copies it first (ddb.Txn.Reroute), and releases the usage of the
 // route it held (ReleaseNet) — and only what does not fit comes from the
-// result's ECO slabs: a record when the net has none, pin nodes or
-// segments when there are more than the net's span holds. At steady
-// state a reroute allocates nothing. After an error the record's
-// contents are unspecified.
+// result's ECO slabs: a record when the net has none or borrows a placed
+// one, pin nodes or segments when there are more than the net's span
+// holds. At steady state a reroute allocates nothing. After an error the
+// record's contents are unspecified.
 func (db *DB) RouteNet(res *Result, n *netlist.Net) (*NetRoute, error) {
 	if db.err != nil {
 		return nil, db.err
 	}
 	var r *NetRoute
-	if n.ID < len(res.Routes) {
+	if n.ID < len(res.Routes) && !res.Origin(n.ID).Placed {
 		r = res.Routes[n.ID]
 	}
 	if r == nil {
 		r = res.ecoRecs.Alloc()
 		res.SetRoute(n.ID, r)
 	}
+	if n.ID < len(res.origins) {
+		res.origins[n.ID] = Origin{} // routed on this grid, into its own record
+	}
 	s := db.scratch()
 	np := n.NumPins()
-	r.Net = n
 	r.PinNode = res.ecoNodes.Fit(r.PinNode, np)
 	s.edges = slices.Grow(s.edges[:0], np)
 	t := netTask{net: n, route: r, edges: s.edges}
@@ -350,29 +340,42 @@ func (db *DB) RouteNet(res *Result, n *netlist.Net) (*NetRoute, error) {
 	copy(r.Segments, segs)
 	db.opt.Obs.Reg().Counter("route_eco_reroutes_total",
 		"Single-net ECO routes (optimizer buffer nets and reroutes).").Inc()
-	db.addUsage(r, 1)
-	// Account the per-route metrics.
-	r.WL, r.Vias, r.F2F = 0, 0, 0
-	for _, s := range r.Segments {
+	db.addSegs(r.Segments, Origin{}, 1)
+	r.WL, r.Vias, r.F2F = db.tally(r.Segments, nil)
+	return r, nil
+}
+
+// tally returns a shape's metrics — wirelength summed in segment order,
+// vias, F2F crossings — adding each run's length to a non-nil perLayer.
+func (db *DB) tally(segs []Seg, perLayer []float64) (wl float64, vias, f2f int) {
+	for _, s := range segs {
 		if s.IsVia() {
-			r.Vias++
+			vias++
 			if db.isF2F(s) {
-				r.F2F++
+				f2f++
 			}
 			continue
 		}
-		r.WL += db.segLen(s)
+		l := db.segLen(s)
+		wl += l
+		if perLayer != nil {
+			perLayer[s.A.L] += l
+		}
 	}
-	return r, nil
+	return wl, vias, f2f
 }
 
 // Restore makes r net netID's route again with the contents of was — a
 // copy taken before RouteNet rewrote the record, whose pin nodes and
 // segments fit r's spans because a span is only ever replaced by a
-// larger one. A nil r clears the entry. Usage is the caller's to
-// release and commit.
+// larger one. A nil r clears the entry; a net that borrows a placed
+// record gets its own first, at the same offset. Usage is the caller's
+// to release and commit.
 func (res *Result) Restore(netID int, r *NetRoute, was NetRoute) {
 	if r != nil {
+		if res.Origin(netID).Placed {
+			r, res.origins[netID].Placed = res.ecoRecs.Alloc(), false
+		}
 		pins, segs := append(r.PinNode[:0], was.PinNode...), append(r.Segments[:0], was.Segments...)
 		*r = was
 		r.PinNode, r.Segments = pins, segs
@@ -380,48 +383,18 @@ func (res *Result) Restore(netID int, r *NetRoute, was NetRoute) {
 	res.SetRoute(netID, r)
 }
 
-// Translate stores, as net n's route, a copy of route r shifted by
-// (dx, dy) gcells — the tile-array composition primitive (routes
-// replicate with their tile copy; grids must be aligned). The copy is
-// carved from the result's slabs; Reserve first when the array size is
-// known. The shifted route must lie on the destination grid, which the
-// caller has a DB for (so it is addressable, DB.Err).
-func (res *Result) Translate(n *netlist.Net, r *NetRoute, dx, dy int) *NetRoute {
-	t := res.NewRoute(n.ID, n)
-	t.PinNode, t.Segments = res.PinSpan(len(r.PinNode)), res.SegSpan(len(r.Segments))
-	t.WL, t.Vias, t.F2F = r.WL, r.Vias, r.F2F
-	shift := func(n Node) Node { return At(int(n.X)+dx, int(n.Y)+dy, int(n.L)) }
-	for i, s := range r.Segments {
-		t.Segments[i] = Seg{A: shift(s.A), B: shift(s.B)}
-	}
-	for i, n := range r.PinNode {
-		t.PinNode[i] = shift(n)
-	}
-	return t
-}
-
-// CommitRoute registers an externally constructed route's congestion
-// usage (counterpart of ReleaseNet).
-func (db *DB) CommitRoute(r *NetRoute) {
-	db.addUsage(r, 1)
-}
+// CommitRoute registers the congestion usage of net netID's route in
+// res, if any, where res places it (counterpart of ReleaseNet).
+func (db *DB) CommitRoute(res *Result, netID int) { db.addUsage(res, netID, 1) }
 
 // RebuildUsage recomputes the database's congestion state from scratch
 // out of the given routes — used after a rollback of incremental
 // edits.
 func (db *DB) RebuildUsage(res *Result) {
-	for i := range db.usage {
-		db.usage[i] = 0
-	}
-	if db.f2fUse != nil {
-		for i := range db.f2fUse {
-			db.f2fUse[i] = 0
-		}
-	}
-	for _, r := range res.Routes {
-		if r != nil {
-			db.addUsage(r, 1)
-		}
+	clear(db.usage)
+	clear(db.f2fUse)
+	for id := range res.Routes {
+		db.addUsage(res, id, 1)
 	}
 }
 
@@ -434,47 +407,35 @@ func (res *Result) SetRoute(netID int, r *NetRoute) {
 	res.Routes[netID] = r
 }
 
-// ReleaseNet removes a route's usage (rip-up) ahead of a reroute.
-func (db *DB) ReleaseNet(r *NetRoute) {
-	db.addUsage(r, -1)
-}
+// ReleaseNet removes the usage of net netID's route in res (rip-up)
+// ahead of a reroute.
+func (db *DB) ReleaseNet(res *Result, netID int) { db.addUsage(res, netID, -1) }
 
-// Recount recomputes the result's aggregate metrics after incremental
-// edits (added/changed routes).
+// Recount recomputes the result's aggregate metrics from the segments
+// after incremental edits (added/changed routes). It writes no route
+// record: a placed one is another result's, and each record's own
+// metrics are current since the call that routed it.
 func (res *Result) Recount(db *DB) {
 	res.WL, res.Vias, res.F2FBumps = 0, 0, 0
-	for i := range res.WLPerLayer {
-		res.WLPerLayer[i] = 0
-	}
+	clear(res.WLPerLayer)
 	for _, r := range res.Routes {
 		if r == nil {
 			continue
 		}
-		r.WL, r.Vias, r.F2F = 0, 0, 0
-		for _, s := range r.Segments {
-			if s.IsVia() {
-				r.Vias++
-				if db.isF2F(s) {
-					r.F2F++
-				}
-				continue
-			}
-			l := db.segLen(s)
-			r.WL += l
-			res.WLPerLayer[s.A.L] += l
-		}
-		res.WL += r.WL
-		res.Vias += r.Vias
-		res.F2FBumps += r.F2F
+		wl, vias, f2f := db.tally(r.Segments, res.WLPerLayer)
+		res.WL += wl
+		res.Vias += vias
+		res.F2FBumps += f2f
 	}
 	res.Overflow = db.Overflow()
 }
 
-// overflowedNets returns nets whose routes touch an overflowed
-// gcell-layer, in net-ID order. The route scan fans out over
-// contiguous net-ID chunks whose per-worker hit lists concatenate in
-// chunk order, so the result is identical at any worker count.
-func (db *DB) overflowedNets(res *Result, workers int) []*netlist.Net {
+// overflowedNets returns the nets — nets is the design's table, by ID —
+// whose routes touch an overflowed gcell-layer, in net-ID order. The
+// route scan fans out over contiguous net-ID chunks whose per-worker hit
+// lists concatenate in chunk order, so the result is identical at any
+// worker count.
+func (db *DB) overflowedNets(res *Result, nets []*netlist.Net, workers int) []*netlist.Net {
 	bad := make([]bool, len(db.usage))
 	any := false
 	for i := range db.usage {
@@ -483,14 +444,11 @@ func (db *DB) overflowedNets(res *Result, workers int) []*netlist.Net {
 			any = true
 		}
 	}
-	var badF2F []bool
-	if db.f2fCap != nil {
-		badF2F = make([]bool, len(db.f2fUse))
-		for i := range db.f2fUse {
-			if db.f2fUse[i] > db.f2fCap[i] {
-				badF2F[i] = true
-				any = true
-			}
+	badF2F := make([]bool, len(db.f2fUse)) // empty without an F2F via
+	for i := range db.f2fUse {
+		if db.f2fUse[i] > db.f2fCap[i] {
+			badF2F[i] = true
+			any = true
 		}
 	}
 	if !any {
@@ -499,15 +457,16 @@ func (db *DB) overflowedNets(res *Result, workers int) []*netlist.Net {
 	workers = par.Workers(workers)
 	hits := make([][]*netlist.Net, workers)
 	par.Chunks(workers, len(res.Routes), func(w, lo, hi int) {
-		for _, r := range res.Routes[lo:hi] {
+		for id := lo; id < hi; id++ {
+			r := res.Routes[id]
 			if r == nil {
 				continue
 			}
-			hit := false
+			hit, o := false, res.Origin(id)
 			for _, s := range r.Segments {
+				s = o.at(s)
 				if s.IsVia() {
-					if badF2F != nil && db.isF2F(s) &&
-						badF2F[db.Grid.Index(int(s.A.X), int(s.A.Y))] {
+					if db.isF2F(s) && badF2F[db.Grid.Index(int(s.A.X), int(s.A.Y))] {
 						hit = true
 					}
 					continue
@@ -522,7 +481,7 @@ func (db *DB) overflowedNets(res *Result, workers int) []*netlist.Net {
 				}
 			}
 			if hit {
-				hits[w] = append(hits[w], r.Net)
+				hits[w] = append(hits[w], nets[id])
 			}
 		}
 	})
