@@ -37,15 +37,18 @@ race:
 	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/ ./internal/stash/ ./internal/serve/ ./internal/extract/ ./internal/sta/ ./internal/slab/ ./internal/netlist/ ./internal/piton/ ./internal/cell/
 	$(GO) test -race -timeout 30m ./internal/flows/ ./internal/ddb/ ./internal/opt/ ./internal/place/ ./internal/route/
 
-## fuzz: ten seconds of FuzzDecodeResult — the routing-result decoder on
+## fuzz: ten seconds each of FuzzDecodeResult and FuzzDecodeAbstract —
+## the routing-result decoder and the harden cache's abstract decoder on
 ## arbitrary bytes: no panic, no allocation sized by a corrupt count, and
-## whatever decodes re-encodes to the same bytes. `go test` runs only its
-## seed corpus (a good encoding and TestDecodeResultCorrupt's table). The
-## engine minimizes every input that reaches new code, an execution per
-## byte and 60 s by default: capped at 1 s so the ten seconds mutate. A
-## failing input is written to internal/flows/testdata/fuzz/ — commit it.
+## whatever decodes re-encodes to the same bytes. `go test` runs only
+## their seed corpora (a good encoding each, TestDecodeResultCorrupt's
+## table, the abstract decoder's two count bombs). The engine minimizes
+## every input that reaches new code, an execution per byte and 60 s by
+## default: capped at 1 s so the ten seconds mutate. A failing input is
+## written to internal/flows/testdata/fuzz/ — commit it.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAbstract$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
 
 ## equiv: just the parallel-vs-serial equivalence proof — every flow at
 ## -j 1 / 4 / 0 must produce an identical PPA, run under the race

@@ -1,10 +1,9 @@
 package flows
 
 import (
+	"context"
 	"fmt"
 
-	"macro3d/internal/cts"
-	"macro3d/internal/extract"
 	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
@@ -36,56 +35,62 @@ type ArrayReport struct {
 // its routing — replicates verbatim per copy ("tile instances can be
 // connected without additional routing"); only the stitched abutment
 // nets are new, and they are pin-to-pin touches at shared coordinates.
-// The flat array then gets a fresh clock tree and full STA.
+// The flat array then gets a fresh clock tree and full STA: the stage
+// list compose → route → cts → extract → sta.
 func VerifyTileArray(cfg Config, st *State, t *tech.Tech, nx, ny int) (*ArrayReport, error) {
-	arr, err := piton.AbutArray(st.Tile, st.Die, nx, ny)
-	if err != nil {
-		return nil, err
-	}
-	return verifyArray(cfg.withDefaults(), st, t, arr)
+	return verifyArray(cfg, st, t, func() (*piton.Array, error) { return piton.AbutArray(st.Tile, st.Die, nx, ny) })
 }
 
-// verifyArray re-verifies an abutted array flat. It walks the array by
-// its tables (piton.Array): no name of the array is formatted or looked
-// up, so its by-name indexes are never built.
-func verifyArray(cfg Config, st *State, t *tech.Tech, arr *piton.Array) (*ArrayReport, error) {
-	d := arr.Design
-	db, res, stitched, err := routeArray(cfg, st, arr)
+// verifyArray re-verifies the array abut composes flat. It walks the
+// array by its tables (piton.Array): no name of the array is formatted or
+// looked up, so its by-name indexes are never built.
+func verifyArray(cfg Config, tile *State, t *tech.Tech, abut func() (*piton.Array, error)) (*ArrayReport, error) {
+	f := &flow{runner: newRunner(context.Background(), "array", cfg.withDefaults(), &State{Beol: tile.Beol}), t: t}
+	var arr *piton.Array
+	stitched := 0
+	err := f.exec([]stage{
+		do(StageCompose, func() (err error) {
+			arr, err = abut()
+			if err == nil {
+				f.st.Design, f.st.Die = arr.Design, arr.Die
+			}
+			return err
+		}),
+		do(StageRoute, func() (err error) {
+			f.st.DB, f.st.Routes, stitched, err = routeArray(f.cfg.routeOptions(f.obs()), tile, arr)
+			return err
+		}),
+		do(StageCTS, func() error { return f.clockTree(arr.Clock, arr.ClockPort.Loc) }),
+		do(StageExtract, f.extract),
+		do(StageSTA, func() (err error) {
+			f.st.Report, err = f.sta(tile.Report.MinPeriod, false)
+			return err
+		}),
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := &ArrayReport{
+	f.finish()
+	st := f.st
+	return &ArrayReport{
 		Nx: arr.Nx, Ny: arr.Ny,
-		Design:        d,
-		Die:           arr.Die,
-		TilePeriod:    st.Report.MinPeriod,
-		F2FBumps:      res.F2FBumps,
-		RouteOverflow: res.Overflow,
+		Design:        st.Design,
+		Die:           st.Die,
+		TilePeriod:    tile.Report.MinPeriod,
+		ArrayPeriod:   st.Report.MinPeriod,
+		ClosesAtTile:  st.Report.MinPeriod <= tile.Report.MinPeriod*1.02,
+		F2FBumps:      st.Routes.F2FBumps,
 		StitchedNets:  stitched,
-	}
-
-	// Extraction is the last reader of the routes and the routing grid:
-	// nothing below holds them, so they are garbage while the timing graph
-	// — the pass's other large structure — is built.
-	tree := cts.Build(d, arr.Clock, arr.ClockPort.Loc, d.Lib, st.Beol, cts.Options{})
-	slow := t.CornerScaleFor(tech.CornerSlow)
-	ex := extract.Extract(d, res, db, slow)
-	rep, err := sta.Analyze(d, ex, st.Report.MinPeriod, sta.Options{
-		Corner: slow, Clock: tree,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("array STA: %w", err)
-	}
-	out.ArrayPeriod, out.Critical = rep.MinPeriod, rep.Critical
-	out.ClosesAtTile = rep.MinPeriod <= st.Report.MinPeriod*1.02
-	return out, nil
+		RouteOverflow: st.Routes.Overflow,
+		Critical:      st.Report.Critical,
+	}, nil
 }
 
 // routeArray builds the array's routing database and result. A route is
 // a shape: every copy's nets are placed on the tile's own records at the
 // copy's offset (route.Result.Place), read-only, and their usage is
 // committed there; only the stitched nets, which it counts, are routed.
-func routeArray(cfg Config, st *State, arr *piton.Array) (*route.DB, *route.Result, int, error) {
+func routeArray(ropt route.Options, st *State, arr *piton.Array) (*route.DB, *route.Result, int, error) {
 	nx, ny, d := arr.Nx, arr.Ny, arr.Design
 
 	// Array routing grid: an exact nx×ny tiling of the tile's grid so
@@ -97,20 +102,8 @@ func routeArray(cfg Config, st *State, arr *piton.Array) (*route.DB, *route.Resu
 		DX: tg.DX, DY: tg.DY,
 	}
 
-	// Routing blockages from every macro copy.
-	macros, nBlk := d.Macros(), 0
-	for _, m := range macros {
-		nBlk += len(m.Master.Obstructions)
-	}
-	blk := make([]floorplan.RouteBlockage, 0, nBlk)
-	for _, m := range macros {
-		for _, o := range m.Master.Obstructions {
-			blk = append(blk, floorplan.RouteBlockage{Layer: o.Layer, Rect: o.Rect.Translate(m.Loc)})
-		}
-	}
-	ropt := cfg.routeOptions(nil)
 	ropt.Grid = &ag
-	db := route.NewDB(arr.Die, st.Beol, blk, ropt)
+	db := route.NewDB(arr.Die, st.Beol, routeBlockages(d.Macros()), ropt)
 	if err := db.Err(); err != nil {
 		return nil, nil, 0, fmt.Errorf("array %d×%d: %w", nx, ny, err)
 	}
@@ -149,6 +142,22 @@ func routeArray(cfg Config, st *State, arr *piton.Array) (*route.DB, *route.Resu
 	}
 	res.Recount(db)
 	return db, res, len(stitched), nil
+}
+
+// routeBlockages are the routing obstructions of insts where they are
+// placed, instance by instance.
+func routeBlockages(insts []*netlist.Instance) []floorplan.RouteBlockage {
+	n := 0
+	for _, m := range insts {
+		n += len(m.Master.Obstructions)
+	}
+	blk := make([]floorplan.RouteBlockage, 0, n)
+	for _, m := range insts {
+		for _, o := range m.Master.Obstructions {
+			blk = append(blk, floorplan.RouteBlockage{Layer: o.Layer, Rect: o.Rect.Translate(m.Loc)})
+		}
+	}
+	return blk
 }
 
 // sameShape reports whether the array net has the same pin structure

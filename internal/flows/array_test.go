@@ -2,6 +2,7 @@ package flows
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -44,7 +45,7 @@ func TestVerifyArrayRejectsLostNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := verifyArray(cfg, st, tech6, abut())
+	got, err := verifyArray(cfg, st, tech6, func() (*piton.Array, error) { return abut(), nil })
 	if err != nil || got.ArrayPeriod != ref.ArrayPeriod || got.StitchedNets != ref.StitchedNets {
 		t.Fatalf("verifyArray on an untouched array: %v, %+v vs %+v", err, got, ref)
 	}
@@ -65,8 +66,10 @@ func TestVerifyArrayRejectsLostNet(t *testing.T) {
 		t.Fatalf("tile has no interior net (%d) or no absorbed net (%d) on copy 3", lost, absorbed)
 	}
 	arr.NetID[3*len(src.Nets)+lost] = -1
-	_, err = verifyArray(cfg, st, tech6, arr)
-	if err == nil || !strings.Contains(err.Error(), src.Nets[lost].Name) || !strings.Contains(err.Error(), "no array net") {
+	_, err = verifyArray(cfg, st, tech6, func() (*piton.Array, error) { return arr, nil })
+	var se *StageError
+	if !errors.As(err, &se) || se.Flow != "array" || se.Stage != StageRoute ||
+		!strings.Contains(err.Error(), src.Nets[lost].Name) || !strings.Contains(err.Error(), "no array net") {
 		t.Fatalf("a lost net passed verification: err = %v", err)
 	}
 }
@@ -207,7 +210,7 @@ func TestArrayPlacedShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			db, res, _, err := routeArray(tinyCfg().withDefaults(), st, arr)
+			db, res, _, err := routeArray(tinyCfg().routeOptions(nil), st, arr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -338,7 +341,7 @@ func buildFlatArray4x4(tb testing.TB) *flatArray {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	db, res, _, err := routeArray(cfg, st, arr)
+	db, res, _, err := routeArray(cfg.routeOptions(nil), st, arr)
 	if err != nil {
 		tb.Fatal(err)
 	}

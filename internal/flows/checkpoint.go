@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"time"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/core"
@@ -158,6 +159,13 @@ func (r *runner) stashErrors() *obs.Counter {
 // re-runs the region and a snapshot that is not bit-identical to the
 // re-run state is a hard error.
 func (r *runner) checkpointed(cp checkpoint, body func() error) error {
+	if r.caching && r.key == (stash.Key{}) {
+		// The chain's root, at the first region: a list without one never
+		// fingerprints the technology. A failing fingerprint silently
+		// disables caching; the flow itself will surface the real error.
+		k, err := rootKey(r.flow, r.cfg)
+		r.key, r.caching = k, err == nil
+	}
 	if !r.caching {
 		return body()
 	}
@@ -168,17 +176,21 @@ func (r *runner) checkpointed(cp checkpoint, body func() error) error {
 		if r.cfg.CacheVerify {
 			return r.verifyHit(cp, key, payload, body)
 		}
-		sp := r.span.Child(cp.name, obs.KV("cache", "hit"), obs.KV("bytes", len(payload)))
-		r.cur = sp
-		csl := r.stages.Begin("cache", cp.name+" (cache-load)")
+		if r.span != nil {
+			r.cur = r.span.Child(cp.name, obs.KV("cache", "hit"), obs.KV("bytes", len(payload)))
+		}
+		start := time.Now()
 		err := contain(func() error { return cp.load(stash.NewDec(payload)) })
-		csl.End(trace.N("hit", 1), trace.N("bytes", int64(len(payload))))
+		dur := time.Since(start)
+		if r.stages != nil {
+			r.stages.Add("cache", cp.name+" (cache-load)", start, start.Add(dur), trace.N("hit", 1), trace.N("bytes", int64(len(payload))))
+		}
 		if err == nil {
-			sp.End()
+			r.cur.End()
 			r.cur = nil
 			r.trace.Stages = append(r.trace.Stages, StageRecord{
 				Stage: cp.name, Attempt: 1, Seed: r.cfg.Seed,
-				Duration: sp.Duration(), Cached: true,
+				Duration: dur, Cached: true,
 			})
 			r.stashHits().Inc()
 			r.stashBytes().Add(uint64(len(payload)))
@@ -187,10 +199,10 @@ func (r *runner) checkpointed(cp checkpoint, body func() error) error {
 		}
 		// A snapshot that decodes or validates badly is treated
 		// exactly like corruption: evict, record, run the region.
-		sp.SetAttr("err", err.Error())
-		sp.End()
+		r.cur.SetAttr("err", err.Error())
+		r.cur.End()
 		r.cur = nil
-		r.record(cp.name, 1, r.cfg.Seed, sp.Duration(), false,
+		r.record(cp.name, 1, r.cfg.Seed, dur,
 			fmt.Errorf("cache load: %w", err))
 		r.cfg.Cache.Evict(key)
 		r.stashErrors().Inc()
@@ -233,7 +245,7 @@ func (r *runner) verifyHit(cp checkpoint, key stash.Key, payload []byte, body fu
 		r.cfg.Cache.Evict(key)
 		r.stashErrors().Inc()
 		verr := fmt.Errorf("cache verify: re-encode: %w", err)
-		r.record(cp.name, 1, r.cfg.Seed, 0, false, verr)
+		r.record(cp.name, 1, r.cfg.Seed, 0, verr)
 		return r.fail(cp.name, r.cfg.Seed, 1, verr)
 	}
 	if !bytes.Equal(enc.Bytes(), payload) {
@@ -241,7 +253,7 @@ func (r *runner) verifyHit(cp checkpoint, key stash.Key, payload []byte, body fu
 		r.stashErrors().Inc()
 		verr := fmt.Errorf("cache verify: region %q re-ran to state differing from the cached snapshot (%d vs %d bytes)",
 			cp.name, enc.Len(), len(payload))
-		r.record(cp.name, 1, r.cfg.Seed, 0, false, verr)
+		r.record(cp.name, 1, r.cfg.Seed, 0, verr)
 		return r.fail(cp.name, r.cfg.Seed, 1, verr)
 	}
 	r.stashHits().Inc()

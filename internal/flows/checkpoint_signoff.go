@@ -5,8 +5,6 @@ import (
 
 	"macro3d/internal/cell"
 	"macro3d/internal/core"
-	"macro3d/internal/ddb"
-	"macro3d/internal/extract"
 	"macro3d/internal/netlist"
 	"macro3d/internal/sta"
 	"macro3d/internal/stash"
@@ -267,8 +265,8 @@ func signoffSize(st *State, preInst, preNet int) int {
 // it re-runs from scratch rather than being stored — incremental and
 // from-scratch extraction are bit-identical by the ddb equivalence
 // guarantee.
-func signoffCheckpoint(r *runner, st *State, t *tech.Tech, material []byte, resized, buffers *int) checkpoint {
-	d := st.Design
+func (f *flow) signoffCheckpoint(material []byte) checkpoint {
+	st, d := f.st, f.st.Design
 	preInst, preNet := d.Counts()
 	return checkpoint{
 		name:     "signoff",
@@ -294,8 +292,8 @@ func signoffCheckpoint(r *runner, st *State, t *tech.Tech, material []byte, resi
 			encodeResult(e, st.Routes)
 			encodeDynState(e, st.DB)
 			encodeReport(e, st.Report)
-			e.Int(*resized)
-			e.Int(*buffers)
+			e.Int(f.resized)
+			e.Int(f.buffers)
 			return nil
 		},
 		load: func(dec *stash.Dec) error {
@@ -332,7 +330,7 @@ func signoffCheckpoint(r *runner, st *State, t *tech.Tech, material []byte, resi
 			}
 			u := dec.I32s()
 			h := dec.F32s()
-			f := dec.I32s()
+			fr := dec.I32s()
 			rep := decodeReportWire(dec)
 			nResized := dec.Int()
 			nBuffers := dec.Int()
@@ -375,7 +373,7 @@ func signoffCheckpoint(r *runner, st *State, t *tech.Tech, material []byte, resi
 			if len(routes.Routes) != postNet {
 				return fmt.Errorf("signoff snapshot routes %d nets, design will have %d", len(routes.Routes), postNet)
 			}
-			if err := st.DB.CheckDynState(u, h, f); err != nil {
+			if err := st.DB.CheckDynState(u, h, fr); err != nil {
 				return fmt.Errorf("signoff snapshot: %w", err)
 			}
 			if err := rep.validate(postInst, len(d.Ports)); err != nil {
@@ -399,14 +397,12 @@ func signoffCheckpoint(r *runner, st *State, t *tech.Tech, material []byte, resi
 				nets[i].apply(d, d.Nets[i])
 			}
 			st.Routes = routes
-			st.DB.SetDynState(u, h, f)
-			slow := t.CornerScaleFor(tech.CornerSlow)
-			st.ExSlow = extract.Extract(d, st.Routes, st.DB, slow)
-			st.DDB = ddb.New(d, st.DB, st.Routes, st.ExSlow, slow)
-			st.DDB.AttachObs(r.obs())
+			st.DB.SetDynState(u, h, fr)
+			st.ExSlow = f.extractAt(tech.CornerSlow)
+			f.openDDB(f.obs())
 			st.Report = rep.build(d)
-			*resized = nResized
-			*buffers = nBuffers
+			f.resized = nResized
+			f.buffers = nBuffers
 			return nil
 		},
 	}

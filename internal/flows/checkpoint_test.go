@@ -353,9 +353,8 @@ func tinySignedOff(t *testing.T) (st *State, place, signoff checkpoint) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var resized, buffers int
-	return st, placementCheckpoint(StagePlace, nil, st.Design),
-		signoffCheckpoint(&runner{}, st, tt, nil, &resized, &buffers)
+	f := &flow{runner: &runner{st: st}, t: tt}
+	return st, placementCheckpoint(StagePlace, nil, st.Design), f.signoffCheckpoint(nil)
 }
 
 // TestCheckpointLoadAllocs: restoring a snapshot costs a string per

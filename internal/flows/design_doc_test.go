@@ -3,14 +3,16 @@ package flows
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // TestDesignDocStageLists keeps DESIGN.md §3 honest: its stage-list
-// table must show, for every row of the flow table, the sequence
-// TestStageSequenceGolden pins, and its pseudo-3D table the pseudoSpecs
-// rows.
+// table must show, under its CLI invocation, every sequence
+// TestStageSequenceGolden pins — one per row of the flow table, the tile
+// array's and the hierarchical parent's — and its pseudo-3D table the
+// pseudoSpecs rows.
 func TestDesignDocStageLists(t *testing.T) {
 	b, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
@@ -18,17 +20,16 @@ func TestDesignDocStageLists(t *testing.T) {
 	}
 	doc := string(b)
 	arrows := func(s string) string { return strings.ReplaceAll(s, " ", " → ") }
+	for _, g := range goldenStages {
+		row := fmt.Sprintf("| %s (`%s`) | %s | %s |", g.flow, g.cli, arrows(g.cold), arrows(g.warm))
+		if !strings.Contains(doc, row) {
+			t.Errorf("DESIGN.md lacks the stage-list row\n%s", row)
+		}
+	}
 	for _, e := range flowTable {
 		found := false
 		for _, g := range goldenStages {
-			if g.flow != e.name {
-				continue
-			}
-			found = true
-			row := fmt.Sprintf("| %s (`%s`) | %s | %s |", e.name, e.key, arrows(g.cold), arrows(g.warm))
-			if !strings.Contains(doc, row) {
-				t.Errorf("DESIGN.md lacks the stage-list row\n%s", row)
-			}
+			found = found || g.flow == e.name && g.cli == "-flow "+e.key
 		}
 		if !found {
 			t.Errorf("flow %s (%s) has no golden stage sequence", e.name, e.key)
@@ -42,6 +43,35 @@ func TestDesignDocStageLists(t *testing.T) {
 		row := fmt.Sprintf("| %s | %v | Seed+%d | ×%g | %.4g | %s |", flow, spec.style, spec.seedOff, spec.area, spec.s, budget)
 		if !strings.Contains(doc, row) {
 			t.Errorf("DESIGN.md lacks the pseudo-3D spec row starting\n%s", row)
+		}
+	}
+}
+
+// TestEngineCallSites holds DESIGN.md §3's claim: every list runs an
+// engine through the one stage body the lists share, so each engine entry
+// point is called from exactly one place in the package's non-test code.
+func TestEngineCallSites(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := []string{"cts.Build(", "extract.Extract(", "sta.Analyze(", "verify.Full(", "power.Analyze(", "route.RouteDesign("}
+	calls := map[string]int{}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			calls[e] += strings.Count(string(b), e)
+		}
+	}
+	for _, e := range entries {
+		if calls[e] != 1 {
+			t.Errorf("%s is called from %d places in non-test internal/flows, want 1", e, calls[e])
 		}
 	}
 }

@@ -19,7 +19,11 @@
 //
 // Every flow ends in the same sign-off: slow-corner STA for f_max,
 // typical-corner extraction for power, and the PPA record holding the
-// paper's Table I–III rows. DESIGN.md §3 shows each stage list.
+// paper's Table I–III rows. The §V-1 checks of a signed-off tile are two
+// more lists on the same runner and the same sign-off bodies: the flat
+// array (VerifyTileArray) and the hierarchical parent (InstantiateArray)
+// compose copies of the tile, then route, cts, extract and sta (and, in
+// the parent, power and verify). DESIGN.md §3 shows each stage list.
 package flows
 
 import (
@@ -155,8 +159,7 @@ func (c Config) generate() (*piton.Tile, error) {
 
 // placeOptions and routeOptions are the one place a flow's
 // configuration becomes engine options. sp is the stage span the engine
-// reports under; nil where a caller routes outside a runner (the tile
-// array, the hierarchical stitch).
+// reports under (runner.obs), nil when Config.Obs is.
 func (c Config) placeOptions(seed uint64, sp *obs.Span) place.Options {
 	return place.Options{Seed: seed, Obs: sp, Workers: c.Workers, Trace: c.Trace}
 }

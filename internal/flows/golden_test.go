@@ -8,6 +8,7 @@ import (
 
 	"macro3d/internal/piton"
 	"macro3d/internal/stash"
+	"macro3d/internal/tech"
 )
 
 // goldenStages is the contract of a flow's stage list: every record of
@@ -16,13 +17,16 @@ import (
 // stage name, "#n" for attempt n > 1 and "*" for a region restored from
 // the stage cache. bench/trace.go maps this sequence to its per-layer
 // metrics, `-experiment flowtrace` prints it, and DESIGN.md §3 shows it
-// (TestDesignDocStageLists).
+// under the CLI invocation that runs it (TestDesignDocStageLists). The
+// tile array and the hierarchical parent have no checkpoint region, so
+// their warm list is their cold one; their runs hand back no State, so
+// the rows take the parent's from the AfterStage hook.
 var goldenStages = []struct {
-	flow       string
+	flow, cli  string
 	run        func(context.Context, Config) (*State, error)
 	cold, warm string
 }{
-	{"2D",
+	{"2D", "-flow 2d",
 		func(ctx context.Context, cfg Config) (*State, error) {
 			_, st, err := Run2DCtx(ctx, cfg)
 			return st, err
@@ -30,7 +34,7 @@ var goldenStages = []struct {
 		"generate floorplan place cts route extract opt sta power verify",
 		"generate floorplan place* cts route* signoff* sta power verify",
 	},
-	{"Macro-3D",
+	{"Macro-3D", "-flow macro3d",
 		func(ctx context.Context, cfg Config) (*State, error) {
 			_, st, _, err := RunMacro3DCtx(ctx, cfg)
 			return st, err
@@ -38,26 +42,55 @@ var goldenStages = []struct {
 		"generate floorplan prepare place cts route extract opt sta power separate verify",
 		"generate floorplan prepare place* cts route* signoff* sta power separate verify",
 	},
-	{"S2D",
+	{"S2D", "-flow s2d",
 		func(ctx context.Context, cfg Config) (*State, error) {
 			_, st, err := RunS2DCtx(ctx, cfg, false)
 			return st, err
 		},
 		goldenPseudoCold, goldenPseudoWarm,
 	},
-	{"BF S2D",
+	{"BF S2D", "-flow bfs2d",
 		func(ctx context.Context, cfg Config) (*State, error) {
 			_, st, err := RunS2DCtx(ctx, cfg, true)
 			return st, err
 		},
 		goldenPseudoCold, goldenPseudoWarm,
 	},
-	{"C2D",
+	{"C2D", "-flow c2d",
 		func(ctx context.Context, cfg Config) (*State, error) {
 			_, st, err := RunC2DCtx(ctx, cfg)
 			return st, err
 		},
 		goldenPseudoCold, goldenPseudoWarm,
+	},
+	{"array", "-flow macro3d -array N",
+		func(ctx context.Context, cfg Config) (*State, error) {
+			_, tile, _, err := RunMacro3DCtx(ctx, cfg)
+			if err != nil {
+				return nil, err
+			}
+			t, _ := tech.New28(6)
+			var st *State
+			cfg.AfterStage = func(_, _ string, s *State) { st = s }
+			_, err = VerifyTileArray(cfg, tile, t, 2, 2)
+			return st, err
+		},
+		"compose route cts extract sta",
+		"compose route cts extract sta",
+	},
+	{"hier", "harden -array N",
+		func(ctx context.Context, cfg Config) (*State, error) {
+			hr, err := HardenCtx(ctx, cfg, HardenMacro3D)
+			if err != nil {
+				return nil, err
+			}
+			var st *State
+			cfg.AfterStage = func(_, _ string, s *State) { st = s }
+			_, err = InstantiateArray(cfg, hr, 2, 2)
+			return st, err
+		},
+		"compose route cts extract sta power verify",
+		"compose route cts extract sta power verify",
 	},
 }
 
@@ -86,8 +119,8 @@ func renderStages(rep *RunReport) string {
 	return strings.Join(out, " ")
 }
 
-// TestStageSequenceGolden pins the exact stage sequence of all five
-// flows, cold and warm from a cache.
+// TestStageSequenceGolden pins the exact stage sequence of all seven
+// lists, cold and warm from a cache.
 func TestStageSequenceGolden(t *testing.T) {
 	for _, g := range goldenStages {
 		t.Run(g.flow, func(t *testing.T) {

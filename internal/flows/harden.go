@@ -316,6 +316,14 @@ func encodeAbstract(c *cell.Cell) []byte {
 	return e.Bytes()
 }
 
+// The fewest bytes a pin and an obstruction take in an abstract snapshot
+// (empty strings): what Dec.Count holds the declared counts to before
+// the decoder sizes its tables by them.
+const (
+	pinWireMin = 4 + 1 + 8 + 8 + 8 + 4 + 1 + 8 + 8
+	obsWireMin = 4 + 4*8
+)
+
 func decodeAbstract(b []byte) (*cell.Cell, error) {
 	d := stash.NewDec(b)
 	c := &cell.Cell{Kind: cell.KindMacro}
@@ -324,11 +332,9 @@ func decodeAbstract(b []byte) (*cell.Cell, error) {
 	c.Height = d.F64()
 	c.DriveRes = d.F64()
 	c.Leakage = d.F64()
-	nPins := d.Int()
-	if nPins < 0 || nPins > 1<<20 {
-		return nil, fmt.Errorf("harden: snapshot pin count %d", nPins)
-	}
-	for i := 0; i < nPins; i++ {
+	nPins := d.Count(pinWireMin)
+	c.Pins = make([]cell.Pin, 0, nPins)
+	for i := 0; i < nPins && d.Err() == nil; i++ {
 		var p cell.Pin
 		p.Name = d.Str()
 		p.Dir = cell.PinDir(d.U8())
@@ -341,12 +347,9 @@ func decodeAbstract(b []byte) (*cell.Cell, error) {
 		p.ClkQ = d.F64()
 		c.Pins = append(c.Pins, p)
 	}
-	c.IndexPins()
-	nObs := d.Int()
-	if nObs < 0 || nObs > 1<<24 {
-		return nil, fmt.Errorf("harden: snapshot obstruction count %d", nObs)
-	}
-	for i := 0; i < nObs; i++ {
+	nObs := d.Count(obsWireMin)
+	c.Obstructions = make([]cell.Obstruction, 0, nObs)
+	for i := 0; i < nObs && d.Err() == nil; i++ {
 		var o cell.Obstruction
 		o.Layer = d.Str()
 		o.Rect.Lx = d.F64()
@@ -369,5 +372,6 @@ func decodeAbstract(b []byte) (*cell.Cell, error) {
 	if c.Name == "" || c.Width <= 0 || c.Height <= 0 || len(c.Pins) == 0 {
 		return nil, fmt.Errorf("harden: snapshot decodes to degenerate abstract")
 	}
+	c.IndexPins()
 	return c, nil
 }

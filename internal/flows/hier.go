@@ -7,7 +7,6 @@ import (
 
 	"macro3d/internal/cell"
 	"macro3d/internal/cts"
-	"macro3d/internal/extract"
 	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
@@ -16,7 +15,6 @@ import (
 	"macro3d/internal/route"
 	"macro3d/internal/sta"
 	"macro3d/internal/tech"
-	"macro3d/internal/verify"
 )
 
 // HierReport is the outcome of the hierarchical parent flow: one tile
@@ -69,7 +67,7 @@ func RunHierArrayCtx(ctx context.Context, cfg Config, flow string, nx, ny int) (
 	if err != nil {
 		return nil, err
 	}
-	rep, err := InstantiateArray(cfg, hr, nx, ny)
+	rep, err := instantiate(ctx, cfg, hr, nx, ny)
 	if err != nil {
 		return nil, err
 	}
@@ -82,107 +80,94 @@ func RunHierArrayCtx(ctx context.Context, cfg Config, flow string, nx, ny int) (
 // an already-hardened block: compose nx×ny abstracts by abutment,
 // route the stitched nets against the abstracts' per-layer
 // obstructions, synthesize the parent clock tree over the abstract
-// clock pins, extract, and close timing with the boundary model.
+// clock pins, extract, close timing with the boundary model, and take
+// power — the stage list compose → route → cts → extract → sta → power,
+// then verify with Config.Verify.
 func InstantiateArray(cfg Config, hr *HardenResult, nx, ny int) (*HierReport, error) {
-	cfg = cfg.withDefaults()
+	return instantiate(context.Background(), cfg, hr, nx, ny)
+}
+
+func instantiate(ctx context.Context, cfg Config, hr *HardenResult, nx, ny int) (*HierReport, error) {
 	t0 := time.Now()
+	f := &flow{runner: newRunner(ctx, "hier", cfg.withDefaults(), &State{Tile: hr.Tile})}
 	abs := hr.Abstract
-	if abs == nil || abs.Abstract == nil {
-		return nil, fmt.Errorf("hier: HardenResult carries no abstract")
+	// Power: the parent-level analysis sees the stitch wires, the clock
+	// tree and every instance's leakage; each instance's dynamic energy
+	// comes from its hardened signoff.
+	var pw *power.Report
+	list := []stage{
+		do(StageCompose, func() error { return f.composeAbstract(hr, nx, ny) }),
+		do(StageRoute, f.route),
+		do(StageCTS, func() error { return f.clockTree(f.namedClock()) }),
+		do(StageExtract, f.extract),
+		do(StageSTA, func() (err error) {
+			f.st.Report, err = f.sta(abs.Abstract.MinPeriodPs, false)
+			return err
+		}),
+		do(StagePower, func() (err error) {
+			pw, _, err = f.powerAt(1e6 / f.st.Report.MinPeriod)
+			return err
+		}),
 	}
-
-	t, err := tech.New28(cfg.LogicMetals)
-	if err != nil {
+	if f.cfg.Verify {
+		list = append(list, do(StageVerify, func() error { return f.verify(nil) }))
+	}
+	if err := f.exec(list); err != nil {
 		return nil, err
 	}
-	beol, err := parentBEOL(cfg, t, abs)
-	if err != nil {
-		return nil, err
-	}
+	f.finish()
 
-	tileDie := geom.R(0, 0, abs.Width, abs.Height)
-	d, die, err := piton.ComposeAbstract(hr.Tile, abs, tileDie, nx, ny)
-	if err != nil {
-		return nil, err
-	}
-
-	// The parent router sees each instance as its per-layer residual:
-	// obstructions cover exactly the gcells the hardened
-	// implementation used or blocked, so stitch routes thread the
-	// genuinely free tracks over the macros instead of detouring
-	// around opaque full-stack blockages.
-	blk := make([]floorplan.RouteBlockage, 0, len(d.Instances)*len(abs.Obstructions))
-	for _, inst := range d.Instances {
-		for _, o := range inst.Master.Obstructions {
-			blk = append(blk, floorplan.RouteBlockage{
-				Layer: o.Layer, Rect: o.Rect.Translate(inst.Loc),
-			})
-		}
-	}
-	db := route.NewDB(die, beol, blk, cfg.routeOptions(nil))
-	res, err := route.RouteDesign(d, db)
-	if err != nil {
-		return nil, fmt.Errorf("hier: stitch routing: %w", err)
-	}
-
-	clkSrc := geom.Pt(die.Lx, die.Center().Y)
-	if p := d.Port("clk_i"); p != nil {
-		clkSrc = p.Loc
-	}
-	tree := cts.Build(d, d.Net("clk"), clkSrc, d.Lib, beol, cts.Options{})
-
-	slow := t.CornerScaleFor(tech.CornerSlow)
-	ex := extract.Extract(d, res, db, slow)
-	if err := ex.CheckFinite(); err != nil {
-		return nil, fmt.Errorf("hier: %w", err)
-	}
-	srep, err := sta.Analyze(d, ex, abs.Abstract.MinPeriodPs, sta.Options{Corner: slow, Clock: tree})
-	if err != nil {
-		return nil, fmt.Errorf("hier: STA: %w", err)
-	}
-
-	if cfg.Verify {
-		vrep := verify.Full(d, die, res, nil, cfg.f2f(t), nil)
-		if !vrep.Clean() {
-			return nil, &verify.Error{Report: vrep}
-		}
-	}
-
-	// Power: the parent-level analysis sees the stitch wires, the
-	// clock tree and every instance's leakage; each instance's
-	// dynamic energy comes from its hardened signoff.
-	typ := t.CornerScaleFor(tech.CornerTypical)
-	exT := extract.Extract(d, res, db, typ)
-	fclk := 1e6 / srep.MinPeriod
-	pw := power.Analyze(d, exT, tree, fclk, power.Options{})
-
+	st := f.st
 	stitched := 0
-	for _, n := range d.Nets {
+	for _, n := range st.Design.Nets {
 		if !n.Clock && len(n.Sinks) > 0 && !n.Driver.IsPort() && !n.Sinks[0].IsPort() {
 			stitched++
 		}
 	}
-
 	out := &HierReport{
 		Nx: nx, Ny: ny,
-		Abstract: abs, Design: d, Die: die,
-		Routes: res, Tree: tree,
+		Abstract: abs, Design: st.Design, Die: st.Die,
+		Routes: st.Routes, Tree: st.Tree,
 
 		TilePeriodPs:  abs.Abstract.MinPeriodPs,
-		ArrayPeriodPs: srep.MinPeriod,
-		Critical:      srep.Critical,
+		ArrayPeriodPs: st.Report.MinPeriod,
+		ClosesAtTile:  st.Report.MinPeriod <= abs.Abstract.MinPeriodPs*1.02,
+		Critical:      st.Report.Critical,
 
 		StitchedNets: stitched,
-		F2FBumps:     res.F2FBumps + nx*ny*abs.Abstract.F2FBumps,
+		F2FBumps:     st.Routes.F2FBumps + nx*ny*abs.Abstract.F2FBumps,
 
 		EnergyPerCycleFJ: pw.DynamicFJ + float64(nx*ny)*abs.Abstract.EnergyPerCycleFJ,
 		LeakageUW:        pw.LeakageUW,
 
 		ParentElapsed: time.Since(t0),
 	}
-	out.ClosesAtTile = srep.MinPeriod <= abs.Abstract.MinPeriodPs*1.02
-	out.PowerUW = out.EnergyPerCycleFJ*fclk*1e-3 + pw.LeakageUW
+	out.PowerUW = out.EnergyPerCycleFJ*(1e6/st.Report.MinPeriod)*1e-3 + pw.LeakageUW
 	return out, nil
+}
+
+// composeAbstract makes the parent design: nx×ny instances of the
+// hardened abstract by abutment, on the hardened block's own stack. The
+// parent router sees each instance as its per-layer residual:
+// obstructions cover exactly the gcells the hardened implementation used
+// or blocked, so stitch routes thread the genuinely free tracks over the
+// macros instead of detouring around opaque full-stack blockages.
+func (f *flow) composeAbstract(hr *HardenResult, nx, ny int) (err error) {
+	abs, st := hr.Abstract, f.st
+	if abs == nil || abs.Abstract == nil {
+		return fmt.Errorf("hier: HardenResult carries no abstract")
+	}
+	if f.t, err = tech.New28(f.cfg.LogicMetals); err != nil {
+		return err
+	}
+	if st.Beol, err = f.parentBEOL(abs); err != nil {
+		return err
+	}
+	if st.Design, st.Die, err = piton.ComposeAbstract(hr.Tile, abs, geom.R(0, 0, abs.Width, abs.Height), nx, ny); err != nil {
+		return err
+	}
+	st.FP = &floorplan.Floorplan{Die: st.Die, RouteBlk: routeBlockages(st.Design.Instances)}
+	return nil
 }
 
 // parentBEOL picks the routing stack the parent level runs on: the
@@ -190,20 +175,19 @@ func InstantiateArray(cfg Config, hr *HardenResult, nx, ny int) (*HierReport, er
 // obstructions on the _MD macro-die layers, so the parent must route
 // on the same combined BEOL; a 2D-hardened abstract lives on the
 // plain logic stack.
-func parentBEOL(cfg Config, t *tech.Tech, abs *cell.Cell) (*tech.BEOL, error) {
+func (f *flow) parentBEOL(abs *cell.Cell) (*tech.BEOL, error) {
 	needMD := false
 	for _, o := range abs.Obstructions {
-		if t.Logic.LayerIndex(o.Layer) < 0 {
+		if f.t.Logic.LayerIndex(o.Layer) < 0 {
 			needMD = true
 			break
 		}
 	}
 	if !needMD {
-		return t.Logic, nil
+		return f.t.Logic, nil
 	}
-	macroBeol, err := tech.NewBEOL28("macro28", cfg.MacroDieMetals)
-	if err != nil {
+	if err := f.macroStack(); err != nil {
 		return nil, err
 	}
-	return tech.Combine(t.Logic, macroBeol, cfg.f2f(t))
+	return tech.Combine(f.t.Logic, f.macroBeol, f.cfg.f2f(f.t))
 }

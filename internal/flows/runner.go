@@ -30,14 +30,16 @@ const (
 	StagePower     = "power"
 	StageSeparate  = "separate"
 	StageVerify    = "verify"
+	StageCompose   = "compose" // the tile array's and the hierarchical parent's first
 )
 
 // StageError is the typed failure of one flow stage. Every error
-// escaping Run2D/RunS2D/RunC2D/RunMacro3D is a *StageError; panics
-// raised inside a stage are contained and carried in Cause with the
-// goroutine stack captured at the panic site.
+// escaping Run2D/RunS2D/RunC2D/RunMacro3D, VerifyTileArray and
+// InstantiateArray is a *StageError; panics raised inside a stage are
+// contained and carried in Cause with the goroutine stack captured at
+// the panic site.
 type StageError struct {
-	Flow    string // "2D", "S2D", "BF S2D", "C2D", "Macro-3D"
+	Flow    string // "2D", "S2D", "BF S2D", "C2D", "Macro-3D", "array", "hier"
 	Stage   string // stage name, e.g. "place", "pseudo-route"
 	Seed    uint64 // effective seed of the failing attempt
 	Config  string // benchmark configuration name
@@ -160,9 +162,10 @@ func fmtDuration(d time.Duration) string {
 }
 
 // runner executes named stages on behalf of one flow run: context
-// checks at stage boundaries, panic containment, per-stage spans
-// (which the RunReport durations derive from), bounded seeded
-// retries, and the AfterStage hook.
+// checks at stage boundaries, panic containment, stage timing on its own
+// clock (the RunReport durations), bounded seeded retries, and the
+// AfterStage hook. Spans and timeline slices exist only with Config.Obs
+// and Config.Trace: unobserved, a run of any length costs three objects.
 type runner struct {
 	flow  string
 	cfg   Config
@@ -172,14 +175,13 @@ type runner struct {
 
 	// span is the flow's root observability span; cur is the span of
 	// the stage attempt currently executing (valid inside stage
-	// closures via r.obs()). Both are real spans even with a nil
-	// recorder — stage timing always flows through them.
+	// closures via r.obs()). Both are nil when Config.Obs is.
 	span *obs.Span
 	cur  *obs.Span
 
-	// key is the checkpoint chain's current cache key; caching is set
-	// only when the run participates in stage checkpointing (see
-	// Config.cacheEnabled and rootKey).
+	// key is the checkpoint chain's current cache key, zero until the
+	// first region derives the root (rootKey); caching is set while the
+	// run participates in stage checkpointing (Config.cacheEnabled).
 	key     stash.Key
 	caching bool
 
@@ -207,18 +209,14 @@ func newRunner(ctx context.Context, flow string, cfg Config, st *State) *runner 
 	}
 	r := &runner{
 		flow: flow, cfg: cfg, ctx: ctx, st: st,
-		trace:  &RunReport{Flow: flow, Config: name},
-		span:   cfg.Obs.StartSpan(flowSlug(flow), obs.KV("config", name)),
-		stages: cfg.Trace.Track("stages"),
+		trace:   &RunReport{Flow: flow, Config: name},
+		caching: cfg.cacheEnabled(),
+		stages:  cfg.Trace.Track("stages"),
+	}
+	if cfg.Obs != nil {
+		r.span = cfg.Obs.StartSpan(flowSlug(flow), obs.KV("config", name))
 	}
 	st.Trace = r.trace
-	if cfg.cacheEnabled() {
-		// A failing fingerprint (unbuildable tech) silently disables
-		// caching; the flow itself will surface the real error.
-		if k, err := rootKey(flow, cfg); err == nil {
-			r.key, r.caching = k, true
-		}
-	}
 	return r
 }
 
@@ -226,14 +224,6 @@ func newRunner(ctx context.Context, flow string, cfg Config, st *State) *runner 
 // parent under which engines hang their phase spans and find the
 // run's metric registry. Safe to call from stage closures only.
 func (r *runner) obs() *obs.Span { return r.cur }
-
-// setState repoints the AfterStage hook target (the S2D/C2D pseudo
-// phases operate on a separate State) and carries the trace over so
-// whichever State the flow ultimately returns documents the run.
-func (r *runner) setState(st *State) {
-	r.st = st
-	st.Trace = r.trace
-}
 
 // stage is one entry of a flow's stage list: a leaf with a body, or a
 // checkpoint region wrapping the sub-stages a cache hit skips.
@@ -265,20 +255,26 @@ func region(spec func() checkpoint, sub ...stage) stage {
 	return stage{region: spec, sub: sub}
 }
 
-// exec runs a stage list in order and stops at the first error.
+// exec runs a stage list in order and stops at the first error. The
+// outermost list sizes the report's stage records once.
 func (r *runner) exec(list []stage) error {
+	if r.trace.Stages == nil {
+		r.trace.Stages = make([]StageRecord, 0, leaves(list))
+	}
 	for _, s := range list {
-		if s.on != nil {
-			r.setState(s.on)
+		if s.on != nil { // the S2D/C2D phase B; whichever State a flow returns carries the trace
+			r.st, s.on.Trace = s.on, r.trace
 		}
 		var err error
 		switch {
 		case s.region != nil:
 			err = r.checkpointed(s.region(), func() error { return r.exec(s.sub) })
 		case s.try != nil:
-			err = r.seededStage(s.name, s.seed, s.try)
+			// A stochastic stage has the retry budget: a failed attempt is
+			// re-run with a perturbed seed, every attempt recorded.
+			err = r.run(s.name, s.seed, s.try, max(1, r.cfg.Retry.MaxAttempts))
 		default:
-			err = r.stage(s.name, s.body)
+			err = r.run(s.name, r.cfg.Seed, func(uint64) error { return s.body() }, 1)
 		}
 		if err != nil {
 			return err
@@ -287,16 +283,14 @@ func (r *runner) exec(list []stage) error {
 	return nil
 }
 
-// stage runs a deterministic stage once.
-func (r *runner) stage(name string, fn func() error) error {
-	return r.run(name, r.cfg.Seed, func(uint64) error { return fn() }, 1)
-}
-
-// seededStage runs a stochastic stage with the retry budget: a failed
-// attempt is re-run with a perturbed seed, and every attempt is
-// recorded in the trace.
-func (r *runner) seededStage(name string, seed uint64, fn func(seed uint64) error) error {
-	return r.run(name, seed, fn, max(1, r.cfg.Retry.MaxAttempts))
+// leaves is the number of records a cold, first-attempt run of list
+// leaves in its report: one per stage outside a region.
+func leaves(list []stage) int {
+	n := 0
+	for _, s := range list {
+		n += max(1, leaves(s.sub))
+	}
+	return n
 }
 
 func (r *runner) run(name string, seed uint64, fn func(uint64) error, attempts int) error {
@@ -304,25 +298,26 @@ func (r *runner) run(name string, seed uint64, fn func(uint64) error, attempts i
 		// Cancellation and deadlines are honoured at stage boundaries:
 		// a flow returns within one stage of the context ending.
 		if err := r.ctx.Err(); err != nil {
-			r.record(name, attempt, seed, 0, false, err)
+			r.record(name, attempt, seed, 0, err)
 			return r.fail(name, seed, attempt, err)
 		}
 		s := PerturbSeed(seed, attempt)
-		sp := r.span.Child(name, obs.KV("attempt", attempt), obs.KV("seed", s))
-		r.cur = sp
-		stsl := r.stages.Begin("stage", name)
-		err := contain(func() error { return fn(s) })
-		stsl.End(trace.N("attempt", int64(attempt)))
-		if err != nil {
-			sp.SetAttr("err", err.Error())
+		if r.span != nil {
+			r.cur = r.span.Child(name, obs.KV("attempt", attempt), obs.KV("seed", s))
 		}
-		sp.End()
+		start := time.Now()
+		err := contain(func() error { return fn(s) })
+		dur := time.Since(start)
+		if r.stages != nil {
+			r.stages.Add("stage", name, start, start.Add(dur), trace.N("attempt", int64(attempt)))
+		}
+		if err != nil {
+			r.cur.SetAttr("err", err.Error())
+		}
+		r.cur.End()
 		r.cur = nil
 		r.cfg.Obs.Sample()
-		dur := sp.Duration()
-		var pe *PanicError
-		panicked := errors.As(err, &pe)
-		r.record(name, attempt, s, dur, panicked, err)
+		r.record(name, attempt, s, dur, err)
 		if err == nil {
 			if r.cfg.StageTimeout > 0 && dur > r.cfg.StageTimeout {
 				over := fmt.Errorf("stage took %v, budget %v: %w",
@@ -337,7 +332,7 @@ func (r *runner) run(name string, seed uint64, fn func(uint64) error, attempts i
 					r.cfg.AfterStage(r.flow, name, r.st)
 					return nil
 				}); hookErr != nil {
-					r.record(name, attempt, s, dur, true, hookErr)
+					r.record(name, attempt, s, dur, hookErr)
 					return r.fail(name, s, attempt, hookErr)
 				}
 			}
@@ -349,10 +344,11 @@ func (r *runner) run(name string, seed uint64, fn func(uint64) error, attempts i
 	}
 }
 
-func (r *runner) record(stage string, attempt int, seed uint64, dur time.Duration, panicked bool, err error) {
-	rec := StageRecord{Stage: stage, Attempt: attempt, Seed: seed, Duration: dur, Panicked: panicked}
+func (r *runner) record(stage string, attempt int, seed uint64, dur time.Duration, err error) {
+	rec := StageRecord{Stage: stage, Attempt: attempt, Seed: seed, Duration: dur}
 	if err != nil {
-		rec.Err = err.Error()
+		var pe *PanicError
+		rec.Err, rec.Panicked = err.Error(), errors.As(err, &pe)
 	}
 	r.trace.Stages = append(r.trace.Stages, rec)
 }

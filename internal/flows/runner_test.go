@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"macro3d/internal/piton"
+	"macro3d/internal/stash"
 )
 
 func TestPerturbSeed(t *testing.T) {
@@ -98,13 +99,13 @@ func TestSeededRetryPerturbsSeedAndRecordsAttempts(t *testing.T) {
 	st := &State{}
 	r := newRunner(context.Background(), "test", cfg, st)
 	var seeds []uint64
-	err := r.seededStage(StagePlace, 9, func(seed uint64) error {
+	err := r.exec([]stage{seeded(StagePlace, 9, func(seed uint64) error {
 		seeds = append(seeds, seed)
 		if len(seeds) < 3 {
 			return fmt.Errorf("synthetic stochastic failure %d", len(seeds))
 		}
 		return nil
-	})
+	})})
 	if err != nil {
 		t.Fatalf("stage failed despite retry budget: %v", err)
 	}
@@ -124,14 +125,45 @@ func TestSeededRetryPerturbsSeedAndRecordsAttempts(t *testing.T) {
 	}
 }
 
+// TestRunnerAllocs bounds what the runner itself allocates on an
+// unobserved run (Obs and Trace nil): its own record, the report and the
+// report's stage records, however long the list — no span, timeline
+// argument, error target or record growth per stage. The tile array and
+// the hierarchical parent run through it inside a ledger rep of ≈1 100
+// objects, so a per-stage object shows there.
+func TestRunnerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are not the runner's")
+	}
+	cfg := Config{Piton: piton.Tiny()}.withDefaults()
+	list := make([]stage, 10)
+	for i := range list {
+		list[i] = do(fmt.Sprint("s", i), func() error { return nil })
+	}
+	st := &State{}
+	allocs := testing.AllocsPerRun(50, func() {
+		r := newRunner(context.Background(), "test", cfg, st)
+		if err := r.exec(list); err != nil {
+			t.Fatal(err)
+		}
+		r.finish()
+	})
+	if allocs > 5 {
+		t.Fatalf("a 10-stage list allocates %v objects in the runner, want ≤ 5", allocs)
+	}
+	if len(st.Trace.Stages) != 10 || !st.Trace.Completed {
+		t.Fatalf("trace %+v", st.Trace)
+	}
+}
+
 func TestRetryBudgetExhausted(t *testing.T) {
 	cfg := Config{Piton: piton.Tiny(), Seed: 9, Retry: RetryPolicy{MaxAttempts: 2}}.withDefaults()
 	r := newRunner(context.Background(), "test", cfg, &State{})
 	calls := 0
-	err := r.seededStage(StagePlace, 9, func(seed uint64) error {
+	err := r.exec([]stage{seeded(StagePlace, 9, func(seed uint64) error {
 		calls++
 		return fmt.Errorf("always fails")
-	})
+	})})
 	var se *StageError
 	if !errors.As(err, &se) || se.Attempt != 2 || calls != 2 {
 		t.Fatalf("budget handling wrong: calls=%d err=%v", calls, err)
@@ -144,10 +176,10 @@ func TestRetryBudgetExhausted(t *testing.T) {
 func TestStageTimeoutFailsAtBoundary(t *testing.T) {
 	cfg := Config{Piton: piton.Tiny(), Seed: 1, StageTimeout: time.Nanosecond}.withDefaults()
 	r := newRunner(context.Background(), "test", cfg, &State{})
-	err := r.stage("slow", func() error {
+	err := r.exec([]stage{do("slow", func() error {
 		time.Sleep(2 * time.Millisecond)
 		return nil
-	})
+	})})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded wrap, got %v", err)
 	}
@@ -228,5 +260,30 @@ func TestRunReportSubMillisecondDurations(t *testing.T) {
 	}
 	if !strings.Contains(s, "737µs") {
 		t.Errorf("trace does not show the sub-ms duration:\n%s", s)
+	}
+
+	// With Obs nil the runner opens no span; stage and cache-hit records
+	// are still timed (the ledger's flows.cached_load_s reads them).
+	store, err := stash.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Piton: piton.Tiny(), Seed: 7, Cache: store}.withDefaults()
+	short := func() { time.Sleep(time.Microsecond) }
+	list := []stage{region(func() checkpoint {
+		return checkpoint{
+			name: "region",
+			save: func(e *stash.Enc) error { e.Int(1); return nil },
+			load: func(dec *stash.Dec) error { dec.Int(); short(); return dec.Done() },
+		}
+	}, do("sub", func() error { short(); return nil }))}
+	for _, want := range []string{"sub", "region*"} {
+		st := &State{}
+		if err := newRunner(context.Background(), "test", cfg, st).exec(list); err != nil {
+			t.Fatal(err)
+		}
+		if got := renderStages(st.Trace); got != want || st.Trace.Stages[0].Duration <= 0 {
+			t.Errorf("unobserved run recorded %q in %v, want %q in a non-zero time", got, st.Trace.Stages[0].Duration, want)
+		}
 	}
 }

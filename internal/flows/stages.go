@@ -162,13 +162,13 @@ func (f *flow) stagesPseudo3D() []stage {
 			do("pseudo-"+StageFloorplan, func() error { return f.pseudoFloorplan(spec, real) }),
 			f.place("pseudo-"+StagePlace, spec.seedOff),
 			do("pseudo-"+StageRoute, func() error {
-				f.clockTree()
+				f.clockTree(f.namedClock())
 				return f.route()
 			}),
 			// Sizing only, against the pseudo parasitics — buffers do
 			// not survive the transfer in the reference flows either.
 			do("pseudo-"+StageOpt, func() error {
-				if err := f.extract(nil); err != nil {
+				if err := f.extract(); err != nil {
 					return err
 				}
 				_, err := f.optimize(opt.Options{BufferElmore: 1e12, SelfCheck: f.cfg.SelfCheck}, nil)
@@ -275,13 +275,11 @@ func (f *flow) backEnd(budget opt.Options) []stage {
 	budget.SelfCheck = budget.SelfCheck || f.cfg.SelfCheck
 
 	list := []stage{
-		do(StageCTS, f.clockTree),
+		do(StageCTS, func() error { return f.clockTree(f.namedClock()) }),
 		region(func() checkpoint { return routeCheckpoint(f.st, f.material(), f.newDB) },
 			do(StageRoute, f.route)),
-		region(func() checkpoint {
-			return signoffCheckpoint(f.runner, f.st, f.t, signoffMaterial(budget), &f.resized, &f.buffers)
-		},
-			do(StageExtract, func() error { return f.extract(f.obs()) }),
+		region(func() checkpoint { return f.signoffCheckpoint(signoffMaterial(budget)) },
+			do(StageExtract, f.extract),
 			do(StageOpt, func() error {
 				res, err := f.optimize(budget, f.obs())
 				if err != nil {
@@ -292,7 +290,11 @@ func (f *flow) backEnd(budget opt.Options) []stage {
 				f.st.Routes.Recount(f.st.DB)
 				return nil
 			})),
-		do(StageSTA, f.holdSTA),
+		// Hold sign-off on the final state.
+		do(StageSTA, func() (err error) {
+			f.hold, err = f.sta(f.st.Report.MinPeriod, true)
+			return err
+		}),
 		do(StagePower, f.power),
 	}
 	if !f.cfg.Verify {
@@ -313,15 +315,23 @@ func (f *flow) backEnd(budget opt.Options) []stage {
 	return append(list, do(StageVerify, func() error { return f.verify(bumps) }))
 }
 
-// clockTree synthesizes the clock tree for the placed design.
-func (f *flow) clockTree() error {
+// clockTree synthesizes the clock tree of clk, driven from src.
+func (f *flow) clockTree(clk *netlist.Net, src geom.Point) error {
+	st, d := f.st, f.st.Design
+	st.Tree = cts.Build(d, clk, src, d.Lib, st.Beol, cts.Options{})
+	return nil
+}
+
+// namedClock is the clock of a generated or composed design, found by
+// name: the "clk" net, driven from the clk_i port, or from the middle of
+// the die's left edge without one.
+func (f *flow) namedClock() (*netlist.Net, geom.Point) {
 	st, d := f.st, f.st.Design
 	src := geom.Pt(st.Die.Lx, st.Die.Center().Y)
 	if p := d.Port("clk_i"); p != nil {
 		src = p.Loc
 	}
-	st.Tree = cts.Build(d, d.Net("clk"), src, d.Lib, st.Beol, cts.Options{})
-	return nil
+	return d.Net("clk"), src
 }
 
 // newDB builds the empty routing database of f.st, on the route stage
@@ -337,22 +347,29 @@ func (f *flow) route() error {
 	return err
 }
 
-// extract runs slow-corner extraction and opens the design database on
-// it. sp is the span the database reports under, nil for the pseudo
-// design.
-func (f *flow) extract(sp *obs.Span) error {
-	st, slow := f.st, f.t.CornerScaleFor(tech.CornerSlow)
-	st.ExSlow = extract.Extract(st.Design, st.Routes, st.DB, slow)
-	if err := st.ExSlow.CheckFinite(); err != nil {
-		return err
-	}
-	st.DDB = ddb.New(st.Design, st.DB, st.Routes, st.ExSlow, slow)
+// extract is slow-corner extraction, the parasitics timing is signed off
+// on. Non-finite parasitics fail the stage.
+func (f *flow) extract() error {
+	f.st.ExSlow = f.extractAt(tech.CornerSlow)
+	return f.st.ExSlow.CheckFinite()
+}
+
+func (f *flow) extractAt(c tech.Corner) *extract.Design {
+	st := f.st
+	return extract.Extract(st.Design, st.Routes, st.DB, f.t.CornerScaleFor(c))
+}
+
+// openDDB opens the design database on the slow-corner extraction; sp is
+// the span it reports under, nil for the pseudo design.
+func (f *flow) openDDB(sp *obs.Span) {
+	st := f.st
+	st.DDB = ddb.New(st.Design, st.DB, st.Routes, st.ExSlow, f.t.CornerScaleFor(tech.CornerSlow))
 	st.DDB.AttachObs(sp)
-	return nil
 }
 
 func (f *flow) optimize(budget opt.Options, sp *obs.Span) (*opt.Result, error) {
 	st := f.st
+	f.openDDB(sp)
 	res, err := opt.Optimize(&opt.Context{
 		Clock: st.Tree,
 		FP:    st.FP, RowHeight: f.t.RowHeight,
@@ -365,38 +382,45 @@ func (f *flow) optimize(budget opt.Options, sp *obs.Span) (*opt.Result, error) {
 	return res, nil
 }
 
-// holdSTA is hold sign-off on the final state.
-func (f *flow) holdSTA() error {
+// sta is full static timing of f.st at the slow corner against period,
+// with the hold check when hold is set.
+func (f *flow) sta(period float64, hold bool) (*sta.Report, error) {
 	st := f.st
-	var err error
-	f.hold, err = sta.Analyze(st.Design, st.ExSlow, st.Report.MinPeriod, sta.Options{
-		Corner: f.t.CornerScaleFor(tech.CornerSlow), Clock: st.Tree, CheckHold: true, Obs: f.obs(),
+	return sta.Analyze(st.Design, st.ExSlow, period, sta.Options{
+		Corner: f.t.CornerScaleFor(tech.CornerSlow), Clock: st.Tree, CheckHold: hold, Obs: f.obs(),
 	})
-	if err != nil {
-		return fmt.Errorf("%s: hold sign-off: %w", st.Design.Name, err)
+}
+
+// powerAt is typical-corner power of f.st at fclk MHz, and the extraction
+// it is computed on. Non-finite results fail the stage instead of
+// propagating into the tables.
+func (f *flow) powerAt(fclk float64) (*power.Report, *extract.Design, error) {
+	st := f.st
+	ex := f.extractAt(tech.CornerTypical)
+	if err := ex.CheckFinite(); err != nil {
+		return nil, nil, err
 	}
-	return nil
+	pw := power.Analyze(st.Design, ex, st.Tree, fclk, power.Options{Corner: f.t.CornerScaleFor(tech.CornerTypical)})
+	vals := [...]float64{pw.EnergyPerCycleFJ, pw.PowerUW(fclk), pw.LeakageUW}
+	for i, name := range [...]string{"energy/cycle", "power", "leakage"} {
+		if v := vals[i]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, nil, fmt.Errorf("power: non-finite %s (%v)", name, v)
+		}
+	}
+	return pw, ex, nil
 }
 
 // power is typical-corner power at the achieved frequency (or the
-// target, for iso-performance runs), and the PPA row. Non-finite results
-// fail the run instead of propagating into the tables.
+// target, for iso-performance runs), and the PPA row.
 func (f *flow) power() error {
-	st, typ := f.st, f.t.CornerScaleFor(tech.CornerTypical)
-	exTyp := extract.Extract(st.Design, st.Routes, st.DB, typ)
-	if err := exTyp.CheckFinite(); err != nil {
-		return err
-	}
+	st := f.st
 	fclk := 1e6 / st.Report.MinPeriod
 	if f.cfg.TargetPeriod > 0 {
 		fclk = 1e6 / f.cfg.TargetPeriod
 	}
-	pw := power.Analyze(st.Design, exTyp, st.Tree, fclk, power.Options{Corner: typ})
-	vals := [...]float64{pw.EnergyPerCycleFJ, pw.PowerUW(fclk), pw.LeakageUW}
-	for i, name := range [...]string{"energy/cycle", "power", "leakage"} {
-		if v := vals[i]; math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("power: non-finite %s (%v)", name, v)
-		}
+	pw, exTyp, err := f.powerAt(fclk)
+	if err != nil {
+		return err
 	}
 
 	metals := f.cfg.LogicMetals

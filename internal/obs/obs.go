@@ -161,14 +161,12 @@ func attrMap(attrs []Attr) map[string]any {
 	return m
 }
 
-// Span is one timed node of the hierarchical trace. Spans always
-// measure wall time — StartSpan on a nil Recorder returns a real,
-// unrecorded span, which is how the flow runner derives RunReport
-// durations whether or not observability is on. Allocation deltas and
-// event emission happen only when a live Recorder backs the span.
-//
-// A nil *Span is valid everywhere (Child returns nil, End is a no-op)
-// so engines instrumented with an optional span need no guards.
+// Span is one timed node of the hierarchical trace, backed by a live
+// Recorder: it measures wall time and the heap-allocation delta and
+// emits its open and close events. A disabled Recorder hands out no
+// spans — StartSpan on a nil Recorder returns nil — and a nil *Span is
+// valid everywhere (Child returns nil, End is a no-op), so engines
+// instrumented with an optional span need no guards.
 type Span struct {
 	rec    *Recorder
 	id     int64
@@ -179,21 +177,15 @@ type Span struct {
 
 	mu    sync.Mutex
 	attrs []Attr
-	dur   time.Duration
 	ended bool
 }
 
-// StartSpan opens a root span. Valid on a nil Recorder: the returned
-// span still measures duration but records nothing.
+// StartSpan opens a root span; nil on a nil Recorder.
 func (r *Recorder) StartSpan(name string, attrs ...Attr) *Span {
-	sp := &Span{name: name, start: time.Now(), attrs: attrs}
-	if r != nil {
-		sp.rec = r
-		sp.id = r.nextID.Add(1)
-		sp.alloc0 = heapAllocs()
-		r.emit(event{Ev: "span_open", Span: sp.name, ID: sp.id})
+	if r == nil {
+		return nil
 	}
-	return sp
+	return r.open(name, 0, attrs)
 }
 
 // Child opens a sub-span whose name extends the parent's slash path
@@ -202,12 +194,12 @@ func (s *Span) Child(name string, attrs ...Attr) *Span {
 	if s == nil {
 		return nil
 	}
-	sp := &Span{rec: s.rec, parent: s.id, name: s.name + "/" + name, start: time.Now(), attrs: attrs}
-	if s.rec != nil {
-		sp.id = s.rec.nextID.Add(1)
-		sp.alloc0 = heapAllocs()
-		s.rec.emit(event{Ev: "span_open", Span: sp.name, ID: sp.id, Parent: s.id})
-	}
+	return s.rec.open(s.name+"/"+name, s.id, attrs)
+}
+
+func (r *Recorder) open(name string, parent int64, attrs []Attr) *Span {
+	sp := &Span{rec: r, id: r.nextID.Add(1), parent: parent, name: name, start: time.Now(), attrs: attrs, alloc0: heapAllocs()}
+	r.emit(event{Ev: "span_open", Span: name, ID: sp.id, Parent: parent})
 	return sp
 }
 
@@ -236,53 +228,24 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	s.dur = time.Since(s.start)
-	dur := s.dur
+	dur := time.Since(s.start)
 	attrs := attrMap(s.attrs)
 	s.mu.Unlock()
-	if s.rec != nil {
-		alloc := heapAllocs() - s.alloc0
-		s.rec.emit(event{
-			Ev: "span_close", Span: s.name, ID: s.id, Parent: s.parent,
-			DurNS: dur.Nanoseconds(), AllocBytes: alloc, Attrs: attrs,
-		})
-	}
-}
-
-// Duration returns the measured wall time: the final duration after
-// End, the running time before.
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ended {
-		return s.dur
-	}
-	return time.Since(s.start)
-}
-
-// Name returns the span's full slash path ("" for a nil span).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
-// Recorder returns the backing Recorder (nil when unrecorded).
-func (s *Span) Recorder() *Recorder {
-	if s == nil {
-		return nil
-	}
-	return s.rec
+	s.rec.emit(event{
+		Ev: "span_close", Span: s.name, ID: s.id, Parent: s.parent,
+		DurNS: dur.Nanoseconds(), AllocBytes: heapAllocs() - s.alloc0, Attrs: attrs,
+	})
 }
 
 // Reg returns the backing Recorder's registry; nil (and still safe to
-// use) when the span is nil or unrecorded. Engines hoist
-// sp.Reg().Counter(...) handles out of their hot loops.
-func (s *Span) Reg() *Registry { return s.Recorder().Registry() }
+// use) when the span is nil. Engines hoist sp.Reg().Counter(...)
+// handles out of their hot loops.
+func (s *Span) Reg() *Registry {
+	if s == nil {
+		return nil
+	}
+	return s.rec.reg
+}
 
 // heapAllocs reads the cumulative heap allocation counter via
 // runtime/metrics (cheap; no stop-the-world).

@@ -13,9 +13,10 @@
 package route
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
@@ -322,15 +323,18 @@ func NewDB(die geom.Rect, beol *tech.BEOL, blk []floorplan.RouteBlockage, opt Op
 	// routing through the other die when it is cheaper (the F2F bump is
 	// nearly free at 44 mΩ / 1 fF). Every pair is ranked by
 	// |pairLevel − preferred| (stable, so ties keep lowest-first) and the
-	// best three are candidates; cost decides among them.
+	// best three are candidates; cost decides among them. The four
+	// rankings share one array.
+	pairs := db.hvPairs()
+	n, m := len(pairs), min(len(pairs), 3)
+	ranked := make([][2]int, 4*n)
 	for k, pref := range [4]int{0, 2, beol.LogicDieLayers() - 1, db.f2fIdx + 1} {
-		pairs := db.hvPairs()
-		sort.SliceStable(pairs, func(i, j int) bool {
-			di := geom.AbsInt((pairs[i][0]+pairs[i][1])/2 - pref)
-			dj := geom.AbsInt((pairs[j][0]+pairs[j][1])/2 - pref)
-			return di < dj
+		r := ranked[k*n : (k+1)*n]
+		copy(r, pairs)
+		slices.SortStableFunc(r, func(p, q [2]int) int {
+			return cmp.Compare(geom.AbsInt((p[0]+p[1])/2-pref), geom.AbsInt((q[0]+q[1])/2-pref))
 		})
-		db.patternPairs[k] = pairs[:min(len(pairs), 3)]
+		db.patternPairs[k] = r[:m:m]
 	}
 	// F2F bump capacity per gcell from the bump pitch.
 	if db.f2fIdx >= 0 {
