@@ -37,18 +37,21 @@ race:
 	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/ ./internal/stash/ ./internal/serve/ ./internal/extract/ ./internal/sta/ ./internal/slab/ ./internal/netlist/ ./internal/piton/ ./internal/cell/
 	$(GO) test -race -timeout 30m ./internal/flows/ ./internal/ddb/ ./internal/opt/ ./internal/place/ ./internal/route/
 
-## fuzz: ten seconds each of FuzzDecodeResult and FuzzDecodeAbstract —
-## the routing-result decoder and the harden cache's abstract decoder on
-## arbitrary bytes: no panic, no allocation sized by a corrupt count, and
-## whatever decodes re-encodes to the same bytes. `go test` runs only
-## their seed corpora (a good encoding each, TestDecodeResultCorrupt's
-## table, the abstract decoder's two count bombs). The engine minimizes
-## every input that reaches new code, an execution per byte and 60 s by
+## fuzz: ten seconds each of FuzzDecodeResult, FuzzDecodeAbstract and
+## FuzzDecodeSignoff — the routing-result decoder, the harden cache's
+## abstract decoder and the signoff snapshot's net and timing-report
+## decoders on arbitrary bytes: no panic, no allocation sized by a
+## corrupt count, and whatever decodes re-encodes to the same bytes. `go
+## test` runs only their seed corpora (a good encoding each,
+## TestDecodeResultCorrupt's table, the abstract decoder's two count
+## bombs, the signoff tail's truncations). The engine minimizes every
+## input that reaches new code, an execution per byte and 60 s by
 ## default: capped at 1 s so the ten seconds mutate. A failing input is
 ## written to internal/flows/testdata/fuzz/ — commit it.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAbstract$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSignoff$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
 
 ## equiv: just the parallel-vs-serial equivalence proof — every flow at
 ## -j 1 / 4 / 0 must produce an identical PPA, run under the race
@@ -118,13 +121,16 @@ faults:
 ## (ResultCodec encode/decode of the small Macro-3D tile's routing
 ## result) and the whole-design sign-off kernels on the signed-off small
 ## tile and its flat 4×4 array (CTSBuild tile/array4x4, AnalyzeArray4x4:
-## one full sta.Analyze), all three in internal/flows — with B/op and
-## allocs/op, recorded as machine-readable BENCH_opt.json. It ends by
+## one full sta.Analyze), all three in internal/flows — and the maze A*
+## kernel in internal/route (MazeRoute: 64 windowed searches on a
+## congested grid with no negotiation history, 0 allocs/op) — with B/op
+## and allocs/op, recorded as machine-readable BENCH_opt.json. It ends by
 ## comparing the new file with the one it replaces, benchmark by
-## benchmark (time/op, allocs/op), failing on a regression that is not
-## noise.
+## benchmark (time/op; allocs/op beyond max(2, 0.1 %) of the old count,
+## the runtime's own jitter at -benchtime 1x), failing on a regression
+## that is not noise.
 bench:
-	$(GO) test -bench 'TableII|Optimize|EngineUpdateTopo|TxnReroute|NewFreeSpace|Legalize|Generate|Abut4x4|ResultCodec|CTSBuild|AnalyzeArray4x4' -benchmem -count 5 -benchtime 1x -run '^$$' . ./internal/flows ./internal/place | $(GO) run ./cmd/benchjson -o BENCH_opt.new.json
+	$(GO) test -bench 'TableII|Optimize|EngineUpdateTopo|TxnReroute|NewFreeSpace|Legalize|Generate|Abut4x4|ResultCodec|CTSBuild|AnalyzeArray4x4|MazeRoute' -benchmem -count 5 -benchtime 1x -run '^$$' . ./internal/flows ./internal/place ./internal/route | $(GO) run ./cmd/benchjson -o BENCH_opt.new.json
 	cat BENCH_opt.new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_opt.json BENCH_opt.new.json; s=$$?; mv BENCH_opt.new.json BENCH_opt.json; exit $$s
 

@@ -219,14 +219,16 @@ func TestCompareRows(t *testing.T) {
 }
 
 // TestCompareKernels: two kernel-benchmark summaries compare benchmark
-// by benchmark on time/op with pair's noise verdict and on allocs/op
-// exactly; only a slower mean outside the noise band or a higher
-// allocation count is a regression, and a benchmark in one file only is
-// named, not judged. The summaries go through JSON, as the files do.
+// by benchmark on time/op with pair's noise verdict and on allocs/op;
+// only a slower mean outside the noise band or an allocation count up by
+// more than max(2, 0.1 %) is a regression — a runtime object more at
+// -benchtime 1x is not, twenty more on a thousand are — and a benchmark
+// in one file only is named, not judged. The summaries go through JSON,
+// as the files do.
 func TestCompareKernels(t *testing.T) {
 	sum := func(es map[string]*entry) *summary {
 		var s summary
-		for _, name := range []string{"Kernel", "Wobbly", "Slower", "Leaky", "Gone", "New"} {
+		for _, name := range []string{"Kernel", "Wobbly", "Slower", "Leaky", "Jitter", "Gone", "New"} {
 			if e := es[name]; e != nil {
 				e.Name = "Benchmark" + name
 				s.Benchmarks = append(s.Benchmarks, e)
@@ -250,14 +252,16 @@ func TestCompareKernels(t *testing.T) {
 		"Kernel": allocs(ent(1120, 1125, 1118, 1122, 1121), 0),
 		"Wobbly": ent(900, 1100, 1000, 950, 1050),
 		"Slower": ent(500, 502, 501, 499, 500),
-		"Leaky":  allocs(ent(300, 301, 299, 300, 300), 3),
+		"Leaky":  allocs(ent(300, 301, 299, 300, 300), 1000),
+		"Jitter": allocs(ent(300, 301, 299, 300, 300), 80752),
 		"Gone":   ent(10, 11),
 	})
 	new := sum(map[string]*entry{
-		"Kernel": allocs(ent(520, 522, 519, 521, 520), 0), // ×0.46, clear of the noise
-		"Wobbly": ent(950, 1150, 1050, 1000, 1100),        // +5 %, inside it
-		"Slower": ent(550, 552, 551, 549, 550),            // +10 %, clear of it
-		"Leaky":  allocs(ent(290, 291, 289, 290, 290), 4), // faster, one more object an op
+		"Kernel": allocs(ent(520, 522, 519, 521, 520), 0),     // ×0.46, clear of the noise
+		"Wobbly": ent(950, 1150, 1050, 1000, 1100),            // +5 %, inside it
+		"Slower": ent(550, 552, 551, 549, 550),                // +10 %, clear of it
+		"Leaky":  allocs(ent(290, 291, 289, 290, 290), 1020),  // faster, 2 % more objects an op
+		"Jitter": allocs(ent(300, 301, 299, 300, 300), 80753), // one runtime object more
 		"New":    ent(7, 8),
 	})
 	var out strings.Builder
@@ -266,7 +270,8 @@ func TestCompareKernels(t *testing.T) {
 	}
 	for name, verdict := range map[string]string{
 		"BenchmarkKernel": "faster", "BenchmarkWobbly": "noise", "BenchmarkSlower": "SLOWER",
-		"BenchmarkLeaky": "MORE ALLOCS", "BenchmarkGone": "only in the old file", "BenchmarkNew": "only in the new file",
+		"BenchmarkLeaky": "MORE ALLOCS", "BenchmarkJitter": "noise",
+		"BenchmarkGone": "only in the old file", "BenchmarkNew": "only in the new file",
 	} {
 		found := false
 		for _, line := range strings.Split(out.String(), "\n") {

@@ -20,28 +20,36 @@ import (
 	"macro3d/internal/tech"
 )
 
-// NetRC is the extracted view of one net.
+// NetRC is the extracted view of one net: an RC tree reduced to what
+// timing and power read. Its net is its index in Design.Nets.
 type NetRC struct {
-	Net *netlist.Net
-
 	WireC float64 // fF
 	WireR float64 // kΩ (total, for reporting)
 	PinC  float64 // fF (sink pins + port loads)
 
-	// ElmoreTo[i] is the wire Elmore delay from the driver to
-	// Net.Sinks[i], ps.
+	// ElmoreTo[i] is the wire Elmore delay from the driver to the net's
+	// Sinks[i], ps.
 	ElmoreTo []float64
 }
 
 // CTotal is the total load the driver sees at DC.
 func (n *NetRC) CTotal() float64 { return n.WireC + n.PinC }
 
-// Design aggregates extraction over all routed nets.
+// Design aggregates extraction over all routed nets of a netlist design.
 type Design struct {
 	Nets []*NetRC // indexed by net ID; nil for clock/unrouted nets
 
 	CWireTotal float64 // fF
 	CPinTotal  float64 // fF
+
+	// Corner is the corner the records were extracted at.
+	Corner tech.CornerScale
+
+	nl *netlist.Design // the design Nets is indexed by, for net names
+
+	// borrows is set when some records belong to another extraction
+	// (Source): they are read-only here, so Reextract refuses the design.
+	borrows bool
 
 	// What Reextract cannot rewrite in place comes from these: the
 	// record of a net that had none, an Elmore vector longer than the
@@ -50,31 +58,67 @@ type Design struct {
 	ecoElmore slab.Slab[float64]
 }
 
-// Extract builds RC trees for every routed net at the given corner.
+// Source lends a tile's extraction to a flat array of the tile's copies.
+// Copy c of tile net t is net NetID[c*len(tile nets)+t] of the array, or
+// has none (-1), as in piton.Array.NetID. A copy whose route is the tile
+// net's own record (route.Result.Place) is the tile net's RC tree: the
+// same segments, and — as the route's pin nodes already assume — the
+// same sinks in the same order on the same masters. Extract stores the
+// tile's record itself under such a copy instead of extracting it again,
+// when Ex was extracted at the corner asked for.
+type Source struct {
+	Ex     *Design       // the tile's Extract result, owner of every lent record
+	Routes *route.Result // the tile's routes Ex was extracted from
+	NetID  []int32
+}
+
+// lend stores under each net of out the record s lends it for routes
+// res at corner, and reports whether it lent any.
+func (out *Design) lend(s Source, res *route.Result, corner tech.CornerScale) bool {
+	if s.Ex.Corner != corner {
+		return false
+	}
+	tile, lent := len(s.Ex.nl.Nets), false
+	for k, id := range s.NetID {
+		t := k % tile
+		if id >= 0 && t < len(s.Routes.Routes) && t < len(s.Ex.Nets) && s.Ex.Nets[t] != nil &&
+			res.Routes[id] == s.Routes.Routes[t] {
+			out.Nets[id], lent = s.Ex.Nets[t], true
+		}
+	}
+	return lent
+}
+
+// Extract builds RC trees for every routed net at the given corner. A
+// net a source lends a record to (Source) shares that record instead.
 // Nets are independent, so with more than one available CPU the trees
 // are built across workers; the capacitance totals are then reduced
 // sequentially in net-ID order, which keeps every float result
-// bit-identical to the serial pass.
+// bit-identical to the serial pass — and, lent records included, to an
+// extraction without sources.
 //
-// The full pass owns its records: each worker carves the NetRCs and
-// Elmore vectors of its net-ID chunk from one []NetRC and one []float64
-// sized by a count over the chunk, instead of two heap objects per net.
-// Reextract later rewrites those records where they lie. The arrays are
-// allocated here, before the chunk's worker starts: they are the pass's
-// large allocations, so a collection they trigger begins with no worker
-// running. A worker preempted for the stack scan within its first
-// microseconds has a frame of whatever its recycled stack last held,
-// which is scanned conservatively — on back-to-back flat verifications
-// that kept the whole previous array alive through the cycle and doubled
-// the heap goal (DESIGN.md §18).
-func Extract(d *netlist.Design, res *route.Result, db *route.DB, corner tech.CornerScale) *Design {
-	out := &Design{Nets: make([]*NetRC, len(d.Nets))}
+// The full pass owns the records it extracts: each worker carves the
+// NetRCs and Elmore vectors of its net-ID chunk from one []NetRC and one
+// []float64 sized by a count over the chunk's unlent nets, instead of
+// two heap objects per net. Reextract later rewrites those records where
+// they lie. The arrays are allocated here, before the chunk's worker
+// starts: they are the pass's large allocations, so a collection they
+// trigger begins with no worker running. A worker preempted for the
+// stack scan within its first microseconds has a frame of whatever its
+// recycled stack last held, which is scanned conservatively — on
+// back-to-back flat verifications that kept the whole previous array
+// alive through the cycle and doubled the heap goal (DESIGN.md §18).
+func Extract(d *netlist.Design, res *route.Result, db *route.DB, corner tech.CornerScale, from ...Source) *Design {
+	out := &Design{Nets: make([]*NetRC, len(d.Nets)), Corner: corner, nl: d}
+	for _, s := range from {
+		out.borrows = out.lend(s, res, corner) || out.borrows
+	}
 	if workers := runtime.GOMAXPROCS(0); workers > 1 && len(d.Nets) >= 256 {
 		var wg sync.WaitGroup
 		chunk := (len(d.Nets) + workers - 1) / workers
 		for lo := 0; lo < len(d.Nets); lo += chunk {
 			nets := d.Nets[lo:min(lo+chunk, len(d.Nets))]
-			recs, elmore := chunkRecords(nets, res)
+			recs, elmore := out.chunkRecords(nets, res)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -83,7 +127,7 @@ func Extract(d *netlist.Design, res *route.Result, db *route.DB, corner tech.Cor
 		}
 		wg.Wait()
 	} else {
-		recs, elmore := chunkRecords(d.Nets, res)
+		recs, elmore := out.chunkRecords(d.Nets, res)
 		out.extractChunk(d.Nets, res, db, corner, recs, elmore)
 	}
 	for _, rc := range out.Nets {
@@ -95,12 +139,17 @@ func Extract(d *netlist.Design, res *route.Result, db *route.DB, corner tech.Cor
 	return out
 }
 
+// toExtract reports whether net id is routed and lent no record.
+func (out *Design) toExtract(id int, res *route.Result) bool {
+	return res.Routes[id] != nil && out.Nets[id] == nil
+}
+
 // chunkRecords returns the record arrays of one net-ID chunk: a NetRC per
-// routed net and an Elmore entry per sink of one.
-func chunkRecords(nets []*netlist.Net, res *route.Result) ([]NetRC, []float64) {
+// net to extract and an Elmore entry per sink of one.
+func (out *Design) chunkRecords(nets []*netlist.Net, res *route.Result) ([]NetRC, []float64) {
 	routed, sinks := 0, 0
 	for _, n := range nets {
-		if res.Routes[n.ID] != nil {
+		if out.toExtract(n.ID, res) {
 			routed++
 			sinks += len(n.Sinks)
 		}
@@ -108,22 +157,21 @@ func chunkRecords(nets []*netlist.Net, res *route.Result) ([]NetRC, []float64) {
 	return make([]NetRC, routed), make([]float64, sinks)
 }
 
-// extractChunk extracts the routed nets of one contiguous net-ID chunk
-// into out.Nets, with its own scratch and the chunk's record arrays;
-// chunks write disjoint entries, so they run concurrently.
+// extractChunk extracts the nets of one contiguous net-ID chunk into
+// out.Nets, with its own scratch and the chunk's record arrays; chunks
+// write disjoint entries, so they run concurrently.
 func (out *Design) extractChunk(nets []*netlist.Net, res *route.Result, db *route.DB, corner tech.CornerScale, recs []NetRC, elmore []float64) {
 	var s Scratch
 	for _, n := range nets {
-		r := res.Routes[n.ID]
-		if r == nil {
+		if !out.toExtract(n.ID, res) {
 			continue
 		}
 		rc := &recs[0]
 		recs = recs[1:]
 		k := len(n.Sinks)
-		rc.Net, rc.ElmoreTo = n, elmore[:k:k]
+		rc.ElmoreTo = elmore[:k:k]
 		elmore = elmore[k:]
-		s.extractNet(rc, r, db, corner)
+		s.extractNet(rc, n, res.Routes[n.ID], db, corner)
 		out.Nets[n.ID] = rc
 	}
 }
@@ -134,8 +182,13 @@ func (out *Design) extractChunk(nets []*netlist.Net, res *route.Result, db *rout
 // where it lies — a caller that may undo the edit copies it first
 // (ddb.Txn.Reroute) — with its Elmore vector when that has room for the
 // net's sinks; a net without a record gets one from the design's ECO
-// slab. At steady state it allocates nothing.
+// slab. At steady state it allocates nothing. A design holding lent
+// records (Source) is a sign-off view, never edited: Reextract panics on
+// one.
 func (d *Design) Reextract(s *Scratch, n *netlist.Net, r *route.NetRoute, db *route.DB, corner tech.CornerScale) *NetRC {
+	if d.borrows {
+		panic(fmt.Sprintf("extract: Reextract of net %s in an extraction holding lent records", n.Name))
+	}
 	for n.ID >= len(d.Nets) {
 		d.Nets = append(d.Nets, nil)
 	}
@@ -146,8 +199,8 @@ func (d *Design) Reextract(s *Scratch, n *netlist.Net, r *route.NetRoute, db *ro
 	}
 	d.CWireTotal -= rc.WireC
 	d.CPinTotal -= rc.PinC
-	*rc = NetRC{Net: n, ElmoreTo: d.ecoElmore.Fit(rc.ElmoreTo, len(n.Sinks))}
-	s.extractNet(rc, r, db, corner)
+	*rc = NetRC{ElmoreTo: d.ecoElmore.Fit(rc.ElmoreTo, len(n.Sinks))}
+	s.extractNet(rc, n, r, db, corner)
 	d.CWireTotal += rc.WireC
 	d.CPinTotal += rc.PinC
 	return rc
@@ -178,33 +231,49 @@ func (d *Design) Restore(netID int, rc *NetRC, was NetRC) {
 // Flows run it after every extraction so non-finite values become
 // stage failures instead of NaN rows in the PPA tables.
 func (d *Design) CheckFinite() error {
-	bad := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
-	for _, rc := range d.Nets {
-		if rc == nil {
-			continue
-		}
-		name := "?"
-		if rc.Net != nil {
-			name = rc.Net.Name
-		}
-		switch {
-		case bad(rc.WireC):
-			return fmt.Errorf("extract: non-finite wire capacitance %v on net %s", rc.WireC, name)
-		case bad(rc.WireR):
-			return fmt.Errorf("extract: non-finite wire resistance %v on net %s", rc.WireR, name)
-		case bad(rc.PinC):
-			return fmt.Errorf("extract: non-finite pin capacitance %v on net %s", rc.PinC, name)
-		}
-		for i, el := range rc.ElmoreTo {
-			if bad(el) {
-				return fmt.Errorf("extract: non-finite Elmore delay %v to sink %d of net %s", el, i, name)
-			}
+	for id := range d.Nets {
+		if err := d.CheckNet(id); err != nil {
+			return err
 		}
 	}
 	if bad(d.CWireTotal) || bad(d.CPinTotal) {
 		return fmt.Errorf("extract: non-finite capacitance totals (wire %v, pin %v)", d.CWireTotal, d.CPinTotal)
 	}
 	return nil
+}
+
+// CheckNet is CheckFinite for net id alone, the check of an incremental
+// update; a net without a record passes.
+func (d *Design) CheckNet(id int) error {
+	rc := d.Nets[id]
+	if rc == nil {
+		return nil
+	}
+	switch {
+	case bad(rc.WireC):
+		return fmt.Errorf("extract: non-finite wire capacitance %v on net %s", rc.WireC, d.netName(id))
+	case bad(rc.WireR):
+		return fmt.Errorf("extract: non-finite wire resistance %v on net %s", rc.WireR, d.netName(id))
+	case bad(rc.PinC):
+		return fmt.Errorf("extract: non-finite pin capacitance %v on net %s", rc.PinC, d.netName(id))
+	}
+	for i, el := range rc.ElmoreTo {
+		if bad(el) {
+			return fmt.Errorf("extract: non-finite Elmore delay %v to sink %d of net %s", el, i, d.netName(id))
+		}
+	}
+	return nil
+}
+
+func bad(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+
+// netName names net id from the design, or by its ID in an extraction
+// built by Reextract alone.
+func (d *Design) netName(id int) string {
+	if d.nl != nil && id < len(d.nl.Nets) {
+		return d.nl.Nets[id].Name
+	}
+	return fmt.Sprintf("#%d", id)
 }
 
 // Scratch is the reusable working state of one net's extraction: the
@@ -287,14 +356,13 @@ func (s *Scratch) id(n route.Node) int32 {
 	}
 }
 
-// extractNet builds the RC tree of rc.Net into rc — zero but for Net and
-// an ElmoreTo sized one entry per sink — and runs Elmore. Every
+// extractNet builds the RC tree of net n routed as r into rc — zero but
+// for an ElmoreTo sized one entry per sink — and runs Elmore. Every
 // accumulation — per-node capacitance in segment then pin order,
 // adjacency in edge insertion order, BFS from the driver with the
 // first-found parent winning, downstream sums in reverse BFS order —
 // keeps one fixed sequence, so the floats are reproducible bit for bit.
-func (s *Scratch) extractNet(rc *NetRC, r *route.NetRoute, db *route.DB, corner tech.CornerScale) {
-	n := rc.Net
+func (s *Scratch) extractNet(rc *NetRC, n *netlist.Net, r *route.NetRoute, db *route.DB, corner tech.CornerScale) {
 	nseg := len(r.Segments)
 	s.reset(2*nseg + n.NumPins())
 	s.segA, s.segB, s.segR = grow(s.segA, nseg), grow(s.segB, nseg), grow(s.segR, nseg)

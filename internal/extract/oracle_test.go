@@ -22,7 +22,7 @@ func extractNetOracle(n *netlist.Net, r *route.NetRoute, db *route.DB, corner te
 		to eNode
 		r  float64
 	}
-	rc := &NetRC{Net: n, ElmoreTo: make([]float64, len(n.Sinks))}
+	rc := &NetRC{ElmoreTo: make([]float64, len(n.Sinks))}
 
 	adj := make(map[eNode][]eEdge)
 	capAt := make(map[eNode]float64)
@@ -171,7 +171,7 @@ func randomNet(rng *geom.RNG, d *netlist.Design, db *route.DB, id int) (*netlist
 }
 
 func equalRC(a, b *NetRC) bool {
-	if a.Net != b.Net || a.WireC != b.WireC || a.WireR != b.WireR || a.PinC != b.PinC ||
+	if a.WireC != b.WireC || a.WireR != b.WireR || a.PinC != b.PinC ||
 		len(a.ElmoreTo) != len(b.ElmoreTo) {
 		return false
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"macro3d/internal/extract"
 	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
@@ -36,7 +37,9 @@ type ArrayReport struct {
 // connected without additional routing"); only the stitched abutment
 // nets are new, and they are pin-to-pin touches at shared coordinates.
 // The flat array then gets a fresh clock tree and full STA: the stage
-// list compose → route → cts → extract → sta.
+// list compose → route → cts → extract → sta. As a copy's route is the
+// tile's own record, so is its RC tree: extraction shares the tile's
+// slow-corner records and extracts the stitched nets alone.
 func VerifyTileArray(cfg Config, st *State, t *tech.Tech, nx, ny int) (*ArrayReport, error) {
 	return verifyArray(cfg, st, t, func() (*piton.Array, error) { return piton.AbutArray(st.Tile, st.Die, nx, ny) })
 }
@@ -53,6 +56,7 @@ func verifyArray(cfg Config, tile *State, t *tech.Tech, abut func() (*piton.Arra
 			arr, err = abut()
 			if err == nil {
 				f.st.Design, f.st.Die = arr.Design, arr.Die
+				f.lend = []extract.Source{{Ex: tile.ExSlow, Routes: tile.Routes, NetID: arr.NetID}}
 			}
 			return err
 		}),

@@ -76,11 +76,12 @@ func TestVerifyArrayRejectsLostNet(t *testing.T) {
 
 // TestVerifyTileArrayBytes bounds what a flat verification allocates per
 // array instance, on the tiny tile 2×2. The budget is the measured figure
-// (828 B: the design, the routing grid, extraction records, the timing
-// graph — and no routes but the stitched nets', the tile's being placed,
-// not copied) with an eighth of headroom — a per-level, per-pass or
-// per-copy copy of anything sized by the design costs more than that
-// (the per-copy routes this replaced: 1.04 kB).
+// (694 B: the design, the routing grid without a history plane, the
+// timing graph — and no routes or RC records but the stitched nets', the
+// tile's being shared, not copied) with a tenth of headroom — a
+// per-level, per-pass or per-copy copy of anything sized by the design
+// costs more than that (with per-copy RC records and an idle history
+// plane it was 828 B; with per-copy routes as well, 1.04 kB).
 func TestVerifyTileArrayBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations are not the flow's")
@@ -101,7 +102,7 @@ func TestVerifyTileArrayBytes(t *testing.T) {
 	perInst := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(len(rep.Design.Instances))
 	t.Logf("flat verify 2×2: %d instances, %.0f B per instance, %d objects",
 		len(rep.Design.Instances), perInst, m1.Mallocs-m0.Mallocs)
-	const budget = 930
+	const budget = 763
 	if perInst > budget {
 		t.Fatalf("flat verification allocates %.0f B per array instance, budget %d", perInst, budget)
 	}
@@ -234,10 +235,11 @@ func TestArrayPlacedShapes(t *testing.T) {
 
 // TestVerifyTileArrayReadsTileOnly: a hardened tile is shared — `serve`
 // hands one State to every job that composes it — and the array result
-// holds its route records themselves, so a verification must write
-// nothing of it: two concurrent verifications of one State race on
-// nothing (`make race`), report the same, and leave the tile's routes
-// and usage byte for byte what they were.
+// and extraction hold its route and RC records themselves, so a
+// verification must write nothing of it: two concurrent verifications of
+// one State race on nothing (`make race`), report the same, and leave
+// the tile's routes, usage and slow-corner parasitics byte for byte what
+// they were.
 func TestVerifyTileArrayReadsTileOnly(t *testing.T) {
 	cfg := tinyCfg()
 	hr, err := Harden(cfg, HardenMacro3D)
@@ -248,6 +250,18 @@ func TestVerifyTileArrayReadsTileOnly(t *testing.T) {
 		e := stash.NewEnc()
 		encodeResult(e, hr.State.Routes)
 		encodeDynState(e, hr.State.DB)
+		ex := hr.State.ExSlow
+		for _, rc := range ex.Nets {
+			e.Bool(rc != nil)
+			if rc != nil {
+				e.F64(rc.WireC)
+				e.F64(rc.WireR)
+				e.F64(rc.PinC)
+				e.F64s(rc.ElmoreTo)
+			}
+		}
+		e.F64(ex.CWireTotal)
+		e.F64(ex.CPinTotal)
 		return slices.Clone(e.Bytes())
 	}
 	before := snapshot()
@@ -274,7 +288,142 @@ func TestVerifyTileArrayReadsTileOnly(t *testing.T) {
 		t.Fatalf("concurrent verifications of one tile differ: %+v vs %+v", a, b)
 	}
 	if !bytes.Equal(snapshot(), before) {
-		t.Fatal("VerifyTileArray wrote the hardened tile's routes or usage")
+		t.Fatal("VerifyTileArray wrote the hardened tile's routes, usage or parasitics")
+	}
+}
+
+// arrayAtExtract runs a flat n×n verification of st and returns the
+// array flow's state as its extract stage left it: the design, routes,
+// routing database and slow-corner extraction the sign-off reads.
+func arrayAtExtract(t *testing.T, cfg Config, st *State, n int) *State {
+	t.Helper()
+	var at State
+	cfg.AfterStage = func(flow, stage string, s *State) {
+		if flow == "array" && stage == StageExtract {
+			at = *s
+		}
+	}
+	tech6, _ := tech.New28(6)
+	if _, err := VerifyTileArray(cfg, st, tech6, n, n); err != nil {
+		t.Fatal(err)
+	}
+	if at.ExSlow == nil {
+		t.Fatal("the array flow ran no extract stage")
+	}
+	return &at
+}
+
+// TestArraySharedParasitics: a flat array's extraction shares the tile's
+// slow-corner record under every placed copy of a tile net and extracts
+// the stitched nets alone — and is, record for record and in both
+// totals, a fresh extraction of the same array (==, no tolerance). At a
+// corner other than the tile's it shares nothing. On the tiny tiles 2×2
+// and on the flat 4×4 of the small Macro-3D tile.
+func TestArraySharedParasitics(t *testing.T) {
+	tech6, _ := tech.New28(6)
+	check := func(t *testing.T, cfg Config, st *State, n int) {
+		a := arrayAtExtract(t, cfg, st, n)
+		got := a.ExSlow
+		fresh := extract.Extract(a.Design, a.Routes, a.DB, got.Corner)
+		if got.CWireTotal != fresh.CWireTotal || got.CPinTotal != fresh.CPinTotal {
+			t.Fatalf("totals %v / %v fF, a fresh extraction's %v / %v", got.CWireTotal, got.CPinTotal, fresh.CWireTotal, fresh.CPinTotal)
+		}
+		tileRec := map[*extract.NetRC]bool{}
+		for _, rc := range st.ExSlow.Nets {
+			tileRec[rc] = rc != nil
+		}
+		shared, stitched := 0, 0
+		for id, rc := range got.Nets {
+			want := fresh.Nets[id]
+			if (rc == nil) != (want == nil) {
+				t.Fatalf("net %s: record %v, a fresh extraction's %v", a.Design.Nets[id].Name, rc != nil, want != nil)
+			}
+			if rc == nil {
+				continue
+			}
+			if rc.WireC != want.WireC || rc.WireR != want.WireR || rc.PinC != want.PinC || !slices.Equal(rc.ElmoreTo, want.ElmoreTo) {
+				t.Fatalf("net %s: %+v, a fresh extraction's %+v", a.Design.Nets[id].Name, *rc, *want)
+			}
+			if placed := a.Routes.Origin(id).Placed; tileRec[rc] != placed {
+				t.Fatalf("net %s: placed %v, holds the tile's record %v", a.Design.Nets[id].Name, placed, tileRec[rc])
+			}
+			if tileRec[rc] {
+				shared++
+			} else {
+				stitched++
+			}
+		}
+		t.Logf("%d records shared, %d extracted", shared, stitched)
+		if shared == 0 || stitched == 0 {
+			t.Fatalf("%d records shared, %d extracted: want both", shared, stitched)
+		}
+
+		typ := tech6.CornerScaleFor(tech.CornerTypical)
+		lent := extract.Source{Ex: st.ExSlow, Routes: st.Routes, NetID: mustAbut(t, st, n).NetID}
+		for _, rc := range extract.Extract(a.Design, a.Routes, a.DB, typ, lent).Nets {
+			if tileRec[rc] {
+				t.Fatal("a typical-corner extraction shares the tile's slow-corner records")
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		run  func() (*State, error)
+	}{
+		{"2d-tiny-2x2", func() (*State, error) { _, st, err := Run2D(tinyCfg()); return st, err }},
+		{"macro3d-tiny-2x2", func() (*State, error) { _, st, _, err := RunMacro3D(tinyCfg()); return st, err }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, tinyCfg(), st, 2)
+		})
+	}
+	t.Run("macro3d-small-4x4", func(t *testing.T) {
+		if raceEnabled || testing.Short() {
+			t.Skip("the small tile's flow and a 117k-instance array: covered by the tiny cases")
+		}
+		check(t, flatArrayCfg(), flatArray4x4(t).st, 4)
+	})
+}
+
+// mustAbut is piton.AbutArray of st's tile n×n, with its error fatal.
+func mustAbut(t *testing.T, st *State, n int) *piton.Array {
+	t.Helper()
+	arr, err := piton.AbutArray(st.Tile, st.Die, n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arr
+}
+
+// TestArrayDBHoldsNoHistory: a flat array's routing database places the
+// tile's routes and routes the stitched nets, and never negotiates, so it
+// holds no history plane — yet encodes the bytes a database with a plane
+// of zeros does, so snapshots and cache keys do not move.
+func TestArrayDBHoldsNoHistory(t *testing.T) {
+	_, st, _, err := RunMacro3D(tinyCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, _, _, err := routeArray(tinyCfg().routeOptions(nil), st, mustAbut(t, st, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, h, f := db.DynState()
+	if h != nil {
+		t.Fatal("the array database holds a history plane")
+	}
+	want := stash.NewEnc()
+	want.I32s(u)
+	want.F32s(make([]float32, len(u)))
+	want.I32s(f)
+	got := stash.NewEnc()
+	encodeDynState(got, db)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) || dynStateSize(db) != len(want.Bytes()) {
+		t.Fatalf("no plane encodes %d bytes (sized %d), a plane of zeros %d", len(got.Bytes()), dynStateSize(db), len(want.Bytes()))
 	}
 }
 
@@ -325,9 +474,13 @@ var flatArrayFixture struct {
 	a    *flatArray
 }
 
+// flatArrayCfg is the configuration the flat 4×4 fixture's tile is
+// signed off with.
+func flatArrayCfg() Config { return Config{Piton: piton.SmallCache(), Seed: 1}.withDefaults() }
+
 func buildFlatArray4x4(tb testing.TB) *flatArray {
 	tb.Helper()
-	cfg := Config{Piton: piton.SmallCache(), Seed: 1}.withDefaults()
+	cfg := flatArrayCfg()
 	_, st, _, err := RunMacro3D(cfg)
 	if err != nil {
 		tb.Fatal(err)

@@ -325,7 +325,7 @@ type pinRefWire struct {
 
 func decodePinRefWire(dec *stash.Dec) pinRefWire {
 	var w pinRefWire
-	flags := dec.U8()
+	flags := dec.Flags(3)
 	w.hasInst = flags&1 != 0
 	w.hasPort = flags&2 != 0
 	if w.hasInst {
@@ -596,16 +596,22 @@ func resultSize(res *route.Result) int {
 		8 + 4 + 8*len(res.WLPerLayer) + 3*8 + 8
 }
 
-// dynStateSize is the number of bytes encodeDynState writes for db.
+// dynStateSize is the number of bytes encodeDynState writes for db: the
+// history plane is the usage plane's size, whether or not the DB holds
+// one.
 func dynStateSize(db *route.DB) int {
-	u, h, f := db.DynState()
-	return 3*4 + 4*(len(u)+len(h)+len(f))
+	u, _, f := db.DynState()
+	return 3*4 + 4*(2*len(u)+len(f))
 }
 
 // encodeDynState writes the DB's mutable routing state: usage,
-// negotiation history, F2F bump usage.
+// negotiation history — zeros from a DB that never negotiated — and F2F
+// bump usage.
 func encodeDynState(e *stash.Enc, db *route.DB) {
 	u, h, f := db.DynState()
+	if h == nil {
+		h = make([]float32, len(u))
+	}
 	e.I32s(u)
 	e.F32s(h)
 	e.I32s(f)

@@ -24,13 +24,53 @@ type netStateWire struct {
 	sinks  []pinRefWire
 }
 
-// The fewest bytes an instance and a net take in a signoff snapshot
-// (empty strings, no sinks): what Dec.Count checks the declared counts
-// against before the decoder sizes its tables by them.
+// The fewest bytes an instance, a net, a sink, a timing path and a path
+// step take in a signoff snapshot (empty strings, no sinks, no steps; a
+// sink names a port at least, a step nothing): what Dec.Count checks the
+// declared counts against before the decoder sizes its tables by them.
 const (
 	instWireMin = 4 + 8 + 8 + 3
 	netWireMin  = 1 + 8 + 1 + 8
+	sinkWireMin = 1 + 4
+	pathWireMin = 8 + 8 + 8 + 1
+	stepWireMin = 1 + 8
 )
+
+// encodeNets writes a signoff snapshot's net section: the sink total,
+// then every net, those from preNet on with their names.
+func encodeNets(e *stash.Enc, nets []*netlist.Net, preNet int) {
+	sinks := 0
+	for _, n := range nets {
+		sinks += len(n.Sinks)
+	}
+	e.Int(sinks)
+	for i, n := range nets {
+		encodeNetState(e, n, i >= preNet)
+	}
+}
+
+// decodeNets decodes the net section encodeNets wrote for postNet nets,
+// and returns them with their sink total. Their sinks fill one slice the
+// declared total sizes, and must fill it exactly, as the encoder wrote
+// it.
+func decodeNets(dec *stash.Dec, preNet, postNet int) ([]netStateWire, int, error) {
+	sinks := make([]pinRefWire, 0, dec.Count(sinkWireMin))
+	nets := make([]netStateWire, 0, postNet)
+	for i := 0; i < postNet && dec.Err() == nil; i++ {
+		w, err := decodeNetState(dec, i >= preNet, &sinks)
+		if err != nil {
+			return nil, 0, err
+		}
+		nets = append(nets, w)
+	}
+	if err := dec.Err(); err != nil {
+		return nil, 0, err
+	}
+	if len(sinks) != cap(sinks) {
+		return nil, 0, fmt.Errorf("signoff snapshot declares %d sinks, its nets hold %d", cap(sinks), len(sinks))
+	}
+	return nets, len(sinks), nil
+}
 
 func encodeNetState(e *stash.Enc, n *netlist.Net, withName bool) {
 	if withName {
@@ -59,7 +99,7 @@ func netStateSize(n *netlist.Net, withName bool) int {
 
 // decodeNetState decodes one net, appending its sinks to *arena — sized
 // by the caller to the snapshot's sink total, which a net may not
-// overrun.
+// overrun. A sink names an instance or a port.
 func decodeNetState(dec *stash.Dec, withName bool, arena *[]pinRefWire) (netStateWire, error) {
 	var w netStateWire
 	if withName {
@@ -77,7 +117,11 @@ func decodeNetState(dec *stash.Dec, withName bool, arena *[]pinRefWire) (netStat
 		return w, fmt.Errorf("signoff snapshot net has %d sinks, %d left of the declared total", n, cap(*arena)-lo)
 	}
 	for i := 0; i < n; i++ {
-		*arena = append(*arena, decodePinRefWire(dec))
+		s := decodePinRefWire(dec)
+		if !s.hasInst && !s.hasPort && dec.Err() == nil {
+			return w, fmt.Errorf("signoff snapshot sink %d names neither an instance nor a port", i)
+		}
+		*arena = append(*arena, s)
 	}
 	w.sinks = (*arena)[lo:len(*arena):len(*arena)]
 	return w, dec.Err()
@@ -172,7 +216,8 @@ type reportWire struct {
 
 func decodePathWire(dec *stash.Dec) pathWire {
 	var w pathWire
-	n := dec.Int()
+	n := dec.Count(stepWireMin)
+	w.steps = make([]pathStepWire, 0, n)
 	for i := 0; i < n && dec.Err() == nil; i++ {
 		w.steps = append(w.steps, pathStepWire{ref: decodePinRefWire(dec), arrival: dec.F64()})
 	}
@@ -189,7 +234,8 @@ func decodeReportWire(dec *stash.Dec) reportWire {
 	w.wns = dec.F64()
 	w.tns = dec.F64()
 	w.critical = decodePathWire(dec)
-	n := dec.Int()
+	n := dec.Count(pathWireMin)
+	w.paths = make([]pathWire, 0, n)
 	for i := 0; i < n && dec.Err() == nil; i++ {
 		w.paths = append(w.paths, decodePathWire(dec))
 	}
@@ -281,14 +327,7 @@ func (f *flow) signoffCheckpoint(material []byte) checkpoint {
 			for i, inst := range d.Instances {
 				encodeInstState(e, inst, i >= preInst)
 			}
-			sinks := 0
-			for _, n := range d.Nets {
-				sinks += len(n.Sinks)
-			}
-			e.Int(sinks)
-			for i, n := range d.Nets {
-				encodeNetState(e, n, i >= preNet)
-			}
+			encodeNets(e, d.Nets, preNet)
 			encodeResult(e, st.Routes)
 			encodeDynState(e, st.DB)
 			encodeReport(e, st.Report)
@@ -315,14 +354,9 @@ func (f *flow) signoffCheckpoint(material []byte) checkpoint {
 			for i := 0; i < postInst && dec.Err() == nil; i++ {
 				insts = append(insts, decodeInstState(dec, i >= preInst))
 			}
-			sinks := make([]pinRefWire, 0, dec.Count(1))
-			nets := make([]netStateWire, 0, postNet)
-			for i := 0; i < postNet && dec.Err() == nil; i++ {
-				w, err := decodeNetState(dec, i >= preNet, &sinks)
-				if err != nil {
-					return err
-				}
-				nets = append(nets, w)
+			nets, sinks, err := decodeNets(dec, preNet, postNet)
+			if err != nil {
+				return err
 			}
 			routes, err := decodeResult(dec)
 			if err != nil {
@@ -381,7 +415,7 @@ func (f *flow) signoffCheckpoint(material []byte) checkpoint {
 			}
 
 			// Phase 2: apply. Nothing below can fail.
-			d.Reserve(postInst-preInst, postNet-preNet, len(sinks))
+			d.Reserve(postInst-preInst, postNet-preNet, sinks)
 			for i := preInst; i < postInst; i++ {
 				inst := d.AddInstance(insts[i].name, insts[i].resolved)
 				insts[i].apply(inst)

@@ -16,6 +16,7 @@ import (
 	"macro3d/internal/netlist"
 	"macro3d/internal/piton"
 	"macro3d/internal/route"
+	"macro3d/internal/sta"
 	"macro3d/internal/stash"
 	"macro3d/internal/tech"
 )
@@ -339,6 +340,109 @@ func TestDecodeNetStateSinkArena(t *testing.T) {
 	if _, err := decodeNetState(dec, false, &arena); err == nil {
 		t.Fatal("a net overran the declared sink total without error")
 	}
+}
+
+// signoffFixture is the design FuzzDecodeSignoff validates snapshots
+// against and rebuilds them on — three inverters between two ports, its
+// third net appended after the base (preNet 2), as a buffer's is — and
+// a timing report over it.
+func signoffFixture(lib *cell.Library) (d *netlist.Design, preNet int, rep *sta.Report) {
+	d = netlist.NewDesign("fz", lib)
+	in, out := d.AddPort("in", cell.DirIn), d.AddPort("out", cell.DirOut)
+	a, b, c := d.AddInstance("a", lib.MustCell("INV_X1")), d.AddInstance("b", lib.MustCell("INV_X2")), d.AddInstance("c", lib.MustCell("INV_X1"))
+	d.AddNet("n0", netlist.PPin(in), netlist.IPin(a, "A"))
+	d.AddNet("n1", netlist.IPin(a, "Y"), netlist.IPin(b, "A"), netlist.PPin(out))
+	buf := d.AddNet("buf_n", netlist.IPin(b, "Y"), netlist.IPin(c, "A"))
+	buf.Weight, buf.Clock = 1.5, true
+	path := sta.Path{
+		Steps: []sta.PathStep{{Ref: netlist.PPin(in), Arrival: 10}, {Ref: netlist.IPin(a, "Y"), Arrival: 31.5}, {Ref: netlist.IPin(b, "A"), Arrival: 40}},
+		Delay: 40, Wirelength: 120, HalfCycle: true,
+	}
+	rep = &sta.Report{
+		MinPeriod: 812.5, FmaxMHz: 1230.8, WNS: -3, TNS: -7.25, Critical: path,
+		Paths: []sta.Path{path, {Delay: 12}}, Endpoints: 4, HoldWNS: 2.5, HoldViolations: 1, HoldEndpoints: 3,
+	}
+	return d, 2, rep
+}
+
+// encodeSignoffTail writes the part of a signoff snapshot
+// decodeSignoffTail reads: the net count, the net section and the timing
+// report, as the checkpoint's save writes them.
+func encodeSignoffTail(nets []*netlist.Net, preNet int, rep *sta.Report) []byte {
+	e := stash.NewEnc()
+	e.Int(len(nets))
+	encodeNets(e, nets, preNet)
+	encodeReport(e, rep)
+	return e.Bytes()
+}
+
+// decodeSignoffTail is the decode-and-validate half of the signoff load
+// for what encodeSignoffTail writes, against d: it touches nothing of d.
+func decodeSignoffTail(b []byte, d *netlist.Design, preNet int) ([]netStateWire, reportWire, error) {
+	dec := stash.NewDec(b)
+	nets, _, err := decodeNets(dec, preNet, dec.Count(netWireMin))
+	if err != nil {
+		return nil, reportWire{}, err
+	}
+	rep := decodeReportWire(dec)
+	if err := dec.Done(); err != nil {
+		return nil, reportWire{}, err
+	}
+	for _, w := range nets {
+		if err := w.validate(len(d.Instances), len(d.Ports)); err != nil {
+			return nil, reportWire{}, err
+		}
+	}
+	return nets, rep, rep.validate(len(d.Instances), len(d.Ports))
+}
+
+// FuzzDecodeSignoff holds the signoff snapshot's net and report decoders
+// (decodeNets over decodeNetState, decodeReportWire) to FuzzDecodeResult's
+// contract: whatever the bytes, decoding and validating never panics and
+// never allocates past a small multiple of the input (every count is held
+// to the bytes left), and an input that decodes is canonical — rebuilt
+// into nets and a report on the design it validated against, it
+// re-encodes to the same bytes. The corpus is one good snapshot tail and
+// its truncations.
+func FuzzDecodeSignoff(f *testing.F) {
+	lib := cell.NewStdLib28(cell.DefaultLibOptions())
+	d, preNet, rep := signoffFixture(lib)
+	good := encodeSignoffTail(d.Nets, preNet, rep)
+	if _, _, err := decodeSignoffTail(good, d, preNet); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	for _, n := range []int{0, 7, 8, 16, 17, 40, len(good) / 2, len(good) - 25, len(good) - 1} {
+		f.Add(good[:n])
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		d, preNet, _ := signoffFixture(lib)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		nets, rw, err := decodeSignoffTail(b, d, preNet)
+		runtime.ReadMemStats(&m1)
+		// Each count is held to the bytes left at its element's fewest
+		// bytes: 88-byte net records for 18, 32-byte sinks for 5, 48-byte
+		// paths for 25, 40-byte steps for 9 — 6.4× the input at the
+		// worst for one count, 11.3× for a net count and a sink total
+		// claiming the same bytes — before size-class rounding, the
+		// decoder's symbol table and whatever the fuzzing engine allocated
+		// beside.
+		if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(16*len(b)+64<<10); got > limit && !raceEnabled {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(b), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		live := make([]*netlist.Net, len(nets))
+		for i, w := range nets {
+			live[i] = &netlist.Net{Name: w.name}
+			w.apply(d, live[i])
+		}
+		if again := encodeSignoffTail(live, preNet, rw.build(d)); !bytes.Equal(again, b) {
+			t.Fatalf("%d bytes decode but re-encode to %d different ones", len(b), len(again))
+		}
+	})
 }
 
 // tinySignedOff runs the tiny Macro-3D flow and returns its finished

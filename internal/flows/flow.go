@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"macro3d/internal/core"
+	"macro3d/internal/extract"
 	"macro3d/internal/floorplan"
 	"macro3d/internal/opt"
 	"macro3d/internal/sta"
@@ -33,6 +34,9 @@ type flow struct {
 	resized, buffers int
 	hold             *sta.Report
 	ppa              *PPA
+
+	// lend is what a tile array's extraction shares of its tile's.
+	lend []extract.Source
 }
 
 // The flow table: every flow is a stage list assembled from the shared

@@ -356,7 +356,7 @@ func (f *flow) extract() error {
 
 func (f *flow) extractAt(c tech.Corner) *extract.Design {
 	st := f.st
-	return extract.Extract(st.Design, st.Routes, st.DB, f.t.CornerScaleFor(c))
+	return extract.Extract(st.Design, st.Routes, st.DB, f.t.CornerScaleFor(c), f.lend...)
 }
 
 // openDDB opens the design database on the slow-corner extraction; sp is

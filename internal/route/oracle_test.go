@@ -253,10 +253,11 @@ func routeDesignOracle(d *netlist.Design, db *DB) (res *Result, ripups int, err 
 // and bump occupancy — from empty to past capacity — so candidate
 // costs differ and every branch of the cost model is live.
 func congest(db *DB, rng *geom.RNG) {
+	hist := db.history()
 	for i := range db.usage {
 		db.usage[i] = int32(rng.Intn(int(db.cap[i]) + 3))
 		if rng.Intn(4) == 0 {
-			db.hist[i] = float32(2 * rng.Intn(4))
+			hist[i] = float32(2 * rng.Intn(4))
 		}
 	}
 	for i := range db.f2fUse {

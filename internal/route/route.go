@@ -233,7 +233,7 @@ type DB struct {
 
 	cap   []int32 // per layer*bins, tracks available
 	usage []int32
-	hist  []float32 // negotiation history cost
+	hist  []float32 // negotiation history cost; nil until negotiation creates it (history)
 
 	f2fIdx  int // via index of the F2F boundary, -1 if none
 	f2fCap  []int32
@@ -276,7 +276,6 @@ func NewDB(die geom.Rect, beol *tech.BEOL, blk []floorplan.RouteBlockage, opt Op
 		layerIdx: make(map[string]int, nl),
 		cap:      make([]int32, nl*g.Bins()),
 		usage:    make([]int32, nl*g.Bins()),
-		hist:     make([]float32, nl*g.Bins()),
 		f2fIdx:   beol.F2FViaIndex(),
 		gcellWL:  (g.DX + g.DY) / 2,
 	}
@@ -372,21 +371,35 @@ func (db *DB) LayerIndex(name string) int {
 // congestionCost is the PathFinder-style cost of using one more track
 // in a gcell-layer.
 func (db *DB) congestionCost(i int) float64 {
+	var h float64 // a DB that has not negotiated has no history: 0
+	if db.hist != nil {
+		h = float64(db.hist[i])
+	}
 	c := float64(db.cap[i])
 	if c <= 0 {
-		return 64 + float64(db.hist[i])
+		return 64 + h
 	}
 	u := float64(db.usage[i])
 	over := (u + 1) / c
 	if over <= 0.8 {
-		return float64(db.hist[i]) * 0.1
+		return h * 0.1
 	}
 	// Quadratic penalty past 80 % fill, steep past capacity.
 	pen := (over - 0.8) * (over - 0.8) * 8
 	if u+1 > c {
 		pen += 16
 	}
-	return pen + float64(db.hist[i])
+	return pen + h
+}
+
+// history returns the negotiation history plane, creating it on first
+// use: only negotiation writes it, and a flat tile array or a clean
+// route never negotiates.
+func (db *DB) history() []float32 {
+	if db.hist == nil {
+		db.hist = make([]float32, len(db.usage))
+	}
+	return db.hist
 }
 
 // addUsage commits or releases (delta ±1) the occupancy of net netID's
@@ -507,9 +520,10 @@ func (db *DB) Overflow() int {
 
 // bumpHistory raises history cost on currently overflowed nodes.
 func (db *DB) bumpHistory() {
+	hist := db.history()
 	for i := range db.usage {
 		if db.usage[i] > db.cap[i] {
-			db.hist[i] += 2
+			hist[i] += 2
 		}
 	}
 }

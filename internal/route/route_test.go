@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"unsafe"
@@ -217,6 +218,41 @@ func TestNegotiationReducesOverflow(t *testing.T) {
 	// 60 nets over ~6 usable H layers × ~13 tracks each: should fit.
 	if res.Overflow > 3 {
 		t.Fatalf("negotiation left overflow = %d", res.Overflow)
+	}
+}
+
+// TestHistoryOnDemand: a DB that never negotiates — a clean route, a
+// flat tile array's — holds no history plane, and its DynState says so;
+// every congestion cost is what a plane of zeros gives. A restored
+// history of zeros creates no plane, any other value does.
+func TestHistoryOnDemand(t *testing.T) {
+	d := twoPinDesign(210, 110)
+	db := db6(t, geom.R(0, 0, 300, 300), nil)
+	if _, err := RouteDesign(d, db); err != nil {
+		t.Fatal(err)
+	}
+	u, h, f := db.DynState()
+	if db.hist != nil || h != nil {
+		t.Fatal("a DB that never negotiated holds a history plane")
+	}
+	costs := make([]float64, len(u))
+	for i := range costs {
+		costs[i] = db.congestionCost(i)
+	}
+	zeros := make([]float32, len(u))
+	if err := db.SetDynState(u, zeros, f); err != nil || db.hist != nil {
+		t.Fatalf("restoring a history of zeros: %v, plane %v", err, db.hist != nil)
+	}
+	db.history()
+	for i := range costs {
+		if c := db.congestionCost(i); math.Float64bits(c) != math.Float64bits(costs[i]) {
+			t.Fatalf("gcell-layer %d costs %v with a plane of zeros, %v without one", i, c, costs[i])
+		}
+	}
+	db.hist = nil
+	zeros[3] = 2
+	if err := db.SetDynState(u, zeros, f); err != nil || len(db.hist) != len(u) || db.hist[3] != 2 {
+		t.Fatalf("restoring a history: %v, plane of %d", err, len(db.hist))
 	}
 }
 
@@ -569,8 +605,9 @@ func TestDynStateShapeCheck(t *testing.T) {
 	if _, err := RouteDesign(d, db); err != nil {
 		t.Fatal(err)
 	}
-	u, h, f := db.DynState()
-	if &u[0] != &db.usage[0] || &h[0] != &db.hist[0] || len(f) != len(db.f2fUse) {
+	h := db.history()
+	u, h1, f := db.DynState()
+	if &u[0] != &db.usage[0] || &h1[0] != &h[0] || len(f) != len(db.f2fUse) {
 		t.Fatal("DynState copied the arrays")
 	}
 	if err := db.CheckDynState(u, h, f); err != nil {
@@ -578,7 +615,8 @@ func TestDynStateShapeCheck(t *testing.T) {
 	}
 	before := slices.Clone(db.usage)
 	short := make([]int32, len(u)-1)
-	if db.CheckDynState(short, h, f) == nil || db.SetDynState(short, h, f) == nil {
+	if db.CheckDynState(short, h, f) == nil || db.SetDynState(short, h, f) == nil ||
+		db.CheckDynState(u, nil, f) == nil {
 		t.Fatal("a state of the wrong shape was accepted")
 	}
 	if !slices.Equal(before, db.usage) {

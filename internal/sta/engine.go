@@ -2,7 +2,6 @@ package sta
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -311,7 +310,7 @@ func (e *Engine) Update(period float64) (*Report, error) {
 	// changed.
 	for _, id := range e.pendNets {
 		if id < len(e.ex.Nets) {
-			if err := checkFiniteNet(e.ex.Nets[id]); err != nil {
+			if err := e.ex.CheckNet(id); err != nil {
 				return nil, fmt.Errorf("sta: %w", err)
 			}
 		}
@@ -548,31 +547,4 @@ func (e *Engine) commitNode(p *pass, inst *netlist.Instance) {
 	p.slew[node] = slew
 	p.wl[node] = wl
 	p.prev[node], p.via[node] = prev, via
-}
-
-// checkFiniteNet guards one net's parasitics (the incremental
-// counterpart of extract.Design.CheckFinite).
-func checkFiniteNet(rc *extract.NetRC) error {
-	if rc == nil {
-		return nil
-	}
-	bad := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
-	name := "?"
-	if rc.Net != nil {
-		name = rc.Net.Name
-	}
-	switch {
-	case bad(rc.WireC):
-		return fmt.Errorf("extract: non-finite wire capacitance %v on net %s", rc.WireC, name)
-	case bad(rc.WireR):
-		return fmt.Errorf("extract: non-finite wire resistance %v on net %s", rc.WireR, name)
-	case bad(rc.PinC):
-		return fmt.Errorf("extract: non-finite pin capacitance %v on net %s", rc.PinC, name)
-	}
-	for i, el := range rc.ElmoreTo {
-		if bad(el) {
-			return fmt.Errorf("extract: non-finite Elmore delay %v to sink %d of net %s", el, i, name)
-		}
-	}
-	return nil
 }

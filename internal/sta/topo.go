@@ -454,7 +454,8 @@ func (e *Engine) clearMarks(nets, insts []int32) {
 // levelize orders combinational instances topologically (Kahn) over the
 // fan rows and node chains, consuming a copy of the in-degrees. The
 // order doubles as the work queue: an instance is appended when it is
-// released and relaxes its fanout when the head reaches it. It reads
+// released and relaxes its fanout when the head reaches it; it is sized
+// for every combinational instance before the first release. It reads
 // the flat tables only, never a net.
 func (e *Engine) levelize() error {
 	insts := e.d.Instances
@@ -462,7 +463,13 @@ func (e *Engine) levelize() error {
 	e.indeg = indeg
 	e.released = resize(e.released, len(insts))
 	clear(e.released)
-	e.order = e.order[:0]
+	comb := 0
+	for _, c := range e.isComb {
+		if c {
+			comb++
+		}
+	}
+	e.order = slices.Grow(e.order[:0], comb)
 	// release appends a combinational instance whose in-degree reached
 	// zero, once.
 	release := func(id int) {
@@ -478,12 +485,8 @@ func (e *Engine) levelize() error {
 			}
 		}
 	}
-	comb := 0
 	for id := range insts {
 		release(id)
-		if e.isComb[id] {
-			comb++
-		}
 	}
 	for id := range insts {
 		if e.isSeq[id] {

@@ -183,6 +183,17 @@ func (d *Dec) Bool() bool {
 	}
 }
 
+// Flags reads a one-byte bit set, rejecting bits outside mask: the
+// encoder writes no others, so a decodable byte re-encodes to itself.
+func (d *Dec) Flags(mask uint8) uint8 {
+	b := d.U8()
+	if b&^mask != 0 {
+		d.fail("invalid flag bits %#x", b&^mask)
+		return 0
+	}
+	return b
+}
+
 // U32 reads a little-endian uint32.
 func (d *Dec) U32() uint32 {
 	b := d.take(4)

@@ -187,6 +187,15 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Flags: the bits of the mask pass, any other is an error.
+	d = NewDec([]byte{3, 4})
+	if got := d.Flags(3); got != 3 || d.Err() != nil {
+		t.Errorf("Flags = %d, %v", got, d.Err())
+	}
+	if got := d.Flags(3); got != 0 || d.Err() == nil {
+		t.Errorf("Flags(3) of 4 = %d, %v; want an error", got, d.Err())
+	}
 }
 
 // TestCodecTruncationNeverPanics decodes every prefix of a valid
