@@ -37,14 +37,16 @@ race:
 	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/ ./internal/stash/ ./internal/serve/ ./internal/extract/ ./internal/sta/ ./internal/slab/ ./internal/netlist/ ./internal/piton/ ./internal/cell/
 	$(GO) test -race -timeout 30m ./internal/flows/ ./internal/ddb/ ./internal/opt/ ./internal/place/ ./internal/route/
 
-## fuzz: ten seconds each of FuzzDecodeResult, FuzzDecodeAbstract and
-## FuzzDecodeSignoff — the routing-result decoder, the harden cache's
-## abstract decoder and the signoff snapshot's net and timing-report
-## decoders on arbitrary bytes: no panic, no allocation sized by a
-## corrupt count, and whatever decodes re-encodes to the same bytes. `go
-## test` runs only their seed corpora (a good encoding each,
+## fuzz: ten seconds each of FuzzDecodeResult, FuzzDecodeAbstract,
+## FuzzDecodeSignoff and FuzzDecodePlacement — the routing-result
+## decoder, the harden cache's abstract decoder, the signoff snapshot's
+## net and timing-report decoders and the placement snapshot's
+## instance-state decoder on arbitrary bytes: no panic, no allocation
+## sized by a corrupt count, and whatever decodes re-encodes to the same
+## bytes. `go test` runs only their seed corpora (a good encoding each,
 ## TestDecodeResultCorrupt's table, the abstract decoder's two count
-## bombs, the signoff tail's truncations). The engine minimizes every
+## bombs, the signoff tail's truncations, one impossible instance state
+## of each kind). The engine minimizes every
 ## input that reaches new code, an execution per byte and 60 s by
 ## default: capped at 1 s so the ten seconds mutate. A failing input is
 ## written to internal/flows/testdata/fuzz/ — commit it.
@@ -52,6 +54,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAbstract$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSignoff$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePlacement$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
 
 ## equiv: just the parallel-vs-serial equivalence proof — every flow at
 ## -j 1 / 4 / 0 must produce an identical PPA, run under the race
@@ -117,7 +120,8 @@ faults:
 ## move-and-reroute transaction, alone) — the free-space kernels in
 ## internal/place (NewFreeSpace: the map opt builds on entry; Legalize:
 ## the small 2D tile's row map and sweep) — the design construction
-## benchmarks (Generate small/large, Abut 4×4), the stash-codec kernel
+## benchmarks (Generate small/large; TileCopy small/large, the copy of
+## a tile template every flow run starts from; Abut 4×4), the stash-codec kernel
 ## (ResultCodec encode/decode of the small Macro-3D tile's routing
 ## result) and the whole-design sign-off kernels on the signed-off small
 ## tile and its flat 4×4 array (CTSBuild tile/array4x4, AnalyzeArray4x4:
@@ -130,7 +134,7 @@ faults:
 ## the runtime's own jitter at -benchtime 1x), failing on a regression
 ## that is not noise.
 bench:
-	$(GO) test -bench 'TableII|Optimize|EngineUpdateTopo|TxnReroute|NewFreeSpace|Legalize|Generate|Abut4x4|ResultCodec|CTSBuild|AnalyzeArray4x4|MazeRoute' -benchmem -count 5 -benchtime 1x -run '^$$' . ./internal/flows ./internal/place ./internal/route | $(GO) run ./cmd/benchjson -o BENCH_opt.new.json
+	$(GO) test -bench 'TableII|Optimize|EngineUpdateTopo|TxnReroute|NewFreeSpace|Legalize|Generate|TileCopy|Abut4x4|ResultCodec|CTSBuild|AnalyzeArray4x4|MazeRoute' -benchmem -count 5 -benchtime 1x -run '^$$' . ./internal/flows ./internal/place ./internal/route | $(GO) run ./cmd/benchjson -o BENCH_opt.new.json
 	cat BENCH_opt.new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_opt.json BENCH_opt.new.json; s=$$?; mv BENCH_opt.new.json BENCH_opt.json; exit $$s
 

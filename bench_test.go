@@ -202,6 +202,27 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
+// BenchmarkTileCopy is what a flow run pays for its netlist once the
+// process holds the configuration's template: one exact-size copy of a
+// tile (piton.Tile.Clone), against BenchmarkGenerate's full build.
+func BenchmarkTileCopy(b *testing.B) {
+	for _, cfg := range []macro3d.TileConfig{macro3d.SmallCache(), macro3d.LargeCache()} {
+		b.Run(cfg.Name, func(b *testing.B) {
+			tile, err := macro3d.GenerateTile(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tmpl := tile.Clone()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := tmpl.Clone()
+				b.ReportMetric(float64(len(c.Design.Instances)), "instances")
+			}
+		})
+	}
+}
+
 // BenchmarkAbut4x4 stitches sixteen copies of the signed-off small
 // tile into one flat design — 117 k instances built at a size known up
 // front, so a Reserve'd design.

@@ -10,6 +10,8 @@ package cell
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"macro3d/internal/geom"
@@ -303,6 +305,17 @@ func NewLibrary(name string) *Library {
 		cells:    make(map[string]*Cell),
 		families: make(map[string][]*Cell),
 	}
+}
+
+// Clone returns a library of the same masters — shared, not copied —
+// whose registrations are its own: an Add to either leaves the other as
+// it was.
+func (l *Library) Clone() *Library {
+	c := &Library{Name: l.Name, cells: maps.Clone(l.cells), families: make(map[string][]*Cell, len(l.families))}
+	for f, cs := range l.families {
+		c.families[f] = slices.Clone(cs)
+	}
+	return c
 }
 
 // Add registers a master. It panics on duplicate names — libraries are

@@ -165,6 +165,50 @@ func TestStageCacheKeyStability(t *testing.T) {
 	}
 }
 
+// TestRootKeyCoversPitonConfig: the tile table is keyed by the whole
+// piton.Config and the stage cache by the fields rootKey lists by hand,
+// so every field — nested ones included — must move the key. A field of
+// a kind the test cannot vary fails it too: adding a field to
+// piton.Config means revisiting rootKey and this test.
+func TestRootKeyCoversPitonConfig(t *testing.T) {
+	cfg := tinyCacheCfg().withDefaults()
+	base, err := rootKey("Macro-3D", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vary func(v reflect.Value, path string)
+	vary = func(v reflect.Value, path string) {
+		for i := range v.NumField() {
+			f, name := v.Field(i), path+v.Type().Field(i).Name
+			old := reflect.ValueOf(f.Interface())
+			switch f.Kind() {
+			case reflect.Struct:
+				vary(f, name+".")
+				continue
+			case reflect.String:
+				f.SetString(f.String() + "x")
+			case reflect.Int:
+				f.SetInt(f.Int() + 1)
+			case reflect.Uint64:
+				f.SetUint(f.Uint() + 1)
+			case reflect.Float64:
+				f.SetFloat(f.Float() + 0.5)
+			default:
+				t.Errorf("piton.Config.%s: no variation for kind %s", name, f.Kind())
+				continue
+			}
+			if k, err := rootKey("Macro-3D", cfg); err != nil || k == base {
+				t.Errorf("changing piton.Config.%s leaves the root key as it was (%v)", name, err)
+			}
+			f.Set(old)
+		}
+	}
+	vary(reflect.ValueOf(&cfg.Piton).Elem(), "")
+	if k, _ := rootKey("Macro-3D", cfg); k != base {
+		t.Fatal("the test did not restore the configuration")
+	}
+}
+
 // TestStageCacheCorruptionRecovery truncates every snapshot after a
 // cold run: the warm run must treat them as misses, evict them,
 // recompute, and still produce identical PPA — never panic or resume

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -31,8 +32,12 @@ func (c Config) cacheEnabled() bool {
 
 // techFingerprint hashes the technology the run builds on: the logic
 // BEOL and the standard-cell library, rendered through the LEF writer
-// so any change to the built-in tables invalidates the cache.
-func techFingerprint(logicMetals int) ([]byte, error) {
+// so any change to the built-in tables invalidates the cache. It is
+// computed once per logic-metal count in a process (fingerprints); the
+// slice is shared, not to be written.
+func techFingerprint(logicMetals int) ([]byte, error) { return fingerprints.get(logicMetals) }
+
+func buildTechFingerprint(logicMetals int) ([]byte, error) {
 	t, err := tech.New28(logicMetals)
 	if err != nil {
 		return nil, err
@@ -412,9 +417,30 @@ func decodeInstState(dec *stash.Dec, withName bool) instStateWire {
 	w.x = dec.F64()
 	w.y = dec.F64()
 	w.orient = dec.U8()
-	w.flags = dec.U8()
+	w.flags = dec.Flags(3)
 	w.die = dec.U8()
 	return w
+}
+
+// validate rejects a state no instance can be in: an orientation or a die
+// past the last there is, or a location that is not a finite number.
+// (decodeInstState already rejects flag bits the encoder never writes.)
+func (w instStateWire) validate() error {
+	if geom.Orient(w.orient) > geom.OrientFS {
+		return fmt.Errorf("snapshot instance orientation %d does not exist", w.orient)
+	}
+	if netlist.Die(w.die) > netlist.MacroDie {
+		return fmt.Errorf("snapshot instance die %d does not exist", w.die)
+	}
+	return finiteLoc(w.x, w.y)
+}
+
+// finiteLoc rejects a snapshot location that is NaN or infinite.
+func finiteLoc(x, y float64) error {
+	if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) {
+		return fmt.Errorf("snapshot instance location (%v, %v) is not finite", x, y)
+	}
+	return nil
 }
 
 func (w instStateWire) apply(inst *netlist.Instance) {
@@ -454,24 +480,9 @@ func placementCheckpoint(name string, material []byte, d *netlist.Design) checkp
 			return nil
 		},
 		load: func(dec *stash.Dec) error {
-			n := dec.Int()
-			if dec.Err() == nil && n != len(d.Instances) {
-				return fmt.Errorf("placement snapshot has %d instances, design has %d", n, len(d.Instances))
-			}
-			states := make([]instStateWire, 0, len(d.Instances))
-			for i := 0; i < n && dec.Err() == nil; i++ {
-				states = append(states, decodeInstState(dec, false))
-			}
-			if err := dec.Done(); err != nil {
+			states, err := decodePlacement(dec, d)
+			if err != nil {
 				return err
-			}
-			views := core.DieViews{}
-			for i := range states {
-				m, err := resolveMaster(d, d.Instances[i].Master, states[i].master, views)
-				if err != nil {
-					return err
-				}
-				states[i].resolved = m
 			}
 			for i := range states {
 				states[i].apply(d.Instances[i])
@@ -479,6 +490,36 @@ func placementCheckpoint(name string, material []byte, d *netlist.Design) checkp
 			return nil
 		},
 	}
+}
+
+// decodePlacement decodes a placement snapshot of d and validates it
+// against d — the instance count, every state, every master — without
+// touching d. The count is held to the bytes left before it sizes the
+// state table, so a short snapshot cannot allocate by the design's size.
+func decodePlacement(dec *stash.Dec, d *netlist.Design) ([]instStateWire, error) {
+	n := dec.Count(instWireMin)
+	if dec.Err() == nil && n != len(d.Instances) {
+		return nil, fmt.Errorf("placement snapshot has %d instances, design has %d", n, len(d.Instances))
+	}
+	states := make([]instStateWire, 0, n)
+	for i := 0; i < n && dec.Err() == nil; i++ {
+		states = append(states, decodeInstState(dec, false))
+	}
+	if err := dec.Done(); err != nil {
+		return nil, err
+	}
+	views := core.DieViews{}
+	for i := range states {
+		if err := states[i].validate(); err != nil {
+			return nil, err
+		}
+		m, err := resolveMaster(d, d.Instances[i].Master, states[i].master, views)
+		if err != nil {
+			return nil, err
+		}
+		states[i].resolved = m
+	}
+	return states, nil
 }
 
 // pseudoCheckpoint snapshots the net effect of the S2D/C2D pseudo
@@ -520,6 +561,9 @@ func pseudoCheckpoint(material []byte, d *netlist.Design) checkpoint {
 				p := dec.Bool()
 				if dec.Err() != nil {
 					break
+				}
+				if err := finiteLoc(x, y); err != nil {
+					return err
 				}
 				m, err := resolveMaster(d, cells[i].Master, name, views)
 				if err != nil {

@@ -374,6 +374,9 @@ func (f *flow) signoffCheckpoint(material []byte) checkpoint {
 
 			views := core.DieViews{}
 			for i := range insts {
+				if err := insts[i].validate(); err != nil {
+					return err
+				}
 				var cur *cell.Cell
 				if i < preInst {
 					cur = d.Instances[i].Master

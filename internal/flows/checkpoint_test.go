@@ -3,8 +3,10 @@ package flows
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"macro3d/internal/cell"
+	"macro3d/internal/core"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
 	"macro3d/internal/piton"
@@ -566,6 +569,159 @@ func BenchmarkResultCodec(b *testing.B) {
 			if err != nil || len(res.Routes) != len(st.Routes.Routes) {
 				b.Fatal(err)
 			}
+		}
+	})
+}
+
+// instStateDefects damages the instance state whose coordinates start at
+// byte off of a good snapshot, once per value no instance can hold: an
+// orientation past geom.OrientFS, a die past netlist.MacroDie, a flag bit
+// the encoder never writes, a coordinate that is not a finite number.
+func instStateDefects(good []byte, off int) []corruptCase {
+	set := func(name string, at int, b ...byte) corruptCase {
+		c := slices.Clone(good)
+		copy(c[at:], b)
+		return corruptCase{name, c}
+	}
+	f64 := func(v float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)) }
+	return []corruptCase{
+		set("orient", off+16, byte(geom.OrientFS)+1),
+		set("die", off+18, byte(netlist.MacroDie)+1),
+		set("flags", off+17, 4),
+		set("nan-x", off, f64(math.NaN())...),
+		set("inf-y", off+8, f64(math.Inf(-1))...),
+	}
+}
+
+// TestInstStateRejectsImpossibleValues: the placement, signoff and pseudo
+// loads reject every instStateDefects case (the pseudo snapshot carries
+// coordinates only) before they apply anything: the design snapshots to
+// the same bytes afterwards.
+func TestInstStateRejectsImpossibleValues(t *testing.T) {
+	st, place, signoff := tinySignedOff(t)
+	d := st.Design
+	pseudo := pseudoCheckpoint(nil, d)
+	save := func(cp checkpoint) []byte {
+		e := stash.NewEnc()
+		if err := cp.save(e); err != nil {
+			t.Fatal(err)
+		}
+		return e.Bytes()
+	}
+	firstCell := d.StdCells()[0].Master.Name
+	for _, c := range []struct {
+		cp         checkpoint
+		off        int  // the first instance's coordinates
+		coordsOnly bool // the snapshot has no orientation, flags or die
+	}{
+		{place, 8 + 4 + len(d.Instances[0].Master.Name), false},
+		{signoff, 4 + len(d.Name) + 4*8 + 4 + len(d.Instances[0].Master.Name), false},
+		{pseudo, 8 + 4 + len(firstCell), true},
+	} {
+		good := save(c.cp)
+		before := save(signoff)
+		if err := c.cp.load(stash.NewDec(good)); err != nil {
+			t.Fatalf("%s: the good snapshot does not load: %v", c.cp.name, err)
+		}
+		defects := instStateDefects(good, c.off)
+		if c.coordsOnly {
+			defects = defects[3:] // the coordinate cases
+		}
+		for _, bad := range defects {
+			if err := c.cp.load(stash.NewDec(bad.b)); err == nil {
+				t.Errorf("%s snapshot with an impossible %s loaded", c.cp.name, bad.name)
+			}
+			if !bytes.Equal(save(signoff), before) {
+				t.Fatalf("%s snapshot with an impossible %s changed the design", c.cp.name, bad.name)
+			}
+		}
+	}
+}
+
+// placementFixture is the design FuzzDecodePlacement decodes against — a
+// copy of the tiny tile, as a flow starts from — and a good placement
+// snapshot of another copy whose instances take every orientation, both
+// dies, every flag combination and a spread of locations, and whose
+// every seventh standard cell is a macro-die view (an "_MD" master that
+// resolves through core.DieViews).
+func placementFixture(tb testing.TB) (*netlist.Design, []byte) {
+	d, err := newTile(piton.Tiny())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	src, err := newTile(piton.Tiny())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	views := core.DieViews{}
+	for i, inst := range src.Design.Instances {
+		inst.Loc = geom.Pt(float64(i)*0.75, -float64(i%29)*1.5)
+		inst.Orient = geom.Orient(i % 4)
+		inst.Die = netlist.Die(i % 2)
+		inst.Fixed, inst.Placed = i%3 == 0, i%5 != 0
+		if i%7 == 0 && !inst.IsMacro() {
+			inst.Master = views.MacroDie(inst.Master)
+		}
+	}
+	e := stash.NewEnc()
+	if err := placementCheckpoint(StagePlace, nil, src.Design).save(e); err != nil {
+		tb.Fatal(err)
+	}
+	return d.Design, e.Bytes()
+}
+
+// encodeStates re-encodes decoded instance states as a placement
+// snapshot, each applied to a scratch record.
+func encodeStates(states []instStateWire) []byte {
+	e := stash.NewEnc()
+	e.Int(len(states))
+	for _, w := range states {
+		var inst netlist.Instance
+		w.apply(&inst)
+		encodeInstState(e, &inst, false)
+	}
+	return e.Bytes()
+}
+
+// FuzzDecodePlacement holds the placement snapshot's decoder
+// (decodePlacement over decodeInstState, as the placement and partition
+// checkpoints load) to FuzzDecodeResult's contract: whatever the bytes,
+// decoding and validating against a tiny-tile design never panics and
+// never allocates past a small multiple of the input (the instance count
+// is held to the bytes left before it sizes the state table), and an
+// input that decodes is canonical — it re-encodes to the same bytes. The
+// corpus is one good snapshot and one case of each impossible state.
+func FuzzDecodePlacement(f *testing.F) {
+	d, good := placementFixture(f)
+	states, err := decodePlacement(stash.NewDec(good), d)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if !bytes.Equal(encodeStates(states), good) {
+		f.Fatal("the good snapshot does not re-encode to itself")
+	}
+	f.Add(good)
+	for _, c := range instStateDefects(good, 8+4+len(states[0].master)) {
+		if _, err := decodePlacement(stash.NewDec(c.b), d); err == nil {
+			f.Fatalf("a snapshot with an impossible %s decodes", c.name)
+		}
+		f.Add(c.b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		states, err := decodePlacement(stash.NewDec(b), d)
+		runtime.ReadMemStats(&m1)
+		// 64-byte states for at least 23 bytes each, 2.8× the input, then
+		// the decoder's symbol table and a view per distinct "_MD" master.
+		if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(16*len(b)+64<<10); got > limit && !raceEnabled {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(b), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		if again := encodeStates(states); !bytes.Equal(again, b) {
+			t.Fatalf("%d bytes decode but re-encode to %d different ones", len(b), len(again))
 		}
 	})
 }

@@ -76,9 +76,12 @@ type Config struct {
 	F2F *tech.F2FSpec
 
 	// Generator, when set, supplies the benchmark netlist instead of
-	// piton.Generate(Piton) — e.g. a sensor-on-logic SoC. Flows call
-	// it freshly per run because they mutate the design. Only Run2D
-	// and RunMacro3D support it; the S2D/C2D baselines need the
+	// the tile Piton configures — e.g. a sensor-on-logic SoC. Flows
+	// call it once per run and edit what it returns, so it must return
+	// a fresh tile each call. Without it a run starts from a copy of
+	// the process's one template per Piton configuration (piton
+	// package comment), which piton.Generate builds on first use. Only
+	// Run2D and RunMacro3D support it; the S2D/C2D baselines need the
 	// shrunk/scaled pseudo-design regeneration that is specific to the
 	// tile generator.
 	Generator func() (*piton.Tile, error)
@@ -149,12 +152,12 @@ type Config struct {
 	CacheVerify bool
 }
 
-// generate produces a fresh benchmark netlist for a flow run.
+// generate produces the benchmark netlist a flow run owns.
 func (c Config) generate() (*piton.Tile, error) {
 	if c.Generator != nil {
 		return c.Generator()
 	}
-	return piton.Generate(c.Piton)
+	return newTile(c.Piton)
 }
 
 // placeOptions and routeOptions are the one place a flow's

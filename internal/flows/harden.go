@@ -32,6 +32,8 @@ type HardenResult struct {
 	// Tile is a fresh (un-implemented) handle of the hardened
 	// benchmark, carrying the netlist-level facts composition needs:
 	// port directions, abutment groups, half-cycle flags, clock port.
+	// Its library is its own (ownLibrary): composition registers the
+	// abstract in it.
 	Tile *piton.Tile
 
 	// PPA and State hold the sub-block signoff when the flow ran;
@@ -102,7 +104,7 @@ func HardenCtx(ctx context.Context, cfg Config, flow string) (*HardenResult, err
 					return nil, err
 				}
 				return &HardenResult{
-					Abstract: abs, Tile: tile,
+					Abstract: abs, Tile: ownLibrary(tile),
 					CacheHit: true, Elapsed: time.Since(start),
 				}, nil
 			}
@@ -132,9 +134,17 @@ func HardenCtx(ctx context.Context, cfg Config, flow string) (*HardenResult, err
 		}
 	}
 	return &HardenResult{
-		Abstract: abs, Tile: st.Tile, PPA: ppa, State: st,
+		Abstract: abs, Tile: ownLibrary(st.Tile), PPA: ppa, State: st,
 		Elapsed: time.Since(start),
 	}, nil
+}
+
+// ownLibrary gives a hardened tile a library of its own, for
+// piton.ComposeAbstract to register the abstract in: a run's library is
+// the one its tile template shares with every other copy (newTile).
+func ownLibrary(t *piton.Tile) *piton.Tile {
+	t.Design.Lib = t.Design.Lib.Clone()
+	return t
 }
 
 // hardenKey content-addresses a hardened abstract: the root material

@@ -105,6 +105,15 @@ func TestHierArrayClosesAtTile(t *testing.T) {
 	if n := len(rep.Design.Instances); n != 4 {
 		t.Fatalf("parent design has %d instances, want 4", n)
 	}
+	// Composition registers the abstract in the hardened tile's own
+	// library, not in the one its template shares with every run.
+	tmpl, err := tiles.get(cfg.Piton)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Design.Lib.Cell(rep.Abstract.Name) != rep.Abstract || tmpl.Design.Lib.Cell(rep.Abstract.Name) != nil {
+		t.Fatal("the abstract is not in the parent's library alone")
+	}
 }
 
 // TestHardenCacheWarm checks that a second harden of the same

@@ -1,0 +1,173 @@
+package flows
+
+import (
+	"bytes"
+	"math"
+	"sync"
+	"testing"
+
+	"macro3d/internal/lefdef"
+	"macro3d/internal/piton"
+)
+
+// resetTiles empties the tile table so that a test counts its own
+// builds, and returns the build count it starts from. The tests of this
+// package that run flows do not run in parallel with one another.
+func resetTiles() int64 {
+	tiles.mu.Lock()
+	defer tiles.mu.Unlock()
+	tiles.entries = nil
+	return tiles.builds.Load()
+}
+
+// TestMemo: concurrent first requests build once; the table keeps the
+// memoCap most recently used keys; a key that never equals itself
+// builds on every request without growing the table; a panicking build
+// reaches its caller and leaves an error for the next.
+func TestMemo(t *testing.T) {
+	m := memo[float64, float64]{build: func(k float64) (float64, error) {
+		if k < 0 {
+			panic("negative key")
+		}
+		return 2 * k, nil
+	}}
+	get := func(k float64) float64 {
+		t.Helper()
+		v, err := m.get(k)
+		if err != nil || (v != 2*k && !math.IsNaN(k)) {
+			t.Fatalf("get(%v) = %v, %v", k, v, err)
+		}
+		return v
+	}
+	builds := func(want int64) {
+		t.Helper()
+		if got := m.builds.Load(); got != want {
+			t.Fatalf("%d builds, want %d", got, want)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() { defer wg.Done(); get(1) }()
+	}
+	wg.Wait()
+	builds(1)
+
+	for _, k := range []float64{2, 3, 4, 1, 5} { // 1 is refreshed, so 5 evicts 2
+		get(k)
+	}
+	builds(5)
+	get(1)
+	builds(5)
+	get(2)
+	builds(6)
+
+	for range 10 {
+		get(math.NaN())
+	}
+	builds(16)
+	if len(m.entries) != memoCap {
+		t.Fatalf("%d entries, want %d", len(m.entries), memoCap)
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a panicking build did not reach its caller")
+			}
+		}()
+		m.get(-1)
+	}()
+	if _, err := m.get(-1); err == nil {
+		t.Fatal("a panicked build left no error")
+	}
+	builds(17)
+}
+
+// TestTileTemplates: Table I on the tiny tile builds its two tiles — the
+// real one, shared by the four flows, and the pseudo flows' half-area one
+// — once each, C2D's pseudo tile is the real one again, and after all
+// five flows the libraries every copy shares render the LEF a fresh
+// Generate's do: no flow wrote to a shared master.
+func TestTileTemplates(t *testing.T) {
+	base := resetTiles()
+	cfg := Config{Piton: piton.Tiny(), Seed: 7}
+	if _, _, err := Run2D(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := RunS2D(cfg, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := RunS2D(cfg, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := RunMacro3D(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := tiles.builds.Load() - base; n != 2 {
+		t.Fatalf("Table I built %d tiles, want 2", n)
+	}
+	if _, _, err := RunC2D(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := tiles.builds.Load() - base; n != 2 {
+		t.Fatalf("the five flows built %d tiles, want 2", n)
+	}
+
+	pseudo := cfg.Piton
+	pseudo.TargetLogicArea *= pseudoSpecs["S2D"].area
+	for _, pc := range []piton.Config{cfg.Piton, pseudo} {
+		tmpl, err := tiles.get(pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := piton.Generate(pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want bytes.Buffer
+		if err := lefdef.WriteLEF(&got, nil, tmpl.Design.Lib); err != nil {
+			t.Fatal(err)
+		}
+		if err := lefdef.WriteLEF(&want, nil, fresh.Design.Lib); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%.0f µm² tile: the shared library renders %d LEF bytes, a fresh one %d", pc.TargetLogicArea, got.Len(), want.Len())
+		}
+	}
+	if n := tiles.builds.Load() - base; n != 2 {
+		t.Fatalf("reading the templates built %d tiles, want 2", n)
+	}
+}
+
+// TestConcurrentRunsMatchSerial: 2D and Macro-3D started together on one
+// configuration with no template yet — both ask for it at once — end
+// where the same flows run one after the other do (`make race` runs it
+// under the detector).
+func TestConcurrentRunsMatchSerial(t *testing.T) {
+	cfg := tinyCfg()
+	resetTiles()
+	var got2D, got3D *PPA
+	var err2D, err3D error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); got2D, _, err2D = Run2D(cfg) }()
+	go func() { defer wg.Done(); got3D, _, _, err3D = RunMacro3D(cfg) }()
+	wg.Wait()
+	if err2D != nil || err3D != nil {
+		t.Fatal(err2D, err3D)
+	}
+	want2D, _, err := Run2D(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want3D, _, _, err := RunMacro3D(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got2D != *want2D || *got3D != *want3D {
+		t.Fatalf("concurrent runs differ from serial ones:\n%+v\n%+v\nserial\n%+v\n%+v", *got2D, *got3D, *want2D, *want3D)
+	}
+}

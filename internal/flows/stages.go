@@ -16,7 +16,6 @@ import (
 	"macro3d/internal/obs"
 	"macro3d/internal/opt"
 	"macro3d/internal/partition"
-	"macro3d/internal/piton"
 	"macro3d/internal/place"
 	"macro3d/internal/power"
 	"macro3d/internal/route"
@@ -204,7 +203,7 @@ func (f *flow) pseudoFloorplan(spec pseudoSpec, real *State) error {
 	die := real.Die.Scale(s)
 	pcfg := f.cfg.Piton
 	pcfg.TargetLogicArea *= spec.area
-	tile, err := piton.Generate(pcfg)
+	tile, err := newTile(pcfg)
 	if err != nil {
 		return err
 	}

@@ -189,9 +189,10 @@ func (n *Net) HPWL() float64 {
 //
 // The records are the design; the by-name indexes are derived from them.
 // A design built by Add* keeps them from the start (the duplicate check
-// of an Add* is a lookup). One composed in bulk (Compose) starts without
-// and builds them on the first by-name use — a lookup or an Add* — so a
-// flat array that is only ever walked by ID never hashes its names.
+// of an Add* is a lookup). One composed in bulk (Compose) or copied
+// (Clone) starts without and builds them on the first by-name use — a
+// lookup or an Add* — so a flat array that is only ever walked by ID
+// never hashes its names.
 // Concurrent first lookups are safe; like the maps they replace, lookups
 // concurrent with an edit are not.
 type Design struct {
@@ -350,6 +351,71 @@ func (d *Design) Reserve(instances, nets, sinkPins int) {
 			ix.net = make(map[string]*Net, nets)
 		}
 	}
+}
+
+// Clone returns a copy of d that shares no record with it: every
+// instance, net and port is the copy's own, each kind carved from one
+// exact-size slab chunk (Reserve), the sink lists from one exact-size
+// run (Span), and every pin reference re-pointed by ID at the copy's
+// records. What the records only point at is shared: the names, the
+// masters and the library, none of which an edit of a design writes.
+// Like a composed design, the copy starts without its by-name indexes
+// and builds them on the first by-name use.
+//
+// Every pin reference of d must name a record of d, as Validate
+// demands; Clone panics on one that does not.
+func (d *Design) Clone() *Design {
+	c := &Design{Name: d.Name, Lib: d.Lib}
+	sinks := 0
+	for _, n := range d.Nets {
+		sinks += len(n.Sinks)
+	}
+	c.insts.Reserve(len(d.Instances))
+	c.nets.Reserve(len(d.Nets))
+	c.ports.Reserve(len(d.Ports))
+	c.sinks.ReserveSpans(sinks)
+	c.Instances = make([]*Instance, len(d.Instances))
+	for i, src := range d.Instances {
+		inst := c.insts.Alloc()
+		*inst = *src
+		c.Instances[i] = inst
+	}
+	c.Ports = make([]*Port, len(d.Ports))
+	for i, src := range d.Ports {
+		p := c.ports.Alloc()
+		*p = *src
+		c.Ports[i] = p
+	}
+	c.Nets = make([]*Net, len(d.Nets))
+	for i, src := range d.Nets {
+		n := c.nets.Alloc()
+		*n = *src
+		n.Driver = repoint(c, d, src.Driver)
+		n.Sinks = c.sinks.Span(len(src.Sinks))
+		for j, s := range src.Sinks {
+			n.Sinks[j] = repoint(c, d, s)
+		}
+		c.Nets[i] = n
+	}
+	return c
+}
+
+// repoint maps a pin reference of src onto the records of its copy c
+// with the same IDs.
+func repoint(c, src *Design, r PinRef) PinRef {
+	if r.Inst != nil {
+		if !src.owns(r.Inst) {
+			panic(fmt.Sprintf("netlist: clone of %q: pin %s is not on an instance of the design", src.Name, r))
+		}
+		r.Inst = c.Instances[r.Inst.ID]
+	}
+	if r.Port != nil {
+		if id := r.Port.ID; id < 0 || id >= len(src.Ports) || src.Ports[id] != r.Port {
+			panic(fmt.Sprintf("netlist: clone of %q: port %q is not the design's", src.Name, r.Port.Name))
+		}
+		r.Port = c.Ports[r.Port.ID]
+	}
+	return r
 }
 
 // SinkSpan returns n zero pin references from the design's sink arena,

@@ -197,3 +197,54 @@ func TestNetsOfInstanceRows(t *testing.T) {
 		t.Fatal("growing a row overwrote the next one")
 	}
 }
+
+// TestCloneRepointsByID: a clone holds records of its own, each equal to
+// its source's, and every pin reference points at the clone's record of
+// the same ID; it starts without name indexes and builds them on first
+// use; a reference to a record outside the design panics.
+func TestCloneRepointsByID(t *testing.T) {
+	d := tiny(t)
+	c := d.Clone()
+	if c.byName.Load() != nil {
+		t.Fatal("clone built its name indexes up front")
+	}
+	for i, src := range d.Instances {
+		if got := c.Instances[i]; got == src || *got != *src {
+			t.Fatalf("instance %d: %p %+v, source %p %+v", i, got, *got, src, *src)
+		}
+	}
+	for i, src := range d.Ports {
+		if got := c.Ports[i]; got == src || *got != *src {
+			t.Fatalf("port %d: %+v, source %+v", i, *got, *src)
+		}
+	}
+	owned := func(r PinRef) bool {
+		return (r.Inst == nil || c.Instances[r.Inst.ID] == r.Inst) && (r.Port == nil || c.Ports[r.Port.ID] == r.Port)
+	}
+	for i, src := range d.Nets {
+		n := c.Nets[i]
+		if n == src || n.Name != src.Name || n.ID != src.ID || n.Clock != src.Clock || n.Weight != src.Weight ||
+			len(n.Sinks) != len(src.Sinks) || cap(n.Sinks) != len(n.Sinks) {
+			t.Fatalf("net %d: %+v, source %+v", i, *n, *src)
+		}
+		for k := 0; k < n.NumPins(); k++ {
+			if got, want := n.PinAt(k), src.PinAt(k); !owned(got) || got.String() != want.String() {
+				t.Fatalf("net %s pin %d: %s, source %s", n.Name, k, got, want)
+			}
+		}
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Instance("ff") != c.Instances[1] || c.Net("clk") != c.Nets[2] || c.Port("dout") != c.Ports[2] {
+		t.Fatal("clone's lookups do not find its own records")
+	}
+
+	d.Nets[1].Sinks[0] = IPin(chain(1).Instances[0], "A")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("cloning a design with a foreign pin reference did not panic")
+		}
+	}()
+	d.Clone()
+}

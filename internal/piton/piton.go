@@ -17,10 +17,16 @@
 // raw logic area is measured, and every standard cell is re-pointed at
 // the same-named master of the library scaled to the target (see
 // gen.calibrate). Nothing is built to be thrown away.
+//
+// A tile is a pure function of its Config, so it need not be generated
+// more than once per process: the flows keep one read-only template per
+// configuration and start every run from Tile.Clone, an exact-size copy
+// that shares the template's names, masters and library (DESIGN.md §17).
 package piton
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"macro3d/internal/cell"
@@ -195,6 +201,14 @@ type Tile struct {
 
 	// ClockPort is the tile clock input.
 	ClockPort string
+}
+
+// Clone returns a copy of the tile for one flow run to own and edit: the
+// design copied record for record (netlist.Design.Clone, which shares
+// the names, masters and library) and the port groups copied, their
+// name lists shared like the names themselves.
+func (t *Tile) Clone() *Tile {
+	return &Tile{Design: t.Design.Clone(), Config: t.Config, Groups: slices.Clone(t.Groups), ClockPort: t.ClockPort}
 }
 
 // sramBankSpec splits a cache capacity into macros of at most 32 kB
