@@ -31,10 +31,11 @@ vet:
 ## (netlist also for the by-name indexes built on a composed design's
 ## first lookup, from racing readers), internal/cell for the shared pin
 ## index under concurrent readers,
-## and internal/route for the span-filling net prep and the overflow
-## scan around the ordered routing pass.
+## internal/route for the span-filling net prep and the overflow
+## scan around the ordered routing pass, and internal/par for the worker
+## team itself (the hand-off, the join and a worker's contained panic).
 race:
-	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/ ./internal/stash/ ./internal/serve/ ./internal/extract/ ./internal/sta/ ./internal/slab/ ./internal/netlist/ ./internal/piton/ ./internal/cell/
+	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/ ./internal/stash/ ./internal/serve/ ./internal/extract/ ./internal/sta/ ./internal/slab/ ./internal/netlist/ ./internal/piton/ ./internal/cell/ ./internal/par/
 	$(GO) test -race -timeout 30m ./internal/flows/ ./internal/ddb/ ./internal/opt/ ./internal/place/ ./internal/route/
 
 ## fuzz: ten seconds each of FuzzDecodeResult, FuzzDecodeAbstract,
@@ -127,14 +128,16 @@ faults:
 ## tile and its flat 4×4 array (CTSBuild tile/array4x4, AnalyzeArray4x4:
 ## one full sta.Analyze), all three in internal/flows — and the maze A*
 ## kernel in internal/route (MazeRoute: 64 windowed searches on a
-## congested grid with no negotiation history, 0 allocs/op) — with B/op
+## congested grid with no negotiation history, 0 allocs/op) and the
+## worker team's fork-join in internal/par (TeamChunks: one hand-off and
+## join at two workers, 0 allocs/op) — with B/op
 ## and allocs/op, recorded as machine-readable BENCH_opt.json. It ends by
 ## comparing the new file with the one it replaces, benchmark by
 ## benchmark (time/op; allocs/op beyond max(2, 0.1 %) of the old count,
 ## the runtime's own jitter at -benchtime 1x), failing on a regression
 ## that is not noise.
 bench:
-	$(GO) test -bench 'TableII|Optimize|EngineUpdateTopo|TxnReroute|NewFreeSpace|Legalize|Generate|TileCopy|Abut4x4|ResultCodec|CTSBuild|AnalyzeArray4x4|MazeRoute' -benchmem -count 5 -benchtime 1x -run '^$$' . ./internal/flows ./internal/place ./internal/route | $(GO) run ./cmd/benchjson -o BENCH_opt.new.json
+	$(GO) test -bench 'TableII|Optimize|EngineUpdateTopo|TxnReroute|NewFreeSpace|Legalize|Generate|TileCopy|Abut4x4|ResultCodec|CTSBuild|AnalyzeArray4x4|MazeRoute|TeamChunks' -benchmem -count 5 -benchtime 1x -run '^$$' . ./internal/flows ./internal/place ./internal/route ./internal/par | $(GO) run ./cmd/benchjson -o BENCH_opt.new.json
 	cat BENCH_opt.new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_opt.json BENCH_opt.new.json; s=$$?; mv BENCH_opt.new.json BENCH_opt.json; exit $$s
 

@@ -41,6 +41,7 @@ import (
 	"macro3d/internal/obs"
 	"macro3d/internal/place"
 	"macro3d/internal/route"
+	"macro3d/internal/slab"
 	"macro3d/internal/tech"
 )
 
@@ -74,6 +75,9 @@ type DB struct {
 	drivenI [][]int32
 	drivenP [][]int32
 	inputs  [][]int32
+	// rows backs every row a transaction grows (grow), so an edit
+	// allocates no row of its own.
+	rows slab.Slab[int32]
 
 	// State of the open transaction that is reused from one to the
 	// next: the journals and the dirty sets.
@@ -178,9 +182,21 @@ func (db *DB) rebuildAdjacency() {
 }
 
 func (db *DB) addInput(instID int, netID int32) {
-	if i, found := slices.BinarySearch(db.inputs[instID], netID); !found {
-		db.inputs[instID] = slices.Insert(db.inputs[instID], i, netID)
+	row := db.inputs[instID]
+	if i, found := slices.BinarySearch(row, netID); !found {
+		db.inputs[instID] = slices.Insert(db.grow(row), i, netID)
 	}
+}
+
+// grow returns row with room for one more id: row itself while it has
+// spare capacity, else a copy in a span of the DB's row slab twice its
+// length. The outgrown span is abandoned where it lies; a rollback
+// copies the journaled row back into whichever span the row holds.
+func (db *DB) grow(row []int32) []int32 {
+	if len(row) < cap(row) {
+		return row
+	}
+	return append(db.rows.Span(max(2*len(row), 2))[:0], row...)
 }
 
 func (db *DB) removeInput(instID int, netID int32) {

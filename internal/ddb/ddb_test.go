@@ -370,3 +370,61 @@ func TestTxnRerouteAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestRollbackOverGrownRows is the rollback property over rows the
+// database grew itself: random bundles of buffer insertions — each
+// buffer hung off an existing driver and driving existing sinks, so
+// driver and input rows of old and new instances alike outgrow their
+// spans into the row slab — are committed or rolled back at random,
+// and after each the adjacency equals a from-scratch build. Committed
+// bundles leave grown rows behind for later bundles to grow again and
+// roll back into.
+func TestRollbackOverGrownRows(t *testing.T) {
+	db := lanesDB(t, 20)
+	d := db.Design
+	buf := d.Lib.MustCell("BUF_X1")
+	var drivers, sinks []netlist.PinRef
+	for _, inst := range d.Instances {
+		switch inst.Master.Name {
+		case "DFF_X1":
+			drivers = append(drivers, netlist.IPin(inst, "Q"))
+			sinks = append(sinks, netlist.IPin(inst, "D"))
+		case "INV_X2":
+			drivers = append(drivers, netlist.IPin(inst, "Y"))
+			sinks = append(sinks, netlist.IPin(inst, "A"))
+		}
+	}
+	rng := geom.NewRNG(5)
+	grown, commits, rollbacks := 0, 0, 0
+	for step := 0; step < 200; step++ {
+		txn := db.Begin()
+		for e := 0; e < 1+rng.Intn(4); e++ {
+			b := txn.AddInstance("pb"+strconv.Itoa(step)+"_"+strconv.Itoa(e), buf)
+			txn.AddNet("pn"+strconv.Itoa(step)+"_"+strconv.Itoa(e), drivers[rng.Intn(len(drivers))], netlist.IPin(b, "A"))
+			fan := make([]netlist.PinRef, 1+rng.Intn(3))
+			for i := range fan {
+				fan[i] = sinks[rng.Intn(len(sinks))]
+			}
+			txn.AddNet("po"+strconv.Itoa(step)+"_"+strconv.Itoa(e), netlist.IPin(b, "Y"), fan...)
+		}
+		if rng.Intn(3) == 0 {
+			txn.Commit()
+			commits++
+		} else {
+			txn.Rollback()
+			rollbacks++
+		}
+		if err := db.CheckAdjacency(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	for _, s := range sinks {
+		if in := db.InputNets(s.Inst); cap(in) > len(in) {
+			grown++
+		}
+	}
+	if commits == 0 || rollbacks == 0 || grown == 0 {
+		t.Fatalf("%d commits, %d rollbacks, %d grown input rows: the run must exercise all three",
+			commits, rollbacks, grown)
+	}
+}

@@ -232,7 +232,7 @@ func (t *Txn) AddInstance(name string, master *cell.Cell) *netlist.Instance {
 func (t *Txn) AddNet(name string, driver netlist.PinRef, sinks ...netlist.PinRef) *netlist.Net {
 	n := t.db.Design.AddNet(name, driver, sinks...)
 	if row := t.db.drivenRow(driver); row != nil {
-		*row = append(*row, int32(n.ID))
+		*row = append(t.db.grow(*row), int32(n.ID))
 		if driver.Inst == nil || driver.Inst.ID < t.baseInsts {
 			t.db.undo.newDriven = append(t.db.undo.newDriven, driver)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"macro3d/internal/par"
 	"macro3d/internal/piton"
 	"macro3d/internal/stash"
 )
@@ -52,6 +53,28 @@ func TestPanicContainedAsStageError(t *testing.T) {
 	}
 	if !st.Trace.Stages[len(st.Trace.Stages)-1].Panicked {
 		t.Fatal("trace did not record the panic")
+	}
+}
+
+// TestWorkerPanicContained: a panic in a fan-out chunk on a resident
+// worker — not on the stage goroutine — surfaces on the caller once the
+// fork-join ends, so the stage's contain turns it into a *PanicError
+// carrying the original value instead of the process dying.
+func TestWorkerPanicContained(t *testing.T) {
+	var team par.Team
+	team.Start(2, nil)
+	defer team.Close()
+	err := contain(func() error {
+		team.Chunks("test/panic", 2, func(w, lo, hi int) {
+			if w == 1 {
+				panic("boom: worker 1")
+			}
+		})
+		return nil
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "boom: worker 1" {
+		t.Fatalf("worker panic not contained as its value: %v", err)
 	}
 }
 

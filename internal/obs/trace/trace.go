@@ -37,7 +37,7 @@ func N(key string, val int64) Arg { return Arg{Key: key, Val: val} }
 
 // Slice is one recorded interval on a track. Start and Dur are
 // nanoseconds relative to the tracer epoch. Step groups the slices of
-// one fork-join fan-out (a par.ChunksTr/ItemsTr call): all chunks of
+// one fork-join fan-out (a par.Team.Chunks call): all chunks of
 // the same call share a step id, and the analyzer's critical path
 // takes the per-step maximum. Step 0 marks serial work recorded
 // outside any fan-out.

@@ -38,6 +38,7 @@ import (
 	"macro3d/internal/obs"
 	"macro3d/internal/place"
 	"macro3d/internal/route"
+	"macro3d/internal/slab"
 	"macro3d/internal/sta"
 	"macro3d/internal/tech"
 )
@@ -75,16 +76,24 @@ type Context struct {
 	pts     []geom.Point
 	groups  [][]netlist.PinRef
 	nameBuf []byte
+	// names holds the names of inserted buffers and nets. Optimize
+	// sizes its first chunk (nameChunk); it comes with the first
+	// insertion.
+	names slab.Names
 }
 
-// name formats prefix_a_b, the name of an inserted buffer or net, in the
-// context's scratch: one allocation, the string.
+// nameChunk is the first chunk of a context's name arena: the few
+// hundred bytes of names an Optimize that buffers a few nets cuts.
+const nameChunk = 1 << 10
+
+// name formats prefix_a_b, the name of an inserted buffer or net, and
+// cuts it from the context's name arena.
 func (ctx *Context) name(prefix string, a, b int) string {
 	buf := append(append(ctx.nameBuf[:0], prefix...), '_')
 	buf = append(strconv.AppendInt(buf, int64(a), 10), '_')
 	buf = strconv.AppendInt(buf, int64(b), 10)
 	ctx.nameBuf = buf
-	return string(buf)
+	return ctx.names.Cut(buf)
 }
 
 // Options tunes the loop.
@@ -257,6 +266,7 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 		ctx.DDB.Free = place.NewFreeSpace(ctx.Design, ctx.FP, ctx.RowHeight)
 	}
 
+	ctx.names.First = nameChunk
 	bufSeq := 0
 	fanoutDone := &intSet{}
 	chainDone := &intSet{}

@@ -193,3 +193,37 @@ func TestEngineTopoPatchEqualsRebuild(t *testing.T) {
 		})
 	}
 }
+
+// TestFanoutBufferAllocs pins what one fanout-buffer insertion — the
+// edit the optimizer makes most — allocates on the tiny tile, inside a
+// transaction that is then rolled back: the transaction, the driver's
+// new sink list and the one copy of the sinks the new nets keep. Its
+// buffer and net names come from the context's name arena and its
+// adjacency rows from the database's row slab, so neither costs an
+// object per edit once their chunks are there.
+func TestFanoutBufferAllocs(t *testing.T) {
+	ctx := tilePreOptOf(t, piton.Tiny())
+	d := ctx.DDB.Design
+	ctx.Design, ctx.Ex = d, ctx.DDB.Ex
+	ctx.DDB.Free = place.NewFreeSpace(d, ctx.FP, ctx.RowHeight)
+	ctx.names.First = nameChunk
+	var n *netlist.Net
+	for _, m := range d.Nets {
+		if !m.Clock && m.Driver.Inst != nil && (n == nil || len(m.Sinks) > len(n.Sinks)) {
+			n = m
+		}
+	}
+	opt := Options{}.withDefaults()
+	seq := 0
+	insert := func() {
+		ctx.txn = ctx.DDB.Begin()
+		if err := insertFanoutBuffer(ctx, n, opt, &seq); err != nil {
+			t.Fatal(err)
+		}
+		ctx.txn.Rollback()
+	}
+	insert()
+	if a := testing.AllocsPerRun(200, insert); a > 3 {
+		t.Fatalf("one fanout-buffer insertion on %d sinks allocates %.0f objects, want ≤ 3", len(n.Sinks), a)
+	}
+}

@@ -1,8 +1,8 @@
 // Package par holds the small deterministic fan-out primitives shared
-// by the parallel routing and placement engines: contiguous index
-// chunking with one goroutine per worker, worker-count resolution, and
-// aggregate busy-time accounting feeding the worker-utilization
-// gauges.
+// by the parallel routing and placement engines: worker-count
+// resolution and a Team — resident worker goroutines that run
+// contiguous index chunks, with aggregate busy-time accounting feeding
+// the worker-utilization gauges.
 //
 // Determinism is the caller's contract: workers must write only to
 // disjoint state (distinct slice elements, per-worker scratch), and
@@ -15,7 +15,6 @@ package par
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"macro3d/internal/obs/trace"
@@ -31,85 +30,148 @@ func Workers(n int) int {
 	return n
 }
 
-// Chunks splits [0, n) into at most `workers` contiguous chunks and
-// runs fn(worker, lo, hi) concurrently, one goroutine per chunk. The
-// worker index is dense in [0, workers) so callers can address
-// per-worker scratch. With workers <= 1 or n <= 1 fn runs inline as
-// fn(0, 0, n) — no goroutines, the serial reference path.
+// Team is the fan-out of one engine run: Start launches workers−1
+// resident goroutines, every Chunks call hands them its chunks by
+// value and runs the first one on the caller, and Close stops them. A
+// fork-join therefore allocates nothing, at any worker count.
+//
+// The zero Team (or one started with one worker) is the serial
+// reference path with tracing off: Chunks runs fn inline. A Team is
+// driven by one goroutine at a time.
+type Team struct {
+	workers int
+	ts      *trace.Set
+	jobs    chan job
+	done    chan result
+	exited  sync.WaitGroup
+}
+
+// job is one chunk [lo, hi) of fork-join `name`, for worker index w.
+type job struct {
+	name   string
+	fn     func(w, lo, hi int)
+	w      int
+	lo, hi int
+}
+
+// result is a finished chunk: its busy time, or the value its fn
+// panicked with.
+type result struct {
+	w        int
+	busy     time.Duration
+	panicked bool
+	val      any
+}
+
+// Start readies the team for `workers` workers (at least one) and, when
+// ts is non-nil, traces every chunk on worker w's track of ts. Call it
+// once, and Close when the run ends — on every return path.
+func (t *Team) Start(workers int, ts *trace.Set) {
+	t.workers, t.ts = max(workers, 1), ts
+	if t.workers == 1 {
+		return
+	}
+	t.jobs = make(chan job, t.workers-1)
+	t.done = make(chan result, t.workers-1)
+	t.exited.Add(t.workers - 1)
+	for range t.workers - 1 {
+		go t.work()
+	}
+}
+
+// Close stops the resident goroutines and waits for them to exit. The
+// team then runs serially; Close on a serial team is a no-op.
+func (t *Team) Close() {
+	if t.jobs != nil {
+		close(t.jobs)
+		t.exited.Wait()
+		t.jobs, t.done = nil, nil
+	}
+	t.workers = 1
+}
+
+// Size is the team's worker count, the bound of every worker index w.
+func (t *Team) Size() int { return max(t.workers, 1) }
+
+func (t *Team) work() {
+	defer t.exited.Done()
+	for j := range t.jobs {
+		t.done <- t.run(j)
+	}
+}
+
+// Chunks splits [0, n) into at most Size() contiguous chunks of
+// ⌈n/workers⌉ and runs fn(w, lo, hi) on each concurrently, the first on
+// the calling goroutine. The worker index is dense in [0, Size()) so
+// callers can address per-worker scratch. With one worker or n <= 1 fn
+// runs inline as fn(0, 0, n).
+//
+// With tracing on, each chunk records one slice named `name` on worker
+// w's track, all stamped with a fresh fork-join step id, with the chunk
+// size attached; tracing wraps fn without reordering or altering it.
+//
+// A chunk that panics does not take the process down from a worker
+// goroutine: once every chunk has finished, Chunks re-panics on the
+// caller with the value of the lowest-indexed chunk that panicked.
 //
 // The returned duration is the summed busy time across workers
 // (inline runs report their wall time), for utilization metrics.
-func Chunks(workers, n int, fn func(w, lo, hi int)) time.Duration {
+func (t *Team) Chunks(name string, n int, fn func(w, lo, hi int)) time.Duration {
+	t.ts.NextStep()
 	if n <= 0 {
 		return 0
 	}
-	if workers > n {
-		workers = n
+	w := min(t.Size(), n)
+	chunk := (n + w - 1) / w
+	if chunk == n {
+		return t.exec(job{name, fn, 0, 0, n})
 	}
-	if workers <= 1 {
-		t0 := time.Now()
-		fn(0, 0, n)
+	sent := 0
+	for lo := chunk; lo < n; lo += chunk {
+		sent++
+		t.jobs <- job{name, fn, sent, lo, min(lo+chunk, n)}
+	}
+	// A woken worker waits in this P's run-next slot, where it would sit
+	// until chunk 0 is done unless an idle P steals it; yielding runs it
+	// now and the caller resumes on whichever P picks it up first.
+	runtime.Gosched()
+	first := t.run(job{name, fn, 0, 0, chunk})
+	busy := first.busy
+	for range sent {
+		r := <-t.done
+		busy += r.busy
+		if r.panicked && (!first.panicked || r.w < first.w) {
+			first = r
+		}
+	}
+	if first.panicked {
+		panic(first.val)
+	}
+	return busy
+}
+
+// run executes j, recovering a panic into the result.
+func (t *Team) run(j job) (r result) {
+	r.w = j.w
+	defer func() {
+		if p := recover(); p != nil {
+			r.panicked, r.val = true, p
+		}
+	}()
+	r.busy = t.exec(j)
+	return r
+}
+
+// exec executes j, traced when the team traces, and returns its wall
+// time.
+func (t *Team) exec(j job) time.Duration {
+	t0 := time.Now()
+	if t.ts == nil {
+		j.fn(j.w, j.lo, j.hi)
 		return time.Since(t0)
 	}
-	chunk := (n + workers - 1) / workers
-	var busy atomic.Int64
-	var wg sync.WaitGroup
-	w := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			t0 := time.Now()
-			fn(w, lo, hi)
-			busy.Add(int64(time.Since(t0)))
-		}(w, lo, hi)
-		w++
-	}
-	wg.Wait()
-	return time.Duration(busy.Load())
-}
-
-// Items runs fn(worker, i) for every i in [0, n) using Chunks — the
-// per-item convenience form.
-func Items(workers, n int, fn func(w, i int)) time.Duration {
-	return Chunks(workers, n, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(w, i)
-		}
-	})
-}
-
-// ChunksTr is Chunks with execution tracing: each chunk records one
-// slice named `name` on worker w's track, all stamped with a fresh
-// fork-join step id, with the chunk size attached. A nil Set falls
-// straight through to Chunks — one pointer comparison, so the traced
-// call sites stay on the engines' hot paths unconditionally. Tracing
-// wraps fn without reordering or altering it, preserving the
-// bit-identical-results contract.
-func ChunksTr(ts *trace.Set, name string, workers, n int, fn func(w, lo, hi int)) time.Duration {
-	if ts == nil {
-		return Chunks(workers, n, fn)
-	}
-	ts.NextStep()
-	return Chunks(workers, n, func(w, lo, hi int) {
-		sp := ts.Begin(w, name)
-		fn(w, lo, hi)
-		sp.End(trace.N("items", int64(hi-lo)))
-	})
-}
-
-// ItemsTr is Items with execution tracing; see ChunksTr.
-func ItemsTr(ts *trace.Set, name string, workers, n int, fn func(w, i int)) time.Duration {
-	if ts == nil {
-		return Items(workers, n, fn)
-	}
-	ts.NextStep()
-	return Chunks(workers, n, func(w, lo, hi int) {
-		sp := ts.Begin(w, name)
-		for i := lo; i < hi; i++ {
-			fn(w, i)
-		}
-		sp.End(trace.N("items", int64(hi-lo)))
-	})
+	sp := t.ts.Begin(j.w, j.name)
+	j.fn(j.w, j.lo, j.hi)
+	sp.End(trace.N("items", int64(j.hi-j.lo)))
+	return time.Since(t0)
 }

@@ -9,6 +9,14 @@ import (
 	"macro3d/internal/obs/trace"
 )
 
+// team starts a team of `workers` for the test and closes it after.
+func team(t testing.TB, workers int, ts *trace.Set) *Team {
+	tm := new(Team)
+	tm.Start(workers, ts)
+	t.Cleanup(tm.Close)
+	return tm
+}
+
 func TestWorkersResolution(t *testing.T) {
 	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("Workers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
@@ -23,13 +31,24 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
+// TestChunksCoversEveryIndexOnce also pins the chunking itself: the
+// chunks are the ⌈n/workers⌉ contiguous runs, chunk w starting at
+// w·⌈n/workers⌉, whichever goroutine runs the chunk — the engines'
+// per-worker scratch and reduction orders rest on it. One team serves
+// every n.
 func TestChunksCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 4, 9} {
+		tm := team(t, workers, nil)
 		for _, n := range []int{0, 1, 2, 5, 17, 100} {
 			seen := make([]int32, n)
-			Chunks(workers, n, func(w, lo, hi int) {
+			w := min(workers, max(n, 1))
+			chunk := (n + w - 1) / w
+			tm.Chunks("x", n, func(w, lo, hi int) {
 				if lo < 0 || hi > n || lo > hi {
 					t.Errorf("workers=%d n=%d: bad chunk [%d,%d)", workers, n, lo, hi)
+				}
+				if lo != w*chunk || hi != min(lo+chunk, n) {
+					t.Errorf("workers=%d n=%d: worker %d got [%d,%d), want chunk of %d", workers, n, w, lo, hi, chunk)
 				}
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&seen[i], 1)
@@ -44,10 +63,28 @@ func TestChunksCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// TestChunksZeroTeam: the zero Team is the serial path, untraced.
+func TestChunksZeroTeam(t *testing.T) {
+	var tm Team
+	if tm.Size() != 1 {
+		t.Fatalf("zero team has %d workers", tm.Size())
+	}
+	calls := 0
+	tm.Chunks("x", 40, func(w, lo, hi int) {
+		calls++
+		if w != 0 || lo != 0 || hi != 40 {
+			t.Fatalf("zero team got (%d,%d,%d)", w, lo, hi)
+		}
+	})
+	if calls != 1 {
+		t.Fatalf("zero team called fn %d times", calls)
+	}
+}
+
 func TestChunksWorkerIndexDense(t *testing.T) {
 	const workers, n = 4, 100
 	var used [workers]int32
-	Chunks(workers, n, func(w, lo, hi int) {
+	team(t, workers, nil).Chunks("x", n, func(w, lo, hi int) {
 		if w < 0 || w >= workers {
 			t.Errorf("worker index %d out of range", w)
 			return
@@ -63,7 +100,7 @@ func TestChunksWorkerIndexDense(t *testing.T) {
 
 func TestChunksSerialInline(t *testing.T) {
 	calls := 0
-	Chunks(1, 50, func(w, lo, hi int) {
+	team(t, 1, nil).Chunks("x", 50, func(w, lo, hi int) {
 		calls++
 		if w != 0 || lo != 0 || hi != 50 {
 			t.Fatalf("serial path got (%d,%d,%d)", w, lo, hi)
@@ -74,50 +111,18 @@ func TestChunksSerialInline(t *testing.T) {
 	}
 }
 
-func TestItems(t *testing.T) {
-	const n = 37
-	seen := make([]int32, n)
-	Items(4, n, func(w, i int) { atomic.AddInt32(&seen[i], 1) })
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("item %d visited %d times", i, c)
-		}
-	}
-}
-
-func TestChunksTrNilSetMatchesChunks(t *testing.T) {
-	const n = 40
-	seen := make([]int32, n)
-	ChunksTr(nil, "x", 4, n, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&seen[i], 1)
-		}
-	})
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("nil-set ChunksTr: index %d visited %d times", i, c)
-		}
-	}
-	seen = make([]int32, n)
-	ItemsTr(nil, "x", 4, n, func(w, i int) { atomic.AddInt32(&seen[i], 1) })
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("nil-set ItemsTr: item %d visited %d times", i, c)
-		}
-	}
-}
-
-func TestChunksTrRecordsOneSlicePerChunk(t *testing.T) {
+func TestChunksTracedRecordsOneSlicePerChunk(t *testing.T) {
 	tr := trace.New()
-	ts := tr.WorkerSet("route", 4)
+	tm := team(t, 4, tr.WorkerSet("route", 4))
 	const n = 100
 	seen := make([]int32, n)
-	ChunksTr(ts, "route/batch", 4, n, func(w, lo, hi int) {
+	count := func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&seen[i], 1)
 		}
-	})
-	ItemsTr(ts, "route/prep", 4, n, func(w, i int) { atomic.AddInt32(&seen[i], 1) })
+	}
+	tm.Chunks("route/batch", n, count)
+	tm.Chunks("route/prep", n, count)
 	for i, c := range seen {
 		if c != 2 {
 			t.Fatalf("index %d visited %d times, want 2", i, c)
@@ -150,10 +155,9 @@ func TestChunksTrRecordsOneSlicePerChunk(t *testing.T) {
 	}
 }
 
-func TestChunksTrSerialInlineStillTraces(t *testing.T) {
+func TestChunksTracedSerialInline(t *testing.T) {
 	tr := trace.New()
-	ts := tr.WorkerSet("place", 1)
-	ChunksTr(ts, "place/solve", 1, 50, func(w, lo, hi int) {})
+	team(t, 1, tr.WorkerSet("place", 1)).Chunks("place/solve", 50, func(w, lo, hi int) {})
 	sl := tr.Track("worker 0").Slices()
 	if len(sl) != 1 || sl[0].Step == 0 || sl[0].Args[0].Val != 50 {
 		t.Fatalf("inline traced run: %+v", sl)
@@ -164,7 +168,7 @@ func TestChunksTrSerialInlineStillTraces(t *testing.T) {
 // inline run (workers == 1) reports its wall time as busy time.
 func TestChunksBusyTimeInline(t *testing.T) {
 	const d = 20 * time.Millisecond
-	busy := Chunks(1, 10, func(w, lo, hi int) { time.Sleep(d) })
+	busy := team(t, 1, nil).Chunks("x", 10, func(w, lo, hi int) { time.Sleep(d) })
 	if busy < d {
 		t.Fatalf("inline busy %v, want ≥ %v", busy, d)
 	}
@@ -181,8 +185,9 @@ func TestChunksBusyTimeInline(t *testing.T) {
 func TestChunksBusyTimeSums(t *testing.T) {
 	const workers = 4
 	const d = 20 * time.Millisecond
+	tm := team(t, workers, nil)
 	t0 := time.Now()
-	busy := Chunks(workers, workers, func(w, lo, hi int) { time.Sleep(d) })
+	busy := tm.Chunks("x", workers, func(w, lo, hi int) { time.Sleep(d) })
 	wall := time.Since(t0)
 	if busy < workers*d {
 		t.Fatalf("summed busy %v, want ≥ %v", busy, workers*d)
@@ -197,26 +202,21 @@ func TestChunksBusyTimeSums(t *testing.T) {
 // TestChunksBusyTimeEmpty pins the degenerate case: no items, no busy
 // time.
 func TestChunksBusyTimeEmpty(t *testing.T) {
-	if busy := Chunks(4, 0, func(w, lo, hi int) { time.Sleep(time.Millisecond) }); busy != 0 {
+	if busy := team(t, 4, nil).Chunks("x", 0, func(w, lo, hi int) { time.Sleep(time.Millisecond) }); busy != 0 {
 		t.Fatalf("empty fan-out reported busy %v", busy)
 	}
 }
 
-// TestChunksTrBusyTimeMatches pins that tracing does not change the
-// accounting: the traced forms report the same summed-busy semantics
-// as the plain ones (within the tracing overhead).
-func TestChunksTrBusyTimeMatches(t *testing.T) {
+// TestChunksTracedBusyTimeMatches pins that tracing does not change the
+// accounting: a traced team reports the same summed-busy semantics as
+// an untraced one (within the tracing overhead).
+func TestChunksTracedBusyTimeMatches(t *testing.T) {
 	const workers = 3
 	const d = 15 * time.Millisecond
 	tr := trace.New()
-	ts := tr.WorkerSet("route", workers)
-	busy := ChunksTr(ts, "route/batch", workers, workers, func(w, lo, hi int) { time.Sleep(d) })
+	busy := team(t, workers, tr.WorkerSet("route", workers)).Chunks("route/batch", workers, func(w, lo, hi int) { time.Sleep(d) })
 	if busy < workers*d {
 		t.Fatalf("traced summed busy %v, want ≥ %v", busy, workers*d)
-	}
-	busy = ItemsTr(ts, "route/prep", workers, workers, func(w, i int) { time.Sleep(d) })
-	if busy < workers*d {
-		t.Fatalf("traced per-item summed busy %v, want ≥ %v", busy, workers*d)
 	}
 }
 
@@ -227,11 +227,83 @@ func TestChunksTrBusyTimeMatches(t *testing.T) {
 func TestUtilizationRatioFromBusy(t *testing.T) {
 	const workers = 4
 	const d = 25 * time.Millisecond
+	tm := team(t, workers, nil)
 	t0 := time.Now()
-	busy := Chunks(workers, workers, func(w, lo, hi int) { time.Sleep(d) })
+	busy := tm.Chunks("x", workers, func(w, lo, hi int) { time.Sleep(d) })
 	wall := time.Since(t0)
 	util := busy.Seconds() / (wall.Seconds() * workers)
 	if util <= 0.5 || util > 1.01 {
 		t.Fatalf("utilization %0.3f outside (0.5, 1.01]: busy %v wall %v", util, busy, wall)
+	}
+}
+
+// TestChunksAllocs: a fork-join hands its chunks to the resident
+// workers by value, so it allocates nothing at any worker count.
+func TestChunksAllocs(t *testing.T) {
+	var sink [8]int64
+	fn := func(w, lo, hi int) { sink[w] += int64(hi - lo) }
+	for _, workers := range []int{1, 2, 4} {
+		tm := team(t, workers, nil)
+		if a := testing.AllocsPerRun(100, func() { tm.Chunks("x", 1000, fn) }); a != 0 {
+			t.Errorf("workers=%d: a fork-join allocates %.0f objects, want 0", workers, a)
+		}
+	}
+}
+
+// TestChunksWorkerPanic: a panic in a chunk on a resident worker does
+// not kill the process — it surfaces on the caller with its original
+// value once every chunk has finished, the lowest-indexed chunk's when
+// several panic, and the team still runs and closes cleanly after it.
+func TestChunksWorkerPanic(t *testing.T) {
+	base := runtime.NumGoroutine()
+	tm := new(Team)
+	tm.Start(4, nil)
+	var finished atomic.Int32
+	catch := func(fn func(w, lo, hi int)) (p any) {
+		defer func() { p = recover() }()
+		tm.Chunks("x", 4, fn)
+		return nil
+	}
+	p := catch(func(w, lo, hi int) {
+		if w == 1 || w == 3 {
+			panic(w)
+		}
+		time.Sleep(5 * time.Millisecond)
+		finished.Add(1)
+	})
+	if p != 1 {
+		t.Fatalf("recovered %v, want the panic of worker 1", p)
+	}
+	if finished.Load() != 2 {
+		t.Fatalf("%d chunks had finished at the re-panic, want 2", finished.Load())
+	}
+	if p := catch(func(w, lo, hi int) {
+		if w == 0 {
+			panic("caller")
+		}
+	}); p != "caller" {
+		t.Fatalf("recovered %v from the caller's own chunk", p)
+	}
+	var items atomic.Int32
+	tm.Chunks("x", 8, func(w, lo, hi int) { items.Add(int32(hi - lo)) })
+	if items.Load() != 8 {
+		t.Fatalf("after the panics a fork-join covered %d of 8 items", items.Load())
+	}
+	tm.Close()
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines after Close, %d before Start", got, base)
+	}
+}
+
+// BenchmarkTeamChunks is one fork-join over a trivial body at two
+// workers: the hand-off and the join alone, 0 allocs/op.
+func BenchmarkTeamChunks(b *testing.B) {
+	var sink [2]int64
+	fn := func(w, lo, hi int) { sink[w] += int64(hi - lo) }
+	tm := team(b, 2, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tm.Chunks("x", 1024, fn)
 	}
 }

@@ -22,7 +22,6 @@ import (
 
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
-	"macro3d/internal/obs/trace"
 	"macro3d/internal/par"
 	"macro3d/internal/tech"
 )
@@ -117,8 +116,7 @@ type analyticState struct {
 	inner                        geom.Rect
 	pitch                        float64
 	gamma, lambda, lr            float64
-	workers                      int
-	ts                           *trace.Set
+	team                         *par.Team
 	netFn, cellFn, stepFn, expFn func(w, lo, hi int)
 	busy                         time.Duration
 }
@@ -132,7 +130,7 @@ type pinExp struct{ ux, vx, uy, vy float64 }
 // nets on the same walk (analyticBumpWeight) and sizes the scratch
 // arrays.
 func newAnalyticState(d *netlist.Design, movable []*netlist.Instance,
-	bins *binGrid, pitch float64, workers int, ts *trace.Set) *analyticState {
+	bins *binGrid, pitch float64, team *par.Team) *analyticState {
 
 	movK := make([]int32, len(d.Instances))
 	for i := range movK {
@@ -175,11 +173,10 @@ func newAnalyticState(d *netlist.Design, movable []*netlist.Instance,
 		pois:      newPoissonGrid(bins.grid),
 		fgx:       make([]float64, nb),
 		fgy:       make([]float64, nb),
-		maxG:      make([]float64, workers),
+		maxG:      make([]float64, team.Size()),
 		inner:     bins.grid.Region.Expand(-1),
 		pitch:     pitch,
-		workers:   workers,
-		ts:        ts,
+		team:      team,
 	}
 	for k, inst := range movable {
 		st.movID[k] = int32(inst.ID)
@@ -297,8 +294,8 @@ func (st *analyticState) seed(d *netlist.Design, sweeps int) {
 		}
 	}
 	for range sweeps {
-		st.busy += par.ChunksTr(st.ts, "place/centroid", st.workers, len(d.Nets), centroid)
-		st.busy += par.ChunksTr(st.ts, "place/move", st.workers, len(st.movID), move)
+		st.busy += st.team.Chunks("place/centroid", len(d.Nets), centroid)
+		st.busy += st.team.Chunks("place/move", len(st.movID), move)
 	}
 }
 
@@ -321,7 +318,7 @@ func (st *analyticState) iterate(it, iters int) float64 {
 	gamma, step := st.schedule(it, iters)
 	if it == 0 {
 		st.gamma = gamma
-		st.busy += par.ChunksTr(st.ts, "place/wa-exp", st.workers, points, st.expFn)
+		st.busy += st.team.Chunks("place/wa-exp", points, st.expFn)
 		st.charge()
 	} else {
 		// The density weight λ ramps geometrically as γ tightens — density
@@ -329,9 +326,9 @@ func (st *analyticState) iterate(it, iters int) float64 {
 		st.lambda *= 1.045
 	}
 
-	st.busy += par.ChunksTr(st.ts, "place/wa-net", st.workers, len(st.wnet), st.netFn)
+	st.busy += st.team.Chunks("place/wa-net", len(st.wnet), st.netFn)
 	st.field()
-	st.busy += par.ChunksTr(st.ts, "place/cell-grad", st.workers, len(st.movID), st.cellFn)
+	st.busy += st.team.Chunks("place/cell-grad", len(st.movID), st.cellFn)
 	gmax := slices.Max(st.maxG)
 	if it == 0 {
 		// λ is calibrated once, from the first iterate's gradient
@@ -358,7 +355,7 @@ func (st *analyticState) iterate(it, iters int) float64 {
 		st.lr = step / gmax
 	}
 	st.gamma, _ = st.schedule(it+1, iters)
-	st.busy += par.ChunksTr(st.ts, "place/descend", st.workers, points, st.stepFn)
+	st.busy += st.team.Chunks("place/descend", points, st.stepFn)
 	st.charge()
 	return st.overflow()
 }

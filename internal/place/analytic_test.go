@@ -12,6 +12,7 @@ import (
 	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
+	"macro3d/internal/par"
 	"macro3d/internal/piton"
 	"macro3d/internal/tech"
 )
@@ -201,18 +202,18 @@ func analyticFixture(t testing.TB, cfg piton.Config) (*netlist.Design, []*netlis
 	d.AddNet("t_frozen_only", netlist.PPin(d.Ports[0]), netlist.PPin(d.Ports[1]))
 	v, w := movable[len(movable)/3], movable[2*len(movable)/3]
 	d.AddNet("t_coincide", netlist.IPin(v, v.Master.Pins[0].Name), netlist.IPin(w, w.Master.Pins[0].Name))
-	st := fixtureState(d, fp)
+	st := fixtureState(d, fp, new(par.Team))
 	st.pos[w.ID] = st.pos[v.ID]
 	return d, movable, st.pos, st
 }
 
 // fixtureState builds the descent state of a floorplanned design with
-// its cells scattered about the die centre.
-func fixtureState(d *netlist.Design, fp *floorplan.Floorplan) *analyticState {
+// its cells scattered about the die centre, fanning out on team.
+func fixtureState(d *netlist.Design, fp *floorplan.Floorplan, team *par.Team) *analyticState {
 	opt := Options{}.withDefaults()
 	rng := geom.NewRNG(7)
 	bins := newBinGrid(fp.Die, opt.BinPitch, fp.PlaceBlk, opt.MaxFill)
-	st := newAnalyticState(d, movableCells(d), bins, opt.BinPitch, 1, nil)
+	st := newAnalyticState(d, movableCells(d), bins, opt.BinPitch, team)
 	for _, inst := range d.Instances {
 		st.pos[inst.ID] = inst.Center()
 		if !inst.Fixed {
@@ -342,7 +343,7 @@ func TestSeedMatchesObjectLoop(t *testing.T) {
 			md.Pins[i].Layer += tech.MDSuffix
 		}
 		movable[0].Master = &md
-		st := fixtureState(d, fp)
+		st := fixtureState(d, fp, new(par.Team))
 
 		want := slices.Clone(st.pos[:len(d.Instances)])
 		refSolve(d, movable, want, fp.Die, analyticSeedIters)
@@ -438,7 +439,7 @@ func wideFixture(t testing.TB) *analyticState {
 		t.Fatalf("wide grid is %d bins across, want %d", bins.grid.NX, maxGridBins)
 	}
 	movable := movableCells(d)
-	st := newAnalyticState(d, movable, bins, opt.BinPitch, 1, nil)
+	st := newAnalyticState(d, movable, bins, opt.BinPitch, new(par.Team))
 	rng := geom.NewRNG(11)
 	for _, inst := range movable {
 		st.pos[inst.ID] = st.inner.ClampPoint(geom.Pt(die.Lx+rng.Float64()*die.W(), die.Ly+rng.Float64()*die.H()))
@@ -636,21 +637,28 @@ func TestPlaceRefusesWideGrid(t *testing.T) {
 	}
 }
 
-// TestDescentAllocs: a descent iteration at Workers 1 touches only the
-// state's own arrays, so it allocates nothing, and a whole placement's
+// TestDescentAllocs: a descent iteration touches only the state's own
+// arrays and hands its fork-joins to the run's resident team, so it
+// allocates nothing at Workers 1 or 2, and a whole placement's
 // allocation count does not grow with the iteration count (the clean-up
 // round and the legalizer see different positions, worth an object or
 // two either way — not one per iteration).
 func TestDescentAllocs(t *testing.T) {
-	_, _, _, st := analyticFixture(t, piton.Tiny())
-	st.iterate(0, 160)
-	it := 1
-	if a := testing.AllocsPerRun(20, func() {
-		st.iterate(it, 160)
-		st.hpwl()
-		it++
-	}); a != 0 {
-		t.Errorf("one descent iteration allocates %.0f objects, want 0", a)
+	d, fp := tileFixture(t, piton.Tiny())
+	for _, workers := range []int{1, 2} {
+		var team par.Team
+		team.Start(workers, nil)
+		defer team.Close()
+		st := fixtureState(d, fp, &team)
+		st.iterate(0, 160)
+		it := 1
+		if a := testing.AllocsPerRun(20, func() {
+			st.iterate(it, 160)
+			st.hpwl()
+			it++
+		}); a != 0 {
+			t.Errorf("workers=%d: one descent iteration allocates %.0f objects, want 0", workers, a)
+		}
 	}
 	whole := func(iters int) float64 {
 		return testing.AllocsPerRun(3, func() {

@@ -412,8 +412,11 @@ func CheckLegal(d *netlist.Design, fp *floorplan.Floorplan) []string {
 	if len(cells) < parMinCells {
 		workers = 1
 	}
+	var team par.Team
+	team.Start(workers, nil)
+	defer team.Close()
 	overlaps := make([][]string, workers)
-	par.Chunks(workers, len(cells), func(w, lo, hi int) {
+	team.Chunks("place/check-legal", len(cells), func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for j := i + 1; j < len(cells) && cells[j].r.Lx < cells[i].r.Ux-1e-9; j++ {
 				if cells[i].r.Expand(-1e-7).Intersects(cells[j].r) {

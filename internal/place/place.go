@@ -108,12 +108,15 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 			g.NX, g.NY, maxGridBins, maxGridBins, die, opt.BinPitch)
 	}
 
-	ts := opt.Trace.WorkerSet("place", workers)
+	// One worker team serves every fork-join of the run.
+	var team par.Team
+	team.Start(workers, opt.Trace.WorkerSet("place", workers))
+	defer team.Close()
 	mt := opt.Trace.Track("main")
 
 	gsp := opt.Obs.Child("global", obs.KV("cells", len(movable)))
 
-	st := newAnalyticState(d, movable, bins, opt.BinPitch, workers, ts)
+	st := newAnalyticState(d, movable, bins, opt.BinPitch, &team)
 	pos := st.pos
 	for _, inst := range d.Instances {
 		if inst.Fixed {

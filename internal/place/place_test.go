@@ -2,6 +2,7 @@ package place
 
 import (
 	"cmp"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
+	"macro3d/internal/par"
 	"macro3d/internal/piton"
 )
 
@@ -195,6 +197,25 @@ func TestPlaceFailsWhenNoRows(t *testing.T) {
 	}
 }
 
+// TestPlaceStopsItsTeam: Place at Workers 4 stops its worker team on
+// return, a failed legalization included, and so does CheckLegal.
+func TestPlaceStopsItsTeam(t *testing.T) {
+	base := runtime.NumGoroutine()
+	d, fp := chainDesign(2 * parMinCells)
+	if _, err := Place(d, fp, 1.2, Options{Seed: 1, Workers: 4, Iters: 8}); err != nil {
+		t.Fatal(err)
+	}
+	CheckLegal(d, fp)
+	d, fp = chainDesign(2 * parMinCells)
+	fp.PlaceBlk = append(fp.PlaceBlk, floorplan.Blockage{Rect: fp.Die, Fraction: 1})
+	if _, err := Place(d, fp, 1.2, Options{Seed: 1, Workers: 4, Iters: 8}); err == nil {
+		t.Fatal("placement into fully blocked die succeeded")
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines after Place, %d before", got, base)
+	}
+}
+
 func TestBuildSegments(t *testing.T) {
 	fp := &floorplan.Floorplan{Die: geom.R(0, 0, 100, 12)}
 	fp.PlaceBlk = append(fp.PlaceBlk, floorplan.Blockage{Rect: geom.R(40, 0, 60, 12), Fraction: 1})
@@ -287,7 +308,7 @@ func TestLegalizeBestEffortSpills(t *testing.T) {
 func TestSolveSweepAllocs(t *testing.T) {
 	d, fp := chainDesign(500)
 	opt := Options{}.withDefaults()
-	st := newAnalyticState(d, movableCells(d), newBinGrid(fp.Die, opt.BinPitch, nil, opt.MaxFill), opt.BinPitch, 1, nil)
+	st := newAnalyticState(d, movableCells(d), newBinGrid(fp.Die, opt.BinPitch, nil, opt.MaxFill), opt.BinPitch, new(par.Team))
 	for _, sweeps := range []int{1, 4} {
 		allocs := testing.AllocsPerRun(10, func() { st.seed(d, sweeps) })
 		if allocs > 4 {

@@ -97,13 +97,15 @@ type mazeScratch struct {
 
 // reset prepares the scratch for a search over `size` window nodes:
 // grow-only — the backing arrays reallocate only when the window
-// exceeds every previous one, and an in-capacity reset is O(1) (a
-// generation bump, no clearing).
+// exceeds every previous one, and then at least double, so a run of
+// ever larger windows costs O(log) reallocations; an in-capacity reset
+// is O(1) (a generation bump, no clearing).
 func (s *mazeScratch) reset(size int) {
 	if cap(s.dist) < size {
-		s.dist = make([]float64, size)
-		s.prev = make([]int32, size)
-		s.gen = make([]uint32, size) // zeroed: nothing valid yet
+		n := max(size, 2*cap(s.dist))
+		s.dist = make([]float64, n)
+		s.prev = make([]int32, n)
+		s.gen = make([]uint32, n) // zeroed: nothing valid yet
 		s.cur = 0
 		s.misses++
 	} else {

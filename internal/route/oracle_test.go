@@ -7,6 +7,7 @@ import (
 
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
+	"macro3d/internal/par"
 	"macro3d/internal/tech"
 )
 
@@ -209,7 +210,7 @@ func routeDesignOracle(d *netlist.Design, db *DB) (res *Result, ripups int, err 
 			break
 		}
 		db.bumpHistory()
-		victims := db.overflowedNets(res, d.Nets, 1)
+		victims := db.overflowedNets(res, d.Nets, new(par.Team))
 		if len(victims) == 0 {
 			break
 		}

@@ -150,3 +150,23 @@ func TestScratchReuse(t *testing.T) {
 		t.Fatalf("repeat searches should reuse the scratch: hits = %d", s.hits)
 	}
 }
+
+// TestScratchGrowsGeometrically: windows growing one node at a time
+// reallocate the scratch O(log) times, not once each, and a grown
+// scratch keeps the generation reset — nothing from an earlier search
+// reads as visited.
+func TestScratchGrowsGeometrically(t *testing.T) {
+	var s mazeScratch
+	for size := 1; size <= 4096; size++ {
+		s.reset(size)
+		for i := 0; i < size; i++ {
+			if s.visited(i) {
+				t.Fatalf("size %d: node %d visited before the search", size, i)
+			}
+		}
+		s.visit(size-1, 1, -1)
+	}
+	if s.misses > 13 {
+		t.Fatalf("4096 ever-larger windows reallocated the scratch %d times, want ≤ 13", s.misses)
+	}
+}

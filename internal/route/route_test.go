@@ -2,6 +2,7 @@ package route
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -10,6 +11,7 @@ import (
 	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
+	"macro3d/internal/par"
 	"macro3d/internal/piton"
 	"macro3d/internal/place"
 	"macro3d/internal/tech"
@@ -221,6 +223,37 @@ func TestNegotiationReducesOverflow(t *testing.T) {
 	}
 }
 
+// TestRouteStopsItsTeam: RouteDesign at Workers 4 stops its worker team
+// on return — after negotiation waves (the overflow scan fans out on
+// the team too) and on a net-prep error alike.
+func TestRouteStopsItsTeam(t *testing.T) {
+	base := runtime.NumGoroutine()
+	lib := cell.NewStdLib28(cell.DefaultLibOptions())
+	d := netlist.NewDesign("cong", lib)
+	for i := 0; i < 60; i++ {
+		a := d.AddInstance("a"+itoa(i), lib.MustCell("INV_X1"))
+		a.Loc = geom.Pt(5, float64(5+i))
+		b := d.AddInstance("b"+itoa(i), lib.MustCell("INV_X1"))
+		b.Loc = geom.Pt(395, float64(5+i))
+		d.AddNet("n"+itoa(i), netlist.IPin(a, "Y"), netlist.IPin(b, "A"))
+	}
+	b6, _ := tech.NewBEOL28("logic", 6)
+	db := NewDB(geom.R(0, 0, 400, 400), b6, nil, Options{GCellPitch: 20, MaxIters: 8, Workers: 4})
+	if _, err := RouteDesign(d, db); err != nil {
+		t.Fatal(err)
+	}
+	p := d.AddPort("p", cell.DirIn)
+	p.Layer = "no-such-layer"
+	d.AddNet("bad", netlist.PPin(p), netlist.IPin(d.Instances[0], "A"))
+	db = NewDB(geom.R(0, 0, 400, 400), b6, nil, Options{GCellPitch: 20, MaxIters: 8, Workers: 4})
+	if _, err := RouteDesign(d, db); err == nil {
+		t.Fatal("a pin on an unknown layer routed")
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines after RouteDesign, %d before", got, base)
+	}
+}
+
 // TestHistoryOnDemand: a DB that never negotiates — a clean route, a
 // flat tile array's — holds no history plane, and its DynState says so;
 // every congestion cost is what a plane of zeros gives. A restored
@@ -424,7 +457,7 @@ func TestPlaceRoute(t *testing.T) {
 		big.cap[i] = 0
 	}
 	nets := []*netlist.Net{nil, nil, d.Nets[0]}
-	if hit := big.overflowedNets(out, nets, 1); len(hit) != 1 || hit[0] != d.Nets[0] {
+	if hit := big.overflowedNets(out, nets, new(par.Team)); len(hit) != 1 || hit[0] != d.Nets[0] {
 		t.Fatalf("overflow scan over a placed route found %v", hit)
 	}
 

@@ -182,7 +182,9 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 	// the ordered passes, and a track of rip-up iterations, which render
 	// as containers the analyzer charges only for time no leaf slice
 	// covers.
-	ts := db.opt.Trace.WorkerSet("route", workers)
+	var team par.Team
+	team.Start(workers, db.opt.Trace.WorkerSet("route", workers))
+	defer team.Close()
 	main := db.opt.Trace.Track("main")
 	iterTrack := db.opt.Trace.Track("route iterations")
 
@@ -217,8 +219,10 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		wave[i] = t
 	}
 	errs := make([]error, len(order))
-	busy := par.ItemsTr(ts, "route/prep", workers, len(order), func(w, i int) {
-		errs[i] = db.prepTask(wave[i], pool[w])
+	busy := team.Chunks("route/prep", len(order), func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			errs[i] = db.prepTask(wave[i], pool[w])
+		}
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -239,7 +243,7 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 			break
 		}
 		db.bumpHistory()
-		victims := db.overflowedNets(res, d.Nets, workers)
+		victims := db.overflowedNets(res, d.Nets, &team)
 		if len(victims) == 0 {
 			break
 		}
@@ -435,7 +439,7 @@ func (res *Result) Recount(db *DB) {
 // route scan fans out over contiguous net-ID chunks whose per-worker hit
 // lists concatenate in chunk order, so the result is identical at any
 // worker count.
-func (db *DB) overflowedNets(res *Result, nets []*netlist.Net, workers int) []*netlist.Net {
+func (db *DB) overflowedNets(res *Result, nets []*netlist.Net, team *par.Team) []*netlist.Net {
 	bad := make([]bool, len(db.usage))
 	any := false
 	for i := range db.usage {
@@ -454,9 +458,8 @@ func (db *DB) overflowedNets(res *Result, nets []*netlist.Net, workers int) []*n
 	if !any {
 		return nil
 	}
-	workers = par.Workers(workers)
-	hits := make([][]*netlist.Net, workers)
-	par.Chunks(workers, len(res.Routes), func(w, lo, hi int) {
+	hits := make([][]*netlist.Net, team.Size())
+	team.Chunks("route/overflow-scan", len(res.Routes), func(w, lo, hi int) {
 		for id := lo; id < hi; id++ {
 			r := res.Routes[id]
 			if r == nil {

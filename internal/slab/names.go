@@ -9,14 +9,28 @@ import "strings"
 // lives on in the names cut from it — as long as the design that holds
 // them. The zero value is ready to use; like a Slab it is not safe for
 // concurrent use.
-type Names struct{ chunk strings.Builder }
+type Names struct {
+	chunk strings.Builder
+	// First, when positive, is the size of the first chunk, and each
+	// later one doubles the last up to namesChunk: for an owner that
+	// cuts a few names or none, where the zero value's first 64 KB
+	// would outweigh them.
+	First int
+}
+
+// namesChunk is the size of every chunk of a Names without First.
+const namesChunk = 1 << 16
 
 // room starts a new chunk unless the current one has n bytes left, and
 // returns the offset the next name starts at.
 func (a *Names) room(n int) int {
 	if a.chunk.Cap()-a.chunk.Len() < n {
+		size := namesChunk
+		if a.First > 0 {
+			size = min(max(a.First, 2*a.chunk.Cap()), namesChunk)
+		}
 		a.chunk.Reset()
-		a.chunk.Grow(max(n, 1<<16))
+		a.chunk.Grow(max(n, size))
 	}
 	return a.chunk.Len()
 }

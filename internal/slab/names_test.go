@@ -44,3 +44,37 @@ func TestNamesKeepsNames(t *testing.T) {
 		t.Fatal("an empty name is not empty")
 	}
 }
+
+// TestNamesFirstDoubles: an arena with First starts with a chunk of
+// that size and doubles from there to the default chunk, so a handful
+// of names costs a small chunk, not 64 kB.
+func TestNamesFirstDoubles(t *testing.T) {
+	a := Names{First: 1 << 10}
+	if a.chunk.Cap() != 0 {
+		t.Fatal("an arena that has cut nothing holds a chunk")
+	}
+	var caps []int
+	got := make([]string, 10000)
+	for i := range got {
+		got[i] = a.Concat("optbuf_", fmt.Sprint(i))
+		if c := a.chunk.Cap(); len(caps) == 0 || c != caps[len(caps)-1] {
+			caps = append(caps, c)
+		}
+	}
+	for i, s := range got {
+		if want := fmt.Sprint("optbuf_", i); s != want {
+			t.Fatalf("name %d = %q, want %q", i, s, want)
+		}
+	}
+	if caps[0] != 1<<10 {
+		t.Fatalf("first chunk %d bytes, want %d", caps[0], 1<<10)
+	}
+	for i := 1; i < len(caps); i++ {
+		if want := min(2*caps[i-1], namesChunk); caps[i] != want {
+			t.Fatalf("chunk sizes %v: chunk %d is not the double of the last, capped at %d", caps, i, namesChunk)
+		}
+	}
+	if caps[len(caps)-1] != namesChunk {
+		t.Fatalf("chunk sizes %v never reach %d", caps, namesChunk)
+	}
+}

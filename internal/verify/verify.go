@@ -155,8 +155,12 @@ func Placement(rep *Report, d *netlist.Design, die geom.Rect) {
 }
 
 // Connectivity checks that every non-clock net's route connects all of
-// its pins (graph reachability over the route segments).
+// its pins (graph reachability over the route segments). A net's
+// segment nodes are joined in a union-find over one node table that
+// every net reuses; a pin is reachable when it is the driver's node or
+// shares its set.
 func Connectivity(rep *Report, d *netlist.Design, res *route.Result) {
+	var t nodeTable
 	for _, n := range d.Nets {
 		if n.Clock || len(n.Sinks) == 0 {
 			continue
@@ -167,46 +171,134 @@ func Connectivity(rep *Report, d *netlist.Design, res *route.Result) {
 			continue
 		}
 		r := res.Routes[n.ID]
-		adj := map[route.Node][]route.Node{}
-		link := func(a, b route.Node) {
-			adj[a] = append(adj[a], b)
-			adj[b] = append(adj[b], a)
-		}
-		for _, s := range r.Segments {
-			if s.IsVia() {
-				link(s.A, s.B)
-				continue
-			}
-			prev := s.A
-			dx, dy := sign(s.B.X-s.A.X), sign(s.B.Y-s.A.Y)
-			for prev != s.B {
-				next := route.Node{X: prev.X + dx, Y: prev.Y + dy, L: prev.L}
-				link(prev, next)
-				prev = next
-			}
-		}
 		if len(r.PinNode) == 0 {
 			rep.add("open-net", "%s lost its pin nodes", n.Name)
 			continue
 		}
-		seen := map[route.Node]bool{r.PinNode[0]: true}
-		queue := []route.Node{r.PinNode[0]}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-				}
+		nodes := 0
+		for _, s := range r.Segments {
+			nodes += int(max(abs(s.B.X-s.A.X), abs(s.B.Y-s.A.Y))) + 2
+		}
+		t.reset(nodes)
+		for _, s := range r.Segments {
+			if s.IsVia() {
+				t.union(t.id(s.A), t.id(s.B))
+				continue
+			}
+			prev, at := t.id(s.A), s.A
+			dx, dy := sign(s.B.X-s.A.X), sign(s.B.Y-s.A.Y)
+			for at != s.B {
+				at = route.Node{X: at.X + dx, Y: at.Y + dy, L: at.L}
+				next := t.id(at)
+				t.union(prev, next)
+				prev = next
 			}
 		}
+		p0 := r.PinNode[0]
+		root := t.lookup(p0)
+		if root >= 0 {
+			root = t.root(root)
+		}
 		for i, pn := range r.PinNode {
-			if !seen[pn] {
+			if pn == p0 {
+				continue
+			}
+			if id := t.lookup(pn); root < 0 || id < 0 || t.root(id) != root {
 				rep.add("open-net", "%s pin %d unreachable from driver", n.Name, i)
 			}
 		}
 	}
+}
+
+// nodeTable numbers the nodes of one net's route densely and keeps a
+// union-find over them: an open-addressed hash table whose slots are
+// valid only under the current generation, so moving to the next net
+// empties it in O(1), and it reallocates only for a net with more
+// nodes than any before.
+type nodeTable struct {
+	slots  []nodeSlot
+	gen    uint32
+	parent []int32 // union-find parent of each node id
+}
+
+type nodeSlot struct {
+	key uint64
+	gen uint32
+	id  int32
+}
+
+// reset empties the table and makes room for n nodes at a load of at
+// most one half.
+func (t *nodeTable) reset(n int) {
+	size := max(len(t.slots), 64)
+	for size < 2*n {
+		size *= 2
+	}
+	if size > len(t.slots) {
+		t.slots, t.gen = make([]nodeSlot, size), 0
+	}
+	t.gen++
+	if t.gen == 0 { // generation wrap: stale stamps could collide
+		clear(t.slots)
+		t.gen = 1
+	}
+	t.parent = t.parent[:0]
+}
+
+// slot returns the slot holding key k, or the empty slot where it
+// belongs.
+func (t *nodeTable) slot(k uint64) *nodeSlot {
+	mask := uint64(len(t.slots) - 1)
+	for i := (k * 0x9E3779B97F4A7C15 >> 32) & mask; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.gen != t.gen || s.key == k {
+			return s
+		}
+	}
+}
+
+func nodeKey(n route.Node) uint64 {
+	return uint64(uint16(n.X)) | uint64(uint16(n.Y))<<16 | uint64(uint8(n.L))<<32
+}
+
+// id returns n's node id, numbering it on first sight.
+func (t *nodeTable) id(n route.Node) int32 {
+	k := nodeKey(n)
+	s := t.slot(k)
+	if s.gen != t.gen {
+		*s = nodeSlot{key: k, gen: t.gen, id: int32(len(t.parent))}
+		t.parent = append(t.parent, s.id)
+	}
+	return s.id
+}
+
+// lookup returns n's node id, or -1 when no segment touches n.
+func (t *nodeTable) lookup(n route.Node) int32 {
+	if s := t.slot(nodeKey(n)); s.gen == t.gen {
+		return s.id
+	}
+	return -1
+}
+
+// root returns the representative of x's set, halving the path.
+func (t *nodeTable) root(x int32) int32 {
+	for t.parent[x] != x {
+		t.parent[x] = t.parent[t.parent[x]]
+		x = t.parent[x]
+	}
+	return x
+}
+
+func (t *nodeTable) union(a, b int32) {
+	if ra, rb := t.root(a), t.root(b); ra != rb {
+		t.parent[max(ra, rb)] = min(ra, rb)
+	}
+}
+
+func abs(v int16) int16 {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 func sign(v int16) int16 {

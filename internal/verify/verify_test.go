@@ -4,6 +4,8 @@
 package verify_test
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -230,5 +232,124 @@ func TestConnectivityCatchesMissingRoute(t *testing.T) {
 	verify.Connectivity(rep, d, &route.Result{Routes: []*route.NetRoute{nil}})
 	if rep.Clean() {
 		t.Fatal("missing route accepted")
+	}
+}
+
+// reachableFindings is the reference connectivity check — an adjacency
+// map per net and a breadth-first search from the driver's node — as
+// the open-net messages it reports, in order.
+func reachableFindings(d *netlist.Design, res *route.Result) []string {
+	var out []string
+	for _, n := range d.Nets {
+		if n.Clock || len(n.Sinks) == 0 {
+			continue
+		}
+		if n.ID >= len(res.Routes) || res.Routes[n.ID] == nil {
+			out = append(out, fmt.Sprintf("%s has no route", n.Name))
+			continue
+		}
+		r := res.Routes[n.ID]
+		adj := map[route.Node][]route.Node{}
+		link := func(a, b route.Node) {
+			adj[a] = append(adj[a], b)
+			adj[b] = append(adj[b], a)
+		}
+		step := func(v int16) int16 { return int16(min(max(int(v), -1), 1)) }
+		for _, s := range r.Segments {
+			if s.IsVia() {
+				link(s.A, s.B)
+				continue
+			}
+			dx, dy := step(s.B.X-s.A.X), step(s.B.Y-s.A.Y)
+			for p := s.A; p != s.B; {
+				next := route.Node{X: p.X + dx, Y: p.Y + dy, L: p.L}
+				link(p, next)
+				p = next
+			}
+		}
+		if len(r.PinNode) == 0 {
+			out = append(out, fmt.Sprintf("%s lost its pin nodes", n.Name))
+			continue
+		}
+		seen := map[route.Node]bool{r.PinNode[0]: true}
+		queue := []route.Node{r.PinNode[0]}
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for _, v := range adj[u] {
+				if !seen[v] {
+					seen[v] = true
+					queue = append(queue, v)
+				}
+			}
+		}
+		for i, pn := range r.PinNode {
+			if !seen[pn] {
+				out = append(out, fmt.Sprintf("%s pin %d unreachable from driver", n.Name, i))
+			}
+		}
+	}
+	return out
+}
+
+// TestConnectivityMatchesReachability: the union-find check reports
+// exactly what a breadth-first search over the route graph does, in the
+// same order, on a signed-off tile whose routes are then damaged at
+// random — segments dropped, routes halved or emptied, pin nodes moved
+// off the route or lost, records removed.
+func TestConnectivityMatchesReachability(t *testing.T) {
+	_, st, err := flows.Run2D(flows.Config{Piton: piton.Tiny(), Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := geom.NewRNG(3)
+	res := &route.Result{Routes: make([]*route.NetRoute, len(st.Routes.Routes))}
+	for id, r := range st.Routes.Routes {
+		if r == nil {
+			continue
+		}
+		c := *r
+		c.Segments, c.PinNode = slices.Clone(r.Segments), slices.Clone(r.PinNode)
+		switch k := len(c.Segments); rng.Intn(40) {
+		case 0:
+			if k > 0 {
+				i := rng.Intn(k)
+				c.Segments = slices.Delete(c.Segments, i, i+1)
+			}
+		case 1:
+			c.Segments = c.Segments[:k/2]
+		case 2:
+			c.Segments = nil
+		case 3:
+			if len(c.PinNode) > 0 {
+				c.PinNode[rng.Intn(len(c.PinNode))].X++
+			}
+		case 4:
+			c.PinNode = nil
+		case 5:
+			continue
+		}
+		res.Routes[id] = &c
+	}
+	want := reachableFindings(st.Design, res)
+	t.Logf("%d findings over %d nets", len(want), len(res.Routes))
+	rep := &verify.Report{}
+	verify.Connectivity(rep, st.Design, res)
+	if len(want) == 0 || len(want) > 200 {
+		t.Fatalf("%d reference findings: the damage must open some nets and stay under the report cap", len(want))
+	}
+	var got []string
+	for _, v := range rep.Violations {
+		if v.Kind != "open-net" || v.Count != 1 {
+			t.Fatalf("unexpected finding %v", v)
+		}
+		got = append(got, v.Msg)
+	}
+	if !slices.Equal(got, want) || rep.Total != len(want) {
+		t.Fatalf("union-find findings (%d total)\n%v\nreference\n%v", rep.Total, got, want)
+	}
+	clean := &verify.Report{}
+	if verify.Connectivity(clean, st.Design, st.Routes); !clean.Clean() {
+		t.Fatalf("the undamaged routes report %v", clean.Violations)
 	}
 }
