@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build test vet race fuzz equiv faults bench bench-flow bench-route bench-stash benchall obs-smoke cache-smoke serve-smoke harden-smoke trace-smoke bench-route-smoke serve-load
+.PHONY: check build test vet race fuzz equiv faults bench bench-flow bench-route bench-stash benchall obs-smoke cache-smoke harden-smoke trace-smoke bench-route-smoke
 
 ## check: the full gate — vet, build, unit tests, the race-enabled
 ## fault-injection suite, a bounded fuzz of the snapshot decoder, then the
-## observability, stage-cache, daemon, hardened-macro and execution-tracer
-## smoke tests (what CI should run).
-check: vet build test race fuzz obs-smoke cache-smoke serve-smoke harden-smoke trace-smoke bench-route-smoke
+## observability, stage-cache, hardened-macro, execution-tracer and
+## benchmark-pipeline smoke tests (what CI should run).
+check: vet build test race fuzz obs-smoke cache-smoke harden-smoke trace-smoke bench-route-smoke
 
 build:
 	$(GO) build ./...
@@ -23,7 +23,10 @@ vet:
 ## worker-equivalence test, which audits the engines' fanned-out
 ## phases for data races while asserting identical PPA against the
 ## -j 1 serial reference; under -race both run reduced configs — see
-## the race_on_test.go files. internal/place rides along for the
+## the race_on_test.go files. internal/flows also runs 2D and Macro-3D
+## at once over one byte-capped stage cache (TestConcurrentRunsMatchSerial:
+## the stash's per-key locks and LRU under concurrent flows), and
+## internal/stash has its own contention tests. internal/place rides along for the
 ## placer's own digest, determinism and quality tests (its three
 ## passes per iteration at Workers 2 and 4), internal/extract and internal/sta for
 ## their per-worker and engine-owned scratch, internal/slab,
@@ -35,7 +38,7 @@ vet:
 ## scan around the ordered routing pass, and internal/par for the worker
 ## team itself (the hand-off, the join and a worker's contained panic).
 race:
-	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/ ./internal/stash/ ./internal/serve/ ./internal/extract/ ./internal/sta/ ./internal/slab/ ./internal/netlist/ ./internal/piton/ ./internal/cell/ ./internal/par/
+	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/ ./internal/stash/ ./internal/extract/ ./internal/sta/ ./internal/slab/ ./internal/netlist/ ./internal/piton/ ./internal/cell/ ./internal/par/
 	$(GO) test -race -timeout 30m ./internal/flows/ ./internal/ddb/ ./internal/opt/ ./internal/place/ ./internal/route/
 
 ## fuzz: ten seconds each of FuzzDecodeResult, FuzzDecodeAbstract,
@@ -71,16 +74,10 @@ obs-smoke:
 
 ## cache-smoke: end-to-end stage-cache check — tiny flow cold, warm and
 ## in -cache-verify mode, asserting hit counters and byte-identical PPA
-## output, plus the -resume default directory.
+## output, then under a -cache-max-bytes cap (eviction, the cap on disk,
+## byte-identical PPA), plus the -resume default directory.
 cache-smoke:
 	GO="$(GO)" sh scripts/cache_smoke.sh
-
-## serve-smoke: end-to-end daemon check — start "macro3d serve" with a
-## byte-capped shared cache, submit two overlapping sweep jobs, assert
-## the second is served warm with an identical result, then drain
-## cleanly on SIGTERM.
-serve-smoke:
-	GO="$(GO)" sh scripts/serve_smoke.sh
 
 ## harden-smoke: end-to-end hierarchical-flow check — harden the tiny
 ## tile cold into the cache, reload it warm into a 3×3 parent array,
@@ -102,14 +99,6 @@ trace-smoke:
 ## rollup and the pinned environment all land in the JSON.
 bench-route-smoke:
 	GO="$(GO)" sh scripts/bench_route_smoke.sh
-
-## serve-load: the multi-tenant load driver — 8 concurrent tenants with
-## overlapping specs against a small queue (exercising 429
-## backpressure) plus one injected panicking job; asserts zero
-## dropped/corrupted results, panic isolation, cross-tenant cache hits
-## and the cache byte cap, and prints a JSON summary.
-serve-load:
-	$(GO) run ./cmd/serveload -tenants 8 -jobs-per-tenant 2 -workers 4 -queue 2
 
 ## faults: just the fault-injection matrix, verbosely.
 faults:

@@ -40,7 +40,7 @@ func hardenMain(args []string) int {
 		resume   = fs.Bool("resume", false, "shorthand for -cache-dir "+defaultCacheDir)
 		cacheMax = fs.Int64("cache-max-bytes", 0, "cache byte budget with LRU eviction (0 = unlimited)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); err != nil || strayArgs(fs) {
 		return 2
 	}
 

@@ -53,11 +53,6 @@ import (
 const defaultCacheDir = ".macro3d-stash"
 
 func main() {
-	// "macro3d serve" is the daemon mode: a JSON-over-HTTP job API in
-	// front of a bounded worker pool sharing one stage cache.
-	if len(os.Args) >= 2 && os.Args[1] == "serve" {
-		os.Exit(serveMain(os.Args[2:]))
-	}
 	// "macro3d harden" hardens a sub-block into a reusable abstract
 	// and optionally instantiates it as a hierarchical array.
 	if len(os.Args) >= 2 && os.Args[1] == "harden" {
@@ -174,6 +169,18 @@ func newFlagSet(o *options) *flag.FlagSet {
 	return fs
 }
 
+// strayArgs reports a usage error when words are left after the flags:
+// flag parsing stops at the first non-flag, so every flag after a stray
+// word would otherwise be silently dropped.
+func strayArgs(fs *flag.FlagSet) bool {
+	if fs.NArg() == 0 {
+		return false
+	}
+	fmt.Fprintf(fs.Output(), "%s: unexpected argument %q (flags after it would be ignored)\n", fs.Name(), fs.Arg(0))
+	fs.Usage()
+	return true
+}
+
 // validate rejects flag combinations no run could honour, before any
 // work is done.
 func (o *options) validate() error {
@@ -193,6 +200,9 @@ func realMain(args []string) (code int) {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if strayArgs(fs) {
 		return 2
 	}
 	if o.flow == "" && o.experiment == "" {

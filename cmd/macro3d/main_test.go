@@ -47,9 +47,13 @@ func TestFlagSetGolden(t *testing.T) {
 // error rather than silently accepted (spelled in halves so a grep for
 // them finds nothing in the tree), and -array is checked against -flow
 // up front rather than after the flow has run (which used to exit 1
-// minutes later).
+// minutes later). A stray word ends flag parsing, so it is rejected
+// rather than running with every flag after it dropped; `serve` is no
+// subcommand, so it is one too.
 func TestUsageErrorsExitBeforeAnyWork(t *testing.T) {
 	for _, args := range [][]string{
+		{"-flow", "2d", "-config", "tiny", "extra", "-seed", "7"},
+		{"serve", "-addr", "127.0.0.1:0"},
 		{"-flow", "2d", "-config", "tiny", "-fast" + "-route"},
 		{"-flow", "2d", "-config", "tiny", "-fast" + "-route-verify"},
 		{"-flow", "2d", "-config", "tiny", "-analytic" + "-place"},
@@ -64,6 +68,12 @@ func TestUsageErrorsExitBeforeAnyWork(t *testing.T) {
 		if code := realMain(args); code != 2 {
 			t.Errorf("macro3d %q: exit %d, want 2", args, code)
 		}
+	}
+	if code := hardenMain([]string{"-config", "tiny", "extra", "-seed", "7"}); code != 2 {
+		t.Errorf("macro3d harden with a stray argument: exit %d, want 2", code)
+	}
+	if code := traceReportMain([]string{"-flow", "2d", "-config", "tiny", "extra"}); code != 2 {
+		t.Errorf("macro3d trace-report with a stray argument: exit %d, want 2", code)
 	}
 	for _, flow := range []string{"2d", "macro3d"} {
 		if err := (&options{flow: flow, array: 3}).validate(); err != nil {

@@ -16,9 +16,8 @@ import (
 
 // traceReportMain is the "macro3d trace-report" subcommand: the
 // parallelism bottleneck report of an execution trace. It either
-// analyzes a trace file previously written with -trace (or by the
-// daemon's -trace-dir) or runs a flow with an in-memory tracer and
-// reports on it directly.
+// analyzes a trace file previously written with -trace or -out, or
+// runs a flow with an in-memory tracer and reports on it directly.
 //
 //	macro3d trace-report -in route.trace.json
 //	macro3d trace-report -flow macro3d -config tiny -j 4 -top 10
@@ -30,7 +29,7 @@ import (
 func traceReportMain(args []string) int {
 	fs := flag.NewFlagSet("macro3d trace-report", flag.ExitOnError)
 	var (
-		in      = fs.String("in", "", "analyze this Chrome trace-event JSON file (written by -trace or serve -trace-dir)")
+		in      = fs.String("in", "", "analyze this Chrome trace-event JSON file (written by -trace or trace-report -out)")
 		flow    = fs.String("flow", "", "run this flow with tracing and report on it: "+strings.Join(macro3d.FlowNames(), ", "))
 		config  = fs.String("config", "small", "tile configuration for -flow: small, large or tiny")
 		seed    = fs.Uint64("seed", 1, "deterministic seed for -flow")
@@ -40,7 +39,7 @@ func traceReportMain(args []string) int {
 		top     = fs.Int("top", 10, "serial segments to list")
 		timeout = fs.Duration("timeout", 0, "with -flow: cancel the run after this duration (0 = no limit)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); err != nil || strayArgs(fs) {
 		return 2
 	}
 	if (*in == "") == (*flow == "") {

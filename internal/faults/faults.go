@@ -10,11 +10,9 @@ package faults
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"time"
 
 	"macro3d/internal/flows"
 	"macro3d/internal/geom"
@@ -185,39 +183,6 @@ func Classes() []Class {
 				return true
 			},
 		},
-	}
-}
-
-// ---- Daemon-path injections ----
-//
-// The multi-tenant daemon (internal/serve) must survive jobs whose
-// stages panic, hang past their cancellation deadline, or read a cache
-// that returns corrupt frames — each must kill only its own job, never
-// the process or its neighbours. These helpers inject exactly those
-// three behaviours; the serve test suite asserts the containment.
-
-// PanicHook returns an AfterStage hook that panics once the named
-// stage completes — a stage blowing up mid-job. The flow runner's
-// panic containment must convert it into a typed *flows.StageError
-// carrying the stack; the process must keep running.
-func PanicHook(stage string) func(flow, st string, state *flows.State) {
-	return func(_, st string, _ *flows.State) {
-		if st == stage {
-			panic(fmt.Sprintf("faults: injected panic after stage %q", stage))
-		}
-	}
-}
-
-// HangHook returns an AfterStage hook that blocks for d after the
-// named stage, deliberately ignoring every cancellation signal — a
-// stage stuck in a non-context-aware loop. The flow cannot return
-// before d elapses, so a caller with a shorter deadline must abandon
-// the job (the daemon's watchdog path) rather than wait.
-func HangHook(stage string, d time.Duration) func(flow, st string, state *flows.State) {
-	return func(_, st string, _ *flows.State) {
-		if st == stage {
-			time.Sleep(d)
-		}
 	}
 }
 

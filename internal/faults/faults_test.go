@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -14,6 +16,7 @@ import (
 	"macro3d/internal/geom"
 	"macro3d/internal/obs"
 	"macro3d/internal/piton"
+	"macro3d/internal/stash"
 	"macro3d/internal/tech"
 	"macro3d/internal/verify"
 )
@@ -251,5 +254,98 @@ func TestOffGridBumpsOnRealDesign(t *testing.T) {
 	verify.BumpRules(bad, faults.OffGridBumps(logicPart.Bumps, f2f), f2f)
 	if bad.Clean() {
 		t.Fatal("corrupted real bump list accepted")
+	}
+}
+
+// TestPanicHookContained injects a panic after placement and asserts
+// the flow runner converts it into a typed *flows.StageError carrying
+// the panic stack and a *flows.PanicError cause, rather than letting it
+// escape the flow.
+func TestPanicHookContained(t *testing.T) {
+	cfg := flows.Config{Piton: piton.Tiny(), Seed: 1}
+	cfg.AfterStage = func(_, st string, _ *flows.State) {
+		if st == flows.StagePlace {
+			panic("injected panic after place")
+		}
+	}
+	_, _, err := flows.Run2DCtx(context.Background(), cfg)
+	if err == nil {
+		t.Fatal("injected panic produced no error")
+	}
+	var se *flows.StageError
+	if !errors.As(err, &se) {
+		t.Fatalf("error is not a *flows.StageError: %v", err)
+	}
+	if se.Stage != flows.StagePlace {
+		t.Errorf("StageError.Stage = %q, want %q", se.Stage, flows.StagePlace)
+	}
+	if len(se.Stack) == 0 {
+		t.Error("contained panic lost its stack")
+	}
+	var pe *flows.PanicError
+	if !errors.As(se.Cause, &pe) {
+		t.Errorf("StageError.Cause is not a *flows.PanicError: %v", se.Cause)
+	}
+}
+
+// TestCorruptSnapshots asserts the cache-corruption injection flips
+// every snapshot into a checksummed miss: reads never return the
+// corrupt bytes, the entries are evicted, and a clean re-Put restores
+// service — corruption costs a recompute, never a wrong result.
+func TestCorruptSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	s, err := stash.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]stash.Key, 3)
+	payload := bytes.Repeat([]byte("snapshot"), 64)
+	for i := range keys {
+		keys[i] = stash.NewKey([]byte{byte(i)})
+		if err := s.Put(keys[i], payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, err := faults.CorruptSnapshots(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(keys) {
+		t.Fatalf("corrupted %d snapshots, want %d", n, len(keys))
+	}
+	for i, k := range keys {
+		if got, ok := s.Get(k); ok {
+			t.Errorf("key %d: corrupt snapshot served as a hit (%d bytes)", i, len(got))
+		}
+	}
+	// Every corrupt entry was evicted from disk by the failed read.
+	left, err := filepath.Glob(filepath.Join(dir, "*.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Errorf("%d corrupt snapshots left on disk after eviction", len(left))
+	}
+	// Recompute path: a clean re-Put restores hits.
+	for _, k := range keys {
+		if err := s.Put(k, payload); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.Get(k); !ok || !bytes.Equal(got, payload) {
+			t.Error("re-Put after corruption did not restore the entry")
+		}
+	}
+}
+
+// TestCorruptSnapshotsEmptyDir is the degenerate case: nothing to
+// corrupt is not an error.
+func TestCorruptSnapshotsEmptyDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	n, err := faults.CorruptSnapshots(dir)
+	if err != nil || n != 0 {
+		t.Fatalf("CorruptSnapshots on empty dir = (%d, %v), want (0, nil)", n, err)
 	}
 }

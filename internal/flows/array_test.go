@@ -233,8 +233,8 @@ func TestArrayPlacedShapes(t *testing.T) {
 	})
 }
 
-// TestVerifyTileArrayReadsTileOnly: a hardened tile is shared — `serve`
-// hands one State to every job that composes it — and the array result
+// TestVerifyTileArrayReadsTileOnly: a hardened tile is shared — every
+// parent that composes it reads the one State — and the array result
 // and extraction hold its route and RC records themselves, so a
 // verification must write nothing of it: two concurrent verifications of
 // one State race on nothing (`make race`), report the same, and leave

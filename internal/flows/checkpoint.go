@@ -58,9 +58,7 @@ func buildTechFingerprint(logicMetals int) ([]byte, error) {
 // worker count — the parallel-engine equivalence guarantee, pinned by
 // TestStageCacheKeyStability), Obs/Trace/SelfCheck/Verify (pure
 // observation and checking — the execution tracer records timelines,
-// it never changes results), StageTimeout (fails runs, never changes
-// results), and
-// per-stage inputs like TargetPeriod, MacroDieMetals, F2F and
+// it never changes results), and per-stage inputs like TargetPeriod, MacroDieMetals, F2F and
 // BlockageResolution, which enter the chain as key material of the
 // first checkpoint that depends on them so unrelated prefixes still
 // hit. The seed is included: results depend on it, so sharing entries

@@ -42,7 +42,7 @@ type flow struct {
 // The flow table: every flow is a stage list assembled from the shared
 // pieces of stages.go.
 var flowTable = []struct {
-	key    string // CLI / job-spec name
+	key    string // CLI name
 	name   string // display name: PPA.Flow, StageError.Flow, the cache root key
 	dies   int
 	stages func(f *flow) []stage

@@ -28,7 +28,6 @@ package flows
 
 import (
 	"fmt"
-	"time"
 
 	"macro3d/internal/cts"
 	"macro3d/internal/ddb"
@@ -91,12 +90,6 @@ type Config struct {
 	// Retry bounds re-runs of failed stochastic stages (placement,
 	// tier partitioning) with deterministically perturbed seeds.
 	Retry RetryPolicy
-
-	// StageTimeout, when > 0, is the per-stage wall-clock budget:
-	// a stage that exceeds it fails the run with a StageError whose
-	// cause wraps context.DeadlineExceeded. Enforced at the stage
-	// boundary (stages are not preempted mid-flight).
-	StageTimeout time.Duration
 
 	// Verify, when true, appends independent sign-off verification as
 	// a final stage (plus die separation for 3D flows to obtain the

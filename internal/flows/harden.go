@@ -68,8 +68,8 @@ func hardenCounter(cfg Config, hit bool) {
 // obstructions, boundary timing model) that a parent flow instantiates
 // as an opaque macro. With cfg.Cache set, the abstract is
 // content-addressed by everything the sub-block implementation depends
-// on, so sweeps and concurrent serve tenants harden each distinct
-// configuration exactly once.
+// on, so sweeps and repeated or concurrent parent runs harden each
+// distinct configuration exactly once.
 func Harden(cfg Config, flow string) (*HardenResult, error) {
 	return HardenCtx(context.Background(), cfg, flow)
 }

@@ -8,6 +8,7 @@ import (
 
 	"macro3d/internal/lefdef"
 	"macro3d/internal/piton"
+	"macro3d/internal/stash"
 )
 
 // resetTiles empties the tile table so that a test counts its own
@@ -144,21 +145,12 @@ func TestTileTemplates(t *testing.T) {
 
 // TestConcurrentRunsMatchSerial: 2D and Macro-3D started together on one
 // configuration with no template yet — both ask for it at once — end
-// where the same flows run one after the other do (`make race` runs it
-// under the detector).
+// where the same flows run one after the other, uncached, do: first with
+// no cache, then sharing one byte-capped stage cache (`make race` runs
+// it under the detector). The shared cache evicts to stay under its
+// cap, and what it keeps is whole: warm runs over it hit and match.
 func TestConcurrentRunsMatchSerial(t *testing.T) {
 	cfg := tinyCfg()
-	resetTiles()
-	var got2D, got3D *PPA
-	var err2D, err3D error
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); got2D, _, err2D = Run2D(cfg) }()
-	go func() { defer wg.Done(); got3D, _, _, err3D = RunMacro3D(cfg) }()
-	wg.Wait()
-	if err2D != nil || err3D != nil {
-		t.Fatal(err2D, err3D)
-	}
 	want2D, _, err := Run2D(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +159,56 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *got2D != *want2D || *got3D != *want3D {
-		t.Fatalf("concurrent runs differ from serial ones:\n%+v\n%+v\nserial\n%+v\n%+v", *got2D, *got3D, *want2D, *want3D)
+	// Both flows' snapshots total ≈ 690 kB on the tiny tile, the largest
+	// ≈ 200 kB: the cap holds any one, not all.
+	const capBytes = 400 << 10
+	dir := t.TempDir()
+	capped, err := stash.OpenLimited(dir, capBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, store := range []*stash.Store{nil, capped} {
+		resetTiles()
+		cfg.Cache = store
+		var got2D, got3D *PPA
+		var err2D, err3D error
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); got2D, _, err2D = Run2D(cfg) }()
+		go func() { defer wg.Done(); got3D, _, _, err3D = RunMacro3D(cfg) }()
+		wg.Wait()
+		if err2D != nil || err3D != nil {
+			t.Fatal(err2D, err3D)
+		}
+		if *got2D != *want2D || *got3D != *want3D {
+			t.Fatalf("concurrent runs (cache %v) differ from serial ones:\n%+v\n%+v\nserial\n%+v\n%+v", store != nil, *got2D, *got3D, *want2D, *want3D)
+		}
+	}
+
+	if total, max := capped.Usage(); total > max || capped.Stats().Evictions == 0 {
+		t.Fatalf("shared cache holds %d B under a %d B cap after %d evictions", total, max, capped.Stats().Evictions)
+	}
+	// Warm runs through the capped store would evict the very entries
+	// they are about to read (a sequential scan over an LRU), so they
+	// read what it kept through an uncapped one: the last entry stored
+	// always survives, so at least one of them hits.
+	warm, err := stash.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cache = warm
+	warm2D, _, err := Run2D(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm3D, _, _, err := RunMacro3D(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Stats().Hits == 0 {
+		t.Fatalf("warm runs after the concurrent ones never hit the shared cache: %+v", warm.Stats())
+	}
+	if *warm2D != *want2D || *warm3D != *want3D {
+		t.Fatalf("warm runs differ from serial ones:\n%+v\n%+v\nserial\n%+v\n%+v", *warm2D, *warm3D, *want2D, *want3D)
 	}
 }

@@ -319,11 +319,6 @@ func (r *runner) run(name string, seed uint64, fn func(uint64) error, attempts i
 		r.cfg.Obs.Sample()
 		r.record(name, attempt, s, dur, err)
 		if err == nil {
-			if r.cfg.StageTimeout > 0 && dur > r.cfg.StageTimeout {
-				over := fmt.Errorf("stage took %v, budget %v: %w",
-					dur.Round(time.Millisecond), r.cfg.StageTimeout, context.DeadlineExceeded)
-				return r.fail(name, s, attempt, over)
-			}
 			if r.cfg.AfterStage != nil {
 				// The hook (instrumentation, fault injection) is
 				// contained too: a panicking hook fails the stage

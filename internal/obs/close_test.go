@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// TestRecorderCloseIdempotent closes a Recorder twice (the daemon's
-// teardown paths double-close): both calls must return the same
+// TestRecorderCloseIdempotent closes a Recorder twice (a teardown path
+// may double-close): both calls must return the same
 // result, events after Close must be dropped rather than written or
 // panicking, and SetSink must re-arm the stream.
 func TestRecorderCloseIdempotent(t *testing.T) {

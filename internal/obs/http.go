@@ -77,9 +77,9 @@ func (s *Server) URL() string { return s.url }
 
 // Close shuts the endpoint down, letting in-flight requests (e.g. a
 // scraper mid-read of /metrics) finish within a short grace period
-// before the listener is torn down hard. Idempotent: daemon restart
-// and teardown paths may double-close; later calls do nothing and
-// return the first call's result.
+// before the listener is torn down hard. Idempotent: a teardown path
+// may double-close; later calls do nothing and return the first call's
+// result.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)

@@ -70,9 +70,9 @@ func (r *Recorder) SetSink(w io.Writer) {
 }
 
 // Close emits a final sample of every registered metric, flushes the
-// sink and detaches it. Idempotent and safe to call twice (daemon
-// restart and teardown paths double-close): later calls return the
-// first call's result, and events emitted after Close are dropped.
+// sink and detaches it. Idempotent and safe to call twice (a teardown
+// path may double-close): later calls return the first call's result,
+// and events emitted after Close are dropped.
 // Spans and metrics stay usable, and SetSink re-arms the event stream.
 func (r *Recorder) Close() error {
 	if r == nil {

@@ -2,7 +2,7 @@
 // engines. Where internal/obs records a hierarchical span tree (wall
 // time per stage), trace records a flat timeline of task-level slices
 // — one per net-prep chunk, placement solve chunk, routing pass,
-// legalization sweep, serve job, … — on named tracks, so wall-clock can
+// legalization sweep, stage, … — on named tracks, so wall-clock can
 // be attributed to individual workers and serial segments.
 //
 // The contract mirrors the obs nil-safe rule: every method on a nil
@@ -43,7 +43,7 @@ func N(key string, val int64) Arg { return Arg{Key: key, Val: val} }
 // outside any fan-out.
 type Slice struct {
 	Name  string
-	Cat   string // phase: "route", "place", "stage", "serve", "cache"
+	Cat   string // phase: "route", "place", "stage", "cache"
 	Start int64  // ns since epoch
 	Dur   int64  // ns
 	Step  int64  // fork-join step id; 0 = serial
@@ -54,7 +54,7 @@ type Slice struct {
 func (s *Slice) End() int64 { return s.Start + s.Dur }
 
 // Track is one named timeline — a worker, the orchestrating
-// goroutine, the flow-stage row, or a serve tenant. Slices on a track
+// goroutine or the flow-stage row. Slices on a track
 // never overlap (each track is fed by one goroutine at a time), which
 // is what makes the Chrome rendering one row per worker.
 type Track struct {
@@ -182,9 +182,9 @@ func (s Span) End(args ...Arg) {
 	s.k.mu.Unlock()
 }
 
-// Add records a completed slice with explicit times. serve uses it to
-// record queue-wait intervals after the fact, and tests use it with
-// NewAt for byte-deterministic traces.
+// Add records a completed slice with explicit times. The flow runner
+// uses it to record each stage and cache load after the fact, and tests
+// use it with NewAt for byte-deterministic traces.
 func (k *Track) Add(cat, name string, start, end time.Time, args ...Arg) {
 	if k == nil {
 		return

@@ -65,8 +65,8 @@ func RunTableI(seed uint64) (*TableI, error) {
 }
 
 // RunTableIWith reproduces Table I under the given context and flow
-// configuration (hardening knobs — Retry, StageTimeout, Verify —
-// apply to every column; an unset tile defaults to the paper's
+// configuration (hardening knobs — Retry, Verify — apply to every
+// column; an unset tile defaults to the paper's
 // small-cache config). The returned table is never nil: columns
 // completed before a failure or cancellation are preserved.
 func RunTableIWith(ctx context.Context, cfg flows.Config, keepGoing bool) (*TableI, error) {

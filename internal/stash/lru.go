@@ -12,7 +12,8 @@ import (
 )
 
 // This file makes a Store safe and bounded as a *shared* artifact
-// store (the daemon's multi-tenant cache):
+// store — flows running at once in one process over one Store, and the
+// CLI's -cache-max-bytes:
 //
 //   - Single-writer-per-key: concurrent Puts of the same key serialize
 //     on a per-key lock, and the second writer finds the entry already

@@ -2,8 +2,10 @@
 # cache-smoke: end-to-end check of the content-addressed stage cache.
 # Runs a tiny flow cold (populating the cache), warm (restoring every
 # checkpoint) and in -cache-verify paranoia mode, asserting hit/miss
-# counters and byte-identical PPA output; then exercises the -resume
-# default directory. Fails on any mismatch.
+# counters and byte-identical PPA output; then under a -cache-max-bytes
+# cap below the uncapped run's size, asserting eviction, the cap on
+# disk and byte-identical PPA; then exercises the -resume default
+# directory. Fails on any mismatch.
 set -eu
 
 GO=${GO:-go}
@@ -46,6 +48,22 @@ grep -Eq 'stage cache .*: [1-9][0-9]* hits, .* 0 errors' "$dir/verify.err" || {
 }
 cmp -s "$dir/cold.out" "$dir/verify.out" || {
 	echo "cache-smoke: FAIL: verify PPA output differs from cold" >&2
+	exit 1
+}
+
+echo "cache-smoke: -cache-max-bytes below the uncapped run's size"
+full=$(cat "$dir/stash"/*.snap | wc -c)
+cap=$((full * 2 / 3))
+$run -cache-dir "$dir/capped" -cache-max-bytes "$cap" >"$dir/capped.out" 2>"$dir/capped.err"
+grep -Eq 'stage cache .* [1-9][0-9]* evicted,' "$dir/capped.err" || {
+	echo "cache-smoke: FAIL: a $cap B cap under a $full B run should evict" >&2
+	cat "$dir/capped.err" >&2
+	exit 1
+}
+kept=$(cat "$dir/capped"/*.snap | wc -c)
+[ "$kept" -le "$cap" ] || { echo "cache-smoke: FAIL: $kept B of snapshots kept under a $cap B cap" >&2; exit 1; }
+cmp -s "$dir/cold.out" "$dir/capped.out" || {
+	echo "cache-smoke: FAIL: capped PPA output differs from cold" >&2
 	exit 1
 }
 
