@@ -32,7 +32,9 @@ vet:
 ## their per-worker and engine-owned scratch, internal/slab,
 ## internal/netlist and internal/piton for the slab-backed design records
 ## (netlist also for the by-name indexes built on a composed design's
-## first lookup, from racing readers), internal/cell for the shared pin
+## first lookup, from racing readers, and for copies of a sealed template
+## editing their own indexes over its shared one; TestConcurrentRunsMatchSerial
+## runs whole flows that way), internal/cell for the shared pin
 ## index under concurrent readers,
 ## internal/route for the span-filling net prep and the overflow
 ## scan around the ordered routing pass, and internal/par for the worker
@@ -47,18 +49,22 @@ race:
 ## net and timing-report decoders and the placement snapshot's
 ## instance-state decoder on arbitrary bytes: no panic, no allocation
 ## sized by a corrupt count, and whatever decodes re-encodes to the same
-## bytes. `go test` runs only their seed corpora (a good encoding each,
-## TestDecodeResultCorrupt's table, the abstract decoder's two count
-## bombs, the signoff tail's truncations, one impossible instance state
-## of each kind). The engine minimizes every
+## bytes — and of FuzzUnframe, the stage cache's snapshot frame reader:
+## no panic, a frame of any payload unframes to it, and a frame with any
+## one byte flipped fails. `go test` runs only their seed corpora (a
+## good encoding each, TestDecodeResultCorrupt's table, the abstract
+## decoder's two count bombs, the signoff tail's truncations, one
+## impossible instance state of each kind, two frames and a cut one).
+## The engine minimizes every
 ## input that reaches new code, an execution per byte and 60 s by
 ## default: capped at 1 s so the ten seconds mutate. A failing input is
-## written to internal/flows/testdata/fuzz/ — commit it.
+## written to the package's testdata/fuzz/ — commit it.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAbstract$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSignoff$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePlacement$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnframe$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/stash/
 
 ## equiv: just the parallel-vs-serial equivalence proof — every flow at
 ## -j 1 / 4 / 0 must produce an identical PPA, run under the race

@@ -13,7 +13,9 @@ import (
 // each optimization iteration the journal-maintained extraction and
 // the incremental STA report are compared against a from-scratch
 // extract.Extract + sta.Analyze (1e-9 tolerance, per-sink Elmore,
-// WNS/TNS and path order). Any divergence fails the flow's opt stage.
+// WNS/TNS and path order). Any divergence fails the flow's opt stage;
+// the sta stage then holds the hold check it runs on the optimizer's
+// engine to a from-scratch sta.Analyze with CheckHold.
 //
 // GOMAXPROCS is raised so the parallel full-pass paths (chunked
 // extraction, wave-parallel STA) are exercised too — including under

@@ -30,6 +30,12 @@ type flow struct {
 	// a checkpoint takes it (see material).
 	stackKey []byte
 
+	// eng is the timing engine the sign-off optimizer ran on, from the opt
+	// stage that ran in this run (never the pseudo design's) until the
+	// sta stage takes it; nil when the signoff region was restored from
+	// the cache.
+	eng *sta.Engine
+
 	// Sign-off results, and the PPA row the power stage closes them into.
 	resized, buffers int
 	hold             *sta.Report

@@ -12,24 +12,31 @@ import (
 // "no package-level mutable state". Each holds the result of a pure
 // function of a small key, written once per key and read-only after
 // that: tiles, one template tile per piton.Config, which runs only ever
-// receive copies of; fingerprints, the technology hash rootKey chains
-// from, per logic-metal count, which runs only read.
+// receive copies of, and whose name index every copy shares;
+// fingerprints, the technology hash rootKey chains from, per logic-metal
+// count, which runs only read.
 var (
 	tiles = memo[piton.Config, *piton.Tile]{build: func(cfg piton.Config) (*piton.Tile, error) {
 		t, err := piton.Generate(cfg)
 		if err != nil {
 			return nil, err
 		}
-		// Stored as a copy: no name index, no slab slack, no generator
-		// scratch — half the bytes of the tile Generate returns.
-		return t.Clone(), nil
+		// Stored as a copy: no slab slack, no generator scratch — half the
+		// bytes of the tile Generate returns. Sealed, it builds its name
+		// index once, here, and is read only from then on: the copies runs
+		// edit look their template's names up in that index and hash only
+		// the names their edits add.
+		c := t.Clone()
+		c.Design.Seal()
+		return c, nil
 	}}
 	fingerprints = memo[int, []byte]{build: buildTechFingerprint}
 )
 
 // newTile returns a copy of the tile cfg generates, for one run to own.
 // The template is built on the first request for cfg in the process;
-// every request, the first included, gets an exact-size copy of it.
+// every request, the first included, gets an exact-size copy of it that
+// shares the template's name index.
 func newTile(cfg piton.Config) (*piton.Tile, error) {
 	t, err := tiles.get(cfg)
 	if err != nil {

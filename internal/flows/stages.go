@@ -284,16 +284,12 @@ func (f *flow) backEnd(budget opt.Options) []stage {
 				if err != nil {
 					return err
 				}
-				f.st.Report = res.Report
+				f.st.Report, f.eng = res.Report, res.Engine
 				f.resized, f.buffers = res.Resized, res.Buffers
 				f.st.Routes.Recount(f.st.DB)
 				return nil
 			})),
-		// Hold sign-off on the final state.
-		do(StageSTA, func() (err error) {
-			f.hold, err = f.sta(f.st.Report.MinPeriod, true)
-			return err
-		}),
+		do(StageSTA, f.holdSignoff),
 		do(StagePower, f.power),
 	}
 	if !f.cfg.Verify {
@@ -385,9 +381,43 @@ func (f *flow) optimize(budget opt.Options, sp *obs.Span) (*opt.Result, error) {
 // with the hold check when hold is set.
 func (f *flow) sta(period float64, hold bool) (*sta.Report, error) {
 	st := f.st
-	return sta.Analyze(st.Design, st.ExSlow, period, sta.Options{
-		Corner: f.t.CornerScaleFor(tech.CornerSlow), Clock: st.Tree, CheckHold: hold, Obs: f.obs(),
-	})
+	return sta.Analyze(st.Design, st.ExSlow, period, f.staOptions(hold))
+}
+
+func (f *flow) staOptions(hold bool) sta.Options {
+	return sta.Options{Corner: f.t.CornerScaleFor(tech.CornerSlow), Clock: f.st.Tree, CheckHold: hold, Obs: f.obs()}
+}
+
+// holdSignoff is hold sign-off on the final state, on the engine the
+// optimizer ran on — whose setup timing is the final report already —
+// or, when the signoff region was restored from the cache, on a new one
+// over the slow-corner extraction. Neither runs a setup pass. Under
+// Config.SelfCheck a from-scratch analysis must agree.
+func (f *flow) holdSignoff() error {
+	eng := f.eng
+	f.eng = nil
+	if eng == nil {
+		var err error
+		if eng, err = sta.NewEngine(f.st.Design, f.st.ExSlow, f.staOptions(false)); err != nil {
+			return err
+		}
+	}
+	hold, err := eng.Hold()
+	if err != nil {
+		return err
+	}
+	if f.cfg.SelfCheck {
+		want, err := f.sta(f.st.Report.MinPeriod, true)
+		if err != nil {
+			return err
+		}
+		if hold.HoldWNS != want.HoldWNS || hold.HoldViolations != want.HoldViolations || hold.HoldEndpoints != want.HoldEndpoints {
+			return fmt.Errorf("sta: selfcheck: hold on the optimizer's engine (WNS %v, %d violations, %d endpoints) differs from a fresh analysis (WNS %v, %d, %d)",
+				hold.HoldWNS, hold.HoldViolations, hold.HoldEndpoints, want.HoldWNS, want.HoldViolations, want.HoldEndpoints)
+		}
+	}
+	f.hold = hold
+	return nil
 }
 
 // powerAt is typical-corner power of f.st at fclk MHz, and the extraction

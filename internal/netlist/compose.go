@@ -54,6 +54,7 @@ func (d *Design) Compose(src *Design, copies []Copy) (*Composer, error) {
 		}
 	}
 	d.byName.Store(nil)
+	d.base = nameIndex{}
 	return &Composer{
 		d: d, src: src, copies: copies,
 		ports: make([]*Port, len(copies)*len(src.Ports)),

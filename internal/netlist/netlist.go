@@ -187,12 +187,18 @@ func (n *Net) HPWL() float64 {
 // per-design arena. A chunk never moves, so every pointer in Instances,
 // Nets and Ports stays valid for the life of the design.
 //
-// The records are the design; the by-name indexes are derived from them.
-// A design built by Add* keeps them from the start (the duplicate check
-// of an Add* is a lookup). One composed in bulk (Compose) or copied
-// (Clone) starts without and builds them on the first by-name use — a
-// lookup or an Add* — so a flat array that is only ever walked by ID
-// never hashes its names.
+// The records are the design; the by-name indexes are derived from them,
+// and map a name to a record ID. A design built by Add* keeps them from
+// the start (the duplicate check of an Add* is a lookup). One composed in
+// bulk (Compose) or copied (Clone) starts without and builds them on the
+// first by-name use — a lookup or an Add* — so a flat array that is only
+// ever walked by ID never hashes its names.
+//
+// A sealed design (Seal) is a template: read only, its indexes built
+// once. An ID names the same record in every exact copy, so a copy of a
+// template shares the template's indexes as its base and keeps maps of
+// its own only for the names its edits add.
+//
 // Concurrent first lookups are safe; like the maps they replace, lookups
 // concurrent with an edit are not.
 type Design struct {
@@ -202,8 +208,12 @@ type Design struct {
 	Nets      []*Net
 	Ports     []*Port
 
-	byName  atomic.Pointer[nameIndex] // nil while not built
+	byName  atomic.Pointer[nameIndex] // the design's own; nil while not built
 	indexMu sync.Mutex                // serializes the build
+	// base is the sealed template's index a copy of it shares, read only;
+	// zero (nil maps) for every other design.
+	base   nameIndex
+	sealed bool
 
 	insts slab.Slab[Instance]
 	nets  slab.Slab[Net]
@@ -211,27 +221,23 @@ type Design struct {
 	sinks slab.Slab[PinRef]
 }
 
-// nameIndex is the by-name view of a design's records.
+// nameIndex is the by-name view of a design's records, by ID. A map left
+// nil is made on its first insert.
 type nameIndex struct {
-	inst map[string]*Instance
-	net  map[string]*Net
-	port map[string]*Port
+	inst, net, port map[string]int32
 }
 
 // NewDesign returns an empty design over the given library.
 func NewDesign(name string, lib *cell.Library) *Design {
 	d := &Design{Name: name, Lib: lib}
-	d.byName.Store(&nameIndex{
-		inst: make(map[string]*Instance),
-		net:  make(map[string]*Net),
-		port: make(map[string]*Port),
-	})
+	d.byName.Store(&nameIndex{})
 	return d
 }
 
-// index returns the by-name indexes, building them from the records when
-// a bulk composition left them unbuilt. Whoever finds them missing takes
-// the lock; the first in builds, the rest find them built.
+// index returns the design's own by-name indexes, building them from the
+// records when a bulk composition or a copy left them unbuilt (a copy of
+// a template starts with empty ones, Clone). Whoever finds them missing
+// takes the lock; the first in builds, the rest find them built.
 func (d *Design) index() *nameIndex {
 	if ix := d.byName.Load(); ix != nil {
 		return ix
@@ -242,18 +248,9 @@ func (d *Design) index() *nameIndex {
 		return ix
 	}
 	ix := &nameIndex{
-		inst: make(map[string]*Instance, len(d.Instances)),
-		net:  make(map[string]*Net, len(d.Nets)),
-		port: make(map[string]*Port, len(d.Ports)),
-	}
-	for _, i := range d.Instances {
-		ix.inst[i.Name] = i
-	}
-	for _, n := range d.Nets {
-		ix.net[n.Name] = n
-	}
-	for _, p := range d.Ports {
-		ix.port[p.Name] = p
+		inst: indexNames(d.Instances, instName),
+		net:  indexNames(d.Nets, netName),
+		port: indexNames(d.Ports, portName),
 	}
 	// Compose admits only names it can prove distinct; a name lost here
 	// means that proof is broken.
@@ -262,6 +259,71 @@ func (d *Design) index() *nameIndex {
 	}
 	d.byName.Store(ix)
 	return ix
+}
+
+// indexNames maps the name of every record to its ID.
+func indexNames[T any](recs []*T, name func(*T) string) map[string]int32 {
+	m := make(map[string]int32, len(recs))
+	for id, r := range recs {
+		m[name(r)] = int32(id)
+	}
+	return m
+}
+
+// find returns the ID of the record of recs the name maps to — in the
+// design's own index, else in the base, whose entry counts only while the
+// copy still holds a record of that name under that ID — or -1.
+func find[T any](own, base map[string]int32, recs []*T, name string, nameOf func(*T) string) int {
+	if id, ok := own[name]; ok {
+		return int(id)
+	}
+	if id, ok := base[name]; ok && int(id) < len(recs) && nameOf(recs[id]) == name {
+		return int(id)
+	}
+	return -1
+}
+
+func instName(i *Instance) string { return i.Name }
+func netName(n *Net) string       { return n.Name }
+func portName(p *Port) string     { return p.Name }
+
+// put records a name's ID in an index map, making the map on first use.
+func put(m *map[string]int32, name string, id int) {
+	if *m == nil {
+		*m = make(map[string]int32)
+	}
+	(*m)[name] = int32(id)
+}
+
+// Seal makes d a template: its by-name indexes are built now, and from
+// then on d is read only — an Add*, Reserve or TruncateTo panics — so
+// that its copies can share the indexes instead of building their own.
+// Sealing a copy of a template builds it a whole index of its own.
+func (d *Design) Seal() {
+	if d.base.inst != nil {
+		d.base = nameIndex{}
+		d.byName.Store(nil)
+	}
+	d.index()
+	d.sealed = true
+}
+
+// edit panics on a sealed design.
+func (d *Design) edit() {
+	if d.sealed {
+		panic(fmt.Sprintf("netlist: edit of sealed design %q", d.Name))
+	}
+}
+
+// OwnNames is the number of names of each kind the design's own by-name
+// index holds: every record's once it is built, but for a copy of a
+// sealed template only those its edits added.
+func (d *Design) OwnNames() (instances, nets, ports int) {
+	ix := d.byName.Load()
+	if ix == nil {
+		return 0, 0, 0
+	}
+	return len(ix.inst), len(ix.net), len(ix.port)
 }
 
 // AddInstance creates an instance of the named master.
@@ -273,19 +335,18 @@ func (d *Design) AddInstance(name string, master *cell.Cell) *Instance {
 // — a duplicate panics — unless ix is nil: the indexes are not built, and
 // the caller (a Composer) answers for the name being new.
 func (d *Design) addInstance(ix *nameIndex, name string, master *cell.Cell) *Instance {
+	d.edit()
 	if master == nil {
 		panic(fmt.Sprintf("netlist: nil master for instance %q", name))
 	}
-	if ix != nil {
-		if _, dup := ix.inst[name]; dup {
-			panic(fmt.Sprintf("netlist: duplicate instance %q", name))
-		}
+	if ix != nil && find(ix.inst, d.base.inst, d.Instances, name, instName) >= 0 {
+		panic(fmt.Sprintf("netlist: duplicate instance %q", name))
 	}
 	inst := d.insts.Alloc()
 	*inst = Instance{Name: name, Master: master, ID: len(d.Instances)}
 	d.Instances = append(d.Instances, inst)
 	if ix != nil {
-		ix.inst[name] = inst
+		put(&ix.inst, name, inst.ID)
 	}
 	return inst
 }
@@ -296,16 +357,15 @@ func (d *Design) AddPort(name string, dir cell.PinDir) *Port {
 }
 
 func (d *Design) addPort(ix *nameIndex, name string, dir cell.PinDir) *Port {
-	if ix != nil {
-		if _, dup := ix.port[name]; dup {
-			panic(fmt.Sprintf("netlist: duplicate port %q", name))
-		}
+	d.edit()
+	if ix != nil && find(ix.port, d.base.port, d.Ports, name, portName) >= 0 {
+		panic(fmt.Sprintf("netlist: duplicate port %q", name))
 	}
 	p := d.ports.Alloc()
 	*p = Port{Name: name, Dir: dir, ID: len(d.Ports)}
 	d.Ports = append(d.Ports, p)
 	if ix != nil {
-		ix.port[name] = p
+		put(&ix.port, name, p.ID)
 	}
 	return p
 }
@@ -318,16 +378,15 @@ func (d *Design) AddNet(name string, driver PinRef, sinks ...PinRef) *Net {
 }
 
 func (d *Design) addNet(ix *nameIndex, name string, driver PinRef, sinks []PinRef) *Net {
-	if ix != nil {
-		if _, dup := ix.net[name]; dup {
-			panic(fmt.Sprintf("netlist: duplicate net %q", name))
-		}
+	d.edit()
+	if ix != nil && find(ix.net, d.base.net, d.Nets, name, netName) >= 0 {
+		panic(fmt.Sprintf("netlist: duplicate net %q", name))
 	}
 	n := d.nets.Alloc()
 	*n = Net{Name: name, ID: len(d.Nets), Driver: driver, Sinks: sinks, Weight: 1}
 	d.Nets = append(d.Nets, n)
 	if ix != nil {
-		ix.net[name] = n
+		put(&ix.net, name, n.ID)
 	}
 	return n
 }
@@ -336,19 +395,20 @@ func (d *Design) addNet(ix *nameIndex, name string, driver PinRef, sinks []PinRe
 // room for that many more instances, nets and SinkSpan pin references,
 // each in one allocation instead of by geometric growth.
 func (d *Design) Reserve(instances, nets, sinkPins int) {
+	d.edit()
 	d.insts.Reserve(instances)
 	d.nets.Reserve(nets)
 	d.sinks.ReserveSpans(sinkPins)
 	d.Instances = slices.Grow(d.Instances, instances)
 	d.Nets = slices.Grow(d.Nets, nets)
-	// A map cannot be grown in place; a fresh design's indexes are
-	// simply made at size. Unbuilt ones are sized when they are built.
+	// A map cannot be grown in place; an empty one is simply made at
+	// size. Unbuilt indexes are sized when they are built.
 	if ix := d.byName.Load(); ix != nil {
 		if len(ix.inst) == 0 {
-			ix.inst = make(map[string]*Instance, instances)
+			ix.inst = make(map[string]int32, instances)
 		}
 		if len(ix.net) == 0 {
-			ix.net = make(map[string]*Net, nets)
+			ix.net = make(map[string]int32, nets)
 		}
 	}
 }
@@ -359,13 +419,18 @@ func (d *Design) Reserve(instances, nets, sinkPins int) {
 // run (Span), and every pin reference re-pointed by ID at the copy's
 // records. What the records only point at is shared: the names, the
 // masters and the library, none of which an edit of a design writes.
-// Like a composed design, the copy starts without its by-name indexes
-// and builds them on the first by-name use.
+// A copy of a sealed template shares its by-name indexes too, as the
+// copy's read-only base; a copy of any other design starts, like a
+// composed one, without indexes and builds them on the first by-name use.
 //
 // Every pin reference of d must name a record of d, as Validate
 // demands; Clone panics on one that does not.
 func (d *Design) Clone() *Design {
 	c := &Design{Name: d.Name, Lib: d.Lib}
+	if d.sealed {
+		c.base = *d.byName.Load()
+		c.byName.Store(&nameIndex{})
+	}
 	sinks := 0
 	for _, n := range d.Nets {
 		sinks += len(n.Sinks)
@@ -427,13 +492,27 @@ func repoint(c, src *Design, r PinRef) PinRef {
 func (d *Design) SinkSpan(n int) []PinRef { return d.sinks.Span(n) }
 
 // Instance returns the named instance, or nil.
-func (d *Design) Instance(name string) *Instance { return d.index().inst[name] }
+func (d *Design) Instance(name string) *Instance {
+	return byID(d.Instances, find(d.index().inst, d.base.inst, d.Instances, name, instName))
+}
 
 // Net returns the named net, or nil.
-func (d *Design) Net(name string) *Net { return d.index().net[name] }
+func (d *Design) Net(name string) *Net {
+	return byID(d.Nets, find(d.index().net, d.base.net, d.Nets, name, netName))
+}
 
 // Port returns the named port, or nil.
-func (d *Design) Port(name string) *Port { return d.index().port[name] }
+func (d *Design) Port(name string) *Port {
+	return byID(d.Ports, find(d.index().port, d.base.port, d.Ports, name, portName))
+}
+
+// byID returns recs[id], or nil for id -1.
+func byID[T any](recs []*T, id int) *T {
+	if id < 0 {
+		return nil
+	}
+	return recs[id]
+}
 
 // IPin makes a PinRef for inst/pin.
 func IPin(inst *Instance, pin string) PinRef { return PinRef{Inst: inst, Pin: pin} }
@@ -604,9 +683,16 @@ func (d *Design) NetsOfInstance() [][]*Net {
 	return adj
 }
 
-// Macros returns all macro instances in deterministic order.
+// Macros returns all macro instances in deterministic order, in one
+// exact-size allocation.
 func (d *Design) Macros() []*Instance {
-	var ms []*Instance
+	n := 0
+	for _, i := range d.Instances {
+		if i.IsMacro() {
+			n++
+		}
+	}
+	ms := make([]*Instance, 0, n)
 	for _, i := range d.Instances {
 		if i.IsMacro() {
 			ms = append(ms, i)
@@ -617,9 +703,9 @@ func (d *Design) Macros() []*Instance {
 }
 
 // StdCells returns all movable standard-cell instances (excluding
-// macros and fillers).
+// macros and fillers), in one allocation sized to the design.
 func (d *Design) StdCells() []*Instance {
-	var cs []*Instance
+	cs := make([]*Instance, 0, len(d.Instances))
 	for _, i := range d.Instances {
 		if !i.IsMacro() && i.Master.Kind != cell.KindFiller {
 			cs = append(cs, i)
@@ -635,11 +721,14 @@ func (d *Design) Counts() (instances, nets int) {
 }
 
 // TruncateTo drops instances and nets appended after a checkpoint
-// (they must be the trailing entries). Name indices are kept
-// consistent and the slab cursors rewind over the dropped records,
-// zeroing them, so the cost is that of the edit and the next
-// AddInstance / AddNet reuses them. It panics if asked to grow.
+// (they must be the trailing entries). The design's own name indices
+// are kept consistent (a template's base, shared, is not written: its
+// entries for dropped IDs stop counting) and the slab cursors rewind
+// over the dropped records, zeroing them, so the cost is that of the
+// edit and the next AddInstance / AddNet reuses them. It panics if asked
+// to grow.
 func (d *Design) TruncateTo(instances, nets int) {
+	d.edit()
 	if instances > len(d.Instances) || nets > len(d.Nets) {
 		panic("netlist: TruncateTo cannot grow a design")
 	}

@@ -200,13 +200,28 @@ func TestNetsOfInstanceRows(t *testing.T) {
 
 // TestCloneRepointsByID: a clone holds records of its own, each equal to
 // its source's, and every pin reference points at the clone's record of
-// the same ID; it starts without name indexes and builds them on first
-// use; a reference to a record outside the design panics.
+// the same ID. A clone of an unsealed design starts without name indexes
+// and builds them on first use; one of a sealed template starts with the
+// template's as its base and an empty index of its own, and finds its
+// own records through the base. A reference to a record outside the
+// design panics.
 func TestCloneRepointsByID(t *testing.T) {
 	d := tiny(t)
 	c := d.Clone()
-	if c.byName.Load() != nil {
-		t.Fatal("clone built its name indexes up front")
+	if c.byName.Load() != nil || c.base.inst != nil {
+		t.Fatal("clone of an unsealed design built its name indexes up front")
+	}
+	tmpl := d.Clone()
+	tmpl.Seal()
+	sc := tmpl.Clone()
+	if i, n, p := sc.OwnNames(); i+n+p != 0 || sc.base.inst == nil {
+		t.Fatalf("clone of a sealed template: own index %d/%d/%d, base built %v", i, n, p, sc.base.inst != nil)
+	}
+	if sc.Instance("ff") != sc.Instances[1] || sc.Net("clk") != sc.Nets[2] || sc.Port("dout") != sc.Ports[2] {
+		t.Fatal("clone of a sealed template does not find its own records through the base")
+	}
+	if i, n, p := sc.OwnNames(); i+n+p != 0 {
+		t.Fatalf("lookups through the base filled the copy's own index: %d/%d/%d", i, n, p)
 	}
 	for i, src := range d.Instances {
 		if got := c.Instances[i]; got == src || *got != *src {

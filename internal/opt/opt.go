@@ -98,15 +98,15 @@ func (ctx *Context) name(prefix string, a, b int) string {
 
 // Options tunes the loop.
 type Options struct {
-	// MaxIters bounds the sizing/buffering rounds (default 10).
+	// MaxIters bounds the sizing/buffering rounds (default 250).
 	MaxIters int
-	// MaxMovesPerIter bounds edits per round (default 24).
+	// MaxMovesPerIter bounds edits per round (default 48).
 	MaxMovesPerIter int
 	// BufferElmore is the per-arc Elmore delay (ps) above which a
-	// buffer chain is inserted (default 120).
+	// buffer chain is inserted (default 90).
 	BufferElmore float64
 	// BufferSpan is the wire length one buffer drives, µm (default
-	// 300).
+	// 250).
 	BufferSpan float64
 	// FanoutCap is the driver load (fF) above which a decoupling
 	// buffer is inserted between the driver and all its sinks
@@ -148,6 +148,11 @@ func (o Options) withDefaults() Options {
 // Result wraps the final timing plus edit statistics.
 type Result struct {
 	Report *sta.Report
+	// Engine is the incremental analyzer the loop ran on, over the final
+	// design and the context's extraction. A rolled-back last iteration
+	// leaves its invalidation pending; the engine's next Update or Hold
+	// consumes it.
+	Engine *sta.Engine
 	// Resized and Buffers count the edits of kept iterations only.
 	Resized  int
 	Buffers  int
@@ -257,7 +262,7 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Report = rep
+	res.Report, res.Engine = rep, eng
 	if opt.Frozen {
 		return res, nil
 	}

@@ -14,6 +14,19 @@ import (
 	"macro3d/internal/tech"
 )
 
+// TestOptionsDefaults pins what withDefaults fills in for a zero field
+// to the defaults Options' comments state, and leaves a set field alone.
+func TestOptionsDefaults(t *testing.T) {
+	want := Options{MaxIters: 250, MaxMovesPerIter: 48, BufferElmore: 90, BufferSpan: 250, FanoutCap: 90}
+	if got := (Options{}).withDefaults(); got != want {
+		t.Fatalf("zero Options default to %+v, want %+v", got, want)
+	}
+	set := Options{MaxIters: 2, MaxMovesPerIter: 8, BufferElmore: 1e12, BufferSpan: 1, FanoutCap: 3, TargetPeriod: 900, Frozen: true}
+	if got := set.withDefaults(); got != set {
+		t.Fatalf("set Options %+v default to %+v", set, got)
+	}
+}
+
 func TestClusterSinks(t *testing.T) {
 	lib := cell.NewStdLib28(cell.DefaultLibOptions())
 	d := netlist.NewDesign("c", lib)

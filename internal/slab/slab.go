@@ -13,10 +13,13 @@
 // (Fit); what it outgrows is abandoned inside the chunk.
 package slab
 
-// minChunk is the size of the first chunk of a slab that was not
-// Reserve'd; chunks then grow geometrically (each as large as
-// everything before it), so a tiny design does not reserve a paper tile
-// and a large one allocates O(log n) chunks.
+// minChunk is the size of the first chunk Span adds; the chunks it adds
+// then grow geometrically (each as large as every chunk Span added
+// before it), so a tiny design does not reserve a paper tile and a large
+// one allocates O(log n) chunks. Chunks Reserve adds do not count: after
+// an exact Reserve (a copied design, a decoded checkpoint) growth follows
+// the records added since, so the first edit of a copied tile costs a
+// minChunk, not a second tile.
 const minChunk = 64
 
 // Slab is an arena of T. The zero value is empty and ready to use. It
@@ -25,7 +28,7 @@ type Slab[T any] struct {
 	chunks [][]T // every chunk at full length; filled in order
 	ci     int   // chunk being filled
 	used   int   // records handed out of chunks[ci]
-	total  int   // Σ len(chunks)
+	grown  int   // Σ len of the chunks Span added
 }
 
 // free returns the number of records available without allocating,
@@ -66,7 +69,6 @@ func (s *Slab[T]) ReserveSpans(n int) {
 
 func (s *Slab[T]) addChunk(n int) {
 	s.chunks = append(s.chunks, make([]T, n))
-	s.total += n
 }
 
 // Alloc returns a pointer to the next record, zero-valued.
@@ -87,7 +89,9 @@ func (s *Slab[T]) Span(n int) []T {
 		s.used = 0
 	}
 	if s.ci == len(s.chunks) {
-		s.addChunk(max(n, minChunk, s.total))
+		size := max(n, minChunk, s.grown)
+		s.addChunk(size)
+		s.grown += size
 	}
 	out := s.chunks[s.ci][s.used : s.used+n : s.used+n]
 	s.used += n

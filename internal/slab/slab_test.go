@@ -57,6 +57,42 @@ func TestReserveIsOneChunk(t *testing.T) {
 	}
 }
 
+// records is the number of records the slab's chunks hold, used or not.
+func (s *Slab[T]) records() int {
+	n := 0
+	for _, c := range s.chunks {
+		n += len(c)
+	}
+	return n
+}
+
+// TestGrowthFollowsEdits: after an exact Reserve(n), k records added one
+// at a time grow the slab by chunks sized to what was added since — at
+// most n + 2k + minChunk records in all, not a second n — while a slab
+// that was never reserved doubles from minChunk as it always has.
+func TestGrowthFollowsEdits(t *testing.T) {
+	const n = 10000
+	for _, k := range []int{1, 63, 64, 65, 200, 1000, 5000} {
+		var s Slab[rec]
+		s.Reserve(n)
+		for i := 0; i < n+k; i++ {
+			s.Span(1)
+		}
+		if got, most := s.records(), n+2*k+minChunk; got > most {
+			t.Errorf("Reserve(%d) then %d more: the slab holds %d records, want ≤ %d", n, k, got, most)
+		}
+	}
+	var s Slab[rec]
+	for i := 0; i < 1000; i++ {
+		s.Alloc()
+	}
+	for i, want := range []int{64, 64, 128, 256, 512} {
+		if i >= len(s.chunks) || len(s.chunks[i]) != want {
+			t.Fatalf("an unreserved slab's chunk %d: want %d records (chunks %d)", i, want, len(s.chunks))
+		}
+	}
+}
+
 // TestReserveSpansIsContiguous: on a part-filled slab whose free
 // records are scattered over chunk tails, ReserveSpans still makes spans
 // summing to n come without allocation, where Reserve — which counts the

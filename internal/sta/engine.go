@@ -2,6 +2,7 @@ package sta
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -306,22 +307,58 @@ func (e *Engine) Run(period float64) (*Report, error) {
 // Update consumes the pending invalidation and re-analyzes only the
 // dirty cone. Results are bit-identical to Run on the same state.
 func (e *Engine) Update(period float64) (*Report, error) {
+	if err := e.consume(); err != nil {
+		return nil, err
+	}
+	return e.buildReport(period)
+}
+
+// Pending reports whether edits have been invalidated since the last
+// Run, Update or Hold — what the next of them consumes first.
+func (e *Engine) Pending() bool {
+	return len(e.pendNets) > 0 || len(e.pendInsts) > 0 || e.pendTopo
+}
+
+// Hold is the hold check (Options.CheckHold) of the engine's current
+// state, alone: any pending invalidation is consumed first, exactly as
+// Update does, and then only the min-delay pass runs — no setup pass, no
+// paths. The report carries the Hold* fields only, equal to those of a
+// from-scratch Analyze with CheckHold. Hold does not depend on the clock
+// period.
+func (e *Engine) Hold() (*Report, error) {
+	if e.Pending() {
+		if err := e.consume(); err != nil {
+			return nil, err
+		}
+	}
+	rep := &Report{}
+	e.analyzeHold(rep)
+	if math.IsNaN(rep.HoldWNS) || math.IsInf(rep.HoldWNS, 0) {
+		return nil, fmt.Errorf("sta: non-finite hold WNS (%v) — corrupt parasitics upstream", rep.HoldWNS)
+	}
+	return rep, nil
+}
+
+// consume brings the passes up to date with the pending invalidation:
+// the parasitics of the re-extracted nets checked, the topology and
+// masters patched, and the dirty cone re-propagated on both passes.
+func (e *Engine) consume() error {
 	// Finiteness of the parasitics only needs re-checking where they
 	// changed.
 	for _, id := range e.pendNets {
 		if id < len(e.ex.Nets) {
 			if err := e.ex.CheckNet(id); err != nil {
-				return nil, fmt.Errorf("sta: %w", err)
+				return fmt.Errorf("sta: %w", err)
 			}
 		}
 	}
 	if e.pendTopo {
 		if err := e.patchTopo(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if err := e.patchMasters(); err != nil {
-		return nil, err
+		return err
 	}
 
 	frontier := 0
@@ -339,7 +376,7 @@ func (e *Engine) Update(period float64) (*Report, error) {
 	e.mInc.Inc()
 	e.mFrontier.Observe(float64(frontier))
 	e.updateRatio()
-	return e.buildReport(period)
+	return nil
 }
 
 // markPending seeds the dirty set from the pending net/instance ids:

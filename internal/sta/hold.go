@@ -11,9 +11,9 @@ import (
 //
 // Launches use the same clock latencies as setup analysis (a balanced
 // tree makes hold easy; skew between launch and capture is what
-// violates it). Results land in rep.Hold*. Hold is only checked on
-// full sign-off runs, so it propagates from scratch each time over the
-// engine's cached order and input arcs.
+// violates it). Results land in rep.Hold*. Hold is checked once per
+// sign-off (Analyze with CheckHold, or Engine.Hold), so it propagates
+// from scratch each time over the engine's cached order and input arcs.
 func (e *Engine) analyzeHold(rep *Report) {
 	minArr := make([]float64, e.nNodes)
 	const posInf = 1e30

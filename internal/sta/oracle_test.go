@@ -507,6 +507,80 @@ func TestReportMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestHoldOnLiveEngine: Hold on an engine that has analyzed a run of
+// edit bundles — the last one committed and analyzed, or rolled back and
+// left pending, as the optimizer leaves its engine — equals the hold
+// fields of a from-scratch Analyze with CheckHold, and leaves the engine
+// where an Update would: nothing pending, and the next Update equal to a
+// fresh analysis.
+func TestHoldOnLiveEngine(t *testing.T) {
+	const period = 900
+	rolledBack := 0
+	for seed := uint64(1); seed <= 8; seed++ {
+		db := randomDB(t, seed)
+		rng := geom.NewRNG(seed * 131)
+		e, err := NewEngine(db.Design, db.Ex, Options{Corner: db.Corner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(period); err != nil {
+			t.Fatal(err)
+		}
+		seq := 0
+		for step := 0; step < 1+int(seed%4); step++ {
+			txn := db.Begin()
+			randomEdits(t, db, txn, rng, &seq)
+			e.Invalidate(txn.DirtyNets(), txn.DirtyInsts(), txn.TopoChanged())
+			if _, err := e.Update(period); err != nil {
+				t.Fatal(err)
+			}
+			if seed%2 == 0 {
+				txn.Commit()
+			} else {
+				e.Invalidate(txn.Rollback())
+			}
+		}
+		when := fmt.Sprintf("seed %d", seed)
+		if e.Pending() != (seed%2 == 1) {
+			t.Fatalf("%s: pending %v after the last bundle", when, e.Pending())
+		}
+		if e.Pending() {
+			rolledBack++
+		}
+		got, err := e.Hold()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hopt := e.opt
+		hopt.CheckHold = true
+		want, err := Analyze(db.Design, db.Ex, period, hopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.HoldWNS != want.HoldWNS || got.HoldViolations != want.HoldViolations || got.HoldEndpoints != want.HoldEndpoints {
+			t.Fatalf("%s: Hold (WNS %v, %d violations, %d endpoints), fresh (WNS %v, %d, %d)", when,
+				got.HoldWNS, got.HoldViolations, got.HoldEndpoints, want.HoldWNS, want.HoldViolations, want.HoldEndpoints)
+		}
+		if got.HoldEndpoints == 0 || got.Endpoints != 0 || got.Paths != nil {
+			t.Fatalf("%s: Hold report %+v, want the hold fields only", when, got)
+		}
+		if e.Pending() {
+			t.Fatalf("%s: Hold left the invalidation pending", when)
+		}
+		rep, err := e.Update(period)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFresh(t, e, rep, period, when+" after Hold")
+		if err := e.CheckTopo(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	if rolledBack == 0 {
+		t.Fatal("no engine had a rolled-back bundle pending")
+	}
+}
+
 // TestReportTiesFollowTableOrder: when lanes are electrically
 // identical every launch node ties with its twin in every other lane,
 // and the selected paths come out in table order — the order a stable

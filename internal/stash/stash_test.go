@@ -365,6 +365,48 @@ func TestFrameUnframe(t *testing.T) {
 	}
 }
 
+// FuzzUnframe holds the snapshot frame reader to its contract on
+// arbitrary bytes: it never panics, and what it accepts re-frames to the
+// same bytes; frameHeader(p)+p unframes to p; and flipping any single
+// byte of that frame — magic, version, length, checksum or payload —
+// makes it fail. The seeds are an empty and a short payload, each as
+// bare bytes and as a whole frame, and a frame cut short.
+func FuzzUnframe(f *testing.F) {
+	for _, p := range [][]byte{nil, []byte("payload")} {
+		f.Add(p, byte(1))
+		f.Add(append(frameHeader(p), p...), byte(0x80))
+	}
+	f.Add(frameHeader([]byte("cut"))[:headerSize-1], byte(0xff))
+	f.Fuzz(func(t *testing.T, data []byte, mask byte) {
+		if got, err := unframe(data); err == nil {
+			if again := append(frameHeader(got), got...); !bytes.Equal(again, data) {
+				t.Fatalf("unframe accepted %d bytes that re-frame to %d others", len(data), len(again))
+			}
+		}
+		frame := append(frameHeader(data), data...)
+		got, err := unframe(frame)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("unframe(header(p) + p) = %d bytes, %v; want the %d of p", len(got), err, len(data))
+		}
+		if mask == 0 {
+			mask = 1
+		}
+		// Every position of a short frame; a long one's header and a stride
+		// through its payload, so an input costs O(len), not O(len²).
+		stride := max(1, len(frame)/1024)
+		for i := 0; i < len(frame); i++ {
+			if i >= headerSize && (i-headerSize)%stride != 0 {
+				continue
+			}
+			frame[i] ^= mask
+			if _, err := unframe(frame); err == nil {
+				t.Fatalf("a frame with byte %d of %d flipped by %#x unframes", i, len(frame), mask)
+			}
+			frame[i] ^= mask
+		}
+	})
+}
+
 func TestOpenCreatesNestedDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "a", "b", "stash")
 	s, err := Open(dir)
