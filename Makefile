@@ -37,10 +37,12 @@ vet:
 ## runs whole flows that way), internal/cell for the shared pin
 ## index under concurrent readers,
 ## internal/route for the span-filling net prep and the overflow
-## scan around the ordered routing pass, and internal/par for the worker
-## team itself (the hand-off, the join and a worker's contained panic).
+## scan around the ordered routing pass, internal/par for the worker
+## team itself (the hand-off, the join and a worker's contained panic),
+## and internal/obs/... for the recorder and the timeline tracks a span's
+## End appends to.
 race:
-	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/ ./internal/stash/ ./internal/extract/ ./internal/sta/ ./internal/slab/ ./internal/netlist/ ./internal/piton/ ./internal/cell/ ./internal/par/
+	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/... ./internal/stash/ ./internal/extract/ ./internal/sta/ ./internal/slab/ ./internal/netlist/ ./internal/piton/ ./internal/cell/ ./internal/par/
 	$(GO) test -race -timeout 30m ./internal/flows/ ./internal/ddb/ ./internal/opt/ ./internal/place/ ./internal/route/
 
 ## fuzz: ten seconds each of FuzzDecodeResult, FuzzDecodeAbstract,
@@ -49,12 +51,16 @@ race:
 ## net and timing-report decoders and the placement snapshot's
 ## instance-state decoder on arbitrary bytes: no panic, no allocation
 ## sized by a corrupt count, and whatever decodes re-encodes to the same
-## bytes — and of FuzzUnframe, the stage cache's snapshot frame reader:
+## bytes — of FuzzUnframe, the stage cache's snapshot frame reader:
 ## no panic, a frame of any payload unframes to it, and a frame with any
-## one byte flipped fails. `go test` runs only their seed corpora (a
+## one byte flipped fails — and of FuzzReadChrome, the trace-report -in
+## reader: no panic, allocation within 16× the input plus 64 kB, a
+## re-export that is a fixed point, no negative time in its analysis.
+## `go test` runs only their seed corpora (a
 ## good encoding each, TestDecodeResultCorrupt's table, the abstract
 ## decoder's two count bombs, the signoff tail's truncations, one
-## impossible instance state of each kind, two frames and a cut one).
+## impossible instance state of each kind, two frames and a cut one, a
+## trace export, an off-microsecond slice and a negative duration).
 ## The engine minimizes every
 ## input that reaches new code, an execution per byte and 60 s by
 ## default: capped at 1 s so the ten seconds mutate. A failing input is
@@ -65,6 +71,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSignoff$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePlacement$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnframe$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/stash/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadChrome$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/obs/trace/
 
 ## equiv: just the parallel-vs-serial equivalence proof — every flow at
 ## -j 1 / 4 / 0 must produce an identical PPA, run under the race
@@ -95,7 +102,9 @@ harden-smoke:
 ## trace-smoke: end-to-end execution-tracer check — tiny flow with
 ## -trace, Chrome trace-event JSON validation, normalized-determinism
 ## comparison of two identical runs, the trace-report bottleneck table,
-## and byte-identical flow output with tracing off.
+## byte-identical flow output with tracing off, and one run with -trace
+## and -events together whose stage span_close events and stages
+## slices agree in number.
 trace-smoke:
 	GO="$(GO)" sh scripts/trace_smoke.sh
 

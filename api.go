@@ -560,12 +560,13 @@ func NewObsRecorder() *ObsRecorder { return obs.New() }
 
 // --- Execution tracing ---
 
-// ExecTracer records the engines' per-worker execution timeline —
-// task-level slices with phase, step and stash-attribution args.
-// Attach one to FlowConfig.Trace to trace a run; a nil tracer (the
-// default) disables tracing with near-zero overhead and byte-identical
-// results. Export with WriteChrome (Perfetto / chrome://tracing) and
-// analyze with AnalyzeExecTrace.
+// ExecTracer records a run's execution timeline — a slice per stage
+// attempt, engine phase and per-worker chunk, with phase, step and
+// stash-attribution args. Attach one with ObsRecorder.SetTimeline to
+// the recorder of FlowConfig.Obs to trace a run; without one (the
+// default) tracing costs a nil check and results are byte-identical.
+// Export with WriteChrome (Perfetto / chrome://tracing) and analyze
+// with AnalyzeExecTrace.
 type ExecTracer = trace.Tracer
 
 // ExecTraceReport is the analyzer's verdict on a recorded timeline:

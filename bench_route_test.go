@@ -24,6 +24,7 @@ import (
 	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
+	"macro3d/internal/obs"
 	"macro3d/internal/obs/trace"
 	"macro3d/internal/par"
 	"macro3d/internal/piton"
@@ -84,6 +85,16 @@ func reportTraceStats(b *testing.B, tr *trace.Tracer, phase string) {
 		// parallelism headline — the wall-clock ratio cannot move there.
 		b.ReportMetric(ph.CPSpeedup, phase+"_cp_speedup")
 	}
+}
+
+// tracedStage returns a stage span of a recorder with a timeline
+// attached — what an engine reports to under `macro3d -trace` — and the
+// timeline. The caller ends the span after the engine run.
+func tracedStage(stage string) (*obs.Span, *trace.Tracer) {
+	tr := trace.New()
+	rec := obs.New()
+	rec.SetTimeline(tr)
+	return rec.StartSpan("bench").Child(stage), tr
 }
 
 // routeBench is the shared placed large-cache tile. Building it once
@@ -168,12 +179,13 @@ func benchRouteDesign(b *testing.B, workers int) {
 	// One extra traced run, off the clock: tracing is only near-zero
 	// overhead, so the timed iterations stay untraced.
 	b.StopTimer()
-	tr := trace.New()
+	sp, tr := tracedStage("route")
 	db := route.NewDB(routeBench.sz.Die2D, routeBench.t.Logic,
-		routeBench.fp.RouteBlk, route.Options{Workers: workers, Trace: tr})
+		routeBench.fp.RouteBlk, route.Options{Workers: workers, Obs: sp})
 	if _, err := route.RouteDesign(routeBench.d, db); err != nil {
 		b.Fatal(err)
 	}
+	sp.End()
 	reportTraceStats(b, tr, "route")
 }
 
@@ -199,11 +211,12 @@ func benchPlace(b *testing.B, workers int) {
 		b.ReportMetric(last.HPWL/1e6, "HPWL_m")
 	}
 	b.StopTimer()
-	tr := trace.New()
+	sp, tr := tracedStage("place")
 	if _, err := place.Place(routeBench.d, routeBench.fp, routeBench.t.RowHeight,
-		place.Options{Seed: 2, Workers: workers, Trace: tr}); err != nil {
+		place.Options{Seed: 2, Workers: workers, Obs: sp}); err != nil {
 		b.Fatal(err)
 	}
+	sp.End()
 	reportTraceStats(b, tr, "place")
 }
 
@@ -297,12 +310,13 @@ func benchRouteFlat(b *testing.B, workers int) {
 		b.ReportMetric(float64(last.Overflow), "overflow")
 	}
 	b.StopTimer()
-	tr := trace.New()
+	sp, tr := tracedStage("route")
 	db := route.NewDB(flatBench.die, routeBench.t.Logic, flatBench.fp.RouteBlk,
-		route.Options{Workers: workers, Trace: tr})
+		route.Options{Workers: workers, Obs: sp})
 	if _, err := route.RouteDesign(flatBench.d, db); err != nil {
 		b.Fatal(err)
 	}
+	sp.End()
 	reportTraceStats(b, tr, "route")
 }
 
@@ -329,11 +343,12 @@ func benchPlaceFlat(b *testing.B, workers int) {
 		b.ReportMetric(last.HPWL/1e6, "HPWL_m")
 	}
 	b.StopTimer()
-	tr := trace.New()
+	sp, tr := tracedStage("place")
 	if _, err := place.Place(flatBench.d, flatBench.fp, routeBench.t.RowHeight,
-		place.Options{Seed: 2, Workers: workers, Trace: tr}); err != nil {
+		place.Options{Seed: 2, Workers: workers, Obs: sp}); err != nil {
 		b.Fatal(err)
 	}
+	sp.End()
 	reportTraceStats(b, tr, "place")
 }
 

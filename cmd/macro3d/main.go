@@ -270,8 +270,9 @@ func realMain(args []string) (code int) {
 	// Any observability flag turns recording on; with all of them off
 	// rec stays nil and the flows run with observability disabled (the
 	// zero-overhead default — results are byte-identical either way).
+	// -trace alone records with no event stream.
 	var rec *macro3d.ObsRecorder
-	if o.events != "" || o.obsAddr != "" || o.metricsOut != "" {
+	if o.events != "" || o.obsAddr != "" || o.metricsOut != "" || o.trace != "" {
 		rec = macro3d.NewObsRecorder()
 	}
 	if o.events != "" {
@@ -306,11 +307,9 @@ func realMain(args []string) (code int) {
 			return f.Commit()
 		}})
 	}
-	// Like observability, tracing is off (nil, near-zero overhead) by
-	// default; results are byte-identical with it on.
-	var tracer *macro3d.ExecTracer
 	if o.trace != "" {
-		tracer = macro3d.NewExecTracer()
+		tracer := macro3d.NewExecTracer()
+		rec.SetTimeline(tracer)
 		path := o.trace
 		cleanups = append(cleanups, cleanup{"-trace", func() error {
 			f, err := createAtomic(path)
@@ -361,7 +360,7 @@ func realMain(args []string) (code int) {
 		defer cancel()
 	}
 
-	cfg := macro3d.FlowConfig{Piton: pc, Seed: o.seed, MacroDieMetals: o.metals, Obs: rec, Trace: tracer, Workers: o.jobs,
+	cfg := macro3d.FlowConfig{Piton: pc, Seed: o.seed, MacroDieMetals: o.metals, Obs: rec, Workers: o.jobs,
 		Cache: cache, CacheVerify: o.cacheVerify}
 	if err := run(ctx, cfg, o.flow, o.experiment, o.array, o.keepGoing); err != nil {
 		printFailure(err)

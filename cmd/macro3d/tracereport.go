@@ -68,7 +68,9 @@ func traceReportMain(args []string) int {
 			return 2
 		}
 		tr = macro3d.NewExecTracer()
-		cfg := macro3d.FlowConfig{Piton: pc, Seed: *seed, MacroDieMetals: *metals, Workers: *jobs, Trace: tr}
+		rec := macro3d.NewObsRecorder()
+		rec.SetTimeline(tr)
+		cfg := macro3d.FlowConfig{Piton: pc, Seed: *seed, MacroDieMetals: *metals, Workers: *jobs, Obs: rec}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		if *timeout > 0 {

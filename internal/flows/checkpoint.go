@@ -15,7 +15,6 @@ import (
 	"macro3d/internal/lefdef"
 	"macro3d/internal/netlist"
 	"macro3d/internal/obs"
-	"macro3d/internal/obs/trace"
 	"macro3d/internal/route"
 	"macro3d/internal/stash"
 	"macro3d/internal/tech"
@@ -56,9 +55,9 @@ func buildTechFingerprint(logicMetals int) ([]byte, error) {
 //
 // Deliberately excluded: Workers (results are bit-identical at any
 // worker count — the parallel-engine equivalence guarantee, pinned by
-// TestStageCacheKeyStability), Obs/Trace/SelfCheck/Verify (pure
-// observation and checking — the execution tracer records timelines,
-// it never changes results), and per-stage inputs like TargetPeriod, MacroDieMetals, F2F and
+// TestStageCacheKeyStability), Obs/SelfCheck/Verify (pure observation
+// and checking — spans and the timeline record a run, they never change
+// results), and per-stage inputs like TargetPeriod, MacroDieMetals, F2F and
 // BlockageResolution, which enter the chain as key material of the
 // first checkpoint that depends on them so unrelated prefixes still
 // hit. The seed is included: results depend on it, so sharing entries
@@ -185,9 +184,6 @@ func (r *runner) checkpointed(cp checkpoint, body func() error) error {
 		start := time.Now()
 		err := contain(func() error { return cp.load(stash.NewDec(payload)) })
 		dur := time.Since(start)
-		if r.stages != nil {
-			r.stages.Add("cache", cp.name+" (cache-load)", start, start.Add(dur), trace.N("hit", 1), trace.N("bytes", int64(len(payload))))
-		}
 		if err == nil {
 			r.cur.End()
 			r.cur = nil

@@ -2,6 +2,7 @@ package flows
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -74,5 +75,37 @@ func TestEngineCallSites(t *testing.T) {
 		if calls[e] != 1 {
 			t.Errorf("%s is called from %d places in non-test internal/flows, want 1", e, calls[e])
 		}
+	}
+}
+
+// TestTraceImportScope holds DESIGN.md §14's one instrumentation API:
+// engines and flows instrument through obs.Span, so no non-test code
+// imports the trace package except obs itself (the timeline is its
+// sink), par (the team records its chunks on a trace.Set) and api.go
+// (which exports the timeline).
+func TestTraceImportScope(t *testing.T) {
+	allowed := map[string]bool{"internal/obs": true, "internal/par": true, "api.go": true}
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel("../..", path)
+		rel = filepath.ToSlash(rel)
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (allowed[rel] || rel != "." && strings.HasPrefix(rel, ".")):
+			return fs.SkipDir
+		case d.IsDir() || allowed[rel] || !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go"):
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err == nil && strings.Contains(string(b), `"macro3d/internal/obs/trace"`) {
+			t.Errorf("%s imports macro3d/internal/obs/trace; instrument through obs.Span", rel)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

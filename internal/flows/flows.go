@@ -36,7 +36,6 @@ import (
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
 	"macro3d/internal/obs"
-	"macro3d/internal/obs/trace"
 	"macro3d/internal/opt"
 	"macro3d/internal/piton"
 	"macro3d/internal/place"
@@ -108,18 +107,12 @@ type Config struct {
 	SelfCheck bool
 
 	// Obs, when set, records the run: hierarchical spans (flow →
-	// stage → engine phase), per-engine metrics, and the JSONL event
-	// stream. nil (the default) disables observability entirely —
-	// flows produce byte-identical results either way.
+	// stage → engine phase), per-engine metrics, and whatever sinks
+	// the recorder has attached — the JSONL event stream, the execution
+	// timeline (DESIGN.md §14). nil (the default) disables
+	// observability entirely — flows produce byte-identical results
+	// either way, and it does not enter the stage-cache key.
 	Obs *obs.Recorder
-
-	// Trace, when set, records the execution timeline: stage slices
-	// on a flow-stage track plus per-worker task slices from the
-	// parallel engines, exportable as Chrome trace-event JSON
-	// (DESIGN.md §14). nil (the default) disables tracing; like Obs,
-	// tracing never changes results — flows are byte-identical with
-	// it on or off, and it does not enter the stage-cache key.
-	Trace *trace.Tracer
 
 	// Workers sets the worker count of the data-parallel engine phases
 	// (the CLI's -j flag) — the placer's descent passes, the
@@ -157,11 +150,11 @@ func (c Config) generate() (*piton.Tile, error) {
 // configuration becomes engine options. sp is the stage span the engine
 // reports under (runner.obs), nil when Config.Obs is.
 func (c Config) placeOptions(seed uint64, sp *obs.Span) place.Options {
-	return place.Options{Seed: seed, Obs: sp, Workers: c.Workers, Trace: c.Trace}
+	return place.Options{Seed: seed, Obs: sp, Workers: c.Workers}
 }
 
 func (c Config) routeOptions(sp *obs.Span) route.Options {
-	return route.Options{Obs: sp, Workers: c.Workers, Trace: c.Trace}
+	return route.Options{Obs: sp, Workers: c.Workers}
 }
 
 // f2f is the effective face-to-face via technology: the override, or

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"macro3d/internal/obs"
-	"macro3d/internal/obs/trace"
 	"macro3d/internal/stash"
 )
 
@@ -164,8 +163,9 @@ func fmtDuration(d time.Duration) string {
 // runner executes named stages on behalf of one flow run: context
 // checks at stage boundaries, panic containment, stage timing on its own
 // clock (the RunReport durations), bounded seeded retries, and the
-// AfterStage hook. Spans and timeline slices exist only with Config.Obs
-// and Config.Trace: unobserved, a run of any length costs three objects.
+// AfterStage hook. Spans, and the timeline slices they record, exist
+// only with Config.Obs: unobserved, a run of any length costs three
+// objects.
 type runner struct {
 	flow  string
 	cfg   Config
@@ -184,11 +184,6 @@ type runner struct {
 	// run participates in stage checkpointing (Config.cacheEnabled).
 	key     stash.Key
 	caching bool
-
-	// stages is the execution tracer's flow-stage track (nil when
-	// tracing is off): one container slice per stage attempt, under
-	// which the engines' per-worker slices nest in the timeline view.
-	stages *trace.Track
 }
 
 // flowSlug maps a flow display name to its span-path segment:
@@ -211,7 +206,6 @@ func newRunner(ctx context.Context, flow string, cfg Config, st *State) *runner 
 		flow: flow, cfg: cfg, ctx: ctx, st: st,
 		trace:   &RunReport{Flow: flow, Config: name},
 		caching: cfg.cacheEnabled(),
-		stages:  cfg.Trace.Track("stages"),
 	}
 	if cfg.Obs != nil {
 		r.span = cfg.Obs.StartSpan(flowSlug(flow), obs.KV("config", name))
@@ -308,9 +302,6 @@ func (r *runner) run(name string, seed uint64, fn func(uint64) error, attempts i
 		start := time.Now()
 		err := contain(func() error { return fn(s) })
 		dur := time.Since(start)
-		if r.stages != nil {
-			r.stages.Add("stage", name, start, start.Add(dur), trace.N("attempt", int64(attempt)))
-		}
 		if err != nil {
 			r.cur.SetAttr("err", err.Error())
 		}

@@ -2,20 +2,26 @@ package flows
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"macro3d/internal/obs"
 	"macro3d/internal/obs/trace"
 	"macro3d/internal/piton"
+	"macro3d/internal/stash"
 )
 
 // tracedRun executes the tiny Macro-3D flow with an execution tracer
-// attached and returns the outcome plus the tracer.
+// attached to its recorder and returns the outcome plus the tracer.
 func tracedRun(t *testing.T) (*PPA, *State, *trace.Tracer) {
 	t.Helper()
 	tr := trace.New()
-	cfg := Config{Piton: piton.Tiny(), Seed: 7, Workers: 4, Verify: true, Trace: tr}
+	rec := obs.New()
+	rec.SetTimeline(tr)
+	cfg := Config{Piton: piton.Tiny(), Seed: 7, Workers: 4, Verify: true, Obs: rec}
 	ppa, st, _, err := RunMacro3D(cfg)
 	if err != nil {
 		t.Fatalf("traced run failed: %v", err)
@@ -141,5 +147,72 @@ func TestTraceCoversFlowStructure(t *testing.T) {
 	}
 	if len(rep.Serial) == 0 {
 		t.Error("analyzer found no serial segments in a full flow run")
+	}
+}
+
+// TestTimelineMatchesSpanTree: with the JSONL sink and the timeline on
+// one recorder, one begin/end per stage attempt reaches both. Cold, the
+// stage span_close sequence, the stages track's slice names and the
+// RunReport's stages are one list; warm, against the stage cache the
+// cold run filled, they still are, and every restored region is one
+// cache-category slice.
+func TestTimelineMatchesSpanTree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two tiny flows")
+	}
+	cache, err := stash.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []string{"cold", "warm"} {
+		var events bytes.Buffer
+		tr := trace.New()
+		rec := obs.New()
+		rec.SetSink(&events)
+		rec.SetTimeline(tr)
+		cfg := tinyCacheCfg()
+		cfg.Obs, cfg.Cache = rec, cache
+		_, st, _, err := RunMacro3D(cfg)
+		if err != nil {
+			t.Fatalf("%s run: %v", pass, err)
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var spans, slices, report, cacheSlices, cached []string
+		var root int64
+		for _, line := range strings.Split(strings.TrimSpace(events.String()), "\n") {
+			var e struct {
+				Ev, Span   string
+				ID, Parent int64
+			}
+			if err := json.Unmarshal([]byte(line), &e); err != nil {
+				t.Fatalf("malformed JSONL line %q: %v", line, err)
+			}
+			switch {
+			case e.Ev == "span_open" && e.Parent == 0:
+				root = e.ID
+			case e.Ev == "span_close" && e.Parent == root:
+				spans = append(spans, strings.TrimPrefix(e.Span, "macro3d/"))
+			}
+		}
+		for _, sl := range tr.Track("stages").Slices() {
+			slices = append(slices, sl.Name)
+			if sl.Cat == "cache" {
+				cacheSlices = append(cacheSlices, sl.Name)
+			}
+		}
+		for _, rec := range st.Trace.Stages {
+			report = append(report, rec.Stage)
+			if rec.Cached {
+				cached = append(cached, rec.Stage)
+			}
+		}
+		if !reflect.DeepEqual(spans, report) || !reflect.DeepEqual(slices, report) {
+			t.Errorf("%s: stage lists differ:\nspans:  %v\nslices: %v\nreport: %v", pass, spans, slices, report)
+		}
+		if !reflect.DeepEqual(cacheSlices, cached) || (len(cached) > 0) != (pass == "warm") {
+			t.Errorf("%s: cache slices %v, restored regions %v", pass, cacheSlices, cached)
+		}
 	}
 }

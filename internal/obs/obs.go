@@ -1,11 +1,12 @@
 // Package obs is the flow-wide observability layer: hierarchical
 // spans (flow → stage → phase, e.g. "macro3d/route/rip-up-iter"),
-// typed per-run metrics (counters, gauges, histograms), a structured
-// JSONL event sink, and live exporters (Prometheus text format, JSON
-// snapshot) servable over HTTP alongside expvar and net/http/pprof.
+// typed per-run metrics (counters, gauges, histograms), two span sinks
+// (a JSONL event stream, the execution timeline of internal/obs/trace),
+// and live exporters (Prometheus text format, JSON snapshot) servable
+// over HTTP alongside expvar and net/http/pprof.
 //
-// The package has zero dependencies outside the standard library and
-// is safe to thread through every engine: all entry points are
+// The package depends only on the standard library and its trace
+// package, and is safe to thread through every engine: all entry points are
 // nil-safe, so a nil *Recorder (the default) records nothing, emits
 // nothing, registers nothing, and never perturbs the instrumented
 // computation — flows produce byte-identical results with
@@ -21,9 +22,12 @@ package obs
 import (
 	"io"
 	"runtime/metrics"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"macro3d/internal/obs/trace"
 )
 
 // Recorder is the per-run observability hub. One Recorder serves an
@@ -32,9 +36,10 @@ import (
 // monotonic clock, so a multi-flow sweep produces a single coherent
 // JSONL trace. A nil Recorder is the valid disabled state.
 type Recorder struct {
-	start  time.Time
-	reg    *Registry
-	nextID atomic.Int64
+	start    time.Time
+	reg      *Registry
+	nextID   atomic.Int64
+	timeline atomic.Pointer[trace.Tracer]
 
 	mu       sync.Mutex
 	sink     *Sink
@@ -67,6 +72,15 @@ func (r *Recorder) SetSink(w io.Writer) {
 	r.sink = newSink(w)
 	r.closeErr = nil
 	r.mu.Unlock()
+}
+
+// SetTimeline attaches tl as the recorder's second sink, as SetSink
+// attaches the first: every span below a root then records its slice on
+// tl when it ends (Span.record). nil detaches it.
+func (r *Recorder) SetTimeline(tl *trace.Tracer) {
+	if r != nil {
+		r.timeline.Store(tl)
+	}
 }
 
 // Close emits a final sample of every registered metric, flushes the
@@ -172,8 +186,10 @@ type Span struct {
 	id     int64
 	parent int64
 	name   string
+	root   int // length of the root span's name, the prefix of name
 	start  time.Time
 	alloc0 uint64
+	opened atomic.Bool // a child was opened under it
 
 	mu    sync.Mutex
 	attrs []Attr
@@ -185,7 +201,7 @@ func (r *Recorder) StartSpan(name string, attrs ...Attr) *Span {
 	if r == nil {
 		return nil
 	}
-	return r.open(name, 0, attrs)
+	return r.open(name, 0, len(name), attrs)
 }
 
 // Child opens a sub-span whose name extends the parent's slash path
@@ -194,11 +210,12 @@ func (s *Span) Child(name string, attrs ...Attr) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.rec.open(s.name+"/"+name, s.id, attrs)
+	s.opened.Store(true)
+	return s.rec.open(s.name+"/"+name, s.id, s.root, attrs)
 }
 
-func (r *Recorder) open(name string, parent int64, attrs []Attr) *Span {
-	sp := &Span{rec: r, id: r.nextID.Add(1), parent: parent, name: name, start: time.Now(), attrs: attrs, alloc0: heapAllocs()}
+func (r *Recorder) open(name string, parent int64, root int, attrs []Attr) *Span {
+	sp := &Span{rec: r, id: r.nextID.Add(1), parent: parent, name: name, root: root, start: time.Now(), attrs: attrs, alloc0: heapAllocs()}
 	r.emit(event{Ev: "span_open", Span: name, ID: sp.id, Parent: parent})
 	return sp
 }
@@ -217,7 +234,8 @@ func (s *Span) SetAttr(key string, value any) {
 // End closes the span, fixing its duration and emitting the
 // span_close event with the process-wide heap-allocation delta
 // (coarse attribution: concurrent allocators are not separated).
-// Idempotent.
+// Idempotent. With a timeline attached, a span below its root also
+// records its slice (record).
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -228,13 +246,58 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	dur := time.Since(s.start)
+	now := time.Now()
+	if tl := s.rec.timeline.Load(); tl != nil && len(s.name) > s.root {
+		s.record(tl, now)
+	}
 	attrs := attrMap(s.attrs)
 	s.mu.Unlock()
 	s.rec.emit(event{
 		Ev: "span_close", Span: s.name, ID: s.id, Parent: s.parent,
-		DurNS: dur.Nanoseconds(), AllocBytes: heapAllocs() - s.alloc0, Attrs: attrs,
+		DurNS: now.Sub(s.start).Nanoseconds(), AllocBytes: heapAllocs() - s.alloc0, Attrs: attrs,
 	})
+}
+
+// record puts the span's interval on tl, named by its path below the
+// root ("macro3d/route/pass" → "route/pass"), int attributes as args.
+// A stage attempt (a root's child) goes on "stages" as category
+// "stage", or "cache" with a "cache" attribute (a restored checkpoint).
+// An engine phase goes on "main" as "stage" if it opened children (the
+// analyzer charges a container only for what they leave uncovered),
+// else as its stage, like its engine's worker chunks. s.mu is held.
+func (s *Span) record(tl *trace.Tracer, end time.Time) {
+	path := s.name[s.root+1:]
+	track, cat := "main", "stage"
+	if !strings.Contains(path, "/") {
+		track = "stages"
+	} else if !s.opened.Load() {
+		cat = s.stage()
+	}
+	var args []trace.Arg
+	for _, a := range s.attrs {
+		if v, ok := a.Value.(int); ok {
+			args = append(args, trace.N(a.Key, int64(v)))
+		} else if a.Key == "cache" && track == "stages" {
+			cat = "cache"
+		}
+	}
+	tl.Track(track).Add(cat, path, s.start, end, args...)
+}
+
+// stage is the flow stage the span belongs to, "" for a root.
+func (s *Span) stage() string {
+	stage, _, _ := strings.Cut(s.name[min(s.root+1, len(s.name)):], "/")
+	return stage
+}
+
+// Workers returns the timeline's worker tracks for an engine run's
+// par.Team to record its n workers' chunks on, as category s.stage();
+// nil (untraced) when the span is nil or no timeline is attached.
+func (s *Span) Workers(n int) *trace.Set {
+	if s == nil {
+		return nil
+	}
+	return s.rec.timeline.Load().WorkerSet(s.stage(), n)
 }
 
 // Reg returns the backing Recorder's registry; nil (and still safe to

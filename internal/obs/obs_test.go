@@ -3,10 +3,15 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"macro3d/internal/obs"
+	"macro3d/internal/obs/trace"
 )
 
 // rawEvent mirrors the JSONL line shape for test-side decoding.
@@ -134,6 +139,7 @@ func TestSpanTreeJSONL(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var rec *obs.Recorder
 	rec.SetSink(&bytes.Buffer{})
+	rec.SetTimeline(trace.New())
 	rec.Emit("ev", obs.KV("k", "v"))
 	rec.Sample()
 	if err := rec.Close(); err != nil {
@@ -173,6 +179,9 @@ func TestNilSafety(t *testing.T) {
 	}
 	sp.SetAttr("k", 1)
 	sp.End()
+	if ws := sp.Workers(2); ws != nil {
+		t.Errorf("nil span Workers = %v", ws)
+	}
 	if r := sp.Reg(); r != nil {
 		t.Errorf("nil span registry = %v", r)
 	}
@@ -185,6 +194,9 @@ func TestRecorderWithoutSink(t *testing.T) {
 	rec := obs.New()
 	sp := rec.StartSpan("flow")
 	sp.Child("stage").End()
+	if ws := sp.Workers(2); ws != nil {
+		t.Errorf("Workers without a timeline = %v", ws)
+	}
 	sp.End()
 	rec.Registry().Counter("c_total", "").Inc()
 	rec.Sample()
@@ -193,6 +205,56 @@ func TestRecorderWithoutSink(t *testing.T) {
 	}
 	if v := rec.Registry().Counter("c_total", "").Value(); v != 1 {
 		t.Fatalf("counter lost without sink: %d", v)
+	}
+}
+
+// TestSpanTimeline pins where ended spans land on an attached
+// timeline: the root has none; a stage attempt goes on "stages" as
+// "stage", or "cache" with a cache attribute; an engine phase goes on
+// "main" as "stage" when it opened children, else as its stage — the
+// category its worker chunks get too; int attributes become args, in
+// order. Phases end from several goroutines at once (`make race`).
+func TestSpanTimeline(t *testing.T) {
+	tl := trace.New()
+	rec := obs.New()
+	rec.SetTimeline(tl)
+	root := rec.StartSpan("macro3d")
+	stage := root.Child("route", obs.KV("attempt", 1), obs.KV("seed", uint64(7)))
+	ws := stage.Workers(2)
+	ws.NextStep()
+	ws.Add(1, "route/prep", time.Now(), time.Now(), trace.N("items", 3))
+	iter := stage.Child("rip-up-iter", obs.KV("iter", 0), obs.KV("overflow", 3))
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			iter.Child("pass").End()
+		}()
+	}
+	wg.Wait()
+	iter.End()
+	stage.SetAttr("err", "none")
+	stage.End()
+	root.Child("place", obs.KV("cache", "hit"), obs.KV("bytes", 42)).End()
+	root.End()
+
+	got := map[string][]string{}
+	var tracks []string
+	for _, k := range tl.Tracks() {
+		tracks = append(tracks, k.Name())
+		for _, sl := range k.Slices() {
+			got[k.Name()] = append(got[k.Name()], fmt.Sprint(sl.Cat, " ", sl.Name, " ", sl.Args))
+		}
+	}
+	pass := "route route/rip-up-iter/pass []"
+	want := map[string][]string{
+		"worker 1": {"route route/prep [{items 3}]"},
+		"main":     {pass, pass, pass, pass, "stage route/rip-up-iter [{iter 0} {overflow 3}]"},
+		"stages":   {"stage route [{attempt 1}]", "cache place [{bytes 42}]"},
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(tracks, []string{"worker 0", "worker 1", "main", "stages"}) {
+		t.Errorf("timeline %v\n%v\nwant tracks worker 0, worker 1, main, stages\n%v", tracks, got, want)
 	}
 }
 

@@ -308,7 +308,7 @@ func (r *Report) Format(topN int) string {
 	var b strings.Builder
 	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
 	fmt.Fprintf(&b, "trace: wall %.2f ms\n\n", ms(r.WallNS))
-	fmt.Fprintf(&b, "%-8s %10s %10s %8s %7s %10s %8s %10s %11s %8s\n",
+	fmt.Fprintf(&b, "%-12s %10s %10s %8s %7s %10s %8s %10s %11s %8s\n",
 		"phase", "wall ms", "busy ms", "workers", "steps",
 		"occupancy", "serial", "amdahl@W", "amdahl@inf", "cp")
 	for _, ps := range r.Phases {
@@ -316,7 +316,7 @@ func (r *Report) Format(topN int) string {
 		if ps.AmdahlInf > 0 {
 			inf = fmt.Sprintf("%.2fx", ps.AmdahlInf)
 		}
-		fmt.Fprintf(&b, "%-8s %10.2f %10.2f %8d %7d %9.1f%% %7.1f%% %9.2fx %11s %7.2fx\n",
+		fmt.Fprintf(&b, "%-12s %10.2f %10.2f %8d %7d %9.1f%% %7.1f%% %9.2fx %11s %7.2fx\n",
 			ps.Phase, ms(ps.WallNS), ms(ps.BusyNS), ps.Workers, ps.Steps,
 			100*ps.Occupancy, 100*ps.SerialFrac, ps.AmdahlAtW, inf, ps.CPSpeedup)
 	}
@@ -326,11 +326,11 @@ func (r *Report) Format(topN int) string {
 		n = topN
 	}
 	fmt.Fprintf(&b, "top %d serial segments by wall-clock share:\n", n)
-	fmt.Fprintf(&b, "%4s %-40s %-8s %10s %7s %7s\n",
+	fmt.Fprintf(&b, "%4s %-40s %-12s %10s %7s %7s\n",
 		"#", "segment", "phase", "total ms", "count", "share")
 	for i := 0; i < n; i++ {
 		s := r.Serial[i]
-		fmt.Fprintf(&b, "%4d %-40s %-8s %10.2f %7d %6.1f%%\n",
+		fmt.Fprintf(&b, "%4d %-40s %-12s %10.2f %7d %6.1f%%\n",
 			i+1, s.Name, s.Phase, ms(s.TotalNS), s.Count, 100*s.Share)
 	}
 	if n == 0 {

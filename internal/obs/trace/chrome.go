@@ -19,9 +19,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"regexp"
-	"sort"
-	"strconv"
+	"slices"
 	"time"
 )
 
@@ -132,89 +132,138 @@ func NormalizeChrome(b []byte) []byte {
 	return chromeTimeRe.ReplaceAll(b, []byte(`"$1":0`))
 }
 
-// ReadChrome parses a trace previously written by WriteChrome back
-// into a Tracer, so `macro3d trace-report -in trace.json` can analyze
-// a file captured earlier. It accepts only this package's dialect
-// (complete events plus thread_name metadata), not arbitrary Chrome
-// traces.
+// maxNS bounds every time ReadChrome accepts, 2^50 ns (13 days): up to
+// it the microseconds WriteChrome writes parse back to the same
+// nanosecond, so a re-export is a fixed point.
+const maxNS = 1 << 50
+
+// ReadChrome parses a trace written by WriteChrome back into a Tracer,
+// for `macro3d trace-report -in`. It accepts only this package's
+// dialect: {"traceEvents":[...]} of thread_name metadata, registering
+// tracks in order, and complete events, each on a thread named before
+// it, with ts and dur in [0, maxNS] summing within int64 — so no
+// analysis of what it returns goes negative. Events decode one at a
+// time and each slice is held once before its track is sized, so it
+// allocates a small multiple of the input.
 func ReadChrome(r io.Reader) (*Tracer, error) {
-	var raw struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
+	cr := chromeReader{dec: json.NewDecoder(r), t: NewAt(time.Unix(0, 0)), tracks: map[int]*Track{}}
+	err := cr.expect(json.Delim('{'), "traceEvents", json.Delim('['))
+	for err == nil && cr.dec.More() {
+		err = cr.event()
 	}
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&raw); err != nil {
+	if err == nil {
+		err = cr.expect(json.Delim(']'), json.Delim('}'))
+	}
+	if err != nil {
 		return nil, fmt.Errorf("trace: parse: %w", err)
 	}
-	type anyEvent struct {
-		Ph   string          `json:"ph"`
-		Tid  int             `json:"tid"`
-		Name string          `json:"name"`
-		Cat  string          `json:"cat"`
-		Ts   float64         `json:"ts"`
-		Dur  float64         `json:"dur"`
-		Args json.RawMessage `json:"args"`
-	}
-	t := NewAt(time.Unix(0, 0))
-	names := map[int]string{}
-	var events []anyEvent
-	for _, rm := range raw.TraceEvents {
-		var ev anyEvent
-		if err := json.Unmarshal(rm, &ev); err != nil {
-			return nil, fmt.Errorf("trace: parse event: %w", err)
-		}
-		switch ev.Ph {
-		case "M":
-			if ev.Name == "thread_name" {
-				var args struct {
-					Args map[string]string `json:"args"`
-				}
-				if err := json.Unmarshal(rm, &args); err == nil {
-					names[ev.Tid] = args.Args["name"]
-				}
-			}
-		case "X":
-			events = append(events, ev)
+	n := map[*Track]int{}
+	for _, b := range cr.blocks {
+		for _, h := range b {
+			n[h.k]++
 		}
 	}
-	// Materialize tracks in tid order so analysis sees the same
-	// registration order the writer used.
-	var tids []int
-	for tid := range names {
-		tids = append(tids, tid)
+	for k, c := range n {
+		k.slices = make([]Slice, 0, c)
 	}
-	sort.Ints(tids)
-	for _, tid := range tids {
-		t.Track(names[tid])
+	for _, b := range cr.blocks {
+		for _, h := range b {
+			h.k.slices = append(h.k.slices, h.sl)
+		}
 	}
-	for _, ev := range events {
-		name := names[ev.Tid]
-		if name == "" {
-			name = "tid " + strconv.Itoa(ev.Tid)
+	return cr.t, nil
+}
+
+// chromeReader is ReadChrome's state: the tracks by tid and the
+// complete events' slices, held in fixed-size blocks that never move.
+type chromeReader struct {
+	dec    *json.Decoder
+	t      *Tracer
+	tracks map[int]*Track
+	blocks [][]heldSlice
+	busy   int64 // Σ dur so far
+
+	ev   chromeIn // reused, with the args buffers
+	args map[string]int64
+	keys []string
+}
+
+type heldSlice struct {
+	k  *Track
+	sl Slice
+}
+
+// chromeIn is the wire shape of any event; a missing ts or dur stays NaN.
+type chromeIn struct {
+	Ph   string          `json:"ph"`
+	Tid  int             `json:"tid"`
+	Name string          `json:"name"`
+	Cat  string          `json:"cat"`
+	Ts   float64         `json:"ts"`
+	Dur  float64         `json:"dur"`
+	Args json.RawMessage `json:"args"`
+}
+
+func (cr *chromeReader) expect(want ...json.Token) error {
+	for _, w := range want {
+		if tok, err := cr.dec.Token(); err != nil {
+			return err
+		} else if tok != w {
+			return fmt.Errorf("want %v, got %v", w, tok)
 		}
-		sl := Slice{
-			Name:  ev.Name,
-			Cat:   ev.Cat,
-			Start: int64(ev.Ts * 1e3),
-			Dur:   int64(ev.Dur * 1e3),
-		}
-		if len(ev.Args) > 0 {
-			var args map[string]int64
-			if err := json.Unmarshal(ev.Args, &args); err == nil {
-				var keys []string
-				for k := range args {
-					if k == "step" {
-						sl.Step = args[k]
-						continue
-					}
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				for _, k := range keys {
-					sl.Args = append(sl.Args, Arg{Key: k, Val: args[k]})
-				}
-			}
-		}
-		t.Track(name).addSlice(sl)
 	}
-	return t, nil
+	return nil
+}
+
+// event decodes one event: a thread_name registers its tid's track, a
+// complete event is validated and its slice held for its track.
+func (cr *chromeReader) event() error {
+	ev := &cr.ev
+	*ev = chromeIn{Ts: math.NaN(), Dur: math.NaN(), Args: ev.Args[:0]}
+	if err := cr.dec.Decode(ev); err != nil {
+		return err
+	}
+	if ev.Ph == "M" && ev.Name == "thread_name" {
+		var a struct{ Name string }
+		err := json.Unmarshal(ev.Args, &a)
+		cr.tracks[ev.Tid] = cr.t.Track(a.Name)
+		return err
+	}
+	if ev.Ph != "X" {
+		return nil
+	}
+	k := cr.tracks[ev.Tid]
+	start, dur := math.Round(ev.Ts*1e3), math.Round(ev.Dur*1e3)
+	switch {
+	case k == nil:
+		return fmt.Errorf("event %q: no thread_name for tid %d before it", ev.Name, ev.Tid)
+	case !(start >= 0 && start <= maxNS && dur >= 0 && dur <= maxNS) || int64(dur) > math.MaxInt64-cr.busy:
+		return fmt.Errorf("event %q: ts %v µs, dur %v µs: missing or out of range", ev.Name, ev.Ts, ev.Dur)
+	}
+	cr.busy += int64(dur)
+	clear(cr.args)
+	if len(ev.Args) > 0 {
+		if err := json.Unmarshal(ev.Args, &cr.args); err != nil {
+			return err
+		}
+	}
+	sl := Slice{Name: ev.Name, Cat: ev.Cat, Start: int64(start), Dur: int64(dur), Step: cr.args["step"]}
+	delete(cr.args, "step")
+	cr.keys = cr.keys[:0]
+	for key := range cr.args {
+		cr.keys = append(cr.keys, key)
+	}
+	slices.Sort(cr.keys)
+	if len(cr.keys) > 0 {
+		sl.Args = make([]Arg, len(cr.keys))
+	}
+	for i, key := range cr.keys {
+		sl.Args[i] = Arg{Key: key, Val: cr.args[key]}
+	}
+	if n := len(cr.blocks); n == 0 || len(cr.blocks[n-1]) == cap(cr.blocks[n-1]) {
+		cr.blocks = append(cr.blocks, make([]heldSlice, 0, 256))
+	}
+	b := &cr.blocks[len(cr.blocks)-1]
+	*b = append(*b, heldSlice{k, sl})
+	return nil
 }

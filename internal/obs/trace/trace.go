@@ -1,16 +1,16 @@
-// Package trace is a low-overhead execution tracer for the parallel
-// engines. Where internal/obs records a hierarchical span tree (wall
-// time per stage), trace records a flat timeline of task-level slices
-// — one per net-prep chunk, placement solve chunk, routing pass,
-// legalization sweep, stage, … — on named tracks, so wall-clock can
-// be attributed to individual workers and serial segments.
+// Package trace is the execution timeline: a flat record of task-level
+// slices — one per stage attempt, engine phase and fork-join chunk —
+// on named tracks, so wall-clock can be attributed to individual
+// workers and serial segments. It is a sink of internal/obs: attached
+// with obs.Recorder.SetTimeline, every ended span below a flow root
+// records its slice here, and par.Team records its chunks on the
+// worker tracks of the Set a span hands out (obs.Span.Workers).
 //
 // The contract mirrors the obs nil-safe rule: every method on a nil
-// *Tracer, nil *Track or nil *Set is a no-op, and the zero Span is
-// inert. Hot paths pay exactly one pointer comparison when tracing is
-// disabled, and recording a slice never changes engine behaviour, so
-// the byte-identical-PPA guarantee of the observability layer extends
-// to the tracer.
+// *Tracer, nil *Track or nil *Set is a no-op. Hot paths pay exactly one
+// pointer comparison when tracing is disabled, and recording a slice
+// never changes engine behaviour, so the byte-identical-PPA guarantee
+// of the observability layer extends to the tracer.
 //
 // Determinism: slices are kept in per-track append-only buffers and
 // merged at flush in track-registration order, then append order —
@@ -54,9 +54,10 @@ type Slice struct {
 func (s *Slice) End() int64 { return s.Start + s.Dur }
 
 // Track is one named timeline — a worker, the orchestrating
-// goroutine or the flow-stage row. Slices on a track
-// never overlap (each track is fed by one goroutine at a time), which
-// is what makes the Chrome rendering one row per worker.
+// goroutine or the flow-stage row. Each track is fed by one goroutine
+// at a time, so its slices never overlap except by nesting (an engine
+// phase inside its container span on "main"), which is what makes the
+// Chrome rendering one row per worker.
 type Track struct {
 	tr     *Tracer
 	name   string
@@ -90,14 +91,6 @@ func New() *Tracer { return NewAt(time.Now()) }
 // together with Track.Add to build byte-deterministic traces.
 func NewAt(epoch time.Time) *Tracer {
 	return &Tracer{epoch: epoch, byName: map[string]*Track{}}
-}
-
-// Epoch returns the tracer's zero time.
-func (t *Tracer) Epoch() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.epoch
 }
 
 // Track returns the named track, creating it on first use. Track
@@ -144,61 +137,18 @@ func (t *Tracer) Tracks() []*Track {
 	return out
 }
 
-// Span is an open slice. It is a value: the zero Span (from a nil
-// track) is inert and End on it is a no-op.
-type Span struct {
-	k     *Track
-	name  string
-	cat   string
-	step  int64
-	start time.Time
-}
-
-// Begin opens a slice on the track. The step id is 0 (serial); traced
-// fan-outs go through Set, which stamps the shared step.
-func (k *Track) Begin(cat, name string) Span {
-	if k == nil {
-		return Span{}
-	}
-	return Span{k: k, name: name, cat: cat, start: time.Now()}
-}
-
-// End closes the slice and appends it to the track buffer.
-func (s Span) End(args ...Arg) {
-	if s.k == nil {
-		return
-	}
-	now := time.Now()
-	sl := Slice{
-		Name:  s.name,
-		Cat:   s.cat,
-		Start: s.start.Sub(s.k.tr.epoch).Nanoseconds(),
-		Dur:   now.Sub(s.start).Nanoseconds(),
-		Step:  s.step,
-		Args:  args,
-	}
-	s.k.mu.Lock()
-	s.k.slices = append(s.k.slices, sl)
-	s.k.mu.Unlock()
-}
-
-// Add records a completed slice with explicit times. The flow runner
-// uses it to record each stage and cache load after the fact, and tests
-// use it with NewAt for byte-deterministic traces.
+// Add records a completed serial slice (step 0). An ended obs span
+// records itself with it, and tests use it with NewAt for
+// byte-deterministic traces.
 func (k *Track) Add(cat, name string, start, end time.Time, args ...Arg) {
-	if k == nil {
-		return
+	k.add(cat, name, start, end, 0, args)
+}
+
+func (k *Track) add(cat, name string, start, end time.Time, step int64, args []Arg) {
+	if k != nil {
+		k.addSlice(Slice{Name: name, Cat: cat, Start: start.Sub(k.tr.epoch).Nanoseconds(),
+			Dur: end.Sub(start).Nanoseconds(), Step: step, Args: args})
 	}
-	sl := Slice{
-		Name:  name,
-		Cat:   cat,
-		Start: start.Sub(k.tr.epoch).Nanoseconds(),
-		Dur:   end.Sub(start).Nanoseconds(),
-		Args:  args,
-	}
-	k.mu.Lock()
-	k.slices = append(k.slices, sl)
-	k.mu.Unlock()
 }
 
 // addSlice appends a fully-formed slice (importer path).
@@ -276,20 +226,12 @@ func (s *Set) NextStep() {
 	s.step = s.tr.NextStep()
 }
 
-// Begin opens a slice on worker w's track, stamped with the current
-// step id. Out-of-range worker ids clamp to the last track rather
-// than panic — the tracer must never take an engine down.
-func (s *Set) Begin(w int, name string) Span {
+// Add records a completed chunk on worker w's track, stamped with the
+// current step id. Out-of-range worker ids clamp to the last track
+// rather than panic — the tracer must never take an engine down.
+func (s *Set) Add(w int, name string, start, end time.Time, args ...Arg) {
 	if s == nil {
-		return Span{}
+		return
 	}
-	if w < 0 {
-		w = 0
-	}
-	if w >= len(s.tracks) {
-		w = len(s.tracks) - 1
-	}
-	sp := s.tracks[w].Begin(s.cat, name)
-	sp.step = s.step
-	return sp
+	s.tracks[min(max(w, 0), len(s.tracks)-1)].add(s.cat, name, start, end, s.step, args)
 }

@@ -7,6 +7,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -44,27 +47,27 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil tracer NextStep must return 0")
 	}
 	var k *Track
-	sp := k.Begin("c", "n")
-	sp.End() // must not panic
-	k.Add("c", "n", time.Now(), time.Now())
+	k.Add("c", "n", time.Now(), time.Now()) // must not panic
 	if k.Slices() != nil || k.Name() != "" {
 		t.Fatal("nil track must be inert")
 	}
 	var s *Set
 	s.NextStep()
-	s.Begin(0, "n").End()
+	s.Add(0, "n", time.Now(), time.Now())
 	rep := Analyze(nil)
 	if rep.WallNS != 0 || len(rep.Phases) != 0 {
 		t.Fatal("nil tracer must analyze to an empty report")
 	}
 }
 
+// TestSpanRecordsSlice: an ended span's slice, as obs records it, is
+// its interval relative to the epoch with its args, on step 0.
 func TestSpanRecordsSlice(t *testing.T) {
 	tr := New()
 	k := tr.Track("main")
-	sp := k.Begin("route", "work")
+	start := time.Now()
 	time.Sleep(time.Millisecond)
-	sp.End(N("nets", 7))
+	k.Add("route", "work", start, time.Now(), N("nets", 7))
 	got := k.Slices()
 	if len(got) != 1 {
 		t.Fatalf("got %d slices, want 1", len(got))
@@ -73,8 +76,8 @@ func TestSpanRecordsSlice(t *testing.T) {
 	if sl.Name != "work" || sl.Cat != "route" || sl.Step != 0 {
 		t.Fatalf("bad slice %+v", sl)
 	}
-	if sl.Dur <= 0 {
-		t.Fatalf("non-positive duration %d", sl.Dur)
+	if sl.Dur < int64(time.Millisecond) || sl.Start != start.Sub(tr.epoch).Nanoseconds() {
+		t.Fatalf("slice %+v does not span the interval", sl)
 	}
 	if len(sl.Args) != 1 || sl.Args[0] != (Arg{"nets", 7}) {
 		t.Fatalf("bad args %+v", sl.Args)
@@ -83,17 +86,18 @@ func TestSpanRecordsSlice(t *testing.T) {
 
 func TestWorkerSetSharesStepAndTracks(t *testing.T) {
 	tr := New()
+	now := time.Now()
 	s := tr.WorkerSet("route", 3)
 	s.NextStep()
 	for w := 0; w < 3; w++ {
-		s.Begin(w, "chunk").End()
+		s.Add(w, "chunk", now, now)
 	}
 	s.NextStep()
-	s.Begin(1, "chunk").End()
+	s.Add(1, "chunk", now, now)
 	// Same tracer, different phase: worker tracks are shared.
 	p := tr.WorkerSet("place", 3)
 	p.NextStep()
-	p.Begin(0, "solve").End()
+	p.Add(0, "solve", now, now)
 
 	tracks := tr.Tracks()
 	if len(tracks) != 3 {
@@ -108,8 +112,8 @@ func TestWorkerSetSharesStepAndTracks(t *testing.T) {
 		t.Fatalf("bad worker-1 slices %+v", w1)
 	}
 	// Out-of-range worker ids clamp instead of panicking.
-	s.Begin(99, "stray").End()
-	s.Begin(-1, "stray").End()
+	s.Add(99, "stray", now, now)
+	s.Add(-1, "stray", now, now)
 }
 
 func TestChromeGolden(t *testing.T) {
@@ -175,28 +179,132 @@ func TestNormalizeChromeMasksOnlyTimes(t *testing.T) {
 	}
 }
 
+// oddTimes is a trace whose times are not whole microseconds: a slice
+// at 1 001 ns lasting 2 002 ns, then one every 997 ns up to 3 ms, and
+// one past an hour.
+func oddTimes() *Tracer {
+	t := NewAt(time.Unix(0, 0))
+	k := t.Track("main")
+	k.addSlice(Slice{Name: "odd", Cat: "route", Start: 1001, Dur: 2002})
+	for ns := int64(1); ns <= 3e6; ns += 997 {
+		k.addSlice(Slice{Name: "odd", Cat: "route", Start: ns, Dur: 3e6 - ns})
+	}
+	k.addSlice(Slice{Name: "odd", Cat: "route", Start: 3600e9 + 1001, Dur: 3e6 - 1})
+	return t
+}
+
+// The two inputs the first decoder got wrong: a slice at 1 001 ns
+// lasting 2 002 ns read back as 1 000 / 2 001, and a negative duration
+// was accepted, for Analyze to report a negative wall and busy time.
+const (
+	oddSlice    = mainThread + `{"ph":"X","pid":1,"tid":0,"name":"odd","cat":"route","ts":1.001,"dur":2.002}]}`
+	negativeDur = mainThread + `{"ph":"X","pid":1,"tid":0,"name":"x","cat":"route","ts":1,"dur":-3}]}`
+	mainThread  = `{"traceEvents":[{"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"main"}},`
+)
+
 func TestReadChromeRoundtrip(t *testing.T) {
+	for _, orig := range []*Tracer{fixedTracer(), oddTimes()} {
+		var buf bytes.Buffer
+		if err := orig.WriteChrome(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadChrome(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reBuf bytes.Buffer
+		if err := back.WriteChrome(&reBuf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), reBuf.Bytes()) {
+			t.Fatalf("roundtrip drifted:\n%s\n---\n%s", buf.Bytes(), reBuf.Bytes())
+		}
+		// Every time reads back to the nanosecond.
+		for i, k := range orig.Tracks() {
+			if got, want := back.Tracks()[i].Slices(), k.Slices(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("track %s read back as\n%+v\nwant\n%+v", k.Name(), got[:min(len(got), 3)], want[:min(len(want), 3)])
+			}
+		}
+		// Analysis of the imported trace must match the original's.
+		a, b := Analyze(orig), Analyze(back)
+		if a.WallNS != b.WallNS || len(a.Phases) != len(b.Phases) || len(a.Serial) != len(b.Serial) {
+			t.Fatalf("imported analysis differs: %+v vs %+v", a, b)
+		}
+	}
+	// Outside the dialect: a negative, missing or out-of-range time, an
+	// unnamed thread, a string arg, a cut document, another key.
+	good := mainThread + `{"ph":"X","tid":0,"name":"x","ts":1,"dur":3}]}`
+	if _, err := ReadChrome(strings.NewReader(good)); err != nil {
+		t.Fatalf("ReadChrome refused %s: %v", good, err)
+	}
+	for _, in := range []string{
+		negativeDur,
+		mainThread + `{"ph":"X","tid":0,"name":"x","ts":-1,"dur":3}]}`,
+		mainThread + `{"ph":"X","tid":0,"name":"x","ts":1}]}`,
+		mainThread + `{"ph":"X","tid":0,"name":"x","ts":1e300,"dur":3}]}`,
+		mainThread + `{"ph":"X","tid":0,"name":"x","ts":0,"dur":2e12}]}`,
+		mainThread + `{"ph":"X","tid":1,"name":"x","ts":0,"dur":3}]}`,
+		mainThread + `{"ph":"X","tid":0,"name":"x","ts":0,"dur":3,"args":{"n":"s"}}]}`,
+		good[:len(good)-1],
+		`{"displayTimeUnit":"ns",` + good[1:],
+	} {
+		if tr, err := ReadChrome(strings.NewReader(in)); err == nil {
+			t.Errorf("ReadChrome accepted %s: %+v", in, Analyze(tr))
+		}
+	}
+}
+
+// FuzzReadChrome holds the decoder of `trace-report -in` to the
+// contract of the repository's other decoders: whatever the bytes, no
+// panic and no allocation past 16× the input plus 64 kB; a decoded
+// trace re-exports to a fixed point after one pass; and its analysis
+// reports no negative wall, busy or critical-path time. Seeded with the
+// fixed trace's export and the two inputs the parent decoder got wrong
+// (times off by a nanosecond, a negative duration); `go test` runs the
+// seeds, `make fuzz` fuzzes for a bounded time.
+func FuzzReadChrome(f *testing.F) {
 	var buf bytes.Buffer
-	orig := fixedTracer()
-	if err := orig.WriteChrome(&buf); err != nil {
-		t.Fatal(err)
+	if err := fixedTracer().WriteChrome(&buf); err != nil {
+		f.Fatal(err)
 	}
-	back, err := ReadChrome(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reBuf bytes.Buffer
-	if err := back.WriteChrome(&reBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), reBuf.Bytes()) {
-		t.Fatalf("roundtrip drifted:\n%s\n---\n%s", buf.Bytes(), reBuf.Bytes())
-	}
-	// Analysis of the imported trace must match the original's.
-	a, b := Analyze(orig), Analyze(back)
-	if a.WallNS != b.WallNS || len(a.Phases) != len(b.Phases) || len(a.Serial) != len(b.Serial) {
-		t.Fatalf("imported analysis differs: %+v vs %+v", a, b)
-	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(oddSlice))
+	f.Add([]byte(negativeDur))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		tr, err := ReadChrome(bytes.NewReader(b))
+		runtime.ReadMemStats(&m1)
+		if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(16*len(b)+64<<10); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(b), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		rep := Analyze(tr)
+		if rep.WallNS < 0 {
+			t.Fatalf("negative wall %d", rep.WallNS)
+		}
+		for _, ps := range rep.Phases {
+			if ps.WallNS < 0 || ps.BusyNS < 0 || ps.CritPathNS < 0 {
+				t.Fatalf("phase %s: wall %d, busy %d, critical path %d", ps.Phase, ps.WallNS, ps.BusyNS, ps.CritPathNS)
+			}
+		}
+		var once, twice bytes.Buffer
+		if err := tr.WriteChrome(&once); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadChrome(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-export does not decode: %v\n%s", err, once.Bytes())
+		}
+		if err := back.WriteChrome(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("re-export is not a fixed point:\n%s\n---\n%s", once.Bytes(), twice.Bytes())
+		}
+	})
 }
 
 func TestAnalyzeFixedTrace(t *testing.T) {

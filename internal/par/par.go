@@ -64,8 +64,8 @@ type result struct {
 }
 
 // Start readies the team for `workers` workers (at least one) and, when
-// ts is non-nil, traces every chunk on worker w's track of ts. Call it
-// once, and Close when the run ends — on every return path.
+// ts (an engine's obs.Span.Workers) is non-nil, traces every chunk on
+// worker w's track of ts. Call it once, and Close when the run ends.
 func (t *Team) Start(workers int, ts *trace.Set) {
 	t.workers, t.ts = max(workers, 1), ts
 	if t.workers == 1 {
@@ -166,12 +166,10 @@ func (t *Team) run(j job) (r result) {
 // time.
 func (t *Team) exec(j job) time.Duration {
 	t0 := time.Now()
-	if t.ts == nil {
-		j.fn(j.w, j.lo, j.hi)
-		return time.Since(t0)
-	}
-	sp := t.ts.Begin(j.w, j.name)
 	j.fn(j.w, j.lo, j.hi)
-	sp.End(trace.N("items", int64(j.hi-j.lo)))
-	return time.Since(t0)
+	t1 := time.Now()
+	if t.ts != nil {
+		t.ts.Add(j.w, j.name, t0, t1, trace.N("items", int64(j.hi-j.lo)))
+	}
+	return t1.Sub(t0)
 }

@@ -10,7 +10,6 @@ import (
 	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
-	"macro3d/internal/obs/trace"
 	"macro3d/internal/par"
 	"macro3d/internal/slab"
 )
@@ -280,11 +279,14 @@ func (m *rowMap) open(cells []int32, room int) {
 // counts the cells first).
 const openRoom = 3
 
-// legalize snaps cells into rows without overlap using a Tetris-style
+// Legalize snaps cells into rows without overlap using a Tetris-style
 // sweep: cells sorted by x are committed left-to-right into the
-// segment minimizing displacement. Returns mean and max displacement.
-func legalize(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64, mt *trace.Track) (mean, maxd float64, err error) {
-	mean, maxd, failed, err := legalizeBestEffort(movable, fp, rowHeight, mt)
+// segment minimizing displacement, starting from their current
+// locations. Returns mean and max displacement. Place ends with it, and
+// the S2D/C2D flows re-legalize per die with it after tier partitioning
+// reveals the real macro extents.
+func Legalize(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64) (mean, maxd float64, err error) {
+	mean, maxd, failed, err := LegalizeBestEffort(movable, fp, rowHeight)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -293,13 +295,6 @@ func legalize(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight fl
 			failed[0].Name, failed[0].Master.Width)
 	}
 	return mean, maxd, nil
-}
-
-// LegalizeBestEffort legalizes what fits and returns the cells that
-// found no space instead of failing. The S2D/C2D flows use this: cells
-// that cannot fit a tier spill back to the other die.
-func LegalizeBestEffort(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64) (mean, maxd float64, failed []*netlist.Instance, err error) {
-	return legalizeBestEffort(movable, fp, rowHeight, nil)
 }
 
 // place commits inst into the best-fit segment, searching the rows
@@ -323,8 +318,10 @@ func (m *rowMap) place(inst *netlist.Instance) (disp float64, ok bool) {
 	return math.Abs(x-target.X) + math.Abs(s.y-target.Y), true
 }
 
-func legalizeBestEffort(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64,
-	mt *trace.Track) (mean, maxd float64, failed []*netlist.Instance, err error) {
+// LegalizeBestEffort legalizes what fits and returns the cells that
+// found no space instead of failing. The S2D/C2D flows use this: cells
+// that cannot fit a tier spill back to the other die.
+func LegalizeBestEffort(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64) (mean, maxd float64, failed []*netlist.Instance, err error) {
 	m := buildRows(fp, rowHeight)
 	if m.rows() == 0 {
 		return 0, 0, nil, fmt.Errorf("place: no placement rows available")
@@ -341,10 +338,6 @@ func legalizeBestEffort(movable []*netlist.Instance, fp *floorplan.Floorplan, ro
 		return cmp.Compare(p.Name, q.Name)
 	})
 
-	// The Tetris commit sweep is inherently serial; record it so the
-	// analyzer can rank it among the serial segments.
-	ssp := mt.Begin("place", "place/legalize-sweep")
-	defer func() { ssp.End(trace.N("cells", int64(len(order)))) }()
 	var sum float64
 	for _, inst := range order {
 		d, ok := m.place(inst)
@@ -361,14 +354,6 @@ func legalizeBestEffort(movable []*netlist.Instance, fp *floorplan.Floorplan, ro
 		mean = sum / float64(n)
 	}
 	return mean, maxd, failed, nil
-}
-
-// Legalize snaps the given cells into non-overlapping row positions of
-// the floorplan, starting from their current locations. Exposed for
-// the S2D/C2D flows, which must re-legalize per die after tier
-// partitioning reveals the real macro extents.
-func Legalize(cells []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64) (mean, maxd float64, err error) {
-	return legalize(cells, fp, rowHeight, nil)
 }
 
 // CheckLegal verifies that no two movable cells overlap and that all

@@ -22,7 +22,6 @@ import (
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
 	"macro3d/internal/obs"
-	"macro3d/internal/obs/trace"
 	"macro3d/internal/par"
 )
 
@@ -48,17 +47,11 @@ type Options struct {
 	// stops earlier once the density overflow is low enough.
 	Iters int
 
-	// Obs, when non-nil, is the stage span the placer hangs its
-	// global/legalize phase spans under and whose registry receives
-	// the placement metrics. nil disables instrumentation.
+	// Obs, when non-nil, is the stage span the placer hangs its phase
+	// spans under (global around its spread round, legalize) and whose
+	// registry and timeline receive its metrics and worker chunks. nil
+	// disables instrumentation; placements are identical either way.
 	Obs *obs.Span
-
-	// Trace, when non-nil, receives task-level execution slices —
-	// descent passes, seed sweeps, legalization row sweeps — on
-	// per-worker tracks. nil disables tracing for the cost of one
-	// pointer comparison per call site; placements are identical
-	// either way.
-	Trace *trace.Tracer
 }
 
 // withDefaults fills unset options.
@@ -110,9 +103,8 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 
 	// One worker team serves every fork-join of the run.
 	var team par.Team
-	team.Start(workers, opt.Trace.WorkerSet("place", workers))
+	team.Start(workers, opt.Obs.Workers(workers))
 	defer team.Close()
-	mt := opt.Trace.Track("main")
 
 	gsp := opt.Obs.Child("global", obs.KV("cells", len(movable)))
 
@@ -155,7 +147,9 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 	// Residual cleanup: one deterministic eviction round clears any
 	// overflow the smooth field left behind, then the shared legalizer
 	// takes over.
-	st.spread(movable, rng, mt)
+	ssp := gsp.Child("spread")
+	st.spread(movable, rng)
+	ssp.End()
 	gsp.End()
 
 	res := &Result{}
@@ -168,7 +162,7 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 	res.Overflow = st.overflow()
 
 	lsp := opt.Obs.Child("legalize")
-	disp, maxDisp, err := legalize(movable, fp, rowHeight, mt)
+	disp, maxDisp, err := Legalize(movable, fp, rowHeight)
 	lsp.End()
 	if err != nil {
 		return nil, err
@@ -250,7 +244,7 @@ func newBinGrid(die geom.Rect, pitch float64, blk []floorplan.Blockage, maxFill 
 // headroom, ring-searching outward: the one clean-up round that clears
 // whatever overflow the smooth field left behind. It is serial — the
 // eviction sweep consumes the RNG.
-func (st *analyticState) spread(movable []*netlist.Instance, rng *geom.RNG, mt *trace.Track) {
+func (st *analyticState) spread(movable []*netlist.Instance, rng *geom.RNG) {
 	b, g, pos := st.bins, st.bins.grid, st.pos
 	nb := g.Bins()
 	st.charge()
@@ -270,8 +264,6 @@ func (st *analyticState) spread(movable []*netlist.Instance, rng *geom.RNG, mt *
 		flat[next[i]] = movable[k]
 		next[i]++
 	}
-	ssp := mt.Begin("place", "place/spread-serial")
-	defer func() { ssp.End(trace.N("cells", int64(len(movable)))) }()
 	// Process most-overfilled bins first.
 	order := make([]int, 0, g.Bins())
 	for i := range usage {

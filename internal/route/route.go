@@ -22,7 +22,6 @@ import (
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
 	"macro3d/internal/obs"
-	"macro3d/internal/obs/trace"
 	"macro3d/internal/slab"
 	"macro3d/internal/tech"
 )
@@ -51,17 +50,11 @@ type Options struct {
 	// bit-identical across all of them.
 	Workers int
 
-	// Obs, when non-nil, is the stage span the router hangs its
-	// rip-up-iteration phase spans under and whose registry receives
-	// the routing metrics. nil disables instrumentation.
+	// Obs, when non-nil, is the stage span the router hangs its phase
+	// spans under (each pass, each rip-up iteration around its pass) and
+	// whose registry and timeline receive its metrics and worker chunks.
+	// nil disables instrumentation; results are identical either way.
 	Obs *obs.Span
-
-	// Trace, when non-nil, receives task-level execution slices — the
-	// prep fan-out on per-worker tracks, the ordered passes and the
-	// rip-up iterations on their own. nil disables tracing at the cost
-	// of one pointer comparison per call site; routing results are
-	// identical either way.
-	Trace *trace.Tracer
 }
 
 func (o Options) withDefaults() Options {

@@ -9,7 +9,6 @@ import (
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
 	"macro3d/internal/obs"
-	"macro3d/internal/obs/trace"
 	"macro3d/internal/par"
 )
 
@@ -107,8 +106,7 @@ func (db *DB) routeTask(t *netTask, maze bool, s *mazeScratch) []Seg {
 // exact-size in the result's segment slab: growth by doubling happens
 // once, in the scratch buffer, not per net, and a victim's old span is
 // simply abandoned (at most MaxIters × maxVictims of them per run).
-func (db *DB) routePass(tasks []*netTask, maze bool, res *Result, s *mazeScratch, main *trace.Track) {
-	sl := main.Begin("route", "route/pass")
+func (db *DB) routePass(tasks []*netTask, maze bool, res *Result, s *mazeScratch) {
 	for _, t := range tasks {
 		db.addSegs(t.old, Origin{}, -1)
 		t.old = nil
@@ -117,7 +115,6 @@ func (db *DB) routePass(tasks []*netTask, maze bool, res *Result, s *mazeScratch
 		copy(t.route.Segments, segs)
 		db.addSegs(t.route.Segments, Origin{}, 1)
 	}
-	sl.End(trace.N("nets", int64(len(tasks))))
 }
 
 // RouteDesign globally routes every non-clock signal net of the design
@@ -177,16 +174,9 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		"Gcell-layers above capacity after the latest negotiation state.")
 	reg.Gauge("route_workers",
 		"Worker goroutines of the router's net-prep and overflow-scan fan-out.").Set(float64(workers))
-	// Execution-tracer handles, nil-safe (nil means tracing is off): the
-	// per-worker tracks of the prep fan-out, the orchestrator track of
-	// the ordered passes, and a track of rip-up iterations, which render
-	// as containers the analyzer charges only for time no leaf slice
-	// covers.
 	var team par.Team
-	team.Start(workers, db.opt.Trace.WorkerSet("route", workers))
+	team.Start(workers, sp.Workers(workers))
 	defer team.Close()
-	main := db.opt.Trace.Track("main")
-	iterTrack := db.opt.Trace.Track("route iterations")
 
 	// One scratch per prep worker (the in-tree marks); the first is also
 	// the pass's maze scratch and segment buffer, reused across every
@@ -230,7 +220,9 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		}
 	}
 
-	db.routePass(wave, false, res, pass, main)
+	psp := sp.Child("pass")
+	db.routePass(wave, false, res, pass)
+	psp.End()
 	routedC.Add(uint64(len(order)))
 
 	// Negotiated rip-up and reroute. Early iterations reroute with
@@ -249,7 +241,6 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		}
 		isp := sp.Child("rip-up-iter",
 			obs.KV("iter", it), obs.KV("overflow", over), obs.KV("victims", len(victims)))
-		itsl := iterTrack.Begin("stage", "route/rip-up-iter")
 		iterC.Inc()
 		// Bound the work per iteration; the worst offenders first
 		// (longest nets through congestion).
@@ -268,10 +259,10 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 			t.old = t.route.Segments
 			wave = append(wave, t)
 		}
-		db.routePass(wave, useMaze, res, pass, main)
+		psp := isp.Child("pass")
+		db.routePass(wave, useMaze, res, pass)
+		psp.End()
 		ripupC.Add(uint64(len(victims)))
-		itsl.End(trace.N("iter", int64(it)), trace.N("victims", int64(len(victims))),
-			trace.N("overflow", int64(over)))
 		isp.End()
 	}
 

@@ -2,9 +2,10 @@
 # trace-smoke: end-to-end check of the execution tracer.
 # Runs a tiny flow with -trace, validates the Chrome trace-event JSON,
 # feeds it back through `macro3d trace-report -in`, asserts the
-# bottleneck table names the engine phases, and checks that two
-# identical traced runs export byte-identical JSON once timestamps are
-# normalized (the determinism contract from DESIGN.md §14).
+# bottleneck table names the engine phases, checks that two identical
+# traced runs export byte-identical JSON once timestamps are normalized
+# (the determinism contract from DESIGN.md §14), and that -trace and
+# -events on one recorder agree on the stages.
 set -eu
 
 GO=${GO:-go}
@@ -63,6 +64,20 @@ grep -q 'serial segments by wall-clock share' "$dir/report.txt" || {
 echo "trace-smoke: run-and-report in one step"
 "$dir/macro3d" trace-report -flow 2d -config tiny -seed 7 -j 4 -top 5 >"$dir/report2.txt" 2>"$dir/report2.err"
 grep -q '^trace: wall' "$dir/report2.txt" || { echo "trace-smoke: FAIL: -flow report lacks the wall-clock header" >&2; cat "$dir/report2.err" >&2; exit 1; }
+
+echo "trace-smoke: one run with -trace and -events on one recorder"
+"$dir/macro3d" -flow macro3d -config tiny -seed 7 -j 4 -trace "$dir/both.trace.json" -events "$dir/both.jsonl" >"$dir/both.out" 2>&1
+"$dir/macro3d" trace-report -in "$dir/both.trace.json" >/dev/null || { echo "trace-smoke: FAIL: both.trace.json does not read back" >&2; exit 1; }
+awk 'substr($0, 1, 1) != "{" || substr($0, length($0), 1) != "}" { print "trace-smoke: FAIL: malformed event line: " $0; bad = 1 } END { exit bad }' "$dir/both.jsonl"
+# Stage spans are the flow root's children, "macro3d/<stage>"; their
+# slices are the complete events on the stages track.
+spans=$(grep -c '"ev":"span_close",[^}]*"span":"macro3d/[^/"]*"' "$dir/both.jsonl" || true)
+tid=$(sed -n 's/.*"tid":\([0-9]*\),"name":"thread_name","args":{"name":"stages"}.*/\1/p' "$dir/both.trace.json")
+slices=$(grep -c "\"ph\":\"X\",\"pid\":1,\"tid\":$tid," "$dir/both.trace.json" || true)
+[ -n "$tid" ] && [ "$spans" -gt 0 ] && [ "$spans" -eq "$slices" ] || {
+	echo "trace-smoke: FAIL: $spans stage span_close events but $slices stages slices" >&2
+	exit 1
+}
 
 echo "trace-smoke: checking PPA is byte-identical with tracing off"
 "$dir/macro3d" -flow macro3d -config tiny -seed 7 -j 4 >"$dir/off.out" 2>&1
