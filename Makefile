@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race fuzz equiv faults bench bench-flow bench-route bench-stash benchall obs-smoke cache-smoke harden-smoke trace-smoke bench-route-smoke
+.PHONY: check build test vet race fuzz equiv faults bench bench-flow bench-route bench-stash benchall qor obs-smoke cache-smoke harden-smoke trace-smoke bench-route-smoke
 
 ## check: the full gate — vet, build, unit tests, the race-enabled
 ## fault-injection suite, a bounded fuzz of the snapshot decoder, then the
@@ -198,6 +198,16 @@ bench-route:
 bench-stash:
 	$(GO) test -bench BenchmarkStashSweep -count 3 -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchjson -o BENCH_stash.json
 	cat BENCH_stash.json
+
+## qor: the seed ensemble — `macro3d -experiment seeds`, Tables I and II
+## and C2D over seeds 1–10 (70 flow runs) — rewrites BENCH_qor.json, then
+## holds it against the committed file with benchjson's paired-seed sign
+## test per flow × tile and metric, failing when one is worse on nine
+## seeds in ten. Commit the new file with the change that moved it.
+qor:
+	git show HEAD:BENCH_qor.json > BENCH_qor.old.json
+	$(GO) run ./cmd/macro3d -experiment seeds
+	$(GO) run ./cmd/benchjson -compare BENCH_qor.old.json BENCH_qor.json; s=$$?; rm -f BENCH_qor.old.json; exit $$s
 
 ## benchall: every benchmark, human-readable.
 benchall:

@@ -11,13 +11,13 @@
 // The quickest route through the API:
 //
 //	cfg := macro3d.FlowConfig{Piton: macro3d.SmallCache(), Seed: 1}
-//	ppa2d, _, err := macro3d.Run2D(cfg)
-//	ppa3d, _, _, err := macro3d.RunMacro3D(cfg)
+//	ppa2d, _, _, err := macro3d.RunFlow(ctx, "2d", cfg)
+//	ppa3d, st, mol, err := macro3d.RunFlow(ctx, "macro3d", cfg)
 //
 // and for the paper's experiments:
 //
-//	t2, err := macro3d.RunTableII(1)
-//	fmt.Print(t2.Format())
+//	t2, err := macro3d.RunExperiment(ctx, macro3d.FlowConfig{Seed: 1}, "table2", false)
+//	fmt.Print(t2.Text)
 //
 // The packages under internal/ hold the implementation; this package
 // re-exports the stable surface.
@@ -70,7 +70,7 @@ type SensorConfig = piton.SensorConfig
 func DefaultSensorSoC() SensorConfig { return piton.DefaultSensorSoC() }
 
 // GenerateSensorSoC builds a sensor-on-logic netlist. Run it through
-// Run2D/RunMacro3D by setting FlowConfig.Generator:
+// the 2d or macro3d flow by setting FlowConfig.Generator:
 //
 //	cfg := macro3d.FlowConfig{Generator: func() (*macro3d.Tile, error) {
 //		return macro3d.GenerateSensorSoC(macro3d.DefaultSensorSoC())
@@ -167,23 +167,6 @@ type PPA = flows.PPA
 // FlowState exposes the implementation objects of a finished flow.
 type FlowState = flows.State
 
-// Run2D executes the baseline single-die flow.
-func Run2D(cfg FlowConfig) (*PPA, *FlowState, error) { return flows.Run2D(cfg) }
-
-// RunMacro3D executes the paper's flow.
-func RunMacro3D(cfg FlowConfig) (*PPA, *FlowState, *MoLDesign, error) {
-	return flows.RunMacro3D(cfg)
-}
-
-// RunS2D executes the Shrunk-2D baseline; balanced selects the BF S2D
-// variant.
-func RunS2D(cfg FlowConfig, balanced bool) (*PPA, *FlowState, error) {
-	return flows.RunS2D(cfg, balanced)
-}
-
-// RunC2D executes the Compact-2D baseline.
-func RunC2D(cfg FlowConfig) (*PPA, *FlowState, error) { return flows.RunC2D(cfg) }
-
 // --- Hardened execution ---
 //
 // Every flow runs its stages inside an instrumented runner: panics are
@@ -213,33 +196,14 @@ type StageRecord = flows.StageRecord
 // Available as FlowState.Trace even when the flow fails part-way.
 type RunReport = flows.RunReport
 
-// FlowNames lists the flow names RunFlowCtx accepts: 2d, macro3d, s2d,
-// bfs2d, c2d.
+// FlowNames lists the flow names RunFlow accepts: 2d, macro3d, s2d,
+// bfs2d (S2D on the balanced floorplan), c2d.
 func FlowNames() []string { return flows.Names() }
 
-// RunFlowCtx executes the named flow. The MoLDesign is nil for 2d.
-func RunFlowCtx(ctx context.Context, name string, cfg FlowConfig) (*PPA, *FlowState, *MoLDesign, error) {
+// RunFlow executes the named flow, honouring cancellation at stage
+// boundaries. The MoLDesign is nil for 2d.
+func RunFlow(ctx context.Context, name string, cfg FlowConfig) (*PPA, *FlowState, *MoLDesign, error) {
 	return flows.Run(ctx, name, cfg)
-}
-
-// Run2DCtx is Run2D with cancellation and per-stage deadlines.
-func Run2DCtx(ctx context.Context, cfg FlowConfig) (*PPA, *FlowState, error) {
-	return flows.Run2DCtx(ctx, cfg)
-}
-
-// RunMacro3DCtx is RunMacro3D with cancellation.
-func RunMacro3DCtx(ctx context.Context, cfg FlowConfig) (*PPA, *FlowState, *MoLDesign, error) {
-	return flows.RunMacro3DCtx(ctx, cfg)
-}
-
-// RunS2DCtx is RunS2D with cancellation.
-func RunS2DCtx(ctx context.Context, cfg FlowConfig, balanced bool) (*PPA, *FlowState, error) {
-	return flows.RunS2DCtx(ctx, cfg, balanced)
-}
-
-// RunC2DCtx is RunC2D with cancellation.
-func RunC2DCtx(ctx context.Context, cfg FlowConfig) (*PPA, *FlowState, error) {
-	return flows.RunC2DCtx(ctx, cfg)
 }
 
 // SeparateDies splits a signed-off Macro-3D design into its two
@@ -290,24 +254,14 @@ const (
 // boundary timing arcs, per-layer routing obstructions, and the
 // AbstractInfo record. With FlowConfig.Cache set, the abstract is
 // content-addressed so each distinct configuration hardens once.
-func Harden(cfg FlowConfig, flow string) (*HardenResult, error) {
-	return flows.Harden(cfg, flow)
-}
-
-// HardenCtx is Harden with run cancellation.
-func HardenCtx(ctx context.Context, cfg FlowConfig, flow string) (*HardenResult, error) {
+func Harden(ctx context.Context, cfg FlowConfig, flow string) (*HardenResult, error) {
 	return flows.HardenCtx(ctx, cfg, flow)
 }
 
 // RunHierArray hardens the configured tile (or loads it from the
 // cache) and instantiates the abstract nx×ny by abutment, signing off
 // only the parent level against the boundary timing model.
-func RunHierArray(cfg FlowConfig, flow string, nx, ny int) (*HierReport, error) {
-	return flows.RunHierArray(cfg, flow, nx, ny)
-}
-
-// RunHierArrayCtx is RunHierArray with run cancellation.
-func RunHierArrayCtx(ctx context.Context, cfg FlowConfig, flow string, nx, ny int) (*HierReport, error) {
+func RunHierArray(ctx context.Context, cfg FlowConfig, flow string, nx, ny int) (*HierReport, error) {
 	return flows.RunHierArrayCtx(ctx, cfg, flow, nx, ny)
 }
 
@@ -334,127 +288,23 @@ func RemapAbstractForMacroDie(m *Cell, combined *BEOL) (*Cell, error) {
 
 // --- Experiments (the paper's tables) ---
 
-// TableI is the small-cache flow comparison.
-type TableI = report.TableI
-
-// TableII is the in-depth 2D vs Macro-3D comparison.
-type TableII = report.TableII
-
-// TableIII is the M6–M4 heterogeneous-BEOL ablation.
-type TableIII = report.TableIII
-
-// IsoPerf is the §V-A iso-performance power comparison.
-type IsoPerf = report.IsoPerf
-
-// RunTableI reproduces Table I.
-func RunTableI(seed uint64) (*TableI, error) { return report.RunTableI(seed) }
-
-// RunTableII reproduces Table II.
-func RunTableII(seed uint64) (*TableII, error) { return report.RunTableII(seed) }
-
-// RunTableIII reproduces Table III.
-func RunTableIII(seed uint64) (*TableIII, error) { return report.RunTableIII(seed) }
-
-// RunIsoPerf reproduces the iso-performance comparison for one tile.
-func RunIsoPerf(cfg TileConfig, seed uint64) (*IsoPerf, error) {
-	return report.RunIsoPerf(cfg, seed)
-}
-
-// RunTableIWith is RunTableI with cancellation, a caller-supplied flow
-// configuration, and keep-going mode: with keepGoing a failed column
-// is skipped (rendering as "—") and the joined per-column errors are
-// returned alongside the partial table. Cancellation always stops the
-// table at the next stage boundary, preserving completed columns.
-func RunTableIWith(ctx context.Context, cfg FlowConfig, keepGoing bool) (*TableI, error) {
-	return report.RunTableIWith(ctx, cfg, keepGoing)
-}
-
-// RunTableIIWith is RunTableII with cancellation and keep-going mode.
-func RunTableIIWith(ctx context.Context, cfg FlowConfig, keepGoing bool) (*TableII, error) {
-	return report.RunTableIIWith(ctx, cfg, keepGoing)
-}
-
-// RunTableIIIWith is RunTableIII with cancellation and keep-going mode.
-func RunTableIIIWith(ctx context.Context, cfg FlowConfig, keepGoing bool) (*TableIII, error) {
-	return report.RunTableIIIWith(ctx, cfg, keepGoing)
-}
-
-// RunIsoPerfCtx is RunIsoPerf with cancellation.
-func RunIsoPerfCtx(ctx context.Context, cfg TileConfig, seed uint64) (*IsoPerf, error) {
-	return report.RunIsoPerfCtx(ctx, cfg, seed)
-}
-
-// BlockageSweep is the S2D blockage-resolution ablation.
-type BlockageSweep = report.BlockageSweep
-
-// PitchSweep is the F2F bump-pitch ablation.
-type PitchSweep = report.PitchSweep
-
-// RunBlockageSweep quantifies the S2D partial-blockage rasterization
-// mechanism across resolutions (nil = default set).
-func RunBlockageSweep(seed uint64, resolutions []float64) (*BlockageSweep, error) {
-	return report.RunBlockageSweep(seed, resolutions)
-}
-
-// RunPitchSweep quantifies Macro-3D sensitivity to the F2F bump pitch
-// (nil = default set).
-func RunPitchSweep(seed uint64, pitches []float64) (*PitchSweep, error) {
-	return report.RunPitchSweep(seed, pitches)
-}
-
-// HeteroTechSweep is the future-work extension: macro dies in
-// different process nodes.
-type HeteroTechSweep = report.HeteroTechSweep
-
 // MacroProcess scales macro electrical properties relative to the
 // logic node.
 type MacroProcess = piton.MacroProcess
 
-// RunHeteroTechSweep runs Macro-3D with same-node, low-leakage and
-// fast-bin macro-die technologies.
-func RunHeteroTechSweep(seed uint64) (*HeteroTechSweep, error) {
-	return report.RunHeteroTechSweep(seed)
-}
+// ExperimentResult is one experiment run: its cells (one flow run each),
+// their PPA in cell order (nil where a run failed) and its report.
+type ExperimentResult = report.Result
 
-// RunBlockageSweepCtx is RunBlockageSweep with cancellation and
-// keep-going mode (failed points leave nil gaps rendered as "—").
-func RunBlockageSweepCtx(ctx context.Context, seed uint64, resolutions []float64, keepGoing bool) (*BlockageSweep, error) {
-	return report.RunBlockageSweepCtx(ctx, seed, resolutions, keepGoing)
-}
+// ExperimentNames lists the experiments RunExperiment accepts.
+func ExperimentNames() []string { return report.Names() }
 
-// RunPitchSweepCtx is RunPitchSweep with cancellation and keep-going.
-func RunPitchSweepCtx(ctx context.Context, seed uint64, pitches []float64, keepGoing bool) (*PitchSweep, error) {
-	return report.RunPitchSweepCtx(ctx, seed, pitches, keepGoing)
-}
-
-// RunHeteroTechSweepCtx is RunHeteroTechSweep with cancellation and
-// keep-going.
-func RunHeteroTechSweepCtx(ctx context.Context, seed uint64, keepGoing bool) (*HeteroTechSweep, error) {
-	return report.RunHeteroTechSweepCtx(ctx, seed, keepGoing)
-}
-
-// RunIsoPerfWith is RunIsoPerfCtx taking a full flow configuration,
-// so the stage cache and hardening knobs apply to both runs.
-func RunIsoPerfWith(ctx context.Context, cfg FlowConfig) (*IsoPerf, error) {
-	return report.RunIsoPerfWith(ctx, cfg)
-}
-
-// RunBlockageSweepWith is RunBlockageSweepCtx taking a full flow
-// configuration.
-func RunBlockageSweepWith(ctx context.Context, cfg FlowConfig, resolutions []float64, keepGoing bool) (*BlockageSweep, error) {
-	return report.RunBlockageSweepWith(ctx, cfg, resolutions, keepGoing)
-}
-
-// RunPitchSweepWith is RunPitchSweepCtx taking a full flow
-// configuration.
-func RunPitchSweepWith(ctx context.Context, cfg FlowConfig, pitches []float64, keepGoing bool) (*PitchSweep, error) {
-	return report.RunPitchSweepWith(ctx, cfg, pitches, keepGoing)
-}
-
-// RunHeteroTechSweepWith is RunHeteroTechSweepCtx taking a full flow
-// configuration.
-func RunHeteroTechSweepWith(ctx context.Context, cfg FlowConfig, keepGoing bool) (*HeteroTechSweep, error) {
-	return report.RunHeteroTechSweepWith(ctx, cfg, keepGoing)
+// RunExperiment runs the named experiment over cfg, which carries the
+// seed, the hardening knobs and the stage cache. Cancellation stops it at
+// the next stage boundary; with keepGoing a failed run is skipped
+// (rendering as "—") and the joined failures come with the result.
+func RunExperiment(ctx context.Context, cfg FlowConfig, name string, keepGoing bool) (*ExperimentResult, error) {
+	return report.RunExperiment(ctx, cfg, name, keepGoing)
 }
 
 // --- Stage cache ---

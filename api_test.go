@@ -1,6 +1,7 @@
 package macro3d_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,14 +17,14 @@ func tinyFlowConfig() macro3d.FlowConfig {
 }
 
 func TestPublicAPITinyFlows(t *testing.T) {
-	p2d, st2d, err := macro3d.Run2D(tinyFlowConfig())
+	p2d, st2d, _, err := macro3d.RunFlow(context.Background(), "2d", tinyFlowConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p2d.FclkMHz <= 0 || st2d.Design == nil {
 		t.Fatal("2D flow result incomplete")
 	}
-	p3d, st3d, mol, err := macro3d.RunMacro3D(tinyFlowConfig())
+	p3d, st3d, mol, err := macro3d.RunFlow(context.Background(), "macro3d", tinyFlowConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package macro3d_test
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -33,7 +34,7 @@ func BenchmarkHardenArray(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			_, st, _, err := macro3d.RunMacro3D(cfg)
+			_, st, _, err := macro3d.RunFlow(context.Background(), "macro3d", cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -59,7 +60,7 @@ func BenchmarkHardenArray(b *testing.B) {
 		}
 		warm := cfg
 		warm.Cache = seedCache
-		if _, err := macro3d.Harden(warm, macro3d.HardenFlowMacro3D); err != nil {
+		if _, err := macro3d.Harden(context.Background(), warm, macro3d.HardenFlowMacro3D); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
@@ -72,7 +73,7 @@ func BenchmarkHardenArray(b *testing.B) {
 			hcfg := cfg
 			hcfg.Cache = cache
 			b.StartTimer()
-			rep, err := macro3d.RunHierArray(hcfg, macro3d.HardenFlowMacro3D, n, n)
+			rep, err := macro3d.RunHierArray(context.Background(), hcfg, macro3d.HardenFlowMacro3D, n, n)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -133,7 +133,7 @@ func insertBuffer(b *testing.B, db *ddb.DB, n *netlist.Net, si int) *ddb.Txn {
 	sink := txn.RemoveSinkAt(n, si)
 	a, z := n.Driver.Loc(), sink.Loc()
 	inst := txn.AddInstance("benchbuf", buf)
-	if loc, ok := txn.Alloc(buf.Width, geom.Pt((a.X+z.X)/2, (a.Y+z.Y)/2)); ok {
+	if loc, ok := txn.Alloc(netlist.LogicDie, buf.Width, geom.Pt((a.X+z.X)/2, (a.Y+z.Y)/2)); ok {
 		inst.Loc, inst.Placed = loc, true
 	}
 	txn.AppendSink(n, netlist.IPin(inst, "A"))

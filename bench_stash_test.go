@@ -14,14 +14,14 @@ import (
 
 // stashSweep is the workload: the full Table I sweep (all four flows
 // on the small-cache tile), the shape a user resumes most often.
-func stashSweep(b *testing.B, cache *macro3d.StageCache) *macro3d.TableI {
+func stashSweep(b *testing.B, cache *macro3d.StageCache) []*macro3d.PPA {
 	b.Helper()
 	cfg := macro3d.FlowConfig{Piton: macro3d.SmallCache(), Seed: 1, Cache: cache}
-	t, err := macro3d.RunTableIWith(context.Background(), cfg, false)
+	t, err := macro3d.RunExperiment(context.Background(), cfg, "table1", false)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return t
+	return t.PPA
 }
 
 // BenchmarkStashSweep measures the sweep cold (empty cache directory
@@ -30,11 +30,7 @@ func stashSweep(b *testing.B, cache *macro3d.StageCache) *macro3d.TableI {
 // against an uncached reference, so the speedup is over identical
 // results.
 func BenchmarkStashSweep(b *testing.B) {
-	ref, err := macro3d.RunTableIWith(context.Background(),
-		macro3d.FlowConfig{Piton: macro3d.SmallCache(), Seed: 1}, false)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ref := stashSweep(b, nil)
 
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -18,6 +18,7 @@
 package macro3d_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -28,63 +29,43 @@ import (
 // the same result; each benchmark still re-runs the full flow per
 // iteration (that is the thing being measured).
 
-func BenchmarkTableI(b *testing.B) {
+// experiment runs the named experiment at seed 1 b.N times, logs its
+// report once and returns its PPA in cell order.
+func experiment(b *testing.B, name string) []*macro3d.PPA {
+	var res *macro3d.ExperimentResult
 	for i := 0; i < b.N; i++ {
-		t, err := macro3d.RunTableI(1)
-		if err != nil {
+		var err error
+		if res, err = macro3d.RunExperiment(context.Background(), macro3d.FlowConfig{Seed: 1}, name, false); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(t.TwoD.FclkMHz, "fclk2D_MHz")
-		b.ReportMetric(t.S2D.FclkMHz, "fclkS2D_MHz")
-		b.ReportMetric(t.BFS2D.FclkMHz, "fclkBFS2D_MHz")
-		b.ReportMetric(t.Macro3D.FclkMHz, "fclkM3D_MHz")
-		b.ReportMetric(float64(t.Macro3D.F2FBumps), "bumpsM3D")
-		if i == 0 {
-			b.Log("\n" + t.Format())
-		}
 	}
+	b.Log("\n" + res.Text)
+	return res.PPA
+}
+
+func BenchmarkTableI(b *testing.B) {
+	t := experiment(b, "table1") // 2D, MoL S2D, BF S2D, Macro-3D
+	b.ReportMetric(t[0].FclkMHz, "fclk2D_MHz")
+	b.ReportMetric(t[1].FclkMHz, "fclkS2D_MHz")
+	b.ReportMetric(t[2].FclkMHz, "fclkBFS2D_MHz")
+	b.ReportMetric(t[3].FclkMHz, "fclkM3D_MHz")
+	b.ReportMetric(float64(t[3].F2FBumps), "bumpsM3D")
 }
 
 func BenchmarkTableII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := macro3d.RunTableII(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*(t.SmallM3D.FclkMHz/t.Small2D.FclkMHz-1), "smallGain_pct")
-		b.ReportMetric(100*(t.LargeM3D.FclkMHz/t.Large2D.FclkMHz-1), "largeGain_pct")
-		if i == 0 {
-			b.Log("\n" + t.Format())
-		}
-	}
+	t := experiment(b, "table2") // small 2D, Macro-3D, large 2D, Macro-3D
+	b.ReportMetric(100*(t[1].FclkMHz/t[0].FclkMHz-1), "smallGain_pct")
+	b.ReportMetric(100*(t[3].FclkMHz/t[2].FclkMHz-1), "largeGain_pct")
 }
 
 func BenchmarkTableIII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := macro3d.RunTableIII(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*(t.SmallM6M4.FclkMHz/t.SmallM6M6.FclkMHz-1), "smallFclkDelta_pct")
-		b.ReportMetric(100*(t.SmallM6M4.MetalAreaMM2/t.SmallM6M6.MetalAreaMM2-1), "metalDelta_pct")
-		if i == 0 {
-			b.Log("\n" + t.Format())
-		}
-	}
+	t := experiment(b, "table3") // small M6–M6, M6–M4, large M6–M6, M6–M4
+	b.ReportMetric(100*(t[1].FclkMHz/t[0].FclkMHz-1), "smallFclkDelta_pct")
+	b.ReportMetric(100*(t[1].MetalAreaMM2/t[0].MetalAreaMM2-1), "metalDelta_pct")
 }
 
 func BenchmarkIsoPerformance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, pc := range []macro3d.TileConfig{macro3d.SmallCache(), macro3d.LargeCache()} {
-			r, err := macro3d.RunIsoPerf(pc, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.Log(r.Format())
-			}
-		}
-	}
+	experiment(b, "isoperf")
 }
 
 func BenchmarkFig3TileGen(b *testing.B) {
@@ -101,12 +82,12 @@ func BenchmarkFig3TileGen(b *testing.B) {
 func BenchmarkFig4Floorplans(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := macro3d.FlowConfig{Piton: macro3d.SmallCache(), Seed: 1}
-		_, st2d, err := macro3d.Run2D(cfg)
+		_, st2d, _, err := macro3d.RunFlow(context.Background(), "2d", cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		svg2d := macro3d.LayoutSVG(st2d.Design, st2d.Die, macro3d.VizOptions{Title: "2D floorplan"})
-		_, st3d, _, err := macro3d.RunMacro3D(cfg)
+		_, st3d, _, err := macro3d.RunFlow(context.Background(), "macro3d", cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +99,7 @@ func BenchmarkFig4Floorplans(b *testing.B) {
 func BenchmarkFig5Layout2D(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := macro3d.FlowConfig{Piton: macro3d.SmallCache(), Seed: 1}
-		_, st, err := macro3d.Run2D(cfg)
+		_, st, _, err := macro3d.RunFlow(context.Background(), "2d", cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +111,7 @@ func BenchmarkFig5Layout2D(b *testing.B) {
 func BenchmarkFig6LayoutMoL(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := macro3d.FlowConfig{Piton: macro3d.SmallCache(), Seed: 1}
-		_, st, mol, err := macro3d.RunMacro3D(cfg)
+		_, st, mol, err := macro3d.RunFlow(context.Background(), "macro3d", cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,27 +125,11 @@ func BenchmarkFig6LayoutMoL(b *testing.B) {
 }
 
 func BenchmarkAblationBlockageResolution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sw, err := macro3d.RunBlockageSweep(1, []float64{20, 50, 100})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + sw.Format())
-		}
-	}
+	experiment(b, "sweepblockage")
 }
 
 func BenchmarkAblationF2FPitch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sw, err := macro3d.RunPitchSweep(1, []float64{1, 5, 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + sw.Format())
-		}
-	}
+	experiment(b, "sweeppitch")
 }
 
 // --- substrate micro-benchmarks ---
@@ -227,7 +192,7 @@ func BenchmarkTileCopy(b *testing.B) {
 // tile into one flat design — 117 k instances built at a size known up
 // front, so a Reserve'd design.
 func BenchmarkAbut4x4(b *testing.B) {
-	_, st, _, err := macro3d.RunMacro3D(macro3d.FlowConfig{Piton: macro3d.SmallCache(), Seed: 1})
+	_, st, _, err := macro3d.RunFlow(context.Background(), "macro3d", macro3d.FlowConfig{Piton: macro3d.SmallCache(), Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -244,7 +209,7 @@ func BenchmarkAbut4x4(b *testing.B) {
 
 func BenchmarkFlow2DSmall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p, _, err := macro3d.Run2D(macro3d.FlowConfig{Piton: macro3d.SmallCache(), Seed: 1})
+		p, _, _, err := macro3d.RunFlow(context.Background(), "2d", macro3d.FlowConfig{Piton: macro3d.SmallCache(), Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,7 +219,7 @@ func BenchmarkFlow2DSmall(b *testing.B) {
 
 func BenchmarkFlowMacro3DSmall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p, _, _, err := macro3d.RunMacro3D(macro3d.FlowConfig{Piton: macro3d.SmallCache(), Seed: 1})
+		p, _, _, err := macro3d.RunFlow(context.Background(), "macro3d", macro3d.FlowConfig{Piton: macro3d.SmallCache(), Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -264,7 +229,7 @@ func BenchmarkFlowMacro3DSmall(b *testing.B) {
 
 func BenchmarkFlowS2DSmall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p, _, err := macro3d.RunS2D(macro3d.FlowConfig{Piton: macro3d.SmallCache(), Seed: 1}, false)
+		p, _, _, err := macro3d.RunFlow(context.Background(), "s2d", macro3d.FlowConfig{Piton: macro3d.SmallCache(), Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,7 +239,7 @@ func BenchmarkFlowS2DSmall(b *testing.B) {
 
 func BenchmarkFlowC2DSmall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p, _, err := macro3d.RunC2D(macro3d.FlowConfig{Piton: macro3d.SmallCache(), Seed: 1})
+		p, _, _, err := macro3d.RunFlow(context.Background(), "c2d", macro3d.FlowConfig{Piton: macro3d.SmallCache(), Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -288,7 +253,7 @@ func BenchmarkSensorSoCMacro3D(b *testing.B) {
 			Generator: func() (*macro3d.Tile, error) {
 				return macro3d.GenerateSensorSoC(macro3d.DefaultSensorSoC())
 			}}
-		p, _, _, err := macro3d.RunMacro3D(cfg)
+		p, _, _, err := macro3d.RunFlow(context.Background(), "macro3d", cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -17,7 +17,8 @@
 // compares the row with the one before it (-compare, see compare.go).
 // Without -ledger, -compare takes two of its own summaries — kernel
 // benchmark files such as BENCH_route.json — and judges the second
-// against the first.
+// against the first, or two BENCH_qor.json seed ensembles, which it
+// holds to a paired-seed sign test (see qor.go).
 package main
 
 import (
@@ -149,11 +150,11 @@ func main() {
 	outPath := flag.String("o", "", "write the JSON summary to this file (atomically) instead of stdout")
 	ledgerPath := flag.String("ledger", "", "append a flow-ledger row to this file: stdin carries one bench/run.sh line per workload named as an argument")
 	commit := flag.String("commit", "", "with -ledger: the commit the row was measured at")
-	compare := flag.Bool("compare", false, "with -ledger: compare the row named last with the row named before it (or the row before it in the file), exit 1 when a deterministic gated metric is worse than its bound; without: compare two summary files old.json new.json, exit 1 on a regression that is not noise")
+	compare := flag.Bool("compare", false, "with -ledger: compare the row named last with the row named before it (or the row before it in the file), exit 1 when a deterministic gated metric is worse than its bound; without: compare two summary files old.json new.json, exit 1 on a regression that is not noise, or two BENCH_qor.json files, exit 1 when a metric is worse on nine seeds in ten")
 	manifestPath := flag.String("manifest", "BENCHMARK.json", "with -compare: the benchmark declaration the bounds are read from")
 	flag.Parse()
 	if *compare && *ledgerPath == "" {
-		var old, new summary
+		var old, new benchFile
 		if flag.NArg() != 2 {
 			fmt.Fprintf(os.Stderr, "benchjson: -compare without -ledger takes old.json new.json, got %d arguments\n", flag.NArg())
 			os.Exit(2)
@@ -166,7 +167,19 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(2)
 		}
-		if n := compareKernels(os.Stdout, &old, &new); n > 0 {
+		if old.Seeds != nil || new.Seeds != nil {
+			worse, err := compareQoR(os.Stdout, &old.qorFile, &new.qorFile)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "benchjson:", err)
+				os.Exit(2)
+			}
+			if worse > 0 {
+				fmt.Fprintf(os.Stderr, "benchjson: %d QoR metric(s) worse on at least nine seeds in ten\n", worse)
+				os.Exit(1)
+			}
+			return
+		}
+		if n := compareKernels(os.Stdout, &old.summary, &new.summary); n > 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed beyond noise\n", n)
 			os.Exit(1)
 		}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -284,5 +285,71 @@ func TestCompareKernels(t *testing.T) {
 	out.Reset()
 	if n := compareKernels(&out, old, old); n != 0 || strings.Contains(out.String(), "SLOWER") {
 		t.Fatalf("a file against itself: %d regressions\n%s", n, out.String())
+	}
+}
+
+// qorPair is two one-series BENCH_qor.json files over ten seeds whose
+// fclk moves from old to new; the other metrics tie.
+func qorPair(old, new []float64) (*qorFile, *qorFile) {
+	mk := func(fclk []float64) *qorFile {
+		f := &qorFile{Cells: []qorSeries{{Flow: "2d", Tile: "piton_small", FclkMHz: fclk,
+			WLm: make([]float64, len(fclk)), F2FBumps: make([]float64, len(fclk)), Overflow: make([]float64, len(fclk))}}}
+		for i := range fclk {
+			f.Seeds = append(f.Seeds, uint64(i+1))
+		}
+		return f
+	}
+	return mk(old), mk(new)
+}
+
+// TestQoRSignTest: a metric worse on nine seeds of ten fails the
+// comparison, five better and five worse pass, and ties count neither
+// way — nor in the sign test's p, which is exact and two-sided.
+func TestQoRSignTest(t *testing.T) {
+	base := []float64{700, 701, 702, 703, 704, 705, 706, 707, 708, 709}
+	shift := func(by ...float64) []float64 {
+		out := slices.Clone(base)
+		for i := range out {
+			out[i] += by[i]
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name                string
+		new                 []float64
+		better, worse, tied int
+		fails               bool
+	}{
+		{"9/10 worse", shift(-1, -1, -1, -1, -1, -1, -1, -1, -1, 1), 1, 9, 0, true},
+		{"5/5", shift(1, -1, 1, -1, 1, -1, 1, -1, 1, -1), 5, 5, 0, false},
+		{"9 worse, 1 tied", shift(-1, -1, -1, -1, -1, -1, -1, -1, -1, 0), 0, 9, 1, true},
+		{"8 worse, 2 tied", shift(-1, -1, -1, -1, -1, -1, -1, -1, 0, 0), 0, 8, 2, false},
+		{"identical", base, 0, 0, 10, false},
+	} {
+		old, new := qorPair(base, c.new)
+		var out strings.Builder
+		worse, err := compareQoR(&out, old, new)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("fclk_mhz   better %2d  worse %2d  tied %2d  p %.4f", c.better, c.worse, c.tied, signTest(c.better, c.worse))
+		if (worse > 0) != c.fails || !strings.Contains(out.String(), want) {
+			t.Errorf("%s: %d worse (fails %v), output\n%s\nwant a line with %q", c.name, worse, c.fails, out.String(), want)
+		}
+	}
+	for _, c := range []struct {
+		better, worse int
+		p             float64
+	}{
+		{0, 0, 1}, {5, 5, 1}, {0, 10, 2.0 / 1024}, {1, 9, 2 * 11.0 / 1024}, {0, 8, 2.0 / 256}, {9, 0, 2.0 / 512},
+	} {
+		if p := signTest(c.better, c.worse); math.Abs(p-c.p) > 1e-15 {
+			t.Errorf("signTest(%d, %d) = %v, want %v", c.better, c.worse, p, c.p)
+		}
+	}
+	old, new := qorPair(base, base)
+	new.Seeds[0] = 11
+	if _, err := compareQoR(io.Discard, old, new); err == nil {
+		t.Error("files over different seeds compared")
 	}
 }

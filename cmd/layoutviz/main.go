@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -71,7 +72,7 @@ func run(fig int, config, out string, seed uint64, array int) error {
 	case 4:
 		// Macro floorplans only (no cells): 2D periphery ring and the
 		// MoL macro die.
-		_, st2d, err := macro3d.Run2D(cfg)
+		_, st2d, _, err := macro3d.RunFlow(context.Background(), "2d", cfg)
 		if err != nil {
 			return err
 		}
@@ -81,7 +82,7 @@ func run(fig int, config, out string, seed uint64, array int) error {
 			})); err != nil {
 			return err
 		}
-		_, st3d, _, err := macro3d.RunMacro3D(cfg)
+		_, st3d, _, err := macro3d.RunFlow(context.Background(), "macro3d", cfg)
 		if err != nil {
 			return err
 		}
@@ -92,7 +93,7 @@ func run(fig int, config, out string, seed uint64, array int) error {
 			}))
 
 	case 5:
-		_, st, err := macro3d.Run2D(cfg)
+		_, st, _, err := macro3d.RunFlow(context.Background(), "2d", cfg)
 		if err != nil {
 			return err
 		}
@@ -103,7 +104,7 @@ func run(fig int, config, out string, seed uint64, array int) error {
 			}))
 
 	case 6:
-		_, st, mol, err := macro3d.RunMacro3D(cfg)
+		_, st, mol, err := macro3d.RunFlow(context.Background(), "macro3d", cfg)
 		if err != nil {
 			return err
 		}
@@ -145,7 +146,7 @@ func run(fig int, config, out string, seed uint64, array int) error {
 		if array < 2 {
 			array = 2
 		}
-		rep, err := macro3d.RunHierArray(cfg, macro3d.HardenFlowMacro3D, array, array)
+		rep, err := macro3d.RunHierArray(context.Background(), cfg, macro3d.HardenFlowMacro3D, array, array)
 		if err != nil {
 			return err
 		}

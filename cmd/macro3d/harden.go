@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -69,7 +70,7 @@ func hardenMain(args []string) int {
 		Piton: pc, Seed: *seed, MacroDieMetals: *metals,
 		Workers: *jobs, Cache: cache, Verify: *verify && *array <= 1,
 	}
-	hr, err := macro3d.HardenCtx(ctx, cfg, *flowKind)
+	hr, err := macro3d.Harden(ctx, cfg, *flowKind)
 	if err != nil {
 		printFailure(err)
 		return 1
@@ -128,13 +129,5 @@ func hardenMain(args []string) int {
 func writeAbstractLEF(path string, abs *macro3d.Cell) error {
 	lib := macro3d.NewLibrary(abs.Name + "_lib")
 	lib.Add(abs)
-	f, err := createAtomic(path)
-	if err != nil {
-		return err
-	}
-	if err := macro3d.WriteLEF(f, nil, lib); err != nil {
-		f.Abort()
-		return err
-	}
-	return f.Commit()
+	return writeAtomic(path, func(w io.Writer) error { return macro3d.WriteLEF(w, nil, lib) })
 }

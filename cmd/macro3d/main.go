@@ -4,11 +4,16 @@
 // Usage:
 //
 //	macro3d -flow 2d|macro3d|s2d|bfs2d|c2d [-config small|large] [-seed N]
-//	macro3d -experiment table1|table2|table3|isoperf|flowtrace [-seed N]
+//	macro3d -experiment table1|table2|table3|isoperf|seeds|flowtrace|… [-seed N]
 //	macro3d -experiment table1 -timeout 2m -keep-going
 //	macro3d -experiment table2 -cpuprofile cpu.prof -memprofile mem.prof
 //	macro3d -experiment table1 -cache-dir /tmp/stash   # populate, then re-run to resume
 //	macro3d -flow macro3d -resume                      # cache under .macro3d-stash
+//
+// Experiments choose each flow's tile and stack: -config and
+// -macrodiemetals are usage errors with any but flowtrace. -experiment
+// seeds runs Tables I and II and C2D over ten seeds from -seed and writes
+// their QoR to BENCH_qor.json.
 //
 // -timeout bounds the whole invocation (flows are cancelled at the
 // next stage boundary); -keep-going lets multi-column experiments
@@ -36,6 +41,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -69,13 +75,12 @@ func main() {
 	os.Exit(realMain(os.Args[1:]))
 }
 
-// atomicFile writes to a temporary file next to the destination and
-// renames it into place on Commit, so readers never observe a partial
-// file and a failed run never clobbers a previous good output.
+// atomicFile writes to a temporary file next to the destination that
+// finish renames into place, so readers never observe a partial file and
+// a failed run never clobbers a previous good output.
 type atomicFile struct {
 	*os.File
 	path string
-	done bool
 }
 
 func createAtomic(path string) (*atomicFile, error) {
@@ -86,37 +91,32 @@ func createAtomic(path string) (*atomicFile, error) {
 	return &atomicFile{File: f, path: path}, nil
 }
 
-// Commit syncs, closes and renames the temporary file onto the
-// destination. Any failure removes the temporary file.
-func (a *atomicFile) Commit() error {
-	if a.done {
-		return nil
+// finish commits the file — sync, close, rename onto the destination —
+// when err is nil, and discards it otherwise. It returns err, or the
+// commit's own failure.
+func (a *atomicFile) finish(err error) error {
+	if err == nil {
+		err = a.Sync()
 	}
-	a.done = true
-	err := a.File.Sync()
-	if cerr := a.File.Close(); err == nil {
+	if cerr := a.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(a.Name(), a.path)
+	}
 	if err != nil {
-		os.Remove(a.File.Name())
-		return err
+		os.Remove(a.Name())
 	}
-	if err := os.Rename(a.File.Name(), a.path); err != nil {
-		os.Remove(a.File.Name())
-		return err
-	}
-	return nil
+	return err
 }
 
-// Abort discards the temporary file, leaving any previous destination
-// file untouched.
-func (a *atomicFile) Abort() {
-	if a.done {
-		return
+// writeAtomic writes path through an atomicFile that write fills.
+func writeAtomic(path string, write func(w io.Writer) error) error {
+	f, err := createAtomic(path)
+	if err != nil {
+		return err
 	}
-	a.done = true
-	a.File.Close()
-	os.Remove(a.File.Name())
+	return f.finish(write(f))
 }
 
 // cleanup is one teardown step; errors surface on stderr and force a
@@ -141,16 +141,19 @@ type options struct {
 	cpuProfile, memProfile             string
 	events, obsAddr, metricsOut, trace string
 	obsLinger                          time.Duration
+
+	// set holds the flags given on the command line (flag.FlagSet.Visit).
+	set map[string]bool
 }
 
 // newFlagSet declares the flow/experiment mode's flags over o.
 func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("macro3d", flag.ContinueOnError)
 	fs.StringVar(&o.flow, "flow", "", "run one flow: "+strings.Join(macro3d.FlowNames(), ", "))
-	fs.StringVar(&o.experiment, "experiment", "", "run an experiment: table1, table2, table3, isoperf, flowtrace, sweepblockage, sweeppitch, heterotech")
+	fs.StringVar(&o.experiment, "experiment", "", "run an experiment: "+strings.Join(append(macro3d.ExperimentNames(), "flowtrace"), ", "))
 	fs.StringVar(&o.config, "config", "small", "tile configuration: small, large or tiny")
 	fs.Uint64Var(&o.seed, "seed", 1, "deterministic seed")
-	fs.IntVar(&o.jobs, "j", 0, "worker count of the data-parallel engine phases — the placer's descent passes, route net prep and overflow scan, extraction (0 = every CPU, 1 = one goroutine); the routing pass and the legalization sweep are ordered and always serial; results are bit-identical at any setting")
+	fs.IntVar(&o.jobs, "j", 0, "worker count of the data-parallel engine phases — the placer's descent passes, route net prep and overflow scan (0 = every CPU, 1 = one goroutine); extraction and STA size their own goroutines by GOMAXPROCS, not by -j; the routing pass and the legalization sweep are ordered and always serial; results are bit-identical at any setting")
 	fs.IntVar(&o.metals, "macrodiemetals", 6, "macro-die metal layers (3D flows)")
 	fs.IntVar(&o.array, "array", 0, "after -flow 2d/macro3d: verify an N×N abutted tile array")
 	fs.DurationVar(&o.timeout, "timeout", 0, "cancel the run after this duration (0 = no limit)")
@@ -190,6 +193,13 @@ func (o *options) validate() error {
 	if o.cacheVerify && o.cacheDir == "" && !o.resume {
 		return errors.New("-cache-verify needs -cache-dir or -resume")
 	}
+	if o.experiment != "" && o.experiment != "flowtrace" {
+		for _, name := range []string{"config", "macrodiemetals"} {
+			if o.set[name] {
+				return fmt.Errorf("-%s does not reach -experiment %s: an experiment sets the tile and the stack of each flow it runs", name, o.experiment)
+			}
+		}
+	}
 	return nil
 }
 
@@ -205,6 +215,8 @@ func realMain(args []string) (code int) {
 	if strayArgs(fs) {
 		return 2
 	}
+	o.set = map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
 	if o.flow == "" && o.experiment == "" {
 		fs.Usage()
 		return 2
@@ -242,28 +254,19 @@ func realMain(args []string) (code int) {
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Abort()
-			fmt.Fprintln(os.Stderr, "macro3d: -cpuprofile:", err)
+			fmt.Fprintln(os.Stderr, "macro3d: -cpuprofile:", f.finish(err))
 			return 1
 		}
 		cleanups = append(cleanups, cleanup{"-cpuprofile", func() error {
 			pprof.StopCPUProfile()
-			return f.Commit()
+			return f.finish(nil)
 		}})
 	}
 	if o.memProfile != "" {
 		path := o.memProfile
 		cleanups = append(cleanups, cleanup{"-memprofile", func() error {
-			f, err := createAtomic(path)
-			if err != nil {
-				return err
-			}
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				f.Abort()
-				return err
-			}
-			return f.Commit()
+			return writeAtomic(path, pprof.WriteHeapProfile)
 		}})
 	}
 
@@ -286,25 +289,13 @@ func realMain(args []string) (code int) {
 			// A cleanly flushed stream is committed even when the run
 			// failed (its events are the diagnostics); a flush error
 			// discards the temp file and fails the invocation.
-			if err := rec.Close(); err != nil {
-				f.Abort()
-				return err
-			}
-			return f.Commit()
+			return f.finish(rec.Close())
 		}})
 	}
 	if o.metricsOut != "" {
 		path := o.metricsOut
 		cleanups = append(cleanups, cleanup{"-metrics-out", func() error {
-			f, err := createAtomic(path)
-			if err != nil {
-				return err
-			}
-			if err := rec.Registry().WritePrometheus(f); err != nil {
-				f.Abort()
-				return err
-			}
-			return f.Commit()
+			return writeAtomic(path, rec.Registry().WritePrometheus)
 		}})
 	}
 	if o.trace != "" {
@@ -312,15 +303,7 @@ func realMain(args []string) (code int) {
 		rec.SetTimeline(tracer)
 		path := o.trace
 		cleanups = append(cleanups, cleanup{"-trace", func() error {
-			f, err := createAtomic(path)
-			if err != nil {
-				return err
-			}
-			if err := tracer.WriteChrome(f); err != nil {
-				f.Abort()
-				return err
-			}
-			return f.Commit()
+			return writeAtomic(path, tracer.WriteChrome)
 		}})
 	}
 	var obsSrv *macro3d.ObsServer
@@ -362,7 +345,7 @@ func realMain(args []string) (code int) {
 
 	cfg := macro3d.FlowConfig{Piton: pc, Seed: o.seed, MacroDieMetals: o.metals, Obs: rec, Workers: o.jobs,
 		Cache: cache, CacheVerify: o.cacheVerify}
-	if err := run(ctx, cfg, o.flow, o.experiment, o.array, o.keepGoing); err != nil {
+	if err := run(ctx, cfg, &o); err != nil {
 		printFailure(err)
 		return 1
 	}
@@ -376,9 +359,8 @@ func realMain(args []string) (code int) {
 	return 0
 }
 
-// printCacheSummary renders one run's cache traffic, including the
-// duplicate-put races a shared cache absorbs and the hardened-abstract
-// lookups (a harden hit skips an entire sub-block signoff).
+// printCacheSummary renders one run's cache traffic, duplicate puts and
+// hardened-abstract lookups included.
 func printCacheSummary(cache *macro3d.StageCache) {
 	s := cache.Stats()
 	fmt.Fprintf(os.Stderr, "macro3d: stage cache %s: %d hits, %d misses, %d stored (%d dup), %d evicted, %d errors, %d B read, %d B written\n",
@@ -413,32 +395,27 @@ func printFailure(err error) {
 }
 
 func tileConfig(name string) (macro3d.TileConfig, error) {
-	switch name {
-	case "small":
-		return macro3d.SmallCache(), nil
-	case "large":
-		return macro3d.LargeCache(), nil
-	case "tiny":
-		return macro3d.TinyTile(), nil
+	if tile, ok := map[string]func() macro3d.TileConfig{"small": macro3d.SmallCache, "large": macro3d.LargeCache, "tiny": macro3d.TinyTile}[name]; ok {
+		return tile(), nil
 	}
 	return macro3d.TileConfig{}, fmt.Errorf("unknown config %q (want small, large or tiny)", name)
 }
 
 // run executes the selected flow (then the tile-array check) and the
 // selected experiment under cfg.
-func run(ctx context.Context, cfg macro3d.FlowConfig, flow, experiment string, array int, keepGoing bool) error {
-	if flow != "" {
-		ppa, st, _, err := macro3d.RunFlowCtx(ctx, flow, cfg)
+func run(ctx context.Context, cfg macro3d.FlowConfig, o *options) error {
+	if o.flow != "" {
+		ppa, st, _, err := macro3d.RunFlow(ctx, o.flow, cfg)
 		if err != nil {
 			return err
 		}
 		printPPA(ppa)
-		if array > 1 { // 2d or macro3d: options.validate
+		if o.array > 1 { // 2d or macro3d: options.validate
 			t, err := macro3d.New28(6)
 			if err != nil {
 				return err
 			}
-			rep, err := macro3d.VerifyTileArray(cfg, st, t, array, array)
+			rep, err := macro3d.VerifyTileArray(cfg, st, t, o.array, o.array)
 			if err != nil {
 				return err
 			}
@@ -447,73 +424,25 @@ func run(ctx context.Context, cfg macro3d.FlowConfig, flow, experiment string, a
 				rep.RouteOverflow, rep.Nx*rep.Ny, st.Routes.Overflow)
 		}
 	}
-
-	// Experiments pick their own tiles and stacks per column; the shared
-	// config carries the seed, the hardening knobs and the stage cache.
-	ecfg := cfg
-	ecfg.Piton = macro3d.TileConfig{}
-	ecfg.MacroDieMetals = 0
-
-	// Table experiments return the partial table alongside the error,
-	// so in keep-going mode the surviving columns still print before
-	// the failure diagnostics.
-	printPartial := func(format func() string, err error) error {
-		if err == nil || keepGoing {
-			fmt.Print(format())
-		}
-		return err
-	}
-
-	switch experiment {
+	switch o.experiment {
 	case "":
-	case "table1":
-		t, err := macro3d.RunTableIWith(ctx, ecfg, keepGoing)
-		if err := printPartial(t.Format, err); err != nil {
-			return err
-		}
-	case "table2":
-		tcfg := ecfg
-		tcfg.MacroDieMetals = cfg.MacroDieMetals
-		t, err := macro3d.RunTableIIWith(ctx, tcfg, keepGoing)
-		if err := printPartial(t.Format, err); err != nil {
-			return err
-		}
-	case "table3":
-		t, err := macro3d.RunTableIIIWith(ctx, ecfg, keepGoing)
-		if err := printPartial(t.Format, err); err != nil {
-			return err
-		}
-	case "isoperf":
-		for _, pc := range []macro3d.TileConfig{macro3d.SmallCache(), macro3d.LargeCache()} {
-			icfg := ecfg
-			icfg.Piton = pc
-			r, err := macro3d.RunIsoPerfWith(ctx, icfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(r.Format())
-		}
+		return nil
 	case "flowtrace":
 		return flowTrace(ctx, cfg)
-	case "sweepblockage":
-		sw, err := macro3d.RunBlockageSweepWith(ctx, ecfg, nil, keepGoing)
-		if err := printPartial(sw.Format, err); err != nil {
-			return err
-		}
-	case "sweeppitch":
-		sw, err := macro3d.RunPitchSweepWith(ctx, ecfg, nil, keepGoing)
-		if err := printPartial(sw.Format, err); err != nil {
-			return err
-		}
-	case "heterotech":
-		sw, err := macro3d.RunHeteroTechSweepWith(ctx, ecfg, keepGoing)
-		if err := printPartial(sw.Format, err); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown experiment %q", experiment)
 	}
-	return nil
+	// A failed experiment still returns the cells that completed, so in
+	// keep-going mode they print before the failure diagnostics.
+	res, err := macro3d.RunExperiment(ctx, cfg, o.experiment, o.keepGoing)
+	if res != nil && (err == nil || o.keepGoing) {
+		fmt.Print(res.Text)
+	}
+	if err != nil || res.QoR == nil {
+		return err
+	}
+	return writeAtomic("BENCH_qor.json", func(w io.Writer) error {
+		_, err := w.Write(res.QoR)
+		return err
+	})
 }
 
 func printPPA(p *macro3d.PPA) {
@@ -534,7 +463,7 @@ func printPPA(p *macro3d.PPA) {
 func flowTrace(ctx context.Context, cfg macro3d.FlowConfig) error {
 	fmt.Println("Macro-3D flow trace (paper Fig. 2):")
 	fmt.Println(" step 1: per-die floorplans — macros placed on the macro die")
-	ppa, st, md, err := macro3d.RunMacro3DCtx(ctx, cfg)
+	ppa, st, md, err := macro3d.RunFlow(ctx, "macro3d", cfg)
 	if err != nil {
 		return err
 	}

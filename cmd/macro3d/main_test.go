@@ -49,7 +49,10 @@ func TestFlagSetGolden(t *testing.T) {
 // up front rather than after the flow has run (which used to exit 1
 // minutes later). A stray word ends flag parsing, so it is rejected
 // rather than running with every flag after it dropped; `serve` is no
-// subcommand, so it is one too.
+// subcommand, so it is one too. An experiment sets the tile and the
+// macro-die stack of every flow it runs, so an explicit -config or
+// -macrodiemetals with one — flowtrace aside — is rejected rather than
+// silently ignored.
 func TestUsageErrorsExitBeforeAnyWork(t *testing.T) {
 	for _, args := range [][]string{
 		{"-flow", "2d", "-config", "tiny", "extra", "-seed", "7"},
@@ -63,6 +66,9 @@ func TestUsageErrorsExitBeforeAnyWork(t *testing.T) {
 		{"-flow", "c2d", "-config", "tiny", "-array", "2"},
 		{"-experiment", "table1", "-array", "2"},
 		{"-flow", "2d", "-config", "tiny", "-cache-verify"},
+		{"-experiment", "table1", "-config", "tiny"},
+		{"-experiment", "table2", "-macrodiemetals", "4"},
+		{"-experiment", "seeds", "-config", "small"},
 		{},
 	} {
 		if code := realMain(args); code != 2 {
@@ -79,5 +85,9 @@ func TestUsageErrorsExitBeforeAnyWork(t *testing.T) {
 		if err := (&options{flow: flow, array: 3}).validate(); err != nil {
 			t.Errorf("-flow %s -array 3 rejected: %v", flow, err)
 		}
+	}
+	set := map[string]bool{"config": true, "macrodiemetals": true}
+	if err := (&options{experiment: "flowtrace", set: set}).validate(); err != nil {
+		t.Errorf("-experiment flowtrace -config -macrodiemetals rejected: %v", err)
 	}
 }

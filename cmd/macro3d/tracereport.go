@@ -83,24 +83,14 @@ func traceReportMain(args []string) int {
 			fmt.Fprintf(os.Stderr, "macro3d trace-report: unknown flow %q (want %s)\n", *flow, strings.Join(names, ", "))
 			return 2
 		}
-		if _, _, _, err = macro3d.RunFlowCtx(ctx, *flow, cfg); err != nil {
+		if _, _, _, err = macro3d.RunFlow(ctx, *flow, cfg); err != nil {
 			printFailure(err)
 			return 1
 		}
 		fmt.Fprintf(os.Stderr, "macro3d trace-report: %s/%s completed in %v\n",
 			*flow, *config, time.Since(start).Round(time.Millisecond))
 		if *out != "" {
-			f, err := createAtomic(*out)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "macro3d trace-report: -out:", err)
-				return 1
-			}
-			if err := tr.WriteChrome(f); err != nil {
-				f.Abort()
-				fmt.Fprintln(os.Stderr, "macro3d trace-report: -out:", err)
-				return 1
-			}
-			if err := f.Commit(); err != nil {
+			if err := writeAtomic(*out, tr.WriteChrome); err != nil {
 				fmt.Fprintln(os.Stderr, "macro3d trace-report: -out:", err)
 				return 1
 			}

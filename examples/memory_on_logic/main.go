@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -28,14 +29,14 @@ func main() {
 	cfg := macro3d.FlowConfig{Piton: pc, Seed: *seed}
 
 	fmt.Printf("=== %s: baseline 2D flow (macros ring the periphery) ===\n", pc.Name)
-	p2d, _, err := macro3d.Run2D(cfg)
+	p2d, _, _, err := macro3d.RunFlow(context.Background(), "2d", cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(p2d)
 
 	fmt.Printf("\n=== %s: Macro-3D flow (single-pass true 3D P&R) ===\n", pc.Name)
-	p3d, st, mol, err := macro3d.RunMacro3D(cfg)
+	p3d, st, mol, err := macro3d.RunFlow(context.Background(), "macro3d", cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -29,7 +30,7 @@ func main() {
 
 	run := func(metals int) *macro3d.PPA {
 		cfg := macro3d.FlowConfig{Piton: pc, Seed: *seed, MacroDieMetals: metals}
-		p, _, _, err := macro3d.RunMacro3D(cfg)
+		p, _, _, err := macro3d.RunFlow(context.Background(), "macro3d", cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

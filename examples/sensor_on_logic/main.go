@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 
 	// Baseline: everything on one die.
 	cfg := macro3d.FlowConfig{Generator: gen, Seed: 7}
-	p2d, _, err := macro3d.Run2D(cfg)
+	p2d, _, _, err := macro3d.RunFlow(context.Background(), "2d", cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func main() {
 	// Macro-3D with a heterogeneous stack: the sensor die needs only
 	// four metals (its macros route on M1–M3), cutting mask cost.
 	cfg.MacroDieMetals = 4
-	p3d, _, mol, err := macro3d.RunMacro3D(cfg)
+	p3d, _, mol, err := macro3d.RunFlow(context.Background(), "macro3d", cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

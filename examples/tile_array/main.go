@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -58,7 +59,7 @@ func main() {
 	if *mode == "flat" || *mode == "both" {
 		fmt.Println("flat: signing off one tile with Macro-3D…")
 		start := time.Now()
-		ppa, st, mol, err := macro3d.RunMacro3D(cfg)
+		ppa, st, mol, err := macro3d.RunFlow(context.Background(), "macro3d", cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func main() {
 		fmt.Println("hier: hardening the tile into a first-class abstract…")
 		start := time.Now()
 		cfg.Verify = true
-		rep, err := macro3d.RunHierArray(cfg, macro3d.HardenFlowMacro3D, *n, *n)
+		rep, err := macro3d.RunHierArray(context.Background(), cfg, macro3d.HardenFlowMacro3D, *n, *n)
 		if err != nil {
 			log.Fatal(err)
 		}

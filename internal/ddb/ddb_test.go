@@ -288,7 +288,7 @@ func TestRollbackAllocsIndependentOfDesignSize(t *testing.T) {
 			txn := db.Begin()
 			sink := txn.RemoveSinkAt(n, 0)
 			inst := txn.AddInstance("ecobuf", buf)
-			loc, ok := txn.Alloc(buf.Width, geom.Pt(25, 12))
+			loc, ok := txn.Alloc(netlist.LogicDie, buf.Width, geom.Pt(25, 12))
 			if !ok {
 				t.Fatal("no free space for the buffer")
 			}

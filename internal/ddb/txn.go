@@ -182,14 +182,14 @@ func (t *Txn) SetLoc(inst *netlist.Instance, p geom.Point) {
 	t.dirtyInsts.add(inst.ID)
 }
 
-// Alloc claims legal free space for a cell of width w centred near
-// target and returns its lower-left corner; ok is false when nothing
-// fits or the database tracks no free space.
-func (t *Txn) Alloc(w float64, target geom.Point) (geom.Point, bool) {
+// Alloc claims legal free space on a die for a cell of width w centred
+// near target and returns its lower-left corner; ok is false when
+// nothing fits or the database tracks no free space.
+func (t *Txn) Alloc(die netlist.Die, w float64, target geom.Point) (geom.Point, bool) {
 	if t.db.Free == nil {
 		return geom.Point{}, false
 	}
-	return t.db.Free.Alloc(&t.db.freeUndo, w, target)
+	return t.db.Free.Alloc(&t.db.freeUndo, die, w, target)
 }
 
 // Upsize swaps in a master of the instance's family and, when the
@@ -201,16 +201,16 @@ func (t *Txn) Upsize(inst *netlist.Instance, to *cell.Cell) error {
 	if fs == nil || to.Width <= inst.Master.Width+1e-9 {
 		return t.Resize(inst, to)
 	}
-	oldB := inst.Bounds()
-	fs.Release(u, oldB)
-	loc, ok := fs.Alloc(u, to.Width, inst.Center())
+	oldB, die := inst.Bounds(), inst.Die
+	fs.Release(u, die, oldB)
+	loc, ok := fs.Alloc(u, die, to.Width, inst.Center())
 	if !ok {
-		fs.Occupy(u, oldB)
+		fs.Occupy(u, die, oldB)
 		return fmt.Errorf("ddb: no legal space to upsize %s to %s", inst.Name, to.Name)
 	}
 	if err := t.Resize(inst, to); err != nil {
-		fs.Release(u, geom.RectWH(loc, to.Width, to.Height))
-		fs.Occupy(u, oldB)
+		fs.Release(u, die, geom.RectWH(loc, to.Width, to.Height))
+		fs.Occupy(u, die, oldB)
 		return err
 	}
 	t.SetLoc(inst, loc)

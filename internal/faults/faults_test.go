@@ -56,32 +56,25 @@ func assertFaultTrail(t *testing.T, events, class, stage string) {
 	}
 }
 
+// runNamed runs a flow by name and hands back its State.
+func runNamed(name string) func(context.Context, flows.Config) (*flows.State, error) {
+	return func(ctx context.Context, cfg flows.Config) (*flows.State, error) {
+		_, st, _, err := flows.Run(ctx, name, cfg)
+		return st, err
+	}
+}
+
 // flowVariants drives each of the flows the paper compares through a
 // uniform signature for the injection matrix.
 var flowVariants = []struct {
 	name string
 	run  func(ctx context.Context, cfg flows.Config) (*flows.State, error)
 }{
-	{"2D", func(ctx context.Context, cfg flows.Config) (*flows.State, error) {
-		_, st, err := flows.Run2DCtx(ctx, cfg)
-		return st, err
-	}},
-	{"Macro-3D", func(ctx context.Context, cfg flows.Config) (*flows.State, error) {
-		_, st, _, err := flows.RunMacro3DCtx(ctx, cfg)
-		return st, err
-	}},
-	{"S2D", func(ctx context.Context, cfg flows.Config) (*flows.State, error) {
-		_, st, err := flows.RunS2DCtx(ctx, cfg, false)
-		return st, err
-	}},
-	{"BF S2D", func(ctx context.Context, cfg flows.Config) (*flows.State, error) {
-		_, st, err := flows.RunS2DCtx(ctx, cfg, true)
-		return st, err
-	}},
-	{"C2D", func(ctx context.Context, cfg flows.Config) (*flows.State, error) {
-		_, st, err := flows.RunC2DCtx(ctx, cfg)
-		return st, err
-	}},
+	{"2D", runNamed("2d")},
+	{"Macro-3D", runNamed("macro3d")},
+	{"S2D", runNamed("s2d")},
+	{"BF S2D", runNamed("bfs2d")},
+	{"C2D", runNamed("c2d")},
 }
 
 // TestCleanFlowsPassVerify is the control arm: with no corruption
@@ -268,7 +261,7 @@ func TestPanicHookContained(t *testing.T) {
 			panic("injected panic after place")
 		}
 	}
-	_, _, err := flows.Run2DCtx(context.Background(), cfg)
+	_, _, _, err := flows.Run(context.Background(), "2d", cfg)
 	if err == nil {
 		t.Fatal("injected panic produced no error")
 	}

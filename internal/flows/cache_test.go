@@ -17,25 +17,10 @@ func tinyCacheCfg() Config {
 	return Config{Piton: piton.Tiny(), Seed: 7}
 }
 
-// runFlow normalizes the four flow entry points to (PPA, error).
+// runFlow runs the named flow and returns its PPA.
 func runFlow(t *testing.T, flow string, cfg Config) *PPA {
 	t.Helper()
-	var ppa *PPA
-	var err error
-	switch flow {
-	case "2d":
-		ppa, _, err = Run2DCtx(context.Background(), cfg)
-	case "macro3d":
-		ppa, _, _, err = RunMacro3DCtx(context.Background(), cfg)
-	case "s2d":
-		ppa, _, err = RunS2DCtx(context.Background(), cfg, false)
-	case "bfs2d":
-		ppa, _, err = RunS2DCtx(context.Background(), cfg, true)
-	case "c2d":
-		ppa, _, err = RunC2DCtx(context.Background(), cfg)
-	default:
-		t.Fatalf("unknown flow %q", flow)
-	}
+	ppa, _, _, err := Run(context.Background(), flow, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", flow, err)
 	}

@@ -128,7 +128,7 @@ func TestResultCodecRoundTrip(t *testing.T) {
 		check(t, randomResult(seed, int(seed*seed)%300))
 	}
 	t.Run("tile", func(t *testing.T) {
-		_, st, err := Run2DCtx(context.Background(), tinyCacheCfg())
+		_, st, _, err := Run(context.Background(), "2d", tinyCacheCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func TestUnaddressableGridFailsFlow(t *testing.T) {
 			st.Die.Ux = st.Die.Lx + 15*float64(route.MaxGridDim+1)
 		}
 	}
-	_, st, err := Run2DCtx(context.Background(), cfg)
+	_, st, _, err := Run(context.Background(), "2d", cfg)
 	var se *StageError
 	if !errors.As(err, &se) || se.Stage != StageRoute || se.Stack != nil {
 		t.Fatalf("want a clean route-stage error, got %v", err)

@@ -142,53 +142,29 @@ func Run(ctx context.Context, name string, cfg Config) (*PPA, *State, *core.MoLD
 	return nil, nil, nil, fmt.Errorf("flows: unknown flow %q (want %s)", name, strings.Join(Names(), ", "))
 }
 
-// Run2D executes the baseline single-die flow: periphery macro ring,
-// six metal layers, full timing optimization against true parasitics.
-func Run2D(cfg Config) (*PPA, *State, error) { return Run2DCtx(context.Background(), cfg) }
+// The plain forms of four flows, which the flow ledger (bench/) calls;
+// everything else runs a flow by name through Run.
 
-// Run2DCtx is Run2D with run cancellation.
-func Run2DCtx(ctx context.Context, cfg Config) (*PPA, *State, error) {
-	ppa, st, _, err := Run(ctx, "2d", cfg)
-	return ppa, st, err
-}
+// Run2D runs the baseline single-die flow.
+func Run2D(cfg Config) (*PPA, *State, error) { return runPlain("2d", cfg) }
 
-// RunMacro3D executes the paper's flow (§IV): macro-die floorplan,
-// combined BEOL, single-pass 2D P&R that is directly the final 3D
-// result, and die separation.
+// RunMacro3D runs the paper's flow.
 func RunMacro3D(cfg Config) (*PPA, *State, *core.MoLDesign, error) {
-	return RunMacro3DCtx(context.Background(), cfg)
+	return Run(context.Background(), "macro3d", cfg)
 }
 
-// RunMacro3DCtx is RunMacro3D with run cancellation.
-func RunMacro3DCtx(ctx context.Context, cfg Config) (*PPA, *State, *core.MoLDesign, error) {
-	return Run(ctx, "macro3d", cfg)
-}
-
-// RunS2D executes the Shrunk-2D baseline [5]: half-area cells are placed
-// and sized in the 3D footprint against partial macro blockages, then
-// transferred to the real design, tier-partitioned and rerouted on the
-// true stack with optimization frozen. balanced selects BF S2D.
+// RunS2D runs the Shrunk-2D baseline; balanced selects BF S2D.
 func RunS2D(cfg Config, balanced bool) (*PPA, *State, error) {
-	return RunS2DCtx(context.Background(), cfg, balanced)
-}
-
-// RunS2DCtx is RunS2D with run cancellation.
-func RunS2DCtx(ctx context.Context, cfg Config, balanced bool) (*PPA, *State, error) {
-	name := "s2d"
 	if balanced {
-		name = "bfs2d"
+		return runPlain("bfs2d", cfg)
 	}
-	ppa, st, _, err := Run(ctx, name, cfg)
-	return ppa, st, err
+	return runPlain("s2d", cfg)
 }
 
-// RunC2D executes the Compact-2D baseline [6]: full-size cells in a 2×
-// footprint with per-unit parasitics scaled by 1/√2, mapped back into the
-// 3D footprint, tier-partitioned and rerouted with a limited touch-up.
-func RunC2D(cfg Config) (*PPA, *State, error) { return RunC2DCtx(context.Background(), cfg) }
+// RunC2D runs the Compact-2D baseline.
+func RunC2D(cfg Config) (*PPA, *State, error) { return runPlain("c2d", cfg) }
 
-// RunC2DCtx is RunC2D with run cancellation.
-func RunC2DCtx(ctx context.Context, cfg Config) (*PPA, *State, error) {
-	ppa, st, _, err := Run(ctx, "c2d", cfg)
+func runPlain(name string, cfg Config) (*PPA, *State, error) {
+	ppa, st, _, err := Run(context.Background(), name, cfg)
 	return ppa, st, err
 }

@@ -15,10 +15,8 @@ func TestRun2DSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full flow in -short mode")
 	}
-	ppa, st, err := Run2D(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _ := runSmall(t, "2d")
+	ppa, st := f.ppa, f.st
 	t.Log(ppa)
 	if ppa.Flow != "2D" || ppa.Dies != 1 {
 		t.Fatalf("flow identity wrong: %+v", ppa)
@@ -46,10 +44,8 @@ func TestRunMacro3DSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full flow in -short mode")
 	}
-	ppa, st, md, err := RunMacro3D(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _ := runSmall(t, "macro3d")
+	ppa, st, md := f.ppa, f.st, f.md
 	t.Log(ppa)
 	if ppa.Dies != 2 {
 		t.Fatal("Macro-3D must report two dies")
@@ -69,14 +65,9 @@ func TestMacro3DBeats2D(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full flows in -short mode")
 	}
-	p2d, _, err := Run2D(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p3d, _, _, err := RunMacro3D(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f2d, _ := runSmall(t, "2d")
+	f3d, _ := runSmall(t, "macro3d")
+	p2d, p3d := f2d.ppa, f3d.ppa
 	t.Logf("2D:       %v", p2d)
 	t.Logf("Macro-3D: %v", p3d)
 	// The paper's headline: Macro-3D outperforms 2D (+20.5 % small

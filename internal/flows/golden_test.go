@@ -11,6 +11,14 @@ import (
 	"macro3d/internal/tech"
 )
 
+// runNamed runs a flow by name and hands back its State.
+func runNamed(name string) func(context.Context, Config) (*State, error) {
+	return func(ctx context.Context, cfg Config) (*State, error) {
+		_, st, _, err := Run(ctx, name, cfg)
+		return st, err
+	}
+}
+
 // goldenStages is the contract of a flow's stage list: every record of
 // State.Trace.Stages on the tiny tile with Verify on, cold (nothing
 // cached) and warm (every checkpoint a hit). A record renders as its
@@ -27,45 +35,30 @@ var goldenStages = []struct {
 	cold, warm string
 }{
 	{"2D", "-flow 2d",
-		func(ctx context.Context, cfg Config) (*State, error) {
-			_, st, err := Run2DCtx(ctx, cfg)
-			return st, err
-		},
+		runNamed("2d"),
 		"generate floorplan place cts route extract opt sta power verify",
 		"generate floorplan place* cts route* signoff* sta power verify",
 	},
 	{"Macro-3D", "-flow macro3d",
-		func(ctx context.Context, cfg Config) (*State, error) {
-			_, st, _, err := RunMacro3DCtx(ctx, cfg)
-			return st, err
-		},
+		runNamed("macro3d"),
 		"generate floorplan prepare place cts route extract opt sta power separate verify",
 		"generate floorplan prepare place* cts route* signoff* sta power separate verify",
 	},
 	{"S2D", "-flow s2d",
-		func(ctx context.Context, cfg Config) (*State, error) {
-			_, st, err := RunS2DCtx(ctx, cfg, false)
-			return st, err
-		},
+		runNamed("s2d"),
 		goldenPseudoCold, goldenPseudoWarm,
 	},
 	{"BF S2D", "-flow bfs2d",
-		func(ctx context.Context, cfg Config) (*State, error) {
-			_, st, err := RunS2DCtx(ctx, cfg, true)
-			return st, err
-		},
+		runNamed("bfs2d"),
 		goldenPseudoCold, goldenPseudoWarm,
 	},
 	{"C2D", "-flow c2d",
-		func(ctx context.Context, cfg Config) (*State, error) {
-			_, st, err := RunC2DCtx(ctx, cfg)
-			return st, err
-		},
+		runNamed("c2d"),
 		goldenPseudoCold, goldenPseudoWarm,
 	},
 	{"array", "-flow macro3d -array N",
 		func(ctx context.Context, cfg Config) (*State, error) {
-			_, tile, _, err := RunMacro3DCtx(ctx, cfg)
+			_, tile, _, err := Run(ctx, "macro3d", cfg)
 			if err != nil {
 				return nil, err
 			}

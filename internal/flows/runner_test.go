@@ -81,7 +81,7 @@ func TestWorkerPanicContained(t *testing.T) {
 func TestCancelledContextStopsAtStageBoundary(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, st, err := Run2DCtx(ctx, Config{Piton: piton.Tiny(), Seed: 1})
+	_, st, _, err := Run(ctx, "2d", Config{Piton: piton.Tiny(), Seed: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -106,7 +106,7 @@ func TestCancelMidFlowReturnsWithinOneStage(t *testing.T) {
 			cancel()
 		}
 	}
-	_, st, err := Run2DCtx(ctx, cfg)
+	_, st, _, err := Run(ctx, "2d", cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

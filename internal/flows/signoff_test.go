@@ -2,7 +2,7 @@ package flows
 
 import (
 	"context"
-	"math"
+	"sync"
 	"testing"
 
 	"macro3d/internal/piton"
@@ -38,6 +38,35 @@ func runFlowInside(t *testing.T, key string, cfg Config) (f *flow, pending bool)
 	return nil, false
 }
 
+// smallRuns holds each flow's run on the small tile at seed 1
+// (smallCfg), which several tests read and none writes, so the package
+// runs each once.
+var smallRuns struct {
+	sync.Mutex
+	m map[string]smallRun
+}
+
+type smallRun struct {
+	f       *flow
+	pending bool
+}
+
+// runSmall is runFlowInside on smallCfg, run once per flow.
+func runSmall(t *testing.T, key string) (f *flow, pending bool) {
+	t.Helper()
+	smallRuns.Lock()
+	defer smallRuns.Unlock()
+	r, ok := smallRuns.m[key]
+	if !ok {
+		r.f, r.pending = runFlowInside(t, key, smallCfg())
+		if smallRuns.m == nil {
+			smallRuns.m = map[string]smallRun{}
+		}
+		smallRuns.m[key] = r
+	}
+	return r.f, r.pending
+}
+
 // TestHoldOnOptimizerEngine: for every flow on both tiles (the small one
 // alone under -race, the tiny one alone under -short), hold sign-off on
 // the engine the optimizer ran on equals a from-scratch Analyze with
@@ -56,7 +85,13 @@ func TestHoldOnOptimizerEngine(t *testing.T) {
 	pending := 0
 	for _, pc := range configs {
 		for _, key := range Names() {
-			f, p := runFlowInside(t, key, Config{Piton: pc, Seed: 1})
+			var f *flow
+			var p bool
+			if pc == smallCfg().Piton {
+				f, p = runSmall(t, key)
+			} else {
+				f, p = runFlowInside(t, key, Config{Piton: pc, Seed: 1})
+			}
 			if p {
 				pending++
 			}
@@ -92,41 +127,5 @@ func TestHoldOnOptimizerEngine(t *testing.T) {
 	t.Logf("%d of %d runs reached hold sign-off with a rolled-back iteration pending", pending, len(configs)*len(Names()))
 	if pending == 0 {
 		t.Error("no run reached hold sign-off with a rolled-back iteration pending")
-	}
-}
-
-// TestTableIShapeAcrossSeeds: the Table I ordering MoL-S2D < BF-S2D < 2D
-// < Macro-3D in fclk holds on the small tile at every one of seeds 1–3
-// and on their geomean — the cheap tier of the seed ensemble.
-func TestTableIShapeAcrossSeeds(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("twelve small-tile flows")
-	}
-	order := []string{"s2d", "bfs2d", "2d", "macro3d"}
-	logSum := make([]float64, len(order))
-	const seeds = 3
-	for seed := uint64(1); seed <= seeds; seed++ {
-		fclk := make([]float64, len(order))
-		for i, key := range order {
-			ppa, _, _, err := Run(context.Background(), key, Config{Piton: piton.SmallCache(), Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fclk[i] = ppa.FclkMHz
-			logSum[i] += math.Log(ppa.FclkMHz)
-		}
-		t.Logf("seed %d: %s %.0f < %s %.0f < %s %.0f < %s %.0f MHz", seed,
-			order[0], fclk[0], order[1], fclk[1], order[2], fclk[2], order[3], fclk[3])
-		for i := 1; i < len(order); i++ {
-			if !(fclk[i-1] < fclk[i]) {
-				t.Errorf("seed %d: %s %.1f MHz is not below %s %.1f MHz", seed, order[i-1], fclk[i-1], order[i], fclk[i])
-			}
-		}
-	}
-	for i := 1; i < len(order); i++ {
-		if !(logSum[i-1] < logSum[i]) {
-			t.Errorf("geomean over %d seeds: %s %.1f MHz is not below %s %.1f MHz", seeds,
-				order[i-1], math.Exp(logSum[i-1]/seeds), order[i], math.Exp(logSum[i]/seeds))
-		}
 	}
 }

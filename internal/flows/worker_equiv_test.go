@@ -1,6 +1,7 @@
 package flows
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -12,7 +13,9 @@ import (
 // paths in route and place), Workers 4 (a forced four-way fan-out) and
 // Workers 0 (all CPUs) must produce an identical PPA — every field,
 // compared exactly, no tolerance. GOMAXPROCS is raised so Workers=0
-// genuinely fans out even on single-CPU CI machines.
+// genuinely fans out even on single-CPU CI machines; on the small tile
+// the Workers 0 run is the one the package's other tests share
+// (runSmall), made at the test binary's own GOMAXPROCS.
 //
 // `make check` also runs this package under -race, which turns the
 // test into a data-race audit of the router's and the placer's
@@ -37,25 +40,25 @@ func TestWorkerEquivalence(t *testing.T) {
 		workerSets = []int{1, 4}
 	}
 
-	type flowFn struct {
-		name string
-		run  func(Config) (*PPA, error)
-	}
-	fns := []flowFn{
-		{"2d", func(c Config) (*PPA, error) { p, _, err := Run2D(c); return p, err }},
-		{"macro3d", func(c Config) (*PPA, error) { p, _, _, err := RunMacro3D(c); return p, err }},
-		{"s2d", func(c Config) (*PPA, error) { p, _, err := RunS2D(c, false); return p, err }},
-		{"bf-s2d", func(c Config) (*PPA, error) { p, _, err := RunS2D(c, true); return p, err }},
-		{"c2d", func(c Config) (*PPA, error) { p, _, err := RunC2D(c); return p, err }},
+	fns := []struct{ name, key string }{
+		{"2d", "2d"}, {"macro3d", "macro3d"}, {"s2d", "s2d"}, {"bf-s2d", "bfs2d"}, {"c2d", "c2d"},
 	}
 	for _, cc := range cfgs {
 		for _, f := range fns {
 			t.Run(cc.name+"/"+f.name, func(t *testing.T) {
 				var ref *PPA
 				for _, w := range workerSets {
-					got, err := f.run(Config{Piton: cc.pc, Seed: 1, Workers: w})
-					if err != nil {
-						t.Fatalf("workers=%d: %v", w, err)
+					var got *PPA
+					if cc.pc == smallCfg().Piton && w == 0 {
+						// The small tile's default-workers run is the one
+						// the package's other tests share.
+						sf, _ := runSmall(t, f.key)
+						got = sf.ppa
+					} else {
+						var err error
+						if got, _, _, err = Run(context.Background(), f.key, Config{Piton: cc.pc, Seed: 1, Workers: w}); err != nil {
+							t.Fatalf("workers=%d: %v", w, err)
+						}
 					}
 					if ref == nil {
 						ref = got // workers=1: the serial reference

@@ -691,8 +691,7 @@ func insertBufferChain(ctx *Context, n *netlist.Net, si int, opt Options, seq *i
 		frac := float64(j+1) / float64(k+1)
 		loc := a.Add(b.Sub(a).Scale(frac))
 		inst := ctx.txn.AddInstance(ctx.name("optbuf", len(d.Instances), *seq), buf)
-		inst.Loc = ecoPlace(ctx, loc, buf)
-		inst.Placed = true
+		ecoPlace(ctx, inst, n.Driver, loc)
 		// Attach the buffer input to the previous stage.
 		ctx.txn.AppendSink(prevNet, netlist.IPin(inst, "A"))
 		prevNet = ctx.txn.AddNet(ctx.name("optnet", len(d.Nets), *seq), netlist.IPin(inst, "Y"))
@@ -777,8 +776,7 @@ func insertFanoutBuffer(ctx *Context, n *netlist.Net, opt Options, seq *int) err
 			loc = drv
 		}
 		inst := ctx.txn.AddInstance(ctx.name("optfbuf", len(d.Instances), *seq), buf)
-		inst.Loc = ecoPlace(ctx, geom.Pt(loc.X-buf.Width/2, loc.Y-buf.Height/2), buf)
-		inst.Placed = true
+		ecoPlace(ctx, inst, n.Driver, geom.Pt(loc.X-buf.Width/2, loc.Y-buf.Height/2))
 		drvSinks = append(drvSinks, netlist.IPin(inst, "A"))
 		ctx.txn.AddNet(ctx.name("optfnet", len(d.Nets), *seq), netlist.IPin(inst, "Y"), cl...)
 	}
@@ -795,20 +793,24 @@ func insertFanoutBuffer(ctx *Context, n *netlist.Net, opt Options, seq *int) err
 	return nil
 }
 
-// ecoPlace claims legal free space near the desired lower-left corner
-// for an inserted buffer; without a FreeSpace (unit tests) it falls
-// back to die clamping.
-func ecoPlace(ctx *Context, ll geom.Point, buf *cell.Cell) geom.Point {
+// ecoPlace places an inserted buffer on its driver's die — a standard
+// cell's, the logic die when a macro or a port drives it — claiming
+// legal free space there near the desired lower-left corner; without a
+// FreeSpace (unit tests) it falls back to die clamping.
+func ecoPlace(ctx *Context, inst *netlist.Instance, drv netlist.PinRef, ll geom.Point) {
+	inst.Die, inst.Placed = netlist.LogicDie, true
+	if d := drv.Inst; d != nil && !d.IsMacro() {
+		inst.Die = d.Die
+	}
+	w, h := inst.Master.Width, inst.Master.Height
 	if ctx.DDB.Free != nil {
-		if loc, ok := ctx.txn.Alloc(buf.Width, geom.Pt(ll.X+buf.Width/2, ll.Y+buf.Height/2)); ok {
-			return loc
+		if loc, ok := ctx.txn.Alloc(inst.Die, w, geom.Pt(ll.X+w/2, ll.Y+h/2)); ok {
+			inst.Loc = loc
+			return
 		}
 	}
 	die := ctx.DB.Grid.Region
-	return geom.Pt(
-		geom.Clamp(ll.X, die.Lx, die.Ux-buf.Width),
-		geom.Clamp(ll.Y, die.Ly, die.Uy-buf.Height),
-	)
+	inst.Loc = geom.Pt(geom.Clamp(ll.X, die.Lx, die.Ux-w), geom.Clamp(ll.Y, die.Ly, die.Uy-h))
 }
 
 // clusterSinks splits sinks into k spatial clusters by recursive

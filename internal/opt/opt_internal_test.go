@@ -226,7 +226,9 @@ func TestEcoPlaceFallbackClamp(t *testing.T) {
 	// Without a FreeSpace, ecoPlace clamps into the die.
 	ctx, _ := buildCtx(t, 2, 100)
 	buf := ctx.Design.Lib.MustCell("BUF_X16")
-	p := ecoPlace(ctx, geom.Pt(-50, 1e6), buf)
+	inst := ctx.Design.AddInstance("eco", buf)
+	ecoPlace(ctx, inst, netlist.PinRef{}, geom.Pt(-50, 1e6))
+	p := inst.Loc
 	die := ctx.DB.Grid.Region
 	if p.X < die.Lx || p.Y+buf.Height > die.Uy {
 		t.Fatalf("clamp failed: %v", p)

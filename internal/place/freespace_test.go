@@ -18,13 +18,13 @@ import (
 // building a new list. It shares nothing with rowMap but the segment
 // geometry it is handed and the bestFit scan.
 type freeOracle struct {
-	fs   *FreeSpace // geometry only: segmentOf, fit's row walk
+	m    *rowMap // geometry only: segmentOf, fit's row walk
 	free [][]iv
 }
 
-func newFreeOracle(fs *FreeSpace) *freeOracle {
-	o := &freeOracle{fs: fs, free: make([][]iv, len(fs.segs))}
-	for i, s := range fs.segs {
+func newFreeOracle(m *rowMap) *freeOracle {
+	o := &freeOracle{m: m, free: make([][]iv, len(m.segs))}
+	for i, s := range m.segs {
 		o.free[i] = []iv{{s.x0, s.x1}}
 	}
 	return o
@@ -74,7 +74,7 @@ func (o *freeOracle) release(i int, x, w float64) {
 // alloc is FreeSpace.Alloc over the oracle's lists: every segment of
 // every row, no early exit.
 func (o *freeOracle) alloc(w float64, target geom.Point) (int, float64, bool) {
-	fs := o.fs
+	fs := o.m
 	wantX, targetRow := target.X-w/2, fs.rowOf(target.Y-fs.rowHeight/2)
 	best, bestX, bestCost := -1, 0.0, 0.0
 	// Rows in the order fit visits them: the target row, then each ring
@@ -103,9 +103,9 @@ func (o *freeOracle) alloc(w float64, target geom.Point) (int, float64, bool) {
 	return best, bestX, best >= 0
 }
 
-func (o *freeOracle) equal(fs *FreeSpace) bool {
-	for i := range fs.segs {
-		if !slices.Equal(fs.segs[i].free, o.free[i]) {
+func (o *freeOracle) equal(m *rowMap) bool {
+	for i := range m.segs {
+		if !slices.Equal(m.segs[i].free, o.free[i]) {
 			return false
 		}
 	}
@@ -152,12 +152,13 @@ func TestFreeSpaceMatchesModel(t *testing.T) {
 		}
 
 		fs := NewFreeSpace(d, fp, rowH)
-		o := newFreeOracle(fs)
+		m := &fs.dies[netlist.LogicDie]
+		o := newFreeOracle(m)
 		var u Undo
 		var placed []*netlist.Instance
 		check := func(when string) {
 			t.Helper()
-			if !o.equal(fs) {
+			if !o.equal(m) {
 				t.Fatalf("seed %d, %s: the map's lists differ from the oracle's", seed, when)
 			}
 		}
@@ -177,8 +178,8 @@ func TestFreeSpaceMatchesModel(t *testing.T) {
 						continue
 					}
 					r := inst.Bounds()
-					fs.Release(&u, r)
-					o.release(fs.segmentOf(r), r.Lx, r.W())
+					fs.Release(&u, netlist.LogicDie, r)
+					o.release(m.segmentOf(r), r.Lx, r.W())
 					undo = append(undo, move{inst, true})
 					inst.Placed = false
 				case op == 1 && len(placed) > 0: // claim it back where it was
@@ -187,27 +188,27 @@ func TestFreeSpaceMatchesModel(t *testing.T) {
 						continue
 					}
 					r := inst.Bounds()
-					i := fs.segmentOf(r)
+					i := m.segmentOf(r)
 					if !o.occupy(i, r.Lx, r.W()) {
 						continue // something was allocated there meanwhile
 					}
-					fs.Occupy(&u, r)
+					fs.Occupy(&u, netlist.LogicDie, r)
 					undo = append(undo, move{inst, false})
 					inst.Placed = true
 				default: // a new cell near a random target
-					m := masters[rng.Intn(len(masters))]
 					target := geom.Pt(float64(rng.Intn(60*16))/16, rng.Range(0, 12*rowH))
-					loc, ok := fs.Alloc(&u, m.Width, target)
-					i, x, ook := o.alloc(m.Width, target)
-					if ok != ook || ok && (loc.X != x || loc.Y != fs.segs[i].y) {
+					mc := masters[rng.Intn(len(masters))]
+					loc, ok := fs.Alloc(&u, netlist.LogicDie, mc.Width, target)
+					i, x, ook := o.alloc(mc.Width, target)
+					if ok != ook || ok && (loc.X != x || loc.Y != m.segs[i].y) {
 						t.Fatalf("seed %d bundle %d: Alloc(%v, %v) = %v %v, oracle segment %d x %v %v",
-							seed, bundle, m.Width, target, loc, ok, i, x, ook)
+							seed, bundle, mc.Width, target, loc, ok, i, x, ook)
 					}
 					if !ok {
 						continue
 					}
-					o.occupy(i, x, m.Width)
-					inst := d.AddInstance("c"+itoa(len(d.Instances)), m)
+					o.occupy(i, x, mc.Width)
+					inst := d.AddInstance("c"+itoa(len(d.Instances)), mc)
 					inst.Loc, inst.Placed = loc, true
 					placed = append(placed, inst)
 					moves++
@@ -237,8 +238,8 @@ func TestFreeSpaceMatchesModel(t *testing.T) {
 			}
 		}
 		grown := 0
-		for i := range fs.segs {
-			if len(fs.segs[i].free) > 1+ecoRoom {
+		for i := range m.segs {
+			if len(m.segs[i].free) > 1+ecoRoom {
 				grown++
 			}
 		}
@@ -267,15 +268,56 @@ func TestOccupyRefusals(t *testing.T) {
 	// b's uncovered half is still marked free: the hole the next Alloc
 	// would hand out.
 	want := []iv{{0, 10}, {10 + m.Width, 50}}
-	if got := fs.segs[0].free; !slices.Equal(got, want) {
+	logic := &fs.dies[netlist.LogicDie]
+	if got := logic.segs[0].free; !slices.Equal(got, want) {
 		t.Fatalf("row 0 free = %v, want %v", got, want)
 	}
-	if fs.occupy(&fs.segs[0], 5, 10) {
+	if logic.occupy(&logic.segs[0], 5, 10) {
 		t.Fatal("occupy took a span that straddles an occupied cell")
 	}
-	if got := fs.segs[0].free; !slices.Equal(got, want) {
+	if got := logic.segs[0].free; !slices.Equal(got, want) {
 		t.Fatalf("a refused occupy changed the list: %v", got)
 	}
+}
+
+// TestFreeSpacePerDie: standard cells of the two dies that share (x, y)
+// go into their own die's map, so none is refused; an edit on one die
+// claims and returns space in that die's map only, and the maps stay ==
+// a fresh NewFreeSpace of the design after each edit.
+func TestFreeSpacePerDie(t *testing.T) {
+	lib := cell.NewStdLib28(cell.DefaultLibOptions())
+	d := netlist.NewDesign("dies", lib)
+	fp := &floorplan.Floorplan{Die: geom.R(0, 0, 50, 1.2)} // one row
+	m := lib.MustCell("BUF_X16")
+	a, b := d.AddInstance("a", m), d.AddInstance("b", m)
+	a.Loc, b.Loc = geom.Pt(10, 0), geom.Pt(10+m.Width/2, 0)
+	a.Placed, b.Placed, b.Die = true, true, netlist.MacroDie
+	fs := NewFreeSpace(d, fp, 1.2)
+	if fs.Refused() != 0 || fs.mapOf(netlist.MacroDie) == nil {
+		t.Fatalf("%d cells refused, macro-die map built %v: want 0 and true", fs.Refused(), fs.mapOf(netlist.MacroDie) != nil)
+	}
+	var u Undo
+	fresh := func(when string) {
+		t.Helper()
+		if !fs.Equal(NewFreeSpace(d, fp, 1.2)) {
+			t.Fatalf("%s: the maps differ from a fresh NewFreeSpace", when)
+		}
+	}
+	// A cell claimed on the macro die at a's spot lands on it — a is on
+	// the other die — and clear of b.
+	loc, ok := fs.Alloc(&u, netlist.MacroDie, m.Width, a.Center())
+	c := d.AddInstance("c", m)
+	c.Loc, c.Placed, c.Die = loc, true, netlist.MacroDie
+	if !ok || c.Bounds().Intersects(b.Bounds()) || !c.Bounds().Intersects(a.Bounds()) {
+		t.Fatalf("Alloc on the macro die put c at %v (ok %v): want a's row span, clear of b", loc, ok)
+	}
+	fresh("after the macro-die Alloc")
+	fs.Release(&u, netlist.MacroDie, b.Bounds())
+	b.Placed = false
+	fresh("after releasing b")
+	u.Rollback()
+	b.Placed, c.Placed = true, false
+	fresh("after the rollback")
 }
 
 // TestNewFreeSpaceAllocs: a map is the same handful of objects for a
@@ -301,8 +343,8 @@ func TestNewFreeSpaceAllocs(t *testing.T) {
 		var fs *FreeSpace
 		defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection's own objects are not the map's
 		allocs := testing.AllocsPerRun(5, func() { fs = NewFreeSpace(d, fp, 1.2) })
-		if fs.rows() != rows || fs.Refused() != 0 {
-			t.Fatalf("%d rows built for %d, %d cells refused", fs.rows(), rows, fs.Refused())
+		if got := fs.dies[netlist.LogicDie].rows(); got != rows || fs.Refused() != 0 || fs.mapOf(netlist.MacroDie) != nil {
+			t.Fatalf("%d rows built for %d, %d cells refused, macro-die map %v", got, rows, fs.Refused(), fs.mapOf(netlist.MacroDie) != nil)
 		}
 		return allocs
 	}

@@ -372,8 +372,8 @@ func TestFreeSpaceUndo(t *testing.T) {
 	edit := func() {
 		for i := 0; i < 10; i++ {
 			inst := d.Instances[3*i]
-			fs.Release(&u, inst.Bounds())
-			if _, ok := fs.Alloc(&u, 2*inst.Master.Width, inst.Center()); !ok {
+			fs.Release(&u, inst.Die, inst.Bounds())
+			if _, ok := fs.Alloc(&u, inst.Die, 2*inst.Master.Width, inst.Center()); !ok {
 				t.Fatal("no space for a doubled cell")
 			}
 		}
@@ -388,8 +388,8 @@ func TestFreeSpaceUndo(t *testing.T) {
 	}
 	edit()
 	kept := NewFreeSpace(d, fp, 1.2)
-	for i, s := range fs.segs {
-		kept.segs[i].free = slices.Clone(s.free)
+	for i, s := range fs.dies[netlist.LogicDie].segs {
+		kept.dies[netlist.LogicDie].segs[i].free = slices.Clone(s.free)
 	}
 	u.Commit()
 	u.Rollback() // nothing journaled: must not move anything

@@ -1,244 +1,110 @@
 package report
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"macro3d/internal/flows"
 	"macro3d/internal/piton"
-	"macro3d/internal/tech"
 )
 
-// BlockageSweep tests the S2D failure hypothesis the paper states
-// (§III): that the spatial resolution at which partial macro blockages
-// are rasterized drives post-partitioning overlaps. In this
-// implementation the sweep shows the penalty is dominated by the
-// bin-balanced partitioning + displacement step at every resolution —
-// i.e. S2D's loss on macro-heavy designs is structural, not a tuning
-// artifact, which strengthens the paper's conclusion.
-type BlockageSweep struct {
-	ResolutionsUm []float64
-	// S2D is index-aligned with ResolutionsUm; a nil entry marks a
-	// point that failed or was cancelled (keep-going mode).
-	S2D  []*flows.PPA
-	TwoD *flows.PPA // reference
-}
+// blockageResolutions are the partial-blockage rasterization pitches,
+// µm, the blockage sweep runs MoL S2D at.
+var blockageResolutions = []float64{15, 30, 50, 80, 120}
 
-// RunBlockageSweep runs MoL S2D at each partial-blockage resolution.
-func RunBlockageSweep(seed uint64, resolutions []float64) (*BlockageSweep, error) {
-	return RunBlockageSweepCtx(context.Background(), seed, resolutions, false)
-}
-
-// RunBlockageSweepCtx is the context-aware sweep driver: cancellation
-// is honoured at flow-stage boundaries, and with keepGoing a failed
-// point leaves a nil gap instead of aborting the sweep.
-func RunBlockageSweepCtx(ctx context.Context, seed uint64, resolutions []float64, keepGoing bool) (*BlockageSweep, error) {
-	return RunBlockageSweepWith(ctx, flows.Config{Seed: seed}, resolutions, keepGoing)
-}
-
-// RunBlockageSweepWith is RunBlockageSweepCtx taking a full flow
-// configuration, so hardening knobs and the stage cache apply to every
-// point (an unset tile defaults to the small-cache config; the swept
-// BlockageResolution is set per point). With a cache, all points share
-// the 2D and pseudo-phase snapshots where their keys agree.
-func RunBlockageSweepWith(ctx context.Context, cfg flows.Config, resolutions []float64, keepGoing bool) (*BlockageSweep, error) {
-	if len(resolutions) == 0 {
-		resolutions = []float64{15, 30, 50, 80, 120}
+// blockageCells tests the S2D failure hypothesis the paper states (§III):
+// that the resolution at which partial macro blockages are rasterized
+// drives post-partitioning overlaps. The 2D reference comes first, then
+// MoL S2D at each resolution; EXPERIMENTS.md has what it shows.
+func blockageCells(cfg flows.Config) []Cell {
+	tile := tileOf(cfg)
+	cells := cellsOf(tile, cfg.Seed, "2d")
+	for _, res := range blockageResolutions {
+		cells = append(cells, Cell{Flow: "s2d", Tile: tile, Seed: cfg.Seed, BlockageResolution: res})
 	}
-	if cfg.Piton.Name == "" && cfg.Generator == nil {
-		cfg.Piton = piton.SmallCache()
-	}
-	out := &BlockageSweep{ResolutionsUm: resolutions}
-	cols := []column{{"2D reference", func() (err error) {
-		out.TwoD, _, err = flows.Run2DCtx(ctx, cfg)
-		return
-	}}}
-	for _, res := range resolutions {
-		res := res
-		i := len(out.S2D)
-		out.S2D = append(out.S2D, nil)
-		cols = append(cols, column{fmt.Sprintf("@%.0f µm", res), func() (err error) {
-			pcfg := cfg
-			pcfg.BlockageResolution = res
-			out.S2D[i], _, err = flows.RunS2DCtx(ctx, pcfg, false)
-			return
-		}})
-	}
-	err := runColumns(ctx, "blockage sweep", keepGoing, cols)
-	return out, err
+	return cells
 }
 
-// Format renders the sweep; failed points render as "—".
-func (s *BlockageSweep) Format() string {
+// formatBlockageSweep renders the sweep; failed points render as "—".
+func formatBlockageSweep(ps []*flows.PPA) string {
+	twoD := ps[0]
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablation — S2D partial-blockage rasterization resolution (small cache)\n")
-	fmt.Fprintf(&b, "2D reference: %s MHz\n", cell(s.TwoD, "%.0f", func(p *flows.PPA) float64 { return p.FclkMHz }))
+	fmt.Fprintf(&b, "2D reference: %s MHz\n", cell(twoD, "%.0f", fclk))
 	fmt.Fprintf(&b, "%-16s %10s %12s %10s\n", "resolution [µm]", "fclk [MHz]", "vs 2D", "bumps")
-	for i, res := range s.ResolutionsUm {
-		var p *flows.PPA
-		if i < len(s.S2D) {
-			p = s.S2D[i]
-		}
+	for i, res := range blockageResolutions {
+		p := ps[1+i]
 		vs := "—"
-		if p != nil && s.TwoD != nil && s.TwoD.FclkMHz != 0 {
-			vs = fmt.Sprintf("%.1f%%", 100*(p.FclkMHz/s.TwoD.FclkMHz-1))
+		if p != nil && twoD != nil && twoD.FclkMHz != 0 {
+			vs = fmt.Sprintf("%.1f%%", 100*(p.FclkMHz/twoD.FclkMHz-1))
 		}
-		fmt.Fprintf(&b, "%-16.0f %10s %12s %10s\n",
-			res,
-			cell(p, "%.0f", func(p *flows.PPA) float64 { return p.FclkMHz }),
-			vs,
-			cell(p, "%.0f", func(p *flows.PPA) float64 { return float64(p.F2FBumps) }))
+		fmt.Fprintf(&b, "%-16.0f %10s %12s %10s\n", res, cell(p, "%.0f", fclk), vs, cell(p, "%.0f", bumps))
 	}
 	return b.String()
 }
 
-// PitchSweep varies the F2F bump pitch. The paper (§II) argues MoL
-// stacking needs pitches near the wire spacing (hybrid bonding,
-// ≤1 µm); coarser bump grids throttle inter-die connectivity, which
-// shows up as routing overflow and lost performance.
-type PitchSweep struct {
-	PitchesUm []float64
-	// M3D is index-aligned with PitchesUm; nil entries mark failed or
-	// cancelled points.
-	M3D []*flows.PPA
-}
+// f2fPitches are the F2F bump pitches, µm, the pitch sweep runs
+// Macro-3D at.
+var f2fPitches = []float64{1, 2, 5, 10, 20}
 
-// RunPitchSweep runs Macro-3D at each bump pitch.
-func RunPitchSweep(seed uint64, pitches []float64) (*PitchSweep, error) {
-	return RunPitchSweepCtx(context.Background(), seed, pitches, false)
-}
-
-// RunPitchSweepCtx is the context-aware pitch-sweep driver.
-func RunPitchSweepCtx(ctx context.Context, seed uint64, pitches []float64, keepGoing bool) (*PitchSweep, error) {
-	return RunPitchSweepWith(ctx, flows.Config{Seed: seed}, pitches, keepGoing)
-}
-
-// RunPitchSweepWith is RunPitchSweepCtx taking a full flow
-// configuration (unset tile defaults to small-cache; the swept F2F
-// pitch is set per point). With a cache, all points share the place
-// snapshot prefix up to where the pitch enters the key.
-func RunPitchSweepWith(ctx context.Context, cfg flows.Config, pitches []float64, keepGoing bool) (*PitchSweep, error) {
-	if len(pitches) == 0 {
-		pitches = []float64{1, 2, 5, 10, 20}
+// pitchCells varies the F2F bump pitch. The paper (§II) argues MoL
+// stacking needs pitches near the wire spacing (hybrid bonding, ≤1 µm):
+// coarser bump grids throttle inter-die connectivity.
+func pitchCells(cfg flows.Config) []Cell {
+	var cells []Cell
+	for _, pitch := range f2fPitches {
+		cells = append(cells, Cell{Flow: "macro3d", Tile: tileOf(cfg), Seed: cfg.Seed, F2FPitch: pitch})
 	}
-	if cfg.Piton.Name == "" && cfg.Generator == nil {
-		cfg.Piton = piton.SmallCache()
-	}
-	out := &PitchSweep{PitchesUm: pitches}
-	var cols []column
-	for _, pitch := range pitches {
-		pitch := pitch
-		i := len(out.M3D)
-		out.M3D = append(out.M3D, nil)
-		cols = append(cols, column{fmt.Sprintf("@%.0f µm", pitch), func() (err error) {
-			out.M3D[i], _, _, err = runMacro3DWithPitch(ctx, cfg, pitch)
-			return
-		}})
-	}
-	err := runColumns(ctx, "pitch sweep", keepGoing, cols)
-	return out, err
+	return cells
 }
 
-// runMacro3DWithPitch adjusts the F2F technology before the flow.
-func runMacro3DWithPitch(ctx context.Context, cfg flows.Config, pitch float64) (*flows.PPA, *flows.State, *tech.F2FSpec, error) {
-	f2f := tech.DefaultF2F()
-	f2f.Pitch = pitch
-	cfg.F2F = &f2f
-	p, st, _, err := flows.RunMacro3DCtx(ctx, cfg)
-	return p, st, &f2f, err
-}
-
-// Format renders the sweep; failed points render as "—".
-func (s *PitchSweep) Format() string {
+// formatPitchSweep renders the sweep; failed points render as "—".
+func formatPitchSweep(ps []*flows.PPA) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablation — F2F bump pitch (Macro-3D, small cache)\n")
 	fmt.Fprintf(&b, "%-14s %10s %10s %10s\n", "pitch [µm]", "fclk [MHz]", "bumps", "overflow")
-	for i, pitch := range s.PitchesUm {
-		var p *flows.PPA
-		if i < len(s.M3D) {
-			p = s.M3D[i]
-		}
+	for i, pitch := range f2fPitches {
 		fmt.Fprintf(&b, "%-14.1f %10s %10s %10s\n",
-			pitch,
-			cell(p, "%.0f", func(p *flows.PPA) float64 { return p.FclkMHz }),
-			cell(p, "%.0f", func(p *flows.PPA) float64 { return float64(p.F2FBumps) }),
-			cell(p, "%.0f", func(p *flows.PPA) float64 { return float64(p.RouteOverflow) }))
+			pitch, cell(ps[i], "%.0f", fclk), cell(ps[i], "%.0f", bumps), cell(ps[i], "%.0f", overflow))
 	}
 	return b.String()
 }
 
-// HeteroTechSweep explores the heterogeneity the paper's conclusion
-// leaves as future work: manufacturing the macro die in a different
-// process node. Each point scales the memory macros' access time,
-// energy and leakage relative to the logic node; the 2D design cannot
-// follow (its memories must be process-compatible with the logic), so
-// only Macro-3D benefits from the leakage-optimized points.
-type HeteroTechSweep struct {
-	Points []HeteroPoint
+// heteroPoints explore the heterogeneity the paper's conclusion leaves as
+// future work: the macro die in the logic node, in a leakage-optimized
+// older node, or in a speed-binned memory node — each point scales the
+// memory macros' access time, energy and leakage relative to the logic.
+var heteroPoints = []struct {
+	label   string
+	process piton.MacroProcess
+}{
+	{"same-node", piton.MacroProcess{}},
+	{"low-leak (older node)", piton.MacroProcess{ClkQScale: 2.2, EnergyScale: 1.2, LeakageScale: 0.25}},
+	{"fast-bin memory node", piton.MacroProcess{ClkQScale: 0.6, EnergyScale: 1.1, LeakageScale: 1.6}},
 }
 
-// HeteroPoint is one macro-die technology choice. PPA is nil when the
-// point failed or was cancelled (keep-going mode).
-type HeteroPoint struct {
-	Label   string
-	Process piton.MacroProcess
-	PPA     *flows.PPA
-}
-
-// RunHeteroTechSweep runs Macro-3D with macro dies in three node
-// flavours: the same logic node, a density/leakage-optimized older
-// node, and a speed-binned memory node.
-func RunHeteroTechSweep(seed uint64) (*HeteroTechSweep, error) {
-	return RunHeteroTechSweepCtx(context.Background(), seed, false)
-}
-
-// RunHeteroTechSweepCtx is the context-aware heterogeneous-node sweep.
-func RunHeteroTechSweepCtx(ctx context.Context, seed uint64, keepGoing bool) (*HeteroTechSweep, error) {
-	return RunHeteroTechSweepWith(ctx, flows.Config{Seed: seed}, keepGoing)
-}
-
-// RunHeteroTechSweepWith is RunHeteroTechSweepCtx taking a full flow
-// configuration (unset tile defaults to small-cache; the macro-die
-// process is set per point).
-func RunHeteroTechSweepWith(ctx context.Context, cfg flows.Config, keepGoing bool) (*HeteroTechSweep, error) {
-	points := []HeteroPoint{
-		{Label: "same-node", Process: piton.MacroProcess{}},
-		{Label: "low-leak (older node)", Process: piton.MacroProcess{
-			ClkQScale: 2.2, EnergyScale: 1.2, LeakageScale: 0.25}},
-		{Label: "fast-bin memory node", Process: piton.MacroProcess{
-			ClkQScale: 0.6, EnergyScale: 1.1, LeakageScale: 1.6}},
+// heteroCells runs Macro-3D with its macro die in each heteroPoints node.
+func heteroCells(cfg flows.Config) []Cell {
+	var cells []Cell
+	for _, pt := range heteroPoints {
+		tile := tileOf(cfg)
+		tile.MacroProcess = pt.process
+		cells = append(cells, Cell{Flow: "macro3d", Tile: tile, Seed: cfg.Seed})
 	}
-	if cfg.Piton.Name == "" && cfg.Generator == nil {
-		cfg.Piton = piton.SmallCache()
-	}
-	out := &HeteroTechSweep{Points: points}
-	var cols []column
-	for i := range out.Points {
-		i := i
-		cols = append(cols, column{fmt.Sprintf("%q", out.Points[i].Label), func() (err error) {
-			pcfg := cfg
-			pcfg.Piton.MacroProcess = out.Points[i].Process
-			out.Points[i].PPA, _, _, err = flows.RunMacro3DCtx(ctx, pcfg)
-			return
-		}})
-	}
-	err := runColumns(ctx, "hetero sweep", keepGoing, cols)
-	return out, err
+	return cells
 }
 
-// Format renders the sweep; failed points render as "—".
-func (s *HeteroTechSweep) Format() string {
+// formatHeteroTech renders the sweep; failed points render as "—".
+func formatHeteroTech(ps []*flows.PPA) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension — heterogeneous macro-die process (Macro-3D, small cache)\n")
 	fmt.Fprintf(&b, "%-24s %10s %14s %12s %12s\n", "macro-die node", "fclk [MHz]", "Emean [fJ/cyc]", "power [µW]", "leak [µW]")
-	for _, pt := range s.Points {
-		fmt.Fprintf(&b, "%-24s %10s %14s %12s %12s\n",
-			pt.Label,
-			cell(pt.PPA, "%.0f", func(p *flows.PPA) float64 { return p.FclkMHz }),
-			cell(pt.PPA, "%.1f", func(p *flows.PPA) float64 { return p.EmeanFJ }),
-			cell(pt.PPA, "%.1f", func(p *flows.PPA) float64 { return p.PowerUW }),
-			cell(pt.PPA, "%.1f", func(p *flows.PPA) float64 { return p.LeakageUW }))
+	for i, pt := range heteroPoints {
+		p := ps[i]
+		fmt.Fprintf(&b, "%-24s %10s %14s %12s %12s\n", pt.label, cell(p, "%.0f", fclk),
+			cell(p, "%.1f", emean),
+			cell(p, "%.1f", func(p *flows.PPA) float64 { return p.PowerUW }),
+			cell(p, "%.1f", func(p *flows.PPA) float64 { return p.LeakageUW }))
 	}
 	return b.String()
 }

@@ -19,7 +19,7 @@ func TestTableIWarmCacheByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := flows.Config{Piton: piton.Tiny(), Seed: 11, Cache: cold}
-	tc, err := RunTableIWith(context.Background(), cfg, false)
+	tc, err := RunExperiment(context.Background(), cfg, "table1", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestTableIWarmCacheByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Cache = warm
-	tw, err := RunTableIWith(context.Background(), cfg, false)
+	tw, err := RunExperiment(context.Background(), cfg, "table1", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +40,12 @@ func TestTableIWarmCacheByteIdentical(t *testing.T) {
 	if ws.Hits == 0 || ws.Misses != 0 {
 		t.Errorf("warm table stats = %+v; want all hits", ws)
 	}
-	if tc.Format() != tw.Format() {
-		t.Errorf("warm table differs from cold:\n%s\n%s", tc.Format(), tw.Format())
+	if tc.Text != tw.Text {
+		t.Errorf("warm table differs from cold:\n%s\n%s", tc.Text, tw.Text)
 	}
 }
 
-// TestIsoPerfSharesPrefix pins that the iso-performance driver's
+// TestIsoPerfSharesPrefix pins that the iso-performance experiment's
 // Macro-3D run reuses the max-performance place/route snapshots when a
 // prior run populated the cache.
 func TestIsoPerfSharesPrefix(t *testing.T) {
@@ -55,17 +55,17 @@ func TestIsoPerfSharesPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := flows.Config{Piton: piton.Tiny(), Seed: 11, Cache: s}
-	if _, _, _, err := flows.RunMacro3DCtx(context.Background(), cfg); err != nil {
+	if _, _, _, err := flows.Run(context.Background(), "macro3d", cfg); err != nil {
 		t.Fatal(err)
 	}
 	baseline := s.Stats()
 
-	iso, err := RunIsoPerfWith(context.Background(), cfg)
+	iso, err := isoPerf(context.Background(), cfg, []piton.Config{cfg.Piton})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if iso.PPA3DIso == nil {
-		t.Fatal("no iso-performance PPA")
+	if iso.PPA[1] == nil || iso.Cells[1].TargetPeriod != iso.PPA[0].MinPeriodPs {
+		t.Fatal("no iso-performance PPA at the 2D period")
 	}
 	st := s.Stats()
 	if st.Hits-baseline.Hits < 2 {

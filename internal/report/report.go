@@ -1,95 +1,185 @@
-// Package report runs the paper's experiments end to end and formats
-// their tables: Table I (max-performance PPA and cost of 2D, MoL S2D,
-// BF S2D and Macro-3D on the small-cache tile), Table II (in-depth 2D
-// versus Macro-3D for both cache configurations), Table III (the
-// heterogeneous-BEOL M6–M4 ablation), and the §V-A iso-performance
-// power comparison.
-//
-// Every driver has a context-aware variant that honours cancellation
-// at flow-stage boundaries and can keep going past a failed column:
-// the returned table always carries the columns that completed, so a
-// cancelled or partially failed experiment still renders (missing
-// columns format as "—").
+// Package report runs the paper's experiments end to end — Tables I–III,
+// the §V-A iso-performance comparison, the ablation sweeps and the seed
+// ensemble behind them — and formats their tables. An experiment is data:
+// a list of cells, one flow run each, and a formatter over their PPA in
+// cell order. One driver, Run, runs every list; a cancelled or partially
+// failed experiment still renders, its missing cells as "—".
 package report
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"macro3d/internal/flows"
 	"macro3d/internal/piton"
+	"macro3d/internal/tech"
 )
 
-// column is one experiment cell: a labelled flow run writing its
-// result through a pointer into the table under construction.
-type column struct {
-	name string
-	run  func() error
+// Cell is one flow run of an experiment: the flow (flows.Names), the
+// tile, the seed, and the knobs experiments vary, where zero keeps the
+// base configuration's value. The driver runs each distinct cell value
+// once; the stage cache's root key leaves the knobs out, so it could not
+// tell Table III's M6–M6 and M6–M4 cells apart.
+type Cell struct {
+	Flow               string
+	Tile               piton.Config
+	Seed               uint64
+	MacroDieMetals     int
+	BlockageResolution float64 // µm
+	F2FPitch           float64 // µm, on the paper's F2F via
+	TargetPeriod       float64 // ps; 0 is max performance
 }
 
-// runColumns executes the columns in order. Cancellation is observed
-// between columns (and, inside a column, at the flow's own stage
-// boundaries). With keepGoing, failed columns are recorded and the
-// rest still run; otherwise the first failure stops the table. The
-// error joins every column failure, each labelled.
-func runColumns(ctx context.Context, label string, keepGoing bool, cols []column) error {
+// String labels the cell in a failure: flow, tile, seed and knobs.
+func (c Cell) String() string {
+	return fmt.Sprintf("%s/%s seed %d (metals %d, blockage %g µm, pitch %g µm, period %g ps)",
+		c.Flow, c.Tile.Name, c.Seed, c.MacroDieMetals, c.BlockageResolution, c.F2FPitch, c.TargetPeriod)
+}
+
+// config is base with the cell applied.
+func (c Cell) config(base flows.Config) flows.Config {
+	cfg := base
+	cfg.Piton, cfg.Seed = c.Tile, c.Seed
+	cfg.MacroDieMetals = cmp.Or(c.MacroDieMetals, base.MacroDieMetals)
+	cfg.BlockageResolution = cmp.Or(c.BlockageResolution, base.BlockageResolution)
+	cfg.TargetPeriod = cmp.Or(c.TargetPeriod, base.TargetPeriod)
+	if c.F2FPitch != 0 {
+		f2f := tech.DefaultF2F()
+		f2f.Pitch = c.F2FPitch
+		cfg.F2F = &f2f
+	}
+	return cfg
+}
+
+// Run runs cells over base, which carries the hardening knobs and the
+// stage cache, each distinct cell once, and returns their PPA in cell
+// order: nil for a cell that failed or was not reached. Cancellation stops
+// the list at the next stage boundary; so does a failure, unless
+// keepGoing. The error joins the cell failures, each labelled.
+func Run(ctx context.Context, base flows.Config, cells []Cell, keepGoing bool) ([]*flows.PPA, error) {
+	ppa := make([]*flows.PPA, len(cells))
+	first := make(map[Cell]int, len(cells))
 	var errs []error
-	for _, c := range cols {
-		if err := ctx.Err(); err != nil {
-			errs = append(errs, fmt.Errorf("%s %s: %w", label, c.name, err))
-			break
+	for i, c := range cells {
+		if j, ok := first[c]; ok {
+			ppa[i] = ppa[j]
+			continue
 		}
-		if err := c.run(); err != nil {
-			err = fmt.Errorf("%s %s: %w", label, c.name, err)
-			if !keepGoing || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return errors.Join(append(errs, err)...)
+		first[c] = i
+		err := ctx.Err()
+		if err == nil {
+			ppa[i], _, _, err = flows.Run(ctx, c.Flow, c.config(base))
+		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%v: %w", c, err))
+			if !keepGoing || ctx.Err() != nil {
+				break
 			}
-			errs = append(errs, err)
 		}
 	}
-	return errors.Join(errs...)
+	return ppa, errors.Join(errs...)
 }
 
-// TableI holds the four compared flows on the small-cache tile.
-// Columns left nil (run failed, cancelled, or not reached) format
-// as "—".
-type TableI struct {
-	TwoD, S2D, BFS2D, Macro3D *flows.PPA
+// Result is one experiment run: its cells, their PPA in cell order (nil
+// where a cell failed) and the rendered report. QoR is a complete seed
+// ensemble's BENCH_qor.json document.
+type Result struct {
+	Cells []Cell
+	PPA   []*flows.PPA
+	Text  string
+	QoR   []byte
 }
 
-// RunTableI reproduces Table I.
-func RunTableI(seed uint64) (*TableI, error) {
-	return RunTableIWith(context.Background(), flows.Config{Seed: seed}, false)
+// experiment is a named run over a base configuration.
+type experiment struct {
+	name string
+	run  func(ctx context.Context, cfg flows.Config, keepGoing bool) (*Result, error)
 }
 
-// RunTableIWith reproduces Table I under the given context and flow
-// configuration (hardening knobs — Retry, Verify — apply to every
-// column; an unset tile defaults to the paper's
-// small-cache config). The returned table is never nil: columns
-// completed before a failure or cancellation are preserved.
-func RunTableIWith(ctx context.Context, cfg flows.Config, keepGoing bool) (*TableI, error) {
-	if cfg.Piton.Name == "" && cfg.Generator == nil {
-		cfg.Piton = piton.SmallCache()
+// experiments is every experiment RunExperiment knows, in the order
+// Names lists them.
+var experiments = []experiment{
+	{"table1", table(tableICells, formatTableI)},
+	{"table2", table(tableIICells, formatTableII)},
+	{"table3", table(tableIIICells, formatTableIII)},
+	{"isoperf", func(ctx context.Context, cfg flows.Config, _ bool) (*Result, error) {
+		return isoPerf(ctx, cfg, paperTiles())
+	}},
+	{"sweepblockage", table(blockageCells, formatBlockageSweep)},
+	{"sweeppitch", table(pitchCells, formatPitchSweep)},
+	{"heterotech", table(heteroCells, formatHeteroTech)},
+	{"seeds", func(ctx context.Context, cfg flows.Config, keepGoing bool) (*Result, error) {
+		return seeds(ctx, cfg, ensembleSeeds, keepGoing)
+	}},
+}
+
+// table is the common experiment: one cell list, one driver call, one
+// formatter over the PPA in cell order.
+func table(cells func(cfg flows.Config) []Cell, format func(ps []*flows.PPA) string) func(context.Context, flows.Config, bool) (*Result, error) {
+	return func(ctx context.Context, cfg flows.Config, keepGoing bool) (*Result, error) {
+		cs := cells(cfg)
+		ps, err := Run(ctx, cfg, cs, keepGoing)
+		return &Result{Cells: cs, PPA: ps, Text: format(ps)}, err
 	}
-	t := &TableI{}
-	err := runColumns(ctx, "table I", keepGoing, []column{
-		{"2D", func() (err error) { t.TwoD, _, err = flows.Run2DCtx(ctx, cfg); return }},
-		{"MoL S2D", func() (err error) { t.S2D, _, err = flows.RunS2DCtx(ctx, cfg, false); return }},
-		{"BF S2D", func() (err error) { t.BFS2D, _, err = flows.RunS2DCtx(ctx, cfg, true); return }},
-		{"Macro-3D", func() (err error) { t.Macro3D, _, _, err = flows.RunMacro3DCtx(ctx, cfg); return }},
-	})
-	return t, err
 }
 
-// overflow is the row every table carries beside its PPA: the number of
-// gcell-layers the final routing leaves over capacity. A column that
-// does not route clean is not a like-for-like comparison with one that
-// does, and the reader has to be able to see which is which.
+// Names lists the experiments RunExperiment accepts.
+func Names() []string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return names
+}
+
+// RunExperiment runs the named experiment (see Names) over cfg, which
+// carries the seed, the hardening knobs and the stage cache; each
+// experiment sets the tile and the knobs per cell. Experiments on one
+// tile run on cfg's, or on the small-cache tile when cfg names none. The
+// Result is nil only for an unknown name.
+func RunExperiment(ctx context.Context, cfg flows.Config, name string, keepGoing bool) (*Result, error) {
+	i := slices.IndexFunc(experiments, func(e experiment) bool { return e.name == name })
+	if i < 0 {
+		return nil, fmt.Errorf("unknown experiment %q (want %s)", name, strings.Join(Names(), ", "))
+	}
+	return experiments[i].run(ctx, cfg, keepGoing)
+}
+
+// tileOf is the tile of a one-tile experiment: cfg's, or the paper's
+// small-cache tile when cfg names none.
+func tileOf(cfg flows.Config) piton.Config {
+	if cfg.Piton.Name == "" && cfg.Generator == nil {
+		return piton.SmallCache()
+	}
+	return cfg.Piton
+}
+
+// paperTiles is the paper's two tile configurations.
+func paperTiles() []piton.Config { return []piton.Config{piton.SmallCache(), piton.LargeCache()} }
+
+// cellsOf is one cell per flow on a tile at a seed.
+func cellsOf(tile piton.Config, seed uint64, flowNames ...string) []Cell {
+	cells := make([]Cell, len(flowNames))
+	for i, f := range flowNames {
+		cells[i] = Cell{Flow: f, Tile: tile, Seed: seed}
+	}
+	return cells
+}
+
+// overflowRow is the row every table carries beside its PPA: the
+// gcell-layers the final routing leaves over capacity, so the reader
+// sees which columns do not route clean.
 const overflowRow = "Route overflow"
 
+// The PPA fields several tables print.
 func overflow(p *flows.PPA) float64 { return float64(p.RouteOverflow) }
+func fclk(p *flows.PPA) float64     { return p.FclkMHz }
+func bumps(p *flows.PPA) float64    { return float64(p.F2FBumps) }
+func emean(p *flows.PPA) float64    { return p.EmeanFJ }
 
 // cell formats one table value, rendering missing columns as "—".
 func cell(p *flows.PPA, format string, v func(p *flows.PPA) float64) string {
@@ -99,219 +189,11 @@ func cell(p *flows.PPA, format string, v func(p *flows.PPA) float64) string {
 	return fmt.Sprintf(format, v(p))
 }
 
-// Format renders the table in the paper's row layout.
-func (t *TableI) Format() string {
-	cols := []*flows.PPA{t.TwoD, t.S2D, t.BFS2D, t.Macro3D}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table I — max-performance PPA and cost, small-cache tile\n")
-	fmt.Fprintf(&b, "%-22s %10s %10s %10s %10s\n", "", "2D", "MoL S2D", "BF S2D", "Macro-3D")
-	row := func(name, format string, v func(p *flows.PPA) float64) {
-		fmt.Fprintf(&b, "%-22s", name)
-		for _, p := range cols {
-			fmt.Fprintf(&b, " %10s", cell(p, format, v))
-		}
-		b.WriteByte('\n')
-	}
-	row("fclk [MHz]", "%.0f", func(p *flows.PPA) float64 { return p.FclkMHz })
-	row("Emean [fJ/cycle]", "%.1f", func(p *flows.PPA) float64 { return p.EmeanFJ })
-	row("Afootprint [mm²]", "%.2f", func(p *flows.PPA) float64 { return p.FootprintMM2 })
-	row("F2F bumps", "%.0f", func(p *flows.PPA) float64 { return float64(p.F2FBumps) })
-	row(overflowRow, "%.0f", overflow)
-	return b.String()
-}
-
-// TableII holds the in-depth comparison for both configurations.
-type TableII struct {
-	Small2D, SmallM3D *flows.PPA
-	Large2D, LargeM3D *flows.PPA
-}
-
-// RunTableII reproduces Table II.
-func RunTableII(seed uint64) (*TableII, error) {
-	return RunTableIIWith(context.Background(), flows.Config{Seed: seed}, false)
-}
-
-// RunTableIIWith reproduces Table II under the given context; cfg
-// carries the seed and hardening knobs while the tile is set per
-// column (the table inherently compares the small- and large-cache
-// configurations). Completed columns survive failure or cancellation.
-func RunTableIIWith(ctx context.Context, cfg flows.Config, keepGoing bool) (*TableII, error) {
-	t := &TableII{}
-	cs, cl := cfg, cfg
-	cs.Piton = piton.SmallCache()
-	cl.Piton = piton.LargeCache()
-	err := runColumns(ctx, "table II", keepGoing, []column{
-		{"small 2D", func() (err error) { t.Small2D, _, err = flows.Run2DCtx(ctx, cs); return }},
-		{"small Macro-3D", func() (err error) { t.SmallM3D, _, _, err = flows.RunMacro3DCtx(ctx, cs); return }},
-		{"large 2D", func() (err error) { t.Large2D, _, err = flows.Run2DCtx(ctx, cl); return }},
-		{"large Macro-3D", func() (err error) { t.LargeM3D, _, _, err = flows.RunMacro3DCtx(ctx, cl); return }},
-	})
-	return t, err
-}
-
-func pct(n, d float64) string {
-	if d == 0 {
-		return "—"
-	}
-	return fmt.Sprintf("(%+.1f%%)", 100*(n/d-1))
-}
-
-// pctCell is the nil-safe relative delta between two columns.
+// pctCell is the relative delta between two columns, "—" when one is
+// missing or the base is zero.
 func pctCell(n, d *flows.PPA, v func(p *flows.PPA) float64) string {
-	if n == nil || d == nil {
+	if n == nil || d == nil || v(d) == 0 {
 		return "—"
 	}
-	return pct(v(n), v(d))
-}
-
-// Format renders the table with the paper's relative deltas.
-func (t *TableII) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table II — in-depth comparison of 2D and Macro-3D designs\n")
-	fmt.Fprintf(&b, "%-26s %12s %22s %12s %22s\n", "", "Small 2D", "Small Macro-3D", "Large 2D", "Large Macro-3D")
-	row := func(name string, v func(p *flows.PPA) float64, format string) {
-		fmt.Fprintf(&b, "%-26s %12s %12s %9s %12s %12s %9s\n", name,
-			cell(t.Small2D, format, v), cell(t.SmallM3D, format, v), pctCell(t.SmallM3D, t.Small2D, v),
-			cell(t.Large2D, format, v), cell(t.LargeM3D, format, v), pctCell(t.LargeM3D, t.Large2D, v))
-	}
-	row("fclk [MHz]", func(p *flows.PPA) float64 { return p.FclkMHz }, "%.0f")
-	row("Emean [fJ/cycle]", func(p *flows.PPA) float64 { return p.EmeanFJ }, "%.1f")
-	row("Afootprint [mm²]", func(p *flows.PPA) float64 { return p.FootprintMM2 }, "%.2f")
-	row("Alogic-cells [mm²]", func(p *flows.PPA) float64 { return p.LogicCellAreaMM2 }, "%.3f")
-	row("Total wirelength [m]", func(p *flows.PPA) float64 { return p.TotalWLm }, "%.2f")
-	row("F2F bumps", func(p *flows.PPA) float64 { return float64(p.F2FBumps) }, "%.0f")
-	row("Cpin,total [nF]", func(p *flows.PPA) float64 { return p.CpinNF }, "%.3f")
-	row("Cwire,total [nF]", func(p *flows.PPA) float64 { return p.CwireNF }, "%.3f")
-	row("Max clk-tree depth", func(p *flows.PPA) float64 { return float64(p.ClkDepth) }, "%.0f")
-	row("Crit-path WL [mm]", func(p *flows.PPA) float64 { return p.CritPathWLmm }, "%.2f")
-	row(overflowRow, overflow, "%.0f")
-	return b.String()
-}
-
-// TableIII holds the metal-stack ablation (M6–M6 versus M6–M4).
-type TableIII struct {
-	SmallM6M6, SmallM6M4 *flows.PPA
-	LargeM6M6, LargeM6M4 *flows.PPA
-}
-
-// RunTableIII reproduces Table III: removing two metal layers from the
-// macro die.
-func RunTableIII(seed uint64) (*TableIII, error) {
-	return RunTableIIIWith(context.Background(), flows.Config{Seed: seed}, false)
-}
-
-// RunTableIIIWith is the context-aware Table III driver; cfg carries
-// the seed and hardening knobs, the tile and macro-die metal count are
-// set per column.
-func RunTableIIIWith(ctx context.Context, cfg flows.Config, keepGoing bool) (*TableIII, error) {
-	t := &TableIII{}
-	var cols []column
-	for _, c := range []struct {
-		pc     piton.Config
-		metals int
-		dst    **flows.PPA
-	}{
-		{piton.SmallCache(), 6, &t.SmallM6M6},
-		{piton.SmallCache(), 4, &t.SmallM6M4},
-		{piton.LargeCache(), 6, &t.LargeM6M6},
-		{piton.LargeCache(), 4, &t.LargeM6M4},
-	} {
-		c := c
-		ccfg := cfg
-		ccfg.Piton = c.pc
-		ccfg.MacroDieMetals = c.metals
-		cols = append(cols, column{
-			name: fmt.Sprintf("(%s, M6–M%d)", c.pc.Name, c.metals),
-			run: func() (err error) {
-				*c.dst, _, _, err = flows.RunMacro3DCtx(ctx, ccfg)
-				return
-			},
-		})
-	}
-	err := runColumns(ctx, "table III", keepGoing, cols)
-	return t, err
-}
-
-// Format renders the ablation table.
-func (t *TableIII) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table III — impact of removing two macro-die metal layers\n")
-	fmt.Fprintf(&b, "%-20s %10s %10s %9s %10s %10s %9s\n", "",
-		"S M6–M6", "S M6–M4", "", "L M6–M6", "L M6–M4", "")
-	row := func(name string, v func(p *flows.PPA) float64, format string) {
-		fmt.Fprintf(&b, "%-20s %10s %10s %9s %10s %10s %9s\n", name,
-			cell(t.SmallM6M6, format, v), cell(t.SmallM6M4, format, v), pctCell(t.SmallM6M4, t.SmallM6M6, v),
-			cell(t.LargeM6M6, format, v), cell(t.LargeM6M4, format, v), pctCell(t.LargeM6M4, t.LargeM6M6, v))
-	}
-	row("fclk [MHz]", func(p *flows.PPA) float64 { return p.FclkMHz }, "%.0f")
-	row("Emean [fJ/cycle]", func(p *flows.PPA) float64 { return p.EmeanFJ }, "%.1f")
-	row("Ametal [mm²]", func(p *flows.PPA) float64 { return p.MetalAreaMM2 }, "%.1f")
-	row("F2F bumps", func(p *flows.PPA) float64 { return float64(p.F2FBumps) }, "%.0f")
-	row(overflowRow, overflow, "%.0f")
-	return b.String()
-}
-
-// IsoPerf holds the §V-A iso-performance power comparison: Macro-3D
-// re-implemented at the 2D design's maximum frequency.
-type IsoPerf struct {
-	Config   string
-	F2DMHz   float64
-	Power2D  float64 // µW
-	Power3D  float64 // µW at the same frequency
-	DeltaPct float64
-	PPA2D    *flows.PPA
-	PPA3DIso *flows.PPA
-}
-
-// RunIsoPerf reproduces the iso-performance comparison for one tile
-// configuration.
-func RunIsoPerf(pc piton.Config, seed uint64) (*IsoPerf, error) {
-	return RunIsoPerfCtx(context.Background(), pc, seed)
-}
-
-// RunIsoPerfCtx is the context-aware iso-performance driver. The two
-// runs are inherently sequential (the Macro-3D target period is the
-// 2D result), so there is no keep-going mode.
-func RunIsoPerfCtx(ctx context.Context, pc piton.Config, seed uint64) (*IsoPerf, error) {
-	return RunIsoPerfWith(ctx, flows.Config{Piton: pc, Seed: seed})
-}
-
-// RunIsoPerfWith is RunIsoPerfCtx taking a full flow configuration
-// (unset tile defaults to small-cache). With a stage cache, the
-// Macro-3D iso-performance run hits the max-performance run's place
-// and route snapshots — only sign-off reruns at the 2D target.
-func RunIsoPerfWith(ctx context.Context, cfg flows.Config) (*IsoPerf, error) {
-	if cfg.Piton.Name == "" && cfg.Generator == nil {
-		cfg.Piton = piton.SmallCache()
-	}
-	pc := cfg.Piton
-	p2d, _, err := flows.Run2DCtx(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Re-implement Macro-3D for the 2D design's frequency.
-	cfg.TargetPeriod = p2d.MinPeriodPs
-	p3d, _, _, err := flows.RunMacro3DCtx(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	r := &IsoPerf{
-		Config:   pc.Name,
-		F2DMHz:   p2d.FclkMHz,
-		Power2D:  p2d.PowerUW,
-		Power3D:  p3d.PowerUW,
-		PPA2D:    p2d,
-		PPA3DIso: p3d,
-	}
-	if r.Power2D > 0 {
-		r.DeltaPct = 100 * (r.Power3D/r.Power2D - 1)
-	}
-	return r, nil
-}
-
-// Format renders the comparison.
-func (r *IsoPerf) Format() string {
-	return fmt.Sprintf(
-		"Iso-performance (%s, %.0f MHz): 2D %.1f µW, Macro-3D %.1f µW (%+.1f%%)\n",
-		r.Config, r.F2DMHz, r.Power2D/1e0, r.Power3D/1e0, r.DeltaPct)
+	return fmt.Sprintf("(%+.1f%%)", 100*(v(n)/v(d)-1))
 }

@@ -22,13 +22,12 @@ func fakePPA(flow string, fclk float64, bumps int) *flows.PPA {
 }
 
 func TestTableIFormat(t *testing.T) {
-	tab := &TableI{
-		TwoD:    fakePPA("2D", 400, 0),
-		S2D:     fakePPA("S2D", 220, 5405),
-		BFS2D:   fakePPA("BF S2D", 260, 8703),
-		Macro3D: fakePPA("Macro-3D", 470, 4740),
-	}
-	out := tab.Format()
+	out := formatTableI([]*flows.PPA{
+		fakePPA("2D", 400, 0),
+		fakePPA("S2D", 220, 5405),
+		fakePPA("BF S2D", 260, 8703),
+		fakePPA("Macro-3D", 470, 4740),
+	})
 	for _, want := range []string{"Table I", "fclk [MHz]", "400", "220", "260", "470",
 		"5405", "8703", "4740", "Afootprint", "Emean"} {
 		if !strings.Contains(out, want) {
@@ -44,13 +43,12 @@ func TestTableIFormat(t *testing.T) {
 }
 
 func TestTableIIFormatDeltas(t *testing.T) {
-	tab := &TableII{
-		Small2D:  fakePPA("2D", 400, 0),
-		SmallM3D: fakePPA("Macro-3D", 480, 4740),
-		Large2D:  fakePPA("2D", 300, 0),
-		LargeM3D: fakePPA("Macro-3D", 390, 1215),
-	}
-	out := tab.Format()
+	out := formatTableII([]*flows.PPA{
+		fakePPA("2D", 400, 0),
+		fakePPA("Macro-3D", 480, 4740),
+		fakePPA("2D", 300, 0),
+		fakePPA("Macro-3D", 390, 1215),
+	})
 	if !strings.Contains(out, "(+20.0%)") {
 		t.Errorf("small delta missing:\n%s", out)
 	}
@@ -66,14 +64,14 @@ func TestTableIIFormatDeltas(t *testing.T) {
 }
 
 func TestTableIIIFormat(t *testing.T) {
-	tab := &TableIII{
-		SmallM6M6: fakePPA("Macro-3D", 470, 4740),
-		SmallM6M4: fakePPA("Macro-3D", 462, 3866),
-		LargeM6M6: fakePPA("Macro-3D", 421, 1215),
-		LargeM6M4: fakePPA("Macro-3D", 423, 922),
+	cols := []*flows.PPA{
+		fakePPA("Macro-3D", 470, 4740),
+		fakePPA("Macro-3D", 462, 3866),
+		fakePPA("Macro-3D", 421, 1215),
+		fakePPA("Macro-3D", 423, 922),
 	}
-	tab.SmallM6M4.MetalAreaMM2 = 6.0
-	out := tab.Format()
+	cols[1].MetalAreaMM2 = 6.0
+	out := formatTableIII(cols)
 	if !strings.Contains(out, "Table III") || !strings.Contains(out, "Ametal") {
 		t.Fatalf("structure:\n%s", out)
 	}
@@ -98,11 +96,11 @@ func TestTablesCarryRouteOverflow(t *testing.T) {
 		out  string
 		want []string
 	}{
-		"Table I": {(&TableI{TwoD: ppa(72), S2D: ppa(3), BFS2D: ppa(16), Macro3D: ppa(0)}).Format(),
+		"Table I": {formatTableI([]*flows.PPA{ppa(72), ppa(3), ppa(16), ppa(0)}),
 			[]string{"72", "3", "16", "0"}},
-		"Table II": {(&TableII{Small2D: ppa(72), SmallM3D: ppa(0), Large2D: ppa(84), LargeM3D: ppa(0)}).Format(),
+		"Table II": {formatTableII([]*flows.PPA{ppa(72), ppa(0), ppa(84), ppa(0)}),
 			[]string{"72", "0", "(-100.0%)", "84", "0", "(-100.0%)"}},
-		"Table III": {(&TableIII{SmallM6M6: ppa(0), SmallM6M4: ppa(5), LargeM6M6: ppa(0), LargeM6M4: ppa(7)}).Format(),
+		"Table III": {formatTableIII([]*flows.PPA{ppa(0), ppa(5), ppa(0), ppa(7)}),
 			[]string{"0", "5", "—", "0", "7", "—"}},
 	} {
 		var row []string
@@ -118,8 +116,10 @@ func TestTablesCarryRouteOverflow(t *testing.T) {
 }
 
 func TestIsoPerfFormat(t *testing.T) {
-	r := &IsoPerf{Config: "piton_small", F2DMHz: 390, Power2D: 1000, Power3D: 968, DeltaPct: -3.2}
-	out := r.Format()
+	p2d, p3d := fakePPA("2D", 390, 0), fakePPA("Macro-3D", 390, 4740)
+	p2d.PowerUW, p3d.PowerUW = 1000, 968
+	cells := []Cell{{Flow: "2d", Tile: piton.SmallCache()}, {Flow: "macro3d", Tile: piton.SmallCache()}}
+	out := formatIsoPerf(cells, []*flows.PPA{p2d, p3d})
 	for _, want := range []string{"piton_small", "390 MHz", "-3.2%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("iso-perf output missing %q: %s", want, out)
@@ -128,66 +128,65 @@ func TestIsoPerfFormat(t *testing.T) {
 }
 
 func TestPctHelper(t *testing.T) {
-	if pct(110, 100) != "(+10.0%)" {
-		t.Fatalf("pct = %s", pct(110, 100))
-	}
-	if pct(90, 100) != "(-10.0%)" {
-		t.Fatalf("pct = %s", pct(90, 100))
-	}
-	if pct(1, 0) != "—" {
-		t.Fatalf("pct zero-div = %s", pct(1, 0))
+	ppa := func(fclk float64) *flows.PPA { return &flows.PPA{FclkMHz: fclk} }
+	for _, c := range []struct {
+		n, d *flows.PPA
+		want string
+	}{
+		{ppa(110), ppa(100), "(+10.0%)"},
+		{ppa(90), ppa(100), "(-10.0%)"},
+		{ppa(1), ppa(0), "—"},
+		{nil, ppa(100), "—"},
+	} {
+		if got := pctCell(c.n, c.d, fclk); got != c.want {
+			t.Errorf("pctCell = %s, want %s", got, c.want)
+		}
 	}
 }
 
 func TestBlockageSweepFormat(t *testing.T) {
-	sw := &BlockageSweep{
-		ResolutionsUm: []float64{20, 50},
-		TwoD:          fakePPA("2D", 400, 0),
-		S2D:           []*flows.PPA{fakePPA("S2D", 200, 5000), fakePPA("S2D", 150, 5200)},
-	}
-	out := sw.Format()
+	ps := make([]*flows.PPA, 1+len(blockageResolutions))
+	ps[0], ps[1], ps[2] = fakePPA("2D", 400, 0), fakePPA("S2D", 200, 5000), fakePPA("S2D", 150, 5200)
+	out := formatBlockageSweep(ps)
 	if !strings.Contains(out, "-50.0%") || !strings.Contains(out, "-62.5%") {
 		t.Fatalf("sweep deltas missing:\n%s", out)
 	}
 }
 
 func TestPitchSweepFormat(t *testing.T) {
-	sw := &PitchSweep{
-		PitchesUm: []float64{1, 10},
-		M3D:       []*flows.PPA{fakePPA("Macro-3D", 470, 4740), fakePPA("Macro-3D", 430, 900)},
-	}
-	out := sw.Format()
+	ps := make([]*flows.PPA, len(f2fPitches))
+	ps[0], ps[3] = fakePPA("Macro-3D", 470, 4740), fakePPA("Macro-3D", 430, 900)
+	out := formatPitchSweep(ps)
 	if !strings.Contains(out, "4740") || !strings.Contains(out, "900") {
 		t.Fatalf("pitch sweep missing bump counts:\n%s", out)
 	}
 }
 
 func TestNilColumnsFormatAsDash(t *testing.T) {
-	partial := &TableI{TwoD: fakePPA("2D", 400, 0)} // other columns missing
-	out := partial.Format()
+	out := formatTableI([]*flows.PPA{fakePPA("2D", 400, 0), nil, nil, nil}) // other columns missing
 	if !strings.Contains(out, "400") || !strings.Contains(out, "—") {
 		t.Fatalf("partial Table I render wrong:\n%s", out)
 	}
-	if !strings.Contains((&TableII{Small2D: fakePPA("2D", 400, 0)}).Format(), "—") {
+	if !strings.Contains(formatTableII([]*flows.PPA{fakePPA("2D", 400, 0), nil, nil, nil}), "—") {
 		t.Fatal("partial Table II lacks dashes")
 	}
-	if !strings.Contains((&TableIII{}).Format(), "—") {
+	if !strings.Contains(formatTableIII(make([]*flows.PPA, 4)), "—") {
 		t.Fatal("empty Table III lacks dashes")
 	}
-	if !strings.Contains((&BlockageSweep{ResolutionsUm: []float64{50}}).Format(), "—") {
+	if !strings.Contains(formatBlockageSweep(make([]*flows.PPA, 1+len(blockageResolutions))), "—") {
 		t.Fatal("empty blockage sweep lacks dashes")
 	}
-	if !strings.Contains((&PitchSweep{PitchesUm: []float64{1}}).Format(), "—") {
+	if !strings.Contains(formatPitchSweep(make([]*flows.PPA, len(f2fPitches))), "—") {
 		t.Fatal("empty pitch sweep lacks dashes")
 	}
-	if !strings.Contains((&HeteroTechSweep{Points: []HeteroPoint{{Label: "x"}}}).Format(), "—") {
+	if !strings.Contains(formatHeteroTech(make([]*flows.PPA, len(heteroPoints))), "—") {
 		t.Fatal("empty hetero sweep lacks dashes")
 	}
 }
 
 // TestRunTableICancelPreservesColumns is the cancellation acceptance
-// check: cancelling during the second column stops the table within
-// one stage boundary while the completed first column survives.
+// check: cancelling during Table I's second cell stops the table within
+// one stage boundary while the completed first cell survives.
 func TestRunTableICancelPreservesColumns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs one tiny flow plus a cancelled one")
@@ -200,7 +199,7 @@ func TestRunTableICancelPreservesColumns(t *testing.T) {
 			cancel() // first stage of the second column (MoL S2D)
 		}
 	}
-	tab, err := RunTableIWith(ctx, cfg, false)
+	res, err := RunExperiment(ctx, cfg, "table1", false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -208,13 +207,13 @@ func TestRunTableICancelPreservesColumns(t *testing.T) {
 	if !errors.As(err, &se) || se.Flow != "S2D" {
 		t.Fatalf("cancellation not attributed to the running column: %v", err)
 	}
-	if tab == nil || tab.TwoD == nil {
+	if res.PPA[0] == nil {
 		t.Fatal("completed 2D column lost on cancellation")
 	}
-	if tab.BFS2D != nil || tab.Macro3D != nil {
+	if res.PPA[2] != nil || res.PPA[3] != nil {
 		t.Fatal("columns after the cancellation point should not have run")
 	}
-	if !strings.Contains(tab.Format(), "—") {
+	if !strings.Contains(res.Text, "—") {
 		t.Fatal("partial table does not render missing columns")
 	}
 }
@@ -231,19 +230,20 @@ func TestRunTableIKeepGoing(t *testing.T) {
 		Seed:      3,
 		Generator: func() (*piton.Tile, error) { return piton.Generate(piton.Tiny()) },
 	}
-	tab, err := RunTableIWith(context.Background(), cfg, true)
+	res, err := RunExperiment(context.Background(), cfg, "table1", true)
 	if err == nil {
 		t.Fatal("S2D columns cannot run a custom generator; expected a joined error")
 	}
-	if tab.TwoD == nil || tab.Macro3D == nil {
+	if res.PPA[0] == nil || res.PPA[3] == nil {
 		t.Fatal("keep-going mode lost the healthy columns")
 	}
-	if tab.S2D != nil || tab.BFS2D != nil {
+	if res.PPA[1] != nil || res.PPA[2] != nil {
 		t.Fatal("failed columns must stay nil")
 	}
-	msg := err.Error()
-	if !strings.Contains(msg, "MoL S2D") || !strings.Contains(msg, "BF S2D") {
-		t.Fatalf("joined error does not name both failed columns: %v", err)
+	for _, c := range res.Cells[1:3] {
+		if !strings.Contains("\n"+err.Error(), "\n"+c.String()+": ") {
+			t.Fatalf("joined error does not name failed cell %v: %v", c, err)
+		}
 	}
 	var se *flows.StageError
 	if !errors.As(err, &se) {
