@@ -18,10 +18,12 @@ vet:
 	$(GO) vet ./...
 
 ## race: race-enabled run of the hardened-runner, fault-harness and
-## incremental-engine packages. Includes the ddb equivalence property
-## test (parallel extract/STA at GOMAXPROCS 4) and the flows
-## worker-equivalence test, which audits the engines' fanned-out
-## phases for data races while asserting identical PPA against the
+## incremental-engine packages. Includes internal/report, whose driver
+## runs an experiment's cells concurrently (TestDriverIdenticalAtEveryWorkers,
+## TestDriverCancelStartsNoFurtherCell), the ddb equivalence property
+## test (four-way extraction at GOMAXPROCS 4) and the flows
+## worker-equivalence test, which audits placement's and extraction's
+## fanned-out phases for data races while asserting identical PPA against the
 ## -j 1 serial reference; under -race both run reduced configs — see
 ## the race_on_test.go files. internal/flows also runs 2D and Macro-3D
 ## at once over one byte-capped stage cache (TestConcurrentRunsMatchSerial:
@@ -29,15 +31,14 @@ vet:
 ## internal/stash has its own contention tests. internal/place rides along for the
 ## placer's own digest, determinism and quality tests (its three
 ## passes per iteration at Workers 2 and 4), internal/extract and internal/sta for
-## their per-worker and engine-owned scratch, internal/slab,
+## their per-chunk and engine-owned scratch, internal/slab,
 ## internal/netlist and internal/piton for the slab-backed design records
 ## (netlist also for the by-name indexes built on a composed design's
 ## first lookup, from racing readers, and for copies of a sealed template
 ## editing their own indexes over its shared one; TestConcurrentRunsMatchSerial
 ## runs whole flows that way), internal/cell for the shared pin
 ## index under concurrent readers,
-## internal/route for the span-filling net prep and the overflow
-## scan around the ordered routing pass, internal/par for the worker
+## internal/route for the slab-backed router against its oracle, internal/par for the worker
 ## team itself (the hand-off, the join and a worker's contained panic),
 ## and internal/obs/... for the recorder and the timeline tracks a span's
 ## End appends to.
@@ -168,10 +169,9 @@ bench-flow:
 	$(GO) run ./cmd/benchjson -ledger BENCH_flow.json -compare $(FLOW_COMMIT)
 
 ## bench-route: the worker-count comparison — the large-cache tile
-## and the flat BENCH_SIZE×BENCH_SIZE tile array, serial (-j 1) vs the
-## same engines at BENCH_J pinned workers (for route: the prep and
-## overflow-scan fan-out around the ordered pass; for place: the
-## descent's three passes per iteration) — plus the placer's two
+## and the flat BENCH_SIZE×BENCH_SIZE tile array, placed serial (-j 1)
+## vs at BENCH_J pinned workers (the descent's three passes per
+## iteration), and routed (one goroutine at any -j) — plus the placer's two
 ## kernels in internal/place (0 allocs/op): BenchmarkWLGradient, all an
 ## iteration spends on wirelength (exponentials, net pass, cell pass),
 ## and BenchmarkPoissonSolve — recorded as machine-readable

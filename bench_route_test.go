@@ -1,17 +1,15 @@
 // Routing and placement engine benchmarks: the large-cache tile's
-// route stage and global-placement stage, serial reference (Workers 1)
-// against the same engines at a pinned worker count (BENCH_ROUTE_J,
-// default 8). Serial and parallel produce bit-identical results —
-// TestWorkerEquivalence asserts exactly that — so the ratio measures
-// scheduling, not quality drift. Routing is one ordered pass at every
-// worker count, so a "parallel" route row measures what the net-prep
-// and overflow-scan fan-out buys; the place rows measure the fan-out of
-// the descent's three passes and the seed sweeps. The
-// flat N×N benchmarks repeat both on one large flat design.
-// `make bench-route` records everything in BENCH_route.json; on a host
-// whose GOMAXPROCS caps real concurrency the wall-clock ratios saturate
-// at the core count and the *_cp_speedup metrics report what the
-// recorded fork-join structure supports.
+// route stage, and its global-placement stage serial (Workers 1) against
+// the same engine at a pinned worker count (BENCH_ROUTE_J, default 8).
+// Serial and parallel placements are bit-identical — TestWorkerEquivalence
+// asserts exactly that — so the ratio measures scheduling, not quality
+// drift; the place rows measure the fan-out of the descent's three passes
+// and the seed sweeps. The router runs on one goroutine, so its rows time
+// the stage alone. The flat N×N benchmarks repeat both on one large flat
+// design. `make bench-route` records everything in BENCH_route.json; on a
+// host whose GOMAXPROCS caps real concurrency the wall-clock ratio
+// saturates at the core count and the *_cp_speedup metrics report what
+// the recorded fork-join structure supports.
 package macro3d_test
 
 import (
@@ -155,14 +153,14 @@ func routeBenchSetup(b *testing.B) {
 	}
 }
 
-func benchRouteDesign(b *testing.B, workers int) {
+// BenchmarkRouteDesign routes the placed large-cache tile from scratch.
+func BenchmarkRouteDesign(b *testing.B) {
 	routeBenchSetup(b)
 	b.ResetTimer()
 	var last *route.Result
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		db := route.NewDB(routeBench.sz.Die2D, routeBench.t.Logic,
-			routeBench.fp.RouteBlk, route.Options{Workers: workers})
+		db := route.NewDB(routeBench.sz.Die2D, routeBench.t.Logic, routeBench.fp.RouteBlk, route.Options{})
 		b.StartTimer()
 		res, err := route.RouteDesign(routeBench.d, db)
 		if err != nil {
@@ -171,27 +169,8 @@ func benchRouteDesign(b *testing.B, workers int) {
 		last = res
 	}
 	// Metrics only after the loop: ResetTimer deletes reported metrics.
-	reportEnv(b, workers)
-	if last != nil {
-		b.ReportMetric(last.WL/1e6, "WL_m")
-		b.ReportMetric(float64(last.Overflow), "overflow")
-	}
-	// One extra traced run, off the clock: tracing is only near-zero
-	// overhead, so the timed iterations stay untraced.
-	b.StopTimer()
-	sp, tr := tracedStage("route")
-	db := route.NewDB(routeBench.sz.Die2D, routeBench.t.Logic,
-		routeBench.fp.RouteBlk, route.Options{Workers: workers, Obs: sp})
-	if _, err := route.RouteDesign(routeBench.d, db); err != nil {
-		b.Fatal(err)
-	}
-	sp.End()
-	reportTraceStats(b, tr, "route")
-}
-
-func BenchmarkRouteDesign(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchRouteDesign(b, 1) })
-	b.Run("parallel", func(b *testing.B) { benchRouteDesign(b, benchWorkers()) })
+	b.ReportMetric(last.WL/1e6, "WL_m")
+	b.ReportMetric(float64(last.Overflow), "overflow")
 }
 
 func benchPlace(b *testing.B, workers int) {
@@ -230,9 +209,9 @@ func BenchmarkPlace(b *testing.B) {
 // One flat design N² times the tile: the placed large-cache tile is
 // abutted N×N into ONE flat netlist (piton.Abut — the paper's
 // §V-1 composition) and then placed/routed from scratch as a flat
-// problem: no per-tile route replication, no hierarchy. serial is the
-// -j 1 reference; parallel is the same engines at the pinned worker
-// count.
+// problem: no per-tile route replication, no hierarchy. For the placer,
+// serial is the -j 1 reference and parallel the same engine at the
+// pinned worker count.
 
 var flatBench struct {
 	once sync.Once
@@ -288,14 +267,14 @@ func flatBenchSetup(b *testing.B) {
 	}
 }
 
-func benchRouteFlat(b *testing.B, workers int) {
+// BenchmarkRouteFlat routes the flat N×N array from scratch.
+func BenchmarkRouteFlat(b *testing.B) {
 	flatBenchSetup(b)
 	b.ResetTimer()
 	var last *route.Result
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		db := route.NewDB(flatBench.die, routeBench.t.Logic, flatBench.fp.RouteBlk,
-			route.Options{Workers: workers})
+		db := route.NewDB(flatBench.die, routeBench.t.Logic, flatBench.fp.RouteBlk, route.Options{})
 		b.StartTimer()
 		res, err := route.RouteDesign(flatBench.d, db)
 		if err != nil {
@@ -303,26 +282,9 @@ func benchRouteFlat(b *testing.B, workers int) {
 		}
 		last = res
 	}
-	reportEnv(b, workers)
 	b.ReportMetric(float64(flatBench.n), "array_n")
-	if last != nil {
-		b.ReportMetric(last.WL/1e6, "WL_m")
-		b.ReportMetric(float64(last.Overflow), "overflow")
-	}
-	b.StopTimer()
-	sp, tr := tracedStage("route")
-	db := route.NewDB(flatBench.die, routeBench.t.Logic, flatBench.fp.RouteBlk,
-		route.Options{Workers: workers, Obs: sp})
-	if _, err := route.RouteDesign(flatBench.d, db); err != nil {
-		b.Fatal(err)
-	}
-	sp.End()
-	reportTraceStats(b, tr, "route")
-}
-
-func BenchmarkRouteFlat(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchRouteFlat(b, 1) })
-	b.Run("parallel", func(b *testing.B) { benchRouteFlat(b, benchWorkers()) })
+	b.ReportMetric(last.WL/1e6, "WL_m")
+	b.ReportMetric(float64(last.Overflow), "overflow")
 }
 
 func benchPlaceFlat(b *testing.B, workers int) {

@@ -8,6 +8,8 @@ import (
 	"io"
 	"os"
 	"runtime"
+
+	"macro3d/internal/par"
 )
 
 // The flow ledger's committed trajectory (BENCH_flow.json): one row per
@@ -47,7 +49,7 @@ type flowLine struct {
 func ledgerRowFrom(in io.Reader, commit string, workloads []string) (ledgerRow, error) {
 	row := ledgerRow{
 		Commit: commit, Go: runtime.Version(),
-		NProc: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
+		NProc: runtime.NumCPU(), GoMaxProcs: par.Workers(0), // GOMAXPROCS
 		Workloads: map[string]map[string]float64{},
 	}
 	sc := bufio.NewScanner(in)

@@ -79,7 +79,7 @@ type summary struct {
 	// benchmarks report (per-phase worker occupancy, serial fraction,
 	// Amdahl ceiling at the pinned worker count, critical-path speedup)
 	// to the top level, keyed "<metric>/<variant>", e.g.
-	// "route_occupancy/parallel" or "place_cp_speedup/flat_parallel".
+	// "place_occupancy/parallel" or "place_cp_speedup/flat_parallel".
 	Parallelism map[string]float64 `json:"parallelism,omitempty"`
 }
 
@@ -277,9 +277,7 @@ func main() {
 	// ratio carries a SpeedupStats twin with the noise verdict.
 	out.SpeedupStats = map[string]*pairStats{}
 	for _, pr := range [][3]string{
-		{"BenchmarkRouteDesign/serial", "BenchmarkRouteDesign/parallel", "route_serial_over_parallel"},
 		{"BenchmarkPlace/serial", "BenchmarkPlace/parallel", "place_serial_over_parallel"},
-		{"BenchmarkRouteFlat/serial", "BenchmarkRouteFlat/parallel", "flat_route_serial_over_parallel"},
 		{"BenchmarkPlaceFlat/serial", "BenchmarkPlaceFlat/parallel", "flat_place_serial_over_parallel"},
 	} {
 		ser, okS := byName[pr[0]]
@@ -316,12 +314,8 @@ func main() {
 	out.Parallelism = map[string]float64{}
 	out.Env = map[string]float64{}
 	for _, vp := range [][2]string{
-		{"BenchmarkRouteDesign/serial", "serial"},
-		{"BenchmarkRouteDesign/parallel", "parallel"},
 		{"BenchmarkPlace/serial", "serial"},
 		{"BenchmarkPlace/parallel", "parallel"},
-		{"BenchmarkRouteFlat/serial", "flat_serial"},
-		{"BenchmarkRouteFlat/parallel", "flat_parallel"},
 		{"BenchmarkPlaceFlat/serial", "flat_serial"},
 		{"BenchmarkPlaceFlat/parallel", "flat_parallel"},
 	} {

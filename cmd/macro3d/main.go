@@ -153,7 +153,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.experiment, "experiment", "", "run an experiment: "+strings.Join(append(macro3d.ExperimentNames(), "flowtrace"), ", "))
 	fs.StringVar(&o.config, "config", "small", "tile configuration: small, large or tiny")
 	fs.Uint64Var(&o.seed, "seed", 1, "deterministic seed")
-	fs.IntVar(&o.jobs, "j", 0, "worker count of the data-parallel engine phases — the placer's descent passes, route net prep and overflow scan (0 = every CPU, 1 = one goroutine); extraction and STA size their own goroutines by GOMAXPROCS, not by -j; the routing pass and the legalization sweep are ordered and always serial; results are bit-identical at any setting")
+	fs.IntVar(&o.jobs, "j", 0, "parallelism (0 = every CPU, 1 = one goroutine): for an -experiment, the number of flows (cells) in flight, each on one goroutine; for a single -flow, the worker count of placement and extraction, the stages that fan out; results are bit-identical at any setting")
 	fs.IntVar(&o.metals, "macrodiemetals", 6, "macro-die metal layers (3D flows)")
 	fs.IntVar(&o.array, "array", 0, "after -flow 2d/macro3d: verify an N×N abutted tile array")
 	fs.DurationVar(&o.timeout, "timeout", 0, "cancel the run after this duration (0 = no limit)")

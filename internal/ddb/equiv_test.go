@@ -17,9 +17,10 @@ import (
 // the sta stage then holds the hold check it runs on the optimizer's
 // engine to a from-scratch sta.Analyze with CheckHold.
 //
-// GOMAXPROCS is raised so the parallel full-pass paths (chunked
-// extraction, wave-parallel STA) are exercised too — including under
-// -race, which `make check` runs on this package.
+// GOMAXPROCS is raised so the flows' default Workers resolves to four
+// and their extraction runs in four chunks — including under -race,
+// which `make check` runs on this package — while the self-check's
+// from-scratch extraction runs serially.
 func TestIncrementalEquivalence(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)

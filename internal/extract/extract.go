@@ -10,11 +10,10 @@ package extract
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 
 	"macro3d/internal/netlist"
+	"macro3d/internal/par"
 	"macro3d/internal/route"
 	"macro3d/internal/slab"
 	"macro3d/internal/tech"
@@ -89,46 +88,56 @@ func (out *Design) lend(s Source, res *route.Result, corner tech.CornerScale) bo
 	return lent
 }
 
-// Extract builds RC trees for every routed net at the given corner. A
+// Extract is ExtractOn a serial team: every net on the calling goroutine.
+func Extract(d *netlist.Design, res *route.Result, db *route.DB, corner tech.CornerScale, from ...Source) *Design {
+	var serial par.Team
+	return ExtractOn(&serial, d, res, db, corner, from...)
+}
+
+// parMinNets is the net count below which extraction stays on the
+// calling goroutine whatever the team's size.
+const parMinNets = 256
+
+// ExtractOn builds RC trees for every routed net at the given corner. A
 // net a source lends a record to (Source) shares that record instead.
-// Nets are independent, so with more than one available CPU the trees
-// are built across workers; the capacitance totals are then reduced
-// sequentially in net-ID order, which keeps every float result
-// bit-identical to the serial pass — and, lent records included, to an
-// extraction without sources.
+// Nets are independent, so the trees are built in the team's contiguous
+// net-ID chunks; the capacitance totals are then reduced sequentially in
+// net-ID order, which keeps every float result bit-identical to the
+// serial pass — and, lent records included, to an extraction without
+// sources.
 //
-// The full pass owns the records it extracts: each worker carves the
-// NetRCs and Elmore vectors of its net-ID chunk from one []NetRC and one
+// The full pass owns the records it extracts: each chunk carves the
+// NetRCs and Elmore vectors of its nets from one []NetRC and one
 // []float64 sized by a count over the chunk's unlent nets, instead of
-// two heap objects per net. Reextract later rewrites those records where
-// they lie. The arrays are allocated here, before the chunk's worker
-// starts: they are the pass's large allocations, so a collection they
-// trigger begins with no worker running. A worker preempted for the
+// two heap objects per net, and extracts them in a scratch sized for the
+// chunk's largest net. Reextract later rewrites those records where they
+// lie. The arrays are allocated here, before the team's workers start on
+// them: they are the pass's large allocations, so a collection
+// they trigger begins with no worker running. A worker preempted for the
 // stack scan within its first microseconds has a frame of whatever its
 // recycled stack last held, which is scanned conservatively — on
 // back-to-back flat verifications that kept the whole previous array
 // alive through the cycle and doubled the heap goal (DESIGN.md §18).
-func Extract(d *netlist.Design, res *route.Result, db *route.DB, corner tech.CornerScale, from ...Source) *Design {
+func ExtractOn(team *par.Team, d *netlist.Design, res *route.Result, db *route.DB, corner tech.CornerScale, from ...Source) *Design {
 	out := &Design{Nets: make([]*NetRC, len(d.Nets)), Corner: corner, nl: d}
 	for _, s := range from {
 		out.borrows = out.lend(s, res, corner) || out.borrows
 	}
-	if workers := runtime.GOMAXPROCS(0); workers > 1 && len(d.Nets) >= 256 {
-		var wg sync.WaitGroup
-		chunk := (len(d.Nets) + workers - 1) / workers
-		for lo := 0; lo < len(d.Nets); lo += chunk {
-			nets := d.Nets[lo:min(lo+chunk, len(d.Nets))]
-			recs, elmore := out.chunkRecords(nets, res)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				out.extractChunk(nets, res, db, corner, recs, elmore)
-			}()
-		}
-		wg.Wait()
+	if n := len(d.Nets); n < parMinNets || team.Size() == 1 {
+		var c chunk
+		c.prepare(out, d.Nets, res)
+		out.extractChunk(d.Nets, res, db, corner, &c)
 	} else {
-		recs, elmore := out.chunkRecords(d.Nets, res)
-		out.extractChunk(d.Nets, res, db, corner, recs, elmore)
+		// Team.Chunks' chunking: chunk k is [k·size, (k+1)·size).
+		w := min(team.Size(), n)
+		size := (n + w - 1) / w
+		chunks := make([]chunk, w)
+		for k := range chunks {
+			chunks[k].prepare(out, d.Nets[k*size:min((k+1)*size, n)], res)
+		}
+		team.Chunks("extract/nets", n, func(k, lo, hi int) {
+			out.extractChunk(d.Nets[lo:hi], res, db, corner, &chunks[k])
+		})
 	}
 	for _, rc := range out.Nets {
 		if rc != nil {
@@ -144,24 +153,40 @@ func (out *Design) toExtract(id int, res *route.Result) bool {
 	return res.Routes[id] != nil && out.Nets[id] == nil
 }
 
-// chunkRecords returns the record arrays of one net-ID chunk: a NetRC per
-// net to extract and an Elmore entry per sink of one.
-func (out *Design) chunkRecords(nets []*netlist.Net, res *route.Result) ([]NetRC, []float64) {
-	routed, sinks := 0, 0
+// chunk is what the full pass extracts one contiguous net-ID chunk with:
+// the chunk's record arrays and a scratch of its own.
+type chunk struct {
+	recs   []NetRC
+	elmore []float64
+	s      Scratch
+}
+
+// prepare sizes c for the unlent routed nets among nets: a NetRC per net,
+// an Elmore entry per sink, and scratch arrays that hold the largest of
+// them, so extracting the chunk allocates nothing more.
+func (c *chunk) prepare(out *Design, nets []*netlist.Net, res *route.Result) {
+	routed, sinks, maxNodes, maxSegs, maxSinks := 0, 0, 0, 0, 0
 	for _, n := range nets {
 		if out.toExtract(n.ID, res) {
+			segs := len(res.Routes[n.ID].Segments)
 			routed++
 			sinks += len(n.Sinks)
+			maxNodes = max(maxNodes, 2*segs+n.NumPins())
+			maxSegs = max(maxSegs, segs)
+			maxSinks = max(maxSinks, len(n.Sinks))
 		}
 	}
-	return make([]NetRC, routed), make([]float64, sinks)
+	c.recs, c.elmore = make([]NetRC, routed), make([]float64, sinks)
+	if routed > 0 {
+		c.s.reserve(maxNodes, maxSegs, maxSinks)
+	}
 }
 
 // extractChunk extracts the nets of one contiguous net-ID chunk into
-// out.Nets, with its own scratch and the chunk's record arrays; chunks
-// write disjoint entries, so they run concurrently.
-func (out *Design) extractChunk(nets []*netlist.Net, res *route.Result, db *route.DB, corner tech.CornerScale, recs []NetRC, elmore []float64) {
-	var s Scratch
+// out.Nets with the chunk's scratch and record arrays; chunks write
+// disjoint entries, so they run concurrently.
+func (out *Design) extractChunk(nets []*netlist.Net, res *route.Result, db *route.DB, corner tech.CornerScale, c *chunk) {
+	recs, elmore := c.recs, c.elmore
 	for _, n := range nets {
 		if !out.toExtract(n.ID, res) {
 			continue
@@ -171,7 +196,7 @@ func (out *Design) extractChunk(nets []*netlist.Net, res *route.Result, db *rout
 		k := len(n.Sinks)
 		rc.ElmoreTo = elmore[:k:k]
 		elmore = elmore[k:]
-		s.extractNet(rc, n, res.Routes[n.ID], db, corner)
+		c.s.extractNet(rc, n, res.Routes[n.ID], db, corner)
 		out.Nets[n.ID] = rc
 	}
 }
@@ -282,7 +307,8 @@ func (d *Design) netName(id int) string {
 // delay as flat arrays over those numbers. The zero value is ready to
 // use; arrays only grow, so a warmed scratch extracts a net allocating
 // nothing. One scratch serves one goroutine:
-// Extract keeps one per worker, ddb.DB owns the one behind Txn.Reroute.
+// ExtractOn keeps one per chunk, sized up front (reserve), ddb.DB owns
+// the one behind Txn.Reroute.
 type Scratch struct {
 	tab  []nodeSlot // open-addressed route.Node → local id
 	mask uint64     // probe mask of the current net (≤ len(tab)-1)
@@ -315,6 +341,19 @@ const (
 	rootNode   = -1
 	unseenNode = -2
 )
+
+// reserve sizes every array for a net of at most nodes route nodes, segs
+// segments and sinks sinks, so extracting such nets never grows one.
+func (s *Scratch) reserve(nodes, segs, sinks int) {
+	s.reset(nodes)
+	s.capAt, s.cur, s.order = make([]float64, 0, nodes), make([]int32, 0, nodes), make([]int32, 0, nodes)
+	s.off = make([]int32, 0, nodes+1)
+	s.parent, s.parentR = make([]int32, 0, nodes), make([]float64, 0, nodes)
+	s.down, s.delay = make([]float64, 0, nodes), make([]float64, 0, nodes)
+	s.adjTo, s.adjR = make([]int32, 0, 2*segs), make([]float64, 0, 2*segs)
+	s.segA, s.segB, s.segR = make([]int32, 0, segs), make([]int32, 0, segs), make([]float64, 0, segs)
+	s.sink = make([]int32, 0, sinks)
+}
 
 // grow returns s resized to n; contents are unspecified.
 func grow[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }

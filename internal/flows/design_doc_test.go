@@ -2,6 +2,9 @@ package flows
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -57,7 +60,7 @@ func TestEngineCallSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := []string{"cts.Build(", "extract.Extract(", "sta.Analyze(", "verify.Full(", "power.Analyze(", "route.RouteDesign(", "piton.Generate("}
+	entries := []string{"cts.Build(", "extract.ExtractOn(", "sta.Analyze(", "verify.Full(", "power.Analyze(", "route.RouteDesign(", "piton.Generate("}
 	calls := map[string]int{}
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
@@ -104,6 +107,51 @@ func TestTraceImportScope(t *testing.T) {
 			t.Errorf("%s imports macro3d/internal/obs/trace; instrument through obs.Span", rel)
 		}
 		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGoroutineScope holds DESIGN.md §10's one parallel mechanism: no
+// non-test code starts a goroutine except par's worker team and the
+// observability server's listener, and none reads or sets GOMAXPROCS
+// except par.Workers — so -j governs every fan-out. bench/, the ledger
+// harness that pins GOMAXPROCS for its runs, is outside the program.
+func TestGoroutineScope(t *testing.T) {
+	goAllowed := map[string]bool{"internal/par/par.go": true, "internal/obs/http.go": true}
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel("../..", path)
+		rel = filepath.ToSlash(rel)
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (rel == "bench" || rel != "." && strings.HasPrefix(rel, ".")):
+			return fs.SkipDir
+		case d.IsDir() || !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				if !goAllowed[rel] {
+					t.Errorf("%s starts a goroutine; fan out on a par.Team", rel)
+				}
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "runtime" && n.Sel.Name == "GOMAXPROCS" && rel != "internal/par/par.go" {
+					t.Errorf("%s uses runtime.GOMAXPROCS; size a fan-out with par.Workers", rel)
+				}
+			}
+			return true
+		})
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -114,13 +114,13 @@ type Config struct {
 	// either way, and it does not enter the stage-cache key.
 	Obs *obs.Recorder
 
-	// Workers sets the worker count of the data-parallel engine phases
-	// (the CLI's -j flag) — the placer's descent passes, the
-	// router's net prep and overflow scan, extraction: 0 (default) uses
-	// every CPU (GOMAXPROCS), 1 runs everything on one goroutine, n > 1
-	// uses n workers. The routing pass and the legalization sweep are
-	// ordered and run on one goroutine regardless. Results are
-	// bit-identical at any setting.
+	// Workers sets the worker count of the two stages that fan out (the
+	// CLI's -j flag): the placer's descent passes and extraction. 0
+	// (default) uses every CPU (GOMAXPROCS), 1 runs the whole flow on one
+	// goroutine, n > 1 uses n workers. Routing, legalization, timing and
+	// the rest run on one goroutine regardless (DESIGN.md §10). Results
+	// are bit-identical at any setting. An experiment reads it as the
+	// number of cells in flight instead (report.Run).
 	Workers int
 
 	// Cache, when set, enables content-addressed stage checkpointing:
@@ -154,7 +154,7 @@ func (c Config) placeOptions(seed uint64, sp *obs.Span) place.Options {
 }
 
 func (c Config) routeOptions(sp *obs.Span) route.Options {
-	return route.Options{Obs: sp, Workers: c.Workers}
+	return route.Options{Obs: sp}
 }
 
 // f2f is the effective face-to-face via technology: the override, or

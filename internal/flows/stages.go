@@ -15,6 +15,7 @@ import (
 	"macro3d/internal/netlist"
 	"macro3d/internal/obs"
 	"macro3d/internal/opt"
+	"macro3d/internal/par"
 	"macro3d/internal/partition"
 	"macro3d/internal/place"
 	"macro3d/internal/power"
@@ -349,9 +350,14 @@ func (f *flow) extract() error {
 	return f.st.ExSlow.CheckFinite()
 }
 
+// extractAt is extraction at corner c on a worker team of Config.Workers.
 func (f *flow) extractAt(c tech.Corner) *extract.Design {
 	st := f.st
-	return extract.Extract(st.Design, st.Routes, st.DB, f.t.CornerScaleFor(c), f.lend...)
+	workers := par.Workers(f.cfg.Workers)
+	var team par.Team
+	team.Start(workers, f.obs().Workers(workers))
+	defer team.Close()
+	return extract.ExtractOn(&team, st.Design, st.Routes, st.DB, f.t.CornerScaleFor(c), f.lend...)
 }
 
 // openDDB opens the design database on the slow-corner extraction; sp is

@@ -8,9 +8,9 @@ import (
 	"macro3d/internal/piton"
 )
 
-// TestWorkerEquivalence pins the parallel engines' flow-level
-// contract: every flow run with Workers 1 (the serial reference
-// paths in route and place), Workers 4 (a forced four-way fan-out) and
+// TestWorkerEquivalence pins the flow-level contract of the two stages
+// that fan out, placement and extraction: every flow run with Workers 1
+// (the serial reference), Workers 4 (a forced four-way fan-out) and
 // Workers 0 (all CPUs) must produce an identical PPA — every field,
 // compared exactly, no tolerance. GOMAXPROCS is raised so Workers=0
 // genuinely fans out even on single-CPU CI machines; on the small tile
@@ -18,7 +18,7 @@ import (
 // (runSmall), made at the test binary's own GOMAXPROCS.
 //
 // `make check` also runs this package under -race, which turns the
-// test into a data-race audit of the router's and the placer's
+// test into a data-race audit of the placer's and the extraction's
 // fanned-out phases.
 func TestWorkerEquivalence(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)

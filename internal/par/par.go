@@ -1,8 +1,8 @@
-// Package par holds the small deterministic fan-out primitives shared
-// by the parallel routing and placement engines: worker-count
-// resolution and a Team — resident worker goroutines that run
-// contiguous index chunks, with aggregate busy-time accounting feeding
-// the worker-utilization gauges.
+// Package par is the program's one parallel mechanism, shared by the
+// placer, extraction and the experiment driver: worker-count resolution
+// (the only reader of GOMAXPROCS) and a Team — resident worker goroutines
+// that run contiguous index chunks, with aggregate busy-time accounting
+// feeding the worker-utilization gauges.
 //
 // Determinism is the caller's contract: workers must write only to
 // disjoint state (distinct slice elements, per-worker scratch), and
@@ -31,9 +31,10 @@ func Workers(n int) int {
 }
 
 // Team is the fan-out of one engine run: Start launches workers−1
-// resident goroutines, every Chunks call hands them its chunks by
-// value and runs the first one on the caller, and Close stops them. A
-// fork-join therefore allocates nothing, at any worker count.
+// resident goroutines, every Chunks call hands them its chunk indices and
+// runs the first chunk on the caller, and Close stops them. A fork-join
+// therefore allocates nothing, at any worker count, and a team costs
+// three objects.
 //
 // The zero Team (or one started with one worker) is the serial
 // reference path with tracing off: Chunks runs fn inline. A Team is
@@ -41,26 +42,21 @@ func Workers(n int) int {
 type Team struct {
 	workers int
 	ts      *trace.Set
-	jobs    chan job
-	done    chan result
+	jobs    chan int           // the chunk index a worker runs next
+	done    chan time.Duration // a finished chunk's busy time
 	exited  sync.WaitGroup
-}
 
-// job is one chunk [lo, hi) of fork-join `name`, for worker index w.
-type job struct {
-	name   string
-	fn     func(w, lo, hi int)
-	w      int
-	lo, hi int
-}
+	// The fork-join in progress: Chunks sets it before it hands out the
+	// first chunk index, and the workers read it after they receive one.
+	name     string
+	fn       func(w, lo, hi int)
+	n, chunk int
 
-// result is a finished chunk: its busy time, or the value its fn
-// panicked with.
-type result struct {
-	w        int
-	busy     time.Duration
+	// The lowest-indexed chunk of the fork-join that panicked, if any.
+	mu       sync.Mutex
 	panicked bool
-	val      any
+	panicW   int
+	panicVal any
 }
 
 // Start readies the team for `workers` workers (at least one) and, when
@@ -71,8 +67,8 @@ func (t *Team) Start(workers int, ts *trace.Set) {
 	if t.workers == 1 {
 		return
 	}
-	t.jobs = make(chan job, t.workers-1)
-	t.done = make(chan result, t.workers-1)
+	t.jobs = make(chan int, t.workers-1)
+	t.done = make(chan time.Duration, t.workers-1)
 	t.exited.Add(t.workers - 1)
 	for range t.workers - 1 {
 		go t.work()
@@ -95,8 +91,8 @@ func (t *Team) Size() int { return max(t.workers, 1) }
 
 func (t *Team) work() {
 	defer t.exited.Done()
-	for j := range t.jobs {
-		t.done <- t.run(j)
+	for w := range t.jobs {
+		t.done <- t.run(w)
 	}
 }
 
@@ -124,52 +120,55 @@ func (t *Team) Chunks(name string, n int, fn func(w, lo, hi int)) time.Duration 
 	w := min(t.Size(), n)
 	chunk := (n + w - 1) / w
 	if chunk == n {
-		return t.exec(job{name, fn, 0, 0, n})
+		return t.exec(name, fn, 0, 0, n)
 	}
+	t.name, t.fn, t.n, t.chunk = name, fn, n, chunk
 	sent := 0
 	for lo := chunk; lo < n; lo += chunk {
 		sent++
-		t.jobs <- job{name, fn, sent, lo, min(lo+chunk, n)}
+		t.jobs <- sent
 	}
 	// A woken worker waits in this P's run-next slot, where it would sit
 	// until chunk 0 is done unless an idle P steals it; yielding runs it
 	// now and the caller resumes on whichever P picks it up first.
 	runtime.Gosched()
-	first := t.run(job{name, fn, 0, 0, chunk})
-	busy := first.busy
+	busy := t.run(0)
 	for range sent {
-		r := <-t.done
-		busy += r.busy
-		if r.panicked && (!first.panicked || r.w < first.w) {
-			first = r
-		}
+		busy += <-t.done
 	}
-	if first.panicked {
-		panic(first.val)
+	t.fn = nil
+	if t.panicked {
+		v := t.panicVal
+		t.panicked, t.panicVal = false, nil
+		panic(v)
 	}
 	return busy
 }
 
-// run executes j, recovering a panic into the result.
-func (t *Team) run(j job) (r result) {
-	r.w = j.w
+// run executes chunk w of the fork-join in progress and returns its busy
+// time, recording a panic instead of propagating it.
+func (t *Team) run(w int) (busy time.Duration) {
 	defer func() {
 		if p := recover(); p != nil {
-			r.panicked, r.val = true, p
+			t.mu.Lock()
+			if !t.panicked || w < t.panicW {
+				t.panicked, t.panicW, t.panicVal = true, w, p
+			}
+			t.mu.Unlock()
 		}
 	}()
-	r.busy = t.exec(j)
-	return r
+	lo := w * t.chunk
+	return t.exec(t.name, t.fn, w, lo, min(lo+t.chunk, t.n))
 }
 
-// exec executes j, traced when the team traces, and returns its wall
-// time.
-func (t *Team) exec(j job) time.Duration {
+// exec runs fn on chunk w, [lo, hi), traced when the team traces, and
+// returns its wall time.
+func (t *Team) exec(name string, fn func(w, lo, hi int), w, lo, hi int) time.Duration {
 	t0 := time.Now()
-	j.fn(j.w, j.lo, j.hi)
+	fn(w, lo, hi)
 	t1 := time.Now()
 	if t.ts != nil {
-		t.ts.Add(j.w, j.name, t0, t1, trace.N("items", int64(j.hi-j.lo)))
+		t.ts.Add(w, name, t0, t1, trace.N("items", int64(hi-lo)))
 	}
 	return t1.Sub(t0)
 }

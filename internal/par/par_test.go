@@ -290,8 +290,22 @@ func TestChunksWorkerPanic(t *testing.T) {
 		t.Fatalf("after the panics a fork-join covered %d of 8 items", items.Load())
 	}
 	tm.Close()
-	if got := runtime.NumGoroutine(); got > base {
-		t.Fatalf("%d goroutines after Close, %d before Start", got, base)
+	if got := goroutinesBackTo(base); got > base {
+		t.Fatalf("%d goroutines a second after Close, %d before Start", got, base)
+	}
+}
+
+// goroutinesBackTo polls the goroutine count for up to a second until it
+// is back to base, and returns the last count. A closed team's worker has
+// signalled its exit a moment before it is gone from the count.
+func goroutinesBackTo(base int) int {
+	deadline := time.Now().Add(time.Second)
+	for {
+		got := runtime.NumGoroutine()
+		if got <= base || time.Now().After(deadline) {
+			return got
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
-	"macro3d/internal/par"
 	"macro3d/internal/slab"
 )
 
@@ -388,31 +387,14 @@ func CheckLegal(d *netlist.Design, fp *floorplan.Floorplan) []string {
 		}
 		cells = append(cells, placedCell{r, inst.Name})
 	}
-	// Sweep-line overlap check. The sorted cells are read-only, so the
-	// outer sweep fans out over contiguous chunks whose per-worker
-	// violation lists concatenate in chunk order — the same order the
-	// serial sweep reports.
+	// Sweep-line overlap check.
 	sort.Slice(cells, func(i, j int) bool { return cells[i].r.Lx < cells[j].r.Lx })
-	workers := par.Workers(0)
-	if len(cells) < parMinCells {
-		workers = 1
-	}
-	var team par.Team
-	team.Start(workers, nil)
-	defer team.Close()
-	overlaps := make([][]string, workers)
-	team.Chunks("place/check-legal", len(cells), func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j := i + 1; j < len(cells) && cells[j].r.Lx < cells[i].r.Ux-1e-9; j++ {
-				if cells[i].r.Expand(-1e-7).Intersects(cells[j].r) {
-					overlaps[w] = append(overlaps[w],
-						fmt.Sprintf("%s overlaps %s", cells[i].name, cells[j].name))
-				}
+	for i := range cells {
+		for j := i + 1; j < len(cells) && cells[j].r.Lx < cells[i].r.Ux-1e-9; j++ {
+			if cells[i].r.Expand(-1e-7).Intersects(cells[j].r) {
+				viol = append(viol, fmt.Sprintf("%s overlaps %s", cells[i].name, cells[j].name))
 			}
 		}
-	})
-	for _, o := range overlaps {
-		viol = append(viol, o...)
 	}
 	return viol
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/floorplan"
@@ -198,21 +199,34 @@ func TestPlaceFailsWhenNoRows(t *testing.T) {
 }
 
 // TestPlaceStopsItsTeam: Place at Workers 4 stops its worker team on
-// return, a failed legalization included, and so does CheckLegal.
+// return, a failed legalization included.
 func TestPlaceStopsItsTeam(t *testing.T) {
 	base := runtime.NumGoroutine()
 	d, fp := chainDesign(2 * parMinCells)
 	if _, err := Place(d, fp, 1.2, Options{Seed: 1, Workers: 4, Iters: 8}); err != nil {
 		t.Fatal(err)
 	}
-	CheckLegal(d, fp)
 	d, fp = chainDesign(2 * parMinCells)
 	fp.PlaceBlk = append(fp.PlaceBlk, floorplan.Blockage{Rect: fp.Die, Fraction: 1})
 	if _, err := Place(d, fp, 1.2, Options{Seed: 1, Workers: 4, Iters: 8}); err == nil {
 		t.Fatal("placement into fully blocked die succeeded")
 	}
-	if got := runtime.NumGoroutine(); got > base {
-		t.Fatalf("%d goroutines after Place, %d before", got, base)
+	if got := goroutinesBackTo(base); got > base {
+		t.Fatalf("%d goroutines a second after Place, %d before", got, base)
+	}
+}
+
+// goroutinesBackTo polls the goroutine count for up to a second until it
+// is back to base, and returns the last count. A closed team's worker has
+// signalled its exit a moment before it is gone from the count.
+func goroutinesBackTo(base int) int {
+	deadline := time.Now().Add(time.Second)
+	for {
+		got := runtime.NumGoroutine()
+		if got <= base || time.Now().After(deadline) {
+			return got
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

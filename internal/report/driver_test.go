@@ -3,7 +3,11 @@ package report
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"macro3d/internal/flows"
@@ -15,16 +19,16 @@ import (
 // started: the runs the driver made, at the cost of one stage each.
 func startedFlows(t *testing.T, cells []Cell) int {
 	t.Helper()
-	started := 0
+	var started atomic.Int64
 	cfg := flows.Config{AfterStage: func(_, _ string, _ *flows.State) {
-		started++
+		started.Add(1)
 		panic("stop after the first stage")
 	}}
 	ps, err := Run(context.Background(), cfg, cells, true)
 	if err == nil || slices.ContainsFunc(ps, func(p *flows.PPA) bool { return p != nil }) {
 		t.Fatalf("every flow should fail at its first stage: %v", err)
 	}
-	return started
+	return int(started.Load())
 }
 
 // TestDriverRunsEachDistinctCellOnce: Table I's cells followed by Table
@@ -39,6 +43,81 @@ func TestDriverRunsEachDistinctCellOnce(t *testing.T) {
 	}
 	if n := startedFlows(t, tableIIICells(cfg)); n != 4 {
 		t.Errorf("Table III started %d flows, want 4", n)
+	}
+}
+
+// runAt is one driver call over cells at a worker count, its tables
+// rendered — Table I over the first four cells, Tables II and III over
+// the next eight when there are — and its error.
+func runAt(cfg flows.Config, workers int, cells []Cell, keepGoing bool) ([]*flows.PPA, string) {
+	cfg.Workers = workers
+	ps, err := Run(context.Background(), cfg, cells, keepGoing)
+	out := formatTableI(ps[:4])
+	if len(ps) == 12 {
+		out += formatTableII(ps[4:8]) + formatTableIII(ps[8:])
+	}
+	return ps, fmt.Sprint(out, err)
+}
+
+// TestDriverIdenticalAtEveryWorkers: Tables I–III, on the tiny tile at
+// two seeds, render byte-identically whether the driver runs one cell at
+// a time on engines of any width or several cells at once on the serial
+// engines, and every PPA field agrees; so does a keep-going Table I whose
+// S2D columns fail (they cannot run a custom generator).
+func TestDriverIdenticalAtEveryWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the tiny-tile tables at three worker counts")
+	}
+	tiny := piton.Tiny()
+	cells := slices.Concat(cellsOf(tiny, 3, "2d", "s2d", "bfs2d", "macro3d"),
+		cellsOf(tiny, 3, "2d", "macro3d"), cellsOf(tiny, 4, "2d", "macro3d"),
+		[]Cell{{Flow: "macro3d", Tile: tiny, Seed: 3}, {Flow: "macro3d", Tile: tiny, Seed: 3, MacroDieMetals: 4},
+			{Flow: "macro3d", Tile: tiny, Seed: 4}, {Flow: "macro3d", Tile: tiny, Seed: 4, MacroDieMetals: 4}})
+	failing := flows.Config{Generator: func() (*piton.Tile, error) { return piton.Generate(tiny) }}
+	ref, refText := runAt(flows.Config{}, 1, cells, false)
+	_, refFail := runAt(failing, 1, cells[:4], true)
+	for _, w := range []int{2, 4} {
+		ps, text := runAt(flows.Config{}, w, cells, false)
+		if text != refText {
+			t.Errorf("workers=%d: tables differ from one cell at a time:\n%s\n%s", w, text, refText)
+		}
+		for i := range ps {
+			if !reflect.DeepEqual(ps[i], ref[i]) {
+				t.Errorf("workers=%d: cell %v PPA %+v, one at a time %+v", w, cells[i], ps[i], ref[i])
+			}
+		}
+		if _, text := runAt(failing, w, cells[:4], true); text != refFail {
+			t.Errorf("workers=%d: keep-going table differs:\n%s\n%s", w, text, refFail)
+		}
+	}
+}
+
+// TestDriverCancelStartsNoFurtherCell: a cancel while the first cells
+// run starts none of the rest — no more flows start than were in
+// flight — and the running ones stop at their next stage boundary, so
+// every cell is missing and the error is the cancellation.
+func TestDriverCancelStartsNoFurtherCell(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var started atomic.Int64
+	cfg := flows.Config{Workers: 2, Generator: func() (*piton.Tile, error) {
+		started.Add(1)
+		cancel()
+		return piton.Generate(piton.Tiny())
+	}}
+	cells := make([]Cell, 6)
+	for i := range cells {
+		cells[i] = Cell{Flow: "2d", Tile: piton.Tiny(), Seed: uint64(i + 1)}
+	}
+	ps, err := Run(ctx, cfg, cells, true)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if n := started.Load(); n > 2 {
+		t.Errorf("%d flows started with two in flight", n)
+	}
+	if slices.ContainsFunc(ps, func(p *flows.PPA) bool { return p != nil }) {
+		t.Error("a cell completed after the cancel")
 	}
 }
 

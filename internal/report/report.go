@@ -13,8 +13,10 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"macro3d/internal/flows"
+	"macro3d/internal/par"
 	"macro3d/internal/piton"
 	"macro3d/internal/tech"
 )
@@ -57,31 +59,73 @@ func (c Cell) config(base flows.Config) flows.Config {
 
 // Run runs cells over base, which carries the hardening knobs and the
 // stage cache, each distinct cell once, and returns their PPA in cell
-// order: nil for a cell that failed or was not reached. Cancellation stops
-// the list at the next stage boundary; so does a failure, unless
-// keepGoing. The error joins the cell failures, each labelled.
+// order: nil for a cell that failed or was not reached. The error joins
+// the cell failures, each labelled, in cell order.
+//
+// Distinct cells run on par.Workers(base.Workers) goroutines, which take
+// them in cell order. With more than one in flight every cell runs at
+// Workers 1, the serial engines; results are bit-identical either way.
+// Under base.Obs the cells run one at a time, so the event stream and
+// the timeline keep cell order. Cancellation starts no further cell and
+// stops the running ones at their next stage boundary; so does a
+// failure, unless keepGoing, and a cell it stops is not reported as
+// failed.
 func Run(ctx context.Context, base flows.Config, cells []Cell, keepGoing bool) ([]*flows.PPA, error) {
-	ppa := make([]*flows.PPA, len(cells))
 	first := make(map[Cell]int, len(cells))
-	var errs []error
+	var distinct []int // the first index of each distinct cell
 	for i, c := range cells {
-		if j, ok := first[c]; ok {
-			ppa[i] = ppa[j]
-			continue
-		}
-		first[c] = i
-		err := ctx.Err()
-		if err == nil {
-			ppa[i], _, _, err = flows.Run(ctx, c.Flow, c.config(base))
-		}
-		if err != nil {
-			errs = append(errs, fmt.Errorf("%v: %w", c, err))
-			if !keepGoing || ctx.Err() != nil {
-				break
-			}
+		if _, ok := first[c]; !ok {
+			first[c] = i
+			distinct = append(distinct, i)
 		}
 	}
-	return ppa, errors.Join(errs...)
+	inFlight := min(par.Workers(base.Workers), len(distinct))
+	if base.Obs != nil {
+		inFlight = 1
+	}
+	if inFlight > 1 {
+		base.Workers = 1
+	}
+	run, stop := context.WithCancel(ctx)
+	defer stop()
+	ppa := make([]*flows.PPA, len(cells))
+	errs := make([]error, len(cells))
+	var next atomic.Int64
+	var team par.Team
+	team.Start(inFlight, nil)
+	defer team.Close()
+	// One chunk a worker; each takes the next cell until none is left.
+	team.Chunks("report/cells", inFlight, func(_, _, _ int) {
+		for {
+			k := int(next.Add(1)) - 1
+			if k >= len(distinct) {
+				return
+			}
+			i := distinct[k]
+			err := run.Err()
+			if err == nil {
+				ppa[i], _, _, err = flows.Run(run, cells[i].Flow, cells[i].config(base))
+			}
+			if err != nil {
+				errs[i] = err
+				if !keepGoing || run.Err() != nil {
+					stop()
+					return
+				}
+			}
+		}
+	})
+	var joined []error
+	for i, err := range errs {
+		// A cell the driver's own stop reached after another cell failed.
+		if err != nil && !(ctx.Err() == nil && errors.Is(err, context.Canceled)) {
+			joined = append(joined, fmt.Errorf("%v: %w", cells[i], err))
+		}
+	}
+	for i, c := range cells {
+		ppa[i] = ppa[first[c]]
+	}
+	return ppa, errors.Join(joined...)
 }
 
 // Result is one experiment run: its cells, their PPA in cell order (nil

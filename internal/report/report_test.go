@@ -185,15 +185,16 @@ func TestNilColumnsFormatAsDash(t *testing.T) {
 }
 
 // TestRunTableICancelPreservesColumns is the cancellation acceptance
-// check: cancelling during Table I's second cell stops the table within
-// one stage boundary while the completed first cell survives.
+// check, one cell at a time: cancelling during Table I's second cell
+// stops the table within one stage boundary while the completed first
+// cell survives.
 func TestRunTableICancelPreservesColumns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs one tiny flow plus a cancelled one")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := flows.Config{Piton: piton.Tiny(), Seed: 3}
+	cfg := flows.Config{Piton: piton.Tiny(), Seed: 3, Workers: 1}
 	cfg.AfterStage = func(flow, stage string, st *flows.State) {
 		if flow != "2D" {
 			cancel() // first stage of the second column (MoL S2D)

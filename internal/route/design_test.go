@@ -13,7 +13,7 @@ import (
 )
 
 // placedSmallTile generates, floorplans and places the small-cache
-// piton tile — the shared fixture of the worker-determinism test.
+// piton tile — the shared fixture of the tile-scale router tests.
 func placedSmallTile(t *testing.T) (*netlist.Design, geom.Rect, []floorplan.RouteBlockage) {
 	t.Helper()
 	tile, err := piton.Generate(piton.SmallCache())
@@ -37,22 +37,21 @@ func placedSmallTile(t *testing.T) (*netlist.Design, geom.Rect, []floorplan.Rout
 	return d, sz.Die2D, fp.RouteBlk
 }
 
-// TestRouteWorkerDeterminism pins the router's core contracts on the
-// same placed tile: the slab-backed RouteDesign at Workers 1, with the
-// prep and overflow-scan fan-out at 2 and 4 workers and at the default
-// (Workers 0) produces results byte-identical to the per-object serial router kept
-// as the oracle (oracle_test.go) — every usage and history counter,
-// every pin node and segment of every net, every per-route and
-// aggregate metric — and after the rip-up waves the incrementally
-// maintained usage equals a rebuild from the final routes.
-func TestRouteWorkerDeterminism(t *testing.T) {
+// TestRouteDesignMatchesOracle pins the router's core contracts on a
+// placed tile: the slab-backed RouteDesign produces results
+// byte-identical to the per-object router kept as the oracle
+// (oracle_test.go) — every usage and history counter, every pin node and
+// segment of every net, every per-route and aggregate metric — and after
+// the rip-up waves the incrementally maintained usage equals a rebuild
+// from the final routes.
+func TestRouteDesignMatchesOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tile routing in -short mode")
 	}
 	d, die, blk := placedSmallTile(t)
 	b6, _ := tech.NewBEOL28("logic", 6)
 
-	refDB := NewDB(die, b6, blk, Options{Workers: 1})
+	refDB := NewDB(die, b6, blk, Options{})
 	ref, ripups, err := routeDesignOracle(d, refDB)
 	if err != nil {
 		t.Fatal(err)
@@ -61,52 +60,50 @@ func TestRouteWorkerDeterminism(t *testing.T) {
 		t.Fatal("the oracle ripped up no net; the test needs negotiation waves")
 	}
 
-	for _, w := range []int{1, 2, 4, 0} {
-		db := NewDB(die, b6, blk, Options{Workers: w})
-		res, err := RouteDesign(d, db)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+	db := NewDB(die, b6, blk, Options{})
+	res, err := RouteDesign(d, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.WL != ref.WL || res.Vias != ref.Vias ||
+		res.F2FBumps != ref.F2FBumps || res.Overflow != ref.Overflow {
+		t.Fatalf("aggregates diverged: WL %v/%v vias %d/%d f2f %d/%d overflow %d/%d",
+			res.WL, ref.WL, res.Vias, ref.Vias,
+			res.F2FBumps, ref.F2FBumps, res.Overflow, ref.Overflow)
+	}
+	if !slices.Equal(res.WLPerLayer, ref.WLPerLayer) {
+		t.Fatalf("per-layer WL %v, oracle %v", res.WLPerLayer, ref.WLPerLayer)
+	}
+	if !slices.Equal(db.usage, refDB.usage) || !slices.Equal(db.f2fUse, refDB.f2fUse) ||
+		!slices.Equal(db.hist, refDB.hist) {
+		t.Fatal("usage / F2F usage / history diverged from the oracle")
+	}
+	for id, rr := range ref.Routes {
+		pr := res.Routes[id]
+		if (rr == nil) != (pr == nil) {
+			t.Fatalf("net %d presence diverged", id)
 		}
-		if res.WL != ref.WL || res.Vias != ref.Vias ||
-			res.F2FBumps != ref.F2FBumps || res.Overflow != ref.Overflow {
-			t.Fatalf("workers=%d aggregates diverged: WL %v/%v vias %d/%d f2f %d/%d overflow %d/%d",
-				w, res.WL, ref.WL, res.Vias, ref.Vias,
-				res.F2FBumps, ref.F2FBumps, res.Overflow, ref.Overflow)
+		if rr == nil {
+			continue
 		}
-		if !slices.Equal(res.WLPerLayer, ref.WLPerLayer) {
-			t.Fatalf("workers=%d per-layer WL %v, oracle %v", w, res.WLPerLayer, ref.WLPerLayer)
+		if pr.WL != rr.WL || pr.Vias != rr.Vias || pr.F2F != rr.F2F {
+			t.Fatalf("net %d record %+v, oracle %+v", id, *pr, *rr)
 		}
-		if !slices.Equal(db.usage, refDB.usage) || !slices.Equal(db.f2fUse, refDB.f2fUse) ||
-			!slices.Equal(db.hist, refDB.hist) {
-			t.Fatalf("workers=%d usage / F2F usage / history diverged from the oracle", w)
+		if !slices.Equal(pr.PinNode, rr.PinNode) {
+			t.Fatalf("net %d pin nodes %v, oracle %v", id, pr.PinNode, rr.PinNode)
 		}
-		for id, rr := range ref.Routes {
-			pr := res.Routes[id]
-			if (rr == nil) != (pr == nil) {
-				t.Fatalf("workers=%d net %d presence diverged", w, id)
-			}
-			if rr == nil {
-				continue
-			}
-			if pr.WL != rr.WL || pr.Vias != rr.Vias || pr.F2F != rr.F2F {
-				t.Fatalf("workers=%d net %d record %+v, oracle %+v", w, id, *pr, *rr)
-			}
-			if !slices.Equal(pr.PinNode, rr.PinNode) {
-				t.Fatalf("workers=%d net %d pin nodes %v, oracle %v", w, id, pr.PinNode, rr.PinNode)
-			}
-			if !slices.Equal(pr.Segments, rr.Segments) {
-				t.Fatalf("workers=%d net %d segments %v, oracle %v", w, id, pr.Segments, rr.Segments)
-			}
-			if cap(pr.Segments) != len(pr.Segments) {
-				t.Fatalf("workers=%d net %d: %d segments stored with capacity %d, want exact size",
-					w, id, len(pr.Segments), cap(pr.Segments))
-			}
+		if !slices.Equal(pr.Segments, rr.Segments) {
+			t.Fatalf("net %d segments %v, oracle %v", id, pr.Segments, rr.Segments)
 		}
-		usage, f2f := slices.Clone(db.usage), slices.Clone(db.f2fUse)
-		db.RebuildUsage(res)
-		if !slices.Equal(db.usage, usage) || !slices.Equal(db.f2fUse, f2f) {
-			t.Fatalf("workers=%d: usage after the rip-up waves differs from RebuildUsage", w)
+		if cap(pr.Segments) != len(pr.Segments) {
+			t.Fatalf("net %d: %d segments stored with capacity %d, want exact size",
+				id, len(pr.Segments), cap(pr.Segments))
 		}
+	}
+	usage, f2f := slices.Clone(db.usage), slices.Clone(db.f2fUse)
+	db.RebuildUsage(res)
+	if !slices.Equal(db.usage, usage) || !slices.Equal(db.f2fUse, f2f) {
+		t.Fatal("usage after the rip-up waves differs from RebuildUsage")
 	}
 }
 

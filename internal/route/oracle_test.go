@@ -7,7 +7,6 @@ import (
 
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
-	"macro3d/internal/par"
 	"macro3d/internal/tech"
 )
 
@@ -210,7 +209,7 @@ func routeDesignOracle(d *netlist.Design, db *DB) (res *Result, ripups int, err 
 			break
 		}
 		db.bumpHistory()
-		victims := db.overflowedNets(res, d.Nets, new(par.Team))
+		victims := db.overflowedNets(res, d.Nets)
 		if len(victims) == 0 {
 			break
 		}
@@ -366,16 +365,14 @@ func TestRouteDesignAllocs(t *testing.T) {
 			nets++
 		}
 	}
-	for _, w := range []int{1, 0} {
-		allocs := testing.AllocsPerRun(1, func() {
-			if _, err := RouteDesign(d, NewDB(die, b6, blk, Options{Workers: w})); err != nil {
-				t.Fatal(err)
-			}
-		})
-		t.Logf("workers=%d: RouteDesign (with NewDB): %.0f objects for %d nets", w, allocs, nets)
-		if allocs > 1.5*float64(nets) {
-			t.Fatalf("workers=%d: RouteDesign allocates %.0f objects for %d nets, want ≤ 1.5 per net", w, allocs, nets)
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := RouteDesign(d, NewDB(die, b6, blk, Options{})); err != nil {
+			t.Fatal(err)
 		}
+	})
+	t.Logf("RouteDesign (with NewDB): %.0f objects for %d nets", allocs, nets)
+	if allocs > 1.5*float64(nets) {
+		t.Fatalf("RouteDesign allocates %.0f objects for %d nets, want ≤ 1.5 per net", allocs, nets)
 	}
 	// An ECO route rewrites the net's record where it lies: once the
 	// DB's scratch and the record's spans are sized, nothing.

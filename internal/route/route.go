@@ -42,17 +42,14 @@ type Options struct {
 	// die exactly). Used when composing tile arrays so routes can be
 	// translated between aligned grids.
 	Grid *geom.Grid
-	// Workers sizes the fan-out of the order-independent phases — net
-	// prep (pin nodes, MST decomposition) and the per-iteration overflow
-	// scan: 0 (default) means every CPU (GOMAXPROCS), 1 runs them on the
-	// calling goroutine, n > 1 on n goroutines. Routing itself is one
-	// ordered pass at any setting (routePass), so results are
-	// bit-identical across all of them.
+	// Workers is ignored: the router runs on the calling goroutine
+	// (DESIGN.md §10). It stays until the benchmark harness stops setting
+	// it.
 	Workers int
 
 	// Obs, when non-nil, is the stage span the router hangs its phase
 	// spans under (each pass, each rip-up iteration around its pass) and
-	// whose registry and timeline receive its metrics and worker chunks.
+	// whose registry and timeline receive its metrics.
 	// nil disables instrumentation; results are identical either way.
 	Obs *obs.Span
 }

@@ -4,12 +4,10 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"time"
 
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
 	"macro3d/internal/obs"
-	"macro3d/internal/par"
 )
 
 // netTask is the per-net unit of work: the deterministic prep (pin
@@ -29,7 +27,7 @@ type netTask struct {
 // caller supplies both at their final size — PinNode one node per pin,
 // edges with room for one edge less — as spans of the arrays RouteDesign
 // sizes up front (or RouteNet's three objects); the in-tree marks are
-// the worker's scratch. Pure function of the placement — independent of
+// the scratch's. Pure function of the placement — independent of
 // congestion, so prep order never affects results.
 func (db *DB) prepTask(t *netTask, s *mazeScratch) error {
 	n, r := t.net, t.route
@@ -102,7 +100,7 @@ func (db *DB) routeTask(t *netTask, maze bool, s *mazeScratch) []Seg {
 // it left, and committed. The order is the algorithm — long nets first
 // set the landscape the short ones dodge, and a negotiation wave's
 // victims see each other's reroutes — so the pass runs on one goroutine
-// at every Workers setting (DESIGN.md §10). A net's segments are stored
+// (DESIGN.md §10). A net's segments are stored
 // exact-size in the result's segment slab: growth by doubling happens
 // once, in the scratch buffer, not per net, and a victim's old span is
 // simply abandoned (at most MaxIters × maxVictims of them per run).
@@ -121,9 +119,9 @@ func (db *DB) routePass(tasks []*netTask, maze bool, res *Result, s *mazeScratch
 // over the database's grid, then runs negotiation iterations until
 // overflow clears or the iteration budget is spent.
 //
-// Routing itself is one ordered pass (routePass); Options.Workers fans
-// out only the phases that do not depend on the order — net prep and
-// the overflow scans — so results are bit-identical at any setting.
+// Routing is one ordered pass (routePass) on the calling goroutine, and
+// so are net prep and the overflow scans around it: their fan-out paid
+// under 1.15× at two workers on a tile (DESIGN.md §10).
 //
 // The per-net records are not one heap object each: route records, pin
 // nodes, tasks and MST edges are sized once from the pin counts and
@@ -133,8 +131,6 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 	if db.err != nil {
 		return nil, db.err
 	}
-	t0 := time.Now()
-	workers := par.Workers(db.opt.Workers)
 	res := &Result{
 		Routes:     make([]*NetRoute, len(d.Nets)),
 		WLPerLayer: make([]float64, db.Beol.NumLayers()),
@@ -172,25 +168,16 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		"Overflowed nets ripped up and rerouted during negotiation.")
 	overG := reg.Gauge("route_overflow_gcells",
 		"Gcell-layers above capacity after the latest negotiation state.")
-	reg.Gauge("route_workers",
-		"Worker goroutines of the router's net-prep and overflow-scan fan-out.").Set(float64(workers))
-	var team par.Team
-	team.Start(workers, sp.Workers(workers))
-	defer team.Close()
 
-	// One scratch per prep worker (the in-tree marks); the first is also
-	// the pass's maze scratch and segment buffer, reused across every
-	// net and two-pin search of the run.
-	pool := make([]*mazeScratch, workers)
-	for i := range pool {
-		pool[i] = &mazeScratch{}
-	}
-	pass := pool[0]
+	// One scratch — the in-tree marks, the maze search state and the
+	// segment buffer — reused across every net and two-pin search of the
+	// run.
+	pass := &mazeScratch{}
 
 	// Net prep (pin nodes, MST decomposition) is a pure function of
-	// the placement, so it parallelizes freely and happens once: a
-	// rip-up wave reuses its victims' tasks and route records. Spans are
-	// laid out serially, then filled by the workers.
+	// the placement, so it happens once: a rip-up wave reuses its
+	// victims' tasks and route records. Spans are laid out first, then
+	// filled.
 	nPins := 0
 	for _, n := range order {
 		nPins += n.NumPins()
@@ -208,14 +195,8 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		t.edges, edges = edges[:0:np-1], edges[np-1:]
 		wave[i] = t
 	}
-	errs := make([]error, len(order))
-	busy := team.Chunks("route/prep", len(order), func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			errs[i] = db.prepTask(wave[i], pool[w])
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
+	for _, t := range wave {
+		if err := db.prepTask(t, pass); err != nil {
 			return nil, err
 		}
 	}
@@ -235,7 +216,7 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 			break
 		}
 		db.bumpHistory()
-		victims := db.overflowedNets(res, d.Nets, &team)
+		victims := db.overflowedNets(res, d.Nets)
 		if len(victims) == 0 {
 			break
 		}
@@ -279,7 +260,7 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 	res.Overflow = db.Overflow()
 	overG.Set(float64(res.Overflow))
 
-	// Scratch reuse and prep-worker utilization for this run.
+	// Scratch reuse for this run.
 	reg.Counter("route_scratch_hits_total",
 		"Maze searches served by an already-sized scratch allocation.").Add(pass.hits)
 	reg.Counter("route_scratch_misses_total",
@@ -288,11 +269,6 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		reg.Gauge("route_scratch_hit_ratio",
 			"Fraction of maze searches reusing scratch memory, latest run.").
 			Set(float64(pass.hits) / float64(n))
-	}
-	if wall := time.Since(t0).Seconds(); wall > 0 && workers > 1 {
-		reg.Gauge("route_worker_utilization_ratio",
-			"Summed worker busy time over workers × stage wall time, latest run.").
-			Set(busy.Seconds() / (wall * float64(workers)))
 	}
 	return res, nil
 }
@@ -426,11 +402,8 @@ func (res *Result) Recount(db *DB) {
 }
 
 // overflowedNets returns the nets — nets is the design's table, by ID —
-// whose routes touch an overflowed gcell-layer, in net-ID order. The
-// route scan fans out over contiguous net-ID chunks whose per-worker hit
-// lists concatenate in chunk order, so the result is identical at any
-// worker count.
-func (db *DB) overflowedNets(res *Result, nets []*netlist.Net, team *par.Team) []*netlist.Net {
+// whose routes touch an overflowed gcell-layer, in net-ID order.
+func (db *DB) overflowedNets(res *Result, nets []*netlist.Net) []*netlist.Net {
 	bad := make([]bool, len(db.usage))
 	any := false
 	for i := range db.usage {
@@ -449,39 +422,32 @@ func (db *DB) overflowedNets(res *Result, nets []*netlist.Net, team *par.Team) [
 	if !any {
 		return nil
 	}
-	hits := make([][]*netlist.Net, team.Size())
-	team.Chunks("route/overflow-scan", len(res.Routes), func(w, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			r := res.Routes[id]
-			if r == nil {
+	var out []*netlist.Net
+	for id, r := range res.Routes {
+		if r == nil {
+			continue
+		}
+		hit, o := false, res.Origin(id)
+		for _, s := range r.Segments {
+			s = o.at(s)
+			if s.IsVia() {
+				if db.isF2F(s) && badF2F[db.Grid.Index(int(s.A.X), int(s.A.Y))] {
+					hit = true
+				}
 				continue
 			}
-			hit, o := false, res.Origin(id)
-			for _, s := range r.Segments {
-				s = o.at(s)
-				if s.IsVia() {
-					if db.isF2F(s) && badF2F[db.Grid.Index(int(s.A.X), int(s.A.Y))] {
-						hit = true
-					}
-					continue
+			forEachStep(s, func(n Node) {
+				if bad[db.idx(n)] {
+					hit = true
 				}
-				forEachStep(s, func(n Node) {
-					if bad[db.idx(n)] {
-						hit = true
-					}
-				})
-				if hit {
-					break
-				}
-			}
+			})
 			if hit {
-				hits[w] = append(hits[w], nets[id])
+				break
 			}
 		}
-	})
-	var out []*netlist.Net
-	for _, h := range hits {
-		out = append(out, h...)
+		if hit {
+			out = append(out, nets[id])
+		}
 	}
 	return out
 }

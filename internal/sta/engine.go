@@ -3,9 +3,7 @@ package sta
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/extract"
@@ -53,19 +51,11 @@ type Engine struct {
 	lastNet []int32
 	indeg0  []int32
 
-	// The order grouped by level for the parallel full pass, built
-	// lazily (buildWaves).
-	wavesStale bool
-	level      []int32 // by instance ID: wave index in the order
-	waveOff    []int32
-	waveInst   []*netlist.Instance
-
 	// Scratch of the topology builders: Kahn in-degrees and release marks
-	// by instance ID, a counting-sort cursor, and patchTopo's dirty sets,
-	// marks (all false between patches) and row buffers.
+	// by instance ID, and patchTopo's dirty sets, marks (all false between
+	// patches) and row buffers.
 	indeg      []int32
 	released   []bool
-	cursor     []int32
 	netMark    []bool
 	instMark   []bool
 	dirtyNets  []int32
@@ -273,7 +263,6 @@ func (e *Engine) Run(period float64) (*Report, error) {
 	}
 	e.pendNets, e.pendInsts, e.pendTopo = e.pendNets[:0], e.pendInsts[:0], false
 
-	workers := runtime.GOMAXPROCS(0)
 	for _, p := range []*pass{&e.full, &e.half} {
 		half := p == &e.half
 		e.initPass(p, 0)
@@ -285,16 +274,9 @@ func (e *Engine) Run(period float64) (*Report, error) {
 			dirty[i] = true
 		}
 		e.seed(p, half, dirty)
-		if workers > 1 && len(e.order) >= 512 {
-			if e.wavesStale {
-				e.buildWaves()
-			}
-			e.propagateWaves(p, workers)
-		} else {
-			e.propagate(p, dirty)
-		}
-		// Leave the scratch set all-false for the next Update (the
-		// serial pass only clears the combinational nodes it visits).
+		e.propagate(p, dirty)
+		// Leave the scratch set all-false for the next Update (the pass
+		// only clears the combinational nodes it visits).
 		for i := range dirty {
 			dirty[i] = false
 		}
@@ -542,46 +524,4 @@ func (e *Engine) propagate(p *pass, dirty []bool) {
 			e.markFanout(node, dirty)
 		}
 	}
-}
-
-// propagateWaves evaluates a full pass wave-synchronously: nodes inside
-// one level have no mutual dependencies, so they are computed across
-// workers; each worker writes only its own nodes' slots and reads only
-// strictly earlier levels. The reduction is deterministic because every
-// node's value is independent of evaluation order within its wave.
-func (e *Engine) propagateWaves(p *pass, workers int) {
-	var wg sync.WaitGroup
-	for l := 0; l+1 < len(e.waveOff); l++ {
-		wave := e.waveInst[e.waveOff[l]:e.waveOff[l+1]]
-		if len(wave) < 64 || workers < 2 {
-			for _, inst := range wave {
-				e.commitNode(p, inst)
-			}
-			continue
-		}
-		chunk := (len(wave) + workers - 1) / workers
-		for lo := 0; lo < len(wave); lo += chunk {
-			hi := lo + chunk
-			if hi > len(wave) {
-				hi = len(wave)
-			}
-			wg.Add(1)
-			go func(part []*netlist.Instance) {
-				defer wg.Done()
-				for _, inst := range part {
-					e.commitNode(p, inst)
-				}
-			}(wave[lo:hi])
-		}
-		wg.Wait()
-	}
-}
-
-func (e *Engine) commitNode(p *pass, inst *netlist.Instance) {
-	node := e.nodeOfInst(inst)
-	arr, slew, wl, prev, via := e.evalNode(p, inst)
-	p.arr[node] = arr
-	p.slew[node] = slew
-	p.wl[node] = wl
-	p.prev[node], p.via[node] = prev, via
 }

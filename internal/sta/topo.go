@@ -214,7 +214,6 @@ func (e *Engine) sizeNodes(instFrom int) {
 	e.resizePass(&e.half)
 	e.dirtyFull = resize(e.dirtyFull, e.nNodes)
 	e.dirtyHalf = resize(e.dirtyHalf, e.nNodes)
-	e.wavesStale = true
 	e.resetFrom, e.netFrom = int(^uint(0)>>1), int(^uint(0)>>1)
 }
 
@@ -512,46 +511,6 @@ func (e *Engine) levelize() error {
 		return fmt.Errorf("sta: combinational loop detected (%d of %d gates levelized)", len(e.order), comb)
 	}
 	return nil
-}
-
-// buildWaves groups the order by level for the parallel full pass:
-// level = 1 + max(level of combinational inputs), by a counting sort
-// that keeps the topological order inside each level. Only Run reads
-// the waves, so they are built when it finds them stale.
-func (e *Engine) buildWaves() {
-	e.level = resize(e.level, len(e.d.Instances))
-	maxLevel := int32(0)
-	for _, inst := range e.order {
-		lvl := int32(0)
-		for _, ev := range e.in.row(inst.ID) {
-			if int(ev.drv) >= e.nPorts {
-				di := int(ev.drv) - e.nPorts
-				if e.isComb[di] && e.level[di]+1 > lvl {
-					lvl = e.level[di] + 1
-				}
-			}
-		}
-		e.level[inst.ID] = lvl
-		if lvl > maxLevel {
-			maxLevel = lvl
-		}
-	}
-	e.waveOff = resize(e.waveOff, int(maxLevel)+2)
-	clear(e.waveOff)
-	for _, inst := range e.order {
-		e.waveOff[e.level[inst.ID]+1]++
-	}
-	for l := 1; l < len(e.waveOff); l++ {
-		e.waveOff[l] += e.waveOff[l-1]
-	}
-	e.waveInst = resize(e.waveInst, len(e.order))
-	e.cursor = append(e.cursor[:0], e.waveOff[:maxLevel+1]...)
-	for _, inst := range e.order {
-		l := e.level[inst.ID]
-		e.waveInst[e.cursor[l]] = inst
-		e.cursor[l]++
-	}
-	e.wavesStale = false
 }
 
 // CheckTopo compares the engine's topology tables, as its updates have

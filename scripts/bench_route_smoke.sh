@@ -1,7 +1,7 @@
 #!/bin/sh
 # Benchmark-pipeline smoke: one cheap flat-array benchmark run
 # (BENCH_ROUTE_N=1, count 1) piped through benchjson must land the
-# flat speedup pair, its confidence/noise verdict, stddev/CV fields
+# flat placement speedup pair, its confidence/noise verdict, stddev/CV fields
 # and the pinned environment (gomaxprocs, workers) in the JSON.
 # Guards the `make bench-route` plumbing — bench_route_test.go's
 # fixtures and metrics plus cmd/benchjson's aggregation — without the
@@ -23,14 +23,12 @@ need() {
 		exit 1
 	}
 }
-need '"flat_route_serial_over_parallel"'
 need '"noise"'
 need '"stddev_ns_per_op"'
 need '"cv"'
 need '"gomaxprocs"'
 need '"workers": 4'
 need '"place_cp_speedup/flat_parallel"'
-need '"route_occupancy/flat_parallel"'
 need '"flat_place_serial_over_parallel"'
 
 echo "bench-route-smoke: OK"
