@@ -128,10 +128,8 @@ func ExtractOn(team *par.Team, d *netlist.Design, res *route.Result, db *route.D
 		c.prepare(out, d.Nets, res)
 		out.extractChunk(d.Nets, res, db, corner, &c)
 	} else {
-		// Team.Chunks' chunking: chunk k is [k·size, (k+1)·size).
-		w := min(team.Size(), n)
-		size := (n + w - 1) / w
-		chunks := make([]chunk, w)
+		size, count := team.Split(n)
+		chunks := make([]chunk, count)
 		for k := range chunks {
 			chunks[k].prepare(out, d.Nets[k*size:min((k+1)*size, n)], res)
 		}

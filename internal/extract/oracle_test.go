@@ -8,6 +8,7 @@ import (
 	"macro3d/internal/cell"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
+	"macro3d/internal/par"
 	"macro3d/internal/route"
 	"macro3d/internal/tech"
 )
@@ -255,9 +256,10 @@ func TestExtractMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestExtractMatchesOracleRouted repeats the comparison on real router
-// output: multi-pin nets on the combined stack whose MST paths overlap.
-func TestExtractMatchesOracleRouted(t *testing.T) {
+// routedNets is a design of 300 multi-pin nets routed on the combined
+// stack, their MST paths overlapping.
+func routedNets(t *testing.T) (*netlist.Design, *route.DB, *route.Result) {
+	t.Helper()
 	db := combinedDB(t)
 	lib := cell.NewStdLib28(cell.DefaultLibOptions())
 	d := netlist.NewDesign("x", lib)
@@ -277,6 +279,13 @@ func TestExtractMatchesOracleRouted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return d, db, res
+}
+
+// TestExtractMatchesOracleRouted repeats the comparison on real router
+// output.
+func TestExtractMatchesOracleRouted(t *testing.T) {
+	d, db, res := routedNets(t)
 	ex := Extract(d, res, db, typical())
 	for _, n := range d.Nets {
 		if want := extractNetOracle(n, res.Routes[n.ID], db, typical()); !equalRC(ex.Nets[n.ID], want) {
@@ -290,6 +299,29 @@ func TestExtractMatchesOracleRouted(t *testing.T) {
 	t.Logf("full Extract: %.0f objects for %d nets", allocs, len(d.Nets))
 	if allocs > 1.5*float64(len(d.Nets)) {
 		t.Fatalf("full Extract allocates %.0f objects for %d nets, want ≤ 1.5 per net", allocs, len(d.Nets))
+	}
+}
+
+// TestExtractOnWideTeam: on teams so wide that ⌈n/workers⌉-net chunks
+// run out before the workers do (300 nets on 32 workers are 30 chunks of
+// ten, on 64 workers 60 of five), ExtractOn prepares only the chunks the
+// team runs, and every record and total equals the serial Extract's.
+func TestExtractOnWideTeam(t *testing.T) {
+	d, db, res := routedNets(t)
+	want := Extract(d, res, db, typical())
+	for _, workers := range []int{2, 32, 64, 300} {
+		var team par.Team
+		team.Start(workers, nil)
+		got := ExtractOn(&team, d, res, db, typical())
+		team.Close()
+		if got.CWireTotal != want.CWireTotal || got.CPinTotal != want.CPinTotal {
+			t.Errorf("workers=%d: totals %v/%v, serial %v/%v", workers, got.CWireTotal, got.CPinTotal, want.CWireTotal, want.CPinTotal)
+		}
+		for id, w := range want.Nets {
+			if g := got.Nets[id]; (g == nil) != (w == nil) || g != nil && !equalRC(g, w) {
+				t.Fatalf("workers=%d: net %s: got %+v, serial %+v", workers, d.Nets[id].Name, g, w)
+			}
+		}
 	}
 }
 

@@ -96,11 +96,23 @@ func (t *Team) work() {
 	}
 }
 
-// Chunks splits [0, n) into at most Size() contiguous chunks of
-// ⌈n/workers⌉ and runs fn(w, lo, hi) on each concurrently, the first on
-// the calling goroutine. The worker index is dense in [0, Size()) so
-// callers can address per-worker scratch. With one worker or n <= 1 fn
-// runs inline as fn(0, 0, n).
+// Split is how Chunks divides [0, n): count contiguous chunks of size
+// items, chunk w being [w·size, min((w+1)·size, n)). count is at most
+// Size() but can be less (n = 6 on four workers is three chunks of two),
+// so a caller preparing per-chunk state sizes it by count.
+func (t *Team) Split(n int) (size, count int) {
+	if n <= 0 {
+		return 0, 0
+	}
+	w := min(t.Size(), n)
+	size = (n + w - 1) / w
+	return size, (n + size - 1) / size
+}
+
+// Chunks runs fn(w, lo, hi) on each chunk of Split(n) concurrently, the
+// first on the calling goroutine. The chunk index w is dense in
+// [0, count) so callers can address per-chunk scratch. With one worker
+// or n <= 1 fn runs inline as fn(0, 0, n).
 //
 // With tracing on, each chunk records one slice named `name` on worker
 // w's track, all stamped with a fresh fork-join step id, with the chunk
@@ -117,16 +129,14 @@ func (t *Team) Chunks(name string, n int, fn func(w, lo, hi int)) time.Duration 
 	if n <= 0 {
 		return 0
 	}
-	w := min(t.Size(), n)
-	chunk := (n + w - 1) / w
-	if chunk == n {
+	chunk, count := t.Split(n)
+	if count == 1 {
 		return t.exec(name, fn, 0, 0, n)
 	}
 	t.name, t.fn, t.n, t.chunk = name, fn, n, chunk
-	sent := 0
-	for lo := chunk; lo < n; lo += chunk {
-		sent++
-		t.jobs <- sent
+	sent := count - 1
+	for w := 1; w <= sent; w++ {
+		t.jobs <- w
 	}
 	// A woken worker waits in this P's run-next slot, where it would sit
 	// until chunk 0 is done unless an idle P steals it; yielding runs it

@@ -33,17 +33,24 @@ func TestWorkersResolution(t *testing.T) {
 
 // TestChunksCoversEveryIndexOnce also pins the chunking itself: the
 // chunks are the ⌈n/workers⌉ contiguous runs, chunk w starting at
-// w·⌈n/workers⌉, whichever goroutine runs the chunk — the engines'
-// per-worker scratch and reduction orders rest on it. One team serves
-// every n.
+// w·⌈n/workers⌉, whichever goroutine runs the chunk, and Split reports
+// exactly the chunks Chunks runs (fewer than the workers for n = 6 on
+// four) — the engines' per-chunk state and reduction orders rest on it.
+// One team serves every n.
 func TestChunksCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 4, 9} {
 		tm := team(t, workers, nil)
-		for _, n := range []int{0, 1, 2, 5, 17, 100} {
+		for _, n := range []int{0, 1, 2, 5, 6, 17, 100} {
 			seen := make([]int32, n)
 			w := min(workers, max(n, 1))
 			chunk := (n + w - 1) / w
+			size, count := tm.Split(n)
+			if n > 0 && (size != chunk || count != (n+chunk-1)/chunk) {
+				t.Errorf("workers=%d n=%d: Split = %d chunks of %d, want ⌈n/%d⌉ of %d", workers, n, count, size, chunk, chunk)
+			}
+			var ran atomic.Int32
 			tm.Chunks("x", n, func(w, lo, hi int) {
+				ran.Add(1)
 				if lo < 0 || hi > n || lo > hi {
 					t.Errorf("workers=%d n=%d: bad chunk [%d,%d)", workers, n, lo, hi)
 				}
@@ -54,6 +61,9 @@ func TestChunksCoversEveryIndexOnce(t *testing.T) {
 					atomic.AddInt32(&seen[i], 1)
 				}
 			})
+			if int(ran.Load()) != count {
+				t.Errorf("workers=%d n=%d: %d chunks ran, Split said %d", workers, n, ran.Load(), count)
+			}
 			for i, c := range seen {
 				if c != 1 {
 					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, c)

@@ -121,6 +121,51 @@ func TestDriverCancelStartsNoFurtherCell(t *testing.T) {
 	}
 }
 
+// TestDriverCancelKeepsCompletedCells: with two cells in flight, a cancel
+// as the third cell starts — which it does only once one of the first
+// two has completed — keeps the completed cell's PPA, starts no fourth
+// cell and reports the cancellation.
+func TestDriverCancelKeepsCompletedCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs up to three tiny flows")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var started atomic.Int64
+	cfg := flows.Config{Workers: 2, Generator: func() (*piton.Tile, error) {
+		if started.Add(1) == 3 {
+			cancel()
+		}
+		return piton.Generate(piton.Tiny())
+	}}
+	cells := make([]Cell, 6)
+	for i := range cells {
+		cells[i] = Cell{Flow: "2d", Tile: piton.Tiny(), Seed: uint64(i + 1)}
+	}
+	ps, err := Run(ctx, cfg, cells, false)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if n := started.Load(); n != 3 {
+		t.Errorf("%d flows started, want 3: none after the cancelling one", n)
+	}
+	completed := 0
+	for i, p := range ps {
+		switch {
+		case p == nil:
+		case i >= 2:
+			t.Errorf("cell %d completed, but it started at or after the cancel", i)
+		case p.FclkMHz <= 0:
+			t.Errorf("cell %d kept an empty PPA %+v", i, p)
+		default:
+			completed++
+		}
+	}
+	if completed == 0 {
+		t.Error("the cell completed before the cancel lost its PPA")
+	}
+}
+
 // TestTableIShapeAcrossSeeds: the seeds experiment's summary over seeds
 // 1–3, the cheap tier of the ensemble. Every link of the paper's ordering
 // — MoL-S2D < BF-S2D < 2D < Macro-3D in fclk on the small tile, 2D <

@@ -69,7 +69,7 @@ func (c Cell) config(base flows.Config) flows.Config {
 // the timeline keep cell order. Cancellation starts no further cell and
 // stops the running ones at their next stage boundary; so does a
 // failure, unless keepGoing, and a cell it stops is not reported as
-// failed.
+// failed. A cell that completed keeps its PPA either way.
 func Run(ctx context.Context, base flows.Config, cells []Cell, keepGoing bool) ([]*flows.PPA, error) {
 	first := make(map[Cell]int, len(cells))
 	var distinct []int // the first index of each distinct cell
