@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race fuzz equiv faults bench bench-flow bench-route bench-stash benchall qor obs-smoke cache-smoke harden-smoke trace-smoke bench-route-smoke
+.PHONY: check build test vet race fuzz equiv faults bench bench-flow bench-pairs bench-route bench-stash benchall qor obs-smoke cache-smoke harden-smoke trace-smoke bench-route-smoke
 
 ## check: the full gate — vet, build, unit tests, the race-enabled
 ## fault-injection suite, a bounded fuzz of the snapshot decoder, then the
@@ -167,6 +167,34 @@ bench-flow:
 	cat BENCH_flow.jsonl
 	$(GO) run ./cmd/benchjson -ledger BENCH_flow.json -commit $(FLOW_COMMIT) $(FLOW_WORKLOADS) < BENCH_flow.jsonl
 	$(GO) run ./cmd/benchjson -ledger BENCH_flow.json -compare $(FLOW_COMMIT)
+
+## bench-pairs: the flow ledger's workload WL at two revisions, judged on
+## interleaved pairs — bench/ built from BASE (a `git archive` under
+## .bench_build/pairs/base) and from the working tree, each run in its
+## own checkout N times, the side that goes first alternating pair by
+## pair — then `benchjson -pairs`: per gated metric of BENCHMARK.json
+## each side's median [Q1–Q3], the pairs the change won and a verdict
+## (gain: ≥ 9/10 pairs won and a median gap wider than the base's IQR).
+## It exits 1 on a loss. The runs stay in .bench_build/pairs/runs.txt.
+## e.g. `make bench-pairs BASE=HEAD~1 WL=table2-warm N=10`.
+BASE ?= HEAD
+WL   ?= table2
+N    ?= 10
+PAIRS = .bench_build/pairs
+bench-pairs:
+	rm -rf $(PAIRS) && mkdir -p $(PAIRS)/base
+	git archive $(BASE) | tar -x -C $(PAIRS)/base
+	cd $(PAIRS)/base && bash bench/run.sh --manifest > /dev/null
+	bash bench/run.sh --manifest > /dev/null
+	for i in $$(seq 1 $(N)); do \
+		order="base new"; [ $$((i % 2)) = 1 ] || order="new base"; \
+		for side in $$order; do \
+			dir=.; [ $$side = new ] || dir=$(PAIRS)/base; \
+			printf '%s ' $$side; \
+			(cd $$dir && .bench_build/flowbench --workload $(WL) --seed 1 --seconds 12 --trace 0) || exit 1; \
+		done; \
+	done > $(PAIRS)/runs.txt
+	$(GO) run ./cmd/benchjson -pairs < $(PAIRS)/runs.txt
 
 ## bench-route: the worker-count comparison — the large-cache tile
 ## and the flat BENCH_SIZE×BENCH_SIZE tile array, placed serial (-j 1)

@@ -197,6 +197,8 @@ func benchPlace(b *testing.B, workers int) {
 	}
 	sp.End()
 	reportTraceStats(b, tr, "place")
+	// Placement is deterministic, so the traced run's count is every run's.
+	b.ReportMetric(sp.Reg().Gauge("place_descent_iterations", "").Value(), "iters/op")
 }
 
 func BenchmarkPlace(b *testing.B) {

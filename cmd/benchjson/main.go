@@ -19,6 +19,10 @@
 // benchmark files such as BENCH_route.json — and judges the second
 // against the first, or two BENCH_qor.json seed ensembles, which it
 // holds to a paired-seed sign test (see qor.go).
+//
+// With -pairs it judges interleaved runs of two builds of the flow
+// ledger, ten pairs or more, metric by metric (see pairs.go); `make
+// bench-pairs` runs them.
 package main
 
 import (
@@ -151,8 +155,26 @@ func main() {
 	ledgerPath := flag.String("ledger", "", "append a flow-ledger row to this file: stdin carries one bench/run.sh line per workload named as an argument")
 	commit := flag.String("commit", "", "with -ledger: the commit the row was measured at")
 	compare := flag.Bool("compare", false, "with -ledger: compare the row named last with the row named before it (or the row before it in the file), exit 1 when a deterministic gated metric is worse than its bound; without: compare two summary files old.json new.json, exit 1 on a regression that is not noise, or two BENCH_qor.json files, exit 1 when a metric is worse on nine seeds in ten")
-	manifestPath := flag.String("manifest", "BENCHMARK.json", "with -compare: the benchmark declaration the bounds are read from")
+	manifestPath := flag.String("manifest", "BENCHMARK.json", "with -compare or -pairs: the benchmark declaration the bounds are read from")
+	pairs := flag.Bool("pairs", false, "judge interleaved runs of two builds: stdin carries one bench/run.sh line per run, prefixed by its side, base or new; exit 1 when a gated metric is a loss")
 	flag.Parse()
+	if *pairs {
+		var m manifest
+		err := readJSON(*manifestPath, &m)
+		var base, change []map[string]float64
+		if err == nil {
+			base, change, err = readPairs(os.Stdin)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(2)
+		}
+		if n := comparePairs(os.Stdout, &m, base, change); n > 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: %d gated metric(s) worse on nine pairs in ten\n", n)
+			os.Exit(1)
+		}
+		return
+	}
 	if *compare && *ledgerPath == "" {
 		var old, new benchFile
 		if flag.NArg() != 2 {

@@ -38,11 +38,11 @@ const (
 	// F2F bump, so a unit of their wirelength is costlier (bump RC +
 	// finite bump-pitch congestion) than a same-die unit.
 	analyticBumpWeight = 1.5
-	// analyticSnapOverflow is the density-overflow ceiling below which
-	// an iterate may be recorded as the best-HPWL snapshot.
-	analyticSnapOverflow = 0.07
-	// analyticStopOverflow ends the descent early once reached.
-	analyticStopOverflow = 0.025
+	// analyticTargetOverflow ends the descent at the first iterate whose
+	// density overflow is at or below it: past it the tightening γ and
+	// the growing λ trade wirelength for spreading `spread` does anyway
+	// (DESIGN.md §16).
+	analyticTargetOverflow = 0.07
 	// Poisson relaxation sweep counts per outer iteration (coarse grid
 	// first, then the fine grid it seeds — a two-level multigrid
 	// cascade over the binGrid). Even so ping-pong buffers land back

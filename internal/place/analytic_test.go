@@ -9,9 +9,11 @@ import (
 	"strings"
 	"testing"
 
+	"macro3d/internal/core"
 	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
+	"macro3d/internal/obs"
 	"macro3d/internal/par"
 	"macro3d/internal/piton"
 	"macro3d/internal/tech"
@@ -37,6 +39,87 @@ func tileFixture(t testing.TB, cfg piton.Config) (*netlist.Design, *floorplan.Fl
 	floorplan.BuildBlockages(fp, d, netlist.LogicDie)
 	floorplan.AssignPorts(tile, sz.Die2D)
 	return d, fp
+}
+
+// mol3DFixture is the small tile as Macro-3D places it: the memory
+// macros floorplanned onto the macro die, shrunk to filler size with
+// their pins on the _MD layers, over the superimposed floorplan.
+func mol3DFixture(t testing.TB) (*netlist.Design, *floorplan.Floorplan) {
+	t.Helper()
+	tile, err := piton.Generate(piton.SmallCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := tile.Design
+	sz, err := floorplan.SizeDesign(d, 0.70, 1.0, 1.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := floorplan.PlaceMacros(d, sz.Die3D, floorplan.StyleMoL); err != nil {
+		t.Fatal(err)
+	}
+	floorplan.AssignPorts(tile, sz.Die3D)
+	logic, _ := tech.NewBEOL28("logic", 6)
+	macro, _ := tech.NewBEOL28("macro", 6)
+	filler := d.Lib.MustCell("FILL_X1")
+	md, err := core.PrepareMoL(d, logic, macro, tech.DefaultF2F(), sz.Die3D, filler.Width, filler.Height)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return md.Design, md.FP
+}
+
+// TestDescentStopsAtTargetOverflow pins the stop rule and the premise it
+// rests on, on the small tile's 2D and Macro-3D floorplans. Place's last
+// iterate is the first at or below analyticTargetOverflow — the same
+// descent run by hand crosses the target there and nowhere before, and
+// ends at the HPWL Place reported — and every one of ten further iterates
+// has a longer exact HPWL than it: the iterates the descent no longer
+// runs would not have been kept.
+func TestDescentStopsAtTargetOverflow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full tile placement in -short mode")
+	}
+	for _, tc := range []struct {
+		name    string
+		fixture func(testing.TB) (*netlist.Design, *floorplan.Floorplan)
+	}{
+		{"2d", func(t testing.TB) (*netlist.Design, *floorplan.Floorplan) { return tileFixture(t, piton.SmallCache()) }},
+		{"macro3d", mol3DFixture},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := Options{Seed: 5, Workers: 1}.withDefaults()
+			d, fp := tc.fixture(t)
+			rec := obs.New()
+			if _, err := Place(d, fp, 1.2, Options{Seed: opt.Seed, Workers: 1, Obs: rec.StartSpan("t")}); err != nil {
+				t.Fatal(err)
+			}
+			its := int(rec.Registry().Gauge("place_descent_iterations", "").Value())
+			exitHP := rec.Registry().Gauge("place_best_hpwl_um", "").Value()
+			if its < 1 || its >= opt.Iters {
+				t.Fatalf("descent ran %d of %d iterations: it never reached the target", its, opt.Iters)
+			}
+
+			d, fp = tc.fixture(t)
+			bins := newBinGrid(fp.Die, opt.BinPitch, fp.PlaceBlk, opt.MaxFill)
+			st, _ := newDescent(d, movableCells(d), bins, opt, new(par.Team))
+			for it := range its {
+				if ovf := st.iterate(it, opt.Iters); (ovf <= analyticTargetOverflow) != (it == its-1) {
+					t.Fatalf("iterate %d has overflow %.4f; Place stopped after iterate %d", it, ovf, its-1)
+				}
+			}
+			if hp := st.hpwl(); hp != exitHP {
+				t.Fatalf("exit iterate HPWL %.6g µm by hand, %.6g µm in Place", hp, exitHP)
+			}
+			for it := its; it < its+10; it++ {
+				st.iterate(it, opt.Iters)
+				if hp := st.hpwl(); hp <= exitHP {
+					t.Errorf("iterate %d (%d past the exit) has HPWL %.6g µm ≤ the exit's %.6g µm", it, it-its+1, hp, exitHP)
+				}
+			}
+			t.Logf("stopped after %d iterations at HPWL %.4f m", its, exitHP/1e6)
+		})
+	}
 }
 
 // TestPlaceAnalyticQuality is the placer's headline bound on both cache

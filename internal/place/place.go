@@ -43,8 +43,9 @@ type Options struct {
 	// accumulation in serial order, so results are bit-identical at
 	// any setting.
 	Workers int
-	// Iters bounds the descent iterations (default 160); the descent
-	// stops earlier once the density overflow is low enough.
+	// Iters bounds the descent iterations (default 160) and sets its
+	// schedule; the descent stops at the first iterate whose density
+	// overflow reaches the target.
 	Iters int
 
 	// Obs, when non-nil, is the stage span the placer hangs its phase
@@ -92,13 +93,10 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 	if len(movable) < parMinCells {
 		workers = 1
 	}
-	die := fp.Die
-	rng := geom.NewRNG(opt.Seed + 11)
-
-	bins := newBinGrid(die, opt.BinPitch, fp.PlaceBlk, opt.MaxFill)
+	bins := newBinGrid(fp.Die, opt.BinPitch, fp.PlaceBlk, opt.MaxFill)
 	if g := bins.grid; g.NX > maxGridBins || g.NY > maxGridBins {
 		return nil, fmt.Errorf("place: density grid %d×%d bins exceeds %d×%d, the range of the wirelength exponentials (die %v at pitch %g µm)",
-			g.NX, g.NY, maxGridBins, maxGridBins, die, opt.BinPitch)
+			g.NX, g.NY, maxGridBins, maxGridBins, fp.Die, opt.BinPitch)
 	}
 
 	// One worker team serves every fork-join of the run.
@@ -108,41 +106,23 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 
 	gsp := opt.Obs.Child("global", obs.KV("cells", len(movable)))
 
-	st := newAnalyticState(d, movable, bins, opt.BinPitch, &team)
+	st, rng := newDescent(d, movable, bins, opt, &team)
 	pos := st.pos
-	for _, inst := range d.Instances {
-		if inst.Fixed {
-			pos[inst.ID] = inst.Center()
-		} else {
-			pos[inst.ID] = geom.Pt(
-				die.Center().X+rng.Norm()*die.W()/20,
-				die.Center().Y+rng.Norm()*die.H()/20,
-			)
-		}
+	// The descent ends at the first iterate at the target overflow, or
+	// after opt.Iters; the schedule still spans opt.Iters either way.
+	its, ovf := 0, math.Inf(1)
+	for its < opt.Iters && ovf > analyticTargetOverflow {
+		ovf = st.iterate(its, opt.Iters)
+		its++
 	}
-	// Seed: a few quadratic net-centroid sweeps give the wirelength
-	// minimum the electrostatic spreading starts from.
-	st.seed(d, analyticSeedIters)
-
-	iters := opt.Iters
-	best := make([]geom.Point, len(d.Instances))
-	bestHP := math.MaxFloat64
-	for it := 0; it < iters; it++ {
-		ovf := st.iterate(it, iters)
-		// The exact HPWL is read only where an iterate may become the
-		// snapshot, so it is computed only there.
-		if ovf <= analyticSnapOverflow {
-			if hp := st.hpwl(); hp < bestHP {
-				bestHP = hp
-				copy(best, pos)
-			}
-		}
-		if ovf <= analyticStopOverflow && it >= iters/4 {
-			break
-		}
-	}
-	if bestHP < math.MaxFloat64 {
-		copy(pos, best)
+	gsp.SetAttr("iterations", its)
+	gsp.SetAttr("overflow", ovf)
+	reg := opt.Obs.Reg()
+	if reg != nil {
+		reg.Gauge("place_best_hpwl_um",
+			"Pre-legalization HPWL of the descent's exit iterate, um.").Set(st.hpwl())
+		reg.Gauge("place_descent_iterations",
+			"Descent iterations of the latest placement.").Set(float64(its))
 	}
 	// Residual cleanup: one deterministic eviction round clears any
 	// overflow the smooth field left behind, then the shared legalizer
@@ -170,7 +150,7 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 	res.Displacement = disp
 	res.MaxDisp = maxDisp
 	res.HPWL = d.TotalHPWL()
-	if reg := opt.Obs.Reg(); reg != nil {
+	if reg != nil {
 		reg.Counter("place_legalized_cells_total",
 			"Movable standard cells legalized into rows.").Add(uint64(len(movable)))
 		reg.Gauge("place_legalize_displacement_mean_um",
@@ -181,8 +161,6 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 			"Residual density overflow fraction after spreading.").Set(res.Overflow)
 		reg.Gauge("place_hpwl_um",
 			"Half-perimeter wirelength after legalization, um.").Set(res.HPWL)
-		reg.Gauge("place_best_hpwl_um",
-			"Best pre-legalization HPWL snapshot of the descent, um.").Set(bestHP)
 		reg.Gauge("place_workers",
 			"Worker goroutines used by the parallel placement engine.").Set(float64(workers))
 		if wall := time.Since(t0).Seconds(); wall > 0 && workers > 1 {
@@ -192,6 +170,23 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 		}
 	}
 	return res, nil
+}
+
+// newDescent is the descent's starting iterate, and the RNG spread draws
+// on after it: the movable cells scattered about the die centre, then
+// pulled toward the wirelength minimum by quadratic net-centroid sweeps.
+func newDescent(d *netlist.Design, movable []*netlist.Instance, bins *binGrid, opt Options, team *par.Team) (*analyticState, *geom.RNG) {
+	rng := geom.NewRNG(opt.Seed + 11)
+	st := newAnalyticState(d, movable, bins, opt.BinPitch, team)
+	die := bins.grid.Region
+	for _, inst := range d.Instances {
+		st.pos[inst.ID] = inst.Center()
+		if !inst.Fixed {
+			st.pos[inst.ID] = geom.Pt(die.Center().X+rng.Norm()*die.W()/20, die.Center().Y+rng.Norm()*die.H()/20)
+		}
+	}
+	st.seed(d, analyticSeedIters)
+	return st, rng
 }
 
 // movableCells returns non-fixed standard cells.

@@ -12,6 +12,7 @@ import (
 	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
+	"macro3d/internal/obs"
 	"macro3d/internal/par"
 	"macro3d/internal/piton"
 )
@@ -72,6 +73,27 @@ func TestPlaceChain(t *testing.T) {
 		if !inst.Placed {
 			t.Fatalf("%s unplaced", inst.Name)
 		}
+	}
+}
+
+// TestExitHPWLGaugeWhenTargetUnreached: on 5 µm bins four iterations
+// leave the chain above the target overflow, and the descent's HPWL
+// gauge still reads the exit iterate's — a real length, bounded by every
+// net spanning the die's half-perimeter — and the iteration gauge reads
+// all four.
+func TestExitHPWLGaugeWhenTargetUnreached(t *testing.T) {
+	d, fp := chainDesign(50)
+	rec := obs.New()
+	if _, err := Place(d, fp, 1.2, Options{Seed: 1, Iters: 4, BinPitch: 5, Obs: rec.StartSpan("t")}); err != nil {
+		t.Fatal(err)
+	}
+	reg := rec.Registry()
+	if its := reg.Gauge("place_descent_iterations", "").Value(); its != 4 {
+		t.Fatalf("descent ran %g iterations, want all 4", its)
+	}
+	bound := float64(len(d.Nets)) * (fp.Die.W() + fp.Die.H())
+	if hp := reg.Gauge("place_best_hpwl_um", "").Value(); !(hp > 0 && hp <= bound) {
+		t.Fatalf("place_best_hpwl_um = %g µm, want in (0, %g]", hp, bound)
 	}
 }
 
