@@ -44,6 +44,10 @@ func hardenMain(args []string) int {
 	if err := fs.Parse(args); err != nil || strayArgs(fs) {
 		return 2
 	}
+	if err := checkCacheFlags(*cacheDir, *resume, *cacheMax, *jobs); err != nil {
+		fmt.Fprintln(os.Stderr, "macro3d harden:", err)
+		return 2
+	}
 
 	pc, err := tileConfig(*config)
 	if err != nil {

@@ -193,12 +193,30 @@ func (o *options) validate() error {
 	if o.cacheVerify && o.cacheDir == "" && !o.resume {
 		return errors.New("-cache-verify needs -cache-dir or -resume")
 	}
+	if err := checkCacheFlags(o.cacheDir, o.resume, o.cacheMax, o.jobs); err != nil {
+		return err
+	}
 	if o.experiment != "" && o.experiment != "flowtrace" {
 		for _, name := range []string{"config", "macrodiemetals"} {
 			if o.set[name] {
 				return fmt.Errorf("-%s does not reach -experiment %s: an experiment sets the tile and the stack of each flow it runs", name, o.experiment)
 			}
 		}
+	}
+	return nil
+}
+
+// checkCacheFlags rejects the cache and -j values both modes would
+// otherwise run without: a byte cap on no cache, and a negative cap or
+// worker count.
+func checkCacheFlags(cacheDir string, resume bool, cacheMax int64, jobs int) error {
+	switch {
+	case cacheMax < 0:
+		return fmt.Errorf("-cache-max-bytes %d: a byte budget is 0 (unlimited) or more", cacheMax)
+	case cacheMax > 0 && cacheDir == "" && !resume:
+		return errors.New("-cache-max-bytes needs -cache-dir or -resume")
+	case jobs < 0:
+		return fmt.Errorf("-j %d: a worker count is 0 (every CPU) or more", jobs)
 	}
 	return nil
 }

@@ -41,6 +41,32 @@ func TestFlagSetGolden(t *testing.T) {
 	}
 }
 
+// TestCacheAndWorkerFlagMisuse: a byte budget for no cache, a negative
+// byte budget and a negative worker count exit 2 before any work, in the
+// flow/experiment mode and in harden alike.
+func TestCacheAndWorkerFlagMisuse(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"budget without a cache", []string{"-cache-max-bytes", "1000"}},
+		{"negative budget", []string{"-cache-max-bytes", "-1", "-resume"}},
+		{"negative -j", []string{"-j", "-2"}},
+	} {
+		flow := append([]string{"-flow", "macro3d", "-config", "tiny"}, c.args...)
+		if code := realMain(flow); code != 2 {
+			t.Errorf("%s: macro3d %q: exit %d, want 2", c.name, flow, code)
+		}
+		if code := realMain(append([]string{"-experiment", "table1"}, c.args...)); code != 2 {
+			t.Errorf("%s: macro3d -experiment table1 %q: exit %d, want 2", c.name, c.args, code)
+		}
+		harden := append([]string{"-config", "tiny"}, c.args...)
+		if code := hardenMain(harden); code != 2 {
+			t.Errorf("%s: macro3d harden %q: exit %d, want 2", c.name, harden, code)
+		}
+	}
+}
+
 // TestUsageErrorsExitBeforeAnyWork: a command line no run could honour
 // exits 2 without starting a flow — the deleted fast-mode switches and
 // the deleted placer switch are unknown flags, rejected with the usage
@@ -84,6 +110,19 @@ func TestUsageErrorsExitBeforeAnyWork(t *testing.T) {
 	for _, flow := range []string{"2d", "macro3d"} {
 		if err := (&options{flow: flow, array: 3}).validate(); err != nil {
 			t.Errorf("-flow %s -array 3 rejected: %v", flow, err)
+		}
+	}
+	for _, cache := range []string{"-cache-dir", "-resume"} {
+		args := []string{"-cache-max-bytes", "1000", "-j", "1", cache}
+		if cache == "-cache-dir" {
+			args = append(args, t.TempDir())
+		}
+		var o options
+		if err := newFlagSet(&o).Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.validate(); err != nil {
+			t.Errorf("%q rejected: %v", args, err)
 		}
 	}
 	set := map[string]bool{"config": true, "macrodiemetals": true}

@@ -1,6 +1,7 @@
 package flows
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"os"
@@ -414,5 +415,163 @@ func TestStageCacheVersionMiss(t *testing.T) {
 	}
 	if *cold != *warm {
 		t.Errorf("warm PPA differs from cold:\n  %+v\n  %+v", cold, warm)
+	}
+}
+
+// regionBytes is every region encoder's snapshot of a finished run's
+// state: the placement, the routing result with the router's dynamic
+// state, and the sign-off.
+func regionBytes(t *testing.T, f *flow) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	for _, cp := range []checkpoint{
+		placementCheckpoint(StagePlace, nil, f.st.Design),
+		routeCheckpoint(f.st, nil, nil),
+		f.signoffCheckpoint(nil),
+	} {
+		e := stash.NewEnc()
+		if err := cp.save(e); err != nil {
+			t.Fatal(err)
+		}
+		out[cp.name] = e.Bytes()
+	}
+	return out
+}
+
+// TestWarmRunRestoresFullState: for every flow on the tiny tile, a warm
+// run — which reads no route snapshot, the sign-off one covering it —
+// ends in the cold run's state byte for byte: placement, routes and the
+// router's dynamic state, sign-off, and PPA.
+func TestWarmRunRestoresFullState(t *testing.T) {
+	for _, key := range Names() {
+		t.Run(key, func(t *testing.T) {
+			dir := t.TempDir()
+			var state [2]map[string][]byte
+			var ppa [2]*PPA
+			var stats [2]stash.Stats
+			for i := range 2 {
+				s, err := stash.Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := tinyCacheCfg()
+				cfg.Cache = s
+				f := runFlowHooked(t, key, cfg, func(*flow, string) {})
+				state[i], ppa[i], stats[i] = regionBytes(t, f), f.ppa, s.Stats()
+			}
+			for name, cold := range state[0] {
+				if !bytes.Equal(cold, state[1][name]) {
+					t.Errorf("warm %s state (%d bytes) differs from cold (%d bytes)", name, len(state[1][name]), len(cold))
+				}
+			}
+			if *ppa[0] != *ppa[1] {
+				t.Errorf("warm PPA differs from cold:\n  %+v\n  %+v", ppa[0], ppa[1])
+			}
+			if ws := stats[1]; ws.Misses != 0 || ws.BytesRead >= stats[0].BytesWritten {
+				t.Errorf("warm run read %d of the %d bytes the cold run wrote (stats %+v); the covered snapshots should go unread",
+					ws.BytesRead, stats[0].BytesWritten, ws)
+			}
+		})
+	}
+}
+
+// coldKeyed runs Macro-3D cold into s and returns its PPA, and the keys
+// of its place, route and sign-off snapshots with their payloads.
+func coldKeyed(t *testing.T, s *stash.Store) (*PPA, map[string]stash.Key, map[string][]byte) {
+	t.Helper()
+	cfg := tinyCacheCfg()
+	cfg.Cache = s
+	// Inside a region, the runner's key is the region's.
+	first := map[string]string{StagePlace: StagePlace, StageRoute: StageRoute, StageExtract: "signoff"}
+	keys := map[string]stash.Key{}
+	f := runFlowHooked(t, "macro3d", cfg, func(f *flow, name string) {
+		if region, ok := first[name]; ok {
+			keys[region] = f.key
+		}
+	})
+	payloads := map[string][]byte{}
+	for region, k := range keys {
+		p, ok := s.Get(k)
+		if !ok {
+			t.Fatalf("no %s snapshot", region)
+		}
+		payloads[region] = p
+	}
+	return f.ppa, keys, payloads
+}
+
+// TestCoveringSnapshotLoadFailure re-frames the sign-off snapshot with a
+// truncated payload: its load fails, so the route snapshot it covers is
+// read and decoded after all, sign-off re-runs and stores a good
+// snapshot, and the PPA is the cold run's.
+func TestCoveringSnapshotLoadFailure(t *testing.T) {
+	dir := t.TempDir()
+	s, err := stash.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, keys, payloads := coldKeyed(t, s)
+	short := payloads["signoff"][:len(payloads["signoff"])*2/3]
+	s.Evict(keys["signoff"])
+	if err := s.Put(keys["signoff"], short); err != nil {
+		t.Fatal(err)
+	}
+
+	warm, err := stash.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tinyCacheCfg()
+	cfg.Cache = warm
+	ppa, st, _, err := Run(context.Background(), "macro3d", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "generate floorplan prepare place* cts route* signoff! route* extract opt sta power"
+	if got := renderStages(st.Trace); got != want {
+		t.Errorf("stage sequence:\n got %s\nwant %s", got, want)
+	}
+	ws := warm.Stats()
+	if read := len(payloads[StagePlace]) + len(payloads[StageRoute]) + len(short); ws.BytesRead != uint64(read) || ws.Puts != 1 {
+		t.Errorf("stats %+v; want the place, route and short sign-off payloads read (%d bytes) and the sign-off stored again", ws, read)
+	}
+	if *ppa != *cold {
+		t.Errorf("PPA differs from cold:\n  %+v\n  %+v", cold, ppa)
+	}
+}
+
+// TestCorruptCoveredSnapshotIsNotRead flips a byte of the route snapshot
+// under a good sign-off one: the warm run never reads it, so it is all
+// hits, and the bytes it reads are the place and sign-off payloads.
+func TestCorruptCoveredSnapshotIsNotRead(t *testing.T) {
+	dir := t.TempDir()
+	s, err := stash.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, keys, payloads := coldKeyed(t, s)
+	path := s.Path(keys[StageRoute])
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] ^= 0x10
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	warm, err := stash.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tinyCacheCfg()
+	cfg.Cache = warm
+	ppa := runFlow(t, "macro3d", cfg)
+	ws := warm.Stats()
+	if read := len(payloads[StagePlace]) + len(payloads["signoff"]); ws.Hits != 3 || ws.Misses != 0 || ws.Evictions != 0 || ws.BytesRead != uint64(read) {
+		t.Errorf("stats %+v; want 3 hits and the place and sign-off payloads read (%d bytes)", ws, read)
+	}
+	if *ppa != *cold {
+		t.Errorf("PPA differs from cold:\n  %+v\n  %+v", cold, ppa)
 	}
 }

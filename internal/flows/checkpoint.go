@@ -128,6 +128,28 @@ type checkpoint struct {
 	material []byte
 	save     func(*stash.Enc) error
 	load     func(*stash.Dec) error
+
+	// skip, when set, is all a region does when the region after it
+	// covers it and both hit: the state the covering load builds on.
+	skip func()
+}
+
+// lookahead is a covering region's cache lookup, made when the region it
+// covers was reached. covered is that region when the lookup superseded
+// it: it is restored after all should this snapshot fail to load.
+type lookahead struct {
+	key     stash.Key
+	payload []byte
+	hit     bool
+	covered *cachedRegion
+}
+
+// cachedRegion is a checkpoint region under its key, with the stages it
+// runs on a miss.
+type cachedRegion struct {
+	cp  checkpoint
+	key stash.Key
+	sub []stage
 }
 
 // counter returns a named run counter, or nil (nil counters no-op).
@@ -160,7 +182,13 @@ func (r *runner) stashErrors() *obs.Counter {
 // failures never fail a flow — except under CacheVerify, where a hit
 // re-runs the region and a snapshot that is not bit-identical to the
 // re-run state is a hard error.
-func (r *runner) checkpointed(cp checkpoint, body func() error) error {
+//
+// next is the spec of the region after this one when that region
+// covers it. Its snapshot is looked up first, and when both hit this
+// region's is not read: it is recorded as a cached hit, superseded, and
+// does only its skip. Should the covering snapshot then fail to load,
+// this region is restored as usual before the covering one runs.
+func (r *runner) checkpointed(cp checkpoint, next func() checkpoint, sub []stage) error {
 	if r.caching && r.key == (stash.Key{}) {
 		// The chain's root, at the first region: a list without one never
 		// fingerprints the technology. A failing fingerprint silently
@@ -169,54 +197,110 @@ func (r *runner) checkpointed(cp checkpoint, body func() error) error {
 		r.key, r.caching = k, err == nil
 	}
 	if !r.caching {
-		return body()
+		return r.exec(sub)
 	}
 	key := r.key.Derive(cp.name, cp.material)
 	r.key = key
 
-	if payload, ok := r.cfg.Cache.Get(key); ok {
-		if r.cfg.CacheVerify {
-			return r.verifyHit(cp, key, payload, body)
-		}
-		if r.span != nil {
-			r.cur = r.span.Child(cp.name, obs.KV("cache", "hit"), obs.KV("bytes", len(payload)))
-		}
-		start := time.Now()
-		err := contain(func() error { return cp.load(stash.NewDec(payload)) })
-		dur := time.Since(start)
-		if err == nil {
-			r.cur.End()
-			r.cur = nil
-			r.trace.Stages = append(r.trace.Stages, StageRecord{
-				Stage: cp.name, Attempt: 1, Seed: r.cfg.Seed,
-				Duration: dur, Cached: true,
-			})
-			r.stashHits().Inc()
-			r.stashBytes().Add(uint64(len(payload)))
-			r.cfg.Obs.Sample()
+	if next != nil && !r.cfg.CacheVerify {
+		ncp := next()
+		nkey := key.Derive(ncp.name, ncp.material)
+		payload, hit := r.cfg.Cache.Get(nkey)
+		r.ahead = lookahead{key: nkey, payload: payload, hit: hit}
+		if hit && r.cfg.Cache.Touch(key) {
+			r.supersede(cp)
+			r.ahead.covered = &cachedRegion{cp, key, sub}
 			return nil
 		}
-		// A snapshot that decodes or validates badly is treated
-		// exactly like corruption: evict, record, run the region.
-		r.cur.SetAttr("err", err.Error())
+	}
+	return r.restore(cp, key, sub)
+}
+
+// lookup is the cache lookup of key: the one made ahead of the region,
+// or a Get.
+func (r *runner) lookup(key stash.Key) (payload []byte, hit bool, covered *cachedRegion) {
+	if a := r.ahead; a.key == key {
+		r.ahead = lookahead{}
+		return a.payload, a.hit, a.covered
+	}
+	payload, hit = r.cfg.Cache.Get(key)
+	return payload, hit, nil
+}
+
+// restore loads the region's snapshot, or runs the region and stores
+// one.
+func (r *runner) restore(cp checkpoint, key stash.Key, sub []stage) error {
+	payload, hit, covered := r.lookup(key)
+	if !hit {
+		r.stashMisses().Inc()
+		return r.runAndStore(cp, key, sub)
+	}
+	if r.cfg.CacheVerify {
+		return r.verifyHit(cp, key, payload, sub)
+	}
+	if r.span != nil {
+		r.cur = r.span.Child(cp.name, obs.KV("cache", "hit"), obs.KV("bytes", len(payload)))
+	}
+	start := time.Now()
+	err := contain(func() error { return cp.load(stash.NewDec(payload)) })
+	dur := time.Since(start)
+	if err == nil {
 		r.cur.End()
 		r.cur = nil
-		r.record(cp.name, 1, r.cfg.Seed, dur,
-			fmt.Errorf("cache load: %w", err))
-		r.cfg.Cache.Evict(key)
-		r.stashErrors().Inc()
-		r.stashMisses().Inc()
-		return r.runAndStore(cp, key, body)
+		r.cached(cp.name, dur)
+		r.stashBytes().Add(uint64(len(payload)))
+		r.cfg.Obs.Sample()
+		return nil
 	}
+	// A snapshot that decodes or validates badly is treated
+	// exactly like corruption: evict, record, run the region.
+	r.cur.SetAttr("err", err.Error())
+	r.cur.End()
+	r.cur = nil
+	r.record(cp.name, 1, r.cfg.Seed, dur,
+		fmt.Errorf("cache load: %w", err))
+	r.cfg.Cache.Evict(key)
+	r.stashErrors().Inc()
 	r.stashMisses().Inc()
-	return r.runAndStore(cp, key, body)
+	if covered != nil {
+		if err := r.restore(covered.cp, covered.key, covered.sub); err != nil {
+			return err
+		}
+	}
+	return r.runAndStore(cp, key, sub)
+}
+
+// supersede stands in for restoring a region the next one covers: it
+// does the region's skip and records a cached hit of no bytes.
+func (r *runner) supersede(cp checkpoint) {
+	if r.span != nil {
+		r.cur = r.span.Child(cp.name, obs.KV("cache", "superseded"))
+	}
+	start := time.Now()
+	if cp.skip != nil {
+		cp.skip()
+	}
+	dur := time.Since(start)
+	r.cur.End()
+	r.cur = nil
+	r.cached(cp.name, dur)
+	r.cfg.Obs.Sample()
+}
+
+// cached records a region restored from the cache and counts the hit.
+func (r *runner) cached(name string, dur time.Duration) {
+	r.trace.Stages = append(r.trace.Stages, StageRecord{
+		Stage: name, Attempt: 1, Seed: r.cfg.Seed,
+		Duration: dur, Cached: true,
+	})
+	r.stashHits().Inc()
 }
 
 // runAndStore executes the region and stores its snapshot. Store
 // failures (encode panic, full disk) only count an error — the flow's
 // own result is already computed and stands.
-func (r *runner) runAndStore(cp checkpoint, key stash.Key, body func() error) error {
-	if err := body(); err != nil {
+func (r *runner) runAndStore(cp checkpoint, key stash.Key, sub []stage) error {
+	if err := r.exec(sub); err != nil {
 		return err
 	}
 	enc := stash.NewEnc()
@@ -235,8 +319,8 @@ func (r *runner) runAndStore(cp checkpoint, key stash.Key, body func() error) er
 // verifyHit is the paranoia mode: the region re-runs, its state is
 // re-encoded, and anything short of bit-identity with the cached
 // snapshot evicts the entry and fails the run.
-func (r *runner) verifyHit(cp checkpoint, key stash.Key, payload []byte, body func() error) error {
-	if err := body(); err != nil {
+func (r *runner) verifyHit(cp checkpoint, key stash.Key, payload []byte, sub []stage) error {
+	if err := r.exec(sub); err != nil {
 		return err
 	}
 	enc := stash.NewEnc()
@@ -774,7 +858,8 @@ func decodeResult(dec *stash.Dec) (*route.Result, error) {
 // state (usage, negotiation history, F2F bump usage — the history is
 // not derivable from the final routes but feeds downstream ECO cost).
 // build reconstructs the empty DB on the load path exactly as the
-// route stage would.
+// route stage would; it is all a region the sign-off snapshot covers
+// does.
 func routeCheckpoint(st *State, material []byte, build func()) checkpoint {
 	d := st.Design
 	return checkpoint{
@@ -807,5 +892,6 @@ func routeCheckpoint(st *State, material []byte, build func()) checkpoint {
 			st.Routes = res
 			return nil
 		},
+		skip: build,
 	}
 }

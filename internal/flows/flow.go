@@ -32,13 +32,11 @@ type flow struct {
 
 	// eng is the timing engine the sign-off optimizer ran on, from the opt
 	// stage that ran in this run (never the pseudo design's) until the
-	// sta stage takes it; nil when the signoff region was restored from
-	// the cache.
+	// sta stage takes it.
 	eng *sta.Engine
 
 	// Sign-off results, and the PPA row the power stage closes them into.
 	resized, buffers int
-	hold             *sta.Report
 	ppa              *PPA
 
 	// lend is what a tile array's extraction shares of its tile's.

@@ -37,12 +37,12 @@ var goldenStages = []struct {
 	{"2D", "-flow 2d",
 		runNamed("2d"),
 		"generate floorplan place cts route extract opt sta power verify",
-		"generate floorplan place* cts route* signoff* sta power verify",
+		"generate floorplan place* cts route* signoff* power verify",
 	},
 	{"Macro-3D", "-flow macro3d",
 		runNamed("macro3d"),
 		"generate floorplan prepare place cts route extract opt sta power separate verify",
-		"generate floorplan prepare place* cts route* signoff* sta power separate verify",
+		"generate floorplan prepare place* cts route* signoff* power separate verify",
 	},
 	{"S2D", "-flow s2d",
 		runNamed("s2d"),
@@ -91,7 +91,7 @@ var goldenStages = []struct {
 const (
 	goldenPseudoCold = "generate floorplan pseudo-floorplan pseudo-place pseudo-route pseudo-opt transfer " +
 		"partition prepare cts route extract opt sta power separate verify"
-	goldenPseudoWarm = "generate floorplan pseudo* partition* prepare cts route* signoff* sta power separate verify"
+	goldenPseudoWarm = "generate floorplan pseudo* partition* prepare cts route* signoff* power separate verify"
 )
 
 func renderStages(rep *RunReport) string {

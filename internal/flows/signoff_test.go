@@ -13,29 +13,49 @@ import (
 // invalidation pending — what a rolled-back last iteration leaves.
 func runFlowInside(t *testing.T, key string, cfg Config) (f *flow, pending bool) {
 	t.Helper()
+	f = runFlowHooked(t, key, cfg, func(f *flow, name string) {
+		if name == StageSTA {
+			pending = f.eng != nil && f.eng.Pending()
+		}
+	})
+	return f, pending
+}
+
+// runFlowHooked runs the named flow as Run does, calling before ahead of
+// every stage body that runs — regions' sub-stages included — and
+// returns its working set.
+func runFlowHooked(t *testing.T, key string, cfg Config, before func(f *flow, name string)) *flow {
+	t.Helper()
 	for _, e := range flowTable {
 		if e.key != key {
 			continue
 		}
-		f = &flow{runner: newRunner(context.Background(), e.name, cfg.withDefaults(), &State{}), dies: e.dies}
+		f := &flow{runner: newRunner(context.Background(), e.name, cfg.withDefaults(), &State{}), dies: e.dies}
 		list := e.stages(f)
-		for i := range list {
-			if list[i].name == StageSTA {
-				body := list[i].body
-				list[i].body = func() error {
-					pending = f.eng != nil && f.eng.Pending()
-					return body()
+		var hook func(list []stage)
+		hook = func(list []stage) {
+			for i := range list {
+				s := &list[i]
+				hook(s.sub)
+				switch name := s.name; {
+				case s.body != nil:
+					body := s.body
+					s.body = func() error { before(f, name); return body() }
+				case s.try != nil:
+					try := s.try
+					s.try = func(seed uint64) error { before(f, name); return try(seed) }
 				}
 			}
 		}
+		hook(list)
 		if err := f.exec(list); err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
 		f.finish()
-		return f, pending
+		return f
 	}
 	t.Fatalf("no flow %q", key)
-	return nil, false
+	return nil
 }
 
 // smallRuns holds each flow's run on the small tile at seed 1
@@ -99,7 +119,7 @@ func TestHoldOnOptimizerEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := f.hold
+			got := f.st.Report
 			if got.HoldWNS != want.HoldWNS || got.HoldViolations != want.HoldViolations || got.HoldEndpoints != want.HoldEndpoints {
 				t.Errorf("%s/%s: hold on the optimizer's engine (WNS %v, %d violations, %d endpoints), fresh (WNS %v, %d, %d)",
 					key, pc.Name, got.HoldWNS, got.HoldViolations, got.HoldEndpoints, want.HoldWNS, want.HoldViolations, want.HoldEndpoints)

@@ -143,7 +143,9 @@ func (f *flow) place(name string, seedOff uint64) stage {
 func (f *flow) stagesPseudo3D() []stage {
 	spec := pseudoSpecs[f.flow]
 	real := &State{} // f.st is the pseudo design's until phase B
-	tiers := region(
+	// The partition snapshot places every instance, so it covers the
+	// pseudo one.
+	tiers := covering(
 		func() checkpoint { return placementCheckpoint(StagePartition, resolutionMaterial(f.cfg), real.Design) },
 		seeded(StagePartition, f.cfg.Seed, func(seed uint64) error {
 			if _, err := partition.TierPartition(real.Design, partition.Options{Seed: seed}); err != nil {
@@ -264,9 +266,9 @@ func transferPseudo(dP, dReal *netlist.Design, scale float64) error {
 }
 
 // backEnd is what every flow ends in: clock tree, routing, sign-off
-// (slow-corner extraction and optimization under the given budget — full
-// for 2D and Macro-3D, frozen for S2D, limited for C2D — then hold STA and
-// typical-corner power) and, with Config.Verify, die separation (3D) and
+// (slow-corner extraction, optimization under the given budget — full
+// for 2D and Macro-3D, frozen for S2D, limited for C2D — and hold STA,
+// then typical-corner power) and, with Config.Verify, die separation (3D) and
 // independent verification.
 func (f *flow) backEnd(budget opt.Options) []stage {
 	// The effective budget is resolved up front so the signoff
@@ -278,7 +280,9 @@ func (f *flow) backEnd(budget opt.Options) []stage {
 		do(StageCTS, func() error { return f.clockTree(f.namedClock()) }),
 		region(func() checkpoint { return routeCheckpoint(f.st, f.material(), f.newDB) },
 			do(StageRoute, f.route)),
-		region(func() checkpoint { return f.signoffCheckpoint(signoffMaterial(budget)) },
+		// Sign-off restores everything route does, so a warm run reads
+		// only its snapshot.
+		covering(func() checkpoint { return f.signoffCheckpoint(signoffMaterial(budget)) },
 			do(StageExtract, f.extract),
 			do(StageOpt, func() error {
 				res, err := f.optimize(budget, f.obs())
@@ -289,8 +293,8 @@ func (f *flow) backEnd(budget opt.Options) []stage {
 				f.resized, f.buffers = res.Resized, res.Buffers
 				f.st.Routes.Recount(f.st.DB)
 				return nil
-			})),
-		do(StageSTA, f.holdSignoff),
+			}),
+			do(StageSTA, f.holdSignoff)),
 		do(StagePower, f.power),
 	}
 	if !f.cfg.Verify {
@@ -395,19 +399,13 @@ func (f *flow) staOptions(hold bool) sta.Options {
 }
 
 // holdSignoff is hold sign-off on the final state, on the engine the
-// optimizer ran on — whose setup timing is the final report already —
-// or, when the signoff region was restored from the cache, on a new one
-// over the slow-corner extraction. Neither runs a setup pass. Under
-// Config.SelfCheck a from-scratch analysis must agree.
+// optimizer ran on — whose setup timing is the final report already, so
+// no setup pass runs — into that report's hold fields, which the signoff
+// snapshot carries. Under Config.SelfCheck a from-scratch analysis must
+// agree.
 func (f *flow) holdSignoff() error {
 	eng := f.eng
 	f.eng = nil
-	if eng == nil {
-		var err error
-		if eng, err = sta.NewEngine(f.st.Design, f.st.ExSlow, f.staOptions(false)); err != nil {
-			return err
-		}
-	}
 	hold, err := eng.Hold()
 	if err != nil {
 		return err
@@ -422,7 +420,8 @@ func (f *flow) holdSignoff() error {
 				hold.HoldWNS, hold.HoldViolations, hold.HoldEndpoints, want.HoldWNS, want.HoldViolations, want.HoldEndpoints)
 		}
 	}
-	f.hold = hold
+	rep := f.st.Report
+	rep.HoldWNS, rep.HoldViolations, rep.HoldEndpoints = hold.HoldWNS, hold.HoldViolations, hold.HoldEndpoints
 	return nil
 }
 
@@ -486,8 +485,8 @@ func (f *flow) power() error {
 		CritPathWLmm: st.Report.Critical.Wirelength / 1e3,
 		CritPathPs:   st.Report.Critical.Delay,
 
-		HoldWNSps:      f.hold.HoldWNS,
-		HoldViolations: f.hold.HoldViolations,
+		HoldWNSps:      st.Report.HoldWNS,
+		HoldViolations: st.Report.HoldViolations,
 
 		RouteOverflow: st.Routes.Overflow,
 		Dies:          f.dies,

@@ -155,7 +155,8 @@ func TestTraceCoversFlowStructure(t *testing.T) {
 // stage span_close sequence, the stages track's slice names and the
 // RunReport's stages are one list; warm, against the stage cache the
 // cold run filled, they still are, and every restored region is one
-// cache-category slice.
+// cache-category slice — the route region's span tagged superseded, the
+// others hit.
 func TestTimelineMatchesSpanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two tiny flows")
@@ -179,12 +180,13 @@ func TestTimelineMatchesSpanTree(t *testing.T) {
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
 		}
-		var spans, slices, report, cacheSlices, cached []string
+		var spans, slices, report, cacheSlices, cached, restores []string
 		var root int64
 		for _, line := range strings.Split(strings.TrimSpace(events.String()), "\n") {
 			var e struct {
 				Ev, Span   string
 				ID, Parent int64
+				Attrs      struct{ Cache string }
 			}
 			if err := json.Unmarshal([]byte(line), &e); err != nil {
 				t.Fatalf("malformed JSONL line %q: %v", line, err)
@@ -194,7 +196,14 @@ func TestTimelineMatchesSpanTree(t *testing.T) {
 				root = e.ID
 			case e.Ev == "span_close" && e.Parent == root:
 				spans = append(spans, strings.TrimPrefix(e.Span, "macro3d/"))
+				if e.Attrs.Cache != "" {
+					restores = append(restores, e.Attrs.Cache)
+				}
 			}
+		}
+		// The sign-off snapshot covers the route one, which goes unread.
+		if want := []string{"hit", "superseded", "hit"}; pass == "warm" && !reflect.DeepEqual(restores, want) {
+			t.Errorf("warm: restored spans tagged %v, want %v", restores, want)
 		}
 		for _, sl := range tr.Track("stages").Slices() {
 			slices = append(slices, sl.Name)

@@ -66,8 +66,10 @@ type Context struct {
 	DDB *ddb.DB
 
 	// Obs, when non-nil, is the opt stage's span: the loop publishes
-	// iteration/rollback counts to its registry and hands it to the
-	// STA engine. nil disables instrumentation.
+	// iteration/rollback counts to its registry, hands it to the STA
+	// engine and opens its phases under it — setup (the engine, the first
+	// timing run, the free-space map), then per iteration edit, reroute
+	// and timing. nil disables instrumentation.
 	Obs *obs.Span
 
 	txn *ddb.Txn
@@ -254,6 +256,9 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 	if period <= 0 {
 		period = 1e6
 	}
+	// sp is the phase span open at the time, ended on every way out.
+	sp := ctx.Obs.Child("setup")
+	defer func() { sp.End() }()
 	eng, err := sta.NewEngine(ctx.Design, ctx.Ex, staOpt)
 	if err != nil {
 		return nil, err
@@ -270,6 +275,7 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 	if ctx.FP != nil && ctx.RowHeight > 0 {
 		ctx.DDB.Free = place.NewFreeSpace(ctx.Design, ctx.FP, ctx.RowHeight)
 	}
+	sp.End()
 
 	ctx.names.First = nameChunk
 	bufSeq := 0
@@ -302,6 +308,7 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 		}
 		var curKey pathID
 		haveKey := false
+		sp = ctx.Obs.Child("edit")
 		for _, p := range paths {
 			if moves >= opt.MaxMovesPerIter {
 				break
@@ -319,11 +326,13 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 			}
 			moves += m
 		}
+		sp.End()
 		if moves == 0 {
 			break
 		}
 		// Touched nets: rerouted (ECO moves shift pins) and re-extracted
 		// in deterministic order.
+		sp = ctx.Obs.Child("reroute")
 		for _, id := range touched.sorted() {
 			if id >= len(ctx.Routes.Routes) || ctx.Routes.Routes[id] == nil {
 				continue
@@ -332,9 +341,12 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 				return nil, err
 			}
 		}
+		sp.End()
 		res.Rerouted += touched.len()
 		res.Iters = it + 1
 
+		// The timing span also covers the accept-or-roll-back it decides.
+		sp = ctx.Obs.Child("timing")
 		eng.Invalidate(txn.DirtyNets(), txn.DirtyInsts(), txn.TopoChanged())
 		next, err := eng.Update(period)
 		if err != nil {
@@ -383,6 +395,7 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 			res.Resized -= resizedNow.len()
 			res.Buffers = buffers0
 			skipPath[curKey] = true
+			sp.End()
 			stale++
 			if stale >= 12 {
 				break
@@ -395,6 +408,7 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 				return nil, err
 			}
 		}
+		sp.End()
 		rep = next
 		if improvedWorst {
 			stale = 0

@@ -64,8 +64,9 @@ func (s *Store) exists(k Key) bool {
 // OpenLimited opens a cache directory with a byte cap: the total size
 // of all snapshot frames is kept at or below maxBytes by evicting the
 // least-recently-used entries. Pre-existing snapshots are indexed by
-// modification time (oldest = least recent) and trimmed immediately if
-// the directory already exceeds the cap. maxBytes <= 0 means unlimited
+// modification time — their last use, which a hit (Get, Touch) writes —
+// oldest least recent, and trimmed immediately if the directory already
+// exceeds the cap. maxBytes <= 0 means unlimited
 // (identical to Open).
 func OpenLimited(dir string, maxBytes int64) (*Store, error) {
 	s, err := Open(dir)
@@ -126,8 +127,8 @@ func (s *Store) Usage() (total, max int64) {
 	return s.total, s.maxBytes
 }
 
-// touch marks k most-recently-used.
-func (s *Store) touch(k Key) {
+// markUsed marks k most-recently-used in the index.
+func (s *Store) markUsed(k Key) {
 	if s.maxBytes <= 0 {
 		return
 	}

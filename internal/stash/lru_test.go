@@ -152,6 +152,75 @@ func TestLRURecency(t *testing.T) {
 	}
 }
 
+// TestRecencyAcrossOpens: an entry's last use survives the process that
+// made it. A is written before B; a second open reads A (by Get, or
+// Touch); a third open capped at one entry keeps A and evicts B.
+func TestRecencyAcrossOpens(t *testing.T) {
+	const payloadLen = 100
+	for _, use := range []struct {
+		name string
+		fn   func(*Store, Key) bool
+	}{
+		{"Get", func(s *Store, k Key) bool { _, ok := s.Get(k); return ok }},
+		{"Touch", (*Store).Touch},
+	} {
+		t.Run(use.name, func(t *testing.T) {
+			dir := t.TempDir()
+			a, b := lruKey(0), lruKey(1)
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range []Key{a, b} {
+				if err := s.Put(k, bytes.Repeat([]byte{byte(i)}, payloadLen)); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Chtimes(s.Path(k), timeAt(i), timeAt(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s2, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !use.fn(s2, a) {
+				t.Fatal("A is not there")
+			}
+			s3, err := OpenLimited(dir, frameBytes(payloadLen))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(s3.Path(a)); err != nil {
+				t.Errorf("the entry the last run used was evicted: %v", err)
+			}
+			if _, err := os.Stat(s3.Path(b)); err == nil {
+				t.Error("the entry the last run did not use survived")
+			}
+		})
+	}
+}
+
+// TestTouch: a Touch is a hit of no bytes on an entry that is there, and
+// nothing at all on one that is not.
+func TestTouch(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Touch(lruKey(0)) {
+		t.Error("Touch found an entry in an empty store")
+	}
+	if err := s.Put(lruKey(0), []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Touch(lruKey(0)) {
+		t.Error("Touch missed a stored entry")
+	}
+	if st := s.Stats(); st.Hits != 1 || st.Misses != 0 || st.BytesRead != 0 {
+		t.Errorf("stats after one Touch of a stored entry and one of a missing one: %+v", st)
+	}
+}
+
 // TestOpenLimitedTrimsExisting re-opens an over-budget directory with a
 // cap and asserts it is trimmed down, oldest first, on open.
 func TestOpenLimitedTrimsExisting(t *testing.T) {

@@ -19,11 +19,14 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Version is the snapshot codec version. It participates in every
@@ -38,8 +41,10 @@ import (
 // Version 4: same format again; the placer's wirelength kernel takes its
 // exponentials once per point instead of per pin, so placements differ
 // in their last bits and -cache-verify against a version-3 cache would
-// fail bit for bit.
-const Version = 4
+// fail bit for bit. Version 5: same format; the sign-off snapshot's
+// timing report carries the hold check, which it used to write as zeros
+// (hold sign-off moved inside the sign-off region).
+const Version = 5
 
 // fileMagic opens every snapshot file.
 const fileMagic = "M3DSNAP1"
@@ -124,10 +129,36 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	s.touch(k)
+	s.used(k)
 	s.hits.Add(1)
 	s.bytesRead.Add(uint64(len(payload)))
 	return payload, true
+}
+
+// Touch records a hit on k without reading it, for a caller that needs
+// to know only that the entry is there: its recency is refreshed as a
+// Get's is, and no bytes are read. It reports false, counting nothing,
+// when there is no entry. The entry is not checked; a corrupt one is
+// found by the next Get.
+func (s *Store) Touch(k Key) bool {
+	if !s.used(k) {
+		return false
+	}
+	s.hits.Add(1)
+	return true
+}
+
+// used makes k the most recently used entry, in the index and on disk:
+// its modification time is its last use, which OpenLimited ranks by in a
+// later process. It reports false when the file is not there; a failure
+// to set the time otherwise leaves the entry as it was.
+func (s *Store) used(k Key) bool {
+	now := time.Now()
+	if err := os.Chtimes(s.Path(k), now, now); errors.Is(err, fs.ErrNotExist) {
+		return false
+	}
+	s.markUsed(k)
+	return true
 }
 
 // Put stores payload under k, atomically: the frame is written to a
@@ -146,7 +177,7 @@ func (s *Store) Put(k Key, payload []byte) error {
 	defer mu.Unlock()
 	if s.exists(k) {
 		s.dupPuts.Add(1)
-		s.touch(k)
+		s.markUsed(k)
 		return nil
 	}
 	frameSize := int64(headerSize + len(payload))

@@ -1,11 +1,14 @@
 #!/bin/sh
 # cache-smoke: end-to-end check of the content-addressed stage cache.
 # Runs a tiny flow cold (populating the cache), warm (restoring every
-# checkpoint) and in -cache-verify paranoia mode, asserting hit/miss
-# counters and byte-identical PPA output; then under a -cache-max-bytes
-# cap below the uncapped run's size, asserting eviction, the cap on
-# disk and byte-identical PPA; then exercises the -resume default
-# directory. Fails on any mismatch.
+# checkpoint while reading fewer bytes than the cold run wrote: the
+# route snapshot the sign-off one covers is not read) and in
+# -cache-verify paranoia mode, asserting hit/miss counters and
+# byte-identical PPA output; then under a -cache-max-bytes cap below the
+# uncapped run's size, asserting eviction, the cap on disk and
+# byte-identical PPA; then that a capped invocation keeps every snapshot
+# the invocation before it used (recency is last use on disk); then
+# exercises the -resume default directory. Fails on any mismatch.
 set -eu
 
 GO=${GO:-go}
@@ -38,6 +41,12 @@ cmp -s "$dir/cold.out" "$dir/warm.out" || {
 	diff "$dir/cold.out" "$dir/warm.out" >&2 || true
 	exit 1
 }
+written=$(sed -n 's/.* \([0-9][0-9]*\) B read, \([0-9][0-9]*\) B written$/\2/p' "$dir/cold.err")
+read=$(sed -n 's/.* \([0-9][0-9]*\) B read, \([0-9][0-9]*\) B written$/\1/p' "$dir/warm.err")
+[ -n "$written" ] && [ -n "$read" ] && [ "$read" -lt "$written" ] || {
+	echo "cache-smoke: FAIL: the warm run read ${read:-?} B, the cold run wrote ${written:-?} B; the covered route snapshot should go unread" >&2
+	exit 1
+}
 
 echo "cache-smoke: -cache-verify paranoia pass"
 $run -cache-dir "$dir/stash" -cache-verify >"$dir/verify.out" 2>"$dir/verify.err"
@@ -64,6 +73,25 @@ kept=$(cat "$dir/capped"/*.snap | wc -c)
 [ "$kept" -le "$cap" ] || { echo "cache-smoke: FAIL: $kept B of snapshots kept under a $cap B cap" >&2; exit 1; }
 cmp -s "$dir/cold.out" "$dir/capped.out" || {
 	echo "cache-smoke: FAIL: capped PPA output differs from cold" >&2
+	exit 1
+}
+
+echo "cache-smoke: a capped invocation keeps what the one before it used"
+$run -cache-dir "$dir/lru" >/dev/null 2>&1
+need=$(cat "$dir/lru"/*.snap | wc -c)
+$dir/macro3d -flow macro3d -config tiny -seed 8 -cache-dir "$dir/lru" >/dev/null 2>&1
+# The seed-7 snapshots, written first, are used last: a cap that holds
+# only them must evict the seed-8 ones at open, and leave the run all
+# hits.
+$run -cache-dir "$dir/lru" -cache-max-bytes $((need * 3)) >/dev/null 2>&1
+$run -cache-dir "$dir/lru" -cache-max-bytes "$need" >"$dir/lru.out" 2>"$dir/lru.err"
+grep -Eq 'stage cache .*: [1-9][0-9]* hits, 0 misses' "$dir/lru.err" || {
+	echo "cache-smoke: FAIL: a $need B cap evicted snapshots the invocation before it used" >&2
+	cat "$dir/lru.err" >&2
+	exit 1
+}
+cmp -s "$dir/cold.out" "$dir/lru.out" || {
+	echo "cache-smoke: FAIL: capped warm PPA output differs from cold" >&2
 	exit 1
 }
 
