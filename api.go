@@ -252,8 +252,9 @@ const (
 // Harden runs a sub-block flow to signoff and condenses it into an
 // abstract master: LEF-style boundary pins with entry caps and
 // boundary timing arcs, per-layer routing obstructions, and the
-// AbstractInfo record. With FlowConfig.Cache set, the abstract is
-// content-addressed so each distinct configuration hardens once.
+// AbstractInfo record. With FlowConfig.Cache set, the abstract is a
+// checkpoint region of the sub-block flow: a repeated harden of a
+// configuration restores it instead of running the flow.
 func Harden(ctx context.Context, cfg FlowConfig, flow string) (*HardenResult, error) {
 	return flows.HardenCtx(ctx, cfg, flow)
 }
@@ -262,7 +263,7 @@ func Harden(ctx context.Context, cfg FlowConfig, flow string) (*HardenResult, er
 // cache) and instantiates the abstract nx×ny by abutment, signing off
 // only the parent level against the boundary timing model.
 func RunHierArray(ctx context.Context, cfg FlowConfig, flow string, nx, ny int) (*HierReport, error) {
-	return flows.RunHierArrayCtx(ctx, cfg, flow, nx, ny)
+	return flows.RunHierArray(ctx, cfg, flow, nx, ny)
 }
 
 // InstantiateArray runs just the parent level on an already-hardened

@@ -23,9 +23,10 @@ import (
 //	macro3d harden -config tiny -array 4 -resume                 # warm: parent flow only
 //	macro3d harden -config tiny -o tile_abstract.lef             # export the abstract LEF
 //
-// With a cache directory the hardened abstract is content-addressed by
-// everything the sub-block signoff depends on, so sweeps and repeated
-// parent runs harden each distinct configuration exactly once.
+// With a cache directory the hardened abstract is a checkpoint region of
+// the sub-block flow, keyed by everything its signoff depends on: a
+// repeated run of a configuration restores it and runs generate alone.
+// Concurrent cold runs each harden; the cache keeps one copy.
 func hardenMain(args []string) int {
 	fs := flag.NewFlagSet("macro3d harden", flag.ExitOnError)
 	var (

@@ -377,16 +377,12 @@ func realMain(args []string) (code int) {
 	return 0
 }
 
-// printCacheSummary renders one run's cache traffic, duplicate puts and
-// hardened-abstract lookups included.
+// printCacheSummary renders one run's cache traffic, duplicate puts
+// included.
 func printCacheSummary(cache *macro3d.StageCache) {
 	s := cache.Stats()
 	fmt.Fprintf(os.Stderr, "macro3d: stage cache %s: %d hits, %d misses, %d stored (%d dup), %d evicted, %d errors, %d B read, %d B written\n",
 		cache.Dir(), s.Hits, s.Misses, s.Puts, s.DupPuts, s.Evictions, s.Errors, s.BytesRead, s.BytesWritten)
-	if s.HardenHits+s.HardenMisses > 0 {
-		fmt.Fprintf(os.Stderr, "macro3d: hardened abstracts: %d cache hits, %d hardened fresh\n",
-			s.HardenHits, s.HardenMisses)
-	}
 }
 
 // printFailure renders a flow failure: StageError diagnostics when the

@@ -198,54 +198,98 @@ func TestRootKeyCoversPitonConfig(t *testing.T) {
 // TestStageCacheCorruptionRecovery truncates every snapshot after a
 // cold run: the warm run must treat them as misses, evict them,
 // recompute, and still produce identical PPA — never panic or resume
-// from garbage.
+// from garbage. A hardening run's truncated harden snapshot is evicted
+// alone: the regions nested in it hit, condense re-runs, and the
+// abstract is the cold one.
 func TestStageCacheCorruptionRecovery(t *testing.T) {
-	dir := t.TempDir()
-	s, err := stash.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := tinyCacheCfg()
-	cfg.Cache = s
-	cold := runFlow(t, "s2d", cfg)
+	t.Run("s2d", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := stash.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := tinyCacheCfg()
+		cfg.Cache = s
+		cold := runFlow(t, "s2d", cfg)
 
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("no snapshots written")
-	}
-	for i, e := range entries {
-		path := filepath.Join(dir, e.Name())
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) == 0 {
+			t.Fatal("no snapshots written")
+		}
+		for i, e := range entries {
+			path := filepath.Join(dir, e.Name())
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 0 {
+				b = b[:len(b)/2] // truncation
+			} else {
+				b[len(b)-1] ^= 0x10 // bit flip
+			}
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		warm, err := stash.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg = tinyCacheCfg()
+		cfg.Cache = warm
+		recomputed := runFlow(t, "s2d", cfg)
+		ws := warm.Stats()
+		if ws.Evictions == 0 || ws.Misses == 0 {
+			t.Errorf("corrupt snapshots must evict and miss, stats = %+v", ws)
+		}
+		if !reflect.DeepEqual(cold, recomputed) {
+			t.Errorf("recovery PPA differs:\n  %+v\n  %+v", cold, recomputed)
+		}
+	})
+	t.Run("harden", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := stash.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := tinyCacheCfg()
+		cfg.Cache = s
+		cold, err := Harden(cfg, HardenMacro3D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := s.Path(hardenRegionKey(t, cfg))
 		b, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i%2 == 0 {
-			b = b[:len(b)/2] // truncation
-		} else {
-			b[len(b)-1] ^= 0x10 // bit flip
-		}
-		if err := os.WriteFile(path, b, 0o644); err != nil {
+		if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
 
-	warm, err := stash.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg = tinyCacheCfg()
-	cfg.Cache = warm
-	recomputed := runFlow(t, "s2d", cfg)
-	ws := warm.Stats()
-	if ws.Evictions == 0 || ws.Misses == 0 {
-		t.Errorf("corrupt snapshots must evict and miss, stats = %+v", ws)
-	}
-	if !reflect.DeepEqual(cold, recomputed) {
-		t.Errorf("recovery PPA differs:\n  %+v\n  %+v", cold, recomputed)
-	}
+		warm, err := stash.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Cache = warm
+		hr, err := Harden(cfg, HardenMacro3D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ws := warm.Stats(); ws.Evictions != 1 {
+			t.Errorf("the truncated harden snapshot must be evicted, stats = %+v", ws)
+		}
+		if got, want := renderStages(hr.Trace), "generate floorplan prepare place* cts route* signoff* power condense"; got != want {
+			t.Errorf("recovery stage sequence:\n got %s\nwant %s", got, want)
+		}
+		if !bytes.Equal(abstractBytes(cold.Abstract), abstractBytes(hr.Abstract)) {
+			t.Error("recovered abstract differs from the cold one")
+		}
+	})
 }
 
 // TestStageCachePayloadCorruptionFallsBack re-frames a snapshot with a

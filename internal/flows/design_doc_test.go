@@ -14,9 +14,9 @@ import (
 
 // TestDesignDocStageLists keeps DESIGN.md §3 honest: its stage-list
 // table must show, under its CLI invocation, every sequence
-// TestStageSequenceGolden pins — one per row of the flow table, the tile
-// array's and the hierarchical parent's — and its pseudo-3D table the
-// pseudoSpecs rows.
+// TestStageSequenceGolden pins — one per row of the flow table, a
+// hardening run's, the tile array's and the hierarchical parent's — and
+// its pseudo-3D table the pseudoSpecs rows.
 func TestDesignDocStageLists(t *testing.T) {
 	b, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {

@@ -43,14 +43,17 @@ type flow struct {
 	lend []extract.Source
 }
 
-// The flow table: every flow is a stage list assembled from the shared
-// pieces of stages.go.
-var flowTable = []struct {
+// flowRow is one row of the flow table.
+type flowRow struct {
 	key    string // CLI name
 	name   string // display name: PPA.Flow, StageError.Flow, the cache root key
 	dies   int
 	stages func(f *flow) []stage
-}{
+}
+
+// The flow table: every flow is a stage list assembled from the shared
+// pieces of stages.go.
+var flowTable = []flowRow{
 	{"2d", "2D", 1, (*flow).stages2D},
 	{"macro3d", "Macro-3D", 2, (*flow).stagesMacro3D},
 	{"s2d", "S2D", 2, (*flow).stagesPseudo3D},
@@ -125,19 +128,23 @@ func Names() []string {
 // (State.Trace) of how far the flow got. The MoLDesign is the combined
 // stack of a 3D flow once its prepare stage has run, nil before and in 2D.
 func Run(ctx context.Context, name string, cfg Config) (*PPA, *State, *core.MoLDesign, error) {
-	for _, e := range flowTable {
-		if e.key != name {
-			continue
-		}
-		cfg = cfg.withDefaults()
-		f := &flow{runner: newRunner(ctx, e.name, cfg, &State{}), dies: e.dies}
-		if err := f.exec(e.stages(f)); err != nil {
-			return nil, f.st, f.md, err
-		}
-		f.finish()
-		return f.ppa, f.st, f.md, nil
+	i := slices.IndexFunc(flowTable, func(e flowRow) bool { return e.key == name })
+	if i < 0 {
+		return nil, nil, nil, fmt.Errorf("flows: unknown flow %q (want %s)", name, strings.Join(Names(), ", "))
 	}
-	return nil, nil, nil, fmt.Errorf("flows: unknown flow %q (want %s)", name, strings.Join(Names(), ", "))
+	f, list := flowTable[i].start(ctx, cfg)
+	if err := f.exec(list); err != nil {
+		return nil, f.st, f.md, err
+	}
+	f.finish()
+	return f.ppa, f.st, f.md, nil
+}
+
+// start sets up a run of the row's flow: its working set and its stage
+// list.
+func (e flowRow) start(ctx context.Context, cfg Config) (*flow, []stage) {
+	f := &flow{runner: newRunner(ctx, e.name, cfg.withDefaults(), &State{}), dies: e.dies}
+	return f, e.stages(f)
 }
 
 // The plain forms of four flows, which the flow ledger (bench/) calls;

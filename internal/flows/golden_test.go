@@ -25,10 +25,13 @@ func runNamed(name string) func(context.Context, Config) (*State, error) {
 // stage name, "#n" for attempt n > 1 and "*" for a region restored from
 // the stage cache. bench/trace.go maps this sequence to its per-layer
 // metrics, `-experiment flowtrace` prints it, and DESIGN.md §3 shows it
-// under the CLI invocation that runs it (TestDesignDocStageLists). The
-// tile array and the hierarchical parent have no checkpoint region, so
-// their warm list is their cold one; their runs hand back no State, so
-// the rows take the parent's from the AfterStage hook.
+// under the CLI invocation that runs it (TestDesignDocStageLists). A
+// hardening run is the Macro-3D list with everything after generate in
+// the harden region, which ends in condense; a warm harden hands back no
+// State, so its row wraps the result's trace in one. The tile array and
+// the hierarchical parent have no checkpoint region, so their warm list
+// is their cold one; their runs hand back no State, so the rows take the
+// parent's from the AfterStage hook.
 var goldenStages = []struct {
 	flow, cli  string
 	run        func(context.Context, Config) (*State, error)
@@ -55,6 +58,17 @@ var goldenStages = []struct {
 	{"C2D", "-flow c2d",
 		runNamed("c2d"),
 		goldenPseudoCold, goldenPseudoWarm,
+	},
+	{"Macro-3D", "harden",
+		func(ctx context.Context, cfg Config) (*State, error) {
+			hr, err := HardenCtx(ctx, cfg, HardenMacro3D)
+			if err != nil {
+				return nil, err
+			}
+			return &State{Trace: hr.Trace}, nil
+		},
+		"generate floorplan prepare place cts route extract opt sta power separate verify condense",
+		"generate harden*",
 	},
 	{"array", "-flow macro3d -array N",
 		func(ctx context.Context, cfg Config) (*State, error) {
@@ -112,7 +126,7 @@ func renderStages(rep *RunReport) string {
 	return strings.Join(out, " ")
 }
 
-// TestStageSequenceGolden pins the exact stage sequence of all seven
+// TestStageSequenceGolden pins the exact stage sequence of all eight
 // lists, cold and warm from a cache.
 func TestStageSequenceGolden(t *testing.T) {
 	for _, g := range goldenStages {

@@ -3,6 +3,7 @@ package flows
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"macro3d/internal/cell"
@@ -41,102 +42,66 @@ type HardenResult struct {
 	PPA   *PPA
 	State *State
 
+	// Trace is the hardening run's stage trace, a warm one's included.
+	Trace *RunReport
+
 	CacheHit bool
 	Elapsed  time.Duration
-}
-
-// hardenCounter mirrors the stash's harden hit/miss tallies into the
-// run's metric registry, so the Prometheus and JSON exporters surface
-// them alongside the stage-cache counters (the CLI summary and
-// /stashz read the store's own Stats directly).
-func hardenCounter(cfg Config, hit bool) {
-	reg := cfg.Obs.Registry()
-	if reg == nil {
-		return
-	}
-	if hit {
-		reg.Counter("stash_harden_hits_total",
-			"Hardened-abstract cache hits (abstract restored instead of hardening).").Inc()
-	} else {
-		reg.Counter("stash_harden_misses_total",
-			"Hardened-abstract cache misses (the sub-block flow ran and stored its abstract).").Inc()
-	}
 }
 
 // Harden runs a sub-block flow to signoff and condenses the result
 // into an abstract master (LEF-style boundary view: pins, per-layer
 // obstructions, boundary timing model) that a parent flow instantiates
-// as an opaque macro. With cfg.Cache set, the abstract is
-// content-addressed by everything the sub-block implementation depends
-// on, so sweeps and repeated or concurrent parent runs harden each
-// distinct configuration exactly once.
+// as an opaque macro. The run is the flow's own stage list with every
+// stage after generate inside one "harden" checkpoint region, which
+// ends in the condense stage: with cfg.Cache set, a repeated harden of a
+// configuration restores the abstract and runs generate alone (the
+// tile is needed either way). Concurrent cold runs each harden; the
+// store keeps one copy of what they put.
 func Harden(cfg Config, flow string) (*HardenResult, error) {
 	return HardenCtx(context.Background(), cfg, flow)
 }
 
 // HardenCtx is Harden with run cancellation.
 func HardenCtx(ctx context.Context, cfg Config, flow string) (*HardenResult, error) {
-	cfg = cfg.withDefaults()
 	if flow == "" {
 		flow = HardenMacro3D
 	}
-	start := time.Now()
-
-	t, err := tech.New28(cfg.LogicMetals)
-	if err != nil {
-		return nil, err
-	}
-
-	var key stash.Key
-	useCache := cfg.cacheEnabled()
-	if useCache {
-		key, err = hardenKey(cfg, flow, t)
-		if err != nil {
-			return nil, err
-		}
-		if b, ok := cfg.Cache.Get(key); ok {
-			abs, err := decodeAbstract(b)
-			if err == nil {
-				cfg.Cache.NoteHarden(true)
-				hardenCounter(cfg, true)
-				tile, err := cfg.generate()
-				if err != nil {
-					return nil, err
-				}
-				return &HardenResult{
-					Abstract: abs, Tile: ownLibrary(tile),
-					CacheHit: true, Elapsed: time.Since(start),
-				}, nil
-			}
-			// A snapshot that frames correctly but no longer decodes
-			// (codec drift) reads as a miss.
-			cfg.Cache.Evict(key)
-		}
-		cfg.Cache.NoteHarden(false)
-		hardenCounter(cfg, false)
-	}
-
-	if flow != HardenMacro3D && flow != Harden2D {
+	i := slices.IndexFunc(flowTable, func(e flowRow) bool { return e.key == flow })
+	if i < 0 || flow != HardenMacro3D && flow != Harden2D {
 		return nil, fmt.Errorf("harden: unknown flow %q (want %q or %q)", flow, HardenMacro3D, Harden2D)
 	}
-	ppa, st, _, err := Run(ctx, flow, cfg)
-	if err != nil {
+	start := time.Now()
+	f, list := flowTable[i].start(ctx, cfg)
+	var abs *cell.Cell
+	condense := do(StageCondense, func() (err error) {
+		abs, err = buildAbstract(f.st, f.ppa, f.t)
+		return err
+	})
+	// What the abstract depends on beyond the root: the optimization
+	// target and the 3D stack.
+	harden := region(func() checkpoint {
+		m := stash.NewEnc()
+		m.F64(f.cfg.TargetPeriod)
+		m.Blob(stackMaterial(f.cfg, f.t))
+		return checkpoint{
+			name:     "harden",
+			material: m.Bytes(),
+			save:     func(e *stash.Enc) error { encodeAbstract(e, abs); return nil },
+			load:     func(d *stash.Dec) (err error) { abs, err = decodeAbstract(d); return err },
+		}
+	}, append(list[1:], condense)...)
+	if err := f.exec([]stage{list[0], harden}); err != nil { // list[0] is generate
 		return nil, err
 	}
-
-	abs, err := buildAbstract(st, ppa, t)
-	if err != nil {
-		return nil, fmt.Errorf("harden %s: %w", st.Design.Name, err)
+	f.finish()
+	hr := &HardenResult{Abstract: abs, Tile: ownLibrary(f.st.Tile), Trace: f.trace, Elapsed: time.Since(start)}
+	if f.ppa == nil { // the region was restored, not run
+		hr.CacheHit = true
+	} else {
+		hr.PPA, hr.State = f.ppa, f.st
 	}
-	if useCache {
-		if err := cfg.Cache.Put(key, encodeAbstract(abs)); err != nil {
-			return nil, err
-		}
-	}
-	return &HardenResult{
-		Abstract: abs, Tile: ownLibrary(st.Tile), PPA: ppa, State: st,
-		Elapsed: time.Since(start),
-	}, nil
+	return hr, nil
 }
 
 // ownLibrary gives a hardened tile a library of its own, for
@@ -145,21 +110,6 @@ func HardenCtx(ctx context.Context, cfg Config, flow string) (*HardenResult, err
 func ownLibrary(t *piton.Tile) *piton.Tile {
 	t.Design.Lib = t.Design.Lib.Clone()
 	return t
-}
-
-// hardenKey content-addresses a hardened abstract: the root material
-// of the sub-block run (technology fingerprint, benchmark config,
-// seed) under a harden-specific flow kind, chained with the inputs the
-// signoff additionally depends on (3D stack, optimization target).
-func hardenKey(cfg Config, flow string, t *tech.Tech) (stash.Key, error) {
-	rk, err := rootKey("harden:"+flow, cfg)
-	if err != nil {
-		return stash.Key{}, err
-	}
-	e := stash.NewEnc()
-	e.F64(cfg.TargetPeriod)
-	e.Blob(stackMaterial(cfg, t))
-	return rk.Derive("harden", e.Bytes()), nil
 }
 
 // buildAbstract condenses a signed-off implementation into its
@@ -288,8 +238,7 @@ func clockEntryCap(lib *cell.Library) float64 {
 // Abstract snapshot codec (cache payload). Purely self-describing
 // numbers and strings; decode validates fully before returning.
 
-func encodeAbstract(c *cell.Cell) []byte {
-	e := stash.NewEnc()
+func encodeAbstract(e *stash.Enc, c *cell.Cell) {
 	e.Str(c.Name)
 	e.F64(c.Width)
 	e.F64(c.Height)
@@ -323,7 +272,6 @@ func encodeAbstract(c *cell.Cell) []byte {
 	e.F64(a.EnergyPerCycleFJ)
 	e.F64(a.LeakageUW)
 	e.Int(a.F2FBumps)
-	return e.Bytes()
 }
 
 // The fewest bytes a pin and an obstruction take in an abstract snapshot
@@ -334,8 +282,7 @@ const (
 	obsWireMin = 4 + 4*8
 )
 
-func decodeAbstract(b []byte) (*cell.Cell, error) {
-	d := stash.NewDec(b)
+func decodeAbstract(d *stash.Dec) (*cell.Cell, error) {
 	c := &cell.Cell{Kind: cell.KindMacro}
 	c.Name = d.Str()
 	c.Width = d.F64()

@@ -55,13 +55,9 @@ type HierReport struct {
 // instantiate the abstract nx×ny by abutment and sign off only the
 // parent level. Against VerifyTileArray's flat re-verification this
 // trades per-instance detail for wall clock: the sub-block P&R runs
-// once (or zero times, on a warm cache), not per instance.
-func RunHierArray(cfg Config, flow string, nx, ny int) (*HierReport, error) {
-	return RunHierArrayCtx(context.Background(), cfg, flow, nx, ny)
-}
-
-// RunHierArrayCtx is RunHierArray with run cancellation.
-func RunHierArrayCtx(ctx context.Context, cfg Config, flow string, nx, ny int) (*HierReport, error) {
+// once (or zero times, on a warm cache), not per instance. ctx reaches
+// both the hardening run and the parent.
+func RunHierArray(ctx context.Context, cfg Config, flow string, nx, ny int) (*HierReport, error) {
 	cfg = cfg.withDefaults()
 	hr, err := HardenCtx(ctx, cfg, flow)
 	if err != nil {

@@ -29,7 +29,8 @@ const (
 	StagePower     = "power"
 	StageSeparate  = "separate"
 	StageVerify    = "verify"
-	StageCompose   = "compose" // the tile array's and the hierarchical parent's first
+	StageCompose   = "compose"  // the tile array's and the hierarchical parent's first
+	StageCondense  = "condense" // a hardening run's last: the abstract of the signed-off tile
 )
 
 // StageError is the typed failure of one flow stage. Every error

@@ -63,12 +63,6 @@ type Stats struct {
 	BytesWritten uint64 // payload bytes stored by puts
 	DupPuts      uint64 // puts that found the entry already stored and skipped the write
 	CapSkips     uint64 // puts refused because the payload alone exceeds the byte cap
-
-	// Hardened-abstract traffic (flows.Harden). These count harden
-	// requests against the cache — a hit skips the whole sub-block
-	// signoff — and are a subset of Hits/Misses above.
-	HardenHits   uint64
-	HardenMisses uint64
 }
 
 // Store is a cache directory. All methods are safe for concurrent use,
@@ -83,7 +77,6 @@ type Store struct {
 	hits, misses, puts, evictions, errs atomic.Uint64
 	bytesRead, bytesWritten             atomic.Uint64
 	dupPuts, capSkips                   atomic.Uint64
-	hardenHits, hardenMisses            atomic.Uint64
 
 	// Per-key write locks (see keyLock) and the LRU index of a
 	// byte-capped store (nil maps/list when unlimited; see lru.go).
@@ -245,19 +238,6 @@ func (s *Store) Stats() Stats {
 		BytesWritten: s.bytesWritten.Load(),
 		DupPuts:      s.dupPuts.Load(),
 		CapSkips:     s.capSkips.Load(),
-		HardenHits:   s.hardenHits.Load(),
-		HardenMisses: s.hardenMisses.Load(),
-	}
-}
-
-// NoteHarden records the outcome of one hardened-abstract cache lookup
-// (the underlying Get already counted it in Hits/Misses; this tags it
-// as harden traffic for the CLI summary and /stashz).
-func (s *Store) NoteHarden(hit bool) {
-	if hit {
-		s.hardenHits.Add(1)
-	} else {
-		s.hardenMisses.Add(1)
 	}
 }
 

@@ -2,7 +2,7 @@
 # harden-smoke: end-to-end check of the hierarchical hardened-macro
 # flow. Hardens the tiny tile cold (populating the cache with the
 # abstract), re-hardens warm and instantiates a 3×3 parent array off
-# the cached abstract, asserting the harden-cache counters, a clean
+# the cached abstract, asserting the stage-cache counters, a clean
 # parent verification, timing closure at the tile period, and a
 # well-formed abstract LEF export. Fails on any mismatch.
 set -eu
@@ -23,8 +23,9 @@ grep -q 'hardened,' "$dir/cold.out" || {
 	cat "$dir/cold.out" >&2
 	exit 1
 }
-grep -Eq 'hardened abstracts: 0 cache hits, 1 hardened fresh' "$dir/cold.err" || {
-	echo "harden-smoke: FAIL: cold harden-cache counters wrong" >&2
+# The harden region and the place, route and sign-off regions nested in it.
+grep -q 'stage cache .*: 0 hits, 4 misses, 4 stored ' "$dir/cold.err" || {
+	echo "harden-smoke: FAIL: cold stage-cache counters wrong" >&2
 	cat "$dir/cold.err" >&2
 	exit 1
 }
@@ -46,8 +47,9 @@ grep -q '(cache,' "$dir/warm.out" || {
 	cat "$dir/warm.out" >&2
 	exit 1
 }
-grep -Eq 'hardened abstracts: 1 cache hits, 0 hardened fresh' "$dir/warm.err" || {
-	echo "harden-smoke: FAIL: warm harden-cache counters wrong" >&2
+# The harden region alone.
+grep -q 'stage cache .*: 1 hits, 0 misses, ' "$dir/warm.err" || {
+	echo "harden-smoke: FAIL: warm stage-cache counters wrong" >&2
 	cat "$dir/warm.err" >&2
 	exit 1
 }
