@@ -158,27 +158,11 @@ func PrepareMoL(d *netlist.Design, logicBeol, macroBeol *tech.BEOL, f2f tech.F2F
 	// Superimposed floorplan: logic-die macros still block placement;
 	// macro-die macros (now filler-sized) do not. Routing blockages
 	// from both dies land in one floorplan because the edited layers
-	// are distinct.
+	// are distinct; the edited macros keep their _MD obstructions at
+	// the original (pre-shrink) extents.
 	floorplan.BuildBlockages(md.FP, d, netlist.LogicDie)
-	buildMacroDieBlockages(md.FP, d)
+	floorplan.BuildBlockages(md.FP, d, netlist.MacroDie)
 	return md, nil
-}
-
-// buildMacroDieBlockages adds the _MD routing obstructions of edited
-// macros. The obstruction rects are stored in the master's local frame
-// at their original (pre-shrink) extents.
-func buildMacroDieBlockages(fp *floorplan.Floorplan, d *netlist.Design) {
-	for _, m := range d.Macros() {
-		if m.Die != netlist.MacroDie || !m.Placed {
-			continue
-		}
-		for _, o := range m.Master.Obstructions {
-			fp.RouteBlk = append(fp.RouteBlk, floorplan.RouteBlockage{
-				Layer: o.Layer,
-				Rect:  o.Rect.Translate(m.Loc),
-			})
-		}
-	}
 }
 
 // DieLayout is one production layout produced by separation — the

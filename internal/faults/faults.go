@@ -17,6 +17,7 @@ import (
 	"macro3d/internal/flows"
 	"macro3d/internal/geom"
 	"macro3d/internal/obs"
+	"macro3d/internal/route"
 	"macro3d/internal/tech"
 )
 
@@ -56,7 +57,9 @@ func CaughtBy(err error) string {
 // through the design database's change journal — the same ddb.Txn path
 // the optimizer uses — so the harness also exercises the journal's
 // unchecked mutation surface. The nan-parasitics class fires at
-// StageRoute, before the database exists, and stays a direct mutation.
+// StageRoute, before the database exists, and stays a direct mutation;
+// so does route-through-obstruction, as the journal has no edit that
+// adds a segment to a route.
 
 // Class is one injectable corruption.
 type Class struct {
@@ -162,6 +165,43 @@ func Classes() []Class {
 				txn.SetMaster(ms[0], &degenerate)
 				txn.Commit()
 				return true
+			},
+		},
+		{
+			// A routed signal net gains a via whose lower landing lies in
+			// a gcell-layer a macro obstruction covers whole, away from
+			// its pins: a wire into an SRAM, which the obstruction check
+			// must report.
+			Name:  "route-through-obstruction",
+			Stage: flows.StagePower,
+			Kind:  "obstruction",
+			Inject: func(st *flows.State) bool {
+				if st.DB == nil || st.FP == nil {
+					return false
+				}
+				g := st.DB.Grid
+				for _, rb := range st.FP.RouteBlk {
+					l := st.DB.LayerIndex(rb.Layer)
+					ix, iy := g.Locate(rb.Rect.Center())
+					if l < 0 || l+1 >= st.DB.Beol.NumLayers() || !rb.Rect.ContainsRect(g.BinRect(ix, iy)) {
+						continue
+					}
+					at := route.At(ix, iy, l)
+				nets:
+					for _, r := range st.Routes.Routes {
+						if r == nil || len(r.Segments) == 0 {
+							continue
+						}
+						for _, p := range r.PinNode {
+							if p.X == at.X && p.Y == at.Y {
+								continue nets
+							}
+						}
+						r.Segments = append(r.Segments, route.Seg{A: at, B: route.At(ix, iy, l+1)})
+						return true
+					}
+				}
+				return false
 			},
 		},
 		{

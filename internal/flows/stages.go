@@ -500,7 +500,8 @@ func (f *flow) power() error {
 // with a StageError wrapping *verify.Error.
 func (f *flow) verify(bumps []geom.Point) error {
 	st := f.st
-	rep := verify.Full(st.Design, st.Die, st.Routes, bumps, f.cfg.f2f(f.t), nil)
+	rep := verify.Full(st.Design, st.Die, st.Routes, bumps, f.cfg.f2f(f.t), nil,
+		verify.Blockages{Grid: st.DB.Grid, Beol: st.DB.Beol, Rects: st.FP.RouteBlk})
 	if reg := f.obs().Reg(); reg != nil {
 		reg.Counter("verify_violations_total",
 			"Sign-off verification violations found, duplicates included.").Add(uint64(rep.Total))

@@ -118,7 +118,7 @@ func TestExperimentsEnsembleTable(t *testing.T) {
 		{"| small | C2D | 234 [216–252]", "| small | C2D | 234 [217–252]"},
 		{"| 1.45–1.59 |", "| 1.45–1.60 |"},
 		{"| 886–909 |", "| 886–908 |"},
-		{"| 13–26 |", "| 13–25 |"},
+		{"| 13–15 |", "| 13–16 |"},
 		{"| large: 2D < Macro-3D | 10/10 |", "| large: 2D < Macro-3D | 9/10 |"},
 		{"| large | 2D |", "| huge | 2D |"},
 	} {

@@ -11,8 +11,9 @@ import (
 //
 // Maze search runs inside a bounding-box window around the two pins
 // (expanded by mazeMargin gcells for detours) instead of the whole
-// grid. That bounds both the work and — together with the reusable
-// per-worker scratch below — the allocations: the historical
+// grid (the whole grid only when the window has no path round the
+// walls). That bounds both the work and — together with the reusable
+// scratch below — the allocations: the historical
 // implementation allocated whole-grid dist/prev arrays and a boxed
 // container/heap item per push for every two-pin connection, which
 // dominated negotiation time on the large tile.
@@ -41,15 +42,15 @@ func (w window) node(i int) Node {
 }
 
 // mazeWindow is the search window for a two-pin connection: the pin
-// bounding box expanded by mazeMargin, clamped to the grid, over all
+// bounding box expanded by margin gcells, clamped to the grid, over all
 // layers.
-func (db *DB) mazeWindow(a, b Node) window {
+func (db *DB) mazeWindow(a, b Node, margin int) window {
 	g := db.Grid
 	w := window{
-		x0: max(0, int(min(a.X, b.X))-mazeMargin),
-		y0: max(0, int(min(a.Y, b.Y))-mazeMargin),
-		x1: min(g.NX-1, int(max(a.X, b.X))+mazeMargin),
-		y1: min(g.NY-1, int(max(a.Y, b.Y))+mazeMargin),
+		x0: max(0, int(min(a.X, b.X))-margin),
+		y0: max(0, int(min(a.Y, b.Y))-margin),
+		x1: min(g.NX-1, int(max(a.X, b.X))+margin),
+		y1: min(g.NY-1, int(max(a.Y, b.Y))+margin),
 		nl: db.Beol.NumLayers(),
 	}
 	w.wx = w.x1 - w.x0 + 1
@@ -70,9 +71,8 @@ type mazeEntry struct {
 // the windowed A*, dist/prev backing arrays sized to the largest window
 // seen so far, the typed binary heap and the path-trace node buffer; for
 // net prep and routing, the MST in-tree marks and the segment buffer a
-// net is routed into. One scratch serves one goroutine; RouteDesign
-// keeps one per prep worker and routes every net and two-pin search of
-// the run through the first.
+// net is routed into. One scratch serves one goroutine: the DB's
+// (scratch) serves RouteDesign and every ECO route alike.
 //
 // Visited state is generation-stamped: a node's dist/prev entries are
 // valid only when gen[i] matches the current search generation, so a
@@ -174,25 +174,45 @@ func (s *mazeScratch) pop() mazeEntry {
 }
 
 // mazeRoute finds a least-cost path with windowed 3D A*, using the
-// DB-resident scratch. Tests use this entry point; RouteDesign and
-// RouteNet hand mazeRouteScratch the scratch they route with.
+// DB-resident scratch. Tests use this entry point; routeTask hands
+// mazeRouteScratch the scratch it routes with.
 func (db *DB) mazeRoute(a, b Node) ([]Seg, error) {
 	return db.mazeRouteScratch(db.scratch(), a, b, nil)
 }
 
-// scratch lazily builds the DB's single-threaded maze scratch.
+// scratch lazily builds the DB's single-threaded router scratch.
 func (db *DB) scratch() *mazeScratch {
-	if db.eco == nil {
-		db.eco = &mazeScratch{}
+	if db.scr == nil {
+		db.scr = &mazeScratch{}
 	}
-	return db.eco
+	return db.scr
 }
 
-// mazeRouteScratch runs A* from a to b inside the expanded pin-bbox
-// window, appending the path segments to dst (which may be nil). All
+// blocked reports whether node n is a wall for a connection between
+// pins a and b: a macro obstruction left its gcell-layer no capacity,
+// and it is not in either pin's column (pin access).
+func (db *DB) blocked(n, a, b Node) bool {
+	return db.cap[db.idx(n)] <= 0 && (n.X != a.X || n.Y != a.Y) && (n.X != b.X || n.Y != b.Y)
+}
+
+// mazeRouteScratch runs A* from a to b, never into a blocked node, inside
+// the expanded pin-bbox window and then, if that has no path, the whole
+// grid, appending the path segments to dst (which may be nil). All
 // mutable search state lives in s; the congestion grid is only read.
 func (db *DB) mazeRouteScratch(s *mazeScratch, a, b Node, dst []Seg) ([]Seg, error) {
-	win := db.mazeWindow(a, b)
+	out, ok := db.mazeSearch(s, db.mazeWindow(a, b, mazeMargin), a, b, dst)
+	if !ok {
+		out, ok = db.mazeSearch(s, db.mazeWindow(a, b, MaxGridDim), a, b, dst)
+	}
+	if !ok {
+		return dst, fmt.Errorf("route: maze route %v→%v failed", a, b)
+	}
+	return out, nil
+}
+
+// mazeSearch is one A* search from a to b inside win; ok is false when
+// the window holds no path within the expansion budget.
+func (db *DB) mazeSearch(s *mazeScratch, win window, a, b Node, dst []Seg) ([]Seg, bool) {
 	size := win.size()
 	s.reset(size)
 
@@ -213,7 +233,7 @@ func (db *DB) mazeRouteScratch(s *mazeScratch, a, b Node, dst []Seg) ([]Seg, err
 			continue
 		}
 		if it.idx == goal {
-			return db.tracePath(s, win, a, b, dst), nil
+			return db.tracePath(s, win, a, b, dst), true
 		}
 		n := win.node(int(it.idx))
 		x, y, l := int(n.X), int(n.Y), int(n.L)
@@ -253,6 +273,9 @@ func (db *DB) mazeRouteScratch(s *mazeScratch, a, b Node, dst []Seg) ([]Seg, err
 		}
 		for k := 0; k < cnt; k++ {
 			m := neigh[k]
+			if db.blocked(m, a, b) {
+				continue
+			}
 			if k < wireN {
 				ncost[k] = 1 + db.congestionCost(db.idx(m))
 			} else {
@@ -266,7 +289,7 @@ func (db *DB) mazeRouteScratch(s *mazeScratch, a, b Node, dst []Seg) ([]Seg, err
 			}
 		}
 	}
-	return dst, fmt.Errorf("route: maze route %v→%v failed", a, b)
+	return dst, false
 }
 
 // tracePath reconstructs segments from the window-local predecessor

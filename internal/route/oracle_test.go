@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -80,14 +81,14 @@ func (db *DB) patternRouteOracle(an, bn Node) []Seg {
 				if b.X != a.X {
 					s := Seg{At(a.X, a.Y, h), At(b.X, a.Y, h)}
 					segs = append(segs, s)
-					cost += db.runCost(s.A, s.B)
+					cost += db.runCost(s.A, s.B, an, bn)
 				}
 				segs = append(segs, viaStackOracle(b.X, a.Y, h, v)...)
 				cost += db.viaStackCost(b.X, a.Y, h, v)
 				if b.Y != a.Y {
 					s := Seg{At(b.X, a.Y, v), At(b.X, b.Y, v)}
 					segs = append(segs, s)
-					cost += db.runCost(s.A, s.B)
+					cost += db.runCost(s.A, s.B, an, bn)
 				}
 				segs = append(segs, viaStackOracle(b.X, b.Y, v, b.L)...)
 				cost += db.viaStackCost(b.X, b.Y, v, b.L)
@@ -97,19 +98,19 @@ func (db *DB) patternRouteOracle(an, bn Node) []Seg {
 				if b.Y != a.Y {
 					s := Seg{At(a.X, a.Y, v), At(a.X, b.Y, v)}
 					segs = append(segs, s)
-					cost += db.runCost(s.A, s.B)
+					cost += db.runCost(s.A, s.B, an, bn)
 				}
 				segs = append(segs, viaStackOracle(a.X, b.Y, v, h)...)
 				cost += db.viaStackCost(a.X, b.Y, v, h)
 				if b.X != a.X {
 					s := Seg{At(a.X, b.Y, h), At(b.X, b.Y, h)}
 					segs = append(segs, s)
-					cost += db.runCost(s.A, s.B)
+					cost += db.runCost(s.A, s.B, an, bn)
 				}
 				segs = append(segs, viaStackOracle(b.X, b.Y, h, b.L)...)
 				cost += db.viaStackCost(b.X, b.Y, h, b.L)
 			}
-			if best < 0 || cost < best {
+			if !math.IsInf(cost, 1) && (best < 0 || cost < best) {
 				best = cost
 				bestSegs = segs
 			}
@@ -158,17 +159,25 @@ func (db *DB) prepTaskOracle(n *netlist.Net) (*netTask, error) {
 	return t, nil
 }
 
-func (db *DB) routeTaskOracle(t *netTask, maze bool, s *mazeScratch) {
+// routeTaskOracle follows the routing contract edge by edge: the
+// pattern route unless maze is set or it found no L clear of the walls,
+// then the maze, whose failure is the task's.
+func (db *DB) routeTaskOracle(t *netTask, maze bool, s *mazeScratch) error {
 	for _, e := range t.edges {
 		a, b := t.route.PinNode[e[0]], t.route.PinNode[e[1]]
-		if maze {
-			if segs, err := db.mazeRouteScratch(s, a, b, t.route.Segments); err == nil {
-				t.route.Segments = segs
+		if !maze {
+			if segs := db.patternRouteOracle(a, b); len(segs) > 0 {
+				t.route.Segments = append(t.route.Segments, segs...)
 				continue
 			}
 		}
-		t.route.Segments = db.patternRoute(a, b, t.route.Segments)
+		segs, err := db.mazeRouteScratch(s, a, b, t.route.Segments)
+		if err != nil {
+			return err
+		}
+		t.route.Segments = segs
 	}
+	return nil
 }
 
 // routeDesignOracle is RouteDesign's serial path as it stood over
@@ -200,7 +209,9 @@ func routeDesignOracle(d *netlist.Design, db *DB) (res *Result, ripups int, err 
 		if err != nil {
 			return nil, 0, err
 		}
-		db.routeTaskOracle(t, false, s)
+		if err := db.routeTaskOracle(t, false, s); err != nil {
+			return nil, 0, err
+		}
 		res.Routes[n.ID] = t.route
 		db.addUsage(res, n.ID, 1)
 	}
@@ -223,7 +234,9 @@ func routeDesignOracle(d *netlist.Design, db *DB) (res *Result, ripups int, err 
 				continue
 			}
 			db.addUsage(res, n.ID, -1)
-			db.routeTaskOracle(t, it >= 2, s)
+			if err := db.routeTaskOracle(t, it >= 2, s); err != nil {
+				return nil, 0, err
+			}
 			res.Routes[n.ID] = t.route
 			db.addUsage(res, n.ID, 1)
 		}

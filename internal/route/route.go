@@ -6,10 +6,11 @@
 // PathFinder-style rip-up-and-reroute using 3D A* for overflowed nets.
 //
 // The router honours preferred directions, per-layer track capacities,
-// macro obstructions (which is what forces ≥6 metal layers over
-// memories in 2D designs), and the F2F bonding via: crossing the F2F
-// boundary consumes bump capacity on the bump grid, and every crossing
-// is counted — the paper's F2F-bump cost metric.
+// macro obstructions (walls outside a pin's column, for ECO routes too:
+// what forces ≥6 metal layers over memories in 2D designs), and the F2F
+// bonding via: crossing the F2F boundary consumes bump capacity on the
+// bump grid, and every crossing is counted — the paper's F2F-bump cost
+// metric.
 package route
 
 import (
@@ -235,7 +236,7 @@ type DB struct {
 	// first; read-only after NewDB.
 	patternPairs [4][][2]int
 
-	eco *mazeScratch // single-thread maze scratch (ECO routes, tests)
+	scr *mazeScratch // the single-thread router scratch (scratch)
 
 	err error // the grid is not addressable; see Err
 }
@@ -359,18 +360,16 @@ func (db *DB) LayerIndex(name string) int {
 }
 
 // congestionCost is the PathFinder-style cost of using one more track
-// in a gcell-layer.
+// in a gcell-layer; a zero-capacity one, a wall but in a pin's column
+// (blocked), fills one track and is past capacity at any use.
 func (db *DB) congestionCost(i int) float64 {
 	var h float64 // a DB that has not negotiated has no history: 0
 	if db.hist != nil {
 		h = float64(db.hist[i])
 	}
 	c := float64(db.cap[i])
-	if c <= 0 {
-		return 64 + h
-	}
 	u := float64(db.usage[i])
-	over := (u + 1) / c
+	over := (u + 1) / max(c, 1)
 	if over <= 0.8 {
 		return h * 0.1
 	}

@@ -160,6 +160,58 @@ func TestObstructionForcesClimb(t *testing.T) {
 	}
 }
 
+// TestECORouteHonoursWalls: an ECO route takes the route stage's rule.
+// A full-stack wall between the pins leaves no pattern L; the maze goes
+// round it inside its window, or on the whole grid when the wall spans
+// the window, and no node of the route lies in a blocked gcell-layer
+// outside a pin's column. A wall across the whole die is an error.
+func TestECORouteHonoursWalls(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		wallY float64 // the wall at x 80–90 µm spans y 0–wallY
+		ok    bool
+	}{
+		{"inside the window", 450, true},
+		{"round the window", 520, true},
+		{"no path", 600, false},
+	} {
+		var blk []floorplan.RouteBlockage
+		for _, ly := range []string{"M1", "M2", "M3", "M4", "M5", "M6"} {
+			blk = append(blk, floorplan.RouteBlockage{Layer: ly, Rect: geom.R(80, 0, 90, c.wallY)})
+		}
+		d := twoPinDesign(150, 290)
+		d.Instance("a").Loc = geom.Pt(10, 290)
+		db := db6(t, geom.R(0, 0, 600, 600), blk)
+		r, err := db.RouteNet(&Result{}, d.Nets[0])
+		if !c.ok {
+			if err == nil {
+				t.Errorf("%s: routed through a wall across the die", c.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		a, b := r.PinNode[0], r.PinNode[1]
+		for _, s := range r.Segments {
+			if s.IsVia() {
+				if db.blocked(s.A, a, b) || db.blocked(s.B, a, b) {
+					t.Fatalf("%s: via %v lands in a wall", c.name, s)
+				}
+				continue
+			}
+			forEachStep(s, func(n Node) {
+				if db.blocked(n, a, b) {
+					t.Fatalf("%s: wire %v enters the wall at %v", c.name, s, n)
+				}
+			})
+		}
+		if db.Overflow() != 0 {
+			t.Fatalf("%s: overflow %d", c.name, db.Overflow())
+		}
+	}
+}
+
 func TestCombinedStackCrossesF2F(t *testing.T) {
 	// Pin on a macro-die layer (M4_MD): the route must cross the F2F
 	// boundary exactly once and count one bump.

@@ -3,6 +3,7 @@ package route
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"macro3d/internal/geom"
@@ -76,43 +77,52 @@ func gridDist(a, b Node) int {
 
 // routeTask computes the task's segments against current congestion,
 // one MST edge at a time, into the scratch's segment buffer; the result
-// is valid until the scratch routes its next task. A failed maze search
-// falls back to the pattern route.
-func (db *DB) routeTask(t *netTask, maze bool, s *mazeScratch) []Seg {
+// is valid until the scratch routes its next task. The one routing rule
+// (DESIGN.md, "Routing contract"): the pattern route, or the maze when
+// maze is set or no L clears the walls; a maze failure is the error.
+func (db *DB) routeTask(t *netTask, maze bool, s *mazeScratch) ([]Seg, error) {
 	segs := s.segs[:0]
 	for _, e := range t.edges {
 		a, b := t.route.PinNode[e[0]], t.route.PinNode[e[1]]
-		if maze {
-			out, err := db.mazeRouteScratch(s, a, b, segs)
-			if err == nil {
+		if !maze {
+			if out := db.patternRoute(a, b, segs); len(out) > len(segs) {
 				segs = out
 				continue
 			}
 		}
-		segs = db.patternRoute(a, b, segs)
+		out, err := db.mazeRouteScratch(s, a, b, segs)
+		if err != nil {
+			return nil, fmt.Errorf("net %s: %w", t.net.Name, err)
+		}
+		segs = out
 	}
 	s.segs = segs
-	return segs
+	return segs, nil
 }
 
-// routePass is the router: the tasks in order, each released (a rip-up
-// victim's old usage), routed against the congestion every task before
-// it left, and committed. The order is the algorithm — long nets first
-// set the landscape the short ones dodge, and a negotiation wave's
-// victims see each other's reroutes — so the pass runs on one goroutine
-// (DESIGN.md §10). A net's segments are stored
+// routePass is the router, under a "pass" span of sp: the tasks in
+// order, each released (a rip-up victim's old usage), routed against the
+// congestion every task before it left, and committed. The order is the
+// algorithm — long nets first set the landscape the short ones dodge, and
+// a negotiation wave's victims see each other's reroutes — so the pass
+// runs on one goroutine (DESIGN.md §10). A net's segments are stored
 // exact-size in the result's segment slab: growth by doubling happens
 // once, in the scratch buffer, not per net, and a victim's old span is
 // simply abandoned (at most MaxIters × maxVictims of them per run).
-func (db *DB) routePass(tasks []*netTask, maze bool, res *Result, s *mazeScratch) {
+func (db *DB) routePass(sp *obs.Span, tasks []*netTask, maze bool, res *Result, s *mazeScratch) error {
+	defer sp.Child("pass").End()
 	for _, t := range tasks {
 		db.addSegs(t.old, Origin{}, -1)
 		t.old = nil
-		segs := db.routeTask(t, maze, s)
+		segs, err := db.routeTask(t, maze, s)
+		if err != nil {
+			return err
+		}
 		t.route.Segments = res.SegSpan(len(segs))
 		copy(t.route.Segments, segs)
 		db.addSegs(t.route.Segments, Origin{}, 1)
 	}
+	return nil
 }
 
 // RouteDesign globally routes every non-clock signal net of the design
@@ -169,10 +179,9 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 	overG := reg.Gauge("route_overflow_gcells",
 		"Gcell-layers above capacity after the latest negotiation state.")
 
-	// One scratch — the in-tree marks, the maze search state and the
-	// segment buffer — reused across every net and two-pin search of the
-	// run.
-	pass := &mazeScratch{}
+	// The DB's scratch — the in-tree marks, the maze search state and
+	// the segment buffer — serves every net and two-pin search of the run.
+	pass := db.scratch()
 
 	// Net prep (pin nodes, MST decomposition) is a pure function of
 	// the placement, so it happens once: a rip-up wave reuses its
@@ -201,9 +210,9 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		}
 	}
 
-	psp := sp.Child("pass")
-	db.routePass(wave, false, res, pass)
-	psp.End()
+	if err := db.routePass(sp, wave, false, res, pass); err != nil {
+		return nil, err
+	}
 	routedC.Add(uint64(len(order)))
 
 	// Negotiated rip-up and reroute. Early iterations reroute with
@@ -240,9 +249,10 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 			t.old = t.route.Segments
 			wave = append(wave, t)
 		}
-		psp := isp.Child("pass")
-		db.routePass(wave, useMaze, res, pass)
-		psp.End()
+		if err := db.routePass(isp, wave, useMaze, res, pass); err != nil {
+			isp.End()
+			return nil, err
+		}
 		ripupC.Add(uint64(len(victims)))
 		isp.End()
 	}
@@ -306,7 +316,10 @@ func (db *DB) RouteNet(res *Result, n *netlist.Net) (*NetRoute, error) {
 	if err := db.prepTask(&t, s); err != nil {
 		return nil, err
 	}
-	segs := db.routeTask(&t, false, s)
+	segs, err := db.routeTask(&t, false, s)
+	if err != nil {
+		return nil, err
+	}
 	r.Segments = res.ecoSegs.Fit(r.Segments, len(segs))
 	copy(r.Segments, segs)
 	db.opt.Obs.Reg().Counter("route_eco_reroutes_total",
@@ -484,10 +497,14 @@ func (db *DB) viaStackCost(x, y, la, lb int) float64 {
 	return cost
 }
 
-// runCost prices a straight run on a layer.
-func (db *DB) runCost(a, b Node) float64 {
+// runCost prices a straight run on a layer, +Inf through a wall of the
+// connection between pins a and b.
+func (db *DB) runCost(from, to, a, b Node) float64 {
 	cost := 0.0
-	forEachStep(Seg{a, b}, func(n Node) {
+	forEachStep(Seg{from, to}, func(n Node) {
+		if db.blocked(n, a, b) {
+			cost = math.Inf(1)
+		}
 		cost += 1 + db.congestionCost(db.idx(n))
 	})
 	return cost
@@ -495,9 +512,10 @@ func (db *DB) runCost(a, b Node) float64 {
 
 // patternRoute connects two nodes with the cheapest L-shape over the
 // distance bucket's H/V layer pairs (see patternPairs), appending its
-// segments to dst. Candidates are only priced — the cost never reads
-// the segments — and the winner alone is emitted, so a connection
-// allocates nothing beyond dst's own growth.
+// segments to dst, or nothing when every L enters a blocked node (its
+// runs hold all its via landings outside the pins' columns). Candidates
+// are only priced — the cost never reads the segments — and the winner
+// alone is emitted, so a connection allocates nothing beyond dst's own growth.
 func (db *DB) patternRoute(a, b Node, dst []Seg) []Seg {
 	pairs := db.patternPairs[db.distBucket(gridDist(a, b))]
 	ax, ay, al := int(a.X), int(a.Y), int(a.L)
@@ -506,17 +524,20 @@ func (db *DB) patternRoute(a, b Node, dst []Seg) []Seg {
 		// Degenerate single-direction stack: direct via stack plus run.
 		return append(appendViaStack(dst, ax, ay, al, bl), Seg{At(ax, ay, bl), b})
 	}
-	best := -1.0
+	best := math.Inf(1)
 	var bestL lShape
 	for _, pr := range pairs {
 		h, v := pr[0], pr[1]
 		// a → (b.X, a.Y) horizontal on h then vertical on v, or
 		// a → (a.X, b.Y) vertical on v then horizontal on h.
 		for _, l := range [2]lShape{{bx, ay, h, v}, {ax, by, v, h}} {
-			if cost := db.lCost(a, b, l); best < 0 || cost < best {
+			if cost := db.lCost(a, b, l); cost < best {
 				best, bestL = cost, l
 			}
 		}
+	}
+	if math.IsInf(best, 1) {
+		return dst
 	}
 	l := bestL
 	dst = appendViaStack(dst, ax, ay, al, l.l1)
@@ -543,11 +564,11 @@ func (db *DB) lCost(a, b Node, l lShape) float64 {
 	cost := 0.0
 	cost += db.viaStackCost(ax, ay, int(a.L), l.l1)
 	if l.x != ax || l.y != ay {
-		cost += db.runCost(At(ax, ay, l.l1), At(l.x, l.y, l.l1))
+		cost += db.runCost(At(ax, ay, l.l1), At(l.x, l.y, l.l1), a, b)
 	}
 	cost += db.viaStackCost(l.x, l.y, l.l1, l.l2)
 	if l.x != bx || l.y != by {
-		cost += db.runCost(At(l.x, l.y, l.l2), At(bx, by, l.l2))
+		cost += db.runCost(At(l.x, l.y, l.l2), At(bx, by, l.l2), a, b)
 	}
 	cost += db.viaStackCost(bx, by, l.l2, int(b.L))
 	return cost

@@ -43,8 +43,11 @@ import (
 // in their last bits and -cache-verify against a version-3 cache would
 // fail bit for bit. Version 5: same format; the sign-off snapshot's
 // timing report carries the hold check, which it used to write as zeros
-// (hold sign-off moved inside the sign-off region).
-const Version = 5
+// (hold sign-off moved inside the sign-off region). Version 6: same
+// format; routing contract — every route, ECO reroutes included, treats
+// a macro obstruction as a wall, so a version-5 route, sign-off or
+// harden snapshot may hold wires through SRAMs and must miss.
+const Version = 6
 
 // fileMagic opens every snapshot file.
 const fileMagic = "M3DSNAP1"

@@ -1,7 +1,7 @@
 // Package verify is the sign-off checker: after a flow finishes, it
 // re-derives from first principles that the produced implementation is
 // physically consistent — placement legality, routing connectivity of
-// every net, macro-obstruction violations, F2F bump spacing against
+// every net, routes through macro obstructions, F2F bump spacing against
 // the bonding pitch, and tile-port alignment. Flows and tests run it
 // as an independent witness (it shares no state with the tools it
 // checks).
@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"macro3d/internal/cell"
+	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
 	"macro3d/internal/route"
@@ -52,6 +53,9 @@ type Report struct {
 		Instances int
 		Nets      int
 		Bumps     int
+		// PinAccess counts the obstructed gcell-layers routes enter in
+		// their own pins' columns (Obstructions), which are no violation.
+		PinAccess int
 	}
 
 	seen map[string]int // finding key → index in Violations
@@ -311,6 +315,80 @@ func sign(v int16) int16 {
 	return 0
 }
 
+// Blockages is the routing geometry the obstruction check reads: the
+// grid and stack a result's nodes index (a route.DB's Grid and Beol; its
+// capacities are not read) and the floorplan's routing blockages.
+type Blockages struct {
+	Grid  geom.Grid
+	Beol  *tech.BEOL
+	Rects []floorplan.RouteBlockage
+}
+
+// Obstructions checks that no route enters an obstructed gcell-layer:
+// one that a routing blockage rect covers whole on that layer. Every
+// gcell of every wire and both landings of every via count; a net's
+// gcell-layer is counted once. One in the column of one of the net's own
+// pins is pin access, counted in Checked.PinAccess instead.
+func Obstructions(rep *Report, d *netlist.Design, res *route.Result, blk Blockages) {
+	g, nl := blk.Grid, blk.Beol.NumLayers()
+	layer := make(map[string]int, nl)
+	for i, l := range blk.Beol.Layers {
+		layer[l.Name] = i
+	}
+	blocked := make([]bool, nl*g.Bins())
+	for _, rb := range blk.Rects {
+		l, ok := layer[rb.Layer]
+		x0, y0, x1, y1, in := g.CoverRange(rb.Rect)
+		if !ok || !in {
+			continue
+		}
+		cover := rb.Rect.Expand(1e-6)
+		for iy := y0; iy <= y1; iy++ {
+			for ix := x0; ix <= x1; ix++ {
+				if cover.ContainsRect(g.BinRect(ix, iy)) {
+					blocked[l*g.Bins()+g.Index(ix, iy)] = true
+				}
+			}
+		}
+	}
+	seen := make([]int32, len(blocked)) // net ID + 1 of the last net counted
+	for id, r := range res.Routes {
+		if r == nil || id >= len(d.Nets) {
+			continue
+		}
+		o := res.Origin(id)
+		visit := func(n route.Node) {
+			i := int(n.L)*g.Bins() + g.Index(int(n.X+o.DX), int(n.Y+o.DY))
+			if !blocked[i] || seen[i] == int32(id+1) {
+				return
+			}
+			seen[i] = int32(id + 1)
+			for _, p := range r.PinNode {
+				if p.X == n.X && p.Y == n.Y {
+					rep.Checked.PinAccess++
+					return
+				}
+			}
+			rep.add("obstruction", "%s enters the %s obstruction at gcell (%d, %d)",
+				d.Nets[id].Name, blk.Beol.Layers[n.L].Name, n.X+o.DX, n.Y+o.DY)
+		}
+		for _, s := range r.Segments {
+			if s.IsVia() {
+				visit(s.A)
+				visit(s.B)
+				continue
+			}
+			dx, dy := sign(s.B.X-s.A.X), sign(s.B.Y-s.A.Y)
+			for n := s.A; ; n.X, n.Y = n.X+dx, n.Y+dy {
+				visit(n)
+				if n == s.B {
+					break
+				}
+			}
+		}
+	}
+}
+
 // BumpRules checks F2F bump spacing against the bonding pitch: no two
 // bumps closer than the minimum pitch (bumps sit on the bonding grid).
 func BumpRules(rep *Report, bumps []geom.Point, f2f tech.F2FSpec) {
@@ -365,14 +443,18 @@ func PortAlignment(rep *Report, d *netlist.Design, die geom.Rect, pairs map[stri
 }
 
 // Full runs every applicable check on a finished implementation.
-// bumps and pairs may be nil for 2D designs / untiled SoCs.
+// bumps and pairs may be nil for 2D designs / untiled SoCs; the
+// obstruction check runs against each blk given.
 func Full(d *netlist.Design, die geom.Rect, res *route.Result,
-	bumps []geom.Point, f2f tech.F2FSpec, pairs map[string]string) *Report {
+	bumps []geom.Point, f2f tech.F2FSpec, pairs map[string]string, blk ...Blockages) *Report {
 
 	rep := &Report{}
 	Placement(rep, d, die)
 	if res != nil {
 		Connectivity(rep, d, res)
+		for _, b := range blk {
+			Obstructions(rep, d, res, b)
+		}
 	}
 	if len(bumps) > 0 {
 		BumpRules(rep, bumps, f2f)

@@ -4,6 +4,7 @@
 package verify_test
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"macro3d/internal/cell"
 	"macro3d/internal/core"
+	"macro3d/internal/floorplan"
 	"macro3d/internal/flows"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
@@ -220,6 +222,73 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestObstructionsGeometry: a gcell-layer one blockage rect covers whole
+// is blocked, one it covers in part is not. Each blocked gcell-layer a
+// net's wire or via landing enters is one violation, however many of its
+// segments touch it, unless it lies in the column of one of the net's
+// own pins: that is pin access, counted apart.
+func TestObstructionsGeometry(t *testing.T) {
+	lib := cell.NewStdLib28(cell.DefaultLibOptions())
+	d := netlist.NewDesign("v", lib)
+	a := d.AddInstance("a", lib.MustCell("INV_X1"))
+	b := d.AddInstance("b", lib.MustCell("INV_X1"))
+	d.AddNet("n", netlist.IPin(a, "Y"), netlist.IPin(b, "A"))
+	beol, err := tech.NewBEOL28("logic", 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 10 × 10 gcells of 10 µm; on M2 the rect covers columns 2–4 whole
+	// and column 5 in half.
+	blk := verify.Blockages{
+		Grid:  geom.NewGrid(geom.R(0, 0, 100, 100), 10),
+		Beol:  beol,
+		Rects: []floorplan.RouteBlockage{{Layer: beol.Layers[1].Name, Rect: geom.R(20, 0, 55, 100)}},
+	}
+	res := &route.Result{Routes: []*route.NetRoute{{
+		PinNode: []route.Node{route.At(3, 2, 0), route.At(9, 5, 0)},
+		Segments: []route.Seg{
+			{A: route.At(3, 2, 0), B: route.At(3, 2, 1)}, // pin access at (3, 2)
+			{A: route.At(3, 2, 1), B: route.At(3, 5, 1)}, // enters (3, 3)–(3, 5)
+			{A: route.At(3, 5, 1), B: route.At(9, 5, 1)}, // (3, 5) again, (4, 5)
+			{A: route.At(9, 5, 1), B: route.At(9, 5, 0)},
+		},
+	}}}
+	rep := &verify.Report{}
+	verify.Obstructions(rep, d, res, blk)
+	if rep.Total != 4 || rep.Checked.PinAccess != 1 {
+		t.Fatalf("%d crossings, %d pin access; want 4 and 1: %v", rep.Total, rep.Checked.PinAccess, rep.Violations)
+	}
+	for _, v := range rep.Violations {
+		if v.Kind != "obstruction" || !strings.Contains(v.Msg, beol.Layers[1].Name) {
+			t.Fatalf("finding %v", v)
+		}
+	}
+}
+
+// TestTableIRoutesClearObstructions holds the routing contract on Table
+// I's small-tile cells at seed 1: 2D, MoL S2D, BF S2D and Macro-3D each
+// sign off under Config.Verify, and no route enters a gcell-layer a
+// macro obstruction covers outside one of its own pins' columns.
+func TestTableIRoutesClearObstructions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four small-tile flows")
+	}
+	for _, key := range []string{"2d", "s2d", "bfs2d", "macro3d"} {
+		cfg := flows.Config{Piton: piton.SmallCache(), Seed: 1, Verify: true}
+		_, st, _, err := flows.Run(context.Background(), key, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		rep := &verify.Report{}
+		verify.Obstructions(rep, st.Design, st.Routes,
+			verify.Blockages{Grid: st.DB.Grid, Beol: st.DB.Beol, Rects: st.FP.RouteBlk})
+		t.Logf("%s: %d crossings, %d obstructed gcell-layers entered for pin access", key, rep.Total, rep.Checked.PinAccess)
+		if rep.Total != 0 {
+			t.Errorf("%s: %d routes through macro obstructions: %v", key, rep.Total, rep.Violations[:min(3, len(rep.Violations))])
+		}
+	}
 }
 
 func TestConnectivityCatchesMissingRoute(t *testing.T) {
