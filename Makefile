@@ -20,12 +20,13 @@ vet:
 ## race: race-enabled run of the hardened-runner, fault-harness and
 ## incremental-engine packages. Includes internal/report, whose driver
 ## runs an experiment's cells concurrently (TestDriverIdenticalAtEveryWorkers,
-## TestDriverCancelStartsNoFurtherCell), the ddb equivalence property
-## test (four-way extraction at GOMAXPROCS 4) and the flows
-## worker-equivalence test, which audits placement's and extraction's
-## fanned-out phases for data races while asserting identical PPA against the
-## -j 1 serial reference; under -race both run reduced configs — see
-## the race_on_test.go files. internal/flows also runs 2D and Macro-3D
+## TestDriverCancelStartsNoFurtherCell), and the flows determinism
+## harness (TestDeterminism), which under -race keeps the small tile's
+## -j 1 reference and its checks run (four workers, SelfCheck, Verify):
+## it audits placement's and extraction's fanned-out phases and the
+## incremental engine's journals for data races while holding PPA row,
+## state digest and stage sequence to the reference. internal/ddb rides
+## along for its own transaction and guard tests. internal/flows also runs 2D and Macro-3D
 ## at once over one byte-capped stage cache (TestConcurrentRunsMatchSerial:
 ## the stash's per-key locks and LRU under concurrent flows), and
 ## internal/stash has its own contention tests. internal/place rides along for the
@@ -74,11 +75,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnframe$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/stash/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadChrome$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/obs/trace/
 
-## equiv: just the parallel-vs-serial equivalence proof — every flow at
-## -j 1 / 4 / 0 must produce an identical PPA, run under the race
-## detector. A focused subset of what `make check` already covers.
+## equiv: just the determinism harness — every flow's -j 1 reference
+## against four workers with SelfCheck and Verify, on the small tile,
+## held to an identical PPA row, state digest and stage sequence, run
+## under the race detector. A focused subset of what `make check`
+## already covers.
 equiv:
-	$(GO) test -race -timeout 30m -run TestWorkerEquivalence -v ./internal/flows/
+	$(GO) test -race -timeout 30m -run TestDeterminism -v ./internal/flows/
 
 ## obs-smoke: end-to-end observability check — tiny flow with -events
 ## and -obs-addr, live /metrics and /debug/vars scrapes, JSONL and

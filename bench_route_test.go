@@ -1,8 +1,8 @@
 // Routing and placement engine benchmarks: the large-cache tile's
 // route stage, and its global-placement stage serial (Workers 1) against
 // the same engine at a pinned worker count (BENCH_ROUTE_J, default 8).
-// Serial and parallel placements are bit-identical — TestWorkerEquivalence
-// asserts exactly that — so the ratio measures scheduling, not quality
+// Serial and parallel placements are bit-identical — the flows package's
+// TestDeterminism asserts exactly that — so the ratio measures scheduling, not quality
 // drift; the place rows measure the fan-out of the descent's three passes
 // and the seed sweeps. The router runs on one goroutine, so its rows time
 // the stage alone. The flat N×N benchmarks repeat both on one large flat

@@ -376,31 +376,6 @@ func TestTargetPeriodOutOfReach(t *testing.T) {
 	}
 }
 
-func TestFlowsDeterministicTiny(t *testing.T) {
-	a, _, err := Run2D(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := Run2D(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *a != *b {
-		t.Fatalf("2D flow not deterministic:\n%+v\n%+v", a, b)
-	}
-	c, _, _, err := RunMacro3D(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _, _, err := RunMacro3D(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *c != *d {
-		t.Fatal("Macro-3D flow not deterministic")
-	}
-}
-
 func TestTableIIIShapeTiny(t *testing.T) {
 	// M6–M4 ablation on the tiny tile: fclk within a few percent,
 	// metal area exactly −16.7 %.

@@ -128,10 +128,7 @@ func TestResultCodecRoundTrip(t *testing.T) {
 		check(t, randomResult(seed, int(seed*seed)%300))
 	}
 	t.Run("tile", func(t *testing.T) {
-		_, st, _, err := Run(context.Background(), "2d", tinyCacheCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, st := mustRun(t, "2d", tinyCacheCfg())
 		segs := 0
 		for _, r := range st.Routes.Routes {
 			if r != nil {

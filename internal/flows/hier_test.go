@@ -330,7 +330,8 @@ func FuzzDecodeAbstract(f *testing.F) {
 }
 
 // TestHierArrayDeterministic pins the parallel-engine guarantee on the
-// hierarchical flow: identical results at any worker count.
+// hierarchical flow: identical results at any worker count. It stays
+// outside TestDeterminism, whose digest covers tile flows only.
 func TestHierArrayDeterministic(t *testing.T) {
 	run := func(workers int) *HierReport {
 		cfg := hierCfg()

@@ -149,6 +149,8 @@ func TestTileTemplates(t *testing.T) {
 // no cache, then sharing one byte-capped stage cache (`make race` runs
 // it under the detector). The shared cache evicts to stay under its
 // cap, and what it keeps is whole: warm runs over it hit and match.
+// It stays outside TestDeterminism: it tests the stash's byte cap and
+// eviction and the template race, not one axis.
 func TestConcurrentRunsMatchSerial(t *testing.T) {
 	cfg := tinyCfg()
 	want2D, _, err := Run2D(cfg)

@@ -11,7 +11,8 @@
 //     them for time not covered by any leaf slice — the
 //     "(uninstrumented)" serial segments.
 //   - Per phase (= leaf category): wall = max end − min start,
-//     busy = Σ dur, workers = distinct tracks; occupancy =
+//     busy = Σ dur, workers = distinct tracks, main and worker 0 counted
+//     as one (a team's chunk 0 runs on the calling goroutine); occupancy =
 //     busy / (wall × workers). A sweep over the slice endpoints
 //     splits wall into serial time (≤ 1 slice active — this includes
 //     idle gaps: one runnable lane is serial by definition) and
@@ -38,7 +39,7 @@ type PhaseStats struct {
 	BusyNS     int64   `json:"busy_ns"`
 	SerialNS   int64   `json:"serial_ns"` // wall with ≤1 slice active
 	CritPathNS int64   `json:"critical_path_ns"`
-	Workers    int     `json:"workers"` // distinct tracks seen
+	Workers    int     `json:"workers"` // distinct tracks seen, main as worker 0
 	Steps      int     `json:"steps"`   // traced fan-outs
 	Slices     int     `json:"slices"`
 	Occupancy  float64 `json:"occupancy"`       // busy/(wall*workers)
@@ -138,7 +139,13 @@ func Analyze(t *Tracer) *Report {
 		lo, hi := group[0].sl.Start, group[0].sl.End()
 		for _, ts := range group {
 			sl := ts.sl
-			tracks[ts.track] = true
+			track := ts.track
+			if track == "main" {
+				// A team's chunk 0 runs on the goroutine whose serial
+				// spans go on main: the two tracks are one worker.
+				track = workerName(0)
+			}
+			tracks[track] = true
 			ps.BusyNS += sl.Dur
 			if sl.Start < lo {
 				lo = sl.Start

@@ -316,8 +316,8 @@ func TestAnalyzeFixedTrace(t *testing.T) {
 		t.Fatalf("phases %+v", rep.Phases)
 	}
 	ps := rep.Phases[0]
-	// Tracks: main, worker 0, worker 1.
-	if ps.Workers != 3 || ps.Steps != 1 || ps.Slices != 4 {
+	// Tracks: main and worker 0 (one goroutine), worker 1.
+	if ps.Workers != 2 || ps.Steps != 1 || ps.Slices != 4 {
 		t.Fatalf("got workers=%d steps=%d slices=%d", ps.Workers, ps.Steps, ps.Slices)
 	}
 	if ps.WallNS != 90e6 {
@@ -339,11 +339,11 @@ func TestAnalyzeFixedTrace(t *testing.T) {
 	if math.Abs(ps.SerialFrac-wantS) > 1e-9 {
 		t.Fatalf("serial fraction %f, want %f", ps.SerialFrac, wantS)
 	}
-	wantOcc := 130.0 / (90.0 * 3)
+	wantOcc := 130.0 / (90.0 * 2)
 	if math.Abs(ps.Occupancy-wantOcc) > 1e-9 {
 		t.Fatalf("occupancy %f, want %f", ps.Occupancy, wantOcc)
 	}
-	wantCeil := 1 / (wantS + (1-wantS)/3)
+	wantCeil := 1 / (wantS + (1-wantS)/2)
 	if math.Abs(ps.AmdahlAtW-wantCeil) > 1e-9 {
 		t.Fatalf("amdahl@W %f, want %f", ps.AmdahlAtW, wantCeil)
 	}
@@ -390,5 +390,18 @@ func TestAnalyzeSingleChunkFanoutIsSerial(t *testing.T) {
 	}
 	if rep.Phases[0].AmdahlInf != 1 {
 		t.Fatalf("amdahl ceiling %f, want 1", rep.Phases[0].AmdahlInf)
+	}
+}
+
+// TestAnalyzeMainIsWorkerZero: a phase whose serial spans go on main and
+// whose one-worker fan-out goes on worker 0 ran on one goroutine, and
+// reads as one worker, fully occupied.
+func TestAnalyzeMainIsWorkerZero(t *testing.T) {
+	tr := NewAt(time.Unix(0, 0))
+	tr.Track("main").addSlice(Slice{Name: "place/spread", Cat: "place", Start: 0, Dur: 2e6})
+	tr.Track("worker 0").addSlice(Slice{Name: "place/descend", Cat: "place", Start: 2e6, Dur: 3e6, Step: tr.NextStep()})
+	ps := Analyze(tr).Phases[0]
+	if ps.Workers != 1 || ps.Occupancy != 1 {
+		t.Fatalf("main + worker 0 read as %d workers at %.0f %% occupancy, want 1 at 100 %%", ps.Workers, 100*ps.Occupancy)
 	}
 }

@@ -11,7 +11,9 @@ import (
 
 // TestTableIWarmCacheByteIdentical pins the sweep-level cache
 // contract: a warm-cache Table I renders byte-identically to the cold
-// run that populated the cache, and the warm run misses nothing.
+// run that populated the cache, and the warm run misses nothing. It
+// stays outside the flows determinism harness: it tests an experiment's
+// rendering over a shared cache, not one flow's state.
 func TestTableIWarmCacheByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	cold, err := stash.Open(dir)

@@ -63,7 +63,9 @@ func runAt(cfg flows.Config, workers int, cells []Cell, keepGoing bool) ([]*flow
 // two seeds, render byte-identically whether the driver runs one cell at
 // a time on engines of any width or several cells at once on the serial
 // engines, and every PPA field agrees; so does a keep-going Table I whose
-// S2D columns fail (they cannot run a custom generator).
+// S2D columns fail (they cannot run a custom generator). It stays
+// outside the flows determinism harness: it tests table rendering and
+// keep-going.
 func TestDriverIdenticalAtEveryWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the tiny-tile tables at three worker counts")
