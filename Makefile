@@ -25,8 +25,9 @@ vet:
 ## -j 1 reference and its checks run (four workers, SelfCheck, Verify):
 ## it audits placement's and extraction's fanned-out phases and the
 ## incremental engine's journals for data races while holding PPA row,
-## state digest and stage sequence to the reference. internal/ddb rides
-## along for its own transaction and guard tests. internal/flows also runs 2D and Macro-3D
+## state digest and stage sequence to the reference. internal/ddb runs
+## its incremental-equivalence test (SelfCheck, small tile under -race)
+## besides its own transaction and guard tests. internal/flows also runs 2D and Macro-3D
 ## at once over one byte-capped stage cache (TestConcurrentRunsMatchSerial:
 ## the stash's per-key locks and LRU under concurrent flows), and
 ## internal/stash has its own contention tests. internal/place rides along for the

@@ -1,7 +1,6 @@
 package ddb_test
 
 import (
-	"runtime"
 	"testing"
 
 	"macro3d/internal/flows"
@@ -17,14 +16,12 @@ import (
 // the sta stage then holds the hold check it runs on the optimizer's
 // engine to a from-scratch sta.Analyze with CheckHold.
 //
-// GOMAXPROCS is raised so the flows' default Workers resolves to four
-// and their extraction runs in four chunks — including under -race,
-// which `make check` runs on this package — while the self-check's
-// from-scratch extraction runs serially.
+// The flows run on four workers, so their extraction runs in four
+// chunks — including under -race, which `make race` runs on this
+// package — while the self-check's from-scratch extraction runs
+// serially. flows.TestDeterminism holds the same configuration's final
+// state to the serial reference (its checks axis).
 func TestIncrementalEquivalence(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-
 	type cacheCfg struct {
 		name string
 		pc   piton.Config
@@ -34,7 +31,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 		cfgs = append(cfgs, cacheCfg{"large", piton.LargeCache()})
 	}
 	for _, cc := range cfgs {
-		cfg := flows.Config{Piton: cc.pc, Seed: 1, SelfCheck: true}
+		cfg := flows.Config{Piton: cc.pc, Seed: 1, Workers: 4, SelfCheck: true}
 		t.Run(cc.name+"/2d", func(t *testing.T) {
 			if _, _, err := flows.Run2D(cfg); err != nil {
 				t.Fatal(err)
