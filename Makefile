@@ -58,12 +58,16 @@ race:
 ## no panic, a frame of any payload unframes to it, and a frame with any
 ## one byte flipped fails — and of FuzzReadChrome, the trace-report -in
 ## reader: no panic, allocation within 16× the input plus 64 kB, a
-## re-export that is a fixed point, no negative time in its analysis.
+## re-export that is a fixed point, no negative time in its analysis —
+## and of FuzzParseLEF and FuzzParseDEF, the LEF and DEF readers: no
+## panic, allocation within 16× the input plus 64 kB.
 ## `go test` runs only their seed corpora (a
 ## good encoding each, TestDecodeResultCorrupt's table, the abstract
 ## decoder's two count bombs, the signoff tail's truncations, one
 ## impossible instance state of each kind, two frames and a cut one, a
-## trace export, an off-microsecond slice and a negative duration).
+## trace export, an off-microsecond slice and a negative duration; an
+## excerpt of the tiny tile's LEF and DEF, a DIEAREA cut short and a
+## second DESIGN).
 ## The engine minimizes every
 ## input that reaches new code, an execution per byte and 60 s by
 ## default: capped at 1 s so the ten seconds mutate. A failing input is
@@ -75,6 +79,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePlacement$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnframe$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/stash/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadChrome$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/obs/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseLEF$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lefdef/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseDEF$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lefdef/
 
 ## equiv: just the determinism harness — every flow's -j 1 reference
 ## against four workers with SelfCheck and Verify, on the small tile,

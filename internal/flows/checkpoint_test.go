@@ -642,11 +642,11 @@ func TestInstStateRejectsImpossibleValues(t *testing.T) {
 // every seventh standard cell is a macro-die view (an "_MD" master that
 // resolves through core.DieViews).
 func placementFixture(tb testing.TB) (*netlist.Design, []byte) {
-	d, err := newTile(piton.Tiny())
+	d, err := newTile(piton.Tiny(), nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	src, err := newTile(piton.Tiny())
+	src, err := newTile(piton.Tiny(), nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -138,12 +138,13 @@ type Config struct {
 	CacheVerify bool
 }
 
-// generate produces the benchmark netlist a flow run owns.
-func (c Config) generate() (*piton.Tile, error) {
+// generate produces the benchmark netlist a flow run owns, under the
+// stage span sp (newTile).
+func (c Config) generate(sp *obs.Span) (*piton.Tile, error) {
 	if c.Generator != nil {
 		return c.Generator()
 	}
-	return newTile(c.Piton)
+	return newTile(c.Piton, sp)
 }
 
 // placeOptions and routeOptions are the one place a flow's

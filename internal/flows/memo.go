@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"macro3d/internal/obs"
 	"macro3d/internal/piton"
 )
 
@@ -36,12 +37,18 @@ var (
 // newTile returns a copy of the tile cfg generates, for one run to own.
 // The template is built on the first request for cfg in the process;
 // every request, the first included, gets an exact-size copy of it that
-// shares the template's name index.
-func newTile(cfg piton.Config) (*piton.Tile, error) {
+// shares the template's name index. Under sp (nil: uninstrumented) the
+// two open phase spans: "template", the memo's lookup and any build, and
+// "copy".
+func newTile(cfg piton.Config, sp *obs.Span) (*piton.Tile, error) {
+	tsp := sp.Child("template")
 	t, err := tiles.get(cfg)
+	tsp.End()
 	if err != nil {
 		return nil, err
 	}
+	csp := sp.Child("copy")
+	defer csp.End()
 	return t.Clone(), nil
 }
 

@@ -49,7 +49,7 @@ func (f *flow) frontEnd(dst *State, style floorplan.Style) []stage {
 					return err
 				}
 			}
-			tile, err := f.cfg.generate()
+			tile, err := f.cfg.generate(f.obs())
 			if err != nil {
 				return err
 			}
@@ -206,7 +206,7 @@ func (f *flow) pseudoFloorplan(spec pseudoSpec, real *State) error {
 	die := real.Die.Scale(s)
 	pcfg := f.cfg.Piton
 	pcfg.TargetLogicArea *= spec.area
-	tile, err := newTile(pcfg)
+	tile, err := newTile(pcfg, f.obs())
 	if err != nil {
 		return err
 	}

@@ -85,6 +85,9 @@ func ParseDEF(r io.Reader, lib *cell.Library) (*DEFContent, error) {
 		}
 		switch w {
 		case "DESIGN":
+			if d != nil {
+				return nil, tk.errf("second DESIGN")
+			}
 			name, _ := tk.next()
 			tk.expect(";")
 			d = netlist.NewDesign(name, lib)
@@ -93,7 +96,10 @@ func ParseDEF(r io.Reader, lib *cell.Library) (*DEFContent, error) {
 			var v [4]float64
 			vi := 0
 			for vi < 4 {
-				x, _ := tk.next()
+				x, ok := tk.next()
+				if !ok {
+					return nil, tk.errf("unexpected EOF in DIEAREA")
+				}
 				if f, err := strconv.ParseFloat(x, 64); err == nil {
 					v[vi] = f
 					vi++
@@ -102,7 +108,9 @@ func ParseDEF(r io.Reader, lib *cell.Library) (*DEFContent, error) {
 					break
 				}
 			}
-			tk.skipStatement()
+			if vi == 4 { // the ';' is still to come
+				tk.skipStatement()
+			}
 			out.Die = rect4(v)
 		case "COMPONENTS":
 			if d == nil {
@@ -297,6 +305,7 @@ func parsePins(tk *tokenizer, d *netlist.Design) error {
 
 func parseNets(tk *tokenizer, d *netlist.Design) error {
 	tk.skipStatement()
+	var refs []netlist.PinRef // one net's pins, reused
 	for {
 		w, ok := tk.next()
 		if !ok {
@@ -311,7 +320,7 @@ func parseNets(tk *tokenizer, d *netlist.Design) error {
 		}
 		name, _ := tk.next()
 		clock := false
-		var refs []netlist.PinRef
+		refs = refs[:0]
 		for {
 			t, ok := tk.next()
 			if !ok {
@@ -334,14 +343,14 @@ func parseNets(tk *tokenizer, d *netlist.Design) error {
 					if p == nil {
 						return tk.errf("net %s references unknown pin %s", name, pn)
 					}
-					refs = append(refs, netlist.PPin(p))
+					refs = push(refs, netlist.PPin(p))
 				} else {
 					pin, _ := tk.next()
 					inst := d.Instance(a)
 					if inst == nil {
 						return tk.errf("net %s references unknown instance %s", name, a)
 					}
-					refs = append(refs, netlist.IPin(inst, pin))
+					refs = push(refs, netlist.IPin(inst, pin))
 				}
 				tk.expect(")")
 			}
@@ -352,7 +361,9 @@ func parseNets(tk *tokenizer, d *netlist.Design) error {
 		if d.Net(name) != nil {
 			return tk.errf("duplicate net %q", name)
 		}
-		n := d.AddNet(name, refs[0], refs[1:]...)
+		sinks := d.SinkSpan(len(refs) - 1)
+		copy(sinks, refs[1:])
+		n := d.AddNet(name, refs[0], sinks...)
 		n.Clock = clock
 	}
 }

@@ -166,32 +166,27 @@ func ParseLEF(r io.Reader) (*LEFContent, error) {
 			tk.skipStatement()
 		case "LAYER":
 			name, _ := tk.next()
-			kind, props, err := parseLayerBody(tk, name)
+			lp, err := parseLayerBody(tk, name)
 			if err != nil {
 				return nil, err
 			}
-			switch kind {
+			switch lp.kind {
 			case "ROUTING":
-				l := tech.Layer{Name: name,
-					Pitch:  props["PITCH"],
-					Width:  props["WIDTH"],
-					RPerUm: props["RESISTANCE"],
-					CPerUm: props["CAPACITANCE"],
-				}
-				if props["DIRVERT"] != 0 {
+				l := tech.Layer{Name: name, Pitch: lp.pitch, Width: lp.width, RPerUm: lp.res, CPerUm: lp.cap}
+				if lp.vertical {
 					l.Dir = tech.DirVertical
 				}
 				l.MacroDie = strings.HasSuffix(name, tech.MDSuffix)
-				layers = append(layers, l)
+				layers = push(layers, l)
 				if pendingVia {
-					vias = append(vias, curVia)
+					vias = push(vias, curVia)
 					pendingVia = false
 				}
 			case "CUT":
-				curVia = tech.Via{Name: name, R: props["RESISTANCE"], C: props["CAPACITANCE"]}
-				if props["F2F"] != 0 {
+				curVia = tech.Via{Name: name, R: lp.res, C: lp.cap}
+				if lp.f2f {
 					curVia.F2F = true
-					curVia.Pitch = props["PITCH"]
+					curVia.Pitch = lp.pitch
 				}
 				pendingVia = true
 			}
@@ -218,66 +213,76 @@ func ParseLEF(r io.Reader) (*LEFContent, error) {
 	return out, nil
 }
 
-// parseLayerBody consumes a LAYER block and returns its TYPE and
-// numeric properties.
-func parseLayerBody(tk *tokenizer, name string) (string, map[string]float64, error) {
-	props := map[string]float64{}
-	kind := ""
+// layerProps are the statements of a LAYER block the stack keeps.
+type layerProps struct {
+	kind                   string // TYPE
+	pitch, width, res, cap float64
+	vertical, f2f          bool
+}
+
+// parseLayerBody consumes a LAYER block.
+func parseLayerBody(tk *tokenizer, name string) (layerProps, error) {
+	var lp layerProps
 	for {
 		w, ok := tk.next()
 		if !ok {
-			return "", nil, tk.errf("unexpected EOF in LAYER %s", name)
+			return lp, tk.errf("unexpected EOF in LAYER %s", name)
 		}
 		switch w {
 		case "TYPE":
 			var ok bool
-			kind, ok = tk.next()
+			lp.kind, ok = tk.next()
 			if !ok {
-				return "", nil, tk.errf("unexpected EOF after TYPE in LAYER %s", name)
+				return lp, tk.errf("unexpected EOF after TYPE in LAYER %s", name)
 			}
 			// optional F2F marker before ';'
 			for {
 				x, ok := tk.next()
 				if !ok {
-					return "", nil, tk.errf("unexpected EOF in TYPE of LAYER %s", name)
+					return lp, tk.errf("unexpected EOF in TYPE of LAYER %s", name)
 				}
 				if x == ";" {
 					break
 				}
 				if x == "F2F" {
-					props["F2F"] = 1
+					lp.f2f = true
 				}
 			}
 		case "DIRECTION":
 			d, _ := tk.next()
 			if d == "VERTICAL" {
-				props["DIRVERT"] = 1
+				lp.vertical = true
 			}
 			tk.expect(";")
 		case "PITCH", "WIDTH":
 			v, err := tk.nextFloat()
 			if err != nil {
-				return "", nil, err
+				return lp, err
 			}
-			props[w] = v
+			if w == "PITCH" {
+				lp.pitch = v
+			} else {
+				lp.width = v
+			}
 			tk.expect(";")
 		case "RESISTANCE", "CAPACITANCE":
 			// Either "RESISTANCE RPERSQ v ;" or "RESISTANCE v ;".
 			x, _ := tk.next()
-			if v, err := strconv.ParseFloat(x, 64); err == nil {
-				props[w] = v
-				tk.expect(";")
-			} else {
-				v, err := tk.nextFloat()
-				if err != nil {
-					return "", nil, err
+			v, err := strconv.ParseFloat(x, 64)
+			if err != nil {
+				if v, err = tk.nextFloat(); err != nil {
+					return lp, err
 				}
-				props[w] = v
-				tk.expect(";")
 			}
+			if w == "RESISTANCE" {
+				lp.res = v
+			} else {
+				lp.cap = v
+			}
+			tk.expect(";")
 		case "END":
 			tk.next() // name
-			return kind, props, nil
+			return lp, nil
 		default:
 			tk.skipStatement()
 		}
@@ -294,7 +299,9 @@ func parseMacroBody(tk *tokenizer, name string) (*cell.Cell, error) {
 		}
 		switch w {
 		case "CLASS":
-			var words []string
+			// No class the dialect writes has more than two words.
+			var words [2]string
+			n := 0
 			for {
 				x, ok := tk.next()
 				if !ok {
@@ -303,9 +310,19 @@ func parseMacroBody(tk *tokenizer, name string) (*cell.Cell, error) {
 				if x == ";" {
 					break
 				}
-				words = append(words, x)
+				if n < len(words) {
+					words[n] = x
+				}
+				n++
 			}
-			c.Kind = classKind(strings.Join(words, " "))
+			switch n {
+			case 1:
+				c.Kind = classKind(words[0])
+			case 2:
+				c.Kind = classKind(words[0] + " " + words[1])
+			default:
+				c.Kind = cell.KindComb
+			}
 		case "SIZE":
 			var err error
 			if c.Width, err = tk.nextFloat(); err != nil {
@@ -326,7 +343,7 @@ func parseMacroBody(tk *tokenizer, name string) (*cell.Cell, error) {
 			if err != nil {
 				return nil, err
 			}
-			c.Pins = append(c.Pins, *p)
+			c.Pins = push(c.Pins, p)
 		case "OBS":
 			if err := parseObs(tk, c); err != nil {
 				return nil, err
@@ -356,9 +373,24 @@ func classKind(class string) cell.Kind {
 	return cell.KindComb
 }
 
+// parseProperty consumes a macro's PROPERTY statement: a kind, whose
+// fields it zeroes, then key value pairs, each set on c as it is read.
 func parseProperty(tk *tokenizer, c *cell.Cell) error {
 	kind, _ := tk.next()
-	vals := map[string]string{}
+	switch kind {
+	case "family":
+		c.Family = ""
+	case "timing":
+		c.Intrinsic, c.DriveRes, c.ClkQ, c.Setup, c.Hold = 0, 0, 0, 0, 0
+	case "slew":
+		c.SlewSens, c.SlewIntrinsic, c.SlewRes = 0, 0, 0
+	case "power":
+		c.InternalEnergy, c.Leakage = 0, 0
+	case "sram":
+		c.Macro = &cell.MacroInfo{}
+	case "abstract":
+		c.Abstract = &cell.AbstractInfo{}
+	}
 	key := ""
 	for {
 		w, ok := tk.next()
@@ -370,62 +402,76 @@ func parseProperty(tk *tokenizer, c *cell.Cell) error {
 		}
 		if key == "" {
 			key = w
-		} else {
-			vals[key] = strings.Trim(w, `"`)
-			key = ""
+			continue
 		}
+		setProperty(c, kind, key, strings.Trim(w, `"`))
+		key = ""
 	}
-	f := func(k string) float64 {
-		v, _ := strconv.ParseFloat(vals[k], 64)
-		return v
-	}
-	switch kind {
-	case "family":
-		c.Family = strings.Trim(vals["name"], `"`)
-		if d, err := strconv.Atoi(vals["drive"]); err == nil {
-			c.Drive = d
-		}
-	case "timing":
-		c.Intrinsic = f("intrinsic")
-		c.DriveRes = f("driveres")
-		c.ClkQ = f("clkq")
-		c.Setup = f("setup")
-		c.Hold = f("hold")
-	case "slew":
-		c.SlewSens = f("sens")
-		c.SlewIntrinsic = f("intrinsic")
-		c.SlewRes = f("res")
-	case "power":
-		c.InternalEnergy = f("internal")
-		c.Leakage = f("leakage")
-	case "sram":
-		words, _ := strconv.Atoi(vals["words"])
-		bits, _ := strconv.Atoi(vals["bits"])
-		c.Macro = &cell.MacroInfo{
-			Words: words, Bits: bits,
-			CapacityBytes:   words * bits / 8,
-			EnergyPerAccess: f("energy"),
-		}
-	case "abstract":
-		bumps, _ := strconv.Atoi(vals["bumps"])
-		c.Abstract = &cell.AbstractInfo{
-			SourceFlow:       vals["flow"],
-			SourceConfig:     vals["config"],
-			MinPeriodPs:      f("minperiod"),
-			EnergyPerCycleFJ: f("energy"),
-			LeakageUW:        f("leakage"),
-			F2FBumps:         bumps,
-		}
+	if kind == "sram" {
+		c.Macro.CapacityBytes = c.Macro.Words * c.Macro.Bits / 8
 	}
 	return nil
 }
 
-func parsePinBody(tk *tokenizer, name string) (*cell.Pin, error) {
-	p := &cell.Pin{Name: name}
+// setProperty sets the field a PROPERTY kind's key names; a value that
+// does not parse sets it to zero, and an unknown key sets nothing.
+func setProperty(c *cell.Cell, kind, key, v string) {
+	f, _ := strconv.ParseFloat(v, 64)
+	n, _ := strconv.Atoi(v)
+	switch kind + " " + key {
+	case "family name":
+		c.Family = v
+	case "family drive":
+		if d, err := strconv.Atoi(v); err == nil {
+			c.Drive = d
+		}
+	case "timing intrinsic":
+		c.Intrinsic = f
+	case "timing driveres":
+		c.DriveRes = f
+	case "timing clkq":
+		c.ClkQ = f
+	case "timing setup":
+		c.Setup = f
+	case "timing hold":
+		c.Hold = f
+	case "slew sens":
+		c.SlewSens = f
+	case "slew intrinsic":
+		c.SlewIntrinsic = f
+	case "slew res":
+		c.SlewRes = f
+	case "power internal":
+		c.InternalEnergy = f
+	case "power leakage":
+		c.Leakage = f
+	case "sram words":
+		c.Macro.Words = n
+	case "sram bits":
+		c.Macro.Bits = n
+	case "sram energy":
+		c.Macro.EnergyPerAccess = f
+	case "abstract flow":
+		c.Abstract.SourceFlow = v
+	case "abstract config":
+		c.Abstract.SourceConfig = v
+	case "abstract minperiod":
+		c.Abstract.MinPeriodPs = f
+	case "abstract energy":
+		c.Abstract.EnergyPerCycleFJ = f
+	case "abstract leakage":
+		c.Abstract.LeakageUW = f
+	case "abstract bumps":
+		c.Abstract.F2FBumps = n
+	}
+}
+
+func parsePinBody(tk *tokenizer, name string) (cell.Pin, error) {
+	p := cell.Pin{Name: name}
 	for {
 		w, ok := tk.next()
 		if !ok {
-			return nil, tk.errf("unexpected EOF in PIN %s", name)
+			return p, tk.errf("unexpected EOF in PIN %s", name)
 		}
 		switch w {
 		case "DIRECTION":
@@ -448,56 +494,60 @@ func parsePinBody(tk *tokenizer, name string) (*cell.Pin, error) {
 		case "CAPACITANCE":
 			v, err := tk.nextFloat()
 			if err != nil {
-				return nil, err
+				return p, err
 			}
 			p.Cap = v
 			tk.expect(";")
 		case "PROPERTY":
 			kind, _ := tk.next()
-			vals := map[string]float64{}
+			arc := kind == "arc"
+			if arc {
+				p.Setup, p.ClkQ = 0, 0
+			}
 			key := ""
 			for {
 				x, ok := tk.next()
 				if !ok {
-					return nil, tk.errf("unexpected EOF in PIN %s PROPERTY", name)
+					return p, tk.errf("unexpected EOF in PIN %s PROPERTY", name)
 				}
 				if x == ";" {
 					break
 				}
 				if key == "" {
 					key = x
-				} else {
-					v, err := strconv.ParseFloat(x, 64)
-					if err != nil {
-						return nil, tk.errf("bad number %q for %s in PIN %s PROPERTY", x, key, name)
-					}
-					vals[key] = v
-					key = ""
+					continue
 				}
-			}
-			if kind == "arc" {
-				p.Setup = vals["setup"]
-				p.ClkQ = vals["clkq"]
+				v, err := strconv.ParseFloat(x, 64)
+				if err != nil {
+					return p, tk.errf("bad number %q for %s in PIN %s PROPERTY", x, key, name)
+				}
+				switch {
+				case arc && key == "setup":
+					p.Setup = v
+				case arc && key == "clkq":
+					p.ClkQ = v
+				}
+				key = ""
 			}
 		case "PORT":
 			for {
 				x, ok := tk.next()
 				if !ok {
-					return nil, tk.errf("unexpected EOF in PORT of PIN %s", name)
+					return p, tk.errf("unexpected EOF in PORT of PIN %s", name)
 				}
 				if x == "LAYER" {
 					var ok bool
 					if p.Layer, ok = tk.next(); !ok {
-						return nil, tk.errf("unexpected EOF after LAYER in PORT of PIN %s", name)
+						return p, tk.errf("unexpected EOF after LAYER in PORT of PIN %s", name)
 					}
 					tk.expect(";")
 				} else if x == "POINT" {
 					var err error
 					if p.Offset.X, err = tk.nextFloat(); err != nil {
-						return nil, err
+						return p, err
 					}
 					if p.Offset.Y, err = tk.nextFloat(); err != nil {
-						return nil, err
+						return p, err
 					}
 					tk.expect(";")
 				} else if x == "END" {
@@ -537,7 +587,7 @@ func parseObs(tk *tokenizer, c *cell.Cell) error {
 				r[i] = v
 			}
 			tk.expect(";")
-			c.Obstructions = append(c.Obstructions, cell.Obstruction{
+			c.Obstructions = push(c.Obstructions, cell.Obstruction{
 				Layer: layer,
 				Rect:  rect4(r),
 			})

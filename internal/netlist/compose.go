@@ -26,11 +26,11 @@ type Copy struct {
 // ports through a table. A record of the composer's own carries a name no
 // tag is a prefix of, compared with the few others of its kind.
 //
-// The design's indexes stay unbuilt, to be derived from the records if a
-// by-name use ever asks. Should one ask midway, the composer finds them
-// built and keeps them current, duplicate check included.
+// It adds every record through a Builder, so the design's indexes stay
+// unbuilt until a by-name use asks.
 type Composer struct {
-	d, src *Design
+	b      Builder
+	src    *Design
 	copies []Copy
 	names  slab.Names
 
@@ -43,9 +43,6 @@ type Composer struct {
 // copies of src. It fails when a tag is a prefix of another (equal tags
 // included): names under the two could collide.
 func (d *Design) Compose(src *Design, copies []Copy) (*Composer, error) {
-	if len(d.Instances)+len(d.Nets)+len(d.Ports) != 0 {
-		return nil, fmt.Errorf("netlist: compose into %q, which is not empty", d.Name)
-	}
 	for i, a := range copies {
 		for j, b := range copies {
 			if i != j && strings.HasPrefix(b.Tag, a.Tag) {
@@ -53,10 +50,12 @@ func (d *Design) Compose(src *Design, copies []Copy) (*Composer, error) {
 			}
 		}
 	}
-	d.byName.Store(nil)
-	d.base = nameIndex{}
+	b, err := d.Build()
+	if err != nil {
+		return nil, err
+	}
 	return &Composer{
-		d: d, src: src, copies: copies,
+		b: b, src: src, copies: copies,
 		ports: make([]*Port, len(copies)*len(src.Ports)),
 	}, nil
 }
@@ -70,7 +69,7 @@ func (b *Composer) Instance(c int, src *Instance) *Instance {
 	}
 	b.nextInst = key + 1
 	cp := b.copies[c]
-	inst := b.d.addInstance(b.d.byName.Load(), b.names.Concat(cp.Tag, src.Name), src.Master)
+	inst := b.b.AddInstance(b.names.Concat(cp.Tag, src.Name), src.Master)
 	inst.Loc, inst.Orient, inst.Die = src.Loc.Add(cp.Offset), src.Orient, src.Die
 	inst.Fixed, inst.Placed = src.Fixed, src.Placed
 	return inst
@@ -83,7 +82,7 @@ func (b *Composer) Net(c int, src *Net, driver PinRef, sinks ...PinRef) *Net {
 		panic(fmt.Sprintf("netlist: compose: net %q of copy %d is out of order or not the source's", src.Name, c))
 	}
 	b.nextNet = key + 1
-	return b.d.addNet(b.d.byName.Load(), b.names.Concat(b.copies[c].Tag, src.Name), driver, sinks)
+	return b.b.AddNet(b.names.Concat(b.copies[c].Tag, src.Name), driver, sinks...)
 }
 
 // Port returns copy c's port of a source port — the source's attributes,
@@ -95,7 +94,7 @@ func (b *Composer) Port(c int, src *Port) *Port {
 	slot := &b.ports[c*len(b.src.Ports)+src.ID]
 	if *slot == nil {
 		cp := b.copies[c]
-		p := b.d.addPort(b.d.byName.Load(), b.names.Concat(cp.Tag, src.Name), src.Dir)
+		p := b.b.AddPort(b.names.Concat(cp.Tag, src.Name), src.Dir)
 		p.Loc, p.Layer = src.Loc.Add(cp.Offset), src.Layer
 		p.HalfCycle, p.ExtCap, p.ExtDelay = src.HalfCycle, src.ExtCap, src.ExtDelay
 		*slot = p
@@ -106,13 +105,13 @@ func (b *Composer) Port(c int, src *Port) *Port {
 // AddPort adds a port of the composed design's own.
 func (b *Composer) AddPort(name string, dir cell.PinDir) *Port {
 	b.ownPorts = b.own(b.ownPorts, "port", name)
-	return b.d.addPort(b.d.byName.Load(), name, dir)
+	return b.b.AddPort(name, dir)
 }
 
 // AddNet adds a net of the composed design's own.
 func (b *Composer) AddNet(name string, driver PinRef, sinks ...PinRef) *Net {
 	b.ownNets = b.own(b.ownNets, "net", name)
-	return b.d.addNet(b.d.byName.Load(), name, driver, sinks)
+	return b.b.AddNet(name, driver, sinks...)
 }
 
 // own admits a name outside the tag scheme.

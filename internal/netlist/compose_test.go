@@ -289,3 +289,46 @@ func TestValidateDoubleDriverNamesBothNets(t *testing.T) {
 		t.Fatalf("a structural fault after the double driver: %v", err)
 	}
 }
+
+// TestBuilderLeavesIndexesUnbuilt: a Builder starts only on an empty
+// design and adds records without an index; the first lookup builds the
+// index over all of them and the builder keeps it current from then on,
+// duplicate check included; a duplicate the builder's caller let through
+// panics when the index is built.
+func TestBuilderLeavesIndexesUnbuilt(t *testing.T) {
+	lib := testLib()
+	if _, err := tiny(t).Build(); err == nil {
+		t.Fatal("Build of a design with records succeeded")
+	}
+	d := NewDesign("built", lib)
+	b, err := d.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := b.AddPort("in", cell.DirIn)
+	u := b.AddInstance("u0", lib.MustCell("INV_X1"))
+	b.AddNet("n0", PPin(in), IPin(u, "A"))
+	if i, n, p := d.OwnNames(); i+n+p != 0 || d.byName.Load() != nil {
+		t.Fatal("the builder built the by-name indexes")
+	}
+	if d.Instance("u0") != u || d.Port("in") != in {
+		t.Fatal("the first lookup misses a built record")
+	}
+	if i, n, p := d.OwnNames(); i != 1 || n != 1 || p != 1 {
+		t.Fatalf("index holds %d/%d/%d names, want 1/1/1", i, n, p)
+	}
+	v := b.AddInstance("u1", lib.MustCell("INV_X1"))
+	if d.Instance("u1") != v {
+		t.Fatal("an add after the index was built is not indexed")
+	}
+	mustPanic(t, "builder duplicate after the index", "duplicate instance", func() { b.AddInstance("u1", lib.MustCell("INV_X1")) })
+
+	dup := NewDesign("dup", lib)
+	db, err := dup.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.AddInstance("x", lib.MustCell("INV_X1"))
+	db.AddInstance("x", lib.MustCell("INV_X1"))
+	mustPanic(t, "index over a duplicate", "duplicate names", func() { dup.Instance("x") })
+}

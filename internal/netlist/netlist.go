@@ -189,10 +189,11 @@ func (n *Net) HPWL() float64 {
 //
 // The records are the design; the by-name indexes are derived from them,
 // and map a name to a record ID. A design built by Add* keeps them from
-// the start (the duplicate check of an Add* is a lookup). One composed in
-// bulk (Compose) or copied (Clone) starts without and builds them on the
-// first by-name use — a lookup or an Add* — so a flat array that is only
-// ever walked by ID never hashes its names.
+// the start (the duplicate check of an Add* is a lookup). One filled by a
+// Builder — a generator's, a bulk composition's (Compose) — or copied
+// (Clone) starts without and builds them on the first by-name use — a
+// lookup or an Add* — so a tile or a flat array that is only ever walked
+// by ID never hashes its names.
 //
 // A sealed design (Seal) is a template: read only, its indexes built
 // once. An ID names the same record in every exact copy, so a copy of a
@@ -252,8 +253,8 @@ func (d *Design) index() *nameIndex {
 		net:  indexNames(d.Nets, netName),
 		port: indexNames(d.Ports, portName),
 	}
-	// Compose admits only names it can prove distinct; a name lost here
-	// means that proof is broken.
+	// A Builder's caller admits only names it can prove distinct; a name
+	// lost here means that proof is broken.
 	if len(ix.inst) != len(d.Instances) || len(ix.net) != len(d.Nets) || len(ix.port) != len(d.Ports) {
 		panic(fmt.Sprintf("netlist: design %q holds duplicate names", d.Name))
 	}
@@ -333,7 +334,7 @@ func (d *Design) AddInstance(name string, master *cell.Cell) *Instance {
 
 // addInstance, addPort and addNet append a record. The name goes into ix
 // — a duplicate panics — unless ix is nil: the indexes are not built, and
-// the caller (a Composer) answers for the name being new.
+// the caller (a Builder's) answers for the name being new.
 func (d *Design) addInstance(ix *nameIndex, name string, master *cell.Cell) *Instance {
 	d.edit()
 	if master == nil {
@@ -389,6 +390,41 @@ func (d *Design) addNet(ix *nameIndex, name string, driver PinRef, sinks []PinRe
 		put(&ix.net, name, n.ID)
 	}
 	return n
+}
+
+// Builder fills an empty design without a by-name duplicate check per
+// record, for a caller that answers for its names being distinct: a
+// generator that numbers its names, a Composer. The design's indexes stay
+// unbuilt, to be derived from the records on the first by-name use, whose
+// count check catches a duplicate the caller let through after all. Should
+// one ask midway, the builder finds them built and keeps them current,
+// duplicate check included.
+type Builder struct{ d *Design }
+
+// Build starts an unindexed build of d, which must be empty.
+func (d *Design) Build() (Builder, error) {
+	if len(d.Instances)+len(d.Nets)+len(d.Ports) != 0 {
+		return Builder{}, fmt.Errorf("netlist: build into %q, which is not empty", d.Name)
+	}
+	d.edit()
+	d.byName.Store(nil)
+	d.base = nameIndex{}
+	return Builder{d}, nil
+}
+
+// AddInstance creates an instance of the named master.
+func (b Builder) AddInstance(name string, master *cell.Cell) *Instance {
+	return b.d.addInstance(b.d.byName.Load(), name, master)
+}
+
+// AddPort creates a top-level port.
+func (b Builder) AddPort(name string, dir cell.PinDir) *Port {
+	return b.d.addPort(b.d.byName.Load(), name, dir)
+}
+
+// AddNet creates a net driven by driver feeding sinks, as Design.AddNet.
+func (b Builder) AddNet(name string, driver PinRef, sinks ...PinRef) *Net {
+	return b.d.addNet(b.d.byName.Load(), name, driver, sinks)
 }
 
 // Reserve sizes the design for a builder that knows what it will add:

@@ -17,8 +17,11 @@ func Generate(cfg Config) (*Tile, error) {
 		cfg.CloudDepth = 5
 	}
 
-	g := newGen(cfg.Name, cfg, cfg.Seed)
+	g := newGen(cfg.Name, cfg, cfg.Seed, 1)
 	if err := g.buildTile(); err != nil {
+		return nil, err
+	}
+	if err := g.checkNames(); err != nil {
 		return nil, err
 	}
 	if err := g.calibrate(cfg.TargetLogicArea); err != nil {
@@ -35,7 +38,7 @@ func (g *gen) buildTile() error {
 	cfg := g.cfg
 
 	// Clock input.
-	clkPort := g.d.AddPort("clk_i", cell.DirIn)
+	clkPort := g.addPort("clk_i", cell.DirIn)
 	clkPort.Layer = "M6"
 	g.tile.ClockPort = "clk_i"
 
@@ -94,9 +97,7 @@ func (g *gen) buildTile() error {
 	g.sweepUndriven()
 
 	// The single clock net reaching every sequential element.
-	clkNet := g.d.AddNet("clk", netlist.PPin(clkPort), g.clk...)
-	clkNet.Clock = true
-
+	g.addClock(clkPort)
 	return nil
 }
 
@@ -187,14 +188,14 @@ func (g *gen) buildCacheLevel(level string, bytes int) (*iface, error) {
 	for b := 0; b < addrBits; b++ {
 		ff := g.dff(level + "_addr")
 		addrFF[b] = ff
-		g.drive(g.netName(level+"_a"), netlist.IPin(ff, "Q"), busPins(fmt.Sprintf("A%d", b))...)
+		g.drive(level+"_a", netlist.IPin(ff, "Q"), busPins(fmt.Sprintf("A%d", b))...)
 		fc.reqIns = append(fc.reqIns, netlist.IPin(ff, "D"))
 	}
 
 	// Shared write-data bus.
 	for b := 0; b < cfg.DataWidth; b++ {
 		ff := g.dff(level + "_wdata")
-		g.drive(g.netName(level+"_d"), netlist.IPin(ff, "Q"), busPins(fmt.Sprintf("D%d", b))...)
+		g.drive(level+"_d", netlist.IPin(ff, "Q"), busPins(fmt.Sprintf("D%d", b))...)
 		fc.fillIns = append(fc.fillIns, netlist.IPin(ff, "D"))
 	}
 
@@ -216,7 +217,7 @@ func (g *gen) buildCacheLevel(level string, bytes int) (*iface, error) {
 		for len(cur) > 1 {
 			var next []netlist.PinRef
 			for i := 0; i+1 < len(cur); i += 2 {
-				mux := g.d.AddInstance(g.instName(level+"_mux"), g.lib.MustCell("MUX2_X1"))
+				mux := g.instance(level+"_mux", mux2)
 				g.fanout(cur[i], netlist.IPin(mux, "A"))
 				g.fanout(cur[i+1], netlist.IPin(mux, "B"))
 				// Select from an address register (shared select).
@@ -279,11 +280,11 @@ func (g *gen) buildRouter(k int) *router {
 		group := PortGroup{Edge: e, Pair: inPair(e)}
 		hint := fmt.Sprintf("noc%d_%s_in", k, e)
 		for b := 0; b < w; b++ {
-			p := g.d.AddPort(g.seqName("", hint, b), cell.DirIn)
+			p := g.addPort(g.seqName("", hint, b), cell.DirIn)
 			p.Layer = "M6"
 			p.HalfCycle = true
 			ff := g.dff(hint)
-			g.drive(g.netName("nocin"), netlist.PPin(p), netlist.IPin(ff, "D"))
+			g.drive("nocin", netlist.PPin(p), netlist.IPin(ff, "D"))
 			allInQ = append(allInQ, netlist.IPin(ff, "Q"))
 			group.Names = append(group.Names, p.Name)
 		}
@@ -313,11 +314,11 @@ func (g *gen) buildRouter(k int) *router {
 			ff := g.dff(hint)
 			g.fanout(xbar[oi%len(xbar)], netlist.IPin(ff, "D"))
 			oi++
-			p := g.d.AddPort(g.seqName("", hint, b), cell.DirOut)
+			p := g.addPort(g.seqName("", hint, b), cell.DirOut)
 			p.Layer = "M6"
 			p.HalfCycle = true
 			p.ExtCap = 8 // abutting tile's input register + wire stub
-			g.drive(g.netName("nocout"), netlist.IPin(ff, "Q"), netlist.PPin(p))
+			g.drive("nocout", netlist.IPin(ff, "Q"), netlist.PPin(p))
 			group.Names = append(group.Names, p.Name)
 		}
 		g.tile.Groups = append(g.tile.Groups, group)
@@ -364,35 +365,14 @@ func (g *gen) sweepUndriven() {
 	if len(pool) == 0 {
 		return
 	}
-	// The pins that already have a driver — every sink of every net — as
-	// one bit per master pin of every instance.
-	pinOff := make([]int32, len(g.d.Instances)+1)
-	for i, inst := range g.d.Instances {
-		pinOff[i+1] = pinOff[i] + int32(len(inst.Master.Pins))
-	}
-	driven := make([]uint64, (pinOff[len(g.d.Instances)]+63)/64)
-	for _, n := range g.d.Nets {
-		for _, s := range n.Sinks {
-			if s.Inst == nil {
-				continue
-			}
-			pins := s.Inst.Master.Pins
-			k := 0
-			for pins[k].Name != s.Pin { // present: the generator wired it by this name
-				k++
-			}
-			slot := pinOff[s.Inst.ID] + int32(k)
-			driven[slot>>6] |= 1 << (slot & 63)
-		}
-	}
-	for i, inst := range g.d.Instances {
+	for _, inst := range g.d.Instances {
 		for pi := range inst.Master.Pins {
 			p := &inst.Master.Pins[pi]
 			if p.Dir != cell.DirIn || p.Clock {
 				continue
 			}
-			if slot := pinOff[i] + int32(pi); driven[slot>>6]&(1<<(slot&63)) == 0 {
-				g.fanout(pool[g.rng.Intn(len(pool))], netlist.IPin(inst, p.Name))
+			if sink := netlist.IPin(inst, p.Name); g.pins.net(sink) == nil {
+				g.fanout(pool[g.rng.Intn(len(pool))], sink)
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"macro3d/internal/cell"
-	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
 )
 
@@ -14,20 +13,33 @@ import (
 // oracle: pass 1 builds the whole design against the unscaled library
 // only to sum its standard-cell area, pass 2 builds it again — fresh
 // library, fresh macros, fresh generator — at the scale that hits the
-// target, and pass 1 is thrown away.
+// target, and pass 1 is thrown away. It keeps its own bookkeeping of the
+// net at each pin, the map the dense pinTable replaced.
+
+// pinID identifies a connection point by the records behind it — the
+// instance and its master's pin, or the port.
+type pinID struct {
+	inst *netlist.Instance
+	pin  *cell.Pin
+	port *netlist.Port
+}
+
+func idOf(r netlist.PinRef) pinID {
+	if r.Port != nil {
+		return pinID{port: r.Port}
+	}
+	return pinID{inst: r.Inst, pin: r.Inst.Master.Pin(r.Pin)}
+}
+
+// pinMap is the oracle's pinNets.
+type pinMap map[pinID]*netlist.Net
+
+func (m pinMap) net(r netlist.PinRef) *netlist.Net    { return m[idOf(r)] }
+func (m pinMap) set(r netlist.PinRef, n *netlist.Net) { m[idOf(r)] = n }
 
 func oracleGen(name string, cfg Config, seed uint64, areaScale float64) *gen {
-	opt := cell.DefaultLibOptions()
-	opt.AreaScale = areaScale
-	lib := cell.NewStdLib28(opt)
-	g := &gen{
-		cfg:   cfg,
-		lib:   lib,
-		d:     netlist.NewDesign(name, lib),
-		rng:   geom.NewRNG(seed),
-		netOf: make(map[pinID]*netlist.Net),
-	}
-	g.tile = &Tile{Design: g.d, Config: cfg}
+	g := newGen(name, cfg, seed, areaScale)
+	g.pins = pinMap{}
 	return g
 }
 

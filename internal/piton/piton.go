@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/geom"
@@ -242,53 +243,116 @@ type gen struct {
 	cfg  Config
 	lib  *cell.Library
 	d    *netlist.Design
+	b    netlist.Builder // every record is added through it, unindexed
 	rng  *geom.RNG
 	nns  int // net name sequence
 	ins  int // instance name sequence
 	clk  []netlist.PinRef
 	tile *Tile
 
+	// std holds lib's masters of stdCells, by position; calibrate
+	// re-points every standard cell through it.
+	std []*cell.Cell
 	// macros are the compiled masters registered on lib, in creation
 	// order; calibrate re-registers them on the scaled library.
 	macros []*cell.Cell
 
-	// netOf maps a driver to its net so fanout() can extend existing
-	// nets instead of creating parallel ones.
-	netOf map[pinID]*netlist.Net
+	// pins records the net at every pin the generator connects.
+	pins pinNets
+
+	// The names seqName does not number — macros, the clock net, ports —
+	// by kind, for checkNames.
+	ownInsts, ownNets, ownPorts []string
 
 	names   slab.Names // every seqName is cut from it
 	nameBuf []byte     // seqName's scratch
 }
 
-// pinID identifies a connection point by the records behind it — the
-// instance and its master's pin, or the port — so hashing one reads three
-// words and no pin-name bytes. Valid while the instance keeps its master:
-// the generator's maps are done with before calibrate re-points them.
-type pinID struct {
-	inst *netlist.Instance
-	pin  *cell.Pin
-	port *netlist.Port
+// stdCells are the standard-cell masters the generator instantiates: the
+// gates a cloud draws from (the first nGates), then the flip-flop.
+var stdCells = []string{
+	"NAND2_X1", "NOR2_X1", "NAND3_X1", "AOI22_X1", "OAI22_X1", "XOR2_X1", "MUX2_X1", "INV_X1", "BUF_X1",
+	"DFF_X1",
 }
 
-func idOf(r netlist.PinRef) pinID {
+// Positions in stdCells.
+const (
+	nGates = 9
+	mux2   = 6
+	dffX1  = 9
+)
+
+// pinNets records which net sits at each pin the generator connects — the
+// net a driver drives, the net that drives a sink — so that fanout
+// extends a driver's net instead of starting a parallel one, and
+// sweepUndriven finds the inputs no net drives.
+type pinNets interface {
+	net(r netlist.PinRef) *netlist.Net // nil until a net is set at r
+	set(r netlist.PinRef, n *netlist.Net)
+}
+
+// pinTable is the generator's pinNets, dense by record ID: each instance
+// owns one slot per master pin from its offset on, each port the slot of
+// its ID, and a slot holds the ID+1 of the net at that pin, 0 for none.
+// It grows as the pins of later instances and ports are asked for.
+type pinTable struct {
+	d    *netlist.Design
+	off  []int32 // instance ID → its first slot in inst
+	inst []int32
+	port []int32
+}
+
+// extend lengthens s to n slots. Slots past a slice's length are zero:
+// the table only ever grows.
+func extend(s []int32, n int) []int32 {
+	if n <= len(s) {
+		return s
+	}
+	return slices.Grow(s, n-len(s))[:n]
+}
+
+func (t *pinTable) slot(r netlist.PinRef) *int32 {
 	if r.Port != nil {
-		return pinID{port: r.Port}
+		t.port = extend(t.port, r.Port.ID+1)
+		return &t.port[r.Port.ID]
 	}
-	return pinID{inst: r.Inst, pin: r.Inst.Master.Pin(r.Pin)}
+	for id := len(t.off); id <= r.Inst.ID; id++ {
+		t.off = append(t.off, int32(len(t.inst)))
+		t.inst = extend(t.inst, len(t.inst)+len(t.d.Instances[id].Master.Pins))
+	}
+	k := r.Inst.Master.PinIndex(r.Pin)
+	if k < 0 {
+		panic(fmt.Sprintf("piton: %s has no pin %s", r.Inst.Master.Name, r.Pin))
+	}
+	return &t.inst[int(t.off[r.Inst.ID])+k]
 }
 
-// newGen starts a generator on an empty design over the unscaled
-// library.
-func newGen(name string, cfg Config, seed uint64) *gen {
-	lib := cell.NewStdLib28(cell.DefaultLibOptions())
-	g := &gen{
-		cfg:   cfg,
-		lib:   lib,
-		d:     netlist.NewDesign(name, lib),
-		rng:   geom.NewRNG(seed),
-		netOf: make(map[pinID]*netlist.Net),
+func (t *pinTable) net(r netlist.PinRef) *netlist.Net {
+	if id := *t.slot(r); id > 0 {
+		return t.d.Nets[id-1]
 	}
-	g.tile = &Tile{Design: g.d, Config: cfg}
+	return nil
+}
+
+func (t *pinTable) set(r netlist.PinRef, n *netlist.Net) { *t.slot(r) = int32(n.ID + 1) }
+
+// newGen starts a generator on an empty design over the standard-cell
+// library at areaScale (1: unscaled).
+func newGen(name string, cfg Config, seed uint64, areaScale float64) *gen {
+	opt := cell.DefaultLibOptions()
+	opt.AreaScale = areaScale
+	lib := cell.NewStdLib28(opt)
+	d := netlist.NewDesign(name, lib)
+	b, err := d.Build()
+	if err != nil {
+		panic(err) // a new design is empty
+	}
+	g := &gen{cfg: cfg, lib: lib, d: d, b: b, rng: geom.NewRNG(seed), pins: &pinTable{d: d}}
+	g.std = make([]*cell.Cell, len(stdCells))
+	for i, name := range stdCells {
+		g.std[i] = lib.MustCell(name)
+	}
+	g.tile = &Tile{Design: d, Config: cfg}
 	return g
 }
 
@@ -297,7 +361,45 @@ func newGen(name string, cfg Config, seed uint64) *gen {
 func (g *gen) addMacro(name string, m *cell.Cell) *netlist.Instance {
 	g.lib.Add(m)
 	g.macros = append(g.macros, m)
-	return g.d.AddInstance(name, m)
+	g.ownInsts = append(g.ownInsts, name)
+	return g.b.AddInstance(name, m)
+}
+
+// addPort adds a top-level port.
+func (g *gen) addPort(name string, dir cell.PinDir) *netlist.Port {
+	g.ownPorts = append(g.ownPorts, name)
+	return g.b.AddPort(name, dir)
+}
+
+// addClock adds the clock net from the clock port to every registered
+// clock pin.
+func (g *gen) addClock(port *netlist.Port) {
+	g.ownNets = append(g.ownNets, "clk")
+	g.b.AddNet("clk", netlist.PPin(port), g.clk...).Clock = true
+}
+
+// checkNames proves the design's names distinct, which a by-name index
+// would have checked on every add. A name seqName cuts is distinct from
+// every other of its kind by its number — one counter per kind, the
+// number after the last '_' — and carries its kind's prefix, which no
+// name of the generator's own may: those few are compared among
+// themselves, here.
+func (g *gen) checkNames() error {
+	for _, k := range []struct {
+		kind, numbered string
+		own            []string
+	}{{"instance", "u_", g.ownInsts}, {"net", "n_", g.ownNets}, {"port", "", g.ownPorts}} {
+		slices.Sort(k.own)
+		for i, name := range k.own {
+			if k.numbered != "" && strings.HasPrefix(name, k.numbered) {
+				return fmt.Errorf("piton: %s %q carries the prefix %q of numbered names", k.kind, name, k.numbered)
+			}
+			if i > 0 && k.own[i-1] == name {
+				return fmt.Errorf("piton: duplicate %s %q", k.kind, name)
+			}
+		}
+	}
+	return nil
 }
 
 // calibrate rescales standard-cell widths so the summed logic area
@@ -327,12 +429,16 @@ func (g *gen) calibrate(target float64) error {
 	for _, m := range g.macros {
 		lib.Add(m)
 	}
+	scaled := make([]*cell.Cell, len(g.std))
+	for i, m := range g.std {
+		scaled[i] = lib.MustCell(m.Name)
+	}
 	for _, inst := range g.d.Instances {
 		if !inst.IsMacro() {
-			inst.Master = lib.MustCell(inst.Master.Name)
+			inst.Master = scaled[slices.Index(g.std, inst.Master)]
 		}
 	}
-	g.lib, g.d.Lib = lib, lib
+	g.lib, g.d.Lib, g.std = lib, lib, scaled
 	return nil
 }
 
@@ -358,23 +464,16 @@ func (g *gen) instName(hint string) string {
 	return g.seqName("u_", hint, g.ins)
 }
 
-// dff adds a flip-flop and registers its clock pin.
-func (g *gen) dff(hint string) *netlist.Instance {
-	ff := g.d.AddInstance(g.instName(hint+"_ff"), g.lib.MustCell("DFF_X1"))
-	g.clk = append(g.clk, netlist.IPin(ff, "CK"))
-	return ff
+// instance adds a standard cell of stdCells[k] under a numbered name.
+func (g *gen) instance(hint string, k int) *netlist.Instance {
+	return g.b.AddInstance(g.instName(hint), g.std[k])
 }
 
-// gate adds a random 2-to-4-input gate and wires the given drivers to
-// its inputs (cycling when fewer drivers than inputs). It returns the
-// gate; its output net must be created by the caller.
-var gateFamilies = []struct {
-	name   string
-	inputs int
-}{
-	{"NAND2_X1", 2}, {"NOR2_X1", 2}, {"NAND3_X1", 3},
-	{"AOI22_X1", 4}, {"OAI22_X1", 4}, {"XOR2_X1", 2}, {"MUX2_X1", 3},
-	{"INV_X1", 1}, {"BUF_X1", 1},
+// dff adds a flip-flop and registers its clock pin.
+func (g *gen) dff(hint string) *netlist.Instance {
+	ff := g.instance(hint+"_ff", dffX1)
+	g.clk = append(g.clk, netlist.IPin(ff, "CK"))
+	return ff
 }
 
 // cloud builds a layered random combinational cone from the driver
@@ -393,8 +492,7 @@ func (g *gen) cloud(hint string, drivers []netlist.PinRef, outs, depth int) []ne
 		}
 		next := make([]netlist.PinRef, 0, n)
 		for k := 0; k < n; k++ {
-			spec := gateFamilies[g.rng.Intn(len(gateFamilies))]
-			inst := g.d.AddInstance(g.instName(hint), g.lib.MustCell(spec.name))
+			inst := g.instance(hint, g.rng.Intn(nGates))
 			// Wire inputs from random members of the previous level,
 			// with a locality bias (nearby indices) so the cone has
 			// structure rather than uniform randomness.
@@ -423,26 +521,30 @@ const fanoutRoom = 4
 
 // fanout connects src → sink, creating or extending src's net.
 func (g *gen) fanout(src, sink netlist.PinRef) {
-	id := idOf(src)
-	if n, ok := g.netOf[id]; ok {
+	n := g.pins.net(src)
+	if n != nil {
 		n.Sinks = append(n.Sinks, sink)
-		return
+	} else {
+		sinks := g.d.SinkSpan(fanoutRoom)[:1]
+		sinks[0] = sink
+		n = g.b.AddNet(g.netName("w"), src, sinks...)
+		g.pins.set(src, n)
 	}
-	sinks := g.d.SinkSpan(fanoutRoom)[:1]
-	sinks[0] = sink
-	g.netOf[id] = g.d.AddNet(g.netName("w"), src, sinks...)
+	g.pins.set(sink, n)
 }
 
-// drive creates a named net from src to a fanout known up front and
-// records it as the driver's net. The sinks are copied into an
-// exact-size span of the design's sink arena, so callers may reuse the
-// slice they pass.
-func (g *gen) drive(name string, src netlist.PinRef, sinks ...netlist.PinRef) *netlist.Net {
+// drive creates a net, named by hint, from src to a fanout known up front
+// and records it at every pin. The sinks are copied into an exact-size
+// span of the design's sink arena, so callers may reuse the slice they
+// pass.
+func (g *gen) drive(hint string, src netlist.PinRef, sinks ...netlist.PinRef) {
 	span := g.d.SinkSpan(len(sinks))
 	copy(span, sinks)
-	n := g.d.AddNet(name, src, span...)
-	g.netOf[idOf(src)] = n
-	return n
+	n := g.b.AddNet(g.netName(hint), src, span...)
+	g.pins.set(src, n)
+	for _, s := range span {
+		g.pins.set(s, n)
+	}
 }
 
 func min(a, b int) int {

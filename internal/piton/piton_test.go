@@ -341,6 +341,75 @@ func TestGenerateStructurePinned(t *testing.T) {
 	}
 }
 
+// TestGenerateBuildsNoNameIndex: the generator proves its names distinct
+// by construction, so a generated tile holds no by-name index until its
+// first by-name use builds one over every record; and two of the names
+// the generator does not number that coincide are refused at generation.
+func TestGenerateBuildsNoNameIndex(t *testing.T) {
+	hetero := Tiny()
+	hetero.MacroProcess = MacroProcess{ClkQScale: 1.4, EnergyScale: 0.8, LeakageScale: 0.1}
+	generators := []func() (*Tile, error){
+		func() (*Tile, error) { return Generate(Tiny()) },
+		func() (*Tile, error) { return Generate(SmallCache()) },
+		func() (*Tile, error) { return Generate(LargeCache()) },
+		func() (*Tile, error) { return Generate(hetero) },
+		func() (*Tile, error) { return GenerateSensorSoC(DefaultSensorSoC()) },
+	}
+	for _, generate := range generators {
+		tile, err := generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := tile.Design
+		if i, n, p := d.OwnNames(); i+n+p != 0 {
+			t.Fatalf("%s: generation built a name index of %d/%d/%d names", d.Name, i, n, p)
+		}
+		if d.Port(tile.ClockPort) == nil {
+			t.Fatalf("%s: clock port %s not found", d.Name, tile.ClockPort)
+		}
+		if i, n, p := d.OwnNames(); i != len(d.Instances) || n != len(d.Nets) || p != len(d.Ports) {
+			t.Fatalf("%s: index of %d/%d/%d names over %d/%d/%d records", d.Name, i, n, p,
+				len(d.Instances), len(d.Nets), len(d.Ports))
+		}
+	}
+
+	refused := func(what string, build func(g *gen)) {
+		t.Helper()
+		g := newGen("dup", Tiny(), 1, 1)
+		build(g)
+		if err := g.checkNames(); err == nil {
+			t.Fatalf("%s: accepted", what)
+		}
+	}
+	refused("two ports of one name", func(g *gen) {
+		g.addPort("clk_i", cell.DirIn)
+		g.addPort(g.seqName("", "noc0_N_in", 0), cell.DirIn)
+		g.addPort("noc0_N_in_0", cell.DirOut)
+	})
+	refused("two macros of one name", func(g *gen) {
+		for i := 0; i < 2; i++ {
+			m, err := cell.NewSensor(fmt.Sprintf("sensor_macro_%d", i), 10, 10, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.addMacro("sens_0", m)
+		}
+	})
+	refused("a macro under the numbered prefix", func(g *gen) {
+		g.dff("core")
+		m, err := cell.NewSensor("sensor_macro", 10, 10, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.addMacro("u_core_ff_1", m)
+	})
+	refused("two clock nets", func(g *gen) {
+		p := g.addPort("clk_i", cell.DirIn)
+		g.addClock(p)
+		g.addClock(p)
+	})
+}
+
 // TestAbutPortIndex: the port → net index Abut stitches through names,
 // for every port, the net a scan of all drivers and sinks finds first;
 // and the 2×2 array it produces is the one the per-lookup scan

@@ -51,8 +51,11 @@ func GenerateSensorSoC(cfg SensorConfig) (*Tile, error) {
 	if cfg.CloudDepth < 1 {
 		cfg.CloudDepth = 4
 	}
-	g := newGen(cfg.Name, Config{CloudDepth: cfg.CloudDepth}, cfg.Seed)
+	g := newGen(cfg.Name, Config{CloudDepth: cfg.CloudDepth}, cfg.Seed, 1)
 	if err := g.buildSensor(cfg); err != nil {
+		return nil, err
+	}
+	if err := g.checkNames(); err != nil {
 		return nil, err
 	}
 	if err := g.calibrate(cfg.TargetLogicArea); err != nil {
@@ -66,7 +69,7 @@ func GenerateSensorSoC(cfg SensorConfig) (*Tile, error) {
 
 // buildSensor builds the SoC netlist on g's library.
 func (g *gen) buildSensor(cfg SensorConfig) error {
-	clkPort := g.d.AddPort("clk_i", cell.DirIn)
+	clkPort := g.addPort("clk_i", cell.DirIn)
 	clkPort.Layer = "M6"
 	g.tile.ClockPort = "clk_i"
 
@@ -83,7 +86,7 @@ func (g *gen) buildSensor(cfg SensorConfig) error {
 		hint := fmt.Sprintf("sens%d_cap", i)
 		for b := 0; b < cfg.DataBits; b++ {
 			ff := g.dff(hint)
-			g.drive(g.netName("sq"), netlist.IPin(inst, fmt.Sprintf("OUT%d", b)), netlist.IPin(ff, "D"))
+			g.drive("sq", netlist.IPin(inst, fmt.Sprintf("OUT%d", b)), netlist.IPin(ff, "D"))
 			captureQ = append(captureQ, netlist.IPin(ff, "Q"))
 		}
 	}
@@ -115,15 +118,14 @@ func (g *gen) buildSensor(cfg SensorConfig) error {
 	// Output bus ports on the east edge (full-cycle).
 	last := banks[cfg.Stages-1]
 	for b := 0; b < cfg.DataBits; b++ {
-		p := g.d.AddPort(fmt.Sprintf("dout_%d", b), cell.DirOut)
+		p := g.addPort(g.seqName("", "dout", b), cell.DirOut)
 		p.Layer = "M6"
 		p.ExtCap = 10
-		g.drive(g.netName("dout"), netlist.IPin(last[b%len(last)], "Q"), netlist.PPin(p))
+		g.drive("dout", netlist.IPin(last[b%len(last)], "Q"), netlist.PPin(p))
 	}
 
 	g.sweepUndriven()
 
-	clkNet := g.d.AddNet("clk", netlist.PPin(clkPort), g.clk...)
-	clkNet.Clock = true
+	g.addClock(clkPort)
 	return nil
 }
