@@ -1,12 +1,17 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: check build test vet race fuzz equiv faults bench bench-flow bench-pairs bench-route bench-stash benchall qor obs-smoke cache-smoke harden-smoke trace-smoke bench-route-smoke
+.PHONY: check fmt build test vet race fuzz equiv faults bench bench-flow bench-pairs bench-route bench-stash benchall qor obs-smoke cache-smoke harden-smoke trace-smoke bench-route-smoke
 
-## check: the full gate — vet, build, unit tests, the race-enabled
+## check: the full gate — gofmt, vet, build, unit tests, the race-enabled
 ## fault-injection suite, a bounded fuzz of the snapshot decoder, then the
 ## observability, stage-cache, hardened-macro, execution-tracer and
 ## benchmark-pipeline smoke tests (what CI should run).
-check: vet build test race fuzz obs-smoke cache-smoke harden-smoke trace-smoke bench-route-smoke
+check: fmt vet build test race fuzz obs-smoke cache-smoke harden-smoke trace-smoke bench-route-smoke
+
+## fmt: fails on any Go file gofmt would rewrite, and names it.
+fmt:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l: these files need gofmt -w:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -171,28 +171,24 @@ type FlowState = flows.State
 //
 // Every flow runs its stages inside an instrumented runner: panics are
 // contained and surfaced as *StageError, cancellation is honoured at
-// stage boundaries, and each attempt is recorded in the state's
+// stage boundaries, and each stage is recorded in the state's
 // RunReport trace.
 
 // StageError is the structured failure every flow returns: which flow
-// and stage failed, under what seed and configuration, on which
-// attempt, and the underlying cause (a *PanicError when the stage
-// panicked). Retrieve it with errors.As.
+// and stage failed, under what seed and configuration, and the
+// underlying cause (a *PanicError when the stage panicked). Retrieve it
+// with errors.As.
 type StageError = flows.StageError
 
 // PanicError is the cause inside a StageError when a stage panicked;
 // it carries the recovered value and the goroutine stack.
 type PanicError = flows.PanicError
 
-// RetryPolicy bounds per-stage retries; each retry re-runs the stage
-// with a deterministically perturbed seed (see flows.PerturbSeed).
-type RetryPolicy = flows.RetryPolicy
-
-// StageRecord is one attempt of one stage in a flow trace.
+// StageRecord is one stage in a flow trace.
 type StageRecord = flows.StageRecord
 
-// RunReport is the per-flow execution trace: every stage attempt with
-// its seed, duration and outcome, plus whether the flow completed.
+// RunReport is the per-flow execution trace: every stage with its
+// seed, duration and outcome, plus whether the flow completed.
 // Available as FlowState.Trace even when the flow fails part-way.
 type RunReport = flows.RunReport
 
@@ -411,8 +407,8 @@ func NewObsRecorder() *ObsRecorder { return obs.New() }
 
 // --- Execution tracing ---
 
-// ExecTracer records a run's execution timeline — a slice per stage
-// attempt, engine phase and per-worker chunk, with phase, step and
+// ExecTracer records a run's execution timeline — a slice per stage,
+// engine phase and per-worker chunk, with phase, step and
 // stash-attribution args. Attach one with ObsRecorder.SetTimeline to
 // the recorder of FlowConfig.Obs to trace a run; without one (the
 // default) tracing costs a nil check and results are byte-identical.

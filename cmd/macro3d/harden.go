@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -45,7 +46,7 @@ func hardenMain(args []string) int {
 	if err := fs.Parse(args); err != nil || strayArgs(fs) {
 		return 2
 	}
-	if err := checkCacheFlags(*cacheDir, *resume, *cacheMax, *jobs); err != nil {
+	if err := cmp.Or(checkCacheFlags(*cacheDir, *resume, *cacheMax, *jobs), checkSizeFlags(*metals, *array)); err != nil {
 		fmt.Fprintln(os.Stderr, "macro3d harden:", err)
 		return 2
 	}

@@ -18,7 +18,7 @@
 // -timeout bounds the whole invocation (flows are cancelled at the
 // next stage boundary); -keep-going lets multi-column experiments
 // print the surviving columns when one flow fails. On a flow failure
-// the stage diagnostics (flow, stage, seed, attempt, cause) are
+// the stage diagnostics (flow, stage, seed, cause) are
 // printed to stderr and the exit status is non-zero.
 //
 // -cache-dir enables the content-addressed stage cache: completed
@@ -196,6 +196,9 @@ func (o *options) validate() error {
 	if err := checkCacheFlags(o.cacheDir, o.resume, o.cacheMax, o.jobs); err != nil {
 		return err
 	}
+	if err := checkSizeFlags(o.metals, o.array); err != nil {
+		return err
+	}
 	if o.experiment != "" && o.experiment != "flowtrace" {
 		for _, name := range []string{"config", "macrodiemetals"} {
 			if o.set[name] {
@@ -217,6 +220,18 @@ func checkCacheFlags(cacheDir string, resume bool, cacheMax int64, jobs int) err
 		return errors.New("-cache-max-bytes needs -cache-dir or -resume")
 	case jobs < 0:
 		return fmt.Errorf("-j %d: a worker count is 0 (every CPU) or more", jobs)
+	}
+	return nil
+}
+
+// checkSizeFlags rejects the stack and array sizes no run could honour:
+// a macro die with no metal layer, and a negative array edge.
+func checkSizeFlags(metals, array int) error {
+	switch {
+	case metals <= 0:
+		return fmt.Errorf("-macrodiemetals %d: a macro die has 1 metal layer or more", metals)
+	case array < 0:
+		return fmt.Errorf("-array %d: an array edge is 0 (no array) or more", array)
 	}
 	return nil
 }
@@ -396,7 +411,7 @@ func printFailure(err error) {
 	fmt.Fprintln(os.Stderr, "macro3d: flow failed")
 	fmt.Fprintf(os.Stderr, "  flow    %s\n", se.Flow)
 	fmt.Fprintf(os.Stderr, "  stage   %s\n", se.Stage)
-	fmt.Fprintf(os.Stderr, "  seed    %d (attempt %d)\n", se.Seed, se.Attempt)
+	fmt.Fprintf(os.Stderr, "  seed    %d\n", se.Seed)
 	if se.Config != "" {
 		fmt.Fprintf(os.Stderr, "  config  %s\n", se.Config)
 	}

@@ -78,7 +78,9 @@ func TestCacheAndWorkerFlagMisuse(t *testing.T) {
 // subcommand, so it is one too. An experiment sets the tile and the
 // macro-die stack of every flow it runs, so an explicit -config or
 // -macrodiemetals with one — flowtrace aside — is rejected rather than
-// silently ignored.
+// silently ignored. A macro die of no metal and a negative -array edge
+// are rejected in every mode that takes them, not run as the default
+// stack or as no array.
 func TestUsageErrorsExitBeforeAnyWork(t *testing.T) {
 	for _, args := range [][]string{
 		{"-flow", "2d", "-config", "tiny", "extra", "-seed", "7"},
@@ -95,20 +97,33 @@ func TestUsageErrorsExitBeforeAnyWork(t *testing.T) {
 		{"-experiment", "table1", "-config", "tiny"},
 		{"-experiment", "table2", "-macrodiemetals", "4"},
 		{"-experiment", "seeds", "-config", "small"},
+		{"-flow", "macro3d", "-config", "tiny", "-macrodiemetals", "0"},
+		{"-flow", "macro3d", "-config", "tiny", "-macrodiemetals", "-4"},
+		{"-flow", "macro3d", "-config", "tiny", "-array", "-3"},
+		{"-flow", "2d", "-config", "tiny", "-array", "-1"},
 		{},
 	} {
 		if code := realMain(args); code != 2 {
 			t.Errorf("macro3d %q: exit %d, want 2", args, code)
 		}
 	}
-	if code := hardenMain([]string{"-config", "tiny", "extra", "-seed", "7"}); code != 2 {
-		t.Errorf("macro3d harden with a stray argument: exit %d, want 2", code)
+	for _, args := range [][]string{
+		{"-config", "tiny", "extra", "-seed", "7"},
+		{"-config", "tiny", "-macrodiemetals", "0"},
+		{"-config", "tiny", "-array", "-3"},
+	} {
+		if code := hardenMain(args); code != 2 {
+			t.Errorf("macro3d harden %q: exit %d, want 2", args, code)
+		}
+	}
+	if code := traceReportMain([]string{"-flow", "2d", "-config", "tiny", "-macrodiemetals", "0"}); code != 2 {
+		t.Errorf("macro3d trace-report -macrodiemetals 0: exit %d, want 2", code)
 	}
 	if code := traceReportMain([]string{"-flow", "2d", "-config", "tiny", "extra"}); code != 2 {
 		t.Errorf("macro3d trace-report with a stray argument: exit %d, want 2", code)
 	}
 	for _, flow := range []string{"2d", "macro3d"} {
-		if err := (&options{flow: flow, array: 3}).validate(); err != nil {
+		if err := (&options{flow: flow, array: 3, metals: 6}).validate(); err != nil {
 			t.Errorf("-flow %s -array 3 rejected: %v", flow, err)
 		}
 	}
@@ -126,7 +141,7 @@ func TestUsageErrorsExitBeforeAnyWork(t *testing.T) {
 		}
 	}
 	set := map[string]bool{"config": true, "macrodiemetals": true}
-	if err := (&options{experiment: "flowtrace", set: set}).validate(); err != nil {
+	if err := (&options{experiment: "flowtrace", metals: 4, set: set}).validate(); err != nil {
 		t.Errorf("-experiment flowtrace -config -macrodiemetals rejected: %v", err)
 	}
 }

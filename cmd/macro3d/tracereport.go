@@ -47,6 +47,10 @@ func traceReportMain(args []string) int {
 		fs.Usage()
 		return 2
 	}
+	if err := checkSizeFlags(*metals, 0); err != nil {
+		fmt.Fprintln(os.Stderr, "macro3d trace-report:", err)
+		return 2
+	}
 
 	var tr *macro3d.ExecTracer
 	if *in != "" {

@@ -101,6 +101,27 @@ func RemapAbstractForMacroDie(m *cell.Cell, combined *tech.BEOL) (*cell.Cell, er
 	return e, nil
 }
 
+// onMacroDie checks that every layer the macro-die view e of master m
+// (EditMacroForMacroDie) puts a pin or an obstruction on exists in
+// combined, as BEOL.MacroDieName does — on e's already renamed layers,
+// so a check that passes allocates nothing. An error names m's layer.
+func onMacroDie(m, e *cell.Cell, combined *tech.BEOL) error {
+	for i := range e.Pins {
+		if e.Pins[i].Layer == "" {
+			continue
+		}
+		if _, err := combined.MacroDieName(e.Pins[i].Layer); err != nil {
+			return fmt.Errorf("pin %s on %s: %w", m.Pins[i].Name, m.Pins[i].Layer, err)
+		}
+	}
+	for i := range e.Obstructions {
+		if _, err := combined.MacroDieName(e.Obstructions[i].Layer); err != nil {
+			return fmt.Errorf("obstruction %d on %s: %w", i, m.Obstructions[i].Layer, err)
+		}
+	}
+	return nil
+}
+
 // MoLDesign is a design prepared for single-pass 3D P&R.
 type MoLDesign struct {
 	Design   *netlist.Design
@@ -139,7 +160,8 @@ func PrepareMoL(d *netlist.Design, logicBeol, macroBeol *tech.BEOL, f2f tech.F2F
 		FP:          &floorplan.Floorplan{Die: die},
 	}
 
-	// Edit every macro-die macro.
+	// Edit every macro-die macro, onto layers the macro die has: a
+	// stack too thin for a macro fails here, not in the router.
 	for _, m := range d.Macros() {
 		if m.Die != netlist.MacroDie {
 			continue
@@ -150,6 +172,9 @@ func PrepareMoL(d *netlist.Design, logicBeol, macroBeol *tech.BEOL, f2f tech.F2F
 		edited, err := EditMacroForMacroDie(m.Master, fillerW, fillerH)
 		if err != nil {
 			return nil, err
+		}
+		if err := onMacroDie(m.Master, edited, combined); err != nil {
+			return nil, fmt.Errorf("core: macro %s: %w", m.Name, err)
 		}
 		m.Master = edited
 		md.EditedMacros++

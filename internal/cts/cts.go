@@ -26,17 +26,19 @@ type Options struct {
 	// RepeaterSpan is the wire length after which a repeater is
 	// inserted on a tree edge, µm (default 220).
 	RepeaterSpan float64
-	// BufferName selects the clock buffer master (default BUF_X8).
-	BufferName string
 	// NoSkewBalance disables the final leaf-delay balancing pass.
 	// Balanced trees are standard sign-off practice: delay padding at
 	// the leaves equalizes sink latencies to the slowest branch,
-	// leaving only an engineering residual.
+	// leaving only an engineering residual (residualSkew).
 	NoSkewBalance bool
-	// ResidualSkew is the skew remaining after balancing, ps
-	// (default 25).
-	ResidualSkew float64
 }
+
+// ClockBuffer is the clock buffer master every tree node and repeater
+// instantiates; power prices the tree's buffers as this master.
+const ClockBuffer = "BUF_X8"
+
+// residualSkew is the skew a balanced tree keeps, ps.
+const residualSkew = 25.0
 
 func (o Options) withDefaults() Options {
 	if o.MaxLeafSinks <= 0 {
@@ -44,12 +46,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RepeaterSpan <= 0 {
 		o.RepeaterSpan = 220
-	}
-	if o.BufferName == "" {
-		o.BufferName = "BUF_X8"
-	}
-	if o.ResidualSkew <= 0 {
-		o.ResidualSkew = 25
 	}
 	return o
 }
@@ -118,7 +114,7 @@ type builder struct {
 // through the F2F via transparently — their (x, y) is what matters.
 func Build(d *netlist.Design, clk *netlist.Net, src geom.Point, lib *cell.Library, beol *tech.BEOL, opt Options) *Tree {
 	opt = opt.withDefaults()
-	buf := lib.MustCell(opt.BufferName)
+	buf := lib.MustCell(ClockBuffer)
 	rPer, cPer := clockWireRC(beol)
 	t := &Tree{Latency: make([]float64, len(d.Instances))}
 	b := builder{t: t, buf: buf, bufCap: buf.Pin("A").Cap, rPer: rPer, cPer: cPer, opt: opt}
@@ -154,7 +150,7 @@ func Build(d *netlist.Design, clk *netlist.Net, src geom.Point, lib *cell.Librar
 		// Leaf delay padding: every sink is slowed to the latest branch
 		// minus a proportional share of the residual, like the delay
 		// cells a production CTS inserts.
-		spread := opt.ResidualSkew
+		spread := residualSkew
 		if t.Skew < spread {
 			spread = t.Skew
 		}

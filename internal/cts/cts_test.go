@@ -224,16 +224,17 @@ func TestSkewBalancing(t *testing.T) {
 	}
 }
 
+// TestResidualSkewOption: balancing leaves the residual skew, 25 ps, of
+// a tree whose raw skew exceeds it, and the raw skew of one that does not.
 func TestResidualSkewOption(t *testing.T) {
-	d, clk, src := gridDesign(10, 10, 150)
 	b := beol(t)
-	tight := Build(d, clk, src, d.Lib, b, Options{ResidualSkew: 5})
-	loose := Build(d, clk, src, d.Lib, b, Options{ResidualSkew: 60})
-	if tight.Skew > 5+1e-9 {
-		t.Fatalf("tight skew = %v", tight.Skew)
-	}
-	if loose.Skew <= tight.Skew {
-		t.Fatalf("loose (%v) not looser than tight (%v)", loose.Skew, tight.Skew)
+	for _, pitch := range []float64{150, 5} {
+		d, clk, src := gridDesign(10, 10, pitch)
+		raw := Build(d, clk, src, d.Lib, b, Options{NoSkewBalance: true})
+		balanced := Build(d, clk, src, d.Lib, b, Options{})
+		if want := min(raw.Skew, residualSkew); balanced.Skew != want {
+			t.Errorf("pitch %g µm: balanced skew %v ps, want min(raw %v, residual %v)", pitch, balanced.Skew, raw.Skew, residualSkew)
+		}
 	}
 }
 

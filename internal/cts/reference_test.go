@@ -29,7 +29,7 @@ type refTree struct {
 // over its sorted keys. Build must reproduce it bit for bit.
 func refBuild(clk *netlist.Net, src geom.Point, lib *cell.Library, beol *tech.BEOL, opt Options) *refTree {
 	opt = opt.withDefaults()
-	buf := lib.MustCell(opt.BufferName)
+	buf := lib.MustCell(ClockBuffer)
 	rPer, cPer := clockWireRC(beol)
 
 	var sinks []Sink
@@ -52,7 +52,7 @@ func refBuild(clk *netlist.Net, src geom.Point, lib *cell.Library, beol *tech.BE
 	t.Skew = t.MaxLatency - t.MinLatency
 
 	if !opt.NoSkewBalance && len(t.latencyOf) > 1 {
-		spread := opt.ResidualSkew
+		spread := residualSkew
 		if t.Skew < spread {
 			spread = t.Skew
 		}

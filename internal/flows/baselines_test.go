@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -287,15 +288,24 @@ func TestGeneratorHookSensor(t *testing.T) {
 
 // A macro-die metal count the technology lacks fails where it did in
 // the hand-written scripts — Macro-3D at generate, the pseudo flows at
-// prepare — and no 3D flow shows a BEOL in its State before prepare.
+// prepare — and no 3D flow shows a BEOL in its State before prepare. A
+// macro die with fewer metals than its macros' pins use — the tiny
+// tile's SRAMs reach M4, so three — fails at prepare too, naming the
+// macro and the layer, rather than after placement, in the router.
 func TestBadMacroDieMetalsFailingStage(t *testing.T) {
-	for _, c := range []struct{ flow, stage string }{
-		{"macro3d", StageGenerate},
-		{"s2d", StagePrepare},
-		{"c2d", StagePrepare},
+	for _, c := range []struct {
+		flow   string
+		metals int
+		stage  string
+	}{
+		{"macro3d", 99, StageGenerate},
+		{"s2d", 99, StagePrepare},
+		{"c2d", 99, StagePrepare},
+		{"macro3d", 3, StagePrepare},
+		{"s2d", 3, StagePrepare},
 	} {
 		cfg := tinyCfg()
-		cfg.MacroDieMetals = 99
+		cfg.MacroDieMetals = c.metals
 		cfg.AfterStage = func(flow, stage string, st *State) {
 			if st.Beol != nil && !strings.HasPrefix(stage, "pseudo-") && stage != StageTransfer {
 				t.Errorf("%s: State.Beol set after %s, before prepare", c.flow, stage)
@@ -311,6 +321,16 @@ func TestBadMacroDieMetalsFailingStage(t *testing.T) {
 		}
 		if last := st.Trace.Stages[len(st.Trace.Stages)-1]; last.Stage != c.stage {
 			t.Errorf("%s: trace ends at %s, want %s", c.flow, last.Stage, c.stage)
+		}
+		if c.metals != 3 {
+			continue
+		}
+		m := regexp.MustCompile(`core: macro (\S+): .* on M4: `).FindStringSubmatch(err.Error())
+		if m == nil {
+			t.Fatalf("%s: %v names no macro and M4", c.flow, err)
+		}
+		if inst := st.Design.Instance(m[1]); inst == nil || !inst.IsMacro() || inst.Die != netlist.MacroDie {
+			t.Errorf("%s: %q is no macro on the macro die", c.flow, m[1])
 		}
 	}
 }

@@ -3,14 +3,20 @@ package flows
 import (
 	"bytes"
 	"encoding/hex"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
+	"macro3d/internal/opt"
 	"macro3d/internal/piton"
 	"macro3d/internal/stash"
+	"macro3d/internal/tech"
 )
 
 func tinyCacheCfg() Config {
@@ -101,7 +107,11 @@ func TestStageCacheKeyStability(t *testing.T) {
 // piton.Config and the stage cache by the fields rootKey lists by hand,
 // so every field — nested ones included — must move the key. A field of
 // a kind the test cannot vary fails it too: adding a field to
-// piton.Config means revisiting rootKey and this test.
+// piton.Config means revisiting rootKey and this test. The same holds
+// for Config: each field is on rootKey's list of the deliberately
+// excluded, or it moves the key material of the first checkpoint that
+// depends on it — the root, the 3D stack's, the blockage resolution's
+// or the signoff's.
 func TestRootKeyCoversPitonConfig(t *testing.T) {
 	cfg := tinyCacheCfg().withDefaults()
 	base, err := rootKey("Macro-3D", cfg)
@@ -138,6 +148,57 @@ func TestRootKeyCoversPitonConfig(t *testing.T) {
 	vary(reflect.ValueOf(&cfg.Piton).Elem(), "")
 	if k, _ := rootKey("Macro-3D", cfg); k != base {
 		t.Fatal("the test did not restore the configuration")
+	}
+
+	tc, err := tech.New28(logicMetals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := func(c Config) []byte {
+		k, err := rootKey("Macro-3D", c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k[:]
+	}
+	stack := func(c Config) []byte { return stackMaterial(c, tc) }
+	signoff := func(c Config) []byte { return signoffMaterial(c.budget(opt.Options{})) }
+	keyed := map[string]struct {
+		material func(Config) []byte
+		vary     func(*Config)
+	}{
+		"Piton":              {root, func(c *Config) { c.Piton.L2 *= 2 }},
+		"Seed":               {root, func(c *Config) { c.Seed++ }},
+		"MacroDieMetals":     {stack, func(c *Config) { c.MacroDieMetals-- }},
+		"F2F":                {stack, func(c *Config) { s := tc.F2F; s.Pitch *= 2; c.F2F = &s }},
+		"BlockageResolution": {resolutionMaterial, func(c *Config) { c.BlockageResolution *= 2 }},
+		"TargetPeriod":       {signoff, func(c *Config) { c.TargetPeriod = 900 }},
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "checkpoint.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rootDoc string
+	for _, d := range f.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.Name == "rootKey" {
+			rootDoc = fn.Doc.Text()
+		}
+	}
+	_, rootDoc, _ = strings.Cut(rootDoc, "Deliberately excluded:")
+	rootDoc, _, _ = strings.Cut(rootDoc, "per-stage inputs")
+	for _, sf := range reflect.VisibleFields(reflect.TypeFor[Config]()) {
+		k, isKeyed := keyed[sf.Name]
+		excluded := regexp.MustCompile(`\b` + sf.Name + `\b`).MatchString(rootDoc)
+		switch {
+		case isKeyed == excluded:
+			t.Errorf("Config.%s: keyed %v, on rootKey's exclusion list %v; want exactly one", sf.Name, isKeyed, excluded)
+		case isKeyed:
+			varied := cfg
+			k.vary(&varied)
+			if bytes.Equal(k.material(cfg), k.material(varied)) {
+				t.Errorf("changing Config.%s leaves the key material it enters as it was", sf.Name)
+			}
+		}
 	}
 }
 

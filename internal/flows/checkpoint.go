@@ -29,14 +29,11 @@ func (c Config) cacheEnabled() bool {
 	return c.Cache != nil && c.Generator == nil && c.AfterStage == nil
 }
 
-// techFingerprint hashes the technology the run builds on: the logic
-// BEOL and the standard-cell library, rendered through the LEF writer
-// so any change to the built-in tables invalidates the cache. It is
-// computed once per logic-metal count in a process (fingerprints); the
-// slice is shared, not to be written.
-func techFingerprint(logicMetals int) ([]byte, error) { return fingerprints.get(logicMetals) }
-
-func buildTechFingerprint(logicMetals int) ([]byte, error) {
+// buildTechFingerprint hashes the technology every run builds on: the
+// logic BEOL and the standard-cell library, rendered through the LEF
+// writer so any change to the built-in tables invalidates the cache. A
+// process computes it once (techFingerprint).
+func buildTechFingerprint() ([]byte, error) {
 	t, err := tech.New28(logicMetals)
 	if err != nil {
 		return nil, err
@@ -51,19 +48,22 @@ func buildTechFingerprint(logicMetals int) ([]byte, error) {
 
 // rootKey derives the first key of a run's checkpoint chain from
 // everything every stage depends on: codec version, flow kind,
-// technology fingerprint and the full benchmark configuration.
+// technology fingerprint, the tile configuration and the seed.
 //
 // Deliberately excluded: Workers (results are bit-identical at any
 // worker count — the parallel-engine equivalence guarantee, pinned by
 // TestStageCacheKeyStability), Obs/SelfCheck/Verify (pure observation
 // and checking — spans and the timeline record a run, they never change
-// results), and per-stage inputs like TargetPeriod, MacroDieMetals, F2F and
-// BlockageResolution, which enter the chain as key material of the
-// first checkpoint that depends on them so unrelated prefixes still
-// hit. The seed is included: results depend on it, so sharing entries
-// across seeds would be unsound.
+// results), Cache/CacheVerify (the cache itself), AfterStage/Generator
+// (either disables the cache: cacheEnabled), and the per-stage inputs
+// TargetPeriod, MacroDieMetals, F2F and BlockageResolution, which enter
+// the chain as key material of the first checkpoint that depends on
+// them so unrelated prefixes still hit (TestRootKeyCoversPitonConfig
+// holds every Config field to one side or the other). The seed is
+// included: results depend on it, so sharing entries across seeds
+// would be unsound.
 func rootKey(flow string, cfg Config) (stash.Key, error) {
-	fp, err := techFingerprint(cfg.LogicMetals)
+	fp, err := techFingerprint()
 	if err != nil {
 		return stash.Key{}, err
 	}
@@ -88,9 +88,6 @@ func rootKey(flow string, cfg Config) (stash.Key, error) {
 	e.F64(p.MacroProcess.LeakageScale)
 	e.U64(p.Seed)
 	e.U64(cfg.Seed)
-	e.Int(cfg.LogicMetals)
-	e.F64(cfg.Util)
-	e.Int(cfg.Retry.MaxAttempts)
 	return stash.NewKey(e.Bytes()), nil
 }
 
@@ -257,7 +254,7 @@ func (r *runner) restore(cp checkpoint, key stash.Key, sub []stage) error {
 	r.cur.SetAttr("err", err.Error())
 	r.cur.End()
 	r.cur = nil
-	r.record(cp.name, 1, r.cfg.Seed, dur,
+	r.record(cp.name, r.cfg.Seed, dur,
 		fmt.Errorf("cache load: %w", err))
 	r.cfg.Cache.Evict(key)
 	r.stashErrors().Inc()
@@ -290,7 +287,7 @@ func (r *runner) supersede(cp checkpoint) {
 // cached records a region restored from the cache and counts the hit.
 func (r *runner) cached(name string, dur time.Duration) {
 	r.trace.Stages = append(r.trace.Stages, StageRecord{
-		Stage: name, Attempt: 1, Seed: r.cfg.Seed,
+		Stage: name, Seed: r.cfg.Seed,
 		Duration: dur, Cached: true,
 	})
 	r.stashHits().Inc()
@@ -328,16 +325,16 @@ func (r *runner) verifyHit(cp checkpoint, key stash.Key, payload []byte, sub []s
 		r.cfg.Cache.Evict(key)
 		r.stashErrors().Inc()
 		verr := fmt.Errorf("cache verify: re-encode: %w", err)
-		r.record(cp.name, 1, r.cfg.Seed, 0, verr)
-		return r.fail(cp.name, r.cfg.Seed, 1, verr)
+		r.record(cp.name, r.cfg.Seed, 0, verr)
+		return r.fail(cp.name, r.cfg.Seed, verr)
 	}
 	if !bytes.Equal(enc.Bytes(), payload) {
 		r.cfg.Cache.Evict(key)
 		r.stashErrors().Inc()
 		verr := fmt.Errorf("cache verify: region %q re-ran to state differing from the cached snapshot (%d vs %d bytes)",
 			cp.name, enc.Len(), len(payload))
-		r.record(cp.name, 1, r.cfg.Seed, 0, verr)
-		return r.fail(cp.name, r.cfg.Seed, 1, verr)
+		r.record(cp.name, r.cfg.Seed, 0, verr)
+		return r.fail(cp.name, r.cfg.Seed, verr)
 	}
 	r.stashHits().Inc()
 	r.counter("stash_verified_total", "Cache hits re-run and confirmed bit-identical under -cache-verify.").Inc()

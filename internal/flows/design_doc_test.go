@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -155,5 +156,251 @@ func TestGoroutineScope(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEveryOptionHasACaller holds DESIGN.md §3's "constants that were
+// options": every exported field of an exported Options or Config struct
+// under internal/ is set somewhere in the repository's non-test code —
+// bench/, cmd/ and examples/ included — by a keyed composite-literal
+// entry or a selector assignment, or it is on the keep list below with
+// its reason. A package assigning to an option value it was handed as a
+// receiver or parameter (its withDefaults, or a default filled in at an
+// entry point) is no caller. A field nothing sets always takes its
+// default: it is a constant of its package, not an option.
+//
+// The walk is syntactic. A literal's type is resolved through the file's
+// imports and the repository's type aliases; a literal whose type is
+// elided sets nothing. An assignment's target is resolved when it is a
+// receiver, a parameter or a variable declared with its type or a
+// literal; any other target sets every field of that name.
+func TestEveryOptionHasACaller(t *testing.T) {
+	keep := map[string]string{
+		"route.Options.GCellPitch":  "tests shape small routing fixtures with it",
+		"route.Options.MaxIters":    "tests shape small routing fixtures with it",
+		"place.Options.BinPitch":    "tests shape small placement fixtures with it",
+		"place.Options.Iters":       "tests shape small placement fixtures with it",
+		"cts.Options.MaxLeafSinks":  "tests shape small clock-tree fixtures with it",
+		"cts.Options.RepeaterSpan":  "tests shape small clock-tree fixtures with it",
+		"cts.Options.NoSkewBalance": "tests compare the unbalanced tree with it",
+		"flows.Config.SelfCheck":    "the determinism harness's verification mode",
+	}
+	type typeKey struct{ pkg, name string }
+	type file struct {
+		path    string // import path of the file's package
+		ast     *ast.File
+		imports map[string]string
+	}
+	var files []file
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel("../..", path)
+		rel = filepath.ToSlash(rel)
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (rel == "testdata" || strings.HasSuffix(rel, "/testdata") || rel != "." && strings.HasPrefix(rel, ".")):
+			return fs.SkipDir
+		case d.IsDir() || !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fl := file{path: strings.TrimSuffix("macro3d/"+filepath.ToSlash(filepath.Dir(rel)), "/."), ast: f, imports: map[string]string{}}
+		for _, im := range f.Imports {
+			p := strings.Trim(im.Path.Value, `"`)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			fl.imports[name] = p
+		}
+		files = append(files, fl)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The option structs, their fields (each with the name the test
+	// reports it by), and every type alias in the repository.
+	type alias struct {
+		fl  file
+		typ ast.Expr
+	}
+	fields := map[typeKey]map[string]string{}
+	aliases := map[typeKey]alias{}
+	for _, fl := range files {
+		for _, decl := range fl.ast.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				k := typeKey{fl.path, ts.Name.Name}
+				if ts.Assign.IsValid() {
+					aliases[k] = alias{fl, ts.Type}
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !strings.HasPrefix(fl.path, "macro3d/internal/") || ts.Name.Name != "Options" && ts.Name.Name != "Config" {
+					continue
+				}
+				fields[k] = map[string]string{}
+				for _, fd := range st.Fields.List {
+					for _, n := range fd.Names {
+						if n.IsExported() {
+							fields[k][n.Name] = fl.ast.Name.Name + "." + ts.Name.Name + "." + n.Name
+						}
+					}
+				}
+			}
+		}
+	}
+	// resolve names the type a type expression of fl denotes.
+	var resolve func(fl file, e ast.Expr) (typeKey, bool)
+	resolve = func(fl file, e ast.Expr) (typeKey, bool) {
+		var k typeKey
+		switch e := e.(type) {
+		case *ast.StarExpr:
+			return resolve(fl, e.X)
+		case *ast.ParenExpr:
+			return resolve(fl, e.X)
+		case *ast.Ident:
+			k = typeKey{fl.path, e.Name}
+		case *ast.SelectorExpr:
+			x, ok := e.X.(*ast.Ident)
+			if !ok || fl.imports[x.Name] == "" {
+				return k, false
+			}
+			k = typeKey{fl.imports[x.Name], e.Sel.Name}
+		default:
+			return k, false
+		}
+		if a, ok := aliases[k]; ok {
+			return resolve(a.fl, a.typ)
+		}
+		return k, true
+	}
+
+	set := map[string]bool{}
+	// assign marks the field an assignment to lhs sets.
+	assign := func(fl file, lhs ast.Expr, vars map[string]ast.Expr, params map[string]bool) {
+		sel, ok := lhs.(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		if id, ok := sel.X.(*ast.Ident); ok && vars[id.Name] != nil {
+			if k, ok := resolve(fl, vars[id.Name]); ok {
+				if q, ok := fields[k][sel.Sel.Name]; ok && !(params[id.Name] && k.pkg == fl.path) {
+					set[q] = true
+				}
+				return
+			}
+		}
+		for _, fs := range fields {
+			if q, ok := fs[sel.Sel.Name]; ok {
+				set[q] = true
+			}
+		}
+	}
+	for _, fl := range files {
+		for _, decl := range fl.ast.Decls {
+			// vars holds the declared type of a receiver, parameter or
+			// local variable, by name, for the function being walked;
+			// params names its receiver and parameters.
+			vars, params := map[string]ast.Expr{}, map[string]bool{}
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				for _, list := range []*ast.FieldList{fn.Recv, fn.Type.Params} {
+					if list == nil {
+						continue
+					}
+					for _, fd := range list.List {
+						for _, n := range fd.Names {
+							vars[n.Name], params[n.Name] = fd.Type, true
+						}
+					}
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.ValueSpec:
+					for _, id := range n.Names {
+						if n.Type != nil {
+							vars[id.Name], params[id.Name] = n.Type, false
+						}
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						id, ok := lhs.(*ast.Ident)
+						if n.Tok != token.DEFINE || !ok || len(n.Rhs) != len(n.Lhs) {
+							continue
+						}
+						rhs := n.Rhs[i]
+						if u, ok := rhs.(*ast.UnaryExpr); ok && u.Op == token.AND {
+							rhs = u.X
+						}
+						params[id.Name] = false
+						if lit, ok := rhs.(*ast.CompositeLit); ok && lit.Type != nil {
+							vars[id.Name] = lit.Type
+						} else {
+							delete(vars, id.Name)
+						}
+					}
+					if n.Tok == token.DEFINE {
+						return true
+					}
+					for _, lhs := range n.Lhs {
+						assign(fl, lhs, vars, params)
+					}
+				case *ast.IncDecStmt:
+					assign(fl, n.X, vars, params)
+				case *ast.CompositeLit:
+					k, ok := resolve(fl, n.Type)
+					if !ok || fields[k] == nil {
+						return true
+					}
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							set[fields[k][kv.Key.(*ast.Ident).Name]] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var missing []string
+	for _, fs := range fields {
+		for _, q := range fs {
+			_, kept := keep[q]
+			switch {
+			case set[q] && kept:
+				t.Errorf("%s is on the keep list, but non-test code sets it: drop its entry", q)
+			case !set[q] && !kept:
+				missing = append(missing, q)
+			}
+		}
+	}
+	for q := range keep {
+		found := false
+		for _, fs := range fields {
+			for _, f := range fs {
+				found = found || f == q
+			}
+		}
+		if !found {
+			t.Errorf("keep list names %s, which is no option field", q)
+		}
+	}
+	slices.Sort(missing)
+	for _, q := range missing {
+		t.Errorf("%s: no non-test code sets it, so it always takes its default; make it a constant of its package", q)
 	}
 }

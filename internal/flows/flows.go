@@ -1,7 +1,7 @@
 // Package flows implements the end-to-end physical-design flows the
 // paper compares on the OpenPiton tile, as data: a flow table (Names,
 // Run) whose rows are ordered stage lists, executed by one instrumented
-// runner (retry, timeout, panic containment, cancellation, stage cache).
+// runner (timeout, panic containment, cancellation, stage cache).
 //
 //   - 2d: the baseline single-die flow (macros ring the periphery,
 //     six metal layers): generate, floorplan, place, then the back end
@@ -27,6 +27,7 @@
 package flows
 
 import (
+	"cmp"
 	"fmt"
 
 	"macro3d/internal/cts"
@@ -51,14 +52,10 @@ type Config struct {
 	// piton.LargeCache()).
 	Piton piton.Config
 
-	// LogicMetals per die (paper: 6). MacroDieMetals only affects 3D
-	// flows (6 for M6–M6, 4 for the Table III M6–M4 ablation).
-	LogicMetals    int
+	// MacroDieMetals is the macro die's metal count, which only 3D
+	// flows read (default 6 for M6–M6, 4 for the Table III M6–M4
+	// ablation). The logic die has logicMetals.
 	MacroDieMetals int
-
-	// Util is the standard-cell utilization target for die sizing
-	// (default 0.70).
-	Util float64
 
 	// TargetPeriod, when > 0, runs timing optimization only until the
 	// target is met (iso-performance mode); 0 = max performance.
@@ -85,10 +82,6 @@ type Config struct {
 	Generator func() (*piton.Tile, error)
 
 	Seed uint64
-
-	// Retry bounds re-runs of failed stochastic stages (placement,
-	// tier partitioning) with deterministically perturbed seeds.
-	Retry RetryPolicy
 
 	// Verify, when true, appends independent sign-off verification as
 	// a final stage (plus die separation for 3D flows to obtain the
@@ -158,6 +151,15 @@ func (c Config) routeOptions(sp *obs.Span) route.Options {
 	return route.Options{Obs: sp}
 }
 
+// budget resolves a flow's optimization budget against the
+// configuration: its target period, unless the flow sets one, and
+// SelfCheck.
+func (c Config) budget(b opt.Options) opt.Options {
+	b.TargetPeriod = cmp.Or(b.TargetPeriod, c.TargetPeriod)
+	b.SelfCheck = b.SelfCheck || c.SelfCheck
+	return b
+}
+
 // f2f is the effective face-to-face via technology: the override, or
 // the technology's default.
 func (c Config) f2f(t *tech.Tech) tech.F2FSpec {
@@ -167,15 +169,16 @@ func (c Config) f2f(t *tech.Tech) tech.F2FSpec {
 	return t.F2F
 }
 
+// logicMetals is the logic die's metal count in every flow: the
+// paper's six.
+const logicMetals = 6
+
+// util is the standard-cell utilization the die is sized for.
+const util = 0.70
+
 func (c Config) withDefaults() Config {
-	if c.LogicMetals == 0 {
-		c.LogicMetals = 6
-	}
 	if c.MacroDieMetals == 0 {
 		c.MacroDieMetals = 6
-	}
-	if c.Util == 0 {
-		c.Util = 0.70
 	}
 	if c.BlockageResolution == 0 {
 		c.BlockageResolution = 50
@@ -251,7 +254,9 @@ type State struct {
 // ECO free space no longer loses intervals on release — checkpoints
 // written before either fix must miss. 2: the key material lost the
 // byte that selected the optimizer's deleted from-scratch STA path.
-const signoffRevision = 2
+// 3: it lost the buffer span and the fanout load, now the optimizer's
+// constants.
+const signoffRevision = 3
 
 // signoffMaterial is the signoff checkpoint's own key material: the
 // resolved optimization budget. SelfCheck is excluded — it verifies,
@@ -262,8 +267,6 @@ func signoffMaterial(o opt.Options) []byte {
 	e.Int(o.MaxIters)
 	e.Int(o.MaxMovesPerIter)
 	e.F64(o.BufferElmore)
-	e.F64(o.BufferSpan)
-	e.F64(o.FanoutCap)
 	e.F64(o.TargetPeriod)
 	e.Bool(o.Frozen)
 	return e.Bytes()

@@ -2,7 +2,6 @@ package flows
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -22,8 +21,8 @@ func runNamed(name string) func(context.Context, Config) (*State, error) {
 // goldenStages is the contract of a flow's stage list: every record of
 // State.Trace.Stages on the tiny tile with Verify on, cold (nothing
 // cached) and warm (every checkpoint a hit). A record renders as its
-// stage name, "#n" for attempt n > 1 and "*" for a region restored from
-// the stage cache. bench/trace.go maps this sequence to its per-layer
+// stage name, with "*" for a region restored from the stage cache.
+// bench/trace.go maps this sequence to its per-layer
 // metrics, `-experiment flowtrace` prints it, and DESIGN.md §3 shows it
 // under the CLI invocation that runs it (TestDesignDocStageLists). A
 // hardening run is the Macro-3D list with everything after generate in
@@ -112,9 +111,6 @@ func renderStages(rep *RunReport) string {
 	var out []string
 	for _, s := range rep.Stages {
 		r := s.Stage
-		if s.Attempt > 1 {
-			r += fmt.Sprintf("#%d", s.Attempt)
-		}
 		if s.Cached {
 			r += "*"
 		}

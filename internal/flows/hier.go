@@ -153,7 +153,7 @@ func (f *flow) composeAbstract(hr *HardenResult, nx, ny int) (err error) {
 	if abs == nil || abs.Abstract == nil {
 		return fmt.Errorf("hier: HardenResult carries no abstract")
 	}
-	if f.t, err = tech.New28(f.cfg.LogicMetals); err != nil {
+	if f.t, err = tech.New28(logicMetals); err != nil {
 		return err
 	}
 	if st.Beol, err = f.parentBEOL(abs); err != nil {

@@ -235,7 +235,7 @@ func TestHardenCacheVerify(t *testing.T) {
 func hardenRegionKey(t *testing.T, cfg Config) stash.Key {
 	t.Helper()
 	cfg = cfg.withDefaults()
-	tc, err := tech.New28(cfg.LogicMetals)
+	tc, err := tech.New28(logicMetals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestHierMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc, err := tech.New28(cfg.withDefaults().LogicMetals)
+	tc, err := tech.New28(logicMetals)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,12 @@ import (
 	"macro3d/internal/piton"
 )
 
-// The package's two memo tables — the one exception to DESIGN.md §17's
-// "no package-level mutable state". Each holds the result of a pure
-// function of a small key, written once per key and read-only after
-// that: tiles, one template tile per piton.Config, which runs only ever
-// receive copies of, and whose name index every copy shares;
-// fingerprints, the technology hash rootKey chains from, per logic-metal
-// count, which runs only read.
+// The package's two memos — the one exception to DESIGN.md §17's "no
+// package-level mutable state". Each holds the result of a pure
+// function, written once and read-only after that: tiles, one template
+// tile per piton.Config, which runs only ever receive copies of, and
+// whose name index every copy shares; techFingerprint, the technology
+// hash rootKey chains from, whose slice runs only read.
 var (
 	tiles = memo[piton.Config, *piton.Tile]{build: func(cfg piton.Config) (*piton.Tile, error) {
 		t, err := piton.Generate(cfg)
@@ -31,7 +30,7 @@ var (
 		c.Design.Seal()
 		return c, nil
 	}}
-	fingerprints = memo[int, []byte]{build: buildTechFingerprint}
+	techFingerprint = sync.OnceValues(buildTechFingerprint)
 )
 
 // newTile returns a copy of the tile cfg generates, for one run to own.

@@ -39,22 +39,17 @@ const (
 // contained and carried in Cause with the goroutine stack captured at
 // the panic site.
 type StageError struct {
-	Flow    string // "2D", "S2D", "BF S2D", "C2D", "Macro-3D", "array", "hier"
-	Stage   string // stage name, e.g. "place", "pseudo-route"
-	Seed    uint64 // effective seed of the failing attempt
-	Config  string // benchmark configuration name
-	Attempt int    // 1-based attempt number that finally failed
-	Cause   error
-	Stack   []byte // non-nil iff the stage panicked
+	Flow   string // "2D", "S2D", "BF S2D", "C2D", "Macro-3D", "array", "hier"
+	Stage  string // stage name, e.g. "place", "pseudo-route"
+	Seed   uint64 // the seed the failing stage ran on
+	Config string // benchmark configuration name
+	Cause  error
+	Stack  []byte // non-nil iff the stage panicked
 }
 
 func (e *StageError) Error() string {
 	var b []byte
-	b = fmt.Appendf(b, "flows: %s/%s stage %q (seed %d", e.Flow, e.Config, e.Stage, e.Seed)
-	if e.Attempt > 1 {
-		b = fmt.Appendf(b, ", attempt %d", e.Attempt)
-	}
-	b = fmt.Appendf(b, "): %v", e.Cause)
+	b = fmt.Appendf(b, "flows: %s/%s stage %q (seed %d): %v", e.Flow, e.Config, e.Stage, e.Seed, e.Cause)
 	if len(e.Stack) > 0 {
 		b = fmt.Appendf(b, " [panic contained]")
 	}
@@ -71,41 +66,20 @@ type PanicError struct {
 
 func (p *PanicError) Error() string { return fmt.Sprintf("panic: %v", p.Value) }
 
-// RetryPolicy bounds re-runs of failed stochastic stages.
-type RetryPolicy struct {
-	// MaxAttempts is the total attempt budget for seeded stages
-	// (place and tier partitioning). 0 or 1 disables retry. Each
-	// retry runs with a deterministically perturbed seed (PerturbSeed)
-	// so reruns are reproducible yet explore different random states.
-	MaxAttempts int
-}
-
-// PerturbSeed derives the effective seed of retry attempt n (1-based).
-// Attempt 1 always returns the seed unchanged; later attempts mix in
-// the attempt index through the 64-bit golden ratio so every attempt
-// is deterministic given (seed, attempt).
-func PerturbSeed(seed uint64, attempt int) uint64 {
-	if attempt <= 1 {
-		return seed
-	}
-	return seed ^ (0x9e3779b97f4a7c15 * uint64(attempt-1))
-}
-
-// StageRecord is one executed stage attempt in a RunReport.
+// StageRecord is one executed stage in a RunReport.
 type StageRecord struct {
 	Stage    string
-	Attempt  int
-	Seed     uint64
+	Seed     uint64 // the seed the stage ran on
 	Duration time.Duration
 	Panicked bool
 	Cached   bool   // region restored from the stage cache, not run
 	Err      string // empty on success
 }
 
-// RunReport is the instrumented trace of a flow run: every stage
-// attempt in execution order, whether the run completed, and the
-// terminal error if it did not. Flows attach it to State.Trace, so a
-// failed run still documents how far it got.
+// RunReport is the instrumented trace of a flow run: every stage in
+// execution order, whether the run completed, and the terminal error if
+// it did not. Flows attach it to State.Trace, so a failed run still
+// documents how far it got.
 type RunReport struct {
 	Flow      string
 	Config    string
@@ -114,7 +88,7 @@ type RunReport struct {
 	Err       *StageError // terminal failure, nil when Completed
 }
 
-// LastStage returns the name of the most recent attempted stage.
+// LastStage returns the name of the most recent stage the run reached.
 func (r *RunReport) LastStage() string {
 	if len(r.Stages) == 0 {
 		return ""
@@ -125,7 +99,7 @@ func (r *RunReport) LastStage() string {
 // String renders a compact one-line-per-stage trace.
 func (r *RunReport) String() string {
 	var b []byte
-	b = fmt.Appendf(b, "%s/%s: %d stage attempts, completed=%v\n", r.Flow, r.Config, len(r.Stages), r.Completed)
+	b = fmt.Appendf(b, "%s/%s: %d stages, completed=%v\n", r.Flow, r.Config, len(r.Stages), r.Completed)
 	for _, s := range r.Stages {
 		status := "ok"
 		if s.Cached {
@@ -137,8 +111,8 @@ func (r *RunReport) String() string {
 				status = "PANIC " + status
 			}
 		}
-		b = fmt.Appendf(b, "  %-14s attempt %d  seed %-20d %10s  %s\n",
-			s.Stage, s.Attempt, s.Seed, fmtDuration(s.Duration), status)
+		b = fmt.Appendf(b, "  %-14s seed %-20d %10s  %s\n",
+			s.Stage, s.Seed, fmtDuration(s.Duration), status)
 	}
 	return string(b)
 }
@@ -163,10 +137,9 @@ func fmtDuration(d time.Duration) string {
 
 // runner executes named stages on behalf of one flow run: context
 // checks at stage boundaries, panic containment, stage timing on its own
-// clock (the RunReport durations), bounded seeded retries, and the
-// AfterStage hook. Spans, and the timeline slices they record, exist
-// only with Config.Obs: unobserved, a run of any length costs three
-// objects.
+// clock (the RunReport durations), and the AfterStage hook. Spans, and
+// the timeline slices they record, exist only with Config.Obs:
+// unobserved, a run of any length costs three objects.
 type runner struct {
 	flow  string
 	cfg   Config
@@ -175,8 +148,8 @@ type runner struct {
 	trace *RunReport
 
 	// span is the flow's root observability span; cur is the span of
-	// the stage attempt currently executing (valid inside stage
-	// closures via r.obs()). Both are nil when Config.Obs is.
+	// the stage currently executing (valid inside stage closures via
+	// r.obs()). Both are nil when Config.Obs is.
 	span *obs.Span
 	cur  *obs.Span
 
@@ -219,7 +192,7 @@ func newRunner(ctx context.Context, flow string, cfg Config, st *State) *runner 
 	return r
 }
 
-// obs returns the span of the currently executing stage attempt, the
+// obs returns the span of the currently executing stage, the
 // parent under which engines hang their phase spans and find the
 // run's metric registry. Safe to call from stage closures only.
 func (r *runner) obs() *obs.Span { return r.cur }
@@ -228,12 +201,11 @@ func (r *runner) obs() *obs.Span { return r.cur }
 // checkpoint region wrapping the sub-stages a cache hit skips.
 type stage struct {
 	name string
-	body func() error // a deterministic stage: runs once, on Config.Seed
+	body func() error
 
-	// try is the body of a stochastic stage instead: it starts from seed
-	// and is re-run under Config.Retry with perturbed seeds.
-	try  func(seed uint64) error
-	seed uint64
+	// seedOff offsets the seed the body runs on from Config.Seed (a
+	// placement's); the stage's record, span and error carry the sum.
+	seedOff uint64
 
 	// region is evaluated when the entry is reached, not when the list
 	// is built, so it may read state that earlier stages produce. A
@@ -253,10 +225,6 @@ type stage struct {
 }
 
 func do(name string, body func() error) stage { return stage{name: name, body: body} }
-
-func seeded(name string, seed uint64, try func(seed uint64) error) stage {
-	return stage{name: name, try: try, seed: seed}
-}
 
 func region(spec func() checkpoint, sub ...stage) stage {
 	return stage{region: spec, sub: sub}
@@ -285,12 +253,8 @@ func (r *runner) exec(list []stage) error {
 				next = list[i+1].region
 			}
 			err = r.checkpointed(s.region(), next, s.sub)
-		case s.try != nil:
-			// A stochastic stage has the retry budget: a failed attempt is
-			// re-run with a perturbed seed, every attempt recorded.
-			err = r.run(s.name, s.seed, s.try, max(1, r.cfg.Retry.MaxAttempts))
 		default:
-			err = r.run(s.name, r.cfg.Seed, func(uint64) error { return s.body() }, 1)
+			err = r.run(s.name, r.cfg.Seed+s.seedOff, s.body)
 		}
 		if err != nil {
 			return err
@@ -299,8 +263,8 @@ func (r *runner) exec(list []stage) error {
 	return nil
 }
 
-// leaves is the number of records a cold, first-attempt run of list
-// leaves in its report: one per stage outside a region.
+// leaves is the number of records a cold run of list leaves in its
+// report: one per stage outside a region.
 func leaves(list []stage) int {
 	n := 0
 	for _, s := range list {
@@ -309,51 +273,47 @@ func leaves(list []stage) int {
 	return n
 }
 
-func (r *runner) run(name string, seed uint64, fn func(uint64) error, attempts int) error {
-	for attempt := 1; ; attempt++ {
-		// Cancellation and deadlines are honoured at stage boundaries:
-		// a flow returns within one stage of the context ending.
-		if err := r.ctx.Err(); err != nil {
-			r.record(name, attempt, seed, 0, err)
-			return r.fail(name, seed, attempt, err)
-		}
-		s := PerturbSeed(seed, attempt)
-		if r.span != nil {
-			r.cur = r.span.Child(name, obs.KV("attempt", attempt), obs.KV("seed", s))
-		}
-		start := time.Now()
-		err := contain(func() error { return fn(s) })
-		dur := time.Since(start)
-		if err != nil {
-			r.cur.SetAttr("err", err.Error())
-		}
-		r.cur.End()
-		r.cur = nil
-		r.cfg.Obs.Sample()
-		r.record(name, attempt, s, dur, err)
-		if err == nil {
-			if r.cfg.AfterStage != nil {
-				// The hook (instrumentation, fault injection) is
-				// contained too: a panicking hook fails the stage
-				// instead of crashing the process.
-				if hookErr := contain(func() error {
-					r.cfg.AfterStage(r.flow, name, r.st)
-					return nil
-				}); hookErr != nil {
-					r.record(name, attempt, s, dur, hookErr)
-					return r.fail(name, s, attempt, hookErr)
-				}
-			}
+// run executes one stage body on seed, the seed it runs on.
+func (r *runner) run(name string, seed uint64, body func() error) error {
+	// Cancellation and deadlines are honoured at stage boundaries: a
+	// flow returns within one stage of the context ending.
+	if err := r.ctx.Err(); err != nil {
+		r.record(name, seed, 0, err)
+		return r.fail(name, seed, err)
+	}
+	if r.span != nil {
+		r.cur = r.span.Child(name, obs.KV("seed", seed))
+	}
+	start := time.Now()
+	err := contain(body)
+	dur := time.Since(start)
+	if err != nil {
+		r.cur.SetAttr("err", err.Error())
+	}
+	r.cur.End()
+	r.cur = nil
+	r.cfg.Obs.Sample()
+	r.record(name, seed, dur, err)
+	if err != nil {
+		return r.fail(name, seed, err)
+	}
+	if r.cfg.AfterStage != nil {
+		// The hook (instrumentation, fault injection) is contained too:
+		// a panicking hook fails the stage instead of crashing the
+		// process.
+		if hookErr := contain(func() error {
+			r.cfg.AfterStage(r.flow, name, r.st)
 			return nil
-		}
-		if attempt >= attempts {
-			return r.fail(name, s, attempt, err)
+		}); hookErr != nil {
+			r.record(name, seed, dur, hookErr)
+			return r.fail(name, seed, hookErr)
 		}
 	}
+	return nil
 }
 
-func (r *runner) record(stage string, attempt int, seed uint64, dur time.Duration, err error) {
-	rec := StageRecord{Stage: stage, Attempt: attempt, Seed: seed, Duration: dur}
+func (r *runner) record(stage string, seed uint64, dur time.Duration, err error) {
+	rec := StageRecord{Stage: stage, Seed: seed, Duration: dur}
 	if err != nil {
 		var pe *PanicError
 		rec.Err, rec.Panicked = err.Error(), errors.As(err, &pe)
@@ -361,10 +321,10 @@ func (r *runner) record(stage string, attempt int, seed uint64, dur time.Duratio
 	r.trace.Stages = append(r.trace.Stages, rec)
 }
 
-func (r *runner) fail(stage string, seed uint64, attempt int, cause error) error {
+func (r *runner) fail(stage string, seed uint64, cause error) error {
 	se := &StageError{
 		Flow: r.flow, Stage: stage, Seed: seed,
-		Config: r.trace.Config, Attempt: attempt, Cause: cause,
+		Config: r.trace.Config, Cause: cause,
 	}
 	var pe *PanicError
 	if errors.As(cause, &pe) {

@@ -13,19 +13,6 @@ import (
 	"macro3d/internal/stash"
 )
 
-func TestPerturbSeed(t *testing.T) {
-	if PerturbSeed(42, 1) != 42 {
-		t.Fatal("attempt 1 must use the seed unchanged")
-	}
-	a2, a3 := PerturbSeed(42, 2), PerturbSeed(42, 3)
-	if a2 == 42 || a3 == 42 || a2 == a3 {
-		t.Fatalf("retry seeds not distinct: %d %d", a2, a3)
-	}
-	if a2 != PerturbSeed(42, 2) {
-		t.Fatal("perturbation not deterministic")
-	}
-}
-
 func TestPanicContainedAsStageError(t *testing.T) {
 	cfg := Config{
 		Generator: func() (*piton.Tile, error) { panic("boom: synthetic generator fault") },
@@ -117,37 +104,6 @@ func TestCancelMidFlowReturnsWithinOneStage(t *testing.T) {
 	}
 }
 
-func TestSeededRetryPerturbsSeedAndRecordsAttempts(t *testing.T) {
-	cfg := Config{Piton: piton.Tiny(), Seed: 9, Retry: RetryPolicy{MaxAttempts: 3}}.withDefaults()
-	st := &State{}
-	r := newRunner(context.Background(), "test", cfg, st)
-	var seeds []uint64
-	err := r.exec([]stage{seeded(StagePlace, 9, func(seed uint64) error {
-		seeds = append(seeds, seed)
-		if len(seeds) < 3 {
-			return fmt.Errorf("synthetic stochastic failure %d", len(seeds))
-		}
-		return nil
-	})})
-	if err != nil {
-		t.Fatalf("stage failed despite retry budget: %v", err)
-	}
-	if len(seeds) != 3 || seeds[0] != 9 || seeds[1] == 9 || seeds[2] == 9 || seeds[1] == seeds[2] {
-		t.Fatalf("retry seeds wrong: %v", seeds)
-	}
-	if len(st.Trace.Stages) != 3 {
-		t.Fatalf("every attempt must be recorded, got %d", len(st.Trace.Stages))
-	}
-	for i, rec := range st.Trace.Stages {
-		if rec.Attempt != i+1 || rec.Seed != seeds[i] {
-			t.Fatalf("attempt record %d wrong: %+v", i, rec)
-		}
-	}
-	if st.Trace.Stages[0].Err == "" || st.Trace.Stages[2].Err != "" {
-		t.Fatalf("attempt outcomes wrong: %+v", st.Trace.Stages)
-	}
-}
-
 // TestRunnerAllocs bounds what the runner itself allocates on an
 // unobserved run (Obs and Trace nil): its own record, the report and the
 // report's stage records, however long the list — no span, timeline
@@ -179,20 +135,24 @@ func TestRunnerAllocs(t *testing.T) {
 	}
 }
 
-func TestRetryBudgetExhausted(t *testing.T) {
-	cfg := Config{Piton: piton.Tiny(), Seed: 9, Retry: RetryPolicy{MaxAttempts: 2}}.withDefaults()
-	r := newRunner(context.Background(), "test", cfg, &State{})
+// TestFailingStageCarriesItsSeed: a stage runs once, and its record and
+// its StageError carry the seed it ran on — Config.Seed plus the stage's
+// offset, as a placement's.
+func TestFailingStageCarriesItsSeed(t *testing.T) {
+	cfg := Config{Piton: piton.Tiny(), Seed: 9}.withDefaults()
+	st := &State{}
+	r := newRunner(context.Background(), "test", cfg, st)
 	calls := 0
-	err := r.exec([]stage{seeded(StagePlace, 9, func(seed uint64) error {
+	err := r.exec([]stage{{name: StagePlace, seedOff: 2, body: func() error {
 		calls++
 		return fmt.Errorf("always fails")
-	})})
+	}}})
 	var se *StageError
-	if !errors.As(err, &se) || se.Attempt != 2 || calls != 2 {
-		t.Fatalf("budget handling wrong: calls=%d err=%v", calls, err)
+	if !errors.As(err, &se) || calls != 1 || len(st.Trace.Stages) != 1 {
+		t.Fatalf("calls=%d, %d records, err=%v; want one run, one record, a *StageError", calls, len(st.Trace.Stages), err)
 	}
-	if se.Seed != PerturbSeed(9, 2) {
-		t.Fatalf("StageError must carry the failing attempt's seed, got %d", se.Seed)
+	if se.Seed != 11 || st.Trace.Stages[0].Seed != 11 {
+		t.Fatalf("StageError seed %d, record seed %d; want 11", se.Seed, st.Trace.Stages[0].Seed)
 	}
 }
 
@@ -271,7 +231,7 @@ func TestRunReportSubMillisecondDurations(t *testing.T) {
 	}
 
 	rep := &RunReport{Flow: "2D", Config: "tiny", Completed: true, Stages: []StageRecord{
-		{Stage: StagePlace, Attempt: 1, Seed: 7, Duration: 737 * time.Microsecond},
+		{Stage: StagePlace, Seed: 7, Duration: 737 * time.Microsecond},
 	}}
 	s := rep.String()
 	if strings.Contains(s, " 0s ") || strings.Contains(s, "\t0s") {

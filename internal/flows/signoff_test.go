@@ -37,13 +37,8 @@ func runFlowHooked(t *testing.T, key string, cfg Config, before func(f *flow, na
 			for i := range list {
 				s := &list[i]
 				hook(s.sub)
-				switch name := s.name; {
-				case s.body != nil:
-					body := s.body
+				if body, name := s.body, s.name; body != nil {
 					s.body = func() error { before(f, name); return body() }
-				case s.try != nil:
-					try := s.try
-					s.try = func(seed uint64) error { before(f, name); return try(seed) }
 				}
 			}
 		}

@@ -1,7 +1,6 @@
 package flows
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -41,7 +40,7 @@ func (f *flow) frontEnd(dst *State, style floorplan.Style) []stage {
 				return fmt.Errorf("flows: custom generators are only supported by Run2D/RunMacro3D")
 			}
 			var err error
-			if f.t, err = tech.New28(f.cfg.LogicMetals); err != nil {
+			if f.t, err = tech.New28(logicMetals); err != nil {
 				return err
 			}
 			if direct && f.dies > 1 { // Macro-3D: the whole technology up front
@@ -60,7 +59,7 @@ func (f *flow) frontEnd(dst *State, style floorplan.Style) []stage {
 			return nil
 		}),
 		do(StageFloorplan, func() error {
-			sz, err := floorplan.SizeDesign(dst.Design, f.cfg.Util, 1.0, f.t.RowHeight)
+			sz, err := floorplan.SizeDesign(dst.Design, util, 1.0, f.t.RowHeight)
 			if err != nil {
 				return err
 			}
@@ -127,11 +126,12 @@ func (f *flow) placeRegion(seedOff uint64) stage {
 		f.place(StagePlace, seedOff))
 }
 
+// place runs on Config.Seed+seedOff.
 func (f *flow) place(name string, seedOff uint64) stage {
-	return seeded(name, f.cfg.Seed+seedOff, func(seed uint64) error {
-		_, err := place.Place(f.st.Design, f.st.FP, f.t.RowHeight, f.cfg.placeOptions(seed, f.obs()))
+	return stage{name: name, seedOff: seedOff, body: func() error {
+		_, err := place.Place(f.st.Design, f.st.FP, f.t.RowHeight, f.cfg.placeOptions(f.cfg.Seed+seedOff, f.obs()))
 		return err
-	})
+	}}
 }
 
 // stagesPseudo3D is the S2D / BF S2D / C2D stage list, driven by the
@@ -147,8 +147,8 @@ func (f *flow) stagesPseudo3D() []stage {
 	// pseudo one.
 	tiers := covering(
 		func() checkpoint { return placementCheckpoint(StagePartition, resolutionMaterial(f.cfg), real.Design) },
-		seeded(StagePartition, f.cfg.Seed, func(seed uint64) error {
-			if _, err := partition.TierPartition(real.Design, partition.Options{Seed: seed}); err != nil {
+		do(StagePartition, func() error {
+			if _, err := partition.TierPartition(real.Design, f.cfg.Seed); err != nil {
 				return err
 			}
 			partition.BinBalance(real.Design, real.Die, f.cfg.BlockageResolution)
@@ -273,8 +273,7 @@ func transferPseudo(dP, dReal *netlist.Design, scale float64) error {
 func (f *flow) backEnd(budget opt.Options) []stage {
 	// The effective budget is resolved up front so the signoff
 	// checkpoint's key material matches what the optimizer runs with.
-	budget.TargetPeriod = cmp.Or(budget.TargetPeriod, f.cfg.TargetPeriod)
-	budget.SelfCheck = budget.SelfCheck || f.cfg.SelfCheck
+	budget = f.cfg.budget(budget)
 
 	list := []stage{
 		do(StageCTS, func() error { return f.clockTree(f.namedClock()) }),
@@ -434,7 +433,7 @@ func (f *flow) powerAt(fclk float64) (*power.Report, *extract.Design, error) {
 	if err := ex.CheckFinite(); err != nil {
 		return nil, nil, err
 	}
-	pw := power.Analyze(st.Design, ex, st.Tree, fclk, power.Options{Corner: f.t.CornerScaleFor(tech.CornerTypical)})
+	pw := power.Analyze(st.Design, ex, st.Tree, fclk, f.t.VDD, f.t.CornerScaleFor(tech.CornerTypical))
 	vals := [...]float64{pw.EnergyPerCycleFJ, pw.PowerUW(fclk), pw.LeakageUW}
 	for i, name := range [...]string{"energy/cycle", "power", "leakage"} {
 		if v := vals[i]; math.IsNaN(v) || math.IsInf(v, 0) {
@@ -457,7 +456,7 @@ func (f *flow) power() error {
 		return err
 	}
 
-	metals := f.cfg.LogicMetals
+	metals := logicMetals
 	if f.dies > 1 {
 		metals += f.cfg.MacroDieMetals
 	}

@@ -260,7 +260,7 @@ func (s *Span) End() {
 
 // record puts the span's interval on tl, named by its path below the
 // root ("macro3d/route/pass" → "route/pass"), int attributes as args.
-// A stage attempt (a root's child) goes on "stages" as category
+// A stage (a root's child) goes on "stages" as category
 // "stage", or "cache" with a "cache" attribute (a restored checkpoint).
 // An engine phase goes on "main" as "stage" if it opened children (the
 // analyzer charges a container only for what they leave uncovered),

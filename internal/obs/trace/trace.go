@@ -1,5 +1,5 @@
 // Package trace is the execution timeline: a flat record of task-level
-// slices — one per stage attempt, engine phase and fork-join chunk —
+// slices — one per stage, engine phase and fork-join chunk —
 // on named tracks, so wall-clock can be attributed to individual
 // workers and serial segments. It is a sink of internal/obs: attached
 // with obs.Recorder.SetTimeline, every ended span below a flow root

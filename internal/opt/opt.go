@@ -107,13 +107,6 @@ type Options struct {
 	// BufferElmore is the per-arc Elmore delay (ps) above which a
 	// buffer chain is inserted (default 90).
 	BufferElmore float64
-	// BufferSpan is the wire length one buffer drives, µm (default
-	// 250).
-	BufferSpan float64
-	// FanoutCap is the driver load (fF) above which a decoupling
-	// buffer is inserted between the driver and all its sinks
-	// (default 90).
-	FanoutCap float64
 	// TargetPeriod stops optimization once MinPeriod ≤ target (0 =
 	// optimize to the best achievable — max-performance mode).
 	TargetPeriod float64
@@ -138,14 +131,15 @@ func (o Options) withDefaults() Options {
 	if o.BufferElmore <= 0 {
 		o.BufferElmore = 90
 	}
-	if o.BufferSpan <= 0 {
-		o.BufferSpan = 250
-	}
-	if o.FanoutCap <= 0 {
-		o.FanoutCap = 90
-	}
 	return o
 }
+
+// bufferSpan is the wire length one buffer of a chain drives, µm.
+const bufferSpan = 250.0
+
+// fanoutCap is the driver load, fF, above which a decoupling buffer is
+// inserted between the driver and all its sinks.
+const fanoutCap = 90.0
 
 // Result wraps the final timing plus edit statistics.
 type Result struct {
@@ -571,9 +565,9 @@ func fixPath(ctx *Context, res *Result, steps []sta.PathStep, opt Options, bufSe
 			// the tree grows by splitting the (new) cluster nets on
 			// later passes, never by chaining levels in front of the
 			// root.
-			if rc.CTotal() > opt.FanoutCap && len(n.Sinks) >= 2 && !fanoutDone.has(n.ID) {
+			if rc.CTotal() > fanoutCap && len(n.Sinks) >= 2 && !fanoutDone.has(n.ID) {
 				before := len(ctx.Design.Instances)
-				if err := insertFanoutBuffer(ctx, n, opt, bufSeq); err == nil {
+				if err := insertFanoutBuffer(ctx, n, bufSeq); err == nil {
 					fanoutDone.add(n.ID)
 					*markedNow = append(*markedNow, mark{n.ID, false})
 					res.Buffers += len(ctx.Design.Instances) - before // one per sink cluster
@@ -586,7 +580,7 @@ func fixPath(ctx *Context, res *Result, steps []sta.PathStep, opt Options, bufSe
 			// per net; the chain's own nets may be split again later,
 			// which terminates because every level is shorter.
 			if si < len(rc.ElmoreTo) && rc.ElmoreTo[si] > opt.BufferElmore && !chainDone.has(n.ID) {
-				nb, err := insertBufferChain(ctx, n, si, opt, bufSeq)
+				nb, err := insertBufferChain(ctx, n, si, bufSeq)
 				if err == nil && nb > 0 {
 					chainDone.add(n.ID)
 					*markedNow = append(*markedNow, mark{n.ID, true})
@@ -675,15 +669,15 @@ func arcNet(ctx *Context, steps []sta.PathStep, i int) (*netlist.Net, int) {
 }
 
 // insertBufferChain splits the driver→sink arc of net n at sink index
-// si with a chain of buffers spaced BufferSpan apart. New nets are
+// si with a chain of buffers spaced bufferSpan apart. New nets are
 // routed and extracted incrementally. Returns buffers inserted.
-func insertBufferChain(ctx *Context, n *netlist.Net, si int, opt Options, seq *int) (int, error) {
+func insertBufferChain(ctx *Context, n *netlist.Net, si int, seq *int) (int, error) {
 	d := ctx.Design
 	sink := n.Sinks[si]
 	a := n.Driver.Loc()
 	b := sink.Loc()
 	distTot := a.Manhattan(b)
-	k := int(distTot / opt.BufferSpan)
+	k := int(distTot / bufferSpan)
 	if k < 1 {
 		k = 1
 	}
@@ -730,7 +724,7 @@ func insertBufferChain(ctx *Context, n *netlist.Net, si int, opt Options, seq *i
 // each cluster its own buffer at the cluster centroid. The driver then
 // sees only the k buffer inputs. Repeated application across
 // iterations builds a fanout tree.
-func insertFanoutBuffer(ctx *Context, n *netlist.Net, opt Options, seq *int) error {
+func insertFanoutBuffer(ctx *Context, n *netlist.Net, seq *int) error {
 	d := ctx.Design
 	buf := d.Lib.Cell("BUF_X16")
 	if buf == nil {
@@ -742,7 +736,7 @@ func insertFanoutBuffer(ctx *Context, n *netlist.Net, opt Options, seq *int) err
 	rc := ctx.Ex.Nets[n.ID]
 	k := 2
 	if rc != nil {
-		k = int(rc.CTotal()/opt.FanoutCap) + 1
+		k = int(rc.CTotal()/fanoutCap) + 1
 	}
 	if k < 2 {
 		k = 2

@@ -17,11 +17,11 @@ import (
 // TestOptionsDefaults pins what withDefaults fills in for a zero field
 // to the defaults Options' comments state, and leaves a set field alone.
 func TestOptionsDefaults(t *testing.T) {
-	want := Options{MaxIters: 250, MaxMovesPerIter: 48, BufferElmore: 90, BufferSpan: 250, FanoutCap: 90}
+	want := Options{MaxIters: 250, MaxMovesPerIter: 48, BufferElmore: 90}
 	if got := (Options{}).withDefaults(); got != want {
 		t.Fatalf("zero Options default to %+v, want %+v", got, want)
 	}
-	set := Options{MaxIters: 2, MaxMovesPerIter: 8, BufferElmore: 1e12, BufferSpan: 1, FanoutCap: 3, TargetPeriod: 900, Frozen: true}
+	set := Options{MaxIters: 2, MaxMovesPerIter: 8, BufferElmore: 1e12, TargetPeriod: 900, Frozen: true}
 	if got := set.withDefaults(); got != set {
 		t.Fatalf("set Options %+v default to %+v", set, got)
 	}
@@ -106,7 +106,7 @@ func TestInsertFanoutBufferShieldsDriver(t *testing.T) {
 	before := ctx.Ex.Nets[n.ID].CTotal()
 	seq := 0
 	ctx.txn = ctx.DDB.Begin()
-	if err := insertFanoutBuffer(ctx, n, Options{}.withDefaults(), &seq); err != nil {
+	if err := insertFanoutBuffer(ctx, n, &seq); err != nil {
 		t.Fatal(err)
 	}
 	ctx.txn.Commit()
@@ -165,7 +165,7 @@ func TestTxnRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := 0
-	if err := insertFanoutBuffer(ctx, n, Options{}.withDefaults(), &seq); err != nil {
+	if err := insertFanoutBuffer(ctx, n, &seq); err != nil {
 		t.Fatal(err)
 	}
 	if ni, _ := d.Counts(); ni == nInst {

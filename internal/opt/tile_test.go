@@ -149,7 +149,6 @@ func TestEngineTopoPatchEqualsRebuild(t *testing.T) {
 				}
 			}
 			rng := geom.NewRNG(17)
-			opts := Options{}.withDefaults()
 			seq, fanouts, chains, rollbacks := 0, 0, 0, 0
 			for step := 0; step < tc.steps; step++ {
 				txn := db.Begin()
@@ -160,12 +159,12 @@ func TestEngineTopoPatchEqualsRebuild(t *testing.T) {
 						continue
 					}
 					if len(n.Sinks) >= 2 && rng.Intn(2) == 0 {
-						if err := insertFanoutBuffer(ctx, n, opts, &seq); err != nil {
+						if err := insertFanoutBuffer(ctx, n, &seq); err != nil {
 							t.Fatal(err)
 						}
 						fanouts++
 					} else {
-						if _, err := insertBufferChain(ctx, n, rng.Intn(len(n.Sinks)), opts, &seq); err != nil {
+						if _, err := insertBufferChain(ctx, n, rng.Intn(len(n.Sinks)), &seq); err != nil {
 							t.Fatal(err)
 						}
 						chains++
@@ -213,11 +212,10 @@ func TestFanoutBufferAllocs(t *testing.T) {
 			n = m
 		}
 	}
-	opt := Options{}.withDefaults()
 	seq := 0
 	insert := func() {
 		ctx.txn = ctx.DDB.Begin()
-		if err := insertFanoutBuffer(ctx, n, opt, &seq); err != nil {
+		if err := insertFanoutBuffer(ctx, n, &seq); err != nil {
 			t.Fatal(err)
 		}
 		ctx.txn.Rollback()

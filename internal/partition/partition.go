@@ -23,25 +23,12 @@ import (
 	"macro3d/internal/place"
 )
 
-// Options tunes the partitioner.
-type Options struct {
-	// BalanceTol is the allowed deviation of either side from half the
-	// movable area (default 0.10).
-	BalanceTol float64
-	// MaxPasses bounds improvement passes (default 6).
-	MaxPasses int
-	Seed      uint64
-}
+// balanceTol is the allowed deviation of either side from half the
+// movable area.
+const balanceTol = 0.10
 
-func (o Options) withDefaults() Options {
-	if o.BalanceTol <= 0 {
-		o.BalanceTol = 0.10
-	}
-	if o.MaxPasses <= 0 {
-		o.MaxPasses = 6
-	}
-	return o
-}
+// maxPasses bounds the improvement passes.
+const maxPasses = 6
 
 // Result reports partition quality.
 type Result struct {
@@ -51,11 +38,11 @@ type Result struct {
 	Moves     int // improvement moves applied
 }
 
-// TierPartition assigns Die to every movable standard cell. Macros
-// keep their floorplanned die; ports anchor to the logic die.
-func TierPartition(d *netlist.Design, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	rng := geom.NewRNG(opt.Seed + 13)
+// TierPartition assigns Die to every movable standard cell, from a
+// seeded random start. Macros keep their floorplanned die; ports anchor
+// to the logic die.
+func TierPartition(d *netlist.Design, seed uint64) (*Result, error) {
+	rng := geom.NewRNG(seed + 13)
 
 	movable := d.StdCells()
 	if len(movable) == 0 {
@@ -66,7 +53,7 @@ func TierPartition(d *netlist.Design, opt Options) (*Result, error) {
 		total += c.Master.Area()
 	}
 	half := total / 2
-	tol := total * opt.BalanceTol / 2
+	tol := total * balanceTol / 2
 
 	// Initial assignment: zig-zag over a spatially sorted order so the
 	// starting cut is locality-aware, then balance by area.
@@ -132,7 +119,7 @@ func TierPartition(d *netlist.Design, opt Options) (*Result, error) {
 	}
 
 	res := &Result{}
-	for pass := 0; pass < opt.MaxPasses; pass++ {
+	for pass := 0; pass < maxPasses; pass++ {
 		moved := 0
 		// Random sweep order decorrelates passes.
 		idx := make([]int, len(movable))

@@ -54,7 +54,7 @@ func itoa(i int) string {
 
 func TestTierPartitionClusters(t *testing.T) {
 	d := clusters(t)
-	res, err := TierPartition(d, Options{Seed: 1})
+	res, err := TierPartition(d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestTierPartitionTile(t *testing.T) {
 	if _, _, err := floorplan.PlaceMacros(d, sz.Die3D, floorplan.StyleMoL); err != nil {
 		t.Fatal(err)
 	}
-	res, err := TierPartition(d, Options{Seed: 2})
+	res, err := TierPartition(d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

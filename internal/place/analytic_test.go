@@ -101,7 +101,7 @@ func TestDescentStopsAtTargetOverflow(t *testing.T) {
 			}
 
 			d, fp = tc.fixture(t)
-			bins := newBinGrid(fp.Die, opt.BinPitch, fp.PlaceBlk, opt.MaxFill)
+			bins := newBinGrid(fp.Die, opt.BinPitch, fp.PlaceBlk, maxFill)
 			st, _ := newDescent(d, movableCells(d), bins, opt, new(par.Team))
 			for it := range its {
 				if ovf := st.iterate(it, opt.Iters); (ovf <= analyticTargetOverflow) != (it == its-1) {
@@ -295,7 +295,7 @@ func analyticFixture(t testing.TB, cfg piton.Config) (*netlist.Design, []*netlis
 func fixtureState(d *netlist.Design, fp *floorplan.Floorplan, team *par.Team) *analyticState {
 	opt := Options{}.withDefaults()
 	rng := geom.NewRNG(7)
-	bins := newBinGrid(fp.Die, opt.BinPitch, fp.PlaceBlk, opt.MaxFill)
+	bins := newBinGrid(fp.Die, opt.BinPitch, fp.PlaceBlk, maxFill)
 	st := newAnalyticState(d, movableCells(d), bins, opt.BinPitch, team)
 	for _, inst := range d.Instances {
 		st.pos[inst.ID] = inst.Center()
@@ -517,7 +517,7 @@ func wideFixture(t testing.TB) *analyticState {
 	die := geom.R(0, 0, maxGridBins*opt.BinPitch, 12)
 	d.Ports[0].Loc, d.Ports[1].Loc = die.Expand(-1).LL(), die.Expand(-1).UR()
 	d.AddNet("t_frozen_only", netlist.PPin(d.Ports[0]), netlist.PPin(d.Ports[1]))
-	bins := newBinGrid(die, opt.BinPitch, nil, opt.MaxFill)
+	bins := newBinGrid(die, opt.BinPitch, nil, maxFill)
 	if bins.grid.NX != maxGridBins {
 		t.Fatalf("wide grid is %d bins across, want %d", bins.grid.NX, maxGridBins)
 	}

@@ -29,14 +29,15 @@ import (
 // on the serial path — fan-out overhead dominates under this size.
 const parMinCells = 512
 
+// maxFill is the largest fraction of a density bin's free area the
+// placer fills with cells.
+const maxFill = 0.85
+
 // Options tunes the placer.
 type Options struct {
 	// BinPitch is the density-bin size, µm (default 40).
 	BinPitch float64
-	// MaxFill is the max fraction of a bin's free area filled by cells
-	// (default 0.85).
-	MaxFill float64
-	Seed    uint64
+	Seed     uint64
 	// Workers sets the placement worker count: 0 (default) uses every
 	// CPU (GOMAXPROCS), 1 runs the plain serial reference path. The
 	// parallel phases write disjoint elements and replay float
@@ -59,9 +60,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.BinPitch <= 0 {
 		o.BinPitch = 40
-	}
-	if o.MaxFill <= 0 {
-		o.MaxFill = 0.85
 	}
 	if o.Iters <= 0 {
 		o.Iters = 160
@@ -93,7 +91,7 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 	if len(movable) < parMinCells {
 		workers = 1
 	}
-	bins := newBinGrid(fp.Die, opt.BinPitch, fp.PlaceBlk, opt.MaxFill)
+	bins := newBinGrid(fp.Die, opt.BinPitch, fp.PlaceBlk, maxFill)
 	if g := bins.grid; g.NX > maxGridBins || g.NY > maxGridBins {
 		return nil, fmt.Errorf("place: density grid %d×%d bins exceeds %d×%d, the range of the wirelength exponentials (die %v at pitch %g µm)",
 			g.NX, g.NY, maxGridBins, maxGridBins, fp.Die, opt.BinPitch)

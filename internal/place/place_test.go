@@ -344,7 +344,7 @@ func TestLegalizeBestEffortSpills(t *testing.T) {
 func TestSolveSweepAllocs(t *testing.T) {
 	d, fp := chainDesign(500)
 	opt := Options{}.withDefaults()
-	st := newAnalyticState(d, movableCells(d), newBinGrid(fp.Die, opt.BinPitch, nil, opt.MaxFill), opt.BinPitch, new(par.Team))
+	st := newAnalyticState(d, movableCells(d), newBinGrid(fp.Die, opt.BinPitch, nil, maxFill), opt.BinPitch, new(par.Team))
 	for _, sweeps := range []int{1, 4} {
 		allocs := testing.AllocsPerRun(10, func() { st.seed(d, sweeps) })
 		if allocs > 4 {

@@ -14,34 +14,9 @@ import (
 	"macro3d/internal/tech"
 )
 
-// Options configures the analysis.
-type Options struct {
-	// ToggleRate per cycle for signal nets and macro accesses
-	// (default 0.2 — the paper's value).
-	ToggleRate float64
-	// VDD in volts (default 0.9).
-	VDD    float64
-	Corner tech.CornerScale
-	// ClockBufferName prices clock-buffer internal energy
-	// (default BUF_X8, matching cts).
-	ClockBufferName string
-}
-
-func (o Options) withDefaults() Options {
-	if o.ToggleRate <= 0 {
-		o.ToggleRate = 0.2
-	}
-	if o.VDD <= 0 {
-		o.VDD = 0.9
-	}
-	if o.Corner.Leakage == 0 {
-		o.Corner = tech.CornerScale{CellDelay: 1, WireR: 1, WireC: 1, Leakage: 1}
-	}
-	if o.ClockBufferName == "" {
-		o.ClockBufferName = "BUF_X8"
-	}
-	return o
-}
+// toggleRate is the switching activity per cycle of signal nets and
+// macro accesses: the paper's 0.2.
+const toggleRate = 0.2
 
 // Report is the power breakdown.
 type Report struct {
@@ -67,14 +42,15 @@ func (r *Report) PowerUW(freqMHz float64) float64 {
 	return r.DynamicFJ*freqMHz*1e-3 + r.LeakageUW
 }
 
-// Analyze computes the breakdown. tree may be nil (ideal clock: only
-// sink pin caps switch). freqMHz converts leakage into the per-cycle
-// figure; pass the operating frequency.
-func Analyze(d *netlist.Design, ex *extract.Design, tree *cts.Tree, freqMHz float64, opt Options) *Report {
-	opt = opt.withDefaults()
+// Analyze computes the breakdown at supply vdd, V (the technology's),
+// with leakage scaled to corner. tree may be nil (ideal clock: only
+// sink pin caps switch); its buffers are priced as cts.ClockBuffer.
+// freqMHz converts leakage into the per-cycle figure; pass the operating
+// frequency.
+func Analyze(d *netlist.Design, ex *extract.Design, tree *cts.Tree, freqMHz, vdd float64, corner tech.CornerScale) *Report {
 	r := &Report{}
-	v2 := opt.VDD * opt.VDD
-	a := opt.ToggleRate
+	v2 := vdd * vdd
+	a := toggleRate
 
 	// Signal switching: each toggle charges/discharges C; energy per
 	// cycle = α · ½CV².
@@ -106,7 +82,7 @@ func Analyze(d *netlist.Design, ex *extract.Design, tree *cts.Tree, freqMHz floa
 	// energy at rate 1.
 	if tree != nil {
 		r.ClockFJ = tree.TotalCap() * v2
-		if buf := d.Lib.Cell(opt.ClockBufferName); buf != nil {
+		if buf := d.Lib.Cell(cts.ClockBuffer); buf != nil {
 			r.ClockFJ += float64(tree.Buffers) * buf.InternalEnergy
 		}
 	} else {
@@ -120,7 +96,7 @@ func Analyze(d *netlist.Design, ex *extract.Design, tree *cts.Tree, freqMHz floa
 		r.ClockFJ = ckCap * v2
 	}
 
-	r.LeakageUW = leakNW * 1e-3 * opt.Corner.Leakage
+	r.LeakageUW = leakNW * 1e-3 * corner.Leakage
 	r.DynamicFJ = r.SignalWireFJ + r.SignalPinFJ + r.CellInternalFJ + r.ClockFJ + r.MacroFJ
 	r.EnergyPerCycleFJ = r.DynamicFJ
 	if freqMHz > 0 {
@@ -142,10 +118,11 @@ type ModuleBreakdown struct {
 	LeakageUW map[string]float64
 }
 
-// ByModule computes the breakdown at the given toggle rate.
-func ByModule(d *netlist.Design, ex *extract.Design, tree *cts.Tree, opt Options) *ModuleBreakdown {
-	opt = opt.withDefaults()
-	v2 := opt.VDD * opt.VDD
+// ByModule computes the breakdown at supply vdd, V, with leakage scaled
+// to corner.
+func ByModule(d *netlist.Design, ex *extract.Design, tree *cts.Tree, vdd float64, corner tech.CornerScale) *ModuleBreakdown {
+	v2 := vdd * vdd
+	a := toggleRate
 	out := &ModuleBreakdown{
 		EnergyFJ:  map[string]float64{},
 		LeakageUW: map[string]float64{},
@@ -156,16 +133,16 @@ func ByModule(d *netlist.Design, ex *extract.Design, tree *cts.Tree, opt Options
 		switch m.Kind {
 		case cell.KindMacro:
 			if m.Macro != nil {
-				out.EnergyFJ[g] += opt.ToggleRate * m.Macro.EnergyPerAccess
+				out.EnergyFJ[g] += a * m.Macro.EnergyPerAccess
 			}
 		case cell.KindFiller:
 			continue
 		default:
-			out.EnergyFJ[g] += opt.ToggleRate * m.InternalEnergy
+			out.EnergyFJ[g] += a * m.InternalEnergy
 		}
-		out.LeakageUW[g] += m.Leakage * 1e-3 * opt.Corner.Leakage
+		out.LeakageUW[g] += m.Leakage * 1e-3 * corner.Leakage
 	}
-	out.EnergyFJ["(wires)"] = opt.ToggleRate * 0.5 * (ex.CWireTotal + ex.CPinTotal) * v2
+	out.EnergyFJ["(wires)"] = a * 0.5 * (ex.CWireTotal + ex.CPinTotal) * v2
 	if tree != nil {
 		out.EnergyFJ["(clock)"] = tree.TotalCap() * v2
 	}

@@ -17,6 +17,15 @@ func typical() tech.CornerScale {
 	return tech.CornerScale{CellDelay: 1, WireR: 1, WireC: 1, Leakage: 1}
 }
 
+// vdd is the technology's supply, the one the flows analyse at.
+var vdd = func() float64 {
+	tc, err := tech.New28(6)
+	if err != nil {
+		panic(err)
+	}
+	return tc.VDD
+}()
+
 // smallDesign: port → inv → ff with an SRAM hanging off the net.
 func smallDesign(t *testing.T) (*netlist.Design, *extract.Design) {
 	t.Helper()
@@ -52,7 +61,7 @@ func smallDesign(t *testing.T) (*netlist.Design, *extract.Design) {
 
 func TestBreakdown(t *testing.T) {
 	d, ex := smallDesign(t)
-	rep := Analyze(d, ex, nil, 400, Options{})
+	rep := Analyze(d, ex, nil, 400, vdd, typical())
 	if rep.SignalWireFJ <= 0 || rep.SignalPinFJ <= 0 {
 		t.Fatalf("signal energy missing: %+v", rep)
 	}
@@ -77,23 +86,30 @@ func TestBreakdown(t *testing.T) {
 	}
 }
 
+// TestToggleRateScalesSignalEnergy: signal nets switch at the paper's
+// toggle rate, α·½CV² per cycle, while the clock switches every cycle —
+// its pins' full CV², independent of α.
 func TestToggleRateScalesSignalEnergy(t *testing.T) {
 	d, ex := smallDesign(t)
-	r1 := Analyze(d, ex, nil, 400, Options{ToggleRate: 0.2})
-	r2 := Analyze(d, ex, nil, 400, Options{ToggleRate: 0.4})
-	if math.Abs(r2.SignalWireFJ/r1.SignalWireFJ-2) > 1e-9 {
-		t.Fatal("signal energy not proportional to toggle rate")
+	r := Analyze(d, ex, nil, 400, vdd, typical())
+	v2 := vdd * vdd
+	if want := 0.2 * 0.5 * ex.CWireTotal * v2; math.Abs(r.SignalWireFJ-want) > 1e-9*want {
+		t.Fatalf("signal wire energy %v, want α·½CV² = %v", r.SignalWireFJ, want)
 	}
-	// Clock energy is activity-1 — independent of the signal toggle
-	// rate.
-	if r1.ClockFJ != r2.ClockFJ {
-		t.Fatal("clock energy changed with signal toggle rate")
+	var ckCap float64
+	for _, inst := range d.Instances {
+		if ck := inst.Master.ClockPin(); ck != nil && inst.Master.IsSequential() {
+			ckCap += ck.Cap
+		}
+	}
+	if want := ckCap * v2; r.ClockFJ != want {
+		t.Fatalf("ideal clock energy %v, want CV² = %v", r.ClockFJ, want)
 	}
 }
 
 func TestPowerConversion(t *testing.T) {
 	d, ex := smallDesign(t)
-	rep := Analyze(d, ex, nil, 400, Options{})
+	rep := Analyze(d, ex, nil, 400, vdd, typical())
 	p400 := rep.PowerUW(400)
 	p200 := rep.PowerUW(200)
 	// Dynamic scales with f; leakage does not.
@@ -110,8 +126,8 @@ func TestClockTreeEnergyCounted(t *testing.T) {
 	d, ex := smallDesign(t)
 	beol, _ := tech.NewBEOL28("logic", 6)
 	tree := cts.Build(d, d.Net("clk"), d.Port("clk").Loc, d.Lib, beol, cts.Options{})
-	withTree := Analyze(d, ex, tree, 400, Options{})
-	ideal := Analyze(d, ex, nil, 400, Options{})
+	withTree := Analyze(d, ex, tree, 400, vdd, typical())
+	ideal := Analyze(d, ex, nil, 400, vdd, typical())
 	if withTree.ClockFJ <= ideal.ClockFJ {
 		t.Fatal("real tree should cost more than ideal clock")
 	}
@@ -125,7 +141,7 @@ func TestLargerCacheBurnsMore(t *testing.T) {
 		sram, _ := cell.NewSRAM(cell.SRAMSpec{Name: "m", Words: words, Bits: 32})
 		d.AddInstance("mem", sram)
 		ex := &extract.Design{Nets: nil}
-		return Analyze(d, ex, nil, 400, Options{})
+		return Analyze(d, ex, nil, 400, vdd, typical())
 	}
 	small := build(1024)
 	large := build(32768)
@@ -139,8 +155,8 @@ func TestLargerCacheBurnsMore(t *testing.T) {
 
 func TestCornerScalesLeakage(t *testing.T) {
 	d, ex := smallDesign(t)
-	typ := Analyze(d, ex, nil, 400, Options{})
-	fast := Analyze(d, ex, nil, 400, Options{Corner: tech.CornerScale{CellDelay: 0.8, WireR: 1, WireC: 1, Leakage: 1.8}})
+	typ := Analyze(d, ex, nil, 400, vdd, typical())
+	fast := Analyze(d, ex, nil, 400, vdd, tech.CornerScale{CellDelay: 0.8, WireR: 1, WireC: 1, Leakage: 1.8})
 	if math.Abs(fast.LeakageUW/typ.LeakageUW-1.8) > 1e-9 {
 		t.Fatal("leakage corner scaling wrong")
 	}
@@ -148,7 +164,7 @@ func TestCornerScalesLeakage(t *testing.T) {
 
 func TestByModule(t *testing.T) {
 	d, ex := smallDesign(t)
-	bd := ByModule(d, ex, nil, Options{})
+	bd := ByModule(d, ex, nil, vdd, typical())
 	if len(bd.EnergyFJ) == 0 {
 		t.Fatal("no groups")
 	}
@@ -164,7 +180,7 @@ func TestByModule(t *testing.T) {
 	}
 	// Sum of module internal energies ≤ total dynamic (wires/clock are
 	// the remainder buckets).
-	rep := Analyze(d, ex, nil, 400, Options{})
+	rep := Analyze(d, ex, nil, 400, vdd, typical())
 	var sum float64
 	for g, e := range bd.EnergyFJ {
 		if g != "(wires)" && g != "(clock)" {

@@ -218,7 +218,7 @@ func (db *DB) mazeSearch(s *mazeScratch, win window, a, b Node, dst []Seg) ([]Se
 
 	h := func(n Node) float64 {
 		return float64(gridDist(n, b)) +
-			float64(geom.AbsInt(int(n.L)-int(b.L)))*db.opt.ViaCost
+			float64(geom.AbsInt(int(n.L)-int(b.L)))*viaCost
 	}
 	start := win.idx(a)
 	goal := int32(win.idx(b))

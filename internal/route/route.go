@@ -33,12 +33,6 @@ type Options struct {
 	GCellPitch float64
 	// MaxIters is the number of negotiation iterations (default 6).
 	MaxIters int
-	// CapacityFill derates raw track capacity (default 0.65 — tracks
-	// lost to pins, power and detailed-routing inefficiency).
-	CapacityFill float64
-	// ViaCost is the routing cost of one via step, in gcell-lengths
-	// (default 1.0).
-	ViaCost float64
 	// Grid, when non-nil, overrides the gcell grid (it must tile the
 	// die exactly). Used when composing tile arrays so routes can be
 	// translated between aligned grids.
@@ -62,14 +56,15 @@ func (o Options) withDefaults() Options {
 	if o.MaxIters <= 0 {
 		o.MaxIters = 6
 	}
-	if o.CapacityFill <= 0 {
-		o.CapacityFill = 0.65
-	}
-	if o.ViaCost <= 0 {
-		o.ViaCost = 1.0
-	}
 	return o
 }
+
+// capacityFill derates raw track capacity: the tracks lost to pins,
+// power and detailed-routing inefficiency.
+const capacityFill = 0.65
+
+// viaCost is the routing cost of one via step, in gcell-lengths.
+const viaCost = 1.0
 
 // The grid a Node can address. The paper's stacks are 6–13 layers and
 // its tiles 52–146 gcells wide at the default pitch (a 4×4 array of the
@@ -277,7 +272,7 @@ func NewDB(die geom.Rect, beol *tech.BEOL, blk []floorplan.RouteBlockage, opt Op
 		if l.Dir == tech.DirVertical {
 			span = g.DX
 		}
-		tracks := int32(span / l.Pitch * opt.CapacityFill)
+		tracks := int32(span / l.Pitch * capacityFill)
 		if tracks < 1 {
 			tracks = 1
 		}

@@ -480,7 +480,7 @@ func appendViaStack(dst []Seg, x, y, la, lb int) []Seg {
 
 // viaStackCost prices a via stack, including F2F crossings.
 func (db *DB) viaStackCost(x, y, la, lb int) float64 {
-	cost := float64(geom.AbsInt(lb-la)) * db.opt.ViaCost
+	cost := float64(geom.AbsInt(lb-la)) * viaCost
 	lo, hi := min(la, lb), max(la, lb)
 	if db.f2fIdx >= 0 && lo <= db.f2fIdx && hi > db.f2fIdx {
 		i := db.Grid.Index(x, y)

@@ -227,7 +227,7 @@ func resize[T any](s []T, n int) []T {
 func (e *Engine) initPass(p *pass, from int) {
 	for i := from; i < len(p.arr); i++ {
 		p.arr[i] = negInf
-		p.slew[i] = e.opt.DefaultSlew
+		p.slew[i] = defaultSlew
 		p.wl[i] = 0
 		p.prev[i], p.via[i] = -1, -1
 	}
@@ -440,7 +440,7 @@ func (e *Engine) setSeed(p *pass, node int, v float64, dirty []bool) {
 		return
 	}
 	p.arr[node] = v
-	p.slew[node] = e.opt.DefaultSlew
+	p.slew[node] = defaultSlew
 	e.markFanout(node, dirty)
 }
 
@@ -473,7 +473,7 @@ func (e *Engine) evalNode(p *pass, inst *netlist.Instance) (arr, slew, wl float6
 	best := negInf
 	bestPrev, bestVia := int32(-1), int32(-1)
 	var bestWL float64
-	bestSlew := e.opt.DefaultSlew
+	bestSlew := defaultSlew
 	for _, ev := range e.in.row(inst.ID) {
 		rc := e.ex.Nets[ev.net]
 		if rc == nil {
@@ -500,7 +500,7 @@ func (e *Engine) evalNode(p *pass, inst *netlist.Instance) (arr, slew, wl float6
 		}
 	}
 	if bestPrev < 0 {
-		return negInf, e.opt.DefaultSlew, 0, -1, -1
+		return negInf, defaultSlew, 0, -1, -1
 	}
 	return best, bestSlew, bestWL, bestPrev, bestVia
 }

@@ -52,7 +52,7 @@ func (e *Engine) analyzeHold(rep *Report) {
 			if ia >= posInf {
 				continue
 			}
-			d := inst.Master.Delay(load, e.opt.DefaultSlew) * e.opt.Corner.CellDelay
+			d := inst.Master.Delay(load, defaultSlew) * e.opt.Corner.CellDelay
 			if at := ia + rc.ElmoreTo[ev.si] + d; at < best {
 				best = at
 			}

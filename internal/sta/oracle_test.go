@@ -100,22 +100,22 @@ func (e *Engine) oracleReport(period float64) (*Report, error) {
 				// Full-cycle launched paths.
 				if fa := full.arr[drvNode]; fa > negInf {
 					at := fa + adj + elm
-					req := at + setup - capLat + opt.SkewGuard
+					req := at + setup - capLat
 					consider(endpoint{
 						req: req, node: drvNode, ref: s,
 						delay: at, snap: full,
 						sinkWL: full.wl[drvNode] + dist(n.Driver, s),
-					}, func(p float64) float64 { return p + capLat - setup - at - opt.SkewGuard })
+					}, func(p float64) float64 { return p + capLat - setup - at })
 				}
 				// Half-cycle launched paths: budget T/2.
 				if ha := half.arr[drvNode]; ha > negInf {
 					at := ha + adj + elm
-					req := 2 * (at + setup - capLat + opt.SkewGuard)
+					req := 2 * (at + setup - capLat)
 					consider(endpoint{
 						req: req, node: drvNode, ref: s,
 						delay: at, isHalf: true, snap: half,
 						sinkWL: half.wl[drvNode] + dist(n.Driver, s),
-					}, func(p float64) float64 { return p/2 + capLat - setup - at - opt.SkewGuard })
+					}, func(p float64) float64 { return p/2 + capLat - setup - at })
 				}
 			case s.Port != nil && s.Port.Dir == cell.DirOut:
 				if fa := full.arr[drvNode]; fa > negInf {

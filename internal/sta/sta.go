@@ -33,8 +33,6 @@ type Options struct {
 	// Clock provides per-sink latencies; nil analyses with an ideal
 	// clock (zero latency, zero skew).
 	Clock *cts.Tree
-	// DefaultSlew is the slew at launch points, ps (default 30).
-	DefaultSlew float64
 	// TopPaths is the number of worst paths to trace into
 	// Report.Paths (default 8; Critical is always Paths[0]).
 	TopPaths int
@@ -42,9 +40,6 @@ type Options struct {
 	// sequential endpoints (the paper signs off setup only; hold is an
 	// extension).
 	CheckHold bool
-	// SkewGuard adds margin to every setup check, ps (default 0 — the
-	// tree's real latencies already capture skew).
-	SkewGuard float64
 	// Obs, when non-nil, locates the run's metric registry: the
 	// engine publishes full-run/incremental-update counts and
 	// dirty-frontier sizes there. nil disables instrumentation.
@@ -55,11 +50,11 @@ func (o Options) withDefaults() Options {
 	if o.Corner.CellDelay == 0 {
 		o.Corner = tech.CornerScale{CellDelay: 1, WireR: 1, WireC: 1, Leakage: 1}
 	}
-	if o.DefaultSlew <= 0 {
-		o.DefaultSlew = 30
-	}
 	return o
 }
+
+// defaultSlew is the input slew at launch points, ps.
+const defaultSlew = 30.0
 
 // PathStep is one hop of a reported path.
 type PathStep struct {
@@ -235,15 +230,15 @@ func (e *Engine) buildReport(period float64) (*Report, error) {
 				// Full-cycle launched paths.
 				if fa > negInf {
 					ep.delay = fa + adj + elm
-					ep.req = ep.delay + setup - capLat + opt.SkewGuard
-					consider(ep, period+capLat-setup-ep.delay-opt.SkewGuard)
+					ep.req = ep.delay + setup - capLat
+					consider(ep, period+capLat-setup-ep.delay)
 				}
 				// Half-cycle launched paths: budget T/2.
 				if ha > negInf {
 					ep.delay = ha + adj + elm
-					ep.req = 2 * (ep.delay + setup - capLat + opt.SkewGuard)
+					ep.req = 2 * (ep.delay + setup - capLat)
 					ep.snapHalf, ep.isHalf = true, true
-					consider(ep, period/2+capLat-setup-ep.delay-opt.SkewGuard)
+					consider(ep, period/2+capLat-setup-ep.delay)
 				}
 				continue
 			}

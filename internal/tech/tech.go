@@ -285,8 +285,7 @@ func (b *BEOL) MacroDieName(layer string) (string, error) {
 		name += MDSuffix
 	}
 	if b.LayerIndex(name) < 0 {
-		return "", fmt.Errorf("tech: stack %q has no macro-die layer for %q (want %q)",
-			b.Name, layer, name)
+		return "", fmt.Errorf("tech: stack %q has no macro-die layer %q", b.Name, name)
 	}
 	return name, nil
 }

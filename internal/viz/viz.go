@@ -16,9 +16,6 @@ import (
 // Options controls layout rendering.
 type Options struct {
 	Title string
-	// WidthPx is the SVG width; height follows the die aspect
-	// (default 640).
-	WidthPx float64
 	// ShowCells draws standard cells (small green rectangles).
 	ShowCells bool
 	// DieFilter limits drawn instances to one die; nil draws all.
@@ -33,16 +30,17 @@ type Options struct {
 	ShowObstructions bool
 }
 
+// widthPx is the width of a layout SVG, px; its height follows the die
+// aspect.
+const widthPx = 640.0
+
 // LayoutSVG renders the design inside the die outline.
 func LayoutSVG(d *netlist.Design, die geom.Rect, o Options) string {
-	if o.WidthPx <= 0 {
-		o.WidthPx = 640
-	}
-	s := o.WidthPx / die.W()
+	s := widthPx / die.W()
 	hPx := die.H() * s
 	var b strings.Builder
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.1f %.1f">`,
-		o.WidthPx, hPx+24, o.WidthPx, hPx+24)
+		widthPx, hPx+24, widthPx, hPx+24)
 	b.WriteByte('\n')
 	if o.Title != "" {
 		fmt.Fprintf(&b, `<text x="4" y="14" font-size="12" font-family="monospace">%s</text>`+"\n", o.Title)
