@@ -1,13 +1,14 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check fmt build test vet race fuzz equiv faults bench bench-flow bench-pairs bench-route bench-stash benchall qor obs-smoke cache-smoke harden-smoke trace-smoke bench-route-smoke
+.PHONY: check fmt build test vet bench-mod race fuzz equiv faults bench bench-flow bench-pairs bench-route bench-stash benchall qor obs-smoke cache-smoke harden-smoke trace-smoke bench-route-smoke
 
-## check: the full gate — gofmt, vet, build, unit tests, the race-enabled
-## fault-injection suite, a bounded fuzz of the snapshot decoder, then the
+## check: the full gate — gofmt, vet, build, unit tests, the bench/
+## module's vet and tests, the race-enabled fault-injection suite, a
+## bounded fuzz of the snapshot decoder, then the
 ## observability, stage-cache, hardened-macro, execution-tracer and
 ## benchmark-pipeline smoke tests (what CI should run).
-check: fmt vet build test race fuzz obs-smoke cache-smoke harden-smoke trace-smoke bench-route-smoke
+check: fmt vet build test bench-mod race fuzz obs-smoke cache-smoke harden-smoke trace-smoke bench-route-smoke
 
 ## fmt: fails on any Go file gofmt would rewrite, and names it.
 fmt:
@@ -21,6 +22,14 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+## bench-mod: vet (which builds) and test the flow ledger's own module
+## under bench/. The root's `./...` stops at a nested module, so without
+## this step a change that breaks an API bench/ calls fails only when the
+## benchmark is run.
+bench-mod:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 ## race: race-enabled run of the hardened-runner, fault-harness and
 ## incremental-engine packages. Includes internal/report, whose driver

@@ -1,43 +1,91 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 )
 
-// TestFlagSetGolden pins the flow/experiment mode's command line: every
-// flag name with its default, in flag.VisitAll's (lexical) order. A new,
-// renamed or removed flag has to show up here.
+// TestFlagSetGolden pins every mode's command line: each flag name with
+// its default, in flag.VisitAll's (lexical) order. A new, renamed or
+// removed flag, or a changed default, has to show up here.
 func TestFlagSetGolden(t *testing.T) {
-	want := []string{
-		"array=0",
-		"cache-dir=",
-		"cache-max-bytes=0",
-		"cache-verify=false",
-		"config=small",
-		"cpuprofile=",
-		"events=",
-		"experiment=",
-		"flow=",
-		"j=0",
-		"keep-going=false",
-		"macrodiemetals=6",
-		"memprofile=",
-		"metrics-out=",
-		"obs-addr=",
-		"obs-linger=0s",
-		"resume=false",
-		"seed=1",
-		"timeout=0s",
-		"trace=",
-	}
-	var got []string
-	newFlagSet(&options{}).VisitAll(func(f *flag.Flag) {
-		got = append(got, f.Name+"="+f.DefValue)
-	})
-	if !slices.Equal(got, want) {
-		t.Fatalf("flag set:\n got %q\nwant %q", got, want)
+	for _, m := range []struct {
+		mode  string
+		flags *command
+		want  []string
+	}{
+		{"macro3d", newFlagSet(&options{}), []string{
+			"array=0",
+			"cache-dir=",
+			"cache-max-bytes=0",
+			"cache-verify=false",
+			"config=small",
+			"cpuprofile=",
+			"events=",
+			"experiment=",
+			"flow=",
+			"j=0",
+			"keep-going=false",
+			"macrodiemetals=6",
+			"memprofile=",
+			"metrics-out=",
+			"obs-addr=",
+			"obs-linger=0s",
+			"resume=false",
+			"seed=1",
+			"timeout=0s",
+			"trace=",
+		}},
+		{"harden", newHardenFlags(&hardenOptions{}), []string{
+			"array=0",
+			"cache-dir=",
+			"cache-max-bytes=0",
+			"config=tiny",
+			"flow=macro3d",
+			"j=0",
+			"macrodiemetals=6",
+			"o=",
+			"resume=false",
+			"seed=1",
+			"verify=true",
+		}},
+		{"trace-report", newTraceReportFlags(&traceReportOptions{}), []string{
+			"config=small",
+			"flow=",
+			"in=",
+			"j=0",
+			"macrodiemetals=6",
+			"out=",
+			"seed=1",
+			"timeout=0s",
+			"top=10",
+		}},
+		{"layoutviz", newLayoutvizFlags(&layoutvizOptions{}), []string{
+			"array=3",
+			"config=small",
+			"fig=4",
+			"o=.",
+			"seed=1",
+		}},
+		{"pitongen", newPitongenFlags(&pitongenOptions{}), []string{
+			"config=small",
+			"def=",
+			"lef=",
+			"seed=0",
+			"stats=true",
+		}},
+	} {
+		var got []string
+		m.flags.VisitAll(func(f *flag.Flag) {
+			got = append(got, f.Name+"="+f.DefValue)
+		})
+		if !slices.Equal(got, m.want) {
+			t.Errorf("%s flag set:\n got %q\nwant %q", m.mode, got, m.want)
+		}
 	}
 }
 
@@ -54,34 +102,35 @@ func TestCacheAndWorkerFlagMisuse(t *testing.T) {
 		{"negative -j", []string{"-j", "-2"}},
 	} {
 		flow := append([]string{"-flow", "macro3d", "-config", "tiny"}, c.args...)
-		if code := realMain(flow); code != 2 {
+		if code := dispatch(flow); code != 2 {
 			t.Errorf("%s: macro3d %q: exit %d, want 2", c.name, flow, code)
 		}
-		if code := realMain(append([]string{"-experiment", "table1"}, c.args...)); code != 2 {
+		if code := dispatch(append([]string{"-experiment", "table1"}, c.args...)); code != 2 {
 			t.Errorf("%s: macro3d -experiment table1 %q: exit %d, want 2", c.name, c.args, code)
 		}
-		harden := append([]string{"-config", "tiny"}, c.args...)
-		if code := hardenMain(harden); code != 2 {
-			t.Errorf("%s: macro3d harden %q: exit %d, want 2", c.name, harden, code)
+		harden := append([]string{"harden", "-config", "tiny"}, c.args...)
+		if code := dispatch(harden); code != 2 {
+			t.Errorf("%s: macro3d %q: exit %d, want 2", c.name, harden, code)
 		}
 	}
 }
 
 // TestUsageErrorsExitBeforeAnyWork: a command line no run could honour
-// exits 2 without starting a flow — the deleted fast-mode switches and
-// the deleted placer switch are unknown flags, rejected with the usage
-// error rather than silently accepted (spelled in halves so a grep for
-// them finds nothing in the tree), and -array is checked against -flow
-// up front rather than after the flow has run (which used to exit 1
-// minutes later). A stray word ends flag parsing, so it is rejected
+// exits 2 without starting a flow, in every mode — the deleted fast-mode
+// switches and the deleted placer switch are unknown flags, rejected with
+// the usage error rather than silently accepted (spelled in halves so a
+// grep for them finds nothing in the tree), and -array is checked against
+// -flow up front rather than after the flow has run (which used to exit
+// 1 minutes later). A stray word ends flag parsing, so it is rejected
 // rather than running with every flag after it dropped; `serve` is no
 // subcommand, so it is one too. An experiment sets the tile and the
 // macro-die stack of every flow it runs, so an explicit -config or
 // -macrodiemetals with one — flowtrace aside — is rejected rather than
-// silently ignored. A macro die of no metal and a negative -array edge
-// are rejected in every mode that takes them, not run as the default
-// stack or as no array.
+// silently ignored. A macro die of no metal, a negative -array, -j or
+// -top, a negative duration, an unknown tile or figure are rejected in
+// every mode that takes them, not run as the default or as no limit.
 func TestUsageErrorsExitBeforeAnyWork(t *testing.T) {
+	lef := filepath.Join(t.TempDir(), "x.lef")
 	for _, args := range [][]string{
 		{"-flow", "2d", "-config", "tiny", "extra", "-seed", "7"},
 		{"serve", "-addr", "127.0.0.1:0"},
@@ -101,47 +150,40 @@ func TestUsageErrorsExitBeforeAnyWork(t *testing.T) {
 		{"-flow", "macro3d", "-config", "tiny", "-macrodiemetals", "-4"},
 		{"-flow", "macro3d", "-config", "tiny", "-array", "-3"},
 		{"-flow", "2d", "-config", "tiny", "-array", "-1"},
+		{"-flow", "2d", "-config", "bogus"},
+		{"-flow", "2d", "-config", "tiny", "-timeout", "-1s"},
+		{"-flow", "2d", "-config", "tiny", "-obs-linger", "-1s"},
 		{},
+		{"harden", "-config", "tiny", "extra", "-seed", "7"},
+		{"harden", "-config", "tiny", "-macrodiemetals", "0"},
+		{"harden", "-config", "tiny", "-array", "-3"},
+		{"trace-report", "-flow", "2d", "-config", "tiny", "-macrodiemetals", "0"},
+		{"trace-report", "-flow", "2d", "-config", "tiny", "extra"},
+		{"trace-report", "-flow", "2d", "-config", "tiny", "-timeout", "-1s"},
+		{"trace-report", "-flow", "2d", "-config", "tiny", "-j", "-1"},
+		{"trace-report", "-flow", "2d", "-config", "tiny", "-top", "-1"},
+		{"layoutviz", "-fig", "4", "-config", "tiny", "extra", "-fig", "5"},
+		{"layoutviz", "-fig", "9"},
+		{"layoutviz", "-config", "bogus"},
+		{"layoutviz", "-fig", "7", "-array", "-3"},
+		{"pitongen", "-config", "tiny", "extra", "-lef", lef},
 	} {
-		if code := realMain(args); code != 2 {
+		if code := dispatch(args); code != 2 {
 			t.Errorf("macro3d %q: exit %d, want 2", args, code)
 		}
 	}
+	if _, err := os.Stat(lef); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("pitongen with a stray argument wrote %s (stat: %v)", lef, err)
+	}
 	for _, args := range [][]string{
-		{"-config", "tiny", "extra", "-seed", "7"},
-		{"-config", "tiny", "-macrodiemetals", "0"},
-		{"-config", "tiny", "-array", "-3"},
+		{"-flow", "2d", "-array", "3"},
+		{"-flow", "macro3d", "-array", "3"},
+		{"-flow", "2d", "-cache-max-bytes", "1000", "-j", "1", "-cache-dir", t.TempDir()},
+		{"-flow", "2d", "-cache-max-bytes", "1000", "-j", "1", "-resume"},
+		{"-experiment", "flowtrace", "-config", "tiny", "-macrodiemetals", "4"},
 	} {
-		if code := hardenMain(args); code != 2 {
-			t.Errorf("macro3d harden %q: exit %d, want 2", args, code)
+		if code, ok := newFlagSet(&options{}).parse(args); !ok {
+			t.Errorf("macro3d %q rejected: exit %d", args, code)
 		}
-	}
-	if code := traceReportMain([]string{"-flow", "2d", "-config", "tiny", "-macrodiemetals", "0"}); code != 2 {
-		t.Errorf("macro3d trace-report -macrodiemetals 0: exit %d, want 2", code)
-	}
-	if code := traceReportMain([]string{"-flow", "2d", "-config", "tiny", "extra"}); code != 2 {
-		t.Errorf("macro3d trace-report with a stray argument: exit %d, want 2", code)
-	}
-	for _, flow := range []string{"2d", "macro3d"} {
-		if err := (&options{flow: flow, array: 3, metals: 6}).validate(); err != nil {
-			t.Errorf("-flow %s -array 3 rejected: %v", flow, err)
-		}
-	}
-	for _, cache := range []string{"-cache-dir", "-resume"} {
-		args := []string{"-cache-max-bytes", "1000", "-j", "1", cache}
-		if cache == "-cache-dir" {
-			args = append(args, t.TempDir())
-		}
-		var o options
-		if err := newFlagSet(&o).Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		if err := o.validate(); err != nil {
-			t.Errorf("%q rejected: %v", args, err)
-		}
-	}
-	set := map[string]bool{"config": true, "macrodiemetals": true}
-	if err := (&options{experiment: "flowtrace", metals: 4, set: set}).validate(); err != nil {
-		t.Errorf("-experiment flowtrace -config -macrodiemetals rejected: %v", err)
 	}
 }

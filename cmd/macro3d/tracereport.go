@@ -2,19 +2,46 @@ package main
 
 import (
 	"context"
-	"flag"
+	"errors"
 	"fmt"
 	"os"
-	"os/signal"
 	"slices"
 	"strings"
-	"syscall"
 	"time"
 
 	"macro3d"
 )
 
-// traceReportMain is the "macro3d trace-report" subcommand: the
+// traceReportOptions is the parsed command line of macro3d trace-report.
+type traceReportOptions struct {
+	in, flow, out string
+	runFlags
+	top     int
+	timeout time.Duration
+}
+
+func newTraceReportFlags(o *traceReportOptions) *command {
+	c := newCommand("macro3d trace-report")
+	c.StringVar(&o.in, "in", "", "analyze this Chrome trace-event JSON file (written by -trace or trace-report -out)")
+	c.StringVar(&o.flow, "flow", "", "run this flow with tracing and report on it: "+strings.Join(macro3d.FlowNames(), ", "))
+	c.runOn(&o.runFlags, "small", "worker count for -flow (0 = every CPU, see macro3d -j)")
+	c.StringVar(&o.out, "out", "", "with -flow: also write the recorded trace to this file")
+	c.IntVar(&o.top, "top", 10, "serial segments to list")
+	atLeast(c, "top", &o.top, 0)
+	c.timeout(&o.timeout)
+	c.check(func() error {
+		switch names := macro3d.FlowNames(); {
+		case (o.in == "") == (o.flow == ""):
+			return errors.New("exactly one of -in or -flow is required")
+		case o.flow != "" && !slices.Contains(names, o.flow):
+			return fmt.Errorf("unknown flow %q (want %s)", o.flow, strings.Join(names, ", "))
+		}
+		return nil
+	})
+	return c
+}
+
+// traceReport is the "macro3d trace-report" subcommand: the
 // parallelism bottleneck report of an execution trace. It either
 // analyzes a trace file previously written with -trace or -out, or
 // runs a flow with an in-memory tracer and reports on it directly.
@@ -26,81 +53,36 @@ import (
 // fraction, critical path and the Amdahl speedup ceiling, followed by
 // the top serial segments ranked by wall-clock share — the places
 // where adding workers cannot help.
-func traceReportMain(args []string) int {
-	fs := flag.NewFlagSet("macro3d trace-report", flag.ExitOnError)
-	var (
-		in      = fs.String("in", "", "analyze this Chrome trace-event JSON file (written by -trace or trace-report -out)")
-		flow    = fs.String("flow", "", "run this flow with tracing and report on it: "+strings.Join(macro3d.FlowNames(), ", "))
-		config  = fs.String("config", "small", "tile configuration for -flow: small, large or tiny")
-		seed    = fs.Uint64("seed", 1, "deterministic seed for -flow")
-		jobs    = fs.Int("j", 0, "worker count for -flow (0 = every CPU, see macro3d -j)")
-		metals  = fs.Int("macrodiemetals", 6, "macro-die metal layers (3D flows)")
-		out     = fs.String("out", "", "with -flow: also write the recorded trace to this file")
-		top     = fs.Int("top", 10, "serial segments to list")
-		timeout = fs.Duration("timeout", 0, "with -flow: cancel the run after this duration (0 = no limit)")
-	)
-	if err := fs.Parse(args); err != nil || strayArgs(fs) {
-		return 2
-	}
-	if (*in == "") == (*flow == "") {
-		fmt.Fprintln(os.Stderr, "macro3d trace-report: exactly one of -in or -flow is required")
-		fs.Usage()
-		return 2
-	}
-	if err := checkSizeFlags(*metals, 0); err != nil {
-		fmt.Fprintln(os.Stderr, "macro3d trace-report:", err)
-		return 2
-	}
-
+func traceReport(ctx context.Context, o *traceReportOptions) error {
 	var tr *macro3d.ExecTracer
-	if *in != "" {
-		f, err := os.Open(*in)
+	if o.in != "" {
+		f, err := os.Open(o.in)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "macro3d trace-report: -in:", err)
-			return 1
+			return fmt.Errorf("-in: %w", err)
 		}
 		tr, err = macro3d.ReadExecTrace(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "macro3d trace-report: -in:", err)
-			return 1
+			return fmt.Errorf("-in: %w", err)
 		}
 	} else {
-		pc, err := tileConfig(*config)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "macro3d trace-report:", err)
-			return 2
-		}
 		tr = macro3d.NewExecTracer()
 		rec := macro3d.NewObsRecorder()
 		rec.SetTimeline(tr)
-		cfg := macro3d.FlowConfig{Piton: pc, Seed: *seed, MacroDieMetals: *metals, Workers: *jobs, Obs: rec}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		if *timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, *timeout)
-			defer cancel()
-		}
+		cfg := o.flowConfig()
+		cfg.Obs = rec
 		start := time.Now()
-		if names := macro3d.FlowNames(); !slices.Contains(names, *flow) {
-			fmt.Fprintf(os.Stderr, "macro3d trace-report: unknown flow %q (want %s)\n", *flow, strings.Join(names, ", "))
-			return 2
-		}
-		if _, _, _, err = macro3d.RunFlow(ctx, *flow, cfg); err != nil {
-			printFailure(err)
-			return 1
+		if _, _, _, err := macro3d.RunFlow(ctx, o.flow, cfg); err != nil {
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "macro3d trace-report: %s/%s completed in %v\n",
-			*flow, *config, time.Since(start).Round(time.Millisecond))
-		if *out != "" {
-			if err := writeAtomic(*out, tr.WriteChrome); err != nil {
-				fmt.Fprintln(os.Stderr, "macro3d trace-report: -out:", err)
-				return 1
+			o.flow, o.tile.name, time.Since(start).Round(time.Millisecond))
+		if o.out != "" {
+			if err := writeAtomic(o.out, tr.WriteChrome); err != nil {
+				return fmt.Errorf("-out: %w", err)
 			}
 		}
 	}
-
-	fmt.Print(macro3d.AnalyzeExecTrace(tr).Format(*top))
-	return 0
+	fmt.Print(macro3d.AnalyzeExecTrace(tr).Format(o.top))
+	return nil
 }

@@ -205,6 +205,36 @@ func Classes() []Class {
 			},
 		},
 		{
+			// A tile port slides a nanometre along its edge, off the
+			// coordinate of the port it faces on the adjacent tile: the
+			// tiles no longer abut (§V-1), which the port-alignment
+			// check must report.
+			Name:  "misaligned-port",
+			Stage: flows.StagePower,
+			Kind:  "port-align",
+			Inject: func(st *flows.State) bool {
+				if st.Tile == nil {
+					return false
+				}
+				first := ""
+				for name := range st.Tile.Partners() {
+					if first == "" || name < first {
+						first = name
+					}
+				}
+				p := st.Design.Port(first)
+				if p == nil {
+					return false
+				}
+				if p.Loc.Y == st.Die.Ly || p.Loc.Y == st.Die.Uy {
+					p.Loc.X += 1e-3
+				} else {
+					p.Loc.Y += 1e-3
+				}
+				return true
+			},
+		},
+		{
 			// The routing stack's layer tables turn NaN after routing,
 			// so the sign-off extraction computes NaN parasitics. The
 			// extraction finiteness guard must fail the extract stage;

@@ -115,6 +115,22 @@ func resolutionMaterial(cfg Config) []byte {
 	return e.Bytes()
 }
 
+// pseudoRevision versions the pseudo checkpoint's snapshot beyond its
+// inputs. 1: it is a placement snapshot of every instance of the real
+// design (placementCheckpoint), no longer a codec of its own over the
+// standard cells — a snapshot written before must miss, not fail to
+// decode.
+const pseudoRevision = 1
+
+// pseudoMaterial is the pseudo checkpoint's key material: the
+// snapshot's revision and the blockage pitch (resolutionMaterial).
+func pseudoMaterial(cfg Config) []byte {
+	e := stash.NewEnc()
+	e.Int(pseudoRevision)
+	e.F64(cfg.BlockageResolution)
+	return e.Bytes()
+}
+
 // checkpoint is one cacheable region of a flow: a name (also the span
 // and trace label of a hit), key material covering the region's own
 // inputs beyond the upstream chain, and the snapshot codec. load must
@@ -540,8 +556,8 @@ func placementSize(d *netlist.Design) int {
 
 // placementCheckpoint snapshots the full placement state of every
 // instance (location, orientation, die, flags, master). Used for the
-// place stage of the 2D and Macro-3D flows and for the S2D/C2D tier
-// partition, none of which add or remove instances.
+// place stage of the 2D and Macro-3D flows and for the S2D/C2D pseudo
+// phase and tier partition, none of which add or remove instances.
 func placementCheckpoint(name string, material []byte, d *netlist.Design) checkpoint {
 	return checkpoint{
 		name:     name,
@@ -595,68 +611,6 @@ func decodePlacement(dec *stash.Dec, d *netlist.Design) ([]instStateWire, error)
 		states[i].resolved = m
 	}
 	return states, nil
-}
-
-// pseudoCheckpoint snapshots the net effect of the S2D/C2D pseudo
-// phase on the real design: each standard cell's transferred location,
-// placed flag and drive choice. The pseudo design itself is scratch
-// state that phase B never reads, so it is not captured — on a hit the
-// whole shrunk/scaled P&R and the transfer are skipped.
-func pseudoCheckpoint(material []byte, d *netlist.Design) checkpoint {
-	return checkpoint{
-		name:     "pseudo",
-		material: material,
-		save: func(e *stash.Enc) error {
-			cells := d.StdCells()
-			e.Int(len(cells))
-			for _, c := range cells {
-				e.Str(c.Master.Name)
-				e.F64(c.Loc.X)
-				e.F64(c.Loc.Y)
-				e.Bool(c.Placed)
-			}
-			return nil
-		},
-		load: func(dec *stash.Dec) error {
-			cells := d.StdCells()
-			n := dec.Int()
-			if dec.Err() == nil && n != len(cells) {
-				return fmt.Errorf("pseudo snapshot has %d cells, design has %d", n, len(cells))
-			}
-			type cw struct {
-				m    *cell.Cell
-				x, y float64
-				p    bool
-			}
-			states := make([]cw, 0, len(cells))
-			views := core.DieViews{}
-			for i := 0; i < n && dec.Err() == nil; i++ {
-				name := dec.Sym()
-				x, y := dec.F64(), dec.F64()
-				p := dec.Bool()
-				if dec.Err() != nil {
-					break
-				}
-				if err := finiteLoc(x, y); err != nil {
-					return err
-				}
-				m, err := resolveMaster(d, cells[i].Master, name, views)
-				if err != nil {
-					return err
-				}
-				states = append(states, cw{m: m, x: x, y: y, p: p})
-			}
-			if err := dec.Done(); err != nil {
-				return err
-			}
-			for i, s := range states {
-				cells[i].Master = s.m
-				cells[i].Loc = geom.Pt(s.x, s.y)
-				cells[i].Placed = s.p
-			}
-			return nil
-		},
-	}
 }
 
 // ---- routing snapshots ----

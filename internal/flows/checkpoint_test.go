@@ -591,13 +591,12 @@ func instStateDefects(good []byte, off int) []corruptCase {
 }
 
 // TestInstStateRejectsImpossibleValues: the placement, signoff and pseudo
-// loads reject every instStateDefects case (the pseudo snapshot carries
-// coordinates only) before they apply anything: the design snapshots to
-// the same bytes afterwards.
+// loads reject every instStateDefects case before they apply anything:
+// the design snapshots to the same bytes afterwards.
 func TestInstStateRejectsImpossibleValues(t *testing.T) {
 	st, place, signoff := tinySignedOff(t)
 	d := st.Design
-	pseudo := pseudoCheckpoint(nil, d)
+	pseudo := placementCheckpoint("pseudo", pseudoMaterial(Config{}), d)
 	save := func(cp checkpoint) []byte {
 		e := stash.NewEnc()
 		if err := cp.save(e); err != nil {
@@ -605,26 +604,21 @@ func TestInstStateRejectsImpossibleValues(t *testing.T) {
 		}
 		return e.Bytes()
 	}
-	firstCell := d.StdCells()[0].Master.Name
+	placeOff := 8 + 4 + len(d.Instances[0].Master.Name)
 	for _, c := range []struct {
-		cp         checkpoint
-		off        int  // the first instance's coordinates
-		coordsOnly bool // the snapshot has no orientation, flags or die
+		cp  checkpoint
+		off int // the first instance's coordinates
 	}{
-		{place, 8 + 4 + len(d.Instances[0].Master.Name), false},
-		{signoff, 4 + len(d.Name) + 4*8 + 4 + len(d.Instances[0].Master.Name), false},
-		{pseudo, 8 + 4 + len(firstCell), true},
+		{place, placeOff},
+		{signoff, 4 + len(d.Name) + 4*8 + 4 + len(d.Instances[0].Master.Name)},
+		{pseudo, placeOff},
 	} {
 		good := save(c.cp)
 		before := save(signoff)
 		if err := c.cp.load(stash.NewDec(good)); err != nil {
 			t.Fatalf("%s: the good snapshot does not load: %v", c.cp.name, err)
 		}
-		defects := instStateDefects(good, c.off)
-		if c.coordsOnly {
-			defects = defects[3:] // the coordinate cases
-		}
-		for _, bad := range defects {
+		for _, bad := range instStateDefects(good, c.off) {
 			if err := c.cp.load(stash.NewDec(bad.b)); err == nil {
 				t.Errorf("%s snapshot with an impossible %s loaded", c.cp.name, bad.name)
 			}

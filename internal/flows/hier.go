@@ -106,7 +106,7 @@ func instantiate(ctx context.Context, cfg Config, hr *HardenResult, nx, ny int) 
 		}),
 	}
 	if f.cfg.Verify {
-		list = append(list, do(StageVerify, func() error { return f.verify(nil) }))
+		list = append(list, do(StageVerify, func() error { return f.verify(nil, nil) }))
 	}
 	if err := f.exec(list); err != nil {
 		return nil, err

@@ -16,6 +16,7 @@ import (
 	"macro3d/internal/opt"
 	"macro3d/internal/par"
 	"macro3d/internal/partition"
+	"macro3d/internal/piton"
 	"macro3d/internal/place"
 	"macro3d/internal/power"
 	"macro3d/internal/route"
@@ -158,9 +159,10 @@ func (f *flow) stagesPseudo3D() []stage {
 	tiers.on = real // phase B works on the real design
 	return slices.Concat(f.frontEnd(real, spec.style), []stage{
 		// The whole pseudo P&R plus the transfer is one checkpoint: all
-		// phase B can see of it is the transferred location, placed flag
-		// and drive choice of each real standard cell.
-		region(func() checkpoint { return pseudoCheckpoint(resolutionMaterial(f.cfg), real.Design) },
+		// phase B can see of it is the real design's placement — each
+		// standard cell's transferred location, placed flag and drive
+		// choice.
+		region(func() checkpoint { return placementCheckpoint("pseudo", pseudoMaterial(f.cfg), real.Design) },
 			do("pseudo-"+StageFloorplan, func() error { return f.pseudoFloorplan(spec, real) }),
 			f.place("pseudo-"+StagePlace, spec.seedOff),
 			do("pseudo-"+StageRoute, func() error {
@@ -311,7 +313,17 @@ func (f *flow) backEnd(budget opt.Options) []stage {
 			return nil
 		}))
 	}
-	return append(list, do(StageVerify, func() error { return f.verify(bumps) }))
+	return append(list, do(StageVerify, func() error { return f.verify(bumps, portPairs(f.st.Tile)) }))
+}
+
+// portPairs is a tile's abutment pairs as verify.PortAlignment takes
+// them: each grouped port and the port it faces on the adjacent tile.
+func portPairs(t *piton.Tile) map[string]string {
+	pairs := map[string]string{}
+	for name, p := range t.Partners() {
+		pairs[name] = p.Name
+	}
+	return pairs
 }
 
 // clockTree synthesizes the clock tree of clk, driven from src.
@@ -496,10 +508,11 @@ func (f *flow) power() error {
 }
 
 // verify is the independent sign-off check; a dirty report fails the run
-// with a StageError wrapping *verify.Error.
-func (f *flow) verify(bumps []geom.Point) error {
+// with a StageError wrapping *verify.Error. pairs are the design's §V-1
+// abutment pairs (portPairs), nil when it is not a tile.
+func (f *flow) verify(bumps []geom.Point, pairs map[string]string) error {
 	st := f.st
-	rep := verify.Full(st.Design, st.Die, st.Routes, bumps, f.cfg.f2f(f.t), nil,
+	rep := verify.Full(st.Design, st.Die, st.Routes, bumps, f.cfg.f2f(f.t), pairs,
 		verify.Blockages{Grid: st.DB.Grid, Beol: st.DB.Beol, Rects: st.FP.RouteBlk})
 	if reg := f.obs().Reg(); reg != nil {
 		reg.Counter("verify_violations_total",

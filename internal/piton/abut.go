@@ -30,7 +30,7 @@ type Array struct {
 	NetID []int32
 
 	tile     *Tile
-	partners map[string]partner
+	partners map[string]Partner
 }
 
 // Net returns copy c's net of tile net n, or nil when it has none.
@@ -115,7 +115,7 @@ func AbutArray(t *Tile, die geom.Rect, nx, ny int) (*Array, error) {
 			die.Lx+die.W()*float64(nx), die.Ly+die.H()*float64(ny)),
 		NetID:    make([]int32, len(copies)*len(src.Nets)),
 		tile:     t,
-		partners: buildPartnerNames(t),
+		partners: t.Partners(),
 	}
 	for i := range a.NetID {
 		a.NetID[i] = -1
@@ -261,7 +261,7 @@ func ComposeAbstract(t *Tile, abs *cell.Cell, die geom.Rect, nx, ny int) (*netli
 		out.AddNet(name, drv, span...)
 	}
 
-	partnerName := buildPartnerNames(t)
+	partnerName := t.Partners()
 
 	clkPort := out.AddPort("clk_i", cell.DirIn)
 	clkPort.Layer = "M6"
@@ -329,15 +329,18 @@ func ComposeAbstract(t *Tile, abs *cell.Cell, die geom.Rect, nx, ny int) (*netli
 	return out, arrayDie, nil
 }
 
-// partner describes the tile-relative neighbour a grouped port faces.
-type partner struct {
-	dx, dy int
-	name   string
+// Partner is the port a grouped port faces on the adjacent tile, DX, DY
+// tiles away.
+type Partner struct {
+	DX, DY int
+	Name   string
 }
 
-// buildPartnerNames maps each grouped port name to the facing port on
-// the adjacent tile: out→in of the same pair/bit on the opposite edge.
-func buildPartnerNames(t *Tile) map[string]partner {
+// Partners maps each grouped port name to the facing port on the
+// adjacent tile: out→in of the same pair/bit on the opposite edge. The
+// §V-1 abutment rule is that a port and its partner share their
+// cross-coordinate.
+func (t *Tile) Partners() map[string]Partner {
 	type key struct {
 		e    Edge
 		pair int
@@ -346,7 +349,7 @@ func buildPartnerNames(t *Tile) map[string]partner {
 	for _, g := range t.Groups {
 		byKey[key{g.Edge, g.Pair}] = g
 	}
-	out := map[string]partner{}
+	out := map[string]Partner{}
 	for _, g := range t.Groups {
 		opp, ok := byKey[key{g.Edge.Opposite(), g.Pair}]
 		if !ok || len(opp.Names) != len(g.Names) {
@@ -364,7 +367,7 @@ func buildPartnerNames(t *Tile) map[string]partner {
 			dx = -1
 		}
 		for i, n := range g.Names {
-			out[n] = partner{dx: dx, dy: dy, name: opp.Names[i]}
+			out[n] = Partner{DX: dx, DY: dy, Name: opp.Names[i]}
 		}
 	}
 	return out
@@ -377,16 +380,16 @@ type neighborRef struct {
 
 // interiorNeighbor resolves whether a port of copy (ix, iy) faces
 // another copy inside the array.
-func interiorNeighbor(partners map[string]partner, port string, ix, iy, nx, ny int) (neighborRef, bool) {
+func interiorNeighbor(partners map[string]Partner, port string, ix, iy, nx, ny int) (neighborRef, bool) {
 	p, ok := partners[port]
 	if !ok {
 		return neighborRef{}, false
 	}
-	jx, jy := ix+p.dx, iy+p.dy
+	jx, jy := ix+p.DX, iy+p.DY
 	if jx < 0 || jx >= nx || jy < 0 || jy >= ny {
 		return neighborRef{}, false
 	}
-	return neighborRef{ix: jx, iy: jy, name: p.name}, true
+	return neighborRef{ix: jx, iy: jy, name: p.Name}, true
 }
 
 // portNets indexes, by port name, the net driven by (input port) or

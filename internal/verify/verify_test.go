@@ -179,15 +179,13 @@ func TestFullSignoffOnMacro3DFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Abutment pairs derived from the tile's groups via name flip.
+	// The tile's abutment pairs, as its flow's verify stage checks them.
 	pairs := map[string]string{}
-	for _, p := range st.Design.Ports {
-		if strings.Contains(p.Name, "_N_out_") {
-			pairs[p.Name] = strings.Replace(p.Name, "_N_out_", "_S_in_", 1)
-		}
-		if strings.Contains(p.Name, "_E_out_") {
-			pairs[p.Name] = strings.Replace(p.Name, "_E_out_", "_W_in_", 1)
-		}
+	for name, p := range st.Tile.Partners() {
+		pairs[name] = p.Name
+	}
+	if len(pairs) == 0 {
+		t.Fatal("the tile has no abutment pairs")
 	}
 	t28, _ := tech.New28(6)
 	rep := verify.Full(st.Design, st.Die, st.Routes, logicPart.Bumps, t28.F2F, pairs)
