@@ -252,13 +252,18 @@ bench-stash:
 	cat BENCH_stash.json
 
 ## qor: the seed ensemble — `macro3d -experiment seeds`, Tables I and II
-## and C2D over seeds 1–10 (70 flow runs) — rewrites BENCH_qor.json, then
-## holds it against the committed file with benchjson's paired-seed sign
-## test per flow × tile and metric, failing when one is worse on nine
-## seeds in ten. Commit the new file with the change that moved it.
+## and C2D over seeds 1–10 (70 flow runs) — and Tables I–III at seed 1
+## (`-experiment table1|table2|table3`, which write their cells beside
+## it) rewrite BENCH_qor.json; then the ensemble is held against the
+## committed file with benchjson's paired-seed sign test per flow × tile
+## and metric, failing when one is worse on nine seeds in ten. Commit the
+## new file with the change that moved it; TestExperimentsEnsembleTable
+## and TestExperimentsTablesIToIII then say which EXPERIMENTS.md cells it
+## left stale.
 qor:
 	git show HEAD:BENCH_qor.json > BENCH_qor.old.json
 	$(GO) run ./cmd/macro3d -experiment seeds
+	for e in table1 table2 table3; do $(GO) run ./cmd/macro3d -experiment $$e -seed 1 > /dev/null || exit 1; done
 	$(GO) run ./cmd/benchjson -compare BENCH_qor.old.json BENCH_qor.json; s=$$?; rm -f BENCH_qor.old.json; exit $$s
 
 ## benchall: every benchmark, human-readable.

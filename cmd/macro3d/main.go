@@ -17,7 +17,8 @@
 // Experiments choose each flow's tile and stack: -config and
 // -macrodiemetals are usage errors with any but flowtrace. -experiment
 // seeds runs Tables I and II and C2D over ten seeds from -seed and writes
-// their QoR to BENCH_qor.json.
+// their QoR to BENCH_qor.json; table1, table2 and table3 write their
+// cells there too, each replacing only its own part of the file.
 //
 // -timeout bounds the whole invocation (flows are cancelled at the
 // next stage boundary); -keep-going lets multi-column experiments
@@ -47,6 +48,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -256,8 +258,16 @@ func run(ctx context.Context, cfg macro3d.FlowConfig, o *options) error {
 	if err != nil || res.QoR == nil {
 		return err
 	}
+	file, err := os.ReadFile("BENCH_qor.json")
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	qor, err := res.MergeQoR(file)
+	if err != nil {
+		return fmt.Errorf("BENCH_qor.json: %w", err)
+	}
 	return writeAtomic("BENCH_qor.json", func(w io.Writer) error {
-		_, err := w.Write(res.QoR)
+		_, err := w.Write(qor)
 		return err
 	})
 }

@@ -58,8 +58,8 @@ func CaughtBy(err error) string {
 // the optimizer uses — so the harness also exercises the journal's
 // unchecked mutation surface. The nan-parasitics class fires at
 // StageRoute, before the database exists, and stays a direct mutation;
-// so does route-through-obstruction, as the journal has no edit that
-// adds a segment to a route.
+// so do route-through-obstruction and wire-past-capacity, as the journal
+// has no edit that adds a segment to a route.
 
 // Class is one injectable corruption.
 type Class struct {
@@ -198,6 +198,40 @@ func Classes() []Class {
 							}
 						}
 						r.Segments = append(r.Segments, route.Seg{A: at, B: route.At(ix, iy, l+1)})
+						return true
+					}
+				}
+				return false
+			},
+		},
+		{
+			// The first gcell-layer a routed wire crosses takes one
+			// wire past its track capacity — filled to capacity with
+			// copies of a one-gcell wire first, if it has room — which
+			// the result's overflow does not report: congestion the
+			// capacity check's recount must find.
+			Name:  "wire-past-capacity",
+			Stage: flows.StagePower,
+			Kind:  "capacity",
+			Inject: func(st *flows.State) bool {
+				if st.DB == nil {
+					return false
+				}
+				for _, r := range st.Routes.Routes {
+					if r == nil {
+						continue
+					}
+					for _, s := range r.Segments {
+						if s.IsVia() {
+							continue
+						}
+						c, used := st.DB.Tracks(s.A)
+						if c == 0 {
+							continue
+						}
+						for range c - used + 1 {
+							r.Segments = append(r.Segments, route.Seg{A: s.A, B: s.A})
+						}
 						return true
 					}
 				}

@@ -1,0 +1,98 @@
+package report
+
+import (
+	"context"
+	"encoding/json"
+
+	"macro3d/internal/flows"
+)
+
+// qorDoc is BENCH_qor.json: the seed ensemble (seeds, and a series per
+// flow × tile) and, by experiment name, the cells of Tables I–III. An
+// experiment's Result.QoR holds its own part only; Result.MergeQoR folds it
+// into the file.
+type qorDoc struct {
+	Seeds  []uint64               `json:"seeds,omitempty"`
+	Cells  []*series              `json:"cells,omitempty"`
+	Tables map[string][]tableCell `json:"tables,omitempty"`
+}
+
+// tableCell is one cell of Tables I–III as BENCH_qor.json keeps it: the
+// Cell, its tile by name, and the PPA fields the three tables print.
+type tableCell struct {
+	Flow           string `json:"flow"`
+	Tile           string `json:"tile"`
+	Seed           uint64 `json:"seed"`
+	MacroDieMetals int    `json:"macro_die_metals,omitempty"`
+
+	FclkMHz          float64 `json:"fclk_mhz"`
+	EmeanFJ          float64 `json:"emean_fj"`
+	FootprintMM2     float64 `json:"footprint_mm2"`
+	LogicCellAreaMM2 float64 `json:"logic_cell_area_mm2"`
+	MetalAreaMM2     float64 `json:"metal_area_mm2"`
+	WLm              float64 `json:"wl_m"`
+	F2FBumps         int     `json:"f2f_bumps"`
+	CpinNF           float64 `json:"cpin_nf"`
+	CwireNF          float64 `json:"cwire_nf"`
+	ClkDepth         int     `json:"clk_depth"`
+	CritPathWLmm     float64 `json:"crit_path_wl_mm"`
+	Overflow         int     `json:"overflow"`
+}
+
+// recorded makes a table experiment's Result carry its cells under its
+// name in BENCH_qor.json's tables (qorDoc) once every cell ran. Tables
+// I–III vary no knob but the macro-die metal count, the one a tableCell
+// records.
+func recorded(name string, run func(context.Context, flows.Config, bool) (*Result, error)) func(context.Context, flows.Config, bool) (*Result, error) {
+	return func(ctx context.Context, cfg flows.Config, keepGoing bool) (*Result, error) {
+		res, err := run(ctx, cfg, keepGoing)
+		if err != nil {
+			return res, err
+		}
+		cells := make([]tableCell, len(res.Cells))
+		for i, c := range res.Cells {
+			p := res.PPA[i]
+			cells[i] = tableCell{
+				Flow: c.Flow, Tile: c.Tile.Name, Seed: c.Seed, MacroDieMetals: c.MacroDieMetals,
+				FclkMHz: p.FclkMHz, EmeanFJ: p.EmeanFJ, FootprintMM2: p.FootprintMM2,
+				LogicCellAreaMM2: p.LogicCellAreaMM2, MetalAreaMM2: p.MetalAreaMM2, WLm: p.TotalWLm,
+				F2FBumps: p.F2FBumps, CpinNF: p.CpinNF, CwireNF: p.CwireNF, ClkDepth: p.ClkDepth,
+				CritPathWLmm: p.CritPathWLmm, Overflow: p.RouteOverflow,
+			}
+		}
+		res.QoR, err = marshalQoR(qorDoc{Tables: map[string][]tableCell{name: cells}})
+		return res, err
+	}
+}
+
+// marshalQoR encodes a BENCH_qor.json document as the file holds it.
+func marshalQoR(doc qorDoc) ([]byte, error) {
+	b, err := json.MarshalIndent(doc, "", "  ")
+	return append(b, '\n'), err
+}
+
+// MergeQoR returns the BENCH_qor.json file (nil when there is none yet)
+// with the part the result's QoR holds replaced and every other part
+// kept, so the seed ensemble and each table update their own part of one
+// file.
+func (r *Result) MergeQoR(file []byte) ([]byte, error) {
+	var doc, part qorDoc
+	if file != nil {
+		if err := json.Unmarshal(file, &doc); err != nil {
+			return nil, err
+		}
+	}
+	if err := json.Unmarshal(r.QoR, &part); err != nil {
+		return nil, err
+	}
+	if part.Cells != nil {
+		doc.Seeds, doc.Cells = part.Seeds, part.Cells
+	}
+	for name, cells := range part.Tables {
+		if doc.Tables == nil {
+			doc.Tables = map[string][]tableCell{}
+		}
+		doc.Tables[name] = cells
+	}
+	return marshalQoR(doc)
+}

@@ -129,8 +129,9 @@ func Run(ctx context.Context, base flows.Config, cells []Cell, keepGoing bool) (
 }
 
 // Result is one experiment run: its cells, their PPA in cell order (nil
-// where a cell failed) and the rendered report. QoR is a complete seed
-// ensemble's BENCH_qor.json document.
+// where a cell failed) and the rendered report. QoR is the experiment's
+// part of BENCH_qor.json when it keeps one (the seed ensemble; Tables
+// I–III) and every cell ran, for Result.MergeQoR.
 type Result struct {
 	Cells []Cell
 	PPA   []*flows.PPA
@@ -147,9 +148,9 @@ type experiment struct {
 // experiments is every experiment RunExperiment knows, in the order
 // Names lists them.
 var experiments = []experiment{
-	{"table1", table(tableICells, formatTableI)},
-	{"table2", table(tableIICells, formatTableII)},
-	{"table3", table(tableIIICells, formatTableIII)},
+	{"table1", recorded("table1", table(tableICells, formatTableI))},
+	{"table2", recorded("table2", table(tableIICells, formatTableII))},
+	{"table3", recorded("table3", table(tableIIICells, formatTableIII))},
 	{"isoperf", func(ctx context.Context, cfg flows.Config, _ bool) (*Result, error) {
 		return isoPerf(ctx, cfg, paperTiles())
 	}},

@@ -2,7 +2,6 @@ package report
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -137,15 +136,12 @@ func formatEnsemble(ss []*series, first uint64, n int) string {
 }
 
 // seeds is the seed ensemble: seedCells in one driver call, summarized
-// per flow × tile, and — when every cell ran — the BENCH_qor.json
-// document. It holds no timestamps: a re-run is byte-identical.
+// per flow × tile, and — when every cell ran — BENCH_qor.json's seeds
+// and series. It holds no timestamps: a re-run is byte-identical.
 func seeds(ctx context.Context, cfg flows.Config, n int, keepGoing bool) (*Result, error) {
 	cells := seedCells(cfg, n)
 	ps, err := Run(ctx, cfg, cells, keepGoing)
-	doc := struct {
-		Seeds []uint64  `json:"seeds"`
-		Cells []*series `json:"cells"`
-	}{Cells: ensemble(cells, ps, n)}
+	doc := qorDoc{Cells: ensemble(cells, ps, n)}
 	res := &Result{Cells: cells, PPA: ps, Text: formatEnsemble(doc.Cells, cfg.Seed, n)}
 	if err != nil {
 		return res, err
@@ -153,7 +149,6 @@ func seeds(ctx context.Context, cfg flows.Config, n int, keepGoing bool) (*Resul
 	for k := 0; k < n; k++ {
 		doc.Seeds = append(doc.Seeds, cfg.Seed+uint64(k))
 	}
-	res.QoR, err = json.MarshalIndent(doc, "", "  ")
-	res.QoR = append(res.QoR, '\n')
+	res.QoR, err = marshalQoR(doc)
 	return res, err
 }

@@ -216,11 +216,12 @@ func routeDesignOracle(d *netlist.Design, db *DB) (res *Result, ripups int, err 
 		db.addUsage(res, n.ID, 1)
 	}
 	for it := 0; it < db.opt.MaxIters; it++ {
-		if db.Overflow() == 0 {
+		cells, bins, _ := db.overflowed(res)
+		if len(cells)+len(bins) == 0 {
 			break
 		}
-		db.bumpHistory()
-		victims := db.overflowedNets(res, d.Nets)
+		db.bumpHistory(cells)
+		victims := db.overflowedNets(res, d.Nets, cells, bins)
 		if len(victims) == 0 {
 			break
 		}

@@ -59,9 +59,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// capacityFill derates raw track capacity: the tracks lost to pins,
-// power and detailed-routing inefficiency.
-const capacityFill = 0.65
+// CapacityFill derates raw track capacity: the tracks lost to pins,
+// power and detailed-routing inefficiency. A gcell-layer holds
+// max(1, ⌊span / pitch · CapacityFill⌋) tracks, less the fraction a
+// blockage covers (truncated, one blockage at a time).
+const CapacityFill = 0.65
+
+// BumpFill derates the F2F bump sites of a gcell: it holds
+// max(1, ⌊DX / pitch · DY / pitch · BumpFill⌋) crossings.
+const BumpFill = 0.5
 
 // viaCost is the routing cost of one via step, in gcell-lengths.
 const viaCost = 1.0
@@ -121,13 +127,15 @@ type NetRoute struct {
 // The result owns its records: route records, pin nodes and segments
 // are carved from chunked slabs, and a chunk never moves, so Routes
 // keeps pointing at them. A bulk build — RouteDesign, a decoded snapshot
-// — fills the first set (NewRoute). An ECO route (RouteNet) rewrites the
-// net's record where it lies and takes from the second set only what
-// does not fit: the record of a new net, a pin or segment span larger
-// than the one the net has, which is then abandoned as a rip-up victim's
-// is. The second set is separate because a slab's next chunk is as large
-// as everything before it: the first ECO route after an exact-size bulk
-// build would double the result.
+// — fills the first set (NewRoute); a rip-up victim's reroute is written
+// over its span when it fits, and takes a new one from the same set when
+// it does not. An ECO route (RouteNet) rewrites the net's record where
+// it lies and takes from the second set only what does not fit: the
+// record of a new net, a pin or segment span larger than the one the net
+// has. A span that is outgrown is abandoned where it lies. The second
+// set is separate because a slab's next chunk is as large as everything
+// before it: the first ECO route after an exact-size bulk build would
+// double the result.
 // The exception is a placed route (Place), borrowed read-only from
 // another result; only a tile array's result has any.
 type Result struct {
@@ -232,6 +240,7 @@ type DB struct {
 	patternPairs [4][][2]int
 
 	scr *mazeScratch // the single-thread router scratch (scratch)
+	ov  overScan     // the overflow scan's buffers (overflowed)
 
 	err error // the grid is not addressable; see Err
 }
@@ -272,7 +281,7 @@ func NewDB(die geom.Rect, beol *tech.BEOL, blk []floorplan.RouteBlockage, opt Op
 		if l.Dir == tech.DirVertical {
 			span = g.DX
 		}
-		tracks := int32(span / l.Pitch * capacityFill)
+		tracks := int32(span / l.Pitch * CapacityFill)
 		if tracks < 1 {
 			tracks = 1
 		}
@@ -324,7 +333,7 @@ func NewDB(die geom.Rect, beol *tech.BEOL, blk []floorplan.RouteBlockage, opt Op
 	// F2F bump capacity per gcell from the bump pitch.
 	if db.f2fIdx >= 0 {
 		p := beol.Vias[db.f2fIdx].Pitch
-		per := int32(g.DX / p * g.DY / p * 0.5)
+		per := int32(g.DX / p * g.DY / p * BumpFill)
 		if per < 1 {
 			per = 1
 		}
@@ -344,6 +353,13 @@ func (db *DB) idx(n Node) int {
 // isF2F reports whether via segment s crosses the F2F boundary.
 func (db *DB) isF2F(s Seg) bool {
 	return db.f2fIdx >= 0 && int(min(s.A.L, s.B.L)) == db.f2fIdx
+}
+
+// Tracks returns gcell-layer n's capacity in tracks — 0 for a wall — and
+// the usage committed to it.
+func (db *DB) Tracks(n Node) (capacity, used int) {
+	i := db.idx(n)
+	return int(db.cap[i]), int(db.usage[i])
 }
 
 // LayerIndex resolves a layer name (-1 when absent).
@@ -483,32 +499,95 @@ func (db *DB) hvPairs() [][2]int {
 	return out
 }
 
-// Overflow recomputes the current overflow (gcell-layers over
-// capacity).
-func (db *DB) Overflow() int {
-	over := 0
-	for i := range db.usage {
-		if db.usage[i] > db.cap[i] {
-			over++
-		}
-	}
-	if db.f2fCap != nil {
-		for i := range db.f2fUse {
-			if db.f2fUse[i] > db.f2fCap[i] {
-				over++
+// Overflow counts the gcell-layers and F2F bins whose usage is past
+// capacity under res's routes (overflowed), a wall's pin access being
+// capacity: the route overflow a result reports.
+func (db *DB) Overflow(res *Result) int {
+	cells, bins, _ := db.overflowed(res)
+	return len(cells) + len(bins)
+}
+
+// overflowed lists, in index order, the gcell-layers whose usage is past
+// capacity and the F2F bins past their bump capacity, into the DB's
+// overScan: valid until the next call. A zero-capacity gcell-layer holds one track
+// for each pin of res's routes in its column — the pin access blocked
+// grants — so it counts only past those (pinTracks); access is how many
+// hold usage within them.
+func (db *DB) overflowed(res *Result) (cells, bins []int32, access int) {
+	s := &db.ov
+	cells, cols := s.cells[:0], s.cols[:0]
+	nb := int32(db.Grid.Bins())
+	for i, u := range db.usage {
+		if u > db.cap[i] {
+			cells = append(cells, int32(i))
+			if db.cap[i] == 0 {
+				cols = append(cols, int32(i)%nb)
 			}
 		}
 	}
-	return over
+	if len(cols) > 0 {
+		cols, tracks := db.pinTracks(res, s, cols)
+		n := len(cells)
+		cells = slices.DeleteFunc(cells, func(i int32) bool {
+			if db.cap[i] != 0 {
+				return false
+			}
+			j, _ := slices.BinarySearch(cols, i%nb)
+			return db.usage[i] <= tracks[j]
+		})
+		access = n - len(cells)
+	}
+	bins = s.bins[:0]
+	for i := range db.f2fUse {
+		if db.f2fUse[i] > db.f2fCap[i] {
+			bins = append(bins, int32(i))
+		}
+	}
+	s.cells, s.bins = cells, bins
+	return cells, bins, access
 }
 
-// bumpHistory raises history cost on currently overflowed nodes.
-func (db *DB) bumpHistory() {
-	hist := db.history()
-	for i := range db.usage {
-		if db.usage[i] > db.cap[i] {
-			hist[i] += 2
+// overScan is the overflow scan's reusable state, grown on the first
+// negotiation that needs it: the gcell-layers and bump bins past
+// capacity, the walled columns and their pin tracks (overflowed), and
+// the victim scan's marks (overflowedNets).
+type overScan struct {
+	cells, bins, cols, tracks []int32
+	bad, badF2F               []bool
+}
+
+// pinTracks counts the pins of res's routes in each of the gcell columns
+// cols names: it sorts and deduplicates cols in place and returns them
+// with tracks[j], column cols[j]'s count, in s. One pass over the pin
+// nodes with a binary search each: a state with no wall past capacity
+// never gets here, and one with a few needs no plane.
+func (db *DB) pinTracks(res *Result, s *overScan, cols []int32) (_, tracks []int32) {
+	slices.Sort(cols)
+	cols = slices.Compact(cols)
+	s.cols = cols
+	s.tracks = slices.Grow(s.tracks[:0], len(cols))[:len(cols)]
+	tracks = s.tracks
+	clear(tracks)
+	for id, r := range res.Routes {
+		if r == nil {
+			continue
 		}
+		o := res.Origin(id)
+		for _, p := range r.PinNode {
+			c := int32(db.Grid.Index(int(p.X+o.DX), int(p.Y+o.DY)))
+			if j, ok := slices.BinarySearch(cols, c); ok {
+				tracks[j]++
+			}
+		}
+	}
+	return cols, tracks
+}
+
+// bumpHistory raises history cost on the overflowed gcell-layers.
+func (db *DB) bumpHistory(cells []int32) {
+	hist := db.history()
+	for _, i := range cells {
+		hist[i] += 2
 	}
 }
 

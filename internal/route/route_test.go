@@ -206,8 +206,8 @@ func TestECORouteHonoursWalls(t *testing.T) {
 				}
 			})
 		}
-		if db.Overflow() != 0 {
-			t.Fatalf("%s: overflow %d", c.name, db.Overflow())
+		if over := db.Overflow(&Result{Routes: []*NetRoute{r}}); over != 0 {
+			t.Fatalf("%s: overflow %d", c.name, over)
 		}
 	}
 }
@@ -476,7 +476,8 @@ func TestPlaceRoute(t *testing.T) {
 		big.cap[i] = 0
 	}
 	nets := []*netlist.Net{nil, nil, d.Nets[0]}
-	if hit := big.overflowedNets(out, nets); len(hit) != 1 || hit[0] != d.Nets[0] {
+	cells, bins, _ := big.overflowed(out)
+	if hit := big.overflowedNets(out, nets, cells, bins); len(hit) != 1 || hit[0] != d.Nets[0] {
 		t.Fatalf("overflow scan over a placed route found %v", hit)
 	}
 

@@ -105,10 +105,11 @@ func (db *DB) routeTask(t *netTask, maze bool, s *mazeScratch) ([]Seg, error) {
 // congestion every task before it left, and committed. The order is the
 // algorithm — long nets first set the landscape the short ones dodge, and
 // a negotiation wave's victims see each other's reroutes — so the pass
-// runs on one goroutine (DESIGN.md §10). A net's segments are stored
-// exact-size in the result's segment slab: growth by doubling happens
-// once, in the scratch buffer, not per net, and a victim's old span is
-// simply abandoned (at most MaxIters × maxVictims of them per run).
+// runs on one goroutine (DESIGN.md §10). A net's segments are stored in
+// the result's segment slab: growth by doubling happens once, in the
+// scratch buffer, not per net. A first route takes an exact-size span; a
+// rip-up victim's reroute is written over its old span when it fits, and
+// only one that outgrows it takes a new span, abandoning the old.
 func (db *DB) routePass(sp *obs.Span, tasks []*netTask, maze bool, res *Result, s *mazeScratch) error {
 	defer sp.Child("pass").End()
 	for _, t := range tasks {
@@ -118,7 +119,7 @@ func (db *DB) routePass(sp *obs.Span, tasks []*netTask, maze bool, res *Result, 
 		if err != nil {
 			return err
 		}
-		t.route.Segments = res.SegSpan(len(segs))
+		t.route.Segments = res.segs.Fit(t.route.Segments, len(segs))
 		copy(t.route.Segments, segs)
 		db.addSegs(t.route.Segments, Origin{}, 1)
 	}
@@ -135,8 +136,11 @@ func (db *DB) routePass(sp *obs.Span, tasks []*netTask, maze bool, res *Result, 
 //
 // The per-net records are not one heap object each: route records, pin
 // nodes, tasks and MST edges are sized once from the pin counts and
-// filled in spans, and a net's segments are stored exact-size in the
-// result's slab (Result doc, DESIGN.md §17).
+// filled in spans, and a net's segments are stored in the result's slab,
+// a rip-up victim's in its own span when they fit (Result doc, DESIGN.md
+// §17). The overflow a wave negotiates is what a reroute can fix: a
+// wall's pin access is capacity, not overflow (overflowed, DESIGN.md
+// §19).
 func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 	if db.err != nil {
 		return nil, db.err
@@ -178,6 +182,8 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		"Overflowed nets ripped up and rerouted during negotiation.")
 	overG := reg.Gauge("route_overflow_gcells",
 		"Gcell-layers above capacity after the latest negotiation state.")
+	accessG := reg.Gauge("route_pin_access_gcells",
+		"Zero-capacity gcell-layers used within their pins' access tracks, latest negotiation state.")
 
 	// The DB's scratch — the in-tree marks, the maze search state and
 	// the segment buffer — serves every net and two-pin search of the run.
@@ -219,13 +225,15 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 	// congestion-aware pattern routes (cheap); later iterations escal-
 	// ate to full maze search for the stubborn remainder.
 	for it := 0; it < db.opt.MaxIters; it++ {
-		over := db.Overflow()
+		cells, bins, access := db.overflowed(res)
+		over := len(cells) + len(bins)
 		overG.Set(float64(over))
+		accessG.Set(float64(access))
 		if over == 0 {
 			break
 		}
-		db.bumpHistory()
-		victims := db.overflowedNets(res, d.Nets)
+		db.bumpHistory(cells)
+		victims := db.overflowedNets(res, d.Nets, cells, bins)
 		if len(victims) == 0 {
 			break
 		}
@@ -267,8 +275,11 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		res.Vias += r.Vias
 		res.F2FBumps += r.F2F
 	}
-	res.Overflow = db.Overflow()
+	cells, bins, access := db.overflowed(res)
+	res.Overflow = len(cells) + len(bins)
 	overG.Set(float64(res.Overflow))
+	accessG.Set(float64(access))
+	sp.SetAttr("pin_access", access)
 
 	// Scratch reuse for this run.
 	reg.Counter("route_scratch_hits_total",
@@ -411,29 +422,30 @@ func (res *Result) Recount(db *DB) {
 		res.Vias += vias
 		res.F2FBumps += f2f
 	}
-	res.Overflow = db.Overflow()
+	res.Overflow = db.Overflow(res)
 }
 
 // overflowedNets returns the nets — nets is the design's table, by ID —
-// whose routes touch an overflowed gcell-layer, in net-ID order.
-func (db *DB) overflowedNets(res *Result, nets []*netlist.Net) []*netlist.Net {
-	bad := make([]bool, len(db.usage))
-	any := false
-	for i := range db.usage {
-		if db.usage[i] > db.cap[i] {
-			bad[i] = true
-			any = true
-		}
-	}
-	badF2F := make([]bool, len(db.f2fUse)) // empty without an F2F via
-	for i := range db.f2fUse {
-		if db.f2fUse[i] > db.f2fCap[i] {
-			badF2F[i] = true
-			any = true
-		}
-	}
-	if !any {
+// whose routes touch one of the overflowed gcell-layers cells or bump
+// bins bins (overflowed), in net-ID order: the rip-up victims. A net's
+// use of a wall in its own pin's column is not one: no reroute can leave
+// it.
+func (db *DB) overflowedNets(res *Result, nets []*netlist.Net, cells, bins []int32) []*netlist.Net {
+	if len(cells)+len(bins) == 0 {
 		return nil
+	}
+	sc := &db.ov
+	sc.bad = slices.Grow(sc.bad[:0], len(db.usage))[:len(db.usage)]
+	bad := sc.bad
+	clear(bad)
+	for _, i := range cells {
+		bad[i] = true
+	}
+	sc.badF2F = slices.Grow(sc.badF2F[:0], len(db.f2fUse))[:len(db.f2fUse)] // empty without an F2F via
+	badF2F := sc.badF2F
+	clear(badF2F)
+	for _, i := range bins {
+		badF2F[i] = true
 	}
 	var out []*netlist.Net
 	for id, r := range res.Routes {
@@ -450,7 +462,7 @@ func (db *DB) overflowedNets(res *Result, nets []*netlist.Net) []*netlist.Net {
 				continue
 			}
 			forEachStep(s, func(n Node) {
-				if bad[db.idx(n)] {
+				if i := db.idx(n); bad[i] && (db.cap[i] != 0 || !hasPinAt(r, o, n)) {
 					hit = true
 				}
 			})
@@ -463,6 +475,16 @@ func (db *DB) overflowedNets(res *Result, nets []*netlist.Net) []*netlist.Net {
 		}
 	}
 	return out
+}
+
+// hasPinAt reports whether route r, at o, has a pin in node n's column.
+func hasPinAt(r *NetRoute, o Origin, n Node) bool {
+	for _, p := range r.PinNode {
+		if p.X+o.DX == n.X && p.Y+o.DY == n.Y {
+			return true
+		}
+	}
+	return false
 }
 
 // appendViaStack appends the via segments moving from layer la to lb

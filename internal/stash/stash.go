@@ -46,8 +46,11 @@ import (
 // (hold sign-off moved inside the sign-off region). Version 6: same
 // format; routing contract — every route, ECO reroutes included, treats
 // a macro obstruction as a wall, so a version-5 route, sign-off or
-// harden snapshot may hold wires through SRAMs and must miss.
-const Version = 6
+// harden snapshot may hold wires through SRAMs and must miss. Version
+// 7: same format; a wall's pin access counts as capacity, not overflow,
+// so negotiation reroutes other victims and a version-6 route, sign-off
+// or harden snapshot of a flow with pin access must miss.
+const Version = 7
 
 // fileMagic opens every snapshot file.
 const fileMagic = "M3DSNAP1"

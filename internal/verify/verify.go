@@ -1,7 +1,8 @@
 // Package verify is the sign-off checker: after a flow finishes, it
 // re-derives from first principles that the produced implementation is
 // physically consistent — placement legality, routing connectivity of
-// every net, routes through macro obstructions, F2F bump spacing against
+// every net, routes through macro obstructions, routing usage against
+// track and bump capacity, F2F bump spacing against
 // the bonding pitch, and tile-port alignment. Flows and tests run it
 // as an independent witness (it shares no state with the tools it
 // checks).
@@ -22,7 +23,7 @@ import (
 // Violation is one finding. Identical findings reported repeatedly
 // are collapsed into one entry with Count > 1.
 type Violation struct {
-	Kind  string // "overlap", "off-die", "zero-area", "open-net", "obstruction", "bump-pitch", "port-align"
+	Kind  string // "overlap", "off-die", "zero-area", "open-net", "obstruction", "capacity", "bump-pitch", "port-align"
 	Msg   string
 	Count int // occurrences of this exact finding (≥ 1)
 }
@@ -56,6 +57,9 @@ type Report struct {
 		// PinAccess counts the obstructed gcell-layers routes enter in
 		// their own pins' columns (Obstructions), which are no violation.
 		PinAccess int
+		// Overflow counts the gcell-layers and bump bins whose recounted
+		// usage is past capacity (Capacity).
+		Overflow int
 	}
 
 	seen map[string]int // finding key → index in Violations
@@ -389,6 +393,109 @@ func Obstructions(rep *Report, d *netlist.Design, res *route.Result, blk Blockag
 	}
 }
 
+// Capacity recounts routing usage from the result's segments — every
+// gcell of every wire, every F2F crossing on its bump bin — against
+// capacity derived from the technology and the blockages alone: a layer's
+// tracks per gcell from its pitch and direction (route.CapacityFill),
+// less the fraction each blockage rect covers, and a gcell's bump sites
+// from the F2F via pitch (route.BumpFill). A gcell-layer a blockage
+// leaves no track holds one for each pin of the routes in its column,
+// the access the router grants. Checked.Overflow is the recount. It must
+// be the result's own Overflow, the route overflow the tables print:
+// usage past capacity the result does not report is a violation, as is
+// a report the recount does not find.
+func Capacity(rep *Report, res *route.Result, blk Blockages) {
+	g, bins := blk.Grid, blk.Grid.Bins()
+	capacity := make([]int32, blk.Beol.NumLayers()*bins)
+	for l, ly := range blk.Beol.Layers {
+		span := g.DY
+		if ly.Dir == tech.DirVertical {
+			span = g.DX
+		}
+		tracks := max(int32(span/ly.Pitch*route.CapacityFill), 1)
+		for b := range bins {
+			capacity[l*bins+b] = tracks
+		}
+	}
+	for _, rb := range blk.Rects {
+		l := blk.Beol.LayerIndex(rb.Layer)
+		x0, y0, x1, y1, in := g.CoverRange(rb.Rect)
+		if l < 0 || !in {
+			continue
+		}
+		for iy := y0; iy <= y1; iy++ {
+			for ix := x0; ix <= x1; ix++ {
+				bin := g.BinRect(ix, iy)
+				i := l*bins + g.Index(ix, iy)
+				capacity[i] = int32(float64(capacity[i]) * (1 - rb.Rect.Intersect(bin).Area()/bin.Area()))
+			}
+		}
+	}
+	var bumps, bumpUse []int32
+	f2f := blk.Beol.F2FViaIndex()
+	if f2f >= 0 {
+		p := blk.Beol.Vias[f2f].Pitch
+		bumps, bumpUse = make([]int32, bins), make([]int32, bins)
+		per := max(int32(g.DX/p*g.DY/p*route.BumpFill), 1)
+		for b := range bumps {
+			bumps[b] = per
+		}
+	}
+	usage := make([]int32, len(capacity))
+	pins := make([]int32, bins) // pins per gcell column
+	for id, r := range res.Routes {
+		if r == nil {
+			continue
+		}
+		o := res.Origin(id)
+		at := func(n route.Node) int { return g.Index(int(n.X+o.DX), int(n.Y+o.DY)) }
+		for _, p := range r.PinNode {
+			pins[at(p)]++
+		}
+		for _, s := range r.Segments {
+			if s.IsVia() {
+				if int(min(s.A.L, s.B.L)) == f2f {
+					bumpUse[at(s.A)]++
+				}
+				continue
+			}
+			dx, dy := sign(s.B.X-s.A.X), sign(s.B.Y-s.A.Y)
+			for n := s.A; ; n.X, n.Y = n.X+dx, n.Y+dy {
+				usage[int(n.L)*bins+at(n)]++
+				if n == s.B {
+					break
+				}
+			}
+		}
+	}
+	var over []string
+	for i, u := range usage {
+		c := capacity[i]
+		if c == 0 {
+			c = pins[i%bins]
+		}
+		if u > c {
+			ix, iy := g.Coords(i % bins)
+			over = append(over, fmt.Sprintf("%s gcell (%d, %d) holds %d wires, capacity %d",
+				blk.Beol.Layers[i/bins].Name, ix, iy, u, c))
+		}
+	}
+	for b, u := range bumpUse {
+		if u > bumps[b] {
+			ix, iy := g.Coords(b)
+			over = append(over, fmt.Sprintf("bump bin (%d, %d) holds %d F2F crossings, capacity %d", ix, iy, u, bumps[b]))
+		}
+	}
+	rep.Checked.Overflow = len(over)
+	if len(over) == res.Overflow {
+		return
+	}
+	rep.add("capacity", "%d gcell-layers over capacity, the route result reports %d", len(over), res.Overflow)
+	for _, msg := range over {
+		rep.add("capacity", "%s", msg)
+	}
+}
+
 // BumpRules checks F2F bump spacing against the bonding pitch: no two
 // bumps closer than the minimum pitch (bumps sit on the bonding grid).
 func BumpRules(rep *Report, bumps []geom.Point, f2f tech.F2FSpec) {
@@ -444,7 +551,7 @@ func PortAlignment(rep *Report, d *netlist.Design, die geom.Rect, pairs map[stri
 
 // Full runs every applicable check on a finished implementation.
 // bumps and pairs may be nil for 2D designs / untiled SoCs; the
-// obstruction check runs against each blk given.
+// obstruction and capacity checks run against each blk given.
 func Full(d *netlist.Design, die geom.Rect, res *route.Result,
 	bumps []geom.Point, f2f tech.F2FSpec, pairs map[string]string, blk ...Blockages) *Report {
 
@@ -454,6 +561,7 @@ func Full(d *netlist.Design, die geom.Rect, res *route.Result,
 		Connectivity(rep, d, res)
 		for _, b := range blk {
 			Obstructions(rep, d, res, b)
+			Capacity(rep, res, b)
 		}
 	}
 	if len(bumps) > 0 {

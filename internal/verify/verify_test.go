@@ -265,10 +265,126 @@ func TestObstructionsGeometry(t *testing.T) {
 	}
 }
 
+// TestCapacityRecount: the capacity check counts a wall's pin access
+// against one track per pin in its column, and a wire past a gcell-layer's
+// tracks as overflow, which is a violation unless the route result
+// reports it.
+func TestCapacityRecount(t *testing.T) {
+	beol, err := tech.NewBEOL28("logic", 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 10 × 10 gcells of 10 µm; layer 2 is a wall over columns 3–5.
+	blk := verify.Blockages{
+		Grid:  geom.NewGrid(geom.R(0, 0, 100, 100), 10),
+		Beol:  beol,
+		Rects: []floorplan.RouteBlockage{{Layer: beol.Layers[2].Name, Rect: geom.R(30, 0, 60, 100)}},
+	}
+	db := route.NewDB(blk.Grid.Region, beol, blk.Rects, route.Options{Grid: &blk.Grid})
+	check := func(res *route.Result) *verify.Report {
+		rep := &verify.Report{}
+		verify.Capacity(rep, res, blk)
+		return rep
+	}
+	// The pin at (3, 5) on layer 2 escapes west out of the wall.
+	res := &route.Result{Routes: []*route.NetRoute{{
+		PinNode:  []route.Node{route.At(3, 5, 2), route.At(0, 5, 2)},
+		Segments: []route.Seg{{A: route.At(3, 5, 2), B: route.At(0, 5, 2)}},
+	}}}
+	if rep := check(res); !rep.Clean() || rep.Checked.Overflow != 0 {
+		t.Fatalf("pin access: recount %d, %v", rep.Checked.Overflow, rep.Violations)
+	}
+	// A second net's wire in the wall is one past its one track.
+	res.Routes = append(res.Routes, &route.NetRoute{
+		PinNode:  []route.Node{route.At(1, 5, 2), route.At(1, 5, 0)},
+		Segments: []route.Seg{{A: route.At(1, 5, 2), B: route.At(3, 5, 2)}},
+	})
+	rep := check(res)
+	if rep.Checked.Overflow != 1 || rep.Clean() || rep.Violations[0].Kind != "capacity" {
+		t.Fatalf("wire in a wall: recount %d, %v", rep.Checked.Overflow, rep.Violations)
+	}
+	if res.Overflow = 1; !check(res).Clean() {
+		t.Fatal("overflow the result reports is a violation")
+	}
+	// A gcell-layer filled to its tracks, then one wire more.
+	at := route.At(8, 8, 1)
+	tracks, _ := db.Tracks(at)
+	full := &route.NetRoute{PinNode: []route.Node{at, at}}
+	for range tracks {
+		full.Segments = append(full.Segments, route.Seg{A: at, B: at})
+	}
+	res = &route.Result{Routes: []*route.NetRoute{full}}
+	if rep := check(res); !rep.Clean() {
+		t.Fatalf("a full gcell-layer: %v", rep.Violations)
+	}
+	full.Segments = append(full.Segments, route.Seg{A: at, B: at})
+	if rep := check(res); rep.Checked.Overflow != 1 || rep.Clean() {
+		t.Fatalf("one wire past %d tracks: recount %d, %v", tracks, rep.Checked.Overflow, rep.Violations)
+	}
+}
+
+// TestCapacityAgreesWithRouter: on a design whose nets all cross one
+// gcell row of walls, with pins inside the walls too, the capacity
+// check's recount — from the technology, the blockages and the segments
+// alone — is the router's own overflow, after one negotiation iteration
+// and after eight.
+func TestCapacityAgreesWithRouter(t *testing.T) {
+	lib := cell.NewStdLib28(cell.DefaultLibOptions())
+	d := netlist.NewDesign("cong", lib)
+	for i := range 240 {
+		a := d.AddInstance(fmt.Sprint("a", i), lib.MustCell("INV_X1"))
+		a.Loc = geom.Pt(5, float64(100+i/2))
+		b := d.AddInstance(fmt.Sprint("b", i), lib.MustCell("INV_X1"))
+		b.Loc = geom.Pt(395, float64(100+i/2))
+		d.AddNet(fmt.Sprint("n", i), netlist.IPin(a, "Y"), netlist.IPin(b, "A"))
+	}
+	// Cells inside the walls: their pins' escape wires are pin access.
+	for i := range 4 {
+		a := d.AddInstance(fmt.Sprint("w", i), lib.MustCell("INV_X1"))
+		a.Loc = geom.Pt(165, float64(30+20*i))
+		b := d.AddInstance(fmt.Sprint("v", i), lib.MustCell("INV_X1"))
+		b.Loc = geom.Pt(135, float64(30+20*i))
+		d.AddNet(fmt.Sprint("p", i), netlist.IPin(a, "Y"), netlist.IPin(b, "A"))
+	}
+	beol, err := tech.NewBEOL28("logic", 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rects []floorplan.RouteBlockage
+	// Walls on M1–M4 across the die, and on M5 but for one gcell row:
+	// the only way across.
+	for _, l := range beol.Layers[:4] {
+		rects = append(rects, floorplan.RouteBlockage{Layer: l.Name, Rect: geom.R(150, 0, 250, 400)})
+	}
+	m5 := beol.Layers[4].Name
+	rects = append(rects, floorplan.RouteBlockage{Layer: m5, Rect: geom.R(150, 0, 250, 180)},
+		floorplan.RouteBlockage{Layer: m5, Rect: geom.R(150, 200, 250, 400)})
+	for _, iters := range []int{1, 8} {
+		db := route.NewDB(geom.R(0, 0, 400, 400), beol, rects, route.Options{GCellPitch: 20, MaxIters: iters})
+		res, err := route.RouteDesign(d, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := &verify.Report{}
+		verify.Capacity(rep, res, verify.Blockages{Grid: db.Grid, Beol: beol, Rects: rects})
+		verify.Obstructions(rep, d, res, verify.Blockages{Grid: db.Grid, Beol: beol, Rects: rects})
+		t.Logf("%d iterations: overflow %d, recount %d, pin access %d", iters, res.Overflow, rep.Checked.Overflow, rep.Checked.PinAccess)
+		if rep.Checked.PinAccess == 0 {
+			t.Fatal("no route enters a wall for pin access; the test needs some")
+		}
+		if !rep.Clean() || rep.Checked.Overflow != res.Overflow {
+			t.Fatalf("%d iterations: the router reports %d, the recount finds %d: %v",
+				iters, res.Overflow, rep.Checked.Overflow, rep.Violations)
+		}
+	}
+}
+
 // TestTableIRoutesClearObstructions holds the routing contract on Table
 // I's small-tile cells at seed 1: 2D, MoL S2D, BF S2D and Macro-3D each
-// sign off under Config.Verify, and no route enters a gcell-layer a
-// macro obstruction covers outside one of its own pins' columns.
+// sign off under Config.Verify, no route enters a gcell-layer a macro
+// obstruction covers outside one of its own pins' columns, and the
+// capacity check's recount finds no gcell-layer past capacity — the
+// route overflow Table I prints is 0 in each.
 func TestTableIRoutesClearObstructions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four small-tile flows")
@@ -285,6 +401,12 @@ func TestTableIRoutesClearObstructions(t *testing.T) {
 		t.Logf("%s: %d crossings, %d obstructed gcell-layers entered for pin access", key, rep.Total, rep.Checked.PinAccess)
 		if rep.Total != 0 {
 			t.Errorf("%s: %d routes through macro obstructions: %v", key, rep.Total, rep.Violations[:min(3, len(rep.Violations))])
+		}
+		rep = &verify.Report{}
+		verify.Capacity(rep, st.Routes,
+			verify.Blockages{Grid: st.DB.Grid, Beol: st.DB.Beol, Rects: st.FP.RouteBlk})
+		if !rep.Clean() || rep.Checked.Overflow != 0 || st.Routes.Overflow != 0 {
+			t.Errorf("%s: overflow %d, recount %d: %v", key, st.Routes.Overflow, rep.Checked.Overflow, rep.Violations)
 		}
 	}
 }
