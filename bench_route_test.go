@@ -153,7 +153,8 @@ func routeBenchSetup(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteDesign routes the placed large-cache tile from scratch.
+// BenchmarkRouteDesign routes the placed large-cache tile from scratch
+// and reports the result's segments and via cuts (segs, via_cuts).
 func BenchmarkRouteDesign(b *testing.B) {
 	routeBenchSetup(b)
 	b.ResetTimer()
@@ -171,6 +172,15 @@ func BenchmarkRouteDesign(b *testing.B) {
 	// Metrics only after the loop: ResetTimer deletes reported metrics.
 	b.ReportMetric(last.WL/1e6, "WL_m")
 	b.ReportMetric(float64(last.Overflow), "overflow")
+	segs := 0
+	for _, r := range last.Routes {
+		if r != nil {
+			segs += len(r.Segments)
+		}
+	}
+	// A via stack is one segment; via_cuts counts each of its cuts.
+	b.ReportMetric(float64(segs), "segs")
+	b.ReportMetric(float64(last.Vias), "via_cuts")
 }
 
 func benchPlace(b *testing.B, workers int) {

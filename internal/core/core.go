@@ -261,10 +261,7 @@ func Separate(md *MoLDesign, routes *route.Result, db *route.DB) (logic, macro *
 			continue
 		}
 		for _, s := range r.Segments {
-			if !s.IsVia() {
-				continue
-			}
-			if int(min(s.A.L, s.B.L)) != f2fIdx {
+			if !s.Spans(f2fIdx) { // a wire, or a via stack that stays on one die
 				continue
 			}
 			// Offset repeated bumps in a gcell onto the bump grid.

@@ -166,7 +166,7 @@ func (c *chunk) prepare(out *Design, nets []*netlist.Net, res *route.Result) {
 	routed, sinks, maxNodes, maxSegs, maxSinks := 0, 0, 0, 0, 0
 	for _, n := range nets {
 		if out.toExtract(n.ID, res) {
-			segs := len(res.Routes[n.ID].Segments)
+			segs := route.Elements(res.Routes[n.ID].Segments)
 			routed++
 			sinks += len(n.Sinks)
 			maxNodes = max(maxNodes, 2*segs+n.NumPins())
@@ -324,7 +324,7 @@ type Scratch struct {
 	adjTo      []int32 // CSR adjacency, per node in edge insertion order
 	adjR       []float64
 	order      []int32 // BFS order from the driver
-	segA, segB []int32 // local endpoint ids per segment
+	segA, segB []int32 // local endpoint ids per edge: a wire, or one cut of a via stack
 	segR       []float64
 	sink       []int32 // local node id per Net.Sinks entry
 }
@@ -341,7 +341,8 @@ const (
 )
 
 // reserve sizes every array for a net of at most nodes route nodes, segs
-// segments and sinks sinks, so extracting such nets never grows one.
+// edges (route.Elements: wires and via cuts) and sinks sinks, so
+// extracting such nets never grows one.
 func (s *Scratch) reserve(nodes, segs, sinks int) {
 	s.reset(nodes)
 	s.capAt, s.cur, s.order = make([]float64, 0, nodes), make([]int32, 0, nodes), make([]int32, 0, nodes)
@@ -395,35 +396,33 @@ func (s *Scratch) id(n route.Node) int32 {
 
 // extractNet builds the RC tree of net n routed as r into rc — zero but
 // for an ElmoreTo sized one entry per sink — and runs Elmore. Every
-// accumulation — per-node capacitance in segment then pin order,
+// accumulation — per-node capacitance in edge order (segment order, a
+// via stack's cuts from A to B) then pin order,
 // adjacency in edge insertion order, BFS from the driver with the
 // first-found parent winning, downstream sums in reverse BFS order —
 // keeps one fixed sequence, so the floats are reproducible bit for bit.
 func (s *Scratch) extractNet(rc *NetRC, n *netlist.Net, r *route.NetRoute, db *route.DB, corner tech.CornerScale) {
-	nseg := len(r.Segments)
+	nseg := route.Elements(r.Segments)
 	s.reset(2*nseg + n.NumPins())
 	s.segA, s.segB, s.segR = grow(s.segA, nseg), grow(s.segB, nseg), grow(s.segR, nseg)
 
-	for i, sg := range r.Segments {
-		var res, c float64
-		if sg.IsVia() {
-			v := db.Beol.Vias[min(sg.A.L, sg.B.L)]
-			res = v.R * corner.WireR
-			c = v.C * corner.WireC
-		} else {
+	// One edge per wire and per cut of a via stack, in segment order and
+	// a stack's cuts from A to B.
+	i := 0
+	for _, sg := range r.Segments {
+		if !sg.IsVia() {
 			ly := db.Beol.Layers[sg.A.L]
 			length := float64(abs(int(sg.B.X)-int(sg.A.X)))*db.Grid.DX + float64(abs(int(sg.B.Y)-int(sg.A.Y)))*db.Grid.DY
-			res = length * ly.RPerUm * corner.WireR
-			c = length * ly.CPerUm * corner.WireC
+			s.edge(rc, i, sg.A, sg.B, length*ly.RPerUm*corner.WireR, length*ly.CPerUm*corner.WireC)
+			i++
+			continue
 		}
-		rc.WireC += c
-		rc.WireR += res
-		a, b := s.id(sg.A), s.id(sg.B)
-		s.capAt[a] += c / 2
-		s.capAt[b] += c / 2
-		s.cur[a]++
-		s.cur[b]++
-		s.segA[i], s.segB[i], s.segR[i] = a, b, res
+		for k := range sg.Cuts() {
+			cut := sg.Cut(k)
+			v := db.Beol.Vias[min(cut.A.L, cut.B.L)]
+			s.edge(rc, i, cut.A, cut.B, v.R*corner.WireR, v.C*corner.WireC)
+			i++
+		}
 	}
 
 	// Pin caps at their nodes (the driver contributes no load to itself).
@@ -440,7 +439,7 @@ func (s *Scratch) extractNet(rc *NetRC, n *netlist.Net, r *route.NetRoute, db *r
 	driver := s.id(r.PinNode[0])
 	nn := len(s.capAt)
 
-	// Adjacency as CSR: rows filled in segment order, a's entry before
+	// Adjacency as CSR: rows filled in edge order, a's entry before
 	// b's, which is the order the edges were inserted in.
 	s.off = grow(s.off, nn+1)
 	s.off[0] = 0
@@ -498,6 +497,20 @@ func (s *Scratch) extractNet(rc *NetRC, n *netlist.Net, r *route.NetRoute, db *r
 	for i, id := range s.sink {
 		rc.ElmoreTo[i] = s.delay[id]
 	}
+}
+
+// edge adds RC edge i of rc's tree, between nodes a and b: its
+// resistance and capacitance to the totals, half the capacitance to each
+// end.
+func (s *Scratch) edge(rc *NetRC, i int, a, b route.Node, res, c float64) {
+	rc.WireC += c
+	rc.WireR += res
+	ia, ib := s.id(a), s.id(b)
+	s.capAt[ia] += c / 2
+	s.capAt[ib] += c / 2
+	s.cur[ia]++
+	s.cur[ib]++
+	s.segA[i], s.segB[i], s.segR[i] = ia, ib, res
 }
 
 func abs(v int) int {

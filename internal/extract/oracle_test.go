@@ -106,9 +106,27 @@ func extractNetOracle(n *netlist.Net, r *route.NetRoute, db *route.DB, corner te
 	return rc
 }
 
+// perCut is r with every via stack expanded into its cuts
+// (route.Seg.Cut), in order: the form the oracle reads, one segment per
+// cut.
+func perCut(r *route.NetRoute) *route.NetRoute {
+	c := *r
+	c.Segments = make([]route.Seg, 0, route.Elements(r.Segments))
+	for _, s := range r.Segments {
+		if !s.IsVia() {
+			c.Segments = append(c.Segments, s)
+			continue
+		}
+		for k := range s.Cuts() {
+			c.Segments = append(c.Segments, s.Cut(k))
+		}
+	}
+	return &c
+}
+
 // randomNet builds one net with 0–6 sinks and a hand-made route over
 // the combined stack: a random graph grown from the driver's node by
-// straight runs and via steps (through the F2F boundary too), with
+// straight runs and via stacks (through the F2F boundary too), with
 // loops back to earlier nodes, repeated (parallel) edges and the odd
 // zero-length segment. Sinks mostly sit on graph nodes; some sit on a
 // node the segments never reach. It returns the indices of those.
@@ -131,11 +149,14 @@ func randomNet(rng *geom.RNG, d *netlist.Design, db *route.DB, id int) (*netlist
 		from := nodes[rng.Intn(len(nodes))]
 		to := from
 		switch rng.Intn(10) {
-		case 0, 1, 2: // via step, across the F2F bump when it is next
-			if int(to.L)+1 < nl && (to.L == 0 || rng.Intn(2) == 0) {
-				to.L++
-			} else {
-				to.L--
+		case 0, 1, 2: // via stack of one to three cuts, across the F2F bump when it is next
+			up := int(to.L)+1 < nl && (to.L == 0 || rng.Intn(2) == 0)
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				if up && int(to.L)+1 < nl {
+					to.L++
+				} else if !up && to.L > 0 {
+					to.L--
+				}
 			}
 		case 3, 4, 5:
 			to.X += int16(1 + rng.Intn(8))
@@ -144,7 +165,7 @@ func randomNet(rng *geom.RNG, d *netlist.Design, db *route.DB, id int) (*netlist
 		case 8: // loop: close back onto an earlier node of the same layer or column
 			for _, c := range nodes {
 				if c != from && ((c.L == from.L && (c.X == from.X || c.Y == from.Y)) ||
-					(c.X == from.X && c.Y == from.Y && abs(int(c.L)-int(from.L)) == 1)) {
+					(c.X == from.X && c.Y == from.Y && c.L != from.L)) {
 					to = c
 					break
 				}
@@ -197,9 +218,11 @@ func combinedDB(t *testing.T) *route.DB {
 
 // TestExtractMatchesOracle: over thousands of seeded random nets — trees,
 // looped routes with parallel edges, sinks the segments do not reach,
-// single-pin nets, via stacks through the F2F bump — one reused scratch
-// yields NetRC values exactly equal (==, no tolerance) to the map-based
-// oracle's. A sink off the routed graph has Elmore delay 0, as before.
+// single-pin nets, via stacks of up to three cuts through the F2F bump —
+// one reused scratch yields NetRC values exactly equal (==, no
+// tolerance) to the map-based oracle's over the same route one segment
+// per cut (perCut). A sink off the routed graph has Elmore delay 0, as
+// before.
 // The nets share eight table slots, so nearly every extraction rewrites
 // the record and Elmore vector another net left behind.
 func TestExtractMatchesOracle(t *testing.T) {
@@ -211,7 +234,7 @@ func TestExtractMatchesOracle(t *testing.T) {
 	f2f := db.Beol.F2FViaIndex()
 	var s Scratch
 	var ex Design
-	var singles, loops, offGraph, crossings int
+	var singles, loops, offGraph, crossings, stacks int
 	for id := 0; id < 4000; id++ {
 		made, r, unreached := randomNet(rng, d, db, id)
 		slot := *made
@@ -220,7 +243,7 @@ func TestExtractMatchesOracle(t *testing.T) {
 		if id == 1500 {
 			s.gen = math.MaxUint32 - 1 // run the table's generation wrap
 		}
-		want := extractNetOracle(n, r, db, corner)
+		want := extractNetOracle(n, perCut(r), db, corner)
 		got := ex.Reextract(&s, n, r, db, corner)
 		if got != ex.Nets[n.ID] || id >= 8 && len(ex.Nets) != 8 {
 			t.Fatalf("net %d: Reextract did not rewrite slot %d of %d", id, n.ID, len(ex.Nets))
@@ -245,14 +268,17 @@ func TestExtractMatchesOracle(t *testing.T) {
 				loops++
 			}
 			seen[sg.A], seen[sg.B] = true, true
-			if sg.IsVia() && int(min(sg.A.L, sg.B.L)) == f2f {
+			if sg.Spans(f2f) {
 				crossings++
+			}
+			if sg.Cuts() > 1 {
+				stacks++
 			}
 		}
 	}
-	if singles == 0 || loops == 0 || offGraph == 0 || crossings == 0 {
-		t.Fatalf("generator missed a class: %d single-pin nets, %d loop edges, %d off-graph sinks, %d F2F vias",
-			singles, loops, offGraph, crossings)
+	if singles == 0 || loops == 0 || offGraph == 0 || crossings == 0 || stacks == 0 {
+		t.Fatalf("generator missed a class: %d single-pin nets, %d loop edges, %d off-graph sinks, %d F2F vias, %d multi-cut stacks",
+			singles, loops, offGraph, crossings, stacks)
 	}
 }
 
@@ -288,7 +314,7 @@ func TestExtractMatchesOracleRouted(t *testing.T) {
 	d, db, res := routedNets(t)
 	ex := Extract(d, res, db, typical())
 	for _, n := range d.Nets {
-		if want := extractNetOracle(n, res.Routes[n.ID], db, typical()); !equalRC(ex.Nets[n.ID], want) {
+		if want := extractNetOracle(n, perCut(res.Routes[n.ID]), db, typical()); !equalRC(ex.Nets[n.ID], want) {
 			t.Fatalf("net %s: got %+v, oracle %+v", n.Name, ex.Nets[n.ID], want)
 		}
 	}

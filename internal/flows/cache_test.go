@@ -418,8 +418,9 @@ func TestStageCacheDisabledWithHooks(t *testing.T) {
 // placer and Version 4 the placer's rewritten wirelength kernel — the
 // same configuration means different results, if only in their last
 // bits — so a store written under an earlier version must miss, never
-// alias. The names are the snapshots commits 6951ce7 (version 2) and
-// 6102dd1 (version 3) wrote for this very run (macro3d, tinyCacheCfg); a
+// alias; Version 8 stored a via stack as one segment. The names are the
+// snapshots commits 6951ce7 (version 2), 6102dd1 (version 3) and fbe50e5
+// (version 7) wrote for this very run (macro3d, tinyCacheCfg); a
 // run beside them looks none of them up, reports no decode error, leaves
 // them untouched and hits only its own.
 func TestStageCacheVersionMiss(t *testing.T) {
@@ -430,6 +431,9 @@ func TestStageCacheVersionMiss(t *testing.T) {
 		"1620cec73f746da676253848c27b255bfd8e0d02ed5e65d55f6acc24f4c041a2.snap",
 		"367f2e1793c7ac5d9e74e3792fdc04afd7b7619e84c3dfcbeeed7f5ce84e7530.snap",
 		"ae3697997886b271d0cbb414de63d2af0f53deb93ebcddb96fb132ef46bbcfcc.snap",
+		"d08e5e9b2b4e91b1fabe1ba3d0d074bf34ce3bd613e2dfa0ba2f26bbc1a1fbed.snap",
+		"d68ef64f1e66ecc8f19bbf8b5bed91f9fb040f5efb6a11c41375366205ffcca8.snap",
+		"fe9b9a9ac3f0be5fff3c2626c381bfd80de20de3edc1c4a7bcf4a6f1894ae79f.snap",
 	}
 	const own = 3 // checkpoints of one macro3d run
 	dir := t.TempDir()

@@ -736,8 +736,11 @@ var errRouteHeader = errors.New("route snapshot: per-route counts disagree with 
 // will live in. The header's totals are each checked against the bytes
 // left (so a corrupt count cannot over-allocate) and size the route, pin
 // node and segment slabs in one allocation each; the per-route counts
-// must then add up to exactly those totals. Nothing of the live design
-// is touched or needed: a route is bound to its net by its index.
+// must then add up to exactly those totals. Every segment must be one
+// the router writes (route.Seg.Valid) on a layer the result's
+// WLPerLayer counts: a slanted one would walk its consumers past its
+// end. Nothing of the live design is touched or needed: a route is
+// bound to its net by its index.
 func decodeResult(dec *stash.Dec) (*route.Result, error) {
 	n := dec.Count(1)
 	routes, pins, segs := dec.Count(routeWire), dec.Count(nodeWire), dec.Count(segWire)
@@ -746,7 +749,8 @@ func decodeResult(dec *stash.Dec) (*route.Result, error) {
 	}
 	res := &route.Result{Routes: make([]*route.NetRoute, n)}
 	res.Reserve(routes, pins, segs)
-	var bad byte // high bits of every node byte that must not carry one
+	var bad byte    // high bits of every node byte that must not carry one
+	top := int8(-1) // the highest layer a segment reaches
 	for i := 0; i < n && dec.Err() == nil; i++ {
 		if !dec.Bool() {
 			continue
@@ -765,8 +769,13 @@ func decodeResult(dec *stash.Dec) (*route.Result, error) {
 		nr.Segments = res.SegSpan(ns)
 		for j := range nr.Segments {
 			w := b[segWire*j : segWire*j+segWire]
-			nr.Segments[j] = route.Seg{A: getNode(w), B: getNode(w[nodeWire:])}
+			sg := route.Seg{A: getNode(w), B: getNode(w[nodeWire:])}
+			if !sg.Valid() {
+				return nil, fmt.Errorf("route snapshot: net %d segment %v→%v is neither a wire along a row or column nor a via stack", i, sg.A, sg.B)
+			}
+			nr.Segments[j] = sg
 			bad |= w[1] | w[3] | w[4] | w[6] | w[8] | w[9]
+			top = max(top, sg.A.L, sg.B.L)
 		}
 		np := int(dec.U32())
 		b = dec.View(nodeWire * np)
@@ -801,6 +810,9 @@ func decodeResult(dec *stash.Dec) (*route.Result, error) {
 	}
 	if bad&0x80 != 0 {
 		return nil, errors.New("route snapshot: node outside the addressable grid")
+	}
+	if int(top) >= len(res.WLPerLayer) {
+		return nil, fmt.Errorf("route snapshot: a segment on layer %d of a %d-layer result", top, len(res.WLPerLayer))
 	}
 	return res, nil
 }

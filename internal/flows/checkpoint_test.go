@@ -26,22 +26,24 @@ import (
 
 // randomResult builds a routing result of n table entries — about one
 // in eight nil — with random geometry that reaches the corners of the
-// addressable grid.
+// addressable grid: pin nodes anywhere on it, segments wires along a row
+// or column and via stacks of any height on the result's layers.
 func randomResult(seed uint64, n int) *route.Result {
 	rng := geom.NewRNG(seed)
-	node := func() route.Node {
+	node := func(layers int) route.Node {
 		switch rng.Intn(16) {
 		case 0:
-			return route.At(route.MaxGridDim-1, route.MaxGridDim-1, route.MaxLayers-1)
+			return route.At(route.MaxGridDim-1, route.MaxGridDim-1, layers-1)
 		case 1:
 			return route.Node{}
 		}
-		return route.At(rng.Intn(route.MaxGridDim), rng.Intn(route.MaxGridDim), rng.Intn(route.MaxLayers))
+		return route.At(rng.Intn(route.MaxGridDim), rng.Intn(route.MaxGridDim), rng.Intn(layers))
 	}
 	res := &route.Result{WLPerLayer: make([]float64, 1+rng.Intn(13))}
 	for i := range res.WLPerLayer {
 		res.WLPerLayer[i] = rng.Range(0, 1e6)
 	}
+	nl := len(res.WLPerLayer)
 	for i := 0; i < n; i++ {
 		if rng.Intn(8) == 0 {
 			res.SetRoute(i, nil)
@@ -50,11 +52,21 @@ func randomResult(seed uint64, n int) *route.Result {
 		nr := res.NewRoute(i)
 		nr.Segments = res.SegSpan(rng.Intn(40))
 		for j := range nr.Segments {
-			nr.Segments[j] = route.Seg{A: node(), B: node()}
+			a := node(nl)
+			b, far := a, node(nl)
+			switch rng.Intn(3) {
+			case 0:
+				b.X = far.X
+			case 1:
+				b.Y = far.Y
+			default:
+				b.L = far.L
+			}
+			nr.Segments[j] = route.Seg{A: a, B: b}
 		}
 		nr.PinNode = res.PinSpan(rng.Intn(6))
 		for j := range nr.PinNode {
-			nr.PinNode[j] = node()
+			nr.PinNode[j] = node(route.MaxLayers)
 		}
 		nr.WL, nr.Vias, nr.F2F = rng.Range(0, 5000), rng.Intn(100), rng.Intn(10)
 	}
@@ -106,9 +118,9 @@ func sameResult(a, b *route.Result) error {
 	return nil
 }
 
-// TestResultCodecRoundTrip: random results — and a real tile's — encode,
-// decode to a field-for-field equal result, and re-encode to the same
-// bytes.
+// TestResultCodecRoundTrip: random results — and a real tile's, whose
+// via stacks climb through the F2F via — encode, decode to a
+// field-for-field equal result, and re-encode to the same bytes.
 func TestResultCodecRoundTrip(t *testing.T) {
 	check := func(t *testing.T, res *route.Result) {
 		t.Helper()
@@ -128,15 +140,22 @@ func TestResultCodecRoundTrip(t *testing.T) {
 		check(t, randomResult(seed, int(seed*seed)%300))
 	}
 	t.Run("tile", func(t *testing.T) {
-		_, st := mustRun(t, "2d", tinyCacheCfg())
-		segs := 0
+		_, st := mustRun(t, "macro3d", tinyCacheCfg())
+		f2f := st.Beol.F2FViaIndex()
+		segs, crossing := 0, 0 // segments; stacks of several cuts through the F2F via
 		for _, r := range st.Routes.Routes {
-			if r != nil {
-				segs += len(r.Segments)
+			if r == nil {
+				continue
+			}
+			segs += len(r.Segments)
+			for _, s := range r.Segments {
+				if s.Cuts() > 1 && s.Spans(f2f) {
+					crossing++
+				}
 			}
 		}
-		if segs == 0 {
-			t.Fatal("tile result has no segments")
+		if segs == 0 || crossing == 0 {
+			t.Fatalf("tile result has %d segments, %d multi-cut stacks through the F2F via", segs, crossing)
 		}
 		check(t, st.Routes)
 		// 10 bytes a segment on disk, not the 48 of its 64-bit fields.
@@ -241,6 +260,29 @@ func corruptResultCases(good []byte) []corruptCase {
 		b[first+5+[]int{1, 3, 4}[i]] |= 0x80
 		cases = append(cases, corruptCase{"node-high-bit-" + name, b})
 	}
+	// The first segment bent into one no consumer can walk — a slanted
+	// wire, a slanted via — or moved to a layer past the result's.
+	if binary.LittleEndian.Uint32(good[first+1:]) == 0 {
+		panic("corruptResultCases: the first present route has no segment")
+	}
+	res, err := decodeResultBytes(good)
+	if err != nil {
+		panic(err)
+	}
+	top := len(res.WLPerLayer)
+	for _, c := range []struct {
+		name string
+		a, b route.Node
+	}{
+		{"slanted-wire", route.At(1, 1, 0), route.At(2, 3, 0)},
+		{"slanted-via", route.At(1, 1, 0), route.At(2, 1, 1)},
+		{"layer-past-result", route.At(1, 1, top), route.At(1, 4, top)},
+	} {
+		b := slices.Clone(good)
+		putNode(b[first+5:], c.a)
+		putNode(b[first+5+nodeWire:], c.b)
+		cases = append(cases, corruptCase{c.name, b})
+	}
 	return cases
 }
 
@@ -250,8 +292,8 @@ func corruptResultCases(good []byte) []corruptCase {
 // canonical — it re-encodes to the same bytes. Seeded with a good
 // encoding — a small one: the engine minimizes every input that reaches
 // new code, an execution per byte — and TestDecodeResultCorrupt's table
-// over it; `go test` runs the seeds, `make check` fuzzes for a bounded
-// time.
+// over it, a slanted wire and a slanted via among them; `go test` runs
+// the seeds, `make check` fuzzes for a bounded time.
 func FuzzDecodeResult(f *testing.F) {
 	good := encodeResultBytes(randomResult(3, 12))
 	f.Add(good)

@@ -66,8 +66,8 @@ func tilePreOptOf(t *testing.T, cfg piton.Config) *Context {
 
 // TestJournalsMatchScratchOnTile runs the optimizer over the small 2D
 // tile with SelfCheck on, which after every commit and every rollback
-// compares the journaled free space with a fresh NewFreeSpace (== on
-// every interval) and the journaled adjacency with a from-scratch
+// compares the journaled free space with a fresh NewFreeSpace (every
+// interval bound within 1e-9 µm) and the journaled adjacency with a from-scratch
 // build (row for row). Both outcomes must occur for the run to count.
 // It also holds the buffer gauge to what the design actually gained:
 // buffers of rolled-back iterations are not counted.

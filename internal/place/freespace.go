@@ -1,6 +1,7 @@
 package place
 
 import (
+	"math"
 	"slices"
 
 	"macro3d/internal/floorplan"
@@ -165,16 +166,21 @@ func (fs *FreeSpace) Release(u *Undo, die netlist.Die, r geom.Rect) {
 }
 
 // Equal reports whether two free-space sets over the same floorplan have
-// maps for the same dies holding exactly the same free intervals (== on
-// every bound, no tolerance).
+// maps for the same dies holding the same free intervals: as many per
+// segment, each bound within 1e-9 µm of its counterpart — the slack
+// occupy and release already grant a cell's edges. A cell's right edge,
+// Lx + W, may round an ulp past the segment end it was placed against,
+// and releasing it leaves that edge where a fresh build has the
+// segment's end.
 func (fs *FreeSpace) Equal(o *FreeSpace) bool {
+	near := func(p, q iv) bool { return math.Abs(p.a-q.a) <= 1e-9 && math.Abs(p.b-q.b) <= 1e-9 }
 	for die := range fs.dies {
 		a, b := &fs.dies[die], &o.dies[die]
 		if !slices.Equal(a.rowOff, b.rowOff) {
 			return false
 		}
 		for i := range a.segs {
-			if !slices.Equal(a.segs[i].free, b.segs[i].free) {
+			if !slices.EqualFunc(a.segs[i].free, b.segs[i].free, near) {
 				return false
 			}
 		}

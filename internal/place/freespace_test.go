@@ -320,6 +320,45 @@ func TestFreeSpacePerDie(t *testing.T) {
 	fresh("after the rollback")
 }
 
+// TestReleaseAtSegmentEnd replays the edit that failed BF S2D / small's
+// self-check at seeds 4 and 6: in a row of three cells, the last one's
+// right edge, Lx + W, rounds one ulp past the segment end it abuts, and
+// the cell is released. The journaled interval ends at that edge, a
+// fresh build's at the segment's end; Equal holds them the same point,
+// and still tells apart maps a cell's width apart.
+func TestReleaseAtSegmentEnd(t *testing.T) {
+	lib := cell.NewStdLib28(cell.DefaultLibOptions())
+	d := netlist.NewDesign("ulp", lib)
+	// The row's geometry as the pseudo design's ECO saw it, bit for bit.
+	end := 0x1.884f085b5558bp+05
+	fp := &floorplan.Floorplan{Die: geom.R(0, 0, end, 1.2)}
+	wide, narrow := lib.MustCell("BUF_X1").Clone(), lib.MustCell("BUF_X1").Clone()
+	wide.Width, narrow.Width = 0x1.63dd4d663bdaep+04, 0x1.6afb54113d0d8p+03
+	cells := []*netlist.Instance{d.AddInstance("c", wide), d.AddInstance("a", narrow), d.AddInstance("b", narrow)}
+	for i, x := range []float64{0x1.31124c8fd1aap+00, 0x1.76ee722f38f58p+04, 0x1.2d90335706156p+05} {
+		cells[i].Loc, cells[i].Placed = geom.Pt(x, 0), true
+	}
+	b := cells[2]
+	if ux := b.Bounds().Lx + b.Bounds().W(); ux <= end {
+		t.Fatalf("b's right edge %x is not past the segment end %x: the replay lost its ulp", ux, end)
+	}
+	fs := NewFreeSpace(d, fp, 1.2)
+	var u Undo
+	fs.Release(&u, netlist.LogicDie, b.Bounds())
+	b.Placed = false
+	fresh := NewFreeSpace(d, fp, 1.2)
+	got, want := fs.dies[netlist.LogicDie].segs[0].free, fresh.dies[netlist.LogicDie].segs[0].free
+	if slices.Equal(got, want) {
+		t.Fatalf("journaled and fresh lists are == (%v): the replay lost its ulp", got)
+	}
+	if !fs.Equal(fresh) {
+		t.Fatalf("journaled free list %v, fresh %v: one ulp apart, and Equal tells them apart", got, want)
+	}
+	if _, ok := fs.Alloc(&u, netlist.LogicDie, narrow.Width, b.Center()); !ok || fs.Equal(fresh) {
+		t.Fatalf("a cell claimed in one map (ok %v) and Equal still holds", ok)
+	}
+}
+
 // TestNewFreeSpaceAllocs: a map is the same handful of objects for a
 // die of 40 rows and one of 4000 — the map, the row offsets, the
 // segments, the per-segment cell counts, the interval array, the hard

@@ -81,7 +81,8 @@ func TestPinAccessIsCapacity(t *testing.T) {
 // obstruction's edge column, and every low-layer L the short connection
 // may take runs into it — routes with no rip-up iteration, and the stage
 // span and the route_pin_access_gcells gauge show the access the
-// overflow no longer counts.
+// overflow no longer counts; the span also carries the route's segments
+// and via cuts.
 func TestPinAccessNeedsNoNegotiation(t *testing.T) {
 	rec := obs.New()
 	var events bytes.Buffer
@@ -123,9 +124,9 @@ func TestPinAccessNeedsNoNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	gauge := rec.Registry().Gauge("route_pin_access_gcells", "").Value()
-	want := fmt.Sprintf(`"pin_access":%d`, access)
+	want := fmt.Sprintf(`"pin_access":%d,"segments":%d,"via_cuts":%d`, access, len(res.Routes[0].Segments), res.Vias)
 	if gauge != float64(access) || !strings.Contains(events.String(), want) {
-		t.Fatalf("pin access %d: gauge %v, span events %s", access, gauge, events.String())
+		t.Fatalf("pin access %d: gauge %v, span events %s, want %s", access, gauge, events.String(), want)
 	}
 }
 

@@ -200,19 +200,22 @@ func (db *DB) blocked(n, a, b Node) bool {
 // grid, appending the path segments to dst (which may be nil). All
 // mutable search state lives in s; the congestion grid is only read.
 func (db *DB) mazeRouteScratch(s *mazeScratch, a, b Node, dst []Seg) ([]Seg, error) {
-	out, ok := db.mazeSearch(s, db.mazeWindow(a, b, mazeMargin), a, b, dst)
+	win := db.mazeWindow(a, b, mazeMargin)
+	ok := db.mazeSearch(s, win, a, b)
 	if !ok {
-		out, ok = db.mazeSearch(s, db.mazeWindow(a, b, MaxGridDim), a, b, dst)
+		win = db.mazeWindow(a, b, MaxGridDim)
+		ok = db.mazeSearch(s, win, a, b)
 	}
 	if !ok {
 		return dst, fmt.Errorf("route: maze route %v→%v failed", a, b)
 	}
-	return out, nil
+	return db.tracePath(s, win, a, b, dst), nil
 }
 
-// mazeSearch is one A* search from a to b inside win; ok is false when
-// the window holds no path within the expansion budget.
-func (db *DB) mazeSearch(s *mazeScratch, win window, a, b Node, dst []Seg) ([]Seg, bool) {
+// mazeSearch is one A* search from a to b inside win, leaving the path
+// in s's predecessor array (tracePath); it is false when the window
+// holds no path within the expansion budget.
+func (db *DB) mazeSearch(s *mazeScratch, win window, a, b Node) bool {
 	size := win.size()
 	s.reset(size)
 
@@ -233,7 +236,7 @@ func (db *DB) mazeSearch(s *mazeScratch, win window, a, b Node, dst []Seg) ([]Se
 			continue
 		}
 		if it.idx == goal {
-			return db.tracePath(s, win, a, b, dst), true
+			return true
 		}
 		n := win.node(int(it.idx))
 		x, y, l := int(n.X), int(n.Y), int(n.L)
@@ -289,12 +292,13 @@ func (db *DB) mazeSearch(s *mazeScratch, win window, a, b Node, dst []Seg) ([]Se
 			}
 		}
 	}
-	return dst, false
+	return false
 }
 
 // tracePath reconstructs segments from the window-local predecessor
-// array, merging consecutive steps in the same direction, and appends
-// them to dst.
+// array, merging consecutive steps in the same direction — a run of
+// wire steps along a row or column, a run of via steps up or down one
+// column — and appends them to dst.
 func (db *DB) tracePath(s *mazeScratch, win window, a, b Node, dst []Seg) []Seg {
 	// Collect nodes b → a into the scratch buffer.
 	s.nodes = s.nodes[:0]
@@ -314,15 +318,9 @@ func (db *DB) tracePath(s *mazeScratch, win window, a, b Node, dst []Seg) []Seg 
 	base := len(dst)
 	for i := 1; i < len(s.nodes); i++ {
 		p, n := s.nodes[i-1], s.nodes[i]
-		if len(dst) > base {
-			last := &dst[len(dst)-1]
-			// Extend the last straight segment when collinear.
-			if !last.IsVia() && !(Seg{p, n}).IsVia() &&
-				((last.A.Y == last.B.Y && last.B.Y == n.Y && last.A.L == n.L) ||
-					(last.A.X == last.B.X && last.B.X == n.X && last.A.L == n.L)) {
-				last.B = n
-				continue
-			}
+		if len(dst) > base && continues(dst[len(dst)-1], p, n) {
+			dst[len(dst)-1].B = n
+			continue
 		}
 		dst = append(dst, Seg{p, n})
 	}

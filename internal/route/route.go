@@ -97,32 +97,97 @@ type Node struct {
 // addressable grid (see MaxGridDim, MaxLayers).
 func At(x, y, l int) Node { return Node{X: int16(x), Y: int16(y), L: int8(l)} }
 
-// Seg is one straight route element on a single layer (A.L == B.L) or
-// a via (A.X==B.X, A.Y==B.Y, |A.L−B.L|==1). 12 bytes.
+// Seg is one straight route element, 12 bytes: a wire along one layer
+// (A.L == B.L, A and B in one gcell row or column) or a via stack
+// (A.X == B.X, A.Y == B.Y, A.L != B.L) — every cut from layer A.L to
+// layer B.L at one gcell, however many (Cuts). A net that crosses the
+// dies of a combined stack climbs logic metals, F2F_VIA and the macro
+// die's metals in one segment, not one per cut (DESIGN.md §17).
 type Seg struct {
 	A, B Node
 }
 
-// IsVia reports whether the segment is a layer change.
+// IsVia reports whether the segment is a via stack (a layer change).
 func (s Seg) IsVia() bool { return s.A.L != s.B.L }
+
+// Cuts returns the number of vias the segment holds: |A.L − B.L|, 0 for
+// a wire.
+func (s Seg) Cuts() int { return geom.AbsInt(int(s.B.L) - int(s.A.L)) }
+
+// Cut returns cut k of via stack s, 0 ≤ k < s.Cuts(), counted from A to
+// B: the one-layer via from layer A.L ± k to A.L ± (k+1). Whatever gives
+// a cut meaning of its own — an RC edge, a node a check walks — expands
+// a stack this way, in this order.
+func (s Seg) Cut(k int) Seg {
+	step := int8(1)
+	if s.B.L < s.A.L {
+		step = -1
+	}
+	s.A.L += int8(k) * step
+	s.B = s.A
+	s.B.L += step
+	return s
+}
+
+// Spans reports whether s holds via v, the cut between layers v and
+// v+1; never for a wire.
+func (s Seg) Spans(v int) bool { return int(min(s.A.L, s.B.L)) <= v && v < int(max(s.A.L, s.B.L)) }
+
+// Valid reports whether s is a segment the router can produce, and so
+// one every consumer can walk: a wire along a gcell row or column of one
+// layer, or a via stack in one gcell column.
+func (s Seg) Valid() bool {
+	if s.IsVia() {
+		return s.A.X == s.B.X && s.A.Y == s.B.Y
+	}
+	return s.A.X == s.B.X || s.A.Y == s.B.Y
+}
+
+// Elements returns the number of elements segs holds one cut at a time:
+// its wires plus the cuts of its via stacks.
+func Elements(segs []Seg) int {
+	n := 0
+	for _, s := range segs {
+		n += max(s.Cuts(), 1)
+	}
+	return n
+}
+
+// continues reports whether the step p→n, taken from the end p of
+// segment last, extends last in a straight line: a wire step along its
+// row or column on its layer, or a via step (or stack) further up or
+// down its stack.
+func continues(last Seg, p, n Node) bool {
+	if last.IsVia() != (p.L != n.L) {
+		return false
+	}
+	if last.IsVia() {
+		return (last.B.L > last.A.L) == (n.L > p.L)
+	}
+	return last.A.L == n.L &&
+		(last.A.Y == last.B.Y && last.B.Y == n.Y || last.A.X == last.B.X && last.B.X == n.X)
+}
 
 // NetRoute is the routing result of one net: a shape in gcells. Its net
 // is its index in Result.Routes and its position the result's to say
 // (Origin): every copy of a tile in an array shares the tile's records.
 type NetRoute struct {
+	// Segments are the shape's wires and via stacks, in route order; a
+	// stack is one segment however many cuts it holds (Seg).
 	Segments []Seg
 	// PinNode maps pin index (net.PinAt order) to its grid node at
 	// the pin's layer.
 	PinNode []Node
 
 	WL   float64 // routed wirelength, µm
-	Vias int
-	F2F  int // F2F bump crossings
+	Vias int     // via cuts, every cut of every stack
+	F2F  int     // F2F bump crossings: the stacks that hold the F2F via
 }
 
 // Result is the design-level routing outcome. Its geometry is stored in
-// 12-byte segments and 6-byte pin nodes (Node), so a result only exists
-// over a grid within MaxGridDim and MaxLayers.
+// 12-byte segments, a via stack in one (Seg), and 6-byte pin nodes
+// (Node), so a result only exists over a grid within MaxGridDim and
+// MaxLayers.
 //
 // The result owns its records: route records, pin nodes and segments
 // are carved from chunked slabs, and a chunk never moves, so Routes
@@ -350,10 +415,10 @@ func (db *DB) idx(n Node) int {
 	return int(n.L)*db.Grid.Bins() + db.Grid.Index(int(n.X), int(n.Y))
 }
 
-// isF2F reports whether via segment s crosses the F2F boundary.
-func (db *DB) isF2F(s Seg) bool {
-	return db.f2fIdx >= 0 && int(min(s.A.L, s.B.L)) == db.f2fIdx
-}
+// isF2F reports whether segment s, a via stack, crosses the F2F
+// boundary: it holds the F2F via, once, as a stack holds each cut (and
+// none without an F2F via, whose index is -1).
+func (db *DB) isF2F(s Seg) bool { return s.Spans(db.f2fIdx) }
 
 // Tracks returns gcell-layer n's capacity in tracks — 0 for a wall — and
 // the usage committed to it.
@@ -421,25 +486,23 @@ func (db *DB) addSegs(segs []Seg, o Origin, delta int32) {
 			continue
 		}
 		// Walk the gcells under the straight segment.
-		forEachStep(s, func(n Node) {
+		s.Walk(func(n Node) {
 			db.usage[db.idx(n)] += delta
 		})
 	}
 }
 
-// forEachStep visits every gcell of a straight segment, inclusive of
-// both ends.
-func forEachStep(s Seg, f func(Node)) {
-	dx := sign(s.B.X - s.A.X)
-	dy := sign(s.B.Y - s.A.Y)
-	n := s.A
-	for {
+// Walk calls f on every node of s from A through B, in order: each
+// gcell along a wire, each layer up or down a via stack. s must be
+// Valid; a slanted segment never reaches B.
+func (s Seg) Walk(f func(Node)) {
+	dx, dy := sign(s.B.X-s.A.X), sign(s.B.Y-s.A.Y)
+	dl := int8(sign(int16(s.B.L) - int16(s.A.L)))
+	for n := s.A; ; n.X, n.Y, n.L = n.X+dx, n.Y+dy, n.L+dl {
 		f(n)
-		if n.X == s.B.X && n.Y == s.B.Y {
+		if n == s.B {
 			return
 		}
-		n.X += dx
-		n.Y += dy
 	}
 }
 

@@ -74,18 +74,11 @@ func checkConnected(t *testing.T, db *DB, r *NetRoute) {
 		adj[b] = append(adj[b], a)
 	}
 	for _, s := range r.Segments {
-		if s.IsVia() {
-			add(s.A, s.B)
-			continue
-		}
-		// Straight runs connect all intermediate gcells.
-		var prevN *Node
-		forEachStep(s, func(n Node) {
-			if prevN != nil {
-				add(*prevN, n)
-			}
-			c := n
-			prevN = &c
+		// Wires connect all intermediate gcells, stacks all layers.
+		prev := s.A
+		s.Walk(func(n Node) {
+			add(prev, n)
+			prev = n
 		})
 	}
 	if len(r.PinNode) == 0 {
@@ -194,15 +187,9 @@ func TestECORouteHonoursWalls(t *testing.T) {
 		}
 		a, b := r.PinNode[0], r.PinNode[1]
 		for _, s := range r.Segments {
-			if s.IsVia() {
-				if db.blocked(s.A, a, b) || db.blocked(s.B, a, b) {
-					t.Fatalf("%s: via %v lands in a wall", c.name, s)
-				}
-				continue
-			}
-			forEachStep(s, func(n Node) {
+			s.Walk(func(n Node) {
 				if db.blocked(n, a, b) {
-					t.Fatalf("%s: wire %v enters the wall at %v", c.name, s, n)
+					t.Fatalf("%s: segment %v enters the wall at %v", c.name, s, n)
 				}
 			})
 		}
@@ -684,7 +671,9 @@ func TestDynStateShapeCheck(t *testing.T) {
 // of the old contents back into the same record. A net the result has no
 // record for gets one.
 func TestRouteNetRewritesInPlace(t *testing.T) {
-	d := twoPinDesign(60, 20)
+	// The sink in the driver's gcell row: a four-segment L whose corner
+	// is one pin's column, where the far sink's L takes five.
+	d := twoPinDesign(60, 10)
 	db := db6(t, geom.R(0, 0, 600, 600), nil)
 	res, err := RouteDesign(d, db)
 	if err != nil {

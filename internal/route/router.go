@@ -266,6 +266,7 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 	}
 
 	// Final accounting.
+	segs := 0
 	for _, r := range res.Routes {
 		if r == nil {
 			continue
@@ -274,12 +275,15 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		res.WL += r.WL
 		res.Vias += r.Vias
 		res.F2FBumps += r.F2F
+		segs += len(r.Segments)
 	}
 	cells, bins, access := db.overflowed(res)
 	res.Overflow = len(cells) + len(bins)
 	overG.Set(float64(res.Overflow))
 	accessG.Set(float64(access))
 	sp.SetAttr("pin_access", access)
+	sp.SetAttr("segments", segs)
+	sp.SetAttr("via_cuts", res.Vias)
 
 	// Scratch reuse for this run.
 	reg.Counter("route_scratch_hits_total",
@@ -341,11 +345,12 @@ func (db *DB) RouteNet(res *Result, n *netlist.Net) (*NetRoute, error) {
 }
 
 // tally returns a shape's metrics — wirelength summed in segment order,
-// vias, F2F crossings — adding each run's length to a non-nil perLayer.
+// via cuts, F2F crossings — adding each run's length to a non-nil
+// perLayer.
 func (db *DB) tally(segs []Seg, perLayer []float64) (wl float64, vias, f2f int) {
 	for _, s := range segs {
 		if s.IsVia() {
-			vias++
+			vias += s.Cuts()
 			if db.isF2F(s) {
 				f2f++
 			}
@@ -461,7 +466,7 @@ func (db *DB) overflowedNets(res *Result, nets []*netlist.Net, cells, bins []int
 				}
 				continue
 			}
-			forEachStep(s, func(n Node) {
+			s.Walk(func(n Node) {
 				if i := db.idx(n); bad[i] && (db.cap[i] != 0 || !hasPinAt(r, o, n)) {
 					hit = true
 				}
@@ -487,17 +492,20 @@ func hasPinAt(r *NetRoute, o Origin, n Node) bool {
 	return false
 }
 
-// appendViaStack appends the via segments moving from layer la to lb
-// at (x, y).
-func appendViaStack(dst []Seg, x, y, la, lb int) []Seg {
-	step := 1
-	if lb < la {
-		step = -1
+// appendViaStack appends the via stack moving from layer la to lb at
+// (x, y) to dst: one segment, none when la == lb, and none but a longer
+// last one when dst[base:] ends in a stack this one continues in its
+// direction (an L's corner in a pin's column).
+func appendViaStack(dst []Seg, base, x, y, la, lb int) []Seg {
+	if la == lb {
+		return dst
 	}
-	for l := la; l != lb; l += step {
-		dst = append(dst, Seg{At(x, y, l), At(x, y, l+step)})
+	s := Seg{At(x, y, la), At(x, y, lb)}
+	if n := len(dst); n > base && dst[n-1].B == s.A && continues(dst[n-1], s.A, s.B) {
+		dst[n-1].B = s.B
+		return dst
 	}
-	return dst
+	return append(dst, s)
 }
 
 // viaStackCost prices a via stack, including F2F crossings.
@@ -523,7 +531,7 @@ func (db *DB) viaStackCost(x, y, la, lb int) float64 {
 // connection between pins a and b.
 func (db *DB) runCost(from, to, a, b Node) float64 {
 	cost := 0.0
-	forEachStep(Seg{from, to}, func(n Node) {
+	Seg{from, to}.Walk(func(n Node) {
 		if db.blocked(n, a, b) {
 			cost = math.Inf(1)
 		}
@@ -542,9 +550,10 @@ func (db *DB) patternRoute(a, b Node, dst []Seg) []Seg {
 	pairs := db.patternPairs[db.distBucket(gridDist(a, b))]
 	ax, ay, al := int(a.X), int(a.Y), int(a.L)
 	bx, by, bl := int(b.X), int(b.Y), int(b.L)
+	base := len(dst)
 	if len(pairs) == 0 {
 		// Degenerate single-direction stack: direct via stack plus run.
-		return append(appendViaStack(dst, ax, ay, al, bl), Seg{At(ax, ay, bl), b})
+		return append(appendViaStack(dst, base, ax, ay, al, bl), Seg{At(ax, ay, bl), b})
 	}
 	best := math.Inf(1)
 	var bestL lShape
@@ -562,15 +571,15 @@ func (db *DB) patternRoute(a, b Node, dst []Seg) []Seg {
 		return dst
 	}
 	l := bestL
-	dst = appendViaStack(dst, ax, ay, al, l.l1)
+	dst = appendViaStack(dst, base, ax, ay, al, l.l1)
 	if l.x != ax || l.y != ay {
 		dst = append(dst, Seg{At(ax, ay, l.l1), At(l.x, l.y, l.l1)})
 	}
-	dst = appendViaStack(dst, l.x, l.y, l.l1, l.l2)
+	dst = appendViaStack(dst, base, l.x, l.y, l.l1, l.l2)
 	if l.x != bx || l.y != by {
 		dst = append(dst, Seg{At(l.x, l.y, l.l2), At(bx, by, l.l2)})
 	}
-	return appendViaStack(dst, bx, by, l.l2, bl)
+	return appendViaStack(dst, base, bx, by, l.l2, bl)
 }
 
 // lShape is one pattern candidate between two nodes a and b: a run on

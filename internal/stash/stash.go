@@ -49,8 +49,11 @@ import (
 // harden snapshot may hold wires through SRAMs and must miss. Version
 // 7: same format; a wall's pin access counts as capacity, not overflow,
 // so negotiation reroutes other victims and a version-6 route, sign-off
-// or harden snapshot of a flow with pin access must miss.
-const Version = 7
+// or harden snapshot of a flow with pin access must miss. Version 8:
+// same wire format; a via stack is one segment however many cuts it
+// holds, so a version-7 route holds per-cut segments a fresh run no
+// longer writes, and its snapshots must miss.
+const Version = 8
 
 // fileMagic opens every snapshot file.
 const fileMagic = "M3DSNAP1"

@@ -185,22 +185,16 @@ func Connectivity(rep *Report, d *netlist.Design, res *route.Result) {
 		}
 		nodes := 0
 		for _, s := range r.Segments {
-			nodes += int(max(abs(s.B.X-s.A.X), abs(s.B.Y-s.A.Y))) + 2
+			nodes += steps(s) + 1
 		}
 		t.reset(nodes)
 		for _, s := range r.Segments {
-			if s.IsVia() {
-				t.union(t.id(s.A), t.id(s.B))
-				continue
-			}
-			prev, at := t.id(s.A), s.A
-			dx, dy := sign(s.B.X-s.A.X), sign(s.B.Y-s.A.Y)
-			for at != s.B {
-				at = route.Node{X: at.X + dx, Y: at.Y + dy, L: at.L}
-				next := t.id(at)
+			prev := t.id(s.A)
+			s.Walk(func(n route.Node) {
+				next := t.id(n)
 				t.union(prev, next)
 				prev = next
-			}
+			})
 		}
 		p0 := r.PinNode[0]
 		root := t.lookup(p0)
@@ -309,14 +303,10 @@ func abs(v int16) int16 {
 	return v
 }
 
-func sign(v int16) int16 {
-	if v > 0 {
-		return 1
-	}
-	if v < 0 {
-		return -1
-	}
-	return 0
+// steps is the number of steps from A to B along segment s: a wire's
+// gcells past A, a via stack's cuts.
+func steps(s route.Seg) int {
+	return int(max(abs(s.B.X-s.A.X), abs(s.B.Y-s.A.Y), abs(int16(s.B.L)-int16(s.A.L))))
 }
 
 // Blockages is the routing geometry the obstruction check reads: the
@@ -377,18 +367,7 @@ func Obstructions(rep *Report, d *netlist.Design, res *route.Result, blk Blockag
 				d.Nets[id].Name, blk.Beol.Layers[n.L].Name, n.X+o.DX, n.Y+o.DY)
 		}
 		for _, s := range r.Segments {
-			if s.IsVia() {
-				visit(s.A)
-				visit(s.B)
-				continue
-			}
-			dx, dy := sign(s.B.X-s.A.X), sign(s.B.Y-s.A.Y)
-			for n := s.A; ; n.X, n.Y = n.X+dx, n.Y+dy {
-				visit(n)
-				if n == s.B {
-					break
-				}
-			}
+			s.Walk(visit)
 		}
 	}
 }
@@ -454,18 +433,12 @@ func Capacity(rep *Report, res *route.Result, blk Blockages) {
 		}
 		for _, s := range r.Segments {
 			if s.IsVia() {
-				if int(min(s.A.L, s.B.L)) == f2f {
+				if s.Spans(f2f) {
 					bumpUse[at(s.A)]++
 				}
 				continue
 			}
-			dx, dy := sign(s.B.X-s.A.X), sign(s.B.Y-s.A.Y)
-			for n := s.A; ; n.X, n.Y = n.X+dx, n.Y+dy {
-				usage[int(n.L)*bins+at(n)]++
-				if n == s.B {
-					break
-				}
-			}
+			s.Walk(func(n route.Node) { usage[int(n.L)*bins+at(n)]++ })
 		}
 	}
 	var over []string

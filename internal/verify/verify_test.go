@@ -224,9 +224,10 @@ func min(a, b int) int {
 
 // TestObstructionsGeometry: a gcell-layer one blockage rect covers whole
 // is blocked, one it covers in part is not. Each blocked gcell-layer a
-// net's wire or via landing enters is one violation, however many of its
-// segments touch it, unless it lies in the column of one of the net's
-// own pins: that is pin access, counted apart.
+// net's wire or via stack enters — at an end or at a layer it climbs
+// through — is one violation, however many of its segments touch it,
+// unless it lies in the column of one of the net's own pins: that is pin
+// access, counted apart.
 func TestObstructionsGeometry(t *testing.T) {
 	lib := cell.NewStdLib28(cell.DefaultLibOptions())
 	d := netlist.NewDesign("v", lib)
@@ -262,6 +263,14 @@ func TestObstructionsGeometry(t *testing.T) {
 		if v.Kind != "obstruction" || !strings.Contains(v.Msg, beol.Layers[1].Name) {
 			t.Fatalf("finding %v", v)
 		}
+	}
+	// A stack from layer 0 to 3 at (4, 8) climbs through the M2 wall.
+	r := res.Routes[0]
+	r.Segments = append(r.Segments, route.Seg{A: route.At(4, 8, 0), B: route.At(4, 8, 3)})
+	rep = &verify.Report{}
+	verify.Obstructions(rep, d, res, blk)
+	if rep.Total != 5 || !strings.Contains(rep.Violations[4].Msg, "(4, 8)") {
+		t.Fatalf("a stack through the wall: %d crossings, %v", rep.Total, rep.Violations)
 	}
 }
 
@@ -320,6 +329,38 @@ func TestCapacityRecount(t *testing.T) {
 	full.Segments = append(full.Segments, route.Seg{A: at, B: at})
 	if rep := check(res); rep.Checked.Overflow != 1 || rep.Clean() {
 		t.Fatalf("one wire past %d tracks: recount %d, %v", tracks, rep.Checked.Overflow, rep.Violations)
+	}
+}
+
+// TestCapacityCountsStackBumps: a via stack that climbs through the F2F
+// via from any layer below it to any above takes one bump of its gcell,
+// so one stack past the bin's bump sites is overflow.
+func TestCapacityCountsStackBumps(t *testing.T) {
+	logic, _ := tech.NewBEOL28("logic", 6)
+	macro, _ := tech.NewBEOL28("macro", 4)
+	beol, err := tech.Combine(logic, macro, tech.DefaultF2F())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := verify.Blockages{Grid: geom.NewGrid(geom.R(0, 0, 100, 100), 10), Beol: beol}
+	f2f := beol.F2FViaIndex()
+	p := beol.Vias[f2f].Pitch
+	bumps := max(int(blk.Grid.DX/p*blk.Grid.DY/p*route.BumpFill), 1)
+	at := route.At(4, 4, 0)
+	r := &route.NetRoute{PinNode: []route.Node{at, route.At(4, 4, beol.NumLayers()-1)}}
+	for i := range bumps + 1 {
+		// Stacks from layer 0 to the top, and from the top down to one
+		// layer below the F2F via: each holds the F2F cut among others.
+		s := route.Seg{A: at, B: route.At(4, 4, beol.NumLayers()-1)}
+		if i%2 == 1 {
+			s = route.Seg{A: s.B, B: route.At(4, 4, f2f-1)}
+		}
+		r.Segments = append(r.Segments, s)
+	}
+	rep := &verify.Report{}
+	verify.Capacity(rep, &route.Result{Routes: []*route.NetRoute{r}}, blk)
+	if rep.Checked.Overflow != 1 || rep.Clean() || !strings.Contains(rep.Violations[len(rep.Violations)-1].Msg, "bump bin (4, 4)") {
+		t.Fatalf("%d stacks through %d bump sites: recount %d, %v", bumps+1, bumps, rep.Checked.Overflow, rep.Violations)
 	}
 }
 
@@ -424,6 +465,33 @@ func TestConnectivityCatchesMissingRoute(t *testing.T) {
 	}
 }
 
+// TestConnectivityThroughStack: a pin on a layer a via stack climbs
+// through is on the route; one beside the stack's column is not.
+func TestConnectivityThroughStack(t *testing.T) {
+	lib := cell.NewStdLib28(cell.DefaultLibOptions())
+	d := netlist.NewDesign("v", lib)
+	a := d.AddInstance("a", lib.MustCell("INV_X1"))
+	b := d.AddInstance("b", lib.MustCell("INV_X1"))
+	c := d.AddInstance("c", lib.MustCell("INV_X1"))
+	d.AddNet("n", netlist.IPin(a, "Y"), netlist.IPin(b, "A"), netlist.IPin(c, "A"))
+	r := &route.NetRoute{
+		PinNode: []route.Node{route.At(2, 2, 0), route.At(2, 2, 2), route.At(6, 2, 3)},
+		Segments: []route.Seg{
+			{A: route.At(2, 2, 0), B: route.At(2, 2, 3)}, // through the second pin's layer
+			{A: route.At(2, 2, 3), B: route.At(6, 2, 3)},
+		},
+	}
+	res := &route.Result{Routes: []*route.NetRoute{r}}
+	rep := &verify.Report{}
+	if verify.Connectivity(rep, d, res); !rep.Clean() {
+		t.Fatalf("pin inside a stack: %v", rep.Violations)
+	}
+	r.PinNode[1] = route.At(3, 2, 2)
+	if verify.Connectivity(rep, d, res); rep.Clean() {
+		t.Fatal("a pin beside the stack's column reads as connected")
+	}
+}
+
 // reachableFindings is the reference connectivity check — an adjacency
 // map per net and a breadth-first search from the driver's node — as
 // the open-net messages it reports, in order.
@@ -446,7 +514,10 @@ func reachableFindings(d *netlist.Design, res *route.Result) []string {
 		step := func(v int16) int16 { return int16(min(max(int(v), -1), 1)) }
 		for _, s := range r.Segments {
 			if s.IsVia() {
-				link(s.A, s.B)
+				for k := range s.Cuts() {
+					c := s.Cut(k)
+					link(c.A, c.B)
+				}
 				continue
 			}
 			dx, dy := step(s.B.X-s.A.X), step(s.B.Y-s.A.Y)

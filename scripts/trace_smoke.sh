@@ -2,7 +2,8 @@
 # trace-smoke: end-to-end check of the execution tracer.
 # Runs a tiny flow with -trace, validates the Chrome trace-event JSON,
 # feeds it back through `macro3d trace-report -in`, asserts the
-# bottleneck table names the engine phases, checks that two identical
+# bottleneck table names the engine phases and the route span carries
+# its segment and via-cut counts, checks that two identical
 # traced runs export byte-identical JSON once timestamps are normalized
 # (the determinism contract from DESIGN.md §14), and that -trace and
 # -events on one recorder agree on the stages.
@@ -27,7 +28,7 @@ for f in run1 run2; do
 		head -c 200 "$dir/$f.trace.json" >&2
 		exit 1
 	}
-	for needle in '"ph":"M"' '"ph":"X"' '"name":"worker 0"' '"name":"stages"' '"cat":"route"' '"cat":"place"'; do
+	for needle in '"ph":"M"' '"ph":"X"' '"name":"worker 0"' '"name":"stages"' '"cat":"route"' '"cat":"place"' '"segments":' '"via_cuts":'; do
 		grep -q "$needle" "$dir/$f.trace.json" || {
 			echo "trace-smoke: FAIL: $f.trace.json lacks $needle" >&2
 			exit 1
