@@ -1,14 +1,14 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check fmt build test vet bench-mod race fuzz equiv faults bench bench-flow bench-pairs bench-route bench-stash benchall qor obs-smoke cache-smoke harden-smoke trace-smoke bench-route-smoke
+.PHONY: check fmt build test vet bench-mod race fuzz equiv faults bench bench-flow bench-pairs bench-route bench-stash benchall qor qor-check tables-check obs-smoke cache-smoke harden-smoke trace-smoke bench-route-smoke
 
 ## check: the full gate — gofmt, vet, build, unit tests, the bench/
 ## module's vet and tests, the race-enabled fault-injection suite, a
-## bounded fuzz of the snapshot decoder, then the
-## observability, stage-cache, hardened-macro, execution-tracer and
-## benchmark-pipeline smoke tests (what CI should run).
-check: fmt vet build test bench-mod race fuzz obs-smoke cache-smoke harden-smoke trace-smoke bench-route-smoke
+## bounded fuzz of the snapshot decoder, the published tables checked,
+## then the observability, stage-cache, hardened-macro, execution-tracer
+## and benchmark-pipeline smoke tests (what CI should run).
+check: fmt vet build test bench-mod race fuzz tables-check obs-smoke cache-smoke harden-smoke trace-smoke bench-route-smoke
 
 ## fmt: fails on any Go file gofmt would rewrite, and names it.
 fmt:
@@ -36,11 +36,11 @@ bench-mod:
 ## runs an experiment's cells concurrently (TestDriverIdenticalAtEveryWorkers,
 ## TestDriverCancelStartsNoFurtherCell), and the flows determinism
 ## harness (TestDeterminism), which under -race keeps the small tile's
-## -j 1 reference and its checks run (four workers, SelfCheck, Verify):
+## -j 1 reference and its checks run (four workers, Config.Check):
 ## it audits placement's and extraction's fanned-out phases and the
 ## incremental engine's journals for data races while holding PPA row,
 ## state digest and stage sequence to the reference. internal/ddb runs
-## its incremental-equivalence test (SelfCheck, small tile under -race)
+## its incremental-equivalence test (Config.Check, small tile under -race)
 ## besides its own transaction and guard tests. internal/flows also runs 2D and Macro-3D
 ## at once over one byte-capped stage cache (TestConcurrentRunsMatchSerial:
 ## the stash's per-key locks and LRU under concurrent flows), and
@@ -97,7 +97,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDEF$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lefdef/
 
 ## equiv: just the determinism harness — every flow's -j 1 reference
-## against four workers with SelfCheck and Verify, on the small tile,
+## against four workers with Config.Check, on the small tile,
 ## held to an identical PPA row, state digest and stage sequence, run
 ## under the race detector. A focused subset of what `make check`
 ## already covers.
@@ -111,7 +111,7 @@ obs-smoke:
 	GO="$(GO)" sh scripts/obs_smoke.sh
 
 ## cache-smoke: end-to-end stage-cache check — tiny flow cold, warm and
-## in -cache-verify mode, asserting hit counters and byte-identical PPA
+## warm with -check, asserting hit counters and byte-identical PPA
 ## output, then under a -cache-max-bytes cap (eviction, the cap on disk,
 ## byte-identical PPA), plus the -resume default directory.
 cache-smoke:
@@ -119,8 +119,9 @@ cache-smoke:
 
 ## harden-smoke: end-to-end hierarchical-flow check — harden the tiny
 ## tile cold into the cache, reload it warm into a 3×3 parent array,
-## asserting harden-cache counters, clean verification, closure at the
-## tile period and a well-formed abstract LEF export.
+## asserting harden-cache counters, closure at the tile period and a
+## well-formed abstract LEF export, then once more with -check: clean
+## verification, and the cached abstract re-run bit-identical.
 harden-smoke:
 	GO="$(GO)" sh scripts/harden_smoke.sh
 
@@ -265,6 +266,28 @@ qor:
 	$(GO) run ./cmd/macro3d -experiment seeds
 	for e in table1 table2 table3; do $(GO) run ./cmd/macro3d -experiment $$e -seed 1 > /dev/null || exit 1; done
 	$(GO) run ./cmd/benchjson -compare BENCH_qor.old.json BENCH_qor.json; s=$$?; rm -f BENCH_qor.old.json; exit $$s
+
+## tables-check: Tables I–III as the CLI prints them (`macro3d
+## -experiment table1|table2|table3`), plain and with -check —
+## independent sign-off verification, the optimizer's incremental state
+## held to a from-scratch recompute every iteration — failing unless a
+## checked run passes and its stdout is cmp-identical to the plain one.
+## About 6 s on two cores. The experiments rewrite BENCH_qor.json where
+## they run, so they run in a temporary directory.
+tables-check:
+	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o $$dir/macro3d ./cmd/macro3d && cd $$dir && \
+	for e in table1 table2 table3; do \
+		./macro3d -experiment $$e > $$e.plain && ./macro3d -experiment $$e -check > $$e.check && cmp $$e.plain $$e.check || exit 1; \
+	done
+
+## qor-check: the seed ensemble checked — `macro3d -experiment seeds
+## -check`: Tables I and II and C2D over seeds 1–10 on both tiles, every
+## flow under Config.Check. About 32 s on two cores, so not part of
+## `make check`. Runs in a temporary directory, as tables-check does.
+qor-check:
+	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o $$dir/macro3d ./cmd/macro3d && cd $$dir && ./macro3d -experiment seeds -check > /dev/null
 
 ## benchall: every benchmark, human-readable.
 benchall:

@@ -20,8 +20,8 @@ import (
 const defaultCacheDir = ".macro3d-stash"
 
 // command is one mode's command line. A flag several modes share is
-// declared once, in this file (tile, runOn, array, timeout, cache), with
-// its check attached; parse runs every check before any work.
+// declared once, in this file (tile, runOn, array, timeout, cache,
+// checked), with its check attached; parse runs every check first.
 type command struct {
 	*flag.FlagSet
 	checks []func() error
@@ -73,6 +73,11 @@ func atLeast[T int | int64 | time.Duration](c *command, name string, p *T, min T
 func (c *command) timeout(p *time.Duration) {
 	c.DurationVar(p, "timeout", 0, "cancel the run after this duration (0 = no limit)")
 	atLeast(c, "timeout", p, 0)
+}
+
+// checked declares -check, flows.Config.Check.
+func (c *command) checked(p *bool) {
+	c.BoolVar(p, "check", false, "check the run without changing its results: verify sign-off independently, hold the optimizer's incremental state to a recompute, and re-run each cache hit, failing unless it matches bit-for-bit")
 }
 
 func (c *command) array(p *int, def int, usage string) {

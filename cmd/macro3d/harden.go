@@ -15,7 +15,7 @@ type hardenOptions struct {
 	runFlags
 	flow, lefOut string
 	array        int
-	verify       bool
+	check        bool
 	cache        cacheFlags
 }
 
@@ -24,7 +24,7 @@ func newHardenFlags(o *hardenOptions) *command {
 	c.runOn(&o.runFlags, "tiny", "worker count of placement and extraction (0 = every CPU, see macro3d -j; results are bit-identical at any setting)")
 	c.StringVar(&o.flow, "flow", "macro3d", "sub-block signoff flow: macro3d or 2d")
 	c.array(&o.array, 0, "instantiate an N×N abstract array as the hierarchical parent flow")
-	c.BoolVar(&o.verify, "verify", true, "run independent sign-off verification on the parent array")
+	c.checked(&o.check)
 	c.StringVar(&o.lefOut, "o", "", "write the hardened abstract (pins, obstructions, timing properties) as LEF to this file")
 	c.cache(&o.cache)
 	return c
@@ -52,7 +52,7 @@ func harden(ctx context.Context, o *hardenOptions) error {
 		defer printCacheSummary(cache)
 	}
 	cfg := o.flowConfig()
-	cfg.Cache, cfg.Verify = cache, o.verify && o.array <= 1
+	cfg.Cache, cfg.Check = cache, o.check
 	hr, err := macro3d.Harden(ctx, cfg, o.flow)
 	if err != nil {
 		return err
@@ -79,7 +79,6 @@ func harden(ctx context.Context, o *hardenOptions) error {
 	}
 
 	if o.array > 1 {
-		cfg.Verify = o.verify
 		rep, err := macro3d.InstantiateArray(cfg, hr, o.array, o.array)
 		if err != nil {
 			return err
@@ -91,7 +90,7 @@ func harden(ctx context.Context, o *hardenOptions) error {
 		fmt.Printf("  F2F bumps      %10d (incl. %d per hardened instance)\n", rep.F2FBumps, abs.Abstract.F2FBumps)
 		fmt.Printf("  energy/cycle   %10.1f fJ\n", rep.EnergyPerCycleFJ)
 		fmt.Printf("  power          %10.1f µW (leakage %.1f µW)\n", rep.PowerUW, rep.LeakageUW)
-		if o.verify {
+		if o.check {
 			fmt.Println("  verification   clean")
 		}
 	}

@@ -8,6 +8,7 @@
 //	macro3d -experiment table1|table2|table3|isoperf|seeds|flowtrace|… [-seed N]
 //	macro3d -experiment table1 -timeout 2m -keep-going
 //	macro3d -experiment table2 -cpuprofile cpu.prof -memprofile mem.prof
+//	macro3d -experiment table2 -check                  # same table, every flow checked (flows.Config.Check)
 //	macro3d -experiment table1 -cache-dir /tmp/stash   # populate, then re-run to resume
 //	macro3d -flow macro3d -resume                      # cache under .macro3d-stash
 //	macro3d harden|trace-report|layoutviz|pitongen …    # the other modes (harden.go, …)
@@ -30,8 +31,7 @@
 // place/route/sign-off stages are snapshotted, and a later run with
 // the same inputs restores them instead of recomputing (results are
 // bit-identical either way). -resume is shorthand that defaults the
-// directory to .macro3d-stash; -cache-verify re-runs cached stages
-// and fails if the snapshot does not match bit-for-bit.
+// directory to .macro3d-stash.
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles covering the
 // whole run (the memory profile is a heap snapshot taken at exit, after
@@ -85,8 +85,8 @@ type options struct {
 	timeout   time.Duration
 	keepGoing bool
 
-	cache       cacheFlags
-	cacheVerify bool
+	cache cacheFlags
+	check bool
 
 	cpuProfile, memProfile             string
 	events, obsAddr, metricsOut, trace string
@@ -104,7 +104,7 @@ func newFlagSet(o *options) *command {
 	c.timeout(&o.timeout)
 	c.BoolVar(&o.keepGoing, "keep-going", false, "in table experiments, skip failed columns and print the partial table")
 	c.cache(&o.cache)
-	c.BoolVar(&o.cacheVerify, "cache-verify", false, "paranoia mode: re-run cached stages and fail unless the snapshot matches bit-for-bit")
+	c.checked(&o.check)
 	c.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	c.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	c.StringVar(&o.events, "events", "", "write the observability JSONL event stream (spans, metric samples, fault tags) to this file")
@@ -119,8 +119,6 @@ func newFlagSet(o *options) *command {
 			return errors.New("one of -flow or -experiment is required")
 		case o.array > 1 && o.flow != "2d" && o.flow != "macro3d":
 			return errors.New("-array requires -flow 2d or macro3d")
-		case o.cacheVerify && o.cache.path() == "":
-			return errors.New("-cache-verify needs -cache-dir or -resume")
 		}
 		if o.experiment == "" || o.experiment == "flowtrace" {
 			return nil
@@ -206,7 +204,7 @@ func flowMode(ctx context.Context, o *options) (err error) {
 	}
 
 	cfg := o.flowConfig()
-	cfg.Obs, cfg.Cache, cfg.CacheVerify = rec, cache, o.cacheVerify
+	cfg.Obs, cfg.Cache, cfg.Check = rec, cache, o.check
 	if err := run(ctx, cfg, o); err != nil {
 		return err
 	}

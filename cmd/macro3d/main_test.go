@@ -22,7 +22,7 @@ func TestFlagSetGolden(t *testing.T) {
 			"array=0",
 			"cache-dir=",
 			"cache-max-bytes=0",
-			"cache-verify=false",
+			"check=false",
 			"config=small",
 			"cpuprofile=",
 			"events=",
@@ -44,6 +44,7 @@ func TestFlagSetGolden(t *testing.T) {
 			"array=0",
 			"cache-dir=",
 			"cache-max-bytes=0",
+			"check=false",
 			"config=tiny",
 			"flow=macro3d",
 			"j=0",
@@ -51,7 +52,6 @@ func TestFlagSetGolden(t *testing.T) {
 			"o=",
 			"resume=false",
 			"seed=1",
-			"verify=true",
 		}},
 		{"trace-report", newTraceReportFlags(&traceReportOptions{}), []string{
 			"config=small",
@@ -119,7 +119,8 @@ func TestCacheAndWorkerFlagMisuse(t *testing.T) {
 // exits 2 without starting a flow, in every mode — the deleted fast-mode
 // switches and the deleted placer switch are unknown flags, rejected with
 // the usage error rather than silently accepted (spelled in halves so a
-// grep for them finds nothing in the tree), and -array is checked against
+// grep for them finds nothing in the tree), as are -cache-verify and
+// harden's -verify, which -check replaced; -array is checked against
 // -flow up front rather than after the flow has run (which used to exit
 // 1 minutes later). A stray word ends flag parsing, so it is rejected
 // rather than running with every flag after it dropped; `serve` is no
@@ -157,6 +158,7 @@ func TestUsageErrorsExitBeforeAnyWork(t *testing.T) {
 		{"harden", "-config", "tiny", "extra", "-seed", "7"},
 		{"harden", "-config", "tiny", "-macrodiemetals", "0"},
 		{"harden", "-config", "tiny", "-array", "-3"},
+		{"harden", "-config", "tiny", "-verify"},
 		{"trace-report", "-flow", "2d", "-config", "tiny", "-macrodiemetals", "0"},
 		{"trace-report", "-flow", "2d", "-config", "tiny", "extra"},
 		{"trace-report", "-flow", "2d", "-config", "tiny", "-timeout", "-1s"},
@@ -181,6 +183,7 @@ func TestUsageErrorsExitBeforeAnyWork(t *testing.T) {
 		{"-flow", "2d", "-cache-max-bytes", "1000", "-j", "1", "-cache-dir", t.TempDir()},
 		{"-flow", "2d", "-cache-max-bytes", "1000", "-j", "1", "-resume"},
 		{"-experiment", "flowtrace", "-config", "tiny", "-macrodiemetals", "4"},
+		{"-experiment", "table1", "-check"},
 	} {
 		if code, ok := newFlagSet(&options{}).parse(args); !ok {
 			t.Errorf("macro3d %q rejected: exit %d", args, code)

@@ -107,7 +107,7 @@ func main() {
 	if *mode == "hier" || *mode == "both" {
 		fmt.Println("hier: hardening the tile into a first-class abstract…")
 		start := time.Now()
-		cfg.Verify = true
+		cfg.Check = true
 		rep, err := macro3d.RunHierArray(context.Background(), cfg, macro3d.HardenFlowMacro3D, *n, *n)
 		if err != nil {
 			log.Fatal(err)

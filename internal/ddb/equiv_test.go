@@ -8,7 +8,7 @@ import (
 )
 
 // TestIncrementalEquivalence is the equivalence property test for the
-// incremental engine: every flow runs with SelfCheck enabled, so after
+// incremental engine: every flow runs with Check enabled, so after
 // each optimization iteration the journal-maintained extraction and
 // the incremental STA report are compared against a from-scratch
 // extract.Extract + sta.Analyze (1e-9 tolerance, per-sink Elmore,
@@ -31,7 +31,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 		cfgs = append(cfgs, cacheCfg{"large", piton.LargeCache()})
 	}
 	for _, cc := range cfgs {
-		cfg := flows.Config{Piton: cc.pc, Seed: 1, Workers: 4, SelfCheck: true}
+		cfg := flows.Config{Piton: cc.pc, Seed: 1, Workers: 4, Check: true}
 		t.Run(cc.name+"/2d", func(t *testing.T) {
 			if _, _, err := flows.Run2D(cfg); err != nil {
 				t.Fatal(err)

@@ -88,7 +88,7 @@ func TestCleanFlowsPassVerify(t *testing.T) {
 		fv := fv
 		t.Run(fv.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := flows.Config{Piton: piton.Tiny(), Seed: 7, Verify: true}
+			cfg := flows.Config{Piton: piton.Tiny(), Seed: 7, Check: true}
 			st, err := fv.run(context.Background(), cfg)
 			if err != nil {
 				t.Fatalf("clean %s run failed sign-off: %v", fv.name, err)
@@ -122,7 +122,7 @@ func TestInjectionMatrix(t *testing.T) {
 				var events bytes.Buffer
 				rec := obs.New()
 				rec.SetSink(&events)
-				cfg := flows.Config{Piton: piton.Tiny(), Seed: 7, Verify: true, Obs: rec}
+				cfg := flows.Config{Piton: piton.Tiny(), Seed: 7, Check: true, Obs: rec}
 				cfg.AfterStage = func(flow, stage string, st *flows.State) {
 					if stage != class.Stage || injected {
 						return

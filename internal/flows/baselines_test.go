@@ -533,7 +533,7 @@ func TestPseudoFlowsHonourF2FOverride(t *testing.T) {
 	f2f.Pitch = 2
 	cfg := tinyCfg()
 	cfg.F2F = &f2f
-	cfg.Verify = true
+	cfg.Check = true
 	_, st, err := RunS2D(cfg, false)
 	if err != nil {
 		t.Fatal(err)
@@ -550,7 +550,7 @@ func TestPseudoFlowsHonourF2FOverride(t *testing.T) {
 // die: on the C2D/small design as opt.Optimize receives it, neither
 // die's map refuses a cell — one map of both refused 2 216 of 6 882 and
 // left the uncovered part of each refused cell free for the next Alloc.
-// The optimizer runs under SelfCheck, so every iteration holds its
+// The optimizer runs under Check, so every iteration holds its
 // journaled maps == a from-scratch NewFreeSpace of the partitioned
 // design; and after it, no ECO edit overlaps a cell of its own die.
 func TestC2DFreeSpaceSeesBothDies(t *testing.T) {
@@ -562,7 +562,7 @@ func TestC2DFreeSpaceSeesBothDies(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := smallCfg()
-	cfg.SelfCheck = true
+	cfg.Check = true
 	seen := 0
 	cfg.AfterStage = func(_, stage string, st *State) {
 		if stage != StageExtract && stage != StageOpt {

@@ -358,7 +358,7 @@ func TestStageCachePayloadCorruptionFallsBack(t *testing.T) {
 	}
 }
 
-// TestStageCacheVerify runs the paranoia mode against a warm cache:
+// TestStageCacheVerify runs Config.Check against a warm cache:
 // every hit re-runs and must confirm bit-identical state.
 func TestStageCacheVerify(t *testing.T) {
 	dir := t.TempDir()
@@ -376,7 +376,7 @@ func TestStageCacheVerify(t *testing.T) {
 	}
 	cfg = tinyCacheCfg()
 	cfg.Cache = warm
-	cfg.CacheVerify = true
+	cfg.Check = true
 	verified, _ := mustRun(t, "2d", cfg)
 	ws := warm.Stats()
 	if ws.Hits == 0 {

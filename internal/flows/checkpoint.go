@@ -52,16 +52,16 @@ func buildTechFingerprint() ([]byte, error) {
 //
 // Deliberately excluded: Workers (results are bit-identical at any
 // worker count — the parallel-engine equivalence guarantee, pinned by
-// TestStageCacheKeyStability), Obs/SelfCheck/Verify (pure observation
-// and checking — spans and the timeline record a run, they never change
-// results), Cache/CacheVerify (the cache itself), AfterStage/Generator
-// (either disables the cache: cacheEnabled), and the per-stage inputs
-// TargetPeriod, MacroDieMetals, F2F and BlockageResolution, which enter
-// the chain as key material of the first checkpoint that depends on
-// them so unrelated prefixes still hit (TestRootKeyCoversPitonConfig
-// holds every Config field to one side or the other). The seed is
-// included: results depend on it, so sharing entries across seeds
-// would be unsound.
+// TestStageCacheKeyStability), Obs and Check (pure observation and
+// checking — spans and the timeline record a run, checks hold it to a
+// recompute, neither changes results), Cache (the cache itself),
+// AfterStage/Generator (either disables the cache: cacheEnabled), and
+// the per-stage inputs TargetPeriod, MacroDieMetals, F2F and
+// BlockageResolution, which enter the chain as key material of the
+// first checkpoint that depends on them so unrelated prefixes still hit
+// (TestRootKeyCoversPitonConfig holds every Config field to one side or
+// the other). The seed is included: results depend on it, so sharing
+// entries across seeds would be unsound.
 func rootKey(flow string, cfg Config) (stash.Key, error) {
 	fp, err := techFingerprint()
 	if err != nil {
@@ -192,9 +192,9 @@ func (r *runner) stashErrors() *obs.Counter {
 // checkpointed runs a cacheable region: on a hit the snapshot is
 // loaded and the region skipped; on a miss (or a corrupt snapshot,
 // which is evicted) the region runs and its snapshot is stored. Cache
-// failures never fail a flow — except under CacheVerify, where a hit
-// re-runs the region and a snapshot that is not bit-identical to the
-// re-run state is a hard error.
+// failures never fail a flow — except under Check, where a hit re-runs
+// the region and a snapshot that is not bit-identical to the re-run
+// state is a hard error.
 //
 // next is the spec of the region after this one when that region
 // covers it. Its snapshot is looked up first, and when both hit this
@@ -215,7 +215,7 @@ func (r *runner) checkpointed(cp checkpoint, next func() checkpoint, sub []stage
 	key := r.key.Derive(cp.name, cp.material)
 	r.key = key
 
-	if next != nil && !r.cfg.CacheVerify {
+	if next != nil && !r.cfg.Check {
 		ncp := next()
 		nkey := key.Derive(ncp.name, ncp.material)
 		payload, hit := r.cfg.Cache.Get(nkey)
@@ -248,7 +248,7 @@ func (r *runner) restore(cp checkpoint, key stash.Key, sub []stage) error {
 		r.stashMisses().Inc()
 		return r.runAndStore(cp, key, sub)
 	}
-	if r.cfg.CacheVerify {
+	if r.cfg.Check {
 		return r.verifyHit(cp, key, payload, sub)
 	}
 	if r.span != nil {
@@ -329,7 +329,7 @@ func (r *runner) runAndStore(cp checkpoint, key stash.Key, sub []stage) error {
 	return nil
 }
 
-// verifyHit is the paranoia mode: the region re-runs, its state is
+// verifyHit is a hit under Check: the region re-runs, its state is
 // re-encoded, and anything short of bit-identity with the cached
 // snapshot evicts the entry and fails the run.
 func (r *runner) verifyHit(cp checkpoint, key stash.Key, payload []byte, sub []stage) error {
@@ -337,23 +337,21 @@ func (r *runner) verifyHit(cp checkpoint, key stash.Key, payload []byte, sub []s
 		return err
 	}
 	enc := stash.NewEnc()
-	if err := contain(func() error { return cp.save(enc) }); err != nil {
-		r.cfg.Cache.Evict(key)
-		r.stashErrors().Inc()
-		verr := fmt.Errorf("cache verify: re-encode: %w", err)
-		r.record(cp.name, r.cfg.Seed, 0, verr)
-		return r.fail(cp.name, r.cfg.Seed, verr)
-	}
-	if !bytes.Equal(enc.Bytes(), payload) {
-		r.cfg.Cache.Evict(key)
-		r.stashErrors().Inc()
-		verr := fmt.Errorf("cache verify: region %q re-ran to state differing from the cached snapshot (%d vs %d bytes)",
+	verr := contain(func() error { return cp.save(enc) })
+	if verr != nil {
+		verr = fmt.Errorf("cache verify: re-encode: %w", verr)
+	} else if !bytes.Equal(enc.Bytes(), payload) {
+		verr = fmt.Errorf("cache verify: region %q re-ran to state differing from the cached snapshot (%d vs %d bytes)",
 			cp.name, enc.Len(), len(payload))
+	}
+	if verr != nil {
+		r.cfg.Cache.Evict(key)
+		r.stashErrors().Inc()
 		r.record(cp.name, r.cfg.Seed, 0, verr)
 		return r.fail(cp.name, r.cfg.Seed, verr)
 	}
 	r.stashHits().Inc()
-	r.counter("stash_verified_total", "Cache hits re-run and confirmed bit-identical under -cache-verify.").Inc()
+	r.counter("stash_verified_total", "Cache hits re-run and confirmed bit-identical under -check.").Inc()
 	r.stashBytes().Add(uint64(len(payload)))
 	return nil
 }

@@ -183,7 +183,6 @@ func TestEveryOptionHasACaller(t *testing.T) {
 		"cts.Options.MaxLeafSinks":  "tests shape small clock-tree fixtures with it",
 		"cts.Options.RepeaterSpan":  "tests shape small clock-tree fixtures with it",
 		"cts.Options.NoSkewBalance": "tests compare the unbalanced tree with it",
-		"flows.Config.SelfCheck":    "the determinism harness's verification mode",
 	}
 	type typeKey struct{ pkg, name string }
 	type file struct {

@@ -76,7 +76,7 @@ var (
 )
 
 // TestDeterminism: a run depends on its flow, tile and seed, and not on
-// -j, the stage cache, SelfCheck, Verify or attached instrumentation.
+// -j, the stage cache, Check or attached instrumentation.
 // Each flow × tile runs once as the reference (Workers 1, nothing
 // attached); each axis is one more run, held to it on the exact PPA row,
 // the final state's digest and the stage sequence. DESIGN.md §20 gives
@@ -305,7 +305,7 @@ func axisConfig(axis string, ref Config, dir string, cold *stash.Stats) (Config,
 	cfg, check := ref, func() error { return nil }
 	switch axis {
 	case "checks": // four workers fan out at any GOMAXPROCS
-		cfg.Workers, cfg.SelfCheck, cfg.Verify = 4, true, true
+		cfg.Workers, cfg.Check = 4, true
 	case "default-j":
 		cfg.Workers = 0
 	case "instrumented":
@@ -344,18 +344,17 @@ func axisConfig(axis string, ref Config, dir string, cold *stash.Stats) (Config,
 }
 
 // axisStages is the stage sequence the axis's run records when the
-// reference's records ref: Verify appends separate (two dies) and verify,
-// and a warm run restores each region whole, as goldenStages' rows (run
-// with Verify) show.
+// reference's records ref: Check appends separate (two dies) and verify,
+// as goldenStages' cold rows (run with Check) show, and a warm run
+// restores each region whole, as its warm rows show.
 func axisStages(axis, key, ref string) string {
 	for _, g := range goldenStages {
-		checks := strings.TrimPrefix(g.cold, ref)
 		switch {
 		case g.cli != "-flow "+key:
 		case axis == "checks":
-			return ref + checks
+			return ref + strings.TrimPrefix(g.cold, ref)
 		case axis == "cache-warm":
-			return strings.TrimSuffix(g.warm, checks)
+			return g.warm
 		}
 	}
 	return ref

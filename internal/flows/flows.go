@@ -83,21 +83,18 @@ type Config struct {
 
 	Seed uint64
 
-	// Verify, when true, appends independent sign-off verification as
-	// a final stage (plus die separation for 3D flows to obtain the
-	// bump list); a dirty report fails the run with a StageError
-	// wrapping *verify.Error.
-	Verify bool
+	// Check makes the run check itself without changing its results
+	// (the CLI's -check): a final verify stage, after die separation in
+	// the two-die flows, fails the run on a dirty report (*verify.Error);
+	// the optimizer's every iteration and hold sign-off are held to a
+	// from-scratch recompute; and a cache hit re-runs its region, failing
+	// unless the re-run state is bit-identical to the snapshot.
+	Check bool
 
 	// AfterStage, when set, is invoked after every successful stage
 	// with the flow name, stage name and the stage's working state.
 	// Used by instrumentation and the fault-injection harness.
 	AfterStage func(flow, stage string, st *State)
-
-	// SelfCheck makes every optimization iteration verify its
-	// incrementally maintained extraction and timing against a
-	// from-scratch recompute (equivalence testing; slow).
-	SelfCheck bool
 
 	// Obs, when set, records the run: hierarchical spans (flow →
 	// stage → engine phase), per-engine metrics, and whatever sinks
@@ -124,11 +121,6 @@ type Config struct {
 	// automatically for runs with a custom Generator or an AfterStage
 	// hook, whose state the snapshots cannot capture.
 	Cache *stash.Store
-
-	// CacheVerify is the paranoia mode: a cache hit re-runs the region
-	// anyway and fails the run unless the recomputed state is
-	// bit-identical to the snapshot.
-	CacheVerify bool
 }
 
 // generate produces the benchmark netlist a flow run owns, under the
@@ -153,10 +145,10 @@ func (c Config) routeOptions(sp *obs.Span) route.Options {
 
 // budget resolves a flow's optimization budget against the
 // configuration: its target period, unless the flow sets one, and
-// SelfCheck.
+// Check.
 func (c Config) budget(b opt.Options) opt.Options {
 	b.TargetPeriod = cmp.Or(b.TargetPeriod, c.TargetPeriod)
-	b.SelfCheck = b.SelfCheck || c.SelfCheck
+	b.SelfCheck = c.Check
 	return b
 }
 
@@ -259,8 +251,8 @@ type State struct {
 const signoffRevision = 3
 
 // signoffMaterial is the signoff checkpoint's own key material: the
-// resolved optimization budget. SelfCheck is excluded — it verifies,
-// it never changes results.
+// resolved optimization budget. SelfCheck (Config.Check) is excluded —
+// it verifies, it never changes results.
 func signoffMaterial(o opt.Options) []byte {
 	e := stash.NewEnc()
 	e.Int(signoffRevision)

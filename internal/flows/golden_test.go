@@ -19,18 +19,19 @@ func runNamed(name string) func(context.Context, Config) (*State, error) {
 }
 
 // goldenStages is the contract of a flow's stage list: every record of
-// State.Trace.Stages on the tiny tile with Verify on, cold (nothing
-// cached) and warm (every checkpoint a hit). A record renders as its
-// stage name, with "*" for a region restored from the stage cache.
-// bench/trace.go maps this sequence to its per-layer
+// State.Trace.Stages on the tiny tile, cold with Check on (nothing
+// cached) and warm without it (every checkpoint a hit: under Check a hit
+// re-runs its region, so a checked warm run records the cold list). A
+// record renders as its stage name, with "*" for a region restored from
+// the stage cache. bench/trace.go maps this sequence to its per-layer
 // metrics, `-experiment flowtrace` prints it, and DESIGN.md §3 shows it
 // under the CLI invocation that runs it (TestDesignDocStageLists). A
 // hardening run is the Macro-3D list with everything after generate in
 // the harden region, which ends in condense; a warm harden hands back no
 // State, so its row wraps the result's trace in one. The tile array and
 // the hierarchical parent have no checkpoint region, so their warm list
-// is their cold one; their runs hand back no State, so the rows take the
-// parent's from the AfterStage hook.
+// is their cold one, less the parent's verify; their runs hand back no
+// State, so the rows take the parent's from the AfterStage hook.
 var goldenStages = []struct {
 	flow, cli  string
 	run        func(context.Context, Config) (*State, error)
@@ -39,12 +40,12 @@ var goldenStages = []struct {
 	{"2D", "-flow 2d",
 		runNamed("2d"),
 		"generate floorplan place cts route extract opt sta power verify",
-		"generate floorplan place* cts route* signoff* power verify",
+		"generate floorplan place* cts route* signoff* power",
 	},
 	{"Macro-3D", "-flow macro3d",
 		runNamed("macro3d"),
 		"generate floorplan prepare place cts route extract opt sta power separate verify",
-		"generate floorplan prepare place* cts route* signoff* power separate verify",
+		"generate floorplan prepare place* cts route* signoff* power",
 	},
 	{"S2D", "-flow s2d",
 		runNamed("s2d"),
@@ -96,7 +97,7 @@ var goldenStages = []struct {
 			return st, err
 		},
 		"compose route cts extract sta power verify",
-		"compose route cts extract sta power verify",
+		"compose route cts extract sta power",
 	},
 }
 
@@ -104,7 +105,7 @@ var goldenStages = []struct {
 const (
 	goldenPseudoCold = "generate floorplan pseudo-floorplan pseudo-place pseudo-route pseudo-opt transfer " +
 		"partition prepare cts route extract opt sta power separate verify"
-	goldenPseudoWarm = "generate floorplan pseudo* partition* prepare cts route* signoff* power separate verify"
+	goldenPseudoWarm = "generate floorplan pseudo* partition* prepare cts route* signoff* power"
 )
 
 func renderStages(rep *RunReport) string {
@@ -134,7 +135,7 @@ func TestStageSequenceGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg := Config{Piton: piton.Tiny(), Seed: 7, Verify: true, Cache: store}
+				cfg := Config{Piton: piton.Tiny(), Seed: 7, Check: pass.name == "cold", Cache: store}
 				st, err := g.run(context.Background(), cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", pass.name, err)

@@ -78,7 +78,7 @@ func RunHierArray(ctx context.Context, cfg Config, flow string, nx, ny int) (*Hi
 // obstructions, synthesize the parent clock tree over the abstract
 // clock pins, extract, close timing with the boundary model, and take
 // power — the stage list compose → route → cts → extract → sta → power,
-// then verify with Config.Verify.
+// then verify with Config.Check.
 func InstantiateArray(cfg Config, hr *HardenResult, nx, ny int) (*HierReport, error) {
 	return instantiate(context.Background(), cfg, hr, nx, ny)
 }
@@ -105,7 +105,7 @@ func instantiate(ctx context.Context, cfg Config, hr *HardenResult, nx, ny int) 
 			return err
 		}),
 	}
-	if f.cfg.Verify {
+	if f.cfg.Check {
 		list = append(list, do(StageVerify, func() error { return f.verify(nil, nil) }))
 	}
 	if err := f.exec(list); err != nil {

@@ -84,7 +84,7 @@ func TestHardenAbstract(t *testing.T) {
 // timing at the tile's own period.
 func TestHierArrayClosesAtTile(t *testing.T) {
 	cfg := hierCfg()
-	cfg.Verify = true
+	cfg.Check = true
 	rep, err := RunHierArray(context.Background(), cfg, HardenMacro3D, 2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestHardenUnknownFlow(t *testing.T) {
 	}
 }
 
-// TestHardenCacheVerify runs Config.CacheVerify against a hardened
+// TestHardenCacheVerify runs Config.Check against a hardened
 // abstract: an intact snapshot re-runs clean, and one re-framed with a
 // different minimum period fails the run at the harden region and is
 // evicted.
@@ -206,7 +206,7 @@ func TestHardenCacheVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.CacheVerify = true
+	cfg.Check = true
 	if _, err := Harden(cfg, HardenMacro3D); err != nil {
 		t.Fatalf("verifying an intact cache: %v", err)
 	}

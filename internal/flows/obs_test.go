@@ -20,7 +20,7 @@ func recordedRun(t *testing.T) (*State, *obs.Recorder, string) {
 	var buf bytes.Buffer
 	rec := obs.New()
 	rec.SetSink(&buf)
-	cfg := Config{Piton: piton.Tiny(), Seed: 7, Verify: true, Obs: rec}
+	cfg := Config{Piton: piton.Tiny(), Seed: 7, Check: true, Obs: rec}
 	_, st, _, err := RunMacro3D(cfg)
 	if err != nil {
 		t.Fatalf("recorded run failed: %v", err)

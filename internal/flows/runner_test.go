@@ -184,7 +184,7 @@ func TestCleanTinyFlowTraceCompletes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full tiny flow")
 	}
-	cfg := Config{Piton: piton.Tiny(), Seed: 5, Verify: true}
+	cfg := Config{Piton: piton.Tiny(), Seed: 5, Check: true}
 	_, st, err := Run2D(cfg)
 	if err != nil {
 		t.Fatalf("clean tiny 2D flow failed: %v", err)

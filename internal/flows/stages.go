@@ -175,7 +175,7 @@ func (f *flow) stagesPseudo3D() []stage {
 				if err := f.extract(); err != nil {
 					return err
 				}
-				_, err := f.optimize(opt.Options{BufferElmore: 1e12, SelfCheck: f.cfg.SelfCheck}, nil)
+				_, err := f.optimize(f.cfg.budget(opt.Options{BufferElmore: 1e12}), nil)
 				return err
 			}),
 			do(StageTransfer, func() error { return transferPseudo(f.st.Design, real.Design, 1/spec.s) }),
@@ -270,8 +270,8 @@ func transferPseudo(dP, dReal *netlist.Design, scale float64) error {
 // backEnd is what every flow ends in: clock tree, routing, sign-off
 // (slow-corner extraction, optimization under the given budget — full
 // for 2D and Macro-3D, frozen for S2D, limited for C2D — and hold STA,
-// then typical-corner power) and, with Config.Verify, die separation (3D) and
-// independent verification.
+// then typical-corner power) and, with Config.Check, die separation
+// (3D) and independent verification.
 func (f *flow) backEnd(budget opt.Options) []stage {
 	// The effective budget is resolved up front so the signoff
 	// checkpoint's key material matches what the optimizer runs with.
@@ -298,7 +298,7 @@ func (f *flow) backEnd(budget opt.Options) []stage {
 			do(StageSTA, f.holdSignoff)),
 		do(StagePower, f.power),
 	}
-	if !f.cfg.Verify {
+	if !f.cfg.Check {
 		return list
 	}
 	var bumps []geom.Point
@@ -412,7 +412,7 @@ func (f *flow) staOptions(hold bool) sta.Options {
 // holdSignoff is hold sign-off on the final state, on the engine the
 // optimizer ran on — whose setup timing is the final report already, so
 // no setup pass runs — into that report's hold fields, which the signoff
-// snapshot carries. Under Config.SelfCheck a from-scratch analysis must
+// snapshot carries. Under Config.Check a from-scratch analysis must
 // agree.
 func (f *flow) holdSignoff() error {
 	eng := f.eng
@@ -421,7 +421,7 @@ func (f *flow) holdSignoff() error {
 	if err != nil {
 		return err
 	}
-	if f.cfg.SelfCheck {
+	if f.cfg.Check {
 		want, err := f.sta(f.st.Report.MinPeriod, true)
 		if err != nil {
 			return err

@@ -21,7 +21,7 @@ func tracedRun(t *testing.T) (*State, *trace.Tracer) {
 	tr := trace.New()
 	rec := obs.New()
 	rec.SetTimeline(tr)
-	cfg := Config{Piton: piton.Tiny(), Seed: 7, Workers: 4, Verify: true, Obs: rec}
+	cfg := Config{Piton: piton.Tiny(), Seed: 7, Workers: 4, Check: true, Obs: rec}
 	_, st, _, err := RunMacro3D(cfg)
 	if err != nil {
 		t.Fatalf("traced run failed: %v", err)

@@ -116,8 +116,8 @@ type Options struct {
 	// maintained extraction and timing match a from-scratch
 	// extract.Extract + sta.Analyze and the engine's patched topology
 	// tables a fresh engine's, and after every commit and rollback that
-	// the journaled free space and adjacency match a from-scratch build
-	// (testing aid; slow).
+	// the journaled free space and adjacency, and the route DB's usage,
+	// match a from-scratch build (flows.Config.Check; slow).
 	SelfCheck bool
 }
 
@@ -430,14 +430,21 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 var debugTrace = os.Getenv("MACRO3D_OPT_TRACE") == "1"
 
 // checkJournals asserts that what the transactions maintained by
-// journal — adjacency rows and free-space intervals — equals a build
-// from the current design, exactly.
+// journal — adjacency rows, free-space intervals and the route DB's
+// wire and F2F usage (rebuilt in place: a match changes nothing) —
+// equals a build from the current design and routes, exactly.
 func checkJournals(ctx *Context) error {
 	if err := ctx.DDB.CheckAdjacency(); err != nil {
 		return fmt.Errorf("opt: selfcheck: %w", err)
 	}
 	if fs := ctx.DDB.Free; fs != nil && !fs.Equal(place.NewFreeSpace(ctx.Design, ctx.FP, ctx.RowHeight)) {
 		return fmt.Errorf("opt: selfcheck: journaled free space differs from a fresh build")
+	}
+	usage, _, f2f := ctx.DB.DynState()
+	usage, f2f = slices.Clone(usage), slices.Clone(f2f)
+	ctx.DB.RebuildUsage(ctx.Routes)
+	if u, _, f := ctx.DB.DynState(); !slices.Equal(u, usage) || !slices.Equal(f, f2f) {
+		return fmt.Errorf("opt: selfcheck: journaled route usage differs from a rebuild of the routes")
 	}
 	return nil
 }

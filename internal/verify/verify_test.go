@@ -422,7 +422,7 @@ func TestCapacityAgreesWithRouter(t *testing.T) {
 
 // TestTableIRoutesClearObstructions holds the routing contract on Table
 // I's small-tile cells at seed 1: 2D, MoL S2D, BF S2D and Macro-3D each
-// sign off under Config.Verify, no route enters a gcell-layer a macro
+// sign off under Config.Check, no route enters a gcell-layer a macro
 // obstruction covers outside one of its own pins' columns, and the
 // capacity check's recount finds no gcell-layer past capacity — the
 // route overflow Table I prints is 0 in each.
@@ -431,7 +431,7 @@ func TestTableIRoutesClearObstructions(t *testing.T) {
 		t.Skip("four small-tile flows")
 	}
 	for _, key := range []string{"2d", "s2d", "bfs2d", "macro3d"} {
-		cfg := flows.Config{Piton: piton.SmallCache(), Seed: 1, Verify: true}
+		cfg := flows.Config{Piton: piton.SmallCache(), Seed: 1, Check: true}
 		_, st, _, err := flows.Run(context.Background(), key, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)

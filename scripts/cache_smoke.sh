@@ -2,8 +2,8 @@
 # cache-smoke: end-to-end check of the content-addressed stage cache.
 # Runs a tiny flow cold (populating the cache), warm (restoring every
 # checkpoint while reading fewer bytes than the cold run wrote: the
-# route snapshot the sign-off one covers is not read) and in
-# -cache-verify paranoia mode, asserting hit/miss counters and
+# route snapshot the sign-off one covers is not read) and with -check,
+# which re-runs every hit, asserting hit/miss counters and
 # byte-identical PPA output; then under a -cache-max-bytes cap below the
 # uncapped run's size, asserting eviction, the cap on disk and
 # byte-identical PPA; then that a capped invocation keeps every snapshot
@@ -48,8 +48,8 @@ read=$(sed -n 's/.* \([0-9][0-9]*\) B read, \([0-9][0-9]*\) B written$/\1/p' "$d
 	exit 1
 }
 
-echo "cache-smoke: -cache-verify paranoia pass"
-$run -cache-dir "$dir/stash" -cache-verify >"$dir/verify.out" 2>"$dir/verify.err"
+echo "cache-smoke: -check pass (every hit re-run)"
+$run -cache-dir "$dir/stash" -check >"$dir/verify.out" 2>"$dir/verify.err"
 grep -Eq 'stage cache .*: [1-9][0-9]* hits, .* 0 errors' "$dir/verify.err" || {
 	echo "cache-smoke: FAIL: verify run should confirm every hit without errors" >&2
 	cat "$dir/verify.err" >&2

@@ -2,9 +2,11 @@
 # harden-smoke: end-to-end check of the hierarchical hardened-macro
 # flow. Hardens the tiny tile cold (populating the cache with the
 # abstract), re-hardens warm and instantiates a 3×3 parent array off
-# the cached abstract, asserting the stage-cache counters, a clean
-# parent verification, timing closure at the tile period, and a
-# well-formed abstract LEF export. Fails on any mismatch.
+# the cached abstract, asserting the stage-cache counters, timing
+# closure at the tile period, and a well-formed abstract LEF export;
+# then runs the warm array again with -check, asserting a clean parent
+# verification and every cached region re-run bit-identical. Fails on
+# any mismatch.
 set -eu
 
 GO=${GO:-go}
@@ -58,9 +60,19 @@ grep -q 'timing closes: true' "$dir/warm.out" || {
 	cat "$dir/warm.out" >&2
 	exit 1
 }
-grep -q 'verification   clean' "$dir/warm.out" || {
+
+echo "harden-smoke: warm 3x3 parent array with -check"
+$run -array 3 -check >"$dir/check.out" 2>"$dir/check.err"
+grep -q 'verification   clean' "$dir/check.out" || {
 	echo "harden-smoke: FAIL: parent array verification not clean" >&2
-	cat "$dir/warm.out" >&2
+	cat "$dir/check.out" >&2
+	exit 1
+}
+# The harden region re-runs, and so do the three regions nested in it:
+# each hit is re-run and confirmed bit-identical, none evicted.
+grep -q 'stage cache .*: 4 hits, 0 misses, 0 stored (0 dup), 0 evicted, 0 errors,' "$dir/check.err" || {
+	echo "harden-smoke: FAIL: -check should re-run every cached region clean" >&2
+	cat "$dir/check.err" >&2
 	exit 1
 }
 
