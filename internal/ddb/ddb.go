@@ -29,7 +29,7 @@
 // written back into the same record. Only the
 // extraction's running capacitance totals may drift in the last float
 // bits (they are maintained by += / -=); no table-visible metric reads
-// them — sign-off re-extracts at the typical corner from scratch.
+// them — power sums the typical-corner capacitances from scratch.
 package ddb
 
 import (

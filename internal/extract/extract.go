@@ -146,6 +146,40 @@ func ExtractOn(team *par.Team, d *netlist.Design, res *route.Result, db *route.D
 	return out
 }
 
+// Caps is ExtractOn's CWireTotal and CPinTotal at corner, bit for bit,
+// without the RC trees: per routed net in net-ID order, its wire and cut
+// capacitances summed in edge order and its sink pin caps in sink order,
+// each net's two sums then added to the totals — the order ExtractOn sums
+// in, record by record. A lent record holds the same two sums (Source),
+// so Caps takes no sources. It builds no node table and no record, and
+// allocates nothing: what power reads of the typical corner.
+func Caps(d *netlist.Design, res *route.Result, db *route.DB, corner tech.CornerScale) (wire, pin float64) {
+	for _, n := range d.Nets {
+		r := res.Routes[n.ID]
+		if r == nil {
+			continue
+		}
+		var w, p float64
+		for _, sg := range r.Segments {
+			if !sg.IsVia() {
+				_, c := edgeRC(sg, db, corner)
+				w += c
+				continue
+			}
+			for k := range sg.Cuts() {
+				_, c := edgeRC(sg.Cut(k), db, corner)
+				w += c
+			}
+		}
+		for _, pr := range n.Sinks {
+			p += pr.Cap()
+		}
+		wire += w
+		pin += p
+	}
+	return wire, pin
+}
+
 // toExtract reports whether net id is routed and lent no record.
 func (out *Design) toExtract(id int, res *route.Result) bool {
 	return res.Routes[id] != nil && out.Nets[id] == nil
@@ -411,16 +445,12 @@ func (s *Scratch) extractNet(rc *NetRC, n *netlist.Net, r *route.NetRoute, db *r
 	i := 0
 	for _, sg := range r.Segments {
 		if !sg.IsVia() {
-			ly := db.Beol.Layers[sg.A.L]
-			length := float64(abs(int(sg.B.X)-int(sg.A.X)))*db.Grid.DX + float64(abs(int(sg.B.Y)-int(sg.A.Y)))*db.Grid.DY
-			s.edge(rc, i, sg.A, sg.B, length*ly.RPerUm*corner.WireR, length*ly.CPerUm*corner.WireC)
+			s.edge(rc, i, sg, db, corner)
 			i++
 			continue
 		}
 		for k := range sg.Cuts() {
-			cut := sg.Cut(k)
-			v := db.Beol.Vias[min(cut.A.L, cut.B.L)]
-			s.edge(rc, i, cut.A, cut.B, v.R*corner.WireR, v.C*corner.WireC)
+			s.edge(rc, i, sg.Cut(k), db, corner)
 			i++
 		}
 	}
@@ -499,18 +529,31 @@ func (s *Scratch) extractNet(rc *NetRC, n *netlist.Net, r *route.NetRoute, db *r
 	}
 }
 
-// edge adds RC edge i of rc's tree, between nodes a and b: its
-// resistance and capacitance to the totals, half the capacitance to each
-// end.
-func (s *Scratch) edge(rc *NetRC, i int, a, b route.Node, res, c float64) {
+// edge adds RC edge i of rc's tree, the wire or cut e: its resistance
+// and capacitance to the totals, half the capacitance to each end.
+func (s *Scratch) edge(rc *NetRC, i int, e route.Seg, db *route.DB, corner tech.CornerScale) {
+	res, c := edgeRC(e, db, corner)
 	rc.WireC += c
 	rc.WireR += res
-	ia, ib := s.id(a), s.id(b)
+	ia, ib := s.id(e.A), s.id(e.B)
 	s.capAt[ia] += c / 2
 	s.capAt[ib] += c / 2
 	s.cur[ia]++
 	s.cur[ib]++
 	s.segA[i], s.segB[i], s.segR[i] = ia, ib, res
+}
+
+// edgeRC is the resistance (kΩ) and capacitance (fF) at corner of one
+// RC edge: a wire, or one cut of a via stack (route.Seg.Cut). It is the
+// one source of both for the RC trees and for Caps.
+func edgeRC(e route.Seg, db *route.DB, corner tech.CornerScale) (r, c float64) {
+	if e.IsVia() {
+		v := db.Beol.Vias[min(e.A.L, e.B.L)]
+		return v.R * corner.WireR, v.C * corner.WireC
+	}
+	ly := db.Beol.Layers[e.A.L]
+	length := float64(abs(int(e.B.X)-int(e.A.X)))*db.Grid.DX + float64(abs(int(e.B.Y)-int(e.A.Y)))*db.Grid.DY
+	return length * ly.RPerUm * corner.WireR, length * ly.CPerUm * corner.WireC
 }
 
 func abs(v int) int {

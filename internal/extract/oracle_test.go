@@ -365,3 +365,12 @@ func TestReextractAllocs(t *testing.T) {
 		t.Fatalf("Reextract allocates %.0f objects per net on a warm scratch, want 0", allocs)
 	}
 }
+
+// TestCapsAllocs: summing the capacitance totals builds no node table
+// and no record — it allocates nothing.
+func TestCapsAllocs(t *testing.T) {
+	d, db, res := routedNets(t)
+	if allocs := testing.AllocsPerRun(20, func() { Caps(d, res, db, typical()) }); allocs != 0 {
+		t.Fatalf("Caps allocates %.0f objects per call, want 0", allocs)
+	}
+}

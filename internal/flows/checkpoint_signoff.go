@@ -8,7 +8,6 @@ import (
 	"macro3d/internal/netlist"
 	"macro3d/internal/sta"
 	"macro3d/internal/stash"
-	"macro3d/internal/tech"
 )
 
 // netStateWire is one net's connectivity in a signoff snapshot.
@@ -435,7 +434,7 @@ func (f *flow) signoffCheckpoint(material []byte) checkpoint {
 			}
 			st.Routes = routes
 			st.DB.SetDynState(u, h, fr)
-			st.ExSlow = f.extractAt(tech.CornerSlow)
+			st.ExSlow = f.extractSlow()
 			f.openDDB(f.obs())
 			st.Report = rep.build(d)
 			f.resized = nResized

@@ -61,7 +61,7 @@ func TestEngineCallSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := []string{"cts.Build(", "extract.ExtractOn(", "sta.Analyze(", "verify.Full(", "power.Analyze(", "route.RouteDesign(", "piton.Generate("}
+	entries := []string{"cts.Build(", "extract.ExtractOn(", "extract.Caps(", "sta.Analyze(", "verify.Full(", "power.Analyze(", "route.RouteDesign(", "piton.Generate("}
 	calls := map[string]int{}
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {

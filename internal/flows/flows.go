@@ -18,7 +18,8 @@
 //     and rerouted by the shared back end, optimization frozen or limited.
 //
 // Every flow ends in the same sign-off: slow-corner STA for f_max,
-// typical-corner extraction for power, and the PPA record holding the
+// typical-corner power from the signal nets' wire and pin capacitance
+// sums (extract.Caps, no RC trees), and the PPA record holding the
 // paper's Table I–III rows. The §V-1 checks of a signed-off tile are two
 // more lists on the same runner and the same sign-off bodies: the flat
 // array (VerifyTileArray) and the hierarchical parent (InstantiateArray)

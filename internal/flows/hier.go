@@ -101,7 +101,7 @@ func instantiate(ctx context.Context, cfg Config, hr *HardenResult, nx, ny int) 
 			return err
 		}),
 		do(StagePower, func() (err error) {
-			pw, _, err = f.powerAt(1e6 / f.st.Report.MinPeriod)
+			pw, err = f.powerAt(1e6 / f.st.Report.MinPeriod)
 			return err
 		}),
 	}

@@ -2,10 +2,14 @@ package flows
 
 import (
 	"context"
+	"errors"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"macro3d/internal/piton"
+	"macro3d/internal/tech"
 )
 
 // runFlowInside runs the named flow as Run does and returns its working
@@ -143,4 +147,50 @@ func TestHoldOnOptimizerEngine(t *testing.T) {
 	if pending == 0 {
 		t.Error("no run reached hold sign-off with a rolled-back iteration pending")
 	}
+}
+
+// TestPowerFailsOnNonFiniteCaps: a capacitance table gone NaN after
+// sign-off, past the slow-corner extraction's per-net check, fails the
+// power stage with an error naming the non-finite quantity: a NaN CPerUm
+// in a tile flow's back end, a NaN via C in the hierarchical parent,
+// whose stitch routes are via stacks alone.
+func TestPowerFailsOnNonFiniteCaps(t *testing.T) {
+	nan := func(flow string, corrupt func(*tech.BEOL)) func(string, string, *State) {
+		return func(fl, stage string, st *State) {
+			if fl == flow && stage == StageSTA {
+				corrupt(st.DB.Beol)
+			}
+		}
+	}
+	check := func(t *testing.T, err error) {
+		t.Helper()
+		var se *StageError
+		if !errors.As(err, &se) || se.Stage != StagePower || !strings.Contains(err.Error(), "non-finite") {
+			t.Fatalf("want the power stage to fail naming a non-finite total, got %v", err)
+		}
+	}
+	t.Run("2d", func(t *testing.T) {
+		cfg := tinyCfg()
+		cfg.AfterStage = nan("2D", func(b *tech.BEOL) {
+			for i := range b.Layers {
+				b.Layers[i].CPerUm = math.NaN()
+			}
+		})
+		_, _, err := Run2D(cfg)
+		check(t, err)
+	})
+	t.Run("hier", func(t *testing.T) {
+		hr, err := Harden(hierCfg(), HardenMacro3D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := hierCfg()
+		cfg.AfterStage = nan("hier", func(b *tech.BEOL) {
+			for i := range b.Vias {
+				b.Vias[i].C = math.NaN()
+			}
+		})
+		_, err = InstantiateArray(cfg, hr, 2, 2)
+		check(t, err)
+	})
 }

@@ -270,8 +270,8 @@ func transferPseudo(dP, dReal *netlist.Design, scale float64) error {
 // backEnd is what every flow ends in: clock tree, routing, sign-off
 // (slow-corner extraction, optimization under the given budget — full
 // for 2D and Macro-3D, frozen for S2D, limited for C2D — and hold STA,
-// then typical-corner power) and, with Config.Check, die separation
-// (3D) and independent verification.
+// then typical-corner power from two capacitance sums) and, with
+// Config.Check, die separation (3D) and independent verification.
 func (f *flow) backEnd(budget opt.Options) []stage {
 	// The effective budget is resolved up front so the signoff
 	// checkpoint's key material matches what the optimizer runs with.
@@ -361,18 +361,19 @@ func (f *flow) route() error {
 // extract is slow-corner extraction, the parasitics timing is signed off
 // on. Non-finite parasitics fail the stage.
 func (f *flow) extract() error {
-	f.st.ExSlow = f.extractAt(tech.CornerSlow)
+	f.st.ExSlow = f.extractSlow()
 	return f.st.ExSlow.CheckFinite()
 }
 
-// extractAt is extraction at corner c on a worker team of Config.Workers.
-func (f *flow) extractAt(c tech.Corner) *extract.Design {
+// extractSlow is slow-corner extraction on a worker team of
+// Config.Workers.
+func (f *flow) extractSlow() *extract.Design {
 	st := f.st
 	workers := par.Workers(f.cfg.Workers)
 	var team par.Team
 	team.Start(workers, f.obs().Workers(workers))
 	defer team.Close()
-	return extract.ExtractOn(&team, st.Design, st.Routes, st.DB, f.t.CornerScaleFor(c), f.lend...)
+	return extract.ExtractOn(&team, st.Design, st.Routes, st.DB, f.t.CornerScaleFor(tech.CornerSlow), f.lend...)
 }
 
 // openDDB opens the design database on the slow-corner extraction; sp is
@@ -436,23 +437,22 @@ func (f *flow) holdSignoff() error {
 	return nil
 }
 
-// powerAt is typical-corner power of f.st at fclk MHz, and the extraction
-// it is computed on. Non-finite results fail the stage instead of
-// propagating into the tables.
-func (f *flow) powerAt(fclk float64) (*power.Report, *extract.Design, error) {
+// powerAt is typical-corner power of f.st at fclk MHz. Power reads only
+// the typical corner's two capacitance totals, so they are summed
+// (extract.Caps), not extracted. Non-finite results fail the stage
+// instead of propagating into the tables.
+func (f *flow) powerAt(fclk float64) (*power.Report, error) {
 	st := f.st
-	ex := f.extractAt(tech.CornerTypical)
-	if err := ex.CheckFinite(); err != nil {
-		return nil, nil, err
-	}
-	pw := power.Analyze(st.Design, ex, st.Tree, fclk, f.t.VDD, f.t.CornerScaleFor(tech.CornerTypical))
-	vals := [...]float64{pw.EnergyPerCycleFJ, pw.PowerUW(fclk), pw.LeakageUW}
-	for i, name := range [...]string{"energy/cycle", "power", "leakage"} {
+	typ := f.t.CornerScaleFor(tech.CornerTypical)
+	wire, pin := extract.Caps(st.Design, st.Routes, st.DB, typ)
+	pw := power.Analyze(st.Design, wire, pin, st.Tree, fclk, f.t.VDD, typ)
+	vals := [...]float64{wire, pin, pw.EnergyPerCycleFJ, pw.PowerUW(fclk), pw.LeakageUW}
+	for i, name := range [...]string{"wire capacitance", "pin capacitance", "energy/cycle", "power", "leakage"} {
 		if v := vals[i]; math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, nil, fmt.Errorf("power: non-finite %s (%v)", name, v)
+			return nil, fmt.Errorf("power: non-finite %s (%v)", name, v)
 		}
 	}
-	return pw, ex, nil
+	return pw, nil
 }
 
 // power is typical-corner power at the achieved frequency (or the
@@ -463,7 +463,7 @@ func (f *flow) power() error {
 	if f.cfg.TargetPeriod > 0 {
 		fclk = 1e6 / f.cfg.TargetPeriod
 	}
-	pw, exTyp, err := f.powerAt(fclk)
+	pw, err := f.powerAt(fclk)
 	if err != nil {
 		return err
 	}
@@ -487,8 +487,8 @@ func (f *flow) power() error {
 
 		TotalWLm: (st.Routes.WL + st.Tree.Wirelength) / 1e6,
 		F2FBumps: st.Routes.F2FBumps,
-		CpinNF:   (exTyp.CPinTotal + st.Tree.PinCap) / 1e6,
-		CwireNF:  (exTyp.CWireTotal + st.Tree.WireCap) / 1e6,
+		CpinNF:   (pw.CPinTotalFF + st.Tree.PinCap) / 1e6,
+		CwireNF:  (pw.CWireTotalFF + st.Tree.WireCap) / 1e6,
 
 		ClkDepth:  st.Tree.Depth,
 		ClkSkewPs: st.Tree.Skew,

@@ -9,7 +9,6 @@ package power
 import (
 	"macro3d/internal/cell"
 	"macro3d/internal/cts"
-	"macro3d/internal/extract"
 	"macro3d/internal/netlist"
 	"macro3d/internal/tech"
 )
@@ -43,21 +42,22 @@ func (r *Report) PowerUW(freqMHz float64) float64 {
 }
 
 // Analyze computes the breakdown at supply vdd, V (the technology's),
-// with leakage scaled to corner. tree may be nil (ideal clock: only
-// sink pin caps switch); its buffers are priced as cts.ClockBuffer.
-// freqMHz converts leakage into the per-cycle figure; pass the operating
-// frequency.
-func Analyze(d *netlist.Design, ex *extract.Design, tree *cts.Tree, freqMHz, vdd float64, corner tech.CornerScale) *Report {
+// with leakage scaled to corner, from the signal nets' total wire and
+// pin capacitances cWire and cPin, fF, at that corner (extract.Caps).
+// tree may be nil (ideal clock: only sink pin caps switch); its buffers
+// are priced as cts.ClockBuffer. freqMHz converts leakage into the
+// per-cycle figure; pass the operating frequency.
+func Analyze(d *netlist.Design, cWire, cPin float64, tree *cts.Tree, freqMHz, vdd float64, corner tech.CornerScale) *Report {
 	r := &Report{}
 	v2 := vdd * vdd
 	a := toggleRate
 
 	// Signal switching: each toggle charges/discharges C; energy per
 	// cycle = α · ½CV².
-	r.CWireTotalFF = ex.CWireTotal
-	r.CPinTotalFF = ex.CPinTotal
-	r.SignalWireFJ = a * 0.5 * ex.CWireTotal * v2
-	r.SignalPinFJ = a * 0.5 * ex.CPinTotal * v2
+	r.CWireTotalFF = cWire
+	r.CPinTotalFF = cPin
+	r.SignalWireFJ = a * 0.5 * cWire * v2
+	r.SignalPinFJ = a * 0.5 * cPin * v2
 
 	// Cell internal energy and leakage.
 	var leakNW float64
@@ -104,61 +104,4 @@ func Analyze(d *netlist.Design, ex *extract.Design, tree *cts.Tree, freqMHz, vdd
 		r.EnergyPerCycleFJ += r.LeakageUW / freqMHz * 1e3
 	}
 	return r
-}
-
-// ModuleBreakdown attributes cell internal + leakage power to module
-// groups by instance-name prefix (up to the second '_', e.g.
-// "u_core_…" → "core", "l3_bank0" → "l3"), the OpenPiton generator's
-// naming convention. Wire/clock energy is not attributable per module
-// from name alone and is reported under "(wires)"/"(clock)".
-type ModuleBreakdown struct {
-	// EnergyFJ per cycle per group.
-	EnergyFJ map[string]float64
-	// LeakageUW per group.
-	LeakageUW map[string]float64
-}
-
-// ByModule computes the breakdown at supply vdd, V, with leakage scaled
-// to corner.
-func ByModule(d *netlist.Design, ex *extract.Design, tree *cts.Tree, vdd float64, corner tech.CornerScale) *ModuleBreakdown {
-	v2 := vdd * vdd
-	a := toggleRate
-	out := &ModuleBreakdown{
-		EnergyFJ:  map[string]float64{},
-		LeakageUW: map[string]float64{},
-	}
-	for _, inst := range d.Instances {
-		g := moduleOf(inst.Name)
-		m := inst.Master
-		switch m.Kind {
-		case cell.KindMacro:
-			if m.Macro != nil {
-				out.EnergyFJ[g] += a * m.Macro.EnergyPerAccess
-			}
-		case cell.KindFiller:
-			continue
-		default:
-			out.EnergyFJ[g] += a * m.InternalEnergy
-		}
-		out.LeakageUW[g] += m.Leakage * 1e-3 * corner.Leakage
-	}
-	out.EnergyFJ["(wires)"] = a * 0.5 * (ex.CWireTotal + ex.CPinTotal) * v2
-	if tree != nil {
-		out.EnergyFJ["(clock)"] = tree.TotalCap() * v2
-	}
-	return out
-}
-
-// moduleOf extracts the group key from a generated instance name.
-func moduleOf(name string) string {
-	s := name
-	if len(s) > 2 && s[:2] == "u_" {
-		s = s[2:]
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] == '_' {
-			return s[:i]
-		}
-	}
-	return s
 }

@@ -26,11 +26,12 @@ var vdd = func() float64 {
 	return tc.VDD
 }()
 
-// smallDesign: port → inv → ff with an SRAM hanging off the net.
-func smallDesign(t *testing.T) (*netlist.Design, *extract.Design) {
+// smallDesign: port → inv → ff with an SRAM hanging off the net, and its
+// signal nets' wire and pin capacitance totals at the typical corner.
+func smallDesign(t *testing.T) (d *netlist.Design, cWire, cPin float64) {
 	t.Helper()
 	lib := cell.NewStdLib28(cell.DefaultLibOptions())
-	d := netlist.NewDesign("p", lib)
+	d = netlist.NewDesign("p", lib)
 	clk := d.AddPort("clk", cell.DirIn)
 	clk.Loc = geom.Pt(0, 0)
 	u := d.AddInstance("u", lib.MustCell("INV_X2"))
@@ -56,12 +57,13 @@ func smallDesign(t *testing.T) (*netlist.Design, *extract.Design) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, extract.Extract(d, res, db, typical())
+	cWire, cPin = extract.Caps(d, res, db, typical())
+	return d, cWire, cPin
 }
 
 func TestBreakdown(t *testing.T) {
-	d, ex := smallDesign(t)
-	rep := Analyze(d, ex, nil, 400, vdd, typical())
+	d, cWire, cPin := smallDesign(t)
+	rep := Analyze(d, cWire, cPin, nil, 400, vdd, typical())
 	if rep.SignalWireFJ <= 0 || rep.SignalPinFJ <= 0 {
 		t.Fatalf("signal energy missing: %+v", rep)
 	}
@@ -90,10 +92,10 @@ func TestBreakdown(t *testing.T) {
 // toggle rate, α·½CV² per cycle, while the clock switches every cycle —
 // its pins' full CV², independent of α.
 func TestToggleRateScalesSignalEnergy(t *testing.T) {
-	d, ex := smallDesign(t)
-	r := Analyze(d, ex, nil, 400, vdd, typical())
+	d, cWire, cPin := smallDesign(t)
+	r := Analyze(d, cWire, cPin, nil, 400, vdd, typical())
 	v2 := vdd * vdd
-	if want := 0.2 * 0.5 * ex.CWireTotal * v2; math.Abs(r.SignalWireFJ-want) > 1e-9*want {
+	if want := 0.2 * 0.5 * cWire * v2; math.Abs(r.SignalWireFJ-want) > 1e-9*want {
 		t.Fatalf("signal wire energy %v, want α·½CV² = %v", r.SignalWireFJ, want)
 	}
 	var ckCap float64
@@ -108,8 +110,8 @@ func TestToggleRateScalesSignalEnergy(t *testing.T) {
 }
 
 func TestPowerConversion(t *testing.T) {
-	d, ex := smallDesign(t)
-	rep := Analyze(d, ex, nil, 400, vdd, typical())
+	d, cWire, cPin := smallDesign(t)
+	rep := Analyze(d, cWire, cPin, nil, 400, vdd, typical())
 	p400 := rep.PowerUW(400)
 	p200 := rep.PowerUW(200)
 	// Dynamic scales with f; leakage does not.
@@ -123,11 +125,11 @@ func TestPowerConversion(t *testing.T) {
 }
 
 func TestClockTreeEnergyCounted(t *testing.T) {
-	d, ex := smallDesign(t)
+	d, cWire, cPin := smallDesign(t)
 	beol, _ := tech.NewBEOL28("logic", 6)
 	tree := cts.Build(d, d.Net("clk"), d.Port("clk").Loc, d.Lib, beol, cts.Options{})
-	withTree := Analyze(d, ex, tree, 400, vdd, typical())
-	ideal := Analyze(d, ex, nil, 400, vdd, typical())
+	withTree := Analyze(d, cWire, cPin, tree, 400, vdd, typical())
+	ideal := Analyze(d, cWire, cPin, nil, 400, vdd, typical())
 	if withTree.ClockFJ <= ideal.ClockFJ {
 		t.Fatal("real tree should cost more than ideal clock")
 	}
@@ -140,8 +142,7 @@ func TestLargerCacheBurnsMore(t *testing.T) {
 		d := netlist.NewDesign("m", lib)
 		sram, _ := cell.NewSRAM(cell.SRAMSpec{Name: "m", Words: words, Bits: 32})
 		d.AddInstance("mem", sram)
-		ex := &extract.Design{Nets: nil}
-		return Analyze(d, ex, nil, 400, vdd, typical())
+		return Analyze(d, 0, 0, nil, 400, vdd, typical())
 	}
 	small := build(1024)
 	large := build(32768)
@@ -154,55 +155,10 @@ func TestLargerCacheBurnsMore(t *testing.T) {
 }
 
 func TestCornerScalesLeakage(t *testing.T) {
-	d, ex := smallDesign(t)
-	typ := Analyze(d, ex, nil, 400, vdd, typical())
-	fast := Analyze(d, ex, nil, 400, vdd, tech.CornerScale{CellDelay: 0.8, WireR: 1, WireC: 1, Leakage: 1.8})
+	d, cWire, cPin := smallDesign(t)
+	typ := Analyze(d, cWire, cPin, nil, 400, vdd, typical())
+	fast := Analyze(d, cWire, cPin, nil, 400, vdd, tech.CornerScale{CellDelay: 0.8, WireR: 1, WireC: 1, Leakage: 1.8})
 	if math.Abs(fast.LeakageUW/typ.LeakageUW-1.8) > 1e-9 {
 		t.Fatal("leakage corner scaling wrong")
-	}
-}
-
-func TestByModule(t *testing.T) {
-	d, ex := smallDesign(t)
-	bd := ByModule(d, ex, nil, vdd, typical())
-	if len(bd.EnergyFJ) == 0 {
-		t.Fatal("no groups")
-	}
-	// The SRAM instance "mem" forms its own group and dominates.
-	if bd.EnergyFJ["mem"] <= 0 {
-		t.Fatalf("mem group missing: %v", bd.EnergyFJ)
-	}
-	if bd.EnergyFJ["(wires)"] <= 0 {
-		t.Fatal("wire bucket missing")
-	}
-	if bd.LeakageUW["mem"] <= 0 {
-		t.Fatal("macro leakage missing")
-	}
-	// Sum of module internal energies ≤ total dynamic (wires/clock are
-	// the remainder buckets).
-	rep := Analyze(d, ex, nil, 400, vdd, typical())
-	var sum float64
-	for g, e := range bd.EnergyFJ {
-		if g != "(wires)" && g != "(clock)" {
-			sum += e
-		}
-	}
-	if sum > rep.DynamicFJ {
-		t.Fatalf("module energies %v exceed dynamic %v", sum, rep.DynamicFJ)
-	}
-}
-
-func TestModuleOf(t *testing.T) {
-	cases := map[string]string{
-		"u_core_s1_ff_12": "core",
-		"l3_bank0":        "l3",
-		"u_noc1_xbar_99":  "noc1",
-		"optbuf_12_3":     "optbuf",
-		"plain":           "plain",
-	}
-	for in, want := range cases {
-		if got := moduleOf(in); got != want {
-			t.Errorf("moduleOf(%s) = %s, want %s", in, got, want)
-		}
 	}
 }
