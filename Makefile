@@ -150,7 +150,10 @@ faults:
 ## the Update after a topology edit, alone; TxnReroute: one committed
 ## move-and-reroute transaction, alone) — the free-space kernels in
 ## internal/place (NewFreeSpace: the map opt builds on entry; Legalize:
-## the small 2D tile's row map and sweep) — the design construction
+## the small 2D tile's row map and sweep) — the pseudo-3D flows' tier
+## partition in internal/partition (PartitionTiers: the tier split, the
+## per-bin balance and the per-die legalization of a pseudo-placed small
+## tile) — the design construction
 ## benchmarks (Generate small/large; TileCopy small/large, the copy of
 ## a tile template every flow run starts from; Abut 4×4), the stash-codec kernel
 ## (ResultCodec encode/decode of the small Macro-3D tile's routing
@@ -167,7 +170,7 @@ faults:
 ## the runtime's own jitter at -benchtime 1x), failing on a regression
 ## that is not noise.
 bench:
-	$(GO) test -bench 'TableII|Optimize|EngineUpdateTopo|TxnReroute|NewFreeSpace|Legalize|Generate|TileCopy|Abut4x4|ResultCodec|CTSBuild|AnalyzeArray4x4|MazeRoute|TeamChunks' -benchmem -count 5 -benchtime 1x -run '^$$' . ./internal/flows ./internal/place ./internal/route ./internal/par | $(GO) run ./cmd/benchjson -o BENCH_opt.new.json
+	$(GO) test -bench 'TableII|Optimize|EngineUpdateTopo|TxnReroute|NewFreeSpace|Legalize|PartitionTiers|Generate|TileCopy|Abut4x4|ResultCodec|CTSBuild|AnalyzeArray4x4|MazeRoute|TeamChunks' -benchmem -count 5 -benchtime 1x -run '^$$' . ./internal/flows ./internal/place ./internal/partition ./internal/route ./internal/par | $(GO) run ./cmd/benchjson -o BENCH_opt.new.json
 	cat BENCH_opt.new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_opt.json BENCH_opt.new.json; s=$$?; mv BENCH_opt.new.json BENCH_opt.json; exit $$s
 

@@ -14,12 +14,23 @@ import (
 	"os"
 	"path/filepath"
 
+	"macro3d/internal/ddb"
 	"macro3d/internal/flows"
 	"macro3d/internal/geom"
 	"macro3d/internal/obs"
 	"macro3d/internal/route"
 	"macro3d/internal/tech"
 )
+
+// edit begins a transaction on the run's design database. A flow whose
+// sign-off budget is frozen opens none — it only analyses — so edit
+// opens one over the signed-off state.
+func edit(st *flows.State) *ddb.Txn {
+	if st.DDB == nil {
+		st.DDB = ddb.New(st.Design, st.DB, st.Routes, st.ExSlow, st.ExSlow.Corner)
+	}
+	return st.DDB.Begin()
+}
 
 // TagInjected records the injection of a fault class into a running
 // flow in the observability event stream, so a fault-matrix run with
@@ -112,10 +123,7 @@ func Classes() []Class {
 						continue
 					}
 					if int(c.Die) == first.die {
-						if st.DDB == nil {
-							return false
-						}
-						txn := st.DDB.Begin()
+						txn := edit(st)
 						txn.SetLoc(c, first.loc)
 						txn.Commit()
 						return true
@@ -136,10 +144,7 @@ func Classes() []Class {
 						continue
 					}
 					if n.ID < len(st.Routes.Routes) && st.Routes.Routes[n.ID] != nil {
-						if st.DDB == nil {
-							return false
-						}
-						txn := st.DDB.Begin()
+						txn := edit(st)
 						txn.DropRoute(n)
 						txn.Commit()
 						return true
@@ -156,12 +161,12 @@ func Classes() []Class {
 			Kind:  "zero-area",
 			Inject: func(st *flows.State) bool {
 				ms := st.Design.Macros()
-				if len(ms) == 0 || st.DDB == nil {
+				if len(ms) == 0 {
 					return false
 				}
 				degenerate := *ms[0].Master // private copy; the master is shared
 				degenerate.Width, degenerate.Height = 0, 0
-				txn := st.DDB.Begin()
+				txn := edit(st)
 				txn.SetMaster(ms[0], &degenerate)
 				txn.Commit()
 				return true

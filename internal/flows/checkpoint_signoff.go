@@ -6,6 +6,7 @@ import (
 	"macro3d/internal/cell"
 	"macro3d/internal/core"
 	"macro3d/internal/netlist"
+	"macro3d/internal/opt"
 	"macro3d/internal/sta"
 	"macro3d/internal/stash"
 )
@@ -309,13 +310,15 @@ func signoffSize(st *State, preInst, preNet int) int {
 // timing report. Slow-corner extraction is cheap and pure, so on load
 // it re-runs from scratch rather than being stored — incremental and
 // from-scratch extraction are bit-identical by the ddb equivalence
-// guarantee.
-func (f *flow) signoffCheckpoint(material []byte) checkpoint {
+// guarantee. The design database is reopened on it, as the optimizer
+// would have, for a budget that edits.
+func (f *flow) signoffCheckpoint(budget opt.Options) checkpoint {
 	st, d := f.st, f.st.Design
 	preInst, preNet := d.Counts()
+	edits := !budget.Frozen
 	return checkpoint{
 		name:     "signoff",
-		material: material,
+		material: signoffMaterial(budget),
 		save: func(e *stash.Enc) error {
 			e.Grow(signoffSize(st, preInst, preNet))
 			e.Str(d.Name)
@@ -435,7 +438,9 @@ func (f *flow) signoffCheckpoint(material []byte) checkpoint {
 			st.Routes = routes
 			st.DB.SetDynState(u, h, fr)
 			st.ExSlow = f.extractSlow()
-			f.openDDB(f.obs())
+			if edits {
+				f.openDDB(f.obs())
+			}
 			st.Report = rep.build(d)
 			f.resized = nResized
 			f.buffers = nBuffers

@@ -17,6 +17,7 @@ import (
 	"macro3d/internal/core"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
+	"macro3d/internal/opt"
 	"macro3d/internal/piton"
 	"macro3d/internal/route"
 	"macro3d/internal/sta"
@@ -500,7 +501,7 @@ func tinySignedOff(t *testing.T) (st *State, place, signoff checkpoint) {
 		t.Fatal(err)
 	}
 	f := &flow{runner: &runner{st: st}, t: tt}
-	return st, placementCheckpoint(StagePlace, nil, st.Design), f.signoffCheckpoint(nil)
+	return st, placementCheckpoint(StagePlace, nil, st.Design), f.signoffCheckpoint(opt.Options{})
 }
 
 // TestCheckpointLoadAllocs: restoring a snapshot costs a string per

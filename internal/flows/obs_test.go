@@ -2,6 +2,7 @@ package flows
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"reflect"
@@ -154,5 +155,77 @@ func TestMetricsEndpointServesEngineFamilies(t *testing.T) {
 	}
 	if _, ok := vars["memstats"]; !ok {
 		t.Error("/debug/vars lacks memstats")
+	}
+}
+
+// TestBaselineObservability records a tiny BF S2D run, whose sign-off
+// budget is frozen, and reads what its artifacts say:
+//   - the three opt gauges describe the signed-off design — the analysed
+//     period and no edits — though the frozen optimization makes none
+//     and the pseudo-opt stage before it resized cells;
+//   - pseudo-opt runs under its stage span, with the optimizer's phases;
+//   - the partition stage shows its three phases and per-die
+//     legalization as spans, and carries the cut, flip, spill and
+//     displacement results as attributes.
+func TestBaselineObservability(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a tiny flow")
+	}
+	var buf bytes.Buffer
+	rec := obs.New()
+	rec.SetSink(&buf)
+	_, st, _, err := Run(context.Background(), "bfs2d", Config{Piton: piton.Tiny(), Seed: 7, Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatalf("event sink: %v", err)
+	}
+	gauges := map[string]float64{}
+	for _, m := range rec.Registry().Snapshot() {
+		if m.Kind == "gauge" {
+			gauges[m.Name] = m.Value
+		}
+	}
+	for name, want := range map[string]float64{"opt_min_period_ps": st.Report.MinPeriod, "opt_resized_cells": 0, "opt_inserted_buffers": 0} {
+		if got, ok := gauges[name]; !ok || got != want {
+			t.Errorf("gauge %s = %v (published: %v), want %v", name, got, ok, want)
+		}
+	}
+
+	closed := map[string]map[string]any{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var e struct {
+			Ev    string         `json:"ev"`
+			Span  string         `json:"span"`
+			Attrs map[string]any `json:"attrs"`
+		}
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("malformed JSONL line %q: %v", line, err)
+		}
+		if e.Ev == "span_close" {
+			closed[e.Span] = e.Attrs
+		}
+	}
+	for _, span := range []string{
+		"bfs2d/pseudo-opt/setup", "bfs2d/pseudo-opt/timing",
+		"bfs2d/partition/tier-split", "bfs2d/partition/bin-balance",
+		"bfs2d/partition/legalize-macro-die", "bfs2d/partition/legalize-logic-die",
+	} {
+		if _, ok := closed[span]; !ok {
+			t.Errorf("no span %s in the event stream", span)
+		}
+	}
+	attrs := closed["bfs2d/partition"]
+	for _, key := range []string{"cut_nets", "bin_flips", "spilled", "mean_disp_um", "max_disp_um"} {
+		if _, ok := attrs[key]; !ok {
+			t.Errorf("partition span lacks %s: %v", key, attrs)
+		}
+	}
+	if cut, _ := attrs["cut_nets"].(float64); cut <= 0 {
+		t.Errorf("partition cut_nets = %v, want > 0", attrs["cut_nets"])
+	}
+	if disp, _ := attrs["max_disp_um"].(float64); disp <= 0 {
+		t.Errorf("partition max_disp_um = %v, want > 0", attrs["max_disp_um"])
 	}
 }

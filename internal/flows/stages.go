@@ -148,14 +148,7 @@ func (f *flow) stagesPseudo3D() []stage {
 	// pseudo one.
 	tiers := covering(
 		func() checkpoint { return placementCheckpoint(StagePartition, resolutionMaterial(f.cfg), real.Design) },
-		do(StagePartition, func() error {
-			if _, err := partition.TierPartition(real.Design, f.cfg.Seed); err != nil {
-				return err
-			}
-			partition.BinBalance(real.Design, real.Die, f.cfg.BlockageResolution)
-			_, err := partition.LegalizeTiers(real.Design, real.Die, f.t.RowHeight)
-			return err
-		}))
+		do(StagePartition, func() error { return f.partition(real) }))
 	tiers.on = real // phase B works on the real design
 	return slices.Concat(f.frontEnd(real, spec.style), []stage{
 		// The whole pseudo P&R plus the transfer is one checkpoint: all
@@ -171,11 +164,15 @@ func (f *flow) stagesPseudo3D() []stage {
 			}),
 			// Sizing only, against the pseudo parasitics — buffers do
 			// not survive the transfer in the reference flows either.
+			// Their extraction is a phase of the stage.
 			do("pseudo-"+StageOpt, func() error {
-				if err := f.extract(); err != nil {
+				esp := f.obs().Child(StageExtract)
+				err := f.extract()
+				esp.End()
+				if err != nil {
 					return err
 				}
-				_, err := f.optimize(f.cfg.budget(opt.Options{BufferElmore: 1e12}), nil)
+				_, err = f.optimize(f.cfg.budget(opt.Options{BufferElmore: 1e12}), f.obs())
 				return err
 			}),
 			do(StageTransfer, func() error { return transferPseudo(f.st.Design, real.Design, 1/spec.s) }),
@@ -197,6 +194,37 @@ func (f *flow) stagesPseudo3D() []stage {
 			return nil
 		}),
 	}, f.backEnd(spec.budget))
+}
+
+// partition is phase B's first step on the real design: the tier split,
+// the per-bin area balance and the per-die legalization, each a phase
+// span of the stage. The stage span carries what the paper's S2D/C2D
+// failure comes from: the nets the split cuts, the cells the balance
+// flips, the cells that spill off the macro die and how far
+// legalization moves cells off the real macros (mean and max, µm).
+func (f *flow) partition(real *State) error {
+	sp := f.obs()
+	psp := sp.Child("tier-split")
+	tp, err := partition.TierPartition(real.Design, f.cfg.Seed)
+	psp.End()
+	if err != nil {
+		return err
+	}
+	psp = sp.Child("bin-balance")
+	flips := partition.BinBalance(real.Design, real.Die, f.cfg.BlockageResolution)
+	psp.End()
+	leg, err := partition.LegalizeTiers(real.Design, real.Die, f.t.RowHeight, sp)
+	if err != nil {
+		return err
+	}
+	if sp != nil { // boxing the values allocates even for a nil span
+		sp.SetAttr("cut_nets", tp.CutNets)
+		sp.SetAttr("bin_flips", flips)
+		sp.SetAttr("spilled", leg.Spilled)
+		sp.SetAttr("mean_disp_um", leg.MeanDisp)
+		sp.SetAttr("max_disp_um", leg.MaxDisp)
+	}
+	return nil
 }
 
 // pseudoFloorplan builds the pseudo design and its single-die view into
@@ -283,7 +311,7 @@ func (f *flow) backEnd(budget opt.Options) []stage {
 			do(StageRoute, f.route)),
 		// Sign-off restores everything route does, so a warm run reads
 		// only its snapshot.
-		covering(func() checkpoint { return f.signoffCheckpoint(signoffMaterial(budget)) },
+		covering(func() checkpoint { return f.signoffCheckpoint(budget) },
 			do(StageExtract, f.extract),
 			do(StageOpt, func() error {
 				res, err := f.optimize(budget, f.obs())
@@ -384,15 +412,23 @@ func (f *flow) openDDB(sp *obs.Span) {
 	st.DDB.AttachObs(sp)
 }
 
+// optimize runs the optimizer on f.st under budget, reporting under sp.
+// A frozen budget only analyses, so it opens no design database: the
+// optimizer reads the state directly.
 func (f *flow) optimize(budget opt.Options, sp *obs.Span) (*opt.Result, error) {
 	st := f.st
-	f.openDDB(sp)
-	res, err := opt.Optimize(&opt.Context{
+	ctx := &opt.Context{
 		Clock: st.Tree,
 		FP:    st.FP, RowHeight: f.t.RowHeight,
-		DDB: st.DDB,
 		Obs: sp,
-	}, sta.Options{}, budget)
+	}
+	if budget.Frozen {
+		ctx.Design, ctx.DB, ctx.Routes, ctx.Ex, ctx.Corner = st.Design, st.DB, st.Routes, st.ExSlow, f.t.CornerScaleFor(tech.CornerSlow)
+	} else {
+		f.openDDB(sp)
+		ctx.DDB = st.DDB
+	}
+	res, err := opt.Optimize(ctx, sta.Options{}, budget)
 	if err != nil {
 		return nil, fmt.Errorf("%s: optimization: %w", st.Design.Name, err)
 	}

@@ -686,37 +686,50 @@ func (d *Design) TotalHPWL() float64 {
 	return t
 }
 
-// NetsOfInstance builds the instance→nets adjacency used by placers
-// and optimizers. The result is indexed by Instance.ID; each row lists
-// the instance's nets in net order, once per pin. The rows are
-// exact-size views of one flat array (count, then fill), so growing one
+// Adjacency is the instance→nets adjacency as compressed rows: the row
+// of the instance with ID i is Net[Start[i]:Start[i+1]], the IDs of its
+// nets in net order, once per pin.
+type Adjacency struct {
+	Start []int32 // len(Instances)+1 row offsets
+	Net   []int32
+}
+
+// Of returns instance id's row, capped at its length so that growing it
 // copies it out rather than overwriting the next.
-func (d *Design) NetsOfInstance() [][]*Net {
-	deg := make([]int32, len(d.Instances))
-	total := 0
+func (a Adjacency) Of(id int) []int32 {
+	lo, hi := a.Start[id], a.Start[id+1]
+	return a.Net[lo:hi:hi]
+}
+
+// NetsOfInstance builds the instance→nets adjacency the tier
+// partitioner walks: two arrays whatever the design size (count, then
+// fill).
+func (d *Design) NetsOfInstance() Adjacency {
+	start := make([]int32, len(d.Instances)+1)
 	for _, n := range d.Nets {
 		for i, np := 0, n.NumPins(); i < np; i++ {
 			if inst := n.PinAt(i).Inst; inst != nil {
-				deg[inst.ID]++
-				total++
+				start[inst.ID+1]++
 			}
 		}
 	}
-	flat := make([]*Net, total)
-	adj := make([][]*Net, len(d.Instances))
-	off := 0
-	for id, k := range deg {
-		adj[id] = flat[off : off : off+int(k)]
-		off += int(k)
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
 	}
+	// Fill with start[i] as row i's cursor, which leaves it at row i+1's
+	// offset; shifting the offsets up one restores them.
+	net := make([]int32, start[len(start)-1])
 	for _, n := range d.Nets {
 		for i, np := 0, n.NumPins(); i < np; i++ {
 			if inst := n.PinAt(i).Inst; inst != nil {
-				adj[inst.ID] = append(adj[inst.ID], n)
+				net[start[inst.ID]] = int32(n.ID)
+				start[inst.ID]++
 			}
 		}
 	}
-	return adj
+	copy(start[1:], start)
+	start[0] = 0
+	return Adjacency{Start: start, Net: net}
 }
 
 // Macros returns all macro instances in deterministic order, in one

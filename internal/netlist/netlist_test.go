@@ -203,12 +203,12 @@ func TestNetsOfInstance(t *testing.T) {
 	d := tiny(t)
 	adj := d.NetsOfInstance()
 	u1 := d.Instance("u1")
-	if len(adj[u1.ID]) != 2 {
-		t.Fatalf("u1 net degree = %d", len(adj[u1.ID]))
+	if len(adj.Of(u1.ID)) != 2 {
+		t.Fatalf("u1 net degree = %d", len(adj.Of(u1.ID)))
 	}
 	ff := d.Instance("ff")
-	if len(adj[ff.ID]) != 3 {
-		t.Fatalf("ff net degree = %d", len(adj[ff.ID]))
+	if len(adj.Of(ff.ID)) != 3 {
+		t.Fatalf("ff net degree = %d", len(adj.Of(ff.ID)))
 	}
 }
 

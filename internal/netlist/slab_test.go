@@ -150,14 +150,14 @@ func TestReserveBuildsWithoutGrowth(t *testing.T) {
 	}
 }
 
-// TestAdjacencyAndValidateAllocs: NetsOfInstance is a count, one flat
-// array and row views; Validate's double-driver check keys a presized
+// TestAdjacencyAndValidateAllocs: NetsOfInstance is a count and a fill
+// of two arrays; Validate's double-driver check keys a presized
 // map by the comparable PinRef — neither allocates per pin, so a design
 // twenty times larger costs the same objects (the map's buckets aside).
 func TestAdjacencyAndValidateAllocs(t *testing.T) {
 	small, large := chain(250), chain(5000)
-	if a := testing.AllocsPerRun(5, func() { large.NetsOfInstance() }); a > 4 {
-		t.Fatalf("NetsOfInstance allocates %.0f objects on 5000 instances, want ≤ 4", a)
+	if a := testing.AllocsPerRun(5, func() { large.NetsOfInstance() }); a > 2 {
+		t.Fatalf("NetsOfInstance allocates %.0f objects on 5000 instances, want ≤ 2", a)
 	}
 	validate := func(d *Design) float64 {
 		return testing.AllocsPerRun(5, func() {
@@ -173,27 +173,32 @@ func TestAdjacencyAndValidateAllocs(t *testing.T) {
 	}
 }
 
-// TestNetsOfInstanceRows: rows keep net order, one entry per pin, and
-// are exact-size views — growing a row must not clobber the next.
+// TestNetsOfInstanceRows: rows keep net order, one entry per pin, cover
+// the net array exactly, and are capped views — growing a row must not
+// clobber the next.
 func TestNetsOfInstanceRows(t *testing.T) {
 	d := chain(3)
 	adj := d.NetsOfInstance()
+	if len(adj.Start) != len(d.Instances)+1 || adj.Start[0] != 0 || int(adj.Start[len(d.Instances)]) != len(adj.Net) {
+		t.Fatalf("row offsets %v over %d entries, want %d rows covering them", adj.Start, len(adj.Net), len(d.Instances))
+	}
 	for i := 0; i < 3; i++ {
-		want := []*Net{d.Nets[i]}
+		want := []int32{int32(d.Nets[i].ID)}
 		if i+1 < 3 {
-			want = append(want, d.Nets[i+1])
+			want = append(want, int32(d.Nets[i+1].ID))
 		}
-		if len(adj[i]) != len(want) || cap(adj[i]) != len(want) {
-			t.Fatalf("row %d: len %d cap %d, want %d", i, len(adj[i]), cap(adj[i]), len(want))
+		row := adj.Of(i)
+		if len(row) != len(want) || cap(row) != len(want) {
+			t.Fatalf("row %d: len %d cap %d, want %d", i, len(row), cap(row), len(want))
 		}
 		for k := range want {
-			if adj[i][k] != want[k] {
-				t.Fatalf("row %d entry %d = %s, want %s", i, k, adj[i][k].Name, want[k].Name)
+			if row[k] != want[k] {
+				t.Fatalf("row %d entry %d = net %d, want %d", i, k, row[k], want[k])
 			}
 		}
 	}
-	adj[0] = append(adj[0], d.Nets[2])
-	if adj[1][0] != d.Nets[1] {
+	_ = append(adj.Of(0), int32(d.Nets[2].ID))
+	if adj.Of(1)[0] != int32(d.Nets[1].ID) {
 		t.Fatal("growing a row overwrote the next one")
 	}
 }

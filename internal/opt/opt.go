@@ -61,8 +61,9 @@ type Context struct {
 	RowHeight float64
 
 	// DDB is the design database the edits are journaled through. When
-	// set, the state fields above are populated from it; when nil, one
-	// is built over the legacy fields (unit-test mode).
+	// set, the state fields above are populated from it; when nil, an
+	// Optimize that edits builds one over them, and a Frozen one, which
+	// only analyses, builds none.
 	DDB *ddb.DB
 
 	// Obs, when non-nil, is the opt stage's span: the loop publishes
@@ -228,8 +229,6 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 		ctx.Routes = ctx.DDB.Routes
 		ctx.Ex = ctx.DDB.Ex
 		ctx.Corner = ctx.DDB.Corner
-	} else {
-		ctx.DDB = ddb.New(ctx.Design, ctx.DB, ctx.Routes, ctx.Ex, ctx.Corner)
 	}
 	staOpt.Clock = ctx.Clock
 	staOpt.Corner = ctx.Corner
@@ -263,7 +262,11 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 	}
 	res.Report, res.Engine = rep, eng
 	if opt.Frozen {
+		publish(reg, res)
 		return res, nil
+	}
+	if ctx.DDB == nil {
+		ctx.DDB = ddb.New(ctx.Design, ctx.DB, ctx.Routes, ctx.Ex, ctx.Corner)
 	}
 	ctx.DDB.Free = nil
 	if ctx.FP != nil && ctx.RowHeight > 0 {
@@ -415,15 +418,24 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 	// The report describes the final design state exactly (every kept
 	// iteration was an improvement; every failed one was rolled back).
 	res.Report = rep
-	if reg != nil {
-		reg.Gauge("opt_resized_cells",
-			"Net gate resizes surviving in the final design.").Set(float64(res.Resized))
-		reg.Gauge("opt_inserted_buffers",
-			"Buffers inserted and kept in the final design.").Set(float64(res.Buffers))
-		reg.Gauge("opt_min_period_ps",
-			"Minimum feasible clock period after optimization, ps.").Set(rep.MinPeriod)
-	}
+	publish(reg, res)
 	return res, nil
+}
+
+// publish sets the gauges that describe the design an Optimize leaves:
+// its edits' survivors and its minimum period. A frozen run publishes
+// too (no edits, the analysed period), so the last optimization of a
+// flow always sets all three.
+func publish(reg *obs.Registry, res *Result) {
+	if reg == nil {
+		return
+	}
+	reg.Gauge("opt_resized_cells",
+		"Net gate resizes surviving in the final design.").Set(float64(res.Resized))
+	reg.Gauge("opt_inserted_buffers",
+		"Buffers inserted and kept in the final design.").Set(float64(res.Buffers))
+	reg.Gauge("opt_min_period_ps",
+		"Minimum feasible clock period after optimization, ps.").Set(res.Report.MinPeriod)
 }
 
 // debugTrace enables per-iteration tracing via MACRO3D_OPT_TRACE=1.

@@ -1,12 +1,15 @@
 package opt
 
 import (
+	"reflect"
 	"testing"
 
 	"macro3d/internal/cell"
+	"macro3d/internal/ddb"
 	"macro3d/internal/extract"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
+	"macro3d/internal/obs"
 	"macro3d/internal/route"
 	"macro3d/internal/sta"
 	"macro3d/internal/tech"
@@ -89,6 +92,42 @@ func TestFrozenMakesNoEdits(t *testing.T) {
 	}
 	if res.Report == nil {
 		t.Fatal("frozen mode must still report timing")
+	}
+}
+
+// TestFrozenOpensNoDDB: a Frozen Optimize only analyses, so without a
+// design database it builds none, and it reports exactly what it reports
+// over one — the S2D sign-off's path. It still publishes the gauges that
+// describe the design it leaves: the analysed period and no edits.
+func TestFrozenOpensNoDDB(t *testing.T) {
+	with := longPath(t, 2000)
+	with.DDB = ddb.New(with.Design, with.DB, with.Routes, with.Ex, with.Corner)
+	want, err := Optimize(with, sta.Options{}, Options{Frozen: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := longPath(t, 2000)
+	ctx.Obs = obs.New().StartSpan("opt")
+	got, err := Optimize(ctx, sta.Options{}, Options{Frozen: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.DDB != nil {
+		t.Fatal("a Frozen Optimize built a design database")
+	}
+	if !reflect.DeepEqual(got.Report, want.Report) {
+		t.Fatalf("Frozen report without a DDB differs from one with:\n%+v\n%+v", got.Report, want.Report)
+	}
+	gauges := map[string]float64{}
+	for _, m := range ctx.Obs.Reg().Snapshot() {
+		if m.Kind == "gauge" {
+			gauges[m.Name] = m.Value
+		}
+	}
+	for name, v := range map[string]float64{"opt_min_period_ps": got.Report.MinPeriod, "opt_resized_cells": 0, "opt_inserted_buffers": 0} {
+		if g, ok := gauges[name]; !ok || g != v {
+			t.Fatalf("a Frozen Optimize published %s = %v (set: %v), want %v", name, g, ok, v)
+		}
 	}
 }
 

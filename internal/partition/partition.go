@@ -20,6 +20,7 @@ import (
 	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
+	"macro3d/internal/obs"
 	"macro3d/internal/place"
 )
 
@@ -92,7 +93,8 @@ func TierPartition(d *netlist.Design, seed uint64) (*Result, error) {
 	// become uncut (+1); nets currently uncut become cut (−1).
 	gain := func(c *netlist.Instance) int {
 		g := 0
-		for _, n := range adj[c.ID] {
+		for _, id := range adj.Of(c.ID) {
+			n := d.Nets[id]
 			if n.Clock {
 				continue
 			}
@@ -119,10 +121,10 @@ func TierPartition(d *netlist.Design, seed uint64) (*Result, error) {
 	}
 
 	res := &Result{}
+	idx := make([]int, len(movable)) // the sweep order, refilled each pass
 	for pass := 0; pass < maxPasses; pass++ {
 		moved := 0
 		// Random sweep order decorrelates passes.
-		idx := make([]int, len(movable))
 		for i := range idx {
 			idx[i] = i
 		}
@@ -176,39 +178,53 @@ func TierPartition(d *netlist.Design, seed uint64) (*Result, error) {
 // unbalanced bins. This locality is exactly what lands cells on the
 // other die's macros when partial blockages were rasterized too
 // coarsely (the paper's overlap mechanism).
+//
+// The cells are counting-sorted by bin into one array, each bin an
+// exact-size window of it in StdCells order, so the allocations do not
+// grow with the bin count.
 func BinBalance(d *netlist.Design, die geom.Rect, binPitch float64) int {
 	if binPitch <= 0 {
 		binPitch = 40
 	}
 	g := geom.NewGrid(die, binPitch)
-	type binState struct {
-		a, b  float64
-		cells []*netlist.Instance
-	}
-	bins := make([]binState, g.Bins())
-	for _, c := range d.StdCells() {
-		ix, iy := g.Locate(c.Center())
-		i := g.Index(ix, iy)
-		bins[i].cells = append(bins[i].cells, c)
+	cells := d.StdCells()
+	binOf := make([]int32, len(cells))
+	start := make([]int32, g.Bins()+1) // bin i's cells: byBin[start[i]:start[i+1]]
+	type area struct{ a, b float64 }
+	areas := make([]area, g.Bins())
+	for k, c := range cells {
+		i := g.Index(g.Locate(c.Center()))
+		binOf[k] = int32(i)
+		start[i+1]++
 		if c.Die == netlist.LogicDie {
-			bins[i].a += c.Master.Area()
+			areas[i].a += c.Master.Area()
 		} else {
-			bins[i].b += c.Master.Area()
+			areas[i].b += c.Master.Area()
 		}
 	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	byBin := make([]*netlist.Instance, len(cells))
+	next := slices.Clone(start[:g.Bins()])
+	for k, c := range cells {
+		byBin[next[binOf[k]]] = c
+		next[binOf[k]]++
+	}
 	flips := 0
-	for i := range bins {
-		bin := &bins[i]
+	for i := range areas {
+		bin := &areas[i]
 		total := bin.a + bin.b
 		if total == 0 {
 			continue
 		}
 		// Flip smallest cells from the heavy side until within 30 %.
 		// By area only; ties as in the initial assignment above.
-		slices.SortFunc(bin.cells, func(p, q *netlist.Instance) int {
+		window := byBin[start[i]:start[i+1]]
+		slices.SortFunc(window, func(p, q *netlist.Instance) int {
 			return cmp.Compare(p.Master.Area(), q.Master.Area())
 		})
-		for _, c := range bin.cells {
+		for _, c := range window {
 			imbalance := bin.a - bin.b
 			if imbalance < 0 {
 				imbalance = -imbalance
@@ -261,9 +277,8 @@ func CountCutNets(d *netlist.Design) int {
 	return cut
 }
 
-// LegalizeTiers re-legalizes each die's cells against that die's real
-// macro extents. It returns per-die displacement statistics — the
-// overlap-fixing cost the paper describes. rowHeight sizes the rows.
+// TierLegalization is LegalizeTiers' per-die displacement statistics:
+// the overlap-fixing cost the paper describes.
 type TierLegalization struct {
 	MeanDisp  float64
 	MaxDisp   float64
@@ -271,11 +286,25 @@ type TierLegalization struct {
 	Spilled   int // cells that found no space and changed dies
 }
 
-func LegalizeTiers(d *netlist.Design, die geom.Rect, rowHeight float64) (*TierLegalization, error) {
+// LegalizeTiers re-legalizes each die's cells against that die's real
+// macro extents, the macro die first: cells that do not fit there spill
+// to the logic die and legalize with everything else. rowHeight sizes
+// the rows. Each die's pass runs under a phase span of sp
+// ("legalize-macro-die", "legalize-logic-die"); sp may be nil.
+func LegalizeTiers(d *netlist.Design, die geom.Rect, rowHeight float64, sp *obs.Span) (*TierLegalization, error) {
+	all := d.StdCells()
+	macros := d.Macros()
+	// before holds every standard cell's start by instance ID: the macro
+	// die's pass moves only the cells it places, and a cell that spills
+	// keeps its location, so the logic die's pass starts from it too.
+	before := make([]geom.Point, len(d.Instances))
+	for _, c := range all {
+		before[c.ID] = c.Loc
+	}
 	out := &TierLegalization{}
 	var sum float64
 	var n int
-	account := func(cells []*netlist.Instance, before map[int]geom.Point) {
+	account := func(cells []*netlist.Instance) {
 		for _, c := range cells {
 			disp := before[c.ID].Manhattan(c.Loc)
 			sum += disp
@@ -288,83 +317,63 @@ func LegalizeTiers(d *netlist.Design, die geom.Rect, rowHeight float64) (*TierLe
 			}
 		}
 	}
-	fpFor := func(tier netlist.Die) *floorplan.Floorplan {
-		fp := &floorplan.Floorplan{Die: die}
-		// Real macros of this tier are hard blockages now.
-		for _, m := range d.Macros() {
-			if m.Die == tier {
+	// tier collects the die's cells into cells, in StdCells order, and
+	// returns its floorplan: the real macros of that die are hard
+	// blockages now.
+	cells := make([]*netlist.Instance, 0, len(all))
+	tier := func(t netlist.Die) *floorplan.Floorplan {
+		cells = cells[:0]
+		for _, c := range all {
+			if c.Die == t {
+				cells = append(cells, c)
+			}
+		}
+		fp := &floorplan.Floorplan{Die: die, PlaceBlk: make([]floorplan.Blockage, 0, len(macros))}
+		for _, m := range macros {
+			if m.Die == t {
 				fp.PlaceBlk = append(fp.PlaceBlk, floorplan.Blockage{Rect: m.Bounds(), Fraction: 1})
 			}
 		}
 		return fp
 	}
-	// The macro die first: cells that do not fit spill to the logic
-	// die and legalize there with everything else.
-	var spill []*netlist.Instance
-	{
-		fp := fpFor(netlist.MacroDie)
-		var cells []*netlist.Instance
-		before := map[int]geom.Point{}
-		for _, c := range d.StdCells() {
-			if c.Die == netlist.MacroDie {
-				cells = append(cells, c)
-				before[c.ID] = c.Loc
-			}
+
+	psp := sp.Child("legalize-macro-die")
+	fp := tier(netlist.MacroDie)
+	var failed []*netlist.Instance
+	if len(cells) > 0 {
+		var err error
+		if _, _, failed, err = place.LegalizeBestEffort(cells, fp, rowHeight); err != nil {
+			psp.End()
+			return nil, fmt.Errorf("partition: macro tier legalization: %w", err)
 		}
-		if len(cells) > 0 {
-			_, _, failed, err := place.LegalizeBestEffort(cells, fp, rowHeight)
-			if err != nil {
-				return nil, fmt.Errorf("partition: macro tier legalization: %w", err)
-			}
-			placed := cells[:0]
-			inFailed := map[int]bool{}
-			for _, f := range failed {
-				inFailed[f.ID] = true
-				f.Die = netlist.LogicDie
-				spill = append(spill, f)
-			}
-			for _, c := range cells {
-				if !inFailed[c.ID] {
-					placed = append(placed, c)
-				}
-			}
-			account(placed, before)
-			out.Spilled = len(failed)
+		for _, f := range failed {
+			f.Die = netlist.LogicDie
+		}
+		account(slices.DeleteFunc(cells, func(c *netlist.Instance) bool { return c.Die != netlist.MacroDie }))
+		out.Spilled = len(failed)
+	}
+	psp.End()
+
+	psp = sp.Child("legalize-logic-die")
+	defer psp.End()
+	fp = tier(netlist.LogicDie)
+	// Every spilled cell changed dies above, so the rescan must have
+	// picked it up — a miss would leave it unlegalized on top of a
+	// macro, the exact overlap this pass exists to fix.
+	for _, s := range failed {
+		if s.Die != netlist.LogicDie {
+			return nil, fmt.Errorf("partition: spilled cell %s missed the logic-die legalization pass", s.Name)
 		}
 	}
-	// Logic die, including spill.
-	{
-		fp := fpFor(netlist.LogicDie)
-		var cells []*netlist.Instance
-		before := map[int]geom.Point{}
-		for _, c := range d.StdCells() {
-			if c.Die == netlist.LogicDie {
-				cells = append(cells, c)
-				before[c.ID] = c.Loc
-			}
+	if len(cells) > 0 {
+		_, _, failed, err := place.LegalizeBestEffort(cells, fp, rowHeight)
+		if err != nil {
+			return nil, fmt.Errorf("partition: logic tier legalization: %w", err)
 		}
-		// Every spilled cell changed dies above, so the rescan must
-		// have picked it up — a miss would leave it unlegalized on top
-		// of a macro, the exact overlap this pass exists to fix.
-		inPass := make(map[int]bool, len(cells))
-		for _, c := range cells {
-			inPass[c.ID] = true
+		if len(failed) > 0 {
+			return nil, fmt.Errorf("partition: %d cells fit neither die", len(failed))
 		}
-		for _, s := range spill {
-			if !inPass[s.ID] {
-				return nil, fmt.Errorf("partition: spilled cell %s missed the logic-die legalization pass", s.Name)
-			}
-		}
-		if len(cells) > 0 {
-			_, _, failed, err := place.LegalizeBestEffort(cells, fp, rowHeight)
-			if err != nil {
-				return nil, fmt.Errorf("partition: logic tier legalization: %w", err)
-			}
-			if len(failed) > 0 {
-				return nil, fmt.Errorf("partition: %d cells fit neither die", len(failed))
-			}
-			account(cells, before)
-		}
+		account(cells)
 	}
 	if n > 0 {
 		out.MeanDisp = sum / float64(n)

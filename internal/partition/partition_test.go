@@ -2,6 +2,8 @@ package partition
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"macro3d/internal/cell"
@@ -148,7 +150,7 @@ func TestLegalizeTiersDisplacesOverlaps(t *testing.T) {
 		c.Placed = true
 		onMacro = append(onMacro, c)
 	}
-	leg, err := LegalizeTiers(d, die, 1.2)
+	leg, err := LegalizeTiers(d, die, 1.2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,7 @@ func TestLegalizeTiersSpillToLogicDie(t *testing.T) {
 		c.Placed = true
 		cells = append(cells, c)
 	}
-	leg, err := LegalizeTiers(d, die, 1.2)
+	leg, err := LegalizeTiers(d, die, 1.2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,6 +219,12 @@ func TestLegalizeTiersSpillToLogicDie(t *testing.T) {
 	}
 }
 
+// TestBinBalance: one bin of 100 equal cells, all on the logic die, is
+// balanced to within the 30 % tolerance. Then, in two bins of mixed
+// masters where INV_X1 and INV_X2 share one area, it pins which cells
+// flip, by name: the area sort is not stable, so the cells it flips
+// among equal areas depend on the order the bin hands it — StdCells
+// order within the bin.
 func TestBinBalance(t *testing.T) {
 	lib := cell.NewStdLib28(cell.DefaultLibOptions())
 	d := netlist.NewDesign("bb", lib)
@@ -243,6 +251,36 @@ func TestBinBalance(t *testing.T) {
 	if a < 30 || b < 30 {
 		t.Fatalf("bin not balanced: %d/%d", a, b)
 	}
+
+	// Two bins of mixed masters, a seventh of the cells on the macro die.
+	d = netlist.NewDesign("ties", lib)
+	masters := []string{"NAND2_X1", "INV_X1", "INV_X2", "INV_X1", "NAND2_X1"}
+	if a, b := lib.MustCell("INV_X1").Area(), lib.MustCell("INV_X2").Area(); a != b {
+		t.Fatalf("INV_X1 and INV_X2 areas %v and %v: the fixture needs a tie", a, b)
+	}
+	for i := 0; i < 100; i++ {
+		c := d.AddInstance("c"+itoa(i), lib.MustCell(masters[i%len(masters)]))
+		x := 10 + float64(i%10)*0.5
+		if i%3 == 0 {
+			x += 40 // the second bin
+		}
+		c.Loc = geom.Pt(x, 10+float64(i/10)*0.5)
+		c.Die = netlist.LogicDie
+		if i%7 == 0 {
+			c.Die = netlist.MacroDie
+		}
+	}
+	flips = BinBalance(d, die, 40)
+	var got []string
+	for i, c := range d.StdCells() {
+		if (c.Die == netlist.MacroDie) != (i%7 == 0) {
+			got = append(got, c.Name)
+		}
+	}
+	want := strings.Fields("c6 c8 c11 c12 c13 c16 c17 c18 c22 c23 c26 c27 c51 c62 c72 c73 c82 c83 c86 c87 c88 c92 c93 c96 c97")
+	if flips != len(want) || !slices.Equal(got, want) {
+		t.Fatalf("%d flips %v, want %v", flips, got, want)
+	}
 }
 
 func TestBinBalanceAlreadyBalanced(t *testing.T) {
@@ -259,5 +297,109 @@ func TestBinBalanceAlreadyBalanced(t *testing.T) {
 	}
 	if flips := BinBalance(d, geom.R(0, 0, 50, 50), 25); flips != 0 {
 		t.Fatalf("balanced bin flipped %d cells", flips)
+	}
+}
+
+// pseudoPlaced is the small tile as phase B of the pseudo-3D flows
+// receives it: macros floorplanned on the 3D footprint in the balanced
+// style (half of them on each die), standard cells placed over the
+// whole die as if no macro were there — so the tier legalization has
+// real overlaps to fix.
+func pseudoPlaced(tb testing.TB) (*netlist.Design, geom.Rect) {
+	tb.Helper()
+	tile, err := piton.Generate(piton.SmallCache())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d := tile.Design
+	sz, err := floorplan.SizeDesign(d, 0.70, 1.0, 1.2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, _, err := floorplan.PlaceMacros(d, sz.Die3D, floorplan.StyleBalanced); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := place.Place(d, &floorplan.Floorplan{Die: sz.Die3D}, 1.2, place.Options{Seed: 1}); err != nil {
+		tb.Fatal(err)
+	}
+	return d, sz.Die3D
+}
+
+// placement is every instance's location, orientation and die, to put a
+// design back where a phase-B call found it.
+type placement struct {
+	loc    []geom.Point
+	orient []geom.Orient
+	die    []netlist.Die
+}
+
+func snapshot(d *netlist.Design) *placement {
+	p := &placement{}
+	for _, c := range d.Instances {
+		p.loc = append(p.loc, c.Loc)
+		p.orient = append(p.orient, c.Orient)
+		p.die = append(p.die, c.Die)
+	}
+	return p
+}
+
+func (p *placement) restore(d *netlist.Design) {
+	for i, c := range d.Instances {
+		c.Loc, c.Orient, c.Die = p.loc[i], p.orient[i], p.die[i]
+	}
+}
+
+// TestPhaseBAllocs holds BinBalance plus LegalizeTiers on the small
+// tile to a constant object count whatever the bin count: the bins are
+// windows of one counting-sorted array, the tier passes share one
+// location table and one cell buffer, and each legalization's row map is
+// a handful of arrays sized from its cells' target segments. What varies
+// from one pitch to the next is the legalizer's overflow slab — a few
+// chunks, set by where the displaced cells land — so the test bounds the
+// count; a per-bin object would put thousands on the 5 µm grid.
+func TestPhaseBAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("places the small tile")
+	}
+	d, die := pseudoPlaced(t)
+	if _, err := TierPartition(d, 1); err != nil {
+		t.Fatal(err)
+	}
+	start := snapshot(d)
+	counts := map[float64]float64{}
+	for _, pitch := range []float64{160, 40, 10, 5} {
+		counts[pitch] = testing.AllocsPerRun(3, func() {
+			start.restore(d)
+			BinBalance(d, die, pitch)
+			if _, err := LegalizeTiers(d, die, 1.2, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Logf("objects per BinBalance + LegalizeTiers by bin pitch (µm): %v", counts)
+	for pitch, n := range counts {
+		if n > 48 {
+			t.Fatalf("BinBalance + LegalizeTiers allocate %v objects at bin pitch %v µm, want ≤ 48 at every pitch: %v", n, pitch, counts)
+		}
+	}
+}
+
+// BenchmarkPartitionTiers is phase B's partition stage on the small
+// tile: the tier split, the per-bin balance and the per-die
+// legalization, from the same pseudo placement every iteration.
+func BenchmarkPartitionTiers(b *testing.B) {
+	d, die := pseudoPlaced(b)
+	start := snapshot(d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start.restore(d)
+		if _, err := TierPartition(d, 1); err != nil {
+			b.Fatal(err)
+		}
+		BinBalance(d, die, 40)
+		if _, err := LegalizeTiers(d, die, 1.2, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -346,15 +346,16 @@ func TestPinTables(t *testing.T) {
 	adj := d.NetsOfInstance()
 	for k, inst := range movable {
 		slots := st.cellSlot[st.cellStart[k]:st.cellStart[k+1]]
-		if len(slots) != len(adj[inst.ID]) {
-			t.Fatalf("cell %s: %d slots, %d adjacency entries", inst.Name, len(slots), len(adj[inst.ID]))
+		row := adj.Of(inst.ID)
+		if len(slots) != len(row) {
+			t.Fatalf("cell %s: %d slots, %d adjacency entries", inst.Name, len(slots), len(row))
 		}
 		for j, s := range slots {
-			n := adj[inst.ID][j]
+			n := d.Nets[row[j]]
 			if s < st.netStart[n.ID] || s >= st.netStart[n.ID+1] || int(st.slotPin[s]) != inst.ID {
 				t.Fatalf("cell %s entry %d: slot %d is not its pin on net %s", inst.Name, j, s, n.Name)
 			}
-			if j > 0 && adj[inst.ID][j-1] == n {
+			if j > 0 && row[j-1] == row[j] {
 				twoOnOne++
 				if slots[j-1] == s {
 					t.Fatalf("cell %s: slot %d listed twice", inst.Name, s)
@@ -392,7 +393,8 @@ func refSolve(d *netlist.Design, movable []*netlist.Instance, pos []geom.Point, 
 		}
 		for _, inst := range movable {
 			var sx, sy, wt float64
-			for _, n := range adj[inst.ID] {
+			for _, id := range adj.Of(inst.ID) {
+				n := d.Nets[id]
 				if n.Clock || deg[n.ID] < 2 {
 					continue
 				}

@@ -255,8 +255,8 @@ func buildRows(fp *floorplan.Floorplan, rowHeight float64) rowMap {
 }
 
 // open gives every segment its interval list — the whole segment, free
-// — with room for cells[i] (nil: 0) + room more intervals before segment
-// i's list has to move. The lists are views of one array.
+// — with room for cells[i] + room more intervals before segment i's list
+// has to move. The lists are views of one array.
 func (m *rowMap) open(cells []int32, room int) {
 	total := (1 + room) * len(m.segs)
 	for _, k := range cells {
@@ -264,19 +264,38 @@ func (m *rowMap) open(cells []int32, room int) {
 	}
 	all := make([]iv, total)
 	for i := range m.segs {
-		s, k := &m.segs[i], 1+room
-		if cells != nil {
-			k += int(cells[i])
-		}
+		s, k := &m.segs[i], 1+room+int(cells[i])
 		s.free, all = all[:1:k], all[k:]
 		s.free[0] = iv{s.x0, s.x1}
 	}
 }
 
-// openRoom is the room for growth a segment's list starts with in the
-// legalizer, which does not know what will be placed in it (a FreeSpace
-// counts the cells first).
-const openRoom = 3
+// legalRoom is the room for growth a segment's list starts with in the
+// legalizer beyond its target count: one interval for a cell displaced
+// into it from another segment.
+const legalRoom = 1
+
+// targets counts, per segment, the cells whose target lies in it: in
+// the row of the cell's location, the segment nearest its x. That is
+// where most cells land, and a cell placed in a segment splits at most
+// one of its intervals, so lists opened at these counts rarely move.
+func (m *rowMap) targets(cells []*netlist.Instance) []int32 {
+	counts := make([]int32, len(m.segs))
+	for _, inst := range cells {
+		r := m.rowOf(inst.Loc.Y)
+		best, bestD := int32(-1), 0.0
+		for i := m.rowOff[r]; i < m.rowOff[r+1]; i++ {
+			s := &m.segs[i]
+			if d := max(s.x0-inst.Loc.X, inst.Loc.X-s.x1, 0); best < 0 || d < bestD {
+				best, bestD = i, d
+			}
+		}
+		if best >= 0 {
+			counts[best]++
+		}
+	}
+	return counts
+}
 
 // Legalize snaps cells into rows without overlap using a Tetris-style
 // sweep: cells sorted by x are committed left-to-right into the
@@ -325,7 +344,7 @@ func LegalizeBestEffort(movable []*netlist.Instance, fp *floorplan.Floorplan, ro
 	if m.rows() == 0 {
 		return 0, 0, nil, fmt.Errorf("place: no placement rows available")
 	}
-	m.open(nil, openRoom)
+	m.open(m.targets(movable), legalRoom)
 
 	// A total order (instance names are unique), so the sweep order does
 	// not depend on the sorting algorithm.

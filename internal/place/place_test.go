@@ -362,7 +362,7 @@ func TestSegmentSpliceInPlace(t *testing.T) {
 	// One row, one segment, its list born with no room to grow: the
 	// first split already moves it to a larger span of the arena.
 	m := buildRows(&floorplan.Floorplan{Die: geom.R(0, 0, 100, 1.2)}, 1.2)
-	m.open(nil, 0)
+	m.open(make([]int32, len(m.segs)), 0)
 	s := &m.segs[0]
 	step := func(what string, want ...iv) {
 		t.Helper()
