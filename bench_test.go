@@ -23,6 +23,13 @@ import (
 	"testing"
 
 	"macro3d"
+	"macro3d/internal/floorplan"
+	"macro3d/internal/netlist"
+	"macro3d/internal/obs"
+	"macro3d/internal/piton"
+	"macro3d/internal/place"
+	"macro3d/internal/route"
+	"macro3d/internal/tech"
 )
 
 // Experiments are deterministic, so repeated b.N iterations recompute
@@ -134,22 +141,6 @@ func BenchmarkAblationF2FPitch(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
-var tileOnce struct {
-	sync.Once
-	tile *macro3d.Tile
-	err  error
-}
-
-func smallTile(b *testing.B) *macro3d.Tile {
-	tileOnce.Do(func() {
-		tileOnce.tile, tileOnce.err = macro3d.GenerateTile(macro3d.SmallCache())
-	})
-	if tileOnce.err != nil {
-		b.Fatal(tileOnce.err)
-	}
-	return tileOnce.tile
-}
-
 // BenchmarkGenerate is the construction cost every flow call pays
 // first: one pass over the generator, records out of the design's slabs.
 func BenchmarkGenerate(b *testing.B) {
@@ -205,6 +196,117 @@ func BenchmarkAbut4x4(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(arr.Instances)), "instances")
 	}
+}
+
+// largeTile is the placed large-cache tile BenchmarkPlace and
+// BenchmarkRouteDesign share. Building it once is safe: RouteDesign
+// never mutates the design, and place.Place reseeds initial positions
+// from its RNG, so repeated stage runs are deterministic functions of
+// (design, seed). It stays live once built, so the two come after the
+// construction benchmarks: run before them, the larger heap made
+// BenchmarkTileCopy/piton_large several times slower.
+var largeTile struct {
+	once sync.Once
+	err  error
+
+	t  *tech.Tech
+	d  *netlist.Design
+	fp *floorplan.Floorplan
+	sz floorplan.Sizing
+}
+
+func largeTileSetup(b *testing.B) {
+	b.Helper()
+	largeTile.once.Do(func() {
+		largeTile.err = func() error {
+			t, err := tech.New28(6)
+			if err != nil {
+				return err
+			}
+			tile, err := piton.Generate(piton.LargeCache())
+			if err != nil {
+				return err
+			}
+			d := tile.Design
+			sz, err := floorplan.SizeDesign(d, 0.70, 1.0, t.RowHeight)
+			if err != nil {
+				return err
+			}
+			fp, _, err := floorplan.PlaceMacros(d, sz.Die2D, floorplan.Style2D)
+			if err != nil {
+				return err
+			}
+			floorplan.BuildBlockages(fp, d, netlist.LogicDie)
+			floorplan.AssignPorts(tile, sz.Die2D)
+			if _, err := place.Place(d, fp, t.RowHeight, place.Options{Seed: 2}); err != nil {
+				return err
+			}
+			// Warm-up route: settles the heap so the generator/placer
+			// allocation debt is not collected inside the first timed
+			// iteration.
+			db := route.NewDB(sz.Die2D, t.Logic, fp.RouteBlk, route.Options{})
+			if _, err := route.RouteDesign(d, db); err != nil {
+				return err
+			}
+			largeTile.t, largeTile.d, largeTile.fp, largeTile.sz = t, d, fp, sz
+			return nil
+		}()
+	})
+	if largeTile.err != nil {
+		b.Fatal(largeTile.err)
+	}
+}
+
+// BenchmarkPlace is the large-cache tile's placement stage at one
+// worker, with a plain recorder on its stage span as a flow gives it;
+// iters/op is the descent's iteration count.
+func BenchmarkPlace(b *testing.B) {
+	largeTileSetup(b)
+	rec := obs.New()
+	b.ResetTimer()
+	var last *place.Result
+	for i := 0; i < b.N; i++ {
+		sp := rec.StartSpan("place")
+		res, err := place.Place(largeTile.d, largeTile.fp, largeTile.t.RowHeight,
+			place.Options{Seed: 2, Workers: 1, Obs: sp})
+		sp.End()
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = res
+	}
+	// Metrics only after the loop: ResetTimer deletes reported metrics.
+	b.ReportMetric(last.HPWL/1e6, "HPWL_m")
+	b.ReportMetric(rec.Registry().Gauge("place_descent_iterations", "").Value(), "iters/op")
+}
+
+// BenchmarkRouteDesign routes the placed large-cache tile from scratch
+// and reports the result's segments and via cuts (segs, via_cuts).
+func BenchmarkRouteDesign(b *testing.B) {
+	largeTileSetup(b)
+	b.ResetTimer()
+	var last *route.Result
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		db := route.NewDB(largeTile.sz.Die2D, largeTile.t.Logic, largeTile.fp.RouteBlk, route.Options{})
+		b.StartTimer()
+		res, err := route.RouteDesign(largeTile.d, db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = res
+	}
+	b.ReportMetric(last.WL/1e6, "WL_m")
+	b.ReportMetric(float64(last.Overflow), "overflow")
+	segs := 0
+	for _, r := range last.Routes {
+		if r != nil {
+			segs += len(r.Segments)
+		}
+	}
+	// A via stack is one segment; via_cuts counts each of its cuts.
+	b.ReportMetric(float64(segs), "segs")
+	b.ReportMetric(float64(last.Vias), "via_cuts")
 }
 
 func BenchmarkFlow2DSmall(b *testing.B) {

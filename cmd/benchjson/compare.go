@@ -123,12 +123,12 @@ func nonZero(v float64) float64 {
 }
 
 // `benchjson -compare old.json new.json` (no -ledger) reads two
-// kernel-benchmark files — BENCH_route.json, BENCH_opt.json — back and
-// prints, per benchmark in both, time/op and allocs/op of the new file
-// against the old with pair's noise verdict. It exits 1 on a regression
-// that is not noise: a slower mean whose ~95 % interval clears the old
-// one's, or more allocations an operation than allocSlack allows.
-// `make bench-route` ends with it against the committed file.
+// kernel-benchmark files such as BENCH_opt.json back and prints, per
+// benchmark in both, time/op and allocs/op of the new file against the
+// old with pair's noise verdict. It exits 1 on a regression that is not
+// noise: a slower mean whose ~95 % interval clears the old one's, or
+// more allocations an operation than allocSlack allows. `make bench`
+// ends with it against the committed file.
 
 // allocSlack is how many more objects an operation may allocate before
 // it is a regression: max(2, 0.1 %) of the old count. At -benchtime 1x an

@@ -1,12 +1,12 @@
 // Command benchjson converts `go test -bench` output on stdin into a
-// machine-readable JSON summary on stdout. `make bench` pipes the
-// optimizer and design-construction benchmarks through it to produce
-// BENCH_opt.json, recorded alongside the repo.
+// machine-readable JSON summary on stdout. `make bench` pipes its
+// kernel benchmarks through it to produce BENCH_opt.json, recorded
+// alongside the repo.
 //
 // Usage:
 //
-//	go test -bench 'TableII|Optimize' -count 5 -run '^$' . | benchjson
-//	go test -bench StashSweep -run '^$' . | benchjson -o BENCH_stash.json
+//	go test -bench 'TableII|Optimize' -benchmem -count 5 -run '^$' . | benchjson
+//	go test -bench . -benchmem -run '^$' ./internal/place | benchjson -o place.json
 //
 // With -o the summary is written to the file via a same-directory
 // temporary and an atomic rename, so a failed run never leaves a
@@ -16,7 +16,7 @@
 // BENCH_flow.json (see ledger.go); `make bench-flow` does, and then
 // compares the row with the one before it (-compare, see compare.go).
 // Without -ledger, -compare takes two of its own summaries — kernel
-// benchmark files such as BENCH_route.json — and judges the second
+// benchmark files such as BENCH_opt.json — and judges the second
 // against the first, or two BENCH_qor.json seed ensembles, which it
 // holds to a paired-seed sign test (see qor.go).
 //
@@ -36,7 +36,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
-	"strings"
 )
 
 // line shape: BenchmarkName-8   3   123456789 ns/op   12 extra/op ...
@@ -54,37 +53,18 @@ type entry struct {
 	RunsCount int                `json:"runs"`
 }
 
-// pairStats qualifies one speedup ratio. Ratio compares the means;
+// pairStats qualifies one time ratio. Ratio compares the means;
 // Noise reports whether the two sides' ~95% confidence intervals
 // (mean ± 1.96·stddev/√n) overlap — an overlapping pair means the
 // measured difference is not distinguishable from run-to-run variance,
 // so the ratio should be read as ~1× regardless of its nominal value.
 type pairStats struct {
-	Ratio     float64 `json:"ratio"`
-	BestRatio float64 `json:"best_ratio"` // best-over-best, noise floor
-	Noise     bool    `json:"noise"`
-	NumCV     float64 `json:"numerator_cv"`
-	DenCV     float64 `json:"denominator_cv"`
+	Ratio float64
+	Noise bool
 }
 
 type summary struct {
-	Benchmarks []*entry           `json:"benchmarks"`
-	Speedup    map[string]float64 `json:"speedup,omitempty"`
-
-	// SpeedupStats carries, per Speedup key, the confidence view of the
-	// same ratio: is it real or inside the noise band?
-	SpeedupStats map[string]*pairStats `json:"speedup_stats,omitempty"`
-
-	// Env pins the measurement environment the engine benchmarks
-	// report: gomaxprocs, the pinned worker count, the flat array size.
-	Env map[string]float64 `json:"env,omitempty"`
-
-	// Parallelism lifts the execution-trace metrics the engine
-	// benchmarks report (per-phase worker occupancy, serial fraction,
-	// Amdahl ceiling at the pinned worker count, critical-path speedup)
-	// to the top level, keyed "<metric>/<variant>", e.g.
-	// "place_occupancy/parallel" or "place_cp_speedup/flat_parallel".
-	Parallelism map[string]float64 `json:"parallelism,omitempty"`
+	Benchmarks []*entry `json:"benchmarks"`
 }
 
 // finalize computes the derived statistics from Runs. Every divisor is
@@ -138,10 +118,7 @@ func pair(num, den *entry) *pairStats {
 	if den.MeanNsOp <= 0 {
 		return nil
 	}
-	p := &pairStats{Ratio: num.MeanNsOp / den.MeanNsOp, NumCV: num.CV, DenCV: den.CV}
-	if den.BestNsOp > 0 {
-		p.BestRatio = num.BestNsOp / den.BestNsOp
-	}
+	p := &pairStats{Ratio: num.MeanNsOp / den.MeanNsOp}
 	if num.RunsCount >= 2 && den.RunsCount >= 2 {
 		nLo, nHi := num.MeanNsOp-num.ci(), num.MeanNsOp+num.ci()
 		dLo, dHi := den.MeanNsOp-den.ci(), den.MeanNsOp+den.ci()
@@ -248,125 +225,58 @@ func main() {
 		}
 		return
 	}
+	out, err := parseBench(os.Stdin)
+	if err == nil {
+		err = write(*outPath, out)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+}
+
+// parseBench reads `go test -bench` output: one entry per benchmark
+// name, in first-seen order, with every run's ns/op and the last run's
+// other metrics (B/op, allocs/op, custom units). The GOMAXPROCS suffix
+// is dropped from the name and any line that is not a result is
+// skipped.
+func parseBench(r io.Reader) (*summary, error) {
 	byName := map[string]*entry{}
-	var order []string
-	sc := bufio.NewScanner(os.Stdin)
+	out := &summary{}
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		line := sc.Text()
-		m := benchLine.FindStringSubmatch(line)
+		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
-		name := m[1]
 		ns, err := strconv.ParseFloat(m[3], 64)
 		if err != nil {
 			continue
 		}
-		e := byName[name]
+		e := byName[m[1]]
 		if e == nil {
-			e = &entry{Name: name, Metrics: map[string]float64{}}
-			byName[name] = e
-			order = append(order, name)
+			e = &entry{Name: m[1], Metrics: map[string]float64{}}
+			byName[m[1]] = e
+			out.Benchmarks = append(out.Benchmarks, e)
 		}
 		e.Runs = append(e.Runs, ns)
 		for _, mm := range metricRe.FindAllStringSubmatch(m[4], -1) {
-			if mm[2] == "ns/op" {
-				continue
-			}
 			if v, err := strconv.ParseFloat(mm[1], 64); err == nil {
 				e.Metrics[mm[2]] = v
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		return nil, err
 	}
-
-	out := &summary{Speedup: map[string]float64{}}
-	for _, name := range order {
-		e := byName[name]
+	for _, e := range out.Benchmarks {
 		e.finalize()
 		if len(e.Metrics) == 0 {
 			e.Metrics = nil
 		}
-		out.Benchmarks = append(out.Benchmarks, e)
 	}
-	// Worker-count ratios (`make bench-route`): the serial reference
-	// over the same engine at the pinned worker count. Results are
-	// bit-identical on both sides, so >1 is pure scheduling win. Every
-	// ratio carries a SpeedupStats twin with the noise verdict.
-	out.SpeedupStats = map[string]*pairStats{}
-	for _, pr := range [][3]string{
-		{"BenchmarkPlace/serial", "BenchmarkPlace/parallel", "place_serial_over_parallel"},
-		{"BenchmarkPlaceFlat/serial", "BenchmarkPlaceFlat/parallel", "flat_place_serial_over_parallel"},
-	} {
-		ser, okS := byName[pr[0]]
-		par, okP := byName[pr[1]]
-		if okS && okP {
-			if p := pair(ser, par); p != nil {
-				out.Speedup[pr[2]] = p.Ratio
-				out.SpeedupStats[pr[2]] = p
-			}
-		}
-	}
-	if len(out.SpeedupStats) == 0 {
-		out.SpeedupStats = nil
-	}
-	// Stage-cache ratio (`make bench-stash`): the same sweep cold
-	// (populating the cache) versus warm (restoring every checkpoint).
-	cold, okC := byName["BenchmarkStashSweep/cold"]
-	if warm, ok := byName["BenchmarkStashSweep/warm"]; ok && okC && warm.MeanNsOp > 0 {
-		out.Speedup["stash_cold_over_warm"] = cold.MeanNsOp / warm.MeanNsOp
-	}
-	// Hierarchical ratio (BenchmarkHardenArray): the same 4×4 tile
-	// array re-verified flat versus instantiated from a cached
-	// hardened abstract in the parent flow.
-	flat, okF := byName["BenchmarkHardenArray/flat"]
-	if hier, ok := byName["BenchmarkHardenArray/hier"]; ok && okF && hier.MeanNsOp > 0 {
-		out.Speedup["harden_flat_over_hier"] = flat.MeanNsOp / hier.MeanNsOp
-	}
-	if len(out.Speedup) == 0 {
-		out.Speedup = nil
-	}
-	// Parallelism rollup (`make bench-route`): the traced engines'
-	// occupancy / serial-fraction / Amdahl numbers explain the speedup
-	// ratios above, so they ride along at the top level.
-	out.Parallelism = map[string]float64{}
-	out.Env = map[string]float64{}
-	for _, vp := range [][2]string{
-		{"BenchmarkPlace/serial", "serial"},
-		{"BenchmarkPlace/parallel", "parallel"},
-		{"BenchmarkPlaceFlat/serial", "flat_serial"},
-		{"BenchmarkPlaceFlat/parallel", "flat_parallel"},
-	} {
-		e := byName[vp[0]]
-		if e == nil {
-			continue
-		}
-		for k, v := range e.Metrics {
-			switch {
-			case strings.HasSuffix(k, "_occupancy"), strings.HasSuffix(k, "_serial_frac"),
-				strings.HasSuffix(k, "_amdahl_atW"), strings.HasSuffix(k, "_cp_speedup"):
-				out.Parallelism[k+"/"+vp[1]] = v
-			case k == "gomaxprocs" || k == "array_n":
-				out.Env[k] = v
-			case k == "workers" && !strings.HasSuffix(vp[0], "/serial"):
-				out.Env[k] = v
-			}
-		}
-	}
-	if len(out.Parallelism) == 0 {
-		out.Parallelism = nil
-	}
-	if len(out.Env) == 0 {
-		out.Env = nil
-	}
-	if err := write(*outPath, out); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
+	return out, nil
 }
 
 // write emits the JSON document to stdout, or — with a path —

@@ -85,8 +85,8 @@ func TestPairSingleRunNeverNoise(t *testing.T) {
 	if p.Noise {
 		t.Fatal("n=1 pair flagged as noise")
 	}
-	if p.Ratio != 1 || p.BestRatio != 1 {
-		t.Fatalf("ratios: %v / %v", p.Ratio, p.BestRatio)
+	if p.Ratio != 1 {
+		t.Fatalf("ratio = %v, want 1", p.Ratio)
 	}
 }
 
@@ -102,6 +102,62 @@ func TestPairNoiseVerdict(t *testing.T) {
 	}
 	if math.Abs(distinct.Ratio-2.0) > 0.02 {
 		t.Fatalf("ratio = %v, want ~2", distinct.Ratio)
+	}
+}
+
+// benchOut is an excerpt of `go test -bench -benchmem -count 2` output
+// as `make bench` pipes it: header and trailer lines, a sub-benchmark
+// with its GOMAXPROCS suffix, custom metrics and a time in e+ notation.
+const benchOut = `goos: linux
+goarch: amd64
+pkg: macro3d
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkGenerate/piton_small-2   	       1	  41551286 ns/op	     29251 instances	 8917840 B/op	     281 allocs/op
+BenchmarkPlace-2         	       1	 217282797 ns/op	         1.935 HPWL_m	       114.0 iters/op	 4065248 B/op	     162 allocs/op
+BenchmarkGenerate/piton_small-2   	       1	  39551286 ns/op	     29251 instances	 8917840 B/op	     283 allocs/op
+BenchmarkRouteDesign-2   	       1	 2.09076358e+08 ns/op	         2.093 WL_m	         1.000 overflow	     88887 segs	     65351 via_cuts	 6126304 B/op	     144 allocs/op
+--- BENCH: BenchmarkTableII-2
+    bench_test.go:42: Benchmark table
+PASS
+ok  	macro3d	0.798s
+`
+
+// TestParseBench: every result line becomes a run of an entry named
+// without its GOMAXPROCS suffix, in first-seen order; custom metrics,
+// B/op and allocs/op land in Metrics (the last run's value); an e+ time
+// parses; and no other line yields an entry.
+func TestParseBench(t *testing.T) {
+	s, err := parseBench(strings.NewReader(benchOut))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range s.Benchmarks {
+		names = append(names, e.Name)
+	}
+	if want := []string{"BenchmarkGenerate/piton_small", "BenchmarkPlace", "BenchmarkRouteDesign"}; !slices.Equal(names, want) {
+		t.Fatalf("names = %q, want %q", names, want)
+	}
+	gen, pl, rt := s.Benchmarks[0], s.Benchmarks[1], s.Benchmarks[2]
+	if gen.RunsCount != 2 || gen.MeanNsOp != 40551286 || gen.BestNsOp != 39551286 || gen.StddevNs == 0 {
+		t.Errorf("BenchmarkGenerate/piton_small: %+v", gen)
+	}
+	if gen.Metrics["allocs/op"] != 283 || gen.Metrics["B/op"] != 8917840 || gen.Metrics["instances"] != 29251 {
+		t.Errorf("BenchmarkGenerate/piton_small metrics = %v", gen.Metrics)
+	}
+	if pl.Metrics["iters/op"] != 114 || pl.Metrics["HPWL_m"] != 1.935 || pl.Metrics["allocs/op"] != 162 {
+		t.Errorf("BenchmarkPlace metrics = %v", pl.Metrics)
+	}
+	if rt.Runs[0] != 209076358 || rt.Metrics["segs"] != 88887 || rt.Metrics["via_cuts"] != 65351 || rt.Metrics["overflow"] != 1 {
+		t.Errorf("BenchmarkRouteDesign: runs %v, metrics %v", rt.Runs, rt.Metrics)
+	}
+	for _, e := range s.Benchmarks {
+		if _, ok := e.Metrics["ns/op"]; ok {
+			t.Errorf("%s: ns/op among the metrics", e.Name)
+		}
+	}
+	if s, err := parseBench(strings.NewReader("PASS\nok  \tmacro3d\t0.1s\n")); err != nil || len(s.Benchmarks) != 0 {
+		t.Fatalf("no result lines: %+v, %v", s, err)
 	}
 }
 
