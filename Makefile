@@ -40,8 +40,9 @@ bench-mod:
 ## it audits placement's and extraction's fanned-out phases and the
 ## incremental engine's journals for data races while holding PPA row,
 ## state digest and stage sequence to the reference. internal/ddb runs
-## its incremental-equivalence test (Config.Check, small tile under -race)
-## besides its own transaction and guard tests. internal/flows also runs 2D and Macro-3D
+## its transaction tests, the equivalence property among them (random
+## edit bundles on the five flows' tiny signed-off states, the five in
+## parallel), in seconds. internal/flows also runs 2D and Macro-3D
 ## at once over one byte-capped stage cache (TestConcurrentRunsMatchSerial:
 ## the stash's per-key locks and LRU under concurrent flows), and
 ## internal/stash has its own contention tests. internal/place rides along for the
@@ -59,8 +60,8 @@ bench-mod:
 ## and internal/obs/... for the recorder and the timeline tracks a span's
 ## End appends to.
 race:
-	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/... ./internal/stash/ ./internal/extract/ ./internal/sta/ ./internal/slab/ ./internal/netlist/ ./internal/piton/ ./internal/cell/ ./internal/par/
-	$(GO) test -race -timeout 30m ./internal/flows/ ./internal/ddb/ ./internal/opt/ ./internal/place/ ./internal/route/
+	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/... ./internal/stash/ ./internal/extract/ ./internal/sta/ ./internal/ddb/ ./internal/slab/ ./internal/netlist/ ./internal/piton/ ./internal/cell/ ./internal/par/
+	$(GO) test -race -timeout 30m ./internal/flows/ ./internal/opt/ ./internal/place/ ./internal/route/
 
 ## fuzz: ten seconds each of FuzzDecodeResult, FuzzDecodeAbstract,
 ## FuzzDecodeSignoff and FuzzDecodePlacement — the routing-result

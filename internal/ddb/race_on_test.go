@@ -3,8 +3,8 @@
 package ddb_test
 
 // raceEnabled reports whether this test binary was built with the race
-// detector. The equivalence property test drops the large-cache config
-// under -race: the instrumentation slows the full flows by an order of
-// magnitude, past any reasonable package timeout, while the small-cache
-// run already exercises every parallel code path.
+// detector. The equivalence property test keeps only the tiny tile
+// under -race: its from-scratch extraction and timing after every edit
+// run an order of magnitude slower instrumented, and the tiny tile's
+// five parallel runs already share the one tile template.
 const raceEnabled = true

@@ -167,7 +167,9 @@ func TestGoroutineScope(t *testing.T) {
 // its reason. A package assigning to an option value it was handed as a
 // receiver or parameter (its withDefaults, or a default filled in at an
 // entry point) is no caller. A field nothing sets always takes its
-// default: it is a constant of its package, not an option.
+// default: it is a constant of its package, not an option. For the same
+// reason no non-test code reads the environment (os.Getenv,
+// os.LookupEnv): an environment variable is an option no caller sets.
 //
 // The walk is syntactic. A literal's type is resolved through the file's
 // imports and the repository's type aliases; a literal whose type is
@@ -218,6 +220,14 @@ func TestEveryOptionHasACaller(t *testing.T) {
 			}
 			fl.imports[name] = p
 		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Getenv" || sel.Sel.Name == "LookupEnv") {
+				if x, ok := sel.X.(*ast.Ident); ok && fl.imports[x.Name] == "os" {
+					t.Errorf("%s calls os.%s: an environment variable is an option no caller sets", rel, sel.Sel.Name)
+				}
+			}
+			return true
+		})
 		files = append(files, fl)
 		return nil
 	})

@@ -24,7 +24,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"os"
 	"slices"
 	"strconv"
 
@@ -410,10 +409,6 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 		if improvedWorst {
 			stale = 0
 		}
-		if debugTrace {
-			fmt.Fprintf(os.Stderr, "opt it=%d period=%.0f score=%.0f moves=%d accept(w=%v s=%v) stale=%d\n",
-				it, next.MinPeriod, pathScore(next), moves, improvedWorst, improvedSum, stale)
-		}
 	}
 	// The report describes the final design state exactly (every kept
 	// iteration was an improvement; every failed one was rolled back).
@@ -437,9 +432,6 @@ func publish(reg *obs.Registry, res *Result) {
 	reg.Gauge("opt_min_period_ps",
 		"Minimum feasible clock period after optimization, ps.").Set(res.Report.MinPeriod)
 }
-
-// debugTrace enables per-iteration tracing via MACRO3D_OPT_TRACE=1.
-var debugTrace = os.Getenv("MACRO3D_OPT_TRACE") == "1"
 
 // checkJournals asserts that what the transactions maintained by
 // journal — adjacency rows, free-space intervals and the route DB's

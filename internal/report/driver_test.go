@@ -173,6 +173,11 @@ func TestDriverCancelKeepsCompletedCells(t *testing.T) {
 // — MoL-S2D < BF-S2D < 2D < Macro-3D in fclk on the small tile, 2D <
 // Macro-3D on the large one — holds at every seed and on the geomean, and
 // the QoR document holds a value per seed of each flow × tile.
+//
+// It runs its own flows although seven of them are the determinism
+// harness's seed-1 references: it is tier-1's only check of the chain on
+// live code over more than one seed. make qor checks the same shape over
+// ten seeds, but make check does not run it.
 func TestTableIShapeAcrossSeeds(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("twenty-one small- and large-tile flows")
