@@ -23,7 +23,8 @@ import (
 )
 
 // buildPreOpt replicates the 2D flow up to (but excluding) the
-// optimization stage: generate, floorplan, place, CTS, route, extract.
+// optimization stage: generate, floorplan, place, CTS, route, extract,
+// and the ID reservation the flow makes before it opens the database.
 // Each call returns a fresh state, because Optimize mutates it.
 func buildPreOpt(b *testing.B) *opt.Context {
 	b.Helper()
@@ -65,6 +66,7 @@ func buildPreOpt(b *testing.B) *opt.Context {
 	if err := ex.CheckFinite(); err != nil {
 		b.Fatal(err)
 	}
+	d.ReserveIDs()
 	return &opt.Context{
 		Clock: tree,
 		FP:    fp, RowHeight: t.RowHeight,

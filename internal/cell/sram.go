@@ -3,6 +3,7 @@ package cell
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"macro3d/internal/geom"
 )
@@ -95,13 +96,13 @@ func NewSRAM(spec SRAMSpec) (*Cell, error) {
 		pd{"WE", DirIn, 2.5, false},
 	)
 	for i := 0; i < spec.AddrBits(); i++ {
-		pins = append(pins, pd{fmt.Sprintf("A%d", i), DirIn, 2.5, false})
+		pins = append(pins, pd{"A" + strconv.Itoa(i), DirIn, 2.5, false})
 	}
 	for i := 0; i < spec.Bits; i++ {
-		pins = append(pins, pd{fmt.Sprintf("D%d", i), DirIn, 2.2, false})
+		pins = append(pins, pd{"D" + strconv.Itoa(i), DirIn, 2.2, false})
 	}
 	for i := 0; i < spec.Bits; i++ {
-		pins = append(pins, pd{fmt.Sprintf("Q%d", i), DirOut, 0, false})
+		pins = append(pins, pd{"Q" + strconv.Itoa(i), DirOut, 0, false})
 	}
 	// Spread along the bottom edge, slightly inset.
 	n := len(pins)

@@ -1,8 +1,8 @@
 package cell
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"macro3d/internal/geom"
 )
@@ -125,7 +125,7 @@ func makeGate(g gateSpec, drive int, opt LibOptions) *Cell {
 	d := float64(drive)
 	w := g.sites * (1 + 0.8*(footprintDrive(drive)-1)) * opt.SiteWidth * opt.AreaScale
 	c := &Cell{
-		Name:           fmt.Sprintf("%s_X%d", g.family, drive),
+		Name:           g.family + "_X" + strconv.Itoa(drive),
 		Kind:           g.kind,
 		Family:         g.family,
 		Drive:          drive,
@@ -162,7 +162,7 @@ func makeDFF(drive int, opt LibOptions) *Cell {
 	d := float64(drive)
 	w := dff28.sites * (1 + 0.5*(footprintDrive(drive)-1)) * opt.SiteWidth * opt.AreaScale
 	c := &Cell{
-		Name:           fmt.Sprintf("DFF_X%d", drive),
+		Name:           "DFF_X" + strconv.Itoa(drive),
 		Kind:           KindSeq,
 		Family:         "DFF",
 		Drive:          drive,

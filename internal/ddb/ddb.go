@@ -80,10 +80,13 @@ type DB struct {
 	rows slab.Slab[int32]
 
 	// State of the open transaction that is reused from one to the
-	// next: the journals and the dirty sets.
+	// next: the journals, the dirty sets, and the counts of its Reroute
+	// calls and of those whose new segments equal the ones the journal
+	// saved for the net (Txn.Reroutes).
 	freeUndo              place.Undo
 	undo                  journal
-	dirtyNets, dirtyInsts intSet
+	dirtyNets, dirtyInsts netlist.IDSet
+	reroutes, unchanged   int
 
 	// exScratch is the extraction working state behind Txn.Reroute;
 	// transactions on one DB run one at a time.
@@ -91,9 +94,18 @@ type DB struct {
 }
 
 // New builds the database over an already routed and extracted design.
+// Its tables keyed by instance or net ID — the adjacency's outer
+// slices, the dirty sets and the journal's — are allocated at the
+// design's ID capacity (netlist.Design.IDCap), so the instances and
+// nets transactions append up to it reallocate none of them.
 func New(d *netlist.Design, grid *route.DB, routes *route.Result, ex *extract.Design, corner tech.CornerScale) *DB {
 	db := &DB{Design: d, Grid: grid, Routes: routes, Ex: ex, Corner: corner}
 	db.rebuildAdjacency()
+	nInst, nNets := d.IDCap()
+	db.dirtyNets, db.dirtyInsts = netlist.NewIDSet(nNets), netlist.NewIDSet(nInst)
+	j := &db.undo
+	j.instSeen, j.inputSeen = netlist.NewIDSet(nInst), netlist.NewIDSet(nInst)
+	j.sinkSeen, j.netSeen = netlist.NewIDSet(nNets), netlist.NewIDSet(nNets)
 	return db
 }
 
@@ -118,12 +130,14 @@ func (db *DB) AttachObs(sp *obs.Span) {
 // are born sorted and a net that sinks on an instance through several
 // pins is deduplicated by looking at the row's last entry. A row is
 // full (len == cap), so a transaction growing it copies it out instead
-// of running into the next.
+// of running into the next. The tables by instance have room for the
+// design's ID capacity, which AddInstance appends into.
 func (db *DB) rebuildAdjacency() {
 	d := db.Design
-	db.drivenI = make([][]int32, len(d.Instances))
+	instCap, _ := d.IDCap()
+	db.drivenI = make([][]int32, len(d.Instances), instCap)
 	db.drivenP = make([][]int32, len(d.Ports))
-	db.inputs = make([][]int32, len(d.Instances))
+	db.inputs = make([][]int32, len(d.Instances), instCap)
 
 	degI := make([]int32, len(d.Instances))
 	degP := make([]int32, len(d.Ports))
@@ -267,52 +281,4 @@ func sinksOn(n *netlist.Net, inst *netlist.Instance) bool {
 		}
 	}
 	return false
-}
-
-// intSet is a reusable dense set over small integer ids.
-type intSet struct {
-	in  []bool
-	ids []int
-	out []int // sortedBelow's result
-}
-
-func (s *intSet) add(id int) {
-	for id >= len(s.in) {
-		s.in = append(s.in, false)
-	}
-	if !s.in[id] {
-		s.in[id] = true
-		s.ids = append(s.ids, id)
-	}
-}
-
-func (s *intSet) has(id int) bool { return id < len(s.in) && s.in[id] }
-
-func (s *intSet) reset() {
-	for _, id := range s.ids {
-		s.in[id] = false
-	}
-	s.ids = s.ids[:0]
-}
-
-// sortedBelow returns the members < limit in ascending order, in a
-// buffer the set reuses: valid until the next call.
-func (s *intSet) sortedBelow(limit int) []int {
-	out := s.out[:0]
-	for _, id := range s.ids {
-		if id < limit {
-			out = append(out, id)
-		}
-	}
-	insertionSort(out)
-	s.out = out
-	return out
-}
-
-func insertionSort(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

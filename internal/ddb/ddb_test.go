@@ -135,6 +135,36 @@ func TestRerouteRollbackRestoresRouteAndRC(t *testing.T) {
 	}
 }
 
+// TestReroutesCountUnchanged: a transaction counts its reroutes, and
+// among them those whose segments came out as the journal saved them —
+// a reroute of an unedited net — but not one after its sink moved, nor
+// one of a net the transaction added.
+func TestReroutesCountUnchanged(t *testing.T) {
+	db, n := buildDB(t, 4, 400)
+	txn := db.Begin()
+	if err := txn.Reroute(n); err != nil {
+		t.Fatal(err)
+	}
+	if total, same := txn.Reroutes(); total != 1 || same != 1 {
+		t.Fatalf("after rerouting an unedited net: %d reroutes, %d unchanged, want 1, 1", total, same)
+	}
+	txn.SetLoc(n.Sinks[0].Inst, geom.Pt(450, 150))
+	if err := txn.Reroute(n); err != nil {
+		t.Fatal(err)
+	}
+	inst := txn.AddInstance("b0", db.Design.Lib.MustCell("BUF_X16"))
+	inst.Loc, inst.Placed = geom.Pt(100, 50), true
+	txn.AppendSink(n, netlist.IPin(inst, "A"))
+	nn := txn.AddNet("bn0", netlist.IPin(inst, "Y"), txn.RemoveSinkAt(n, 0))
+	if err := txn.Reroute(nn); err != nil {
+		t.Fatal(err)
+	}
+	if total, same := txn.Reroutes(); total != 3 || same != 1 {
+		t.Fatalf("after a moved sink and a new net: %d reroutes, %d unchanged, want 3, 1", total, same)
+	}
+	txn.Rollback()
+}
+
 func TestAddRollbackTruncates(t *testing.T) {
 	db, n := buildDB(t, 4, 400)
 	d := db.Design

@@ -2,6 +2,7 @@ package ddb
 
 import (
 	"fmt"
+	"slices"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/extract"
@@ -14,8 +15,8 @@ import (
 // go through its methods; each records the touched net/instance ids and
 // saves first-touch undo state, so the bundle can be either committed
 // (undo state dropped) or rolled back in O(edits). One transaction is
-// open on a DB at a time: its undo state is the DB's journal, whose
-// buffers the next transaction reuses.
+// open on a DB at a time: its undo state is the DB's journal and its
+// dirty sets are the DB's, whose buffers the next transaction reuses.
 type Txn struct {
 	db *DB
 
@@ -24,10 +25,7 @@ type Txn struct {
 	baseInsts int
 	baseNets  int
 
-	dirtyNets  *intSet // the DB's, emptied at Begin
-	dirtyInsts *intSet
-	topo       bool
-	done       bool
+	topo bool
 }
 
 // journal is the undo state of the open transaction: first-touch copies
@@ -38,22 +36,22 @@ type Txn struct {
 // allocates nothing for its undo.
 type journal struct {
 	insts    []instSave
-	instSeen intSet
+	instSeen netlist.IDSet
 
 	sinks    []sinkSave
-	sinkSeen intSet
+	sinkSeen netlist.IDSet
 	sinkBuf  []netlist.PinRef
 
 	// Adjacency undo: first-touch copies of the input rows of
 	// pre-existing instances, and the pre-existing drivers that gained
 	// a net (their rows lose the appended ids again on rollback).
 	inputs    []rowSave
-	inputSeen intSet
+	inputSeen netlist.IDSet
 	inputBuf  []int32
 	newDriven []netlist.PinRef
 
 	nets    []netSave
-	netSeen intSet
+	netSeen netlist.IDSet
 	nodeBuf []route.Node
 	segBuf  []route.Seg
 	elmBuf  []float64
@@ -99,10 +97,10 @@ func (j *journal) reset() {
 	j.insts, j.sinks, j.inputs, j.nets = j.insts[:0], j.sinks[:0], j.inputs[:0], j.nets[:0]
 	j.sinkBuf, j.inputBuf, j.newDriven = j.sinkBuf[:0], j.inputBuf[:0], j.newDriven[:0]
 	j.nodeBuf, j.segBuf, j.elmBuf = j.nodeBuf[:0], j.segBuf[:0], j.elmBuf[:0]
-	j.instSeen.reset()
-	j.sinkSeen.reset()
-	j.inputSeen.reset()
-	j.netSeen.reset()
+	j.instSeen.Reset()
+	j.sinkSeen.Reset()
+	j.inputSeen.Reset()
+	j.netSeen.Reset()
 }
 
 // Begin opens a transaction over the current state. Free-space edits of
@@ -111,16 +109,11 @@ func (j *journal) reset() {
 func (db *DB) Begin() *Txn {
 	db.freeUndo.Commit()
 	db.undo.reset()
-	db.dirtyNets.reset()
-	db.dirtyInsts.reset()
+	db.dirtyNets.Reset()
+	db.dirtyInsts.Reset()
 	nInst, nNets := db.Design.Counts()
-	return &Txn{
-		db:         db,
-		dirtyNets:  &db.dirtyNets,
-		dirtyInsts: &db.dirtyInsts,
-		baseInsts:  nInst,
-		baseNets:   nNets,
-	}
+	db.reroutes, db.unchanged = 0, 0
+	return &Txn{db: db, baseInsts: nInst, baseNets: nNets}
 }
 
 // DirtyNets returns the touched net ids in ascending order. Valid while
@@ -128,10 +121,10 @@ func (db *DB) Begin() *Txn {
 // before the accept/reject decision — and, like every dirty view
 // (DirtyInsts, Rollback's results), only until the next one of the same
 // kind is asked for: the views share a buffer per kind.
-func (t *Txn) DirtyNets() []int { return t.dirtyNets.sortedBelow(int(^uint(0) >> 1)) }
+func (t *Txn) DirtyNets() []int { return t.db.dirtyNets.Sorted() }
 
 // DirtyInsts returns the touched instance ids in ascending order.
-func (t *Txn) DirtyInsts() []int { return t.dirtyInsts.sortedBelow(int(^uint(0) >> 1)) }
+func (t *Txn) DirtyInsts() []int { return t.db.dirtyInsts.Sorted() }
 
 // TopoChanged reports whether connectivity changed (instances or nets
 // added, sink membership edited) — the signal that levelization and
@@ -160,7 +153,7 @@ func (t *Txn) SetMaster(inst *netlist.Instance, to *cell.Cell) {
 
 func (t *Txn) noteMaster(inst *netlist.Instance, old *cell.Cell) {
 	t.saveInst(inst, old)
-	t.dirtyInsts.add(inst.ID)
+	t.db.dirtyInsts.Add(inst.ID)
 }
 
 // saveInst journals a pre-existing instance's master (as it was before
@@ -168,10 +161,10 @@ func (t *Txn) noteMaster(inst *netlist.Instance, old *cell.Cell) {
 // are still what they were at Begin then.
 func (t *Txn) saveInst(inst *netlist.Instance, master *cell.Cell) {
 	j := &t.db.undo
-	if inst.ID >= t.baseInsts || j.instSeen.has(inst.ID) {
+	if inst.ID >= t.baseInsts || j.instSeen.Has(inst.ID) {
 		return
 	}
-	j.instSeen.add(inst.ID)
+	j.instSeen.Add(inst.ID)
 	j.insts = append(j.insts, instSave{inst, master, inst.Loc})
 }
 
@@ -179,7 +172,7 @@ func (t *Txn) saveInst(inst *netlist.Instance, master *cell.Cell) {
 func (t *Txn) SetLoc(inst *netlist.Instance, p geom.Point) {
 	t.saveInst(inst, inst.Master)
 	inst.Loc = p
-	t.dirtyInsts.add(inst.ID)
+	t.db.dirtyInsts.Add(inst.ID)
 }
 
 // Alloc claims legal free space on a die for a cell of width w centred
@@ -223,7 +216,7 @@ func (t *Txn) AddInstance(name string, master *cell.Cell) *netlist.Instance {
 	inst := t.db.Design.AddInstance(name, master)
 	t.db.drivenI = append(t.db.drivenI, nil)
 	t.db.inputs = append(t.db.inputs, nil)
-	t.dirtyInsts.add(inst.ID)
+	t.db.dirtyInsts.Add(inst.ID)
 	t.topo = true
 	return inst
 }
@@ -244,7 +237,7 @@ func (t *Txn) AddNet(name string, driver netlist.PinRef, sinks ...netlist.PinRef
 			}
 		}
 	}
-	t.dirtyNets.add(n.ID)
+	t.db.dirtyNets.Add(n.ID)
 	t.topo = true
 	return n
 }
@@ -254,7 +247,7 @@ func (t *Txn) AddNet(name string, driver netlist.PinRef, sinks ...netlist.PinRef
 func (t *Txn) addInput(inst *netlist.Instance, n *netlist.Net) {
 	t.saveInputs(inst.ID)
 	t.db.addInput(inst.ID, int32(n.ID))
-	t.dirtyInsts.add(inst.ID)
+	t.db.dirtyInsts.Add(inst.ID)
 }
 
 // removeInput drops n from inst's input row unless another pin of inst
@@ -264,25 +257,25 @@ func (t *Txn) removeInput(inst *netlist.Instance, n *netlist.Net) {
 		t.saveInputs(inst.ID)
 		t.db.removeInput(inst.ID, int32(n.ID))
 	}
-	t.dirtyInsts.add(inst.ID)
+	t.db.dirtyInsts.Add(inst.ID)
 }
 
 func (t *Txn) saveInputs(instID int) {
 	j := &t.db.undo
-	if instID >= t.baseInsts || j.inputSeen.has(instID) {
+	if instID >= t.baseInsts || j.inputSeen.Has(instID) {
 		return
 	}
-	j.inputSeen.add(instID)
+	j.inputSeen.Add(instID)
 	j.inputBuf = append(j.inputBuf, t.db.inputs[instID]...)
 	j.inputs = append(j.inputs, rowSave{instID, len(j.inputBuf)})
 }
 
 func (t *Txn) saveSinks(n *netlist.Net) {
 	j := &t.db.undo
-	if n.ID >= t.baseNets || j.sinkSeen.has(n.ID) {
+	if n.ID >= t.baseNets || j.sinkSeen.Has(n.ID) {
 		return
 	}
-	j.sinkSeen.add(n.ID)
+	j.sinkSeen.Add(n.ID)
 	j.sinkBuf = append(j.sinkBuf, n.Sinks...)
 	j.sinks = append(j.sinks, sinkSave{n, n.Sinks, len(j.sinkBuf)})
 }
@@ -295,7 +288,7 @@ func (t *Txn) RemoveSinkAt(n *netlist.Net, si int) netlist.PinRef {
 	if s.Inst != nil && !n.Clock {
 		t.removeInput(s.Inst, n)
 	}
-	t.dirtyNets.add(n.ID)
+	t.db.dirtyNets.Add(n.ID)
 	t.topo = true
 	return s
 }
@@ -307,7 +300,7 @@ func (t *Txn) AppendSink(n *netlist.Net, s netlist.PinRef) {
 	if s.Inst != nil && !n.Clock {
 		t.addInput(s.Inst, n)
 	}
-	t.dirtyNets.add(n.ID)
+	t.db.dirtyNets.Add(n.ID)
 	t.topo = true
 }
 
@@ -329,7 +322,7 @@ func (t *Txn) ReplaceSinks(n *netlist.Net, sinks []netlist.PinRef) {
 			}
 		}
 	}
-	t.dirtyNets.add(n.ID)
+	t.db.dirtyNets.Add(n.ID)
 	t.topo = true
 }
 
@@ -337,10 +330,10 @@ func (t *Txn) ReplaceSinks(n *netlist.Net, sinks []netlist.PinRef) {
 // their first edit.
 func (t *Txn) saveRouteRC(id int) {
 	j := &t.db.undo
-	if id >= t.baseNets || j.netSeen.has(id) {
+	if id >= t.baseNets || j.netSeen.Has(id) {
 		return
 	}
-	j.netSeen.add(id)
+	j.netSeen.Add(id)
 	sv := netSave{id: id}
 	if id < len(t.db.Routes.Routes) {
 		if r := t.db.Routes.Routes[id]; r != nil {
@@ -371,10 +364,34 @@ func (t *Txn) Reroute(n *netlist.Net) error {
 		return err
 	}
 	t.db.Ex.Reextract(&t.db.exScratch, n, r, t.db.Grid, t.db.Corner)
-	t.dirtyNets.add(n.ID)
+	t.db.dirtyNets.Add(n.ID)
+	t.db.reroutes++
+	if t.db.undo.savedSegments(n.ID, r.Segments) {
+		t.db.unchanged++
+	}
 	t.db.Obs.Reg().Counter("ddb_incremental_reroutes_total",
 		"Per-net incremental reroute+re-extract operations (Txn.Reroute).").Inc()
 	return nil
+}
+
+// Reroutes returns how many Reroute calls the transaction made, and how
+// many of them left the net's segments as the journal saved them for
+// rollback: ECO reroutes that paid for a search and changed nothing.
+func (t *Txn) Reroutes() (total, unchanged int) { return t.db.reroutes, t.db.unchanged }
+
+// savedSegments reports whether net id's route was journaled with
+// exactly the given segments.
+func (j *journal) savedSegments(id int, segs []route.Seg) bool {
+	for i := len(j.nets) - 1; i >= 0; i-- {
+		if sv := &j.nets[i]; sv.id == id {
+			lo := 0
+			if i > 0 {
+				lo = j.nets[i-1].segEnd
+			}
+			return sv.route != nil && slices.Equal(j.segBuf[lo:sv.segEnd], segs)
+		}
+	}
+	return false
 }
 
 // DropRoute discards a net's route without re-routing — the
@@ -386,27 +403,21 @@ func (t *Txn) DropRoute(n *netlist.Net) {
 	if n.ID < len(t.db.Routes.Routes) {
 		t.db.Routes.SetRoute(n.ID, nil)
 	}
-	t.dirtyNets.add(n.ID)
+	t.db.dirtyNets.Add(n.ID)
 }
 
 // Commit finalizes the bundle: undo state is dropped, the edits stay.
 func (t *Txn) Commit() {
 	t.db.freeUndo.Commit()
-	t.dropUndo()
+	t.db.undo.reset()
 	if reg := t.db.Obs.Reg(); reg != nil {
 		reg.Counter("ddb_txn_commits_total",
 			"Committed design-database transactions.").Inc()
 		reg.Counter("ddb_txn_dirty_nets_total",
-			"Net touches across committed transactions.").Add(uint64(len(t.dirtyNets.ids)))
+			"Net touches across committed transactions.").Add(uint64(t.db.dirtyNets.Len()))
 		reg.Counter("ddb_txn_dirty_insts_total",
-			"Instance touches across committed transactions.").Add(uint64(len(t.dirtyInsts.ids)))
+			"Instance touches across committed transactions.").Add(uint64(t.db.dirtyInsts.Len()))
 	}
-}
-
-// dropUndo closes the transaction and empties the journal.
-func (t *Txn) dropUndo() {
-	t.done = true
-	t.db.undo.reset()
 }
 
 // Rollback undoes every edit of the bundle in O(edits): restores saved
@@ -484,10 +495,10 @@ func (t *Txn) Rollback() (nets, insts []int, topo bool) {
 	db.inputs = db.inputs[:t.baseInsts]
 	db.freeUndo.Rollback()
 
-	nets = t.dirtyNets.sortedBelow(t.baseNets)
-	insts = t.dirtyInsts.sortedBelow(t.baseInsts)
+	nets = t.db.dirtyNets.SortedBelow(t.baseNets)
+	insts = t.db.dirtyInsts.SortedBelow(t.baseInsts)
 	topo = t.topo
-	t.dropUndo()
+	db.undo.reset()
 	if reg := db.Obs.Reg(); reg != nil {
 		reg.Counter("ddb_txn_rollbacks_total",
 			"Rolled-back design-database transactions.").Inc()

@@ -414,7 +414,11 @@ func (f *flow) openDDB(sp *obs.Span) {
 
 // optimize runs the optimizer on f.st under budget, reporting under sp.
 // A frozen budget only analyses, so it opens no design database: the
-// optimizer reads the state directly.
+// optimizer reads the state directly. Any other is the one path on
+// which a flow's instance and net IDs grow, so it reserves the design's
+// ID room first (netlist.Design.ReserveIDs): the database, the timing
+// engine and the optimizer's sets are then allocated once, at that
+// capacity, and its buffers append into them.
 func (f *flow) optimize(budget opt.Options, sp *obs.Span) (*opt.Result, error) {
 	st := f.st
 	ctx := &opt.Context{
@@ -425,6 +429,7 @@ func (f *flow) optimize(budget opt.Options, sp *obs.Span) (*opt.Result, error) {
 	if budget.Frozen {
 		ctx.Design, ctx.DB, ctx.Routes, ctx.Ex, ctx.Corner = st.Design, st.DB, st.Routes, st.ExSlow, f.t.CornerScaleFor(tech.CornerSlow)
 	} else {
+		st.Design.ReserveIDs()
 		f.openDDB(sp)
 		ctx.DDB = st.DDB
 	}

@@ -220,6 +220,10 @@ type Design struct {
 	nets  slab.Slab[Net]
 	ports slab.Slab[Port]
 	sinks slab.Slab[PinRef]
+
+	// instCap and netCap are the ID capacity ReserveIDs set aside; zero
+	// for a design that reserved none.
+	instCap, netCap int
 }
 
 // nameIndex is the by-name view of a design's records, by ID. A map left
@@ -767,6 +771,34 @@ func (d *Design) StdCells() []*Instance {
 // with TruncateTo to checkpoint/rollback incremental edits.
 func (d *Design) Counts() (instances, nets int) {
 	return len(d.Instances), len(d.Nets)
+}
+
+// ReserveIDs makes room for the instances and nets an editing run
+// appends: it grows Instances and Nets to the capacity the first append
+// to a full slice of their length gets (about 1.25× + 192 for a tile),
+// and makes that the design's ID capacity (IDCap). Whoever opens a
+// design for edits that add IDs calls it before deriving the tables the
+// edits keep current; a reservation with room left stays as it is.
+func (d *Design) ReserveIDs() {
+	d.edit()
+	if n := len(d.Instances); n >= d.instCap {
+		d.Instances = slices.Grow(d.Instances[:n:n], 1)
+		d.instCap = cap(d.Instances)
+	}
+	if n := len(d.Nets); n >= d.netCap {
+		d.Nets = slices.Grow(d.Nets[:n:n], 1)
+		d.netCap = cap(d.Nets)
+	}
+}
+
+// IDCap returns the instance and net ID capacity: the room ReserveIDs
+// made, or the counts where they are larger. A table keyed by instance
+// or net ID is allocated at it, so the edits of a reserved design
+// append into it without reallocating; a design that reserved nothing
+// — one that is only analysed — gets its tables at length. Capacity
+// that Reserve or append leave behind is not ID capacity.
+func (d *Design) IDCap() (instances, nets int) {
+	return max(d.instCap, len(d.Instances)), max(d.netCap, len(d.Nets))
 }
 
 // TruncateTo drops instances and nets appended after a checkpoint

@@ -2,6 +2,8 @@ package netlist
 
 import (
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -321,6 +323,70 @@ func TestCountsAndTruncateTo(t *testing.T) {
 	}
 	// Names can be reused after truncation.
 	d.AddInstance("extra", d.Lib.MustCell("BUF_X1"))
+}
+
+// TestReserveIDs: a design's ID capacity is its counts until it
+// reserves; then it is the capacity a full slice's first append gets,
+// appends up to it leave Instances and Nets where they are, truncation
+// keeps it, a second reservation with room left changes nothing, and a
+// copy starts without one.
+func TestReserveIDs(t *testing.T) {
+	d := tiny(t)
+	if i, n := d.IDCap(); i != 2 || n != 4 {
+		t.Fatalf("unreserved IDCap = %d, %d, want the counts 2, 4", i, n)
+	}
+	d.ReserveIDs()
+	nInst, nNets := d.IDCap()
+	if nInst != cap(d.Instances) || nNets != cap(d.Nets) || nInst <= 2 || nNets <= 4 {
+		t.Fatalf("reserved IDCap = %d, %d, slices' capacity %d, %d", nInst, nNets, cap(d.Instances), cap(d.Nets))
+	}
+	insts, nets := &d.Instances[0], &d.Nets[0]
+	for len(d.Instances) < nInst {
+		b := d.AddInstance("b"+strconv.Itoa(len(d.Instances)), d.Lib.MustCell("BUF_X1"))
+		d.AddNet("n"+strconv.Itoa(len(d.Nets)), IPin(b, "Y"))
+	}
+	if &d.Instances[0] != insts || &d.Nets[0] != nets {
+		t.Fatal("appends within the reservation moved Instances or Nets")
+	}
+	d.TruncateTo(2, 4)
+	d.ReserveIDs()
+	if i, n := d.IDCap(); i != nInst || n != nNets || &d.Instances[0] != insts {
+		t.Fatalf("after truncation and a second reservation IDCap = %d, %d, want %d, %d in place", i, n, nInst, nNets)
+	}
+	if i, n := d.Clone().IDCap(); i != 2 || n != 4 {
+		t.Fatalf("a copy's IDCap = %d, %d, want its counts", i, n)
+	}
+}
+
+// TestIDSet: membership, removal, ascending views, reset — and the
+// marks are allocated once, at the room the set was made with, on the
+// first Add: not before, and not again for an ID below it.
+func TestIDSet(t *testing.T) {
+	s := NewIDSet(64)
+	if a := testing.AllocsPerRun(10, func() { _ = s.Has(3) }); a != 0 || s.in != nil {
+		t.Fatalf("an empty set allocated (%.0f objects)", a)
+	}
+	for _, id := range []int{9, 3, 40, 3, 12} {
+		s.Add(id)
+	}
+	if len(s.in) != 64 || s.Len() != 4 || !s.Has(40) || s.Has(4) || s.Has(-1) || s.Has(64) {
+		t.Fatalf("set of %d marks, %d members", len(s.in), s.Len())
+	}
+	s.Remove(40)
+	s.Remove(5)
+	if got := s.Sorted(); !slices.Equal(got, []int{3, 9, 12}) || s.Has(40) {
+		t.Fatalf("Sorted = %v, want [3 9 12]", got)
+	}
+	if got := s.SortedBelow(10); !slices.Equal(got, []int{3, 9}) {
+		t.Fatalf("SortedBelow(10) = %v", got)
+	}
+	if a := testing.AllocsPerRun(10, func() { s.Reset(); s.Add(63); s.Add(0); _ = s.Sorted() }); a != 0 {
+		t.Fatalf("reuse below the room allocates %.0f objects", a)
+	}
+	s.Add(100)
+	if !s.Has(100) || len(s.in) < 101 || !slices.Equal(s.Members(), []int{63, 0, 100}) {
+		t.Fatalf("an ID past the room: %d marks, members %v", len(s.in), s.Members())
+	}
 }
 
 func TestTruncateToGrowPanics(t *testing.T) {

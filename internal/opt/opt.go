@@ -73,6 +73,9 @@ type Context struct {
 	Obs *obs.Span
 
 	txn *ddb.Txn
+	// setupDone, when set, sees the engine once the loop's setup is
+	// done, before the first edit (tests).
+	setupDone func(*sta.Engine)
 
 	// clusterSinks and name scratch, reused from one edit to the next.
 	pts     []geom.Point
@@ -156,68 +159,6 @@ type Result struct {
 	Iters    int
 }
 
-// intSet is a reusable dense set over instance/net ids — the loop's
-// bookkeeping runs on integer ids instead of hashed maps, so the per
-// iteration allocation churn of the old map-based sets is gone.
-type intSet struct {
-	in  []bool
-	ids []int
-}
-
-func (s *intSet) add(id int) {
-	for id >= len(s.in) {
-		s.in = append(s.in, false)
-	}
-	if !s.in[id] {
-		s.in[id] = true
-		s.ids = append(s.ids, id)
-	}
-}
-
-func (s *intSet) has(id int) bool { return id >= 0 && id < len(s.in) && s.in[id] }
-
-func (s *intSet) remove(id int) {
-	if s.has(id) {
-		s.in[id] = false
-	}
-}
-
-// len counts live members (remove may leave stale ids entries).
-func (s *intSet) len() int {
-	n := 0
-	for _, id := range s.ids {
-		if s.in[id] {
-			n++
-		}
-	}
-	return n
-}
-
-// sorted returns the live members ascending (ids are appended in
-// insertion order and never re-added while live, so a plain sort of
-// the live subset is deterministic).
-func (s *intSet) sorted() []int {
-	out := make([]int, 0, len(s.ids))
-	for _, id := range s.ids {
-		if s.in[id] {
-			out = append(out, id)
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func (s *intSet) reset() {
-	for _, id := range s.ids {
-		s.in[id] = false
-	}
-	s.ids = s.ids[:0]
-}
-
 // Optimize runs the loop until timing converges, the target is met, or
 // the budget is spent.
 func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
@@ -242,6 +183,10 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 		"Optimization iterations executed (accepted and rolled back).")
 	rollbackC := reg.Counter("opt_rollbacks_total",
 		"Optimization iterations rejected and rolled back.")
+	unchangedC := reg.Counter("opt_reroutes_unchanged_total",
+		"ECO reroutes whose new segments equal the route saved for rollback.")
+	rolledBackRerouteC := reg.Counter("opt_rolled_back_reroutes_total",
+		"ECO reroutes paid for in iterations that were then rolled back.")
 	res := &Result{}
 
 	period := opt.TargetPeriod
@@ -272,15 +217,20 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 		ctx.DDB.Free = place.NewFreeSpace(ctx.Design, ctx.FP, ctx.RowHeight)
 	}
 	sp.End()
+	if ctx.setupDone != nil {
+		ctx.setupDone(eng)
+	}
 
 	ctx.names.First = nameChunk
 	bufSeq := 0
-	fanoutDone := &intSet{}
-	chainDone := &intSet{}
-	noResize := &intSet{}
+	// The loop's bookkeeping runs on dense ID sets, made at the design's
+	// ID capacity: the sets by net, and those by instance.
+	nInst, nNets := ctx.Design.IDCap()
+	fanoutDone, chainDone := netlist.NewIDSet(nNets), netlist.NewIDSet(nNets)
+	touched := netlist.NewIDSet(nNets) // net IDs needing re-extraction
+	noResize := netlist.NewIDSet(nInst)
+	resizedNow := netlist.NewIDSet(nInst) // instance IDs resized this iteration
 	skipPath := map[pathID]bool{}
-	touched := &intSet{}    // net IDs needing re-extraction
-	resizedNow := &intSet{} // instance IDs resized this iteration
 	stale := 0
 	for it := 0; it < opt.MaxIters; it++ {
 		if opt.TargetPeriod > 0 && rep.MinPeriod <= opt.TargetPeriod {
@@ -288,8 +238,8 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 		}
 		iterC.Inc()
 		moves := 0
-		touched.reset()
-		resizedNow.reset()
+		touched.Reset()
+		resizedNow.Reset()
 		buffers0 := res.Buffers
 		markedNow := []mark{} // buffer markers set this iteration
 		txn := ctx.DDB.Begin()
@@ -313,8 +263,8 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 			if skipPath[k] {
 				continue
 			}
-			m := fixPath(ctx, res, p.Steps, opt, &bufSeq, touched,
-				fanoutDone, chainDone, noResize, resizedNow, &markedNow,
+			m := fixPath(ctx, res, p.Steps, opt, &bufSeq, &touched,
+				&fanoutDone, &chainDone, &noResize, &resizedNow, &markedNow,
 				opt.MaxMovesPerIter-moves)
 			if m > 0 && !haveKey {
 				curKey = k
@@ -329,7 +279,7 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 		// Touched nets: rerouted (ECO moves shift pins) and re-extracted
 		// in deterministic order.
 		sp = ctx.Obs.Child("reroute")
-		for _, id := range touched.sorted() {
+		for _, id := range touched.Sorted() {
 			if id >= len(ctx.Routes.Routes) || ctx.Routes.Routes[id] == nil {
 				continue
 			}
@@ -338,8 +288,10 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 			}
 		}
 		sp.End()
-		res.Rerouted += touched.len()
+		res.Rerouted += touched.Len()
 		res.Iters = it + 1
+		reroutes, unchanged := txn.Reroutes()
+		unchangedC.Add(uint64(unchanged))
 
 		// The timing span also covers the accept-or-roll-back it decides.
 		sp = ctx.Obs.Child("timing")
@@ -364,6 +316,7 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 		improvedSum := pathScore(next) < pathScore(rep)-0.5
 		if !improvedWorst && !improvedSum {
 			rollbackC.Inc()
+			rolledBackRerouteC.Add(uint64(reroutes))
 			nets, insts, topo := txn.Rollback()
 			if opt.SelfCheck {
 				if err := checkJournals(ctx); err != nil {
@@ -380,15 +333,15 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 			// retried immediately.
 			for _, m := range markedNow {
 				if m.chain {
-					chainDone.remove(m.netID)
+					chainDone.Remove(m.netID)
 				} else {
-					fanoutDone.remove(m.netID)
+					fanoutDone.Remove(m.netID)
 				}
 			}
-			for _, id := range resizedNow.ids {
-				noResize.add(id)
+			for _, id := range resizedNow.Members() {
+				noResize.Add(id)
 			}
-			res.Resized -= resizedNow.len()
+			res.Resized -= resizedNow.Len()
 			res.Buffers = buffers0
 			skipPath[curKey] = true
 			sp.End()
@@ -542,7 +495,7 @@ func pathKey(p sta.Path) pathID {
 	return pathID{from: p.Steps[0].Ref, to: p.Steps[len(p.Steps)-1].Ref}
 }
 
-func fixPath(ctx *Context, res *Result, steps []sta.PathStep, opt Options, bufSeq *int, touched, fanoutDone, chainDone, noResize, resizedNow *intSet, markedNow *[]mark, budget int) int {
+func fixPath(ctx *Context, res *Result, steps []sta.PathStep, opt Options, bufSeq *int, touched, fanoutDone, chainDone, noResize, resizedNow *netlist.IDSet, markedNow *[]mark, budget int) int {
 	moves := 0
 	for i := 0; i+1 < len(steps) && moves < budget; i++ {
 		from := steps[i].Ref
@@ -553,13 +506,13 @@ func fixPath(ctx *Context, res *Result, steps []sta.PathStep, opt Options, bufSe
 		// Gate sizing: jump straight to the drive strength matched to
 		// the extracted load (R·C_load ≤ ~80 ps), like a real sizer's
 		// load-based lookup, instead of creeping one step per pass.
-		if !inst.IsMacro() && !noResize.has(inst.ID) && !resizedNow.has(inst.ID) {
+		if !inst.IsMacro() && !noResize.Has(inst.ID) && !resizedNow.Has(inst.ID) {
 			if to := sizeForLoad(ctx, inst); to != nil {
 				// A resize that grows the cell also moves it into legal free
 				// space; when none is left the edit is skipped.
 				if ctx.txn.Upsize(inst, to) == nil {
 					res.Resized++
-					resizedNow.add(inst.ID)
+					resizedNow.Add(inst.ID)
 					moves++
 					touchNetsOf(ctx, inst, touched)
 				}
@@ -576,28 +529,28 @@ func fixPath(ctx *Context, res *Result, steps []sta.PathStep, opt Options, bufSe
 			// the tree grows by splitting the (new) cluster nets on
 			// later passes, never by chaining levels in front of the
 			// root.
-			if rc.CTotal() > fanoutCap && len(n.Sinks) >= 2 && !fanoutDone.has(n.ID) {
+			if rc.CTotal() > fanoutCap && len(n.Sinks) >= 2 && !fanoutDone.Has(n.ID) {
 				before := len(ctx.Design.Instances)
 				if err := insertFanoutBuffer(ctx, n, bufSeq); err == nil {
-					fanoutDone.add(n.ID)
+					fanoutDone.Add(n.ID)
 					*markedNow = append(*markedNow, mark{n.ID, false})
 					res.Buffers += len(ctx.Design.Instances) - before // one per sink cluster
 					moves++
-					touched.add(n.ID)
+					touched.Add(n.ID)
 					continue
 				}
 			}
 			// Like fanout wrapping, a chain is inserted at most once
 			// per net; the chain's own nets may be split again later,
 			// which terminates because every level is shorter.
-			if si < len(rc.ElmoreTo) && rc.ElmoreTo[si] > opt.BufferElmore && !chainDone.has(n.ID) {
+			if si < len(rc.ElmoreTo) && rc.ElmoreTo[si] > opt.BufferElmore && !chainDone.Has(n.ID) {
 				nb, err := insertBufferChain(ctx, n, si, bufSeq)
 				if err == nil && nb > 0 {
-					chainDone.add(n.ID)
+					chainDone.Add(n.ID)
 					*markedNow = append(*markedNow, mark{n.ID, true})
 					res.Buffers += nb
 					moves++
-					touched.add(n.ID)
+					touched.Add(n.ID)
 				}
 			}
 		}
@@ -643,14 +596,14 @@ func sizeForLoad(ctx *Context, inst *netlist.Instance) *cell.Cell {
 // touchNetsOf adds the ids of the non-clock nets touching an instance
 // to the set, from the ddb adjacency (driven nets first, then input
 // nets).
-func touchNetsOf(ctx *Context, inst *netlist.Instance, touched *intSet) {
+func touchNetsOf(ctx *Context, inst *netlist.Instance, touched *netlist.IDSet) {
 	for _, id := range ctx.DDB.Driven(inst) {
 		if !ctx.Design.Nets[id].Clock {
-			touched.add(int(id))
+			touched.Add(int(id))
 		}
 	}
 	for _, id := range ctx.DDB.InputNets(inst) {
-		touched.add(int(id))
+		touched.Add(int(id))
 	}
 }
 

@@ -1,8 +1,10 @@
 package opt
 
 import (
+	"maps"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"macro3d/internal/cts"
@@ -58,6 +60,7 @@ func tilePreOptOf(t *testing.T, cfg piton.Config) *Context {
 		t.Fatal(err)
 	}
 	slow := tc.CornerScaleFor(tech.CornerSlow)
+	d.ReserveIDs() // as a flow does before it opens the database to edit
 	return &Context{
 		Clock: tree, FP: fp, RowHeight: tc.RowHeight,
 		DDB: ddb.New(d, grid, routes, extract.Extract(d, routes, grid, slow), slow),
@@ -92,7 +95,85 @@ func TestJournalsMatchScratchOnTile(t *testing.T) {
 	if gained := len(ctx.Design.Instances) - before; res.Buffers != gained {
 		t.Fatalf("Result.Buffers = %d, the design gained %d instances", res.Buffers, gained)
 	}
-	t.Logf("%d commits, %d rollbacks, %d buffers kept", commits, rollbacks, res.Buffers)
+	// The reroute counters are shares of all reroutes, the rolled-back
+	// ones there because the run rolled iterations back.
+	reroutes := reg.Counter("ddb_incremental_reroutes_total", "").Value()
+	unchanged := reg.Counter("opt_reroutes_unchanged_total", "").Value()
+	rolledBack := reg.Counter("opt_rolled_back_reroutes_total", "").Value()
+	if unchanged > reroutes || rolledBack == 0 || rolledBack > reroutes {
+		t.Fatalf("%d reroutes, %d unchanged, %d rolled back", reroutes, unchanged, rolledBack)
+	}
+	t.Logf("%d commits, %d rollbacks, %d buffers kept; %d reroutes, %d unchanged, %d rolled back",
+		commits, rollbacks, res.Buffers, reroutes, unchanged, rolledBack)
+}
+
+// TestTablesStayPut: on the small 2D tile, its IDs reserved as a flow
+// reserves them, an editing Optimize inserts its buffers (816 of them,
+// within the reservation) into the tables it set up. From the engine's
+// creation to the end of the run, each of the engine's tables keyed by
+// node, instance or net and the database's adjacency by instance keep
+// their backing arrays: the same capacity, the same first element.
+func TestTablesStayPut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-tile optimization")
+	}
+	type table struct {
+		ptr uintptr
+		cap int
+	}
+	// tables reads the named slice fields of the structs behind the
+	// pointers, a dotted path through nested fields.
+	tables := func(of any, paths ...string) map[string]table {
+		out := map[string]table{}
+		for _, path := range paths {
+			v := reflect.ValueOf(of).Elem()
+			for _, f := range strings.Split(path, ".") {
+				v = v.FieldByName(f)
+			}
+			if v.Kind() != reflect.Slice || v.Cap() == 0 {
+				t.Fatalf("%T.%s is no allocated slice", of, path)
+			}
+			out[path] = table{v.Pointer(), v.Cap()}
+		}
+		return out
+	}
+	engTables := []string{
+		"lastNet", "launchGen", "launchBest", "dirtyFull", "dirtyHalf",
+		"full.arr", "full.slew", "full.wl", "full.prev", "full.via",
+		"half.arr", "half.slew", "half.wl", "half.prev", "half.via",
+		"isComb", "isSeq", "indeg0", "indeg", "released", "in.at", "order",
+		"netDrv", "drvPrev", "fan.at", "ep.at",
+	}
+	dbTables := []string{"drivenI", "inputs"}
+
+	ctx := tilePreOpt(t)
+	d := ctx.DDB.Design
+	before := len(d.Instances)
+	var atSetup map[string]table
+	var eng *sta.Engine
+	ctx.setupDone = func(e *sta.Engine) {
+		eng = e
+		atSetup = tables(e, engTables...)
+		maps.Copy(atSetup, tables(ctx.DDB, dbTables...))
+	}
+	res, err := Optimize(ctx, sta.Options{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Engine != eng {
+		t.Fatal("the result's engine is not the one set up")
+	}
+	nInst, _ := d.IDCap()
+	if grown := len(d.Instances) - before; grown == 0 || len(d.Instances) > nInst {
+		t.Fatalf("the run grew the design by %d instances to %d, want some, within the %d reserved", grown, len(d.Instances), nInst)
+	}
+	atEnd := tables(eng, engTables...)
+	maps.Copy(atEnd, tables(ctx.DDB, dbTables...))
+	for _, path := range append(engTables, dbTables...) {
+		if a, b := atSetup[path], atEnd[path]; a != b {
+			t.Errorf("%s was reallocated: cap %d at setup, %d after %d buffers", path, a.cap, b.cap, res.Buffers)
+		}
+	}
 }
 
 // TestEngineTopoPatchEqualsRebuild drives the timing engine through

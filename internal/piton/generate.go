@@ -2,6 +2,7 @@ package piton
 
 import (
 	"fmt"
+	"strconv"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/netlist"
@@ -87,8 +88,8 @@ func (g *gen) buildTile() error {
 			g.connectBus("noc_l3", r.localOuts, &l3.fillIns, len(l3.fillIns))
 		} else {
 			// Other NoCs carry core-originated traffic.
-			g.connectBus(fmt.Sprintf("core_noc%d", k), core.outs, &r.localIns, len(r.localIns))
-			g.connectBus(fmt.Sprintf("noc%d_core", k), r.localOuts, &core.ins, len(core.ins))
+			g.connectBus("core_noc"+strconv.Itoa(k), core.outs, &r.localIns, len(r.localIns))
+			g.connectBus("noc"+strconv.Itoa(k)+"_core", r.localOuts, &core.ins, len(core.ins))
 		}
 	}
 
@@ -118,7 +119,7 @@ func (g *gen) buildCore() *iface {
 	banks := make([][]*netlist.Instance, cfg.CoreStages)
 	for s := range banks {
 		banks[s] = make([]*netlist.Instance, cfg.CoreWidth)
-		hint := fmt.Sprintf("core_s%d", s)
+		hint := "core_s" + strconv.Itoa(s)
 		for b := range banks[s] {
 			banks[s][b] = g.dff(hint)
 		}
@@ -129,7 +130,7 @@ func (g *gen) buildCore() *iface {
 		for i, ff := range banks[s] {
 			drv[i] = netlist.IPin(ff, "Q")
 		}
-		outs := g.cloud(fmt.Sprintf("core_c%d", s), drv, cfg.CoreWidth, cfg.CloudDepth)
+		outs := g.cloud("core_c"+strconv.Itoa(s), drv, cfg.CoreWidth, cfg.CloudDepth)
 		for i, ff := range banks[s+1] {
 			g.fanout(outs[i%len(outs)], netlist.IPin(ff, "D"))
 		}
@@ -165,7 +166,7 @@ func (g *gen) buildCacheLevel(level string, bytes int) (*iface, error) {
 			return nil, fmt.Errorf("piton: SRAM compile for %s bank %d failed: %w", level, i, err)
 		}
 		g.cfg.MacroProcess.Apply(m)
-		inst := g.addMacro(fmt.Sprintf("%s_bank%d", level, i), m)
+		inst := g.addMacro(level+"_bank"+strconv.Itoa(i), m)
 		macros[i] = inst
 		g.clk = append(g.clk, netlist.IPin(inst, "CLK"))
 	}
@@ -188,14 +189,14 @@ func (g *gen) buildCacheLevel(level string, bytes int) (*iface, error) {
 	for b := 0; b < addrBits; b++ {
 		ff := g.dff(level + "_addr")
 		addrFF[b] = ff
-		g.drive(level+"_a", netlist.IPin(ff, "Q"), busPins(fmt.Sprintf("A%d", b))...)
+		g.drive(level+"_a", netlist.IPin(ff, "Q"), busPins("A"+strconv.Itoa(b))...)
 		fc.reqIns = append(fc.reqIns, netlist.IPin(ff, "D"))
 	}
 
 	// Shared write-data bus.
 	for b := 0; b < cfg.DataWidth; b++ {
 		ff := g.dff(level + "_wdata")
-		g.drive(level+"_d", netlist.IPin(ff, "Q"), busPins(fmt.Sprintf("D%d", b))...)
+		g.drive(level+"_d", netlist.IPin(ff, "Q"), busPins("D"+strconv.Itoa(b))...)
 		fc.fillIns = append(fc.fillIns, netlist.IPin(ff, "D"))
 	}
 
@@ -213,7 +214,7 @@ func (g *gen) buildCacheLevel(level string, bytes int) (*iface, error) {
 	// Read-data merge: per bit, a mux tree over the bank Q outputs
 	// feeding a capture register.
 	for b := 0; b < cfg.DataWidth; b++ {
-		cur := append([]netlist.PinRef(nil), busPins(fmt.Sprintf("Q%d", b))...)
+		cur := append([]netlist.PinRef(nil), busPins("Q"+strconv.Itoa(b))...)
 		for len(cur) > 1 {
 			var next []netlist.PinRef
 			for i := 0; i+1 < len(cur); i += 2 {
@@ -278,7 +279,7 @@ func (g *gen) buildRouter(k int) *router {
 	// Input side: edge port → input register bank.
 	for _, e := range dirs {
 		group := PortGroup{Edge: e, Pair: inPair(e)}
-		hint := fmt.Sprintf("noc%d_%s_in", k, e)
+		hint := "noc" + strconv.Itoa(k) + "_" + e.String() + "_in"
 		for b := 0; b < w; b++ {
 			p := g.addPort(g.seqName("", hint, b), cell.DirIn)
 			p.Layer = "M6"
@@ -291,7 +292,7 @@ func (g *gen) buildRouter(k int) *router {
 		g.tile.Groups = append(g.tile.Groups, group)
 	}
 	// Local input registers (from tile logic).
-	locIn := fmt.Sprintf("noc%d_loc_in", k)
+	locIn := "noc" + strconv.Itoa(k) + "_loc_in"
 	for b := 0; b < w; b++ {
 		ff := g.dff(locIn)
 		r.localIns = append(r.localIns, netlist.IPin(ff, "D"))
@@ -303,13 +304,13 @@ func (g *gen) buildRouter(k int) *router {
 	if xd < 2 {
 		xd = 2
 	}
-	xbar := g.cloud(fmt.Sprintf("noc%d_xbar", k), allInQ, 5*w, xd)
+	xbar := g.cloud("noc"+strconv.Itoa(k)+"_xbar", allInQ, 5*w, xd)
 
 	// Output side: output register bank → edge port.
 	oi := 0
 	for _, e := range dirs {
 		group := PortGroup{Edge: e, Pair: outPair(e)}
-		hint := fmt.Sprintf("noc%d_%s_out", k, e)
+		hint := "noc" + strconv.Itoa(k) + "_" + e.String() + "_out"
 		for b := 0; b < w; b++ {
 			ff := g.dff(hint)
 			g.fanout(xbar[oi%len(xbar)], netlist.IPin(ff, "D"))
@@ -324,7 +325,7 @@ func (g *gen) buildRouter(k int) *router {
 		g.tile.Groups = append(g.tile.Groups, group)
 	}
 	// Local outputs.
-	locOut := fmt.Sprintf("noc%d_loc_out", k)
+	locOut := "noc" + strconv.Itoa(k) + "_loc_out"
 	for b := 0; b < w; b++ {
 		ff := g.dff(locOut)
 		g.fanout(xbar[oi%len(xbar)], netlist.IPin(ff, "D"))

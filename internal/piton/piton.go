@@ -230,7 +230,7 @@ func sramBanks(level string, bytes, width int) []cell.SRAMSpec {
 	specs := make([]cell.SRAMSpec, banks)
 	for i := range specs {
 		specs[i] = cell.SRAMSpec{
-			Name:  fmt.Sprintf("sram_%s_b%d_%dx%d", level, i, words, width),
+			Name:  "sram_" + level + "_b" + strconv.Itoa(i) + "_" + strconv.Itoa(words) + "x" + strconv.Itoa(width),
 			Words: words,
 			Bits:  width,
 		}

@@ -197,27 +197,38 @@ func (e *Engine) markFanout(node int, dirty []bool) {
 	}
 }
 
-// resizePass grows or shrinks a pass's arrays to nNodes and
-// re-initializes every slot at or above resetFrom.
-func (e *Engine) resizePass(p *pass) {
+// resizePass grows or shrinks a pass's arrays to nNodes, with room for
+// nodeCap, and re-initializes every slot at or above resetFrom.
+func (e *Engine) resizePass(p *pass, nodeCap int) {
 	from := min(e.resetFrom, len(p.arr))
-	p.arr = resize(p.arr, e.nNodes)
-	p.slew = resize(p.slew, e.nNodes)
-	p.wl = resize(p.wl, e.nNodes)
-	p.prev = resize(p.prev, e.nNodes)
-	p.via = resize(p.via, e.nNodes)
+	p.arr = resize(p.arr, e.nNodes, nodeCap)
+	p.slew = resize(p.slew, e.nNodes, nodeCap)
+	p.wl = resize(p.wl, e.nNodes, nodeCap)
+	p.prev = resize(p.prev, e.nNodes, nodeCap)
+	p.via = resize(p.via, e.nNodes, nodeCap)
 	e.initPass(p, from)
 }
 
+// idCap is the design's ID capacity (netlist.Design.IDCap) in nodes,
+// instances and nets: what every table keyed by one of them is
+// allocated for, so that an optimizer's insertions up to it patch the
+// tables where they lie.
+func (e *Engine) idCap() (nodes, insts, nets int) {
+	insts, nets = e.d.IDCap()
+	return e.nPorts + insts, insts, nets
+}
+
 // resize returns s with length n, keeping the elements both lengths
-// share. Growth past the capacity is append's (geometric), so a run of
-// one-buffer insertions reallocates and copies each array O(log n)
-// times, not once per insertion. Slots exposed by growing hold
-// whatever the backing array held — callers re-initialize them
-// (resizePass from resetFrom, the topology builders by clearing).
-func resize[T any](s []T, n int) []T {
+// share. Growth past the capacity makes room for c, the ID capacity of
+// the key, or — once the keys outgrow that too — append's geometric
+// growth, so a run of one-buffer insertions beyond the reservation
+// reallocates and copies each array O(log n) times, not once per
+// insertion. Slots exposed by growing hold whatever the backing array
+// held — callers re-initialize them (resizePass from resetFrom, the
+// topology builders by clearing).
+func resize[T any](s []T, n, c int) []T {
 	if n > cap(s) {
-		s = slices.Grow(s, n-len(s))
+		s = slices.Grow(s, max(n, c)-len(s))
 	}
 	return s[:n]
 }

@@ -448,14 +448,21 @@ func TestUpdateAllocsReportOnly(t *testing.T) {
 }
 
 // TestLevelizeAllocs: levelize sizes the order for every combinational
-// instance before the first release instead of growing it append by
-// append (13 objects for the 2 000 gates of lanes(1000)): from an empty
-// order a levelization costs the same few objects at any size — one, and
-// one more of the race detector's — from a warm one none, and the order
-// is the same.
+// instance, and for every instance the design's ID capacity has room
+// for, before the first release instead of growing it append by append
+// (13 objects for the 2 000 gates of lanes(1000)): from an empty order a
+// levelization costs the same few objects at any size — one, and one
+// more of the race detector's — from a warm one none, and the order is
+// the same. A design that reserved IDs (netlist.Design.ReserveIDs) gets
+// an order with room for them.
 func TestLevelizeAllocs(t *testing.T) {
-	cold := func(w int) float64 {
+	cold := func(w int, reserve bool) float64 {
 		d, ex := lanes(t, w)
+		if reserve {
+			d.ReserveIDs()
+		}
+		nInst, _ := d.IDCap()
+		room := nInst - len(d.Instances)
 		e, err := NewEngine(d, ex, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -470,12 +477,15 @@ func TestLevelizeAllocs(t *testing.T) {
 			t.Fatalf("a warm levelize allocates %.0f objects, want 0", warm)
 		}
 		allocs := testing.AllocsPerRun(10, func() { e.order = nil; levelize() })
-		if !slices.Equal(e.order, want) || cap(e.order) > len(want)+len(want)/8 {
-			t.Fatalf("levelize from an empty order: order of %d in %d, want the %d of before", len(e.order), cap(e.order), len(want))
+		if n := len(want) + room; !slices.Equal(e.order, want) || cap(e.order) < n || cap(e.order) > n+n/8 {
+			t.Fatalf("levelize from an empty order: order of %d in %d, want the %d of before with room for %d more", len(e.order), cap(e.order), len(want), room)
 		}
 		return allocs
 	}
-	small, large := cold(50), cold(1000)
+	if reserved := cold(50, true); reserved > 2 {
+		t.Fatalf("levelize of a reserved design from an empty order allocates %.0f objects, want at most 2", reserved)
+	}
+	small, large := cold(50, false), cold(1000, false)
 	if small != large || large > 2 {
 		t.Fatalf("levelize from an empty order allocates %.0f objects at 100 gates, %.0f at 2 000: want no growth, and at most 2", small, large)
 	}

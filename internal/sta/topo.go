@@ -52,13 +52,13 @@ func (t *rows[T]) row(k int) []T {
 	return t.data[s.off : s.off+s.n]
 }
 
-// keys resizes the table to n keys and empties every row at or above
-// from.
-func (t *rows[T]) keys(n, from int) {
+// keys resizes the table to n keys, with room for c, and empties every
+// row at or above from.
+func (t *rows[T]) keys(n, c, from int) {
 	for k := from; k < len(t.at); k++ {
 		t.live -= int(t.at[k].n)
 	}
-	t.at = resize(t.at, n)
+	t.at = resize(t.at, n, c)
 	if from < n {
 		clear(t.at[from:])
 	}
@@ -187,14 +187,16 @@ func (e *Engine) endpointRow(n *netlist.Net, si int, drv int32, kind int) epRow 
 }
 
 // sizeNodes sizes the per-node and per-instance arrays that are not
-// tables to the current design and re-initializes their slots at or
-// above instance instFrom (node resetFrom).
+// tables to the current design, with room for its ID capacity, and
+// re-initializes their slots at or above instance instFrom (node
+// resetFrom).
 func (e *Engine) sizeNodes(instFrom int) {
 	nInst := len(e.d.Instances)
+	nodeCap, instCap, _ := e.idCap()
 	e.nNodes = e.nPorts + nInst
-	e.isComb, e.isSeq = resize(e.isComb, nInst), resize(e.isSeq, nInst)
-	e.indeg0 = resize(e.indeg0, nInst)
-	e.lastNet = resize(e.lastNet, e.nNodes)
+	e.isComb, e.isSeq = resize(e.isComb, nInst, instCap), resize(e.isSeq, nInst, instCap)
+	e.indeg0 = resize(e.indeg0, nInst, instCap)
+	e.lastNet = resize(e.lastNet, e.nNodes, nodeCap)
 	if instFrom < nInst {
 		clear(e.isComb[instFrom:])
 		clear(e.isSeq[instFrom:])
@@ -208,12 +210,12 @@ func (e *Engine) sizeNodes(instFrom int) {
 	}
 	// A launchGen slot that comes back from beyond the old length holds
 	// the stamp of a report long past, never the next one's.
-	e.launchGen = resize(e.launchGen, e.nNodes)
-	e.launchBest = resize(e.launchBest, e.nNodes)
-	e.resizePass(&e.full)
-	e.resizePass(&e.half)
-	e.dirtyFull = resize(e.dirtyFull, e.nNodes)
-	e.dirtyHalf = resize(e.dirtyHalf, e.nNodes)
+	e.launchGen = resize(e.launchGen, e.nNodes, nodeCap)
+	e.launchBest = resize(e.launchBest, e.nNodes, nodeCap)
+	e.resizePass(&e.full, nodeCap)
+	e.resizePass(&e.half, nodeCap)
+	e.dirtyFull = resize(e.dirtyFull, e.nNodes, nodeCap)
+	e.dirtyHalf = resize(e.dirtyHalf, e.nNodes, nodeCap)
 	e.resetFrom, e.netFrom = int(^uint(0)>>1), int(^uint(0)>>1)
 }
 
@@ -232,10 +234,11 @@ func (e *Engine) rebuildTopo() error {
 	}
 
 	nNets := len(d.Nets)
-	e.netDrv, e.drvPrev = resize(e.netDrv, nNets), resize(e.drvPrev, nNets)
-	e.fan.keys(nNets, 0)
-	e.ep.keys(nNets, 0)
-	e.in.keys(len(d.Instances), 0)
+	_, instCap, netCap := e.idCap()
+	e.netDrv, e.drvPrev = resize(e.netDrv, nNets, netCap), resize(e.drvPrev, nNets, netCap)
+	e.fan.keys(nNets, netCap, 0)
+	e.ep.keys(nNets, netCap, 0)
+	e.in.keys(len(d.Instances), instCap, 0)
 	for _, n := range d.Nets {
 		drv := e.driverOf(n)
 		e.link(int32(n.ID), drv)
@@ -304,6 +307,7 @@ func (e *Engine) patchTopo() error {
 	}
 	oldNets, oldInsts := len(e.netDrv), len(e.isComb)
 	newNets, newInsts := len(d.Nets), len(d.Instances)
+	_, instCap, netCap := e.idCap()
 	netFrom := min(e.netFrom, oldNets, newNets)
 	instFrom := min(e.resetFrom-e.nPorts, oldInsts, newInsts)
 	for _, id := range e.pendInsts {
@@ -315,7 +319,7 @@ func (e *Engine) patchTopo() error {
 	// The dirty nets, ascending: the pending ids below the tail, then
 	// the tail as it was and as it is.
 	topNets := max(oldNets, newNets)
-	e.netMark = resize(e.netMark, topNets)
+	e.netMark = resize(e.netMark, topNets, netCap)
 	dn := e.dirtyNets[:0]
 	for _, id := range e.pendNets {
 		if id < netFrom && !e.netMark[id] {
@@ -332,7 +336,7 @@ func (e *Engine) patchTopo() error {
 
 	// The instances on those nets as the tables know them: their in rows
 	// lose arcs, and the combinational ones in-degree.
-	e.instMark = resize(e.instMark, max(oldInsts, newInsts))
+	e.instMark = resize(e.instMark, max(oldInsts, newInsts), instCap)
 	di := e.dirtyInsts[:0]
 	touch := func(id int32) {
 		if !e.instMark[id] {
@@ -362,10 +366,10 @@ func (e *Engine) patchTopo() error {
 	}
 
 	e.sizeNodes(instFrom)
-	e.netDrv, e.drvPrev = resize(e.netDrv, newNets), resize(e.drvPrev, newNets)
-	e.fan.keys(newNets, netFrom)
-	e.ep.keys(newNets, netFrom)
-	e.in.keys(newInsts, instFrom)
+	e.netDrv, e.drvPrev = resize(e.netDrv, newNets, netCap), resize(e.drvPrev, newNets, netCap)
+	e.fan.keys(newNets, netCap, netFrom)
+	e.ep.keys(newNets, netCap, netFrom)
+	e.in.keys(newInsts, instCap, instFrom)
 
 	// The dirty nets as the design has them now.
 	arcs := e.arcTmp[:0]
@@ -454,13 +458,16 @@ func (e *Engine) clearMarks(nets, insts []int32) {
 // fan rows and node chains, consuming a copy of the in-degrees. The
 // order doubles as the work queue: an instance is appended when it is
 // released and relaxes its fanout when the head reaches it; it is sized
-// for every combinational instance before the first release. It reads
-// the flat tables only, never a net.
+// before the first release for every combinational instance and every
+// instance the design's ID capacity has room for. It reads the flat
+// tables only, never a net.
 func (e *Engine) levelize() error {
 	insts := e.d.Instances
-	indeg := append(e.indeg[:0], e.indeg0...)
+	_, instCap, _ := e.idCap()
+	indeg := resize(e.indeg, len(e.indeg0), instCap)
+	copy(indeg, e.indeg0)
 	e.indeg = indeg
-	e.released = resize(e.released, len(insts))
+	e.released = resize(e.released, len(insts), instCap)
 	clear(e.released)
 	comb := 0
 	for _, c := range e.isComb {
@@ -468,7 +475,7 @@ func (e *Engine) levelize() error {
 			comb++
 		}
 	}
-	e.order = slices.Grow(e.order[:0], comb)
+	e.order = slices.Grow(e.order[:0], comb+instCap-len(insts))
 	// release appends a combinational instance whose in-degree reached
 	// zero, once.
 	release := func(id int) {
