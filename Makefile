@@ -232,10 +232,9 @@ bench-pairs:
 ## (`-experiment table1|table2|table3`, which write their cells beside
 ## it) rewrite BENCH_qor.json; then the ensemble is held against the
 ## committed file with benchjson's paired-seed sign test per flow × tile
-## and metric, failing when one is worse on nine seeds in ten. Commit the
-## new file with the change that moved it; TestExperimentsEnsembleTable
-## and TestExperimentsTablesIToIII then say which EXPERIMENTS.md cells it
-## left stale.
+## and metric, failing when one is worse on nine seeds in ten. Each run
+## also re-renders EXPERIMENTS.md's tables from the merged file; commit
+## both files with the change that moved them.
 qor:
 	git show HEAD:BENCH_qor.json > BENCH_qor.old.json
 	$(GO) run ./cmd/macro3d -experiment seeds
@@ -246,14 +245,17 @@ qor:
 ## -experiment table1|table2|table3`), plain and with -check —
 ## independent sign-off verification, the optimizer's incremental state
 ## held to a from-scratch recompute every iteration — failing unless a
-## checked run passes and its stdout is cmp-identical to the plain one.
+## checked run passes and its stdout is cmp-identical to the plain one,
+## and the plain one to the table's rendered block in EXPERIMENTS.md.
 ## About 6 s on two cores. The experiments rewrite BENCH_qor.json where
 ## they run, so they run in a temporary directory.
 tables-check:
 	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o $$dir/macro3d ./cmd/macro3d && cd $$dir && \
 	for e in table1 table2 table3; do \
-		./macro3d -experiment $$e > $$e.plain && ./macro3d -experiment $$e -check > $$e.check && cmp $$e.plain $$e.check || exit 1; \
+		sed -n "/^<!-- rendered:$$e -->$$/,/^<!-- \/rendered -->$$/p" $(CURDIR)/EXPERIMENTS.md | sed '1d;$$d' > $$e.doc; \
+		./macro3d -experiment $$e > $$e.plain && ./macro3d -experiment $$e -check > $$e.check && \
+		cmp $$e.plain $$e.check && cmp $$e.plain $$e.doc || exit 1; \
 	done
 
 ## qor-check: the seed ensemble checked — `macro3d -experiment seeds

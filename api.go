@@ -304,6 +304,11 @@ func RunExperiment(ctx context.Context, cfg FlowConfig, name string, keepGoing b
 	return report.RunExperiment(ctx, cfg, name, keepGoing)
 }
 
+// RenderExperiments returns the markdown md with each of its rendered
+// blocks — the tables `-experiment seeds|table1|table2|table3` print —
+// rewritten from the BENCH_qor.json file qor.
+func RenderExperiments(md, qor []byte) ([]byte, error) { return report.Render(md, qor) }
+
 // --- Stage cache ---
 
 // StageCache is the content-addressed on-disk stage cache: completed

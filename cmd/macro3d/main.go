@@ -19,7 +19,9 @@
 // -macrodiemetals are usage errors with any but flowtrace. -experiment
 // seeds runs Tables I and II and C2D over ten seeds from -seed and writes
 // their QoR to BENCH_qor.json; table1, table2 and table3 write their
-// cells there too, each replacing only its own part of the file.
+// cells there too, each replacing only its own part of the file. Each of
+// the four prints its markdown table; a ./EXPERIMENTS.md beside the file
+// gets every such table re-rendered from the merged file.
 //
 // -timeout bounds the whole invocation (flows are cancelled at the
 // next stage boundary); -keep-going lets multi-column experiments
@@ -264,10 +266,23 @@ func run(ctx context.Context, cfg macro3d.FlowConfig, o *options) error {
 	if err != nil {
 		return fmt.Errorf("BENCH_qor.json: %w", err)
 	}
-	return writeAtomic("BENCH_qor.json", func(w io.Writer) error {
-		_, err := w.Write(qor)
+	write := func(path string, b []byte) error {
+		return writeAtomic(path, func(w io.Writer) error { _, err := w.Write(b); return err })
+	}
+	if err := write("BENCH_qor.json", qor); err != nil {
 		return err
-	})
+	}
+	// EXPERIMENTS.md embeds the tables as rendered from BENCH_qor.json.
+	md, err := os.ReadFile("EXPERIMENTS.md")
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	} else if err == nil {
+		md, err = macro3d.RenderExperiments(md, qor)
+	}
+	if err != nil {
+		return fmt.Errorf("EXPERIMENTS.md: %w", err)
+	}
+	return write("EXPERIMENTS.md", md)
 }
 
 func printPPA(p *macro3d.PPA) {

@@ -310,12 +310,11 @@ func signoffSize(st *State, preInst, preNet int) int {
 // timing report. Slow-corner extraction is cheap and pure, so on load
 // it re-runs from scratch rather than being stored — incremental and
 // from-scratch extraction are bit-identical by the ddb equivalence
-// guarantee. The design database is reopened on it, as the optimizer
-// would have, for a budget that edits.
+// guarantee. No design database is opened on it: nothing after
+// sign-off reads one.
 func (f *flow) signoffCheckpoint(budget opt.Options) checkpoint {
 	st, d := f.st, f.st.Design
 	preInst, preNet := d.Counts()
-	edits := !budget.Frozen
 	return checkpoint{
 		name:     "signoff",
 		material: signoffMaterial(budget),
@@ -438,9 +437,6 @@ func (f *flow) signoffCheckpoint(budget opt.Options) checkpoint {
 			st.Routes = routes
 			st.DB.SetDynState(u, h, fr)
 			st.ExSlow = f.extractSlow()
-			if edits {
-				f.openDDB(f.obs())
-			}
 			st.Report = rep.build(d)
 			f.resized = nResized
 			f.buffers = nBuffers

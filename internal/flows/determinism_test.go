@@ -137,7 +137,8 @@ func TestStageCacheEquivalence(t *testing.T) {
 
 // TestWarmRunRestoresFullState: a warm run, which reads no snapshot
 // another covers (route under sign-off), ends in the reference's state
-// byte for byte and reads fewer bytes than the cold run wrote.
+// byte for byte, reads fewer bytes than the cold run wrote and opens no
+// design database.
 func TestWarmRunRestoresFullState(t *testing.T) {
 	holdAll(t, tinyTile, flowName, "cache-warm")
 }
@@ -182,12 +183,14 @@ type harnessCell struct {
 }
 
 // outcome is what the harness keeps of a run: its PPA row, its final
-// state's digest and its stage sequence; or the run's error. check is
-// what the axis's own check of the attached observers or cache found.
+// state's digest, its stage sequence and whether it left a design
+// database open; or the run's error. check is what the axis's own check
+// of the attached observers or cache found.
 type outcome struct {
 	ppa    PPA
 	sum    [32]byte
 	stages string
+	ddb    bool
 	err    error
 	check  error
 }
@@ -236,6 +239,9 @@ func (c *harnessCell) hold(t *testing.T, axis string) {
 	if got.sum != ref.sum {
 		t.Errorf("final state differs from the reference's; %s", c.divergence(t, axis, got.stages))
 	}
+	if axis == "cache-warm" && got.ddb {
+		t.Error("a warm run opened a design database, which nothing after a restored sign-off reads")
+	}
 }
 
 // run is the outcome of the named axis's run ("reference" for the
@@ -283,7 +289,7 @@ func (c *harnessCell) exec(cfg Config, check func() error, err error) outcome {
 }
 
 func outcomeOf(ppa *PPA, st *State) outcome {
-	return outcome{ppa: *ppa, sum: digest(st), stages: renderStages(st.Trace)}
+	return outcome{ppa: *ppa, sum: digest(st), stages: renderStages(st.Trace), ddb: st.DDB != nil}
 }
 
 // mustRun runs the named flow and returns its PPA row and State.

@@ -233,6 +233,10 @@ type State struct {
 	Routes *route.Result
 	Tree   *cts.Tree
 	ExSlow *extract.Design
+	// DDB is the design database the optimizer edited through. It is nil
+	// after a frozen sign-off (S2D, BF S2D), which edits nothing, and
+	// after a sign-off restored from the stage cache, which runs no
+	// optimizer.
 	DDB    *ddb.DB
 	Report *sta.Report
 	Sizing floorplan.Sizing

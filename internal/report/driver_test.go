@@ -52,9 +52,9 @@ func TestDriverRunsEachDistinctCellOnce(t *testing.T) {
 func runAt(cfg flows.Config, workers int, cells []Cell, keepGoing bool) ([]*flows.PPA, string) {
 	cfg.Workers = workers
 	ps, err := Run(context.Background(), cfg, cells, keepGoing)
-	out := formatTableI(ps[:4])
+	out := renderPPA("table1", ps[:4]...)
 	if len(ps) == 12 {
-		out += formatTableII(ps[4:8]) + formatTableIII(ps[8:])
+		out += renderPPA("table2", ps[4:8]...) + renderPPA("table3", ps[8:]...)
 	}
 	return ps, fmt.Sprint(out, err)
 }

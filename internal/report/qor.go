@@ -12,9 +12,9 @@ import (
 // experiment's Result.QoR holds its own part only; Result.MergeQoR folds it
 // into the file.
 type qorDoc struct {
-	Seeds  []uint64               `json:"seeds,omitempty"`
-	Cells  []*series              `json:"cells,omitempty"`
-	Tables map[string][]tableCell `json:"tables,omitempty"`
+	Seeds  []uint64                `json:"seeds,omitempty"`
+	Cells  []*series               `json:"cells,omitempty"`
+	Tables map[string][]*tableCell `json:"tables,omitempty"`
 }
 
 // tableCell is one cell of Tables I–III as BENCH_qor.json keeps it: the
@@ -39,20 +39,31 @@ type tableCell struct {
 	Overflow         int     `json:"overflow"`
 }
 
-// recorded makes a table experiment's Result carry its cells under its
-// name in BENCH_qor.json's tables (qorDoc) once every cell ran. Tables
-// I–III vary no knob but the macro-die metal count, the one a tableCell
-// records.
-func recorded(name string, run func(context.Context, flows.Config, bool) (*Result, error)) func(context.Context, flows.Config, bool) (*Result, error) {
+// recorded is the named one of Tables I–III: its cells in one driver
+// call, rendered, and — once every cell ran — its part of BENCH_qor.json,
+// the cells under its name in the tables (qorDoc). Tables I–III vary no
+// knob but the macro-die metal count, the one a tableCell records.
+func recorded(name string, cellsOf func(cfg flows.Config) []Cell) func(context.Context, flows.Config, bool) (*Result, error) {
 	return func(ctx context.Context, cfg flows.Config, keepGoing bool) (*Result, error) {
-		res, err := run(ctx, cfg, keepGoing)
+		cells := cellsOf(cfg)
+		ps, err := Run(ctx, cfg, cells, keepGoing)
+		tcs := records(cells, ps)
+		res := &Result{Cells: cells, PPA: ps, Text: paperTables[name].render(tcs)}
 		if err != nil {
 			return res, err
 		}
-		cells := make([]tableCell, len(res.Cells))
-		for i, c := range res.Cells {
-			p := res.PPA[i]
-			cells[i] = tableCell{
+		res.QoR, err = marshalQoR(qorDoc{Tables: map[string][]*tableCell{name: tcs}})
+		return res, err
+	}
+}
+
+// records is the cells and their PPA as BENCH_qor.json keeps them, nil
+// for a cell that did not run.
+func records(cells []Cell, ps []*flows.PPA) []*tableCell {
+	tcs := make([]*tableCell, len(ps))
+	for i, p := range ps {
+		if c := cells[i]; p != nil {
+			tcs[i] = &tableCell{
 				Flow: c.Flow, Tile: c.Tile.Name, Seed: c.Seed, MacroDieMetals: c.MacroDieMetals,
 				FclkMHz: p.FclkMHz, EmeanFJ: p.EmeanFJ, FootprintMM2: p.FootprintMM2,
 				LogicCellAreaMM2: p.LogicCellAreaMM2, MetalAreaMM2: p.MetalAreaMM2, WLm: p.TotalWLm,
@@ -60,9 +71,8 @@ func recorded(name string, run func(context.Context, flows.Config, bool) (*Resul
 				CritPathWLmm: p.CritPathWLmm, Overflow: p.RouteOverflow,
 			}
 		}
-		res.QoR, err = marshalQoR(qorDoc{Tables: map[string][]tableCell{name: cells}})
-		return res, err
 	}
+	return tcs
 }
 
 // marshalQoR encodes a BENCH_qor.json document as the file holds it.
@@ -90,7 +100,7 @@ func (r *Result) MergeQoR(file []byte) ([]byte, error) {
 	}
 	for name, cells := range part.Tables {
 		if doc.Tables == nil {
-			doc.Tables = map[string][]tableCell{}
+			doc.Tables = map[string][]*tableCell{}
 		}
 		doc.Tables[name] = cells
 	}

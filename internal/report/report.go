@@ -3,7 +3,10 @@
 // ensemble behind them — and formats their tables. An experiment is data:
 // a list of cells, one flow run each, and a formatter over their PPA in
 // cell order. One driver, Run, runs every list; a cancelled or partially
-// failed experiment still renders, its missing cells as "—".
+// failed experiment still renders, its missing cells as "—". Tables I–III
+// and the seed ensemble render as markdown, the paper's values beside
+// ours; Render writes the same blocks into EXPERIMENTS.md from the cells
+// BENCH_qor.json keeps.
 package report
 
 import (
@@ -148,9 +151,9 @@ type experiment struct {
 // experiments is every experiment RunExperiment knows, in the order
 // Names lists them.
 var experiments = []experiment{
-	{"table1", recorded("table1", table(tableICells, formatTableI))},
-	{"table2", recorded("table2", table(tableIICells, formatTableII))},
-	{"table3", recorded("table3", table(tableIIICells, formatTableIII))},
+	{"table1", recorded("table1", tableICells)},
+	{"table2", recorded("table2", tableIICells)},
+	{"table3", recorded("table3", tableIIICells)},
 	{"isoperf", func(ctx context.Context, cfg flows.Config, _ bool) (*Result, error) {
 		return isoPerf(ctx, cfg, paperTiles())
 	}},
@@ -215,11 +218,6 @@ func cellsOf(tile piton.Config, seed uint64, flowNames ...string) []Cell {
 	return cells
 }
 
-// overflowRow is the row every table carries beside its PPA: the
-// gcell-layers the final routing leaves over capacity, so the reader
-// sees which columns do not route clean.
-const overflowRow = "Route overflow"
-
 // The PPA fields several tables print.
 func overflow(p *flows.PPA) float64 { return float64(p.RouteOverflow) }
 func fclk(p *flows.PPA) float64     { return p.FclkMHz }
@@ -232,13 +230,4 @@ func cell(p *flows.PPA, format string, v func(p *flows.PPA) float64) string {
 		return "—"
 	}
 	return fmt.Sprintf(format, v(p))
-}
-
-// pctCell is the relative delta between two columns, "—" when one is
-// missing or the base is zero.
-func pctCell(n, d *flows.PPA, v func(p *flows.PPA) float64) string {
-	if n == nil || d == nil || v(d) == 0 {
-		return "—"
-	}
-	return fmt.Sprintf("(%+.1f%%)", 100*(v(n)/v(d)-1))
 }

@@ -3,6 +3,8 @@ package report
 import (
 	"context"
 	"errors"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,98 +23,71 @@ func fakePPA(flow string, fclk float64, bumps int) *flows.PPA {
 	}
 }
 
+// renderPPA renders the named one of Tables I–III from its cells' PPA in
+// cell order, nil where a cell did not run.
+func renderPPA(name string, ps ...*flows.PPA) string {
+	return paperTables[name].render(records(make([]Cell, len(ps)), ps))
+}
+
+// hasLines fails unless out holds each of lines as a whole line.
+func hasLines(t *testing.T, out string, lines ...string) {
+	t.Helper()
+	for _, l := range lines {
+		if !strings.Contains("\n"+out, "\n"+l+"\n") {
+			t.Errorf("no line %q in\n%s", l, out)
+		}
+	}
+}
+
 func TestTableIFormat(t *testing.T) {
-	out := formatTableI([]*flows.PPA{
-		fakePPA("2D", 400, 0),
-		fakePPA("S2D", 220, 5405),
-		fakePPA("BF S2D", 260, 8703),
-		fakePPA("Macro-3D", 470, 4740),
-	})
-	for _, want := range []string{"Table I", "fclk [MHz]", "400", "220", "260", "470",
-		"5405", "8703", "4740", "Afootprint", "Emean"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Table I output missing %q\n%s", want, out)
-		}
-	}
-	// Four data columns per row.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "fclk") && len(strings.Fields(line)) != 6 {
-			t.Errorf("fclk row malformed: %q", line)
-		}
-	}
+	hasLines(t, renderPPA("table1", fakePPA("2D", 400, 0), fakePPA("S2D", 220, 5405), fakePPA("BF S2D", 260, 8703), fakePPA("Macro-3D", 470, 4740)),
+		"| metric (Δ vs 2D) | 2D | MoL S2D | BF S2D | Macro-3D |",
+		"|---|---|---|---|---|",
+		"| f_clk [MHz] | 400 | 220 (−45.0 %) | 260 (−35.0 %) | 470 (+17.5 %) |",
+		"| paper | 390 | 227 (−41.8 %) | 260 (−33.3 %) | 470 (+20.5 %) |",
+		"| E_mean [fJ/cycle] | 140.0 | 122.0 (−12.9 %) | 126.0 (−10.0 %) | 147.0 (+5.0 %) |",
+		"| A_footprint [mm²] | 1.20 | 1.20 | 1.20 | 1.20 |",
+		"| F2F bumps | 0 | 5405 | 8703 | 4740 |")
 }
 
 func TestTableIIFormatDeltas(t *testing.T) {
-	out := formatTableII([]*flows.PPA{
-		fakePPA("2D", 400, 0),
-		fakePPA("Macro-3D", 480, 4740),
-		fakePPA("2D", 300, 0),
-		fakePPA("Macro-3D", 390, 1215),
-	})
-	if !strings.Contains(out, "(+20.0%)") {
-		t.Errorf("small delta missing:\n%s", out)
-	}
-	if !strings.Contains(out, "(+30.0%)") {
-		t.Errorf("large delta missing:\n%s", out)
-	}
-	for _, row := range []string{"Alogic-cells", "Total wirelength", "Cpin,total",
-		"Cwire,total", "Max clk-tree depth", "Crit-path WL"} {
-		if !strings.Contains(out, row) {
-			t.Errorf("row %q missing", row)
-		}
-	}
+	hasLines(t, renderPPA("table2", fakePPA("2D", 400, 0), fakePPA("Macro-3D", 480, 4740), fakePPA("2D", 300, 0), fakePPA("Macro-3D", 390, 1215)),
+		"| metric (2D→Macro-3D) | small | large |",
+		"| f_clk [MHz] | 400→480 (+20.0 %) | 300→390 (+30.0 %) |",
+		"| paper | 390→470 (+20.5 %) | 328→421 (+28.2 %) |",
+		"| A_logic-cells [mm²] | 0.300→0.300 (+0.0 %) | 0.300→0.300 (+0.0 %) |",
+		"| total wirelength [m] | 2.50→2.50 (+0.0 %) | 2.50→2.50 (+0.0 %) |",
+		"| F2F bumps | 0→4740 | 0→1215 |",
+		"| C_pin,total [nF] | 0.040→0.040 (+0.0 %) | 0.040→0.040 (+0.0 %) |",
+		"| C_wire,total [nF] | 0.300→0.300 (+0.0 %) | 0.300→0.300 (+0.0 %) |",
+		"| max clk-tree depth | 13→13 (+0.0 %) | 13→13 (+0.0 %) |",
+		"| crit-path WL [mm] | 1.50→1.50 (+0.0 %) | 1.50→1.50 (+0.0 %) |")
 }
 
 func TestTableIIIFormat(t *testing.T) {
-	cols := []*flows.PPA{
-		fakePPA("Macro-3D", 470, 4740),
-		fakePPA("Macro-3D", 462, 3866),
-		fakePPA("Macro-3D", 421, 1215),
-		fakePPA("Macro-3D", 423, 922),
-	}
+	cols := []*flows.PPA{fakePPA("Macro-3D", 470, 4740), fakePPA("Macro-3D", 462, 3866), fakePPA("Macro-3D", 421, 1215), fakePPA("Macro-3D", 423, 922)}
 	cols[1].MetalAreaMM2 = 6.0
-	out := formatTableIII(cols)
-	if !strings.Contains(out, "Table III") || !strings.Contains(out, "Ametal") {
-		t.Fatalf("structure:\n%s", out)
-	}
-	if !strings.Contains(out, "(-16.7%)") {
-		t.Errorf("metal delta missing:\n%s", out)
-	}
-	if !strings.Contains(out, "(-1.7%)") { // 462/470
-		t.Errorf("fclk delta missing:\n%s", out)
-	}
+	hasLines(t, renderPPA("table3", cols...),
+		"| metric (M6–M6→M6–M4) | small | large |",
+		"| f_clk [MHz] | 470→462 (−1.7 %) | 421→423 (+0.5 %) |",
+		"| A_metal [mm²] | 7.2→6.0 (−16.7 %) | 7.2→7.2 (+0.0 %) |",
+		"| paper | −16.7 % | −16.7 % |")
 }
 
 // TestTablesCarryRouteOverflow: the overflow row is in all three tables,
 // one value per column, so a table cannot compare a clean design with
 // one that is not without saying so.
 func TestTablesCarryRouteOverflow(t *testing.T) {
-	ppa := func(overflow int) *flows.PPA {
-		p := fakePPA("x", 400, 10)
-		p.RouteOverflow = overflow
-		return p
-	}
-	for name, tc := range map[string]struct {
-		out  string
-		want []string
-	}{
-		"Table I": {formatTableI([]*flows.PPA{ppa(72), ppa(3), ppa(16), ppa(0)}),
-			[]string{"72", "3", "16", "0"}},
-		"Table II": {formatTableII([]*flows.PPA{ppa(72), ppa(0), ppa(84), ppa(0)}),
-			[]string{"72", "0", "(-100.0%)", "84", "0", "(-100.0%)"}},
-		"Table III": {formatTableIII([]*flows.PPA{ppa(0), ppa(5), ppa(0), ppa(7)}),
-			[]string{"0", "5", "—", "0", "7", "—"}},
-	} {
-		var row []string
-		for _, line := range strings.Split(tc.out, "\n") {
-			if strings.HasPrefix(line, overflowRow) {
-				row = strings.Fields(strings.TrimPrefix(line, overflowRow))
-			}
+	ppa := func(overflow ...int) (ps []*flows.PPA) {
+		for _, o := range overflow {
+			ps = append(ps, fakePPA("x", 400, 10))
+			ps[len(ps)-1].RouteOverflow = o
 		}
-		if strings.Join(row, " ") != strings.Join(tc.want, " ") {
-			t.Errorf("%s: overflow row %q, want %q\n%s", name, row, tc.want, tc.out)
-		}
+		return ps
 	}
+	hasLines(t, renderPPA("table1", ppa(72, 3, 16, 0)...), "| route overflow [gcell-layers] | 72 | 3 | 16 | 0 |")
+	hasLines(t, renderPPA("table2", ppa(72, 0, 84, 0)...), "| route overflow [gcell-layers] | 72→0 (−100.0 %) | 84→0 (−100.0 %) |")
+	hasLines(t, renderPPA("table3", ppa(0, 5, 0, 7)...), "| route overflow [gcell-layers] | 0→5 | 0→7 |")
 }
 
 func TestIsoPerfFormat(t *testing.T) {
@@ -128,19 +103,11 @@ func TestIsoPerfFormat(t *testing.T) {
 }
 
 func TestPctHelper(t *testing.T) {
-	ppa := func(fclk float64) *flows.PPA { return &flows.PPA{FclkMHz: fclk} }
-	for _, c := range []struct {
-		n, d *flows.PPA
-		want string
-	}{
-		{ppa(110), ppa(100), "(+10.0%)"},
-		{ppa(90), ppa(100), "(-10.0%)"},
-		{ppa(1), ppa(0), "—"},
-		{nil, ppa(100), "—"},
-	} {
-		if got := pctCell(c.n, c.d, fclk); got != c.want {
-			t.Errorf("pctCell = %s, want %s", got, c.want)
-		}
+	c := func(fclk float64) *tableCell { return &tableCell{FclkMHz: fclk} }
+	got := []string{fclkRow.change(c(110), c(100)), fclkRow.change(c(90), c(100)),
+		fclkRow.change(c(1), c(0)), fclkRow.change(nil, c(100)), fclkRow.change(c(100), nil)}
+	if want := []string{" (+10.0 %)", " (−10.0 %)", "", "", ""}; !slices.Equal(got, want) {
+		t.Errorf("changes %q, want %q", got, want)
 	}
 }
 
@@ -162,16 +129,24 @@ func TestPitchSweepFormat(t *testing.T) {
 	}
 }
 
+// TestNilColumnsFormatAsDash: a table with failed columns renders "—" in
+// each of their cells, and only there.
 func TestNilColumnsFormatAsDash(t *testing.T) {
-	out := formatTableI([]*flows.PPA{fakePPA("2D", 400, 0), nil, nil, nil}) // other columns missing
-	if !strings.Contains(out, "400") || !strings.Contains(out, "—") {
-		t.Fatalf("partial Table I render wrong:\n%s", out)
-	}
-	if !strings.Contains(formatTableII([]*flows.PPA{fakePPA("2D", 400, 0), nil, nil, nil}), "—") {
-		t.Fatal("partial Table II lacks dashes")
-	}
-	if !strings.Contains(formatTableIII(make([]*flows.PPA, 4)), "—") {
-		t.Fatal("empty Table III lacks dashes")
+	p := fakePPA("2D", 400, 0)
+	for name, tc := range map[string]struct {
+		ps  []*flows.PPA
+		row string // every row of ours
+	}{
+		"table1": {[]*flows.PPA{p, nil, nil, nil}, `\| [^—|]+ \| — \| — \| — \|`},
+		"table2": {[]*flows.PPA{p, nil, p, nil}, `\| [^—|]+→— \| [^—|]+→— \|`},
+		"table3": {make([]*flows.PPA, 4), `\| —→— \| —→— \|`},
+	} {
+		row := regexp.MustCompile(`^\| [^|]+ ` + tc.row + `$`)
+		for _, line := range strings.Split(renderPPA(name, tc.ps...), "\n")[2:] {
+			if line != "" && !strings.HasPrefix(line, "| paper |") && !row.MatchString(line) {
+				t.Errorf("%s: row %q is not %s", name, line, row)
+			}
+		}
 	}
 	if !strings.Contains(formatBlockageSweep(make([]*flows.PPA, 1+len(blockageResolutions))), "—") {
 		t.Fatal("empty blockage sweep lacks dashes")

@@ -2,10 +2,8 @@ package report
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"macro3d/internal/flows"
 )
@@ -17,7 +15,7 @@ const ensembleSeeds = 10
 // the ensemble reports each adjacent pair's win rate on every tile.
 var chain = []string{"s2d", "bfs2d", "2d", "macro3d"}
 
-// flowLabels are the column names of Table I.
+// flowLabels name the flows in the ensemble's tables.
 var flowLabels = map[string]string{"2d": "2D", "s2d": "MoL S2D", "bfs2d": "BF S2D", "macro3d": "Macro-3D", "c2d": "C2D"}
 
 // seedCells is Table I, C2D on Table I's tile and Table II, at each of n
@@ -112,29 +110,6 @@ func links(ss []*series) []link {
 	return out
 }
 
-// formatEnsemble renders, per flow × tile, the fclk geomean and min–max
-// over the seeds, then the win rate of each chain link.
-func formatEnsemble(ss []*series, first uint64, n int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Seed ensemble — seeds %d–%d, fclk [MHz] per flow × tile\n", first, first+uint64(n)-1)
-	fmt.Fprintf(&b, "%-14s %-10s %8s %8s %8s %6s\n", "tile", "flow", "geomean", "min", "max", "runs")
-	for _, s := range ss {
-		stats := []string{"—", "—", "—"}
-		v := s.ran()
-		if len(v) > 0 {
-			for i, x := range []float64{geomean(v), slices.Min(v), slices.Max(v)} {
-				stats[i] = fmt.Sprintf("%.0f", x)
-			}
-		}
-		fmt.Fprintf(&b, "%-14s %-10s %8s %8s %8s %6d\n", s.Tile, flowLabels[s.Flow], stats[0], stats[1], stats[2], len(v))
-	}
-	fmt.Fprintf(&b, "Win rate of the paper's ordering (fclk, seeds)\n")
-	for _, l := range links(ss) {
-		fmt.Fprintf(&b, "%-14s %-21s %d/%d\n", l.lo.Tile, flowLabels[l.lo.Flow]+" < "+flowLabels[l.hi.Flow], l.won, l.ran)
-	}
-	return b.String()
-}
-
 // seeds is the seed ensemble: seedCells in one driver call, summarized
 // per flow × tile, and — when every cell ran — BENCH_qor.json's seeds
 // and series. It holds no timestamps: a re-run is byte-identical.
@@ -142,12 +117,12 @@ func seeds(ctx context.Context, cfg flows.Config, n int, keepGoing bool) (*Resul
 	cells := seedCells(cfg, n)
 	ps, err := Run(ctx, cfg, cells, keepGoing)
 	doc := qorDoc{Cells: ensemble(cells, ps, n)}
-	res := &Result{Cells: cells, PPA: ps, Text: formatEnsemble(doc.Cells, cfg.Seed, n)}
-	if err != nil {
-		return res, err
-	}
 	for k := 0; k < n; k++ {
 		doc.Seeds = append(doc.Seeds, cfg.Seed+uint64(k))
+	}
+	res := &Result{Cells: cells, PPA: ps, Text: renderEnsemble(doc.Cells, doc.Seeds)}
+	if err != nil {
+		return res, err
 	}
 	res.QoR, err = marshalQoR(doc)
 	return res, err
