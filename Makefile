@@ -207,10 +207,14 @@ bench-flow:
 ## each side's median [Q1–Q3], the pairs the change won and a verdict
 ## (gain: ≥ 9/10 pairs won and a median gap wider than the base's IQR).
 ## It exits 1 on a loss. The runs stay in .bench_build/pairs/runs.txt.
+## TRACE=1 runs traced reps instead: the verdicts are then on the run's
+## wall and CPU time and on each stage's time, with no bound, and fail
+## nothing.
 ## e.g. `make bench-pairs BASE=HEAD~1 WL=table2-warm N=10`.
-BASE ?= HEAD
-WL   ?= table2
-N    ?= 10
+BASE  ?= HEAD
+WL    ?= table2
+N     ?= 10
+TRACE ?= 0
 PAIRS = .bench_build/pairs
 bench-pairs:
 	rm -rf $(PAIRS) && mkdir -p $(PAIRS)/base
@@ -222,7 +226,7 @@ bench-pairs:
 		for side in $$order; do \
 			dir=.; [ $$side = new ] || dir=$(PAIRS)/base; \
 			printf '%s ' $$side; \
-			(cd $$dir && .bench_build/flowbench --workload $(WL) --seed 1 --seconds 12 --trace 0) || exit 1; \
+			(cd $$dir && .bench_build/flowbench --workload $(WL) --seed 1 --seconds 12 --trace $(TRACE)) || exit 1; \
 		done; \
 	done > $(PAIRS)/runs.txt
 	$(GO) run ./cmd/benchjson -pairs < $(PAIRS)/runs.txt

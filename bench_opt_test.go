@@ -164,7 +164,7 @@ func BenchmarkOptimizeRollback(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		txn := insertBuffer(b, db, n, si)
 		eng.Invalidate(txn.DirtyNets(), txn.DirtyInsts(), txn.TopoChanged())
-		if _, err := eng.Update(1e6); err != nil {
+		if _, err := eng.Update(1e6, nil); err != nil {
 			b.Fatal(err)
 		}
 		eng.Invalidate(txn.Rollback())
@@ -185,7 +185,7 @@ func BenchmarkEngineUpdateTopo(b *testing.B) {
 	db.Free = place.NewFreeSpace(db.Design, ctx.FP, ctx.RowHeight)
 	eng, n, si := criticalArc(b, ctx)
 	update := func() {
-		if _, err := eng.Update(1e6); err != nil {
+		if _, err := eng.Update(1e6, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,7 +264,7 @@ func BenchmarkOptimizeUpdateReport(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng.Invalidate(nil, ids, false)
-		if _, err := eng.Update(1e6); err != nil {
+		if _, err := eng.Update(1e6, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

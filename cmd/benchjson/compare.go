@@ -21,6 +21,9 @@ type manifest struct {
 		Name string `json:"name"`
 	} `json:"workloads"`
 	EndToEnd []gate `json:"end_to_end"`
+	// PerLayer are the metrics of a traced run (--trace 1): none has a
+	// bound.
+	PerLayer []gate `json:"per_layer"`
 }
 
 // gate is one gated end-to-end metric: which way is better, and the

@@ -25,6 +25,12 @@ import (
 //	unresolved anything else: the spread is too wide to tell
 //
 // Fewer than ten pairs never make a gain or a loss. It exits 1 on a loss.
+//
+// Runs of --trace 1 carry the per-layer metrics instead. Their times —
+// every per-layer metric in seconds: bench.wall_s, bench.cpu_s and the
+// stage times — are judged the same way, but none has a bound, so their
+// no change needs only the medians within the base's IQR, and their
+// losses are printed without failing.
 
 // minPairs is the fewest pairs a gain or a loss may rest on.
 const minPairs = 10
@@ -117,7 +123,7 @@ func judgePairs(g gate, base, change []float64) pairVerdict {
 		v.verdict = "gain"
 	case n >= minPairs && 10*v.lost >= 9*n && gap > iqr:
 		v.verdict = "loss"
-	case math.Abs(gap) <= iqr && iqr <= g.Bound*math.Abs(v.base.med):
+	case math.Abs(gap) <= iqr && (g.Bound == 0 || iqr <= g.Bound*math.Abs(v.base.med)):
 		v.verdict = "no change"
 	default:
 		v.verdict = "unresolved"
@@ -126,29 +132,53 @@ func judgePairs(g gate, base, change []float64) pairVerdict {
 }
 
 // comparePairs prints the judgement of every gated metric both sides
-// report and returns the number of losses.
+// report, then of every per-layer time, and returns the number of
+// losses among the gated metrics.
 func comparePairs(w io.Writer, m *manifest, base, change []map[string]float64) (losses int) {
 	fmt.Fprintf(w, "%d pairs\n", len(base))
-	fmt.Fprintf(w, "  %-12s %-36s %-36s %5s  %s\n", "metric", "base median [Q1–Q3]", "new median [Q1–Q3]", "won", "verdict")
+	fmt.Fprintf(w, "  %-22s %-36s %-36s %5s  %s\n", "metric", "base median [Q1–Q3]", "new median [Q1–Q3]", "won", "verdict")
 	for _, g := range m.EndToEnd {
-		var b, c []float64
-		for i := range base {
-			bv, okB := base[i][g.Name]
-			cv, okC := change[i][g.Name]
-			if okB && okC {
-				b, c = append(b, bv), append(c, cv)
+		if v, n, ok := judgeMetric(g, base, change); ok {
+			if v.verdict == "loss" {
+				losses++
 			}
+			printVerdict(w, g, v, n, fmt.Sprintf("bound %g %%", 100*g.Bound))
 		}
-		if len(b) == 0 {
+	}
+	for _, g := range m.PerLayer {
+		if g.Unit != "s" {
 			continue
 		}
-		v := judgePairs(g, b, c)
-		if v.verdict == "loss" {
-			losses++
+		g.Bound = 0
+		if v, n, ok := judgeMetric(g, base, change); ok {
+			printVerdict(w, g, v, n, "no bound")
 		}
-		q := func(q quartiles) string { return fmt.Sprintf("%.6g [%.6g–%.6g]", q.med, q.q1, q.q3) }
-		fmt.Fprintf(w, "  %-12s %-36s %-36s %2d/%-2d  %s (%s better, bound %g %%)\n",
-			g.Name, q(v.base), q(v.change), v.won, len(b), v.verdict, g.Better, 100*g.Bound)
 	}
 	return losses
+}
+
+// judgeMetric judges metric g over the pairs that report it on both
+// sides; ok is false when none does, or every run reads 0 (a stage the
+// workload does not run).
+func judgeMetric(g gate, base, change []map[string]float64) (v pairVerdict, n int, ok bool) {
+	var b, c []float64
+	nonzero := false
+	for i := range base {
+		bv, okB := base[i][g.Name]
+		cv, okC := change[i][g.Name]
+		if okB && okC {
+			b, c = append(b, bv), append(c, cv)
+			nonzero = nonzero || bv != 0 || cv != 0
+		}
+	}
+	if !nonzero {
+		return v, 0, false
+	}
+	return judgePairs(g, b, c), len(b), true
+}
+
+func printVerdict(w io.Writer, g gate, v pairVerdict, n int, bound string) {
+	q := func(q quartiles) string { return fmt.Sprintf("%.6g [%.6g–%.6g]", q.med, q.q1, q.q3) }
+	fmt.Fprintf(w, "  %-22s %-36s %-36s %2d/%-2d  %s (%s better, %s)\n",
+		g.Name, q(v.base), q(v.change), v.won, n, v.verdict, g.Better, bound)
 }

@@ -99,3 +99,51 @@ func TestPairsInput(t *testing.T) {
 		}
 	}
 }
+
+// TestPairsJudgeTraceTimes: on --trace 1 lines the per-layer times are
+// judged with no bound — a gain, a loss that fails nothing, no change
+// inside the base's spread — while per-layer metrics in other units and
+// times every run reads 0 are left out.
+func TestPairsJudgeTraceTimes(t *testing.T) {
+	line := func(side string, i int, wall, cpu, opt float64) string {
+		return fmt.Sprintf(`%s {"correct":true,"failed":0,"metrics":{"bench.wall_s":{"value":%g},"bench.cpu_s":{"value":%g},`+
+			`"opt.s":{"value":%g},"cts.s":{"value":0},"route.nets_routed":{"value":%d}}}`, side, wall, cpu, opt, 100+i)
+	}
+	var in []string
+	for i := 0; i < 10; i++ {
+		d := 0.001 * float64(i%3)
+		in = append(in, line("base", i, 0.30+d, 0.50+d, 0.100+d), line("new", i, 0.27+d, 0.60+d, 0.1005+d))
+	}
+	base, change, err := readPairs(strings.NewReader(strings.Join(in, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &manifest{
+		EndToEnd: []gate{{Name: "alloc_gb", Better: "lower", Bound: 0.03}},
+		PerLayer: []gate{
+			{Name: "opt.s", Unit: "s", Better: "lower"},
+			{Name: "cts.s", Unit: "s", Better: "lower"},
+			{Name: "route.nets_routed", Unit: "count", Better: "lower"},
+			{Name: "bench.wall_s", Unit: "s", Better: "lower"},
+			{Name: "bench.cpu_s", Unit: "s", Better: "lower"},
+		},
+	}
+	var out strings.Builder
+	losses := comparePairs(&out, m, base, change)
+	got := out.String()
+	for _, want := range []string{
+		"bench.wall_s", "10/10  gain (lower better, no bound)",
+		"bench.cpu_s", "0/10  loss (lower better, no bound)",
+		"opt.s", "no change (lower better, no bound)",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output lacks %q", want)
+		}
+	}
+	if losses != 0 || strings.Contains(got, "cts.s") || strings.Contains(got, "nets_routed") || strings.Contains(got, "alloc_gb") {
+		t.Errorf("%d losses, or a metric judged that is not a time both sides run", losses)
+	}
+	if t.Failed() {
+		t.Log(got)
+	}
+}

@@ -81,12 +81,12 @@ type DB struct {
 
 	// State of the open transaction that is reused from one to the
 	// next: the journals, the dirty sets, and the counts of its Reroute
-	// calls and of those whose new segments equal the ones the journal
-	// saved for the net (Txn.Reroutes).
-	freeUndo              place.Undo
-	undo                  journal
-	dirtyNets, dirtyInsts netlist.IDSet
-	reroutes, unchanged   int
+	// calls, of those that changed no segment (Txn.Reroutes), and of
+	// those that kept a settled route unrouted (Txn.Skipped).
+	freeUndo                     place.Undo
+	undo                         journal
+	dirtyNets, dirtyInsts        netlist.IDSet
+	reroutes, unchanged, skipped int
 
 	// exScratch is the extraction working state behind Txn.Reroute;
 	// transactions on one DB run one at a time.

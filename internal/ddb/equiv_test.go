@@ -152,7 +152,7 @@ func checkState(db *ddb.DB, eng *sta.Engine, staOpt sta.Options, period float64)
 	if err := db.CheckAdjacency(); err != nil {
 		return err
 	}
-	got, err := eng.Update(period)
+	got, err := eng.Update(period, nil)
 	if err != nil {
 		return err
 	}

@@ -112,7 +112,7 @@ func (db *DB) Begin() *Txn {
 	db.dirtyNets.Reset()
 	db.dirtyInsts.Reset()
 	nInst, nNets := db.Design.Counts()
-	db.reroutes, db.unchanged = 0, 0
+	db.reroutes, db.unchanged, db.skipped = 0, 0, 0
 	return &Txn{db: db, baseInsts: nInst, baseNets: nNets}
 }
 
@@ -355,29 +355,43 @@ func (t *Txn) saveRouteRC(id int) {
 // Reroute re-routes net n (releasing any existing route's usage first)
 // and re-extracts it, rewriting the net's route and RC records where
 // they lie — the incremental extraction step. What the records held is
-// in the journal by then.
+// in the journal by then. A net the router proves settled
+// (route.DB.Settled) keeps its route: no release, search or commit. It
+// is journaled, re-extracted and marked dirty all the same.
 func (t *Txn) Reroute(n *netlist.Net) error {
 	t.saveRouteRC(n.ID)
-	t.db.Grid.ReleaseNet(t.db.Routes, n.ID)
-	r, err := t.db.Grid.RouteNet(t.db.Routes, n)
-	if err != nil {
-		return err
+	grid, routes := t.db.Grid, t.db.Routes
+	var r *route.NetRoute
+	if grid.Settled(routes, n) {
+		r = routes.Routes[n.ID]
+		t.db.skipped++
+		t.db.unchanged++
+	} else {
+		grid.ReleaseNet(routes, n.ID)
+		var err error
+		if r, err = grid.RouteNet(routes, n); err != nil {
+			return err
+		}
+		if t.db.undo.savedSegments(n.ID, r.Segments) {
+			t.db.unchanged++
+		}
 	}
-	t.db.Ex.Reextract(&t.db.exScratch, n, r, t.db.Grid, t.db.Corner)
+	t.db.Ex.Reextract(&t.db.exScratch, n, r, grid, t.db.Corner)
 	t.db.dirtyNets.Add(n.ID)
 	t.db.reroutes++
-	if t.db.undo.savedSegments(n.ID, r.Segments) {
-		t.db.unchanged++
-	}
 	t.db.Obs.Reg().Counter("ddb_incremental_reroutes_total",
 		"Per-net incremental reroute+re-extract operations (Txn.Reroute).").Inc()
 	return nil
 }
 
 // Reroutes returns how many Reroute calls the transaction made, and how
-// many of them left the net's segments as the journal saved them for
-// rollback: ECO reroutes that paid for a search and changed nothing.
+// many of them changed no segment: the skipped ones (Skipped), and the
+// searches that returned the segments the journal saved for rollback.
 func (t *Txn) Reroutes() (total, unchanged int) { return t.db.reroutes, t.db.unchanged }
+
+// Skipped returns how many of the transaction's Reroute calls kept a
+// settled net's route without routing it.
+func (t *Txn) Skipped() int { return t.db.skipped }
 
 // savedSegments reports whether net id's route was journaled with
 // exactly the given segments.

@@ -73,6 +73,8 @@ type Context struct {
 	Obs *obs.Span
 
 	txn *ddb.Txn
+	// selfCheck is Options.SelfCheck for the edits (reroute).
+	selfCheck bool
 	// setupDone, when set, sees the engine once the loop's setup is
 	// done, before the first edit (tests).
 	setupDone func(*sta.Engine)
@@ -153,10 +155,9 @@ type Result struct {
 	// consumes it.
 	Engine *sta.Engine
 	// Resized and Buffers count the edits of kept iterations only.
-	Resized  int
-	Buffers  int
-	Rerouted int
-	Iters    int
+	Resized int
+	Buffers int
+	Iters   int
 }
 
 // Optimize runs the loop until timing converges, the target is met, or
@@ -184,7 +185,9 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 	rollbackC := reg.Counter("opt_rollbacks_total",
 		"Optimization iterations rejected and rolled back.")
 	unchangedC := reg.Counter("opt_reroutes_unchanged_total",
-		"ECO reroutes whose new segments equal the route saved for rollback.")
+		"ECO reroutes that left the route as saved for rollback, skipped ones included.")
+	skippedC := reg.Counter("opt_reroutes_skipped_total",
+		"ECO reroutes of settled nets, which kept their route unrouted.")
 	rolledBackRerouteC := reg.Counter("opt_rolled_back_reroutes_total",
 		"ECO reroutes paid for in iterations that were then rolled back.")
 	res := &Result{}
@@ -222,6 +225,7 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 	}
 
 	ctx.names.First = nameChunk
+	ctx.selfCheck = opt.SelfCheck
 	bufSeq := 0
 	// The loop's bookkeeping runs on dense ID sets, made at the design's
 	// ID capacity: the sets by net, and those by instance.
@@ -231,6 +235,11 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 	noResize := netlist.NewIDSet(nInst)
 	resizedNow := netlist.NewIDSet(nInst) // instance IDs resized this iteration
 	skipPath := map[pathID]bool{}
+	// An iteration's report is written into spare: the report of a
+	// rolled-back iteration, or the one an accepted iteration replaced.
+	// rep is never handed to the engine, so the paths the edits read stay
+	// put (sta.Engine.Update).
+	var spare *sta.Report
 	stale := 0
 	for it := 0; it < opt.MaxIters; it++ {
 		if opt.TargetPeriod > 0 && rep.MinPeriod <= opt.TargetPeriod {
@@ -283,20 +292,20 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 			if id >= len(ctx.Routes.Routes) || ctx.Routes.Routes[id] == nil {
 				continue
 			}
-			if err := txn.Reroute(ctx.Design.Nets[id]); err != nil {
+			if err := ctx.reroute(ctx.Design.Nets[id]); err != nil {
 				return nil, err
 			}
 		}
 		sp.End()
-		res.Rerouted += touched.Len()
 		res.Iters = it + 1
 		reroutes, unchanged := txn.Reroutes()
 		unchangedC.Add(uint64(unchanged))
+		skippedC.Add(uint64(txn.Skipped()))
 
 		// The timing span also covers the accept-or-roll-back it decides.
 		sp = ctx.Obs.Child("timing")
 		eng.Invalidate(txn.DirtyNets(), txn.DirtyInsts(), txn.TopoChanged())
-		next, err := eng.Update(period)
+		next, err := eng.Update(period, spare)
 		if err != nil {
 			return nil, err
 		}
@@ -344,6 +353,7 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 			res.Resized -= resizedNow.Len()
 			res.Buffers = buffers0
 			skipPath[curKey] = true
+			spare = next
 			sp.End()
 			stale++
 			if stale >= 12 {
@@ -358,7 +368,7 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 			}
 		}
 		sp.End()
-		rep = next
+		rep, spare = next, rep
 		if improvedWorst {
 			stale = 0
 		}
@@ -672,11 +682,11 @@ func insertBufferChain(ctx *Context, n *netlist.Net, si int, seq *int) (int, err
 	ctx.txn.AppendSink(prevNet, sink)
 
 	// Reroute the modified original net and route the new nets.
-	if err := ctx.txn.Reroute(n); err != nil {
+	if err := ctx.reroute(n); err != nil {
 		return 0, err
 	}
 	for id := firstNew; id < len(d.Nets); id++ {
-		if err := ctx.txn.Reroute(d.Nets[id]); err != nil {
+		if err := ctx.reroute(d.Nets[id]); err != nil {
 			return 0, err
 		}
 	}
@@ -754,15 +764,28 @@ func insertFanoutBuffer(ctx *Context, n *netlist.Net, seq *int) error {
 	}
 	ctx.txn.ReplaceSinks(n, drvSinks)
 
-	if err := ctx.txn.Reroute(n); err != nil {
+	if err := ctx.reroute(n); err != nil {
 		return err
 	}
 	for id := firstNew; id < len(d.Nets); id++ {
-		if err := ctx.txn.Reroute(d.Nets[id]); err != nil {
+		if err := ctx.reroute(d.Nets[id]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// reroute reroutes and re-extracts net n through the open transaction.
+// Under SelfCheck a net the router would keep as settled is routed
+// anyway first, and must come back as the route it keeps
+// (route.DB.CheckSettled).
+func (ctx *Context) reroute(n *netlist.Net) error {
+	if ctx.selfCheck {
+		if err := ctx.DB.CheckSettled(ctx.Routes, n); err != nil {
+			return fmt.Errorf("opt: selfcheck: %w", err)
+		}
+	}
+	return ctx.txn.Reroute(n)
 }
 
 // ecoPlace places an inserted buffer on its driver's die — a standard

@@ -71,9 +71,12 @@ func tilePreOptOf(t *testing.T, cfg piton.Config) *Context {
 // tile with SelfCheck on, which after every commit and every rollback
 // compares the journaled free space with a fresh NewFreeSpace (every
 // interval bound within 1e-9 µm) and the journaled adjacency with a from-scratch
-// build (row for row). Both outcomes must occur for the run to count.
-// It also holds the buffer gauge to what the design actually gained:
-// buffers of rolled-back iterations are not counted.
+// build (row for row), and routes every net a reroute skips as settled
+// anyway, to the same segments. Both outcomes must occur for the run to
+// count, and skips too. It also holds the buffer gauge to what the
+// design actually gained: buffers of rolled-back iterations are not
+// counted; and the report the result holds, written into the two
+// reports the loop rotates, to a fresh analysis of the final design.
 func TestJournalsMatchScratchOnTile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-tile optimization")
@@ -99,12 +102,17 @@ func TestJournalsMatchScratchOnTile(t *testing.T) {
 	// ones there because the run rolled iterations back.
 	reroutes := reg.Counter("ddb_incremental_reroutes_total", "").Value()
 	unchanged := reg.Counter("opt_reroutes_unchanged_total", "").Value()
+	skipped := reg.Counter("opt_reroutes_skipped_total", "").Value()
 	rolledBack := reg.Counter("opt_rolled_back_reroutes_total", "").Value()
-	if unchanged > reroutes || rolledBack == 0 || rolledBack > reroutes {
-		t.Fatalf("%d reroutes, %d unchanged, %d rolled back", reroutes, unchanged, rolledBack)
+	if unchanged > reroutes || skipped == 0 || skipped > unchanged || rolledBack == 0 || rolledBack > reroutes {
+		t.Fatalf("%d reroutes, %d unchanged, %d skipped, %d rolled back", reroutes, unchanged, skipped, rolledBack)
 	}
-	t.Logf("%d commits, %d rollbacks, %d buffers kept; %d reroutes, %d unchanged, %d rolled back",
-		commits, rollbacks, res.Buffers, reroutes, unchanged, rolledBack)
+	staOpt := sta.Options{Clock: ctx.Clock, Corner: ctx.Corner, TopPaths: 48}
+	if fresh, err := sta.Analyze(ctx.Design, ctx.Ex, 1e6, staOpt); err != nil || !reflect.DeepEqual(res.Report, fresh) {
+		t.Fatalf("the result's report differs from a fresh analysis of the final design (%v)", err)
+	}
+	t.Logf("%d commits, %d rollbacks, %d buffers kept; %d reroutes, %d unchanged, %d skipped, %d rolled back",
+		commits, rollbacks, res.Buffers, reroutes, unchanged, skipped, rolledBack)
 }
 
 // TestTablesStayPut: on the small 2D tile, its IDs reserved as a flow
@@ -211,7 +219,7 @@ func TestEngineTopoPatchEqualsRebuild(t *testing.T) {
 			}
 			check := func(when string) {
 				t.Helper()
-				rep, err := eng.Update(period)
+				rep, err := eng.Update(period, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", when, err)
 				}

@@ -33,11 +33,13 @@ func (db *DB) CheckDynState(usage []int32, hist []float32, f2fUse []int32) error
 // SetDynState installs usage, history and F2F usage captured by
 // DynState. The shape is validated (CheckDynState) before any mutation,
 // so a corrupt snapshot leaves the DB untouched. A history of zeros
-// installed on a DB without a history plane creates none.
+// installed on a DB without a history plane creates none. Every net is
+// unsettled after it: the stamps did not see the state arrive.
 func (db *DB) SetDynState(usage []int32, hist []float32, f2fUse []int32) error {
 	if err := db.CheckDynState(usage, hist, f2fUse); err != nil {
 		return err
 	}
+	db.resetStamps()
 	copy(db.usage, usage)
 	if db.hist != nil || slices.ContainsFunc(hist, func(h float32) bool { return math.Float32bits(h) != 0 }) {
 		copy(db.history(), hist)

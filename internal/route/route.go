@@ -306,6 +306,7 @@ type DB struct {
 
 	scr *mazeScratch // the single-thread router scratch (scratch)
 	ov  overScan     // the overflow scan's buffers (overflowed)
+	st  settle       // the settled-net rule's stamps (settle.go)
 
 	err error // the grid is not addressable; see Err
 }
@@ -443,15 +444,13 @@ func (db *DB) congestionCost(i int) float64 {
 	if db.hist != nil {
 		h = float64(db.hist[i])
 	}
-	c := float64(db.cap[i])
-	u := float64(db.usage[i])
-	over := (u + 1) / max(c, 1)
-	if over <= 0.8 {
+	over := fill(db.usage[i], db.cap[i])
+	if over <= fillKnee {
 		return h * 0.1
 	}
 	// Quadratic penalty past 80 % fill, steep past capacity.
-	pen := (over - 0.8) * (over - 0.8) * 8
-	if u+1 > c {
+	pen := (over - fillKnee) * (over - fillKnee) * 8
+	if db.usage[i]+1 > db.cap[i] {
 		pen += 16
 	}
 	return pen + h
@@ -468,26 +467,41 @@ func (db *DB) history() []float32 {
 }
 
 // addUsage commits or releases (delta ±1) the occupancy of net netID's
-// route, if any, where res places it.
+// route, if any, where res places it. Either way the net is no longer
+// settled: its usage moved outside the DB's own route-and-commit.
 func (db *DB) addUsage(res *Result, netID int, delta int32) {
+	db.unsettle(netID)
 	if netID < len(res.Routes) && res.Routes[netID] != nil {
 		db.addSegs(res.Routes[netID].Segments, res.Origin(netID), delta)
 	}
 }
 
-// addSegs adds delta to the occupancy under a shape at o, in order.
+// addSegs adds delta to the occupancy under a shape at o, in order,
+// stamping the columns whose cost it moves once the stamps are started.
 func (db *DB) addSegs(segs []Seg, o Origin, delta int32) {
+	stamp, bins := db.stamping(), db.Grid.Bins()
 	for _, s := range segs {
 		s = o.at(s)
 		if s.IsVia() {
 			if db.isF2F(s) {
-				db.f2fUse[db.Grid.Index(int(s.A.X), int(s.A.Y))] += delta
+				col := db.Grid.Index(int(s.A.X), int(s.A.Y))
+				was := db.f2fUse[col]
+				db.f2fUse[col] = was + delta
+				if stamp {
+					db.stampF2F(col, was, was+delta)
+				}
 			}
 			continue
 		}
 		// Walk the gcells under the straight segment.
 		s.Walk(func(n Node) {
-			db.usage[db.idx(n)] += delta
+			col := db.Grid.Index(int(n.X), int(n.Y))
+			i := int(n.L)*bins + col
+			was := db.usage[i]
+			db.usage[i] = was + delta
+			if stamp {
+				db.stampUse(i, col, was, was+delta)
+			}
 		})
 	}
 }
@@ -648,9 +662,12 @@ func (db *DB) pinTracks(res *Result, s *overScan, cols []int32) (_, tracks []int
 
 // bumpHistory raises history cost on the overflowed gcell-layers.
 func (db *DB) bumpHistory(cells []int32) {
-	hist := db.history()
+	hist, bins := db.history(), int32(db.Grid.Bins())
 	for _, i := range cells {
 		hist[i] += 2
+		if db.stamping() {
+			db.stampCol(int(i % bins))
+		}
 	}
 }
 

@@ -80,8 +80,9 @@ func gridDist(a, b Node) int {
 // is valid until the scratch routes its next task. The one routing rule
 // (DESIGN.md, "Routing contract"): the pattern route, or the maze when
 // maze is set or no L clears the walls; a maze failure is the error.
-func (db *DB) routeTask(t *netTask, maze bool, s *mazeScratch) ([]Seg, error) {
-	segs := s.segs[:0]
+// pattern reports that no connection took the maze.
+func (db *DB) routeTask(t *netTask, maze bool, s *mazeScratch) (segs []Seg, pattern bool, err error) {
+	segs, pattern = s.segs[:0], true
 	for _, e := range t.edges {
 		a, b := t.route.PinNode[e[0]], t.route.PinNode[e[1]]
 		if !maze {
@@ -92,12 +93,12 @@ func (db *DB) routeTask(t *netTask, maze bool, s *mazeScratch) ([]Seg, error) {
 		}
 		out, err := db.mazeRouteScratch(s, a, b, segs)
 		if err != nil {
-			return nil, fmt.Errorf("net %s: %w", t.net.Name, err)
+			return nil, false, fmt.Errorf("net %s: %w", t.net.Name, err)
 		}
-		segs = out
+		segs, pattern = out, false
 	}
 	s.segs = segs
-	return segs, nil
+	return segs, pattern, nil
 }
 
 // routePass is the router, under a "pass" span of sp: the tasks in
@@ -109,19 +110,21 @@ func (db *DB) routeTask(t *netTask, maze bool, s *mazeScratch) ([]Seg, error) {
 // the result's segment slab: growth by doubling happens once, in the
 // scratch buffer, not per net. A first route takes an exact-size span; a
 // rip-up victim's reroute is written over its old span when it fits, and
-// only one that outgrows it takes a new span, abandoning the old.
+// only one that outgrows it takes a new span, abandoning the old. A net
+// routed pattern-first is stamped settled (settle.go).
 func (db *DB) routePass(sp *obs.Span, tasks []*netTask, maze bool, res *Result, s *mazeScratch) error {
 	defer sp.Child("pass").End()
 	for _, t := range tasks {
 		db.addSegs(t.old, Origin{}, -1)
 		t.old = nil
-		segs, err := db.routeTask(t, maze, s)
+		segs, pattern, err := db.routeTask(t, maze, s)
 		if err != nil {
 			return err
 		}
 		t.route.Segments = res.segs.Fit(t.route.Segments, len(segs))
 		copy(t.route.Segments, segs)
 		db.addSegs(t.route.Segments, Origin{}, 1)
+		db.settleNet(t.net.ID, pattern)
 	}
 	return nil
 }
@@ -149,6 +152,7 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		Routes:     make([]*NetRoute, len(d.Nets)),
 		WLPerLayer: make([]float64, db.Beol.NumLayers()),
 	}
+	db.startStamps(len(d.Nets))
 
 	// Initial pattern routing, long nets first (they set the congestion
 	// landscape the short nets then dodge).
@@ -331,7 +335,7 @@ func (db *DB) RouteNet(res *Result, n *netlist.Net) (*NetRoute, error) {
 	if err := db.prepTask(&t, s); err != nil {
 		return nil, err
 	}
-	segs, err := db.routeTask(&t, false, s)
+	segs, pattern, err := db.routeTask(&t, false, s)
 	if err != nil {
 		return nil, err
 	}
@@ -340,6 +344,7 @@ func (db *DB) RouteNet(res *Result, n *netlist.Net) (*NetRoute, error) {
 	db.opt.Obs.Reg().Counter("route_eco_reroutes_total",
 		"Single-net ECO routes (optimizer buffer nets and reroutes).").Inc()
 	db.addSegs(r.Segments, Origin{}, 1)
+	db.settleNet(n.ID, pattern)
 	r.WL, r.Vias, r.F2F = db.tally(r.Segments, nil)
 	return r, nil
 }
@@ -387,14 +392,26 @@ func (res *Result) Restore(netID int, r *NetRoute, was NetRoute) {
 // res, if any, where res places it (counterpart of ReleaseNet).
 func (db *DB) CommitRoute(res *Result, netID int) { db.addUsage(res, netID, 1) }
 
-// RebuildUsage recomputes the database's congestion state from scratch
-// out of the given routes — used after a rollback of incremental
-// edits.
+// RebuildUsage recomputes the database's wire and F2F usage from
+// scratch out of the given routes, with stamping off. A rebuild that
+// changes either unsettles every net; one that matches changes nothing.
 func (db *DB) RebuildUsage(res *Result) {
+	s := &db.st
+	net := s.net
+	if net != nil {
+		s.rebuilt = append(append(s.rebuilt[:0], db.usage...), db.f2fUse...)
+	}
+	s.net = nil
 	clear(db.usage)
 	clear(db.f2fUse)
-	for id := range res.Routes {
-		db.addUsage(res, id, 1)
+	for id, r := range res.Routes {
+		if r != nil {
+			db.addSegs(r.Segments, res.Origin(id), 1)
+		}
+	}
+	s.net = net
+	if net != nil && (!slices.Equal(s.rebuilt[:len(db.usage)], db.usage) || !slices.Equal(s.rebuilt[len(db.usage):], db.f2fUse)) {
+		db.resetStamps()
 	}
 }
 

@@ -294,16 +294,22 @@ func (e *Engine) Run(period float64) (*Report, error) {
 	}
 	e.mFull.Inc()
 	e.updateRatio()
-	return e.buildReport(period)
+	return e.buildReport(period, nil)
 }
 
 // Update consumes the pending invalidation and re-analyzes only the
 // dirty cone. Results are bit-identical to Run on the same state.
-func (e *Engine) Update(period float64) (*Report, error) {
+//
+// The report is written into buf, a report the caller hands back — one
+// an earlier Run or Update returned, which it no longer reads — reusing
+// its path and step arrays; nil allocates a new one. Any other report
+// the caller holds is left as it is. After an error buf's contents are
+// unspecified.
+func (e *Engine) Update(period float64, buf *Report) (*Report, error) {
 	if err := e.consume(); err != nil {
 		return nil, err
 	}
-	return e.buildReport(period)
+	return e.buildReport(period, buf)
 }
 
 // Pending reports whether edits have been invalidated since the last

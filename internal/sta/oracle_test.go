@@ -469,8 +469,9 @@ func TestReportMatchesOracle(t *testing.T) {
 				randomEdits(t, db, txn, rng, &seq)
 				e.Invalidate(txn.DirtyNets(), txn.DirtyInsts(), txn.TopoChanged())
 				// Every fifth bundle is analyzed by a full Run, which keeps
-				// the topology caches unless the bundle invalidated them.
-				analyze := e.Update
+				// the topology caches unless the bundle invalidated them;
+				// an Update refills the report before it.
+				analyze := func(period float64) (*Report, error) { return e.Update(period, rep) }
 				if step%5 == 4 {
 					analyze = e.Run
 				}
@@ -488,7 +489,7 @@ func TestReportMatchesOracle(t *testing.T) {
 					continue
 				}
 				e.Invalidate(txn.Rollback())
-				if rep, err = e.Update(period); err != nil {
+				if rep, err = e.Update(period, rep); err != nil {
 					t.Fatalf("%s rollback: %v", when, err)
 				}
 				checkReport(t, e, rep, period, when+" rollback")
@@ -499,7 +500,7 @@ func TestReportMatchesOracle(t *testing.T) {
 				}
 			}
 			// With nothing pending, an Update reads the same state again.
-			if rep, err = e.Update(period); err != nil {
+			if rep, err = e.Update(period, rep); err != nil {
 				t.Fatal(err)
 			}
 			checkFresh(t, e, rep, period, fmt.Sprintf("seed %d top %d final", seed, top))
@@ -531,7 +532,7 @@ func TestHoldOnLiveEngine(t *testing.T) {
 			txn := db.Begin()
 			randomEdits(t, db, txn, rng, &seq)
 			e.Invalidate(txn.DirtyNets(), txn.DirtyInsts(), txn.TopoChanged())
-			if _, err := e.Update(period); err != nil {
+			if _, err := e.Update(period, nil); err != nil {
 				t.Fatal(err)
 			}
 			if seed%2 == 0 {
@@ -567,7 +568,7 @@ func TestHoldOnLiveEngine(t *testing.T) {
 		if e.Pending() {
 			t.Fatalf("%s: Hold left the invalidation pending", when)
 		}
-		rep, err := e.Update(period)
+		rep, err := e.Update(period, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -631,7 +632,7 @@ func TestEngineUpdateTopoAllocs(t *testing.T) {
 		return b.Mallocs - a.Mallocs
 	}
 	update := func() {
-		if _, err := e.Update(period); err != nil {
+		if _, err := e.Update(period, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -667,5 +668,85 @@ func TestEngineUpdateTopoAllocs(t *testing.T) {
 			t.Fatalf("round %d: Update allocates %d objects after a buffer bundle and %d after its rollback, want at most 3",
 				round, after, undone)
 		}
+	}
+}
+
+// cloneReport is a deep copy of a report: its paths, their steps and the
+// step array.
+func cloneReport(r *Report) *Report {
+	c := *r
+	c.steps = slices.Clone(r.steps)
+	c.Paths = slices.Clone(r.Paths)
+	for i := range c.Paths {
+		c.Paths[i].Steps = slices.Clone(r.Paths[i].Steps)
+	}
+	c.Critical.Steps = slices.Clone(r.Critical.Steps)
+	return &c
+}
+
+// TestUpdateWritesOnlyTheReportHandedBack: an Update writes into the
+// report handed back to it and into no other. Two reports rotate as the
+// optimizer rotates them — the held one, and a spare each Update refills
+// — over random bundles, each committed (the refilled spare is held, the
+// held one becomes the spare) or rolled back (the spare is refilled again
+// over the restored design). The held report stays bit-for-bit what it
+// was when it was returned through every later Update and rollback, a
+// refilled spare equals a fresh analysis, and after a rollback it equals
+// the held report. Once both have grown to the paths' size, an Update
+// into a handed-back report allocates nothing.
+func TestUpdateWritesOnlyTheReportHandedBack(t *testing.T) {
+	const period = 900
+	db := randomDB(t, 5)
+	e, err := NewEngine(db.Design, db.Ex, Options{Corner: db.Corner, TopPaths: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := e.Run(period)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spare *Report
+	rng, seq, commits, rollbacks := geom.NewRNG(11), 0, 0, 0
+	for step := 0; step < 40; step++ {
+		when := fmt.Sprintf("step %d", step)
+		was := cloneReport(held)
+		txn := db.Begin()
+		randomEdits(t, db, txn, rng, &seq)
+		e.Invalidate(txn.DirtyNets(), txn.DirtyInsts(), txn.TopoChanged())
+		next, err := e.Update(period, spare)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		checkFresh(t, e, next, period, when)
+		if !reflect.DeepEqual(held, was) {
+			t.Fatalf("%s: the Update into the spare changed the held report", when)
+		}
+		if rng.Intn(2) == 0 {
+			txn.Commit()
+			held, spare = next, held
+			commits++
+			continue
+		}
+		e.Invalidate(txn.Rollback())
+		if spare, err = e.Update(period, next); err != nil {
+			t.Fatalf("%s rollback: %v", when, err)
+		}
+		if !reflect.DeepEqual(held, was) || !reflect.DeepEqual(spare, held) {
+			t.Fatalf("%s rollback: the held report changed, or the restored design's differs from it", when)
+		}
+		rollbacks++
+	}
+	if commits == 0 || rollbacks == 0 {
+		t.Fatalf("%d commits, %d rollbacks: the run must exercise both", commits, rollbacks)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		next, err := e.Update(period, spare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held, spare = next, held
+	})
+	if allocs != 0 {
+		t.Fatalf("an Update into a handed-back report allocates %.0f objects, want 0", allocs)
 	}
 }

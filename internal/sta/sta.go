@@ -93,6 +93,10 @@ type Report struct {
 	HoldWNS        float64
 	HoldViolations int
 	HoldEndpoints  int
+
+	// steps is the array the paths' steps are cut from, kept so that an
+	// Update handed this report back refills it.
+	steps []PathStep
 }
 
 const negInf = -1e30
@@ -186,10 +190,17 @@ func (e *Engine) before(i, j int32) bool {
 // state and assembles the report: minimum period, slacks, critical
 // paths, optional hold analysis. It is one arithmetic pass over the
 // endpoint table into engine-kept buffers, then a bounded selection of
-// the paths to trace; only the report and its paths are allocated.
-func (e *Engine) buildReport(period float64) (*Report, error) {
+// the paths to trace. The report is written into rep (nil: a new one),
+// whose path and step arrays are reused where they are large enough:
+// with them the report allocates nothing; without, its Report, Paths
+// and one step array for all paths.
+func (e *Engine) buildReport(period float64, rep *Report) (*Report, error) {
 	d, ex, opt := e.d, e.ex, e.opt
-	rep := &Report{}
+	if rep == nil {
+		rep = &Report{}
+	}
+	paths, stepBuf := rep.Paths, rep.steps
+	*rep = Report{}
 
 	ioRef := e.ioRef()
 	full, half := &e.full, &e.half
@@ -339,8 +350,8 @@ func (e *Engine) buildReport(period float64) (*Report, error) {
 	for _, c := range sel {
 		total += e.hops(e.eps[c])
 	}
-	steps := make([]PathStep, total)
-	rep.Paths = make([]Path, len(sel))
+	rep.steps, rep.Paths = refill(stepBuf, total), refill(paths, len(sel))
+	steps := rep.steps
 	for i, c := range sel {
 		k := e.hops(e.eps[c])
 		rep.Paths[i] = e.trace(e.eps[c], steps[:k:k])
@@ -363,6 +374,20 @@ func (e *Engine) buildReport(period float64) (*Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// refill returns s at length n: s itself when it has the room, else a
+// new array — of exactly n for a report that had none, and with
+// append's headroom for one that outgrew its own, since the paths of a
+// refilled report vary in length from one update to the next.
+func refill[T any](s []T, n int) []T {
+	switch {
+	case cap(s) >= n:
+		return s[:n]
+	case s == nil:
+		return make([]T, n)
+	}
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // dist is the Manhattan distance between two connection points, µm.

@@ -402,7 +402,7 @@ func TestUpdateAllocsAfterTopoEdit(t *testing.T) {
 			n.Sinks[0], n.Sinks[1] = n.Sinks[1], n.Sinks[0]
 			rc.ElmoreTo[0], rc.ElmoreTo[1] = rc.ElmoreTo[1], rc.ElmoreTo[0]
 			e.Invalidate(ids, nil, true)
-			if _, err := e.Update(2000); err != nil {
+			if _, err := e.Update(2000, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -436,7 +436,7 @@ func TestUpdateAllocsReportOnly(t *testing.T) {
 			a.Master = sizes[i%2]
 			i++
 			e.Invalidate(nil, ids, false)
-			if _, err := e.Update(2000); err != nil {
+			if _, err := e.Update(2000, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
