@@ -206,7 +206,11 @@ bench-flow:
 ## pair — then `benchjson -pairs`: per gated metric of BENCHMARK.json
 ## each side's median [Q1–Q3], the pairs the change won and a verdict
 ## (gain: ≥ 9/10 pairs won and a median gap wider than the base's IQR).
-## It exits 1 on a loss. The runs stay in .bench_build/pairs/runs.txt.
+## It exits 1 on a loss. The runs stay in .bench_build/pairs/runs.txt,
+## and the verdict table is appended as one row to the committed
+## BENCH_pairs.json: BASE's revision, the working tree's (`git describe
+## --dirty`), WL, N, the host, and per metric the medians, quartiles,
+## pairs won and verdict; a re-run of the same three replaces its row.
 ## TRACE=1 runs traced reps instead: the verdicts are then on the run's
 ## wall and CPU time and on each stage's time, with no bound, and fail
 ## nothing.
@@ -229,7 +233,7 @@ bench-pairs:
 			(cd $$dir && .bench_build/flowbench --workload $(WL) --seed 1 --seconds 12 --trace $(TRACE)) || exit 1; \
 		done; \
 	done > $(PAIRS)/runs.txt
-	$(GO) run ./cmd/benchjson -pairs < $(PAIRS)/runs.txt
+	$(GO) run ./cmd/benchjson -pairs -ledger BENCH_pairs.json $(WL) $$(git rev-parse --short $(BASE)) $$(git describe --always --dirty) < $(PAIRS)/runs.txt
 
 ## qor: the seed ensemble — `macro3d -experiment seeds`, Tables I and II
 ## and C2D over seeds 1–10 (70 flow runs) — and Tables I–III at seed 1

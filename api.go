@@ -35,6 +35,7 @@ import (
 	"macro3d/internal/lefdef"
 	"macro3d/internal/netlist"
 	"macro3d/internal/obs"
+	"macro3d/internal/obs/obshttp"
 	"macro3d/internal/obs/trace"
 	"macro3d/internal/piton"
 	"macro3d/internal/report"
@@ -402,9 +403,13 @@ func TinyTile() TileConfig { return piton.Tiny() }
 type ObsRecorder = obs.Recorder
 
 // ObsServer is a running observability HTTP endpoint (Prometheus
-// /metrics, JSON snapshot, expvar, pprof) created by
-// ObsRecorder.Serve.
-type ObsServer = obs.Server
+// /metrics, JSON snapshot, expvar, pprof) created by ServeObs.
+type ObsServer = obshttp.Server
+
+// ServeObs starts rec's inspection endpoint on addr (e.g. ":9090", or
+// "127.0.0.1:0" for an ephemeral port), served in the background until
+// Close.
+func ServeObs(rec *ObsRecorder, addr string) (*ObsServer, error) { return obshttp.Serve(rec, addr) }
 
 // NewObsRecorder returns an enabled recorder with an empty metric
 // registry.

@@ -23,8 +23,9 @@ import (
 )
 
 // buildPreOpt replicates the 2D flow up to (but excluding) the
-// optimization stage: generate, floorplan, place, CTS, route, extract,
-// and the ID reservation the flow makes before it opens the database.
+// optimization stage: generate, floorplan, place, CTS, the ID
+// reservation the flow makes before it routes a design it will edit,
+// route, extract.
 // Each call returns a fresh state, because Optimize mutates it.
 func buildPreOpt(b *testing.B) *opt.Context {
 	b.Helper()
@@ -57,6 +58,7 @@ func buildPreOpt(b *testing.B) *opt.Context {
 	}
 	tree := cts.Build(d, clk, src, d.Lib, t.Logic, cts.Options{})
 	db := route.NewDB(sz.Die2D, t.Logic, fp.RouteBlk, route.Options{})
+	d.ReserveIDs()
 	routes, err := route.RouteDesign(d, db)
 	if err != nil {
 		b.Fatal(err)
@@ -66,7 +68,6 @@ func buildPreOpt(b *testing.B) *opt.Context {
 	if err := ex.CheckFinite(); err != nil {
 		b.Fatal(err)
 	}
-	d.ReserveIDs()
 	return &opt.Context{
 		Clock: tree,
 		FP:    fp, RowHeight: t.RowHeight,

@@ -78,18 +78,28 @@ func ledgerRowFrom(in io.Reader, commit string, workloads []string) (ledgerRow, 
 	return row, nil
 }
 
+// readIfExists decodes the JSON file at path into v, and leaves v as it
+// is when there is no such file.
+func readIfExists(path string, v any) error {
+	b, err := os.ReadFile(path)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return nil
+	case err != nil:
+		return err
+	}
+	if err := json.Unmarshal(b, v); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
+
 // appendLedger adds the row to the ledger file (created when absent),
 // replacing an earlier row of the same commit so a re-run does not
 // stack duplicates.
 func appendLedger(path string, row ledgerRow) error {
 	var l ledger
-	b, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(b, &l); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	case !errors.Is(err, os.ErrNotExist):
+	if err := readIfExists(path, &l); err != nil {
 		return err
 	}
 	for i := range l.Rows {

@@ -129,7 +129,7 @@ func pair(num, den *entry) *pairStats {
 
 func main() {
 	outPath := flag.String("o", "", "write the JSON summary to this file (atomically) instead of stdout")
-	ledgerPath := flag.String("ledger", "", "append a flow-ledger row to this file: stdin carries one bench/run.sh line per workload named as an argument")
+	ledgerPath := flag.String("ledger", "", "append a flow-ledger row to this file: stdin carries one bench/run.sh line per workload named as an argument; with -pairs, the verdict table as a row, the arguments naming the workload, the base revision and the change revision")
 	commit := flag.String("commit", "", "with -ledger: the commit the row was measured at")
 	compare := flag.Bool("compare", false, "with -ledger: compare the row named last with the row named before it (or the row before it in the file), exit 1 when a deterministic gated metric is worse than its bound; without: compare two summary files old.json new.json, exit 1 on a regression that is not noise, or two BENCH_qor.json files, exit 1 when a metric is worse on nine seeds in ten")
 	manifestPath := flag.String("manifest", "BENCHMARK.json", "with -compare or -pairs: the benchmark declaration the bounds are read from")
@@ -145,6 +145,16 @@ func main() {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(2)
+		}
+		if *ledgerPath != "" {
+			row, err := pairsRowFrom(&m, base, change, flag.Args())
+			if err == nil {
+				err = appendPairs(*ledgerPath, row)
+			}
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "benchjson:", err)
+				os.Exit(2)
+			}
 		}
 		if n := comparePairs(os.Stdout, &m, base, change); n > 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: %d gated metric(s) worse on nine pairs in ten\n", n)

@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
+
+	"macro3d/internal/par"
 )
 
 // `benchjson -pairs` judges interleaved runs of two builds of the flow
@@ -131,18 +134,22 @@ func judgePairs(g gate, base, change []float64) pairVerdict {
 	return v
 }
 
-// comparePairs prints the judgement of every gated metric both sides
-// report, then of every per-layer time, and returns the number of
-// losses among the gated metrics.
-func comparePairs(w io.Writer, m *manifest, base, change []map[string]float64) (losses int) {
-	fmt.Fprintf(w, "%d pairs\n", len(base))
-	fmt.Fprintf(w, "  %-22s %-36s %-36s %5s  %s\n", "metric", "base median [Q1–Q3]", "new median [Q1–Q3]", "won", "verdict")
+// judgedMetric is one metric's line of the verdict table: over n pairs,
+// gated when it is an end-to-end metric of the manifest.
+type judgedMetric struct {
+	g     gate
+	v     pairVerdict
+	n     int
+	gated bool
+}
+
+// judgeAll judges every gated metric both sides report, then every
+// per-layer time (with no bound).
+func judgeAll(m *manifest, base, change []map[string]float64) []judgedMetric {
+	var out []judgedMetric
 	for _, g := range m.EndToEnd {
 		if v, n, ok := judgeMetric(g, base, change); ok {
-			if v.verdict == "loss" {
-				losses++
-			}
-			printVerdict(w, g, v, n, fmt.Sprintf("bound %g %%", 100*g.Bound))
+			out = append(out, judgedMetric{g, v, n, true})
 		}
 	}
 	for _, g := range m.PerLayer {
@@ -151,8 +158,26 @@ func comparePairs(w io.Writer, m *manifest, base, change []map[string]float64) (
 		}
 		g.Bound = 0
 		if v, n, ok := judgeMetric(g, base, change); ok {
-			printVerdict(w, g, v, n, "no bound")
+			out = append(out, judgedMetric{g, v, n, false})
 		}
+	}
+	return out
+}
+
+// comparePairs prints the verdict table and returns the number of
+// losses among the gated metrics.
+func comparePairs(w io.Writer, m *manifest, base, change []map[string]float64) (losses int) {
+	fmt.Fprintf(w, "%d pairs\n", len(base))
+	fmt.Fprintf(w, "  %-22s %-36s %-36s %5s  %s\n", "metric", "base median [Q1–Q3]", "new median [Q1–Q3]", "won", "verdict")
+	for _, j := range judgeAll(m, base, change) {
+		bound := "no bound"
+		if j.gated {
+			bound = fmt.Sprintf("bound %g %%", 100*j.g.Bound)
+			if j.v.verdict == "loss" {
+				losses++
+			}
+		}
+		printVerdict(w, j.g, j.v, j.n, bound)
 	}
 	return losses
 }
@@ -181,4 +206,93 @@ func printVerdict(w io.Writer, g gate, v pairVerdict, n int, bound string) {
 	q := func(q quartiles) string { return fmt.Sprintf("%.6g [%.6g–%.6g]", q.med, q.q1, q.q3) }
 	fmt.Fprintf(w, "  %-22s %-36s %-36s %2d/%-2d  %s (%s better, %s)\n",
 		g.Name, q(v.base), q(v.change), v.won, n, v.verdict, g.Better, bound)
+}
+
+// The verdict tables' committed record, BENCH_pairs.json: `make
+// bench-pairs` appends its table as one row with
+//
+//	benchjson -pairs -ledger BENCH_pairs.json <workload> <base rev> <change rev> < runs.txt
+//
+// — the revisions the two sides were built from, the workload, the
+// number of pairs, the host that ran them (go version, nproc,
+// GOMAXPROCS; benchjson runs on it right after the runs) and, per judged
+// metric, each side's median and quartiles, the pairs the change won and
+// lost, and the verdict. A re-run of the same revisions, workload and
+// kind of run (traced or not) replaces its row.
+
+type pairsLedger struct {
+	Rows []pairsRow `json:"rows"`
+}
+
+type pairsRow struct {
+	Base     string `json:"base"`
+	Change   string `json:"change"`
+	Workload string `json:"workload"`
+	// Trace marks traced runs (TRACE=1): the times are judged too.
+	Trace      bool          `json:"trace"`
+	N          int           `json:"n"`
+	Go         string        `json:"go"`
+	NProc      int           `json:"nproc"`
+	GoMaxProcs int           `json:"gomaxprocs"`
+	Metrics    []pairsMetric `json:"metrics"`
+}
+
+type pairsMetric struct {
+	Name    string    `json:"name"`
+	Unit    string    `json:"unit"`
+	Better  string    `json:"better"`
+	Bound   float64   `json:"bound"` // 0: none
+	Base    sideStats `json:"base"`
+	New     sideStats `json:"new"`
+	Won     int       `json:"won"`
+	Lost    int       `json:"lost"`
+	Pairs   int       `json:"pairs"`
+	Verdict string    `json:"verdict"`
+}
+
+// sideStats is one side's median and interquartile range.
+type sideStats struct {
+	Median float64 `json:"median"`
+	Q1     float64 `json:"q1"`
+	Q3     float64 `json:"q3"`
+}
+
+// pairsRowFrom is the verdict table comparePairs prints as a row; args
+// name the workload, the base revision and the change revision.
+func pairsRowFrom(m *manifest, base, change []map[string]float64, args []string) (pairsRow, error) {
+	if len(args) != 3 {
+		return pairsRow{}, fmt.Errorf("-pairs -ledger takes the workload, the base revision and the change revision, got %d arguments", len(args))
+	}
+	row := pairsRow{
+		Workload: args[0], Base: args[1], Change: args[2], N: len(base),
+		Go: runtime.Version(), NProc: runtime.NumCPU(), GoMaxProcs: par.Workers(0),
+	}
+	side := func(q quartiles) sideStats { return sideStats{q.med, q.q1, q.q3} }
+	for _, j := range judgeAll(m, base, change) {
+		row.Trace = row.Trace || !j.gated
+		row.Metrics = append(row.Metrics, pairsMetric{
+			Name: j.g.Name, Unit: j.g.Unit, Better: j.g.Better, Bound: j.g.Bound,
+			Base: side(j.v.base), New: side(j.v.change),
+			Won: j.v.won, Lost: j.v.lost, Pairs: j.n, Verdict: j.v.verdict,
+		})
+	}
+	return row, nil
+}
+
+// appendPairs adds the row to the file at path (created when absent),
+// replacing an earlier row of the same revisions, workload and kind.
+func appendPairs(path string, row pairsRow) error {
+	var l pairsLedger
+	if err := readIfExists(path, &l); err != nil {
+		return err
+	}
+	i := slices.IndexFunc(l.Rows, func(r pairsRow) bool {
+		return r.Base == row.Base && r.Change == row.Change && r.Workload == row.Workload && r.Trace == row.Trace
+	})
+	if i >= 0 {
+		l.Rows[i] = row
+	} else {
+		l.Rows = append(l.Rows, row)
+	}
+	return write(path, &l)
 }

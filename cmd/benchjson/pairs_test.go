@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -147,3 +150,89 @@ func TestPairsJudgeTraceTimes(t *testing.T) {
 		t.Log(got)
 	}
 }
+
+// TestPairsLedgerAppend: the verdict table becomes one row of
+// BENCH_pairs.json — revisions, workload, pairs, host, and per judged
+// metric both sides' median and quartiles, the pairs won and lost and
+// the verdict, as comparePairs prints them. A re-run of the same
+// revisions, workload and kind replaces its row; a traced run is a row
+// of its own; a row without its three names is refused.
+func TestPairsLedgerAppend(t *testing.T) {
+	line := func(side string, alloc, wall float64) string {
+		if wall == 0 {
+			return fmt.Sprintf(`%s {"correct":true,"failed":0,"metrics":{"alloc_gb":{"value":%g}}}`, side, alloc)
+		}
+		return fmt.Sprintf(`%s {"correct":true,"failed":0,"metrics":{"bench.wall_s":{"value":%g}}}`, side, wall)
+	}
+	runs := func(wall float64) ([]map[string]float64, []map[string]float64) {
+		var in []string
+		for i := range 10 {
+			d := 0.001 * float64(i%4)
+			in = append(in, line("base", 0.080+d, wall), line("new", 0.075+d, wall*0.9))
+		}
+		base, change, err := readPairs(strings.NewReader(strings.Join(in, "\n")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return base, change
+	}
+	m := &manifest{
+		EndToEnd: []gate{{Name: "alloc_gb", Unit: "GB", Better: "lower", Bound: 0.03}},
+		PerLayer: []gate{{Name: "bench.wall_s", Unit: "s", Better: "lower"}},
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_pairs.json")
+	add := func(wall float64, args ...string) error {
+		base, change := runs(wall)
+		row, err := pairsRowFrom(m, base, change, args)
+		if err != nil {
+			return err
+		}
+		return appendPairs(path, row)
+	}
+	for _, wall := range []float64{0, 0, 0.3} {
+		if err := add(wall, "array-verify", "aaa", "bbb"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := add(0, "array-verify", "aaa"); err == nil {
+		t.Fatal("a row without its change revision was accepted")
+	}
+	var l pairsLedger
+	b, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(b, &l)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(l.Rows) != 2 || l.Rows[0].Trace || !l.Rows[1].Trace {
+		t.Fatalf("want one plain and one traced row, got %+v", l.Rows)
+	}
+	r := l.Rows[0]
+	if r.Workload != "array-verify" || r.Base != "aaa" || r.Change != "bbb" || r.N != 10 || r.Go == "" || r.NProc < 1 || r.GoMaxProcs < 1 {
+		t.Fatalf("row header = %+v", r)
+	}
+	want := pairsMetric{Name: "alloc_gb", Unit: "GB", Better: "lower", Bound: 0.03,
+		Base: sideStats{0.081, 0.08025, 0.082}, New: sideStats{0.076, 0.07525, 0.077},
+		Won: 10, Pairs: 10, Verdict: "gain"}
+	if len(r.Metrics) != 1 || !approxMetric(r.Metrics[0], want) {
+		t.Fatalf("metrics = %+v, want %+v", r.Metrics, want)
+	}
+	if tm := l.Rows[1].Metrics; len(tm) != 1 || tm[0].Name != "bench.wall_s" || tm[0].Bound != 0 || tm[0].Verdict != "gain" {
+		t.Fatalf("traced row's metrics = %+v", tm)
+	}
+}
+
+// approxMetric compares two metric rows, their quartiles to 1e-12.
+func approxMetric(a, b pairsMetric) bool {
+	near := func(x, y sideStats) bool {
+		return abs(x.Median-y.Median) < 1e-12 && abs(x.Q1-y.Q1) < 1e-12 && abs(x.Q3-y.Q3) < 1e-12
+	}
+	if !near(a.Base, b.Base) || !near(a.New, b.New) {
+		return false
+	}
+	a.Base, a.New = b.Base, b.New
+	return a == b
+}
+
+func abs(x float64) float64 { return max(x, -x) }

@@ -190,7 +190,7 @@ func flowMode(ctx context.Context, o *options) (err error) {
 	}
 	var obsSrv *macro3d.ObsServer
 	if o.obsAddr != "" {
-		if obsSrv, err = rec.Serve(o.obsAddr); err != nil {
+		if obsSrv, err = macro3d.ServeObs(rec, o.obsAddr); err != nil {
 			return fmt.Errorf("-obs-addr: %w", err)
 		}
 		defer func() { teardown("-obs-addr", obsSrv.Close()) }()

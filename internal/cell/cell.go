@@ -222,6 +222,29 @@ func (c *Cell) PinIndex(name string) int {
 	return -1
 }
 
+// SamePins reports whether o lists the same pin names as c, in the same
+// order — what a master swap must keep, since a netlist names an
+// instance's pin by its position in the master's list. The error names
+// the first position where the lists part.
+func (c *Cell) SamePins(o *Cell) error {
+	if c == o {
+		return nil
+	}
+	for i := range max(len(c.Pins), len(o.Pins)) {
+		var a, b string
+		if i < len(c.Pins) {
+			a = c.Pins[i].Name
+		}
+		if i < len(o.Pins) {
+			b = o.Pins[i].Name
+		}
+		if a != b {
+			return fmt.Errorf("cell: %s and %s list different pins: %q against %q at position %d", c.Name, o.Name, a, b, i)
+		}
+	}
+	return nil
+}
+
 // Output returns the first output pin, or nil. Standard cells here have
 // exactly one output.
 func (c *Cell) Output() *Pin {

@@ -176,7 +176,9 @@ func PrepareMoL(d *netlist.Design, logicBeol, macroBeol *tech.BEOL, f2f tech.F2F
 		if err := onMacroDie(m.Master, edited, combined); err != nil {
 			return nil, fmt.Errorf("core: macro %s: %w", m.Name, err)
 		}
-		m.Master = edited
+		if err := m.SetMaster(edited); err != nil {
+			return nil, err
+		}
 		md.EditedMacros++
 	}
 

@@ -142,13 +142,16 @@ func (t *Txn) Resize(inst *netlist.Instance, to *cell.Cell) error {
 	return nil
 }
 
-// SetMaster swaps a master unchecked — the fault-injection path, which
-// deliberately installs degenerate masters the family check would
-// reject.
-func (t *Txn) SetMaster(inst *netlist.Instance, to *cell.Cell) {
+// SetMaster swaps a master outside its family — the fault-injection
+// path, which deliberately installs degenerate masters the family check
+// would reject. The pin lists must still agree (Instance.SetMaster).
+func (t *Txn) SetMaster(inst *netlist.Instance, to *cell.Cell) error {
 	old := inst.Master
-	inst.Master = to
+	if err := inst.SetMaster(to); err != nil {
+		return err
+	}
 	t.noteMaster(inst, old)
+	return nil
 }
 
 func (t *Txn) noteMaster(inst *netlist.Instance, old *cell.Cell) {

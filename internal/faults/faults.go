@@ -167,9 +167,9 @@ func Classes() []Class {
 				degenerate := *ms[0].Master // private copy; the master is shared
 				degenerate.Width, degenerate.Height = 0, 0
 				txn := edit(st)
-				txn.SetMaster(ms[0], &degenerate)
+				err := txn.SetMaster(ms[0], &degenerate)
 				txn.Commit()
-				return true
+				return err == nil
 			},
 		},
 		{

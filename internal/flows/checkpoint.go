@@ -364,19 +364,29 @@ func (r *runner) verifyHit(cp checkpoint, key stash.Key, payload []byte, sub []s
 // post-partition designs (whose per-die clones are not library members)
 // round-trip. views shares one clone per master within a single load,
 // as the prepare stage does when it makes them.
+//
+// A master that replaces cur must list its pins as cur does
+// (Instance.SetMaster), or the design's pin references would name other
+// pins.
 func resolveMaster(d *netlist.Design, cur *cell.Cell, name string, views core.DieViews) (*cell.Cell, error) {
 	if cur != nil && cur.Name == name {
 		return cur, nil
 	}
-	if m := d.Lib.Cell(name); m != nil {
-		return m, nil
-	}
-	if base, ok := strings.CutSuffix(name, tech.MDSuffix); ok {
-		if m := d.Lib.Cell(base); m != nil {
-			return views.MacroDie(m), nil
+	m := d.Lib.Cell(name)
+	if base, ok := strings.CutSuffix(name, tech.MDSuffix); ok && m == nil {
+		if lm := d.Lib.Cell(base); lm != nil {
+			m = views.MacroDie(lm)
 		}
 	}
-	return nil, fmt.Errorf("snapshot references unknown master %q", name)
+	if m == nil {
+		return nil, fmt.Errorf("snapshot references unknown master %q", name)
+	}
+	if cur != nil {
+		if err := cur.SamePins(m); err != nil {
+			return nil, fmt.Errorf("snapshot swaps master: %w", err)
+		}
+	}
+	return m, nil
 }
 
 func encodePinRef(e *stash.Enc, ref netlist.PinRef) {
@@ -390,7 +400,7 @@ func encodePinRef(e *stash.Enc, ref netlist.PinRef) {
 	e.U8(flags)
 	if ref.Inst != nil {
 		e.U32(uint32(ref.Inst.ID))
-		e.Str(ref.Pin)
+		e.Str(ref.Pin())
 	}
 	if ref.Port != nil {
 		e.U32(uint32(ref.Port.ID))
@@ -401,7 +411,7 @@ func encodePinRef(e *stash.Enc, ref netlist.PinRef) {
 func pinRefSize(ref netlist.PinRef) int {
 	n := 1
 	if ref.Inst != nil {
-		n += 4 + 4 + len(ref.Pin)
+		n += 4 + 4 + len(ref.Pin())
 	}
 	if ref.Port != nil {
 		n += 4
@@ -410,11 +420,10 @@ func pinRefSize(ref netlist.PinRef) int {
 }
 
 type pinRefWire struct {
-	hasInst bool
-	instID  uint32
-	pin     string
-	hasPort bool
-	portID  uint32
+	hasInst, hasPort bool
+	instID, portID   uint32
+	k                int32 // the pin's index on its instance's master, once validated
+	pin              string
 }
 
 func decodePinRefWire(dec *stash.Dec) pinRefWire {
@@ -432,9 +441,20 @@ func decodePinRefWire(dec *stash.Dec) pinRefWire {
 	return w
 }
 
-func (w pinRefWire) validate(nInst, nPort int) error {
-	if w.hasInst && int(w.instID) >= nInst {
-		return fmt.Errorf("pin ref instance %d out of range (%d instances)", w.instID, nInst)
+// validate holds the reference to the design it will be resolved on —
+// nInst instances, the one of ID id on master masters(id), and nPort
+// ports — and resolves its pin name to the pin's index on that master.
+func (w *pinRefWire) validate(masters func(id int) *cell.Cell, nInst, nPort int) error {
+	if w.hasInst {
+		if int(w.instID) >= nInst {
+			return fmt.Errorf("pin ref instance %d out of range (%d instances)", w.instID, nInst)
+		}
+		m := masters(int(w.instID))
+		k := m.PinIndex(w.pin)
+		if k < 0 {
+			return fmt.Errorf("pin ref names pin %q, which master %s of instance %d lacks", w.pin, m.Name, w.instID)
+		}
+		w.k = int32(k)
 	}
 	if w.hasPort && int(w.portID) >= nPort {
 		return fmt.Errorf("pin ref port %d out of range (%d ports)", w.portID, nPort)
@@ -447,8 +467,7 @@ func (w pinRefWire) validate(nInst, nPort int) error {
 func (w pinRefWire) resolve(d *netlist.Design) netlist.PinRef {
 	var ref netlist.PinRef
 	if w.hasInst {
-		ref.Inst = d.Instances[w.instID]
-		ref.Pin = w.pin
+		ref = netlist.IPinAt(d.Instances[w.instID], int(w.k))
 	}
 	if w.hasPort {
 		ref.Port = d.Ports[w.portID]
@@ -534,7 +553,10 @@ func finiteLoc(x, y float64) error {
 
 func (w instStateWire) apply(inst *netlist.Instance) {
 	if w.resolved != nil {
-		inst.Master = w.resolved
+		// resolveMaster checked the swap.
+		if err := inst.SetMaster(w.resolved); err != nil {
+			panic(err)
+		}
 	}
 	inst.Loc = geom.Pt(w.x, w.y)
 	inst.Orient = geom.Orient(w.orient)
@@ -815,6 +837,20 @@ func decodeResult(dec *stash.Dec) (*route.Result, error) {
 	return res, nil
 }
 
+// checkRoutePins holds a routing result to the nets it routes, net i
+// having pins(i) pins: a present route carries one pin node per pin, the
+// driver's then each sink's. Extraction reads a sink's node by the
+// sink's index, so a route that names a pin its net lacks, or lacks one
+// it has, is refused here.
+func checkRoutePins(res *route.Result, pins func(net int) int) error {
+	for i, r := range res.Routes {
+		if r != nil && len(r.PinNode) != pins(i) {
+			return fmt.Errorf("route snapshot: net %d has %d pins, its route %d pin nodes", i, pins(i), len(r.PinNode))
+		}
+	}
+	return nil
+}
+
 // routeCheckpoint snapshots the routing result plus the DB's dynamic
 // state (usage, negotiation history, F2F bump usage — the history is
 // not derivable from the final routes but feeds downstream ECO cost).
@@ -845,6 +881,9 @@ func routeCheckpoint(st *State, material []byte, build func()) checkpoint {
 			}
 			if len(res.Routes) != len(d.Nets) {
 				return fmt.Errorf("route snapshot covers %d nets, design has %d", len(res.Routes), len(d.Nets))
+			}
+			if err := checkRoutePins(res, func(i int) int { return d.Nets[i].NumPins() }); err != nil {
+				return err
 			}
 			build()
 			if err := st.DB.SetDynState(u, h, f); err != nil {

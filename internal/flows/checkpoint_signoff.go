@@ -127,12 +127,12 @@ func decodeNetState(dec *stash.Dec, withName bool, arena *[]pinRefWire) (netStat
 	return w, dec.Err()
 }
 
-func (w netStateWire) validate(nInst, nPort int) error {
-	if err := w.driver.validate(nInst, nPort); err != nil {
+func (w *netStateWire) validate(masters func(id int) *cell.Cell, nInst, nPort int) error {
+	if err := w.driver.validate(masters, nInst, nPort); err != nil {
 		return err
 	}
-	for _, s := range w.sinks {
-		if err := s.validate(nInst, nPort); err != nil {
+	for i := range w.sinks {
+		if err := w.sinks[i].validate(masters, nInst, nPort); err != nil {
 			return err
 		}
 	}
@@ -246,21 +246,21 @@ func decodeReportWire(dec *stash.Dec) reportWire {
 	return w
 }
 
-func (w pathWire) validate(nInst, nPort int) error {
-	for _, s := range w.steps {
-		if err := s.ref.validate(nInst, nPort); err != nil {
+func (w pathWire) validate(masters func(id int) *cell.Cell, nInst, nPort int) error {
+	for i := range w.steps {
+		if err := w.steps[i].ref.validate(masters, nInst, nPort); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (w reportWire) validate(nInst, nPort int) error {
-	if err := w.critical.validate(nInst, nPort); err != nil {
+func (w reportWire) validate(masters func(id int) *cell.Cell, nInst, nPort int) error {
+	if err := w.critical.validate(masters, nInst, nPort); err != nil {
 		return err
 	}
 	for _, p := range w.paths {
-		if err := p.validate(nInst, nPort); err != nil {
+		if err := p.validate(masters, nInst, nPort); err != nil {
 			return err
 		}
 	}
@@ -395,6 +395,9 @@ func (f *flow) signoffCheckpoint(budget opt.Options) checkpoint {
 				}
 				insts[i].resolved = m
 			}
+			// A pin reference resolves on the master its instance will
+			// have.
+			masterOf := func(id int) *cell.Cell { return insts[id].resolved }
 			for i := range nets {
 				if i >= preNet {
 					if d.Net(nets[i].name) != nil {
@@ -404,17 +407,20 @@ func (f *flow) signoffCheckpoint(budget opt.Options) checkpoint {
 						return fmt.Errorf("signoff snapshot appends an unnamed net")
 					}
 				}
-				if err := nets[i].validate(postInst, len(d.Ports)); err != nil {
+				if err := nets[i].validate(masterOf, postInst, len(d.Ports)); err != nil {
 					return err
 				}
 			}
 			if len(routes.Routes) != postNet {
 				return fmt.Errorf("signoff snapshot routes %d nets, design will have %d", len(routes.Routes), postNet)
 			}
+			if err := checkRoutePins(routes, func(i int) int { return 1 + len(nets[i].sinks) }); err != nil {
+				return err
+			}
 			if err := st.DB.CheckDynState(u, h, fr); err != nil {
 				return fmt.Errorf("signoff snapshot: %w", err)
 			}
-			if err := rep.validate(postInst, len(d.Ports)); err != nil {
+			if err := rep.validate(masterOf, postInst, len(d.Ports)); err != nil {
 				return err
 			}
 

@@ -293,8 +293,10 @@ func corruptResultCases(good []byte) []corruptCase {
 // canonical — it re-encodes to the same bytes. Seeded with a good
 // encoding — a small one: the engine minimizes every input that reaches
 // new code, an execution per byte — and TestDecodeResultCorrupt's table
-// over it, a slanted wire and a slanted via among them; `go test` runs
-// the seeds, `make check` fuzzes for a bounded time.
+// over it, a slanted wire and a slanted via among them, and the same
+// result with one route naming a pin its net lacks: sound on the wire,
+// refused by the nets' pin counts (checkRoutePins); `go test` runs the
+// seeds, `make check` fuzzes for a bounded time.
 func FuzzDecodeResult(f *testing.F) {
 	good := encodeResultBytes(randomResult(3, 12))
 	f.Add(good)
@@ -302,6 +304,14 @@ func FuzzDecodeResult(f *testing.F) {
 	for _, c := range corruptResultCases(good) {
 		f.Add(c.b)
 	}
+	nets, extra := randomResult(3, 12), randomResult(3, 12)
+	i := slices.IndexFunc(extra.Routes, func(r *route.NetRoute) bool { return r != nil })
+	extra.Routes[i].PinNode = append(extra.Routes[i].PinNode, route.Node{})
+	pins := func(j int) int { return len(nets.Routes[j].PinNode) }
+	if res, err := decodeResultBytes(encodeResultBytes(extra)); err != nil || checkRoutePins(res, pins) == nil {
+		f.Fatalf("a route naming a pin its net lacks: decoded with %v, and the pin counts pass it", err)
+	}
+	f.Add(encodeResultBytes(extra))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -431,12 +441,13 @@ func decodeSignoffTail(b []byte, d *netlist.Design, preNet int) ([]netStateWire,
 	if err := dec.Done(); err != nil {
 		return nil, reportWire{}, err
 	}
-	for _, w := range nets {
-		if err := w.validate(len(d.Instances), len(d.Ports)); err != nil {
+	masterOf := func(id int) *cell.Cell { return d.Instances[id].Master }
+	for i := range nets {
+		if err := nets[i].validate(masterOf, len(d.Instances), len(d.Ports)); err != nil {
 			return nil, reportWire{}, err
 		}
 	}
-	return nets, rep, rep.validate(len(d.Instances), len(d.Ports))
+	return nets, rep, rep.validate(masterOf, len(d.Instances), len(d.Ports))
 }
 
 // FuzzDecodeSignoff holds the signoff snapshot's net and report decoders
@@ -445,8 +456,10 @@ func decodeSignoffTail(b []byte, d *netlist.Design, preNet int) ([]netStateWire,
 // never allocates past a small multiple of the input (every count is held
 // to the bytes left), and an input that decodes is canonical — rebuilt
 // into nets and a report on the design it validated against, it
-// re-encodes to the same bytes. The corpus is one good snapshot tail and
-// its truncations.
+// re-encodes to the same bytes. The corpus is one good snapshot tail, its
+// truncations, and the tail with a net's sink, then a path step, naming
+// pin Z, which no inverter has: each must fail where the name is
+// resolved.
 func FuzzDecodeSignoff(f *testing.F) {
 	lib := cell.NewStdLib28(cell.DefaultLibOptions())
 	d, preNet, rep := signoffFixture(lib)
@@ -457,6 +470,18 @@ func FuzzDecodeSignoff(f *testing.F) {
 	f.Add(good)
 	for _, n := range []int{0, 7, 8, 16, 17, 40, len(good) / 2, len(good) - 25, len(good) - 1} {
 		f.Add(good[:n])
+	}
+	pinA := []byte("\x01\x00\x00\x00A") // Str("A"): the sinks of n0, n1 and buf_n, two path steps
+	if n := bytes.Count(good, pinA); n != 5 {
+		f.Fatalf("the tail names pin A %d times, want 5", n)
+	}
+	for _, at := range []int{bytes.Index(good, pinA), bytes.LastIndex(good, pinA)} {
+		b := slices.Clone(good)
+		b[at+4] = 'Z'
+		if _, _, err := decodeSignoffTail(b, d, preNet); err == nil || !strings.Contains(err.Error(), `names pin "Z"`) {
+			f.Fatalf("a snapshot naming pin Z at byte %d: %v", at, err)
+		}
+		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		d, preNet, _ := signoffFixture(lib)

@@ -120,7 +120,7 @@ func TestTraceImportScope(t *testing.T) {
 // except par.Workers — so -j governs every fan-out. bench/, the ledger
 // harness that pins GOMAXPROCS for its runs, is outside the program.
 func TestGoroutineScope(t *testing.T) {
-	goAllowed := map[string]bool{"internal/par/par.go": true, "internal/obs/http.go": true}
+	goAllowed := map[string]bool{"internal/par/par.go": true, "internal/obs/obshttp/obshttp.go": true}
 	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err

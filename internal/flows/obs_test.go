@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"macro3d/internal/obs"
+	"macro3d/internal/obs/obshttp"
 	"macro3d/internal/piton"
 )
 
@@ -112,7 +113,7 @@ func TestMetricsEndpointServesEngineFamilies(t *testing.T) {
 	get := func(path string) string {
 		t.Helper()
 		w := httptest.NewRecorder()
-		rec.Handler().ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+		obshttp.Handler(rec).ServeHTTP(w, httptest.NewRequest("GET", path, nil))
 		if w.Code != 200 {
 			t.Fatalf("GET %s: status %d", path, w.Code)
 		}

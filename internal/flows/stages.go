@@ -160,6 +160,7 @@ func (f *flow) stagesPseudo3D() []stage {
 			f.place("pseudo-"+StagePlace, spec.seedOff),
 			do("pseudo-"+StageRoute, func() error {
 				f.clockTree(f.namedClock())
+				f.st.Design.ReserveIDs() // for the optimizer that follows
 				return f.route()
 			}),
 			// Sizing only, against the pseudo parasitics — buffers do
@@ -188,7 +189,9 @@ func (f *flow) stagesPseudo3D() []stage {
 			views := core.DieViews{}
 			for _, c := range real.Design.StdCells() {
 				if c.Die == netlist.MacroDie {
-					c.Master = views.MacroDie(c.Master)
+					if err := c.SetMaster(views.MacroDie(c.Master)); err != nil {
+						return err
+					}
 				}
 			}
 			return nil
@@ -308,7 +311,12 @@ func (f *flow) backEnd(budget opt.Options) []stage {
 	list := []stage{
 		do(StageCTS, func() error { return f.clockTree(f.namedClock()) }),
 		region(func() checkpoint { return routeCheckpoint(f.st, f.material(), f.newDB) },
-			do(StageRoute, f.route)),
+			do(StageRoute, func() error {
+				if !budget.Frozen { // for the optimizer that follows
+					f.st.Design.ReserveIDs()
+				}
+				return f.route()
+			})),
 		// Sign-off restores everything route does, so a warm run reads
 		// only its snapshot.
 		covering(func() checkpoint { return f.signoffCheckpoint(budget) },
@@ -415,10 +423,12 @@ func (f *flow) openDDB(sp *obs.Span) {
 // optimize runs the optimizer on f.st under budget, reporting under sp.
 // A frozen budget only analyses, so it opens no design database: the
 // optimizer reads the state directly. Any other is the one path on
-// which a flow's instance and net IDs grow, so it reserves the design's
-// ID room first (netlist.Design.ReserveIDs): the database, the timing
-// engine and the optimizer's sets are then allocated once, at that
-// capacity, and its buffers append into them.
+// which a flow's instance and net IDs grow, so the design's ID room is
+// reserved first (netlist.Design.ReserveIDs) — by the route stage before
+// it, whose settled-net table is sized by it too, or here when routing
+// was restored from a checkpoint: the database, the timing engine and
+// the optimizer's sets are then allocated once, at that capacity, and
+// its buffers append into them.
 func (f *flow) optimize(budget opt.Options, sp *obs.Span) (*opt.Result, error) {
 	st := f.st
 	ctx := &opt.Context{

@@ -53,7 +53,7 @@ func WriteDEF(w io.Writer, d *netlist.Design, die geom.Rect) error {
 			if r.Port != nil {
 				fmt.Fprintf(bw, " ( PIN %s )", r.Port.Name)
 			} else {
-				fmt.Fprintf(bw, " ( %s %s )", r.Inst.Name, r.Pin)
+				fmt.Fprintf(bw, " ( %s %s )", r.Inst.Name, r.Pin())
 			}
 		}
 		writeRef(n.Driver)
@@ -350,7 +350,11 @@ func parseNets(tk *tokenizer, d *netlist.Design) error {
 					if inst == nil {
 						return tk.errf("net %s references unknown instance %s", name, a)
 					}
-					refs = push(refs, netlist.IPin(inst, pin))
+					r, err := netlist.LookupPin(inst, pin)
+					if err != nil {
+						return tk.errf("net %s: %v", name, err)
+					}
+					refs = push(refs, r)
 				}
 				tk.expect(")")
 			}

@@ -91,6 +91,24 @@ func TestParseDEFUnknownPinRef(t *testing.T) {
 	mustErr(t, err, "net n1 references unknown pin ghost", "line 3")
 }
 
+// unknownPinDEF names pin Z of an inverter, which has A and Y.
+const unknownPinDEF = "DESIGN x ;\n" +
+	"COMPONENTS 2 ;\n" +
+	"  - u1 INV_X2 + PLACED ( 0 0 ) N ;\n" +
+	"  - u2 INV_X2 + PLACED ( 5 0 ) N ;\n" +
+	"END COMPONENTS\n" +
+	"NETS 1 ;\n" +
+	"  - n1 ( u1 Y ) ( u2 Z ) ;\n" +
+	"END NETS\nEND DESIGN\n"
+
+func TestParseDEFUnknownInstancePin(t *testing.T) {
+	// A net naming a pin the component's master lacks is resolved to a
+	// pin position as it is read: an error there, not a panic later.
+	lib := cell.NewStdLib28(cell.DefaultLibOptions())
+	_, err := ParseDEF(strings.NewReader(unknownPinDEF), lib)
+	mustErr(t, err, `net n1: netlist: instance "u2" has no pin "Z" on INV_X2`, "line 7")
+}
+
 func TestParseDEFDuplicateNames(t *testing.T) {
 	// Duplicate components/pins/nets hit panicking netlist builders if
 	// unguarded; the parser must refuse them with an error instead.

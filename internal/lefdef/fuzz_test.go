@@ -63,7 +63,7 @@ func tinyTileSeeds(f *testing.F) (lef, def []byte, lib *cell.Library) {
 				sub.Add(r.Inst.Master)
 			}
 		}
-		return netlist.IPin(inst, r.Pin)
+		return netlist.IPin(inst, r.Pin())
 	}
 	for _, n := range pick {
 		if n == nil {
@@ -118,13 +118,15 @@ func FuzzParseLEF(f *testing.F) {
 // FuzzParseDEF: ParseDEF on arbitrary bytes, against the tiny tile's
 // library, does not panic, and allocates within 16× the input plus
 // 64 kB. Seeded with the tiny tile as WriteDEF writes it, a DIEAREA cut
-// short (the parser read past EOF there forever) and a second DESIGN
-// (each made a design of its own).
+// short (the parser read past EOF there forever), a second DESIGN (each
+// made a design of its own) and a net naming a pin its component's
+// master lacks (an error where the name is resolved).
 func FuzzParseDEF(f *testing.F) {
 	_, def, lib := tinyTileSeeds(f)
 	f.Add(def)
 	f.Add([]byte("DESIGN x ;\nDIEAREA ( 0 0"))
 	f.Add([]byte("DESIGN x ;\nDESIGN y ;\n"))
+	f.Add([]byte(unknownPinDEF))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		allocBound(t, b, func() { ParseDEF(bytes.NewReader(b), lib) })
 	})

@@ -57,7 +57,7 @@ func composed(t *testing.T, src *Design, tags ...string) *Design {
 			if r.Port != nil {
 				return PPin(b.Port(c, r.Port))
 			}
-			return IPin(d.Instances[base+r.Inst.ID], r.Pin)
+			return IPin(d.Instances[base+r.Inst.ID], r.Pin())
 		}
 		for _, n := range src.Nets {
 			b.Net(c, n, ref(n.Driver), ref(n.Sinks[0]))
@@ -284,7 +284,7 @@ func TestValidateDoubleDriverNamesBothNets(t *testing.T) {
 	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), `pin u3/B driven by both "first" and "second"`) {
 		t.Fatalf("doubly-driven pin: %v", err)
 	}
-	third.Sinks[0].Pin = "Y"
+	third.Sinks[0] = IPin(u[3], "Y")
 	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), `net "third" sinks at non-input`) {
 		t.Fatalf("a structural fault after the double driver: %v", err)
 	}

@@ -62,12 +62,31 @@ func (i *Instance) Center() geom.Point {
 // PinLoc returns the absolute location of the named pin under the
 // instance's orientation.
 func (i *Instance) PinLoc(pin string) geom.Point {
-	p := i.Master.Pin(pin)
-	if p == nil {
+	k := i.Master.PinIndex(pin)
+	if k < 0 {
 		panic(fmt.Sprintf("netlist: instance %q has no pin %q on %s", i.Name, pin, i.Master.Name))
 	}
-	local := i.Orient.Apply(p.Offset, i.Master.Width, i.Master.Height)
+	return i.pinLoc(k)
+}
+
+// pinLoc returns the absolute location of the master's pin k.
+func (i *Instance) pinLoc(k int) geom.Point {
+	local := i.Orient.Apply(i.Master.Pins[k].Offset, i.Master.Width, i.Master.Height)
 	return i.Loc.Add(local)
+}
+
+// SetMaster swaps the instance's master for one that lists the same pin
+// names in the same order (cell.Cell.SamePins) — the one check every
+// master swap passes, since a PinRef names its pin by that position. A
+// record without a master yet takes any.
+func (i *Instance) SetMaster(to *cell.Cell) error {
+	if i.Master != nil {
+		if err := i.Master.SamePins(to); err != nil {
+			return fmt.Errorf("netlist: instance %q: %w", i.Name, err)
+		}
+	}
+	i.Master = to
+	return nil
 }
 
 // IsMacro reports whether the master is a hard macro.
@@ -93,22 +112,55 @@ type Port struct {
 }
 
 // PinRef identifies one connection point of a net: either an instance
-// pin (Inst != nil) or a top-level port.
+// pin (Inst != nil) or a top-level port. An instance pin is named by its
+// position in the master's pin list, which every master swap keeps
+// (Instance.SetMaster); Pin gives its name back.
 type PinRef struct {
 	Inst *Instance
-	Pin  string // pin name on Inst's master; empty for ports
 	Port *Port
+	pin  int32 // 1 + the pin's index in Inst.Master.Pins; 0 names none
 }
 
 // IsPort reports whether the reference is a top-level port.
 func (r PinRef) IsPort() bool { return r.Port != nil }
+
+// Pin returns the pin's name on Inst's master; empty for a port.
+func (r PinRef) Pin() string {
+	if r.pin == 0 {
+		return ""
+	}
+	return r.Inst.Master.Pins[r.pin-1].Name
+}
+
+// PinIndex returns the pin's position in Inst.Master.Pins; -1 for a
+// port.
+func (r PinRef) PinIndex() int { return int(r.pin) - 1 }
+
+// MasterPin returns the pin of Inst's master; nil for a port.
+func (r PinRef) MasterPin() *cell.Pin {
+	if r.pin == 0 {
+		return nil
+	}
+	return &r.Inst.Master.Pins[r.pin-1]
+}
+
+// onMaster reports whether an instance pin reference names a pin its
+// master has.
+func (r PinRef) onMaster() bool { return r.pin > 0 && int(r.pin) <= len(r.Inst.Master.Pins) }
+
+// SamePinOn returns the reference to the same pin of inst, an instance
+// of r.Inst's master (a copy of it, say).
+func (r PinRef) SamePinOn(inst *Instance) PinRef {
+	r.Inst = inst
+	return r
+}
 
 // Loc returns the absolute location of the connection point.
 func (r PinRef) Loc() geom.Point {
 	if r.Port != nil {
 		return r.Port.Loc
 	}
-	return r.Inst.PinLoc(r.Pin)
+	return r.Inst.pinLoc(int(r.pin) - 1)
 }
 
 // Layer returns the metal layer of the connection point.
@@ -116,7 +168,7 @@ func (r PinRef) Layer() string {
 	if r.Port != nil {
 		return r.Port.Layer
 	}
-	return r.Inst.Master.Pin(r.Pin).Layer
+	return r.Inst.Master.Pins[r.pin-1].Layer
 }
 
 // Cap returns the input capacitance contributed by this connection, fF.
@@ -124,14 +176,14 @@ func (r PinRef) Cap() float64 {
 	if r.Port != nil {
 		return r.Port.ExtCap
 	}
-	return r.Inst.Master.Pin(r.Pin).Cap
+	return r.Inst.Master.Pins[r.pin-1].Cap
 }
 
 func (r PinRef) String() string {
 	if r.Port != nil {
 		return "port:" + r.Port.Name
 	}
-	return r.Inst.Name + "/" + r.Pin
+	return r.Inst.Name + "/" + r.Pin()
 }
 
 // Net is a signal with one driver and any number of sinks.
@@ -554,8 +606,34 @@ func byID[T any](recs []*T, id int) *T {
 	return recs[id]
 }
 
-// IPin makes a PinRef for inst/pin.
-func IPin(inst *Instance, pin string) PinRef { return PinRef{Inst: inst, Pin: pin} }
+// IPin makes a PinRef for inst/pin, resolving the name once. It panics
+// if the master has no such pin; a name read from a file is resolved by
+// LookupPin instead.
+func IPin(inst *Instance, pin string) PinRef {
+	r, err := LookupPin(inst, pin)
+	if err != nil {
+		panic(err.Error())
+	}
+	return r
+}
+
+// LookupPin makes a PinRef for inst/pin, or fails if the master has no
+// such pin.
+func LookupPin(inst *Instance, pin string) (PinRef, error) {
+	k := inst.Master.PinIndex(pin)
+	if k < 0 {
+		return PinRef{}, fmt.Errorf("netlist: instance %q has no pin %q on %s", inst.Name, pin, inst.Master.Name)
+	}
+	return PinRef{Inst: inst, pin: int32(k) + 1}, nil
+}
+
+// IPinAt makes a PinRef for pin k of inst's master.
+func IPinAt(inst *Instance, k int) PinRef {
+	if k < 0 || k >= len(inst.Master.Pins) {
+		panic(fmt.Sprintf("netlist: instance %q has no pin %d on %s", inst.Name, k, inst.Master.Name))
+	}
+	return PinRef{Inst: inst, pin: int32(k) + 1}
+}
 
 // PPin makes a PinRef for a top-level port.
 func PPin(p *Port) PinRef { return PinRef{Port: p} }
@@ -585,11 +663,10 @@ func (d *Design) Validate() error {
 			if !d.owns(n.Driver.Inst) {
 				return fmt.Errorf("netlist: net %q driver %s is not an instance of the design", n.Name, n.Driver)
 			}
-			p := n.Driver.Inst.Master.Pin(n.Driver.Pin)
-			if p == nil {
-				return fmt.Errorf("netlist: net %q driver pin %s missing", n.Name, n.Driver)
+			if !n.Driver.onMaster() {
+				return fmt.Errorf("netlist: net %q driver pin %d of %s missing", n.Name, n.Driver.PinIndex(), n.Driver.Inst.Name)
 			}
-			if p.Dir != cell.DirOut {
+			if n.Driver.MasterPin().Dir != cell.DirOut {
 				return fmt.Errorf("netlist: net %q driven by non-output %s", n.Name, n.Driver)
 			}
 		} else if n.Driver.Port.Dir != cell.DirIn {
@@ -600,10 +677,10 @@ func (d *Design) Validate() error {
 				if !d.owns(s.Inst) {
 					return fmt.Errorf("netlist: net %q sink %s is not an instance of the design", n.Name, s)
 				}
-				k := s.Inst.Master.PinIndex(s.Pin)
-				if k < 0 {
-					return fmt.Errorf("netlist: net %q sink pin %s missing", n.Name, s)
+				if !s.onMaster() {
+					return fmt.Errorf("netlist: net %q sink pin %d of %s missing", n.Name, s.PinIndex(), s.Inst.Name)
 				}
+				k := s.PinIndex()
 				if s.Inst.Master.Pins[k].Dir != cell.DirIn {
 					return fmt.Errorf("netlist: net %q sinks at non-input %s", n.Name, s)
 				}
@@ -827,8 +904,8 @@ func (d *Design) TruncateTo(instances, nets int) {
 	d.Nets = d.Nets[:nets]
 }
 
-// Resize swaps an instance's master within its sizing family, keeping
-// the connection pin names valid (families share pin names).
+// Resize swaps an instance's master within its sizing family, whose
+// masters list the same pins in the same order (Instance.SetMaster).
 func (d *Design) Resize(inst *Instance, to *cell.Cell) error {
 	if to == nil {
 		return fmt.Errorf("netlist: resize of %q to nil master", inst.Name)
@@ -837,6 +914,5 @@ func (d *Design) Resize(inst *Instance, to *cell.Cell) error {
 		return fmt.Errorf("netlist: resize of %q across families %q→%q",
 			inst.Name, inst.Master.Family, to.Family)
 	}
-	inst.Master = to
-	return nil
+	return inst.SetMaster(to)
 }

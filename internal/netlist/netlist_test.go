@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/geom"
@@ -96,6 +97,37 @@ func TestPinLocUnknownPanics(t *testing.T) {
 		}
 	}()
 	d.Instance("u1").PinLoc("NOPE")
+}
+
+// TestPinRefByIndex: a pin reference names its pin by its position on
+// the master — 24 bytes instead of a name's 32, so a Net is 88 — and
+// gives the name back; a name the master lacks is an error from
+// LookupPin and a panic from IPin.
+func TestPinRefByIndex(t *testing.T) {
+	if n := unsafe.Sizeof(PinRef{}); n != 24 {
+		t.Errorf("PinRef is %d bytes, want 24", n)
+	}
+	if n := unsafe.Sizeof(Net{}); n != 88 {
+		t.Errorf("Net is %d bytes, want 88", n)
+	}
+	d := tiny(t)
+	ff := d.Instance("ff")
+	r := IPin(ff, "D")
+	if r.Pin() != "D" || r.MasterPin() != ff.Master.Pin("D") || r.PinIndex() != ff.Master.PinIndex("D") || r.String() != "ff/D" {
+		t.Fatalf("IPin(ff, D) reads %s, pin %d", r, r.PinIndex())
+	}
+	if r.Loc() != ff.PinLoc("D") || r.Cap() != ff.Master.Pin("D").Cap || r.Layer() != ff.Master.Pin("D").Layer {
+		t.Fatal("the reference's location, load or layer is not its pin's")
+	}
+	if _, err := LookupPin(ff, "NOPE"); err == nil || !strings.Contains(err.Error(), `instance "ff" has no pin "NOPE"`) {
+		t.Fatalf("LookupPin of a missing pin: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("IPin of a missing pin did not panic")
+		}
+	}()
+	IPin(ff, "NOPE")
 }
 
 func TestNetHPWL(t *testing.T) {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"net/http"
 	"strings"
 	"testing"
 )
@@ -64,31 +63,6 @@ func TestRecorderCloseConcurrent(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		<-done
-	}
-}
-
-// TestServerCloseIdempotent double-closes the observability HTTP
-// endpoint: the second Close is a no-op returning the first result,
-// and the port is actually released.
-func TestServerCloseIdempotent(t *testing.T) {
-	r := New()
-	s, err := r.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(s.URL() + "/metrics")
-	if err != nil {
-		t.Fatalf("endpoint not serving: %v", err)
-	}
-	resp.Body.Close()
-	if err := s.Close(); err != nil {
-		t.Fatalf("first Close: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	if _, err := http.Get(s.URL() + "/metrics"); err == nil {
-		t.Error("endpoint still serving after Close")
 	}
 }
 

@@ -2,8 +2,9 @@
 // spans (flow → stage → phase, e.g. "macro3d/route/rip-up-iter"),
 // typed per-run metrics (counters, gauges, histograms), two span sinks
 // (a JSONL event stream, the execution timeline of internal/obs/trace),
-// and live exporters (Prometheus text format, JSON snapshot) servable
-// over HTTP alongside expvar and net/http/pprof.
+// and live exporters (Prometheus text format, JSON snapshot), which
+// internal/obs/obshttp serves over HTTP alongside expvar and
+// net/http/pprof.
 //
 // The package depends only on the standard library and its trace
 // package, and is safe to thread through every engine: all entry points are

@@ -1,4 +1,10 @@
-package obs
+// Package obshttp serves a run's observability over HTTP: the
+// recorder's metrics beside expvar and net/http/pprof. It is a package
+// of its own so that the engines, which import obs, do not link
+// net/http: its address parsing keeps a unique.Make map, whose
+// clean-up allocates on every garbage collection, in every binary that
+// links it.
+package obshttp
 
 import (
 	"context"
@@ -9,6 +15,8 @@ import (
 	"net/http/pprof"
 	"sync"
 	"time"
+
+	"macro3d/internal/obs"
 )
 
 // Handler returns the live inspection mux:
@@ -20,7 +28,7 @@ import (
 //
 // Valid on a nil Recorder (the metric endpoints expose an empty
 // registry).
-func (r *Recorder) Handler() http.Handler {
+func Handler(r *obs.Recorder) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -59,13 +67,13 @@ type Server struct {
 // "127.0.0.1:0" for an ephemeral port) and serves in a background
 // goroutine until Close. The bound address is available from URL, so
 // callers can print the endpoint even with port 0.
-func (r *Recorder) Serve(addr string) (*Server, error) {
+func Serve(r *obs.Recorder, addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	s := &Server{
-		srv: &http.Server{Handler: r.Handler(), ReadHeaderTimeout: 5 * time.Second},
+		srv: &http.Server{Handler: Handler(r), ReadHeaderTimeout: 5 * time.Second},
 		url: "http://" + ln.Addr().String(),
 	}
 	go func() { _ = s.srv.Serve(ln) }()

@@ -55,12 +55,12 @@ func tilePreOptOf(t *testing.T, cfg piton.Config) *Context {
 	}
 	tree := cts.Build(d, d.Net("clk"), src, d.Lib, tc.Logic, cts.Options{})
 	grid := route.NewDB(sz.Die2D, tc.Logic, fp.RouteBlk, route.Options{})
+	d.ReserveIDs() // as a flow does before it routes a design it will edit
 	routes, err := route.RouteDesign(d, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	slow := tc.CornerScaleFor(tech.CornerSlow)
-	d.ReserveIDs() // as a flow does before it opens the database to edit
 	return &Context{
 		Clock: tree, FP: fp, RowHeight: tc.RowHeight,
 		DDB: ddb.New(d, grid, routes, extract.Extract(d, routes, grid, slow), slow),
@@ -120,7 +120,9 @@ func TestJournalsMatchScratchOnTile(t *testing.T) {
 // within the reservation) into the tables it set up. From the engine's
 // creation to the end of the run, each of the engine's tables keyed by
 // node, instance or net and the database's adjacency by instance keep
-// their backing arrays: the same capacity, the same first element.
+// their backing arrays: the same capacity, the same first element. So
+// does the router's settled-net table, from routing on: RouteDesign
+// allocates it at the reserved net capacity.
 func TestTablesStayPut(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-tile optimization")
@@ -147,8 +149,8 @@ func TestTablesStayPut(t *testing.T) {
 	}
 	engTables := []string{
 		"lastNet", "launchGen", "launchBest", "dirtyFull", "dirtyHalf",
-		"full.arr", "full.slew", "full.wl", "full.prev", "full.via",
-		"half.arr", "half.slew", "half.wl", "half.prev", "half.via",
+		"full.arr", "full.slew", "full.prev", "full.via",
+		"half.arr", "half.slew", "half.prev", "half.via",
 		"isComb", "isSeq", "indeg0", "indeg", "released", "in.at", "order",
 		"netDrv", "drvPrev", "fan.at", "ep.at",
 	}
@@ -156,6 +158,7 @@ func TestTablesStayPut(t *testing.T) {
 
 	ctx := tilePreOpt(t)
 	d := ctx.DDB.Design
+	settled := tables(ctx.DDB.Grid, "st.net")
 	before := len(d.Instances)
 	var atSetup map[string]table
 	var eng *sta.Engine
@@ -181,6 +184,10 @@ func TestTablesStayPut(t *testing.T) {
 		if a, b := atSetup[path], atEnd[path]; a != b {
 			t.Errorf("%s was reallocated: cap %d at setup, %d after %d buffers", path, a.cap, b.cap, res.Buffers)
 		}
+	}
+	_, nNets := d.IDCap()
+	if a, b := settled["st.net"], tables(ctx.DDB.Grid, "st.net")["st.net"]; a != b || a.cap != nNets {
+		t.Errorf("the settled-net table was reallocated: cap %d after routing, %d after %d buffers, %d nets reserved", a.cap, b.cap, res.Buffers, nNets)
 	}
 }
 

@@ -154,7 +154,7 @@ func AbutArray(t *Tile, die geom.Rect, nx, ny int) (*Array, error) {
 		base := c * len(src.Instances)
 		mapRef := func(r netlist.PinRef) (netlist.PinRef, bool) {
 			if r.Inst != nil {
-				return netlist.IPin(out.Instances[base+r.Inst.ID], r.Pin), true
+				return r.SamePinOn(out.Instances[base+r.Inst.ID]), true
 			}
 			// Port sink/driver.
 			p := r.Port
@@ -170,7 +170,7 @@ func AbutArray(t *Tile, die geom.Rect, nx, ny int) (*Array, error) {
 				// FFs).
 				for _, s := range pNet.Sinks {
 					if s.Inst != nil {
-						return netlist.IPin(out.Instances[(pn.iy*nx+pn.ix)*len(src.Instances)+s.Inst.ID], s.Pin), true
+						return s.SamePinOn(out.Instances[(pn.iy*nx+pn.ix)*len(src.Instances)+s.Inst.ID]), true
 					}
 				}
 				return netlist.PinRef{}, false
@@ -183,7 +183,7 @@ func AbutArray(t *Tile, die geom.Rect, nx, ny int) (*Array, error) {
 				// Collect clock sinks; net created at the end.
 				for _, s := range n.Sinks {
 					if s.Inst != nil {
-						clkSinks = append(clkSinks, netlist.IPin(out.Instances[base+s.Inst.ID], s.Pin))
+						clkSinks = append(clkSinks, s.SamePinOn(out.Instances[base+s.Inst.ID]))
 					}
 				}
 				continue

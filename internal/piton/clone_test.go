@@ -94,7 +94,7 @@ func TestCloneIsolation(t *testing.T) {
 	grown, next := d.Nets[0], d.Nets[1]
 	grown.Sinks = append(grown.Sinks, netlist.IPin(buf, "A"))
 	for k, s := range next.Sinks {
-		if w := want.Design.Nets[1].Sinks[k]; s.Inst.ID != w.Inst.ID || s.Pin != w.Pin {
+		if w := want.Design.Nets[1].Sinks[k]; s.Inst.ID != w.Inst.ID || s.Pin() != w.Pin() {
 			t.Fatalf("appending to net 0 of the copy overwrote net 1's sink %d", k)
 		}
 	}

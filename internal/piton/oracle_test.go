@@ -28,7 +28,7 @@ func idOf(r netlist.PinRef) pinID {
 	if r.Port != nil {
 		return pinID{port: r.Port}
 	}
-	return pinID{inst: r.Inst, pin: r.Inst.Master.Pin(r.Pin)}
+	return pinID{inst: r.Inst, pin: r.MasterPin()}
 }
 
 // pinMap is the oracle's pinNets.
@@ -90,7 +90,7 @@ func refKey(r netlist.PinRef) string {
 	if r.Port != nil {
 		return fmt.Sprintf("port %d %s", r.Port.ID, r.Port.Name)
 	}
-	return fmt.Sprintf("inst %d %s/%s", r.Inst.ID, r.Inst.Name, r.Pin)
+	return fmt.Sprintf("inst %d %s/%s", r.Inst.ID, r.Inst.Name, r.Pin())
 }
 
 // sameTile demands got == want: every instance (name, id, placement

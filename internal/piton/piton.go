@@ -320,11 +320,7 @@ func (t *pinTable) slot(r netlist.PinRef) *int32 {
 		t.off = append(t.off, int32(len(t.inst)))
 		t.inst = extend(t.inst, len(t.inst)+len(t.d.Instances[id].Master.Pins))
 	}
-	k := r.Inst.Master.PinIndex(r.Pin)
-	if k < 0 {
-		panic(fmt.Sprintf("piton: %s has no pin %s", r.Inst.Master.Name, r.Pin))
-	}
-	return &t.inst[int(t.off[r.Inst.ID])+k]
+	return &t.inst[int(t.off[r.Inst.ID])+r.PinIndex()]
 }
 
 func (t *pinTable) net(r netlist.PinRef) *netlist.Net {
@@ -435,7 +431,9 @@ func (g *gen) calibrate(target float64) error {
 	}
 	for _, inst := range g.d.Instances {
 		if !inst.IsMacro() {
-			inst.Master = scaled[slices.Index(g.std, inst.Master)]
+			if err := inst.SetMaster(scaled[slices.Index(g.std, inst.Master)]); err != nil {
+				return fmt.Errorf("piton: %w", err)
+			}
 		}
 	}
 	g.lib, g.d.Lib, g.std = lib, lib, scaled

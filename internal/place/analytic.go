@@ -193,7 +193,7 @@ func newAnalyticState(d *netlist.Design, movable []*netlist.Instance,
 			layer := ""
 			if p.Port != nil {
 				layer = p.Port.Layer
-			} else if pin := p.Inst.Master.Pin(p.Pin); pin != nil {
+			} else if pin := p.MasterPin(); pin != nil {
 				layer = pin.Layer
 			}
 			if layer != "" {

@@ -152,7 +152,8 @@ func RouteDesign(d *netlist.Design, db *DB) (*Result, error) {
 		Routes:     make([]*NetRoute, len(d.Nets)),
 		WLPerLayer: make([]float64, db.Beol.NumLayers()),
 	}
-	db.startStamps(len(d.Nets))
+	_, netCap := d.IDCap()
+	db.startStamps(len(d.Nets), netCap)
 
 	// Initial pattern routing, long nets first (they set the congestion
 	// landscape the short nets then dodge).

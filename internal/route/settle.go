@@ -45,10 +45,12 @@ type settle struct {
 }
 
 // startStamps allocates the net table for nets net IDs, every net
-// unsettled, and clears any column stamps.
-func (db *DB) startStamps(nets int) {
+// unsettled, with room for netCap (netlist.Design.IDCap: the nets an
+// editing run appends then stamp in place), and clears any column
+// stamps.
+func (db *DB) startStamps(nets, netCap int) {
 	s := &db.st
-	s.net = make([]uint32, nets)
+	s.net = make([]uint32, nets, netCap)
 	clear(s.col)
 	s.epoch = 1
 }

@@ -97,10 +97,10 @@ func BoundaryArcs(d *netlist.Design, ex *extract.Design, opt Options) (map[strin
 		for si, s := range on.Sinks {
 			elm := rc.ElmoreTo[si]
 			switch {
-			case s.Inst != nil && s.Inst.Master.IsSequential() && !s.Inst.Master.Pin(s.Pin).Clock:
+			case s.Inst != nil && s.Inst.Master.IsSequential() && !s.MasterPin().Clock:
 				setup := s.Inst.Master.Setup * e.opt.Corner.CellDelay
 				if s.Inst.Master.Abstract != nil {
-					if p := s.Inst.Master.Pin(s.Pin); p != nil {
+					if p := s.MasterPin(); p != nil {
 						setup = p.Setup
 					}
 				}

@@ -101,10 +101,11 @@ type Engine struct {
 // pass holds the persistent per-node state of one launch pass
 // (full-cycle or half-cycle): the arrival tuple, and where the arrival
 // came from — prev the upstream node and via the net it won through
-// (the net's Driver sits on prev), both -1 at a launch point.
+// (the net's Driver sits on prev), both -1 at a launch point. A path's
+// wirelength is summed along them when it is traced (pathWL).
 type pass struct {
-	arr, slew, wl []float64
-	prev, via     []int32
+	arr, slew []float64
+	prev, via []int32
 }
 
 func (e *Engine) nodeOfInst(i *netlist.Instance) int { return e.nPorts + i.ID }
@@ -203,7 +204,6 @@ func (e *Engine) resizePass(p *pass, nodeCap int) {
 	from := min(e.resetFrom, len(p.arr))
 	p.arr = resize(p.arr, e.nNodes, nodeCap)
 	p.slew = resize(p.slew, e.nNodes, nodeCap)
-	p.wl = resize(p.wl, e.nNodes, nodeCap)
 	p.prev = resize(p.prev, e.nNodes, nodeCap)
 	p.via = resize(p.via, e.nNodes, nodeCap)
 	e.initPass(p, from)
@@ -239,7 +239,6 @@ func (e *Engine) initPass(p *pass, from int) {
 	for i := from; i < len(p.arr); i++ {
 		p.arr[i] = negInf
 		p.slew[i] = defaultSlew
-		p.wl[i] = 0
 		p.prev[i], p.via[i] = -1, -1
 	}
 }
@@ -475,7 +474,7 @@ func (e *Engine) arcLaunch(drv int, n *netlist.Net, rc *extract.NetRC) float64 {
 	if inst.Master.Abstract == nil {
 		return 0
 	}
-	p := inst.Master.Pin(n.Driver.Pin)
+	p := n.Driver.MasterPin()
 	if p == nil {
 		return 0
 	}
@@ -485,41 +484,63 @@ func (e *Engine) arcLaunch(drv int, n *netlist.Net, rc *extract.NetRC) float64 {
 // evalNode computes a combinational instance's output tuple from the
 // current state of its inputs — identical arithmetic and tie-break
 // order to the original from-scratch pass.
-func (e *Engine) evalNode(p *pass, inst *netlist.Instance) (arr, slew, wl float64, prev, via int32) {
+func (e *Engine) evalNode(p *pass, inst *netlist.Instance) (arr, slew float64, prev, via int32) {
 	load := e.loadOf(e.nodeOfInst(inst))
 	best := negInf
 	bestPrev, bestVia := int32(-1), int32(-1)
-	var bestWL float64
 	bestSlew := defaultSlew
 	for _, ev := range e.in.row(inst.ID) {
-		rc := e.ex.Nets[ev.net]
-		if rc == nil {
-			continue
-		}
-		ia := p.arr[ev.drv]
-		if ia <= negInf {
-			continue
-		}
-		if e.hasAbstract {
-			ia += e.arcLaunch(int(ev.drv), e.d.Nets[ev.net], rc)
-		}
-		elm := rc.ElmoreTo[ev.si]
-		inArr := ia + elm
-		inSlew := p.slew[ev.drv] + elm // slew degrades along RC wire
-		d := inst.Master.Delay(load, inSlew) * e.opt.Corner.CellDelay
-		at := inArr + d
-		if at > best {
-			n := e.d.Nets[ev.net]
+		if at := e.arcAt(p, inst, load, ev); at > best {
 			best = at
 			bestPrev, bestVia = ev.drv, ev.net
-			bestWL = p.wl[ev.drv] + dist(n.Driver, n.Sinks[ev.si])
 			bestSlew = inst.Master.OutSlew(load)
 		}
 	}
 	if bestPrev < 0 {
-		return negInf, defaultSlew, 0, -1, -1
+		return negInf, defaultSlew, -1, -1
 	}
-	return best, bestSlew, bestWL, bestPrev, bestVia
+	return best, bestSlew, bestPrev, bestVia
+}
+
+// arcAt is the arrival at inst's output through one input edge, at the
+// given load; -Inf where the edge has no parasitics or its driver no
+// arrival.
+func (e *Engine) arcAt(p *pass, inst *netlist.Instance, load float64, ev inEdge) float64 {
+	rc := e.ex.Nets[ev.net]
+	if rc == nil {
+		return negInf
+	}
+	ia := p.arr[ev.drv]
+	if ia <= negInf {
+		return negInf
+	}
+	if e.hasAbstract {
+		ia += e.arcLaunch(int(ev.drv), e.d.Nets[ev.net], rc)
+	}
+	elm := rc.ElmoreTo[ev.si]
+	inArr := ia + elm
+	inSlew := p.slew[ev.drv] + elm // slew degrades along RC wire
+	d := inst.Master.Delay(load, inSlew) * e.opt.Corner.CellDelay
+	return inArr + d
+}
+
+// wonAt returns the sink of the net via at which node's arrival was
+// won: of its input edges from prev through via, the one evalNode chose
+// — the latest arrival, the first of equals.
+func (e *Engine) wonAt(p *pass, node int) int32 {
+	inst := e.d.Instances[node-e.nPorts]
+	prev, via := p.prev[node], p.via[node]
+	load := e.loadOf(node)
+	best, si := negInf, int32(-1)
+	for _, ev := range e.in.row(inst.ID) {
+		if ev.drv != prev || ev.net != via {
+			continue
+		}
+		if at := e.arcAt(p, inst, load, ev); at > best {
+			best, si = at, ev.si
+		}
+	}
+	return si
 }
 
 // propagate walks the topological order re-evaluating dirty nodes and
@@ -531,12 +552,11 @@ func (e *Engine) propagate(p *pass, dirty []bool) {
 			continue
 		}
 		dirty[node] = false
-		arr, slew, wl, prev, via := e.evalNode(p, inst)
-		if arr != p.arr[node] || slew != p.slew[node] || wl != p.wl[node] ||
+		arr, slew, prev, via := e.evalNode(p, inst)
+		if arr != p.arr[node] || slew != p.slew[node] ||
 			prev != p.prev[node] || via != p.via[node] {
 			p.arr[node] = arr
 			p.slew[node] = slew
-			p.wl[node] = wl
 			p.prev[node], p.via[node] = prev, via
 			e.markFanout(node, dirty)
 		}

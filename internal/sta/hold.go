@@ -77,7 +77,7 @@ func (e *Engine) analyzeHold(rep *Report) {
 			continue
 		}
 		for si, s := range n.Sinks {
-			if s.Inst == nil || !s.Inst.Master.IsSequential() || s.Inst.Master.Pin(s.Pin).Clock {
+			if s.Inst == nil || !s.Inst.Master.IsSequential() || s.MasterPin().Clock {
 				continue
 			}
 			at := minArr[drv] + rc.ElmoreTo[si]

@@ -39,6 +39,7 @@ func (e *Engine) oracleReport(period float64) (*Report, error) {
 		ioRef = opt.Clock.MeanLatency
 	}
 	full, half := &e.full, &e.half
+	fullWL, halfWL := e.oracleWL(full), e.oracleWL(half)
 
 	// Endpoint checks.
 	type endpoint struct {
@@ -86,13 +87,13 @@ func (e *Engine) oracleReport(period float64) (*Report, error) {
 			elm := rc.ElmoreTo[si] // already corner-scaled by extraction
 			// Endpoint classification.
 			switch {
-			case s.Inst != nil && s.Inst.Master.IsSequential() && !s.Inst.Master.Pin(s.Pin).Clock:
+			case s.Inst != nil && s.Inst.Master.IsSequential() && !s.MasterPin().Clock:
 				setup := s.Inst.Master.Setup * opt.Corner.CellDelay
 				if s.Inst.Master.Abstract != nil {
 					// A hardened abstract's data-input setup is the
 					// pin's full internal budget, already sign-off
 					// absolute — no corner scale.
-					if p := s.Inst.Master.Pin(s.Pin); p != nil {
+					if p := s.MasterPin(); p != nil {
 						setup = p.Setup
 					}
 				}
@@ -104,7 +105,7 @@ func (e *Engine) oracleReport(period float64) (*Report, error) {
 					consider(endpoint{
 						req: req, node: drvNode, ref: s,
 						delay: at, snap: full,
-						sinkWL: full.wl[drvNode] + dist(n.Driver, s),
+						sinkWL: fullWL[drvNode] + dist(n.Driver, s),
 					}, func(p float64) float64 { return p + capLat - setup - at })
 				}
 				// Half-cycle launched paths: budget T/2.
@@ -114,7 +115,7 @@ func (e *Engine) oracleReport(period float64) (*Report, error) {
 					consider(endpoint{
 						req: req, node: drvNode, ref: s,
 						delay: at, isHalf: true, snap: half,
-						sinkWL: half.wl[drvNode] + dist(n.Driver, s),
+						sinkWL: halfWL[drvNode] + dist(n.Driver, s),
 					}, func(p float64) float64 { return p/2 + capLat - setup - at })
 				}
 			case s.Port != nil && s.Port.Dir == cell.DirOut:
@@ -130,7 +131,7 @@ func (e *Engine) oracleReport(period float64) (*Report, error) {
 					consider(endpoint{
 						req: req, node: drvNode, ref: s,
 						delay: at, isHalf: s.Port.HalfCycle, snap: full,
-						sinkWL: full.wl[drvNode] + dist(n.Driver, s),
+						sinkWL: fullWL[drvNode] + dist(n.Driver, s),
 					}, func(p float64) float64 { return p/div - rel })
 				}
 				// Port-to-port paths (half-launch to half-capture)
@@ -142,7 +143,7 @@ func (e *Engine) oracleReport(period float64) (*Report, error) {
 					consider(endpoint{
 						req: rel, node: drvNode, ref: s,
 						delay: at, isHalf: true, snap: half,
-						sinkWL: half.wl[drvNode] + dist(n.Driver, s),
+						sinkWL: halfWL[drvNode] + dist(n.Driver, s),
 					}, func(p float64) float64 { return p - rel })
 				}
 			}
@@ -217,6 +218,36 @@ func (e *Engine) oracleReport(period float64) (*Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// oracleWL is the path wirelength at every node of a pass, propagated
+// in topological order as the passes once carried it: 0 at a launch
+// point; at a combinational node, the wirelength at the input edge its
+// arrival won through plus that net's driver-to-sink distance.
+func (e *Engine) oracleWL(s *pass) []float64 {
+	wl := make([]float64, len(s.arr))
+	for _, inst := range e.order {
+		node := e.nodeOfInst(inst)
+		load := e.loadOf(node)
+		best := negInf
+		for _, ev := range e.in.row(inst.ID) {
+			rc := e.ex.Nets[ev.net]
+			if rc == nil || s.arr[ev.drv] <= negInf {
+				continue
+			}
+			n := e.d.Nets[ev.net]
+			ia := s.arr[ev.drv]
+			if e.hasAbstract {
+				ia += e.arcLaunch(int(ev.drv), n, rc)
+			}
+			elm := rc.ElmoreTo[ev.si]
+			at := ia + elm + inst.Master.Delay(load, s.slew[ev.drv]+elm)*e.opt.Corner.CellDelay
+			if at > best {
+				best, wl[node] = at, wl[ev.drv]+dist(n.Driver, n.Sinks[ev.si])
+			}
+		}
+	}
+	return wl
 }
 
 // oracleTrace reconstructs a path from the endpoint's launch node.
@@ -748,5 +779,52 @@ func TestUpdateWritesOnlyTheReportHandedBack(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("an Update into a handed-back report allocates %.0f objects, want 0", allocs)
+	}
+}
+
+// TestPathWirelengthTakesTheWinningSink: a gate with both inputs on one
+// net is reached through the input whose arrival is the later — the
+// first of its input row, then the second, by the Elmore delay each is
+// given — and the traced critical path's wirelength runs to that pin,
+// equal to the oracle's propagated wirelength.
+func TestPathWirelengthTakesTheWinningSink(t *testing.T) {
+	lib := cell.NewStdLib28(cell.DefaultLibOptions())
+	d := netlist.NewDesign("twin", lib)
+	clk := d.AddPort("clk", cell.DirIn)
+	cn := d.AddNet("clk", netlist.PPin(clk))
+	cn.Clock = true
+	inst := func(name, master string, x, y float64) *netlist.Instance {
+		u := d.AddInstance(name, lib.MustCell(master))
+		u.Loc, u.Placed = geom.Pt(x, y), true
+		return u
+	}
+	src, u, dst := inst("src", "DFF_X1", 20, 40), inst("u", "NAND2_X1", 300, 160), inst("dst", "DFF_X1", 560, 40)
+	cn.Sinks = append(cn.Sinks, netlist.IPin(src, "CK"), netlist.IPin(dst, "CK"))
+	n := d.AddNet("n", netlist.IPin(src, "Q"), netlist.IPin(u, "A"), netlist.IPin(u, "B"))
+	y := d.AddNet("y", netlist.IPin(u, "Y"), netlist.IPin(dst, "D"))
+	beol, _ := tech.NewBEOL28("logic", 6)
+	grid := route.NewDB(geom.R(0, 0, 600, 300), beol, nil, route.Options{GCellPitch: 10})
+	res, err := route.RouteDesign(d, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corner := tech.CornerScale{CellDelay: 1, WireR: 1, WireC: 1, Leakage: 1}
+	ex := extract.Extract(d, res, grid, corner)
+	for win := range 2 {
+		elm := ex.Nets[n.ID].ElmoreTo
+		elm[win], elm[1-win] = 40, 1
+		e, err := NewEngine(d, ex, Options{Corner: corner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.Run(1e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		when := "sink " + n.Sinks[win].String() + " later"
+		checkReport(t, e, rep, 1e6, when)
+		if want := dist(n.Driver, n.Sinks[win]) + dist(y.Driver, y.Sinks[0]); rep.Critical.Wirelength != want {
+			t.Fatalf("%s: critical path wirelength %v, want %v through it", when, rep.Critical.Wirelength, want)
+		}
 	}
 }

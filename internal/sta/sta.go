@@ -145,7 +145,7 @@ func (e *Engine) setupOf(s netlist.PinRef) float64 {
 	if m.Abstract != nil {
 		// A hardened abstract's data-input setup is the pin's full
 		// internal budget, already sign-off absolute — no corner scale.
-		if p := m.Pin(s.Pin); p != nil {
+		if p := s.MasterPin(); p != nil {
 			return p.Setup
 		}
 	}
@@ -425,7 +425,21 @@ func (e *Engine) trace(ep endpoint, steps []PathStep) Path {
 		steps[i] = PathStep{Ref: e.nodeRef(int(n)), Arrival: s.arr[n]}
 	}
 	return Path{Steps: steps, Delay: ep.delay, HalfCycle: ep.isHalf,
-		Wirelength: s.wl[r.drv] + dist(n.Driver, n.Sinks[r.si])}
+		Wirelength: e.pathWL(s, steps[:last]) + dist(n.Driver, n.Sinks[r.si])}
+}
+
+// pathWL is the Manhattan wire from a path's launch point to its last
+// node, steps: at each node after the launch, from the driver of the
+// net the node's arrival won through to the sink it won at, summed from
+// the launch on.
+func (e *Engine) pathWL(s *pass, steps []PathStep) float64 {
+	wl := 0.0
+	for _, st := range steps[1:] {
+		node, _ := e.refNode(st.Ref)
+		n := e.d.Nets[s.via[node]]
+		wl += dist(n.Driver, n.Sinks[e.wonAt(s, node)])
+	}
+	return wl
 }
 
 // nodeRef reconstructs a PinRef describing a node's output.

@@ -128,7 +128,7 @@ func (e *Engine) sinkKind(s netlist.PinRef) int {
 	switch {
 	case s.Inst != nil && e.isComb[s.Inst.ID]:
 		return sinkComb
-	case s.Inst != nil && e.isSeq[s.Inst.ID] && !s.Inst.Master.Pin(s.Pin).Clock:
+	case s.Inst != nil && e.isSeq[s.Inst.ID] && !s.MasterPin().Clock:
 		return sinkCapture
 	case s.Port != nil && s.Port.Dir == cell.DirOut:
 		return sinkPort
