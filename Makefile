@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check fmt build test vet bench-mod race fuzz equiv faults bench bench-flow bench-pairs benchall qor qor-check tables-check obs-smoke cache-smoke harden-smoke trace-smoke
+.PHONY: check fmt build test vet loc bench-mod race fuzz equiv faults bench bench-flow bench-pairs benchall qor qor-check tables-check obs-smoke cache-smoke harden-smoke trace-smoke
 
 ## check: the full gate — gofmt, vet, build, unit tests, the bench/
 ## module's vet and tests, the race-enabled fault-injection suite, a
@@ -22,6 +22,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+## loc: the size of the Go code outside bench/, as ROADMAP.md quotes it
+## at each re-anchor: its non-test lines, then all its lines, tests
+## included. Counts the files in git's index.
+loc:
+	@echo "non-test $$(git ls-files '*.go' | grep -v '^bench/' | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@echo "all      $$(git ls-files '*.go' | grep -v '^bench/' | xargs cat | wc -l)"
 
 ## bench-mod: vet (which builds) and test the flow ledger's own module
 ## under bench/. The root's `./...` stops at a nested module, so without

@@ -150,11 +150,13 @@ type MoLDesign = core.MoLDesign
 // DieLayout is one separated per-die production layout.
 type DieLayout = core.DieLayout
 
-// EditMacroForMacroDie produces the Macro-3D view of a macro: _MD pin
-// and obstruction layers at unchanged geometry, filler-sized
-// substrate footprint.
-func EditMacroForMacroDie(m *Cell, fillerW, fillerH float64) (*Cell, error) {
-	return core.EditMacroForMacroDie(m, fillerW, fillerH)
+// MacroDieView produces the view of a master on the macro die of a
+// combined stack: pin and obstruction layers remapped onto the _MD
+// layers at unchanged geometry, on a w × h substrate footprint — the
+// filler cell's for a Macro-3D macro, the master's own for a hardened
+// abstract. WriteLEF of the view is the paper's edited macro LEF.
+func MacroDieView(m *Cell, combined *BEOL, w, h float64) (*Cell, error) {
+	return core.MacroDieView(m, combined, w, h)
 }
 
 // --- Flows ---
@@ -276,14 +278,6 @@ func ComposeAbstractArray(t *Tile, abs *Cell, die geom.Rect, nx, ny int) (*Desig
 	return piton.ComposeAbstract(t, abs, die, nx, ny)
 }
 
-// RemapAbstractForMacroDie clones a hardened abstract with its pin
-// and obstruction layers remapped onto the combined stack's _MD
-// macro-die layers, so a block hardened on a plain logic stack can be
-// re-instantiated on the macro die of a Macro-3D parent.
-func RemapAbstractForMacroDie(m *Cell, combined *BEOL) (*Cell, error) {
-	return core.RemapAbstractForMacroDie(m, combined)
-}
-
 // --- Experiments (the paper's tables) ---
 
 // MacroProcess scales macro electrical properties relative to the
@@ -354,13 +348,6 @@ func WriteDEF(w io.Writer, d *Design, die geom.Rect) error { return lefdef.Write
 
 // ParseDEF reads the dialect WriteDEF emits against a library.
 func ParseDEF(r io.Reader, lib *Library) (*DEFContent, error) { return lefdef.ParseDEF(r, lib) }
-
-// RewriteMacroDieLayers performs the paper's scripted LEF edit on
-// text: _MD layer suffixes inside MACRO pin/obstruction sections and
-// the filler-size SIZE shrink.
-func RewriteMacroDieLayers(lef string, fillerW, fillerH float64) string {
-	return lefdef.RewriteMacroDieLayers(lef, fillerW, fillerH)
-}
 
 // WriteGDS exports one separated production die as a GDSII stream —
 // outline, substrate objects, per-layer wires and the shared F2F

@@ -2,6 +2,7 @@ package macro3d_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestPublicAPITechAndCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edited, err := macro3d.EditMacroForMacroDie(sram, 0.19, 1.2)
+	edited, err := macro3d.MacroDieView(sram, comb, 0.19, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +87,36 @@ func TestPublicAPILEFDEF(t *testing.T) {
 	if parsed.Lib.Len() != lib.Len() {
 		t.Fatal("LEF round trip lost masters")
 	}
-	rew := macro3d.RewriteMacroDieLayers(sb.String(), 0.19, 1.2)
-	if rew == "" {
-		t.Fatal("rewrite produced nothing")
+	// The paper's edited macro LEF is WriteLEF of the macro-die view, and
+	// it reads back as the view.
+	tech, err := macro3d.New28(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comb, err := macro3d.CombineBEOL(tech.Logic, b, macro3d.DefaultF2F())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sram, err := macro3d.NewSRAM(macro3d.SRAMSpec{Name: "s", Words: 512, Bits: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := macro3d.MacroDieView(sram, comb, 0.19, 1.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := macro3d.NewLibrary("views")
+	views.Add(view)
+	sb.Reset()
+	if err := macro3d.WriteLEF(&sb, nil, views); err != nil {
+		t.Fatal(err)
+	}
+	back, err := macro3d.ParseLEF(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Lib.Cell(view.Name); got == nil || !reflect.DeepEqual(got, view) {
+		t.Fatalf("the macro-die view does not read back as written: %+v", got)
 	}
 }
 

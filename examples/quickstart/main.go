@@ -4,8 +4,9 @@
 // running a full flow (see examples/memory_on_logic for that):
 //
 //  1. compile an SRAM macro,
-//  2. edit it for the macro die (the Macro-3D abstract edit),
-//  3. build the combined two-die BEOL a standard 2D engine routes on,
+//  2. build the combined two-die BEOL a standard 2D engine routes on,
+//  3. view the macro on that stack's macro die (the Macro-3D abstract
+//     edit),
 //  4. generate the OpenPiton-like benchmark tile and show why MoL
 //     stacking applies (macros dominate the substrate).
 //
@@ -28,17 +29,7 @@ func main() {
 	fmt.Printf("compiled %s: %.0f×%.0f µm, %d pins on %s, clk→q %.0f ps\n",
 		sram.Name, sram.Width, sram.Height, len(sram.Pins), sram.Pins[0].Layer, sram.ClkQ)
 
-	// 2. The Macro-3D edit: pins and obstructions move to the _MD
-	// layers at unchanged (x, y); the substrate footprint shrinks to a
-	// filler cell so the macro consumes no logic-die placement area.
-	edited, err := macro3d.EditMacroForMacroDie(sram, 0.19, 1.2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("edited  %s: footprint %.2f×%.2f µm, pins now on %s (same offsets)\n",
-		edited.Name, edited.Width, edited.Height, edited.Pins[0].Layer)
-
-	// 3. The combined BEOL: logic metals, the F2F bonding via, then
+	// 2. The combined BEOL: logic metals, the F2F bonding via, then
 	// the macro die's metals in flipped traversal order.
 	logic, err := macro3d.NewBEOL28("logic", 6)
 	if err != nil {
@@ -55,6 +46,17 @@ func main() {
 	fmt.Printf("combined stack: %v\n", combined)
 	fmt.Printf("  (%d logic + %d macro-die layers; F2F via after layer %d)\n",
 		combined.LogicDieLayers(), combined.MacroDieLayers(), combined.F2FViaIndex()+1)
+
+	// 3. The Macro-3D edit: pins and obstructions move to the stack's
+	// _MD layers at unchanged (x, y); the substrate footprint shrinks to
+	// a filler cell so the macro consumes no logic-die placement area.
+	// A macro die too thin for the macro's pins would be an error here.
+	edited, err := macro3d.MacroDieView(sram, combined, 0.19, 1.2)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("edited  %s: footprint %.2f×%.2f µm, pins now on %s (same offsets)\n",
+		edited.Name, edited.Width, edited.Height, edited.Pins[0].Layer)
 
 	// 4. The benchmark: even the small-cache tile is macro-dominated,
 	// which is the regime where MoL stacking (and Macro-3D) wins.

@@ -9,6 +9,7 @@ import (
 	"macro3d/internal/core"
 	"macro3d/internal/netlist"
 	"macro3d/internal/piton"
+	"macro3d/internal/tech"
 )
 
 func wideMacro(t *testing.T) *cell.Cell {
@@ -97,11 +98,20 @@ func TestPinIndexSurvivesViews(t *testing.T) {
 	}
 	resolvesEveryPin(t, m, "process-scaled")
 
-	md, err := core.EditMacroForMacroDie(m, 0.2, 1.2)
+	logic, _ := tech.NewBEOL28("logic", 6)
+	macro, _ := tech.NewBEOL28("macro", 6)
+	combined, err := tech.Combine(logic, macro, tech.DefaultF2F())
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := core.DieViews{}.MacroDie(m)
+	md, err := core.MacroDieView(m, combined, 0.2, 1.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := (&core.DieViews{Combined: combined}).MacroDie(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for when, c := range map[string]*cell.Cell{"macro-die edit": md, "die view": view, "clone": m.Clone()} {
 		if c == m || !cell.PinsIndexed(c) {
 			t.Fatalf("%s: not an indexed copy of the master", when)

@@ -11,7 +11,7 @@
 //     pin and obstruction (x, y) geometry but has the layers remapped
 //     onto the _MD names, and its substrate footprint shrunk to a
 //     filler cell's (commercial tools do not allow zero area) so it
-//     consumes no logic-die placement area.
+//     consumes no logic-die placement area (MacroDieView).
 //  3. Superimposition: the macro-die floorplan and logic-die floorplan
 //     overlay into a single 2D floorplan over the combined stack.
 //  4. Separation: after sign-off, the single design splits into the
@@ -34,92 +34,44 @@ import (
 	"macro3d/internal/tech"
 )
 
-// EditMacroForMacroDie returns the Macro-3D view of a macro master:
-// pin layers and obstruction layers renamed with the _MD suffix at
-// unchanged (x, y) geometry, and the substrate footprint shrunk to the
-// filler-cell size. The original master is not modified.
-func EditMacroForMacroDie(m *cell.Cell, fillerW, fillerH float64) (*cell.Cell, error) {
-	if m.Kind != cell.KindMacro {
-		return nil, fmt.Errorf("core: %s is not a macro", m.Name)
+// MacroDieView returns the view of master m on the macro die of the
+// combined stack: a clone named m.Name+"_MD" whose pin and obstruction
+// layers map onto the stack's macro-die layers (BEOL.MacroDieName) at
+// unchanged (x, y) geometry, on a w × h substrate footprint. A
+// memory-on-logic macro gets the filler cell's footprint, so it consumes
+// no logic-die placement area (paper §IV); a standard cell the partition
+// moved, or a hardened abstract, keeps its own. This is the paper's
+// scripted LEF edit: the engine reads of the view what lefdef.WriteLEF
+// writes of it. A layer the macro die lacks is an error, so a stack too
+// thin for m fails here, not in the router; so is a master that already
+// is a view. m is not modified.
+func MacroDieView(m *cell.Cell, combined *tech.BEOL, w, h float64) (*cell.Cell, error) {
+	if strings.HasSuffix(m.Name, tech.MDSuffix) {
+		return nil, fmt.Errorf("core: %s is already a macro-die view", m.Name)
 	}
-	if strings.HasSuffix(m.Name, "_MD") {
-		return nil, fmt.Errorf("core: %s already edited", m.Name)
-	}
-	e := m.Clone()
-	e.Name = m.Name + "_MD"
-	for i := range e.Pins {
-		if e.Pins[i].Layer != "" && !strings.HasSuffix(e.Pins[i].Layer, tech.MDSuffix) {
-			e.Pins[i].Layer += tech.MDSuffix
-		}
-	}
-	for i := range e.Obstructions {
-		if !strings.HasSuffix(e.Obstructions[i].Layer, tech.MDSuffix) {
-			e.Obstructions[i].Layer += tech.MDSuffix
-		}
-	}
-	// Shrink the substrate footprint only; pins/obstructions keep
-	// their absolute offsets (they live in the other die's metal).
-	e.Width = fillerW
-	e.Height = fillerH
-	return e, nil
-}
-
-// RemapAbstractForMacroDie rewrites a hardened abstract's layer
-// geometry onto the _MD layers of a combined stack, so a block
-// hardened on a plain single-die stack (e.g. by the 2D flow) can live
-// on the macro die of an F2F stack. Unlike EditMacroForMacroDie the
-// mapping is validated layer by layer against the combined stack — an
-// abstract hardened with more metals than the macro die offers is an
-// error, not a silent rename — and the substrate footprint is kept
-// (the abstract *is* the macro-die content, not a logic-die stand-in).
-// The original master is not modified.
-func RemapAbstractForMacroDie(m *cell.Cell, combined *tech.BEOL) (*cell.Cell, error) {
-	if m.Abstract == nil {
-		return nil, fmt.Errorf("core: %s is not a hardened abstract", m.Name)
-	}
-	e := m.Clone()
-	if !strings.HasSuffix(e.Name, tech.MDSuffix) {
-		e.Name = m.Name + tech.MDSuffix
-	}
-	for i := range e.Pins {
-		if e.Pins[i].Layer == "" {
+	v := m.Clone()
+	v.Name = m.Name + tech.MDSuffix
+	v.Width, v.Height = w, h
+	for i := range v.Pins {
+		p := &v.Pins[i]
+		if p.Layer == "" {
 			continue
 		}
-		name, err := combined.MacroDieName(e.Pins[i].Layer)
+		name, err := combined.MacroDieName(p.Layer)
 		if err != nil {
-			return nil, fmt.Errorf("core: abstract %s pin %s: %w", m.Name, e.Pins[i].Name, err)
+			return nil, fmt.Errorf("core: view of %s: pin %s on %s: %w", m.Name, p.Name, p.Layer, err)
 		}
-		e.Pins[i].Layer = name
+		p.Layer = name
 	}
-	for i := range e.Obstructions {
-		name, err := combined.MacroDieName(e.Obstructions[i].Layer)
+	for i := range v.Obstructions {
+		o := &v.Obstructions[i]
+		name, err := combined.MacroDieName(o.Layer)
 		if err != nil {
-			return nil, fmt.Errorf("core: abstract %s obstruction %d: %w", m.Name, i, err)
+			return nil, fmt.Errorf("core: view of %s: obstruction %d on %s: %w", m.Name, i, o.Layer, err)
 		}
-		e.Obstructions[i].Layer = name
+		o.Layer = name
 	}
-	return e, nil
-}
-
-// onMacroDie checks that every layer the macro-die view e of master m
-// (EditMacroForMacroDie) puts a pin or an obstruction on exists in
-// combined, as BEOL.MacroDieName does — on e's already renamed layers,
-// so a check that passes allocates nothing. An error names m's layer.
-func onMacroDie(m, e *cell.Cell, combined *tech.BEOL) error {
-	for i := range e.Pins {
-		if e.Pins[i].Layer == "" {
-			continue
-		}
-		if _, err := combined.MacroDieName(e.Pins[i].Layer); err != nil {
-			return fmt.Errorf("pin %s on %s: %w", m.Pins[i].Name, m.Pins[i].Layer, err)
-		}
-	}
-	for i := range e.Obstructions {
-		if _, err := combined.MacroDieName(e.Obstructions[i].Layer); err != nil {
-			return fmt.Errorf("obstruction %d on %s: %w", i, m.Obstructions[i].Layer, err)
-		}
-	}
-	return nil
+	return v, nil
 }
 
 // MoLDesign is a design prepared for single-pass 3D P&R.
@@ -160,8 +112,7 @@ func PrepareMoL(d *netlist.Design, logicBeol, macroBeol *tech.BEOL, f2f tech.F2F
 		FP:          &floorplan.Floorplan{Die: die},
 	}
 
-	// Edit every macro-die macro, onto layers the macro die has: a
-	// stack too thin for a macro fails here, not in the router.
+	// Every macro-die macro takes its filler-sized view.
 	for _, m := range d.Macros() {
 		if m.Die != netlist.MacroDie {
 			continue
@@ -169,11 +120,8 @@ func PrepareMoL(d *netlist.Design, logicBeol, macroBeol *tech.BEOL, f2f tech.F2F
 		if !m.Placed {
 			return nil, fmt.Errorf("core: macro %s not floorplanned", m.Name)
 		}
-		edited, err := EditMacroForMacroDie(m.Master, fillerW, fillerH)
+		edited, err := MacroDieView(m.Master, combined, fillerW, fillerH)
 		if err != nil {
-			return nil, err
-		}
-		if err := onMacroDie(m.Master, edited, combined); err != nil {
 			return nil, fmt.Errorf("core: macro %s: %w", m.Name, err)
 		}
 		if err := m.SetMaster(edited); err != nil {
@@ -285,42 +233,31 @@ func Separate(md *MoLDesign, routes *route.Result, db *route.DB) (logic, macro *
 	return logic, macro, nil
 }
 
-// DieViews shares the macro-die views of standard-cell masters: one
-// clone per master, however many instances (or snapshot rows) ask for
-// it. The zero map is not usable; make one per design.
-type DieViews map[*cell.Cell]*cell.Cell
-
-// MacroDie returns the macro-die view of m (CellForDie), cloning it on
-// the first request only.
-func (v DieViews) MacroDie(m *cell.Cell) *cell.Cell {
-	c, ok := v[m]
-	if !ok {
-		c = CellForDie(m, netlist.MacroDie)
-		v[m] = c
-	}
-	return c
+// DieViews shares the macro-die views of standard-cell masters on one
+// combined stack: one view per master, however many instances (or
+// snapshot rows) ask for it. A nil Combined is a state before prepare,
+// which has no macro die: every request fails.
+type DieViews struct {
+	Combined *tech.BEOL
+	views    map[*cell.Cell]*cell.Cell
 }
 
-// CellForDie returns a view of a standard-cell master for a given die
-// of an F2F stack: macro-die copies get _MD pin layers. Used by the
-// S2D/C2D baselines after tier partitioning (Macro-3D itself never
-// needs this — its standard cells all live in the logic die, which is
-// the heterogeneity the flow exploits).
-func CellForDie(m *cell.Cell, die netlist.Die) *cell.Cell {
-	if die == netlist.LogicDie {
-		return m
+// MacroDie returns the macro-die view of m at m's own footprint
+// (MacroDieView), made on the first request only.
+func (v *DieViews) MacroDie(m *cell.Cell) (*cell.Cell, error) {
+	if c, ok := v.views[m]; ok {
+		return c, nil
 	}
-	e := m.Clone()
-	e.Name = m.Name + "_MD"
-	for i := range e.Pins {
-		if e.Pins[i].Layer != "" && !strings.HasSuffix(e.Pins[i].Layer, tech.MDSuffix) {
-			e.Pins[i].Layer += tech.MDSuffix
-		}
+	if v.Combined == nil {
+		return nil, fmt.Errorf("core: no combined stack for a macro-die view of %s", m.Name)
 	}
-	for i := range e.Obstructions {
-		if !strings.HasSuffix(e.Obstructions[i].Layer, tech.MDSuffix) {
-			e.Obstructions[i].Layer += tech.MDSuffix
-		}
+	c, err := MacroDieView(m, v.Combined, m.Width, m.Height)
+	if err != nil {
+		return nil, err
 	}
-	return e
+	if v.views == nil {
+		v.views = map[*cell.Cell]*cell.Cell{}
+	}
+	v.views[m] = c
+	return c, nil
 }

@@ -13,49 +13,121 @@ import (
 	"macro3d/internal/tech"
 )
 
+// combined is the M6–M6 stack, or M6–M<macroMetals>.
+func combined(t *testing.T, macroMetals int) *tech.BEOL {
+	t.Helper()
+	logic, _ := tech.NewBEOL28("logic", 6)
+	macro, _ := tech.NewBEOL28("macro", macroMetals)
+	c, err := tech.Combine(logic, macro, tech.DefaultF2F())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestEditMacroForMacroDie: a memory-on-logic SRAM's macro-die view at
+// the filler footprint.
 func TestEditMacroForMacroDie(t *testing.T) {
+	comb := combined(t, 6)
 	sram, err := cell.NewSRAM(cell.SRAMSpec{Name: "m", Words: 2048, Bits: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := EditMacroForMacroDie(sram, 0.19, 1.2)
+	e, err := MacroDieView(sram, comb, 0.19, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Footprint shrunk to filler size.
-	if e.Width != 0.19 || e.Height != 1.2 {
-		t.Fatalf("footprint %v×%v, want filler size", e.Width, e.Height)
+	if e.Name != "m_MD" || e.Width != 0.19 || e.Height != 1.2 {
+		t.Fatalf("view %s at %v×%v, want m_MD at the filler size", e.Name, e.Width, e.Height)
 	}
-	// Pin layers remapped, geometry untouched.
+	// Pin and obstruction layers remapped, geometry untouched.
 	for i, p := range e.Pins {
-		if p.Layer != "M4_MD" {
-			t.Fatalf("pin %s layer %s, want M4_MD", p.Name, p.Layer)
-		}
-		if p.Offset != sram.Pins[i].Offset {
-			t.Fatalf("pin %s offset moved", p.Name)
+		if p.Layer != "M4_MD" || p.Offset != sram.Pins[i].Offset {
+			t.Fatalf("pin %s on %s at %v, want M4_MD at %v", p.Name, p.Layer, p.Offset, sram.Pins[i].Offset)
 		}
 	}
-	// Obstructions remapped at original extents.
 	for i, o := range e.Obstructions {
-		if !strings.HasSuffix(o.Layer, "_MD") {
-			t.Fatalf("obstruction layer %s not remapped", o.Layer)
-		}
-		if o.Rect != sram.Obstructions[i].Rect {
-			t.Fatal("obstruction rect changed")
+		if o.Layer != sram.Obstructions[i].Layer+"_MD" || o.Rect != sram.Obstructions[i].Rect {
+			t.Fatalf("obstruction %d: %+v from %+v", i, o, sram.Obstructions[i])
 		}
 	}
-	// Original untouched.
-	if sram.Width == 0.19 || sram.Pins[0].Layer != "M4" {
-		t.Fatal("EditMacroForMacroDie mutated the original master")
+	// The master is not touched.
+	if sram.Width == 0.19 || sram.Pins[0].Layer != "M4" || sram.Obstructions[0].Layer == e.Obstructions[0].Layer {
+		t.Fatal("MacroDieView mutated the master")
 	}
-	// Double-editing rejected.
-	if _, err := EditMacroForMacroDie(e, 0.19, 1.2); err == nil {
-		t.Fatal("edited macro accepted twice")
+	// A view of a view is a bug.
+	if _, err := MacroDieView(e, comb, 0.19, 1.2); err == nil || !strings.Contains(err.Error(), "already a macro-die view") {
+		t.Fatalf("a view viewed again: %v", err)
 	}
-	// Non-macros rejected.
+	// A macro die too thin for the pins: M4 on an M3 die.
+	if _, err := MacroDieView(sram, combined(t, 3), 0.19, 1.2); err == nil || !strings.Contains(err.Error(), `on M4: tech: stack "logic+macro" has no macro-die layer "M4_MD"`) {
+		t.Fatalf("an M4 macro on a three-metal macro die: %v", err)
+	}
+}
+
+// TestCellForDie: a standard cell the partition moved keeps its
+// footprint, one view per master.
+func TestCellForDie(t *testing.T) {
+	comb := combined(t, 6)
 	lib := cell.NewStdLib28(cell.DefaultLibOptions())
-	if _, err := EditMacroForMacroDie(lib.MustCell("INV_X1"), 0.19, 1.2); err == nil {
-		t.Fatal("standard cell accepted")
+	inv := lib.MustCell("INV_X1")
+	views := &DieViews{Combined: comb}
+	md, err := views.MacroDie(inv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if md == inv || md.Name != "INV_X1_MD" || md.Pins[0].Layer != "M1_MD" || md.Width != inv.Width || md.Height != inv.Height {
+		t.Fatalf("macro-die view of INV_X1 wrong: %s %v×%v, pin on %s", md.Name, md.Width, md.Height, md.Pins[0].Layer)
+	}
+	if again, _ := views.MacroDie(inv); again != md {
+		t.Fatal("a second request made a second view")
+	}
+	if inv.Pins[0].Layer != "M1" {
+		t.Fatal("DieViews mutated the master")
+	}
+	if _, err := (&DieViews{}).MacroDie(inv); err == nil {
+		t.Fatal("a view made without a combined stack")
+	}
+}
+
+// TestRemapAbstractForMacroDie: a hardened abstract's view at its own
+// footprint. Its timing arcs and provenance ride along; a layer already
+// in the combined frame and the F2F via pass through.
+func TestRemapAbstractForMacroDie(t *testing.T) {
+	comb := combined(t, 6)
+	abs := &cell.Cell{
+		Name: "blk_abs", Kind: cell.KindMacro, Width: 40, Height: 40,
+		Pins: []cell.Pin{
+			{Name: "CK", Dir: cell.DirIn, Clock: true, Layer: "M6", Offset: geom.Pt(0, 20)},
+			{Name: "Q", Dir: cell.DirOut, Layer: "M4", Offset: geom.Pt(40, 20), ClkQ: 80},
+			{Name: "B", Dir: cell.DirIn, Layer: tech.F2FLayerName, Offset: geom.Pt(20, 20), Setup: 30},
+		},
+		Obstructions: []cell.Obstruction{
+			{Layer: "M2", Rect: geom.R(0, 0, 40, 10)},
+			{Layer: "M3_MD", Rect: geom.R(0, 10, 40, 20)},
+		},
+		Abstract: &cell.AbstractInfo{SourceFlow: "2D", MinPeriodPs: 500},
+	}
+	got, err := MacroDieView(abs, comb, abs.Width, abs.Height)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Name != "blk_abs_MD" || got.Width != 40 || got.Height != 40 {
+		t.Fatalf("view %s at %v×%v", got.Name, got.Width, got.Height)
+	}
+	for i, want := range []string{"M6_MD", "M4_MD", tech.F2FLayerName} {
+		if got.Pins[i].Layer != want {
+			t.Fatalf("pin %s on %s, want %s", got.Pins[i].Name, got.Pins[i].Layer, want)
+		}
+	}
+	if got.Obstructions[0].Layer != "M2_MD" || got.Obstructions[1].Layer != "M3_MD" {
+		t.Fatalf("obstruction layers %s/%s", got.Obstructions[0].Layer, got.Obstructions[1].Layer)
+	}
+	if got.Pins[1].ClkQ != 80 || got.Pins[2].Setup != 30 || got.Abstract.MinPeriodPs != 500 || got.Abstract == abs.Abstract {
+		t.Fatal("the view lost the abstract's timing data, or shares it")
+	}
+	if abs.Pins[0].Layer != "M6" || abs.Obstructions[0].Layer != "M2" {
+		t.Fatal("MacroDieView mutated the abstract")
 	}
 }
 
@@ -186,68 +258,5 @@ func TestSeparateProducesBothParts(t *testing.T) {
 		if !strings.HasSuffix(name, "_MD") {
 			t.Fatalf("macro part carries %s", name)
 		}
-	}
-}
-
-func TestCellForDie(t *testing.T) {
-	lib := cell.NewStdLib28(cell.DefaultLibOptions())
-	inv := lib.MustCell("INV_X1")
-	same := CellForDie(inv, netlist.LogicDie)
-	if same != inv {
-		t.Fatal("logic-die view must be the original master")
-	}
-	md := CellForDie(inv, netlist.MacroDie)
-	if md == inv || md.Pins[0].Layer != "M1_MD" {
-		t.Fatalf("macro-die view wrong: %+v", md.Pins[0])
-	}
-	if inv.Pins[0].Layer != "M1" {
-		t.Fatal("CellForDie mutated original")
-	}
-}
-
-func TestRemapAbstractForMacroDie(t *testing.T) {
-	logic, _ := tech.NewBEOL28("logic", 6)
-	macro, _ := tech.NewBEOL28("macro", 6)
-	combined, err := tech.Combine(logic, macro, tech.DefaultF2F())
-	if err != nil {
-		t.Fatal(err)
-	}
-	abs := &cell.Cell{
-		Name: "blk_abs", Kind: cell.KindMacro, Width: 40, Height: 40,
-		Pins: []cell.Pin{
-			{Name: "CK", Dir: cell.DirIn, Clock: true, Layer: "M6", Offset: geom.Pt(0, 20)},
-			{Name: "Q", Dir: cell.DirOut, Layer: "M4", Offset: geom.Pt(40, 20), ClkQ: 80},
-		},
-		Obstructions: []cell.Obstruction{
-			{Layer: "M2", Rect: geom.R(0, 0, 40, 10)},
-		},
-		Abstract: &cell.AbstractInfo{SourceFlow: "2D", MinPeriodPs: 500},
-	}
-	got, err := RemapAbstractForMacroDie(abs, combined)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "blk_abs_MD" {
-		t.Fatalf("name %s", got.Name)
-	}
-	if got.Pins[0].Layer != "M6_MD" || got.Pins[1].Layer != "M4_MD" {
-		t.Fatalf("pin layers %s/%s not remapped", got.Pins[0].Layer, got.Pins[1].Layer)
-	}
-	if got.Obstructions[0].Layer != "M2_MD" {
-		t.Fatalf("obstruction layer %s not remapped", got.Obstructions[0].Layer)
-	}
-	// Timing arcs and provenance ride along untouched; the source is
-	// not mutated.
-	if got.Pins[1].ClkQ != 80 || got.Abstract.MinPeriodPs != 500 {
-		t.Fatal("remap lost timing data")
-	}
-	if abs.Pins[0].Layer != "M6" || abs.Obstructions[0].Layer != "M2" {
-		t.Fatal("remap mutated its input")
-	}
-	// A non-abstract macro is rejected: the remap is only defined for
-	// hardened abstracts.
-	plain := &cell.Cell{Name: "m", Kind: cell.KindMacro}
-	if _, err := RemapAbstractForMacroDie(plain, combined); err == nil {
-		t.Fatal("remap accepted a cell without AbstractInfo")
 	}
 }

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 
+	"macro3d/internal/cell"
+	"macro3d/internal/lefdef"
 	"macro3d/internal/opt"
 	"macro3d/internal/piton"
 	"macro3d/internal/stash"
@@ -50,6 +52,31 @@ func TestStageCachePrefixSharing(t *testing.T) {
 	}
 	if st.Misses == 0 {
 		t.Errorf("iso-performance run must re-run signoff (different target), stats = %+v", st)
+	}
+}
+
+// TestTechFingerprintSeesLibraryEdits: the LEF the technology fingerprint
+// hashes (buildTechFingerprint) writes its numbers exactly, so a library
+// edit below any fixed rounding still changes the bytes hashed, and with
+// them every stage-cache key: a cache cannot serve a run on the edited
+// library what a run on the old one stored.
+func TestTechFingerprintSeesLibraryEdits(t *testing.T) {
+	tt, err := tech.New28(logicMetals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := cell.NewStdLib28(cell.DefaultLibOptions())
+	lef := func() []byte {
+		var b bytes.Buffer
+		if err := lefdef.WriteLEF(&b, tt.Logic, lib); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	before := lef()
+	lib.MustCell("INV_X1").Intrinsic += 1e-6
+	if bytes.Equal(before, lef()) {
+		t.Fatal("INV_X1's intrinsic delay moved by 1e-6 ps leaves the fingerprinted LEF as it was")
 	}
 }
 

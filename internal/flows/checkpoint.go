@@ -363,19 +363,24 @@ func (r *runner) verifyHit(cp checkpoint, key stash.Key, payload []byte, sub []s
 // macro-die suffix resolve to the library master's macro-die view so
 // post-partition designs (whose per-die clones are not library members)
 // round-trip. views shares one clone per master within a single load,
-// as the prepare stage does when it makes them.
+// as the prepare stage does when it makes them, and validates it against
+// the state's combined stack: before prepare there is none, and a
+// snapshot naming a view is refused.
 //
 // A master that replaces cur must list its pins as cur does
 // (Instance.SetMaster), or the design's pin references would name other
 // pins.
-func resolveMaster(d *netlist.Design, cur *cell.Cell, name string, views core.DieViews) (*cell.Cell, error) {
+func resolveMaster(d *netlist.Design, cur *cell.Cell, name string, views *core.DieViews) (*cell.Cell, error) {
 	if cur != nil && cur.Name == name {
 		return cur, nil
 	}
 	m := d.Lib.Cell(name)
 	if base, ok := strings.CutSuffix(name, tech.MDSuffix); ok && m == nil {
 		if lm := d.Lib.Cell(base); lm != nil {
-			m = views.MacroDie(lm)
+			var err error
+			if m, err = views.MacroDie(lm); err != nil {
+				return nil, fmt.Errorf("snapshot references %q: %w", name, err)
+			}
 		}
 	}
 	if m == nil {
@@ -578,7 +583,8 @@ func placementSize(d *netlist.Design) int {
 // instance (location, orientation, die, flags, master). Used for the
 // place stage of the 2D and Macro-3D flows and for the S2D/C2D pseudo
 // phase and tier partition, none of which add or remove instances.
-func placementCheckpoint(name string, material []byte, d *netlist.Design) checkpoint {
+func placementCheckpoint(name string, material []byte, st *State) checkpoint {
+	d := st.Design
 	return checkpoint{
 		name:     name,
 		material: material,
@@ -591,7 +597,7 @@ func placementCheckpoint(name string, material []byte, d *netlist.Design) checkp
 			return nil
 		},
 		load: func(dec *stash.Dec) error {
-			states, err := decodePlacement(dec, d)
+			states, err := decodePlacement(dec, d, st.Beol)
 			if err != nil {
 				return err
 			}
@@ -604,10 +610,11 @@ func placementCheckpoint(name string, material []byte, d *netlist.Design) checkp
 }
 
 // decodePlacement decodes a placement snapshot of d and validates it
-// against d — the instance count, every state, every master — without
-// touching d. The count is held to the bytes left before it sizes the
-// state table, so a short snapshot cannot allocate by the design's size.
-func decodePlacement(dec *stash.Dec, d *netlist.Design) ([]instStateWire, error) {
+// against d and its stack beol — the instance count, every state, every
+// master — without touching d. The count is held to the bytes left
+// before it sizes the state table, so a short snapshot cannot allocate
+// by the design's size.
+func decodePlacement(dec *stash.Dec, d *netlist.Design, beol *tech.BEOL) ([]instStateWire, error) {
 	n := dec.Count(instWireMin)
 	if dec.Err() == nil && n != len(d.Instances) {
 		return nil, fmt.Errorf("placement snapshot has %d instances, design has %d", n, len(d.Instances))
@@ -619,7 +626,7 @@ func decodePlacement(dec *stash.Dec, d *netlist.Design) ([]instStateWire, error)
 	if err := dec.Done(); err != nil {
 		return nil, err
 	}
-	views := core.DieViews{}
+	views := &core.DieViews{Combined: beol}
 	for i := range states {
 		if err := states[i].validate(); err != nil {
 			return nil, err

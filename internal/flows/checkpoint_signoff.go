@@ -373,7 +373,7 @@ func (f *flow) signoffCheckpoint(budget opt.Options) checkpoint {
 				return err
 			}
 
-			views := core.DieViews{}
+			views := &core.DieViews{Combined: st.Beol}
 			for i := range insts {
 				if err := insts[i].validate(); err != nil {
 					return err

@@ -526,7 +526,7 @@ func tinySignedOff(t *testing.T) (st *State, place, signoff checkpoint) {
 		t.Fatal(err)
 	}
 	f := &flow{runner: &runner{st: st}, t: tt}
-	return st, placementCheckpoint(StagePlace, nil, st.Design), f.signoffCheckpoint(opt.Options{})
+	return st, placementCheckpoint(StagePlace, nil, st), f.signoffCheckpoint(opt.Options{})
 }
 
 // TestCheckpointLoadAllocs: restoring a snapshot costs a string per
@@ -664,7 +664,7 @@ func instStateDefects(good []byte, off int) []corruptCase {
 func TestInstStateRejectsImpossibleValues(t *testing.T) {
 	st, place, signoff := tinySignedOff(t)
 	d := st.Design
-	pseudo := placementCheckpoint("pseudo", pseudoMaterial(Config{}), d)
+	pseudo := placementCheckpoint("pseudo", pseudoMaterial(Config{}), &State{Design: d})
 	save := func(cp checkpoint) []byte {
 		e := stash.NewEnc()
 		if err := cp.save(e); err != nil {
@@ -702,8 +702,8 @@ func TestInstStateRejectsImpossibleValues(t *testing.T) {
 // snapshot of another copy whose instances take every orientation, both
 // dies, every flag combination and a spread of locations, and whose
 // every seventh standard cell is a macro-die view (an "_MD" master that
-// resolves through core.DieViews).
-func placementFixture(tb testing.TB) (*netlist.Design, []byte) {
+// resolves through core.DieViews on the returned combined stack).
+func placementFixture(tb testing.TB) (*netlist.Design, *tech.BEOL, []byte) {
 	d, err := newTile(piton.Tiny(), nil)
 	if err != nil {
 		tb.Fatal(err)
@@ -712,21 +712,36 @@ func placementFixture(tb testing.TB) (*netlist.Design, []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	views := core.DieViews{}
+	beol := m6m6(tb)
+	views := &core.DieViews{Combined: beol}
 	for i, inst := range src.Design.Instances {
 		inst.Loc = geom.Pt(float64(i)*0.75, -float64(i%29)*1.5)
 		inst.Orient = geom.Orient(i % 4)
 		inst.Die = netlist.Die(i % 2)
 		inst.Fixed, inst.Placed = i%3 == 0, i%5 != 0
 		if i%7 == 0 && !inst.IsMacro() {
-			inst.Master = views.MacroDie(inst.Master)
+			if inst.Master, err = views.MacroDie(inst.Master); err != nil {
+				tb.Fatal(err)
+			}
 		}
 	}
 	e := stash.NewEnc()
-	if err := placementCheckpoint(StagePlace, nil, src.Design).save(e); err != nil {
+	if err := placementCheckpoint(StagePlace, nil, &State{Design: src.Design}).save(e); err != nil {
 		tb.Fatal(err)
 	}
-	return d.Design, e.Bytes()
+	return d.Design, beol, e.Bytes()
+}
+
+// m6m6 is the flows' default combined stack, M6–M6.
+func m6m6(tb testing.TB) *tech.BEOL {
+	tb.Helper()
+	logic, _ := tech.NewBEOL28("logic", logicMetals)
+	macro, _ := tech.NewBEOL28("macro", 6)
+	c, err := tech.Combine(logic, macro, tech.DefaultF2F())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
 }
 
 // encodeStates re-encodes decoded instance states as a placement
@@ -751,17 +766,20 @@ func encodeStates(states []instStateWire) []byte {
 // input that decodes is canonical — it re-encodes to the same bytes. The
 // corpus is one good snapshot and one case of each impossible state.
 func FuzzDecodePlacement(f *testing.F) {
-	d, good := placementFixture(f)
-	states, err := decodePlacement(stash.NewDec(good), d)
+	d, beol, good := placementFixture(f)
+	states, err := decodePlacement(stash.NewDec(good), d, beol)
 	if err != nil {
 		f.Fatal(err)
 	}
 	if !bytes.Equal(encodeStates(states), good) {
 		f.Fatal("the good snapshot does not re-encode to itself")
 	}
+	if _, err := decodePlacement(stash.NewDec(good), d, nil); err == nil {
+		f.Fatal("a snapshot naming macro-die views decodes on a state with no combined stack")
+	}
 	f.Add(good)
 	for _, c := range instStateDefects(good, 8+4+len(states[0].master)) {
-		if _, err := decodePlacement(stash.NewDec(c.b), d); err == nil {
+		if _, err := decodePlacement(stash.NewDec(c.b), d, beol); err == nil {
 			f.Fatalf("a snapshot with an impossible %s decodes", c.name)
 		}
 		f.Add(c.b)
@@ -769,7 +787,7 @@ func FuzzDecodePlacement(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		states, err := decodePlacement(stash.NewDec(b), d)
+		states, err := decodePlacement(stash.NewDec(b), d, beol)
 		runtime.ReadMemStats(&m1)
 		// 64-byte states for at least 23 bytes each, 2.8× the input, then
 		// the decoder's symbol table and a view per distinct "_MD" master.

@@ -38,7 +38,7 @@ func TestMasterSwapsKeepPinOrder(t *testing.T) {
 			t.Errorf("%s: %v", swap, err)
 		}
 	}
-	views := core.DieViews{}
+	views := &core.DieViews{Combined: m6m6(t)}
 	swaps := 0
 	for _, m := range d.Lib.Cells() {
 		for _, size := range d.Lib.Family(m.Family) {
@@ -49,8 +49,12 @@ func TestMasterSwapsKeepPinOrder(t *testing.T) {
 			same("pseudo transfer", p, m)
 			swaps++
 		}
-		same("macro-die view", m, views.MacroDie(m))
-		restored, err := resolveMaster(d, m, m.Name+tech.MDSuffix, core.DieViews{})
+		view, err := views.MacroDie(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("macro-die view", m, view)
+		restored, err := resolveMaster(d, m, m.Name+tech.MDSuffix, &core.DieViews{Combined: views.Combined})
 		if err != nil {
 			t.Fatalf("restoring %s's macro-die view: %v", m.Name, err)
 		}
@@ -59,7 +63,7 @@ func TestMasterSwapsKeepPinOrder(t *testing.T) {
 	}
 	macros := 0
 	for _, inst := range d.Macros() {
-		edited, err := core.EditMacroForMacroDie(inst.Master, 1, 1)
+		edited, err := core.MacroDieView(inst.Master, views.Combined, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +95,7 @@ func TestMutantPinOrderFailsSwap(t *testing.T) {
 	if u.Master.Name != "NAND2_X1" {
 		t.Fatalf("a refused resize left %s on the instance", u.Master.Name)
 	}
-	if _, err := resolveMaster(d, u.Master, "NAND2_X2", core.DieViews{}); err == nil || !strings.Contains(err.Error(), want) {
+	if _, err := resolveMaster(d, u.Master, "NAND2_X2", &core.DieViews{}); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("restoring the mutant: %v, want an error naming %s", err, want)
 	}
 	if got := d.Nets[0].Sinks[0].Pin(); got != "A" {

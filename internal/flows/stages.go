@@ -123,7 +123,7 @@ func (f *flow) material() []byte {
 // checkpoint.
 func (f *flow) placeRegion(seedOff uint64) stage {
 	return region(
-		func() checkpoint { return placementCheckpoint(StagePlace, f.material(), f.st.Design) },
+		func() checkpoint { return placementCheckpoint(StagePlace, f.material(), f.st) },
 		f.place(StagePlace, seedOff))
 }
 
@@ -147,7 +147,7 @@ func (f *flow) stagesPseudo3D() []stage {
 	// The partition snapshot places every instance, so it covers the
 	// pseudo one.
 	tiers := covering(
-		func() checkpoint { return placementCheckpoint(StagePartition, resolutionMaterial(f.cfg), real.Design) },
+		func() checkpoint { return placementCheckpoint(StagePartition, resolutionMaterial(f.cfg), real) },
 		do(StagePartition, func() error { return f.partition(real) }))
 	tiers.on = real // phase B works on the real design
 	return slices.Concat(f.frontEnd(real, spec.style), []stage{
@@ -155,7 +155,7 @@ func (f *flow) stagesPseudo3D() []stage {
 		// phase B can see of it is the real design's placement — each
 		// standard cell's transferred location, placed flag and drive
 		// choice.
-		region(func() checkpoint { return placementCheckpoint("pseudo", pseudoMaterial(f.cfg), real.Design) },
+		region(func() checkpoint { return placementCheckpoint("pseudo", pseudoMaterial(f.cfg), real) },
 			do("pseudo-"+StageFloorplan, func() error { return f.pseudoFloorplan(spec, real) }),
 			f.place("pseudo-"+StagePlace, spec.seedOff),
 			do("pseudo-"+StageRoute, func() error {
@@ -186,12 +186,17 @@ func (f *flow) stagesPseudo3D() []stage {
 			// Cells the partition moved to the macro die take its pin
 			// layers: one view per master, shared by its instances, as a
 			// checkpoint restores them (resolveMaster).
-			views := core.DieViews{}
+			views := core.DieViews{Combined: real.Beol}
 			for _, c := range real.Design.StdCells() {
-				if c.Die == netlist.MacroDie {
-					if err := c.SetMaster(views.MacroDie(c.Master)); err != nil {
-						return err
-					}
+				if c.Die != netlist.MacroDie {
+					continue
+				}
+				v, err := views.MacroDie(c.Master)
+				if err != nil {
+					return err
+				}
+				if err := c.SetMaster(v); err != nil {
+					return err
 				}
 			}
 			return nil

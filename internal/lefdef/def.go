@@ -16,7 +16,7 @@ import (
 func WriteDEF(w io.Writer, d *netlist.Design, die geom.Rect) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "VERSION 5.8 ;\nDESIGN %s ;\nUNITS DISTANCE MICRONS 1000 ;\n", d.Name)
-	fmt.Fprintf(bw, "DIEAREA ( %.4f %.4f ) ( %.4f %.4f ) ;\n\n", die.Lx, die.Ly, die.Ux, die.Uy)
+	fmt.Fprintf(bw, "DIEAREA ( %g %g ) ( %g %g ) ;\n\n", die.Lx, die.Ly, die.Ux, die.Uy)
 
 	fmt.Fprintf(bw, "COMPONENTS %d ;\n", len(d.Instances))
 	for _, inst := range d.Instances {
@@ -26,7 +26,7 @@ func WriteDEF(w io.Writer, d *netlist.Design, die geom.Rect) error {
 		} else if inst.Placed {
 			status = "PLACED"
 		}
-		fmt.Fprintf(bw, "  - %s %s + %s ( %.4f %.4f ) %s + PROPERTY die %d ;\n",
+		fmt.Fprintf(bw, "  - %s %s + %s ( %g %g ) %s + PROPERTY die %d ;\n",
 			inst.Name, inst.Master.Name, status, inst.Loc.X, inst.Loc.Y,
 			inst.Orient, inst.Die)
 	}
@@ -38,7 +38,7 @@ func WriteDEF(w io.Writer, d *netlist.Design, die geom.Rect) error {
 		if p.HalfCycle {
 			half = 1
 		}
-		fmt.Fprintf(bw, "  - %s + DIRECTION %s + LAYER %s ( %.4f %.4f ) + PROPERTY halfcycle %d extcap %.4f extdelay %.4f ;\n",
+		fmt.Fprintf(bw, "  - %s + DIRECTION %s + LAYER %s ( %g %g ) + PROPERTY halfcycle %d extcap %g extdelay %g ;\n",
 			p.Name, lefPinDir(p.Dir), p.Layer, p.Loc.X, p.Loc.Y, half, p.ExtCap, p.ExtDelay)
 	}
 	fmt.Fprintf(bw, "END PINS\n\n")
@@ -219,6 +219,8 @@ func parseOrient(s string) geom.Orient {
 	return geom.OrientN
 }
 
+// parsePins consumes the PINS section; each pin must have a DIRECTION
+// and a LAYER.
 func parsePins(tk *tokenizer, d *netlist.Design) error {
 	tk.skipStatement()
 	for {
@@ -237,7 +239,7 @@ func parsePins(tk *tokenizer, d *netlist.Design) error {
 		var dir cell.PinDir
 		var layer string
 		var x, y, extCap, extDelay float64
-		half := false
+		half, directed := false, false
 		for {
 			t, ok := tk.next()
 			if !ok {
@@ -257,6 +259,7 @@ func parsePins(tk *tokenizer, d *netlist.Design) error {
 				default:
 					dir = cell.DirInOut
 				}
+				directed = true
 			case "LAYER":
 				var lok bool
 				if layer, lok = tk.next(); !lok {
@@ -290,6 +293,9 @@ func parsePins(tk *tokenizer, d *netlist.Design) error {
 				}
 				extDelay = v
 			}
+		}
+		if !directed || layer == "" {
+			return tk.errf("pin %s has no DIRECTION and LAYER", name)
 		}
 		if d.Port(name) != nil {
 			return tk.errf("duplicate pin %q", name)

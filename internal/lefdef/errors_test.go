@@ -121,8 +121,8 @@ func TestParseDEFDuplicateNames(t *testing.T) {
 			"  - u1 INV_X2 + PLACED ( 5 0 ) N ;\n" +
 			"END COMPONENTS\nEND DESIGN\n", `duplicate component "u1"`},
 		{"pin", "DESIGN x ;\nPINS 2 ;\n" +
-			"  - clk + DIRECTION INPUT ;\n" +
-			"  - clk + DIRECTION INPUT ;\n" +
+			"  - clk + DIRECTION INPUT + LAYER M6 ( 0 0 ) ;\n" +
+			"  - clk + DIRECTION INPUT + LAYER M6 ( 0 0 ) ;\n" +
 			"END PINS\nEND DESIGN\n", `duplicate pin "clk"`},
 		{"net", "DESIGN x ;\nCOMPONENTS 1 ;\n" +
 			"  - u1 INV_X2 + PLACED ( 0 0 ) N ;\n" +

@@ -2,10 +2,13 @@ package lefdef
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"macro3d/internal/cell"
+	"macro3d/internal/core"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
 	"macro3d/internal/piton"
@@ -89,6 +92,33 @@ func tinyTileSeeds(f *testing.F) (lef, def []byte, lib *cell.Library) {
 	return l.Bytes(), w.Bytes(), src.Lib
 }
 
+// macroDieSeed is the LEF of a macro on the macro die: the M6–M4
+// combined stack, with its CUT F2F layer, and an SRAM's macro-die view
+// (core.MacroDieView) on the _MD layers at the filler footprint.
+func macroDieSeed(f *testing.F) []byte {
+	logic, _ := tech.NewBEOL28("logic", 6)
+	macro, _ := tech.NewBEOL28("macro", 4)
+	comb, err := tech.Combine(logic, macro, tech.DefaultF2F())
+	if err != nil {
+		f.Fatal(err)
+	}
+	sram, err := cell.NewSRAM(cell.SRAMSpec{Name: "m", Words: 256, Bits: 8})
+	if err != nil {
+		f.Fatal(err)
+	}
+	view, err := core.MacroDieView(sram, comb, 0.19, 1.2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	lib := cell.NewLibrary("views")
+	lib.Add(view)
+	var b bytes.Buffer
+	if err := WriteLEF(&b, comb, lib); err != nil {
+		f.Fatal(err)
+	}
+	return b.Bytes()
+}
+
 // allocBound fails t when parse allocated more than 16 bytes per input
 // byte plus 64 kB: no parse of outside input may allocate by a count it
 // read rather than by the bytes it was given.
@@ -105,11 +135,16 @@ func allocBound(t *testing.T, in []byte, parse func()) {
 
 // FuzzParseLEF: ParseLEF on arbitrary bytes does not panic, and
 // allocates within 16× the input plus 64 kB. Seeded with the tiny tile's
-// stack and masters as WriteLEF writes them; `go test` runs the seed,
-// `make fuzz` fuzzes for a bounded time.
+// stack and masters as WriteLEF writes them; with the combined stack,
+// its CUT F2F layer, and an SRAM's macro-die view on the _MD layers; and
+// with one macro of 20 000 shapeless pins (33× its size in pin records
+// before a pin had to have a PORT). `go test` runs the seeds, `make
+// fuzz` fuzzes for a bounded time.
 func FuzzParseLEF(f *testing.F) {
 	lef, _, _ := tinyTileSeeds(f)
 	f.Add(lef)
+	f.Add(macroDieSeed(f))
+	f.Add([]byte("MACRO m\n" + strings.Repeat("PIN a END a\n", 20000) + "END m\n"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		allocBound(t, b, func() { ParseLEF(bytes.NewReader(b)) })
 	})
@@ -119,14 +154,22 @@ func FuzzParseLEF(f *testing.F) {
 // library, does not panic, and allocates within 16× the input plus
 // 64 kB. Seeded with the tiny tile as WriteDEF writes it, a DIEAREA cut
 // short (the parser read past EOF there forever), a second DESIGN (each
-// made a design of its own) and a net naming a pin its component's
-// master lacks (an error where the name is resolved).
+// made a design of its own), a net naming a pin its component's master
+// lacks (an error where the name is resolved) and 20 000 pins with no
+// DIRECTION and LAYER (34× their size in port records before a pin had
+// to have both).
 func FuzzParseDEF(f *testing.F) {
 	_, def, lib := tinyTileSeeds(f)
 	f.Add(def)
 	f.Add([]byte("DESIGN x ;\nDIEAREA ( 0 0"))
 	f.Add([]byte("DESIGN x ;\nDESIGN y ;\n"))
 	f.Add([]byte(unknownPinDEF))
+	var pins strings.Builder
+	pins.WriteString("DESIGN x ;\nPINS 20000 ;\n")
+	for i := range 20000 {
+		fmt.Fprintf(&pins, "- %x ;\n", i)
+	}
+	f.Add([]byte(pins.String() + "END PINS\n"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		allocBound(t, b, func() { ParseDEF(bytes.NewReader(b), lib) })
 	})

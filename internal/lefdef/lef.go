@@ -3,19 +3,20 @@
 // The dialect is a faithful subset of the real formats: LAYER/VIA
 // sections for the BEOL, MACRO blocks with SIZE/PIN/OBS for masters,
 // and DEF-like DIEAREA/COMPONENTS/PINS/NETS sections for designs.
+// Numbers are written in their shortest exact form, so a stream reads
+// back to the values it was written from, bit for bit, and the readers
+// require the statements the writers always emit.
 //
-// The package also implements the paper's "simple scripted
-// modifications in the lef files" (§IV): RewriteMacroDieLayers applies
-// the Macro-3D macro edit — `_MD` layer suffixes and the filler-size
-// SIZE shrink — directly on LEF text, equivalent to
-// core.EditMacroForMacroDie on the in-memory master.
+// The paper's "simple scripted modifications in the lef files" (§IV)
+// are WriteLEF of the combined stack and of core.MacroDieView's masters:
+// those files, with the DEF of the superimposed design, are all that
+// Macro-3D's place and route read of the edit (DESIGN.md §3).
 package lefdef
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -29,7 +30,7 @@ func WriteLEF(w io.Writer, b *tech.BEOL, lib *cell.Library) error {
 	fmt.Fprintf(bw, "VERSION 5.8 ;\nBUSBITCHARS \"[]\" ;\nDIVIDERCHAR \"/\" ;\n\n")
 	if b != nil {
 		for i, l := range b.Layers {
-			fmt.Fprintf(bw, "LAYER %s\n  TYPE ROUTING ;\n  DIRECTION %s ;\n  PITCH %.4f ;\n  WIDTH %.4f ;\n  RESISTANCE RPERSQ %.6f ;\n  CAPACITANCE CPERSQDIST %.6f ;\nEND %s\n\n",
+			fmt.Fprintf(bw, "LAYER %s\n  TYPE ROUTING ;\n  DIRECTION %s ;\n  PITCH %g ;\n  WIDTH %g ;\n  RESISTANCE RPERSQ %g ;\n  CAPACITANCE CPERSQDIST %g ;\nEND %s\n\n",
 				l.Name, lefDir(l.Dir), l.Pitch, l.Width, l.RPerUm, l.CPerUm, l.Name)
 			if i < len(b.Vias) {
 				v := b.Vias[i]
@@ -37,10 +38,10 @@ func WriteLEF(w io.Writer, b *tech.BEOL, lib *cell.Library) error {
 				if v.F2F {
 					kind = "CUT F2F"
 				}
-				fmt.Fprintf(bw, "LAYER %s\n  TYPE %s ;\n  RESISTANCE %.6f ;\n  CAPACITANCE %.6f ;\n",
+				fmt.Fprintf(bw, "LAYER %s\n  TYPE %s ;\n  RESISTANCE %g ;\n  CAPACITANCE %g ;\n",
 					viaName(b, i), kind, v.R, v.C)
 				if v.F2F {
-					fmt.Fprintf(bw, "  PITCH %.4f ;\n", v.Pitch)
+					fmt.Fprintf(bw, "  PITCH %g ;\n", v.Pitch)
 				}
 				fmt.Fprintf(bw, "END %s\n\n", viaName(b, i))
 			}
@@ -71,24 +72,24 @@ func lefDir(d tech.Dir) string {
 func writeMacro(w io.Writer, c *cell.Cell) {
 	fmt.Fprintf(w, "MACRO %s\n", c.Name)
 	fmt.Fprintf(w, "  CLASS %s ;\n", lefClass(c.Kind))
-	fmt.Fprintf(w, "  SIZE %.4f BY %.4f ;\n", c.Width, c.Height)
+	fmt.Fprintf(w, "  SIZE %g BY %g ;\n", c.Width, c.Height)
 	if c.Family != "" {
 		fmt.Fprintf(w, "  PROPERTY family name \"%s\" drive %d ;\n", c.Family, c.Drive)
 	}
-	fmt.Fprintf(w, "  PROPERTY timing intrinsic %.4f driveres %.6f clkq %.4f setup %.4f hold %.4f ;\n",
+	fmt.Fprintf(w, "  PROPERTY timing intrinsic %g driveres %g clkq %g setup %g hold %g ;\n",
 		c.Intrinsic, c.DriveRes, c.ClkQ, c.Setup, c.Hold)
-	fmt.Fprintf(w, "  PROPERTY slew sens %.4f intrinsic %.4f res %.6f ;\n",
+	fmt.Fprintf(w, "  PROPERTY slew sens %g intrinsic %g res %g ;\n",
 		c.SlewSens, c.SlewIntrinsic, c.SlewRes)
-	fmt.Fprintf(w, "  PROPERTY power internal %.4f leakage %.4f ;\n", c.InternalEnergy, c.Leakage)
+	fmt.Fprintf(w, "  PROPERTY power internal %g leakage %g ;\n", c.InternalEnergy, c.Leakage)
 	if c.Macro != nil {
-		fmt.Fprintf(w, "  PROPERTY sram words %d bits %d energy %.4f ;\n",
+		fmt.Fprintf(w, "  PROPERTY sram words %d bits %d energy %g ;\n",
 			c.Macro.Words, c.Macro.Bits, c.Macro.EnergyPerAccess)
 	}
 	// Abstract provenance and per-pin boundary arcs are emitted only
 	// for hardened masters, so the LEF of ordinary libraries (and the
 	// cache fingerprints hashed over it) is unchanged.
 	if c.Abstract != nil {
-		fmt.Fprintf(w, "  PROPERTY abstract flow \"%s\" config \"%s\" minperiod %.4f energy %.4f leakage %.4f bumps %d ;\n",
+		fmt.Fprintf(w, "  PROPERTY abstract flow \"%s\" config \"%s\" minperiod %g energy %g leakage %g bumps %d ;\n",
 			c.Abstract.SourceFlow, c.Abstract.SourceConfig, c.Abstract.MinPeriodPs,
 			c.Abstract.EnergyPerCycleFJ, c.Abstract.LeakageUW, c.Abstract.F2FBumps)
 	}
@@ -97,17 +98,17 @@ func writeMacro(w io.Writer, c *cell.Cell) {
 		if p.Clock {
 			fmt.Fprintf(w, "    USE CLOCK ;\n")
 		}
-		fmt.Fprintf(w, "    CAPACITANCE %.4f ;\n", p.Cap)
+		fmt.Fprintf(w, "    CAPACITANCE %g ;\n", p.Cap)
 		if c.Abstract != nil {
-			fmt.Fprintf(w, "    PROPERTY arc setup %.4f clkq %.4f ;\n", p.Setup, p.ClkQ)
+			fmt.Fprintf(w, "    PROPERTY arc setup %g clkq %g ;\n", p.Setup, p.ClkQ)
 		}
-		fmt.Fprintf(w, "    PORT\n      LAYER %s ;\n      POINT %.4f %.4f ;\n    END\n", p.Layer, p.Offset.X, p.Offset.Y)
+		fmt.Fprintf(w, "    PORT\n      LAYER %s ;\n      POINT %g %g ;\n    END\n", p.Layer, p.Offset.X, p.Offset.Y)
 		fmt.Fprintf(w, "  END %s\n", p.Name)
 	}
 	if len(c.Obstructions) > 0 {
 		fmt.Fprintf(w, "  OBS\n")
 		for _, o := range c.Obstructions {
-			fmt.Fprintf(w, "    LAYER %s ;\n      RECT %.4f %.4f %.4f %.4f ;\n",
+			fmt.Fprintf(w, "    LAYER %s ;\n      RECT %g %g %g %g ;\n",
 				o.Layer, o.Rect.Lx, o.Rect.Ly, o.Rect.Ux, o.Rect.Uy)
 		}
 		fmt.Fprintf(w, "  END\n")
@@ -289,9 +290,10 @@ func parseLayerBody(tk *tokenizer, name string) (layerProps, error) {
 	}
 }
 
-// parseMacroBody consumes a MACRO block.
+// parseMacroBody consumes a MACRO block, which must have a SIZE.
 func parseMacroBody(tk *tokenizer, name string) (*cell.Cell, error) {
 	c := &cell.Cell{Name: name}
+	sized := false
 	for {
 		w, ok := tk.next()
 		if !ok {
@@ -333,6 +335,7 @@ func parseMacroBody(tk *tokenizer, name string) (*cell.Cell, error) {
 				return nil, err
 			}
 			tk.expect(";")
+			sized = true
 		case "PROPERTY":
 			if err := parseProperty(tk, c); err != nil {
 				return nil, err
@@ -350,6 +353,9 @@ func parseMacroBody(tk *tokenizer, name string) (*cell.Cell, error) {
 			}
 		case "END":
 			tk.next() // macro name
+			if !sized {
+				return nil, tk.errf("MACRO %s has no SIZE", name)
+			}
 			return c, nil
 		default:
 			tk.skipStatement()
@@ -466,8 +472,11 @@ func setProperty(c *cell.Cell, kind, key, v string) {
 	}
 }
 
+// parsePinBody consumes a PIN block, which must have a PORT with a
+// LAYER and a POINT.
 func parsePinBody(tk *tokenizer, name string) (cell.Pin, error) {
 	p := cell.Pin{Name: name}
+	layer, point := false, false
 	for {
 		w, ok := tk.next()
 		if !ok {
@@ -540,7 +549,12 @@ func parsePinBody(tk *tokenizer, name string) (cell.Pin, error) {
 					if p.Layer, ok = tk.next(); !ok {
 						return p, tk.errf("unexpected EOF after LAYER in PORT of PIN %s", name)
 					}
-					tk.expect(";")
+					if p.Layer == ";" { // a pin on no layer, as WriteLEF writes it
+						p.Layer = ""
+					} else {
+						tk.expect(";")
+					}
+					layer = true
 				} else if x == "POINT" {
 					var err error
 					if p.Offset.X, err = tk.nextFloat(); err != nil {
@@ -550,12 +564,16 @@ func parsePinBody(tk *tokenizer, name string) (cell.Pin, error) {
 						return p, err
 					}
 					tk.expect(";")
+					point = true
 				} else if x == "END" {
 					break
 				}
 			}
 		case "END":
 			tk.next() // pin name
+			if !layer || !point {
+				return p, tk.errf("PIN %s has no PORT with a LAYER and a POINT", name)
+			}
 			return p, nil
 		default:
 			tk.skipStatement()
@@ -595,17 +613,4 @@ func parseObs(tk *tokenizer, c *cell.Cell) error {
 			return nil
 		}
 	}
-}
-
-// SortObstructions orders a master's obstructions deterministically
-// (layer, then coordinates) — useful before comparing round-tripped
-// masters.
-func SortObstructions(c *cell.Cell) {
-	sort.Slice(c.Obstructions, func(i, j int) bool {
-		a, b := c.Obstructions[i], c.Obstructions[j]
-		if a.Layer != b.Layer {
-			return a.Layer < b.Layer
-		}
-		return a.Rect.Lx < b.Rect.Lx
-	})
 }

@@ -1,12 +1,15 @@
 package lefdef
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/core"
+	"macro3d/internal/floorplan"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
 	"macro3d/internal/piton"
@@ -119,6 +122,16 @@ func TestLEFRoundTripLibrary(t *testing.T) {
 	}
 }
 
+// TestLEFRoundTripLayerlessPin: a pin on no layer reads back on none.
+func TestLEFRoundTripLayerlessPin(t *testing.T) {
+	lib := cell.NewLibrary("x")
+	lib.Add(&cell.Cell{Name: "A", Pins: []cell.Pin{{Name: "P", Dir: cell.DirIn, Offset: geom.Pt(1, 2)}}})
+	got := roundTripLEF(t, nil, lib).Lib.Cell("A")
+	if !reflect.DeepEqual(got, lib.Cell("A")) {
+		t.Fatalf("read back as %+v", got.Pins)
+	}
+}
+
 func TestLEFRoundTripSRAM(t *testing.T) {
 	sram, err := cell.NewSRAM(cell.SRAMSpec{Name: "m", Words: 2048, Bits: 16})
 	if err != nil {
@@ -137,12 +150,8 @@ func TestLEFRoundTripSRAM(t *testing.T) {
 	if len(g.Obstructions) != 4 {
 		t.Fatalf("obstructions %d", len(g.Obstructions))
 	}
-	SortObstructions(g)
-	SortObstructions(sram)
-	for i := range g.Obstructions {
-		if g.Obstructions[i].Layer != sram.Obstructions[i].Layer {
-			t.Fatal("obstruction layers differ")
-		}
+	if !reflect.DeepEqual(g.Obstructions, sram.Obstructions) {
+		t.Fatal("obstructions differ")
 	}
 }
 
@@ -219,83 +228,6 @@ func TestDEFRoundTrip(t *testing.T) {
 	// HPWL identical after round trip (same locations).
 	if math.Abs(g.TotalHPWL()-d.TotalHPWL()) > 1e-6 {
 		t.Fatal("HPWL changed across round trip")
-	}
-}
-
-func TestRewriteMacroDieLayersMatchesCoreEdit(t *testing.T) {
-	// The textual LEF rewrite must agree with the in-memory edit.
-	sram, err := cell.NewSRAM(cell.SRAMSpec{Name: "m", Words: 1024, Bits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib := cell.NewLibrary("x")
-	lib.Add(sram)
-	var sb strings.Builder
-	if err := WriteLEF(&sb, nil, lib); err != nil {
-		t.Fatal(err)
-	}
-	rewritten := RewriteMacroDieLayers(sb.String(), 0.19, 1.2)
-	parsed, err := ParseLEF(strings.NewReader(rewritten))
-	if err != nil {
-		t.Fatalf("%v\n--- rewritten ---\n%s", err, head(rewritten, 1500))
-	}
-	fromText := parsed.Lib.Cell("m")
-	fromMem, err := core.EditMacroForMacroDie(sram, 0.19, 1.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromText.Width != fromMem.Width || fromText.Height != fromMem.Height {
-		t.Fatalf("size: text %vx%v vs mem %vx%v",
-			fromText.Width, fromText.Height, fromMem.Width, fromMem.Height)
-	}
-	for i, p := range fromMem.Pins {
-		tp := fromText.Pins[i]
-		if tp.Layer != p.Layer {
-			t.Fatalf("pin %s layer: text %s vs mem %s", p.Name, tp.Layer, p.Layer)
-		}
-		if tp.Offset.Dist(p.Offset) > 1e-3 {
-			t.Fatalf("pin %s offset moved by rewrite", p.Name)
-		}
-	}
-	SortObstructions(fromText)
-	SortObstructions(fromMem)
-	for i := range fromMem.Obstructions {
-		if fromText.Obstructions[i].Layer != fromMem.Obstructions[i].Layer {
-			t.Fatalf("obstruction %d layer mismatch", i)
-		}
-	}
-}
-
-func TestRewriteLeavesTechLayersAlone(t *testing.T) {
-	b, _ := tech.NewBEOL28("x", 4)
-	var sb strings.Builder
-	if err := WriteLEF(&sb, b, nil); err != nil {
-		t.Fatal(err)
-	}
-	rewritten := RewriteMacroDieLayers(sb.String(), 0.19, 1.2)
-	if strings.Contains(rewritten, "M1_MD") {
-		t.Fatal("technology LAYER section was rewritten")
-	}
-	if rewritten != sb.String() {
-		t.Fatal("stream without macros changed")
-	}
-}
-
-func TestRewriteIdempotent(t *testing.T) {
-	sram, _ := cell.NewSRAM(cell.SRAMSpec{Name: "m", Words: 512, Bits: 8})
-	lib := cell.NewLibrary("x")
-	lib.Add(sram)
-	var sb strings.Builder
-	if err := WriteLEF(&sb, nil, lib); err != nil {
-		t.Fatal(err)
-	}
-	once := RewriteMacroDieLayers(sb.String(), 0.19, 1.2)
-	twice := RewriteMacroDieLayers(once, 0.19, 1.2)
-	if once != twice {
-		t.Fatal("rewrite not idempotent")
-	}
-	if strings.Contains(once, "_MD_MD") {
-		t.Fatal("double suffix")
 	}
 }
 
@@ -492,5 +424,101 @@ func TestLEFAbstractPropertiesConditional(t *testing.T) {
 	}
 	if strings.Contains(sb.String(), "PROPERTY arc") || strings.Contains(sb.String(), "PROPERTY abstract") {
 		t.Fatal("ordinary library LEF grew abstract properties — stage-cache keys would shift")
+	}
+}
+
+// prepared is a tile taken through Macro-3D's prepare without running a
+// flow: generated, its die sized, its macros floorplanned memory-on-logic
+// and its ports assigned, then core.PrepareMoL — the combined stack, the
+// macros' filler-sized macro-die views and the superimposed design.
+func prepared(t *testing.T, pc piton.Config) (*core.MoLDesign, geom.Rect) {
+	t.Helper()
+	tile, err := piton.Generate(pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := tile.Design
+	sz, err := floorplan.SizeDesign(d, 0.70, 1.0, 1.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := floorplan.PlaceMacros(d, sz.Die3D, floorplan.StyleMoL); err != nil {
+		t.Fatal(err)
+	}
+	floorplan.AssignPorts(tile, sz.Die3D)
+	logic, _ := tech.NewBEOL28("logic", 6)
+	macro, _ := tech.NewBEOL28("macro", 6)
+	filler := d.Lib.MustCell("FILL_X1")
+	md, err := core.PrepareMoL(d, logic, macro, tech.DefaultF2F(), sz.Die3D, filler.Width, filler.Height)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return md, sz.Die3D
+}
+
+// designLibrary is every master a design's LEF carries: its library, then
+// each master an instance uses that the library lacks — the macro-die
+// views — once per name.
+func designLibrary(d *netlist.Design) *cell.Library {
+	lib := cell.NewLibrary(d.Lib.Name)
+	for _, c := range d.Lib.Cells() {
+		lib.Add(c)
+	}
+	for _, inst := range d.Instances {
+		if lib.Cell(inst.Master.Name) == nil {
+			lib.Add(inst.Master)
+		}
+	}
+	return lib
+}
+
+// TestWriteReadWriteFixedPoint: the files of a prepared tiny and small
+// design — the combined stack and every master, macro-die views included,
+// as LEF, and the design as DEF — read back to the values they were
+// written from, so writing what was read gives the same bytes, and every
+// master reads back equal to the one written.
+func TestWriteReadWriteFixedPoint(t *testing.T) {
+	for _, pc := range []piton.Config{piton.Tiny(), piton.SmallCache()} {
+		t.Run(pc.Name, func(t *testing.T) {
+			md, die := prepared(t, pc)
+			lib := designLibrary(md.Design)
+			if lib.Len() == md.Design.Lib.Len() {
+				t.Fatal("the prepared design instantiates no macro-die view")
+			}
+			var lef, def bytes.Buffer
+			if err := WriteLEF(&lef, md.Combined, lib); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteDEF(&def, md.Design, die); err != nil {
+				t.Fatal(err)
+			}
+			l, err := ParseLEF(bytes.NewReader(lef.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := ParseDEF(bytes.NewReader(def.Bytes()), l.Lib)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lef2, def2 bytes.Buffer
+			if err := WriteLEF(&lef2, l.Beol, l.Lib); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteDEF(&def2, d.Design, d.Die); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(lef2.Bytes(), lef.Bytes()) || !bytes.Equal(def2.Bytes(), def.Bytes()) {
+				t.Fatalf("write → read → write moved the LEF (%v) or the DEF (%v)",
+					!bytes.Equal(lef2.Bytes(), lef.Bytes()), !bytes.Equal(def2.Bytes(), def.Bytes()))
+			}
+			if !reflect.DeepEqual(l.Beol.Layers, md.Combined.Layers) || !reflect.DeepEqual(l.Beol.Vias, md.Combined.Vias) {
+				t.Error("the combined stack reads back changed")
+			}
+			for _, c := range lib.Cells() {
+				if got := l.Lib.Cell(c.Name); !reflect.DeepEqual(got, c) {
+					t.Errorf("%s reads back changed:\n got %+v\nwant %+v", c.Name, got, c)
+				}
+			}
+		})
 	}
 }

@@ -422,12 +422,16 @@ func TestSeedMatchesObjectLoop(t *testing.T) {
 		d, fp := tileFixture(t, cfg)
 		// A cell on the macro die, so that some nets cross a bump.
 		movable := movableCells(d)
-		md := *movable[0].Master
-		md.Pins = slices.Clone(md.Pins)
-		for i := range md.Pins {
-			md.Pins[i].Layer += tech.MDSuffix
+		logic, _ := tech.NewBEOL28("logic", 6)
+		macro, _ := tech.NewBEOL28("macro", 6)
+		combined, err := tech.Combine(logic, macro, tech.DefaultF2F())
+		if err != nil {
+			t.Fatal(err)
 		}
-		movable[0].Master = &md
+		views := &core.DieViews{Combined: combined}
+		if movable[0].Master, err = views.MacroDie(movable[0].Master); err != nil {
+			t.Fatal(err)
+		}
 		st := fixtureState(d, fp, new(par.Team))
 
 		want := slices.Clone(st.pos[:len(d.Instances)])
