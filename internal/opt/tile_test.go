@@ -151,7 +151,7 @@ func TestTablesStayPut(t *testing.T) {
 		"lastNet", "launchGen", "launchBest", "dirtyFull", "dirtyHalf",
 		"full.arr", "full.slew", "full.prev", "full.via",
 		"half.arr", "half.slew", "half.prev", "half.via",
-		"isComb", "isSeq", "indeg0", "indeg", "released", "in.at", "order",
+		"isComb", "isSeq", "level", "indeg", "in.at", "order",
 		"netDrv", "drvPrev", "fan.at", "ep.at",
 	}
 	dbTables := []string{"drivenI", "inputs"}
@@ -196,7 +196,8 @@ func TestTablesStayPut(t *testing.T) {
 // buffering, buffer chains, each bundle then committed or rolled back —
 // on the tiny and the small tile. After every Update the engine's
 // patched tables equal a fresh engine's element for element (rows,
-// driver chains, endpoint table, order: sta.Engine.CheckTopo), its
+// driver chains, endpoint table) and its levels rise along every arc
+// (sta.Engine.CheckTopo), its
 // report equals a fresh engine's full run (reflect.DeepEqual, paths and
 // all), and the journaled extraction, free space and adjacency pass the
 // optimizer's self-check. The optimizer then runs over the edited design

@@ -191,8 +191,11 @@ func (db *DB) scratch() *mazeScratch {
 // blocked reports whether node n is a wall for a connection between
 // pins a and b: a macro obstruction left its gcell-layer no capacity,
 // and it is not in either pin's column (pin access).
-func (db *DB) blocked(n, a, b Node) bool {
-	return db.cap[db.idx(n)] <= 0 && (n.X != a.X || n.Y != a.Y) && (n.X != b.X || n.Y != b.Y)
+func (db *DB) blocked(n, a, b Node) bool { return db.blockedAt(db.idx(n), n, a, b) }
+
+// blockedAt is blocked for node n at flat index i (idx).
+func (db *DB) blockedAt(i int, n, a, b Node) bool {
+	return db.cap[i] <= 0 && (n.X != a.X || n.Y != a.Y) && (n.X != b.X || n.Y != b.Y)
 }
 
 // mazeRouteScratch runs A* from a to b, never into a blocked node, inside

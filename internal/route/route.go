@@ -493,17 +493,26 @@ func (db *DB) addSegs(segs []Seg, o Origin, delta int32) {
 			}
 			continue
 		}
-		// Walk the gcells under the straight segment.
-		s.Walk(func(n Node) {
-			col := db.Grid.Index(int(n.X), int(n.Y))
-			i := int(n.L)*bins + col
+		// Step through the gcells under the straight segment; on one
+		// layer, a column index moves by the same stride.
+		i, step, n := db.stride(s)
+		for col := i - int(s.A.L)*bins; n > 0; i, col, n = i+step, col+step, n-1 {
 			was := db.usage[i]
 			db.usage[i] = was + delta
 			if stamp {
 				db.stampUse(i, col, was, was+delta)
 			}
-		})
+		}
 	}
+}
+
+// stride locates a wire (a Valid segment on one layer) in the
+// gcell-layer planes: the flat index (idx) of A, the step from one node
+// to the next toward B (±1 or ±NX) and the count of nodes, A and B
+// included — the nodes Walk visits, in its order.
+func (db *DB) stride(s Seg) (i, step, n int) {
+	dx, dy := int(s.B.X)-int(s.A.X), int(s.B.Y)-int(s.A.Y)
+	return db.idx(s.A), cmp.Compare(dx, 0) + cmp.Compare(dy, 0)*db.Grid.NX, geom.AbsInt(dx) + geom.AbsInt(dy) + 1
 }
 
 // Walk calls f on every node of s from A through B, in order: each

@@ -546,15 +546,19 @@ func (db *DB) viaStackCost(x, y, la, lb int) float64 {
 }
 
 // runCost prices a straight run on a layer, +Inf through a wall of the
-// connection between pins a and b.
+// connection between pins a and b. It steps by flat index (stride),
+// adding what a Walk of the run's nodes would, in its order.
 func (db *DB) runCost(from, to, a, b Node) float64 {
+	i, step, k := db.stride(Seg{from, to})
+	dx, dy := sign(to.X-from.X), sign(to.Y-from.Y)
 	cost := 0.0
-	Seg{from, to}.Walk(func(n Node) {
-		if db.blocked(n, a, b) {
+	for n := from; k > 0; i, k = i+step, k-1 {
+		if db.blockedAt(i, n, a, b) {
 			cost = math.Inf(1)
 		}
-		cost += 1 + db.congestionCost(db.idx(n))
-	})
+		cost += 1 + db.congestionCost(i)
+		n.X, n.Y = n.X+dx, n.Y+dy
+	}
 	return cost
 }
 

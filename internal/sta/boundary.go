@@ -79,7 +79,7 @@ func BoundaryArcs(d *netlist.Design, ex *extract.Design, opt Options) (map[strin
 	// Backward: worst downstream capture budget per node. down[v] is
 	// the delay from v's output to the worst internal capture endpoint
 	// including that endpoint's setup and clock latency. Processing the
-	// topological order in reverse computes sinks before their drivers.
+	// level order in reverse computes sinks before their drivers.
 	down := make([]float64, e.nNodes)
 	for i := range down {
 		down[i] = negInf
@@ -124,8 +124,9 @@ func BoundaryArcs(d *netlist.Design, ex *extract.Design, opt Options) (map[strin
 		}
 		return worst
 	}
-	for i := len(e.order) - 1; i >= 0; i-- {
-		inst := e.order[i]
+	order := e.topoOrder()
+	for i := len(order) - 1; i >= 0; i-- {
+		inst := order[i]
 		down[e.nodeOfInst(inst)] = budget(e.nodeOfInst(inst))
 	}
 

@@ -14,11 +14,11 @@ import (
 // Engine is a persistent, incremental analyzer over one design. It
 // caches the levelized topology and the per-pass arrival state between
 // calls, so after a small edit only the dirty frontier (the edited
-// nets' fan-in/fan-out cone) is re-evaluated. Because every node's
-// value is a pure function of its final upstream values, recomputing
-// only nodes whose inputs changed — and propagating only while a value
-// actually changes — yields results bit-identical to a from-scratch
-// Analyze.
+// nets' fan-in/fan-out cone) is re-evaluated, in level order. Because
+// every node's value is a pure function of its final upstream values,
+// recomputing only nodes whose inputs changed — and propagating only
+// while a value actually changes — yields results bit-identical to a
+// from-scratch Analyze.
 //
 // Node ids are ports-first: ports 0..len(Ports)-1, instances after.
 // Ports are never added by incremental edits, so instance growth and
@@ -39,7 +39,6 @@ type Engine struct {
 	// flow) take bit-identical pre-existing paths. A patch can set it (an
 	// abstract appended) but only a rebuild clears it.
 	hasAbstract bool
-	order       []*netlist.Instance // combinational topological order
 
 	// The topology tables (topo.go): built by rebuildTopo, patched by
 	// patchTopo.
@@ -49,13 +48,20 @@ type Engine struct {
 	netDrv  []int32
 	drvPrev []int32
 	lastNet []int32
-	indeg0  []int32
+	level   []int32
 
-	// Scratch of the topology builders: Kahn in-degrees and release marks
-	// by instance ID, and patchTopo's dirty sets, marks (all false between
-	// patches) and row buffers.
+	// The combinational instances sorted by level (topoOrder), and
+	// whether levels moved or instances came or went since the sort.
+	order      []*netlist.Instance
+	orderStale bool
+
+	// Scratch of the topology builders: Kahn in-degrees by instance, the
+	// level repair's stack, the order sort's level offsets, and
+	// patchTopo's dirty sets, marks (all false between patches) and row
+	// buffers.
 	indeg      []int32
-	released   []bool
+	rise       []int32
+	levelAt    []int32
 	netMark    []bool
 	instMark   []bool
 	dirtyNets  []int32
@@ -78,6 +84,9 @@ type Engine struct {
 	sel        []int32 // selected endpoints, worst first
 
 	dirtyFull, dirtyHalf []bool // by node; scratch between Update calls
+	// work holds a pass's dirty combinational instances by level while
+	// an Update drains them (nothing between calls).
+	work worklist
 
 	// Pending invalidation accumulated by Invalidate until the next
 	// Update consumes it.
@@ -193,8 +202,18 @@ func (e *Engine) loadOf(node int) float64 {
 func (e *Engine) markFanout(node int, dirty []bool) {
 	for n := e.lastNet[node]; n >= 0; n = e.drvPrev[n] {
 		for _, f := range e.fan.row(int(n)) {
-			dirty[e.nPorts+int(f)] = true
+			e.markDirty(f, dirty)
 		}
+	}
+}
+
+// markDirty dirties combinational instance id, queueing it on the
+// worklist when it was clean. A full pass, which dirties every node
+// before it starts, queues none.
+func (e *Engine) markDirty(id int32, dirty []bool) {
+	if node := e.nPorts + int(id); !dirty[node] {
+		dirty[node] = true
+		e.work.push(e.level[id], id)
 	}
 }
 
@@ -284,7 +303,11 @@ func (e *Engine) Run(period float64) (*Report, error) {
 			dirty[i] = true
 		}
 		e.seed(p, half, dirty)
-		e.propagate(p, dirty)
+		for _, inst := range e.topoOrder() {
+			node := e.nodeOfInst(inst)
+			dirty[node] = false
+			e.eval(p, inst, node, dirty)
+		}
 		// Leave the scratch set all-false for the next Update (the pass
 		// only clears the combinational nodes it visits).
 		for i := range dirty {
@@ -350,6 +373,12 @@ func (e *Engine) consume() error {
 			}
 		}
 	}
+	if e.work == nil {
+		// Room for a dirty frontier, or a level repair, of a sixty-fourth
+		// of the design's instances; a larger one grows it.
+		_, instCap, _ := e.idCap()
+		e.work, e.rise = make(worklist, 0, instCap/64+16), make([]int32, 0, instCap/64+16)
+	}
 	if e.pendTopo {
 		if err := e.patchTopo(); err != nil {
 			return err
@@ -368,7 +397,12 @@ func (e *Engine) consume() error {
 		}
 		frontier += e.markPending(dirty)
 		e.seed(p, half, dirty)
-		e.propagate(p, dirty)
+		for len(e.work) > 0 {
+			id := e.work.pop()
+			node := e.nPorts + int(id)
+			dirty[node] = false
+			e.eval(p, e.d.Instances[id], node, dirty)
+		}
 	}
 	e.pendNets, e.pendInsts, e.pendTopo = e.pendNets[:0], e.pendInsts[:0], false
 	e.mInc.Inc()
@@ -389,7 +423,7 @@ func (e *Engine) markPending(dirty []bool) int {
 			if !dirty[node] {
 				marked++
 			}
-			dirty[node] = true
+			e.markDirty(int32(node-e.nPorts), dirty)
 		}
 	}
 	for _, id := range e.pendNets {
@@ -543,22 +577,57 @@ func (e *Engine) wonAt(p *pass, node int) int32 {
 	return si
 }
 
-// propagate walks the topological order re-evaluating dirty nodes and
-// dirtying their fanout only when a value actually changed.
-func (e *Engine) propagate(p *pass, dirty []bool) {
-	for _, inst := range e.order {
-		node := e.nodeOfInst(inst)
-		if !dirty[node] {
-			continue
-		}
-		dirty[node] = false
-		arr, slew, prev, via := e.evalNode(p, inst)
-		if arr != p.arr[node] || slew != p.slew[node] ||
-			prev != p.prev[node] || via != p.via[node] {
-			p.arr[node] = arr
-			p.slew[node] = slew
-			p.prev[node], p.via[node] = prev, via
-			e.markFanout(node, dirty)
-		}
+// eval re-evaluates a dirty combinational instance, dirtying its fanout
+// only when a value actually changed.
+func (e *Engine) eval(p *pass, inst *netlist.Instance, node int, dirty []bool) {
+	arr, slew, prev, via := e.evalNode(p, inst)
+	if arr != p.arr[node] || slew != p.slew[node] ||
+		prev != p.prev[node] || via != p.via[node] {
+		p.arr[node] = arr
+		p.slew[node] = slew
+		p.prev[node], p.via[node] = prev, via
+		e.markFanout(node, dirty)
 	}
+}
+
+// worklist is a binary min-heap of combinational instances keyed by
+// level, then ID. Every arc rises in level, so an instance popped has
+// no dirty driver left: its arrival is evaluated once, from final
+// inputs.
+type worklist []uint64
+
+func (w *worklist) push(level, id int32) {
+	h := append(*w, uint64(level)<<32|uint64(uint32(id)))
+	for k := len(h) - 1; k > 0; {
+		up := (k - 1) / 2
+		if h[up] <= h[k] {
+			break
+		}
+		h[up], h[k] = h[k], h[up]
+		k = up
+	}
+	*w = h
+}
+
+func (w *worklist) pop() int32 {
+	h := *w
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	h = h[:last]
+	for k := 0; ; {
+		c := 2*k + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[k] <= h[c] {
+			break
+		}
+		h[k], h[c] = h[c], h[k]
+		k = c
+	}
+	*w = h
+	return int32(uint32(top))
 }

@@ -13,7 +13,7 @@ import (
 // tree makes hold easy; skew between launch and capture is what
 // violates it). Results land in rep.Hold*. Hold is checked once per
 // sign-off (Analyze with CheckHold, or Engine.Hold), so it propagates
-// from scratch each time over the engine's cached order and input arcs.
+// from scratch each time over the engine's level order and input arcs.
 func (e *Engine) analyzeHold(rep *Report) {
 	minArr := make([]float64, e.nNodes)
 	const posInf = 1e30
@@ -36,10 +36,10 @@ func (e *Engine) analyzeHold(rep *Report) {
 		}
 	}
 
-	// Min-delay propagation over the same levelized order. Wire and
+	// Min-delay propagation over the same level order. Wire and
 	// cell minimum delays: reuse the nominal model (a single corner);
 	// the short-path Elmore is the same tree.
-	for _, inst := range e.order {
+	for _, inst := range e.topoOrder() {
 		node := e.nodeOfInst(inst)
 		load := e.loadOf(node)
 		best := posInf

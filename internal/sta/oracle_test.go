@@ -8,7 +8,9 @@ import (
 	"runtime/debug"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/ddb"
@@ -226,7 +228,7 @@ func (e *Engine) oracleReport(period float64) (*Report, error) {
 // arrival won through plus that net's driver-to-sink distance.
 func (e *Engine) oracleWL(s *pass) []float64 {
 	wl := make([]float64, len(s.arr))
-	for _, inst := range e.order {
+	for _, inst := range e.topoOrder() {
 		node := e.nodeOfInst(inst)
 		load := e.loadOf(node)
 		best := negInf
@@ -398,6 +400,59 @@ func randomEdits(t *testing.T, db *ddb.DB, txn *ddb.Txn, rng *geom.RNG, seq *int
 	}
 }
 
+// gateLayer is the layer of randomDB's gate a data sink sits on, 4 for
+// a capture register or an output port, -1 for a buffer: every
+// combinational arc of the design runs from a lower layer to a higher
+// one, and a hand-off keeps it so.
+func gateLayer(s netlist.PinRef) int {
+	switch {
+	case s.Port != nil, strings.HasPrefix(s.Inst.Name, "cap"):
+		return 4
+	case strings.HasPrefix(s.Inst.Name, "g"):
+		return int(s.Inst.Name[1] - '0')
+	}
+	return -1
+}
+
+// outNet is the net instance u drives, nil without one.
+func outNet(d *netlist.Design, u *netlist.Instance) *netlist.Net {
+	for _, n := range d.Nets {
+		if n.Driver.Inst == u {
+			return n
+		}
+	}
+	return nil
+}
+
+// handOff moves one random sink, a gate input, a capture pin or an
+// output port, from its net to the output net of a random gate of an
+// earlier layer: the sink changes driver among existing nets, to a
+// deeper or a shallower one.
+func handOff(t *testing.T, db *ddb.DB, txn *ddb.Txn, rng *geom.RNG) bool {
+	t.Helper()
+	d := db.Design
+	n := d.Nets[rng.Intn(len(d.Nets))]
+	if n.Clock || len(n.Sinks) == 0 {
+		return false
+	}
+	si := rng.Intn(len(n.Sinks))
+	top := gateLayer(n.Sinks[si])
+	if top <= 0 {
+		return false
+	}
+	to := outNet(d, d.Instance("g"+itoa(rng.Intn(top))+"_"+itoa(rng.Intn(16))))
+	if to == nil || to == n {
+		return false
+	}
+	txn.AppendSink(to, txn.RemoveSinkAt(n, si))
+	for _, r := range []*netlist.Net{n, to} {
+		if err := txn.Reroute(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return true
+}
+
 // checkReport asserts field-for-field equality of a report and the
 // oracle's over the same engine state.
 func checkReport(t *testing.T, e *Engine, got *Report, period float64, when string) {
@@ -473,13 +528,15 @@ func checkFresh(t *testing.T, e *Engine, got *Report, period float64, when strin
 // TestReportMatchesOracle: on seeded random designs, the table-driven
 // report equals the scan-and-full-sort oracle after the first full run
 // (whose topology was derived once, by NewEngine) and after every update
-// or full run that follows a random bundle of resizes and buffer
-// insertions, whether the bundle is then committed or rolled
-// back — including the setup rows patched for resized registers and
-// the tables patched around insertions and truncations, which equal a
-// fresh engine's row for row after every one of them (CheckTopo).
+// or full run that follows a random bundle of resizes, buffer insertions
+// and sink hand-offs between existing nets, whether the bundle is then
+// committed or rolled back — including the setup rows patched for
+// resized registers and the tables patched around insertions and
+// truncations, which equal a fresh engine's row for row after every one
+// of them, with levels that rise along every arc (CheckTopo).
 func TestReportMatchesOracle(t *testing.T) {
 	const period = 900
+	handOffs := 0
 	for seed := uint64(1); seed <= 6; seed++ {
 		for _, top := range []int{1, 8, 48} {
 			db := randomDB(t, seed)
@@ -498,6 +555,11 @@ func TestReportMatchesOracle(t *testing.T) {
 				when := fmt.Sprintf("seed %d top %d step %d", seed, top, step)
 				txn := db.Begin()
 				randomEdits(t, db, txn, rng, &seq)
+				for k := rng.Intn(3); k > 0; k-- {
+					if handOff(t, db, txn, rng) {
+						handOffs++
+					}
+				}
 				e.Invalidate(txn.DirtyNets(), txn.DirtyInsts(), txn.TopoChanged())
 				// Every fifth bundle is analyzed by a full Run, which keeps
 				// the topology caches unless the bundle invalidated them;
@@ -536,6 +598,185 @@ func TestReportMatchesOracle(t *testing.T) {
 			}
 			checkFresh(t, e, rep, period, fmt.Sprintf("seed %d top %d final", seed, top))
 		}
+	}
+	if handOffs == 0 {
+		t.Fatal("no bundle handed a sink off")
+	}
+}
+
+// cone is the set of combinational instances reachable from instance
+// id over the engine's fan rows, id included.
+func (e *Engine) cone(id int32) map[int32]bool {
+	seen := map[int32]bool{id: true}
+	for stack := []int32{id}; len(stack) > 0; {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for n := e.lastNet[e.nPorts+int(x)]; n >= 0; n = e.drvPrev[n] {
+			for _, f := range e.fan.row(int(n)) {
+				if !seen[f] {
+					seen[f] = true
+					stack = append(stack, f)
+				}
+			}
+		}
+	}
+	return seen
+}
+
+// TestLevelsRiseAlongAHandOff is the hard case of the level repair: a
+// bundle hands the one input of a shallow gate, on a net a launch
+// register drives, to the output net of the deepest gate outside its
+// cone. The gate's level and its cone's rise, the patched tables hold
+// their invariant and the report equals a fresh analysis; the rollback
+// restores the original arc, leaves the raised levels in place, and
+// holds the same.
+func TestLevelsRiseAlongAHandOff(t *testing.T) {
+	const period = 900
+	db := randomDB(t, 2)
+	d := db.Design
+	e, err := NewEngine(d, db.Ex, Options{Corner: db.Corner, TopPaths: 8, CheckHold: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := e.Run(period)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The shallow gate: level 0, an input on a register's net, and a
+	// gate in its fanout.
+	var g *netlist.Instance
+	var from inEdge
+	for _, u := range d.Instances {
+		if !e.isComb[u.ID] || e.level[u.ID] != 0 || len(e.cone(int32(u.ID))) < 2 {
+			continue
+		}
+		for _, a := range e.in.row(u.ID) {
+			if drv := int(a.drv) - e.nPorts; drv >= 0 && e.isSeq[drv] {
+				g, from = u, a
+			}
+		}
+		if g != nil {
+			break
+		}
+	}
+	if g == nil {
+		t.Fatal("no level-0 gate on a register's net")
+	}
+	cone := e.cone(int32(g.ID))
+	var deep *netlist.Instance
+	for _, u := range d.Instances {
+		if e.isComb[u.ID] && !cone[int32(u.ID)] && e.lastNet[e.nodeOfInst(u)] >= 0 &&
+			(deep == nil || e.level[u.ID] > e.level[deep.ID]) {
+			deep = u
+		}
+	}
+	if deep == nil || e.level[deep.ID] == 0 {
+		t.Fatalf("no deep gate outside %s's cone", g.Name)
+	}
+	was := slices.Clone(e.level)
+	row := slices.Clone(e.in.row(g.ID))
+
+	txn := db.Begin()
+	n, to := d.Nets[from.net], d.Nets[e.lastNet[e.nodeOfInst(deep)]]
+	txn.AppendSink(to, txn.RemoveSinkAt(n, int(from.si)))
+	for _, r := range []*netlist.Net{n, to} {
+		if err := txn.Reroute(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Invalidate(txn.DirtyNets(), txn.DirtyInsts(), txn.TopoChanged())
+	if rep, err = e.Update(period, rep); err != nil {
+		t.Fatal(err)
+	}
+	if e.level[g.ID] != was[deep.ID]+1 {
+		t.Fatalf("%s rose to level %d, want %d: above %s", g.Name, e.level[g.ID], was[deep.ID]+1, deep.Name)
+	}
+	rose := 0
+	for f := range cone {
+		if e.level[f] > was[f] {
+			rose++
+		}
+	}
+	if rose < 2 {
+		t.Fatalf("the rise stopped at %s: %d of the %d gates of its cone rose", g.Name, rose, len(cone))
+	}
+	if err := e.CheckTopo(); err != nil {
+		t.Fatal(err)
+	}
+	checkFresh(t, e, rep, period, "hand-off")
+	checkReport(t, e, rep, period, "hand-off")
+
+	e.Invalidate(txn.Rollback())
+	if rep, err = e.Update(period, rep); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.in.row(g.ID); !slices.Equal(got, row) {
+		t.Fatalf("rollback: %s's arcs %v, want the original %v", g.Name, got, row)
+	}
+	if e.level[g.ID] != was[deep.ID]+1 {
+		t.Fatalf("rollback moved %s's level to %d", g.Name, e.level[g.ID])
+	}
+	if err := e.CheckTopo(); err != nil {
+		t.Fatal(err)
+	}
+	checkFresh(t, e, rep, period, "rollback")
+	checkReport(t, e, rep, period, "rollback")
+}
+
+// TestLoopIsAnError: a bundle that hands a gate's input to the output
+// net of a gate in its own fanout closes a combinational loop. The
+// level repair raises the loop's gates past the instance count, where
+// Update returns the loop error instead of raising them forever.
+func TestLoopIsAnError(t *testing.T) {
+	db := randomDB(t, 4)
+	d := db.Design
+	e, err := NewEngine(d, db.Ex, Options{Corner: db.Corner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(900); err != nil {
+		t.Fatal(err)
+	}
+	var g, h *netlist.Instance
+	for _, u := range d.Instances {
+		if !e.isComb[u.ID] || len(e.in.row(u.ID)) == 0 {
+			continue
+		}
+		cone := e.cone(int32(u.ID))
+		for _, v := range d.Instances {
+			if cone[int32(v.ID)] && v != u && e.lastNet[e.nodeOfInst(v)] >= 0 {
+				g, h = u, v
+			}
+		}
+		if g != nil {
+			break
+		}
+	}
+	if g == nil {
+		t.Fatal("no gate with a driving gate in its fanout")
+	}
+	a := e.in.row(g.ID)[0]
+	txn := db.Begin()
+	n, to := d.Nets[a.net], d.Nets[e.lastNet[e.nodeOfInst(h)]]
+	txn.AppendSink(to, txn.RemoveSinkAt(n, int(a.si)))
+	for _, r := range []*netlist.Net{n, to} {
+		if err := txn.Reroute(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Invalidate(txn.DirtyNets(), txn.DirtyInsts(), txn.TopoChanged())
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Update(900, nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "combinational loop") {
+			t.Fatalf("Update over a loop through %s and %s returned %v, want the loop error", g.Name, h.Name, err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatalf("Update over a loop through %s and %s has not returned in 20 s", g.Name, h.Name)
 	}
 }
 

@@ -26,12 +26,19 @@ import (
 //     sequential one the way from the instance to its endpoint rows;
 //   - netDrv, drvPrev by net and lastNet by node: the nets a node
 //     drives, as a chain from the highest id down;
-//   - indeg0 by instance: its combinational in-degree, which levelize
-//     consumes a copy of.
+//   - level by instance: for a combinational instance, an integer above
+//     the level of every combinational instance that drives it.
 //
 // Reading the fan and ep tables net by net, and a node's chain, visits
 // sinks in net-then-sink order, the order tie-breaks among equal
 // arrivals and the TNS sum depend on.
+//
+// Levels are what orders the propagation: an Update drains its dirty
+// nodes by level, and the full passes walk the instances sorted by level
+// (topoOrder). Every arrival is a max or a min over the node's own arc
+// row, so any order in which each arc's driver comes before its sink
+// gives the same floats; the levels need not be the least ones, and a
+// patch only raises them.
 
 // span locates one row in a rows arena.
 type span struct{ off, n int32 }
@@ -195,12 +202,12 @@ func (e *Engine) sizeNodes(instFrom int) {
 	nodeCap, instCap, _ := e.idCap()
 	e.nNodes = e.nPorts + nInst
 	e.isComb, e.isSeq = resize(e.isComb, nInst, instCap), resize(e.isSeq, nInst, instCap)
-	e.indeg0 = resize(e.indeg0, nInst, instCap)
+	e.level = resize(e.level, nInst, instCap)
 	e.lastNet = resize(e.lastNet, e.nNodes, nodeCap)
 	if instFrom < nInst {
 		clear(e.isComb[instFrom:])
 		clear(e.isSeq[instFrom:])
-		clear(e.indeg0[instFrom:])
+		clear(e.level[instFrom:])
 	}
 	for node := e.nPorts + instFrom; node < e.nNodes; node++ {
 		e.lastNet[node] = -1
@@ -250,7 +257,6 @@ func (e *Engine) rebuildTopo() error {
 			case sinkComb:
 				e.fan.at[n.ID].n++
 				e.in.at[s.Inst.ID].n++
-				e.indeg0[s.Inst.ID]++
 			case sinkCapture:
 				e.ep.at[n.ID].n++
 				e.in.at[s.Inst.ID].n++
@@ -292,9 +298,9 @@ func (e *Engine) rebuildTopo() error {
 // re-links the tail nets to their drivers, and rewrites the in rows of
 // the instances that were or are on those nets — the arcs of the dirty
 // nets dropped, the regenerated ones merged in by net id. Every row it
-// leaves equals the row rebuildTopo would build; the order is then
-// taken again by the same Kahn pass, over the flat rows alone. The cost
-// follows the edit, not the design, except for that pass.
+// leaves equals the row rebuildTopo would build. The levels are then
+// repaired along the dirty nets' arcs alone (raiseLevels). The cost
+// follows the edit, not the design.
 //
 // It relies on what a ddb.Txn guarantees: a net keeps its driver and
 // its id, and every net whose sink list changed is invalidated. Where
@@ -335,7 +341,7 @@ func (e *Engine) patchTopo() error {
 	e.dirtyNets = dn
 
 	// The instances on those nets as the tables know them: their in rows
-	// lose arcs, and the combinational ones in-degree.
+	// lose arcs.
 	e.instMark = resize(e.instMark, max(oldInsts, newInsts), instCap)
 	di := e.dirtyInsts[:0]
 	touch := func(id int32) {
@@ -349,7 +355,6 @@ func (e *Engine) patchTopo() error {
 			break
 		}
 		for _, f := range e.fan.row(int(n)) {
-			e.indeg0[f]--
 			touch(f)
 		}
 		for _, r := range e.ep.row(int(n)) {
@@ -394,7 +399,6 @@ func (e *Engine) patchTopo() error {
 			switch kind {
 			case sinkComb:
 				fan = append(fan, int32(s.Inst.ID))
-				e.indeg0[s.Inst.ID]++
 			case sinkCapture, sinkPort:
 				ep = append(ep, e.endpointRow(net, si, drv, kind))
 			}
@@ -441,7 +445,10 @@ func (e *Engine) patchTopo() error {
 	e.arcTmp = arcs[:0]
 	e.dirtyInsts = di
 	e.clearMarks(dn, di)
-	return e.levelize()
+	if instFrom < max(oldInsts, newInsts) {
+		e.orderStale = true // instances came or went
+	}
+	return e.raiseLevels(dn)
 }
 
 // clearMarks leaves the patch's mark arrays all false for the next one.
@@ -454,68 +461,190 @@ func (e *Engine) clearMarks(nets, insts []int32) {
 	}
 }
 
-// levelize orders combinational instances topologically (Kahn) over the
-// fan rows and node chains, consuming a copy of the in-degrees. The
-// order doubles as the work queue: an instance is appended when it is
-// released and relaxes its fanout when the head reaches it; it is sized
-// before the first release for every combinational instance and every
-// instance the design's ID capacity has room for. It reads the flat
-// tables only, never a net.
+// levelize gives every combinational instance the least level above
+// its combinational drivers' by Kahn's pass over the fan rows and node
+// chains, and takes its queue as the order: a first-in first-out Kahn
+// releases an instance while it relaxes the last of its drivers, which
+// is the one of the highest level, so the queue holds the levels in
+// ascending order. The order is sized before the first release for
+// every combinational instance and every instance the design's ID
+// capacity has room for. It reads the flat tables only, never a net.
 func (e *Engine) levelize() error {
 	insts := e.d.Instances
 	_, instCap, _ := e.idCap()
-	indeg := resize(e.indeg, len(e.indeg0), instCap)
-	copy(indeg, e.indeg0)
-	e.indeg = indeg
-	e.released = resize(e.released, len(insts), instCap)
-	clear(e.released)
+	indeg := resize(e.indeg, len(insts), instCap)
+	clear(indeg)
+	clear(e.level)
+	for id, c := range e.isComb {
+		if c {
+			for n := e.lastNet[e.nPorts+id]; n >= 0; n = e.drvPrev[n] {
+				for _, f := range e.fan.row(int(n)) {
+					indeg[f]++
+				}
+			}
+		}
+	}
+	comb := e.combCount()
+	order := slices.Grow(e.order[:0], comb+instCap-len(insts))
+	for id, c := range e.isComb {
+		if c && indeg[id] == 0 {
+			order = append(order, insts[id])
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		x := order[head].ID
+		up := e.level[x] + 1
+		for n := e.lastNet[e.nPorts+x]; n >= 0; n = e.drvPrev[n] {
+			for _, f := range e.fan.row(int(n)) {
+				e.level[f] = max(e.level[f], up)
+				if indeg[f]--; indeg[f] == 0 {
+					order = append(order, insts[f])
+				}
+			}
+		}
+	}
+	e.indeg, e.order, e.orderStale = indeg, order, false
+	if len(order) != comb {
+		return fmt.Errorf("sta: combinational loop detected (%d of %d gates levelized)", len(order), comb)
+	}
+	return nil
+}
+
+// combCount is the number of combinational instances.
+func (e *Engine) combCount() int {
 	comb := 0
 	for _, c := range e.isComb {
 		if c {
 			comb++
 		}
 	}
-	e.order = slices.Grow(e.order[:0], comb+instCap-len(insts))
-	// release appends a combinational instance whose in-degree reached
-	// zero, once.
-	release := func(id int) {
-		if e.isComb[id] && indeg[id] == 0 && !e.released[id] {
-			e.order = append(e.order, insts[id])
-			e.released[id] = true
+	return comb
+}
+
+// raiseLevels repairs the levels after a patch, along the arcs of the
+// dirty nets dn alone: a sink at or below its driver's level is raised
+// above it, then its own fanout, until nothing rises. An arc the patch
+// dropped leaves its sink where it was, so a rollback or truncation
+// raises nothing. Kahn's levels lie below the instance count; a level
+// past it is a loop, which raises forever, or the residue of raises over
+// many edits, and the repair hands both to levelize, which re-levels the
+// second and returns the loop error for the first. The stack holds an
+// instance once (instMark, all false before and after).
+func (e *Engine) raiseLevels(dn []int32) error {
+	stack := e.rise[:0]
+	for _, n := range dn {
+		if int(n) < len(e.netDrv) {
+			stack = e.raiseFanout(n, stack)
 		}
 	}
-	relax := func(node int) {
-		for n := e.lastNet[node]; n >= 0; n = e.drvPrev[n] {
-			for _, f := range e.fan.row(int(n)) {
-				indeg[f]--
+	if len(stack) > 0 {
+		e.orderStale = true
+	}
+	bound := int32(len(e.isComb))
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		e.instMark[x] = false
+		if e.level[x] > bound {
+			for _, y := range stack {
+				e.instMark[y] = false
+			}
+			e.rise = stack[:0]
+			return e.levelize()
+		}
+		for n := e.lastNet[e.nPorts+int(x)]; n >= 0; n = e.drvPrev[n] {
+			stack = e.raiseFanout(n, stack)
+		}
+	}
+	e.rise = stack
+	return nil
+}
+
+// raiseFanout lifts the combinational sinks of net n above its driver's
+// level where it is combinational, pushing each one it lifted that is
+// not on the stack already.
+func (e *Engine) raiseFanout(n int32, stack []int32) []int32 {
+	drv := int(e.netDrv[n]) - e.nPorts
+	if drv < 0 || !e.isComb[drv] {
+		return stack
+	}
+	up := e.level[drv] + 1
+	for _, f := range e.fan.row(int(n)) {
+		if e.level[f] < up {
+			e.level[f] = up
+			if !e.instMark[f] {
+				e.instMark[f] = true
+				stack = append(stack, f)
 			}
 		}
 	}
-	for id := range insts {
-		release(id)
+	return stack
+}
+
+// topoOrder is the combinational instances by ascending level: the
+// order the full passes walk. Levelize leaves it as its queue; after a
+// patch moved levels or instances came or went, it is sorted again, by
+// counting, ties by ID, within the room levelize sized.
+func (e *Engine) topoOrder() []*netlist.Instance {
+	if !e.orderStale {
+		return e.order
 	}
-	for id := range insts {
-		if e.isSeq[id] {
-			relax(e.nPorts + id)
+	insts := e.d.Instances
+	_, instCap, _ := e.idCap()
+	top, comb := int32(0), 0
+	for id, c := range e.isComb {
+		if c {
+			top, comb = max(top, e.level[id]), comb+1
 		}
 	}
-	for node := 0; node < e.nPorts; node++ {
-		relax(node)
+	at := resize(e.levelAt, int(top)+2, int(top)+2)
+	clear(at)
+	for id, c := range e.isComb {
+		if c {
+			at[e.level[id]+1]++
+		}
 	}
-	for id := range insts {
-		release(id)
+	for l := 1; l < len(at); l++ {
+		at[l] += at[l-1]
 	}
-	for head := 0; head < len(e.order); head++ {
-		node := e.nodeOfInst(e.order[head])
-		relax(node)
-		for n := e.lastNet[node]; n >= 0; n = e.drvPrev[n] {
-			for _, f := range e.fan.row(int(n)) {
-				release(int(f))
+	order := resize(e.order, comb, comb+instCap-len(insts))
+	for id, c := range e.isComb {
+		if c {
+			order[at[e.level[id]]] = insts[id]
+			at[e.level[id]]++
+		}
+	}
+	e.order, e.levelAt, e.orderStale = order, at, false
+	return order
+}
+
+// checkLevels holds the levels and the order to their invariant: every
+// combinational instance once in the order, levels ascending along it
+// and rising strictly along every combinational arc.
+func (e *Engine) checkLevels() error {
+	order := e.topoOrder()
+	seen := make([]bool, len(e.isComb))
+	for k, inst := range order {
+		if id := inst.ID; id >= len(e.isComb) || e.d.Instances[id] != inst || !e.isComb[id] || seen[id] {
+			return fmt.Errorf("sta: order entry %d (%s) is no combinational instance, or a repeated one", k, inst.Name)
+		}
+		seen[inst.ID] = true
+		if k > 0 && e.level[inst.ID] < e.level[order[k-1].ID] {
+			return fmt.Errorf("sta: order entry %d (%s) at level %d follows level %d", k, inst.Name, e.level[inst.ID], e.level[order[k-1].ID])
+		}
+	}
+	if comb := e.combCount(); len(order) != comb {
+		return fmt.Errorf("sta: order holds %d of %d combinational instances", len(order), comb)
+	}
+	for n, drv := range e.netDrv {
+		if d := int(drv) - e.nPorts; d >= 0 && e.isComb[d] {
+			for _, f := range e.fan.row(n) {
+				if e.level[f] <= e.level[d] {
+					return fmt.Errorf("sta: %s at level %d is driven by %s at level %d through net %s",
+						e.d.Instances[f].Name, e.level[f], e.d.Instances[d].Name, e.level[d], e.d.Nets[n].Name)
+				}
 			}
 		}
-	}
-	if len(e.order) != comb {
-		return fmt.Errorf("sta: combinational loop detected (%d of %d gates levelized)", len(e.order), comb)
 	}
 	return nil
 }
@@ -523,9 +652,11 @@ func (e *Engine) levelize() error {
 // CheckTopo compares the engine's topology tables, as its updates have
 // patched them, with the tables a fresh engine builds for the current
 // design: the instance classes, every row of the fan, endpoint and arc
-// tables, the driver chains, the in-degrees and the order, element for
-// element. It is the optimizer's self-check and the tests' oracle for
-// patchTopo; the pending invalidation must have been consumed (Update).
+// tables and the driver chains, element for element; and it holds the
+// levels and the order to their invariant (checkLevels), which the
+// patched levels need not meet with the fresh engine's values. It is the
+// optimizer's self-check and the tests' oracle for patchTopo; the
+// pending invalidation must have been consumed (Update).
 func (e *Engine) CheckTopo() error {
 	opt := e.opt
 	opt.Obs = nil
@@ -541,17 +672,15 @@ func (e *Engine) CheckTopo() error {
 		{"sequential classes", slices.Equal(e.isSeq, f.isSeq)},
 		{"net drivers", slices.Equal(e.netDrv, f.netDrv)},
 		{"driver chains", slices.Equal(e.drvPrev, f.drvPrev) && slices.Equal(e.lastNet, f.lastNet)},
-		{"in-degrees", slices.Equal(e.indeg0, f.indeg0)},
 		{"fanout rows", equalRows(&e.fan, &f.fan)},
 		{"endpoint rows", equalRows(&e.ep, &f.ep)},
 		{"arc rows", equalRows(&e.in, &f.in)},
-		{"topological order", slices.Equal(e.order, f.order)},
 	} {
 		if !c.same {
 			return fmt.Errorf("sta: patched %s differ from a fresh engine's", c.what)
 		}
 	}
-	return nil
+	return e.checkLevels()
 }
 
 func equalRows[T comparable](a, b *rows[T]) bool {
