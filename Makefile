@@ -82,14 +82,19 @@ race:
 ## reader: no panic, allocation within 16× the input plus 64 kB, a
 ## re-export that is a fixed point, no negative time in its analysis —
 ## and of FuzzParseLEF and FuzzParseDEF, the LEF and DEF readers: no
-## panic, allocation within 16× the input plus 64 kB.
+## panic, allocation within 16× the input plus 64 kB — and of
+## FuzzComposeTags, the composer's proof of new names: up to eight tags
+## are refused exactly when one is a prefix of another, and otherwise
+## compose to names distinct per kind, each found under its name, with a
+## name of the composer's own refused exactly when a tag prefixes it.
 ## `go test` runs only their seed corpora (a
 ## good encoding each, TestDecodeResultCorrupt's table, the abstract
 ## decoder's two count bombs, the signoff tail's truncations, one
 ## impossible instance state of each kind, two frames and a cut one, a
 ## trace export, an off-microsecond slice and a negative duration; an
 ## excerpt of the tiny tile's LEF and DEF, a DIEAREA cut short and a
-## second DESIGN).
+## second DESIGN; the empty tag, equal tags, a tag prefixing another
+## and tags sharing a prefix).
 ## The engine minimizes every
 ## input that reaches new code, an execution per byte and 60 s by
 ## default: capped at 1 s so the ten seconds mutate. A failing input is
@@ -103,6 +108,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadChrome$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/obs/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLEF$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lefdef/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDEF$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lefdef/
+	$(GO) test -run '^$$' -fuzz '^FuzzComposeTags$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/netlist/
 
 ## equiv: just the determinism harness — every flow's -j 1 reference
 ## against four workers with Config.Check, on the small tile,

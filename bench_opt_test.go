@@ -42,7 +42,7 @@ func buildPreOpt(b *testing.B) *opt.Context {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fp, _, err := floorplan.PlaceMacros(d, sz.Die2D, floorplan.Style2D)
+	fp, err := floorplan.PlaceMacros(d, sz.Die2D, floorplan.Style2D)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -232,7 +232,7 @@ func largeTileSetup(b *testing.B) {
 			if err != nil {
 				return err
 			}
-			fp, _, err := floorplan.PlaceMacros(d, sz.Die2D, floorplan.Style2D)
+			fp, err := floorplan.PlaceMacros(d, sz.Die2D, floorplan.Style2D)
 			if err != nil {
 				return err
 			}

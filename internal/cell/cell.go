@@ -256,17 +256,6 @@ func (c *Cell) Output() *Pin {
 	return nil
 }
 
-// Inputs returns all input pins (including clocks).
-func (c *Cell) Inputs() []*Pin {
-	var ins []*Pin
-	for i := range c.Pins {
-		if c.Pins[i].Dir == DirIn {
-			ins = append(ins, &c.Pins[i])
-		}
-	}
-	return ins
-}
-
 // ClockPin returns the clock input, or nil.
 func (c *Cell) ClockPin() *Pin {
 	for i := range c.Pins {
@@ -373,29 +362,6 @@ func (l *Library) MustCell(name string) *Cell {
 
 // Family returns the masters of a sizing family in ascending drive.
 func (l *Library) Family(name string) []*Cell { return l.families[name] }
-
-// NextSizeUp returns the next stronger master in c's family, or nil
-// when c is already the strongest.
-func (l *Library) NextSizeUp(c *Cell) *Cell {
-	fam := l.families[c.Family]
-	for i, m := range fam {
-		if m.Name == c.Name && i+1 < len(fam) {
-			return fam[i+1]
-		}
-	}
-	return nil
-}
-
-// NextSizeDown returns the next weaker master, or nil.
-func (l *Library) NextSizeDown(c *Cell) *Cell {
-	fam := l.families[c.Family]
-	for i, m := range fam {
-		if m.Name == c.Name && i > 0 {
-			return fam[i-1]
-		}
-	}
-	return nil
-}
 
 // Cells returns all masters in deterministic (name-sorted) order.
 func (l *Library) Cells() []*Cell {

@@ -142,7 +142,7 @@ func prepared(t *testing.T) (*MoLDesign, *piton.Tile, floorplan.Sizing) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := floorplan.PlaceMacros(d, sz.Die3D, floorplan.StyleMoL); err != nil {
+	if _, err := floorplan.PlaceMacros(d, sz.Die3D, floorplan.StyleMoL); err != nil {
 		t.Fatal(err)
 	}
 	floorplan.AssignPorts(tile, sz.Die3D)

@@ -174,7 +174,7 @@ func TestPitonTileTreeDepthBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, _, err := floorplan.PlaceMacros(d, sz.Die2D, floorplan.Style2D)
+	fp, err := floorplan.PlaceMacros(d, sz.Die2D, floorplan.Style2D)
 	if err != nil {
 		t.Fatal(err)
 	}

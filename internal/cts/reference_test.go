@@ -210,7 +210,7 @@ func placedTinyTile(t *testing.T) (*piton.Tile, geom.Rect) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, _, err := floorplan.PlaceMacros(d, sz.Die2D, floorplan.Style2D)
+	fp, err := floorplan.PlaceMacros(d, sz.Die2D, floorplan.Style2D)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -298,7 +298,7 @@ func lanesDB(t *testing.T, w int) *ddb.DB {
 	}
 	corner := tech.CornerScale{CellDelay: 1, WireR: 1, WireC: 1, Leakage: 1}
 	db := ddb.New(d, grid, res, extract.Extract(d, res, grid, corner), corner)
-	db.Free = place.NewFreeSpace(d, &floorplan.Floorplan{Die: die, RowHeight: rowH}, rowH)
+	db.Free = place.NewFreeSpace(d, &floorplan.Floorplan{Die: die}, rowH)
 	return db
 }
 

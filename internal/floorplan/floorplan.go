@@ -66,8 +66,7 @@ type RouteBlockage struct {
 
 // Floorplan is the physical canvas handed to placement and routing.
 type Floorplan struct {
-	Die       geom.Rect
-	RowHeight float64
+	Die geom.Rect
 
 	// Place blockages seen by the standard-cell placer.
 	PlaceBlk []Blockage
@@ -96,45 +95,6 @@ func DieForArea(area, aspect, rowHeight float64) (geom.Rect, error) {
 type Sizing struct {
 	Die2D geom.Rect
 	Die3D geom.Rect
-	Util  float64
-}
-
-// macroPackUtil is the fraction of macro-die area shelf packing can
-// realistically fill.
-const macroPackUtil = 0.80
-
-// ComputeSizing derives die sizes from design stats at the given
-// placement utilization (fraction of non-macro area usable by cells).
-// The 2D footprint is governed by the periphery-ring geometry: the
-// centre must hold the standard cells at the target utilization while
-// the ring (whose depth is the deepest macro) holds the memories. The
-// 3D footprint then follows the paper's fairness rule — exactly half
-// the 2D area, so both designs use the same silicon — but is grown
-// when the macro die alone could not hold all macros.
-func ComputeSizing(st netlist.Stats, maxMacroMinDim, util, aspect, rowHeight float64) (Sizing, error) {
-	if util <= 0 || util > 1 || math.IsNaN(util) {
-		return Sizing{}, fmt.Errorf("floorplan: utilization %g must be in (0,1]", util)
-	}
-	// Ring geometry: centre side for logic plus two ring depths.
-	side := math.Sqrt(st.StdCellArea/util) + 2*maxMacroMinDim
-	area2D := side * side
-	// The 2D die must also simply hold everything.
-	if lower := (st.StdCellArea/util + st.MacroArea/macroPackUtil); area2D < lower {
-		area2D = lower
-	}
-	// The macro die (half the 2D area) must hold all macros.
-	if lower := 2 * st.MacroArea / macroPackUtil; area2D < lower {
-		area2D = lower
-	}
-	d2, err := DieForArea(area2D, aspect, rowHeight)
-	if err != nil {
-		return Sizing{}, err
-	}
-	d3, err := DieForArea(area2D/2, aspect, rowHeight)
-	if err != nil {
-		return Sizing{}, err
-	}
-	return Sizing{Die2D: d2, Die3D: d3, Util: util}, nil
 }
 
 // SizeDesign determines the die outlines by trial packing: the 3D die
@@ -194,7 +154,7 @@ func SizeDesign(d *netlist.Design, util, aspect, rowHeight float64) (Sizing, err
 	if die3D, err = DieForArea(die2D.Area()/2, aspect, rowHeight); err != nil {
 		return Sizing{}, err
 	}
-	return Sizing{Die2D: die2D, Die3D: die3D, Util: util}, nil
+	return Sizing{Die2D: die2D, Die3D: die3D}, nil
 }
 
 // centreHoldsLogic checks that the area left after ring placement can
@@ -207,46 +167,29 @@ func centreHoldsLogic(macros []*netlist.Instance, die geom.Rect, stdArea, util f
 	return free*util >= stdArea
 }
 
-// MaxMacroMinDim returns the largest min(width, height) over the
-// design's macros — the periphery ring depth driver.
-func MaxMacroMinDim(d *netlist.Design) float64 {
-	dim := 0.0
-	for _, m := range d.Macros() {
-		md := math.Min(m.Master.Width, m.Master.Height)
-		if md > dim {
-			dim = md
-		}
-	}
-	return dim
-}
-
 // PlaceMacros assigns locations and dies to every macro instance of
-// the design according to the style, and returns the floorplans of the
-// involved dies (logic die always; macro die for 3D styles). Macros
-// are marked Fixed and Placed.
-func PlaceMacros(d *netlist.Design, die geom.Rect, style Style) (logicFP, macroFP *Floorplan, err error) {
+// the design according to the style, and returns the floorplan of the
+// die. Macros are marked Fixed and Placed.
+func PlaceMacros(d *netlist.Design, die geom.Rect, style Style) (*Floorplan, error) {
 	macros := d.Macros()
-	logicFP = &Floorplan{Die: die}
 	switch style {
 	case Style2D:
 		if err := placeRing(macros, die); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, m := range macros {
 			m.Die = netlist.LogicDie
 			m.Fixed, m.Placed = true, true
 		}
 	case StyleMoL:
-		macroFP = &Floorplan{Die: die}
 		if err := placeShelves(macros, die); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, m := range macros {
 			m.Die = netlist.MacroDie
 			m.Fixed, m.Placed = true, true
 		}
 	case StyleBalanced:
-		macroFP = &Floorplan{Die: die}
 		// Alternate macros between dies after sorting by size so the
 		// two dies carry similar macro area, then stack each pair at
 		// the same (x, y) to maximize z-overlap (full blockages).
@@ -263,7 +206,7 @@ func PlaceMacros(d *netlist.Design, die geom.Rect, style Style) (logicFP, macroF
 			}
 		}
 		if err := placeShelves(a, die); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		// Stack die-B macros congruent with die-A partners where they
 		// fit; overflow goes through shelf packing over the remainder.
@@ -280,7 +223,7 @@ func PlaceMacros(d *netlist.Design, die geom.Rect, style Style) (logicFP, macroF
 		}
 		if len(spill) > 0 {
 			if err := placeShelves(spill, die); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		for _, m := range a {
@@ -292,9 +235,9 @@ func PlaceMacros(d *netlist.Design, die geom.Rect, style Style) (logicFP, macroF
 			m.Fixed, m.Placed = true, true
 		}
 	default:
-		return nil, nil, fmt.Errorf("floorplan: unknown style %v", style)
+		return nil, fmt.Errorf("floorplan: unknown style %v", style)
 	}
-	return logicFP, macroFP, nil
+	return &Floorplan{Die: die}, nil
 }
 
 // macroMargin keeps macros off the die edge so perimeter ports stay
@@ -389,23 +332,6 @@ func placeRing(macros []*netlist.Instance, die geom.Rect) error {
 		placed = append(placed, r)
 	}
 	return nil
-}
-
-// FitMacros runs PlaceMacros, growing the die by 4 % per attempt (up
-// to 20 attempts) when packing overflows. It returns the die that
-// worked. Growth only ever triggers for pathological macro mixes; the
-// case-study configurations fit on the first attempt.
-func FitMacros(d *netlist.Design, die geom.Rect, style Style) (geom.Rect, *Floorplan, *Floorplan, error) {
-	var err error
-	for i := 0; i < 20; i++ {
-		var lfp, mfp *Floorplan
-		lfp, mfp, err = PlaceMacros(d, die, style)
-		if err == nil {
-			return die, lfp, mfp, nil
-		}
-		die = geom.R(die.Lx, die.Ly, die.Lx+die.W()*1.02, die.Ly+die.H()*1.02)
-	}
-	return die, nil, nil, err
 }
 
 // placeShelves packs macros into shelves (rows of decreasing height),

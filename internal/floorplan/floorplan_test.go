@@ -58,9 +58,6 @@ func TestDieForAreaRejectsBadInputs(t *testing.T) {
 
 func TestSizingRejectsBadUtilization(t *testing.T) {
 	for _, util := range []float64{0, -0.5, 1.5, math.NaN()} {
-		if _, err := ComputeSizing(netlist.Stats{StdCellArea: 1e5}, 50, util, 1, 1.2); err == nil {
-			t.Errorf("ComputeSizing accepted utilization %v", util)
-		}
 		if _, err := SizeDesign(netlist.NewDesign("u", nil), util, 1, 1.2); err == nil {
 			t.Errorf("SizeDesign accepted utilization %v", util)
 		}
@@ -118,12 +115,8 @@ func TestPlaceMacros2D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, macroFP, err := PlaceMacros(d, s.Die2D, Style2D)
-	if err != nil {
+	if _, err := PlaceMacros(d, s.Die2D, Style2D); err != nil {
 		t.Fatal(err)
-	}
-	if macroFP != nil {
-		t.Fatal("2D style produced a macro die")
 	}
 	checkNoMacroOverlap(t, d, netlist.LogicDie, s.Die2D)
 	for _, m := range d.Macros() {
@@ -152,12 +145,8 @@ func TestPlaceMacrosMoL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, macroFP, err := PlaceMacros(d, s.Die3D, StyleMoL)
-	if err != nil {
+	if _, err := PlaceMacros(d, s.Die3D, StyleMoL); err != nil {
 		t.Fatal(err)
-	}
-	if macroFP == nil {
-		t.Fatal("MoL style produced no macro die")
 	}
 	checkNoMacroOverlap(t, d, netlist.MacroDie, s.Die3D)
 	for _, m := range d.Macros() {
@@ -174,7 +163,7 @@ func TestPlaceMacrosBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = PlaceMacros(d, s.Die3D, StyleBalanced)
+	_, err = PlaceMacros(d, s.Die3D, StyleBalanced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +204,7 @@ func TestBuildBlockages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, _, err := PlaceMacros(d, s.Die2D, Style2D)
+	fp, err := PlaceMacros(d, s.Die2D, Style2D)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,29 +348,6 @@ func TestStyleString(t *testing.T) {
 	}
 }
 
-func TestFitMacrosGrows(t *testing.T) {
-	tile := smallTile(t)
-	d := tile.Design
-	s, err := SizeDesign(d, 0.70, 1.0, 1.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A deliberately undersized die: FitMacros must grow it until the
-	// shelf packing fits.
-	tiny := geom.R(0, 0, s.Die3D.W()*0.8, s.Die3D.H()*0.8)
-	die, lfp, mfp, err := FitMacros(d, tiny, StyleMoL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if die.Area() <= tiny.Area() {
-		t.Fatal("die did not grow")
-	}
-	if lfp == nil || mfp == nil {
-		t.Fatal("floorplans missing")
-	}
-	checkNoMacroOverlap(t, d, netlist.MacroDie, die)
-}
-
 func TestSizeDesignDeterministic(t *testing.T) {
 	tile := smallTile(t)
 	a, err := SizeDesign(tile.Design, 0.70, 1.0, 1.2)
@@ -413,32 +379,5 @@ func TestSizeDesignUtilMonotone(t *testing.T) {
 	if hi.Die2D.Area() > lo.Die2D.Area()*1.03 {
 		t.Fatalf("higher utilization grew the die: %.2f vs %.2f",
 			hi.Die2D.Area()/1e6, lo.Die2D.Area()/1e6)
-	}
-}
-
-func TestMaxMacroMinDim(t *testing.T) {
-	tile := smallTile(t)
-	dim := MaxMacroMinDim(tile.Design)
-	if dim <= 0 {
-		t.Fatal("no macro dimension")
-	}
-	for _, m := range tile.Design.Macros() {
-		if min := m.Master.Width; m.Master.Height < min {
-			min = m.Master.Height
-		}
-	}
-	// dim is a min-dimension of some macro.
-	found := false
-	for _, m := range tile.Design.Macros() {
-		mn := m.Master.Width
-		if m.Master.Height < mn {
-			mn = m.Master.Height
-		}
-		if mn == dim {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("MaxMacroMinDim not a macro dimension")
 	}
 }

@@ -187,58 +187,22 @@ func TestEveryOptionHasACaller(t *testing.T) {
 		"cts.Options.NoSkewBalance": "tests compare the unbalanced tree with it",
 	}
 	type typeKey struct{ pkg, name string }
-	type file struct {
-		path    string // import path of the file's package
-		ast     *ast.File
-		imports map[string]string
-	}
-	var files []file
-	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel("../..", path)
-		rel = filepath.ToSlash(rel)
-		switch {
-		case err != nil:
-			return err
-		case d.IsDir() && (rel == "testdata" || strings.HasSuffix(rel, "/testdata") || rel != "." && strings.HasPrefix(rel, ".")):
-			return fs.SkipDir
-		case d.IsDir() || !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go"):
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		fl := file{path: strings.TrimSuffix("macro3d/"+filepath.ToSlash(filepath.Dir(rel)), "/."), ast: f, imports: map[string]string{}}
-		for _, im := range f.Imports {
-			p := strings.Trim(im.Path.Value, `"`)
-			name := p[strings.LastIndex(p, "/")+1:]
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			fl.imports[name] = p
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
+	files := repoFiles(t)
+	for _, fl := range files {
+		ast.Inspect(fl.ast, func(n ast.Node) bool {
 			if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Getenv" || sel.Sel.Name == "LookupEnv") {
 				if x, ok := sel.X.(*ast.Ident); ok && fl.imports[x.Name] == "os" {
-					t.Errorf("%s calls os.%s: an environment variable is an option no caller sets", rel, sel.Sel.Name)
+					t.Errorf("%s calls os.%s: an environment variable is an option no caller sets", fl.rel, sel.Sel.Name)
 				}
 			}
 			return true
 		})
-		files = append(files, fl)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	// The option structs, their fields (each with the name the test
 	// reports it by), and every type alias in the repository.
 	type alias struct {
-		fl  file
+		fl  repoFile
 		typ ast.Expr
 	}
 	fields := map[typeKey]map[string]string{}
@@ -272,8 +236,8 @@ func TestEveryOptionHasACaller(t *testing.T) {
 		}
 	}
 	// resolve names the type a type expression of fl denotes.
-	var resolve func(fl file, e ast.Expr) (typeKey, bool)
-	resolve = func(fl file, e ast.Expr) (typeKey, bool) {
+	var resolve func(fl repoFile, e ast.Expr) (typeKey, bool)
+	resolve = func(fl repoFile, e ast.Expr) (typeKey, bool) {
 		var k typeKey
 		switch e := e.(type) {
 		case *ast.StarExpr:
@@ -299,7 +263,7 @@ func TestEveryOptionHasACaller(t *testing.T) {
 
 	set := map[string]bool{}
 	// assign marks the field an assignment to lhs sets.
-	assign := func(fl file, lhs ast.Expr, vars map[string]ast.Expr, params map[string]bool) {
+	assign := func(fl repoFile, lhs ast.Expr, vars map[string]ast.Expr, params map[string]bool) {
 		sel, ok := lhs.(*ast.SelectorExpr)
 		if !ok {
 			return
@@ -411,5 +375,166 @@ func TestEveryOptionHasACaller(t *testing.T) {
 	slices.Sort(missing)
 	for _, q := range missing {
 		t.Errorf("%s: no non-test code sets it, so it always takes its default; make it a constant of its package", q)
+	}
+}
+
+// repoFile is one parsed non-test Go file of the repository.
+type repoFile struct {
+	rel     string // slash-separated path from the repository root
+	path    string // import path of the file's package
+	ast     *ast.File
+	imports map[string]string // import path by the name the file uses
+}
+
+// repoFiles parses every non-test Go file of the repository — bench/,
+// cmd/ and examples/ included, testdata/ and dot-directories not.
+func repoFiles(t *testing.T) []repoFile {
+	t.Helper()
+	var files []repoFile
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel("../..", path)
+		rel = filepath.ToSlash(rel)
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (rel == "testdata" || strings.HasSuffix(rel, "/testdata") || rel != "." && strings.HasPrefix(rel, ".")):
+			return fs.SkipDir
+		case d.IsDir() || !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fl := repoFile{rel: rel, path: strings.TrimSuffix("macro3d/"+filepath.ToSlash(filepath.Dir(rel)), "/."), ast: f, imports: map[string]string{}}
+		for _, im := range f.Imports {
+			p := strings.Trim(im.Path.Value, `"`)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			fl.imports[name] = p
+		}
+		files = append(files, fl)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestEveryFuncHasACaller holds DESIGN.md §3's least-code aim at the
+// level of declarations: every top-level function and method declared
+// in non-test code under internal/ is named somewhere in the
+// repository's non-test code — bench/, cmd/ and examples/ included —
+// outside its own declaration, or it is on the keep list below with its
+// reason. Code only tests call is code the program never runs.
+//
+// The match is by name: a dead declaration whose name another one
+// shares, or that a call of another package's function of that name
+// mentions, goes unflagged, but live code is never flagged. Methods
+// that satisfy a standard interface are exempt, as are init and main.
+// So geom.HPWL, the oracle TestNetHPWL checks Net.HPWL against, needs
+// no keep-list entry: Net.HPWL's callers name it.
+func TestEveryFuncHasACaller(t *testing.T) {
+	keep := map[string]string{
+		"place.CheckLegal":                           "the legality oracle the placement tests hold every result to",
+		"geom.(*RNG).Range":                          "tests draw fixtures from the flows' own generator with it",
+		"netlist.(*Instance).PinLoc":                 "tests observe a pin's position by name through it",
+		"netlist.(*Design).OwnNames":                 "tests observe a composed design's own records through it",
+		"place.(*FreeSpace).Refused":                 "tests observe the free-space map's refusals through it",
+		"floorplan.(*PartialBlockageMap).FractionAt": "tests observe the partial-blockage quantization through it",
+		"trace.NormalizeChrome":                      "the trace determinism tests compare exports through it",
+	}
+	// keepPkg names the packages whose every function is kept.
+	keepPkg := map[string]string{
+		"faults": "the fault-injection harness, driven by its own tests",
+	}
+	exempt := map[string]bool{
+		"init": true, "main": true,
+		"String": true, "GoString": true, "Format": true, "Error": true, "Unwrap": true, "Is": true, "As": true,
+		"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+		"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+		"Read": true, "Write": true, "Close": true, "ServeHTTP": true,
+	}
+	files := repoFiles(t)
+	// named counts each identifier of non-test code by name, the names of
+	// function declarations themselves aside.
+	named := map[string]int{}
+	for _, fl := range files {
+		decls := map[*ast.Ident]bool{}
+		for _, decl := range fl.ast.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				decls[fn.Name] = true
+			}
+		}
+		ast.Inspect(fl.ast, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !decls[id] {
+				named[id.Name]++
+			}
+			return true
+		})
+	}
+	// recvName renders a method's receiver type as (*T) or T.
+	var recvName func(e ast.Expr) string
+	recvName = func(e ast.Expr) string {
+		switch e := e.(type) {
+		case *ast.StarExpr:
+			return "(*" + recvName(e.X) + ")"
+		case *ast.IndexExpr:
+			return recvName(e.X)
+		case *ast.IndexListExpr:
+			return recvName(e.X)
+		case *ast.Ident:
+			return e.Name
+		}
+		return "?"
+	}
+	declared := map[string]bool{}
+	var missing []string
+	for _, fl := range files {
+		if !strings.HasPrefix(fl.rel, "internal/") {
+			continue
+		}
+		pkg := fl.ast.Name.Name
+		for _, decl := range fl.ast.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || exempt[fn.Name.Name] || fn.Name.Name == "_" {
+				continue
+			}
+			q := pkg + "." + fn.Name.Name
+			if fn.Recv != nil {
+				q = pkg + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
+			}
+			declared[q] = true
+			own := 0
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && id != fn.Name && id.Name == fn.Name.Name {
+					own++
+				}
+				return true
+			})
+			_, kept := keep[q]
+			_, keptPkg := keepPkg[pkg]
+			switch called := named[fn.Name.Name] > own; {
+			case called && kept:
+				t.Errorf("%s is on the keep list, but non-test code names it: drop its entry", q)
+			case !called && !kept && !keptPkg:
+				missing = append(missing, q)
+			}
+		}
+	}
+	for q := range keep {
+		if !declared[q] {
+			t.Errorf("keep list names %s, which no non-test file under internal/ declares", q)
+		}
+	}
+	slices.Sort(missing)
+	for _, q := range missing {
+		t.Errorf("%s: no non-test code names it; delete it, or move it into the test that needs it", q)
 	}
 }

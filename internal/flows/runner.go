@@ -88,14 +88,6 @@ type RunReport struct {
 	Err       *StageError // terminal failure, nil when Completed
 }
 
-// LastStage returns the name of the most recent stage the run reached.
-func (r *RunReport) LastStage() string {
-	if len(r.Stages) == 0 {
-		return ""
-	}
-	return r.Stages[len(r.Stages)-1].Stage
-}
-
 // String renders a compact one-line-per-stage trace.
 func (r *RunReport) String() string {
 	var b []byte

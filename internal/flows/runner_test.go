@@ -99,7 +99,7 @@ func TestCancelMidFlowReturnsWithinOneStage(t *testing.T) {
 	}
 	// The cancel fired after "place" completed; the very next stage
 	// boundary (cts) must observe it.
-	if last := st.Trace.LastStage(); last != StageCTS {
+	if last := st.Trace.Stages[len(st.Trace.Stages)-1].Stage; last != StageCTS {
 		t.Fatalf("flow ran past the cancellation boundary: last stage %q\n%s", last, st.Trace)
 	}
 }

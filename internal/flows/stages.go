@@ -68,7 +68,7 @@ func (f *flow) frontEnd(dst *State, style floorplan.Style) []stage {
 			if style == floorplan.Style2D {
 				dst.Die = sz.Die2D
 			}
-			fp, _, err := floorplan.PlaceMacros(dst.Design, dst.Die, style)
+			fp, err := floorplan.PlaceMacros(dst.Design, dst.Die, style)
 			if err != nil {
 				return err
 			}

@@ -80,9 +80,6 @@ func (r Rect) Center() Point { return Point{(r.Lx + r.Ux) / 2, (r.Ly + r.Uy) / 2
 // LL returns the lower-left corner.
 func (r Rect) LL() Point { return Point{r.Lx, r.Ly} }
 
-// UR returns the upper-right corner.
-func (r Rect) UR() Point { return Point{r.Ux, r.Uy} }
-
 // Contains reports whether p lies inside the half-open rectangle.
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Lx && p.X < r.Ux && p.Y >= r.Ly && p.Y < r.Uy
@@ -209,11 +206,6 @@ func AbsInt(v int) int {
 // Snap rounds v to the nearest multiple of step (step > 0).
 func Snap(v, step float64) float64 {
 	return math.Round(v/step) * step
-}
-
-// SnapDown rounds v down to a multiple of step.
-func SnapDown(v, step float64) float64 {
-	return math.Floor(v/step) * step
 }
 
 // SnapUp rounds v up to a multiple of step.

@@ -140,9 +140,6 @@ func TestSnapAndClamp(t *testing.T) {
 	if got := Snap(1.26, 0.5); !almostEq(got, 1.5) {
 		t.Fatalf("Snap = %v", got)
 	}
-	if got := SnapDown(1.99, 0.5); !almostEq(got, 1.5) {
-		t.Fatalf("SnapDown = %v", got)
-	}
 	if got := SnapUp(1.01, 0.5); !almostEq(got, 1.5) {
 		t.Fatalf("SnapUp = %v", got)
 	}
@@ -272,16 +269,6 @@ func TestRNGShuffleIsPermutation(t *testing.T) {
 	}
 	if len(seen) != 8 {
 		t.Fatalf("shuffle lost elements: %v", xs)
-	}
-}
-
-func TestRNGFork(t *testing.T) {
-	r := NewRNG(5)
-	a := r.Fork(1)
-	r2 := NewRNG(5)
-	b := r2.Fork(2)
-	if a.Uint64() == b.Uint64() {
-		t.Fatal("forks with different labels correlated")
 	}
 }
 

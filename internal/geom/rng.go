@@ -50,12 +50,6 @@ func (r *RNG) Norm() float64 {
 	return s - 6
 }
 
-// Fork derives an independent child generator. Children produced with
-// distinct labels have decorrelated streams.
-func (r *RNG) Fork(label uint64) *RNG {
-	return NewRNG(r.Uint64() ^ (label * 0xd1342543de82ef95))
-}
-
 // Shuffle permutes the first n elements using swap, Fisher–Yates style.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

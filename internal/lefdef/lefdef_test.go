@@ -442,7 +442,7 @@ func prepared(t *testing.T, pc piton.Config) (*core.MoLDesign, geom.Rect) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := floorplan.PlaceMacros(d, sz.Die3D, floorplan.StyleMoL); err != nil {
+	if _, err := floorplan.PlaceMacros(d, sz.Die3D, floorplan.StyleMoL); err != nil {
 		t.Fatal(err)
 	}
 	floorplan.AssignPorts(tile, sz.Die3D)

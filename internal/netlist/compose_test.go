@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -46,12 +47,21 @@ func composed(t *testing.T, src *Design, tags ...string) *Design {
 		t.Fatal(err)
 	}
 	en := b.AddPort("en", cell.DirIn)
-	for c := range copies {
+	composeCopies(b, d, src, len(copies))
+	b.AddNet("en_net", PPin(en))
+	return d
+}
+
+// composeCopies adds the given number of copies of the chain src to d
+// through b: every copy's instances, then every copy's nets over its own
+// ports.
+func composeCopies(b *Composer, d, src *Design, copies int) {
+	for c := 0; c < copies; c++ {
 		for _, inst := range src.Instances {
 			b.Instance(c, inst)
 		}
 	}
-	for c := range copies {
+	for c := 0; c < copies; c++ {
 		base := c * len(src.Instances)
 		ref := func(r PinRef) PinRef {
 			if r.Port != nil {
@@ -63,8 +73,6 @@ func composed(t *testing.T, src *Design, tags ...string) *Design {
 			b.Net(c, n, ref(n.Driver), ref(n.Sinks[0]))
 		}
 	}
-	b.AddNet("en_net", PPin(en))
-	return d
 }
 
 func mustPanic(t *testing.T, what, want string, f func()) {
@@ -331,4 +339,79 @@ func TestBuilderLeavesIndexesUnbuilt(t *testing.T) {
 	db.AddInstance("x", lib.MustCell("INV_X1"))
 	db.AddInstance("x", lib.MustCell("INV_X1"))
 	mustPanic(t, "index over a duplicate", "duplicate names", func() { dup.Instance("x") })
+}
+
+// FuzzComposeTags holds Compose's proof of new names to arbitrary tags.
+// The first input, split at each zero byte, gives up to eight tags of up
+// to 16 bytes; the second names a port and a net of the composer's own.
+// Compose refuses exactly when one tag is a prefix of another, equal tags
+// included. Otherwise every copy of a small chain composes to names
+// distinct per kind, each found under its name; and the own name panics
+// with the compose message when a tag is a prefix of it, and is admitted
+// and found when none is.
+func FuzzComposeTags(f *testing.F) {
+	f.Add([]byte(""), "en")                     // the empty tag: a prefix of every name
+	f.Add([]byte("a_\x00a_"), "en")             // equal tags
+	f.Add([]byte("t1_\x00t1_0_"), "t1_0_en")    // a tag that is a prefix of another
+	f.Add([]byte("t1_\x00t10_\x00t0_1_"), "t1") // a shared prefix, no tag a prefix of another
+	f.Fuzz(func(t *testing.T, raw []byte, own string) {
+		parts := bytes.Split(raw, []byte{0})
+		copies := make([]Copy, min(len(parts), 8))
+		for i := range copies {
+			copies[i] = Copy{Tag: string(parts[i][:min(len(parts[i]), 16)]), Offset: geom.Pt(1000*float64(i), 0)}
+		}
+		prefixed := func(name string, skip int) bool {
+			for i, c := range copies {
+				if i != skip && strings.HasPrefix(name, c.Tag) {
+					return true
+				}
+			}
+			return false
+		}
+		refuse := false
+		for i, c := range copies {
+			refuse = refuse || prefixed(c.Tag, i)
+		}
+		src := composeSource(t, 3)
+		d := NewDesign("arr", src.Lib)
+		b, err := d.Compose(src, copies)
+		if refuse != (err != nil) {
+			t.Fatalf("tags %q: Compose error %v, want one: %v", raw, err, refuse)
+		}
+		if err != nil {
+			return
+		}
+		composeCopies(b, d, src, len(copies))
+		if len(d.Instances) != len(copies)*len(src.Instances) || len(d.Nets) != len(copies)*len(src.Nets) || len(d.Ports) != len(copies)*len(src.Ports) {
+			t.Fatalf("tags %q: composed %d instances, %d nets, %d ports", raw, len(d.Instances), len(d.Nets), len(d.Ports))
+		}
+		instances, nets, ports := map[string]bool{}, map[string]bool{}, map[string]bool{}
+		for _, inst := range d.Instances {
+			if instances[inst.Name] || d.Instance(inst.Name) != inst {
+				t.Fatalf("tags %q: instance %q is not the one record of its name", raw, inst.Name)
+			}
+			instances[inst.Name] = true
+		}
+		for _, n := range d.Nets {
+			if nets[n.Name] || d.Net(n.Name) != n {
+				t.Fatalf("tags %q: net %q is not the one record of its name", raw, n.Name)
+			}
+			nets[n.Name] = true
+		}
+		for _, p := range d.Ports {
+			if ports[p.Name] || d.Port(p.Name) != p {
+				t.Fatalf("tags %q: port %q is not the one record of its name", raw, p.Name)
+			}
+			ports[p.Name] = true
+		}
+
+		if prefixed(own, -1) {
+			mustPanic(t, "own port under a tag", "carries the tag", func() { b.AddPort(own, cell.DirIn) })
+			mustPanic(t, "own net under a tag", "carries the tag", func() { b.AddNet(own, PinRef{}) })
+			return
+		}
+		if p, n := b.AddPort(own, cell.DirIn), b.AddNet(own, PinRef{}); d.Port(own) != p || d.Net(own) != n {
+			t.Fatalf("tags %q: own port and net %q are not found under their name", raw, own)
+		}
+	})
 }

@@ -430,20 +430,3 @@ func TestTruncateToGrowPanics(t *testing.T) {
 	}()
 	d.TruncateTo(100, 100)
 }
-
-func TestWriteDOT(t *testing.T) {
-	d := tiny(t)
-	var sb strings.Builder
-	if err := d.WriteDOT(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"digraph \"tiny\"", `"u1"`, `"ff"`, `"port:clk"`,
-		`"u1" -> "ff"`, "style=dashed", "}",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT missing %q\n%s", want, out)
-		}
-	}
-}

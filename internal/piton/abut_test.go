@@ -20,7 +20,7 @@ func placedTinyTile(t *testing.T) (*piton.Tile, geom.Rect) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := floorplan.PlaceMacros(tile.Design, sz.Die2D, floorplan.Style2D); err != nil {
+	if _, err := floorplan.PlaceMacros(tile.Design, sz.Die2D, floorplan.Style2D); err != nil {
 		t.Fatal(err)
 	}
 	floorplan.AssignPorts(tile, sz.Die2D)

@@ -1,8 +1,10 @@
 package piton
 
 import (
+	"slices"
 	"testing"
 
+	"macro3d/internal/cell"
 	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
 )
@@ -78,8 +80,9 @@ func TestCloneIsolation(t *testing.T) {
 	d.Instances[0].Loc, d.Instances[0].Die = geom.Pt(12, 34), netlist.MacroDie
 	var sized *netlist.Instance
 	for _, inst := range d.Instances {
-		if up := d.Lib.NextSizeUp(inst.Master); up != nil {
-			if err := d.Resize(inst, up); err != nil {
+		fam := d.Lib.Family(inst.Master.Family)
+		if i := slices.IndexFunc(fam, func(c *cell.Cell) bool { return c.Name == inst.Master.Name }); i >= 0 && i+1 < len(fam) {
+			if err := d.Resize(inst, fam[i+1]); err != nil {
 				t.Fatal(err)
 			}
 			sized = inst

@@ -32,7 +32,7 @@ func tileFixture(t testing.TB, cfg piton.Config) (*netlist.Design, *floorplan.Fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, _, err := floorplan.PlaceMacros(d, sz.Die2D, floorplan.Style2D)
+	fp, err := floorplan.PlaceMacros(d, sz.Die2D, floorplan.Style2D)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func mol3DFixture(t testing.TB) (*netlist.Design, *floorplan.Floorplan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := floorplan.PlaceMacros(d, sz.Die3D, floorplan.StyleMoL); err != nil {
+	if _, err := floorplan.PlaceMacros(d, sz.Die3D, floorplan.StyleMoL); err != nil {
 		t.Fatal(err)
 	}
 	floorplan.AssignPorts(tile, sz.Die3D)
@@ -521,7 +521,8 @@ func wideFixture(t testing.TB) *analyticState {
 	d, _ := chainDesign(40)
 	opt := Options{BinPitch: 10}.withDefaults()
 	die := geom.R(0, 0, maxGridBins*opt.BinPitch, 12)
-	d.Ports[0].Loc, d.Ports[1].Loc = die.Expand(-1).LL(), die.Expand(-1).UR()
+	in := die.Expand(-1)
+	d.Ports[0].Loc, d.Ports[1].Loc = in.LL(), geom.Pt(in.Ux, in.Uy)
 	d.AddNet("t_frozen_only", netlist.PPin(d.Ports[0]), netlist.PPin(d.Ports[1]))
 	bins := newBinGrid(die, opt.BinPitch, nil, maxFill)
 	if bins.grid.NX != maxGridBins {
@@ -533,7 +534,7 @@ func wideFixture(t testing.TB) *analyticState {
 	for _, inst := range movable {
 		st.pos[inst.ID] = st.inner.ClampPoint(geom.Pt(die.Lx+rng.Float64()*die.W(), die.Ly+rng.Float64()*die.H()))
 	}
-	st.pos[movable[0].ID], st.pos[movable[len(movable)-1].ID] = st.inner.LL(), st.inner.UR()
+	st.pos[movable[0].ID], st.pos[movable[len(movable)-1].ID] = st.inner.LL(), geom.Pt(st.inner.Ux, st.inner.Uy)
 	return st
 }
 

@@ -168,7 +168,7 @@ func TestPlacePitonTile2D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, _, err := floorplan.PlaceMacros(d, sz.Die2D, floorplan.Style2D)
+	fp, err := floorplan.PlaceMacros(d, sz.Die2D, floorplan.Style2D)
 	if err != nil {
 		t.Fatal(err)
 	}

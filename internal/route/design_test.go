@@ -25,7 +25,7 @@ func placedSmallTile(t *testing.T) (*netlist.Design, geom.Rect, []floorplan.Rout
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, _, err := floorplan.PlaceMacros(d, sz.Die2D, floorplan.Style2D)
+	fp, err := floorplan.PlaceMacros(d, sz.Die2D, floorplan.Style2D)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +115,11 @@ func TestRouteDesignMatchesOracle(t *testing.T) {
 func TestMazeAllocs(t *testing.T) {
 	db := db6(t, geom.R(0, 0, 200, 200), nil)
 	a, b := Node{0, 0, 0}, Node{10, 10, 3}
-	if _, err := db.mazeRoute(a, b); err != nil {
+	if _, err := db.mazeRouteScratch(db.scratch(), a, b, nil); err != nil {
 		t.Fatal(err) // warm-up sizes the scratch
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := db.mazeRoute(a, b); err != nil {
+		if _, err := db.mazeRouteScratch(db.scratch(), a, b, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -135,7 +135,7 @@ func TestScratchReuse(t *testing.T) {
 	db := db6(t, geom.R(0, 0, 200, 200), nil)
 	a, b := Node{0, 0, 0}, Node{10, 10, 3}
 	for i := 0; i < 3; i++ {
-		if _, err := db.mazeRoute(a, b); err != nil {
+		if _, err := db.mazeRouteScratch(db.scratch(), a, b, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

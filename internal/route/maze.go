@@ -173,13 +173,6 @@ func (s *mazeScratch) pop() mazeEntry {
 	}
 }
 
-// mazeRoute finds a least-cost path with windowed 3D A*, using the
-// DB-resident scratch. Tests use this entry point; routeTask hands
-// mazeRouteScratch the scratch it routes with.
-func (db *DB) mazeRoute(a, b Node) ([]Seg, error) {
-	return db.mazeRouteScratch(db.scratch(), a, b, nil)
-}
-
 // scratch lazily builds the DB's single-threaded router scratch.
 func (db *DB) scratch() *mazeScratch {
 	if db.scr == nil {

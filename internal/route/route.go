@@ -294,10 +294,9 @@ type DB struct {
 	usage []int32
 	hist  []float32 // negotiation history cost; nil until negotiation creates it (history)
 
-	f2fIdx  int // via index of the F2F boundary, -1 if none
-	f2fCap  []int32
-	f2fUse  []int32
-	gcellWL float64 // µm per grid step (average of DX, DY)
+	f2fIdx int // via index of the F2F boundary, -1 if none
+	f2fCap []int32
+	f2fUse []int32
 
 	// patternPairs[k] is the ≤ 3 (H-layer, V-layer) pairs the pattern
 	// router tries for distance bucket k (see distBucket), best-ranked
@@ -338,7 +337,6 @@ func NewDB(die geom.Rect, beol *tech.BEOL, blk []floorplan.RouteBlockage, opt Op
 		cap:      make([]int32, nl*g.Bins()),
 		usage:    make([]int32, nl*g.Bins()),
 		f2fIdx:   beol.F2FViaIndex(),
-		gcellWL:  (g.DX + g.DY) / 2,
 	}
 	for i, l := range beol.Layers {
 		db.layerIdx[l.Name] = i
@@ -754,23 +752,4 @@ func (db *DB) runBlockage(l, x0, y0, x1, y1 int) floorplan.RouteBlockage {
 		Layer: db.Beol.Layers[l].Name,
 		Rect:  a.Union(b),
 	}
-}
-
-// UsageSnapshot returns a per-layer utilization summary (mean fill of
-// used gcells) for reports.
-func (db *DB) UsageSnapshot() []float64 {
-	nl := db.Beol.NumLayers()
-	out := make([]float64, nl)
-	for l := 0; l < nl; l++ {
-		var u, c float64
-		base := l * db.Grid.Bins()
-		for b := 0; b < db.Grid.Bins(); b++ {
-			u += float64(db.usage[base+b])
-			c += float64(db.cap[base+b])
-		}
-		if c > 0 {
-			out[l] = u / c
-		}
-	}
-	return out
 }

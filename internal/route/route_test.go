@@ -320,7 +320,7 @@ func TestRoutePitonTile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, _, err := floorplan.PlaceMacros(d, sz.Die2D, floorplan.Style2D)
+	fp, err := floorplan.PlaceMacros(d, sz.Die2D, floorplan.Style2D)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,30 +362,9 @@ func TestRoutePitonTile(t *testing.T) {
 	}
 }
 
-func TestUsageSnapshot(t *testing.T) {
-	d := twoPinDesign(210, 110)
-	db := db6(t, geom.R(0, 0, 300, 300), nil)
-	if _, err := RouteDesign(d, db); err != nil {
-		t.Fatal(err)
-	}
-	snap := db.UsageSnapshot()
-	if len(snap) != 6 {
-		t.Fatalf("snapshot layers = %d", len(snap))
-	}
-	any := false
-	for _, u := range snap {
-		if u > 0 {
-			any = true
-		}
-	}
-	if !any {
-		t.Fatal("no layer shows usage")
-	}
-}
-
 func TestMazeRouteDirect(t *testing.T) {
 	db := db6(t, geom.R(0, 0, 200, 200), nil)
-	segs, err := db.mazeRoute(Node{0, 0, 0}, Node{10, 10, 3})
+	segs, err := db.mazeRouteScratch(db.scratch(), Node{0, 0, 0}, Node{10, 10, 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,6 +458,25 @@ func TestPlaceRoute(t *testing.T) {
 	}
 }
 
+// usageByLayer returns each layer's usage over its capacity, summed
+// over the grid.
+func usageByLayer(db *DB) []float64 {
+	nl := db.Beol.NumLayers()
+	out := make([]float64, nl)
+	for l := 0; l < nl; l++ {
+		var u, c float64
+		base := l * db.Grid.Bins()
+		for b := 0; b < db.Grid.Bins(); b++ {
+			u += float64(db.usage[base+b])
+			c += float64(db.cap[base+b])
+		}
+		if c > 0 {
+			out[l] = u / c
+		}
+	}
+	return out
+}
+
 func TestCommitAndRebuildUsage(t *testing.T) {
 	d := twoPinDesign(210, 110)
 	db := db6(t, geom.R(0, 0, 300, 300), nil)
@@ -489,9 +487,9 @@ func TestCommitAndRebuildUsage(t *testing.T) {
 	// Doubling a route's usage then rebuilding from the result must
 	// return to the single-use state.
 	db.CommitRoute(res, 0)
-	snapDouble := db.UsageSnapshot()
+	snapDouble := usageByLayer(db)
 	db.RebuildUsage(res)
-	snapSingle := db.UsageSnapshot()
+	snapSingle := usageByLayer(db)
 	moreDouble := false
 	for l := range snapDouble {
 		if snapDouble[l] > snapSingle[l] {
@@ -504,7 +502,7 @@ func TestCommitAndRebuildUsage(t *testing.T) {
 	// Release + rebuild equivalence.
 	db.ReleaseNet(res, 0)
 	db.CommitRoute(res, 0)
-	snapAgain := db.UsageSnapshot()
+	snapAgain := usageByLayer(db)
 	for l := range snapAgain {
 		if snapAgain[l] != snapSingle[l] {
 			t.Fatalf("layer %d usage drifted: %v vs %v", l, snapAgain[l], snapSingle[l])

@@ -284,18 +284,6 @@ func (d *Dec) Sym() string {
 	return s
 }
 
-// Blob reads a length-prefixed byte slice.
-func (d *Dec) Blob() []byte {
-	n := d.sliceLen(1)
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
-}
-
 // I32s reads a length-prefixed []int32.
 func (d *Dec) I32s() []int32 {
 	n := d.sliceLen(4)

@@ -34,14 +34,6 @@ func (d Dir) String() string {
 	return "V"
 }
 
-// Orthogonal returns the other direction.
-func (d Dir) Orthogonal() Dir {
-	if d == DirHorizontal {
-		return DirVertical
-	}
-	return DirHorizontal
-}
-
 // Layer describes one routing (metal) layer.
 type Layer struct {
 	Name  string
@@ -157,23 +149,12 @@ func (b *BEOL) LogicDieLayers() int {
 // MacroDieLayers returns the number of "_MD" layers.
 func (b *BEOL) MacroDieLayers() int { return len(b.Layers) - b.LogicDieLayers() }
 
-// TopLayer returns the name of the highest metal.
-func (b *BEOL) TopLayer() string { return b.Layers[len(b.Layers)-1].Name }
-
 // Clone returns a deep copy of the stack.
 func (b *BEOL) Clone() *BEOL {
 	c := &BEOL{Name: b.Name}
 	c.Layers = append([]Layer(nil), b.Layers...)
 	c.Vias = append([]Via(nil), b.Vias...)
 	return c
-}
-
-// MetalAreaPerDie returns the number of metal-layer-mm² consumed by a
-// die of the given footprint routed with this stack; the paper's
-// A_metal cost metric in Table III is footprint × layer count summed
-// over both dies.
-func (b *BEOL) MetalAreaPerDie(footprintMM2 float64) float64 {
-	return footprintMM2 * float64(len(b.Layers))
 }
 
 func (b *BEOL) String() string {

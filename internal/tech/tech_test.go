@@ -24,7 +24,7 @@ func TestNewBEOL28Structure(t *testing.T) {
 	if len(b.Vias) != 5 {
 		t.Fatalf("vias = %d", len(b.Vias))
 	}
-	if b.Layers[0].Name != "M1" || b.TopLayer() != "M6" {
+	if b.Layers[0].Name != "M1" || b.Layers[len(b.Layers)-1].Name != "M6" {
 		t.Fatalf("layer naming wrong: %v", b)
 	}
 	// HVH alternation.
@@ -36,6 +36,9 @@ func TestNewBEOL28Structure(t *testing.T) {
 		if l.Dir != want {
 			t.Fatalf("layer %s dir = %v", l.Name, l.Dir)
 		}
+	}
+	if DirHorizontal.String() != "H" || DirVertical.String() != "V" {
+		t.Fatal("Dir names wrong")
 	}
 	// Upper metals are less resistive than lower.
 	if b.Layers[5].RPerUm >= b.Layers[0].RPerUm {
@@ -264,22 +267,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestDirOrthogonal(t *testing.T) {
-	if DirHorizontal.Orthogonal() != DirVertical || DirVertical.Orthogonal() != DirHorizontal {
-		t.Fatal("Orthogonal wrong")
-	}
-	if DirHorizontal.String() != "H" || DirVertical.String() != "V" {
-		t.Fatal("Dir names wrong")
-	}
-}
-
-func TestMetalAreaPerDie(t *testing.T) {
-	b := mustBEOL(t, "x", 6)
-	if got := b.MetalAreaPerDie(0.6); math.Abs(got-3.6) > 1e-12 {
-		t.Fatalf("MetalAreaPerDie = %v", got)
-	}
-}
-
 // Property: combining any valid pair of 28nm stacks yields a valid
 // stack whose layer count is the sum and which separates back into
 // parts of the original sizes (+1 for the shared F2F layer each).
@@ -337,8 +324,8 @@ func TestLayerIndexAndTop(t *testing.T) {
 	if b.LayerIndex("M3") != 2 || b.LayerIndex("M9") != -1 {
 		t.Fatal("LayerIndex wrong")
 	}
-	if b.TopLayer() != "M6" {
-		t.Fatal("TopLayer wrong")
+	if b.Layers[len(b.Layers)-1].Name != "M6" {
+		t.Fatal("top layer wrong")
 	}
 	logic := mustBEOL(t, "l", 6)
 	macro := mustBEOL(t, "m", 4)

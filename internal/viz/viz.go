@@ -6,7 +6,6 @@ package viz
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"macro3d/internal/geom"
@@ -218,29 +217,6 @@ func ASCIIDensity(d *netlist.Design, die geom.Rect, cols int, dieFilter *netlist
 			b.WriteByte(shades[k])
 		}
 		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// WirelengthBars renders per-layer wirelength as an ASCII bar chart —
-// handy for the M6–M4 ablation discussion.
-func WirelengthBars(byLayer map[string]float64) string {
-	names := make([]string, 0, len(byLayer))
-	maxWL := 0.0
-	for n, v := range byLayer {
-		names = append(names, n)
-		if v > maxWL {
-			maxWL = v
-		}
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		bars := 0
-		if maxWL > 0 {
-			bars = int(byLayer[n] / maxWL * 40)
-		}
-		fmt.Fprintf(&b, "%-8s %8.2f mm %s\n", n, byLayer[n]/1e3, strings.Repeat("▇", bars))
 	}
 	return b.String()
 }

@@ -105,18 +105,3 @@ func TestASCIIDensity(t *testing.T) {
 		t.Error("macro drawn despite die filter")
 	}
 }
-
-func TestWirelengthBars(t *testing.T) {
-	out := WirelengthBars(map[string]float64{"M1": 1000, "M2": 4000})
-	if !strings.Contains(out, "M1") || !strings.Contains(out, "M2") {
-		t.Fatal("layers missing")
-	}
-	// M2 bar longer than M1 bar.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if strings.Count(lines[1], "▇") <= strings.Count(lines[0], "▇") {
-		t.Fatal("bars not proportional")
-	}
-}
