@@ -51,7 +51,8 @@ bench-mod:
 ## edit bundles on the five flows' tiny signed-off states, the five in
 ## parallel), in seconds. internal/flows also runs 2D and Macro-3D
 ## at once over one byte-capped stage cache (TestConcurrentRunsMatchSerial:
-## the stash's per-key locks and LRU under concurrent flows), and
+## the stash's per-key locks and its trims, which rank the directory's
+## snapshots by modification time, under concurrent flows), and
 ## internal/stash has its own contention tests. internal/place rides along for the
 ## placer's own digest, determinism and quality tests (its three
 ## passes per iteration at Workers 2 and 4), internal/extract and internal/sta for
@@ -70,10 +71,9 @@ race:
 	$(GO) test -race ./internal/faults/ ./internal/report/ ./internal/obs/... ./internal/stash/ ./internal/extract/ ./internal/sta/ ./internal/ddb/ ./internal/slab/ ./internal/netlist/ ./internal/piton/ ./internal/cell/ ./internal/par/
 	$(GO) test -race -timeout 30m ./internal/flows/ ./internal/opt/ ./internal/place/ ./internal/route/
 
-## fuzz: ten seconds each of FuzzDecodeResult, FuzzDecodeAbstract,
-## FuzzDecodeSignoff and FuzzDecodePlacement — the routing-result
-## decoder, the harden cache's abstract decoder, the signoff snapshot's
-## net and timing-report decoders and the placement snapshot's
+## fuzz: ten seconds each of FuzzDecodeResult, FuzzDecodeSignoff and
+## FuzzDecodePlacement — the routing-result decoder, the signoff
+## snapshot's net and timing-report decoders and the placement snapshot's
 ## instance-state decoder on arbitrary bytes: no panic, no allocation
 ## sized by a corrupt count, and whatever decodes re-encodes to the same
 ## bytes — of FuzzUnframe, the stage cache's snapshot frame reader:
@@ -81,15 +81,16 @@ race:
 ## one byte flipped fails — and of FuzzReadChrome, the trace-report -in
 ## reader: no panic, allocation within 16× the input plus 64 kB, a
 ## re-export that is a fixed point, no negative time in its analysis —
-## and of FuzzParseLEF and FuzzParseDEF, the LEF and DEF readers: no
-## panic, allocation within 16× the input plus 64 kB — and of
+## and of FuzzParseLEF and FuzzParseDEF, the LEF and DEF readers (the
+## LEF one also reads the harden cache's abstracts): no panic,
+## allocation within 16× the input plus 64 kB — and of
 ## FuzzComposeTags, the composer's proof of new names: up to eight tags
 ## are refused exactly when one is a prefix of another, and otherwise
 ## compose to names distinct per kind, each found under its name, with a
 ## name of the composer's own refused exactly when a tag prefixes it.
 ## `go test` runs only their seed corpora (a
-## good encoding each, TestDecodeResultCorrupt's table, the abstract
-## decoder's two count bombs, the signoff tail's truncations, one
+## good encoding each, TestDecodeResultCorrupt's table, the signoff
+## tail's truncations, one
 ## impossible instance state of each kind, two frames and a cut one, a
 ## trace export, an off-microsecond slice and a negative duration; an
 ## excerpt of the tiny tile's LEF and DEF, a DIEAREA cut short and a
@@ -101,7 +102,6 @@ race:
 ## written to the package's testdata/fuzz/ — commit it.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAbstract$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSignoff$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePlacement$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/flows/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnframe$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/stash/

@@ -320,10 +320,11 @@ type StageCacheStats = stash.Stats
 // dir.
 func OpenStageCache(dir string) (*StageCache, error) { return stash.Open(dir) }
 
-// OpenStageCacheLimited opens a stage cache with a byte budget:
-// existing snapshots are indexed least-recently-used and the store
-// evicts cold entries to keep the directory under maxBytes. A
-// maxBytes of 0 means unlimited (same as OpenStageCache).
+// OpenStageCacheLimited opens a stage cache with a byte budget: at
+// open and after each store it removes the least recently used
+// snapshots, by file modification time (a hit sets it), until the
+// directory fits maxBytes. A maxBytes of 0 means unlimited (same as
+// OpenStageCache).
 func OpenStageCacheLimited(dir string, maxBytes int64) (*StageCache, error) {
 	return stash.OpenLimited(dir, maxBytes)
 }

@@ -1,13 +1,16 @@
 package flows
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"slices"
 	"time"
 
 	"macro3d/internal/cell"
 	"macro3d/internal/geom"
+	"macro3d/internal/lefdef"
 	"macro3d/internal/piton"
 	"macro3d/internal/sta"
 	"macro3d/internal/stash"
@@ -78,17 +81,12 @@ func HardenCtx(ctx context.Context, cfg Config, flow string) (*HardenResult, err
 		abs, err = buildAbstract(f.st, f.ppa, f.t)
 		return err
 	})
-	// What the abstract depends on beyond the root: the optimization
-	// target and the 3D stack.
 	harden := region(func() checkpoint {
-		m := stash.NewEnc()
-		m.F64(f.cfg.TargetPeriod)
-		m.Blob(stackMaterial(f.cfg, f.t))
 		return checkpoint{
 			name:     "harden",
-			material: m.Bytes(),
-			save:     func(e *stash.Enc) error { encodeAbstract(e, abs); return nil },
-			load:     func(d *stash.Dec) (err error) { abs, err = decodeAbstract(d); return err },
+			material: hardenMaterial(f.cfg, f.t),
+			save:     func(e *stash.Enc) error { return writeAbstractLEF(e, abs) },
+			load:     func(d *stash.Dec) (err error) { abs, err = readAbstractLEF(d.Rest()); return err },
 		}
 	}, append(list[1:], condense)...)
 	if err := f.exec([]stage{list[0], harden}); err != nil { // list[0] is generate
@@ -102,6 +100,18 @@ func HardenCtx(ctx context.Context, cfg Config, flow string) (*HardenResult, err
 		hr.PPA, hr.State = f.ppa, f.st
 	}
 	return hr, nil
+}
+
+// hardenMaterial is what the abstract depends on beyond the root: the
+// optimization target and the 3D stack, then the payload's format. The
+// payload is the abstract's LEF; an entry written as the binary record
+// that came before it must miss, not fail to decode.
+func hardenMaterial(cfg Config, t *tech.Tech) []byte {
+	m := stash.NewEnc()
+	m.F64(cfg.TargetPeriod)
+	m.Blob(stackMaterial(cfg, t))
+	m.Str("abstract LEF")
+	return m.Bytes()
 }
 
 // ownLibrary gives a hardened tile a library of its own, for
@@ -235,97 +245,26 @@ func clockEntryCap(lib *cell.Library) float64 {
 	return best
 }
 
-// Abstract snapshot codec (cache payload). Purely self-describing
-// numbers and strings; decode validates fully before returning.
-
-func encodeAbstract(e *stash.Enc, c *cell.Cell) {
-	e.Str(c.Name)
-	e.F64(c.Width)
-	e.F64(c.Height)
-	e.F64(c.DriveRes)
-	e.F64(c.Leakage)
-	e.Int(len(c.Pins))
-	for i := range c.Pins {
-		p := &c.Pins[i]
-		e.Str(p.Name)
-		e.U8(uint8(p.Dir))
-		e.F64(p.Cap)
-		e.F64(p.Offset.X)
-		e.F64(p.Offset.Y)
-		e.Str(p.Layer)
-		e.Bool(p.Clock)
-		e.F64(p.Setup)
-		e.F64(p.ClkQ)
-	}
-	e.Int(len(c.Obstructions))
-	for _, o := range c.Obstructions {
-		e.Str(o.Layer)
-		e.F64(o.Rect.Lx)
-		e.F64(o.Rect.Ly)
-		e.F64(o.Rect.Ux)
-		e.F64(o.Rect.Uy)
-	}
-	a := c.Abstract
-	e.Str(a.SourceFlow)
-	e.Str(a.SourceConfig)
-	e.F64(a.MinPeriodPs)
-	e.F64(a.EnergyPerCycleFJ)
-	e.F64(a.LeakageUW)
-	e.Int(a.F2FBumps)
+// writeAbstractLEF writes the harden region's payload: the single-macro
+// library LEF that `macro3d harden -o` exports.
+func writeAbstractLEF(w io.Writer, abs *cell.Cell) error {
+	lib := cell.NewLibrary(abs.Name + "_lib")
+	lib.Add(abs)
+	return lefdef.WriteLEF(w, nil, lib)
 }
 
-// The fewest bytes a pin and an obstruction take in an abstract snapshot
-// (empty strings): what Dec.Count holds the declared counts to before
-// the decoder sizes its tables by them.
-const (
-	pinWireMin = 4 + 1 + 8 + 8 + 8 + 4 + 1 + 8 + 8
-	obsWireMin = 4 + 4*8
-)
-
-func decodeAbstract(d *stash.Dec) (*cell.Cell, error) {
-	c := &cell.Cell{Kind: cell.KindMacro}
-	c.Name = d.Str()
-	c.Width = d.F64()
-	c.Height = d.F64()
-	c.DriveRes = d.F64()
-	c.Leakage = d.F64()
-	nPins := d.Count(pinWireMin)
-	c.Pins = make([]cell.Pin, 0, nPins)
-	for i := 0; i < nPins && d.Err() == nil; i++ {
-		var p cell.Pin
-		p.Name = d.Str()
-		p.Dir = cell.PinDir(d.U8())
-		p.Cap = d.F64()
-		p.Offset.X = d.F64()
-		p.Offset.Y = d.F64()
-		p.Layer = d.Str()
-		p.Clock = d.Bool()
-		p.Setup = d.F64()
-		p.ClkQ = d.F64()
-		c.Pins = append(c.Pins, p)
-	}
-	nObs := d.Count(obsWireMin)
-	c.Obstructions = make([]cell.Obstruction, 0, nObs)
-	for i := 0; i < nObs && d.Err() == nil; i++ {
-		var o cell.Obstruction
-		o.Layer = d.Str()
-		o.Rect.Lx = d.F64()
-		o.Rect.Ly = d.F64()
-		o.Rect.Ux = d.F64()
-		o.Rect.Uy = d.F64()
-		c.Obstructions = append(c.Obstructions, o)
-	}
-	a := &cell.AbstractInfo{}
-	a.SourceFlow = d.Str()
-	a.SourceConfig = d.Str()
-	a.MinPeriodPs = d.F64()
-	a.EnergyPerCycleFJ = d.F64()
-	a.LeakageUW = d.F64()
-	a.F2FBumps = d.Int()
-	c.Abstract = a
-	if err := d.Done(); err != nil {
+// readAbstractLEF reads a harden region's payload back: one BLOCK macro
+// carrying its abstract record, and nothing else.
+func readAbstractLEF(b []byte) (*cell.Cell, error) {
+	lef, err := lefdef.ParseLEF(bytes.NewReader(b))
+	if err != nil {
 		return nil, fmt.Errorf("harden: %w", err)
 	}
+	cells := lef.Lib.Cells()
+	if lef.Beol != nil || len(cells) != 1 || cells[0].Kind != cell.KindMacro || cells[0].Abstract == nil {
+		return nil, fmt.Errorf("harden: snapshot is not one hardened BLOCK macro")
+	}
+	c := cells[0]
 	if c.Name == "" || c.Width <= 0 || c.Height <= 0 || len(c.Pins) == 0 {
 		return nil, fmt.Errorf("harden: snapshot decodes to degenerate abstract")
 	}

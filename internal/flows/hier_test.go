@@ -5,12 +5,10 @@ import (
 	"context"
 	"errors"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 
 	"macro3d/internal/cell"
-	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
 	"macro3d/internal/piton"
 	"macro3d/internal/stash"
@@ -243,16 +241,15 @@ func hardenRegionKey(t *testing.T, cfg Config) stash.Key {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := stash.NewEnc()
-	e.F64(cfg.TargetPeriod)
-	e.Blob(stackMaterial(cfg, tc))
-	return root.Derive("harden", e.Bytes())
+	return root.Derive("harden", hardenMaterial(cfg, tc))
 }
 
-// abstractBytes is the harden region's snapshot of c.
+// abstractBytes is the harden region's snapshot of c: its LEF.
 func abstractBytes(c *cell.Cell) []byte {
 	e := stash.NewEnc()
-	encodeAbstract(e, c)
+	if err := writeAbstractLEF(e, c); err != nil {
+		panic(err)
+	}
 	return e.Bytes()
 }
 
@@ -274,59 +271,6 @@ func TestHierArrayCancelReachesParent(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || !errors.As(err, &se) || se.Flow != "hier" || se.Stage != StageCompose {
 		t.Fatalf("want the parent stopped at its first stage boundary, got %v", err)
 	}
-}
-
-// FuzzDecodeAbstract holds the harden cache's payload decoder — it reads
-// bytes from disk — to FuzzDecodeResult's contract: no panic, no
-// allocation sized by a corrupt count (a pin or obstruction count is held
-// to the bytes left), and whatever decodes re-encodes to the same bytes.
-// The corpus is a good encoding and the two counts that once allocated
-// before the decoder failed: 45 bytes claiming 1<<20 pins (583 MB) and 53
-// claiming 1<<24 obstructions (4.9 GB).
-func FuzzDecodeAbstract(f *testing.F) {
-	good := &cell.Cell{
-		Name: "tile_abs", Width: 120, Height: 80, DriveRes: 1.5, Leakage: 7,
-		Pins: []cell.Pin{
-			{Name: "clk_i", Dir: cell.DirIn, Cap: 2, Offset: geom.Pt(0, 40), Layer: "M4", Clock: true},
-			{Name: "d_i", Dir: cell.DirIn, Cap: 1.2, Offset: geom.Pt(0, 10), Layer: "M4", Setup: 310},
-			{Name: "q_o", Dir: cell.DirOut, Offset: geom.Pt(120, 10), Layer: "M4", ClkQ: 95},
-		},
-		Obstructions: []cell.Obstruction{
-			{Layer: "M2", Rect: geom.R(0, 0, 60, 80)},
-			{Layer: "M3_MD", Rect: geom.R(30, 15, 45, 75)},
-		},
-		Abstract: &cell.AbstractInfo{SourceFlow: "Macro-3D", SourceConfig: "tiny", MinPeriodPs: 1200, EnergyPerCycleFJ: 4e4, LeakageUW: 7e-3, F2FBumps: 12},
-	}
-	f.Add(abstractBytes(good))
-	bomb := func(nPins, nObs int) []byte {
-		e := stash.NewEnc()
-		e.Str("a")
-		for range 4 {
-			e.F64(1)
-		}
-		e.Int(nPins)
-		if nObs > 0 {
-			e.Int(nObs)
-		}
-		return e.Bytes()
-	}
-	f.Add(bomb(1<<20, 0)) // 45 bytes
-	f.Add(bomb(0, 1<<24)) // 53 bytes
-	f.Fuzz(func(t *testing.T, b []byte) {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		c, err := decodeAbstract(stash.NewDec(b))
-		runtime.ReadMemStats(&m1)
-		if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(16*len(b)+64<<10); got > limit && !raceEnabled {
-			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(b), got, limit)
-		}
-		if err != nil {
-			return
-		}
-		if again := abstractBytes(c); !bytes.Equal(again, b) {
-			t.Fatalf("%d bytes decode but re-encode to %d different ones", len(b), len(again))
-		}
-	})
 }
 
 // TestHierArrayDeterministic pins the parallel-engine guarantee on the

@@ -3,6 +3,8 @@ package flows
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -187,8 +189,20 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 		}
 	}
 
-	if total, max := capped.Usage(); total > max || capped.Stats().Evictions == 0 {
-		t.Fatalf("shared cache holds %d B under a %d B cap after %d evictions", total, max, capped.Stats().Evictions)
+	snaps, err := filepath.Glob(filepath.Join(dir, "*.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, p := range snaps {
+		info, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += info.Size()
+	}
+	if total > capBytes || capped.Stats().Evictions == 0 {
+		t.Fatalf("shared cache holds %d B under a %d B cap after %d evictions", total, capBytes, capped.Stats().Evictions)
 	}
 	// Warm runs through the capped store would evict the very entries
 	// they are about to read (a sequential scan over an LRU), so they

@@ -82,6 +82,13 @@ func (e *Enc) Extend(n int) []byte {
 	return e.b[len(e.b)-n:]
 }
 
+// Write appends p: an Enc is an io.Writer, for a payload that is a
+// stream of its own (the harden region's LEF).
+func (e *Enc) Write(p []byte) (int, error) {
+	e.b = append(e.b, p...)
+	return len(p), nil
+}
+
 // I32s appends a length-prefixed []int32.
 func (e *Enc) I32s(v []int32) {
 	e.U32(uint32(len(v)))
@@ -169,6 +176,10 @@ func (d *Dec) U8() uint8 {
 // snapshot, for a caller that decodes fixed-width records in bulk and
 // keeps no reference. nil (and a sticky error) when fewer remain.
 func (d *Dec) View(n int) []byte { return d.take(n) }
+
+// Rest reads every byte left, without copying them: the payload a
+// Write stream left (see View).
+func (d *Dec) Rest() []byte { return d.take(len(d.b) - d.off) }
 
 // Bool reads a one-byte bool, rejecting values other than 0 and 1.
 func (d *Dec) Bool() bool {

@@ -115,9 +115,6 @@ func TestLRUEviction(t *testing.T) {
 			t.Errorf("entry %d lost or corrupt after eviction", i)
 		}
 	}
-	if total, max := s.Usage(); total > max {
-		t.Errorf("tracked usage %d exceeds cap %d", total, max)
-	}
 	assertDirUnder(t, dir, cap)
 	if st := s.Stats(); st.Evictions != 1 {
 		t.Errorf("Evictions = %d, want 1", st.Evictions)
@@ -153,8 +150,9 @@ func TestLRURecency(t *testing.T) {
 }
 
 // TestRecencyAcrossOpens: an entry's last use survives the process that
-// made it. A is written before B; a second open reads A (by Get, or
-// Touch); a third open capped at one entry keeps A and evicts B.
+// made it. A is written before B; a second open uses A (by Get, Touch,
+// or a duplicate Put); a third open capped at one entry keeps A and
+// evicts B.
 func TestRecencyAcrossOpens(t *testing.T) {
 	const payloadLen = 100
 	for _, use := range []struct {
@@ -163,6 +161,9 @@ func TestRecencyAcrossOpens(t *testing.T) {
 	}{
 		{"Get", func(s *Store, k Key) bool { _, ok := s.Get(k); return ok }},
 		{"Touch", (*Store).Touch},
+		{"Put", func(s *Store, k Key) bool {
+			return s.Put(k, bytes.Repeat([]byte{0}, payloadLen)) == nil && s.Stats().DupPuts == 1
+		}},
 	} {
 		t.Run(use.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -197,6 +198,29 @@ func TestRecencyAcrossOpens(t *testing.T) {
 				t.Error("the entry the last run did not use survived")
 			}
 		})
+	}
+}
+
+// TestCappedHandlesShareDirectory: two capped handles over one
+// directory keep it under their cap together. Each one's trim reads the
+// directory, so a Put through one handle counts what the other wrote.
+func TestCappedHandlesShareDirectory(t *testing.T) {
+	const payloadLen = 100
+	dir := t.TempDir()
+	cap := 2 * frameBytes(payloadLen)
+	var hs [2]*Store
+	for i := range hs {
+		s, err := OpenLimited(dir, cap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs[i] = s
+	}
+	for i := 0; i < 3; i++ {
+		if err := hs[i%2].Put(lruKey(i), bytes.Repeat([]byte{byte(i)}, payloadLen)); err != nil {
+			t.Fatal(err)
+		}
+		assertDirUnder(t, dir, cap)
 	}
 }
 
@@ -244,9 +268,6 @@ func TestOpenLimitedTrimsExisting(t *testing.T) {
 	s2, err := OpenLimited(dir, cap)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if total, _ := s2.Usage(); total > cap {
-		t.Errorf("usage %d exceeds cap %d after trim", total, cap)
 	}
 	assertDirUnder(t, dir, cap)
 	// The newest two survive, the oldest three are gone.
@@ -329,9 +350,6 @@ func TestGetDuringEviction(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	if total, max := s.Usage(); total > max {
-		t.Errorf("usage %d over cap %d after contention", total, max)
-	}
 	assertDirUnder(t, dir, cap)
 }
 

@@ -16,7 +16,7 @@ package stash
 
 import (
 	"bytes"
-	"container/list"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -24,6 +24,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,11 +77,29 @@ type Stats struct {
 }
 
 // Store is a cache directory. All methods are safe for concurrent use,
-// including concurrent use of the same key: same-key Puts serialize on
-// a per-key lock (first writer wins, later writers skip), and evicting
-// an entry never corrupts a concurrent read of it. A Store opened with
-// OpenLimited additionally keeps the directory under a byte cap with
-// LRU eviction.
+// so a Store is a *shared* artifact store — flows running at once over
+// one directory — and, through the CLI's -cache-max-bytes, a bounded
+// one:
+//
+//   - Single-writer-per-key: concurrent Puts of the same key serialize
+//     on a per-key lock, and the second writer finds the entry already
+//     present and skips the write entirely (same key ⇒ same content in
+//     a content-addressed store, so first-wins is sound and saves the
+//     duplicate I/O). Evict takes the same lock, so a Put can never
+//     interleave with an eviction of its own key.
+//
+//   - Byte cap, least recently used first: an entry's modification time
+//     is its last use (Get, Touch and Put, a duplicate Put included, set
+//     it to now), and a Store opened with OpenLimited scans the
+//     directory after each Put, and once at open, removing the entries
+//     with the oldest times until the snapshots fit the cap. The files
+//     are the only record of size and recency, so handles over one
+//     directory, in one process or in several, see each other's writes
+//     and uses. Readers are never harmed by eviction: Get opens the file
+//     before any concurrent Remove could run, and POSIX keeps an
+//     unlinked-but-open file readable, so a hit always returns a
+//     complete, checksum-verified payload — eviction can only turn a
+//     would-be hit into a miss.
 type Store struct {
 	dir string
 
@@ -87,14 +107,11 @@ type Store struct {
 	bytesRead, bytesWritten             atomic.Uint64
 	dupPuts, capSkips                   atomic.Uint64
 
-	// Per-key write locks (see keyLock) and the LRU index of a
-	// byte-capped store (nil maps/list when unlimited; see lru.go).
+	// Per-key write locks (see keyLock), and the byte cap (0 when
+	// unlimited) with the lock its trims serialize on (see trim).
 	locks    sync.Map
 	maxBytes int64
-	lmu      sync.Mutex
-	ll       *list.List
-	idx      map[Key]*list.Element
-	total    int64
+	trimMu   sync.Mutex
 }
 
 // Open opens (creating if needed) a cache directory.
@@ -103,6 +120,23 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("stash: open %s: %w", dir, err)
 	}
 	return &Store{dir: dir}, nil
+}
+
+// OpenLimited opens a cache directory with a byte cap: the total size
+// of all snapshot frames is kept at or below maxBytes by evicting the
+// least-recently-used entries, and a directory that already exceeds the
+// cap is trimmed at once. maxBytes <= 0 means unlimited (identical to
+// Open).
+func OpenLimited(dir string, maxBytes int64) (*Store, error) {
+	s, err := Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	s.maxBytes = maxBytes
+	if err := s.trim(""); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Dir returns the cache directory.
@@ -150,17 +184,16 @@ func (s *Store) Touch(k Key) bool {
 	return true
 }
 
-// used makes k the most recently used entry, in the index and on disk:
-// its modification time is its last use, which OpenLimited ranks by in a
-// later process. It reports false when the file is not there; a failure
-// to set the time otherwise leaves the entry as it was.
+// used makes k the most recently used entry: its modification time is
+// its last use, which a capped store's trims rank by, in this process
+// or a later one. The time is set to now, not left to the write: the
+// kernel's write time is coarse, so an entry written within one clock
+// tick of another could tie with it. It reports false when the file is
+// not there; a failure to set the time otherwise leaves the entry as it
+// was.
 func (s *Store) used(k Key) bool {
 	now := time.Now()
-	if err := os.Chtimes(s.Path(k), now, now); errors.Is(err, fs.ErrNotExist) {
-		return false
-	}
-	s.markUsed(k)
-	return true
+	return !errors.Is(os.Chtimes(s.Path(k), now, now), fs.ErrNotExist)
 }
 
 // Put stores payload under k, atomically: the frame is written to a
@@ -168,22 +201,20 @@ func (s *Store) used(k Key) bool {
 // crash or full disk mid-write leaves no entry at all. Concurrent Puts
 // of the same key serialize; the losers find the entry present and
 // return without writing (the store is content-addressed — same key,
-// same content). Put does not read what is there: a corrupt entry is
-// healed by the next Get, which evicts it, not by a Put over it. On a
-// byte-capped store the write may displace the
-// least-recently-used entries, and a payload that alone exceeds the
-// cap is not stored at all.
+// same content), but a duplicate Put is a use of the entry, as a Get
+// is. Put does not read what is there: a corrupt entry is healed by the
+// next Get, which evicts it, not by a Put over it. On a byte-capped
+// store the write may displace the least-recently-used entries, and a
+// payload that alone exceeds the cap is not stored at all.
 func (s *Store) Put(k Key, payload []byte) error {
 	mu := s.keyLock(k)
 	mu.Lock()
 	defer mu.Unlock()
-	if s.exists(k) {
+	if s.used(k) {
 		s.dupPuts.Add(1)
-		s.markUsed(k)
 		return nil
 	}
-	frameSize := int64(headerSize + len(payload))
-	if s.maxBytes > 0 && frameSize > s.maxBytes {
+	if s.maxBytes > 0 && int64(headerSize+len(payload)) > s.maxBytes {
 		s.capSkips.Add(1)
 		return nil
 	}
@@ -213,10 +244,75 @@ func (s *Store) Put(k Key, payload []byte) error {
 		s.errs.Add(1)
 		return fmt.Errorf("stash: put %s: %w", k, err)
 	}
-	s.admit(k, frameSize)
+	s.used(k) // the write's own time is too coarse to rank by
 	s.puts.Add(1)
 	s.bytesWritten.Add(uint64(len(payload)))
+	if err := s.trim(filepath.Base(s.Path(k))); err != nil {
+		s.errs.Add(1)
+	}
 	return nil
+}
+
+// trim removes snapshots, oldest modification time first, until the
+// directory's fit the cap, sparing the file named keep (the entry just
+// written; "" spares none). Trims serialize, so no two pick the same
+// victim.
+func (s *Store) trim(keep string) error {
+	if s.maxBytes <= 0 {
+		return nil
+	}
+	s.trimMu.Lock()
+	defer s.trimMu.Unlock()
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		return fmt.Errorf("stash: trim %s: %w", s.dir, err)
+	}
+	type snap struct {
+		name string
+		size int64
+		used time.Time
+	}
+	var snaps []snap
+	var total int64
+	for _, ent := range entries {
+		if !strings.HasSuffix(ent.Name(), ".snap") {
+			continue
+		}
+		info, err := ent.Info()
+		if err != nil { // removed since the scan
+			continue
+		}
+		snaps = append(snaps, snap{ent.Name(), info.Size(), info.ModTime()})
+		total += info.Size()
+	}
+	if total <= s.maxBytes {
+		return nil
+	}
+	slices.SortFunc(snaps, func(a, b snap) int {
+		return cmp.Or(a.used.Compare(b.used), strings.Compare(a.name, b.name))
+	})
+	for _, sn := range snaps {
+		if total <= s.maxBytes {
+			break
+		}
+		if sn.name == keep {
+			continue
+		}
+		total -= sn.size
+		s.remove(filepath.Join(s.dir, sn.name))
+	}
+	return nil
+}
+
+// keyLock returns the per-key write lock, creating it on first use.
+// Locks are never removed — the key space of one run is small (one
+// lock per distinct checkpoint), so the map stays bounded.
+func (s *Store) keyLock(k Key) *sync.Mutex {
+	if mu, ok := s.locks.Load(k); ok {
+		return mu.(*sync.Mutex)
+	}
+	mu, _ := s.locks.LoadOrStore(k, &sync.Mutex{})
+	return mu.(*sync.Mutex)
 }
 
 // Evict removes the entry stored under k, if any. It takes the key's
@@ -227,8 +323,15 @@ func (s *Store) Evict(k Key) {
 	mu := s.keyLock(k)
 	mu.Lock()
 	defer mu.Unlock()
-	s.forget(k)
-	if err := os.Remove(s.Path(k)); err == nil {
+	s.remove(s.Path(k))
+}
+
+// remove deletes a snapshot file, counting an eviction, or an error if
+// it was there and stays. It is safe against concurrent readers: an
+// already-opened file stays readable until closed (POSIX), and a reader
+// that has not opened it yet simply misses.
+func (s *Store) remove(path string) {
+	if err := os.Remove(path); err == nil {
 		s.evictions.Add(1)
 	} else if !os.IsNotExist(err) {
 		s.errs.Add(1)
