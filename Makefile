@@ -179,16 +179,19 @@ faults:
 ## 30 µs kernel's time is timer noise (WLGradient: all an iteration
 ## spends on wirelength — exponentials, net pass, cell pass;
 ## PoissonSolve: the density field; both 0 allocs/op). The two runs
-## are recorded as one machine-readable BENCH_opt.json. It ends by
-## comparing the new file with the one it replaces, benchmark by
+## are recorded as one machine-readable BENCH_opt.new.json. It ends by
+## comparing the new file with the committed BENCH_opt.json, benchmark by
 ## benchmark (time/op; allocs/op beyond max(2, 0.1 %) of the old count,
-## the runtime's own jitter at -benchtime 1x), failing on a regression
-## that is not noise.
+## the runtime's own jitter at -benchtime 1x). Only when the comparison
+## passes does the new file replace the committed one; a regression that
+## is not noise exits non-zero and leaves BENCH_opt.new.json beside it
+## for inspection.
 bench:
 	{ $(GO) test -bench 'TableII|Optimize|EngineUpdateTopo|TxnReroute|^BenchmarkPlace$$|^BenchmarkRouteDesign$$|NewFreeSpace|Legalize|PartitionTiers|Generate|TileCopy|Abut4x4|ResultCodec|CTSBuild|AnalyzeArray4x4|MazeRoute|TeamChunks' -benchmem -count 5 -benchtime 1x -run '^$$' . ./internal/flows ./internal/place ./internal/partition ./internal/route ./internal/par && \
 	  $(GO) test -bench '^BenchmarkWLGradient$$|^BenchmarkPoissonSolve$$' -benchmem -count 5 -run '^$$' ./internal/place; } | $(GO) run ./cmd/benchjson -o BENCH_opt.new.json
 	cat BENCH_opt.new.json
-	$(GO) run ./cmd/benchjson -compare BENCH_opt.json BENCH_opt.new.json; s=$$?; mv BENCH_opt.new.json BENCH_opt.json; exit $$s
+	$(GO) run ./cmd/benchjson -compare BENCH_opt.json BENCH_opt.new.json
+	mv BENCH_opt.new.json BENCH_opt.json
 
 ## bench-flow: the flow ledger (bench/, gated by BENCHMARK.json) — the
 ## seven end-to-end metrics of each of the four workloads, one JSON line

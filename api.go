@@ -126,8 +126,8 @@ func NewSensor(name string, w, h float64, dataBits int) (*Cell, error) {
 	return cell.NewSensor(name, w, h, dataBits)
 }
 
-// NewLibrary returns an empty cell library (e.g. to hold a single
-// hardened abstract for LEF export).
+// NewLibrary returns an empty cell library (e.g. to gather cells for a
+// LEF export).
 func NewLibrary(name string) *Library { return cell.NewLibrary(name) }
 
 // NewStdLib28 builds the synthetic 28 nm standard-cell library.
@@ -340,6 +340,10 @@ type DEFContent = lefdef.DEFContent
 // WriteLEF emits a technology stack and/or library in the repository's
 // LEF dialect (either argument may be nil).
 func WriteLEF(w io.Writer, b *BEOL, lib *Library) error { return lefdef.WriteLEF(w, b, lib) }
+
+// WriteAbstractLEF writes a hardened abstract as a single-macro library
+// LEF: what `macro3d harden -o` exports and the stage cache stores.
+func WriteAbstractLEF(w io.Writer, abs *Cell) error { return flows.WriteAbstractLEF(w, abs) }
 
 // ParseLEF reads the dialect WriteLEF emits.
 func ParseLEF(r io.Reader) (*LEFContent, error) { return lefdef.ParseLEF(r) }

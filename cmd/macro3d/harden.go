@@ -72,7 +72,7 @@ func harden(ctx context.Context, o *hardenOptions) error {
 	fmt.Printf("  F2F bumps      %10d\n", abs.Abstract.F2FBumps)
 
 	if o.lefOut != "" {
-		if err := writeAbstractLEF(o.lefOut, abs); err != nil {
+		if err := writeAtomic(o.lefOut, func(w io.Writer) error { return macro3d.WriteAbstractLEF(w, abs) }); err != nil {
 			return fmt.Errorf("-o: %w", err)
 		}
 		fmt.Printf("  abstract LEF written to %s\n", o.lefOut)
@@ -107,12 +107,4 @@ func macroDieObstructions(abs *macro3d.Cell) int {
 		}
 	}
 	return n
-}
-
-// writeAbstractLEF exports a single-macro library LEF carrying the
-// abstract's boundary pins, obstructions and timing properties.
-func writeAbstractLEF(path string, abs *macro3d.Cell) error {
-	lib := macro3d.NewLibrary(abs.Name + "_lib")
-	lib.Add(abs)
-	return writeAtomic(path, func(w io.Writer) error { return macro3d.WriteLEF(w, nil, lib) })
 }

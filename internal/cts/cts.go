@@ -77,7 +77,7 @@ type Tree struct {
 	RootDelay float64
 
 	// Latency is the insertion delay by instance ID, ps: 0 where the tree
-	// does not reach. It covers the instances the design had when the
+	// does not reach. It spans the instances the design had when the
 	// tree was built; read it through LatencyOf.
 	Latency []float64
 }

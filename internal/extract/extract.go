@@ -12,6 +12,7 @@ import (
 	"math"
 	"slices"
 
+	"macro3d/internal/geom"
 	"macro3d/internal/netlist"
 	"macro3d/internal/par"
 	"macro3d/internal/route"
@@ -552,13 +553,6 @@ func edgeRC(e route.Seg, db *route.DB, corner tech.CornerScale) (r, c float64) {
 		return v.R * corner.WireR, v.C * corner.WireC
 	}
 	ly := db.Beol.Layers[e.A.L]
-	length := float64(abs(int(e.B.X)-int(e.A.X)))*db.Grid.DX + float64(abs(int(e.B.Y)-int(e.A.Y)))*db.Grid.DY
+	length := float64(geom.AbsInt(int(e.B.X)-int(e.A.X)))*db.Grid.DX + float64(geom.AbsInt(int(e.B.Y)-int(e.A.Y)))*db.Grid.DY
 	return length * ly.RPerUm * corner.WireR, length * ly.CPerUm * corner.WireC
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

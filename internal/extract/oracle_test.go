@@ -49,7 +49,7 @@ func extractNetOracle(n *netlist.Net, r *route.NetRoute, db *route.DB, corner te
 			continue
 		}
 		ly := db.Beol.Layers[s.A.L]
-		length := float64(abs(int(s.B.X)-int(s.A.X)))*db.Grid.DX + float64(abs(int(s.B.Y)-int(s.A.Y)))*db.Grid.DY
+		length := float64(geom.AbsInt(int(s.B.X)-int(s.A.X)))*db.Grid.DX + float64(geom.AbsInt(int(s.B.Y)-int(s.A.Y)))*db.Grid.DY
 		res := length * ly.RPerUm * corner.WireR
 		c := length * ly.CPerUm * corner.WireC
 		rc.WireC += c

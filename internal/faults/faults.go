@@ -174,7 +174,7 @@ func Classes() []Class {
 		},
 		{
 			// A routed signal net gains a via whose lower landing lies in
-			// a gcell-layer a macro obstruction covers whole, away from
+			// a gcell-layer a macro obstruction fills whole, away from
 			// its pins: a wire into an SRAM, which the obstruction check
 			// must report.
 			Name:  "route-through-obstruction",

@@ -25,9 +25,20 @@ func tinyCacheCfg() Config {
 	return Config{Piton: piton.Tiny(), Seed: 7}
 }
 
+// openStore opens a stage cache over a fresh directory.
+func openStore(t *testing.T) *stash.Store {
+	t.Helper()
+	s, err := stash.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestStageCachePrefixSharing pins that runs differing only in
-// TargetPeriod share the place and route snapshots: the target enters
-// the chain at the signoff checkpoint, not the root key.
+// TargetPeriod share the place snapshot: the target enters the chain at
+// the signoff checkpoint, not the root key, and that region, routing
+// included, re-runs.
 func TestStageCachePrefixSharing(t *testing.T) {
 	dir := t.TempDir()
 	s, err := stash.Open(dir)
@@ -45,13 +56,12 @@ func TestStageCachePrefixSharing(t *testing.T) {
 	cfg = tinyCacheCfg()
 	cfg.Cache = s2
 	cfg.TargetPeriod = maxPerf.MinPeriodPs * 2
-	mustRun(t, "macro3d", cfg)
-	st := s2.Stats()
-	if st.Hits < 2 {
-		t.Errorf("iso-performance run should hit the shared place+route prefix, stats = %+v", st)
+	_, st := mustRun(t, "macro3d", cfg)
+	if ss := s2.Stats(); ss.Hits != 1 || ss.Misses != 1 {
+		t.Errorf("iso-performance run should hit the place snapshot and miss the signoff one, stats = %+v", ss)
 	}
-	if st.Misses == 0 {
-		t.Errorf("iso-performance run must re-run signoff (different target), stats = %+v", st)
+	if got, want := renderStages(st.Trace), "generate floorplan prepare place* cts route extract opt sta power"; got != want {
+		t.Errorf("iso-performance stage sequence:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -137,8 +147,8 @@ func TestStageCacheKeyStability(t *testing.T) {
 // piton.Config means revisiting rootKey and this test. The same holds
 // for Config: each field is on rootKey's list of the deliberately
 // excluded, or it moves the key material of the first checkpoint that
-// depends on it — the root, the 3D stack's, the blockage resolution's
-// or the signoff's.
+// depends on it — the root, the 3D stack's, the pseudo region's or the
+// signoff's.
 func TestRootKeyCoversPitonConfig(t *testing.T) {
 	cfg := tinyCacheCfg().withDefaults()
 	base, err := rootKey("Macro-3D", cfg)
@@ -189,7 +199,7 @@ func TestRootKeyCoversPitonConfig(t *testing.T) {
 		return k[:]
 	}
 	stack := func(c Config) []byte { return stackMaterial(c, tc) }
-	signoff := func(c Config) []byte { return signoffMaterial(c.budget(opt.Options{})) }
+	signoff := func(c Config) []byte { return signoffMaterial(nil, c.budget(opt.Options{})) }
 	keyed := map[string]struct {
 		material func(Config) []byte
 		vary     func(*Config)
@@ -198,7 +208,7 @@ func TestRootKeyCoversPitonConfig(t *testing.T) {
 		"Seed":               {root, func(c *Config) { c.Seed++ }},
 		"MacroDieMetals":     {stack, func(c *Config) { c.MacroDieMetals-- }},
 		"F2F":                {stack, func(c *Config) { s := tc.F2F; s.Pitch *= 2; c.F2F = &s }},
-		"BlockageResolution": {resolutionMaterial, func(c *Config) { c.BlockageResolution *= 2 }},
+		"BlockageResolution": {pseudoMaterial, func(c *Config) { c.BlockageResolution *= 2 }},
 		"TargetPeriod":       {signoff, func(c *Config) { c.TargetPeriod = 900 }},
 	}
 	f, err := parser.ParseFile(token.NewFileSet(), "checkpoint.go", nil, parser.ParseComments)
@@ -317,7 +327,7 @@ func TestStageCacheCorruptionRecovery(t *testing.T) {
 		if ws := warm.Stats(); ws.Evictions != 1 {
 			t.Errorf("the truncated harden snapshot must be evicted, stats = %+v", ws)
 		}
-		if got, want := renderStages(hr.Trace), "generate floorplan prepare place* cts route* signoff* power condense"; got != want {
+		if got, want := renderStages(hr.Trace), "generate floorplan prepare place* cts signoff* power condense"; got != want {
 			t.Errorf("recovery stage sequence:\n got %s\nwant %s", got, want)
 		}
 		if !bytes.Equal(abstractBytes(cold.Abstract), abstractBytes(hr.Abstract)) {
@@ -462,7 +472,7 @@ func TestStageCacheVersionMiss(t *testing.T) {
 		"d68ef64f1e66ecc8f19bbf8b5bed91f9fb040f5efb6a11c41375366205ffcca8.snap",
 		"fe9b9a9ac3f0be5fff3c2626c381bfd80de20de3edc1c4a7bcf4a6f1894ae79f.snap",
 	}
-	const own = 3 // checkpoints of one macro3d run
+	const own = 2 // checkpoints of one macro3d run
 	dir := t.TempDir()
 	old := []byte("M3DSNAP1\x03\x00\x00\x00 a snapshot of an earlier version")
 	for _, name := range stale {
@@ -501,14 +511,70 @@ func TestStageCacheVersionMiss(t *testing.T) {
 	}
 }
 
+// TestPseudoRevisionMissesPrePartitionSnapshot: the pseudo region of
+// revision 1 ended before the tier partition, so its snapshot is the
+// placement the partition starts from, which loads cleanly into the real
+// design. Revision 2 ends with the partition, and its key must differ
+// from revision 1's: a run beside such an entry does not read it, while
+// the same bytes under the revision-2 key load without error and end
+// the run elsewhere.
+func TestPseudoRevisionMissesPrePartitionSnapshot(t *testing.T) {
+	cfg := tinyCacheCfg()
+	cfg.Cache = openStore(t)
+	var key stash.Key
+	var prePartition []byte
+	f := runFlowHooked(t, "s2d", cfg, func(f *flow, name string) {
+		switch name {
+		case "pseudo-" + StageFloorplan:
+			key = f.key // inside a region, the runner's key is the region's
+		case StagePartition:
+			e := stash.NewEnc()
+			if err := placementCheckpoint("pseudo", nil, f.st).save(e); err != nil {
+				t.Fatal(err)
+			}
+			prePartition = e.Bytes()
+		}
+	})
+	cold := f.ppa
+
+	wd := cfg.withDefaults()
+	root, err := rootKey("S2D", wd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev1 := stash.NewEnc() // pseudoMaterial as revision 1 wrote it
+	rev1.Int(1)
+	rev1.F64(wd.BlockageResolution)
+	old := root.Derive("pseudo", rev1.Bytes())
+	if key != root.Derive("pseudo", pseudoMaterial(wd)) || key == old {
+		t.Fatalf("pseudo key %s; revision 1's is %s", key, old)
+	}
+
+	run := func(k stash.Key) (*PPA, stash.Stats) {
+		s := openStore(t)
+		if err := s.Put(k, prePartition); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Cache = s
+		ppa, _ := mustRun(t, "s2d", cfg)
+		return ppa, s.Stats()
+	}
+	if ppa, st := run(old); st.Hits != 0 || st.BytesRead != 0 || *ppa != *cold {
+		t.Errorf("beside a revision-1 entry: stats %+v, PPA equal to cold %v", st, *ppa == *cold)
+	}
+	if ppa, st := run(key); st.Hits != 1 || st.Errors != 0 || *ppa == *cold {
+		t.Errorf("the pre-partition placement under the revision-2 key: stats %+v, PPA equal to cold %v; want a clean load and another result", st, *ppa == *cold)
+	}
+}
+
 // coldKeyed runs Macro-3D cold into s and returns its PPA, and the keys
-// of its place, route and sign-off snapshots with their payloads.
+// of its place and sign-off snapshots with their payloads.
 func coldKeyed(t *testing.T, s *stash.Store) (*PPA, map[string]stash.Key, map[string][]byte) {
 	t.Helper()
 	cfg := tinyCacheCfg()
 	cfg.Cache = s
 	// Inside a region, the runner's key is the region's.
-	first := map[string]string{StagePlace: StagePlace, StageRoute: StageRoute, StageExtract: "signoff"}
+	first := map[string]string{StagePlace: StagePlace, StageRoute: "signoff"}
 	keys := map[string]stash.Key{}
 	f := runFlowHooked(t, "macro3d", cfg, func(f *flow, name string) {
 		if region, ok := first[name]; ok {
@@ -526,10 +592,10 @@ func coldKeyed(t *testing.T, s *stash.Store) (*PPA, map[string]stash.Key, map[st
 	return f.ppa, keys, payloads
 }
 
-// TestCoveringSnapshotLoadFailure re-frames the sign-off snapshot with a
-// truncated payload: its load fails, so the route snapshot it covers is
-// read and decoded after all, sign-off re-runs and stores a good
-// snapshot, and the PPA is the cold run's.
+// TestCoveringSnapshotLoadFailure re-frames the sign-off snapshot, the
+// one snapshot covering routing and sign-off, with a truncated payload:
+// its load fails, so the whole region — routing included — re-runs and
+// stores a good snapshot, and the PPA is the cold run's.
 func TestCoveringSnapshotLoadFailure(t *testing.T) {
 	dir := t.TempDir()
 	s, err := stash.Open(dir)
@@ -550,49 +616,16 @@ func TestCoveringSnapshotLoadFailure(t *testing.T) {
 	cfg := tinyCacheCfg()
 	cfg.Cache = warm
 	ppa, st := mustRun(t, "macro3d", cfg)
-	const want = "generate floorplan prepare place* cts route* signoff! route* extract opt sta power"
+	const want = "generate floorplan prepare place* cts signoff! route extract opt sta power"
 	if got := renderStages(st.Trace); got != want {
 		t.Errorf("stage sequence:\n got %s\nwant %s", got, want)
 	}
 	ws := warm.Stats()
-	if read := len(payloads[StagePlace]) + len(payloads[StageRoute]) + len(short); ws.BytesRead != uint64(read) || ws.Puts != 1 {
-		t.Errorf("stats %+v; want the place, route and short sign-off payloads read (%d bytes) and the sign-off stored again", ws, read)
+	if read := len(payloads[StagePlace]) + len(short); ws.BytesRead != uint64(read) || ws.Puts != 1 {
+		t.Errorf("stats %+v; want the place and short sign-off payloads read (%d bytes) and the sign-off stored again", ws, read)
 	}
-	if *ppa != *cold {
-		t.Errorf("PPA differs from cold:\n  %+v\n  %+v", cold, ppa)
-	}
-}
-
-// TestCorruptCoveredSnapshotIsNotRead flips a byte of the route snapshot
-// under a good sign-off one: the warm run never reads it, so it is all
-// hits, and the bytes it reads are the place and sign-off payloads.
-func TestCorruptCoveredSnapshotIsNotRead(t *testing.T) {
-	dir := t.TempDir()
-	s, err := stash.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, keys, payloads := coldKeyed(t, s)
-	path := s.Path(keys[StageRoute])
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)-1] ^= 0x10
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	warm, err := stash.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := tinyCacheCfg()
-	cfg.Cache = warm
-	ppa, _ := mustRun(t, "macro3d", cfg)
-	ws := warm.Stats()
-	if read := len(payloads[StagePlace]) + len(payloads["signoff"]); ws.Hits != 3 || ws.Misses != 0 || ws.Evictions != 0 || ws.BytesRead != uint64(read) {
-		t.Errorf("stats %+v; want 3 hits and the place and sign-off payloads read (%d bytes)", ws, read)
+	if stored, ok := warm.Get(keys["signoff"]); !ok || !bytes.Equal(stored, payloads["signoff"]) {
+		t.Error("the sign-off snapshot stored again is not the cold run's")
 	}
 	if *ppa != *cold {
 		t.Errorf("PPA differs from cold:\n  %+v\n  %+v", cold, ppa)

@@ -107,23 +107,18 @@ func stackMaterial(cfg Config, t *tech.Tech) []byte {
 	return e.Bytes()
 }
 
-// resolutionMaterial keys the S2D/C2D pseudo and partition
-// checkpoints on the partial-blockage rasterization pitch.
-func resolutionMaterial(cfg Config) []byte {
-	e := stash.NewEnc()
-	e.F64(cfg.BlockageResolution)
-	return e.Bytes()
-}
-
 // pseudoRevision versions the pseudo checkpoint's snapshot beyond its
 // inputs. 1: it is a placement snapshot of every instance of the real
 // design (placementCheckpoint), no longer a codec of its own over the
 // standard cells — a snapshot written before must miss, not fail to
-// decode.
-const pseudoRevision = 1
+// decode. 2: the region ends in the tier partition, so it holds the
+// partitioned placement; a revision-1 snapshot holds the placement
+// before it and would decode cleanly.
+const pseudoRevision = 2
 
 // pseudoMaterial is the pseudo checkpoint's key material: the
-// snapshot's revision and the blockage pitch (resolutionMaterial).
+// snapshot's revision and the blockage pitch the pseudo floorplan
+// rasterizes at and the partition balances bins by.
 func pseudoMaterial(cfg Config) []byte {
 	e := stash.NewEnc()
 	e.Int(pseudoRevision)
@@ -141,28 +136,6 @@ type checkpoint struct {
 	material []byte
 	save     func(*stash.Enc) error
 	load     func(*stash.Dec) error
-
-	// skip, when set, is all a region does when the region after it
-	// covers it and both hit: the state the covering load builds on.
-	skip func()
-}
-
-// lookahead is a covering region's cache lookup, made when the region it
-// covers was reached. covered is that region when the lookup superseded
-// it: it is restored after all should this snapshot fail to load.
-type lookahead struct {
-	key     stash.Key
-	payload []byte
-	hit     bool
-	covered *cachedRegion
-}
-
-// cachedRegion is a checkpoint region under its key, with the stages it
-// runs on a miss.
-type cachedRegion struct {
-	cp  checkpoint
-	key stash.Key
-	sub []stage
 }
 
 // counter returns a named run counter, or nil (nil counters no-op).
@@ -195,13 +168,7 @@ func (r *runner) stashErrors() *obs.Counter {
 // failures never fail a flow — except under Check, where a hit re-runs
 // the region and a snapshot that is not bit-identical to the re-run
 // state is a hard error.
-//
-// next is the spec of the region after this one when that region
-// covers it. Its snapshot is looked up first, and when both hit this
-// region's is not read: it is recorded as a cached hit, superseded, and
-// does only its skip. Should the covering snapshot then fail to load,
-// this region is restored as usual before the covering one runs.
-func (r *runner) checkpointed(cp checkpoint, next func() checkpoint, sub []stage) error {
+func (r *runner) checkpointed(cp checkpoint, sub []stage) error {
 	if r.caching && r.key == (stash.Key{}) {
 		// The chain's root, at the first region: a list without one never
 		// fingerprints the technology. A failing fingerprint silently
@@ -215,35 +182,7 @@ func (r *runner) checkpointed(cp checkpoint, next func() checkpoint, sub []stage
 	key := r.key.Derive(cp.name, cp.material)
 	r.key = key
 
-	if next != nil && !r.cfg.Check {
-		ncp := next()
-		nkey := key.Derive(ncp.name, ncp.material)
-		payload, hit := r.cfg.Cache.Get(nkey)
-		r.ahead = lookahead{key: nkey, payload: payload, hit: hit}
-		if hit && r.cfg.Cache.Touch(key) {
-			r.supersede(cp)
-			r.ahead.covered = &cachedRegion{cp, key, sub}
-			return nil
-		}
-	}
-	return r.restore(cp, key, sub)
-}
-
-// lookup is the cache lookup of key: the one made ahead of the region,
-// or a Get.
-func (r *runner) lookup(key stash.Key) (payload []byte, hit bool, covered *cachedRegion) {
-	if a := r.ahead; a.key == key {
-		r.ahead = lookahead{}
-		return a.payload, a.hit, a.covered
-	}
-	payload, hit = r.cfg.Cache.Get(key)
-	return payload, hit, nil
-}
-
-// restore loads the region's snapshot, or runs the region and stores
-// one.
-func (r *runner) restore(cp checkpoint, key stash.Key, sub []stage) error {
-	payload, hit, covered := r.lookup(key)
+	payload, hit := r.cfg.Cache.Get(key)
 	if !hit {
 		r.stashMisses().Inc()
 		return r.runAndStore(cp, key, sub)
@@ -275,29 +214,7 @@ func (r *runner) restore(cp checkpoint, key stash.Key, sub []stage) error {
 	r.cfg.Cache.Evict(key)
 	r.stashErrors().Inc()
 	r.stashMisses().Inc()
-	if covered != nil {
-		if err := r.restore(covered.cp, covered.key, covered.sub); err != nil {
-			return err
-		}
-	}
 	return r.runAndStore(cp, key, sub)
-}
-
-// supersede stands in for restoring a region the next one covers: it
-// does the region's skip and records a cached hit of no bytes.
-func (r *runner) supersede(cp checkpoint) {
-	if r.span != nil {
-		r.cur = r.span.Child(cp.name, obs.KV("cache", "superseded"))
-	}
-	start := time.Now()
-	if cp.skip != nil {
-		cp.skip()
-	}
-	dur := time.Since(start)
-	r.cur.End()
-	r.cur = nil
-	r.cached(cp.name, dur)
-	r.cfg.Obs.Sample()
 }
 
 // cached records a region restored from the cache and counts the hit.
@@ -582,7 +499,8 @@ func placementSize(d *netlist.Design) int {
 // placementCheckpoint snapshots the full placement state of every
 // instance (location, orientation, die, flags, master). Used for the
 // place stage of the 2D and Macro-3D flows and for the S2D/C2D pseudo
-// phase and tier partition, none of which add or remove instances.
+// region, which ends in the tier partition; neither adds or removes
+// instances of the design it snapshots.
 func placementCheckpoint(name string, material []byte, st *State) checkpoint {
 	d := st.Design
 	return checkpoint{
@@ -856,49 +774,4 @@ func checkRoutePins(res *route.Result, pins func(net int) int) error {
 		}
 	}
 	return nil
-}
-
-// routeCheckpoint snapshots the routing result plus the DB's dynamic
-// state (usage, negotiation history, F2F bump usage — the history is
-// not derivable from the final routes but feeds downstream ECO cost).
-// build reconstructs the empty DB on the load path exactly as the
-// route stage would; it is all a region the sign-off snapshot covers
-// does.
-func routeCheckpoint(st *State, material []byte, build func()) checkpoint {
-	d := st.Design
-	return checkpoint{
-		name:     StageRoute,
-		material: material,
-		save: func(e *stash.Enc) error {
-			e.Grow(resultSize(st.Routes) + dynStateSize(st.DB))
-			encodeResult(e, st.Routes)
-			encodeDynState(e, st.DB)
-			return nil
-		},
-		load: func(dec *stash.Dec) error {
-			res, err := decodeResult(dec)
-			if err != nil {
-				return err
-			}
-			u := dec.I32s()
-			h := dec.F32s()
-			f := dec.I32s()
-			if err := dec.Done(); err != nil {
-				return err
-			}
-			if len(res.Routes) != len(d.Nets) {
-				return fmt.Errorf("route snapshot covers %d nets, design has %d", len(res.Routes), len(d.Nets))
-			}
-			if err := checkRoutePins(res, func(i int) int { return d.Nets[i].NumPins() }); err != nil {
-				return err
-			}
-			build()
-			if err := st.DB.SetDynState(u, h, f); err != nil {
-				return err
-			}
-			st.Routes = res
-			return nil
-		},
-		skip: build,
-	}
 }

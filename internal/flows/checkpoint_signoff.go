@@ -304,9 +304,9 @@ func signoffSize(st *State, preInst, preNet int) int {
 	return size
 }
 
-// signoffCheckpoint snapshots the extract+opt region: the design delta
-// optimization produced (resizes, inserted buffers and their nets,
-// rewired sinks), the post-ECO routes and DB dynamic state, and the
+// signoffCheckpoint snapshots the route+extract+opt+sta region: the
+// design delta optimization produced (resizes, inserted buffers and their
+// nets, rewired sinks), the post-ECO routes and DB dynamic state, and the
 // timing report. Slow-corner extraction is cheap and pure, so on load
 // it re-runs from scratch rather than being stored — incremental and
 // from-scratch extraction are bit-identical by the ddb equivalence
@@ -317,7 +317,7 @@ func (f *flow) signoffCheckpoint(budget opt.Options) checkpoint {
 	preInst, preNet := d.Counts()
 	return checkpoint{
 		name:     "signoff",
-		material: signoffMaterial(budget),
+		material: signoffMaterial(f.material(), budget),
 		save: func(e *stash.Enc) error {
 			e.Grow(signoffSize(st, preInst, preNet))
 			e.Str(d.Name)
@@ -417,7 +417,8 @@ func (f *flow) signoffCheckpoint(budget opt.Options) checkpoint {
 			if err := checkRoutePins(routes, func(i int) int { return 1 + len(nets[i].sinks) }); err != nil {
 				return err
 			}
-			if err := st.DB.CheckDynState(u, h, fr); err != nil {
+			db := f.newDB() // the route stage's, empty
+			if err := db.CheckDynState(u, h, fr); err != nil {
 				return fmt.Errorf("signoff snapshot: %w", err)
 			}
 			if err := rep.validate(masterOf, postInst, len(d.Ports)); err != nil {
@@ -440,8 +441,8 @@ func (f *flow) signoffCheckpoint(budget opt.Options) checkpoint {
 			for i := 0; i < preNet; i++ {
 				nets[i].apply(d, d.Nets[i])
 			}
-			st.Routes = routes
-			st.DB.SetDynState(u, h, fr)
+			st.Routes, st.DB = routes, db
+			db.SetDynState(u, h, fr)
 			st.ExSlow = f.extractSlow()
 			st.Report = rep.build(d)
 			f.resized = nResized

@@ -572,7 +572,6 @@ func TestSnapshotSizesExact(t *testing.T) {
 	}{
 		{place, placementSize(st.Design)},
 		{signoff, signoffSize(st, inst, nets)},
-		{routeCheckpoint(st, nil, nil), resultSize(st.Routes) + dynStateSize(st.DB)},
 	} {
 		e := stash.NewEnc()
 		if err := c.cp.save(e); err != nil {

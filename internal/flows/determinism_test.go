@@ -337,10 +337,9 @@ func axisConfig(axis string, ref Config, dir string, cold *stash.Stats) (Config,
 			if isCold {
 				*cold = st
 			}
-			// A warm run reads no snapshot another covers (route under
-			// sign-off), so it reads less than the cold run wrote.
+			// A warm run reads each snapshot the cold run wrote, once.
 			if isCold && (st.Misses == 0 || st.Puts == 0 || st.Hits != 0) ||
-				!isCold && (st.Hits == 0 || st.Misses != 0 || st.BytesRead >= cold.BytesWritten) {
+				!isCold && (st.Hits == 0 || st.Misses != 0 || st.BytesRead != cold.BytesWritten) {
 				return fmt.Errorf("stash stats %+v, the cold run's %+v", st, *cold)
 			}
 			return nil

@@ -255,11 +255,13 @@ type State struct {
 // constants.
 const signoffRevision = 3
 
-// signoffMaterial is the signoff checkpoint's own key material: the
-// resolved optimization budget. SelfCheck (Config.Check) is excluded —
-// it verifies, it never changes results.
-func signoffMaterial(o opt.Options) []byte {
+// signoffMaterial is the signoff checkpoint's key material: the 3D
+// stack's, which the pseudo flows hold until sign-off (flow.material),
+// framed ahead of the resolved optimization budget. SelfCheck
+// (Config.Check) is excluded — it verifies, it never changes results.
+func signoffMaterial(stack []byte, o opt.Options) []byte {
 	e := stash.NewEnc()
+	e.Blob(stack)
 	e.Int(signoffRevision)
 	e.Int(o.MaxIters)
 	e.Int(o.MaxMovesPerIter)

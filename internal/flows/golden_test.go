@@ -40,12 +40,12 @@ var goldenStages = []struct {
 	{"2D", "-flow 2d",
 		runNamed("2d"),
 		"generate floorplan place cts route extract opt sta power verify",
-		"generate floorplan place* cts route* signoff* power",
+		"generate floorplan place* cts signoff* power",
 	},
 	{"Macro-3D", "-flow macro3d",
 		runNamed("macro3d"),
 		"generate floorplan prepare place cts route extract opt sta power separate verify",
-		"generate floorplan prepare place* cts route* signoff* power",
+		"generate floorplan prepare place* cts signoff* power",
 	},
 	{"S2D", "-flow s2d",
 		runNamed("s2d"),
@@ -105,7 +105,7 @@ var goldenStages = []struct {
 const (
 	goldenPseudoCold = "generate floorplan pseudo-floorplan pseudo-place pseudo-route pseudo-opt transfer " +
 		"partition prepare cts route extract opt sta power separate verify"
-	goldenPseudoWarm = "generate floorplan pseudo* partition* prepare cts route* signoff* power"
+	goldenPseudoWarm = "generate floorplan pseudo* prepare cts signoff* power"
 )
 
 func renderStages(rep *RunReport) string {

@@ -85,7 +85,7 @@ func HardenCtx(ctx context.Context, cfg Config, flow string) (*HardenResult, err
 		return checkpoint{
 			name:     "harden",
 			material: hardenMaterial(f.cfg, f.t),
-			save:     func(e *stash.Enc) error { return writeAbstractLEF(e, abs) },
+			save:     func(e *stash.Enc) error { return WriteAbstractLEF(e, abs) },
 			load:     func(d *stash.Dec) (err error) { abs, err = readAbstractLEF(d.Rest()); return err },
 		}
 	}, append(list[1:], condense)...)
@@ -245,9 +245,10 @@ func clockEntryCap(lib *cell.Library) float64 {
 	return best
 }
 
-// writeAbstractLEF writes the harden region's payload: the single-macro
-// library LEF that `macro3d harden -o` exports.
-func writeAbstractLEF(w io.Writer, abs *cell.Cell) error {
+// WriteAbstractLEF writes a hardened abstract as a single-macro library
+// LEF: the file `macro3d harden -o` exports, and the harden region's
+// payload.
+func WriteAbstractLEF(w io.Writer, abs *cell.Cell) error {
 	lib := cell.NewLibrary(abs.Name + "_lib")
 	lib.Add(abs)
 	return lefdef.WriteLEF(w, nil, lib)

@@ -39,7 +39,7 @@ type HierReport struct {
 
 	// Energy per cycle: parent stitching + clock dynamic energy plus
 	// the hardened block's per-cycle energy per instance. Leakage
-	// covers every abstract instance (Cell.Leakage) plus the parent
+	// counts every abstract instance (Cell.Leakage) plus the parent
 	// clock buffers.
 	EnergyPerCycleFJ float64
 	PowerUW          float64

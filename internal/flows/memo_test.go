@@ -163,9 +163,9 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both flows' snapshots total ≈ 690 kB on the tiny tile, the largest
+	// Both flows' snapshots total ≈ 405 kB on the tiny tile, the largest
 	// ≈ 200 kB: the cap holds any one, not all.
-	const capBytes = 400 << 10
+	const capBytes = 300 << 10
 	dir := t.TempDir()
 	capped, err := stash.OpenLimited(dir, capBytes)
 	if err != nil {

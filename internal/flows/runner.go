@@ -150,10 +150,6 @@ type runner struct {
 	// run participates in stage checkpointing (Config.cacheEnabled).
 	key     stash.Key
 	caching bool
-
-	// ahead is the lookup of a covering region, made when the region it
-	// covers was reached.
-	ahead lookahead
 }
 
 // flowSlug maps a flow display name to its span-path segment:
@@ -200,17 +196,9 @@ type stage struct {
 	seedOff uint64
 
 	// region is evaluated when the entry is reached, not when the list
-	// is built, so it may read state that earlier stages produce. A
-	// covering region's is also evaluated when the region it covers is
-	// reached, so it may read no state that region produces.
+	// is built, so it may read state that earlier stages produce.
 	region func() checkpoint
 	sub    []stage
-
-	// covers marks a region whose snapshot restores everything the
-	// region before it in the list restores (sign-off over route,
-	// partition over pseudo): when both hit, the covered snapshot is not
-	// read (runner.checkpointed).
-	covers bool
 
 	// on, when set, is the State this and the later stages work on.
 	on *State
@@ -222,29 +210,20 @@ func region(spec func() checkpoint, sub ...stage) stage {
 	return stage{region: spec, sub: sub}
 }
 
-// covering is a region that covers the one before it (stage.covers).
-func covering(spec func() checkpoint, sub ...stage) stage {
-	return stage{region: spec, sub: sub, covers: true}
-}
-
 // exec runs a stage list in order and stops at the first error. The
 // outermost list sizes the report's stage records once.
 func (r *runner) exec(list []stage) error {
 	if r.trace.Stages == nil {
 		r.trace.Stages = make([]StageRecord, 0, leaves(list))
 	}
-	for i, s := range list {
+	for _, s := range list {
 		if s.on != nil { // the S2D/C2D phase B; whichever State a flow returns carries the trace
 			r.st, s.on.Trace = s.on, r.trace
 		}
 		var err error
 		switch {
 		case s.region != nil:
-			var next func() checkpoint
-			if i+1 < len(list) && list[i+1].covers {
-				next = list[i+1].region
-			}
-			err = r.checkpointed(s.region(), next, s.sub)
+			err = r.checkpointed(s.region(), s.sub)
 		default:
 			err = r.run(s.name, r.cfg.Seed+s.seedOff, s.body)
 		}

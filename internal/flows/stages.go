@@ -144,17 +144,11 @@ func (f *flow) place(name string, seedOff uint64) stage {
 func (f *flow) stagesPseudo3D() []stage {
 	spec := pseudoSpecs[f.flow]
 	real := &State{} // f.st is the pseudo design's until phase B
-	// The partition snapshot places every instance, so it covers the
-	// pseudo one.
-	tiers := covering(
-		func() checkpoint { return placementCheckpoint(StagePartition, resolutionMaterial(f.cfg), real) },
-		do(StagePartition, func() error { return f.partition(real) }))
-	tiers.on = real // phase B works on the real design
 	return slices.Concat(f.frontEnd(real, spec.style), []stage{
-		// The whole pseudo P&R plus the transfer is one checkpoint: all
-		// phase B can see of it is the real design's placement — each
-		// standard cell's transferred location, placed flag and drive
-		// choice.
+		// The whole pseudo P&R, the transfer and the tier partition are one
+		// checkpoint: all phase B can see of them is the real design's
+		// placement — each standard cell's partitioned location, die,
+		// placed flag and drive choice.
 		region(func() checkpoint { return placementCheckpoint("pseudo", pseudoMaterial(f.cfg), real) },
 			do("pseudo-"+StageFloorplan, func() error { return f.pseudoFloorplan(spec, real) }),
 			f.place("pseudo-"+StagePlace, spec.seedOff),
@@ -177,9 +171,11 @@ func (f *flow) stagesPseudo3D() []stage {
 				return err
 			}),
 			do(StageTransfer, func() error { return transferPseudo(f.st.Design, real.Design, 1/spec.s) }),
+			// Phase B works on the real design, from the partition on or,
+			// when the region is restored, from prepare on.
+			stage{name: StagePartition, on: real, body: func() error { return f.partition(real) }},
 		),
-		tiers,
-		do(StagePrepare, func() error {
+		stage{name: StagePrepare, on: real, body: func() error {
 			if err := f.prepare(); err != nil {
 				return err
 			}
@@ -200,7 +196,7 @@ func (f *flow) stagesPseudo3D() []stage {
 				}
 			}
 			return nil
-		}),
+		}},
 	}, f.backEnd(spec.budget))
 }
 
@@ -315,16 +311,13 @@ func (f *flow) backEnd(budget opt.Options) []stage {
 
 	list := []stage{
 		do(StageCTS, func() error { return f.clockTree(f.namedClock()) }),
-		region(func() checkpoint { return routeCheckpoint(f.st, f.material(), f.newDB) },
+		region(func() checkpoint { return f.signoffCheckpoint(budget) },
 			do(StageRoute, func() error {
 				if !budget.Frozen { // for the optimizer that follows
 					f.st.Design.ReserveIDs()
 				}
 				return f.route()
-			})),
-		// Sign-off restores everything route does, so a warm run reads
-		// only its snapshot.
-		covering(func() checkpoint { return f.signoffCheckpoint(budget) },
+			}),
 			do(StageExtract, f.extract),
 			do(StageOpt, func() error {
 				res, err := f.optimize(budget, f.obs())
@@ -387,13 +380,13 @@ func (f *flow) namedClock() (*netlist.Net, geom.Point) {
 }
 
 // newDB builds the empty routing database of f.st, on the route stage
-// and on its checkpoint's load path alike.
-func (f *flow) newDB() {
-	f.st.DB = route.NewDB(f.st.Die, f.st.Beol, f.st.FP.RouteBlk, f.cfg.routeOptions(f.obs()))
+// and on the sign-off checkpoint's load path alike.
+func (f *flow) newDB() *route.DB {
+	return route.NewDB(f.st.Die, f.st.Beol, f.st.FP.RouteBlk, f.cfg.routeOptions(f.obs()))
 }
 
 func (f *flow) route() error {
-	f.newDB()
+	f.st.DB = f.newDB()
 	var err error
 	f.st.Routes, err = route.RouteDesign(f.st.Design, f.st.DB)
 	return err
@@ -428,12 +421,11 @@ func (f *flow) openDDB(sp *obs.Span) {
 // optimize runs the optimizer on f.st under budget, reporting under sp.
 // A frozen budget only analyses, so it opens no design database: the
 // optimizer reads the state directly. Any other is the one path on
-// which a flow's instance and net IDs grow, so the design's ID room is
-// reserved first (netlist.Design.ReserveIDs) — by the route stage before
-// it, whose settled-net table is sized by it too, or here when routing
-// was restored from a checkpoint: the database, the timing engine and
-// the optimizer's sets are then allocated once, at that capacity, and
-// its buffers append into them.
+// which a flow's instance and net IDs grow, so the route stage before
+// it, in the same region, has reserved the design's ID room
+// (netlist.Design.ReserveIDs), sizing its settled-net table by it: the
+// database, the timing engine and the optimizer's sets are then
+// allocated once, at that capacity, and its buffers append into them.
 func (f *flow) optimize(budget opt.Options, sp *obs.Span) (*opt.Result, error) {
 	st := f.st
 	ctx := &opt.Context{
@@ -444,7 +436,6 @@ func (f *flow) optimize(budget opt.Options, sp *obs.Span) (*opt.Result, error) {
 	if budget.Frozen {
 		ctx.Design, ctx.DB, ctx.Routes, ctx.Ex, ctx.Corner = st.Design, st.DB, st.Routes, st.ExSlow, f.t.CornerScaleFor(tech.CornerSlow)
 	} else {
-		st.Design.ReserveIDs()
 		f.openDDB(sp)
 		ctx.DDB = st.DDB
 	}

@@ -119,8 +119,7 @@ func TestTraceCoversFlowStructure(t *testing.T) {
 // stage span_close sequence, the stages track's slice names and the
 // RunReport's stages are one list; warm, against the stage cache the
 // cold run filled, they still are, and every restored region is one
-// cache-category slice — the route region's span tagged superseded, the
-// others hit.
+// cache-category slice, its span tagged hit.
 func TestTimelineMatchesSpanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two tiny flows")
@@ -165,8 +164,7 @@ func TestTimelineMatchesSpanTree(t *testing.T) {
 				}
 			}
 		}
-		// The sign-off snapshot covers the route one, which goes unread.
-		if want := []string{"hit", "superseded", "hit"}; pass == "warm" && !reflect.DeepEqual(restores, want) {
+		if want := []string{"hit", "hit"}; pass == "warm" && !reflect.DeepEqual(restores, want) {
 			t.Errorf("warm: restored spans tagged %v, want %v", restores, want)
 		}
 		for _, sl := range tr.Track("stages").Slices() {

@@ -10,7 +10,7 @@ type Grid struct {
 	DX, DY float64
 }
 
-// NewGrid covers region with bins of approximately the given pitch.
+// NewGrid tiles region with bins of approximately the given pitch.
 // The bin counts are at least 1; the exact bin size divides the region
 // evenly so the grid tiles the region with no remainder strip.
 func NewGrid(region Rect, pitch float64) Grid {

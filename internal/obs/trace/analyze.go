@@ -198,7 +198,7 @@ func Analyze(t *Tracer) *Report {
 		rep.Phases = append(rep.Phases, ps)
 	}
 
-	// Stage slices: charge only the portion no leaf slice covers.
+	// Stage slices: charge only the portion no leaf slice overlaps.
 	if len(stages) > 0 {
 		union := intervalUnion(leaves)
 		for _, sl := range stages {

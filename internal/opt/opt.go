@@ -302,7 +302,7 @@ func Optimize(ctx *Context, staOpt sta.Options, opt Options) (*Result, error) {
 		unchangedC.Add(uint64(unchanged))
 		skippedC.Add(uint64(txn.Skipped()))
 
-		// The timing span also covers the accept-or-roll-back it decides.
+		// The timing span also spans the accept-or-roll-back it decides.
 		sp = ctx.Obs.Child("timing")
 		eng.Invalidate(txn.DirtyNets(), txn.DirtyInsts(), txn.TopoChanged())
 		next, err := eng.Update(period, spare)

@@ -544,10 +544,3 @@ func (g *gen) drive(hint string, src netlist.PinRef, sinks ...netlist.PinRef) {
 		g.pins.set(s, n)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

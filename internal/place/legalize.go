@@ -186,7 +186,7 @@ func (m *rowMap) fit(targetRow int, wantX, w float64) (best *segment, bestX floa
 }
 
 // rowGaps calls emit with each maximal x-interval of the row at y that
-// no hard blockage covers, left to right, ignoring slivers. blocked is
+// no hard blockage overlaps, left to right, ignoring slivers. blocked is
 // scratch for the row's blocked intervals and is returned for reuse.
 func rowGaps(die geom.Rect, hard []geom.Rect, y, rowHeight float64, blocked []iv, emit func(a, b float64)) []iv {
 	rowRect := geom.R(die.Lx, y, die.Ux, y+rowHeight)
@@ -300,9 +300,9 @@ func (m *rowMap) targets(cells []*netlist.Instance) []int32 {
 // Legalize snaps cells into rows without overlap using a Tetris-style
 // sweep: cells sorted by x are committed left-to-right into the
 // segment minimizing displacement, starting from their current
-// locations. Returns mean and max displacement. Place ends with it, and
-// the S2D/C2D flows re-legalize per die with it after tier partitioning
-// reveals the real macro extents.
+// locations. Returns mean and max displacement. Place ends with it; the
+// S2D/C2D tier pass re-legalizes per die with LegalizeBestEffort
+// instead, which spills what does not fit.
 func Legalize(movable []*netlist.Instance, fp *floorplan.Floorplan, rowHeight float64) (mean, maxd float64, err error) {
 	mean, maxd, failed, err := LegalizeBestEffort(movable, fp, rowHeight)
 	if err != nil {

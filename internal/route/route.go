@@ -62,7 +62,7 @@ func (o Options) withDefaults() Options {
 // CapacityFill derates raw track capacity: the tracks lost to pins,
 // power and detailed-routing inefficiency. A gcell-layer holds
 // max(1, ⌊span / pitch · CapacityFill⌋) tracks, less the fraction a
-// blockage covers (truncated, one blockage at a time).
+// blockage fills (truncated, one blockage at a time).
 const CapacityFill = 0.65
 
 // BumpFill derates the F2F bump sites of a gcell: it holds

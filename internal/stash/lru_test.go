@@ -150,8 +150,8 @@ func TestLRURecency(t *testing.T) {
 }
 
 // TestRecencyAcrossOpens: an entry's last use survives the process that
-// made it. A is written before B; a second open uses A (by Get, Touch,
-// or a duplicate Put); a third open capped at one entry keeps A and
+// made it. A is written before B; a second open uses A (by Get or a
+// duplicate Put); a third open capped at one entry keeps A and
 // evicts B.
 func TestRecencyAcrossOpens(t *testing.T) {
 	const payloadLen = 100
@@ -160,7 +160,6 @@ func TestRecencyAcrossOpens(t *testing.T) {
 		fn   func(*Store, Key) bool
 	}{
 		{"Get", func(s *Store, k Key) bool { _, ok := s.Get(k); return ok }},
-		{"Touch", (*Store).Touch},
 		{"Put", func(s *Store, k Key) bool {
 			return s.Put(k, bytes.Repeat([]byte{0}, payloadLen)) == nil && s.Stats().DupPuts == 1
 		}},
@@ -221,27 +220,6 @@ func TestCappedHandlesShareDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertDirUnder(t, dir, cap)
-	}
-}
-
-// TestTouch: a Touch is a hit of no bytes on an entry that is there, and
-// nothing at all on one that is not.
-func TestTouch(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Touch(lruKey(0)) {
-		t.Error("Touch found an entry in an empty store")
-	}
-	if err := s.Put(lruKey(0), []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Touch(lruKey(0)) {
-		t.Error("Touch missed a stored entry")
-	}
-	if st := s.Stats(); st.Hits != 1 || st.Misses != 0 || st.BytesRead != 0 {
-		t.Errorf("stats after one Touch of a stored entry and one of a missing one: %+v", st)
 	}
 }
 

@@ -89,9 +89,9 @@ type Stats struct {
 //     interleave with an eviction of its own key.
 //
 //   - Byte cap, least recently used first: an entry's modification time
-//     is its last use (Get, Touch and Put, a duplicate Put included, set
-//     it to now), and a Store opened with OpenLimited scans the
-//     directory after each Put, and once at open, removing the entries
+//     is its last use (Get and Put, a duplicate Put included, set it to
+//     now), and a Store opened with OpenLimited scans the directory
+//     after each Put, and once at open, removing the entries
 //     with the oldest times until the snapshots fit the cap. The files
 //     are the only record of size and recency, so handles over one
 //     directory, in one process or in several, see each other's writes
@@ -169,19 +169,6 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 	s.hits.Add(1)
 	s.bytesRead.Add(uint64(len(payload)))
 	return payload, true
-}
-
-// Touch records a hit on k without reading it, for a caller that needs
-// to know only that the entry is there: its recency is refreshed as a
-// Get's is, and no bytes are read. It reports false, counting nothing,
-// when there is no entry. The entry is not checked; a corrupt one is
-// found by the next Get.
-func (s *Store) Touch(k Key) bool {
-	if !s.used(k) {
-		return false
-	}
-	s.hits.Add(1)
-	return true
 }
 
 // used makes k the most recently used entry: its modification time is

@@ -319,7 +319,7 @@ type Blockages struct {
 }
 
 // Obstructions checks that no route enters an obstructed gcell-layer:
-// one that a routing blockage rect covers whole on that layer. Every
+// one that a routing blockage rect fills whole on that layer. Every
 // gcell of every wire and both landings of every via count; a net's
 // gcell-layer is counted once. One in the column of one of the net's own
 // pins is pin access, counted in Checked.PinAccess instead.
@@ -376,7 +376,7 @@ func Obstructions(rep *Report, d *netlist.Design, res *route.Result, blk Blockag
 // gcell of every wire, every F2F crossing on its bump bin — against
 // capacity derived from the technology and the blockages alone: a layer's
 // tracks per gcell from its pitch and direction (route.CapacityFill),
-// less the fraction each blockage rect covers, and a gcell's bump sites
+// less the fraction each blockage rect fills, and a gcell's bump sites
 // from the F2F via pitch (route.BumpFill). A gcell-layer a blockage
 // leaves no track holds one for each pin of the routes in its column,
 // the access the router grants. Checked.Overflow is the recount. It must

@@ -457,50 +457,61 @@ func TestTableIRoutesClearObstructions(t *testing.T) {
 }
 
 // TestMacroDieRemapIsNecessary is the ablation of the paper's macro
-// edit (core.MacroDieView): Macro-3D's routes on the tiny tile clear
-// the floorplan's blockages, which the macro-die macros' remapped views
-// put on the _MD layers, but cross the same obstructions placed on the
-// layers of the macros' library masters, the logic die's. The logic
-// routes over the memory are legal only because its metal was remapped
-// to the other die.
+// edit (core.MacroDieView): on the tiny tile (seed 7) and the small one
+// (seed 1), Macro-3D's routes clear the floorplan's blockages, which the
+// macro-die macros' remapped views put on the _MD layers, but cross the
+// same obstructions placed on the layers of the macros' library
+// masters, the logic die's. The logic routes over the memory are legal
+// only because its metal was remapped to the other die.
 func TestMacroDieRemapIsNecessary(t *testing.T) {
-	_, st, _, err := flows.Run(context.Background(), "macro3d", flows.Config{Piton: piton.Tiny(), Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var unmapped []floorplan.RouteBlockage
-	for _, m := range st.Design.Macros() {
-		if m.Die != netlist.MacroDie {
-			continue
-		}
-		master := st.Design.Lib.Cell(strings.TrimSuffix(m.Master.Name, tech.MDSuffix))
-		if master == nil || master == m.Master {
-			t.Fatalf("macro %s: no library master behind its view %s", m.Name, m.Master.Name)
-		}
-		for _, o := range master.Obstructions {
-			unmapped = append(unmapped, floorplan.RouteBlockage{Layer: o.Layer, Rect: o.Rect.Translate(m.Loc)})
-		}
-	}
-	if len(unmapped) == 0 {
-		t.Fatal("no macro-die macro with obstructions")
-	}
-	check := func(rects []floorplan.RouteBlockage) *verify.Report {
-		rep := &verify.Report{}
-		verify.Obstructions(rep, st.Design, st.Routes, verify.Blockages{Grid: st.DB.Grid, Beol: st.DB.Beol, Rects: rects})
-		return rep
-	}
-	if rep := check(st.FP.RouteBlk); !rep.Clean() {
-		t.Fatalf("routes cross the flow's own blockages: %v", rep.Violations[:min(3, len(rep.Violations))])
-	}
-	rep := check(unmapped)
-	t.Logf("unmapped masters: %d crossings, %d for pin access", rep.Total, rep.Checked.PinAccess)
-	if rep.Clean() {
-		t.Fatal("routes clear the library masters' obstructions too: the remap shows nothing")
-	}
-	for _, v := range rep.Violations {
-		if v.Kind != "obstruction" {
-			t.Fatalf("unexpected finding: %v", v)
-		}
+	for _, tc := range []struct {
+		name string
+		tile piton.Config
+		seed uint64
+	}{
+		{"tiny", piton.Tiny(), 7},
+		{"small", piton.SmallCache(), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, st, _, err := flows.Run(context.Background(), "macro3d", flows.Config{Piton: tc.tile, Seed: tc.seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var unmapped []floorplan.RouteBlockage
+			for _, m := range st.Design.Macros() {
+				if m.Die != netlist.MacroDie {
+					continue
+				}
+				master := st.Design.Lib.Cell(strings.TrimSuffix(m.Master.Name, tech.MDSuffix))
+				if master == nil || master == m.Master {
+					t.Fatalf("macro %s: no library master behind its view %s", m.Name, m.Master.Name)
+				}
+				for _, o := range master.Obstructions {
+					unmapped = append(unmapped, floorplan.RouteBlockage{Layer: o.Layer, Rect: o.Rect.Translate(m.Loc)})
+				}
+			}
+			if len(unmapped) == 0 {
+				t.Fatal("no macro-die macro with obstructions")
+			}
+			check := func(rects []floorplan.RouteBlockage) *verify.Report {
+				rep := &verify.Report{}
+				verify.Obstructions(rep, st.Design, st.Routes, verify.Blockages{Grid: st.DB.Grid, Beol: st.DB.Beol, Rects: rects})
+				return rep
+			}
+			if rep := check(st.FP.RouteBlk); !rep.Clean() {
+				t.Fatalf("routes cross the flow's own blockages: %v", rep.Violations[:min(3, len(rep.Violations))])
+			}
+			rep := check(unmapped)
+			t.Logf("%s tile, seed %d: unmapped masters: %d crossings, %d for pin access", tc.name, tc.seed, rep.Total, rep.Checked.PinAccess)
+			if rep.Clean() {
+				t.Fatal("routes clear the library masters' obstructions too: the remap shows nothing")
+			}
+			for _, v := range rep.Violations {
+				if v.Kind != "obstruction" {
+					t.Fatalf("unexpected finding: %v", v)
+				}
+			}
+		})
 	}
 }
 

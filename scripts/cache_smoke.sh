@@ -1,11 +1,11 @@
 #!/bin/sh
 # cache-smoke: end-to-end check of the content-addressed stage cache.
 # Runs a tiny flow cold (populating the cache), warm (restoring every
-# checkpoint while reading fewer bytes than the cold run wrote: the
-# route snapshot the sign-off one covers is not read) and with -check,
-# which re-runs every hit, asserting hit/miss counters and
-# byte-identical PPA output; then under a -cache-max-bytes cap below the
-# uncapped run's size, asserting eviction, the cap on disk and
+# checkpoint by reading exactly the bytes the cold run wrote: one
+# snapshot per region, each read once) and with -check, which re-runs
+# every hit, asserting hit/miss counters and byte-identical PPA output;
+# then under a -cache-max-bytes cap below the uncapped run's size (the
+# largest snapshot's), asserting eviction, the cap on disk and
 # byte-identical PPA; then that a capped invocation keeps every snapshot
 # the invocation before it used (recency is last use on disk); then
 # exercises the -resume default directory. Fails on any mismatch.
@@ -43,8 +43,8 @@ cmp -s "$dir/cold.out" "$dir/warm.out" || {
 }
 written=$(sed -n 's/.* \([0-9][0-9]*\) B read, \([0-9][0-9]*\) B written$/\2/p' "$dir/cold.err")
 read=$(sed -n 's/.* \([0-9][0-9]*\) B read, \([0-9][0-9]*\) B written$/\1/p' "$dir/warm.err")
-[ -n "$written" ] && [ -n "$read" ] && [ "$read" -lt "$written" ] || {
-	echo "cache-smoke: FAIL: the warm run read ${read:-?} B, the cold run wrote ${written:-?} B; the covered route snapshot should go unread" >&2
+[ -n "$written" ] && [ -n "$read" ] && [ "$read" -eq "$written" ] || {
+	echo "cache-smoke: FAIL: the warm run read ${read:-?} B, the cold run wrote ${written:-?} B; each snapshot should be read once" >&2
 	exit 1
 }
 
@@ -62,7 +62,8 @@ cmp -s "$dir/cold.out" "$dir/verify.out" || {
 
 echo "cache-smoke: -cache-max-bytes below the uncapped run's size"
 full=$(cat "$dir/stash"/*.snap | wc -c)
-cap=$((full * 2 / 3))
+# The largest snapshot's size: a cap that holds any one, not all.
+cap=$(for f in "$dir/stash"/*.snap; do wc -c <"$f"; done | sort -n | tail -n 1)
 $run -cache-dir "$dir/capped" -cache-max-bytes "$cap" >"$dir/capped.out" 2>"$dir/capped.err"
 grep -Eq 'stage cache .* [1-9][0-9]* evicted,' "$dir/capped.err" || {
 	echo "cache-smoke: FAIL: a $cap B cap under a $full B run should evict" >&2
