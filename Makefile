@@ -251,36 +251,44 @@ bench-pairs:
 	done > $(PAIRS)/runs.txt
 	$(GO) run ./cmd/benchjson -pairs -ledger BENCH_pairs.json $(WL) $$(git rev-parse --short $(BASE)) $$(git describe --always --dirty) < $(PAIRS)/runs.txt
 
+## RENDERED: every experiment but the seed ensemble that writes its cells
+## into BENCH_qor.json and renders a block of EXPERIMENTS.md from them
+## (`macro3d -experiment NAME`); qor and tables-check run each of them.
+RENDERED = table1 table2 table3 isoperf sweepblockage sweeppitch heterotech macropins
+
 ## qor: the seed ensemble — `macro3d -experiment seeds`, Tables I and II
-## and C2D over seeds 1–10 (70 flow runs) — and Tables I–III at seed 1
-## (`-experiment table1|table2|table3`, which write their cells beside
-## it) rewrite BENCH_qor.json; then the ensemble is held against the
-## committed file with benchjson's paired-seed sign test per flow × tile
-## and metric, failing when one is worse on nine seeds in ten. Each run
-## also re-renders EXPERIMENTS.md's tables from the merged file; commit
-## both files with the change that moved them.
+## and C2D over seeds 1–10 (70 flow runs) — and every RENDERED experiment
+## at seed 1, which write their cells beside it, rewrite BENCH_qor.json;
+## then the ensemble is held against the committed file with benchjson's
+## paired-seed sign test per flow × tile and metric, failing when one is
+## worse on nine seeds in ten. Each run also re-renders EXPERIMENTS.md's
+## tables from the merged file; commit both files with the change that
+## moved them.
 qor:
 	git show HEAD:BENCH_qor.json > BENCH_qor.old.json
 	$(GO) run ./cmd/macro3d -experiment seeds
-	for e in table1 table2 table3; do $(GO) run ./cmd/macro3d -experiment $$e -seed 1 > /dev/null || exit 1; done
+	for e in $(RENDERED); do $(GO) run ./cmd/macro3d -experiment $$e -seed 1 > /dev/null || exit 1; done
 	$(GO) run ./cmd/benchjson -compare BENCH_qor.old.json BENCH_qor.json; s=$$?; rm -f BENCH_qor.old.json; exit $$s
 
-## tables-check: Tables I–III as the CLI prints them (`macro3d
-## -experiment table1|table2|table3`), plain and with -check —
-## independent sign-off verification, the optimizer's incremental state
-## held to a from-scratch recompute every iteration — failing unless a
-## checked run passes and its stdout is cmp-identical to the plain one,
-## and the plain one to the table's rendered block in EXPERIMENTS.md.
-## About 6 s on two cores. The experiments rewrite BENCH_qor.json where
-## they run, so they run in a temporary directory.
+## tables-check: every RENDERED experiment as the CLI prints it
+## (`macro3d -experiment NAME`), plain and with -check — independent
+## sign-off verification, the optimizer's incremental state held to a
+## from-scratch recompute every iteration — failing unless a checked run
+## passes and its stdout is cmp-identical to the plain one, and the plain
+## one to the experiment's rendered block in EXPERIMENTS.md. Every
+## experiment is checked; the target fails at the end, naming each one
+## that failed. About 25 s on two cores, the build included. The
+## experiments rewrite BENCH_qor.json where they run, so they run in a
+## temporary directory.
 tables-check:
 	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o $$dir/macro3d ./cmd/macro3d && cd $$dir && \
-	for e in table1 table2 table3; do \
+	failed=; for e in $(RENDERED); do \
 		sed -n "/^<!-- rendered:$$e -->$$/,/^<!-- \/rendered -->$$/p" $(CURDIR)/EXPERIMENTS.md | sed '1d;$$d' > $$e.doc; \
 		./macro3d -experiment $$e > $$e.plain && ./macro3d -experiment $$e -check > $$e.check && \
-		cmp $$e.plain $$e.check && cmp $$e.plain $$e.doc || exit 1; \
-	done
+		cmp $$e.plain $$e.check && cmp $$e.plain $$e.doc || failed="$$failed $$e"; \
+	done; \
+	[ -z "$$failed" ] || { echo "tables-check: failed:$$failed" >&2; exit 1; }
 
 ## qor-check: the seed ensemble checked — `macro3d -experiment seeds
 ## -check`: Tables I and II and C2D over seeds 1–10 on both tiles, every

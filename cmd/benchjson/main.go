@@ -177,7 +177,7 @@ func main() {
 			os.Exit(2)
 		}
 		if old.Seeds != nil || new.Seeds != nil {
-			worse, err := compareQoR(os.Stdout, &old.qorFile, &new.qorFile)
+			worse, err := compareQoR(os.Stdout, &old.QoRFile, &new.QoRFile)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "benchjson:", err)
 				os.Exit(2)

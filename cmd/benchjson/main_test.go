@@ -10,6 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"macro3d/internal/report"
 )
 
 func ent(runs ...float64) *entry {
@@ -346,9 +348,9 @@ func TestCompareKernels(t *testing.T) {
 
 // qorPair is two one-series BENCH_qor.json files over ten seeds whose
 // fclk moves from old to new; the other metrics tie.
-func qorPair(old, new []float64) (*qorFile, *qorFile) {
-	mk := func(fclk []float64) *qorFile {
-		f := &qorFile{Cells: []qorSeries{{Flow: "2d", Tile: "piton_small", FclkMHz: fclk,
+func qorPair(old, new []float64) (*report.QoRFile, *report.QoRFile) {
+	mk := func(fclk []float64) *report.QoRFile {
+		f := &report.QoRFile{Cells: []*report.Series{{Flow: "2d", Tile: "piton_small", FclkMHz: fclk,
 			WLm: make([]float64, len(fclk)), F2FBumps: make([]float64, len(fclk)), Overflow: make([]float64, len(fclk))}}}
 		for i := range fclk {
 			f.Seeds = append(f.Seeds, uint64(i+1))

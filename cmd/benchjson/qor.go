@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 	"slices"
+
+	"macro3d/internal/report"
 )
 
 // `benchjson -compare old.json new.json` on two BENCH_qor.json files —
@@ -20,23 +22,7 @@ import (
 // kernel-benchmark summary or a BENCH_qor.json.
 type benchFile struct {
 	summary
-	qorFile
-}
-
-// qorFile is BENCH_qor.json: the seeds, and per flow × tile a value per
-// seed of each QoR metric.
-type qorFile struct {
-	Seeds []uint64    `json:"seeds"`
-	Cells []qorSeries `json:"cells"`
-}
-
-type qorSeries struct {
-	Flow     string    `json:"flow"`
-	Tile     string    `json:"tile"`
-	FclkMHz  []float64 `json:"fclk_mhz"`
-	WLm      []float64 `json:"wl_m"`
-	F2FBumps []float64 `json:"f2f_bumps"`
-	Overflow []float64 `json:"overflow"`
+	report.QoRFile
 }
 
 // qorMetrics are the metrics of a series: the name, which way is better,
@@ -44,12 +30,12 @@ type qorSeries struct {
 var qorMetrics = []struct {
 	name   string
 	higher bool
-	values func(s *qorSeries) []float64
+	values func(s *report.Series) []float64
 }{
-	{"fclk_mhz", true, func(s *qorSeries) []float64 { return s.FclkMHz }},
-	{"wl_m", false, func(s *qorSeries) []float64 { return s.WLm }},
-	{"f2f_bumps", false, func(s *qorSeries) []float64 { return s.F2FBumps }},
-	{"overflow", false, func(s *qorSeries) []float64 { return s.Overflow }},
+	{"fclk_mhz", true, func(s *report.Series) []float64 { return s.FclkMHz }},
+	{"wl_m", false, func(s *report.Series) []float64 { return s.WLm }},
+	{"f2f_bumps", false, func(s *report.Series) []float64 { return s.F2FBumps }},
+	{"overflow", false, func(s *report.Series) []float64 { return s.Overflow }},
 }
 
 // signTest is the exact two-sided sign-test p of better against worse
@@ -67,20 +53,19 @@ func signTest(better, worse int) float64 {
 
 // compareQoR prints the sign test of every flow × tile and metric in both
 // files and returns how many are worse on at least nine seeds in ten.
-func compareQoR(w io.Writer, old, new *qorFile) (worse int, err error) {
+func compareQoR(w io.Writer, old, new *report.QoRFile) (worse int, err error) {
 	if !slices.Equal(old.Seeds, new.Seeds) {
 		return 0, fmt.Errorf("the files hold seeds %v and %v: a sign test pairs the same seeds", old.Seeds, new.Seeds)
 	}
 	n := len(new.Seeds)
-	for i := range new.Cells {
-		c := &new.Cells[i]
-		j := slices.IndexFunc(old.Cells, func(o qorSeries) bool { return o.Flow == c.Flow && o.Tile == c.Tile })
+	for _, c := range new.Cells {
+		j := slices.IndexFunc(old.Cells, func(o *report.Series) bool { return o.Flow == c.Flow && o.Tile == c.Tile })
 		if j < 0 {
 			fmt.Fprintf(w, "%-12s %-8s only in the new file\n", c.Tile, c.Flow)
 			continue
 		}
 		for _, m := range qorMetrics {
-			was, now := m.values(&old.Cells[j]), m.values(c)
+			was, now := m.values(old.Cells[j]), m.values(c)
 			if len(was) != n || len(now) != n {
 				return worse, fmt.Errorf("%s/%s %s: %d and %d values for %d seeds", c.Tile, c.Flow, m.name, len(was), len(now), n)
 			}

@@ -254,12 +254,12 @@ func writeOutput(path string, write func(w io.Writer) error) error {
 	return nil
 }
 
-// printCacheSummary renders one run's cache traffic, duplicate puts
-// included.
+// printCacheSummary renders one run's cache traffic, duplicate puts and
+// the snapshots refused as larger than -cache-max-bytes included.
 func printCacheSummary(cache *macro3d.StageCache) {
 	s := cache.Stats()
-	fmt.Fprintf(os.Stderr, "macro3d: stage cache %s: %d hits, %d misses, %d stored (%d dup), %d evicted, %d errors, %d B read, %d B written\n",
-		cache.Dir(), s.Hits, s.Misses, s.Puts, s.DupPuts, s.Evictions, s.Errors, s.BytesRead, s.BytesWritten)
+	fmt.Fprintf(os.Stderr, "macro3d: stage cache %s: %d hits, %d misses, %d stored (%d dup), %d evicted, %d errors, %d refused over the cap, %d B read, %d B written\n",
+		cache.Dir(), s.Hits, s.Misses, s.Puts, s.DupPuts, s.Evictions, s.Errors, s.CapSkips, s.BytesRead, s.BytesWritten)
 }
 
 // printFailure renders the failed run of the mode name: StageError

@@ -16,12 +16,14 @@
 // In every mode a flag no run could honour exits 2 before any work.
 //
 // Experiments choose each flow's tile and stack: -config and
-// -macrodiemetals are usage errors with any but flowtrace. -experiment
-// seeds runs Tables I and II and C2D over ten seeds from -seed and writes
-// their QoR to BENCH_qor.json; table1, table2 and table3 write their
-// cells there too, each replacing only its own part of the file. Each of
-// the four prints its markdown table; a ./EXPERIMENTS.md beside the file
-// gets every such table re-rendered from the merged file.
+// -macrodiemetals are usage errors with any but flowtrace. Every
+// experiment but flowtrace writes BENCH_qor.json: -experiment seeds runs
+// Tables I and II and C2D over ten seeds from -seed and writes their QoR
+// there; table1, table2, table3, isoperf, sweepblockage, sweeppitch,
+// heterotech and macropins write their cells there, each replacing only
+// its own part of the file. Each prints its markdown table; a
+// ./EXPERIMENTS.md beside the file gets every such table re-rendered from
+// the merged file.
 //
 // -timeout bounds the whole invocation (flows are cancelled at the
 // next stage boundary); -keep-going lets multi-column experiments

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -188,5 +189,30 @@ func TestUsageErrorsExitBeforeAnyWork(t *testing.T) {
 		if code, ok := newFlagSet(&options{}).parse(args); !ok {
 			t.Errorf("macro3d %q rejected: exit %d", args, code)
 		}
+	}
+}
+
+// TestCacheSummaryCountsRefusals: a -cache-max-bytes below a snapshot's
+// size refuses that snapshot, and the stage-cache summary on stderr says
+// so — the line used to read as if nothing had been asked to be stored.
+func TestCacheSummaryCountsRefusals(t *testing.T) {
+	dir := t.TempDir()
+	errFile, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = errFile
+	code := dispatch([]string{"-flow", "2d", "-config", "tiny", "-cache-dir", filepath.Join(dir, "stash"), "-cache-max-bytes", "1000"})
+	os.Stderr = stderr
+	if err := errFile.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(errFile.Name())
+	if err != nil || code != 0 {
+		t.Fatalf("macro3d -flow 2d with a 1000 B cache: exit %d, %v\n%s", code, err, out)
+	}
+	if want := ": 0 hits, 2 misses, 0 stored (0 dup), 0 evicted, 0 errors, 2 refused over the cap, 0 B read, 0 B written\n"; !strings.Contains(string(out), want) {
+		t.Errorf("stage-cache summary\n%s\nlacks %q", out, want)
 	}
 }

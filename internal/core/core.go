@@ -24,6 +24,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"macro3d/internal/cell"
@@ -205,7 +206,9 @@ func Separate(md *MoLDesign, routes *route.Result, db *route.DB) (logic, macro *
 	if f2fIdx < 0 {
 		return nil, nil, fmt.Errorf("core: combined stack lost its F2F via")
 	}
-	seen := map[[2]int16]int{}
+	pitch := md.Combined.Vias[f2fIdx].Pitch
+	nx, ny := route.BumpLattice(db.Grid, pitch)
+	taken := map[[2]int]bool{}
 	for _, r := range routes.Routes {
 		if r == nil {
 			continue
@@ -214,23 +217,45 @@ func Separate(md *MoLDesign, routes *route.Result, db *route.DB) (logic, macro *
 			if !s.Spans(f2fIdx) { // a wire, or a via stack that stays on one die
 				continue
 			}
-			// Offset repeated bumps in a gcell onto the bump grid.
-			key := [2]int16{s.A.X, s.A.Y}
-			k := seen[key]
-			seen[key] = k + 1
-			c := db.Grid.BinCenter(int(s.A.X), int(s.A.Y))
-			pitch := md.Combined.Vias[f2fIdx].Pitch
-			per := int(db.Grid.DX / pitch)
-			if per < 1 {
-				per = 1
+			if len(taken) == nx*ny {
+				return nil, nil, fmt.Errorf("core: %d F2F crossings exceed the %d×%d bump lattice at pitch %g µm",
+					routes.F2FBumps, nx, ny, pitch)
 			}
-			off := geom.Pt(float64(k%per)*pitch, float64(k/per)*pitch)
-			p := c.Add(off)
+			c := db.Grid.BinCenter(int(s.A.X), int(s.A.Y))
+			p := bumpSite(c.Sub(db.Grid.Region.LL()), pitch, nx, ny, taken).Add(db.Grid.Region.LL())
 			logic.Bumps = append(logic.Bumps, p)
 			macro.Bumps = append(macro.Bumps, p)
 		}
 	}
 	return logic, macro, nil
+}
+
+// bumpSite takes a free site of the nx×ny bonding lattice at pitch p,
+// sites centred at ((i+½)·p, (j+½)·p), for a crossing at c: the free
+// site closest to c on the first square ring around c's own site that
+// has one. Bumps on distinct sites keep the pitch, whatever the gcell
+// of each crossing holds. taken must have a free site.
+func bumpSite(c geom.Point, p float64, nx, ny int, taken map[[2]int]bool) geom.Point {
+	at := func(i, j int) geom.Point { return geom.Pt((float64(i)+0.5)*p, (float64(j)+0.5)*p) }
+	i0 := min(max(int(math.Floor(c.X/p)), 0), nx-1)
+	j0 := min(max(int(math.Floor(c.Y/p)), 0), ny-1)
+	for r := 0; ; r++ {
+		best, bestD := [2]int{-1, -1}, math.Inf(1)
+		for j := max(j0-r, 0); j <= min(j0+r, ny-1); j++ {
+			for i := max(i0-r, 0); i <= min(i0+r, nx-1); i++ {
+				if max(geom.AbsInt(i-i0), geom.AbsInt(j-j0)) != r || taken[[2]int{i, j}] {
+					continue
+				}
+				if d := at(i, j).Dist(c); d < bestD {
+					best, bestD = [2]int{i, j}, d
+				}
+			}
+		}
+		if best[0] >= 0 {
+			taken[best] = true
+			return at(best[0], best[1])
+		}
+	}
 }
 
 // DieViews shares the macro-die views of standard-cell masters on one

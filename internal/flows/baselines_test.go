@@ -32,9 +32,9 @@ func tinyCfg() Config {
 // macro obstruction as a wall (DESIGN.md, "Routing contract"), and again
 // when a wall's pin access began to count as capacity, not overflow.
 var (
-	tinyS2D   = PPA{Flow: "S2D", Config: "piton_tiny", FclkMHz: 922.0667107901871, MinPeriodPs: 1084.520228631859, EmeanFJ: 5911.76683896666, PowerUW: 5451.04340416449, LeakageUW: 5.862899999999996, FootprintMM2: 0.10624390135750694, LogicCellAreaMM2: 0.02000000000000018, MetalAreaMM2: 1.2749268162900833, TotalWLm: 0.07097016395751322, F2FBumps: 1383, CpinNF: 0.0029239500000000033, CwireNF: 0.016801125970768542, ClkDepth: 7, ClkSkewPs: 25, CritPathWLmm: 0.5326928452017184, CritPathPs: 1330.1203835982344, RouteOverflow: 0, Dies: 2, HoldWNSps: -299.1562738761921, HoldViolations: 32, Resized: 0, Buffers: 0}
-	tinyBFS2D = PPA{Flow: "BF S2D", Config: "piton_tiny", FclkMHz: 1057.0189232536495, MinPeriodPs: 946.0568566945449, EmeanFJ: 5778.9812391303485, PowerUW: 6108.492526888603, LeakageUW: 5.949699999999998, FootprintMM2: 0.10624390135750694, LogicCellAreaMM2: 0.02000000000000018, MetalAreaMM2: 1.2749268162900833, TotalWLm: 0.06781294173099806, F2FBumps: 1186, CpinNF: 0.0029520100000000036, CwireNF: 0.01601033839999725, ClkDepth: 7, ClkSkewPs: 25, CritPathWLmm: 0.31338174697001664, CritPathPs: 1207.6116620393234, RouteOverflow: 0, Dies: 2, HoldWNSps: -328.48493256749185, HoldViolations: 32, Resized: 0, Buffers: 0}
-	tinyC2D   = PPA{Flow: "C2D", Config: "piton_tiny", FclkMHz: 1111.2445984541714, MinPeriodPs: 899.8918882405176, EmeanFJ: 5816.897120623826, PowerUW: 6463.995505056849, LeakageUW: 6.083899999999996, FootprintMM2: 0.10624390135750694, LogicCellAreaMM2: 0.02029333784622346, MetalAreaMM2: 1.2749268162900833, TotalWLm: 0.06767748525905343, F2FBumps: 1310, CpinNF: 0.0029432900000000034, CwireNF: 0.015940758859776225, ClkDepth: 7, ClkSkewPs: 25, CritPathWLmm: 0.38912534343278554, CritPathPs: 1138.5684512909659, RouteOverflow: 0, Dies: 2, HoldWNSps: -293.94659257248156, HoldViolations: 32, Resized: 14, Buffers: 4}
+	tinyS2D   = PPA{Flow: "S2D", Config: "piton_tiny", FclkMHz: 922.0667107901871, MinPeriodPs: 1084.520228631859, EmeanFJ: 5911.76683896666, PowerUW: 5451.04340416449, LeakageUW: 5.862899999999996, FootprintMM2: 0.10624390135750694, LogicCellAreaMM2: 0.02000000000000018, MetalAreaMM2: 1.2749268162900833, TotalWLm: 0.07097016395751322, F2FBumps: 1383, CpinNF: 0.0029239500000000033, CwireNF: 0.016801125970768542, ClkDepth: 7, ClkSkewPs: 25, CritPathWLmm: 0.5326928452017184, CritPathPs: 1330.1203835982344, RouteOverflow: 0, Dies: 2, MacroPins: 128, HoldWNSps: -299.1562738761921, HoldViolations: 32, Resized: 0, Buffers: 0}
+	tinyBFS2D = PPA{Flow: "BF S2D", Config: "piton_tiny", FclkMHz: 1057.0189232536495, MinPeriodPs: 946.0568566945449, EmeanFJ: 5778.9812391303485, PowerUW: 6108.492526888603, LeakageUW: 5.949699999999998, FootprintMM2: 0.10624390135750694, LogicCellAreaMM2: 0.02000000000000018, MetalAreaMM2: 1.2749268162900833, TotalWLm: 0.06781294173099806, F2FBumps: 1186, CpinNF: 0.0029520100000000036, CwireNF: 0.01601033839999725, ClkDepth: 7, ClkSkewPs: 25, CritPathWLmm: 0.31338174697001664, CritPathPs: 1207.6116620393234, RouteOverflow: 0, Dies: 2, MacroPins: 128, HoldWNSps: -328.48493256749185, HoldViolations: 32, Resized: 0, Buffers: 0}
+	tinyC2D   = PPA{Flow: "C2D", Config: "piton_tiny", FclkMHz: 1111.2445984541714, MinPeriodPs: 899.8918882405176, EmeanFJ: 5816.897120623826, PowerUW: 6463.995505056849, LeakageUW: 6.083899999999996, FootprintMM2: 0.10624390135750694, LogicCellAreaMM2: 0.02029333784622346, MetalAreaMM2: 1.2749268162900833, TotalWLm: 0.06767748525905343, F2FBumps: 1310, CpinNF: 0.0029432900000000034, CwireNF: 0.015940758859776225, ClkDepth: 7, ClkSkewPs: 25, CritPathWLmm: 0.38912534343278554, CritPathPs: 1138.5684512909659, RouteOverflow: 0, Dies: 2, MacroPins: 128, HoldWNSps: -293.94659257248156, HoldViolations: 32, Resized: 14, Buffers: 4}
 )
 
 // ppaRelTol is how far a float of a PPA row may sit from its pinned
@@ -85,11 +85,11 @@ func TestKernelRewriteKeepsQoR(t *testing.T) {
 		tol  float64
 		want PPA
 	}{
-		{"2d", ppaRelTol, PPA{Flow: "2D", Config: "piton_small", FclkMHz: 692.0570601606809, MinPeriodPs: 1444.967557686387, EmeanFJ: 55289.766690035016, PowerUW: 38263.67339247557, LeakageUW: 92.03900000000057, FootprintMM2: 1.2312490622396546, LogicCellAreaMM2: 0.3771924870876255, MetalAreaMM2: 7.387494373437928, TotalWLm: 1.255532681061984, F2FBumps: 0, CpinNF: 0.03702747999999931, CwireNF: 0.2697502373495614, ClkDepth: 13, ClkSkewPs: 25, CritPathWLmm: 2.4156081810282988, CritPathPs: 2103.598507050227, RouteOverflow: 0, Dies: 1, HoldWNSps: -736.6458450721449, HoldViolations: 384, Resized: 563, Buffers: 816}},
-		{"macro3d", ppaRelTol, PPA{Flow: "Macro-3D", Config: "piton_small", FclkMHz: 767.019599163908, MinPeriodPs: 1303.7476501122696, EmeanFJ: 42715.62927873663, PowerUW: 32763.72484741066, LeakageUW: 78.86760000000056, FootprintMM2: 0.6157677688962984, LogicCellAreaMM2: 0.34682052282623704, MetalAreaMM2: 7.38921322675558, TotalWLm: 0.879822374089867, F2FBumps: 899, CpinNF: 0.03552497999999905, CwireNF: 0.1854792442592821, ClkDepth: 12, ClkSkewPs: 25, CritPathWLmm: 0.9950677616373524, CritPathPs: 1934.7949134200676, RouteOverflow: 0, Dies: 2, HoldWNSps: -691.2234413483519, HoldViolations: 384, Resized: 945, Buffers: 522}},
-		{"s2d", 1e-7, PPA{Flow: "S2D", Config: "piton_small", FclkMHz: 186.2103797682144, MinPeriodPs: 5370.26991322799, EmeanFJ: 54015.798520887925, PowerUW: 10058.302356057897, LeakageUW: 51.41030000000053, FootprintMM2: 0.6157677688962984, LogicCellAreaMM2: 0.2916142012008488, MetalAreaMM2: 7.38921322675558, TotalWLm: 1.485874428760639, F2FBumps: 14880, CpinNF: 0.03169017999999891, CwireNF: 0.34907376316984773, ClkDepth: 12, ClkSkewPs: 25, CritPathWLmm: 1.7905958251487784, CritPathPs: 6088.118102599541, RouteOverflow: 0, Dies: 2, HoldWNSps: -780.5078659294907, HoldViolations: 384, Resized: 0, Buffers: 0}},
-		{"bfs2d", ppaRelTol, PPA{Flow: "BF S2D", Config: "piton_small", FclkMHz: 240.98974142724492, MinPeriodPs: 4149.554226157386, EmeanFJ: 42134.51787935977, PowerUW: 10153.98656890854, LeakageUW: 51.63730000000076, FootprintMM2: 0.6157677688962984, LogicCellAreaMM2: 0.29148608999443143, MetalAreaMM2: 7.38921322675558, TotalWLm: 0.8340362051436547, F2FBumps: 14764, CpinNF: 0.03179520999999912, CwireNF: 0.2023633264278357, ClkDepth: 12, ClkSkewPs: 25, CritPathWLmm: 1.0365450948266253, CritPathPs: 4823.387362766988, RouteOverflow: 0, Dies: 2, HoldWNSps: -743.5552533465394, HoldViolations: 384, Resized: 0, Buffers: 0}},
-		{"c2d", 1e-8, PPA{Flow: "C2D", Config: "piton_small", FclkMHz: 234.78557957034246, MinPeriodPs: 4259.20536444359, EmeanFJ: 51560.19397821137, PowerUW: 12105.59002593364, LeakageUW: 53.47500000000063, FootprintMM2: 0.6157677688962984, LogicCellAreaMM2: 0.2955808444295456, MetalAreaMM2: 7.38921322675558, TotalWLm: 1.3497740154665858, F2FBumps: 14573, CpinNF: 0.03207204999999895, CwireNF: 0.3176530587707546, ClkDepth: 12, ClkSkewPs: 25, CritPathWLmm: 2.2565073254920334, CritPathPs: 5010.687057767604, RouteOverflow: 0, Dies: 2, HoldWNSps: -815.8045377326016, HoldViolations: 384, Resized: 11, Buffers: 29}},
+		{"2d", ppaRelTol, PPA{Flow: "2D", Config: "piton_small", FclkMHz: 692.0570601606809, MinPeriodPs: 1444.967557686387, EmeanFJ: 55289.766690035016, PowerUW: 38263.67339247557, LeakageUW: 92.03900000000057, FootprintMM2: 1.2312490622396546, LogicCellAreaMM2: 0.3771924870876255, MetalAreaMM2: 7.387494373437928, TotalWLm: 1.255532681061984, F2FBumps: 0, CpinNF: 0.03702747999999931, CwireNF: 0.2697502373495614, ClkDepth: 13, ClkSkewPs: 25, CritPathWLmm: 2.4156081810282988, CritPathPs: 2103.598507050227, RouteOverflow: 0, Dies: 1, MacroPins: 876, HoldWNSps: -736.6458450721449, HoldViolations: 384, Resized: 563, Buffers: 816}},
+		{"macro3d", ppaRelTol, PPA{Flow: "Macro-3D", Config: "piton_small", FclkMHz: 767.019599163908, MinPeriodPs: 1303.7476501122696, EmeanFJ: 42715.62927873663, PowerUW: 32763.72484741066, LeakageUW: 78.86760000000056, FootprintMM2: 0.6157677688962984, LogicCellAreaMM2: 0.34682052282623704, MetalAreaMM2: 7.38921322675558, TotalWLm: 0.879822374089867, F2FBumps: 899, CpinNF: 0.03552497999999905, CwireNF: 0.1854792442592821, ClkDepth: 12, ClkSkewPs: 25, CritPathWLmm: 0.9950677616373524, CritPathPs: 1934.7949134200676, RouteOverflow: 0, Dies: 2, MacroPins: 876, HoldWNSps: -691.2234413483519, HoldViolations: 384, Resized: 945, Buffers: 522}},
+		{"s2d", 1e-7, PPA{Flow: "S2D", Config: "piton_small", FclkMHz: 186.2103797682144, MinPeriodPs: 5370.26991322799, EmeanFJ: 54015.798520887925, PowerUW: 10058.302356057897, LeakageUW: 51.41030000000053, FootprintMM2: 0.6157677688962984, LogicCellAreaMM2: 0.2916142012008488, MetalAreaMM2: 7.38921322675558, TotalWLm: 1.485874428760639, F2FBumps: 14880, CpinNF: 0.03169017999999891, CwireNF: 0.34907376316984773, ClkDepth: 12, ClkSkewPs: 25, CritPathWLmm: 1.7905958251487784, CritPathPs: 6088.118102599541, RouteOverflow: 0, Dies: 2, MacroPins: 876, HoldWNSps: -780.5078659294907, HoldViolations: 384, Resized: 0, Buffers: 0}},
+		{"bfs2d", ppaRelTol, PPA{Flow: "BF S2D", Config: "piton_small", FclkMHz: 240.98974142724492, MinPeriodPs: 4149.554226157386, EmeanFJ: 42134.51787935977, PowerUW: 10153.98656890854, LeakageUW: 51.63730000000076, FootprintMM2: 0.6157677688962984, LogicCellAreaMM2: 0.29148608999443143, MetalAreaMM2: 7.38921322675558, TotalWLm: 0.8340362051436547, F2FBumps: 14764, CpinNF: 0.03179520999999912, CwireNF: 0.2023633264278357, ClkDepth: 12, ClkSkewPs: 25, CritPathWLmm: 1.0365450948266253, CritPathPs: 4823.387362766988, RouteOverflow: 0, Dies: 2, MacroPins: 876, HoldWNSps: -743.5552533465394, HoldViolations: 384, Resized: 0, Buffers: 0}},
+		{"c2d", 1e-8, PPA{Flow: "C2D", Config: "piton_small", FclkMHz: 234.78557957034246, MinPeriodPs: 4259.20536444359, EmeanFJ: 51560.19397821137, PowerUW: 12105.59002593364, LeakageUW: 53.47500000000063, FootprintMM2: 0.6157677688962984, LogicCellAreaMM2: 0.2955808444295456, MetalAreaMM2: 7.38921322675558, TotalWLm: 1.3497740154665858, F2FBumps: 14573, CpinNF: 0.03207204999999895, CwireNF: 0.3176530587707546, ClkDepth: 12, ClkSkewPs: 25, CritPathWLmm: 2.2565073254920334, CritPathPs: 5010.687057767604, RouteOverflow: 0, Dies: 2, MacroPins: 876, HoldWNSps: -815.8045377326016, HoldViolations: 384, Resized: 11, Buffers: 29}},
 	} {
 		f, _ := runSmall(t, c.key)
 		checkPinnedPPA(t, f.ppa, c.want, c.tol)

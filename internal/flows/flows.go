@@ -206,6 +206,7 @@ type PPA struct {
 
 	RouteOverflow int
 	Dies          int
+	MacroPins     int // pins of the memory macros, every die's
 
 	// Hold sign-off (extension beyond the paper's setup-only flow).
 	HoldWNSps      float64
@@ -252,8 +253,9 @@ type State struct {
 // written before either fix must miss. 2: the key material lost the
 // byte that selected the optimizer's deleted from-scratch STA path.
 // 3: it lost the buffer span and the fanout load, now the optimizer's
-// constants.
-const signoffRevision = 3
+// constants. 4: at a bump pitch wider than a gcell, a gcell holds the
+// bonding-lattice sites centred in it instead of one bump.
+const signoffRevision = 4
 
 // signoffMaterial is the signoff checkpoint's key material: the 3D
 // stack's, which the pseudo flows hold until sign-off (flow.material),

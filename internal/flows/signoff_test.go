@@ -194,3 +194,22 @@ func TestPowerFailsOnNonFiniteCaps(t *testing.T) {
 		check(t, err)
 	})
 }
+
+// TestCoarseBumpPitchVerifies runs checked Macro-3D flows at bump
+// pitches near and past the gcell size, where crossings overflow their
+// gcells' bump capacity: every bump must still sit a pitch from every
+// other, and the route overflow must count each overfull bump bin.
+func TestCoarseBumpPitchVerifies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full tiny flows")
+	}
+	for _, pitch := range []float64{10, 20} {
+		f2f := tech.DefaultF2F()
+		f2f.Pitch = pitch
+		p, _, _, err := RunMacro3D(Config{Piton: piton.Tiny(), Seed: 1, F2F: &f2f, Check: true})
+		if err != nil {
+			t.Fatalf("pitch %g µm: %v", pitch, err)
+		}
+		t.Logf("pitch %g µm: %d bumps, overflow %d", pitch, p.F2FBumps, p.RouteOverflow)
+	}
+}

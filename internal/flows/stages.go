@@ -514,6 +514,12 @@ func (f *flow) power() error {
 	if err != nil {
 		return err
 	}
+	macroPins := 0
+	for _, i := range st.Design.Instances {
+		if i.IsMacro() {
+			macroPins += len(i.Master.Pins)
+		}
+	}
 
 	metals := logicMetals
 	if f.dies > 1 {
@@ -548,6 +554,7 @@ func (f *flow) power() error {
 
 		RouteOverflow: st.Routes.Overflow,
 		Dies:          f.dies,
+		MacroPins:     macroPins,
 		Resized:       f.resized,
 		Buffers:       f.buffers,
 	}

@@ -76,9 +76,9 @@ type Config struct {
 // die's node: e.g. an older node optimized for memory density has
 // slower access (ClkQScale > 1) but far lower leakage.
 type MacroProcess struct {
-	ClkQScale    float64 // access-time multiplier (0 → 1)
-	EnergyScale  float64 // per-access energy multiplier (0 → 1)
-	LeakageScale float64 // leakage multiplier (0 → 1)
+	ClkQScale    float64 `json:"clkq_scale,omitempty"`    // access-time multiplier (0 → 1)
+	EnergyScale  float64 `json:"energy_scale,omitempty"`  // per-access energy multiplier (0 → 1)
+	LeakageScale float64 `json:"leakage_scale,omitempty"` // leakage multiplier (0 → 1)
 }
 
 func (m MacroProcess) orDefault() MacroProcess {

@@ -63,11 +63,11 @@ func TestIsoPerfSharesPrefix(t *testing.T) {
 	}
 	baseline := s.Stats()
 
-	iso, err := isoPerf(context.Background(), cfg, []piton.Config{cfg.Piton})
+	cells, ps, err := isoPerf(context.Background(), cfg, []piton.Config{cfg.Piton})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if iso.PPA[1] == nil || iso.Cells[1].TargetPeriod != iso.PPA[0].MinPeriodPs {
+	if ps[1] == nil || cells[1].TargetPeriod != ps[0].MinPeriodPs {
 		t.Fatal("no iso-performance PPA at the 2D period")
 	}
 	// The 2D run misses its two regions; the Macro-3D one hits place and

@@ -203,7 +203,7 @@ func TestTableIShapeAcrossSeeds(t *testing.T) {
 	}
 	var doc struct {
 		Seeds []uint64
-		Cells []series
+		Cells []Series
 	}
 	if err := json.Unmarshal(res.QoR, &doc); err != nil {
 		t.Fatal(err)

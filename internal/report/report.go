@@ -1,12 +1,12 @@
 // Package report runs the paper's experiments end to end — Tables I–III,
-// the §V-A iso-performance comparison, the ablation sweeps and the seed
-// ensemble behind them — and formats their tables. An experiment is data:
-// a list of cells, one flow run each, and a formatter over their PPA in
-// cell order. One driver, Run, runs every list; a cancelled or partially
-// failed experiment still renders, its missing cells as "—". Tables I–III
-// and the seed ensemble render as markdown, the paper's values beside
-// ours; Render writes the same blocks into EXPERIMENTS.md from the cells
-// BENCH_qor.json keeps.
+// the §V-A iso-performance comparison, the ablations, the extensions and
+// the seed ensemble behind them — and renders their tables. An experiment
+// is data: a list of cells, one flow run each, and a table over their PPA
+// in cell order. One driver, Run, runs every list; a cancelled or
+// partially failed experiment still renders, its missing cells as "—".
+// Every experiment keeps its cells in BENCH_qor.json and renders as
+// markdown, the paper's values beside ours; Render writes the same blocks
+// into EXPERIMENTS.md from the cells the file keeps.
 package report
 
 import (
@@ -133,8 +133,8 @@ func Run(ctx context.Context, base flows.Config, cells []Cell, keepGoing bool) (
 
 // Result is one experiment run: its cells, their PPA in cell order (nil
 // where a cell failed) and the rendered report. QoR is the experiment's
-// part of BENCH_qor.json when it keeps one (the seed ensemble; Tables
-// I–III) and every cell ran, for Result.MergeQoR.
+// part of BENCH_qor.json once every cell ran (nil before), for
+// Result.MergeQoR.
 type Result struct {
 	Cells []Cell
 	PPA   []*flows.PPA
@@ -151,28 +151,20 @@ type experiment struct {
 // experiments is every experiment RunExperiment knows, in the order
 // Names lists them.
 var experiments = []experiment{
-	{"table1", recorded("table1", tableICells)},
-	{"table2", recorded("table2", tableIICells)},
-	{"table3", recorded("table3", tableIIICells)},
+	recorded("table1", tableICells),
+	recorded("table2", tableIICells),
+	recorded("table3", tableIIICells),
 	{"isoperf", func(ctx context.Context, cfg flows.Config, _ bool) (*Result, error) {
-		return isoPerf(ctx, cfg, paperTiles())
+		cells, ps, err := isoPerf(ctx, cfg, paperTiles())
+		return record("isoperf", cells, ps, err)
 	}},
-	{"sweepblockage", table(blockageCells, formatBlockageSweep)},
-	{"sweeppitch", table(pitchCells, formatPitchSweep)},
-	{"heterotech", table(heteroCells, formatHeteroTech)},
+	recorded("sweepblockage", blockageCells),
+	recorded("sweeppitch", pitchCells),
+	recorded("heterotech", heteroCells),
+	recorded("macropins", macroPinCells),
 	{"seeds", func(ctx context.Context, cfg flows.Config, keepGoing bool) (*Result, error) {
 		return seeds(ctx, cfg, ensembleSeeds, keepGoing)
 	}},
-}
-
-// table is the common experiment: one cell list, one driver call, one
-// formatter over the PPA in cell order.
-func table(cells func(cfg flows.Config) []Cell, format func(ps []*flows.PPA) string) func(context.Context, flows.Config, bool) (*Result, error) {
-	return func(ctx context.Context, cfg flows.Config, keepGoing bool) (*Result, error) {
-		cs := cells(cfg)
-		ps, err := Run(ctx, cfg, cs, keepGoing)
-		return &Result{Cells: cs, PPA: ps, Text: format(ps)}, err
-	}
 }
 
 // Names lists the experiments RunExperiment accepts.
@@ -216,18 +208,4 @@ func cellsOf(tile piton.Config, seed uint64, flowNames ...string) []Cell {
 		cells[i] = Cell{Flow: f, Tile: tile, Seed: seed}
 	}
 	return cells
-}
-
-// The PPA fields several tables print.
-func overflow(p *flows.PPA) float64 { return float64(p.RouteOverflow) }
-func fclk(p *flows.PPA) float64     { return p.FclkMHz }
-func bumps(p *flows.PPA) float64    { return float64(p.F2FBumps) }
-func emean(p *flows.PPA) float64    { return p.EmeanFJ }
-
-// cell formats one table value, rendering missing columns as "—".
-func cell(p *flows.PPA, format string, v func(p *flows.PPA) float64) string {
-	if p == nil {
-		return "—"
-	}
-	return fmt.Sprintf(format, v(p))
 }

@@ -90,18 +90,6 @@ func TestTablesCarryRouteOverflow(t *testing.T) {
 	hasLines(t, renderPPA("table3", ppa(0, 5, 0, 7)...), "| route overflow [gcell-layers] | 0→5 | 0→7 |")
 }
 
-func TestIsoPerfFormat(t *testing.T) {
-	p2d, p3d := fakePPA("2D", 390, 0), fakePPA("Macro-3D", 390, 4740)
-	p2d.PowerUW, p3d.PowerUW = 1000, 968
-	cells := []Cell{{Flow: "2d", Tile: piton.SmallCache()}, {Flow: "macro3d", Tile: piton.SmallCache()}}
-	out := formatIsoPerf(cells, []*flows.PPA{p2d, p3d})
-	for _, want := range []string{"piton_small", "390 MHz", "-3.2%"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("iso-perf output missing %q: %s", want, out)
-		}
-	}
-}
-
 func TestPctHelper(t *testing.T) {
 	c := func(fclk float64) *tableCell { return &tableCell{FclkMHz: fclk} }
 	got := []string{fclkRow.change(c(110), c(100)), fclkRow.change(c(90), c(100)),
@@ -112,20 +100,54 @@ func TestPctHelper(t *testing.T) {
 }
 
 func TestBlockageSweepFormat(t *testing.T) {
-	ps := make([]*flows.PPA, 1+len(blockageResolutions))
-	ps[0], ps[1], ps[2] = fakePPA("2D", 400, 0), fakePPA("S2D", 200, 5000), fakePPA("S2D", 150, 5200)
-	out := formatBlockageSweep(ps)
-	if !strings.Contains(out, "-50.0%") || !strings.Contains(out, "-62.5%") {
-		t.Fatalf("sweep deltas missing:\n%s", out)
-	}
+	hasLines(t, renderPPA("sweepblockage", fakePPA("2D", 400, 0), fakePPA("S2D", 200, 5000), fakePPA("S2D", 150, 5200), nil, nil, nil),
+		"| metric (Δ vs 2D) | 2D | MoL S2D 15 µm | MoL S2D 30 µm | MoL S2D 50 µm | MoL S2D 80 µm | MoL S2D 120 µm |",
+		"| f_clk [MHz] | 400 | 200 (−50.0 %) | 150 (−62.5 %) | — | — | — |",
+		"| F2F bumps | 0 | 5000 | 5200 | — | — | — |")
 }
 
 func TestPitchSweepFormat(t *testing.T) {
-	ps := make([]*flows.PPA, len(f2fPitches))
-	ps[0], ps[3] = fakePPA("Macro-3D", 470, 4740), fakePPA("Macro-3D", 430, 900)
-	out := formatPitchSweep(ps)
-	if !strings.Contains(out, "4740") || !strings.Contains(out, "900") {
-		t.Fatalf("pitch sweep missing bump counts:\n%s", out)
+	hasLines(t, renderPPA("sweeppitch", fakePPA("Macro-3D", 470, 4740), nil, nil, fakePPA("Macro-3D", 430, 900), nil),
+		"| metric (Macro-3D; F2F pitch) | 1 µm | 2 µm | 5 µm | 10 µm | 20 µm |",
+		"| f_clk [MHz] | 470 | — | — | 430 | — |",
+		"| F2F bumps | 4740 | — | — | 900 | — |")
+}
+
+// TestIsoPerfFormat: the iso-performance power change sits beside the
+// paper's.
+func TestIsoPerfFormat(t *testing.T) {
+	p2d, p3d := fakePPA("2D", 390, 0), fakePPA("Macro-3D", 390, 4740)
+	p2d.PowerUW, p3d.PowerUW = 1000, 968
+	hasLines(t, renderPPA("isoperf", p2d, p3d, nil, nil),
+		"| metric (2D→Macro-3D at 2D's f_clk) | small | large |",
+		"| power [µW] | 1000.0→968.0 (−3.2 %) | —→— |",
+		"| paper | −3.2 % | −3.8 % |")
+}
+
+// TestRecordedTablesFormat: the other tables beyond Tables I–III, each
+// from a few cells with the rest failed ("—"): heterotech's changes
+// against the same node, and the bumps per macro pin.
+func TestRecordedTablesFormat(t *testing.T) {
+	same, slow := fakePPA("Macro-3D", 767, 899), fakePPA("Macro-3D", 514, 899)
+	same.LeakageUW, slow.LeakageUW = 80, 68
+	pins := fakePPA("Macro-3D", 767, 899)
+	pins.MacroPins = 876
+	for _, c := range []struct {
+		name  string
+		ps    []*flows.PPA
+		lines []string
+	}{
+		{"heterotech", []*flows.PPA{same, slow, nil}, []string{
+			"| f_clk [MHz] | 767 | 514 (−33.0 %) | — |",
+			"| leakage [µW] | 80.0 | 68.0 (−15.0 %) | — |",
+		}},
+		{"macropins", []*flows.PPA{nil, pins, nil}, []string{
+			"| metric (Macro-3D; data width) | 16 bit | 32 bit | 64 bit |",
+			"| macro pins | — | 876 | — |",
+			"| F2F bumps per macro pin | — | 1.03 | — |",
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) { hasLines(t, renderPPA(c.name, c.ps...), c.lines...) })
 	}
 }
 
@@ -148,14 +170,14 @@ func TestNilColumnsFormatAsDash(t *testing.T) {
 			}
 		}
 	}
-	if !strings.Contains(formatBlockageSweep(make([]*flows.PPA, 1+len(blockageResolutions))), "—") {
-		t.Fatal("empty blockage sweep lacks dashes")
-	}
-	if !strings.Contains(formatPitchSweep(make([]*flows.PPA, len(f2fPitches))), "—") {
-		t.Fatal("empty pitch sweep lacks dashes")
-	}
-	if !strings.Contains(formatHeteroTech(make([]*flows.PPA, len(heteroPoints))), "—") {
-		t.Fatal("empty hetero sweep lacks dashes")
+	// Every table, with no cell run, is dashes alone.
+	dashes := regexp.MustCompile(`^\| [^|]+ (\| —(→—)? )+\|$`)
+	for name, tab := range paperTables {
+		for _, line := range strings.Split(renderPPA(name, make([]*flows.PPA, tab.cells())...), "\n")[2:] {
+			if line != "" && !strings.HasPrefix(line, "| paper |") && !dashes.MatchString(line) {
+				t.Errorf("%s with no cell: row %q is not dashes", name, line)
+			}
+		}
 	}
 }
 

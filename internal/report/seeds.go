@@ -31,9 +31,9 @@ func seedCells(cfg flows.Config, n int) []Cell {
 	return cells
 }
 
-// series is one flow × tile of the ensemble and a row of BENCH_qor.json:
+// Series is one flow × tile of the ensemble and a row of BENCH_qor.json:
 // each QoR metric at each seed, NaN where that run failed.
-type series struct {
+type Series struct {
 	Flow     string    `json:"flow"`
 	Tile     string    `json:"tile"`
 	FclkMHz  []float64 `json:"fclk_mhz"`
@@ -44,14 +44,14 @@ type series struct {
 
 // ensemble groups the PPA of seedCells(cfg, n) by flow × tile, in the
 // order of a seed's cells.
-func ensemble(cells []Cell, ps []*flows.PPA, n int) []*series {
-	var out []*series
+func ensemble(cells []Cell, ps []*flows.PPA, n int) []*Series {
+	var out []*Series
 	perSeed := len(cells) / n
 	for i, c := range cells[:perSeed] {
 		if slices.Contains(cells[:i], c) {
 			continue
 		}
-		s := &series{Flow: c.Flow, Tile: c.Tile.Name}
+		s := &Series{Flow: c.Flow, Tile: c.Tile.Name}
 		for k := 0; k < n; k++ {
 			v := [4]float64{math.NaN(), math.NaN(), math.NaN(), math.NaN()}
 			if p := ps[k*perSeed+i]; p != nil {
@@ -66,7 +66,7 @@ func ensemble(cells []Cell, ps []*flows.PPA, n int) []*series {
 }
 
 // ran is the series' fclk at the seeds that ran.
-func (s *series) ran() []float64 {
+func (s *Series) ran() []float64 {
 	return slices.DeleteFunc(slices.Clone(s.FclkMHz), math.IsNaN)
 }
 
@@ -81,17 +81,17 @@ func geomean(v []float64) float64 {
 // link is an adjacent pair of the chain on one tile and the number of
 // seeds, of those on which both ran, where lo's fclk is below hi's.
 type link struct {
-	lo, hi   *series
+	lo, hi   *Series
 	won, ran int
 }
 
 // links is every chain link the ensemble holds both ends of, in chain
 // order.
-func links(ss []*series) []link {
+func links(ss []*Series) []link {
 	var out []link
 	for r := 1; r < len(chain); r++ {
 		for _, lo := range ss {
-			j := slices.IndexFunc(ss, func(hi *series) bool { return hi.Tile == lo.Tile && hi.Flow == chain[r] })
+			j := slices.IndexFunc(ss, func(hi *Series) bool { return hi.Tile == lo.Tile && hi.Flow == chain[r] })
 			if lo.Flow != chain[r-1] || j < 0 {
 				continue
 			}
@@ -116,7 +116,7 @@ func links(ss []*series) []link {
 func seeds(ctx context.Context, cfg flows.Config, n int, keepGoing bool) (*Result, error) {
 	cells := seedCells(cfg, n)
 	ps, err := Run(ctx, cfg, cells, keepGoing)
-	doc := qorDoc{Cells: ensemble(cells, ps, n)}
+	doc := QoRFile{Cells: ensemble(cells, ps, n)}
 	for k := 0; k < n; k++ {
 		doc.Seeds = append(doc.Seeds, cfg.Seed+uint64(k))
 	}

@@ -2,9 +2,7 @@ package report
 
 import (
 	"context"
-	"fmt"
 	"slices"
-	"strings"
 
 	"macro3d/internal/flows"
 	"macro3d/internal/piton"
@@ -35,38 +33,26 @@ func tableIIICells(cfg flows.Config) []Cell {
 
 // isoPerf is the §V-A iso-performance power comparison on each tile: 2D,
 // then Macro-3D re-implemented at 2D's minimum period — two driver calls,
-// because the second list needs the first one's periods.
-func isoPerf(ctx context.Context, cfg flows.Config, tiles []piton.Config) (*Result, error) {
-	n := len(tiles)
-	cells := make([]Cell, 2*n)
+// because the second list needs the first one's periods — returned as a
+// (2D, Macro-3D) pair of cells per tile.
+func isoPerf(ctx context.Context, cfg flows.Config, tiles []piton.Config) ([]Cell, []*flows.PPA, error) {
+	twoD, iso := make([]Cell, len(tiles)), make([]Cell, len(tiles))
 	for i, pc := range tiles {
-		cells[i] = Cell{Flow: "2d", Tile: pc, Seed: cfg.Seed}
+		twoD[i] = Cell{Flow: "2d", Tile: pc, Seed: cfg.Seed}
 	}
-	ps, err := Run(ctx, cfg, cells[:n], false)
+	ps, err := Run(ctx, cfg, twoD, false)
+	isoPS := make([]*flows.PPA, len(tiles))
 	if err == nil {
 		for i, p := range ps {
-			cells[n+i] = Cell{Flow: "macro3d", Tile: tiles[i], Seed: cfg.Seed, TargetPeriod: p.MinPeriodPs}
+			iso[i] = Cell{Flow: "macro3d", Tile: tiles[i], Seed: cfg.Seed, TargetPeriod: p.MinPeriodPs}
 		}
-		var iso []*flows.PPA
-		iso, err = Run(ctx, cfg, cells[n:], false)
-		ps = append(ps, iso...)
+		isoPS, err = Run(ctx, cfg, iso, false)
 	}
-	return &Result{Cells: cells, PPA: ps, Text: formatIsoPerf(cells, ps)}, err
-}
-
-// formatIsoPerf renders isoPerf's list — the 2D cells, then their
-// Macro-3D twins — a line per tile that completed.
-func formatIsoPerf(cells []Cell, ps []*flows.PPA) string {
-	var b strings.Builder
-	n := len(cells) / 2
-	for i := 0; n+i < len(ps) && ps[i] != nil && ps[n+i] != nil; i++ {
-		p2d, p3d := ps[i], ps[n+i]
-		delta := 0.0
-		if p2d.PowerUW > 0 {
-			delta = 100 * (p3d.PowerUW/p2d.PowerUW - 1)
-		}
-		fmt.Fprintf(&b, "Iso-performance (%s, %.0f MHz): 2D %.1f µW, Macro-3D %.1f µW (%+.1f%%)\n",
-			cells[i].Tile.Name, p2d.FclkMHz, p2d.PowerUW, p3d.PowerUW, delta)
+	var cells []Cell
+	var pairs []*flows.PPA
+	for i := range tiles {
+		cells = append(cells, twoD[i], iso[i])
+		pairs = append(pairs, ps[i], isoPS[i])
 	}
-	return b.String()
+	return cells, pairs, err
 }

@@ -65,9 +65,33 @@ func (o Options) withDefaults() Options {
 // blockage fills (truncated, one blockage at a time).
 const CapacityFill = 0.65
 
-// BumpFill derates the F2F bump sites of a gcell: it holds
-// max(1, ⌊DX / pitch · DY / pitch · BumpFill⌋) crossings.
+// BumpFill derates the F2F bump sites of a gcell (BumpCapacity).
 const BumpFill = 0.5
+
+// BumpCapacity is the F2F crossings gcell (ix, iy) of g holds at bump
+// pitch p. A gcell the pitch fits in holds
+// max(1, ⌊DX / p · DY / p · BumpFill⌋). Where the pitch is wider than a
+// gcell side, a gcell holds the sites of the bonding lattice
+// (BumpLattice) whose centres fall in it, so some hold none.
+func BumpCapacity(g geom.Grid, p float64, ix, iy int) int32 {
+	if p <= g.DX && p <= g.DY {
+		return max(int32(g.DX/p*g.DY/p*BumpFill), 1)
+	}
+	// The sites of an axis of n, centred at (k+½)·p, in gcell i of width d.
+	span := func(i int, d float64, n int) int32 {
+		first := func(x float64) int32 { return int32(min(max(int(math.Ceil(x/p-0.5)), 0), n)) }
+		return first(float64(i+1)*d) - first(float64(i)*d)
+	}
+	nx, ny := BumpLattice(g, p)
+	return span(ix, g.DX, nx) * span(iy, g.DY, ny)
+}
+
+// BumpLattice is the size of g's bonding lattice at pitch p: the sites
+// F2F bumps sit on, p apart, site (i, j) centred at
+// Region.LL() + ((i+½)·p, (j+½)·p).
+func BumpLattice(g geom.Grid, p float64) (nx, ny int) {
+	return max(int(g.Region.W()/p), 1), max(int(g.Region.H()/p), 1)
+}
 
 // viaCost is the routing cost of one via step, in gcell-lengths.
 const viaCost = 1.0
@@ -397,14 +421,11 @@ func NewDB(die geom.Rect, beol *tech.BEOL, blk []floorplan.RouteBlockage, opt Op
 	// F2F bump capacity per gcell from the bump pitch.
 	if db.f2fIdx >= 0 {
 		p := beol.Vias[db.f2fIdx].Pitch
-		per := int32(g.DX / p * g.DY / p * BumpFill)
-		if per < 1 {
-			per = 1
-		}
 		db.f2fCap = make([]int32, g.Bins())
 		db.f2fUse = make([]int32, g.Bins())
 		for b := range db.f2fCap {
-			db.f2fCap[b] = per
+			ix, iy := g.Coords(b)
+			db.f2fCap[b] = BumpCapacity(g, p, ix, iy)
 		}
 	}
 	return db

@@ -746,3 +746,25 @@ func TestRouteNetRewritesInPlace(t *testing.T) {
 		t.Fatal("an unrouted net did not get a record of its own")
 	}
 }
+
+// TestBumpCapacityCountsLatticeSites holds a pitch wider than a gcell
+// to the bonding lattice: the gcells together hold each site once, and
+// a gcell holds no more than one site a side.
+func TestBumpCapacityCountsLatticeSites(t *testing.T) {
+	g := geom.NewGrid(geom.R(0, 0, 300, 200), 15)
+	for _, p := range []float64{16, 20, 31, 45} {
+		nx, ny := BumpLattice(g, p)
+		var total int32
+		for b := range g.Bins() {
+			ix, iy := g.Coords(b)
+			c := BumpCapacity(g, p, ix, iy)
+			if c < 0 || c > 1 {
+				t.Fatalf("pitch %g: gcell (%d, %d) holds %d bumps", p, ix, iy, c)
+			}
+			total += c
+		}
+		if int(total) != nx*ny {
+			t.Errorf("pitch %g: gcells hold %d bumps, the lattice has %d×%d sites", p, total, nx, ny)
+		}
+	}
+}

@@ -377,7 +377,7 @@ func Obstructions(rep *Report, d *netlist.Design, res *route.Result, blk Blockag
 // capacity derived from the technology and the blockages alone: a layer's
 // tracks per gcell from its pitch and direction (route.CapacityFill),
 // less the fraction each blockage rect fills, and a gcell's bump sites
-// from the F2F via pitch (route.BumpFill). A gcell-layer a blockage
+// from the F2F via pitch (route.BumpCapacity). A gcell-layer a blockage
 // leaves no track holds one for each pin of the routes in its column,
 // the access the router grants. Checked.Overflow is the recount. It must
 // be the result's own Overflow, the route overflow the tables print:
@@ -415,9 +415,9 @@ func Capacity(rep *Report, res *route.Result, blk Blockages) {
 	if f2f >= 0 {
 		p := blk.Beol.Vias[f2f].Pitch
 		bumps, bumpUse = make([]int32, bins), make([]int32, bins)
-		per := max(int32(g.DX/p*g.DY/p*route.BumpFill), 1)
 		for b := range bumps {
-			bumps[b] = per
+			ix, iy := g.Coords(b)
+			bumps[b] = route.BumpCapacity(g, p, ix, iy)
 		}
 	}
 	usage := make([]int32, len(capacity))
