@@ -119,15 +119,17 @@ equiv:
 	$(GO) test -race -timeout 30m -run TestDeterminism -v ./internal/flows/
 
 ## obs-smoke: end-to-end observability check — tiny flow with -events
-## and -obs-addr, live /metrics and /debug/vars scrapes, JSONL and
-## Prometheus snapshot validation. Fails on any malformed output.
+## and -obs-addr, live /metrics (the registry's one rendering) and
+## /debug/vars scrapes, JSONL and Prometheus snapshot validation. Fails
+## on any malformed output.
 obs-smoke:
 	GO="$(GO)" sh scripts/obs_smoke.sh
 
 ## cache-smoke: end-to-end stage-cache check — tiny flow cold, warm and
 ## warm with -check, asserting hit counters and byte-identical PPA
 ## output, then under a -cache-max-bytes cap (eviction, the cap on disk,
-## byte-identical PPA), plus the -resume default directory.
+## byte-identical PPA), plus a relative -cache-dir made in the working
+## directory.
 cache-smoke:
 	GO="$(GO)" sh scripts/cache_smoke.sh
 
@@ -141,8 +143,9 @@ harden-smoke:
 
 ## trace-smoke: end-to-end execution-tracer check — tiny flow with
 ## -trace, Chrome trace-event JSON validation, normalized-determinism
-## comparison of two identical runs, the trace-report bottleneck table,
-## byte-identical flow output with tracing off, and one run with -trace
+## comparison of two identical runs, the trace-report -in bottleneck
+## table (of a macro3d run's trace and of a 2d run's), byte-identical
+## flow output with tracing off, and one run with -trace
 ## and -events together whose stage span_close events and stages
 ## slices agree in number.
 trace-smoke:

@@ -15,10 +15,6 @@ import (
 	"macro3d"
 )
 
-// defaultCacheDir is where -resume keeps snapshots when -cache-dir is
-// not given.
-const defaultCacheDir = ".macro3d-stash"
-
 // command is one mode's command line. A flag several modes share is
 // declared once, in this file (tile, runOn, array, timeout, cache,
 // checked), with its check attached; parse runs every check first.
@@ -132,38 +128,28 @@ func (r *runFlags) flowConfig() macro3d.FlowConfig {
 
 // cacheFlags name the stage cache.
 type cacheFlags struct {
-	dir    string
-	resume bool
-	max    int64
+	dir string
+	max int64
 }
 
 func (c *command) cache(cf *cacheFlags) {
 	c.StringVar(&cf.dir, "cache-dir", "", "content-addressed stage cache directory: snapshots of completed stages and hardened abstracts skip recomputation on later runs")
-	c.BoolVar(&cf.resume, "resume", false, "resume from cached stage snapshots (implies -cache-dir "+defaultCacheDir+" when unset)")
 	c.Int64Var(&cf.max, "cache-max-bytes", 0, "stage cache byte budget: evict least-recently-used snapshots to stay under this size (0 = unlimited)")
 	atLeast(c, "cache-max-bytes", &cf.max, 0)
 	c.check(func() error {
-		if cf.max != 0 && cf.path() == "" {
-			return errors.New("-cache-max-bytes needs -cache-dir or -resume")
+		if cf.max != 0 && cf.dir == "" {
+			return errors.New("-cache-max-bytes needs -cache-dir")
 		}
 		return nil
 	})
 }
 
-// path is the cache directory, "" for no cache.
-func (cf *cacheFlags) path() string {
-	if cf.dir == "" && cf.resume {
-		return defaultCacheDir
-	}
-	return cf.dir
-}
-
 // open opens the cache, nil when there is none.
 func (cf *cacheFlags) open() (*macro3d.StageCache, error) {
-	if cf.path() == "" {
+	if cf.dir == "" {
 		return nil, nil
 	}
-	return macro3d.OpenStageCacheLimited(cf.path(), cf.max)
+	return macro3d.OpenStageCacheLimited(cf.dir, cf.max)
 }
 
 // mode is the entry point of a mode: it parses the command line, runs

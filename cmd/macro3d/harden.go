@@ -35,8 +35,8 @@ func newHardenFlags(o *hardenOptions) *command {
 // pins, per-layer obstructions, boundary timing model), and optionally
 // re-instantiate it as an N×N parent-level array.
 //
-//	macro3d harden -config tiny -flow macro3d -resume            # harden once, cache it
-//	macro3d harden -config tiny -array 4 -resume                 # warm: parent flow only
+//	macro3d harden -config tiny -flow macro3d -cache-dir stash   # harden once, cache it
+//	macro3d harden -config tiny -array 4 -cache-dir stash        # warm: parent flow only
 //	macro3d harden -config tiny -o tile_abstract.lef             # export the abstract LEF
 //
 // With a cache directory the hardened abstract is a checkpoint region of

@@ -10,7 +10,6 @@
 //	macro3d -experiment table2 -cpuprofile cpu.prof -memprofile mem.prof
 //	macro3d -experiment table2 -check                  # same table, every flow checked (flows.Config.Check)
 //	macro3d -experiment table1 -cache-dir /tmp/stash   # populate, then re-run to resume
-//	macro3d -flow macro3d -resume                      # cache under .macro3d-stash
 //	macro3d harden|trace-report|layoutviz|pitongen …    # the other modes (harden.go, …)
 //
 // In every mode a flag no run could honour exits 2 before any work.
@@ -34,8 +33,7 @@
 // -cache-dir enables the content-addressed stage cache: completed
 // place/route/sign-off stages are snapshotted, and a later run with
 // the same inputs restores them instead of recomputing (results are
-// bit-identical either way). -resume is shorthand that defaults the
-// directory to .macro3d-stash.
+// bit-identical either way).
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles covering the
 // whole run (the memory profile is a heap snapshot taken at exit, after
@@ -112,7 +110,7 @@ func newFlagSet(o *options) *command {
 	c.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	c.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	c.StringVar(&o.events, "events", "", "write the observability JSONL event stream (spans, metric samples, fault tags) to this file")
-	c.StringVar(&o.obsAddr, "obs-addr", "", "serve live observability endpoints (/metrics, /metrics.json, /debug/vars, /debug/pprof/) on this address, e.g. :9090 or 127.0.0.1:0")
+	c.StringVar(&o.obsAddr, "obs-addr", "", "serve live observability endpoints (/metrics, /debug/vars, /debug/pprof/) on this address, e.g. :9090 or 127.0.0.1:0")
 	c.StringVar(&o.metricsOut, "metrics-out", "", "write a final Prometheus text snapshot of the run's metrics to this file")
 	c.DurationVar(&o.obsLinger, "obs-linger", 0, "with -obs-addr: keep serving this long after a successful run (live inspection, smoke tests)")
 	atLeast(c, "obs-linger", &o.obsLinger, 0)
@@ -196,7 +194,7 @@ func flowMode(ctx context.Context, o *options) (err error) {
 			return fmt.Errorf("-obs-addr: %w", err)
 		}
 		defer func() { teardown("-obs-addr", obsSrv.Close()) }()
-		fmt.Fprintf(os.Stderr, "macro3d: observability endpoint at %s/metrics (also /metrics.json, /debug/vars, /debug/pprof/)\n", obsSrv.URL())
+		fmt.Fprintf(os.Stderr, "macro3d: observability endpoint at %s/metrics (also /debug/vars, /debug/pprof/)\n", obsSrv.URL())
 	}
 
 	cache, err := o.cache.open()

@@ -36,7 +36,6 @@ func TestFlagSetGolden(t *testing.T) {
 			"metrics-out=",
 			"obs-addr=",
 			"obs-linger=0s",
-			"resume=false",
 			"seed=1",
 			"timeout=0s",
 			"trace=",
@@ -51,18 +50,10 @@ func TestFlagSetGolden(t *testing.T) {
 			"j=0",
 			"macrodiemetals=6",
 			"o=",
-			"resume=false",
 			"seed=1",
 		}},
 		{"trace-report", newTraceReportFlags(&traceReportOptions{}), []string{
-			"config=small",
-			"flow=",
 			"in=",
-			"j=0",
-			"macrodiemetals=6",
-			"out=",
-			"seed=1",
-			"timeout=0s",
 			"top=10",
 		}},
 		{"layoutviz", newLayoutvizFlags(&layoutvizOptions{}), []string{
@@ -99,7 +90,7 @@ func TestCacheAndWorkerFlagMisuse(t *testing.T) {
 		args []string
 	}{
 		{"budget without a cache", []string{"-cache-max-bytes", "1000"}},
-		{"negative budget", []string{"-cache-max-bytes", "-1", "-resume"}},
+		{"negative budget", []string{"-cache-max-bytes", "-1", "-cache-dir", t.TempDir()}},
 		{"negative -j", []string{"-j", "-2"}},
 	} {
 		flow := append([]string{"-flow", "macro3d", "-config", "tiny"}, c.args...)
@@ -121,7 +112,10 @@ func TestCacheAndWorkerFlagMisuse(t *testing.T) {
 // switches and the deleted placer switch are unknown flags, rejected with
 // the usage error rather than silently accepted (spelled in halves so a
 // grep for them finds nothing in the tree), as are -cache-verify and
-// harden's -verify, which -check replaced; -array is checked against
+// harden's -verify, which -check replaced, and -resume, which only named
+// a default -cache-dir. trace-report reads the trace a run wrote and runs
+// no flow, so it needs -in, and -flow and the flags that ran one are
+// unknown to it. -array is checked against
 // -flow up front rather than after the flow has run (which used to exit
 // 1 minutes later). A stray word ends flag parsing, so it is rejected
 // rather than running with every flag after it dropped; `serve` is no
@@ -160,11 +154,13 @@ func TestUsageErrorsExitBeforeAnyWork(t *testing.T) {
 		{"harden", "-config", "tiny", "-macrodiemetals", "0"},
 		{"harden", "-config", "tiny", "-array", "-3"},
 		{"harden", "-config", "tiny", "-verify"},
-		{"trace-report", "-flow", "2d", "-config", "tiny", "-macrodiemetals", "0"},
-		{"trace-report", "-flow", "2d", "-config", "tiny", "extra"},
-		{"trace-report", "-flow", "2d", "-config", "tiny", "-timeout", "-1s"},
-		{"trace-report", "-flow", "2d", "-config", "tiny", "-j", "-1"},
-		{"trace-report", "-flow", "2d", "-config", "tiny", "-top", "-1"},
+		{"harden", "-config", "tiny", "-resume"},
+		{"-flow", "macro3d", "-config", "tiny", "-resume"},
+		{"trace-report"},
+		{"trace-report", "-flow", "2d"},
+		{"trace-report", "-in", lef, "-out", lef},
+		{"trace-report", "-in", lef, "extra"},
+		{"trace-report", "-in", lef, "-top", "-1"},
 		{"layoutviz", "-fig", "4", "-config", "tiny", "extra", "-fig", "5"},
 		{"layoutviz", "-fig", "9"},
 		{"layoutviz", "-config", "bogus"},
@@ -182,7 +178,6 @@ func TestUsageErrorsExitBeforeAnyWork(t *testing.T) {
 		{"-flow", "2d", "-array", "3"},
 		{"-flow", "macro3d", "-array", "3"},
 		{"-flow", "2d", "-cache-max-bytes", "1000", "-j", "1", "-cache-dir", t.TempDir()},
-		{"-flow", "2d", "-cache-max-bytes", "1000", "-j", "1", "-resume"},
 		{"-experiment", "flowtrace", "-config", "tiny", "-macrodiemetals", "4"},
 		{"-experiment", "table1", "-check"},
 	} {

@@ -152,10 +152,6 @@ type DieLayout struct {
 	StdCells int
 	Macros   int
 
-	// WirelengthByLayer holds routed wire per layer present in this
-	// die, µm.
-	WirelengthByLayer map[string]float64
-
 	// Bumps are the F2F bonding via locations (shared by both parts).
 	Bumps []geom.Point
 }
@@ -168,12 +164,10 @@ func Separate(md *MoLDesign, routes *route.Result, db *route.DB) (logic, macro *
 	logic = &DieLayout{
 		Name: d.Name + "_logic_die", Die: netlist.LogicDie,
 		Outline: md.FP.Die, Layers: md.LogicLayers,
-		WirelengthByLayer: map[string]float64{},
 	}
 	macro = &DieLayout{
 		Name: d.Name + "_macro_die", Die: netlist.MacroDie,
 		Outline: md.FP.Die, Layers: md.MacroLayers,
-		WirelengthByLayer: map[string]float64{},
 	}
 
 	// Substrate objects: all placed cells (and filler-sized macro
@@ -189,16 +183,6 @@ func Separate(md *MoLDesign, routes *route.Result, db *route.DB) (logic, macro *
 			continue
 		}
 		logic.StdCells++
-	}
-
-	// Wire geometry per layer.
-	for li, l := range md.Combined.Layers {
-		wl := routes.WLPerLayer[li]
-		if l.MacroDie {
-			macro.WirelengthByLayer[l.Name] = wl
-		} else {
-			logic.WirelengthByLayer[l.Name] = wl
-		}
 	}
 
 	// Bump locations from F2F via crossings; both parts carry them.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -248,14 +249,20 @@ func TestSeparateProducesBothParts(t *testing.T) {
 	if len(logic.Bumps) != len(macro.Bumps) || len(logic.Bumps) != res.F2FBumps {
 		t.Fatalf("bump lists: %d / %d, routed %d", len(logic.Bumps), len(macro.Bumps), res.F2FBumps)
 	}
-	// Wire separation: _MD wirelength only in the macro part.
-	for name := range logic.WirelengthByLayer {
-		if strings.HasSuffix(name, "_MD") {
+	// Wire separation: the layers each part's stream is written from.
+	// _MD metal only in the macro part, the F2F via in both.
+	for name, part := range map[string]*DieLayout{"logic": logic, "macro": macro} {
+		if !slices.Contains(part.Layers, tech.F2FLayerName) {
+			t.Fatalf("%s part lacks %s: %v", name, tech.F2FLayerName, part.Layers)
+		}
+	}
+	for _, name := range logic.Layers {
+		if strings.HasSuffix(name, tech.MDSuffix) {
 			t.Fatalf("logic part carries %s", name)
 		}
 	}
-	for name := range macro.WirelengthByLayer {
-		if !strings.HasSuffix(name, "_MD") {
+	for _, name := range macro.Layers {
+		if !strings.HasSuffix(name, tech.MDSuffix) && name != tech.F2FLayerName {
 			t.Fatalf("macro part carries %s", name)
 		}
 	}

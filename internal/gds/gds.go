@@ -34,9 +34,12 @@ const (
 )
 
 // Writer emits GDSII records. Coordinates are in database units; the
-// stream declares 1 dbu = 1 nm (so µm values are scaled by 1000).
+// stream declares 1 dbu = 1 nm (so µm values are scaled by 1000). Each
+// record is built in one reused scratch buffer, so writing an element
+// allocates nothing.
 type Writer struct {
 	w   *bufio.Writer
+	rec []byte // the record being built: length and type, then payload
 	err error
 }
 
@@ -46,115 +49,119 @@ const DBUPerUm = 1000
 // NewWriter starts a GDSII stream with the given library name.
 func NewWriter(w io.Writer, libName string) *Writer {
 	g := &Writer{w: bufio.NewWriter(w)}
-	g.record(recHEADER, u16(600))
+	g.start(recHEADER).i16(600).end()
 	// BGNLIB carries modification/access timestamps: 12 int16 values.
 	// A reproduction artifact wants determinism, so they are zero.
-	g.record(recBGNLIB, make([]byte, 24))
-	g.record(recLIBNAME, str(libName))
-	g.record(recUNITS, append(gdsReal(1e-3), gdsReal(1e-9)...))
+	g.start(recBGNLIB).zeros(24).end()
+	g.start(recLIBNAME).str(libName).end()
+	g.start(recUNITS).real(1e-3).real(1e-9).end()
 	return g
 }
 
 // BeginStruct opens a structure (a die layout).
 func (g *Writer) BeginStruct(name string) {
-	g.record(recBGNSTR, make([]byte, 24))
-	g.record(recSTRNAME, str(name))
+	g.start(recBGNSTR).zeros(24).end()
+	g.start(recSTRNAME).str(name).end()
 }
 
 // EndStruct closes the open structure.
-func (g *Writer) EndStruct() { g.record(recENDSTR, nil) }
+func (g *Writer) EndStruct() { g.start(recENDSTR).end() }
 
 // Boundary emits a rectangle on a layer. Coordinates in µm.
 func (g *Writer) Boundary(layer int16, lx, ly, ux, uy float64) {
-	g.record(recBOUNDARY, nil)
-	g.record(recLAYER, i16(layer))
-	g.record(recDATATYPE, i16(0))
+	g.start(recBOUNDARY).end()
+	g.start(recLAYER).i16(layer).end()
+	g.start(recDATATYPE).i16(0).end()
 	// Closed polygon: 5 points, first repeated.
-	pts := []int32{
-		dbu(lx), dbu(ly),
-		dbu(ux), dbu(ly),
-		dbu(ux), dbu(uy),
-		dbu(lx), dbu(uy),
-		dbu(lx), dbu(ly),
-	}
-	g.record(recXY, i32s(pts))
-	g.record(recENDEL, nil)
+	g.start(recXY).xy(lx, ly).xy(ux, ly).xy(ux, uy).xy(lx, uy).xy(lx, ly).end()
+	g.start(recENDEL).end()
 }
 
 // Path emits a two-point wire of the given width on a layer (µm).
 func (g *Writer) Path(layer int16, widthUm, x1, y1, x2, y2 float64) {
-	g.record(recPATH, nil)
-	g.record(recLAYER, i16(layer))
-	g.record(recDATATYPE, i16(0))
-	g.record(recWIDTH, i32s([]int32{dbu(widthUm)}))
-	g.record(recXY, i32s([]int32{dbu(x1), dbu(y1), dbu(x2), dbu(y2)}))
-	g.record(recENDEL, nil)
+	g.start(recPATH).end()
+	g.start(recLAYER).i16(layer).end()
+	g.start(recDATATYPE).i16(0).end()
+	g.start(recWIDTH).i32(dbu(widthUm)).end()
+	g.start(recXY).xy(x1, y1).xy(x2, y2).end()
+	g.start(recENDEL).end()
 }
 
 // Close terminates the library and flushes. It returns the first error
 // encountered while writing.
 func (g *Writer) Close() error {
-	g.record(recENDLIB, nil)
+	g.start(recENDLIB).end()
 	if g.err != nil {
 		return g.err
 	}
 	return g.w.Flush()
 }
 
-// record writes one GDSII record: u16 total length, u16 type, payload.
-func (g *Writer) record(kind uint16, payload []byte) {
+// start begins a record of the given type in the scratch buffer, its
+// length left for end to fill in.
+func (g *Writer) start(kind uint16) *Writer {
+	g.rec = binary.BigEndian.AppendUint16(append(g.rec[:0], 0, 0), kind)
+	return g
+}
+
+func (g *Writer) i16(v int16) *Writer {
+	g.rec = binary.BigEndian.AppendUint16(g.rec, uint16(v))
+	return g
+}
+
+func (g *Writer) i32(v int32) *Writer {
+	g.rec = binary.BigEndian.AppendUint32(g.rec, uint32(v))
+	return g
+}
+
+// xy appends one point, µm to dbu.
+func (g *Writer) xy(x, y float64) *Writer { return g.i32(dbu(x)).i32(dbu(y)) }
+
+func (g *Writer) str(s string) *Writer {
+	g.rec = append(g.rec, s...)
+	return g
+}
+
+func (g *Writer) zeros(n int) *Writer {
+	g.rec = append(g.rec, make([]byte, n)...)
+	return g
+}
+
+// real appends an 8-byte GDSII real: sign bit, 7-bit excess-64 base-16
+// exponent, 56-bit mantissa with value = mantissa/2^56 × 16^(exp−64).
+func (g *Writer) real(v float64) *Writer {
+	g.rec = binary.BigEndian.AppendUint64(g.rec, gdsReal(v))
+	return g
+}
+
+// end pads the record to an even length, fills in its length and
+// writes it: u16 total length, u16 type, payload.
+func (g *Writer) end() {
 	if g.err != nil {
 		return
 	}
-	if len(payload)%2 == 1 {
-		payload = append(payload, 0)
+	if len(g.rec)%2 == 1 {
+		g.rec = append(g.rec, 0)
 	}
-	total := 4 + len(payload)
-	if total > 0xFFFF {
-		g.err = fmt.Errorf("gds: record 0x%04x too long (%d bytes)", kind, total)
+	if len(g.rec) > 0xFFFF {
+		g.err = fmt.Errorf("gds: record 0x%04x too long (%d bytes)", binary.BigEndian.Uint16(g.rec[2:]), len(g.rec))
 		return
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint16(hdr[0:], uint16(total))
-	binary.BigEndian.PutUint16(hdr[2:], kind)
-	if _, err := g.w.Write(hdr[:]); err != nil {
-		g.err = err
-		return
-	}
-	if _, err := g.w.Write(payload); err != nil {
+	binary.BigEndian.PutUint16(g.rec, uint16(len(g.rec)))
+	if _, err := g.w.Write(g.rec); err != nil {
 		g.err = err
 	}
 }
 
 func dbu(um float64) int32 { return int32(math.Round(um * DBUPerUm)) }
 
-func u16(v uint16) []byte {
-	b := make([]byte, 2)
-	binary.BigEndian.PutUint16(b, v)
-	return b
-}
-
-func i16(v int16) []byte { return u16(uint16(v)) }
-
-func i32s(vs []int32) []byte {
-	b := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		binary.BigEndian.PutUint32(b[4*i:], uint32(v))
-	}
-	return b
-}
-
-func str(s string) []byte { return []byte(s) }
-
-// gdsReal encodes an 8-byte GDSII real: sign bit, 7-bit excess-64
-// base-16 exponent, 56-bit mantissa with value = mantissa/2^56 ×
-// 16^(exp−64).
-func gdsReal(v float64) []byte {
-	b := make([]byte, 8)
+// gdsReal encodes v as an 8-byte GDSII real, most significant byte
+// first.
+func gdsReal(v float64) uint64 {
 	if v == 0 {
-		return b
+		return 0
 	}
-	sign := byte(0)
+	sign := uint64(0)
 	if v < 0 {
 		sign = 0x80
 		v = -v
@@ -170,9 +177,5 @@ func gdsReal(v float64) []byte {
 	}
 	// v now in [1/16, 1).
 	mant := uint64(v * (1 << 56))
-	b[0] = sign | byte(exp+64)
-	for i := 1; i < 8; i++ {
-		b[i] = byte(mant >> uint(8*(7-i)))
-	}
-	return b
+	return (sign|uint64(exp+64))<<56 | mant
 }

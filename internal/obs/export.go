@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -9,10 +8,9 @@ import (
 )
 
 // WritePrometheus renders every registered metric in the Prometheus
-// text exposition format (version 0.0.4): # HELP / # TYPE headers,
-// cumulative histogram buckets with le labels, _sum and _count
-// series. Metrics appear sorted by name. Nil-safe: a nil registry
-// writes nothing.
+// text exposition format (version 0.0.4): # HELP / # TYPE headers, then
+// one sample line. Metrics appear sorted by name. Nil-safe: a nil
+// registry writes nothing.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, m := range r.Snapshot() {
 		if m.Help != "" {
@@ -20,31 +18,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.Name, m.Kind); err != nil {
-			return err
+		value := promFloat(m.Value)
+		if m.Kind == "counter" {
+			value = strconv.FormatUint(uint64(m.Value), 10)
 		}
-		switch m.Kind {
-		case "counter":
-			if _, err := fmt.Fprintf(w, "%s %d\n", m.Name, uint64(m.Value)); err != nil {
-				return err
-			}
-		case "gauge":
-			if _, err := fmt.Fprintf(w, "%s %s\n", m.Name, promFloat(m.Value)); err != nil {
-				return err
-			}
-		case "histogram":
-			for _, b := range m.Buckets {
-				le := "+Inf"
-				if !math.IsInf(b.LE, 1) {
-					le = promFloat(b.LE)
-				}
-				if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", m.Name, le, b.Count); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", m.Name, promFloat(m.Sum), m.Name, m.Count); err != nil {
-				return err
-			}
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n%s %s\n", m.Name, m.Kind, m.Name, value); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -64,52 +43,13 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// jsonFloat prepares a float for JSON encoding. JSON has no literal
-// for NaN or ±Inf (encoding/json rejects them), but histograms always
-// carry a +Inf bucket bound and ratio gauges can be NaN before their
-// first update — those values marshal as the strings Prometheus uses.
+// jsonFloat prepares a gauge value for a JSONL sample event. JSON has
+// no literal for NaN or ±Inf (encoding/json rejects them), and a ratio
+// gauge can be NaN before its first update, so those values marshal as
+// the strings Prometheus uses.
 func jsonFloat(v float64) any {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return promFloat(v)
 	}
 	return v
-}
-
-// MarshalJSON encodes the bucket with a non-finite upper bound
-// ("+Inf") spelled as a string.
-func (b Bucket) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		LE    any    `json:"le"`
-		Count uint64 `json:"count"`
-	}{jsonFloat(b.LE), b.Count})
-}
-
-// MarshalJSON encodes the snapshot with non-finite values spelled as
-// strings, so a registry holding histograms (or a NaN gauge) always
-// produces valid JSON.
-func (m Metric) MarshalJSON() ([]byte, error) {
-	type alias Metric // drops the method, avoiding recursion
-	aux := struct {
-		alias
-		Value any `json:"value"`
-		Sum   any `json:"sum,omitempty"`
-	}{alias: alias(m), Value: jsonFloat(m.Value)}
-	if m.Kind == "histogram" {
-		aux.Sum = jsonFloat(m.Sum)
-	}
-	return json.Marshal(aux)
-}
-
-// WriteJSON renders the metric snapshot as a single indented JSON
-// document: {"metrics": [...]}, sorted by name.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	snap := r.Snapshot()
-	if snap == nil {
-		snap = []Metric{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Metrics []Metric `json:"metrics"`
-	}{snap})
 }

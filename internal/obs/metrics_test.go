@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,23 +17,21 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// goldenRegistry builds a registry with one metric of each kind and
-// deterministic values, covering the three Prometheus output shapes.
+// goldenRegistry builds a registry of counters and gauges with
+// deterministic values, a gauge not yet updated (NaN) among them.
 func goldenRegistry(t *testing.T) *obs.Registry {
 	t.Helper()
 	reg := obs.New().Registry()
 	reg.Counter("route_nets_routed_total", "nets routed in the initial pass").Add(42)
 	reg.Gauge("route_overflow_gcells", "gcell-layers over capacity").Set(3.5)
-	h := reg.Histogram("sta_dirty_frontier_nodes", "dirty frontier size per incremental update", 1, 10, 100)
-	for _, v := range []float64{0.5, 7, 50, 10000} {
-		h.Observe(v)
-	}
+	reg.Counter("sta_dirty_frontier_nodes_total", "nodes marked dirty over all incremental updates").Add(10057)
+	reg.Gauge("sta_incremental_ratio", "").Set(math.NaN())
 	return reg
 }
 
 // TestPrometheusGolden locks the Prometheus text exposition down to a
-// golden file: HELP/TYPE headers, counter and gauge lines, cumulative
-// le-labelled buckets with _sum and _count. Regenerate with -update.
+// golden file: HELP/TYPE headers, counter and gauge lines, NaN spelled
+// out. Regenerate with -update.
 func TestPrometheusGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := goldenRegistry(t).WritePrometheus(&buf); err != nil {
@@ -54,8 +53,8 @@ func TestPrometheusGolden(t *testing.T) {
 }
 
 // TestRegistryConcurrency hammers one registry from GOMAXPROCS
-// goroutines — concurrent get-or-create, counter/gauge/histogram
-// updates, snapshots and exports — and asserts the totals. Run under
+// goroutines — concurrent get-or-create, counter and gauge updates,
+// snapshots and exports — and asserts the totals. Run under
 // -race this is the concurrency-safety proof for the metrics layer.
 func TestRegistryConcurrency(t *testing.T) {
 	reg := obs.New().Registry()
@@ -75,7 +74,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				reg.Counter("hammer_ops_total", "ops").Inc()
 				reg.Gauge("hammer_level", "level").Set(float64(i))
-				reg.Histogram("hammer_sizes", "sizes").Observe(float64(i % 100))
 				if i%500 == 0 {
 					reg.Snapshot()
 					reg.WritePrometheus(&bytes.Buffer{})
@@ -92,18 +90,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	if v := reg.Gauge("hammer_level", "level").Value(); v != iters-1 {
 		t.Errorf("gauge = %v, want %d", v, iters-1)
 	}
-	snap := reg.Snapshot()
-	for _, m := range snap {
-		if m.Name == "hammer_sizes" {
-			if m.Count != total {
-				t.Errorf("histogram count = %d, want %d", m.Count, total)
-			}
-			last := m.Buckets[len(m.Buckets)-1]
-			if last.Count != total {
-				t.Errorf("+Inf cumulative bucket = %d, want %d", last.Count, total)
-			}
-		}
-	}
 }
 
 // TestKindMismatchPanics pins the contract that re-registering a name
@@ -119,62 +105,31 @@ func TestKindMismatchPanics(t *testing.T) {
 	reg.Gauge("x_total", "")
 }
 
-// TestHistogramBounds pins bucket-edge behaviour: a value equal to a
-// bound lands in that bound's bucket (le is an upper inclusive bound).
-func TestHistogramBounds(t *testing.T) {
-	reg := obs.New().Registry()
-	h := reg.Histogram("edge", "", 10, 20)
-	h.Observe(10) // le="10"
-	h.Observe(15) // le="20"
-	h.Observe(25) // +Inf
-	snap := reg.Snapshot()
-	if len(snap) != 1 {
-		t.Fatalf("snapshot size %d", len(snap))
-	}
-	got := snap[0].Buckets
-	want := []uint64{1, 2, 3} // cumulative
-	for i, b := range got {
-		if b.Count != want[i] {
-			t.Errorf("bucket %d cumulative count = %d, want %d", i, b.Count, want[i])
-		}
-	}
-}
-
-// TestWriteJSONNonFinite is the regression test for the snapshot JSON
-// export: histograms always carry a +Inf bucket bound and a gauge can
-// hold NaN, neither of which has a JSON literal — the export must
-// still produce valid JSON (non-finite values spelled as strings).
-func TestWriteJSONNonFinite(t *testing.T) {
-	reg := obs.New().Registry()
-	reg.Gauge("ratio", "").Set(math.NaN())
-	reg.Histogram("h_sizes", "", 1).Observe(2)
+// TestSampleNonFinite: a gauge can hold NaN or ±Inf, which have no JSON
+// literal; its sample event must still be a valid JSON line, with the
+// value spelled as the string Prometheus uses.
+func TestSampleNonFinite(t *testing.T) {
 	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	rec := obs.New()
+	rec.SetSink(&buf)
+	rec.Registry().Gauge("ratio", "").Set(math.NaN())
+	rec.Registry().Gauge("ceiling", "").Set(math.Inf(1))
+	rec.Sample()
+	if err := rec.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	var doc struct {
-		Metrics []struct {
-			Name    string `json:"name"`
-			Value   any    `json:"value"`
-			Buckets []struct {
-				LE any `json:"le"`
-			} `json:"buckets"`
-		} `json:"metrics"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("export is not valid JSON: %v\n%s", err, buf.String())
-	}
-	for _, m := range doc.Metrics {
-		switch m.Name {
-		case "ratio":
-			if m.Value != "NaN" {
-				t.Errorf("NaN gauge exported as %v, want the string NaN", m.Value)
-			}
-		case "h_sizes":
-			last := m.Buckets[len(m.Buckets)-1]
-			if last.LE != "+Inf" {
-				t.Errorf("+Inf bound exported as %v", last.LE)
-			}
+	got := map[string]any{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev struct {
+			Metric string `json:"metric"`
+			Value  any    `json:"value"`
 		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("sample line is not valid JSON: %v\n%s", err, line)
+		}
+		got[ev.Metric] = ev.Value
+	}
+	if got["ratio"] != "NaN" || got["ceiling"] != "+Inf" {
+		t.Errorf("non-finite gauges sampled as %v, want the strings NaN and +Inf", got)
 	}
 }

@@ -1,10 +1,9 @@
 // Package obs is the flow-wide observability layer: hierarchical
 // spans (flow → stage → phase, e.g. "macro3d/route/rip-up-iter"),
-// typed per-run metrics (counters, gauges, histograms), two span sinks
-// (a JSONL event stream, the execution timeline of internal/obs/trace),
-// and live exporters (Prometheus text format, JSON snapshot), which
-// internal/obs/obshttp serves over HTTP alongside expvar and
-// net/http/pprof.
+// typed per-run metrics (counters and gauges), two span sinks (a JSONL
+// event stream, the execution timeline of internal/obs/trace), and one
+// metric rendering (Prometheus text format), which internal/obs/obshttp
+// serves over HTTP alongside expvar and net/http/pprof.
 //
 // The package depends only on the standard library and its trace
 // package, and is safe to thread through every engine: all entry points are
@@ -16,8 +15,8 @@
 //
 // Naming convention for metrics: subsystem_name_unit, e.g.
 // route_overflow_gcells, place_legalize_displacement_mean_um,
-// sta_dirty_frontier_nodes, ddb_txn_commits_total. Monotonic counts
-// end in _total; gauges and histograms end in their unit.
+// sta_dirty_frontier_nodes_total, ddb_txn_commits_total. Monotonic
+// counts end in _total; gauges end in their unit.
 package obs
 
 import (
@@ -119,21 +118,15 @@ func (r *Recorder) Emit(ev string, attrs ...Attr) {
 }
 
 // Sample writes the current value of every registered metric to the
-// sink as one "sample" event per metric (histograms sample their
-// count and sum), interleaved with the span stream under the same
-// monotonic clock. The flow runner calls it at stage boundaries.
+// sink as one "sample" event per metric, interleaved with the span
+// stream under the same monotonic clock. The flow runner calls it at
+// stage boundaries.
 func (r *Recorder) Sample() {
 	if r == nil {
 		return
 	}
 	for _, m := range r.reg.Snapshot() {
-		switch m.Kind {
-		case "histogram":
-			r.emit(event{Ev: "sample", Metric: m.Name + "_count", Value: float64(m.Count)})
-			r.emit(event{Ev: "sample", Metric: m.Name + "_sum", Value: jsonFloat(m.Sum)})
-		default:
-			r.emit(event{Ev: "sample", Metric: m.Name, Value: jsonFloat(m.Value)})
-		}
+		r.emit(event{Ev: "sample", Metric: m.Name, Value: jsonFloat(m.Value)})
 	}
 }
 

@@ -159,7 +159,6 @@ func TestNilSafety(t *testing.T) {
 	if v := reg.Gauge("g", "").Value(); v != 0 {
 		t.Errorf("nil gauge value = %v", v)
 	}
-	reg.Histogram("h", "").Observe(3)
 	if s := reg.Snapshot(); s != nil {
 		t.Errorf("nil registry snapshot = %v", s)
 	}

@@ -21,10 +21,9 @@ import (
 
 // Handler returns the live inspection mux:
 //
-//	/metrics       Prometheus text exposition of the run's registry
-//	/metrics.json  JSON snapshot of the same
-//	/debug/vars    expvar (Go runtime memstats, cmdline)
-//	/debug/pprof/  net/http/pprof profiles
+//	/metrics      Prometheus text exposition of the run's registry
+//	/debug/vars   expvar (Go runtime memstats, cmdline)
+//	/debug/pprof/ net/http/pprof profiles
 //
 // Valid on a nil Recorder (the metric endpoints expose an empty
 // registry).
@@ -33,10 +32,6 @@ func Handler(r *obs.Recorder) http.Handler {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.Registry().WritePrometheus(w)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = r.Registry().WriteJSON(w)
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -49,7 +44,7 @@ func Handler(r *obs.Recorder) http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprint(w, "macro3d observability\n\n/metrics\n/metrics.json\n/debug/vars\n/debug/pprof/\n")
+		fmt.Fprint(w, "macro3d observability\n\n/metrics\n/debug/vars\n/debug/pprof/\n")
 	})
 	return mux
 }

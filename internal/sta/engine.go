@@ -102,9 +102,8 @@ type Engine struct {
 
 	// Observability handles (nil when Options.Obs is unset; all
 	// operations on them no-op).
-	mFull, mInc *obs.Counter
-	mRatio      *obs.Gauge
-	mFrontier   *obs.Histogram
+	mFull, mInc, mFrontier *obs.Counter
+	mRatio                 *obs.Gauge
 }
 
 // pass holds the persistent per-node state of one launch pass
@@ -166,8 +165,8 @@ func NewEngine(d *netlist.Design, ex *extract.Design, opt Options) (*Engine, err
 			"Incremental STA passes re-evaluating only the dirty frontier.")
 		e.mRatio = reg.Gauge("sta_incremental_ratio",
 			"Incremental updates over all STA passes this run.")
-		e.mFrontier = reg.Histogram("sta_dirty_frontier_nodes",
-			"Nodes marked dirty per incremental update (frontier size).")
+		e.mFrontier = reg.Counter("sta_dirty_frontier_nodes_total",
+			"Nodes marked dirty over all incremental updates (over sta_incremental_updates_total: the mean frontier).")
 	}
 	if err := e.rebuildTopo(); err != nil {
 		return nil, err
@@ -406,7 +405,7 @@ func (e *Engine) consume() error {
 	}
 	e.pendNets, e.pendInsts, e.pendTopo = e.pendNets[:0], e.pendInsts[:0], false
 	e.mInc.Inc()
-	e.mFrontier.Observe(float64(frontier))
+	e.mFrontier.Add(uint64(frontier))
 	e.updateRatio()
 	return nil
 }

@@ -8,7 +8,8 @@
 # largest snapshot's), asserting eviction, the cap on disk and
 # byte-identical PPA; then that a capped invocation keeps every snapshot
 # the invocation before it used (recency is last use on disk); then
-# exercises the -resume default directory. Fails on any mismatch.
+# that a relative -cache-dir is created in the working directory and a
+# second run over it is all hits. Fails on any mismatch.
 set -eu
 
 GO=${GO:-go}
@@ -96,17 +97,17 @@ cmp -s "$dir/cold.out" "$dir/lru.out" || {
 	exit 1
 }
 
-echo "cache-smoke: -resume default directory"
-(cd "$dir" && ./macro3d -flow macro3d -config tiny -seed 7 -resume >/dev/null 2>&1)
-[ -d "$dir/.macro3d-stash" ] || { echo "cache-smoke: FAIL: -resume did not create .macro3d-stash" >&2; exit 1; }
-(cd "$dir" && ./macro3d -flow macro3d -config tiny -seed 7 -resume >resume.out 2>resume.err)
+echo "cache-smoke: a relative -cache-dir in the working directory"
+(cd "$dir" && ./macro3d -flow macro3d -config tiny -seed 7 -cache-dir .macro3d-stash >/dev/null 2>&1)
+[ -d "$dir/.macro3d-stash" ] || { echo "cache-smoke: FAIL: -cache-dir .macro3d-stash did not create it" >&2; exit 1; }
+(cd "$dir" && ./macro3d -flow macro3d -config tiny -seed 7 -cache-dir .macro3d-stash >resume.out 2>resume.err)
 grep -Eq 'stage cache .*: [1-9][0-9]* hits, 0 misses' "$dir/resume.err" || {
-	echo "cache-smoke: FAIL: second -resume run should be all hits" >&2
+	echo "cache-smoke: FAIL: second run over .macro3d-stash should be all hits" >&2
 	cat "$dir/resume.err" >&2
 	exit 1
 }
 cmp -s "$dir/cold.out" "$dir/resume.out" || {
-	echo "cache-smoke: FAIL: -resume PPA output differs from cold" >&2
+	echo "cache-smoke: FAIL: PPA output over .macro3d-stash differs from cold" >&2
 	exit 1
 }
 

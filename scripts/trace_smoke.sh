@@ -62,9 +62,10 @@ grep -q 'serial segments by wall-clock share' "$dir/report.txt" || {
 	exit 1
 }
 
-echo "trace-smoke: run-and-report in one step"
-"$dir/macro3d" trace-report -flow 2d -config tiny -seed 7 -j 4 -top 5 >"$dir/report2.txt" 2>"$dir/report2.err"
-grep -q '^trace: wall' "$dir/report2.txt" || { echo "trace-smoke: FAIL: -flow report lacks the wall-clock header" >&2; cat "$dir/report2.err" >&2; exit 1; }
+echo "trace-smoke: run a 2d flow with -trace, then report on its trace"
+"$dir/macro3d" -flow 2d -config tiny -seed 7 -j 4 -trace "$dir/run2d.trace.json" >/dev/null 2>"$dir/report2.err"
+"$dir/macro3d" trace-report -in "$dir/run2d.trace.json" -top 5 >"$dir/report2.txt" 2>>"$dir/report2.err"
+grep -q '^trace: wall' "$dir/report2.txt" || { echo "trace-smoke: FAIL: 2d report lacks the wall-clock header" >&2; cat "$dir/report2.err" >&2; exit 1; }
 
 echo "trace-smoke: one run with -trace and -events on one recorder"
 "$dir/macro3d" -flow macro3d -config tiny -seed 7 -j 4 -trace "$dir/both.trace.json" -events "$dir/both.jsonl" >"$dir/both.out" 2>&1
