@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check fmt build test vet loc bench-mod race fuzz equiv faults bench bench-flow bench-pairs benchall qor qor-check tables-check obs-smoke cache-smoke harden-smoke trace-smoke
+.PHONY: check fmt build test vet loc bench-mod race fuzz equiv faults bench bench-pairs benchall qor qor-check tables-check obs-smoke cache-smoke harden-smoke trace-smoke
 
 ## check: the full gate — gofmt, vet, build, unit tests, the bench/
 ## module's vet and tests, the race-enabled fault-injection suite, a
@@ -87,7 +87,10 @@ race:
 ## FuzzComposeTags, the composer's proof of new names: up to eight tags
 ## are refused exactly when one is a prefix of another, and otherwise
 ## compose to names distinct per kind, each found under its name, with a
-## name of the composer's own refused exactly when a tag prefixes it.
+## name of the composer's own refused exactly when a tag prefixes it —
+## and of FuzzReadPairs, the reader of bench-pairs' runs.txt: no panic,
+## any line but a side (base or new) and a correct run's JSON line an
+## error, and what it accepts an equal, non-zero number of runs a side.
 ## `go test` runs only their seed corpora (a
 ## good encoding each, TestDecodeResultCorrupt's table, the signoff
 ## tail's truncations, one
@@ -95,7 +98,8 @@ race:
 ## trace export, an off-microsecond slice and a negative duration; an
 ## excerpt of the tiny tile's LEF and DEF, a DIEAREA cut short and a
 ## second DESIGN; the empty tag, equal tags, a tag prefixing another
-## and tags sharing a prefix).
+## and tags sharing a prefix; a pair of runs, blank and CRLF lines, an
+## unknown side, a tab for the space, a failed run and an unpaired one).
 ## The engine minimizes every
 ## input that reaches new code, an execution per byte and 60 s by
 ## default: capped at 1 s so the ten seconds mutate. A failing input is
@@ -109,6 +113,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLEF$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lefdef/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDEF$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/lefdef/
 	$(GO) test -run '^$$' -fuzz '^FuzzComposeTags$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/netlist/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadPairs$$' -fuzztime 10s -fuzzminimizetime 1s ./cmd/benchjson/
 
 ## equiv: just the determinism harness — every flow's -j 1 reference
 ## against four workers with Config.Check, on the small tile,
@@ -196,33 +201,12 @@ bench:
 	$(GO) run ./cmd/benchjson -compare BENCH_opt.json BENCH_opt.new.json
 	mv BENCH_opt.new.json BENCH_opt.json
 
-## bench-flow: the flow ledger (bench/, gated by BENCHMARK.json) — the
-## seven end-to-end metrics of each of the four workloads, one JSON line
-## per workload, collected into the gitignored BENCH_flow.jsonl and
-## appended as one row (commit, go version, nproc, GOMAXPROCS, the
-## metrics per workload) to the committed trajectory BENCH_flow.json —
-## one row per PR; a re-run at the same FLOW_COMMIT replaces its row.
-## The numbers a perf claim in CHANGES.md cites. It ends by comparing
-## the row with the one before it: the gated metrics' deltas per
-## workload, failing when a deterministic one (heap counts, QoR) is
-## worse than its bound in BENCHMARK.json. Any two rows:
-## `go run ./cmd/benchjson -ledger BENCH_flow.json -compare PR22 PR23`.
-FLOW_WORKLOADS = table2 baselines-j1 table2-warm array-verify
-FLOW_COMMIT   ?= $(shell git describe --always --dirty)
-bench-flow:
-	rm -f BENCH_flow.jsonl
-	for w in $(FLOW_WORKLOADS); do \
-		bash bench/run.sh --workload $$w --seed 1 --seconds 12 --trace 0 >> BENCH_flow.jsonl || exit 1; \
-	done
-	cat BENCH_flow.jsonl
-	$(GO) run ./cmd/benchjson -ledger BENCH_flow.json -commit $(FLOW_COMMIT) $(FLOW_WORKLOADS) < BENCH_flow.jsonl
-	$(GO) run ./cmd/benchjson -ledger BENCH_flow.json -compare $(FLOW_COMMIT)
-
 ## bench-pairs: the flow ledger's workload WL at two revisions, judged on
-## interleaved pairs — bench/ built from BASE (a `git archive` under
-## .bench_build/pairs/base) and from the working tree, each run in its
-## own checkout N times, the side that goes first alternating pair by
-## pair — then `benchjson -pairs`: per gated metric of BENCHMARK.json
+## interleaved pairs on one host — the ledger's one record and verdict,
+## the numbers a perf claim in CHANGES.md cites — bench/ built from BASE
+## (a `git archive` under .bench_build/pairs/base) and from the working
+## tree, each run in its own checkout N times, the side that goes first
+## alternating pair by pair — then `benchjson -pairs`: per gated metric of BENCHMARK.json
 ## each side's median [Q1–Q3], the pairs the change won and a verdict
 ## (gain: ≥ 9/10 pairs won and a median gap wider than the base's IQR).
 ## It exits 1 on a loss. The runs stay in .bench_build/pairs/runs.txt,

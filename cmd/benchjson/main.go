@@ -12,17 +12,16 @@
 // temporary and an atomic rename, so a failed run never leaves a
 // truncated JSON behind.
 //
-// With -ledger it instead appends one row of flow-ledger results to
-// BENCH_flow.json (see ledger.go); `make bench-flow` does, and then
-// compares the row with the one before it (-compare, see compare.go).
-// Without -ledger, -compare takes two of its own summaries — kernel
+// Without -pairs, -compare takes two of its own summaries — kernel
 // benchmark files such as BENCH_opt.json — and judges the second
-// against the first, or two BENCH_qor.json seed ensembles, which it
-// holds to a paired-seed sign test (see qor.go).
+// against the first (see compare.go), or two BENCH_qor.json seed
+// ensembles, which it holds to a paired-seed sign test (see qor.go).
 //
 // With -pairs it judges interleaved runs of two builds of the flow
-// ledger, ten pairs or more, metric by metric (see pairs.go); `make
-// bench-pairs` runs them.
+// ledger, ten pairs or more, metric by metric, and with -ledger also
+// appends the verdict table as a row to BENCH_pairs.json (see
+// pairs.go); `make bench-pairs` runs them. -ledger without -pairs is a
+// usage error.
 package main
 
 import (
@@ -129,12 +128,15 @@ func pair(num, den *entry) *pairStats {
 
 func main() {
 	outPath := flag.String("o", "", "write the JSON summary to this file (atomically) instead of stdout")
-	ledgerPath := flag.String("ledger", "", "append a flow-ledger row to this file: stdin carries one bench/run.sh line per workload named as an argument; with -pairs, the verdict table as a row, the arguments naming the workload, the base revision and the change revision")
-	commit := flag.String("commit", "", "with -ledger: the commit the row was measured at")
-	compare := flag.Bool("compare", false, "with -ledger: compare the row named last with the row named before it (or the row before it in the file), exit 1 when a deterministic gated metric is worse than its bound; without: compare two summary files old.json new.json, exit 1 on a regression that is not noise, or two BENCH_qor.json files, exit 1 when a metric is worse on nine seeds in ten")
-	manifestPath := flag.String("manifest", "BENCHMARK.json", "with -compare or -pairs: the benchmark declaration the bounds are read from")
+	ledgerPath := flag.String("ledger", "", "with -pairs: append the verdict table as a row to this file, the arguments naming the workload, the base revision and the change revision")
+	compare := flag.Bool("compare", false, "compare two summary files old.json new.json, exit 1 on a regression that is not noise, or two BENCH_qor.json files, exit 1 when a metric is worse on nine seeds in ten")
+	manifestPath := flag.String("manifest", "BENCHMARK.json", "with -pairs: the benchmark declaration the bounds are read from")
 	pairs := flag.Bool("pairs", false, "judge interleaved runs of two builds: stdin carries one bench/run.sh line per run, prefixed by its side, base or new; exit 1 when a gated metric is a loss")
 	flag.Parse()
+	if *ledgerPath != "" && !*pairs {
+		fmt.Fprintln(os.Stderr, "benchjson: -ledger records a verdict table and needs -pairs")
+		os.Exit(2)
+	}
 	if *pairs {
 		var m manifest
 		err := readJSON(*manifestPath, &m)
@@ -162,10 +164,10 @@ func main() {
 		}
 		return
 	}
-	if *compare && *ledgerPath == "" {
+	if *compare {
 		var old, new benchFile
 		if flag.NArg() != 2 {
-			fmt.Fprintf(os.Stderr, "benchjson: -compare without -ledger takes old.json new.json, got %d arguments\n", flag.NArg())
+			fmt.Fprintf(os.Stderr, "benchjson: -compare takes old.json new.json, got %d arguments\n", flag.NArg())
 			os.Exit(2)
 		}
 		err := readJSON(flag.Arg(0), &old)
@@ -190,47 +192,6 @@ func main() {
 		}
 		if n := compareKernels(os.Stdout, &old.summary, &new.summary); n > 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed beyond noise\n", n)
-			os.Exit(1)
-		}
-		return
-	}
-	if *compare {
-		var l ledger
-		var m manifest
-		err := readJSON(*ledgerPath, &l)
-		if err == nil {
-			err = readJSON(*manifestPath, &m)
-		}
-		rows := flag.Args()
-		if err == nil && (len(rows) < 1 || len(rows) > 2) {
-			err = fmt.Errorf("-compare takes one or two row names, got %d", len(rows))
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(2)
-		}
-		a, b := "", rows[len(rows)-1]
-		if len(rows) == 2 {
-			a = rows[0]
-		}
-		worse, err := compareRows(os.Stdout, &l, &m, a, b)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(2)
-		}
-		if worse > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d deterministic metric(s) worse than their bound\n", worse)
-			os.Exit(1)
-		}
-		return
-	}
-	if *ledgerPath != "" {
-		row, err := ledgerRowFrom(os.Stdin, *commit, flag.Args())
-		if err == nil {
-			err = appendLedger(*ledgerPath, row)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
 		return

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -160,120 +158,6 @@ func TestParseBench(t *testing.T) {
 	}
 	if s, err := parseBench(strings.NewReader("PASS\nok  \tmacro3d\t0.1s\n")); err != nil || len(s.Benchmarks) != 0 {
 		t.Fatalf("no result lines: %+v, %v", s, err)
-	}
-}
-
-// TestLedgerAppend: a row is built from one run.sh line per named
-// workload, appended to a new or existing ledger, replaces an earlier
-// row of the same commit, and a failed or missing workload is an error
-// that leaves the file alone.
-func TestLedgerAppend(t *testing.T) {
-	const line = `{"correct":true,"attempted":18,"failed":0,"metrics":{"alloc_gb":{"value":0.1,"unit":"GB"},"mallocs_m":{"value":%s,"unit":"1e6"}}}` + "\n"
-	path := filepath.Join(t.TempDir(), "BENCH_flow.json")
-	add := func(commit, mallocs string, workloads ...string) error {
-		row, err := ledgerRowFrom(strings.NewReader(strings.Repeat(fmt.Sprintf(line, mallocs), 2)), commit, workloads)
-		if err != nil {
-			return err
-		}
-		return appendLedger(path, row)
-	}
-	read := func() ledger {
-		var l ledger
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(b, &l); err != nil {
-			t.Fatal(err)
-		}
-		return l
-	}
-	if err := add("aaa", "0.8", "table2", "array-verify"); err != nil {
-		t.Fatal(err)
-	}
-	if err := add("bbb", "0.4", "table2", "array-verify"); err != nil {
-		t.Fatal(err)
-	}
-	if err := add("bbb", "0.3", "table2", "array-verify"); err != nil {
-		t.Fatal(err)
-	}
-	l := read()
-	if len(l.Rows) != 2 || l.Rows[0].Commit != "aaa" || l.Rows[1].Commit != "bbb" {
-		t.Fatalf("rows = %+v", l.Rows)
-	}
-	if got := l.Rows[1].Workloads["array-verify"]["mallocs_m"]; got != 0.3 {
-		t.Fatalf("re-run of a commit did not replace its row: mallocs_m = %v", got)
-	}
-	if l.Rows[0].Workloads["table2"]["alloc_gb"] != 0.1 || l.Rows[0].Go == "" || l.Rows[0].GoMaxProcs < 1 {
-		t.Fatalf("row 0 = %+v", l.Rows[0])
-	}
-	if err := add("ccc", "0.2", "table2", "array-verify", "missing"); err == nil {
-		t.Fatal("a workload without a result line was accepted")
-	}
-	bad := strings.NewReader(`{"correct":false,"failed":1,"metrics":{"alloc_gb":{"value":1}}}` + "\n")
-	if _, err := ledgerRowFrom(bad, "ccc", []string{"table2"}); err == nil {
-		t.Fatal("an incorrect run was accepted")
-	}
-	if len(read().Rows) != 2 {
-		t.Fatal("a rejected row changed the ledger")
-	}
-}
-
-// TestCompareRows: the comparison prints every gated metric of every
-// workload of the manifest, counts a deterministic metric as worse only
-// beyond its bound and in the direction the manifest says is worse,
-// never counts peak RSS or set-up time, takes the row before when one
-// name is given, and reports a missing row.
-func TestCompareRows(t *testing.T) {
-	var m manifest
-	if err := json.Unmarshal([]byte(`{
-		"workloads": [{"name": "table2"}, {"name": "array-verify"}],
-		"end_to_end": [
-			{"name": "mallocs_m", "unit": "1e6", "better": "lower", "bound": 0.03},
-			{"name": "fclk_mhz", "unit": "MHz", "better": "higher", "bound": 0.02},
-			{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}
-		]}`), &m); err != nil {
-		t.Fatal(err)
-	}
-	row := func(commit string, mallocs, fclk, setup float64) ledgerRow {
-		w := map[string]float64{"mallocs_m": mallocs, "fclk_mhz": fclk, "setup_s": setup}
-		return ledgerRow{Commit: commit, Workloads: map[string]map[string]float64{"table2": w, "array-verify": w}}
-	}
-	l := &ledger{Rows: []ledgerRow{
-		row("base", 0.100, 700, 0.01),
-		row("better", 0.050, 720, 0.10),  // set-up ten times slower: printed, not judged
-		row("inside", 0.0514, 707, 0.10), // +2.8 % objects, −1.8 % fclk against "better"
-		row("worse", 0.0531, 692, 0.10),  // +3.3 % objects, −2.1 % fclk against "inside"
-	}}
-	for _, c := range []struct {
-		a, b  string
-		worse int
-	}{
-		{"base", "better", 0},
-		{"", "better", 0},
-		{"better", "inside", 0},
-		{"", "worse", 4}, // both metrics, both workloads
-		{"worse", "inside", 0},
-		{"better", "base", 4},
-	} {
-		var out strings.Builder
-		worse, err := compareRows(&out, l, &m, c.a, c.b)
-		if err != nil || worse != c.worse {
-			t.Fatalf("compare %q %q: %d worse, %v; want %d\n%s", c.a, c.b, worse, err, c.worse, out.String())
-		}
-		for _, want := range []string{"table2", "array-verify", "mallocs_m", "fclk_mhz", "setup_s", "not judged on one pair"} {
-			if !strings.Contains(out.String(), want) {
-				t.Fatalf("compare %q %q: output lacks %q:\n%s", c.a, c.b, want, out.String())
-			}
-		}
-		if got := strings.Count(out.String(), "WORSE"); got != c.worse {
-			t.Fatalf("compare %q %q: %d lines marked WORSE, want %d", c.a, c.b, got, c.worse)
-		}
-	}
-	for _, c := range [][2]string{{"", "base"}, {"nope", "better"}, {"base", "nope"}} {
-		if _, err := compareRows(io.Discard, l, &m, c[0], c[1]); err == nil {
-			t.Fatalf("compare %q %q: no error for a missing row", c[0], c[1])
-		}
 	}
 }
 

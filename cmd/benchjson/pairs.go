@@ -3,9 +3,11 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -34,6 +36,44 @@ import (
 // stage times — are judged the same way, but none has a bound, so their
 // no change needs only the medians within the base's IQR, and their
 // losses are printed without failing.
+
+// manifest is the part of BENCHMARK.json the pairs are judged by.
+type manifest struct {
+	EndToEnd []gate `json:"end_to_end"`
+	// PerLayer are the metrics of a traced run (--trace 1): none has a
+	// bound.
+	PerLayer []gate `json:"per_layer"`
+}
+
+// gate is one gated end-to-end metric: which way is better, and the
+// fraction of the old value by which the new one may be worse.
+type gate struct {
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
+}
+
+// worseBy is how much worse now is than was, as a fraction of was, in
+// the gate's direction; negative when it is better.
+func (g gate) worseBy(was, now float64) float64 {
+	if was == 0 {
+		return 0
+	}
+	if g.Better == "higher" {
+		return (was - now) / was
+	}
+	return (now - was) / was
+}
+
+// flowLine is the part of a bench/run.sh output line the pairs read.
+type flowLine struct {
+	Correct bool `json:"correct"`
+	Failed  int  `json:"failed"`
+	Metrics map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
+}
 
 // minPairs is the fewest pairs a gain or a loss may rest on.
 const minPairs = 10
@@ -283,7 +323,7 @@ func pairsRowFrom(m *manifest, base, change []map[string]float64, args []string)
 // replacing an earlier row of the same revisions, workload and kind.
 func appendPairs(path string, row pairsRow) error {
 	var l pairsLedger
-	if err := readIfExists(path, &l); err != nil {
+	if err := readJSON(path, &l); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
 	i := slices.IndexFunc(l.Rows, func(r pairsRow) bool {

@@ -236,3 +236,48 @@ func approxMetric(a, b pairsMetric) bool {
 }
 
 func abs(x float64) float64 { return max(x, -x) }
+
+// FuzzReadPairs holds readPairs, the reader of `make bench-pairs`'
+// runs.txt, to arbitrary input. It must not panic. When it accepts, every
+// line that is not blank is a side, base or new, a space and the JSON
+// line of a correct run, and the two sides count the same number of
+// such lines, at least one each; any other line is an error.
+func FuzzReadPairs(f *testing.F) {
+	const run = `{"correct":true,"failed":0,"metrics":{"setup_s":{"value":1,"unit":"s"}}}`
+	f.Add("base " + run + "\nnew " + run + "\n") // one pair
+	f.Add("new " + run + "\r\n\n  base  " + run) // blank lines, CRLF, extra spaces
+	// Each bad line comes with a good pair, and with a partner where it
+	// takes a side, so that a reader that let it through would find the
+	// counts even.
+	pair := "base " + run + "\nnew " + run + "\n"
+	f.Add(pair + "old " + run + "\n")                                       // an unknown side
+	f.Add(pair + "base\t" + run + "\n")                                     // a tab for the space
+	f.Add(pair + "base " + `{"correct":false,"failed":1}` + "\nnew " + run) // a failed run
+	f.Add(pair + `base {"metrics":{"x":{"value":"1"}}}` + "\nnew " + run)   // a value not a number
+	f.Add(pair + "base " + run)                                             // unpaired
+	f.Fuzz(func(t *testing.T, in string) {
+		base, change, err := readPairs(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		if len(base) == 0 || len(base) != len(change) {
+			t.Fatalf("accepted %d base and %d new runs", len(base), len(change))
+		}
+		count := map[string]int{}
+		for _, line := range strings.Split(in, "\n") {
+			line = strings.TrimSpace(line)
+			if line == "" {
+				continue
+			}
+			side, js, _ := strings.Cut(line, " ")
+			var l flowLine
+			if side != "base" && side != "new" || json.Unmarshal([]byte(js), &l) != nil || !l.Correct || l.Failed != 0 {
+				t.Fatalf("accepted the line %q", line)
+			}
+			count[side]++
+		}
+		if count["base"] != len(base) || count["new"] != len(change) {
+			t.Fatalf("%d base and %d new lines read as %d and %d runs", count["base"], count["new"], len(base), len(change))
+		}
+	})
+}
