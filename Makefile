@@ -1,14 +1,15 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check fmt build test vet loc bench-mod race fuzz equiv faults bench bench-pairs benchall qor qor-check tables-check obs-smoke cache-smoke harden-smoke trace-smoke
+.PHONY: check fmt build test noasm vet loc bench-mod race fuzz equiv faults bench bench-pairs benchall qor qor-check tables-check obs-smoke cache-smoke harden-smoke trace-smoke
 
-## check: the full gate — gofmt, vet, build, unit tests, the bench/
+## check: the full gate — gofmt, vet, build, unit tests, the placer
+## without its vector kernel, the bench/
 ## module's vet and tests, the race-enabled fault-injection suite, a
 ## bounded fuzz of the snapshot decoder, the published tables checked,
 ## then the observability, stage-cache, hardened-macro and
 ## execution-tracer smoke tests (what CI should run).
-check: fmt vet build test bench-mod race fuzz tables-check obs-smoke cache-smoke harden-smoke trace-smoke
+check: fmt vet build test noasm bench-mod race fuzz tables-check obs-smoke cache-smoke harden-smoke trace-smoke
 
 ## fmt: fails on any Go file gofmt would rewrite, and names it.
 fmt:
@@ -22,6 +23,18 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+## noasm: the placer without its AVX2 kernels (internal/place/*_amd64.s:
+## the exponentials and the net pass). `go vet` on arm64 builds the
+## pure-Go fallback, offline; under GODEBUG=cpu.fma=off math.Exp takes
+## its plain path, the exponential kernel's probe shuts the kernels'
+## gate, and the kernel and descent tests must pass on the scalar Go
+## alone. (TestPlaceDigest is not among them: its pinned placements are
+## those of math.Exp's FMA path.) `make vet`'s asmdecl pass checks the
+## kernels' frames against their Go declarations.
+noasm:
+	GOARCH=arm64 $(GO) vet ./internal/place
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/place -run 'Exp|Descent'
 
 ## loc: the size of the Go code outside bench/, as ROADMAP.md quotes it
 ## at each re-anchor: its non-test lines, then all its lines, tests
@@ -208,12 +221,15 @@ bench:
 ## tree, each run in its own checkout N times, the side that goes first
 ## alternating pair by pair — then `benchjson -pairs`: per gated metric of BENCHMARK.json
 ## each side's median [Q1–Q3], the pairs the change won and a verdict
-## (gain: ≥ 9/10 pairs won and a median gap wider than the base's IQR).
+## (gain: ≥ 9/10 pairs won and a median gap wider than the base's IQR;
+## no change: a gap inside that IQR, with neither side winning ≥ 9/10).
 ## It exits 1 on a loss. The runs stay in .bench_build/pairs/runs.txt,
 ## and the verdict table is appended as one row to the committed
 ## BENCH_pairs.json: BASE's revision, the working tree's (`git describe
 ## --dirty`), WL, N, the host, and per metric the medians, quartiles,
-## pairs won and verdict; a re-run of the same three replaces its row.
+## pairs won and verdict; a re-run of the same three replaces its row,
+## but a row whose change is a `-dirty` tree is never replaced (a second
+## uncommitted change at one HEAD has the same name): remove it by hand.
 ## TRACE=1 runs traced reps instead: the verdicts are then on the run's
 ## wall and CPU time and on each stage's time, with no bound, and fail
 ## nothing.

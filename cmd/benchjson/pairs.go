@@ -25,9 +25,11 @@ import (
 //	gain       the change won ≥ 9/10 of the pairs and its median is
 //	           better by more than the base's interquartile range
 //	loss       the same rule the other way
-//	no change  the medians lie within the base's IQR, and that IQR is
-//	           no wider than the metric's bound
-//	unresolved anything else: the spread is too wide to tell
+//	no change  the medians lie within the base's IQR, that IQR is no
+//	           wider than the metric's bound, and neither side won
+//	           ≥ 9/10 of the pairs
+//	unresolved anything else: the spread is too wide to tell, or the
+//	           pairs moved one way by less than the base's spread
 //
 // Fewer than ten pairs never make a gain or a loss. It exits 1 on a loss.
 //
@@ -161,12 +163,15 @@ func judgePairs(g gate, base, change []float64) pairVerdict {
 	}
 	iqr := v.base.q3 - v.base.q1
 	n := len(base)
+	// oneWay: the pairs moved together, which no change cannot be, even
+	// when the medians part by less than the base's spread.
+	oneWay := 10*max(v.won, v.lost) >= 9*n
 	switch {
 	case n >= minPairs && 10*v.won >= 9*n && -gap > iqr:
 		v.verdict = "gain"
 	case n >= minPairs && 10*v.lost >= 9*n && gap > iqr:
 		v.verdict = "loss"
-	case math.Abs(gap) <= iqr && (g.Bound == 0 || iqr <= g.Bound*math.Abs(v.base.med)):
+	case !oneWay && math.Abs(gap) <= iqr && (g.Bound == 0 || iqr <= g.Bound*math.Abs(v.base.med)):
 		v.verdict = "no change"
 	default:
 		v.verdict = "unresolved"
@@ -258,7 +263,10 @@ func printVerdict(w io.Writer, g gate, v pairVerdict, n int, bound string) {
 // GOMAXPROCS; benchjson runs on it right after the runs) and, per judged
 // metric, each side's median and quartiles, the pairs the change won and
 // lost, and the verdict. A re-run of the same revisions, workload and
-// kind of run (traced or not) replaces its row.
+// kind of run (traced or not) replaces its row — unless the change is an
+// uncommitted tree (`git describe --dirty`: "…-dirty"), which names no
+// one tree: a second change at the same HEAD would take the first one's
+// row, so a dirty row is never replaced.
 
 type pairsLedger struct {
 	Rows []pairsRow `json:"rows"`
@@ -320,7 +328,8 @@ func pairsRowFrom(m *manifest, base, change []map[string]float64, args []string)
 }
 
 // appendPairs adds the row to the file at path (created when absent),
-// replacing an earlier row of the same revisions, workload and kind.
+// replacing an earlier row of the same revisions, workload and kind; it
+// refuses to replace one whose change is a dirty tree.
 func appendPairs(path string, row pairsRow) error {
 	var l pairsLedger
 	if err := readJSON(path, &l); err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -329,9 +338,13 @@ func appendPairs(path string, row pairsRow) error {
 	i := slices.IndexFunc(l.Rows, func(r pairsRow) bool {
 		return r.Base == row.Base && r.Change == row.Change && r.Workload == row.Workload && r.Trace == row.Trace
 	})
-	if i >= 0 {
+	switch {
+	case i >= 0 && strings.HasSuffix(row.Change, "-dirty"):
+		return fmt.Errorf("%s already holds a row of base %s, change %s, workload %s (trace %v): an uncommitted change names no one tree, so its row is not replaced; remove that row by hand to record this one",
+			path, row.Base, row.Change, row.Workload, row.Trace)
+	case i >= 0:
 		l.Rows[i] = row
-	} else {
+	default:
 		l.Rows = append(l.Rows, row)
 	}
 	return write(path, &l)

@@ -36,7 +36,9 @@ func TestJudgePairs(t *testing.T) {
 		{"eight pairs faster", base, shift(-0.1, 3, 7), 8, 2, "unresolved", false},
 		{"every pair slower", base, shift(0.1), 0, 10, "loss", false},
 		{"identical runs", base, shift(0), 0, 0, "no change", false},
-		{"faster in every pair, inside the base IQR", base, shift(-0.005), 10, 0, "no change", false},
+		{"faster in every pair, inside the base IQR", base, shift(-0.005), 10, 0, "unresolved", false},
+		{"faster in nine pairs, inside the base IQR", base, shift(-0.005, 3), 9, 1, "unresolved", false},
+		{"faster in eight pairs, inside the base IQR", base, shift(-0.005, 3, 7), 8, 2, "no change", false},
 		{"nine pairs faster, too few", base[:9], shift(-0.1)[:9], 9, 0, "unresolved", false},
 		{"spread wider than the bound", []float64{1, 2, 1, 2, 1, 2, 1, 2, 1, 2}, []float64{2, 1, 2, 1, 2, 1, 2, 1, 2, 1}, 5, 5, "unresolved", false},
 		{"higher is better, every pair higher", base, shift(0.1), 10, 0, "gain", true},
@@ -52,6 +54,26 @@ func TestJudgePairs(t *testing.T) {
 					v.won, v.lost, v.verdict, tc.won, tc.lost, tc.verdict, v.base, v.change)
 			}
 		})
+	}
+}
+
+// TestJudgePairsOneWayInsideIQR is ROADMAP item 3's bench.cpu_s reading:
+// serial lower in 10/10 pairs by a median 17.5 ms, inside the base's
+// 19 ms IQR. The pairs moved together, so the verdict is unresolved, not
+// no change.
+func TestJudgePairsOneWayInsideIQR(t *testing.T) {
+	g := gate{Name: "bench.cpu_s", Unit: "s", Better: "lower"}
+	base := []float64{0.259, 0.235, 0.267, 0.248, 0.280, 0.240, 0.255, 0.267, 0.248, 0.270}
+	change := make([]float64, len(base))
+	for i, v := range base {
+		change[i] = v - 0.0175
+	}
+	v := judgePairs(g, base, change)
+	if iqr, gap := v.base.q3-v.base.q1, v.base.med-v.change.med; abs(iqr-0.019) > 1e-12 || abs(gap-0.0175) > 1e-12 {
+		t.Fatalf("fixture: base IQR %g, median gap %g; want 0.019 and 0.0175", iqr, gap)
+	}
+	if v.won != 10 || v.verdict != "unresolved" {
+		t.Fatalf("won %d/10, %q; want 10/10, unresolved", v.won, v.verdict)
 	}
 }
 
@@ -105,7 +127,7 @@ func TestPairsInput(t *testing.T) {
 
 // TestPairsJudgeTraceTimes: on --trace 1 lines the per-layer times are
 // judged with no bound — a gain, a loss that fails nothing, no change
-// inside the base's spread — while per-layer metrics in other units and
+// inside the base's spread, the pairs split both ways — while per-layer metrics in other units and
 // times every run reads 0 are left out.
 func TestPairsJudgeTraceTimes(t *testing.T) {
 	line := func(side string, i int, wall, cpu, opt float64) string {
@@ -115,7 +137,8 @@ func TestPairsJudgeTraceTimes(t *testing.T) {
 	var in []string
 	for i := 0; i < 10; i++ {
 		d := 0.001 * float64(i%3)
-		in = append(in, line("base", i, 0.30+d, 0.50+d, 0.100+d), line("new", i, 0.27+d, 0.60+d, 0.1005+d))
+		// opt.s moves half a millisecond, up in even pairs and down in odd.
+		in = append(in, line("base", i, 0.30+d, 0.50+d, 0.100+d), line("new", i, 0.27+d, 0.60+d, 0.1005-0.001*float64(i%2)+d))
 	}
 	base, change, err := readPairs(strings.NewReader(strings.Join(in, "\n")))
 	if err != nil {
@@ -197,6 +220,17 @@ func TestPairsLedgerAppend(t *testing.T) {
 	if err := add(0, "array-verify", "aaa"); err == nil {
 		t.Fatal("a row without its change revision was accepted")
 	}
+	// An uncommitted change's row is recorded once and never replaced:
+	// the next uncommitted change at the same HEAD has the same name.
+	if err := add(0, "array-verify", "aaa", "aaa-dirty"); err != nil {
+		t.Fatal(err)
+	}
+	if err := add(0, "table2", "aaa", "aaa-dirty"); err != nil {
+		t.Fatalf("a dirty row of another workload was refused: %v", err)
+	}
+	if err := add(0, "array-verify", "aaa", "aaa-dirty"); err == nil || !strings.Contains(err.Error(), "not replaced") {
+		t.Fatalf("a second dirty row of the same key: err = %v, want a refusal", err)
+	}
 	var l pairsLedger
 	b, err := os.ReadFile(path)
 	if err == nil {
@@ -205,8 +239,8 @@ func TestPairsLedgerAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(l.Rows) != 2 || l.Rows[0].Trace || !l.Rows[1].Trace {
-		t.Fatalf("want one plain and one traced row, got %+v", l.Rows)
+	if len(l.Rows) != 4 || l.Rows[0].Trace || !l.Rows[1].Trace || l.Rows[2].Change != "aaa-dirty" || l.Rows[3].Workload != "table2" {
+		t.Fatalf("want a plain and a traced row, then the two dirty ones, got %+v", l.Rows)
 	}
 	r := l.Rows[0]
 	if r.Workload != "array-verify" || r.Base != "aaa" || r.Change != "bbb" || r.N != 10 || r.Go == "" || r.NProc < 1 || r.GoMaxProcs < 1 {

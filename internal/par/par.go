@@ -155,6 +155,17 @@ func (t *Team) Chunks(name string, n int, fn func(w, lo, hi int)) time.Duration 
 	return busy
 }
 
+// Serial records the caller's own work since start — serial work between
+// fork-joins — as a fork-join of one chunk named name, on worker 0's
+// track as Chunks traces an inline run; a no-op when the team does not
+// trace.
+func (t *Team) Serial(name string, start time.Time) {
+	if t.ts != nil {
+		t.ts.NextStep()
+		t.ts.Add(0, name, start, time.Now())
+	}
+}
+
 // run executes chunk w of the fork-join in progress and returns its busy
 // time, recording a panic instead of propagating it.
 func (t *Team) run(w int) (busy time.Duration) {

@@ -174,6 +174,24 @@ func TestChunksTracedSerialInline(t *testing.T) {
 	}
 }
 
+// TestSerialTraced: Serial records the caller's work since start as one
+// slice on worker 0's track, a fork-join step of its own after the
+// Chunks before it, on a team of any size; untraced it records nothing.
+func TestSerialTraced(t *testing.T) {
+	tr := trace.New()
+	tm := team(t, 2, tr.WorkerSet("place", 2))
+	tm.Chunks("place/net", 10, func(w, lo, hi int) {})
+	t0 := time.Now()
+	time.Sleep(time.Millisecond)
+	tm.Serial("place/field", t0)
+	sl := tr.Track("worker 0").Slices()
+	last := sl[len(sl)-1]
+	if len(sl) != 2 || last.Name != "place/field" || last.Cat != "place" || last.Step <= sl[0].Step || last.Dur < int64(time.Millisecond) {
+		t.Fatalf("worker 0's slices: %+v", sl)
+	}
+	team(t, 2, nil).Serial("place/field", t0) // untraced: a no-op
+}
+
 // TestChunksBusyTimeInline pins the serial accounting contract: an
 // inline run (workers == 1) reports its wall time as busy time.
 func TestChunksBusyTimeInline(t *testing.T) {

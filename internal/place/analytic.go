@@ -246,6 +246,7 @@ func newAnalyticState(d *netlist.Design, movable []*netlist.Instance,
 // iteration boundary itself. slotGrad is free until the descent begins
 // and carries each pin's pull in the meantime.
 func (st *analyticState) seed(d *netlist.Design, sweeps int) {
+	t0 := time.Now()
 	// A net pulls each of its pins toward its centroid with weight
 	// Weight/(pins−1) — small nets pull harder — so the total pull on a
 	// cell, summed here in the order of its slots, is fixed across sweeps.
@@ -293,6 +294,7 @@ func (st *analyticState) seed(d *netlist.Design, sweeps int) {
 			st.pos[id] = st.inner.ClampPoint(geom.Pt(sx/total[id], sy/total[id]))
 		}
 	}
+	st.team.Serial("place/seed", t0)
 	for range sweeps {
 		st.busy += st.team.Chunks("place/centroid", len(d.Nets), centroid)
 		st.busy += st.team.Chunks("place/move", len(st.movID), move)
@@ -311,15 +313,15 @@ func (st *analyticState) schedule(it, iters int) (gamma, step float64) {
 // iterate runs descent iteration it of iters — three fork-joins: the
 // per-net WA sums and pin gradients, the per-cell gradients with their
 // maximum, the step with the next iteration's exponentials (iteration 0
-// takes its own in a fourth) — around the serial density field, and
-// returns the density overflow of the new iterate.
+// takes its own in a fourth, and its own density field) — then the
+// serial density step of the new iterate, and returns its overflow.
 func (st *analyticState) iterate(it, iters int) float64 {
 	points := len(st.movID) + len(st.pos) - st.frozen0
 	gamma, step := st.schedule(it, iters)
 	if it == 0 {
 		st.gamma = gamma
 		st.busy += st.team.Chunks("place/wa-exp", points, st.expFn)
-		st.charge()
+		st.density()
 	} else {
 		// The density weight λ ramps geometrically as γ tightens — density
 		// starts as a nudge and ends dominating, the ePlace weight schedule.
@@ -327,7 +329,6 @@ func (st *analyticState) iterate(it, iters int) float64 {
 	}
 
 	st.busy += st.team.Chunks("place/wa-net", len(st.wnet), st.netFn)
-	st.field()
 	st.busy += st.team.Chunks("place/cell-grad", len(st.movID), st.cellFn)
 	gmax := slices.Max(st.maxG)
 	if it == 0 {
@@ -356,8 +357,7 @@ func (st *analyticState) iterate(it, iters int) float64 {
 	}
 	st.gamma, _ = st.schedule(it+1, iters)
 	st.busy += st.team.Chunks("place/descend", points, st.stepFn)
-	st.charge()
-	return st.overflow()
+	return st.density()
 }
 
 // span returns the bounding box of the pins of net slots [s0, s1) at
@@ -379,7 +379,14 @@ func (st *analyticState) span(s0, s1 int32) (xmax, xmin, ymax, ymin float64) {
 // taken about the one centre c, the net's own shift e^{(c−xmax)/γ}
 // multiplies numerator and denominator of every ratio below and is
 // never applied: a/A = u/Σu, b/B = v/Σv, f = Σxu/Σu, m = Σxv/Σv.
+// Where the vector kernels run (useKernels), waNets does this same
+// arithmetic four lanes wide to the same bits; the loops below are its
+// reference and the path everywhere else.
 func (st *analyticState) netPass(_, lo, hi int) {
+	if useKernels {
+		waNets(st.netStart, st.slotPin, st.force, st.wnet, st.pos, st.exps, st.slotGrad, 1/st.gamma, lo, hi)
+		return
+	}
 	pos, exps, ig := st.pos, st.exps, 1/st.gamma
 	for n := lo; n < hi; n++ {
 		if !st.force[n] {
@@ -435,12 +442,12 @@ func waGrad(x, ra, rb, f, m, ig float64) float64 {
 // bin the cell sits in, and records the chunk's maximum of |∇WL + λ∇D|.
 // Max combines exactly regardless of chunking.
 func (st *analyticState) cellPass(w, lo, hi int) {
-	lambda := st.lambda
+	lambda, slotGrad, cellSlot, cellStart := st.lambda, st.slotGrad, st.cellSlot, st.cellStart
 	var mg float64
 	for k := lo; k < hi; k++ {
 		var gx, gy float64
-		for _, s := range st.cellSlot[st.cellStart[k]:st.cellStart[k+1]] {
-			sg := st.slotGrad[s]
+		for _, s := range cellSlot[cellStart[k]:cellStart[k+1]] {
+			sg := slotGrad[s]
 			gx += sg.X
 			gy += sg.Y
 		}
@@ -467,20 +474,48 @@ func (st *analyticState) stepPass(w, lo, hi int) {
 	st.expPass(w, lo, hi)
 }
 
+// expBatch is how many points expPass gathers for one expSlice call.
+const expBatch = 64
+
 // expPass takes the exponentials of points [lo, hi) — the movable cells
 // in movable order, then the frozen points — at smoothing st.gamma: one
-// math.Exp per point and axis, whatever the number of pins on it.
+// exponential per point and axis, whatever the number of pins on it. It
+// gathers a batch of arguments at a time into stack buffers and takes
+// them in one expSlice, math.Exp's bits four lanes at a time.
 func (st *analyticState) expPass(_, lo, hi int) {
 	c, ig := st.centre, 1/st.gamma
 	cells := len(st.movID)
-	for j := lo; j < hi; j++ {
-		i := st.frozen0 + j - cells
-		if j < cells {
-			i = int(st.movID[j])
+	var at [expBatch]int32
+	var arg, e [2 * expBatch]float64
+	for b := lo; b < hi; b += expBatch {
+		pts := at[:min(expBatch, hi-b)]
+		for j := range pts {
+			i := st.frozen0 + b + j - cells
+			if b+j < cells {
+				i = int(st.movID[b+j])
+			}
+			pts[j] = int32(i)
+			arg[2*j], arg[2*j+1] = (st.pos[i].X-c.X)*ig, (st.pos[i].Y-c.Y)*ig
 		}
-		ux, uy := math.Exp((st.pos[i].X-c.X)*ig), math.Exp((st.pos[i].Y-c.Y)*ig)
-		st.exps[i] = pinExp{ux, 1 / ux, uy, 1 / uy}
+		expSlice(e[:2*len(pts)], arg[:2*len(pts)])
+		for j, i := range pts {
+			ux, uy := e[2*j], e[2*j+1]
+			st.exps[i] = pinExp{ux, 1 / ux, uy, 1 / uy}
+		}
 	}
+}
+
+// density bins the movable cells at the iterate's positions, takes the
+// field they make, which the next iteration's cell pass reads (the exit
+// iterate's goes unread), and returns their overflow: one serial
+// "place/field" slice on the team's trace.
+func (st *analyticState) density() float64 {
+	t0 := time.Now()
+	st.charge()
+	st.field()
+	ovf := st.overflow()
+	st.team.Serial("place/field", t0)
+	return ovf
 }
 
 // charge bins every movable cell at its current position: a serial

@@ -130,6 +130,7 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 	ssp.End()
 	gsp.End()
 
+	t1 := time.Now()
 	res := &Result{}
 	for _, inst := range movable {
 		inst.Loc = geom.Pt(pos[inst.ID].X-inst.Master.Width/2, pos[inst.ID].Y-inst.Master.Height/2)
@@ -138,6 +139,7 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 	res.GlobalHPWL = d.TotalHPWL()
 	st.charge()
 	res.Overflow = st.overflow()
+	team.Serial("place/handoff", t1)
 
 	lsp := opt.Obs.Child("legalize")
 	disp, maxDisp, err := Legalize(movable, fp, rowHeight)
@@ -145,9 +147,11 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 	if err != nil {
 		return nil, err
 	}
+	t2 := time.Now()
 	res.Displacement = disp
 	res.MaxDisp = maxDisp
 	res.HPWL = d.TotalHPWL()
+	team.Serial("place/hpwl", t2)
 	if reg != nil {
 		reg.Counter("place_legalized_cells_total",
 			"Movable standard cells legalized into rows.").Add(uint64(len(movable)))
@@ -174,6 +178,7 @@ func Place(d *netlist.Design, fp *floorplan.Floorplan, rowHeight float64, opt Op
 // on after it: the movable cells scattered about the die centre, then
 // pulled toward the wirelength minimum by quadratic net-centroid sweeps.
 func newDescent(d *netlist.Design, movable []*netlist.Instance, bins *binGrid, opt Options, team *par.Team) (*analyticState, *geom.RNG) {
+	t0 := time.Now()
 	rng := geom.NewRNG(opt.Seed + 11)
 	st := newAnalyticState(d, movable, bins, opt.BinPitch, team)
 	die := bins.grid.Region
@@ -183,6 +188,7 @@ func newDescent(d *netlist.Design, movable []*netlist.Instance, bins *binGrid, o
 			st.pos[inst.ID] = geom.Pt(die.Center().X+rng.Norm()*die.W()/20, die.Center().Y+rng.Norm()*die.H()/20)
 		}
 	}
+	team.Serial("place/new-descent", t0)
 	st.seed(d, analyticSeedIters)
 	return st, rng
 }
